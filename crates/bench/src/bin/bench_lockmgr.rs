@@ -1,6 +1,6 @@
 //! Focused lock-manager micro-benchmark backing `BENCH_lockmgr.json`.
 //!
-//! Measures, for both the vanilla [`LockSys`] and the lightweight
+//! Measures, for both the vanilla `LockSys` layout and the lightweight
 //! record-keyed table:
 //!
 //! * **uncontended acquire/release** — one thread, a rotating set of cold
@@ -20,19 +20,11 @@
 //! * **two hot records, one page** — 4 threads in two pairs, each pair
 //!   hammering its own heap_no on the same page.  Grant scans and conflict
 //!   checks of one record must not pay for the other record's queue.
-//! * **early-release batching** — one thread acquires a statement's worth of
-//!   records (same page) and early-releases them either one
-//!   `release_record_locks` call per record (the pre-batching Bamboo write
-//!   path) or one batched call per statement boundary.  Reports both ops/sec
-//!   and release-path **shard-lock acquisitions per released record** (the
-//!   `release_shard_locks` counter: page/row-shard takes plus registry-shard
-//!   takes), which batching amortizes.
 //! * **commit handover** — a group-locking leader commits N hot rows (same
-//!   page): either the per-record prepare → release → handover sequence or
-//!   the batched `begin_leader_commit` / one `release_record_locks` /
-//!   `finish_leader_handover` path.  Reports hot records committed per
-//!   second and group-table **entry-shard-lock takes per hot record** (the
-//!   `handover_shard_locks` counter) — the amortization ISSUE 5 targets.
+//!   page) through `begin_leader_commit` / one `release_record_locks` /
+//!   `finish_leader_handover`.  Reports hot records committed per second and
+//!   group-table **entry-shard-lock takes per hot record** (the
+//!   `handover_shard_locks` counter).
 //!
 //! Output is a flat JSON object on stdout so runs can be recorded verbatim.
 //! `TXSQL_BENCH_SECONDS` scales the per-cell measurement window.
@@ -43,103 +35,55 @@ use std::time::{Duration, Instant};
 use txsql_common::metrics::{EngineMetrics, MetricsScratch};
 use txsql_common::{RecordId, TxnId};
 use txsql_lockmgr::group_lock::{GroupLockConfig, GroupLockTable, HotExecution};
-use txsql_lockmgr::lightweight::{LightweightConfig, LightweightLockTable};
-use txsql_lockmgr::lock_sys::{DeadlockPolicy, LockSys, LockSysConfig};
+use txsql_lockmgr::lightweight::FlatLayout;
+use txsql_lockmgr::lock_sys::PageLayout;
+use txsql_lockmgr::lock_table::{DeadlockPolicy, Layout, LockTableConfig, RecordLockTable};
 use txsql_lockmgr::modes::LockMode;
 
-/// One lock-table implementation under test.  The lock/release entry points
-/// take the caller's `MetricsScratch` — the engine's per-transaction shape.
-trait LockTable: Send + Sync {
-    fn lock(&self, txn: TxnId, record: RecordId, mode: LockMode, scratch: &MetricsScratch) -> bool;
-    fn release_all(&self, txn: TxnId, scratch: &MetricsScratch);
-    fn release_batch(&self, txn: TxnId, records: &[RecordId], scratch: &MetricsScratch);
-    fn metrics(&self) -> &EngineMetrics;
-}
-
-struct VanillaTable {
-    sys: LockSys,
+/// One lock table under test plus the metrics it counts into.  Every cell
+/// drives the table through a `MetricsScratch` — the engine's
+/// per-transaction shape.
+struct Bench<L: Layout> {
+    table: RecordLockTable<L>,
     metrics: Arc<EngineMetrics>,
 }
 
-impl LockTable for VanillaTable {
-    fn lock(&self, txn: TxnId, record: RecordId, mode: LockMode, scratch: &MetricsScratch) -> bool {
-        self.sys.lock_record_in(txn, record, mode, scratch).is_ok()
+impl<L: Layout> Bench<L> {
+    fn new(timeout: Duration) -> Self {
+        let metrics = Arc::new(EngineMetrics::new());
+        let config = LockTableConfig {
+            deadlock_policy: DeadlockPolicy::TimeoutOnly,
+            lock_wait_timeout: timeout,
+        };
+        Self {
+            table: RecordLockTable::new(config, Arc::clone(&metrics)),
+            metrics,
+        }
     }
-    fn release_all(&self, txn: TxnId, scratch: &MetricsScratch) {
-        self.sys.release_all_in(txn, scratch);
-    }
-    fn release_batch(&self, txn: TxnId, records: &[RecordId], scratch: &MetricsScratch) {
-        self.sys.release_record_locks_in(txn, records, scratch);
-    }
-    fn metrics(&self) -> &EngineMetrics {
-        &self.metrics
-    }
-}
 
-struct LightTable {
-    table: LightweightLockTable,
-    metrics: Arc<EngineMetrics>,
-}
-
-impl LockTable for LightTable {
-    fn lock(&self, txn: TxnId, record: RecordId, mode: LockMode, scratch: &MetricsScratch) -> bool {
+    fn lock(&self, txn: TxnId, record: RecordId, scratch: &MetricsScratch) -> bool {
         self.table
-            .lock_record_in(txn, record, mode, scratch)
+            .lock_record_in(txn, record, LockMode::Exclusive, scratch)
             .is_ok()
     }
+
     fn release_all(&self, txn: TxnId, scratch: &MetricsScratch) {
         self.table.release_all_in(txn, scratch);
-    }
-    fn release_batch(&self, txn: TxnId, records: &[RecordId], scratch: &MetricsScratch) {
-        self.table.release_record_locks_in(txn, records, scratch);
-    }
-    fn metrics(&self) -> &EngineMetrics {
-        &self.metrics
-    }
-}
-
-fn vanilla(timeout: Duration) -> VanillaTable {
-    let metrics = Arc::new(EngineMetrics::new());
-    VanillaTable {
-        sys: LockSys::new(
-            LockSysConfig {
-                deadlock_policy: DeadlockPolicy::TimeoutOnly,
-                lock_wait_timeout: timeout,
-                ..LockSysConfig::default()
-            },
-            Arc::clone(&metrics),
-        ),
-        metrics,
-    }
-}
-
-fn light(timeout: Duration) -> LightTable {
-    let metrics = Arc::new(EngineMetrics::new());
-    LightTable {
-        table: LightweightLockTable::new(
-            LightweightConfig {
-                deadlock_policy: DeadlockPolicy::TimeoutOnly,
-                lock_wait_timeout: timeout,
-                ..LightweightConfig::default()
-            },
-            Arc::clone(&metrics),
-        ),
-        metrics,
     }
 }
 
 /// Single-threaded cold-record acquire/release loop; returns
 /// (ops/sec, locks_created per op).
-fn bench_uncontended(table: &dyn LockTable, window: Duration) -> (f64, f64) {
+fn bench_uncontended<L: Layout>(table: &Bench<L>, window: Duration) -> (f64, f64) {
     let scratch = MetricsScratch::new();
     // Warm up shard maps so steady-state cost is measured.
     for i in 0..4_096u64 {
         let txn = TxnId(i + 1);
-        table.lock(txn, record_for(i), LockMode::Exclusive, &scratch);
+        table.lock(txn, record_for(i), &scratch);
         table.release_all(txn, &scratch);
     }
-    scratch.flush(table.metrics());
-    let created_before = table.metrics().locks_created.get();
+    scratch.flush(&table.metrics);
+    let created_before = table.metrics.locks_created.get();
     let start = Instant::now();
     let mut ops = 0u64;
     let mut next_txn = 1_000_000u64;
@@ -148,14 +92,14 @@ fn bench_uncontended(table: &dyn LockTable, window: Duration) -> (f64, f64) {
         for _ in 0..256 {
             next_txn += 1;
             let txn = TxnId(next_txn);
-            table.lock(txn, record_for(next_txn), LockMode::Exclusive, &scratch);
+            table.lock(txn, record_for(next_txn), &scratch);
             table.release_all(txn, &scratch);
             ops += 1;
         }
     }
     let elapsed = start.elapsed().as_secs_f64();
-    scratch.flush(table.metrics());
-    let created = (table.metrics().locks_created.get() - created_before) as f64;
+    scratch.flush(&table.metrics);
+    let created = (table.metrics.locks_created.get() - created_before) as f64;
     (ops as f64 / elapsed, created / ops as f64)
 }
 
@@ -164,15 +108,13 @@ fn record_for(i: u64) -> RecordId {
 }
 
 /// Multi-threaded single-record hammer; returns successful cycles/sec.
-fn bench_hot(make: &dyn Fn() -> Box<dyn LockTable>, threads: usize, window: Duration) -> f64 {
-    let table: Arc<Box<dyn LockTable>> = Arc::new(make());
+fn bench_hot<L: Layout>(table: &Bench<L>, threads: usize, window: Duration) -> f64 {
     let stop = Arc::new(AtomicBool::new(false));
     let total = Arc::new(AtomicU64::new(0));
     let hot = RecordId::new(7, 0, 0);
     let start = Instant::now();
     std::thread::scope(|scope| {
         for worker in 0..threads {
-            let table = Arc::clone(&table);
             let stop = Arc::clone(&stop);
             let total = Arc::clone(&total);
             scope.spawn(move || {
@@ -182,12 +124,12 @@ fn bench_hot(make: &dyn Fn() -> Box<dyn LockTable>, threads: usize, window: Dura
                 while !stop.load(Ordering::Relaxed) {
                     txn_no += 1;
                     let txn = TxnId(txn_no);
-                    if table.lock(txn, hot, LockMode::Exclusive, &scratch) {
+                    if table.lock(txn, hot, &scratch) {
                         ok += 1;
                     }
                     table.release_all(txn, &scratch);
                 }
-                scratch.flush(table.metrics());
+                scratch.flush(&table.metrics);
                 total.fetch_add(ok, Ordering::Relaxed);
             });
         }
@@ -200,17 +142,12 @@ fn bench_hot(make: &dyn Fn() -> Box<dyn LockTable>, threads: usize, window: Dura
 /// Single thread acquiring/releasing one record on a page pre-populated with
 /// `population` granted locks on *other* heap_nos (one parked transaction
 /// each).  Returns ops/sec: the page-population tax of the lock layout.
-fn bench_hot_page_populated(table: &dyn LockTable, population: u16, window: Duration) -> f64 {
+fn bench_hot_page_populated<L: Layout>(table: &Bench<L>, population: u16, window: Duration) -> f64 {
     let scratch = MetricsScratch::new();
     for heap in 0..population {
         let txn = TxnId(1 + heap as u64);
         assert!(
-            table.lock(
-                txn,
-                RecordId::new(11, 0, heap),
-                LockMode::Exclusive,
-                &scratch
-            ),
+            table.lock(txn, RecordId::new(11, 0, heap), &scratch),
             "populating lock must not conflict"
         );
     }
@@ -223,26 +160,24 @@ fn bench_hot_page_populated(table: &dyn LockTable, population: u16, window: Dura
         for _ in 0..64 {
             next_txn += 1;
             let txn = TxnId(next_txn);
-            table.lock(txn, target, LockMode::Exclusive, &scratch);
+            table.lock(txn, target, &scratch);
             table.release_all(txn, &scratch);
             ops += 1;
         }
     }
-    scratch.flush(table.metrics());
+    scratch.flush(&table.metrics);
     ops as f64 / start.elapsed().as_secs_f64()
 }
 
 /// Two hot records on one page, two threads per record: intra-record
 /// contention with cross-record independence.  Returns successful
 /// acquire+release cycles/sec across all threads.
-fn bench_hot_page_two_records(make: &dyn Fn() -> Box<dyn LockTable>, window: Duration) -> f64 {
-    let table: Arc<Box<dyn LockTable>> = Arc::new(make());
+fn bench_hot_page_two_records<L: Layout>(table: &Bench<L>, window: Duration) -> f64 {
     let stop = Arc::new(AtomicBool::new(false));
     let total = Arc::new(AtomicU64::new(0));
     let start = Instant::now();
     std::thread::scope(|scope| {
         for worker in 0..4usize {
-            let table = Arc::clone(&table);
             let stop = Arc::clone(&stop);
             let total = Arc::clone(&total);
             // Workers 0/1 share heap 0, workers 2/3 share heap 1.
@@ -254,12 +189,12 @@ fn bench_hot_page_two_records(make: &dyn Fn() -> Box<dyn LockTable>, window: Dur
                 while !stop.load(Ordering::Relaxed) {
                     txn_no += 1;
                     let txn = TxnId(txn_no);
-                    if table.lock(txn, record, LockMode::Exclusive, &scratch) {
+                    if table.lock(txn, record, &scratch) {
                         ok += 1;
                     }
                     table.release_all(txn, &scratch);
                 }
-                scratch.flush(table.metrics());
+                scratch.flush(&table.metrics);
                 total.fetch_add(ok, Ordering::Relaxed);
             });
         }
@@ -269,79 +204,15 @@ fn bench_hot_page_two_records(make: &dyn Fn() -> Box<dyn LockTable>, window: Dur
     total.load(Ordering::Relaxed) as f64 / start.elapsed().as_secs_f64()
 }
 
-/// Statement-boundary early-release batching: one thread repeatedly acquires
-/// a statement's worth of `batch` records (all on one page — the shape of a
-/// multi-row update) and early-releases them, either one
-/// `release_record_locks` call per record (`batched = false`, the pre-PR-4
-/// Bamboo write path) or one batched call at the statement boundary.
-/// Returns (released locks/sec, release-path shard-lock acquisitions per
-/// released lock).
-fn bench_early_release(
-    table: &dyn LockTable,
-    batch: usize,
-    batched: bool,
-    window: Duration,
-) -> (f64, f64) {
-    let scratch = MetricsScratch::new();
-    let records: Vec<RecordId> = (0..batch)
-        .map(|heap| RecordId::new(21, 0, heap as u16))
-        .collect();
-    // Warm up shard maps.
-    for warm in 0..1_024u64 {
-        let txn = TxnId(warm + 1);
-        for r in &records {
-            table.lock(txn, *r, LockMode::Exclusive, &scratch);
-        }
-        table.release_batch(txn, &records, &scratch);
-    }
-    scratch.flush(table.metrics());
-    let takes_before = table.metrics().release_shard_locks.get();
-    let start = Instant::now();
-    let mut released = 0u64;
-    let mut next_txn = 50_000_000u64;
-    while start.elapsed() < window {
-        // Batch 64 statements per clock check.
-        for _ in 0..64 {
-            next_txn += 1;
-            let txn = TxnId(next_txn);
-            for r in &records {
-                table.lock(txn, *r, LockMode::Exclusive, &scratch);
-            }
-            if batched {
-                table.release_batch(txn, &records, &scratch);
-            } else {
-                for r in &records {
-                    table.release_batch(txn, std::slice::from_ref(r), &scratch);
-                }
-            }
-            released += batch as u64;
-        }
-    }
-    let elapsed = start.elapsed().as_secs_f64();
-    scratch.flush(table.metrics());
-    let takes = (table.metrics().release_shard_locks.get() - takes_before) as f64;
-    (released as f64 / elapsed, takes / released as f64)
-}
-
 /// Commit-time hot-row handover: a group-locking leader repeatedly owns
 /// `n_hot` hot rows (same page — the multi-row flash-sale shape) and commits
-/// them, either through the per-record prepare → release-lock → handover
-/// sequence (`batched = false`) or the batched
-/// `begin_leader_commit` → one `release_record_locks` →
-/// `finish_leader_handover` path.  Returns (hot records committed/sec,
-/// group-table entry-shard-lock takes per hot record — the
-/// `handover_shard_locks` counter).
-fn bench_commit_handover(n_hot: usize, batched: bool, window: Duration) -> (f64, f64) {
-    let metrics = Arc::new(EngineMetrics::new());
+/// them through `begin_leader_commit` → one `release_record_locks` →
+/// `finish_leader_handover`.  Returns (hot records committed/sec, group-table
+/// entry-shard-lock takes per hot record — the `handover_shard_locks`
+/// counter).
+fn bench_commit_handover(n_hot: usize, window: Duration) -> (f64, f64) {
+    let Bench { table, metrics } = Bench::<FlatLayout>::new(Duration::from_millis(5));
     let group = GroupLockTable::new(GroupLockConfig::default(), Arc::clone(&metrics));
-    let table = LightweightLockTable::new(
-        LightweightConfig {
-            deadlock_policy: DeadlockPolicy::TimeoutOnly,
-            lock_wait_timeout: Duration::from_millis(5),
-            ..LightweightConfig::default()
-        },
-        Arc::clone(&metrics),
-    );
     let scratch = MetricsScratch::new();
     let records: Vec<RecordId> = (0..n_hot)
         .map(|heap| RecordId::new(31, 0, heap as u16))
@@ -361,17 +232,9 @@ fn bench_commit_handover(n_hot: usize, batched: bool, window: Duration) -> (f64,
             group.finish_update(txn, *r, true);
         }
         // Commit phase (Algorithm 2, leader side).
-        if batched {
-            let prepared = group.begin_leader_commit(txn, &records);
-            table.release_record_locks_in(txn, &records, &scratch);
-            group.finish_leader_handover(txn, prepared);
-        } else {
-            for r in &records {
-                group.leader_prepare_commit(txn, *r);
-                table.release_record_locks_in(txn, std::slice::from_ref(r), &scratch);
-                group.leader_handover(txn, *r);
-            }
-        }
+        let prepared = group.begin_leader_commit(txn, &records);
+        table.release_record_locks_in(txn, &records, &scratch);
+        group.finish_leader_handover(txn, prepared);
         for r in &records {
             group.finish_commit(txn, *r);
         }
@@ -407,52 +270,25 @@ fn main() {
         .and_then(|v| v.parse::<f64>().ok())
         .map(Duration::from_secs_f64)
         .unwrap_or(Duration::from_millis(500));
+    // Every cell gets a fresh table of each layout.
     let timeout = Duration::from_millis(5);
+    let vanilla = || Bench::<PageLayout>::new(timeout);
+    let light = || Bench::<FlatLayout>::new(timeout);
 
-    let v = vanilla(timeout);
-    let (lock_sys_uncontended, lock_sys_objects_per_op) = bench_uncontended(&v, window);
-    let l = light(timeout);
-    let (lightweight_uncontended, lightweight_objects_per_op) = bench_uncontended(&l, window);
+    let (lock_sys_uncontended, lock_sys_objects_per_op) = bench_uncontended(&vanilla(), window);
+    let (lightweight_uncontended, lightweight_objects_per_op) = bench_uncontended(&light(), window);
 
-    let lock_sys_hot = bench_hot(
-        &|| Box::new(vanilla(timeout)) as Box<dyn LockTable>,
-        4,
-        window,
-    );
-    let lightweight_hot = bench_hot(
-        &|| Box::new(light(timeout)) as Box<dyn LockTable>,
-        4,
-        window,
-    );
+    let lock_sys_hot = bench_hot(&vanilla(), 4, window);
+    let lightweight_hot = bench_hot(&light(), 4, window);
 
-    let v = vanilla(timeout);
-    let lock_sys_populated = bench_hot_page_populated(&v, 512, window);
-    let l = light(timeout);
-    let lightweight_populated = bench_hot_page_populated(&l, 512, window);
+    let lock_sys_populated = bench_hot_page_populated(&vanilla(), 512, window);
+    let lightweight_populated = bench_hot_page_populated(&light(), 512, window);
 
-    let lock_sys_two_records =
-        bench_hot_page_two_records(&|| Box::new(vanilla(timeout)) as Box<dyn LockTable>, window);
-    let lightweight_two_records =
-        bench_hot_page_two_records(&|| Box::new(light(timeout)) as Box<dyn LockTable>, window);
-
-    const EARLY_RELEASE_BATCH: usize = 4;
-    let v = vanilla(timeout);
-    let (ls_er_unbatched_ops, ls_er_unbatched_takes) =
-        bench_early_release(&v, EARLY_RELEASE_BATCH, false, window);
-    let v = vanilla(timeout);
-    let (ls_er_batched_ops, ls_er_batched_takes) =
-        bench_early_release(&v, EARLY_RELEASE_BATCH, true, window);
-    let l = light(timeout);
-    let (lw_er_unbatched_ops, lw_er_unbatched_takes) =
-        bench_early_release(&l, EARLY_RELEASE_BATCH, false, window);
-    let l = light(timeout);
-    let (lw_er_batched_ops, lw_er_batched_takes) =
-        bench_early_release(&l, EARLY_RELEASE_BATCH, true, window);
+    let lock_sys_two_records = bench_hot_page_two_records(&vanilla(), window);
+    let lightweight_two_records = bench_hot_page_two_records(&light(), window);
 
     const HANDOVER_HOT_ROWS: usize = 4;
-    let (ho_unbatched_ops, ho_unbatched_takes) =
-        bench_commit_handover(HANDOVER_HOT_ROWS, false, window);
-    let (ho_batched_ops, ho_batched_takes) = bench_commit_handover(HANDOVER_HOT_ROWS, true, window);
+    let (handover_ops, handover_takes) = bench_commit_handover(HANDOVER_HOT_ROWS, window);
 
     println!("{{");
     println!("  \"window_secs\": {},", window.as_secs_f64());
@@ -476,25 +312,9 @@ fn main() {
     println!("    \"lock_sys\": {lock_sys_two_records:.0},");
     println!("    \"lightweight\": {lightweight_two_records:.0}");
     println!("  }},");
-    println!("  \"early_release_batch_{EARLY_RELEASE_BATCH}_same_page\": {{");
-    println!("    \"lock_sys\": {{");
-    println!("      \"unbatched_locks_per_sec\": {ls_er_unbatched_ops:.0},");
-    println!("      \"batched_locks_per_sec\": {ls_er_batched_ops:.0},");
-    println!("      \"unbatched_shard_lock_takes_per_lock\": {ls_er_unbatched_takes:.3},");
-    println!("      \"batched_shard_lock_takes_per_lock\": {ls_er_batched_takes:.3}");
-    println!("    }},");
-    println!("    \"lightweight\": {{");
-    println!("      \"unbatched_locks_per_sec\": {lw_er_unbatched_ops:.0},");
-    println!("      \"batched_locks_per_sec\": {lw_er_batched_ops:.0},");
-    println!("      \"unbatched_shard_lock_takes_per_lock\": {lw_er_unbatched_takes:.3},");
-    println!("      \"batched_shard_lock_takes_per_lock\": {lw_er_batched_takes:.3}");
-    println!("    }}");
-    println!("  }},");
     println!("  \"commit_handover_{HANDOVER_HOT_ROWS}_hot_rows_same_page\": {{");
-    println!("    \"unbatched_hot_records_per_sec\": {ho_unbatched_ops:.0},");
-    println!("    \"batched_hot_records_per_sec\": {ho_batched_ops:.0},");
-    println!("    \"unbatched_handover_shard_lock_takes_per_record\": {ho_unbatched_takes:.3},");
-    println!("    \"batched_handover_shard_lock_takes_per_record\": {ho_batched_takes:.3}");
+    println!("    \"hot_records_per_sec\": {handover_ops:.0},");
+    println!("    \"handover_shard_lock_takes_per_record\": {handover_takes:.3}");
     println!("  }}");
     println!("}}");
 }

@@ -1,7 +1,8 @@
 //! # txsql-bench
 //!
 //! Shared harness helpers for the per-figure benchmark binaries (in
-//! `src/bin/`) and the Criterion micro-benchmarks (in `benches/`).
+//! `src/bin/`).  Per-layer micro-measurements are the `probe.*` metrics of
+//! the gated benchmark in `benchmark/`.
 //!
 //! Every figure binary prints a whitespace-aligned table with one series per
 //! protocol, mirroring the corresponding figure of the paper.  Absolute

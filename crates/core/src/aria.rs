@@ -310,7 +310,6 @@ impl AriaCoordinator {
             .pipeline
             .commit(inner.storage.redo(), lsn, binlog, hooks);
         inner.trx_sys.finish(txn.id, Some(trx_no));
-        inner.outcomes.lock().insert(txn.id, true);
         txn.state = txsql_txn::TxnState::Committed;
         if let Err(err) = pipeline_result {
             // The flush failed (injected crash / read-only): stamped in

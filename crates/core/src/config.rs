@@ -6,7 +6,6 @@ use std::time::Duration;
 use txsql_common::latency::LatencyModel;
 use txsql_lockmgr::group_lock::GroupLockConfig;
 use txsql_lockmgr::hotspot::HotspotConfig;
-use txsql_lockmgr::lock_sys::DeadlockPolicy;
 use txsql_storage::fault::FaultPlan;
 use txsql_txn::ReadViewMode;
 
@@ -94,23 +93,10 @@ pub enum ConfigDelta {
     DynamicBatch(bool),
     /// Group commit on/off (Figure 13 ablation).
     GroupCommit(bool),
-    /// Aria deterministic batch size.
-    AriaBatchSize(usize),
-    /// Bamboo statement-boundary early-release batch.
-    EarlyReleaseBatch(usize),
-    /// Hotspot promotion threshold.
-    HotspotThreshold(usize),
-    /// Lock-wait timeout in milliseconds (both lock tables + hotspot queues).
-    LockWaitTimeoutMs(u64),
-    /// Batched commit-time hot-row handover on/off.
-    BatchCommitHandover(bool),
     /// Front-door admission control (hot-key queues + shedding) on/off.
     Admission(bool),
     /// Per-hot-key admission-queue waiter bound.
     AdmissionDepth(usize),
-    /// Drivers' retry budget (attempts before a retryable abort is reported
-    /// failed).
-    RetryBudget(u32),
 }
 
 impl ConfigDelta {
@@ -120,16 +106,8 @@ impl ConfigDelta {
             ConfigDelta::BatchSize(n) => config.with_batch_size(n),
             ConfigDelta::DynamicBatch(on) => config.with_dynamic_batch(on),
             ConfigDelta::GroupCommit(on) => config.with_group_commit(on),
-            ConfigDelta::AriaBatchSize(n) => config.with_aria_batch_size(n),
-            ConfigDelta::EarlyReleaseBatch(n) => config.with_early_release_batch(n),
-            ConfigDelta::HotspotThreshold(n) => config.with_hotspot_threshold(n),
-            ConfigDelta::LockWaitTimeoutMs(ms) => {
-                config.with_lock_wait_timeout(Duration::from_millis(ms))
-            }
-            ConfigDelta::BatchCommitHandover(on) => config.with_batch_commit_handover(on),
             ConfigDelta::Admission(on) => config.with_admission(on),
             ConfigDelta::AdmissionDepth(n) => config.with_admission_depth(n),
-            ConfigDelta::RetryBudget(n) => config.with_retry_budget(n),
         }
     }
 
@@ -139,14 +117,8 @@ impl ConfigDelta {
             ConfigDelta::BatchSize(n) => format!("batch={n}"),
             ConfigDelta::DynamicBatch(on) => format!("dynbatch={on}"),
             ConfigDelta::GroupCommit(on) => format!("gc={on}"),
-            ConfigDelta::AriaBatchSize(n) => format!("ariabatch={n}"),
-            ConfigDelta::EarlyReleaseBatch(n) => format!("erbatch={n}"),
-            ConfigDelta::HotspotThreshold(n) => format!("hotthresh={n}"),
-            ConfigDelta::LockWaitTimeoutMs(ms) => format!("lockwait={ms}ms"),
-            ConfigDelta::BatchCommitHandover(on) => format!("handover={on}"),
             ConfigDelta::Admission(on) => format!("admission={on}"),
             ConfigDelta::AdmissionDepth(n) => format!("admdepth={n}"),
-            ConfigDelta::RetryBudget(n) => format!("retries={n}"),
         }
     }
 }
@@ -160,10 +132,8 @@ pub struct EngineConfig {
     pub read_view_mode: ReadViewMode,
     /// Simulated durability / replication latencies.
     pub latency: LatencyModel,
-    /// Lock-wait timeout for the regular lock tables.
+    /// Lock-wait timeout for the record-lock table.
     pub lock_wait_timeout: Duration,
-    /// Deadlock policy for the regular lock tables.
-    pub deadlock_policy: DeadlockPolicy,
     /// Hotspot detection configuration (§4.1).
     pub hotspot: HotspotConfig,
     /// Group-locking configuration (batch size, dynamic batching, §4.2/§4.6.1).
@@ -172,32 +142,6 @@ pub struct EngineConfig {
     pub group_commit: bool,
     /// Aria batch size (transactions per deterministic batch).
     pub aria_batch_size: usize,
-    /// Statement-boundary batching of Bamboo's early lock release: the write
-    /// path defers early releases into the transaction's pending buffer and
-    /// flushes them through **one** batched `release_record_locks` call once
-    /// this many are pending.  `1` (the default) releases every statement's
-    /// lock immediately — the classic Bamboo behavior; larger values
-    /// amortize the lock-table and registry shard locking at the cost of
-    /// holding each released lock until the end of the batch's statement.
-    pub early_release_batch: usize,
-    /// Batch the group-locking leader's commit-time hot-row handover: the
-    /// commit path collects the leader's hot records, fetches their group
-    /// entries with one entry-map shard lock per shard, releases the row
-    /// locks in one batched lock-table call and promotes all successor
-    /// leaders with their wake-ups fired outside every guard.  `false`
-    /// restores the per-record prepare → release → handover *sequence* for
-    /// A/B measurement; note it is emulated on the batched machinery
-    /// (per-record `begin_leader_commit`/`finish_leader_handover` calls),
-    /// which pays a few small per-record allocations the original
-    /// pre-batching loops did not, so throughput A/Bs are slightly
-    /// pessimistic about the baseline.  The `handover_shard_locks` counter
-    /// (shard-lock takes, allocation-independent) is the faithful metric.
-    pub batch_commit_handover: bool,
-    /// Empty-shell eviction budget for the page-sharded `lock_sys` (per
-    /// shard).  `None` retains shells for allocation-free steady state;
-    /// `Some(limit)` sweeps a shard's empty shells when they exceed the
-    /// limit — see `LockSysConfig::shell_sweep_limit`.
-    pub lock_shell_sweep_limit: Option<usize>,
     /// Record read/write sets of committed transactions so the
     /// serializability checker can audit the run (§6.4.5).
     pub record_history: bool,
@@ -232,7 +176,6 @@ impl EngineConfig {
             read_view_mode,
             latency: LatencyModel::in_memory(),
             lock_wait_timeout: Duration::from_millis(200),
-            deadlock_policy: DeadlockPolicy::Detect,
             hotspot: if protocol.uses_hotspots() {
                 HotspotConfig::default()
             } else {
@@ -241,9 +184,6 @@ impl EngineConfig {
             group: GroupLockConfig::default(),
             group_commit: true,
             aria_batch_size: 64,
-            early_release_batch: 1,
-            batch_commit_handover: true,
-            lock_shell_sweep_limit: None,
             record_history: false,
             start_sweeper: protocol.uses_hotspots(),
             fault_plan: None,
@@ -257,7 +197,7 @@ impl EngineConfig {
         self
     }
 
-    /// Sets the lock-wait timeout (both lock tables and hotspot queues).
+    /// Sets the lock-wait timeout (the record-lock table and hotspot queues).
     pub fn with_lock_wait_timeout(mut self, timeout: Duration) -> Self {
         self.lock_wait_timeout = timeout;
         self.group.hot_wait_timeout = timeout;
@@ -300,26 +240,6 @@ impl EngineConfig {
         self
     }
 
-    /// Sets how many Bamboo early releases are batched per
-    /// statement-boundary flush (1 = release immediately).
-    pub fn with_early_release_batch(mut self, batch: usize) -> Self {
-        self.early_release_batch = batch.max(1);
-        self
-    }
-
-    /// Sets the `lock_sys` empty-shell sweep budget (`None` = retain shells).
-    pub fn with_shell_sweep_limit(mut self, limit: Option<usize>) -> Self {
-        self.lock_shell_sweep_limit = limit;
-        self
-    }
-
-    /// Enables or disables the batched commit-time hot-row handover
-    /// (`true` by default; `false` restores the per-record sequence).
-    pub fn with_batch_commit_handover(mut self, batched: bool) -> Self {
-        self.batch_commit_handover = batched;
-        self
-    }
-
     /// Installs a crash-fault injection plan (sim crash exploration).
     pub fn with_fault_plan(mut self, plan: FaultPlan) -> Self {
         self.fault_plan = Some(plan);
@@ -335,12 +255,6 @@ impl EngineConfig {
     /// Sets the per-hot-key admission-queue waiter bound.
     pub fn with_admission_depth(mut self, depth: usize) -> Self {
         self.admission = self.admission.with_queue_depth(depth);
-        self
-    }
-
-    /// Sets the drivers' retry budget.
-    pub fn with_retry_budget(mut self, budget: u32) -> Self {
-        self.admission = self.admission.with_retry_budget(budget);
         self
     }
 
@@ -388,9 +302,6 @@ mod tests {
             .with_aria_batch_size(0)
             .with_history_recording(true)
             .with_dynamic_batch(false)
-            .with_early_release_batch(0)
-            .with_batch_commit_handover(false)
-            .with_shell_sweep_limit(Some(16))
             .with_fault_plan(FaultPlan::seeded(7));
         assert_eq!(cfg.group.batch_size, 64);
         assert!(cfg.fault_plan.is_some());
@@ -401,13 +312,6 @@ mod tests {
         assert_eq!(cfg.aria_batch_size, 1);
         assert!(cfg.record_history);
         assert!(!cfg.group.dynamic_batch);
-        assert_eq!(cfg.early_release_batch, 1, "batch of 0 clamps to 1");
-        assert!(!cfg.batch_commit_handover);
-        assert_eq!(cfg.lock_shell_sweep_limit, Some(16));
-        let default = EngineConfig::for_protocol(Protocol::Bamboo);
-        assert_eq!(default.early_release_batch, 1);
-        assert!(default.batch_commit_handover);
-        assert_eq!(default.lock_shell_sweep_limit, None);
     }
 
     #[test]
@@ -415,31 +319,18 @@ mod tests {
         let deltas = [
             ConfigDelta::BatchSize(64),
             ConfigDelta::GroupCommit(false),
-            ConfigDelta::AriaBatchSize(8),
-            ConfigDelta::EarlyReleaseBatch(4),
-            ConfigDelta::HotspotThreshold(5),
-            ConfigDelta::LockWaitTimeoutMs(99),
             ConfigDelta::DynamicBatch(false),
-            ConfigDelta::BatchCommitHandover(false),
             ConfigDelta::Admission(true),
             ConfigDelta::AdmissionDepth(4),
-            ConfigDelta::RetryBudget(3),
         ];
         let cfg = EngineConfig::for_protocol(Protocol::GroupLockingTxsql).with_deltas(&deltas);
         assert!(cfg.admission.enabled);
         assert_eq!(cfg.admission.queue_depth, 4);
-        assert_eq!(cfg.admission.retry_budget, 3);
         assert_eq!(ConfigDelta::Admission(true).label(), "admission=true");
         assert_eq!(cfg.group.batch_size, 64);
         assert!(!cfg.group_commit);
-        assert_eq!(cfg.aria_batch_size, 8);
-        assert_eq!(cfg.early_release_batch, 4);
-        assert_eq!(cfg.hotspot.promote_threshold, 5);
-        assert_eq!(cfg.lock_wait_timeout, Duration::from_millis(99));
         assert!(!cfg.group.dynamic_batch);
-        assert!(!cfg.batch_commit_handover);
         assert_eq!(ConfigDelta::BatchSize(64).label(), "batch=64");
-        assert_eq!(ConfigDelta::LockWaitTimeoutMs(99).label(), "lockwait=99ms");
         // Labels are distinct per knob kind.
         let labels: std::collections::HashSet<String> = deltas.iter().map(|d| d.label()).collect();
         assert_eq!(labels.len(), deltas.len());

@@ -1,9 +1,10 @@
 //! The engine facade: tables, sessions, commit and rollback.
 //!
-//! A [`Database`] owns one storage engine, one transaction system, every lock
-//! table generation and the commit pipeline; which of those a transaction's
-//! write path actually exercises is decided by the configured
-//! [`crate::Protocol`] (see [`crate::write_path`]).  Commit and rollback live
+//! A [`Database`] owns one storage engine, one transaction system, the
+//! record-lock table of its protocol's layout, the hotspot tables and the
+//! commit pipeline; which of those a transaction's write path actually
+//! exercises is decided by the configured [`crate::Protocol`] (see
+//! [`crate::write_path`]).  Commit and rollback live
 //! here because they are where the paper's ordering guarantees (§4.3 commit
 //! order, §4.4 rollback order, §4.5 deadlock prevention fallout) come
 //! together.
@@ -20,20 +21,80 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 use txsql_common::fxhash::FxHashMap;
-use txsql_common::metrics::{EngineMetrics, MetricsSnapshot};
+use txsql_common::metrics::{EngineMetrics, MetricsScratch, MetricsSnapshot};
 use txsql_common::time::SimInstant;
 use txsql_common::{Error, Lsn, RecordId, Result, Row, TableId, TxnId};
 use txsql_lockmgr::group_lock::GroupLockTable;
 use txsql_lockmgr::hotspot::HotspotRegistry;
-use txsql_lockmgr::lightweight::{LightweightConfig, LightweightLockTable};
-use txsql_lockmgr::lock_sys::{LockSys, LockSysConfig};
 use txsql_lockmgr::queue_lock::QueueLockTable;
 use txsql_lockmgr::registry::TxnLockRegistry;
+use txsql_lockmgr::{LightweightLockTable, LockMode, LockSys, LockTableConfig};
 use txsql_storage::fault::{CrashPoint, FaultInjector};
 use txsql_storage::recovery::{self, RecoveryReport};
 use txsql_storage::storage::CheckpointImage;
 use txsql_storage::{RedoRecord, Storage, TableSchema, VisibilityJudge};
 use txsql_txn::{Transaction, TrxSys, TxnState};
+
+/// The engine's record-lock table in the layout its protocol measures: the
+/// page-hash `lock_sys` for the MySQL baseline, the record-keyed lightweight
+/// table for everything else.  A transaction only ever locks here, so
+/// release and the registry checks visit one table.
+pub(crate) enum RecordLocks {
+    LockSys(LockSys),
+    Lightweight(LightweightLockTable),
+}
+
+impl RecordLocks {
+    /// X-locks `record`, counting into the transaction's metrics scratch.
+    pub(crate) fn lock_exclusive(
+        &self,
+        txn: TxnId,
+        record: RecordId,
+        sink: &MetricsScratch,
+    ) -> Result<()> {
+        match self {
+            Self::LockSys(t) => t.lock_record_in(txn, record, LockMode::Exclusive, sink),
+            Self::Lightweight(t) => t.lock_record_in(txn, record, LockMode::Exclusive, sink),
+        }
+    }
+
+    /// Releases a batch of record locks before commit (Bamboo's early
+    /// release, the group leader's hot-row handover).
+    pub(crate) fn release_records(&self, txn: TxnId, records: &[RecordId], sink: &MetricsScratch) {
+        match self {
+            Self::LockSys(t) => t.release_record_locks_in(txn, records, sink),
+            Self::Lightweight(t) => t.release_record_locks_in(txn, records, sink),
+        }
+    }
+
+    fn release_all(&self, txn: TxnId, sink: &MetricsScratch) {
+        match self {
+            Self::LockSys(t) => t.release_all_in(txn, sink),
+            Self::Lightweight(t) => t.release_all_in(txn, sink),
+        }
+    }
+
+    pub(crate) fn wait_queue_len(&self, record: RecordId) -> usize {
+        match self {
+            Self::LockSys(t) => t.wait_queue_len(record),
+            Self::Lightweight(t) => t.wait_queue_len(record),
+        }
+    }
+
+    pub(crate) fn holders_of(&self, record: RecordId) -> Vec<TxnId> {
+        match self {
+            Self::LockSys(t) => t.holders_of(record),
+            Self::Lightweight(t) => t.holders_of(record),
+        }
+    }
+
+    fn registry(&self) -> &Arc<TxnLockRegistry> {
+        match self {
+            Self::LockSys(t) => t.registry(),
+            Self::Lightweight(t) => t.registry(),
+        }
+    }
+}
 
 pub(crate) struct DbInner {
     pub(crate) config: EngineConfig,
@@ -41,14 +102,15 @@ pub(crate) struct DbInner {
     pub(crate) trx_sys: TrxSys,
     pub(crate) metrics: Arc<EngineMetrics>,
     pub(crate) admission: AdmissionController,
-    pub(crate) lock_sys: LockSys,
-    pub(crate) lightweight: LightweightLockTable,
+    pub(crate) locks: RecordLocks,
     pub(crate) hotspots: HotspotRegistry,
     pub(crate) queue_locks: QueueLockTable,
     pub(crate) group_locks: GroupLockTable,
     pub(crate) pipeline: CommitPipeline,
-    /// Commit outcome board: `true` = committed, `false` = aborted.  Consulted
-    /// by Bamboo's commit dependencies.
+    /// Commit outcome board: `true` = committed, `false` = aborted.  Written
+    /// and consulted only under [`Protocol::Bamboo`] (its commit
+    /// dependencies); entries are never pruned, so it grows with the number
+    /// of Bamboo transactions an engine instance has finished.
     pub(crate) outcomes: Mutex<FxHashMap<TxnId, bool>>,
     pub(crate) hooks: RwLock<Vec<Arc<dyn CommitHook>>>,
     pub(crate) history: Option<HistoryRecorder>,
@@ -99,18 +161,18 @@ impl Database {
         metrics: Arc<EngineMetrics>,
         trx_seed: Option<(u64, u64)>,
     ) -> Self {
-        // One sharded lock registry per lock table: both are threaded through
-        // TrxSys so transaction teardown can verify the bookkeeping drained.
-        // Shard counts follow the tables they serve (page-sharded baseline
-        // vs record-keyed lightweight table).
-        let lock_sys_registry = Arc::new(TxnLockRegistry::with_metrics(64, Arc::clone(&metrics)));
-        let lightweight_registry =
-            Arc::new(TxnLockRegistry::with_metrics(256, Arc::clone(&metrics)));
+        let lock_config = LockTableConfig {
+            lock_wait_timeout: config.lock_wait_timeout,
+            ..LockTableConfig::default()
+        };
+        let locks = if config.protocol.uses_lock_sys() {
+            RecordLocks::LockSys(LockSys::new(lock_config, Arc::clone(&metrics)))
+        } else {
+            RecordLocks::Lightweight(LightweightLockTable::new(lock_config, Arc::clone(&metrics)))
+        };
         let mut trx_sys = TrxSys::new(config.read_view_mode)
-            .with_lock_registries(vec![
-                Arc::clone(&lock_sys_registry),
-                Arc::clone(&lightweight_registry),
-            ])
+            // Transaction teardown verifies the lock bookkeeping drained.
+            .with_lock_registries(vec![Arc::clone(locks.registry())])
             // Every transaction carries a Cell-based metrics scratch that
             // flushes here when it drops — the lock hot paths pay no shared
             // atomics per cycle (see txsql_txn::TxnMetrics).
@@ -118,25 +180,6 @@ impl Database {
         if let Some((next_txn_id, next_trx_no)) = trx_seed {
             trx_sys = trx_sys.with_start(next_txn_id, next_trx_no);
         }
-        let lock_sys = LockSys::with_registry(
-            LockSysConfig {
-                deadlock_policy: config.deadlock_policy,
-                lock_wait_timeout: config.lock_wait_timeout,
-                shell_sweep_limit: config.lock_shell_sweep_limit,
-                ..LockSysConfig::default()
-            },
-            Arc::clone(&metrics),
-            lock_sys_registry,
-        );
-        let lightweight = LightweightLockTable::with_registry(
-            LightweightConfig {
-                deadlock_policy: config.deadlock_policy,
-                lock_wait_timeout: config.lock_wait_timeout,
-                ..LightweightConfig::default()
-            },
-            Arc::clone(&metrics),
-            lightweight_registry,
-        );
         let hotspots = HotspotRegistry::new(config.hotspot.clone());
         let queue_locks = QueueLockTable::new(config.group.hot_wait_timeout);
         let group_locks = GroupLockTable::new(config.group.clone(), Arc::clone(&metrics));
@@ -154,8 +197,7 @@ impl Database {
             trx_sys,
             metrics,
             admission,
-            lock_sys,
-            lightweight,
+            locks,
             hotspots,
             queue_locks,
             group_locks,
@@ -196,8 +238,7 @@ impl Database {
                     inner.hotspots.sweep(|record| {
                         inner.group_locks.has_activity(record)
                             || inner.queue_locks.has_waiters(record)
-                            || inner.lightweight.wait_queue_len(record) > 0
-                            || inner.lock_sys.wait_queue_len(record) > 0
+                            || inner.locks.wait_queue_len(record) > 0
                     });
                 }
             })
@@ -263,8 +304,7 @@ impl Database {
     pub fn snapshot_metrics(&self, elapsed: Duration) -> MetricsSnapshot {
         // The registry-entry gauge is sampled here rather than maintained on
         // the lock hot path (per-shard counts stay with their shards).
-        let live = self.inner.lock_sys.registry().total_entries()
-            + self.inner.lightweight.registry().total_entries();
+        let live = self.inner.locks.registry().total_entries();
         self.inner.metrics.lock_registry_entries.set(live as u64);
         self.inner.metrics.snapshot(elapsed)
     }
@@ -291,10 +331,10 @@ impl Database {
         self.inner.config.admission.backoff_policy()
     }
 
-    /// Transactions currently holding a lightweight-table lock on `record`
-    /// (introspection for tests of the early-release batching).
+    /// Transactions currently holding a record lock on `record`
+    /// (introspection for tests of early lock release).
     pub fn lock_holders(&self, record: RecordId) -> Vec<TxnId> {
-        self.inner.lightweight.holders_of(record)
+        self.inner.locks.holders_of(record)
     }
 
     /// Current group leader of a hot row (introspection for tests and
@@ -462,20 +502,12 @@ impl Database {
     // Commit / rollback
     // ------------------------------------------------------------------
 
-    /// Drops every lock the transaction holds in both lock tables.  Each
-    /// `release_all` drains the registry's page-grouped record list, so the
-    /// page-sharded `lock_sys` takes one shard lock per page the transaction
-    /// touched (not one per record); only the table that actually served the
-    /// protocol holds anything, the other is a registry no-op.  Release-path
-    /// counters go to the transaction's metrics scratch (flushed when the
-    /// transaction drops).
+    /// Drops every lock the transaction holds: one registry-shard take, then
+    /// each lock-table shard it touched once.  Release-path counters go to
+    /// the transaction's metrics scratch (flushed when the transaction
+    /// drops).
     fn release_all_locks(&self, txn: &Transaction) {
-        self.inner
-            .lightweight
-            .release_all_in(txn.id, txn.metrics_sink());
-        self.inner
-            .lock_sys
-            .release_all_in(txn.id, txn.metrics_sink());
+        self.inner.locks.release_all(txn.id, txn.metrics_sink());
     }
 
     /// Commits a transaction.  On a cascading abort or commit-time conflict the
@@ -496,12 +528,11 @@ impl Database {
         // only written through the group path while it is hot.  Cold locks
         // stay held until the commit record is ordered below.
         //
-        // The handover is batched across the leader's hot records (the
-        // default): one entry-map fetch per group-table shard covers prepare
-        // AND handover, the row locks drain in one batched lock-table call,
-        // and every promoted leader is woken after the guards drop — see
-        // `GroupLockTable::begin_leader_commit`.  The per-record sequence
-        // stays available behind `EngineConfig::batch_commit_handover`.
+        // The handover is batched across the leader's hot records: one
+        // entry-map fetch per group-table shard covers prepare AND handover,
+        // the row locks drain in one batched lock-table call, and every
+        // promoted leader is woken after the guards drop — see
+        // `GroupLockTable::begin_leader_commit`.
         if self.protocol() == Protocol::GroupLockingTxsql {
             let leader_records: Vec<RecordId> = hot_updates
                 .iter()
@@ -509,32 +540,16 @@ impl Database {
                 .map(|(record, _, _)| *record)
                 .collect();
             if !leader_records.is_empty() {
-                if self.inner.config.batch_commit_handover {
-                    let prepared = self
-                        .inner
-                        .group_locks
-                        .begin_leader_commit(txn.id, &leader_records);
-                    self.inner.lightweight.release_record_locks_in(
-                        txn.id,
-                        &leader_records,
-                        txn.metrics_sink(),
-                    );
-                    self.inner
-                        .group_locks
-                        .finish_leader_handover(txn.id, prepared);
-                } else {
-                    for record in &leader_records {
-                        self.inner
-                            .group_locks
-                            .leader_prepare_commit(txn.id, *record);
-                        self.inner.lightweight.release_record_locks_in(
-                            txn.id,
-                            std::slice::from_ref(record),
-                            txn.metrics_sink(),
-                        );
-                        self.inner.group_locks.leader_handover(txn.id, *record);
-                    }
-                }
+                let prepared = self
+                    .inner
+                    .group_locks
+                    .begin_leader_commit(txn.id, &leader_records);
+                self.inner
+                    .locks
+                    .release_records(txn.id, &leader_records, txn.metrics_sink());
+                self.inner
+                    .group_locks
+                    .finish_leader_handover(txn.id, prepared);
             }
             // Commit-order guarantee (§4.3): wait for all dependency-list
             // predecessors before ordering our own commit record.
@@ -555,11 +570,8 @@ impl Database {
             }
         }
 
-        // Bamboo: flush any early releases still deferred in the statement
-        // buffer (so waiters on our rows can proceed while we block below),
-        // then wait for every transaction whose dirty data we read.
+        // Bamboo: wait for every transaction whose dirty data we read.
         if self.protocol() == Protocol::Bamboo {
-            self.flush_early_releases(&mut txn);
             if let Err(err) = self.wait_bamboo_dependencies(&mut txn) {
                 self.rollback_internal(txn, Some(&err));
                 return Err(err);
@@ -615,8 +627,13 @@ impl Database {
             }
         }
 
+        // The board entry goes in before the transaction leaves the active
+        // set: a dependent that finds us neither active nor on the board
+        // takes us for a writer from before this engine instance.
+        if self.protocol() == Protocol::Bamboo {
+            self.inner.outcomes.lock().insert(txn.id, true);
+        }
         self.inner.trx_sys.finish(txn.id, Some(trx_no));
-        self.inner.outcomes.lock().insert(txn.id, true);
 
         if let Err(err) = pipeline_result {
             // The flush failed (injected crash or read-only degradation): the
@@ -675,7 +692,9 @@ impl Database {
                     });
                 }
                 if !self.inner.trx_sys.is_active(dep) {
-                    // Finished but not on the board (pruned): treat as committed.
+                    // Finished but not on the board: every Bamboo finish
+                    // posts its outcome first, so this writer predates the
+                    // engine instance (a recovered row) and is committed.
                     break;
                 }
                 if SimInstant::now() > deadline {
@@ -734,8 +753,10 @@ impl Database {
             }
         }
 
+        if self.protocol() == Protocol::Bamboo {
+            self.inner.outcomes.lock().insert(txn.id, false);
+        }
         self.inner.trx_sys.finish(txn.id, None);
-        self.inner.outcomes.lock().insert(txn.id, false);
         txn.state = TxnState::Aborted;
         self.inner.metrics.aborted.inc();
         if let Some(reason) = reason {
@@ -868,5 +889,37 @@ impl Drop for DbInner {
         if let Some(handle) = self.sweeper_handle.lock().take() {
             let _ = handle.join();
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn outcome_board_is_written_only_under_bamboo() {
+        let program = TxnProgram::new(vec![Operation::UpdateAdd {
+            table: TableId(1),
+            pk: 0,
+            column: 1,
+            delta: 1,
+        }]);
+        let run = |protocol: Protocol, commits: usize| {
+            let db = Database::with_protocol(protocol);
+            db.create_table(TableSchema::new(TableId(1), "t", 2))
+                .unwrap();
+            db.load_row(TableId(1), Row::from_ints(&[0, 0])).unwrap();
+            for _ in 0..commits {
+                db.execute_program(&program).unwrap();
+            }
+            let rolled_back = db.begin();
+            db.rollback(rolled_back, None);
+            let board = db.inner.outcomes.lock().len();
+            db.shutdown();
+            board
+        };
+        assert_eq!(run(Protocol::GroupLockingTxsql, 10_000), 0);
+        assert_eq!(run(Protocol::Aria, 10), 0);
+        assert_eq!(run(Protocol::Bamboo, 10), 11, "10 commits + 1 rollback");
     }
 }

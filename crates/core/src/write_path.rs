@@ -3,9 +3,9 @@
 //!
 //! This module is where the paper's protocols actually diverge:
 //!
-//! * **MySQL** — IX table lock + record lock in the page-sharded `lock_sys`,
-//!   deadlock detection on every wait.
-//! * **O1** — record lock in the lightweight `trx_lock_wait` table; lock
+//! * **MySQL** — IX table lock + record lock in the page-sharded `lock_sys`
+//!   layout of the record-lock table, deadlock detection on every wait.
+//! * **O1** — record lock in the lightweight `trx_lock_wait` layout; lock
 //!   objects only materialise on conflict.
 //! * **O2** — O1, plus: once a row is a detected hotspot, updates join the
 //!   per-row ticket queue first and only then take the real lock (timeout,
@@ -21,7 +21,7 @@
 //!   [`crate::aria`]).
 
 use crate::config::Protocol;
-use crate::database::Database;
+use crate::database::{Database, RecordLocks};
 use std::time::Instant;
 use txsql_common::{Error, RecordId, Result, Row, TableId, TxnId};
 use txsql_lockmgr::group_lock::{HotExecution, WokenRole};
@@ -126,19 +126,12 @@ impl Database {
 
         match admission {
             WriteAdmission::Locked => {
-                // Bamboo: release the record lock after the update (the 2PL
-                // violation that gives early lock release its name).  The
-                // release is deferred into the transaction's pending buffer
-                // and flushed at the statement boundary once
-                // `early_release_batch` records are pending, so one batched
-                // `release_record_locks` call drains the lock-table state
-                // per shard group and the registry with one shard lock per
-                // batch, not one of each per row.
+                // Bamboo: release the record lock right after the update (the
+                // 2PL violation that gives early lock release its name).
                 if self.protocol() == Protocol::Bamboo {
-                    txn.defer_early_release(record);
-                    if txn.pending_early_releases().len() >= self.early_release_batch() {
-                        self.flush_early_releases(txn);
-                    }
+                    self.inner
+                        .locks
+                        .release_records(txn.id, &[record], txn.metrics_sink());
                 }
                 // Group-locking leaders still grant followers after each of
                 // their own updates on the hot row.
@@ -153,23 +146,6 @@ impl Database {
             }
         }
         Ok(row)
-    }
-
-    /// The configured statement-boundary early-release batch size (≥ 1).
-    fn early_release_batch(&self) -> usize {
-        self.inner.config.early_release_batch.max(1)
-    }
-
-    /// Flushes the transaction's deferred Bamboo early releases through one
-    /// batched `release_record_locks` call (no-op when nothing is pending).
-    /// Release counters land in the transaction's metrics scratch.
-    pub(crate) fn flush_early_releases(&self, txn: &mut Transaction) {
-        let pending = txn.take_pending_early_releases();
-        if !pending.is_empty() {
-            self.inner
-                .lightweight
-                .release_record_locks_in(txn.id, &pending, txn.metrics_sink());
-        }
     }
 
     // ------------------------------------------------------------------
@@ -196,55 +172,38 @@ impl Database {
         }
 
         match self.protocol() {
-            Protocol::Mysql2pl => self.acquire_mysql(txn, table, record),
-            Protocol::LightweightO1 | Protocol::Bamboo | Protocol::Aria => {
-                self.acquire_lightweight(txn, record)
+            Protocol::Mysql2pl | Protocol::LightweightO1 | Protocol::Bamboo | Protocol::Aria => {
+                if let RecordLocks::LockSys(lock_sys) = &self.inner.locks {
+                    // MySQL baseline: IX table lock before the record lock.
+                    lock_sys.lock_table(txn.id, table, LockMode::IntentionExclusive)?;
+                }
+                self.acquire_record_lock(txn, record)
             }
             Protocol::QueueLockingO2 => self.acquire_queue(txn, record),
             Protocol::GroupLockingTxsql => self.acquire_group(txn, record),
         }
     }
 
-    /// MySQL baseline: IX table lock + record lock in `lock_sys`.  The
-    /// per-cycle lock counters go to the transaction's metrics scratch.
-    fn acquire_mysql(
-        &self,
-        txn: &mut Transaction,
-        table: TableId,
-        record: RecordId,
-    ) -> Result<WriteAdmission> {
+    /// X-locks `record` in the engine's lock table, charging the wait to the
+    /// transaction's blocked time.  The per-cycle lock counters go to the
+    /// transaction's metrics scratch.
+    fn lock_row(&self, txn: &mut Transaction, record: RecordId) -> Result<()> {
         let start = Instant::now();
-        self.inner
-            .lock_sys
-            .lock_table(txn.id, table, LockMode::IntentionExclusive)?;
-        let result = self.inner.lock_sys.lock_record_in(
-            txn.id,
-            record,
-            LockMode::Exclusive,
-            txn.metrics_sink(),
-        );
+        let result = self
+            .inner
+            .locks
+            .lock_exclusive(txn.id, record, txn.metrics_sink());
         txn.add_blocked(start.elapsed());
-        result?;
-        txn.record_lock(record);
-        Ok(WriteAdmission::Locked)
+        result
     }
 
-    /// O1 / Bamboo (and Aria's apply phase): lightweight record lock.  The
-    /// per-cycle lock counters go to the transaction's metrics scratch.
-    fn acquire_lightweight(
+    /// Plain 2PL admission: one exclusive record lock held to commit.
+    fn acquire_record_lock(
         &self,
         txn: &mut Transaction,
         record: RecordId,
     ) -> Result<WriteAdmission> {
-        let start = Instant::now();
-        let result = self.inner.lightweight.lock_record_in(
-            txn.id,
-            record,
-            LockMode::Exclusive,
-            txn.metrics_sink(),
-        );
-        txn.add_blocked(start.elapsed());
-        result?;
+        self.lock_row(txn, record)?;
         txn.record_lock(record);
         Ok(WriteAdmission::Locked)
     }
@@ -253,7 +212,7 @@ impl Database {
     fn acquire_queue(&self, txn: &mut Transaction, record: RecordId) -> Result<WriteAdmission> {
         if !self.inner.hotspots.is_hot(record) {
             self.observe_contention(record);
-            return self.acquire_lightweight(txn, record);
+            return self.acquire_record_lock(txn, record);
         }
         let start = Instant::now();
         match self.inner.queue_locks.admit(txn.id, record) {
@@ -284,12 +243,10 @@ impl Database {
         }
         // Ticket acquired: take the real row lock (the previous holder has
         // already released it, or will very soon).
-        let result = self.inner.lightweight.lock_record_in(
-            txn.id,
-            record,
-            LockMode::Exclusive,
-            txn.metrics_sink(),
-        );
+        let result = self
+            .inner
+            .locks
+            .lock_exclusive(txn.id, record, txn.metrics_sink());
         txn.add_blocked(start.elapsed());
         match result {
             Ok(()) => {
@@ -370,7 +327,7 @@ impl Database {
             // a 200 ms cold-lock timeout, which measures far worse than the
             // quick abort-and-retry this produces.
             if txn.has_hot_updates() {
-                let holders = self.inner.lightweight.holders_of(record);
+                let holders = self.inner.locks.holders_of(record);
                 for holder in holders {
                     if holder == txn.id {
                         continue;
@@ -391,7 +348,20 @@ impl Database {
                 }
             }
             self.observe_contention(record);
-            return self.acquire_lightweight(txn, record);
+            self.lock_row(txn, record)?;
+            if !self.inner.hotspots.is_hot(record) {
+                txn.record_lock(record);
+                return Ok(WriteAdmission::Locked);
+            }
+            // The row was promoted while we queued.  A group leader hands the
+            // row lock over *before* its commit record is ordered, relying on
+            // every writer of a hot row being in the dependency list; holding
+            // the lock outside the group we could read its uncommitted head
+            // and commit first.  Nothing was read yet: give the lock back and
+            // enter through the group like a fresh arrival.
+            self.inner
+                .locks
+                .release_records(txn.id, &[record], txn.metrics_sink());
         }
 
         // Hot path (Algorithm 1).
@@ -399,12 +369,10 @@ impl Database {
         match self.inner.group_locks.begin_hot_update(txn.id, record) {
             HotExecution::Leader => {
                 // The leader performs the one real lock acquisition per group.
-                let result = self.inner.lightweight.lock_record_in(
-                    txn.id,
-                    record,
-                    LockMode::Exclusive,
-                    txn.metrics_sink(),
-                );
+                let result = self
+                    .inner
+                    .locks
+                    .lock_exclusive(txn.id, record, txn.metrics_sink());
                 txn.add_blocked(start.elapsed());
                 if let Err(err) = result {
                     self.inner.group_locks.leader_handover(txn.id, record);
@@ -450,15 +418,7 @@ impl Database {
                         Ok(WriteAdmission::HotFollower)
                     }
                     WokenRole::NewLeader => {
-                        let lock_start = Instant::now();
-                        let result = self.inner.lightweight.lock_record_in(
-                            txn.id,
-                            record,
-                            LockMode::Exclusive,
-                            txn.metrics_sink(),
-                        );
-                        txn.add_blocked(lock_start.elapsed());
-                        if let Err(err) = result {
+                        if let Err(err) = self.lock_row(txn, record) {
                             self.inner.group_locks.leader_handover(txn.id, record);
                             return Err(err);
                         }
@@ -482,8 +442,8 @@ impl Database {
         if !self.inner.config.protocol.uses_hotspots() {
             return;
         }
-        let queue_len = self.inner.lightweight.wait_queue_len(record)
-            + usize::from(!self.inner.lightweight.holders_of(record).is_empty());
+        let queue_len = self.inner.locks.wait_queue_len(record)
+            + usize::from(!self.inner.locks.holders_of(record).is_empty());
         if queue_len > 0 {
             self.inner.hotspots.observe_wait(record, queue_len);
         }

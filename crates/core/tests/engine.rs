@@ -554,64 +554,28 @@ fn bamboo_cascades_when_dirty_writer_aborts() {
 }
 
 #[test]
-fn bamboo_batched_early_release_defers_to_statement_boundary() {
-    // With early_release_batch = 3, the first two updates keep their locks
-    // (deferred in the pending buffer); the third flushes all three in one
-    // batched release_record_locks call.
+fn bamboo_releases_each_record_lock_at_its_statement() {
     let db = setup(
         EngineConfig::for_protocol(Protocol::Bamboo)
-            .with_lock_wait_timeout(Duration::from_millis(100))
-            .with_early_release_batch(3),
+            .with_lock_wait_timeout(Duration::from_millis(100)),
         4,
     );
-    let records: Vec<_> = (0..3)
-        .map(|pk| db.record_id(ACCOUNTS, pk).unwrap())
-        .collect();
     let mut t1 = db.begin();
-    db.update_add(&mut t1, ACCOUNTS, 0, 1, 10).unwrap();
-    db.update_add(&mut t1, ACCOUNTS, 1, 1, 10).unwrap();
-    for r in &records[..2] {
-        assert_eq!(
-            db.lock_holders(*r),
-            vec![t1.id],
-            "deferred early release must keep the lock held"
-        );
-    }
-    db.update_add(&mut t1, ACCOUNTS, 2, 1, 10).unwrap();
-    for r in &records {
+    for pk in 0..3 {
+        db.update_add(&mut t1, ACCOUNTS, pk, 1, 10).unwrap();
+        let record = db.record_id(ACCOUNTS, pk).unwrap();
         assert!(
-            db.lock_holders(*r).is_empty(),
-            "reaching the batch size must flush every deferred release"
+            db.lock_holders(record).is_empty(),
+            "the update statement must release its own lock"
         );
     }
-    // A second transaction can now consume the dirty values and both commit
-    // in dependency order.
+    // A second transaction can consume the dirty values and both commit in
+    // dependency order.
     let mut t2 = db.begin();
     db.update_add(&mut t2, ACCOUNTS, 0, 1, 5).unwrap();
     db.commit(t1).unwrap();
     db.commit(t2).unwrap();
     assert_eq!(committed_balance(&db, 0), 1_015);
-    db.shutdown();
-}
-
-#[test]
-fn bamboo_deferred_releases_flush_even_when_commit_comes_early() {
-    // Only one update is pending (below the batch size) when the
-    // transaction commits: the commit path must flush the deferred release
-    // before waiting on dependencies, and leave no bookkeeping behind.
-    let db = setup(
-        EngineConfig::for_protocol(Protocol::Bamboo)
-            .with_lock_wait_timeout(Duration::from_millis(100))
-            .with_early_release_batch(8),
-        2,
-    );
-    let record = db.record_id(ACCOUNTS, 0).unwrap();
-    let mut t1 = db.begin();
-    db.update_add(&mut t1, ACCOUNTS, 0, 1, 10).unwrap();
-    assert_eq!(db.lock_holders(record), vec![t1.id]);
-    db.commit(t1).unwrap();
-    assert!(db.lock_holders(record).is_empty());
-    assert_eq!(committed_balance(&db, 0), 1_010);
     db.shutdown();
 }
 

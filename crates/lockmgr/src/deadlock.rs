@@ -34,13 +34,11 @@
 //! ## Victim selection
 //!
 //! [`WaitForGraph::find_cycle_from`] returns the full membership of the
-//! detected cycle so the caller can choose a victim ([`select_victim`],
-//! driven by [`VictimPolicy`]).  Always aborting the requester (the MySQL
-//! baseline, [`VictimPolicy::Requester`]) wastes the requester's work even
-//! when another cycle member has barely started; weight-based selection
-//! ([`VictimPolicy::FewestLocks`], the default) rolls back the member with
-//! the fewest registry-tracked locks instead (Brook-2PL makes the same
-//! argument for contention-aware victim choice).  A victim other than the
+//! detected cycle so the caller can choose a victim ([`select_victim`]).
+//! Always aborting the requester wastes its work even when another cycle
+//! member has barely started, so the victim is the member with the fewest
+//! registry-tracked locks (Brook-2PL makes the same argument for
+//! contention-aware victim choice).  A victim other than the
 //! requester is necessarily *waiting* (every cycle member is), so each
 //! waiter parks its wake-up event in its graph entry
 //! ([`WaitForGraph::attach_waiter_event`]); [`WaitForGraph::doom`] marks the
@@ -61,35 +59,17 @@ use txsql_common::TxnId;
 /// contention).
 const DEFAULT_SHARDS: usize = 64;
 
-/// How a deadlock victim is chosen among the members of a detected cycle.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum VictimPolicy {
-    /// Always roll back the transaction that closed the cycle (the MySQL
-    /// baseline behaviour).
-    Requester,
-    /// Roll back the cycle member holding the fewest registry-tracked locks
-    /// (least work lost); ties go to the youngest `TxnId`.
-    #[default]
-    FewestLocks,
-}
-
-/// Picks the victim among `cycle` members under `policy`.  `cycle[0]` is the
-/// requesting transaction; `lock_count` reports registry-tracked locks.
-pub fn select_victim(
-    cycle: &[TxnId],
-    policy: VictimPolicy,
-    lock_count: impl Fn(TxnId) -> usize,
-) -> TxnId {
-    match policy {
-        VictimPolicy::Requester => cycle[0],
-        VictimPolicy::FewestLocks => cycle
-            .iter()
-            .copied()
-            // Ties go to the youngest transaction — the largest id, since ids
-            // are handed out monotonically at BEGIN.
-            .min_by_key(|t| (lock_count(*t), std::cmp::Reverse(t.0)))
-            .expect("cycle is never empty"),
-    }
+/// Picks the deadlock victim among `cycle` members: the one holding the
+/// fewest registry-tracked locks (least work lost), as reported by
+/// `lock_count`.
+pub fn select_victim(cycle: &[TxnId], lock_count: impl Fn(TxnId) -> usize) -> TxnId {
+    cycle
+        .iter()
+        .copied()
+        // Ties go to the youngest transaction — the largest id, since ids
+        // are handed out monotonically at BEGIN.
+        .min_by_key(|t| (lock_count(*t), std::cmp::Reverse(t.0)))
+        .expect("cycle is never empty")
 }
 
 /// One waiter's graph state: its out-edges plus the machinery remote victim
@@ -457,14 +437,11 @@ mod tests {
     fn fewest_locks_victim_prefers_lightest_then_youngest() {
         let cycle = [TxnId(5), TxnId(2), TxnId(9)];
         // Distinct weights: TxnId(2) holds the fewest locks.
-        let victim = select_victim(&cycle, VictimPolicy::FewestLocks, |t| t.0 as usize);
+        let victim = select_victim(&cycle, |t| t.0 as usize);
         assert_eq!(victim, TxnId(2));
         // All weights equal: the youngest (largest id) loses the tie.
-        let victim = select_victim(&cycle, VictimPolicy::FewestLocks, |_| 3);
+        let victim = select_victim(&cycle, |_| 3);
         assert_eq!(victim, TxnId(9));
-        // Baseline policy: always the requester (cycle[0]).
-        let victim = select_victim(&cycle, VictimPolicy::Requester, |t| t.0 as usize);
-        assert_eq!(victim, TxnId(5));
     }
 
     #[test]

@@ -718,8 +718,9 @@ impl GroupLockTable {
     /// Leader-side commit preparation for a single record (Algorithm 2,
     /// lines 2–4): stop granting and wait for the in-flight granted follower
     /// to complete its update.  One record of the batched
-    /// [`GroupLockTable::begin_leader_commit`]; kept for the write path's
-    /// error handling and per-record callers.
+    /// [`GroupLockTable::begin_leader_commit`] with the cached entry dropped,
+    /// so a following [`GroupLockTable::leader_handover`] re-fetches it — the
+    /// gap the sim suite's entry-GC race tests explore.
     pub fn leader_prepare_commit(&self, txn: TxnId, record: RecordId) {
         let _ = self.begin_leader_commit(txn, std::slice::from_ref(&record));
     }

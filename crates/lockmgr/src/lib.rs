@@ -29,20 +29,24 @@
 //!    dependency list that fixes commit and rollback order, and the
 //!    dynamic-batch-size latency optimization.
 //!
-//! ## One queue core, two lock tables
+//! ## One lock-table driver, two layouts
 //!
-//! Generations 1 and 2 implement the same per-record grant/wait machinery —
-//! the holder/waiter split, the mode-compatibility conflict check, the
-//! from-front FIFO grant scan, timeout/cancel removal, and the doom-aware
-//! wait loop.  That machinery is **single-source** in [`record_queue`]:
-//! both tables route through [`record_queue::RecordQueue`] and
-//! [`record_queue::wait_until_granted`], and differ only in what
-//! [`record_queue::QueuePolicy`] and their [`record_queue::QueueAccess`]
-//! impls encode — sharding key (page vs. record), upgrade fairness (the
-//! baseline's FIFO `S→X` rule vs. O1's holder-only check) and
-//! `locks_created` accounting (per acquisition vs. per conflict).  A grant,
-//! doom or wake fix lands once and both tables get it; the sim suites prove
-//! the equivalence across hundreds of seeded schedules.
+//! Generations 1 and 2 differ in *how a record's lock queue is found and
+//! what a grant allocates*, not in what acquiring, waiting for or releasing a
+//! record lock means.  The acquire → deadlock-check → enqueue → wait and
+//! release → grant → wake drivers therefore exist once, in
+//! [`lock_table::RecordLockTable`], over the per-record
+//! [`record_queue::RecordQueue`]; [`LockSys`] and [`LightweightLockTable`]
+//! are its two monomorphised instantiations.  A [`lock_table::Layout`]
+//! contributes only the shard hashing (page vs. record), the queue
+//! lookup/prune (`page → heap_no` two-level map vs. flat packed-record map),
+//! the table-level intention locks (baseline only) and its
+//! [`record_queue::QueuePolicy`]: upgrade fairness (the baseline's FIFO
+//! `S→X` rule vs. O1's holder-only check) and `locks_created` accounting
+//! (per acquisition vs. per conflict).  A grant, doom, wake or
+//! acquisition-order change lands once and both arms get it; the conformance
+//! and differential tests in [`lock_table`] and the sim suites hold the two
+//! layouts to the same behaviour.
 //!
 //! ## Decentralized bookkeeping
 //!
@@ -62,28 +66,24 @@
 //!   table.  Registry size is observable via the
 //!   `lock_registry_entries` gauge and `locks_released` counter in
 //!   `EngineMetrics`.
-//! * **Release is batched per shard group**: `take_all` hands records back
-//!   pre-grouped by page, so the page-sharded `lock_sys` takes each page's
-//!   shard mutex at most once per `release_all` (the lightweight table
-//!   groups by row shard the same way), and the `release_record_locks`
-//!   batch APIs (Bamboo's early lock release) drain lock-table state per
-//!   shard group and registry bookkeeping with one shard lock per batch
-//!   ([`registry::TxnLockRegistry::forget_records`]).  The engine's write
-//!   path widens those batches to **statement boundaries**: early releases
-//!   accumulate in the transaction's pending buffer and flush through one
-//!   batched call (the `early_release_batch` engine knob), and the
-//!   `release_shard_locks` counter in `EngineMetrics` makes the
-//!   amortization observable.
+//! * **Release is batched per shard**: `release_all` and the
+//!   `release_record_locks` batch API (Bamboo's early lock release, the
+//!   group leader's hot-row handover) group a transaction's records by
+//!   lock-table shard — by page in the page layout, since a page's rows
+//!   share a shard — take each shard mutex once, and drain the registry
+//!   bookkeeping with one registry-shard lock per batch
+//!   ([`registry::TxnLockRegistry::forget_records`]).  The
+//!   `release_shard_locks` counter in `EngineMetrics` makes the amortization
+//!   observable.
 //! * **The wait-for graph is sharded by waiter** ([`deadlock`]): a
 //!   transaction waits for at most one lock at a time, so its out-edge set
 //!   lives in a per-waiter-shard slot; `set_waits_for` / `clear_waits_of`
 //!   never contend across unrelated waiters, and the cycle DFS takes
 //!   per-shard guards one node at a time instead of freezing the whole
-//!   graph.  Detection reports the full cycle membership, and
-//!   [`deadlock::VictimPolicy`] decides who dies: the requester (baseline)
-//!   or, by default, the member with the fewest registry-tracked locks
-//!   (ties to the youngest id); a remote victim is woken through the event
-//!   parked in its graph entry and aborts out of its own wait.
+//!   graph.  Detection reports the full cycle membership, and the member
+//!   with the fewest registry-tracked locks dies (ties to the youngest id);
+//!   a remote victim is woken through the event parked in its graph entry
+//!   and aborts out of its own wait.
 //! * **Uncontended grants allocate nothing**: a request that does not wait
 //!   carries no `OsEvent` (waiters-only request objects in `lock_sys`'s
 //!   record queues, holder ids only in `lightweight`), and requests that
@@ -178,18 +178,20 @@ pub mod group_lock;
 pub mod hotspot;
 pub mod lightweight;
 pub mod lock_sys;
+pub mod lock_table;
 pub mod modes;
 pub mod queue_lock;
 pub mod record_queue;
 pub mod registry;
 mod wake_check;
 
-pub use deadlock::{VictimPolicy, WaitForGraph};
+pub use deadlock::WaitForGraph;
 pub use event::OsEvent;
 pub use group_lock::{GroupLockTable, HotExecution};
 pub use hotspot::{HotspotConfig, HotspotRegistry};
 pub use lightweight::LightweightLockTable;
-pub use lock_sys::{DeadlockPolicy, LockSys, LockSysConfig};
+pub use lock_sys::LockSys;
+pub use lock_table::{DeadlockPolicy, LockTableConfig, RecordLockTable};
 pub use modes::LockMode;
 pub use queue_lock::QueueLockTable;
 pub use record_queue::{QueuePolicy, RecordQueue};

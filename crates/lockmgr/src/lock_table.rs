@@ -1,0 +1,846 @@
+//! The one record-lock table driver.
+//!
+//! The paper's O1 (§3.1.1) changes *how a record's lock queue is found and
+//! what a grant allocates*; it does not change what acquiring, waiting for or
+//! releasing a record lock means.  [`RecordLockTable`] is therefore the only
+//! implementation of acquire → deadlock check → enqueue → wait and of
+//! release → grant → wake, on top of the per-record
+//! [`RecordQueue`] core.  It is parameterised by a
+//! [`Layout`] that owns exactly what the paper measures:
+//!
+//! * [`crate::lock_sys::PageLayout`] — the MySQL arm: shards hashed by
+//!   *page*, a `page → heap_no` two-level map per shard, `lock_table`
+//!   intention locks, FIFO upgrade fairness and one counted lock object per
+//!   acquisition;
+//! * [`crate::lightweight::FlatLayout`] — O1: one flat map per shard keyed by
+//!   packed record id over 16× more shards, upgrades that only look at
+//!   holders, and lock objects counted only for requests that wait.
+//!
+//! The layouts are monomorphised in ([`crate::LockSys`] and
+//! [`crate::LightweightLockTable`] are aliases of the two instantiations), so
+//! the seam costs no dispatch on the hot path.
+//!
+//! Waiting requests park on a pooled [`OsEvent`] outside every shard mutex;
+//! the releasing transaction grants from the front of the record's FIFO
+//! whatever no longer conflicts and fires the events after dropping the
+//! guard.  Under [`DeadlockPolicy::Detect`] a wait-for-graph check runs
+//! before every wait and sacrifices the cycle member with the fewest
+//! registry-tracked locks (ties to the youngest); a victim other than the
+//! requester is woken through its graph-parked event and aborts out of its
+//! own wait.
+
+use crate::deadlock::WaitForGraph;
+use crate::event::{OsEvent, WaitOutcome};
+use crate::modes::LockMode;
+use crate::record_queue::{deadlock_check_on_wait, AcquireOutcome, QueuePolicy, RecordQueue};
+use crate::registry::TxnLockRegistry;
+use crate::wake_check::GuardScope;
+use parking_lot::Mutex;
+use std::sync::Arc;
+use std::time::Duration;
+use txsql_common::fxhash;
+use txsql_common::metrics::{EngineMetrics, MetricsSink};
+use txsql_common::pad::CachePadded;
+use txsql_common::time::SimInstant;
+use txsql_common::{Error, RecordId, Result, TableId, TxnId};
+
+/// How a lock table deals with deadlocks.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum DeadlockPolicy {
+    /// Run wait-for-graph detection on every wait (InnoDB default).
+    Detect,
+    /// Rely on lock-wait timeouts only (no detection).
+    TimeoutOnly,
+}
+
+/// Configuration of a [`RecordLockTable`], whatever its layout.
+#[derive(Debug, Clone)]
+pub struct LockTableConfig {
+    /// Deadlock handling policy.
+    pub deadlock_policy: DeadlockPolicy,
+    /// Lock wait timeout.
+    pub lock_wait_timeout: Duration,
+}
+
+impl Default for LockTableConfig {
+    fn default() -> Self {
+        Self {
+            deadlock_policy: DeadlockPolicy::Detect,
+            lock_wait_timeout: Duration::from_millis(200),
+        }
+    }
+}
+
+/// What distinguishes one lock-table arm of the Figure-6 ablation from the
+/// other: where a record's queue lives, how shards are hashed, and the two
+/// [`QueuePolicy`] choices.  Everything else is [`RecordLockTable`].
+pub trait Layout: Default + Send + Sync {
+    /// Upgrade fairness and `locks_created` accounting of this arm.
+    const POLICY: QueuePolicy;
+    /// Number of shard mutexes.
+    const SHARDS: usize;
+    /// One shard's queue map.
+    type Shard: Default + Send + std::fmt::Debug;
+
+    /// The value hashed to pick `record`'s shard.
+    fn shard_key(record: RecordId) -> u64;
+
+    /// `record`'s queue, created empty when absent (the acquire path).
+    fn queue_or_insert(shard: &mut Self::Shard, record: RecordId) -> &mut RecordQueue;
+
+    /// `record`'s queue if it exists (introspection).
+    fn queue(shard: &Self::Shard, record: RecordId) -> Option<&RecordQueue>;
+
+    /// Runs `f` on `record`'s queue if it still exists and prunes the queue
+    /// when `f` leaves it empty.  `None` means the queue was already pruned:
+    /// missing state is never resurrected by the release or wait paths.
+    fn visit_queue<R>(
+        shard: &mut Self::Shard,
+        record: RecordId,
+        f: impl FnOnce(&mut RecordQueue) -> R,
+    ) -> Option<R>;
+
+    /// Drops `txn`'s table-level locks at release-all (only the page layout
+    /// has any).
+    fn release_tables(&self, _txn: TxnId, _tables: &[TableId]) {}
+}
+
+/// What one wake-up of the wait loop decided under the shard guard.
+enum WaitPoll {
+    Granted,
+    GaveUp {
+        doomed: bool,
+        woken: Vec<Arc<OsEvent>>,
+        still_holds: bool,
+    },
+    KeepWaiting,
+}
+
+/// A sharded record-lock table: the shared acquire/wait/release driver over
+/// the queue placement of `L`.
+#[derive(Debug)]
+pub struct RecordLockTable<L: Layout> {
+    config: LockTableConfig,
+    pub(crate) layout: L,
+    shards: Box<[CachePadded<Mutex<L::Shard>>]>,
+    graph: WaitForGraph,
+    /// Sharded per-transaction bookkeeping — needed for release-all.
+    pub(crate) registry: Arc<TxnLockRegistry>,
+    pub(crate) metrics: Arc<EngineMetrics>,
+}
+
+impl<L: Layout> RecordLockTable<L> {
+    /// Creates a lock table with its own lock registry.
+    pub fn new(config: LockTableConfig, metrics: Arc<EngineMetrics>) -> Self {
+        let registry = Arc::new(TxnLockRegistry::with_metrics(
+            (L::SHARDS / 4).max(64),
+            Arc::clone(&metrics),
+        ));
+        Self {
+            config,
+            layout: L::default(),
+            shards: (0..L::SHARDS)
+                .map(|_| CachePadded::new(Mutex::new(L::Shard::default())))
+                .collect(),
+            graph: WaitForGraph::new(),
+            registry,
+            metrics,
+        }
+    }
+
+    /// The per-transaction lock registry backing release-all.
+    pub fn registry(&self) -> &Arc<TxnLockRegistry> {
+        &self.registry
+    }
+
+    #[inline]
+    fn shard_index(&self, record: RecordId) -> usize {
+        (fxhash::hash_u64(L::shard_key(record)) % L::SHARDS as u64) as usize
+    }
+
+    #[inline]
+    fn detects(&self) -> bool {
+        self.config.deadlock_policy == DeadlockPolicy::Detect
+    }
+
+    /// [`RecordLockTable::lock_record_in`] counting straight into the shared
+    /// [`EngineMetrics`].
+    pub fn lock_record(&self, txn: TxnId, record: RecordId, mode: LockMode) -> Result<()> {
+        self.lock_record_in(txn, record, mode, &*self.metrics)
+    }
+
+    /// Acquires a record lock, blocking until granted, deadlock or timeout.
+    /// `sink` receives the per-cycle counters (`locks_created`) — the engine
+    /// passes the transaction's metrics scratch so the uncontended fast path
+    /// performs no atomic RMW.
+    pub fn lock_record_in<S: MetricsSink + ?Sized>(
+        &self,
+        txn: TxnId,
+        record: RecordId,
+        mode: LockMode,
+        sink: &S,
+    ) -> Result<()> {
+        debug_assert!(mode.is_record_mode());
+        let event;
+        let mut doom_victim = None;
+        {
+            let mut shard = self.shards[self.shard_index(record)].lock();
+            let _scope = GuardScope::enter();
+            let queue = L::queue_or_insert(&mut shard, record);
+            match queue.try_acquire(txn, mode, L::POLICY, sink) {
+                AcquireOutcome::AlreadyHeld | AcquireOutcome::Upgraded => return Ok(()),
+                AcquireOutcome::Granted => {
+                    // Uncontended grant: no OsEvent, no global bookkeeping —
+                    // just the holder entry and the transaction's registry
+                    // shard (updated after the shard guard drops).
+                    drop(_scope);
+                    drop(shard);
+                    self.registry.remember_record(txn, record);
+                    return Ok(());
+                }
+                AcquireOutcome::MustWait(blockers) => {
+                    // A requester chosen as deadlock victim returns before
+                    // any lock object or wait is recorded, so the Figure-6d
+                    // counters stay truthful; a *remote* victim is doomed
+                    // after the guard drops.
+                    if self.detects() {
+                        doom_victim = deadlock_check_on_wait(
+                            queue,
+                            &self.graph,
+                            &self.registry,
+                            &self.metrics,
+                            txn,
+                            blockers,
+                        )?;
+                    }
+                    event = queue.enqueue_waiter(txn, mode, &self.metrics);
+                }
+            }
+        }
+        self.registry.remember_record(txn, record);
+        if self.detects() {
+            // Park our event in the graph so a later detection pass can doom
+            // us, then doom the victim this pass chose (if it stopped
+            // waiting meanwhile the evidence was stale — our own timeout is
+            // the backstop).
+            self.graph.attach_waiter_event(txn, Arc::clone(&event));
+            if let Some(victim) = doom_victim {
+                self.graph.doom(victim);
+            }
+        }
+        self.wait_until_granted(txn, record, mode, event)
+    }
+
+    /// Locks `record`'s shard and runs `f` on its still-existing queue,
+    /// pruning the queue if `f` empties it.  The guard is dropped before
+    /// returning, so events collected inside `f` are fired outside the lock.
+    fn with_queue<R>(&self, record: RecordId, f: impl FnOnce(&mut RecordQueue) -> R) -> Option<R> {
+        let mut shard = self.shards[self.shard_index(record)].lock();
+        let _scope = GuardScope::enter();
+        L::visit_queue(&mut shard, record, f)
+    }
+
+    /// The doom-aware wait loop a queued request parks in: park outside the
+    /// shard mutex, consume dooms delivered before the event was parked in
+    /// the graph, re-check the grant under the shard guard on every wake-up,
+    /// and — on timeout or doom — remove the waiting request, re-run the
+    /// grant scan for waiters queued behind it, and clean up the registry
+    /// entry unless a granted holder entry (a timed-out *upgrade*'s original
+    /// lock) survives.  The deadline lives on [`SimInstant`], so under
+    /// deterministic simulation it fires on the virtual clock.
+    fn wait_until_granted(
+        &self,
+        txn: TxnId,
+        record: RecordId,
+        mode: LockMode,
+        event: Arc<OsEvent>,
+    ) -> Result<()> {
+        let (graph, metrics, detect) = (&self.graph, &*self.metrics, self.detects());
+        let wait_start = SimInstant::now();
+        let deadline = wait_start + self.config.lock_wait_timeout;
+        loop {
+            // Consume a doom *before* parking: one delivered before our event
+            // was parked in the graph (or wiped by the reset below) must abort
+            // us now, not after the full timeout.
+            let pre_doomed = detect && graph.take_doomed(txn);
+            let remaining = deadline.saturating_duration_since(SimInstant::now());
+            let timed_out = pre_doomed
+                || remaining.is_zero()
+                || event.wait_for(remaining) == WaitOutcome::TimedOut;
+            let waited = wait_start.elapsed();
+            // One shard acquisition serves both the grant check and the
+            // give-up cleanup.  A pruned queue means our request is gone.
+            let poll = self
+                .with_queue(record, |queue| {
+                    if queue.is_granted(txn, mode) {
+                        return WaitPoll::Granted;
+                    }
+                    let doomed = pre_doomed || (detect && graph.take_doomed(txn));
+                    if !doomed && !timed_out {
+                        return WaitPoll::KeepWaiting;
+                    }
+                    // Give up: remove our waiting request, then re-run the
+                    // grant scan — a waiter queued behind us may be grantable
+                    // now that our conflicting request is gone.
+                    let mut woken = Vec::new();
+                    queue.remove_waiter(txn);
+                    queue.grant_from_front(graph, metrics, &mut woken);
+                    WaitPoll::GaveUp {
+                        doomed,
+                        woken,
+                        // A timed-out *upgrade* still holds its original
+                        // granted lock — the registry entry must survive for
+                        // release-all.
+                        still_holds: queue.holds_any(txn),
+                    }
+                })
+                .unwrap_or_else(|| {
+                    let doomed = pre_doomed || (detect && graph.take_doomed(txn));
+                    if doomed || timed_out {
+                        WaitPoll::GaveUp {
+                            doomed,
+                            woken: Vec::new(),
+                            still_holds: false,
+                        }
+                    } else {
+                        WaitPoll::KeepWaiting
+                    }
+                });
+            let result = match poll {
+                WaitPoll::Granted => Ok(()),
+                WaitPoll::GaveUp {
+                    doomed,
+                    woken,
+                    still_holds,
+                } => {
+                    for woken_event in woken {
+                        woken_event.set();
+                    }
+                    if !still_holds {
+                        self.registry.forget_record(txn, record);
+                    }
+                    Err(if doomed {
+                        Error::Deadlock { txn }
+                    } else {
+                        Error::LockWaitTimeout { txn, record }
+                    })
+                }
+                // Spurious wake-up (event set but our grant was raced away):
+                // reset and wait again.
+                WaitPoll::KeepWaiting => {
+                    event.reset();
+                    continue;
+                }
+            };
+            metrics.lock_wait_latency.record(waited);
+            graph.clear_waits_of(txn);
+            OsEvent::recycle(event);
+            return result;
+        }
+    }
+
+    /// Releases a single record lock held by `txn` and grants any waiters
+    /// that no longer conflict.
+    pub fn release_record_lock(&self, txn: TxnId, record: RecordId) {
+        self.release_record_locks(txn, std::slice::from_ref(&record));
+    }
+
+    /// [`RecordLockTable::release_record_locks_in`] counting into the shared
+    /// metrics.
+    pub fn release_record_locks(&self, txn: TxnId, records: &[RecordId]) {
+        self.release_record_locks_in(txn, records, &*self.metrics);
+    }
+
+    /// Releases a batch of record locks before commit (Bamboo's early lock
+    /// release, the group leader's hot-row handover): each lock-table shard
+    /// is taken once per batch, and the registry bookkeeping drains with one
+    /// registry-shard lock for the whole batch.  Release-path counters
+    /// (`release_shard_locks`, `locks_released`, grant-scan lengths) go
+    /// through `sink`.
+    pub fn release_record_locks_in<S: MetricsSink + ?Sized>(
+        &self,
+        txn: TxnId,
+        records: &[RecordId],
+        sink: &S,
+    ) {
+        if records.is_empty() {
+            return;
+        }
+        self.drop_requests(txn, records, sink);
+        self.registry.forget_records_in(txn, records, sink);
+    }
+
+    /// Removes `txn`'s requests on `records` and grants whatever unblocks
+    /// (lock-table state only; registry bookkeeping is the caller's).
+    /// Records are grouped by shard — one sorted scratch vec, cheaper than a
+    /// hash-map group-by for statement-sized batches — so each shard mutex is
+    /// taken once.
+    fn drop_requests<S: MetricsSink + ?Sized>(&self, txn: TxnId, records: &[RecordId], sink: &S) {
+        if let [single] = records {
+            return self.drop_shard_requests(txn, self.shard_index(*single), [*single], sink);
+        }
+        let mut keyed: Vec<(usize, RecordId)> =
+            records.iter().map(|r| (self.shard_index(*r), *r)).collect();
+        keyed.sort_unstable();
+        for chunk in keyed.chunk_by(|a, b| a.0 == b.0) {
+            self.drop_shard_requests(txn, chunk[0].0, chunk.iter().map(|(_, r)| *r), sink);
+        }
+    }
+
+    /// Removes `txn`'s requests on the given records of one shard under a
+    /// single shard-lock acquisition, firing the grants after the guard
+    /// drops.
+    fn drop_shard_requests<S: MetricsSink + ?Sized>(
+        &self,
+        txn: TxnId,
+        shard_idx: usize,
+        records: impl IntoIterator<Item = RecordId>,
+        sink: &S,
+    ) {
+        let mut woken = Vec::new();
+        {
+            let mut shard = self.shards[shard_idx].lock();
+            let _scope = GuardScope::enter();
+            sink.on_release_shard_lock();
+            for record in records {
+                L::visit_queue(&mut shard, record, |queue| {
+                    queue.remove_requests_of(txn);
+                    queue.grant_from_front(&self.graph, sink, &mut woken);
+                });
+            }
+        }
+        for event in woken {
+            event.set();
+        }
+    }
+
+    /// [`RecordLockTable::release_all_in`] counting into the shared metrics.
+    pub fn release_all(&self, txn: TxnId) {
+        self.release_all_in(txn, &*self.metrics);
+    }
+
+    /// Releases every lock `txn` holds (and abandons any waits), granting
+    /// whatever unblocks.  Called at commit and rollback.  Walks only the
+    /// transaction's own registry shard and the lock-table shards it
+    /// touched, each taken once.  Release-path counters go through `sink`
+    /// (the engine passes the transaction's metrics scratch).
+    pub fn release_all_in<S: MetricsSink + ?Sized>(&self, txn: TxnId, sink: &S) {
+        if let Some(locks) = self.registry.take_all_in(txn, sink) {
+            self.drop_requests(txn, &locks.records, sink);
+            self.layout.release_tables(txn, &locks.tables);
+        }
+        self.graph.remove_txn(txn);
+    }
+
+    /// Number of requests waiting on `record` — the paper's
+    /// hotspot-detection signal (§4.1).
+    pub fn wait_queue_len(&self, record: RecordId) -> usize {
+        let shard = self.shards[self.shard_index(record)].lock();
+        L::queue(&shard, record).map_or(0, RecordQueue::waiter_count)
+    }
+
+    /// Transactions currently holding a granted lock on `record`.
+    pub fn holders_of(&self, record: RecordId) -> Vec<TxnId> {
+        let shard = self.shards[self.shard_index(record)].lock();
+        L::queue(&shard, record)
+            .map(RecordQueue::holder_ids)
+            .unwrap_or_default()
+    }
+
+    /// Number of records `txn` currently holds or waits on.
+    pub fn lock_count_of(&self, txn: TxnId) -> usize {
+        self.registry.record_count_of(txn)
+    }
+
+    /// The wait-for graph (tests assert it drains).
+    pub fn wait_for_graph(&self) -> &WaitForGraph {
+        &self.graph
+    }
+}
+
+/// One conformance suite, instantiated per layout, plus a differential test
+/// that runs one seeded script through both layouts.  Tests that only make
+/// sense for one layout live next to it.
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::lightweight::FlatLayout;
+    use crate::lock_sys::PageLayout;
+    use std::thread::{self, JoinHandle};
+    use txsql_common::rng::XorShiftRng;
+
+    const R1: RecordId = RecordId {
+        space_id: 1,
+        page_no: 0,
+        heap_no: 0,
+    };
+    const R2: RecordId = RecordId {
+        space_id: 1,
+        page_no: 0,
+        heap_no: 1,
+    };
+    const S: LockMode = LockMode::Shared;
+    const X: LockMode = LockMode::Exclusive;
+
+    type Table<L> = Arc<RecordLockTable<L>>;
+
+    fn table<L: Layout>(policy: DeadlockPolicy, timeout_ms: u64) -> Table<L> {
+        Arc::new(RecordLockTable::new(
+            LockTableConfig {
+                deadlock_policy: policy,
+                lock_wait_timeout: Duration::from_millis(timeout_ms),
+            },
+            Arc::new(EngineMetrics::new()),
+        ))
+    }
+
+    /// Issues `lock_record` on its own thread and returns once the request
+    /// is either granted (thread finished) or queued on `record`.
+    fn lock_async<L: Layout + 'static>(
+        t: &Table<L>,
+        txn: u64,
+        record: RecordId,
+        mode: LockMode,
+    ) -> JoinHandle<Result<()>> {
+        let queued_before = t.wait_queue_len(record);
+        let t2 = Arc::clone(t);
+        let handle = thread::spawn(move || t2.lock_record(TxnId(txn), record, mode));
+        while !handle.is_finished() && t.wait_queue_len(record) == queued_before {
+            thread::yield_now();
+        }
+        handle
+    }
+
+    fn assert_drained<L: Layout>(t: &Table<L>) {
+        assert!(t.registry().is_empty(), "registry must drain");
+        assert_eq!(t.wait_for_graph().waiting_count(), 0, "graph must drain");
+    }
+
+    fn exclusive_lock_is_granted_reentrant_and_released<L: Layout + 'static>() {
+        let t = table::<L>(DeadlockPolicy::Detect, 100);
+        t.lock_record(TxnId(1), R1, X).unwrap();
+        t.lock_record(TxnId(1), R1, X).unwrap();
+        t.lock_record(TxnId(1), R1, S).unwrap();
+        assert_eq!(t.holders_of(R1), vec![TxnId(1)], "re-entry adds no holder");
+        assert_eq!(t.lock_count_of(TxnId(1)), 1);
+        t.release_all(TxnId(1));
+        assert!(t.holders_of(R1).is_empty());
+        assert_eq!(t.lock_count_of(TxnId(1)), 0);
+        assert_drained(&t);
+    }
+
+    fn shared_locks_coexist_but_block_exclusive<L: Layout + 'static>() {
+        let t = table::<L>(DeadlockPolicy::TimeoutOnly, 30);
+        t.lock_record(TxnId(1), R1, S).unwrap();
+        t.lock_record(TxnId(2), R1, S).unwrap();
+        assert_eq!(t.holders_of(R1).len(), 2);
+        let err = t.lock_record(TxnId(3), R1, X).unwrap_err();
+        assert!(matches!(err, Error::LockWaitTimeout { .. }));
+        // The timed-out waiter left no bookkeeping behind.
+        assert_eq!(t.lock_count_of(TxnId(3)), 0);
+        t.release_all(TxnId(1));
+        t.release_all(TxnId(2));
+        assert_drained(&t);
+    }
+
+    fn sole_holder_upgrades_in_place<L: Layout + 'static>() {
+        let t = table::<L>(DeadlockPolicy::TimeoutOnly, 30);
+        t.lock_record(TxnId(1), R1, S).unwrap();
+        t.lock_record(TxnId(1), R1, X).unwrap();
+        assert_eq!(t.holders_of(R1), vec![TxnId(1)]);
+        // The upgraded lock is exclusive: a reader must now block.
+        let err = t.lock_record(TxnId(2), R1, S).unwrap_err();
+        assert!(matches!(err, Error::LockWaitTimeout { .. }));
+        t.release_all(TxnId(1));
+        assert_drained(&t);
+    }
+
+    fn waiters_are_granted_in_fifo_order<L: Layout + 'static>() {
+        let t = table::<L>(DeadlockPolicy::Detect, 5_000);
+        t.lock_record(TxnId(1), R1, X).unwrap();
+        let waiters: Vec<_> = (2..=5u64)
+            .map(|id| (id, lock_async(&t, id, R1, X)))
+            .collect();
+        assert_eq!(t.wait_queue_len(R1), 4);
+        t.release_all(TxnId(1));
+        for (id, handle) in waiters {
+            // Each release grants exactly the next arrival.
+            handle.join().unwrap().unwrap();
+            assert_eq!(t.holders_of(R1), vec![TxnId(id)]);
+            t.release_all(TxnId(id));
+        }
+        assert_drained(&t);
+    }
+
+    fn single_and_batched_release_keep_other_locks<L: Layout + 'static>() {
+        let t = table::<L>(DeadlockPolicy::TimeoutOnly, 2_000);
+        // Three records over two pages, all held by T1.
+        let other_page = RecordId::new(1, 9, 4);
+        for r in [R1, R2, other_page] {
+            t.lock_record(TxnId(1), r, X).unwrap();
+        }
+        let w = lock_async(&t, 2, other_page, X);
+        assert_eq!(t.wait_queue_len(other_page), 1);
+        // One batched call releases R1 and the other page's record: the
+        // waiter must be granted, R2 must stay held, registry must drop to 1.
+        t.release_record_locks(TxnId(1), &[R1, other_page]);
+        w.join().unwrap().unwrap();
+        assert_eq!(t.holders_of(other_page), vec![TxnId(2)]);
+        assert!(t.holders_of(R1).is_empty());
+        assert_eq!(t.holders_of(R2), vec![TxnId(1)]);
+        assert_eq!(t.lock_count_of(TxnId(1)), 1);
+        t.release_record_lock(TxnId(1), R2);
+        assert!(t.holders_of(R2).is_empty());
+        t.release_all(TxnId(1));
+        t.release_all(TxnId(2));
+        assert_drained(&t);
+    }
+
+    fn deadlock_is_detected<L: Layout + 'static>() {
+        let t = table::<L>(DeadlockPolicy::Detect, 5_000);
+        t.lock_record(TxnId(1), R1, X).unwrap();
+        t.lock_record(TxnId(2), R2, X).unwrap();
+        // T1 waits for R2 (held by T2).
+        let h = lock_async(&t, 1, R2, X);
+        // T2 requesting R1 closes the cycle.  T2 is the victim: it holds 1
+        // registry-tracked lock against T1's 2 (T1's wait on R2 is
+        // registry-tracked too).
+        let err = t.lock_record(TxnId(2), R1, X).unwrap_err();
+        assert!(matches!(err, Error::Deadlock { txn: TxnId(2) }));
+        // Let T1 proceed by releasing T2's locks (as its rollback would).
+        t.release_all(TxnId(2));
+        h.join().unwrap().unwrap();
+        t.release_all(TxnId(1));
+        assert_drained(&t);
+    }
+
+    fn heavier_requester_dooms_the_lighter_waiter<L: Layout + 'static>() {
+        // T1 holds only R2 and waits for R1; T2 holds R1 plus two ballast
+        // locks.  When T2 closes the cycle T1 is lighter (2 entries vs 4)
+        // and must be doomed remotely while T2 keeps waiting.
+        let t = table::<L>(DeadlockPolicy::Detect, 5_000);
+        t.lock_record(TxnId(2), R1, X).unwrap();
+        t.lock_record(TxnId(2), RecordId::new(2, 0, 0), X).unwrap();
+        t.lock_record(TxnId(2), RecordId::new(2, 0, 1), X).unwrap();
+        t.lock_record(TxnId(1), R2, X).unwrap();
+        let victim = lock_async(&t, 1, R1, X);
+        let requester = lock_async(&t, 2, R2, X);
+        let victim_err = victim.join().unwrap().unwrap_err();
+        assert!(
+            matches!(victim_err, Error::Deadlock { txn: TxnId(1) }),
+            "doomed waiter must abort with a deadlock error, got {victim_err:?}"
+        );
+        // T1's rollback releases R2, unblocking the requester.
+        t.release_all(TxnId(1));
+        requester.join().unwrap().unwrap();
+        t.release_all(TxnId(2));
+        assert_drained(&t);
+    }
+
+    fn timeout_policy_never_reports_deadlock<L: Layout + 'static>() {
+        let t = table::<L>(DeadlockPolicy::TimeoutOnly, 40);
+        t.lock_record(TxnId(1), R1, X).unwrap();
+        t.lock_record(TxnId(2), R2, X).unwrap();
+        let h = lock_async(&t, 1, R2, X);
+        let err = t.lock_record(TxnId(2), R1, X).unwrap_err();
+        assert!(matches!(err, Error::LockWaitTimeout { .. }));
+        // The other waiter also times out (nobody released).
+        assert!(matches!(
+            h.join().unwrap().unwrap_err(),
+            Error::LockWaitTimeout { .. }
+        ));
+    }
+
+    fn front_waiter_timeout_grants_the_compatible_waiter_behind_it<L: Layout + 'static>() {
+        let t = table::<L>(DeadlockPolicy::TimeoutOnly, 80);
+        t.lock_record(TxnId(1), R1, S).unwrap();
+        // T2 queues an Exclusive that will time out (blocked by T1's Shared).
+        let w2 = lock_async(&t, 2, R1, X);
+        // T3 queues a Shared behind T2: compatible with T1, blocked only by
+        // the earlier waiting Exclusive (FIFO fairness).  T2's timeout
+        // cleanup must grant it — the sleep puts T3's own deadline 50 ms
+        // after T2's.
+        thread::sleep(Duration::from_millis(50));
+        let w3 = lock_async(&t, 3, R1, S);
+        assert!(matches!(
+            w2.join().unwrap().unwrap_err(),
+            Error::LockWaitTimeout { .. }
+        ));
+        w3.join().unwrap().unwrap();
+        assert_eq!(t.holders_of(R1).len(), 2, "T1 and T3 share the record");
+        t.release_all(TxnId(1));
+        t.release_all(TxnId(3));
+        assert_drained(&t);
+    }
+
+    fn timed_out_upgrade_keeps_its_granted_lock<L: Layout + 'static>() {
+        let t = table::<L>(DeadlockPolicy::TimeoutOnly, 40);
+        t.lock_record(TxnId(1), R1, S).unwrap();
+        t.lock_record(TxnId(2), R1, S).unwrap();
+        // T1's upgrade to Exclusive blocks on T2's Shared and times out —
+        // but its granted Shared lock must survive, registry included.
+        let err = t.lock_record(TxnId(1), R1, X).unwrap_err();
+        assert!(matches!(err, Error::LockWaitTimeout { .. }));
+        assert_eq!(t.holders_of(R1).len(), 2, "both Shared holders must remain");
+        assert_eq!(t.lock_count_of(TxnId(1)), 1, "registry still tracks T1");
+        // Release-all must actually remove the surviving granted lock.
+        t.release_all(TxnId(1));
+        t.release_all(TxnId(2));
+        assert!(t.holders_of(R1).is_empty(), "no phantom holder may remain");
+        t.lock_record(TxnId(3), R1, X).unwrap();
+        t.release_all(TxnId(3));
+        assert_drained(&t);
+    }
+
+    macro_rules! conformance {
+        ($($test:ident),* $(,)?) => {
+            mod page_layout {
+                $(#[test] fn $test() { super::$test::<super::PageLayout>() })*
+            }
+            mod flat_layout {
+                $(#[test] fn $test() { super::$test::<super::FlatLayout>() })*
+            }
+        };
+    }
+
+    conformance!(
+        exclusive_lock_is_granted_reentrant_and_released,
+        shared_locks_coexist_but_block_exclusive,
+        sole_holder_upgrades_in_place,
+        waiters_are_granted_in_fifo_order,
+        single_and_batched_release_keep_other_locks,
+        deadlock_is_detected,
+        heavier_requester_dooms_the_lighter_waiter,
+        timeout_policy_never_reports_deadlock,
+        front_waiter_timeout_grants_the_compatible_waiter_behind_it,
+        timed_out_upgrade_keeps_its_granted_lock,
+    );
+
+    /// Runs a seeded lock/release script over six transaction slots and
+    /// three records (two sharing a page) and returns the grant log: holders
+    /// and queue length of the touched record after every step.  Grants
+    /// happen under the releaser's shard guard, so the log does not depend on
+    /// when woken threads run.  Slots lock records in ascending order and
+    /// never upgrade, so the script cannot deadlock.
+    fn run_script<L: Layout + 'static>(seed: u64) -> (Vec<(Vec<TxnId>, usize)>, Table<L>) {
+        const RECORDS: [RecordId; 3] = [R1, R2, RecordId::new(1, 9, 0)];
+        struct Slot {
+            txn: u64,
+            next_record: usize,
+            blocked: Option<(RecordId, JoinHandle<Result<()>>)>,
+        }
+        let t = table::<L>(DeadlockPolicy::TimeoutOnly, 30_000);
+        let mut rng = XorShiftRng::new(seed);
+        let mut slots: Vec<Slot> = (1..=6u64)
+            .map(|txn| Slot {
+                txn,
+                next_record: 0,
+                blocked: None,
+            })
+            .collect();
+        let mut log = Vec::new();
+        for _ in 0..200 {
+            let idx = rng.next_bounded(slots.len() as u64) as usize;
+            let slot = &mut slots[idx];
+            if slot.blocked.is_some() {
+                continue;
+            }
+            let touched = if slot.next_record < RECORDS.len() && rng.next_bool(0.7) {
+                // Skip ahead at random, keeping the ascending order.
+                let pick = rng.next_range_inclusive(slot.next_record as u64, 2) as usize;
+                let record = RECORDS[pick];
+                slot.next_record = pick + 1;
+                let mode = if rng.next_bool(0.4) { S } else { X };
+                let handle = lock_async(&t, slot.txn, record, mode);
+                if handle.is_finished() {
+                    handle.join().unwrap().unwrap();
+                } else {
+                    slot.blocked = Some((record, handle));
+                }
+                vec![record]
+            } else {
+                t.release_all(TxnId(slot.txn));
+                // A fresh transaction takes over the slot.
+                slot.txn += 10;
+                slot.next_record = 0;
+                RECORDS.to_vec()
+            };
+            for slot in &mut slots {
+                if let Some((record, _)) = &slot.blocked {
+                    if t.holders_of(*record).contains(&TxnId(slot.txn)) {
+                        let (_, handle) = slot.blocked.take().unwrap();
+                        handle.join().unwrap().unwrap();
+                    }
+                }
+            }
+            for record in touched {
+                log.push((t.holders_of(record), t.wait_queue_len(record)));
+            }
+        }
+        // Drain: release runnable slots until every blocked one was granted.
+        while slots.iter().any(|s| s.blocked.is_some()) {
+            for slot in &mut slots {
+                match slot.blocked.take() {
+                    Some((record, handle)) if !t.holders_of(record).contains(&TxnId(slot.txn)) => {
+                        slot.blocked = Some((record, handle));
+                    }
+                    Some((_, handle)) => handle.join().unwrap().unwrap(),
+                    None => t.release_all(TxnId(slot.txn)),
+                }
+            }
+        }
+        for slot in &slots {
+            t.release_all(TxnId(slot.txn));
+        }
+        (log, t)
+    }
+
+    #[test]
+    fn layouts_agree_on_a_seeded_script_and_differ_only_in_queue_policy() {
+        for seed in 1..=8 {
+            let (page_log, page) = run_script::<PageLayout>(seed);
+            let (flat_log, flat) = run_script::<FlatLayout>(seed);
+            assert_eq!(page_log, flat_log, "grant order diverged at seed {seed}");
+            assert!(page_log.iter().any(|(_, queued)| *queued > 0));
+            assert_drained(&page);
+            assert_drained(&flat);
+            // QueuePolicy difference 1 (Figure 6d): the flat layout counts a
+            // lock object only per wait, the page layout also per fresh grant.
+            let (pm, fm) = (&page.metrics, &flat.metrics);
+            assert_eq!(pm.lock_waits.get(), fm.lock_waits.get());
+            assert_eq!(fm.locks_created.get(), fm.lock_waits.get());
+            assert!(pm.locks_created.get() > fm.locks_created.get());
+            assert_eq!(pm.locks_released.get(), fm.locks_released.get());
+        }
+
+        // QueuePolicy difference 2 (upgrade fairness): T1 holds S, T2's X is
+        // queued behind it, then T1 asks for X.  Returns whether T1's upgrade
+        // had to queue.
+        fn upgrade_queues_behind_a_waiter<L: Layout + 'static>() -> bool {
+            let t = table::<L>(DeadlockPolicy::TimeoutOnly, 100);
+            t.lock_record(TxnId(1), R1, S).unwrap();
+            let waiter = lock_async(&t, 2, R1, X);
+            let upgrade = lock_async(&t, 1, R1, X);
+            let queued = !upgrade.is_finished();
+            assert_eq!(t.wait_queue_len(R1), 1 + usize::from(queued));
+            if !queued {
+                assert_eq!(t.holders_of(R1), vec![TxnId(1)]);
+            }
+            // T1 rolls back: T2 gets the record, T1's abandoned wait ends.
+            t.release_all(TxnId(1));
+            waiter.join().unwrap().unwrap();
+            let _ = upgrade.join().unwrap();
+            t.release_all(TxnId(2));
+            assert_drained(&t);
+            queued
+        }
+        assert!(
+            !upgrade_queues_behind_a_waiter::<FlatLayout>(),
+            "O1 upgrades whenever no holder conflicts"
+        );
+        assert!(
+            upgrade_queues_behind_a_waiter::<PageLayout>(),
+            "the baseline's upgrade may not jump the queued waiter"
+        );
+    }
+}

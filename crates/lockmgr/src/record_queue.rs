@@ -1,21 +1,16 @@
-//! The single-source per-record lock-queue core shared by both lock tables.
+//! One record's lock queue: the state every layout of the record-lock table
+//! stores per record.
 //!
-//! [`lock_sys`](crate::lock_sys) (the page-sharded InnoDB baseline) and
-//! [`lightweight`](crate::lightweight) (the record-keyed `trx_lock_wait`
-//! table, §3.1.1) implement the same per-record grant/wait machinery — the
-//! holder/waiter split, the mode-compatibility conflict check, the from-front
-//! FIFO grant scan, timeout/cancel removal, and the doom-aware wait loop.
-//! They used to carry near-duplicate copies of it, which meant every grant or
-//! doom fix had to land twice.  This module is the one copy both tables now
-//! route through.
+//! A [`RecordQueue`] owns the holder/waiter split, the mode-compatibility
+//! conflict check, the from-front FIFO grant scan and timeout/cancel removal.
+//! It never knows how queues are keyed, sharded or pruned — that is the
+//! [`Layout`](crate::lock_table::Layout)'s business — nor how a request
+//! waits: the acquire, wait and release drivers live once, in
+//! [`RecordLockTable`](crate::lock_table::RecordLockTable).
 //!
-//! What the tables still own (their *real* differences):
+//! The two behaviours on which the lock-table arms differ *inside* a queue
+//! are a [`QueuePolicy`] passed into [`RecordQueue::try_acquire`]:
 //!
-//! * **sharding key** — `lock_sys` shards by page and nests
-//!   `heap_no → RecordQueue` maps inside a page shell; `lightweight` shards
-//!   by packed record id.  The shared wait loop reaches a queue through the
-//!   owning table's [`QueueAccess`] implementation, so the core never knows
-//!   how queues are keyed or pruned;
 //! * **upgrade fairness** — the baseline keeps InnoDB's FIFO rule that an
 //!   `S→X` upgrade may not jump earlier queued waiters, while the lightweight
 //!   table upgrades in place whenever no *holder* conflicts
@@ -24,12 +19,6 @@
 //!   object per acquisition (the Figure 6d cost the paper measures), the
 //!   lightweight table only counts requests that actually wait
 //!   ([`QueuePolicy::count_uncontended_grants`]).
-//!
-//! Everything else — [`RecordQueue::try_acquire`], the
-//! [`deadlock_check_on_wait`] run before queueing, and
-//! [`wait_until_granted`] — is shared verbatim, so the sim suites
-//! (`per_record_queue_independence_*`, the FIFO/compat invariants) prove both
-//! tables' behavior with one body of code.
 //!
 //! ## The uncontended fast path
 //!
@@ -52,19 +41,17 @@
 //!   shared atomics; the slow paths (waits, deadlock checks) still record
 //!   into [`EngineMetrics`] directly.
 
-use crate::deadlock::{select_victim, VictimPolicy, WaitForGraph};
-use crate::event::{OsEvent, WaitOutcome};
+use crate::deadlock::{select_victim, WaitForGraph};
+use crate::event::OsEvent;
 use crate::modes::LockMode;
 use crate::registry::TxnLockRegistry;
 use std::collections::VecDeque;
 use std::sync::Arc;
-use std::time::Duration;
 use txsql_common::metrics::{EngineMetrics, MetricsSink};
-use txsql_common::time::SimInstant;
-use txsql_common::{Error, RecordId, Result, TxnId};
+use txsql_common::{Error, Result, TxnId};
 
-/// The knobs on which the two lock tables genuinely differ.  Everything not
-/// captured here (conflict scan, grant order, wait-loop behavior) is shared.
+/// The two in-queue behaviours on which the lock-table layouts differ.
+/// Everything not captured here (conflict scan, grant order) is shared.
 #[derive(Debug, Clone, Copy)]
 pub struct QueuePolicy {
     /// FIFO upgrade fairness: when true, an in-place lock upgrade (`S→X` by
@@ -233,7 +220,7 @@ impl RecordQueue {
 
     /// True when `txn` holds a granted lock covering `mode`.
     #[inline]
-    fn is_granted(&self, txn: TxnId, mode: LockMode) -> bool {
+    pub(crate) fn is_granted(&self, txn: TxnId, mode: LockMode) -> bool {
         self.holders
             .as_slice()
             .iter()
@@ -344,7 +331,7 @@ impl RecordQueue {
 
     /// Removes `txn`'s *waiting* entry only (timeout/doom cleanup: a granted
     /// holder entry — e.g. the surviving pre-upgrade lock — must stay).
-    fn remove_waiter(&mut self, txn: TxnId) {
+    pub(crate) fn remove_waiter(&mut self, txn: TxnId) {
         if let Some(waiters) = &mut self.waiters {
             waiters.retain(|w| w.txn != txn);
         }
@@ -419,7 +406,6 @@ pub fn deadlock_check_on_wait(
     graph: &WaitForGraph,
     registry: &TxnLockRegistry,
     metrics: &EngineMetrics,
-    victim_policy: VictimPolicy,
     txn: TxnId,
     blockers: Vec<TxnId>,
 ) -> Result<Option<TxnId>> {
@@ -428,7 +414,7 @@ pub fn deadlock_check_on_wait(
     waits_for.extend(queue.waiter_ids());
     graph.set_waits_for(txn, waits_for);
     if let Some(cycle) = graph.find_cycle_from(txn) {
-        let victim = select_victim(&cycle, victim_policy, |t| registry.record_count_of(t));
+        let victim = select_victim(&cycle, |t| registry.record_count_of(t));
         if victim == txn {
             graph.clear_waits_of(txn);
             return Err(Error::Deadlock { txn });
@@ -436,162 +422,6 @@ pub fn deadlock_check_on_wait(
         return Ok(Some(victim));
     }
     Ok(None)
-}
-
-/// How the shared wait loop reaches its record's queue through the owning
-/// table's sharding.  An implementation locks the table-specific shard, runs
-/// the closure on the queue **if it still exists** (`None` means the queue
-/// was pruned — our request is gone, which the wait loop treats as
-/// not-granted, never resurrecting state), prunes the queue when the closure
-/// leaves it empty, and drops the shard guard before returning — so woken
-/// events collected inside the closure are always fired outside the lock.
-pub trait QueueAccess {
-    /// Locks the owning shard and runs `f` on the still-existing queue.
-    fn with_queue<R>(&self, f: impl FnOnce(&mut RecordQueue) -> R) -> Option<R>;
-}
-
-/// Everything [`wait_until_granted`] needs from the owning table.
-pub struct WaitParams<'a> {
-    /// The waiting transaction.
-    pub txn: TxnId,
-    /// The record being waited on (for error values and registry cleanup).
-    pub record: RecordId,
-    /// The requested mode (the grant check looks for a covering holder).
-    pub mode: LockMode,
-    /// The event enqueued with the waiter ([`RecordQueue::enqueue_waiter`]).
-    pub event: Arc<OsEvent>,
-    /// Whether wait-for-graph detection is active (doom checks are skipped
-    /// under the timeout-only policy).
-    pub detect: bool,
-    /// The lock-wait timeout; the deadline lives on [`SimInstant`], so under
-    /// deterministic simulation it fires on the virtual clock.
-    pub timeout: Duration,
-    /// The owning table's wait-for graph.
-    pub graph: &'a WaitForGraph,
-    /// The owning table's per-transaction registry (timeout cleanup forgets
-    /// the record unless a granted holder entry survives).
-    pub registry: &'a TxnLockRegistry,
-    /// Metrics sink (`lock_wait_latency`, grant-scan lengths).
-    pub metrics: &'a EngineMetrics,
-}
-
-/// What one wake-up/poll iteration of the wait loop decided under the guard.
-enum WaitPoll {
-    Granted,
-    GaveUp {
-        doomed: bool,
-        woken: Vec<Arc<OsEvent>>,
-        still_holds: bool,
-    },
-    KeepWaiting,
-}
-
-/// The doom-aware wait loop both lock tables park in after enqueueing a
-/// waiter: park outside the shard mutex, consume dooms delivered before the
-/// event was parked in the graph, re-check the grant under the shard guard on
-/// every wake-up, and — on timeout or doom — remove the waiting request,
-/// re-run the grant scan for waiters queued behind it, and clean up the
-/// registry entry unless a granted holder entry (a timed-out *upgrade*'s
-/// original lock) survives.
-pub fn wait_until_granted(params: WaitParams<'_>, slot: &impl QueueAccess) -> Result<()> {
-    let WaitParams {
-        txn,
-        record,
-        mode,
-        event,
-        detect,
-        timeout,
-        graph,
-        registry,
-        metrics,
-    } = params;
-    let wait_start = SimInstant::now();
-    let deadline = wait_start + timeout;
-    loop {
-        // Consume a doom *before* parking: one delivered before our event
-        // was parked in the graph (or wiped by the reset below) must abort
-        // us now, not after the full timeout.
-        let pre_doomed = detect && graph.take_doomed(txn);
-        let remaining = deadline.saturating_duration_since(SimInstant::now());
-        let outcome = if pre_doomed || remaining.is_zero() {
-            WaitOutcome::TimedOut
-        } else {
-            event.wait_for(remaining)
-        };
-        let waited = wait_start.elapsed();
-        // One shard acquisition serves both the grant check and the give-up
-        // cleanup.  A pruned queue means our request is gone; missing state
-        // is not-granted and must never be resurrected.
-        let poll = slot
-            .with_queue(|queue| {
-                if queue.is_granted(txn, mode) {
-                    return WaitPoll::Granted;
-                }
-                let doomed = pre_doomed || (detect && graph.take_doomed(txn));
-                if doomed || outcome == WaitOutcome::TimedOut {
-                    // Give up: remove our waiting request, then re-run the
-                    // grant scan — a waiter queued behind us may be grantable
-                    // now that our conflicting request is gone.
-                    let mut woken = Vec::new();
-                    queue.remove_waiter(txn);
-                    queue.grant_from_front(graph, metrics, &mut woken);
-                    // A timed-out *upgrade* still holds its original granted
-                    // lock — the registry entry must survive for release-all.
-                    let still_holds = queue.holds_any(txn);
-                    WaitPoll::GaveUp {
-                        doomed,
-                        woken,
-                        still_holds,
-                    }
-                } else {
-                    WaitPoll::KeepWaiting
-                }
-            })
-            .unwrap_or_else(|| {
-                let doomed = pre_doomed || (detect && graph.take_doomed(txn));
-                if doomed || outcome == WaitOutcome::TimedOut {
-                    WaitPoll::GaveUp {
-                        doomed,
-                        woken: Vec::new(),
-                        still_holds: false,
-                    }
-                } else {
-                    WaitPoll::KeepWaiting
-                }
-            });
-        match poll {
-            WaitPoll::Granted => {
-                metrics.lock_wait_latency.record(waited);
-                graph.clear_waits_of(txn);
-                OsEvent::recycle(event);
-                return Ok(());
-            }
-            WaitPoll::GaveUp {
-                doomed,
-                woken,
-                still_holds,
-            } => {
-                // The shard guard dropped inside with_queue; fire the grants.
-                for woken_event in woken {
-                    woken_event.set();
-                }
-                if !still_holds {
-                    registry.forget_record(txn, record);
-                }
-                metrics.lock_wait_latency.record(waited);
-                graph.clear_waits_of(txn);
-                OsEvent::recycle(event);
-                return Err(if doomed {
-                    Error::Deadlock { txn }
-                } else {
-                    Error::LockWaitTimeout { txn, record }
-                });
-            }
-            // Spurious wake-up (event set but our grant was raced away):
-            // reset and wait again.
-            WaitPoll::KeepWaiting => event.reset(),
-        }
-    }
 }
 
 #[cfg(test)]

@@ -20,11 +20,9 @@
 //! to [`TxnLockRegistry::take_all`] — release is already batched, so sorting
 //! **once per transaction** at release amortizes what a sorted-insert scheme
 //! paid on every acquisition.  `take_all` removes the whole entry from the
-//! owning shard in one lock acquisition, sorts + dedupes it, and hands the
-//! records back pre-grouped ([`TxnLocks::page_groups`] yields one contiguous
-//! slice per page with no further allocation), so the page-sharded lock
-//! system takes each page's shard mutex once per page and drains every
-//! heap_no under it, instead of re-locking the shard once per record.
+//! owning shard in one lock acquisition and sorts + dedupes it; the lock
+//! table then groups the records by its own shards and takes each shard
+//! mutex once, instead of re-locking a shard once per record.
 //! [`TxnLockRegistry::forget_records`] batches the early-release bookkeeping
 //! (Bamboo) the same way — one shard lock per batch, not one per row (the
 //! log is unsorted, so removal is a linear scan, bounded by the handful of
@@ -34,12 +32,10 @@
 //! [`TxnLockRegistry::record_count_of`] may transiently count them, which
 //! only nudges the deadlock victim weight.
 //!
-//! Since the queue-core unification both lock tables feed this registry
-//! identically (the shared wait loop forgets a timed-out waiter's record,
-//! `release_record_locks` forgets a whole statement-boundary batch); the
-//! registry is table-agnostic — each table owns its own instance, and only
-//! the shard counts differ (page-sharded baseline vs. record-keyed
-//! lightweight table).  Release-path shard acquisitions (here and in the
+//! The registry is layout-agnostic: the one lock-table driver feeds it (the
+//! wait loop forgets a timed-out waiter's record, `release_record_locks`
+//! forgets a whole batch), each table owns its own instance, and only the
+//! shard counts differ.  Release-path shard acquisitions (here and in the
 //! lock tables) are counted through the caller's
 //! [`MetricsSink`] — the engine passes the transaction's `Cell`-based
 //! scratch, stand-alone callers the shared `EngineMetrics` — and land in
@@ -61,7 +57,6 @@ use crate::wake_check::GuardScope;
 use parking_lot::Mutex;
 use std::sync::Arc;
 use txsql_common::fxhash::{self, FxHashMap};
-use txsql_common::ids::PageId;
 use txsql_common::metrics::{EngineMetrics, MetricsSink};
 use txsql_common::pad::CachePadded;
 use txsql_common::{RecordId, TableId, TxnId};
@@ -71,10 +66,8 @@ use txsql_common::{RecordId, TableId, TxnId};
 #[derive(Debug, Default)]
 pub struct TxnLocks {
     /// Records locked or waited on, deduplicated and sorted page-major
-    /// (`RecordId`'s ordering is `(space_id, page_no, heap_no)`), so one
-    /// page's records form one contiguous run — see
-    /// [`TxnLocks::page_groups`].  The sort happens once, in `take_all`;
-    /// the live entry is an unsorted append log.
+    /// (`RecordId`'s ordering is `(space_id, page_no, heap_no)`).  The sort
+    /// happens once, in `take_all`; the live entry is an unsorted append log.
     pub records: Vec<RecordId>,
     /// Tables with intention locks (tiny in practice, deduplicated).
     pub tables: Vec<TableId>,
@@ -89,16 +82,6 @@ impl TxnLocks {
     /// True when `record` is tracked.
     pub fn contains(&self, record: RecordId) -> bool {
         self.records.binary_search(&record).is_ok()
-    }
-
-    /// The records grouped by page: one `(page, records-on-that-page)` pair
-    /// per distinct page, in page order, with no further allocation.  The
-    /// page-sharded release path takes each page's shard mutex exactly once
-    /// per group.
-    pub fn page_groups(&self) -> impl Iterator<Item = (PageId, &[RecordId])> {
-        self.records
-            .chunk_by(|a, b| a.page() == b.page())
-            .map(|chunk| (chunk[0].page(), chunk))
     }
 }
 
@@ -236,9 +219,8 @@ impl TxnLockRegistry {
     }
 
     /// Forgets a batch of records with one shard lock for the whole batch
-    /// (the bookkeeping half of batched early lock release — the write path
-    /// accumulates a statement's early releases and flushes them through one
-    /// call here).  Returns how many of them were actually tracked.
+    /// (the bookkeeping half of a batched pre-commit release).  Returns how
+    /// many of them were actually tracked.
     pub fn forget_records(&self, txn: TxnId, records: &[RecordId]) -> usize {
         match &self.metrics {
             Some(metrics) => self.forget_records_in(txn, records, &**metrics),
@@ -282,7 +264,7 @@ impl TxnLockRegistry {
 
     /// Removes and returns everything `txn` holds — one shard lock, no walk
     /// of anyone else's state — with the records sorted page-major and
-    /// deduplicated (see [`TxnLocks::page_groups`]).  Returns `None` when
+    /// deduplicated.  Returns `None` when
     /// the transaction holds nothing.
     pub fn take_all(&self, txn: TxnId) -> Option<TxnLocks> {
         match &self.metrics {
@@ -445,22 +427,18 @@ mod tests {
     }
 
     #[test]
-    fn take_all_groups_records_by_page() {
+    fn take_all_sorts_records_page_major() {
         let reg = TxnLockRegistry::new(8);
         // Insert interleaved across two pages; take_all must come back
-        // page-grouped regardless of insertion order (the deferred sort).
+        // page-major regardless of insertion order (the deferred sort).
         reg.remember_record(TxnId(1), RecordId::new(1, 8, 0));
         for heap in 0..4u16 {
             reg.remember_record(TxnId(1), RecordId::new(1, 7, heap));
         }
         let locks = reg.take_all(TxnId(1)).unwrap();
         assert_eq!(locks.record_count(), 5);
-        let groups: Vec<_> = locks.page_groups().collect();
-        assert_eq!(groups.len(), 2, "two distinct pages");
-        assert_eq!(groups[0].0, RecordId::new(1, 7, 0).page());
-        assert_eq!(groups[0].1.len(), 4);
-        assert_eq!(groups[1].0, RecordId::new(1, 8, 0).page());
-        assert_eq!(groups[1].1, &[RecordId::new(1, 8, 0)]);
+        assert!(locks.records[..4].iter().all(|r| r.page_no == 7));
+        assert_eq!(locks.records[4], RecordId::new(1, 8, 0));
         assert!(locks.contains(RecordId::new(1, 7, 2)));
         assert!(!locks.contains(RecordId::new(1, 9, 0)));
     }

@@ -13,13 +13,14 @@ use std::sync::Arc;
 use std::time::Duration;
 use txsql_common::latency::ut_delay;
 use txsql_common::metrics::EngineMetrics;
-use txsql_common::{RecordId, Result, TxnId};
+use txsql_common::{RecordId, TxnId};
 use txsql_lockmgr::event::OsEvent;
 use txsql_lockmgr::group_lock::{
     CancelOutcome, GroupLockConfig, GroupLockTable, HotExecution, WokenRole,
 };
-use txsql_lockmgr::lightweight::{LightweightConfig, LightweightLockTable};
-use txsql_lockmgr::lock_sys::{DeadlockPolicy, LockSys, LockSysConfig};
+use txsql_lockmgr::lightweight::FlatLayout;
+use txsql_lockmgr::lock_sys::PageLayout;
+use txsql_lockmgr::lock_table::{DeadlockPolicy, Layout, LockTableConfig, RecordLockTable};
 use txsql_lockmgr::modes::LockMode;
 use txsql_lockmgr::queue_lock::{QueueAdmission, QueueLockTable};
 
@@ -326,82 +327,16 @@ fn batched_handover_promotes_exactly_one_leader_per_row_under_exploration() {
 // grant_waiters FIFO / compatibility invariants (both lock tables)
 // ---------------------------------------------------------------------------
 
-/// The slice of the two lock tables' APIs the schedule tests exercise.
-trait LockTable: Send + Sync + 'static {
-    fn lock(&self, txn: TxnId, record: RecordId, mode: LockMode) -> Result<()>;
-    fn release_all(&self, txn: TxnId);
-    fn release_batch(&self, txn: TxnId, records: &[RecordId]);
-    fn wait_queue_len(&self, record: RecordId) -> usize;
-    fn holders_of(&self, record: RecordId) -> Vec<TxnId>;
-    /// Records the registry tracks for `txn` (granted or waiting).  Under
-    /// the timeout-only policy the registry entry is written immediately
-    /// before the wait deadline is captured (no yield point in between —
-    /// detection would add the graph's event-attach lock there), so tests
-    /// can gate on it to order virtual-clock deadlines deterministically.
-    fn tracked_locks(&self, txn: TxnId) -> usize;
-}
-
-impl LockTable for LockSys {
-    fn lock(&self, txn: TxnId, record: RecordId, mode: LockMode) -> Result<()> {
-        self.lock_record(txn, record, mode)
-    }
-    fn release_all(&self, txn: TxnId) {
-        LockSys::release_all(self, txn)
-    }
-    fn release_batch(&self, txn: TxnId, records: &[RecordId]) {
-        self.release_record_locks(txn, records)
-    }
-    fn wait_queue_len(&self, record: RecordId) -> usize {
-        LockSys::wait_queue_len(self, record)
-    }
-    fn holders_of(&self, record: RecordId) -> Vec<TxnId> {
-        LockSys::holders_of(self, record)
-    }
-    fn tracked_locks(&self, txn: TxnId) -> usize {
-        self.registry().record_count_of(txn)
-    }
-}
-
-impl LockTable for LightweightLockTable {
-    fn lock(&self, txn: TxnId, record: RecordId, mode: LockMode) -> Result<()> {
-        self.lock_record(txn, record, mode)
-    }
-    fn release_all(&self, txn: TxnId) {
-        LightweightLockTable::release_all(self, txn)
-    }
-    fn release_batch(&self, txn: TxnId, records: &[RecordId]) {
-        self.release_record_locks(txn, records)
-    }
-    fn wait_queue_len(&self, record: RecordId) -> usize {
-        LightweightLockTable::wait_queue_len(self, record)
-    }
-    fn holders_of(&self, record: RecordId) -> Vec<TxnId> {
-        LightweightLockTable::holders_of(self, record)
-    }
-    fn tracked_locks(&self, txn: TxnId) -> usize {
-        self.registry().record_count_of(txn)
-    }
-}
-
-fn lock_sys_table() -> Arc<LockSys> {
-    Arc::new(LockSys::new(
-        LockSysConfig {
-            n_shards: 8,
+/// A timeout-only table of layout `L`.  Under that policy the registry
+/// entry (`lock_count_of`) is written immediately before the wait deadline is
+/// captured (no yield point in between — detection would add the graph's
+/// event-attach lock there), so tests can gate on it to order virtual-clock
+/// deadlines deterministically.
+fn lock_table<L: Layout>() -> Arc<RecordLockTable<L>> {
+    Arc::new(RecordLockTable::new(
+        LockTableConfig {
             deadlock_policy: DeadlockPolicy::TimeoutOnly,
             lock_wait_timeout: Duration::from_millis(200),
-            ..Default::default()
-        },
-        Arc::new(EngineMetrics::new()),
-    ))
-}
-
-fn lightweight_table() -> Arc<LightweightLockTable> {
-    Arc::new(LightweightLockTable::new(
-        LightweightConfig {
-            n_shards: 64,
-            deadlock_policy: DeadlockPolicy::TimeoutOnly,
-            lock_wait_timeout: Duration::from_millis(200),
-            ..Default::default()
         },
         Arc::new(EngineMetrics::new()),
     ))
@@ -410,12 +345,14 @@ fn lightweight_table() -> Arc<LightweightLockTable> {
 /// Exclusive waiters staged in a known arrival order must be granted in that
 /// order, and none may be lost: a lost wakeup surfaces as either a
 /// virtual-clock timeout (`unwrap` fails) or a sim deadlock artifact.
-fn fifo_grant_order<T: LockTable>(table: Arc<T>, seed: u64) {
+fn fifo_grant_order<L: Layout + 'static>(table: Arc<RecordLockTable<L>>, seed: u64) {
     const WAITERS: usize = 3;
     let order = Arc::new(parking_lot::Mutex::new(Vec::<usize>::new()));
     let holder_txn = TxnId(1);
     // The holder takes the lock before any sim thread runs.
-    table.lock(holder_txn, HOT, LockMode::Exclusive).unwrap();
+    table
+        .lock_record(holder_txn, HOT, LockMode::Exclusive)
+        .unwrap();
 
     let t = Arc::clone(&table);
     let o = Arc::clone(&order);
@@ -431,7 +368,7 @@ fn fifo_grant_order<T: LockTable>(table: Arc<T>, seed: u64) {
                     h.yield_now();
                 }
                 table
-                    .lock(TxnId(10 + i as u64), HOT, LockMode::Exclusive)
+                    .lock_record(TxnId(10 + i as u64), HOT, LockMode::Exclusive)
                     .unwrap();
                 order.lock().push(i);
                 table.release_all(TxnId(10 + i as u64));
@@ -457,14 +394,14 @@ fn fifo_grant_order<T: LockTable>(table: Arc<T>, seed: u64) {
 #[test]
 fn fifo_grant_order_under_exploration_lock_sys() {
     for seed in txsql_sim::ci_seeds(200) {
-        fifo_grant_order(lock_sys_table(), seed);
+        fifo_grant_order(lock_table::<PageLayout>(), seed);
     }
 }
 
 #[test]
 fn fifo_grant_order_under_exploration_lightweight() {
     for seed in txsql_sim::ci_seeds(200) {
-        fifo_grant_order(lightweight_table(), seed);
+        fifo_grant_order(lock_table::<FlatLayout>(), seed);
     }
 }
 
@@ -474,9 +411,14 @@ fn fifo_grant_order_under_exploration_lightweight() {
 /// and wake the compatible waiter behind it (no lost wakeup on the timeout
 /// path).  The virtual clock makes the timeout fire deterministically in
 /// every explored schedule.
-fn timeout_grants_compatible_waiter_behind<T: LockTable>(table: Arc<T>, seed: u64) {
+fn timeout_grants_compatible_waiter_behind<L: Layout + 'static>(
+    table: Arc<RecordLockTable<L>>,
+    seed: u64,
+) {
     let holder_txn = TxnId(1);
-    table.lock(holder_txn, HOT, LockMode::Shared).unwrap();
+    table
+        .lock_record(holder_txn, HOT, LockMode::Shared)
+        .unwrap();
     let granted_shared = Arc::new(AtomicUsize::new(0));
 
     let t = Arc::clone(&table);
@@ -486,7 +428,9 @@ fn timeout_grants_compatible_waiter_behind<T: LockTable>(table: Arc<T>, seed: u6
         sim.spawn("exclusive-waiter", move || {
             // Conflicts with the Shared holder; nobody releases, so this wait
             // can only end through the (virtual-clock) timeout.
-            let err = table.lock(TxnId(2), HOT, LockMode::Exclusive).unwrap_err();
+            let err = table
+                .lock_record(TxnId(2), HOT, LockMode::Exclusive)
+                .unwrap_err();
             assert!(
                 matches!(err, txsql_common::Error::LockWaitTimeout { .. }),
                 "unexpected error: {err:?}"
@@ -501,13 +445,13 @@ fn timeout_grants_compatible_waiter_behind<T: LockTable>(table: Arc<T>, seed: u6
             // just before the Exclusive waiter captures its deadline, with
             // no yield point in between) so the ut_delay below advances the
             // clock strictly after that capture.
-            while table.wait_queue_len(HOT) != 1 || table.tracked_locks(TxnId(2)) != 1 {
+            while table.wait_queue_len(HOT) != 1 || table.lock_count_of(TxnId(2)) != 1 {
                 h.yield_now();
             }
             ut_delay(1_000);
             // FIFO fairness keeps us waiting behind the Exclusive request;
             // its timeout cleanup must then grant us.
-            table.lock(TxnId(3), HOT, LockMode::Shared).unwrap();
+            table.lock_record(TxnId(3), HOT, LockMode::Shared).unwrap();
             granted.fetch_add(1, Ordering::Relaxed);
             table.release_all(TxnId(3));
         });
@@ -532,7 +476,10 @@ fn timeout_grants_compatible_waiter_behind<T: LockTable>(table: Arc<T>, seed: u6
 /// before queueing, so firing A's timeout (the +60 ms jump at 220 ms) leaves
 /// B's deadlines (350 ms / 360 ms) unexpired — B's waiters can only proceed
 /// through a genuine grant.
-fn per_record_queues_are_independent<T: LockTable>(table: Arc<T>, seed: u64) {
+fn per_record_queues_are_independent<L: Layout + 'static>(
+    table: Arc<RecordLockTable<L>>,
+    seed: u64,
+) {
     const A: RecordId = RecordId {
         space_id: 1,
         page_no: 0,
@@ -545,8 +492,8 @@ fn per_record_queues_are_independent<T: LockTable>(table: Arc<T>, seed: u64) {
     };
     let holder_a = TxnId(1);
     let holder_b = TxnId(2);
-    table.lock(holder_a, A, LockMode::Exclusive).unwrap();
-    table.lock(holder_b, B, LockMode::Exclusive).unwrap();
+    table.lock_record(holder_a, A, LockMode::Exclusive).unwrap();
+    table.lock_record(holder_b, B, LockMode::Exclusive).unwrap();
     let order = Arc::new(parking_lot::Mutex::new(Vec::<u64>::new()));
     let a_timed_out = Arc::new(AtomicUsize::new(0));
 
@@ -560,7 +507,9 @@ fn per_record_queues_are_independent<T: LockTable>(table: Arc<T>, seed: u64) {
         let table = Arc::clone(&t);
         let flag2 = Arc::clone(&flag);
         sim.spawn("a-waiter", move || {
-            let err = table.lock(TxnId(3), A, LockMode::Exclusive).unwrap_err();
+            let err = table
+                .lock_record(TxnId(3), A, LockMode::Exclusive)
+                .unwrap_err();
             assert!(
                 matches!(err, txsql_common::Error::LockWaitTimeout { .. }),
                 "A's waiter must end by timeout, got {err:?}"
@@ -573,11 +522,11 @@ fn per_record_queues_are_independent<T: LockTable>(table: Arc<T>, seed: u64) {
         let order = Arc::clone(&o);
         sim.spawn("b-waiter-4", move || {
             let h = txsql_sim::current().unwrap();
-            while table.wait_queue_len(A) != 1 || table.tracked_locks(TxnId(3)) != 1 {
+            while table.wait_queue_len(A) != 1 || table.lock_count_of(TxnId(3)) != 1 {
                 h.yield_now();
             }
             ut_delay(150_000);
-            table.lock(TxnId(4), B, LockMode::Exclusive).unwrap();
+            table.lock_record(TxnId(4), B, LockMode::Exclusive).unwrap();
             order.lock().push(4);
             table.release_all(TxnId(4));
         });
@@ -590,7 +539,7 @@ fn per_record_queues_are_independent<T: LockTable>(table: Arc<T>, seed: u64) {
                 h.yield_now();
             }
             ut_delay(10_000);
-            table.lock(TxnId(5), B, LockMode::Exclusive).unwrap();
+            table.lock_record(TxnId(5), B, LockMode::Exclusive).unwrap();
             order.lock().push(5);
             table.release_all(TxnId(5));
         });
@@ -650,14 +599,19 @@ fn per_record_queues_are_independent<T: LockTable>(table: Arc<T>, seed: u64) {
 /// itself as the record's only holder).  On the page-sharded table all
 /// records share one page, so the whole batch drains under a single shard
 /// acquisition — exactly the path the statement-boundary flush exercises.
-fn batched_release_wakes_each_waiter_exactly_once<T: LockTable>(table: Arc<T>, seed: u64) {
+fn batched_release_wakes_each_waiter_exactly_once<L: Layout + 'static>(
+    table: Arc<RecordLockTable<L>>,
+    seed: u64,
+) {
     const RECORDS: usize = 3;
     let records: Vec<RecordId> = (0..RECORDS)
         .map(|heap| RecordId::new(1, 0, heap as u16))
         .collect();
     let holder = TxnId(1);
     for record in &records {
-        table.lock(holder, *record, LockMode::Exclusive).unwrap();
+        table
+            .lock_record(holder, *record, LockMode::Exclusive)
+            .unwrap();
     }
     let grants = Arc::new(AtomicUsize::new(0));
 
@@ -671,7 +625,7 @@ fn batched_release_wakes_each_waiter_exactly_once<T: LockTable>(table: Arc<T>, s
             let record = *record;
             let txn = TxnId(10 + i as u64);
             sim.spawn(format!("waiter-{i}"), move || {
-                table.lock(txn, record, LockMode::Exclusive).unwrap();
+                table.lock_record(txn, record, LockMode::Exclusive).unwrap();
                 // Exactly-once: an exclusive grant must be the sole holder;
                 // a double grant would show a second transaction here.
                 assert_eq!(
@@ -690,7 +644,7 @@ fn batched_release_wakes_each_waiter_exactly_once<T: LockTable>(table: Arc<T>, s
             while rs2.iter().any(|r| table.wait_queue_len(*r) != 1) {
                 h.yield_now();
             }
-            table.release_batch(holder, &rs2);
+            table.release_record_locks(holder, &rs2);
         });
     });
 
@@ -705,48 +659,48 @@ fn batched_release_wakes_each_waiter_exactly_once<T: LockTable>(table: Arc<T>, s
             "seed {seed}: {record} must drain"
         );
     }
-    assert_eq!(table.tracked_locks(holder), 0, "seed {seed}: registry leak");
+    assert_eq!(table.lock_count_of(holder), 0, "seed {seed}: registry leak");
 }
 
 #[test]
 fn batched_release_wakes_each_waiter_exactly_once_lock_sys() {
     for seed in txsql_sim::ci_seeds(200) {
-        batched_release_wakes_each_waiter_exactly_once(lock_sys_table(), seed);
+        batched_release_wakes_each_waiter_exactly_once(lock_table::<PageLayout>(), seed);
     }
 }
 
 #[test]
 fn batched_release_wakes_each_waiter_exactly_once_lightweight() {
     for seed in txsql_sim::ci_seeds(200) {
-        batched_release_wakes_each_waiter_exactly_once(lightweight_table(), seed);
+        batched_release_wakes_each_waiter_exactly_once(lock_table::<FlatLayout>(), seed);
     }
 }
 
 #[test]
 fn per_record_queue_independence_under_exploration_lock_sys() {
     for seed in txsql_sim::ci_seeds(200) {
-        per_record_queues_are_independent(lock_sys_table(), seed);
+        per_record_queues_are_independent(lock_table::<PageLayout>(), seed);
     }
 }
 
 #[test]
 fn per_record_queue_independence_under_exploration_lightweight() {
     for seed in txsql_sim::ci_seeds(200) {
-        per_record_queues_are_independent(lightweight_table(), seed);
+        per_record_queues_are_independent(lock_table::<FlatLayout>(), seed);
     }
 }
 
 #[test]
 fn timeout_wakes_compatible_waiter_lock_sys() {
     for seed in txsql_sim::ci_seeds(200) {
-        timeout_grants_compatible_waiter_behind(lock_sys_table(), seed);
+        timeout_grants_compatible_waiter_behind(lock_table::<PageLayout>(), seed);
     }
 }
 
 #[test]
 fn timeout_wakes_compatible_waiter_lightweight() {
     for seed in txsql_sim::ci_seeds(200) {
-        timeout_grants_compatible_waiter_behind(lightweight_table(), seed);
+        timeout_grants_compatible_waiter_behind(lock_table::<FlatLayout>(), seed);
     }
 }
 
@@ -774,7 +728,7 @@ fn por_reaches_more_schedule_classes_than_random() {
     fn build(explorer: txsql_sim::Explorer) -> impl Fn(&mut txsql_sim::Sim) {
         move |sim: &mut txsql_sim::Sim| {
             sim.set_explorer(explorer);
-            let table = lock_sys_table();
+            let table = lock_table::<PageLayout>();
             // Per-thread private work between hot accesses: deliberately
             // different, so lockstep arrival order is nontrivial to reorder.
             const CHURN: [usize; 3] = [40, 95, 150];
@@ -795,7 +749,7 @@ fn por_reaches_more_schedule_classes_than_random() {
                             handle.yield_at(res);
                         }
                         // The dependent access both explorers must order.
-                        table.lock(txn, HOT, LockMode::Exclusive).unwrap();
+                        table.lock_record(txn, HOT, LockMode::Exclusive).unwrap();
                         table.release_all(txn);
                     }
                 });

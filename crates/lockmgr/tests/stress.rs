@@ -14,8 +14,7 @@
 //! * grant scans stay per-record — every cold record lives on one shared
 //!   page, so a layout that scanned the whole page's request population
 //!   would show up as growth in the `grant_scan_len` histogram; with
-//!   per-heap_no queues (the shared `record_queue` core both tables now
-//!   route through) it must stay bounded by one record's queue depth, and
+//!   per-record queues it must stay bounded by one record's queue depth, and
 //!   the batched `release_record_locks` path the cold records go through
 //!   must keep it flat too;
 //! * the per-transaction metrics scratch loses no counts — every worker
@@ -31,10 +30,9 @@ use std::sync::Arc;
 use std::time::Duration;
 use txsql_common::metrics::{EngineMetrics, MetricsScratch};
 use txsql_common::{RecordId, TxnId};
-use txsql_lockmgr::lightweight::{LightweightConfig, LightweightLockTable};
-use txsql_lockmgr::lock_sys::{DeadlockPolicy, LockSys, LockSysConfig};
+use txsql_lockmgr::lock_table::{DeadlockPolicy, Layout, LockTableConfig, RecordLockTable};
 use txsql_lockmgr::modes::LockMode;
-use txsql_lockmgr::registry::TxnLockRegistry;
+use txsql_lockmgr::{LightweightLockTable, LockSys};
 
 const HOT: RecordId = RecordId {
     space_id: 9,
@@ -44,61 +42,25 @@ const HOT: RecordId = RecordId {
 const THREADS: usize = 8;
 const OPS_PER_THREAD: usize = 200;
 
-/// Facade over the two lock-table generations so one driver exercises both.
-/// The lock/release entry points take the worker's `MetricsScratch`, the
-/// exact shape the engine drives the tables in.
-trait Table: Send + Sync {
-    fn lock(&self, txn: TxnId, record: RecordId, mode: LockMode, scratch: &MetricsScratch) -> bool;
-    fn release_all(&self, txn: TxnId, scratch: &MetricsScratch);
-    fn release_batch(&self, txn: TxnId, records: &[RecordId], scratch: &MetricsScratch);
-    fn holders_of(&self, record: RecordId) -> Vec<TxnId>;
-    fn registry(&self) -> &Arc<TxnLockRegistry>;
-    fn waiting_count(&self) -> usize;
+/// A table of layout `L` with the stress suite's short timeout.
+fn table<L: Layout>(
+    policy: DeadlockPolicy,
+    timeout_ms: u64,
+) -> (Arc<RecordLockTable<L>>, Arc<EngineMetrics>) {
+    let metrics = Arc::new(EngineMetrics::new());
+    let config = LockTableConfig {
+        deadlock_policy: policy,
+        lock_wait_timeout: Duration::from_millis(timeout_ms),
+    };
+    (
+        Arc::new(RecordLockTable::new(config, Arc::clone(&metrics))),
+        metrics,
+    )
 }
 
-impl Table for LockSys {
-    fn lock(&self, txn: TxnId, record: RecordId, mode: LockMode, scratch: &MetricsScratch) -> bool {
-        self.lock_record_in(txn, record, mode, scratch).is_ok()
-    }
-    fn release_all(&self, txn: TxnId, scratch: &MetricsScratch) {
-        self.release_all_in(txn, scratch);
-    }
-    fn release_batch(&self, txn: TxnId, records: &[RecordId], scratch: &MetricsScratch) {
-        self.release_record_locks_in(txn, records, scratch);
-    }
-    fn holders_of(&self, record: RecordId) -> Vec<TxnId> {
-        LockSys::holders_of(self, record)
-    }
-    fn registry(&self) -> &Arc<TxnLockRegistry> {
-        LockSys::registry(self)
-    }
-    fn waiting_count(&self) -> usize {
-        self.wait_for_graph().waiting_count()
-    }
-}
-
-impl Table for LightweightLockTable {
-    fn lock(&self, txn: TxnId, record: RecordId, mode: LockMode, scratch: &MetricsScratch) -> bool {
-        self.lock_record_in(txn, record, mode, scratch).is_ok()
-    }
-    fn release_all(&self, txn: TxnId, scratch: &MetricsScratch) {
-        self.release_all_in(txn, scratch);
-    }
-    fn release_batch(&self, txn: TxnId, records: &[RecordId], scratch: &MetricsScratch) {
-        self.release_record_locks_in(txn, records, scratch);
-    }
-    fn holders_of(&self, record: RecordId) -> Vec<TxnId> {
-        LightweightLockTable::holders_of(self, record)
-    }
-    fn registry(&self) -> &Arc<TxnLockRegistry> {
-        LightweightLockTable::registry(self)
-    }
-    fn waiting_count(&self) -> usize {
-        self.wait_for_graph().waiting_count()
-    }
-}
-
-fn stress(table: Arc<dyn Table>, metrics: &EngineMetrics) {
+/// Drives the table the way the engine does: every lock/release entry point
+/// takes the worker's `MetricsScratch`.
+fn stress<L: Layout + 'static>(table: Arc<RecordLockTable<L>>, metrics: &EngineMetrics) {
     let counter = Arc::new(AtomicU64::new(0));
     let grants = Arc::new(AtomicU64::new(0));
     let barrier = Arc::new(std::sync::Barrier::new(THREADS));
@@ -129,13 +91,18 @@ fn stress(table: Arc<dyn Table>, metrics: &EngineMetrics) {
                     let cold_b = RecordId::new(9, 1, ((base + 1) % 4_096) as u16);
                     for cold in [cold_a, cold_b] {
                         assert!(
-                            table.lock(txn, cold, LockMode::Exclusive, &scratch),
+                            table
+                                .lock_record_in(txn, cold, LockMode::Exclusive, &scratch)
+                                .is_ok(),
                             "cold record acquisition must never fail"
                         );
                     }
                     // The shared hot record: may time out under contention,
                     // but a grant must be exclusive.
-                    if table.lock(txn, HOT, LockMode::Exclusive, &scratch) {
+                    if table
+                        .lock_record_in(txn, HOT, LockMode::Exclusive, &scratch)
+                        .is_ok()
+                    {
                         let holders = table.holders_of(HOT);
                         assert_eq!(
                             holders,
@@ -145,12 +112,12 @@ fn stress(table: Arc<dyn Table>, metrics: &EngineMetrics) {
                         counter.fetch_add(1, Ordering::Relaxed);
                         grants.fetch_add(1, Ordering::Relaxed);
                     }
-                    // The cold records go through the statement-boundary
-                    // batched early-release path (one shard-group drain +
-                    // one registry batch), the hot one through release_all.
-                    table.release_batch(txn, &[cold_a, cold_b], &scratch);
+                    // The cold records go through the batched pre-commit
+                    // release path (one shard-group drain + one registry
+                    // batch), the hot one through release_all.
+                    table.release_record_locks_in(txn, &[cold_a, cold_b], &scratch);
                     assert!(table.holders_of(cold_a).is_empty());
-                    table.release_all(txn, &scratch);
+                    table.release_all_in(txn, &scratch);
                 }
                 scratch.flush(metrics);
             });
@@ -175,7 +142,11 @@ fn stress(table: Arc<dyn Table>, metrics: &EngineMetrics) {
         "registry must be empty after all release_all calls (left {} entries)",
         table.registry().total_entries()
     );
-    assert_eq!(table.waiting_count(), 0, "wait-for graph must drain");
+    assert_eq!(
+        table.wait_for_graph().waiting_count(),
+        0,
+        "wait-for graph must drain"
+    );
     // Grant scans must stay per-record: at most the hot record's one holder
     // plus THREADS-1 waiters.  All cold records live on one page, so a scan
     // that grew with page population would blow through this bound.
@@ -188,32 +159,14 @@ fn stress(table: Arc<dyn Table>, metrics: &EngineMetrics) {
 
 #[test]
 fn lock_sys_hot_and_cold_stress() {
-    let metrics = Arc::new(EngineMetrics::new());
-    let sys = LockSys::new(
-        LockSysConfig {
-            n_shards: 16,
-            deadlock_policy: DeadlockPolicy::TimeoutOnly,
-            lock_wait_timeout: Duration::from_millis(10),
-            ..Default::default()
-        },
-        Arc::clone(&metrics),
-    );
-    stress(Arc::new(sys), &metrics);
+    let (sys, metrics): (Arc<LockSys>, _) = table(DeadlockPolicy::TimeoutOnly, 10);
+    stress(sys, &metrics);
 }
 
 #[test]
 fn lightweight_hot_and_cold_stress() {
-    let metrics = Arc::new(EngineMetrics::new());
-    let table = LightweightLockTable::new(
-        LightweightConfig {
-            n_shards: 128,
-            deadlock_policy: DeadlockPolicy::TimeoutOnly,
-            lock_wait_timeout: Duration::from_millis(10),
-            ..Default::default()
-        },
-        Arc::clone(&metrics),
-    );
-    stress(Arc::new(table), &metrics);
+    let (table, metrics): (Arc<LightweightLockTable>, _) = table(DeadlockPolicy::TimeoutOnly, 10);
+    stress(table, &metrics);
     // Lightweight only creates lock objects for waits; releases must cover
     // every registry entry ever created (two batched cold releases plus the
     // hot record per op).
@@ -228,16 +181,7 @@ fn deadlock_detection_survives_concurrent_churn() {
     // With detection enabled and short timeouts, cross-thread cycles on two
     // records must resolve as deadlock or timeout — never hang — and the
     // graph must drain afterwards.
-    let metrics = Arc::new(EngineMetrics::new());
-    let table = Arc::new(LightweightLockTable::new(
-        LightweightConfig {
-            n_shards: 64,
-            deadlock_policy: DeadlockPolicy::Detect,
-            lock_wait_timeout: Duration::from_millis(20),
-            ..Default::default()
-        },
-        metrics,
-    ));
+    let (table, _): (Arc<LightweightLockTable>, _) = table(DeadlockPolicy::Detect, 20);
     let a = RecordId::new(3, 0, 0);
     let b = RecordId::new(3, 0, 1);
     std::thread::scope(|scope| {

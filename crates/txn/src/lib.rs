@@ -8,7 +8,8 @@
 //! list on every snapshot — with a *copy-free* scheme based on a per-
 //! transaction deletion timestamp (`del_ts`).  Both variants are implemented
 //! here behind the same [`txsql_storage::VisibilityJudge`] interface so the
-//! engine (and the `readview` Criterion bench) can switch between them:
+//! engine (and the benchmark's `probe.txn.readview_*` probes) can switch
+//! between them:
 //!
 //! * [`readview::ReadView::Copying`] — locks the active list, copies the ids.
 //! * [`readview::ReadView::CopyFree`] — one atomic load of the newest commit

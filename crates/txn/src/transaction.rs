@@ -56,12 +56,6 @@ pub struct Transaction {
     /// Records read from an uncommitted version (Bamboo-style dirty reads),
     /// together with the writer depended upon.
     dirty_reads_from: Vec<TxnId>,
-    /// Record locks whose early release (Bamboo) has been deferred by the
-    /// write path: they are accumulated here and flushed through one batched
-    /// `release_record_locks` call at a statement boundary, so the lock-table
-    /// and registry shard locks are taken once per batch instead of once per
-    /// row.
-    pending_early_releases: Vec<RecordId>,
     /// After-images of every change, in execution order — the material the
     /// binlog (replication) is built from at commit.
     changes: Vec<(TableId, i64, Row)>,
@@ -97,7 +91,6 @@ impl Transaction {
             hot_updates: FxHashMap::default(),
             locked_records: FxHashSet::default(),
             dirty_reads_from: Vec::new(),
-            pending_early_releases: Vec::new(),
             changes: Vec::new(),
             blocked: std::time::Duration::ZERO,
             metrics,
@@ -210,26 +203,6 @@ impl Transaction {
     /// Writers of uncommitted data this transaction depends on.
     pub fn dirty_reads_from(&self) -> &[TxnId] {
         &self.dirty_reads_from
-    }
-
-    /// Defers the early release (Bamboo) of `record` to the next
-    /// statement-boundary flush.  The lock stays held — and the record stays
-    /// registry-tracked — until [`Transaction::take_pending_early_releases`]
-    /// hands the batch to `release_record_locks`.
-    pub fn defer_early_release(&mut self, record: RecordId) {
-        self.pending_early_releases.push(record);
-    }
-
-    /// Record locks awaiting a batched early-release flush.
-    pub fn pending_early_releases(&self) -> &[RecordId] {
-        &self.pending_early_releases
-    }
-
-    /// Takes the deferred early releases for one batched
-    /// `release_record_locks` call, leaving the buffer empty (its allocation
-    /// is handed out with the batch).
-    pub fn take_pending_early_releases(&mut self) -> Vec<RecordId> {
-        std::mem::take(&mut self.pending_early_releases)
     }
 
     /// Number of statements' worth of work recorded (reads + writes); used by
