@@ -32,7 +32,7 @@ use txsql_lockmgr::{LightweightLockTable, LockMode, LockSys, LockTableConfig};
 use txsql_storage::fault::{CrashPoint, FaultInjector};
 use txsql_storage::recovery::{self, RecoveryReport};
 use txsql_storage::storage::CheckpointImage;
-use txsql_storage::{RedoRecord, Storage, TableSchema, VisibilityJudge};
+use txsql_storage::{RedoRecord, Storage, TableSchema};
 use txsql_txn::{Transaction, TrxSys, TxnState};
 
 /// The engine's record-lock table in the layout its protocol measures: the
@@ -180,6 +180,9 @@ impl Database {
         if let Some((next_txn_id, next_trx_no)) = trx_seed {
             trx_sys = trx_sys.with_start(next_txn_id, next_trx_no);
         }
+        // Commit purges version chains to the floor the transaction system
+        // publishes.
+        let storage = storage.with_purge_floor(Arc::clone(trx_sys.purge_floor()));
         let hotspots = HotspotRegistry::new(config.hotspot.clone());
         let queue_locks = QueueLockTable::new(config.group.hot_wait_timeout);
         let group_locks = GroupLockTable::new(config.group.clone(), Arc::clone(&metrics));
@@ -467,32 +470,20 @@ impl Database {
         txn
     }
 
-    /// MVCC read of a version chain, returning the visible row and the writer
-    /// that produced it (needed by the serializability checker).
-    pub(crate) fn mvcc_read(
-        &self,
-        judge: &dyn VisibilityJudge,
-        table: TableId,
-        record: RecordId,
-    ) -> Result<Option<(Row, TxnId)>> {
-        let slot = self.inner.storage.table(table)?.slot(record)?;
-        let guard = slot.read();
-        Ok(guard
-            .iter()
-            .find(|v| judge.is_visible(v.writer, v.commit_no))
-            .map(|v| (v.row.clone(), v.writer)))
-    }
-
-    /// Snapshot read by primary key.
+    /// Snapshot read by primary key.  The read view is statement-scoped and
+    /// built under the record's latch, which is what lets commit purge the
+    /// chain (see `Storage::read_snapshot`); the writer of the version read
+    /// goes to the read set for the serializability checker.
     pub fn read(&self, txn: &mut Transaction, table: TableId, pk: i64) -> Result<Row> {
         if !txn.is_active() {
             return Err(Error::TransactionClosed { txn: txn.id });
         }
         self.inner.metrics.queries.inc();
         let record = self.record_id(table, pk)?;
-        let view = self.inner.trx_sys.read_view(txn.id);
         let (row, writer) = self
-            .mvcc_read(&view, table, record)?
+            .inner
+            .storage
+            .read_snapshot(table, record, || self.inner.trx_sys.read_view(txn.id))?
             .ok_or(Error::UnknownRecord { record })?;
         txn.record_read(table, record, writer);
         Ok(row)

@@ -781,3 +781,171 @@ fn string_columns_round_trip_through_updates() {
     assert_eq!(row.get(1).unwrap().as_str(), Some("padded"));
     db.shutdown();
 }
+
+// ---------------------------------------------------------------------------
+// Version chains stay short: purge at commit
+// ---------------------------------------------------------------------------
+
+fn chain_len(db: &Database, pk: i64) -> usize {
+    let record = db.record_id(ACCOUNTS, pk).unwrap();
+    let table = db.storage().table(ACCOUNTS).unwrap();
+    let len = table.slot(record).unwrap().read().version_count();
+    len
+}
+
+/// Commits `delta` on `pk`, retrying contention aborts; `false` for the
+/// program that ends in a forced rollback.
+fn run_update(db: &Database, pk: i64, roll_back: bool) -> bool {
+    let mut operations = vec![Operation::UpdateAdd {
+        table: ACCOUNTS,
+        pk,
+        column: 1,
+        delta: 1,
+    }];
+    if roll_back {
+        operations.push(Operation::ForcedRollback);
+    }
+    let program = TxnProgram::new(operations);
+    loop {
+        match db.execute_program(&program) {
+            Ok(outcome) => return outcome.committed,
+            Err(err) if err.is_retryable() => {}
+            Err(err) => panic!("unexpected error {err}"),
+        }
+    }
+}
+
+#[test]
+fn hot_row_chain_stays_short_and_readers_never_lose_the_row() {
+    use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+    const WRITERS: usize = 4;
+    for protocol in Protocol::ALL {
+        // 20k commits where a commit costs microseconds.  Bamboo's pile-ups
+        // on one row end in dependency-wait polling and cascades (~6 ms per
+        // commit) and an Aria batch validates one writer of the row, so
+        // those two get fewer.
+        let per_writer = match protocol {
+            Protocol::Bamboo => 250,
+            Protocol::Aria => 1_250,
+            _ => 5_000,
+        };
+        for mode in [
+            txsql_txn::ReadViewMode::CopyFree,
+            txsql_txn::ReadViewMode::Copying,
+        ] {
+            let mut config = EngineConfig::for_protocol(protocol)
+                .with_lock_wait_timeout(Duration::from_millis(500));
+            config.read_view_mode = mode;
+            let db = setup(config, 2);
+            if protocol.uses_hotspots() {
+                db.hotspots().pin(db.record_id(ACCOUNTS, 0).unwrap());
+            }
+            let writers_done = AtomicBool::new(false);
+            let peak = AtomicUsize::new(0);
+            thread::scope(|scope| {
+                for _ in 0..2 {
+                    scope.spawn(|| {
+                        let mut last = 0;
+                        while !writers_done.load(Ordering::Acquire) {
+                            let mut txn = db.begin();
+                            let row = db.read(&mut txn, ACCOUNTS, 0).unwrap_or_else(|err| {
+                                panic!("{protocol:?}/{mode:?}: reader lost the row: {err}")
+                            });
+                            db.commit(txn).unwrap();
+                            let balance = row.get_int(1).unwrap();
+                            assert!(
+                                balance >= last,
+                                "{protocol:?}/{mode:?}: {last} -> {balance}"
+                            );
+                            last = balance;
+                            peak.fetch_max(chain_len(&db, 0), Ordering::Relaxed);
+                        }
+                    });
+                }
+                let writers: Vec<_> = (0..WRITERS)
+                    .map(|_| {
+                        scope.spawn(|| {
+                            let mut committed = 0;
+                            while committed < per_writer {
+                                // One program in a hundred rolls back.
+                                let attempt = committed + 1;
+                                if attempt % 100 == 0 {
+                                    assert!(!run_update(&db, 0, true));
+                                }
+                                committed += usize::from(run_update(&db, 0, false));
+                            }
+                        })
+                    })
+                    .collect();
+                for writer in writers {
+                    writer.join().unwrap();
+                }
+                writers_done.store(true, Ordering::Release);
+            });
+            let total = (WRITERS * per_writer) as i64;
+            // (Bamboo can commit on top of a dirty value whose writer then
+            // aborts — it reads the row and the writer in two latch takes —
+            // so its total is not exact, here or at the parent.)
+            if protocol != Protocol::Bamboo {
+                assert_eq!(committed_balance(&db, 0), 1_000 + total);
+            }
+            // A commit keeps the newest version at or below the purge floor
+            // plus one per transaction that was handed a commit number and
+            // has not finished — itself included.  Nothing is in flight now,
+            // so one more commit leaves the kept version and its own.
+            assert!(run_update(&db, 0, false));
+            assert!(
+                chain_len(&db, 0) <= 2,
+                "{protocol:?}/{mode:?}: {} versions after {total} commits",
+                chain_len(&db, 0)
+            );
+            // While it ran, a descheduled committer held the floor back for
+            // as long as it was off the CPU and no longer: the chain never
+            // came near the row's history.
+            let peak = peak.load(Ordering::Relaxed);
+            assert!(
+                peak <= total as usize / 4,
+                "{protocol:?}/{mode:?}: chain peaked at {peak} of {total} versions"
+            );
+            db.shutdown();
+        }
+    }
+}
+
+#[test]
+fn cold_row_chains_stay_short_under_uniform_updates() {
+    const WRITERS: usize = 4;
+    const PER_WRITER: usize = 5_000;
+    const ROWS: i64 = 1_024;
+    let db = setup(
+        EngineConfig::for_protocol(Protocol::GroupLockingTxsql),
+        ROWS,
+    );
+    thread::scope(|scope| {
+        for worker in 0..WRITERS {
+            let db = &db;
+            scope.spawn(move || {
+                let mut rng = txsql_common::rng::XorShiftRng::for_worker(7, worker as u64);
+                for i in 0..PER_WRITER {
+                    let pk = rng.next_bounded(ROWS as u64) as i64;
+                    run_update(db, pk, i % 100 == 99);
+                }
+            });
+        }
+    });
+    // A cold row's last commit kept one version at the floor plus the
+    // commits of *this row* above it — its own, and rarely another that a
+    // descheduled committer held there.  Other rows' traffic does not
+    // lengthen its chain: ~2 versions a row, not the ~20 it was given.
+    let total: usize = (0..ROWS).map(|pk| chain_len(&db, pk)).sum();
+    assert!(
+        total <= 3 * ROWS as usize,
+        "{total} versions on {ROWS} rows"
+    );
+    // With nothing in flight, one more commit leaves exactly two.
+    for pk in 0..ROWS {
+        assert!(run_update(&db, pk, false));
+        assert_eq!(chain_len(&db, pk), 2, "row {pk}");
+    }
+    db.shutdown();
+}

@@ -6,10 +6,11 @@
 //!
 //! * `apply_update` / `apply_insert` — write an uncommitted version, record
 //!   its undo entry and append physical redo;
-//! * `commit_writes` — stamp the versions with a commit sequence number and
-//!   append the commit marker;
-//! * `rollback_writes` — restore before-images from undo and append the
-//!   rollback marker;
+//! * `commit_writes` — stamp the versions with a commit sequence number,
+//!   purge what no read view can select any more, and append the commit
+//!   marker;
+//! * `rollback_writes` — pop the transaction's versions (the chain is the
+//!   undo image) and append the rollback marker;
 //! * `set_hot_update_order` — persist the hot-update order in the undo header
 //!   (and redo) so crash recovery can order hotspot rollbacks (§5.3);
 //! * `checkpoint` — capture the committed state, the starting point for the
@@ -22,9 +23,10 @@ use crate::undo::{UndoHeader, UndoLog, UndoRecord, UndoSegment};
 use crate::version::{ReadCommitted, RecordVersions, VisibilityJudge};
 use crate::wal::{RedoLog, RedoRecord};
 use parking_lot::{Mutex, RwLock};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
-use txsql_common::fxhash::FxHashMap;
+use txsql_common::fxhash::{FxHashMap, FxHashSet};
 use txsql_common::{Error, Lsn, RecordId, Result, Row, TableId, TxnId};
 
 /// A consistent image of the committed data, used as the recovery baseline.
@@ -53,6 +55,10 @@ pub struct Storage {
     /// transaction's records.  Committers share the read side (they are
     /// already serialised per slot); the capture takes the write side.
     apply_latch: RwLock<()>,
+    /// Purge floor `commit_writes` truncates version chains to (see
+    /// [`crate::version`]).  Stays 0 — retain everything — until a
+    /// transaction system publishes into it ([`Storage::with_purge_floor`]).
+    purge_floor: Arc<AtomicU64>,
 }
 
 impl Default for Storage {
@@ -78,7 +84,18 @@ impl Storage {
             faults,
             first_lsn: Mutex::new(FxHashMap::default()),
             apply_latch: RwLock::new(()),
+            purge_floor: Arc::default(),
         }
+    }
+
+    /// Attaches the watermark commit-time purge reads.  Its publisher
+    /// guarantees that every transaction given a commit number at or below
+    /// it has left the active set, with its effect on later read views
+    /// ordered before the store (`Release`, paired with the `Acquire` load in
+    /// [`Storage::commit_writes`]).
+    pub fn with_purge_floor(mut self, floor: Arc<AtomicU64>) -> Self {
+        self.purge_floor = floor;
+        self
     }
 
     /// The fault injector shared by this storage engine and its redo log.
@@ -164,7 +181,9 @@ impl Storage {
             .ok_or(Error::UnknownRecord { record })
     }
 
-    /// Reads the newest version visible to `judge` (the MVCC read path).
+    /// Reads the newest version visible to `judge`.  A judge that is a
+    /// snapshot of the transaction system must not predate a purge of this
+    /// record: build it with [`Storage::read_snapshot`] instead.
     pub fn read_visible<J: VisibilityJudge>(
         &self,
         table: TableId,
@@ -174,6 +193,22 @@ impl Storage {
         let slot = self.table(table)?.slot(record)?;
         let guard = slot.read();
         Ok(guard.visible_row(judge))
+    }
+
+    /// The MVCC read path: takes the record's latch, *then* builds the read
+    /// view with `view`, and returns the newest version visible to it with
+    /// its writer.  Purge runs under the same latch's write side, so the view
+    /// is newer than every purge the chain has seen — the condition under
+    /// which the purge floor is safe (see [`crate::version`]).
+    pub fn read_snapshot<J: VisibilityJudge>(
+        &self,
+        table: TableId,
+        record: RecordId,
+        view: impl FnOnce() -> J,
+    ) -> Result<Option<(Row, TxnId)>> {
+        let slot = self.table(table)?.slot(record)?;
+        let guard = slot.read();
+        Ok(guard.visible(&view()).map(|v| (v.row.clone(), v.writer)))
     }
 
     /// Reads the newest *committed* row image.
@@ -230,13 +265,14 @@ impl Storage {
         let pk = new_row.primary_key().unwrap_or_default();
         {
             let mut guard = slot.write();
-            let before = guard.latest_row().ok_or(Error::UnknownRecord { record })?;
+            if guard.latest().is_none() {
+                return Err(Error::UnknownRecord { record });
+            }
             self.undo.push(
                 txn,
                 UndoRecord::Update {
                     table: table_id,
                     record,
-                    before,
                 },
             );
             guard.push_uncommitted(new_row.clone(), txn);
@@ -291,7 +327,8 @@ impl Storage {
     }
 
     /// Marks every version written by `txn` on the given records as committed
-    /// with `trx_no`, stamps the undo header, and appends the commit marker.
+    /// with `trx_no`, purges each chain to the purge floor under the same
+    /// latch, stamps the undo header, and appends the commit marker.
     /// Returns the LSN of the commit marker (the LSN the commit pipeline must
     /// make durable).
     pub fn commit_writes(
@@ -305,10 +342,13 @@ impl Storage {
         // commit either fully applied (and deregistered from the floor) or
         // not at all — see `apply_latch`.
         let _apply = self.apply_latch.read();
+        let floor = self.purge_floor.load(Ordering::Acquire);
         for (table_id, record) in writes {
             let table = self.table(*table_id)?;
             let slot = table.slot(*record)?;
-            slot.write().commit_writer(txn, trx_no);
+            let mut guard = slot.write();
+            guard.commit_writer(txn, trx_no);
+            guard.purge_to_floor(floor);
         }
         let header = UndoHeader::with_trx_no(trx_no);
         self.undo.set_header(txn, header);
@@ -327,46 +367,44 @@ impl Storage {
     }
 
     /// Rolls back every change `txn` made, using its undo segment, and appends
-    /// the rollback marker.  Changes are undone in reverse execution order.
+    /// the rollback marker.  Changes are undone in reverse execution order;
+    /// a record's versions are popped once however many undo entries name it.
     ///
     /// Deliberately *not* gated on crash points or read-only degradation:
     /// rollback must keep working after an fsync failure degraded the engine
-    /// (it only restores in-memory before-images), and after a crash it is a
-    /// harmless no-op on the dead process image.
+    /// (it only pops in-memory versions), and after a crash it is a harmless
+    /// no-op on the dead process image.
     pub fn rollback_writes(&self, txn: TxnId) -> Result<Lsn> {
         self.first_lsn.lock().remove(&txn);
         let segment: Option<UndoSegment> = self.undo.take(txn);
         if let Some(segment) = segment {
+            let mut popped: FxHashSet<RecordId> = FxHashSet::default();
             for undo in segment.rollback_order() {
+                let table = self.table(undo.table())?;
+                let slot = table.slot(undo.record())?;
+                let mut guard = slot.write();
+                if popped.insert(undo.record()) {
+                    guard.rollback_writer(txn);
+                }
                 match undo {
-                    UndoRecord::Update { table, record, .. } => {
-                        let table = self.table(*table)?;
-                        let slot = table.slot(*record)?;
-                        slot.write().rollback_writer(txn);
-                    }
-                    UndoRecord::Insert { table, record, pk } => {
-                        let table = self.table(*table)?;
-                        let slot = table.slot(*record)?;
-                        slot.write().rollback_writer(txn);
+                    UndoRecord::Update { .. } => {}
+                    UndoRecord::Insert { pk, .. } => {
+                        drop(guard);
                         table.unindex_pk(*pk);
                     }
-                    UndoRecord::Delete { table, record, .. } => {
-                        let table = self.table(*table)?;
-                        let slot = table.slot(*record)?;
-                        let mut guard = slot.write();
-                        guard.set_deleted(false);
-                        guard.rollback_writer(txn);
-                    }
+                    UndoRecord::Delete { .. } => guard.set_deleted(false),
                 }
             }
         }
         Ok(self.redo.append(RedoRecord::Rollback { txn }))
     }
 
-    /// Opportunistically trims old committed versions of a record (purge).
+    /// Purges a record with an unbounded floor: only its newest committed
+    /// version and the uncommitted ones above it stay.  For a storage no
+    /// transaction system is attached to (no reader can hold a snapshot).
     pub fn purge_record(&self, table: TableId, record: RecordId) -> Result<usize> {
         let slot = self.table(table)?.slot(record)?;
-        let purged = slot.write().purge_old_committed();
+        let purged = slot.write().purge_to_floor(u64::MAX);
         Ok(purged)
     }
 

@@ -1,18 +1,20 @@
 //! Undo log: per-transaction undo segments.
 //!
-//! Each transaction owns an [`UndoSegment`] containing the before-images of
-//! the rows it modified plus an [`UndoHeader`].  The header reproduces the
-//! paper's recovery trick (§5.3): InnoDB's `TRX_UNDO_TRX_NO` field normally
-//! stores the commit sequence number (`trx_no`), but while a hotspot
-//! transaction is uncommitted that field is unused — so TXSQL repurposes it,
-//! setting the top bit to 1 and storing the `hot_update_order` there.  After
-//! a crash, recovery reads the field back and, when the top bit is set, uses
-//! the hot-update order to roll back uncommitted hotspot transactions in the
-//! correct (reverse) order.
+//! Each transaction owns an [`UndoSegment`] naming the records it modified
+//! plus an [`UndoHeader`].  The segment holds no before-images: the version
+//! chain *is* the undo image, and rollback pops the writer's versions off it.
+//!
+//! The header reproduces the paper's recovery trick (§5.3): InnoDB's
+//! `TRX_UNDO_TRX_NO` field normally stores the commit sequence number
+//! (`trx_no`), but while a hotspot transaction is uncommitted that field is
+//! unused — so TXSQL repurposes it, setting the top bit to 1 and storing the
+//! `hot_update_order` there.  After a crash, recovery reads the field back
+//! and, when the top bit is set, uses the hot-update order to roll back
+//! uncommitted hotspot transactions in the correct (reverse) order.
 
 use parking_lot::Mutex;
 use txsql_common::fxhash::FxHashMap;
-use txsql_common::{RecordId, Row, TableId, TxnId};
+use txsql_common::{RecordId, TableId, TxnId};
 
 /// Top bit of the `TRX_UNDO_TRX_NO` field: set → the value is a
 /// `hot_update_order`, clear → the value is a commit `trx_no` (§5.3).
@@ -87,14 +89,12 @@ impl UndoHeader {
 /// What a single undo record reverses.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum UndoRecord {
-    /// An update: restore `before` at `record`.
+    /// An update: pop the writer's versions at `record`.
     Update {
         /// Table the row belongs to.
         table: TableId,
         /// The updated record.
         record: RecordId,
-        /// Row image before the update.
-        before: Row,
     },
     /// An insert: remove the row (unindex `pk`) at `record`.
     Insert {
@@ -111,12 +111,19 @@ pub enum UndoRecord {
         table: TableId,
         /// The deleted record.
         record: RecordId,
-        /// Row image before the delete.
-        before: Row,
     },
 }
 
 impl UndoRecord {
+    /// The table this undo entry refers to.
+    pub fn table(&self) -> TableId {
+        match self {
+            UndoRecord::Update { table, .. }
+            | UndoRecord::Insert { table, .. }
+            | UndoRecord::Delete { table, .. } => *table,
+        }
+    }
+
     /// The record this undo entry refers to.
     pub fn record(&self) -> RecordId {
         match self {
@@ -261,7 +268,6 @@ mod tests {
             UndoRecord::Update {
                 table: TableId(1),
                 record: RecordId::new(1, 0, 0),
-                before: Row::from_ints(&[1, 10]),
             },
         );
         log.push(
@@ -295,7 +301,6 @@ mod tests {
             UndoRecord::Delete {
                 table: TableId(2),
                 record: RecordId::new(2, 0, 0),
-                before: Row::from_ints(&[9]),
             },
         );
         let snap = log.snapshot(txn).unwrap();
@@ -309,8 +314,8 @@ mod tests {
         let rec = UndoRecord::Update {
             table: TableId(4),
             record: r,
-            before: Row::default(),
         };
         assert_eq!(rec.record(), r);
+        assert_eq!(rec.table(), TableId(4));
     }
 }

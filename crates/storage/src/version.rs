@@ -1,20 +1,46 @@
 //! MVCC version chains.
 //!
-//! Every heap record owns a chain of [`Version`]s, newest first.  The newest
-//! version is the "current" row an updater sees; older versions are what
-//! snapshot readers reconstruct through their read view, exactly like
-//! InnoDB's undo-based row versions.
+//! Every heap record owns a chain of [`Version`]s.  The newest version is the
+//! "current" row an updater sees; older versions are what snapshot readers
+//! reconstruct through their read view, exactly like InnoDB's undo-based row
+//! versions.
 //!
-//! Two properties of the chain are load-bearing for the paper's protocols:
+//! **Orientation is private.**  The chain is stored oldest-first so a write
+//! is a push at the back; callers see only "newest"
+//! ([`RecordVersions::latest`]), "newest visible"
+//! ([`RecordVersions::visible`]) and operations named after a writer, never
+//! an index.
 //!
-//! * **Uncommitted stacking.** Group locking (§3.3) and Bamboo both allow a
-//!   transaction to update a row whose newest version is still uncommitted.
-//!   The chain therefore may contain several uncommitted versions, each from
-//!   a different writer, stacked in update order.
-//! * **Reverse-order rollback.** The rollback-order guarantee (§4.4) means a
-//!   transaction only ever rolls back when its versions are the newest ones
-//!   on the chain, so rollback is "pop from the front", and cascading aborts
-//!   pop deeper prefixes.
+//! **Uncommitted-suffix invariant.**  Committed versions come first, in
+//! commit order; every uncommitted version is newer than every committed one.
+//! Group locking (§3.3) and Bamboo both let a transaction update a row whose
+//! newest version is still uncommitted, so the suffix may stack versions of
+//! several writers in update order — but a writer commits only after the
+//! writers beneath it have (§4.3 commit order, Bamboo's commit
+//! dependencies), so stamping never leaves an uncommitted version beneath a
+//! committed one.  (A transaction that updated a row *again* after another
+//! writer stacked on its first update, and then committed before that writer,
+//! would be the exception — both protocols make it wait for the writer in
+//! between, and the history was never serializable.  The version in between
+//! would then be neither stamped nor popped: it sits superseded beneath the
+//! newer committed one until the next purge drops it.)  Commit and rollback
+//! therefore look at the suffix only: its length is bounded by the group size
+//! (group locking) or the dirty-write depth (Bamboo), not by the row's
+//! history.  The rollback-order guarantee (§4.4) makes a group-locking
+//! rollback a pop of the newest versions; Bamboo's cascading aborts may
+//! remove versions from the middle of the suffix.
+//!
+//! **Purge rule.**  [`RecordVersions::purge_to_floor`] keeps the newest
+//! version committed at or below a *purge floor* and everything newer, and
+//! drops the rest.  The floor the engine passes (`TrxSys::purge_floor`) obeys
+//! one rule: every transaction that was given a commit number at or below it
+//! has left the active set.  That is safe for both read-view modes as long as
+//! a view is built while the reader holds the record's latch (so it is newer
+//! than any purge the chain has seen): the kept version's writer has finished
+//! committing, so it is absent from a copying view's active list and its
+//! commit number is at or below a copy-free view's horizon — every such view
+//! stops at the kept version or a newer one and never asks for what was
+//! dropped.
 
 use txsql_common::{Row, TxnId};
 
@@ -63,7 +89,7 @@ impl VisibilityJudge for ReadCommitted {
 /// The full version chain of one heap record.
 #[derive(Debug, Clone, Default)]
 pub struct RecordVersions {
-    /// Versions, newest first.  Index 0 is the current row.
+    /// Versions, oldest first; the last one is the current row.
     versions: Vec<Version>,
     /// Tombstone flag for deleted records.
     deleted: bool,
@@ -99,25 +125,22 @@ impl RecordVersions {
 
     /// The newest version (the one an updater operates on).
     pub fn latest(&self) -> Option<&Version> {
-        self.versions.first()
+        self.versions.last()
     }
 
     /// The newest row image, cloned.
     pub fn latest_row(&self) -> Option<Row> {
-        self.versions.first().map(|v| v.row.clone())
+        self.latest().map(|v| v.row.clone())
     }
 
     /// Writer of the newest version.
     pub fn latest_writer(&self) -> Option<TxnId> {
-        self.versions.first().map(|v| v.writer)
+        self.latest().map(|v| v.writer)
     }
 
     /// True when the newest version is not yet committed.
     pub fn has_uncommitted_head(&self) -> bool {
-        self.versions
-            .first()
-            .map(|v| !v.is_committed())
-            .unwrap_or(false)
+        self.latest().is_some_and(|v| !v.is_committed())
     }
 
     /// Number of versions currently retained.
@@ -141,22 +164,23 @@ impl RecordVersions {
     /// only pushes onto committed heads because the row lock serialises
     /// writers across commit.
     pub fn push_uncommitted(&mut self, row: Row, writer: TxnId) {
-        self.versions.insert(
-            0,
-            Version {
-                row,
-                writer,
-                commit_no: None,
-            },
-        );
+        self.versions.push(Version {
+            row,
+            writer,
+            commit_no: None,
+        });
     }
 
-    /// Marks every version written by `writer` as committed with `commit_no`.
-    /// Returns the number of versions committed.
+    /// Marks every uncommitted version written by `writer` as committed with
+    /// `commit_no`, looking at the uncommitted suffix only.  Returns the
+    /// number of versions committed.
     pub fn commit_writer(&mut self, writer: TxnId, commit_no: u64) -> usize {
         let mut n = 0;
-        for v in &mut self.versions {
-            if v.writer == writer && v.commit_no.is_none() {
+        for v in self.versions.iter_mut().rev() {
+            if v.is_committed() {
+                break;
+            }
+            if v.writer == writer {
                 v.commit_no = Some(commit_no);
                 n += 1;
             }
@@ -164,69 +188,95 @@ impl RecordVersions {
         n
     }
 
-    /// Removes the uncommitted versions written by `writer`.
-    ///
-    /// Returns the number of versions removed.
+    /// Removes the uncommitted versions written by `writer`, looking at the
+    /// uncommitted suffix only.  Returns the number of versions removed.
     ///
     /// Group locking rolls writers back strictly in reverse update order (the
     /// dependency list enforces it), so in that protocol the removed versions
     /// are always the newest ones.  Bamboo's cascading aborts may transiently
-    /// remove a version from the middle of the uncommitted prefix; the
-    /// remaining dirty versions above it belong to transactions that are
-    /// themselves doomed to cascade, so the final state is still correct.
+    /// remove a version from the middle of the suffix; the remaining dirty
+    /// versions above it belong to transactions that are themselves doomed to
+    /// cascade, so the final state is still correct.
     pub fn rollback_writer(&mut self, writer: TxnId) -> usize {
         let before = self.versions.len();
-        self.versions
-            .retain(|v| !(v.writer == writer && v.commit_no.is_none()));
-        before - self.versions.len()
+        let suffix = self
+            .versions
+            .iter()
+            .rposition(Version::is_committed)
+            .map_or(0, |newest_committed| newest_committed + 1);
+        // Stable in-place compaction of the suffix.
+        let mut keep = suffix;
+        for i in suffix..before {
+            if self.versions[i].writer != writer {
+                self.versions.swap(keep, i);
+                keep += 1;
+            }
+        }
+        self.versions.truncate(keep);
+        before - keep
     }
 
-    /// Returns the newest version visible to `judge`, walking the chain from
-    /// newest to oldest (the MVCC read path).
-    pub fn visible_row<J: VisibilityJudge>(&self, judge: &J) -> Option<Row> {
+    /// Returns the newest version visible to `judge` (the MVCC read path), or
+    /// `None` for a deleted record or when nothing retained is visible.
+    pub fn visible<J: VisibilityJudge + ?Sized>(&self, judge: &J) -> Option<&Version> {
         if self.deleted {
             return None;
         }
         self.versions
             .iter()
+            .rev()
             .find(|v| judge.is_visible(v.writer, v.commit_no))
-            .map(|v| v.row.clone())
     }
 
-    /// Drops committed versions older than the newest committed one, keeping
-    /// the chain short (a stand-in for purge; called opportunistically by the
-    /// engine).  Uncommitted versions are never purged.
-    pub fn purge_old_committed(&mut self) -> usize {
-        let Some(first_committed) = self.versions.iter().position(|v| v.is_committed()) else {
+    /// The row of [`RecordVersions::visible`], cloned.
+    pub fn visible_row<J: VisibilityJudge + ?Sized>(&self, judge: &J) -> Option<Row> {
+        self.visible(judge).map(|v| v.row.clone())
+    }
+
+    /// Drops every version older than the newest one committed at or below
+    /// `floor` (see the module doc for which floors are safe); under the
+    /// suffix invariant all of them are committed.  Versions committed above
+    /// the floor and the uncommitted suffix always stay.  Returns the number
+    /// of versions dropped.
+    pub fn purge_to_floor(&mut self, floor: u64) -> usize {
+        // Commit numbers grow along the chain: unless the oldest version is
+        // below the floor, nothing is older than the one to keep.  This
+        // keeps a floor that never moves (a bare `Storage`) O(1) however
+        // long the chain.
+        let oldest_is_below = matches!(
+            self.versions.first(),
+            Some(Version { commit_no: Some(no), .. }) if *no < floor
+        );
+        if !oldest_is_below {
             return 0;
-        };
-        let before = self.versions.len();
-        self.versions.truncate(first_committed + 1);
-        before - self.versions.len()
-    }
-
-    /// Iterates over versions, newest first (used by the serializability
-    /// checker and tests).
-    pub fn iter(&self) -> std::slice::Iter<'_, Version> {
-        self.versions.iter()
+        }
+        let keep_from = self
+            .versions
+            .iter()
+            .rposition(|v| v.commit_no.is_some_and(|no| no <= floor))
+            .unwrap_or(0);
+        self.versions.drain(..keep_from);
+        keep_from
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use txsql_common::rng::XorShiftRng;
 
     fn row(v: i64) -> Row {
         Row::from_ints(&[1, v])
     }
 
+    fn committed_value(chain: &RecordVersions) -> Option<i64> {
+        chain.visible(&ReadCommitted).and_then(|v| v.row.get_int(1))
+    }
+
     #[test]
     fn committed_base_is_visible_to_read_committed() {
         let chain = RecordVersions::new_committed(row(10));
-        assert_eq!(
-            chain.visible_row(&ReadCommitted).unwrap().get_int(1),
-            Some(10)
-        );
+        assert_eq!(committed_value(&chain), Some(10));
         assert!(!chain.has_uncommitted_head());
     }
 
@@ -237,10 +287,7 @@ mod tests {
         assert!(chain.has_uncommitted_head());
         assert_eq!(chain.latest_row().unwrap().get_int(1), Some(20));
         // Snapshot readers still see the committed value.
-        assert_eq!(
-            chain.visible_row(&ReadCommitted).unwrap().get_int(1),
-            Some(10)
-        );
+        assert_eq!(committed_value(&chain), Some(10));
     }
 
     #[test]
@@ -248,10 +295,9 @@ mod tests {
         let mut chain = RecordVersions::new_committed(row(10));
         chain.push_uncommitted(row(20), TxnId(5));
         assert_eq!(chain.commit_writer(TxnId(5), 7), 1);
-        assert_eq!(
-            chain.visible_row(&ReadCommitted).unwrap().get_int(1),
-            Some(20)
-        );
+        let visible = chain.visible(&ReadCommitted).unwrap();
+        assert_eq!(visible.row.get_int(1), Some(20));
+        assert_eq!(visible.writer, TxnId(5));
     }
 
     #[test]
@@ -285,22 +331,40 @@ mod tests {
     }
 
     #[test]
-    fn purge_keeps_newest_committed_and_uncommitted() {
+    fn bamboo_style_rollback_from_the_middle_of_the_suffix() {
         let mut chain = RecordVersions::new_committed(row(1));
-        for i in 0..5u64 {
-            chain.push_uncommitted(row(10 + i as i64), TxnId(i + 1));
-            chain.commit_writer(TxnId(i + 1), i + 1);
+        chain.push_uncommitted(row(2), TxnId(1));
+        chain.push_uncommitted(row(3), TxnId(2));
+        chain.push_uncommitted(row(4), TxnId(3));
+        assert_eq!(chain.rollback_writer(TxnId(2)), 1);
+        assert_eq!(chain.latest_writer(), Some(TxnId(3)));
+        assert_eq!(chain.rollback_writer(TxnId(3)), 1);
+        assert_eq!(chain.latest_writer(), Some(TxnId(1)));
+        // A committed version of the same writer is history, not undo.
+        chain.commit_writer(TxnId(1), 4);
+        assert_eq!(chain.rollback_writer(TxnId(1)), 0);
+        assert_eq!(committed_value(&chain), Some(2));
+    }
+
+    #[test]
+    fn purge_keeps_newest_at_floor_and_everything_newer() {
+        let mut chain = RecordVersions::new_committed(row(1));
+        for i in 1..=5u64 {
+            chain.push_uncommitted(row(10 + i as i64), TxnId(i));
+            chain.commit_writer(TxnId(i), i);
         }
         chain.push_uncommitted(row(99), TxnId(42));
-        let purged = chain.purge_old_committed();
-        assert!(purged > 0);
-        // One uncommitted head + one committed version remain.
+        // A floor at the base version drops nothing.
+        assert_eq!(chain.purge_to_floor(0), 0);
+        // Floor 3: versions 3, 4, 5 and the uncommitted head stay.
+        assert_eq!(chain.purge_to_floor(3), 3);
+        assert_eq!(chain.version_count(), 4);
+        assert_eq!(chain.purge_to_floor(3), 0);
+        // Unbounded floor: the newest committed version and the head stay.
+        assert_eq!(chain.purge_to_floor(u64::MAX), 2);
         assert_eq!(chain.version_count(), 2);
         assert_eq!(chain.latest_row().unwrap().get_int(1), Some(99));
-        assert_eq!(
-            chain.visible_row(&ReadCommitted).unwrap().get_int(1),
-            Some(14)
-        );
+        assert_eq!(committed_value(&chain), Some(15));
     }
 
     #[test]
@@ -308,14 +372,162 @@ mod tests {
         let mut chain = RecordVersions::new_committed(row(1));
         chain.set_deleted(true);
         assert!(chain.is_deleted());
-        assert!(chain.visible_row(&ReadCommitted).is_none());
+        assert!(chain.visible(&ReadCommitted).is_none());
     }
 
     #[test]
     fn transactional_insert_starts_uncommitted() {
         let chain = RecordVersions::new_uncommitted(row(5), TxnId(9));
         assert!(chain.has_uncommitted_head());
-        assert!(chain.visible_row(&ReadCommitted).is_none());
+        assert!(chain.visible(&ReadCommitted).is_none());
         assert_eq!(chain.latest_writer(), Some(TxnId(9)));
+    }
+
+    /// The chain as it was before orientation became private: newest first,
+    /// front insert, full-chain commit and rollback.  Kept as the reference
+    /// the differential test below compares against.
+    #[derive(Default)]
+    struct NewestFirstModel {
+        versions: Vec<Version>,
+    }
+
+    impl NewestFirstModel {
+        fn push_uncommitted(&mut self, row: Row, writer: TxnId) {
+            self.versions.insert(
+                0,
+                Version {
+                    row,
+                    writer,
+                    commit_no: None,
+                },
+            );
+        }
+
+        fn commit_writer(&mut self, writer: TxnId, commit_no: u64) {
+            for v in &mut self.versions {
+                if v.writer == writer && v.commit_no.is_none() {
+                    v.commit_no = Some(commit_no);
+                }
+            }
+        }
+
+        fn rollback_writer(&mut self, writer: TxnId) {
+            self.versions
+                .retain(|v| !(v.writer == writer && v.commit_no.is_none()));
+        }
+
+        fn purge_to_floor(&mut self, floor: u64) {
+            if let Some(kept) = self
+                .versions
+                .iter()
+                .position(|v| v.commit_no.is_some_and(|no| no <= floor))
+            {
+                self.versions.truncate(kept + 1);
+            }
+        }
+
+        fn visible<J: VisibilityJudge>(&self, judge: &J) -> Option<&Version> {
+            self.versions
+                .iter()
+                .find(|v| judge.is_visible(v.writer, v.commit_no))
+        }
+    }
+
+    /// Copy-free view: commit numbers at or below the horizon are visible.
+    struct Horizon(u64);
+
+    impl VisibilityJudge for Horizon {
+        fn is_visible(&self, _writer: TxnId, commit_no: Option<u64>) -> bool {
+            commit_no.is_some_and(|no| no <= self.0)
+        }
+    }
+
+    /// Copying view: committed writers outside the active list are visible.
+    struct ActiveList(Vec<TxnId>);
+
+    impl VisibilityJudge for ActiveList {
+        fn is_visible(&self, writer: TxnId, commit_no: Option<u64>) -> bool {
+            commit_no.is_some() && !self.0.contains(&writer)
+        }
+    }
+
+    #[test]
+    fn chain_agrees_with_the_newest_first_model_on_random_scripts() {
+        for seed in 1..=200u64 {
+            let mut rng = XorShiftRng::new(seed);
+            let mut chain = RecordVersions::new_committed(row(0));
+            let mut model = NewestFirstModel::default();
+            model.versions.push(chain.latest().unwrap().clone());
+            // Writers with uncommitted versions, bottom to top.  The suffix
+            // invariant shapes the script: only the top writer updates
+            // again, only the bottom one commits; any of them rolls back.
+            let mut dirty: Vec<TxnId> = Vec::new();
+            let mut committed: Vec<(TxnId, u64)> = Vec::new();
+            let (mut next_writer, mut next_commit_no, mut floor) = (1u64, 1u64, 0u64);
+            for step in 0..400 {
+                match rng.next_bounded(10) {
+                    0..=3 => {
+                        if dirty.is_empty() || rng.next_bool(0.7) {
+                            next_writer += 1;
+                            dirty.push(TxnId(next_writer));
+                        }
+                        let writer = *dirty.last().unwrap();
+                        chain.push_uncommitted(row(step), writer);
+                        model.push_uncommitted(row(step), writer);
+                    }
+                    4..=6 if !dirty.is_empty() => {
+                        let writer = dirty.remove(0);
+                        chain.commit_writer(writer, next_commit_no);
+                        model.commit_writer(writer, next_commit_no);
+                        committed.push((writer, next_commit_no));
+                        next_commit_no += 1;
+                    }
+                    7 if !dirty.is_empty() => {
+                        // Tail (group locking) or mid-suffix (Bamboo).
+                        let at = if rng.next_bool(0.5) {
+                            dirty.len() - 1
+                        } else {
+                            rng.next_bounded(dirty.len() as u64) as usize
+                        };
+                        let writer = dirty.remove(at);
+                        chain.rollback_writer(writer);
+                        model.rollback_writer(writer);
+                    }
+                    8 => {
+                        floor = floor.max(rng.next_bounded(next_commit_no));
+                        let before = chain.version_count();
+                        let dropped = chain.purge_to_floor(floor);
+                        model.purge_to_floor(floor);
+                        assert_eq!(chain.version_count(), before - dropped);
+                    }
+                    _ => {}
+                }
+                assert_eq!(chain.version_count(), model.versions.len(), "seed {seed}");
+                assert_eq!(chain.latest(), model.versions.first(), "seed {seed}");
+                assert_eq!(
+                    chain.latest_writer(),
+                    model.versions.first().map(|v| v.writer)
+                );
+                assert_eq!(
+                    chain.has_uncommitted_head(),
+                    model.versions.first().is_some_and(|v| !v.is_committed())
+                );
+                // Judges a reader may hold: a horizon at or above the floor;
+                // an active list of dirty writers plus some that are stamped
+                // above the floor but have not left the active set yet.
+                let horizon = Horizon(floor + rng.next_bounded(next_commit_no - floor));
+                let mut active = ActiveList(dirty.clone());
+                for (writer, commit_no) in &committed {
+                    if *commit_no > floor && rng.next_bool(0.5) {
+                        active.0.push(*writer);
+                    }
+                }
+                assert_eq!(chain.visible(&ReadCommitted), model.visible(&ReadCommitted));
+                assert_eq!(chain.visible(&horizon), model.visible(&horizon));
+                assert_eq!(chain.visible(&active), model.visible(&active));
+                assert!(chain.visible(&horizon).is_some(), "seed {seed} step {step}");
+                assert!(chain.visible(&active).is_some(), "seed {seed} step {step}");
+            }
+        }
     }
 }

@@ -7,10 +7,18 @@
 //! created here in either the copying or copy-free mode (§3.1.2); the copying
 //! mode intentionally locks and copies the active list so that the overhead
 //! the paper describes is measurable.
+//!
+//! It also publishes the **purge floor** storage truncates version chains to
+//! at commit: the highest `trx_no` such that every transaction given a
+//! `trx_no` at or below it has left the active set.  Whatever a chain keeps
+//! at or below the floor is then visible to every read view created from now
+//! on, in either mode — its writer is in no active list and at or below any
+//! horizon (see `txsql_storage::version`).
 
 use crate::readview::{ReadView, ReadViewMode};
 use crate::transaction::Transaction;
 use parking_lot::Mutex;
+use std::collections::VecDeque;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use txsql_common::fxhash::FxHashSet;
@@ -18,16 +26,30 @@ use txsql_common::metrics::EngineMetrics;
 use txsql_common::TxnId;
 use txsql_lockmgr::registry::TxnLockRegistry;
 
+/// What `begin`, `allocate_trx_no` and `finish` keep under one mutex.
+#[derive(Debug, Default)]
+struct Active {
+    /// The classic active transaction list (locked + copied by copying views).
+    ids: FxHashSet<TxnId>,
+    /// One flag per `trx_no` above the purge floor, oldest first (entry `i`
+    /// is `floor + 1 + i`): `true` once the transaction it was handed to has
+    /// finished.  The floor advances over the finished prefix.
+    finished: VecDeque<bool>,
+}
+
 /// The transaction system.
 #[derive(Debug)]
 pub struct TrxSys {
     next_txn_id: AtomicU64,
-    next_trx_no: AtomicU64,
     /// Newest commit sequence number handed out (the copy-free visibility
     /// horizon — effectively the global `del_ts` clock).
     max_committed_trx_no: AtomicU64,
-    /// The classic active transaction list (locked + copied by copying views).
-    active: Mutex<FxHashSet<TxnId>>,
+    active: Mutex<Active>,
+    /// See the module doc.  Written under `active`, after the finishing
+    /// transaction left `ids` and advanced the horizon; the `Release` store
+    /// pairs with storage's `Acquire` load.  The next `trx_no` to hand out is
+    /// `floor + 1 + finished.len()`.
+    purge_floor: Arc<AtomicU64>,
     read_view_mode: ReadViewMode,
     /// Lock registries checked at transaction teardown: `finish` asserts (in
     /// debug builds) that `release_all` drained the finished transaction's
@@ -43,9 +65,9 @@ impl TrxSys {
     pub fn new(read_view_mode: ReadViewMode) -> Self {
         Self {
             next_txn_id: AtomicU64::new(1),
-            next_trx_no: AtomicU64::new(1),
             max_committed_trx_no: AtomicU64::new(0),
-            active: Mutex::new(FxHashSet::default()),
+            active: Mutex::default(),
+            purge_floor: Arc::default(),
             read_view_mode,
             lock_registries: Vec::new(),
             engine_metrics: None,
@@ -61,14 +83,14 @@ impl TrxSys {
     /// Seeds the id and commit-sequence counters — used when rebuilding the
     /// transaction system after crash recovery, so a restarted engine never
     /// re-issues a transaction id or `trx_no` that appears in the recovered
-    /// log.  The copy-free visibility horizon starts at `next_trx_no - 1`
-    /// (everything recovered as committed is visible).
+    /// log.  The copy-free visibility horizon and the purge floor start at
+    /// `next_trx_no - 1` (everything recovered as committed is visible).
     pub fn with_start(self, next_txn_id: u64, next_trx_no: u64) -> Self {
         self.next_txn_id
             .store(next_txn_id.max(1), Ordering::Relaxed);
-        self.next_trx_no
-            .store(next_trx_no.max(1), Ordering::Relaxed);
         self.max_committed_trx_no
+            .store(next_trx_no.max(1) - 1, Ordering::Relaxed);
+        self.purge_floor
             .store(next_trx_no.max(1) - 1, Ordering::Relaxed);
         self
     }
@@ -89,26 +111,52 @@ impl TrxSys {
     /// configured ([`TrxSys::with_engine_metrics`]).
     pub fn begin(&self) -> Transaction {
         let id = TxnId(self.next_txn_id.fetch_add(1, Ordering::Relaxed));
-        self.active.lock().insert(id);
+        self.active.lock().ids.insert(id);
         match &self.engine_metrics {
             Some(metrics) => Transaction::attached_to(id, Arc::clone(metrics)),
             None => Transaction::new(id),
         }
     }
 
-    /// Allocates a commit sequence number for a committing transaction.
+    /// Allocates a commit sequence number for a committing transaction.  It
+    /// holds the purge floor back until [`TrxSys::finish`] is told it
+    /// committed; a number that never is (only a crashed or read-only engine
+    /// fails between the two) pins the floor, which stops purge and nothing
+    /// else.
     pub fn allocate_trx_no(&self) -> u64 {
-        self.next_trx_no.fetch_add(1, Ordering::Relaxed)
+        let mut active = self.active.lock();
+        active.finished.push_back(false);
+        self.purge_floor.load(Ordering::Relaxed) + active.finished.len() as u64
+    }
+
+    /// The purge floor, shared with the storage engine that truncates
+    /// version chains to it (`Storage::with_purge_floor`).
+    pub fn purge_floor(&self) -> &Arc<AtomicU64> {
+        &self.purge_floor
     }
 
     /// Marks a transaction finished.  For commits, pass the `trx_no` it
     /// committed with (this advances the copy-free visibility horizon — the
-    /// transaction's `del_ts`); for rollbacks pass `None`.
+    /// transaction's `del_ts` — and then the purge floor); for rollbacks pass
+    /// `None`.
     pub fn finish(&self, txn: TxnId, committed_trx_no: Option<u64>) {
-        self.active.lock().remove(&txn);
+        let mut active = self.active.lock();
+        active.ids.remove(&txn);
         if let Some(no) = committed_trx_no {
             self.max_committed_trx_no.fetch_max(no, Ordering::AcqRel);
+            let floor = self.purge_floor.load(Ordering::Relaxed);
+            let slot = no
+                .checked_sub(floor + 1)
+                .and_then(|i| usize::try_from(i).ok());
+            if let Some(done) = slot.and_then(|i| active.finished.get_mut(i)) {
+                *done = true;
+            }
+            let prefix = active.finished.iter().take_while(|done| **done).count();
+            active.finished.drain(..prefix);
+            self.purge_floor
+                .store(floor + prefix as u64, Ordering::Release);
         }
+        drop(active);
         // A finished transaction must not keep registry entries alive:
         // release_all already drained them, so this is a debug-only check
         // (one lookup in the transaction's own shard).  Removing leftovers
@@ -127,12 +175,12 @@ impl TrxSys {
 
     /// Number of currently active transactions.
     pub fn active_count(&self) -> usize {
-        self.active.lock().len()
+        self.active.lock().ids.len()
     }
 
     /// True when the transaction is still registered active.
     pub fn is_active(&self, txn: TxnId) -> bool {
-        self.active.lock().contains(&txn)
+        self.active.lock().ids.contains(&txn)
     }
 
     /// Newest committed `trx_no` (the copy-free horizon).
@@ -150,7 +198,7 @@ impl TrxSys {
         match mode {
             ReadViewMode::Copying => {
                 // Lock and copy the active list — the cost §3.1.2 eliminates.
-                let active_ids = self.active.lock().clone();
+                let active_ids = self.active.lock().ids.clone();
                 ReadView::Copying {
                     active_ids,
                     low_limit: TxnId(self.next_txn_id.load(Ordering::Relaxed)),
@@ -225,6 +273,30 @@ mod tests {
         // Everything recovered as committed (trx_no <= 16) is visible.
         assert_eq!(sys.commit_horizon(), 16);
         sys.finish(t.id, None);
+    }
+
+    #[test]
+    fn purge_floor_is_the_finished_prefix_of_allocated_trx_nos() {
+        let sys = TrxSys::default().with_start(1, 11);
+        let floor = || sys.purge_floor().load(Ordering::Acquire);
+        let (a, b, c) = (sys.begin(), sys.begin(), sys.begin());
+        assert_eq!(floor(), 10);
+        let (no_a, no_b, no_c) = (
+            sys.allocate_trx_no(),
+            sys.allocate_trx_no(),
+            sys.allocate_trx_no(),
+        );
+        assert_eq!((no_a, no_b, no_c), (11, 12, 13));
+        // Out of order: 12 finished, 11 still active — the floor waits.
+        sys.finish(b.id, Some(no_b));
+        assert_eq!((floor(), sys.commit_horizon()), (10, 12));
+        sys.finish(a.id, Some(no_a));
+        assert_eq!(floor(), 12);
+        // A rollback neither advances nor blocks it.
+        sys.finish(sys.begin().id, None);
+        sys.finish(c.id, Some(no_c));
+        assert_eq!(floor(), 13);
+        assert_eq!(sys.allocate_trx_no(), 14);
     }
 
     #[test]
