@@ -241,7 +241,7 @@ impl AriaCoordinator {
         }
 
         // Phase 2: apply survivors in batch order.
-        let hooks: Vec<Arc<dyn CommitHook>> = inner.hooks.read().clone();
+        let hooks = Arc::clone(&inner.hooks.read());
         for (idx, (job, exec)) in jobs.iter().zip(executed.iter()).enumerate() {
             if exec.forced_rollback {
                 inner.metrics.aborted.inc();

@@ -1,18 +1,38 @@
-//! The 2PC commit pipeline: Flush → Sync → Commit, with group commit.
+//! The commit pipeline: a serial flush stage with leader hand-off, an
+//! ordered ship, and an ack wait that overlaps the next batch's flush.
 //!
-//! TXSQL (like MySQL) uses an XA/two-phase commit between the storage-level
-//! redo log and the server-level binlog.  The expensive part is the *Sync*
-//! stage — an fsync plus, in semi-synchronous replication, a network round
-//! trip to the replicas.  Executing those stages strictly per transaction in
-//! hotspot-update order creates the critical path of Figure 5b; the group
-//! commit optimization (Figure 5c, §4.3) lets the first transaction to reach
-//! the pipeline act as *flush leader* for everyone queued behind it, paying
-//! one fsync and one replica acknowledgement per batch.
+//! The expensive part of a commit is the *sync*: an fsync plus, in semi-sync
+//! replication, a round trip to the replicas.  Group commit (Figure 5c, §4.3)
+//! lets the transactions that queued up behind one slow sync leave together,
+//! one sync per batch instead of one per transaction (Figure 5b).
 //!
-//! The pipeline is protocol-agnostic: hot-row commit *ordering* is enforced
-//! before a transaction enters the pipeline (via the dependency list), so the
-//! pipeline only needs to preserve arrival order within a batch, which it
-//! does by construction.
+//! ```text
+//!            |------ owns the flush stage -------|   |---- stage handed on ----|
+//! batch N    flush_to, pre_binlog_ship, ship_ordered -> await_ack (ship, quorum) -> wake members
+//! batch N+1  queued, parked ......................... -> flush_to, .., ship_ordered -> await_ack ..
+//! ```
+//!
+//! **Who owns what.**  The flush stage has one owner at a time.  A committer
+//! that finds it free leads a batch of one; one that finds it busy queues
+//! and parks.  The owner flushes redo once for its batch and, still the
+//! owner, runs every hook's ordered half ([`CommitHook::ship_ordered`]) — so
+//! binlog order *is* flush order, with no second queue to keep in step.
+//!
+//! **The hand-off rule.**  Nothing after that needs the stage, so the owner
+//! gives it to the head of the queue that formed meanwhile (one wake, outside
+//! the state lock; the head takes the whole queue as its batch — with group
+//! commit off, Figure 5b, only itself) or marks it free, whether or not its
+//! own flush succeeded.  It never leads a second batch: it runs the blocking
+//! half ([`CommitHook::await_ack`]) for *its* batch while the next owner is
+//! already flushing, wakes its members and returns to its client.
+//!
+//! **Failure scope.**  A flush, crash-point or hook error fails exactly the
+//! members of the batch it happened in.  A later batch is judged on its own:
+//! after an injected crash its `flush_to` fails fast, so the queue drains
+//! instead of parking forever.  Whichever batch a crash landed in, no call
+//! returns `Ok` once the process is dead.  Hot-row commit *ordering* is
+//! decided before a transaction enters (the dependency list); the pipeline
+//! preserves arrival order within and across batches by construction.
 
 use crate::hooks::{BinlogTxn, CommitHook};
 use parking_lot::Mutex;
@@ -23,19 +43,25 @@ use txsql_lockmgr::event::OsEvent;
 use txsql_storage::fault::CrashPoint;
 use txsql_storage::RedoLog;
 
-struct Pending {
+/// A parked committer; its transaction is at the same index of `txns`.
+struct Waiter {
+    /// Arrival number: how a woken committer recognises its own slot.
+    seq: u64,
     lsn: Lsn,
-    binlog: BinlogTxn,
-    done: Arc<OsEvent>,
-    /// Set by the flush leader when the batch's flush failed (injected crash
-    /// or read-only degradation): the commit was NOT made durable.
-    err: Arc<Mutex<Option<Error>>>,
+    wake: Arc<OsEvent>,
 }
 
 #[derive(Default)]
 struct PipelineState {
-    queue: Vec<Pending>,
-    flush_in_progress: bool,
+    /// True while some committer owns the flush stage.
+    flushing: bool,
+    /// Committers that found the stage busy, in arrival order, and their
+    /// transactions.  Non-empty only while `flushing`.
+    waiters: Vec<Waiter>,
+    txns: Vec<BinlogTxn>,
+    next_seq: u64,
+    /// Errors of failed batches, by member `seq`; a member takes its own on waking.
+    failed: Vec<(u64, Error)>,
 }
 
 /// The commit pipeline.
@@ -69,11 +95,10 @@ impl CommitPipeline {
         self.group_commit
     }
 
-    /// Runs the Flush/Sync/Commit stages for one transaction whose commit
-    /// record was appended at `lsn`.  Blocks until the commit is durable and
-    /// every hook has observed it.  An error means the commit was **not**
-    /// made durable (injected crash or read-only degradation) and must not
-    /// be acknowledged to the client.
+    /// Commits one transaction whose commit record was appended at `lsn`:
+    /// blocks until it is durable and every hook has acknowledged its batch.
+    /// An error means the client must not be told "committed" — though after
+    /// a crash the commit may be durable in redo (the recovery oracle's window).
     pub fn commit(
         &self,
         redo: &RedoLog,
@@ -81,106 +106,91 @@ impl CommitPipeline {
         binlog: BinlogTxn,
         hooks: &[Arc<dyn CommitHook>],
     ) -> Result<()> {
-        if !self.group_commit {
-            // Per-transaction Sync: one fsync and one hook round-trip each.
-            redo.flush_to(lsn)?;
-            let batch = [binlog];
-            self.ship(redo, &batch, hooks)?;
-            self.metrics.commit_batches.inc();
-            self.metrics.commit_synced.inc();
-            return Ok(());
-        }
-
-        let done = OsEvent::new();
-        let my_err: Arc<Mutex<Option<Error>>> = Arc::new(Mutex::new(None));
-        let is_leader = {
-            let mut state = self.state.lock();
-            state.queue.push(Pending {
+        // A dead process acknowledges nothing, whichever batch the crash hit.
+        let unless_dead = |result: Result<()>| match result {
+            Ok(()) if redo.faults().crashed() => Err(Error::Crashed { point: "crashed" }),
+            result => result,
+        };
+        let mut state = self.state.lock();
+        let (txns, max_lsn, followers) = if !state.flushing {
+            state.flushing = true;
+            drop(state);
+            (vec![binlog], lsn, Vec::new())
+        } else {
+            let seq = state.next_seq;
+            state.next_seq += 1;
+            let wake = OsEvent::acquire_pooled();
+            state.txns.push(binlog);
+            state.waiters.push(Waiter {
+                seq,
                 lsn,
-                binlog,
-                done: Arc::clone(&done),
-                err: Arc::clone(&my_err),
+                wake: Arc::clone(&wake),
             });
-            if state.flush_in_progress {
-                false
-            } else {
-                state.flush_in_progress = true;
-                true
+            drop(state);
+            wake.wait();
+
+            // Woken as a member of a finished batch (our slot left the queue
+            // with its leader) or as the head, handed the stage (still first).
+            let mut state = self.state.lock();
+            if state.waiters.first().is_none_or(|head| head.seq != seq) {
+                let failed = state.failed.iter().position(|(s, _)| *s == seq);
+                let failure = failed.map(|at| state.failed.swap_remove(at).1);
+                drop(state);
+                OsEvent::recycle(wake);
+                return unless_dead(failure.map_or(Ok(()), Err));
             }
+            let take = match self.group_commit {
+                true => state.waiters.len(),
+                false => 1,
+            };
+            let txns: Vec<_> = state.txns.drain(..take).collect();
+            let mut followers: Vec<_> = state.waiters.drain(..take).collect();
+            drop(state);
+            let max_lsn = followers.iter().map(|w| w.lsn).max().unwrap_or(lsn);
+            followers.swap_remove(0); // our own slot
+            OsEvent::recycle(wake);
+            (txns, max_lsn, followers)
         };
 
-        if !is_leader {
-            // Follower: the current flush leader will sync us (possibly in the
-            // next batch it picks up).
-            done.wait();
-            let err = my_err.lock().take();
-            return match err {
-                Some(err) => Err(err),
-                None => Ok(()),
-            };
+        // Flush stage, owned: one fsync for the batch, then the ordered half
+        // of the ship.  `pre_binlog_ship`: durable in redo, nothing shipped.
+        let shipped = redo
+            .flush_to(max_lsn)
+            .and_then(|()| redo.crash_point(CrashPoint::PreBinlogShip))
+            .and_then(|()| hooks.iter().map(|hook| hook.ship_ordered(&txns)).collect());
+
+        // Hand the stage on, success or not.
+        let next = {
+            let mut state = self.state.lock();
+            let next = state.waiters.first().map(|head| Arc::clone(&head.wake));
+            state.flushing = next.is_some();
+            next
+        };
+        if let Some(wake) = next {
+            wake.set();
         }
 
-        // Flush leader: drain and sync batches until the queue is empty.
-        loop {
-            let batch: Vec<Pending> = {
-                let mut state = self.state.lock();
-                if state.queue.is_empty() {
-                    state.flush_in_progress = false;
-                    break;
-                }
-                std::mem::take(&mut state.queue)
-            };
-            let max_lsn = batch.iter().map(|p| p.lsn).max().unwrap_or(lsn);
-            let shipped = redo.flush_to(max_lsn).and_then(|()| {
-                let events: Vec<BinlogTxn> = batch.iter().map(|p| p.binlog.clone()).collect();
-                self.ship(redo, &events, hooks)
-            });
-            match shipped {
-                Ok(()) => {
-                    self.metrics.commit_batches.inc();
-                    self.metrics.commit_synced.add(batch.len() as u64);
-                    for pending in batch {
-                        pending.done.set();
-                    }
-                }
-                Err(err) => {
-                    // The batch failed to reach disk, or the binlog ship path
-                    // crashed after the flush: every member gets the error and
-                    // nothing counts as synced.  (In the post-flush case the
-                    // batch IS durable in redo — recovery replays it — but the
-                    // clients were never acknowledged, which is the crash
-                    // window the replication oracle covers.)  Keep draining —
-                    // post-crash flushes fail fast, so queued followers are
-                    // released promptly rather than left hanging.
-                    for pending in batch {
-                        *pending.err.lock() = Some(err.clone());
-                        pending.done.set();
-                    }
-                }
+        // Blocking half, overlapping the next owner's flush.
+        let result = shipped.and_then(|ranges: Vec<_>| {
+            let mut halves = hooks.iter().zip(ranges);
+            halves.try_for_each(|(hook, range)| hook.await_ack(range, &txns))
+        });
+        match &result {
+            Ok(()) => {
+                self.metrics.commit_batches.inc();
+                self.metrics.commit_synced.add(txns.len() as u64);
+            }
+            // Nothing counts as synced (after a post-flush failure the batch
+            // IS durable in redo, but its clients are never acknowledged).
+            Err(err) => {
+                let failures = followers.iter().map(|w| (w.seq, err.clone()));
+                self.state.lock().failed.extend(failures);
             }
         }
-        let err = my_err.lock().take();
-        match err {
-            Some(err) => Err(err),
-            None => Ok(()),
+        for follower in followers {
+            follower.wake.set();
         }
-    }
-
-    /// The binlog ship stage: fires the `pre_binlog_ship` crash point (the
-    /// batch is durable in redo, nothing was shipped yet) and hands the batch
-    /// to every registered hook in order.  A hook error aborts the stage —
-    /// the caller distributes it to the whole batch like a flush failure.
-    fn ship(
-        &self,
-        redo: &RedoLog,
-        events: &[BinlogTxn],
-        hooks: &[Arc<dyn CommitHook>],
-    ) -> Result<()> {
-        redo.crash_point(CrashPoint::PreBinlogShip)?;
-        for hook in hooks {
-            hook.on_commit_batch(events)?;
-        }
-        Ok(())
+        unless_dead(result)
     }
 }
 
@@ -188,9 +198,15 @@ impl CommitPipeline {
 mod tests {
     use super::*;
     use crate::hooks::CollectingHook;
+    use std::collections::HashSet;
+    use std::ops::Range;
+    use std::sync::atomic::{AtomicBool, Ordering};
+    use std::sync::mpsc::{self, Receiver, Sender};
+    use std::sync::{Condvar, Mutex as StdMutex};
     use std::thread;
-    use std::time::Duration;
+    use std::time::{Duration, Instant};
     use txsql_common::{Row, TableId, TxnId};
+    use txsql_storage::fault::{FaultInjector, FaultPlan};
     use txsql_storage::RedoRecord;
 
     fn binlog(txn: u64) -> BinlogTxn {
@@ -275,7 +291,6 @@ mod tests {
 
     #[test]
     fn failed_group_flush_is_not_acknowledged_and_skips_hooks() {
-        use txsql_storage::fault::{FaultInjector, FaultPlan};
         let metrics = Arc::new(EngineMetrics::new());
         let pipeline = CommitPipeline::new(true, Arc::clone(&metrics));
         let redo = RedoLog::with_faults(
@@ -295,5 +310,345 @@ mod tests {
         assert_eq!(hook.batch_count(), 0);
         assert_eq!(metrics.commit_synced.get(), 0);
         assert_eq!(redo.durable_lsn(), Lsn(0));
+    }
+
+    // ------------------------------------------------------------------
+    // Overlapping batches.  A gate-controlled hook parks chosen batches in
+    // a chosen half and reports every entry on a channel, so each test
+    // stages its interleaving by events; timeouts only turn a hang into a
+    // failure.
+    // ------------------------------------------------------------------
+
+    const WAIT: Duration = Duration::from_secs(2);
+
+    #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+    enum Half {
+        Ordered,
+        Blocking,
+    }
+
+    /// Identifies a batch by its first transaction's `trx_no`.
+    type Key = (Half, u64);
+
+    struct GateHook {
+        held: StdMutex<HashSet<Key>>,
+        released: Condvar,
+        entered: StdMutex<Sender<Key>>,
+        /// The blocking half of the batch starting at this `trx_no` fails.
+        fail_on: Option<u64>,
+        redo: Arc<RedoLog>,
+        /// Per ordered half, in call order: the batch's `trx_no`s and the
+        /// durable LSN it found.
+        log: StdMutex<Vec<(Vec<u64>, Lsn)>>,
+        in_ordered: AtomicBool,
+    }
+
+    impl GateHook {
+        fn pass(&self, half: Half, batch: &[BinlogTxn]) {
+            let key = (half, batch[0].trx_no);
+            let _ = self.entered.lock().unwrap().send(key);
+            let mut held = self.held.lock().unwrap();
+            while held.contains(&key) {
+                held = self.released.wait(held).unwrap();
+            }
+        }
+
+        fn release(&self, half: Half, first: u64) {
+            self.held.lock().unwrap().remove(&(half, first));
+            self.released.notify_all();
+        }
+
+        fn batches(&self) -> Vec<Vec<u64>> {
+            let log = self.log.lock().unwrap();
+            log.iter().map(|(batch, _)| batch.clone()).collect()
+        }
+    }
+
+    impl CommitHook for GateHook {
+        fn on_commit_batch(&self, batch: &[BinlogTxn]) -> Result<()> {
+            let range = self.ship_ordered(batch)?;
+            self.await_ack(range, batch)
+        }
+
+        fn ship_ordered(&self, batch: &[BinlogTxn]) -> Result<Range<u64>> {
+            assert!(
+                !self.in_ordered.swap(true, Ordering::SeqCst),
+                "two ordered halves ran at once"
+            );
+            self.log.lock().unwrap().push((
+                batch.iter().map(|t| t.trx_no).collect(),
+                self.redo.durable_lsn(),
+            ));
+            self.pass(Half::Ordered, batch);
+            self.in_ordered.store(false, Ordering::SeqCst);
+            Ok(0..0)
+        }
+
+        fn await_ack(&self, _range: Range<u64>, batch: &[BinlogTxn]) -> Result<()> {
+            self.pass(Half::Blocking, batch);
+            if self.fail_on == Some(batch[0].trx_no) {
+                return Err(Error::ReadOnly {
+                    reason: "injected ship failure",
+                });
+            }
+            Ok(())
+        }
+    }
+
+    /// A pipeline, its redo log and one [`GateHook`]; `trx_no` = LSN.
+    struct Rig {
+        pipeline: Arc<CommitPipeline>,
+        metrics: Arc<EngineMetrics>,
+        redo: Arc<RedoLog>,
+        hook: Arc<GateHook>,
+        entered: Receiver<Key>,
+    }
+
+    impl Rig {
+        fn new(redo: RedoLog, held: &[Key], fail_on: Option<u64>) -> Self {
+            let metrics = Arc::new(EngineMetrics::new());
+            let redo = Arc::new(redo);
+            let (tx, entered) = mpsc::channel();
+            let hook = Arc::new(GateHook {
+                held: StdMutex::new(held.iter().copied().collect()),
+                released: Condvar::new(),
+                entered: StdMutex::new(tx),
+                fail_on,
+                redo: Arc::clone(&redo),
+                log: StdMutex::new(Vec::new()),
+                in_ordered: AtomicBool::new(false),
+            });
+            Self {
+                pipeline: Arc::new(CommitPipeline::new(true, Arc::clone(&metrics))),
+                metrics,
+                redo,
+                hook,
+                entered,
+            }
+        }
+
+        /// Appends the next commit record here (so LSNs follow call order)
+        /// and commits it on a thread of its own; the result arrives on the
+        /// returned channel.
+        fn spawn_commit(&self) -> (Lsn, Receiver<Result<()>>) {
+            let lsn = append_commit(&self.redo);
+            let (pipeline, redo) = (Arc::clone(&self.pipeline), Arc::clone(&self.redo));
+            let hooks: Vec<Arc<dyn CommitHook>> = vec![self.hook.clone()];
+            let (tx, rx) = mpsc::channel();
+            thread::spawn(move || {
+                let _ = tx.send(pipeline.commit(&redo, lsn, binlog(lsn.0), &hooks));
+            });
+            (lsn, rx)
+        }
+
+        /// Blocks until exactly `n` committers are parked in the queue.
+        fn wait_queued(&self, n: usize) {
+            let deadline = Instant::now() + WAIT;
+            while self.pipeline.state.lock().waiters.len() != n {
+                assert!(Instant::now() < deadline, "queue never reached {n}");
+                thread::yield_now();
+            }
+        }
+
+        /// The next `n` hook entries, order-insensitive (halves of different
+        /// batches run concurrently).
+        fn next_entered(&self, n: usize) -> HashSet<Key> {
+            (0..n)
+                .map(|_| self.entered.recv_timeout(WAIT).expect("hook entry"))
+                .collect()
+        }
+    }
+
+    fn append_commit(redo: &RedoLog) -> Lsn {
+        // The record's ids are irrelevant here; only its LSN is used.
+        redo.append(RedoRecord::Commit {
+            txn: TxnId(0),
+            trx_no: 0,
+        })
+    }
+
+    #[test]
+    fn next_batch_flushes_and_ships_while_the_previous_waits_for_its_ack() {
+        let rig = Rig::new(RedoLog::default(), &[(Half::Blocking, 1)], None);
+        let (_, first) = rig.spawn_commit();
+        assert_eq!(
+            rig.next_entered(2),
+            HashSet::from([(Half::Ordered, 1), (Half::Blocking, 1)])
+        );
+
+        // Batch 1 is parked in its ack wait.  A second committer must get
+        // through the flush stage and into its hook regardless.
+        let (lsn, second) = rig.spawn_commit();
+        assert_eq!(
+            rig.entered.recv_timeout(WAIT),
+            Ok((Half::Ordered, 2)),
+            "batch 2 never flushed while batch 1 waited for its ack"
+        );
+        assert!(rig.redo.durable_lsn() >= lsn);
+        assert_eq!(second.recv_timeout(WAIT), Ok(Ok(())));
+        assert_eq!(
+            first.try_recv().ok(),
+            None,
+            "batch 1 is still waiting for its ack"
+        );
+
+        rig.hook.release(Half::Blocking, 1);
+        assert_eq!(first.recv_timeout(WAIT), Ok(Ok(())));
+        assert_eq!(rig.metrics.commit_batches.get(), 2);
+    }
+
+    #[test]
+    fn leader_returns_while_the_batch_it_handed_the_stage_to_is_in_flight() {
+        let held = [(Half::Ordered, 1), (Half::Blocking, 2)];
+        let rig = Rig::new(RedoLog::default(), &held, None);
+        let (_, first) = rig.spawn_commit();
+        assert_eq!(rig.entered.recv_timeout(WAIT), Ok((Half::Ordered, 1)));
+        // The first committer owns the stage; the second queues behind it.
+        let (_, second) = rig.spawn_commit();
+        rig.wait_queued(1);
+
+        rig.hook.release(Half::Ordered, 1);
+        assert_eq!(
+            rig.next_entered(3),
+            HashSet::from([(Half::Blocking, 1), (Half::Ordered, 2), (Half::Blocking, 2)])
+        );
+        assert_eq!(
+            first.recv_timeout(WAIT),
+            Ok(Ok(())),
+            "the first leader stayed to lead the batch that queued behind it"
+        );
+        assert_eq!(
+            second.try_recv().ok(),
+            None,
+            "batch 2 is still parked in its hook"
+        );
+
+        rig.hook.release(Half::Blocking, 2);
+        assert_eq!(second.recv_timeout(WAIT), Ok(Ok(())));
+        assert_eq!(rig.hook.batches(), [vec![1], vec![2]]);
+    }
+
+    #[test]
+    fn a_failed_batch_fails_exactly_its_members_with_its_neighbours_in_flight() {
+        let held = [(Half::Ordered, 1), (Half::Blocking, 1), (Half::Ordered, 2)];
+        let rig = Rig::new(RedoLog::default(), &held, Some(2));
+
+        // Batch {1} owns the stage; 2 and 3 queue behind it, in that order.
+        let (_, first) = rig.spawn_commit();
+        assert_eq!(rig.entered.recv_timeout(WAIT), Ok((Half::Ordered, 1)));
+        let (_, second) = rig.spawn_commit();
+        rig.wait_queued(1);
+        let (_, third) = rig.spawn_commit();
+        rig.wait_queued(2);
+
+        // {1} moves on to its ack wait (parked there); 2 leads {2, 3} and is
+        // parked owning the stage, so 4 queues behind it.
+        rig.hook.release(Half::Ordered, 1);
+        assert_eq!(
+            rig.next_entered(2),
+            HashSet::from([(Half::Blocking, 1), (Half::Ordered, 2)])
+        );
+        let (_, fourth) = rig.spawn_commit();
+        rig.wait_queued(1);
+
+        // {2, 3} fails in its blocking half; {4} ships after it; {1} is
+        // still in flight before both.
+        rig.hook.release(Half::Ordered, 2);
+        assert_eq!(
+            rig.next_entered(3),
+            HashSet::from([(Half::Blocking, 2), (Half::Ordered, 4), (Half::Blocking, 4)])
+        );
+        for member in [&second, &third] {
+            assert!(matches!(
+                member.recv_timeout(WAIT),
+                Ok(Err(Error::ReadOnly { .. }))
+            ));
+        }
+        assert_eq!(fourth.recv_timeout(WAIT), Ok(Ok(())));
+        assert_eq!(rig.metrics.commit_synced.get(), 1, "only {{4}} so far");
+        assert_eq!(rig.metrics.commit_batches.get(), 1);
+
+        rig.hook.release(Half::Blocking, 1);
+        assert_eq!(first.recv_timeout(WAIT), Ok(Ok(())));
+        assert_eq!(rig.metrics.commit_synced.get(), 2);
+        assert_eq!(rig.metrics.commit_batches.get(), 2);
+        // Batches shipped in arrival order, members in arrival order.
+        assert_eq!(rig.hook.batches(), [vec![1], vec![2, 3], vec![4]]);
+        assert!(rig.pipeline.state.lock().failed.is_empty());
+    }
+
+    #[test]
+    fn nothing_in_flight_is_acknowledged_after_a_crash_in_a_later_batch() {
+        // The second flush crashes while batch {1} waits for its ack.
+        let plan = FaultPlan::none().crash_at(CrashPoint::MidFlush, 2);
+        let redo = RedoLog::with_faults(Duration::ZERO, FaultInjector::new(plan));
+        let rig = Rig::new(redo, &[(Half::Blocking, 1)], None);
+        let (lsn, first) = rig.spawn_commit();
+        assert_eq!(
+            rig.next_entered(2),
+            HashSet::from([(Half::Ordered, 1), (Half::Blocking, 1)])
+        );
+        let (_, second) = rig.spawn_commit();
+        assert!(matches!(
+            second.recv_timeout(WAIT),
+            Ok(Err(Error::Crashed { .. }))
+        ));
+
+        // Batch {1} is durable and its hook is about to succeed, but the
+        // process is dead: its client must not hear "committed".
+        rig.hook.release(Half::Blocking, 1);
+        assert!(matches!(
+            first.recv_timeout(WAIT),
+            Ok(Err(Error::Crashed { .. }))
+        ));
+        assert!(rig.redo.durable_lsn() >= lsn);
+        // A committer arriving after the crash fails fast.
+        let (_, third) = rig.spawn_commit();
+        assert!(matches!(
+            third.recv_timeout(WAIT),
+            Ok(Err(Error::Crashed { .. }))
+        ));
+    }
+
+    #[test]
+    fn concurrent_commits_ship_once_each_through_an_exclusive_ordered_half() {
+        const THREADS: u64 = 16;
+        const ROUNDS: u64 = 200;
+        // A sleeping fsync, so committers pile up behind the stage owner.
+        let rig = Rig::new(RedoLog::new(Duration::from_micros(100)), &[], None);
+        let hooks: Vec<Arc<dyn CommitHook>> = vec![rig.hook.clone()];
+        thread::scope(|scope| {
+            for _ in 0..THREADS {
+                scope.spawn(|| {
+                    for _ in 0..ROUNDS {
+                        let lsn = append_commit(&rig.redo);
+                        rig.pipeline
+                            .commit(&rig.redo, lsn, binlog(lsn.0), &hooks)
+                            .unwrap();
+                    }
+                });
+            }
+        });
+
+        let log = rig.hook.log.lock().unwrap();
+        let mut shipped: Vec<u64> = Vec::new();
+        for (batch, durable) in log.iter() {
+            assert!(
+                batch.iter().all(|lsn| *lsn <= durable.0),
+                "batch {batch:?} shipped before its flush (durable {durable:?})"
+            );
+            shipped.extend(batch);
+        }
+        shipped.sort_unstable();
+        let expected: Vec<u64> = (1..=THREADS * ROUNDS).collect();
+        assert_eq!(shipped, expected, "every transaction exactly once");
+        assert_eq!(rig.metrics.commit_synced.get(), THREADS * ROUNDS);
+        assert_eq!(rig.metrics.commit_batches.get(), log.len() as u64);
+        assert!(
+            (log.len() as u64) < THREADS * ROUNDS,
+            "no committer ever joined another's batch"
+        );
+        let state = rig.pipeline.state.lock();
+        assert!(!state.flushing && state.waiters.is_empty() && state.failed.is_empty());
     }
 }

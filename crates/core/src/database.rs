@@ -112,7 +112,9 @@ pub(crate) struct DbInner {
     /// dependencies); entries are never pruned, so it grows with the number
     /// of Bamboo transactions an engine instance has finished.
     pub(crate) outcomes: Mutex<FxHashMap<TxnId, bool>>,
-    pub(crate) hooks: RwLock<Vec<Arc<dyn CommitHook>>>,
+    /// The registered hooks behind one `Arc`, so a commit borrows the list
+    /// with one reference-count step instead of copying it.
+    pub(crate) hooks: RwLock<Arc<[Arc<dyn CommitHook>]>>,
     pub(crate) history: Option<HistoryRecorder>,
     pub(crate) aria: AriaCoordinator,
     /// The newest checkpoint image — what `restart_from_crash` recovers from.
@@ -206,7 +208,7 @@ impl Database {
             group_locks,
             pipeline,
             outcomes: Mutex::new(FxHashMap::default()),
-            hooks: RwLock::new(Vec::new()),
+            hooks: RwLock::new(Arc::new([])),
             history,
             aria,
             last_checkpoint: Mutex::new(CheckpointImage {
@@ -368,7 +370,8 @@ impl Database {
 
     /// Registers a commit hook (replication, tests).
     pub fn register_commit_hook(&self, hook: Arc<dyn CommitHook>) {
-        self.inner.hooks.write().push(hook);
+        let mut hooks = self.inner.hooks.write();
+        *hooks = hooks.iter().cloned().chain([hook]).collect();
     }
 
     /// Captures a checkpoint image, makes it the engine's recovery baseline
@@ -605,7 +608,7 @@ impl Database {
             changes: txn.changes().to_vec(),
             involves_hotspot: !hot_updates.is_empty(),
         };
-        let hooks: Vec<Arc<dyn CommitHook>> = self.inner.hooks.read().clone();
+        let hooks = Arc::clone(&self.inner.hooks.read());
         let pipeline_result =
             self.inner
                 .pipeline

@@ -1,12 +1,14 @@
 //! Commit hooks: how replication (and tests) observe committed transactions.
 //!
-//! The commit pipeline calls every registered [`CommitHook`] once per flushed
-//! batch with the [`BinlogTxn`] events of that batch — the engine-side
+//! The commit pipeline ([`crate::commit`]) hands every flushed batch to each
+//! registered [`CommitHook`] as [`BinlogTxn`] events — the engine-side
 //! equivalent of writing the binary log and, in semi-synchronous mode,
-//! waiting for the replica acknowledgement.  The hooks run inside the batch
-//! flush so their latency is amortised across the batch exactly like the
-//! paper's group commit (Figure 5c, Figure 13).
+//! waiting for the replica acknowledgement.  One call serves the whole
+//! batch, so its latency is amortised exactly like the paper's group commit
+//! (Figure 5c, Figure 13).  The pipeline overlaps batches, so a hook sees
+//! each batch in two halves; see [`CommitHook`].
 
+use std::ops::Range;
 use txsql_common::{Result, Row, TableId, TxnId};
 
 /// One committed transaction as it appears in the binlog.
@@ -24,18 +26,44 @@ pub struct BinlogTxn {
     pub involves_hotspot: bool,
 }
 
-/// Observer of committed batches.
+/// Observer of committed batches, in two halves per batch.
+///
+/// * The **ordered half** ([`Self::ship_ordered`]) runs while the batch's
+///   leader still owns the pipeline's flush stage: never two at once, in
+///   flush order.  Whatever must be ordered (assigning binlog positions)
+///   goes here and nothing that waits for another party does — the next
+///   batch cannot flush until it returns.
+/// * The **blocking half** ([`Self::await_ack`]) runs after the stage was
+///   handed on: the network round trip and the ack wait.
+///
+/// **Re-entrancy.**  Blocking halves, and [`Self::on_commit_batch`] calls
+/// from outside the pipeline, run concurrently with each other and with
+/// later ordered halves, and finish in any order.  (The replication hook
+/// addresses deliveries by position: an early arrival is nacked and refilled
+/// from the retained binlog, a late one is an idempotent duplicate.)  A hook
+/// that implements only `on_commit_batch` gets it run inside the ordered
+/// half: always correct, and batches queue behind it while it blocks.
+///
+/// An `Err` means the ship path failed hard — in practice an injected crash
+/// between redo flush and binlog ack
+/// ([`txsql_storage::fault::CrashPoint::PreBinlogShip`] and friends).  The
+/// pipeline fails *that batch* like a flush failure: durable in redo, none
+/// of its members acknowledged — the window crash recovery must cover.
 pub trait CommitHook: Send + Sync {
-    /// Called once per flushed commit batch, in batch order.  May block (a
-    /// blocking hook models the semi-synchronous replication acknowledgement).
-    ///
-    /// An `Err` means the binlog ship path failed hard — in practice an
-    /// injected crash between redo flush and binlog ack
-    /// ([`txsql_storage::fault::CrashPoint::PreBinlogShip`] and friends).
-    /// The pipeline treats it like a flush failure: the batch is already
-    /// durable in redo, but none of its members are acknowledged to their
-    /// clients, which is exactly the window crash recovery must cover.
+    /// Both halves back to back: ships one flushed batch and blocks until it
+    /// may be acknowledged.  For callers with nothing to overlap.
     fn on_commit_batch(&self, batch: &[BinlogTxn]) -> Result<()>;
+
+    /// The ordered half; returns the batch's position range `[start, end)`
+    /// in the hook's binlog (empty for a hook without positions).
+    fn ship_ordered(&self, batch: &[BinlogTxn]) -> Result<Range<u64>> {
+        self.on_commit_batch(batch).map(|()| 0..0)
+    }
+
+    /// The blocking half, given what `ship_ordered` returned for `batch`.
+    fn await_ack(&self, _range: Range<u64>, _batch: &[BinlogTxn]) -> Result<()> {
+        Ok(())
+    }
 }
 
 /// A hook that simply collects every event (used by tests).

@@ -2,8 +2,14 @@
 //! with real acknowledgements, degrade-to-async, and auto re-sync.
 //!
 //! Registered on the primary [`txsql_core::Database`], the hook receives each
-//! flushed commit batch, appends it to a retained binlog buffer and ships it
-//! to the replicas position-addressed (see [`crate::ack`] for the protocol):
+//! flushed commit batch in the two halves of [`txsql_core::CommitHook`].  The
+//! ordered half appends the batch to a retained binlog buffer and takes its
+//! position range; the blocking half — which the commit pipeline runs
+//! concurrently with later batches — ships that range to the replicas
+//! position-addressed from the batch in hand (see [`crate::ack`] for the
+//! protocol).  Batches may therefore *arrive* out of order: a replica nacks
+//! an early arrival, the primary refills the hole from the retained buffer,
+//! and the batch that was overtaken later lands as an idempotent duplicate.
 //!
 //! * in **synchronous** (semi-sync) mode the committing batch ships, then
 //!   blocks until [`SemiSyncConfig::ack_quorum`] replicas acknowledge its
@@ -34,6 +40,7 @@ use crate::fault::{DeliveryFault, ReplFaultPlan, ReplFaults};
 use crate::replica::{DeliverOutcome, Replica};
 use crossbeam::channel::{Receiver, Sender, TrySendError};
 use parking_lot::Mutex;
+use std::ops::Range;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
@@ -159,14 +166,13 @@ impl Shared {
         }
     }
 
-    /// Ships the range `[start, end)` to every replica (one one-way network
-    /// delay per batch, amortised by group commit).
-    fn deliver_range(&self, start: u64, end: u64) {
+    /// Ships `events`, the binlog entries from `start` on, to every replica
+    /// (one one-way network delay per batch, amortised by group commit).
+    fn deliver_range(&self, start: u64, events: &[BinlogTxn]) {
         simulate_delay(self.latency.network_one_way);
-        let events = self.slice(start, end);
         let now = SimInstant::now();
         for idx in 0..self.replicas.len() {
-            self.deliver_to(idx, start, &events, now);
+            self.deliver_to(idx, start, events, now);
         }
         self.update_lag();
     }
@@ -207,10 +213,16 @@ impl Shared {
         }
     }
 
+    /// Ships a queued range.  It outlived the call that enqueued it, so this
+    /// path reads the batch back from the retained buffer.
+    fn deliver_queued(&self, start: u64, end: u64) {
+        self.deliver_range(start, &self.slice(start, end));
+    }
+
     /// Drains the async channel inline, one batch at a time.
     fn drain_queue(&self) {
         while let Ok((start, end)) = self.ship_rx.try_recv() {
-            self.deliver_range(start, end);
+            self.deliver_queued(start, end);
         }
     }
 
@@ -461,7 +473,7 @@ impl ReplicationHook {
     /// the commit may be acknowledged (quorum met, or the hook degraded —
     /// MySQL semantics: a semi-sync timeout never fails the commit); `Err`
     /// only on an injected primary crash.
-    fn ship_semi_sync(&self, start: u64, end: u64) -> Result<()> {
+    fn ship_semi_sync(&self, start: u64, end: u64, batch: &[BinlogTxn]) -> Result<()> {
         // Bounded retry/backoff on transient ship errors; exhausting the
         // budget degrades instead of wedging the committing thread.
         let mut retries = 0u32;
@@ -477,7 +489,7 @@ impl ReplicationHook {
             ut_delay(self.shared.config.retry_backoff.as_micros().max(1) as u32);
         }
 
-        self.shared.deliver_range(start, end);
+        self.shared.deliver_range(start, batch);
         self.crash_point(CrashPoint::PostShipPreAck)?;
 
         let quorum = self
@@ -521,7 +533,7 @@ impl ReplicationHook {
             .store(true, Ordering::Release);
         loop {
             match self.shared.ship_rx.try_recv() {
-                Ok((start, end)) => self.shared.deliver_range(start, end),
+                Ok((start, end)) => self.shared.deliver_queued(start, end),
                 Err(_) if self.shared.stop.load(Ordering::Acquire) => break,
                 Err(_) => {
                     // Idle: nothing queued yet.  Under sim this advances the
@@ -595,7 +607,22 @@ impl ReplicationHook {
 
 impl CommitHook for ReplicationHook {
     fn on_commit_batch(&self, batch: &[BinlogTxn]) -> Result<()> {
+        let range = self.ship_ordered(batch)?;
+        self.await_ack(range, batch)
+    }
+
+    /// Appends the batch to the retained binlog: the one step whose order
+    /// matters (positions are the ack protocol's address space), and the one
+    /// copy of the batch the hook makes.
+    fn ship_ordered(&self, batch: &[BinlogTxn]) -> Result<Range<u64>> {
         let (start, end) = self.shared.append(batch);
+        Ok(start..end)
+    }
+
+    /// Delivery, ack wait and return leg.  Concurrent calls may reach a
+    /// replica in any order; see the module docs.
+    fn await_ack(&self, range: Range<u64>, batch: &[BinlogTxn]) -> Result<()> {
+        let Range { start, end } = range;
         match self.mode {
             ReplicationMode::Asynchronous => {
                 self.ship_async(start, end);
@@ -609,7 +636,7 @@ impl CommitHook for ReplicationHook {
                     self.shared.try_resync();
                     return Ok(());
                 }
-                self.ship_semi_sync(start, end)
+                self.ship_semi_sync(start, end, batch)
             }
         }
     }
@@ -844,5 +871,108 @@ mod tests {
         hook.shutdown(); // Idempotent.
         assert_eq!(hook.replicas()[0].applied_txns(), 1, "queue flushed");
         // Drop after shutdown is the second teardown call — a no-op.
+    }
+
+    // ------------------------------------------------------------------
+    // Overlapping batches: the commit pipeline runs blocking halves
+    // concurrently, so deliveries reach a replica in any order.
+    // ------------------------------------------------------------------
+
+    fn semi_sync_hook(metrics: &Arc<EngineMetrics>) -> Arc<ReplicationHook> {
+        ReplicationHook::builder(ReplicationMode::Synchronous, LatencyModel::in_memory(), 2)
+            .metrics(Arc::clone(metrics))
+            .build()
+    }
+
+    fn assert_converged_exactly_once(hook: &ReplicationHook, txns: u64) {
+        assert_eq!(hook.binlog_len(), txns, "binlog positions are gap-free");
+        for (idx, replica) in hook.replicas().iter().enumerate() {
+            assert_eq!(replica.applied_txns(), txns, "{} applied", replica.name());
+            assert_eq!(replica.log_pos(), txns);
+            assert_eq!(hook.acked_pos(idx), txns);
+        }
+        assert_eq!(hook.sync_state(), SyncState::SemiSync);
+    }
+
+    #[test]
+    fn overtaken_batch_is_refilled_from_the_retained_binlog_and_applied_once() {
+        let metrics = Arc::new(EngineMetrics::new());
+        let hook = semi_sync_hook(&metrics);
+        let (early, late) = ([event(1, 10), event(2, 20)], [event(3, 30)]);
+        let early_range = hook.ship_ordered(&early).unwrap();
+        let late_range = hook.ship_ordered(&late).unwrap();
+        assert_eq!((early_range.clone(), late_range.clone()), (0..2, 2..3));
+
+        // The later batch arrives first: the replica nacks with the position
+        // it expected, the primary refills `[0, 3)` from the retained
+        // binlog, and the cumulative ack covers both batches.
+        hook.await_ack(late_range.clone(), &late).unwrap();
+        assert_converged_exactly_once(&hook, 3);
+        // The overtaken batch then lands as a duplicate and is acknowledged
+        // by the cumulative position already recorded.
+        hook.await_ack(early_range, &early).unwrap();
+        assert_converged_exactly_once(&hook, 3);
+        for replica in hook.replicas() {
+            assert_eq!(replica.row(TableId(1), 1).unwrap().get_int(1), Some(30));
+        }
+        assert_eq!(metrics.degraded_commits.get(), 0);
+        assert_eq!(metrics.semi_sync_timeouts.get(), 0);
+    }
+
+    #[test]
+    fn shuffled_arrivals_converge_exactly_once_for_every_seed() {
+        const BATCHES: u64 = 12;
+        for seed in 1..=32u64 {
+            let metrics = Arc::new(EngineMetrics::new());
+            let hook = semi_sync_hook(&metrics);
+            // Ordered halves in flush order, as the pipeline calls them.
+            let mut shipped = Vec::new();
+            let mut next = 0;
+            for batch in 0..BATCHES {
+                let events: Vec<BinlogTxn> = (0..1 + (batch + seed) % 3)
+                    .map(|_| {
+                        next += 1;
+                        event(next, next as i64)
+                    })
+                    .collect();
+                let range = hook.ship_ordered(&events).unwrap();
+                assert_eq!(range.end, next, "positions follow flush order");
+                assert_eq!(range.end - range.start, events.len() as u64);
+                shipped.push((range, events));
+            }
+            // Blocking halves in a seeded shuffle.
+            txsql_common::rng::XorShiftRng::new(seed).shuffle(&mut shipped);
+            for (range, events) in &shipped {
+                hook.await_ack(range.clone(), events).unwrap();
+                assert!(hook.acked_pos(0) >= range.end && hook.acked_pos(1) >= range.end);
+            }
+            assert_converged_exactly_once(&hook, next);
+            assert_eq!(metrics.degraded_commits.get(), 0, "seed {seed}");
+        }
+    }
+
+    #[test]
+    fn concurrent_semi_sync_batches_apply_exactly_once() {
+        const THREADS: u64 = 8;
+        const ROUNDS: u64 = 100;
+        let metrics = Arc::new(EngineMetrics::new());
+        let hook = semi_sync_hook(&metrics);
+        let next = std::sync::atomic::AtomicU64::new(0);
+        let start = std::sync::Barrier::new(THREADS as usize);
+        std::thread::scope(|scope| {
+            for _ in 0..THREADS {
+                scope.spawn(|| {
+                    start.wait();
+                    for _ in 0..ROUNDS {
+                        let trx_no = next.fetch_add(1, Ordering::Relaxed) + 1;
+                        hook.on_commit_batch(&[event(trx_no, trx_no as i64)])
+                            .unwrap();
+                    }
+                });
+            }
+        });
+        assert_converged_exactly_once(&hook, THREADS * ROUNDS);
+        assert_eq!(metrics.degraded_commits.get(), 0);
+        assert_eq!(metrics.semi_sync_timeouts.get(), 0);
     }
 }

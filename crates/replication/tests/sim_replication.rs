@@ -25,11 +25,12 @@
 //! is vacuous.
 
 use std::collections::{HashMap, HashSet};
-use std::sync::atomic::{AtomicI64, Ordering};
+use std::ops::Range;
+use std::sync::atomic::{AtomicBool, AtomicI64, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 use txsql_common::latency::LatencyModel;
-use txsql_common::{Row, TableId, TxnId};
+use txsql_common::{Error, Result, Row, TableId, TxnId};
 use txsql_core::{BinlogTxn, CommitHook, Database, EngineConfig, Protocol};
 use txsql_replication::{
     ReplFaultPlan, ReplFaultPoint, Replica, ReplicationHook, ReplicationMode, SemiSyncConfig,
@@ -134,8 +135,15 @@ fn repl_worker(
             Ok(_) => {
                 let id = txn.id;
                 commit_attempts.fetch_add(1, Ordering::Relaxed);
+                let dead_on_entry = db.has_crashed();
                 match db.commit(txn) {
                     Ok(()) => {
+                        // No `Ok` after the crash instant.  (The exact form —
+                        // a batch already past its ack when another batch
+                        // crashes — is pinned by the pipeline's unit tests;
+                        // here `commit` still runs yield points after the
+                        // pipeline's own last check.)
+                        assert!(!dead_on_entry, "{id} was acknowledged by a dead primary");
                         acked.lock().push(id);
                         committed += 1;
                     }
@@ -152,10 +160,48 @@ fn repl_worker(
     }
 }
 
+/// Wraps the replication hook to notice a schedule this suite must reach
+/// because the commit pipeline overlaps batches: a primary crash while a
+/// *second* batch is between its redo flush and its ack.
+struct InFlightProbe {
+    inner: Arc<ReplicationHook>,
+    /// Batches past their ordered half whose blocking half has not returned.
+    in_flight: AtomicI64,
+    crash_overlapped: AtomicBool,
+}
+
+impl CommitHook for InFlightProbe {
+    fn on_commit_batch(&self, batch: &[BinlogTxn]) -> Result<()> {
+        let range = self.ship_ordered(batch)?;
+        self.await_ack(range, batch)
+    }
+
+    fn ship_ordered(&self, batch: &[BinlogTxn]) -> Result<Range<u64>> {
+        self.in_flight.fetch_add(1, Ordering::Relaxed);
+        self.inner.ship_ordered(batch)
+    }
+
+    fn await_ack(&self, range: Range<u64>, batch: &[BinlogTxn]) -> Result<()> {
+        let result = self.inner.await_ack(range, batch);
+        if let Err(Error::Crashed { point }) = &result {
+            // Either this batch's own crash point fired with another batch in
+            // flight, or this batch was in flight when another one's fired
+            // (the hook reports that as the generic "crashed").
+            if self.in_flight.load(Ordering::Relaxed) > 1 || *point == "crashed" {
+                self.crash_overlapped.store(true, Ordering::Relaxed);
+            }
+        }
+        self.in_flight.fetch_sub(1, Ordering::Relaxed);
+        result
+    }
+}
+
 /// What one explored seed contributed to the sweep-wide coverage
 /// meta-assertions.
 struct SeedOutcome {
     crashed_at: Option<&'static str>,
+    /// The crash landed with two batches between flush and ack.
+    crash_overlapped: bool,
     repl_hits: Vec<(&'static str, u64)>,
     semi_sync_timeouts: u64,
     degraded_commits: u64,
@@ -165,26 +211,44 @@ struct SeedOutcome {
 /// Runs the replicated workload under one seed — primary crash plan and
 /// replication fault plan both active — and applies the recovery oracle.
 fn explore_one_seed(seed: u64) -> SeedOutcome {
-    let plan = FaultPlan::seeded_binlog(seed);
+    explore(
+        seed,
+        FaultPlan::seeded_binlog(seed),
+        ReplFaultPlan::seeded(seed),
+        LatencyModel::in_memory(),
+    )
+}
+
+fn explore(
+    seed: u64,
+    plan: FaultPlan,
+    repl_plan: ReplFaultPlan,
+    latency: LatencyModel,
+) -> SeedOutcome {
     let target = plan.crash_target();
-    let db = Database::new(sim_config(Protocol::GroupLockingTxsql).with_fault_plan(plan));
+    let db = Database::new(
+        sim_config(Protocol::GroupLockingTxsql)
+            .with_fault_plan(plan)
+            .with_latency(latency),
+    );
     setup_accounts(&db);
     // Baseline checkpoint: bulk-loaded rows are not redo-logged, and none of
     // the binlog crash points can fire outside a commit.
     db.checkpoint().unwrap();
 
     let metrics = db.metrics_handle();
-    let hook = ReplicationHook::builder(
-        ReplicationMode::Synchronous,
-        LatencyModel::in_memory(),
-        REPLICAS,
-    )
-    .config(sim_semi_sync())
-    .faults(ReplFaultPlan::seeded(seed))
-    .crash_injector(Arc::clone(db.faults()))
-    .metrics(Arc::clone(&metrics))
-    .build();
-    db.register_commit_hook(hook.clone());
+    let hook = ReplicationHook::builder(ReplicationMode::Synchronous, latency, REPLICAS)
+        .config(sim_semi_sync())
+        .faults(repl_plan)
+        .crash_injector(Arc::clone(db.faults()))
+        .metrics(Arc::clone(&metrics))
+        .build();
+    let probe = Arc::new(InFlightProbe {
+        inner: hook.clone(),
+        in_flight: AtomicI64::new(0),
+        crash_overlapped: AtomicBool::new(false),
+    });
+    db.register_commit_hook(probe.clone());
 
     let db = Arc::new(db);
     let acked = Arc::new(parking_lot::Mutex::new(Vec::new()));
@@ -346,6 +410,7 @@ fn explore_one_seed(seed: u64) -> SeedOutcome {
 
     SeedOutcome {
         crashed_at,
+        crash_overlapped: probe.crash_overlapped.load(Ordering::Relaxed),
         repl_hits: ReplFaultPoint::ALL
             .iter()
             .map(|point| (point.name(), hook.faults().hits_of(*point)))
@@ -417,6 +482,55 @@ fn sim_replication_exploration_upholds_the_recovery_oracle() {
         resyncs > 0,
         "no explored schedule re-synced after degrading ({n_seeds} seeds)"
     );
+}
+
+/// The commit pipeline overlaps batches, so a crash point of one batch can
+/// fire while another batch sits between its redo flush and its ack.  This
+/// sweep makes that window wide — real fsync and network delays on the
+/// virtual clock, so a batch spends its ack wait while the next one flushes
+/// — aims one crash at each seam of the pipeline (`mid_flush` included: the
+/// *next* batch's flush dies under a batch waiting for its replica), and
+/// applies the same oracle: acked ⊆ durable after `restart_from_crash`, no
+/// replica ahead of the primary's durable redo, and no `Ok` from a dead
+/// primary.  The meta-assertion pins that the two-in-flight window was
+/// reached for every crash point, not just explored around.
+#[test]
+fn sim_crash_with_a_second_batch_in_flight_upholds_the_oracle() {
+    const POINTS: [CrashPoint; 4] = [
+        CrashPoint::MidFlush,
+        CrashPoint::PreBinlogShip,
+        CrashPoint::PostShipPreAck,
+        CrashPoint::PostAck,
+    ];
+    let seeds = txsql_sim::ci_seeds(200);
+    let n_seeds = seeds.len();
+    let mut overlapped: HashSet<&'static str> = HashSet::new();
+    for seed in seeds {
+        // From the second hit on: the first batch is in flight by then.
+        let point = POINTS[(seed % 4) as usize];
+        let plan = FaultPlan::none().crash_at(point, 2 + (seed / 4) % 4);
+        let outcome = explore(
+            seed,
+            plan,
+            ReplFaultPlan::none(),
+            LatencyModel::semi_sync_replication(),
+        );
+        if outcome.crash_overlapped {
+            overlapped.insert(outcome.crashed_at.expect("an overlapped crash is a crash"));
+        }
+        assert_eq!(
+            outcome.degraded_commits, 0,
+            "seed {seed}: overlap alone must never time an ack wait out"
+        );
+    }
+    for point in POINTS {
+        assert!(
+            overlapped.contains(point.name()),
+            "{} never fired with a second batch in flight across {n_seeds} seeds \
+             (saw {overlapped:?})",
+            point.name()
+        );
+    }
 }
 
 // ---------------------------------------------------------------------------
