@@ -17,18 +17,18 @@ use crate::config::{EngineConfig, Protocol};
 use crate::hooks::{BinlogTxn, CommitHook};
 use crate::program::{Operation, ProgramOutcome, TxnProgram};
 use parking_lot::{Mutex, RwLock};
-use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 use txsql_common::fxhash::FxHashMap;
 use txsql_common::metrics::{EngineMetrics, MetricsScratch, MetricsSnapshot};
 use txsql_common::time::SimInstant;
 use txsql_common::{Error, Lsn, RecordId, Result, Row, TableId, TxnId};
+use txsql_lockmgr::event::WaitOutcome;
 use txsql_lockmgr::group_lock::GroupLockTable;
 use txsql_lockmgr::hotspot::HotspotRegistry;
 use txsql_lockmgr::queue_lock::QueueLockTable;
 use txsql_lockmgr::registry::TxnLockRegistry;
-use txsql_lockmgr::{LightweightLockTable, LockMode, LockSys, LockTableConfig};
+use txsql_lockmgr::{LightweightLockTable, LockMode, LockSys, LockTableConfig, OsEvent};
 use txsql_storage::fault::{CrashPoint, FaultInjector};
 use txsql_storage::recovery::{self, RecoveryReport};
 use txsql_storage::storage::CheckpointImage;
@@ -96,6 +96,11 @@ impl RecordLocks {
     }
 }
 
+/// Completion payload: the writer committed.
+const COMMITTED: u32 = 1;
+/// Completion payload: the writer rolled back; its dependents cascade.
+const ABORTED: u32 = 2;
+
 pub(crate) struct DbInner {
     pub(crate) config: EngineConfig,
     pub(crate) storage: Storage,
@@ -107,11 +112,13 @@ pub(crate) struct DbInner {
     pub(crate) queue_locks: QueueLockTable,
     pub(crate) group_locks: GroupLockTable,
     pub(crate) pipeline: CommitPipeline,
-    /// Commit outcome board: `true` = committed, `false` = aborted.  Written
-    /// and consulted only under [`Protocol::Bamboo`] (its commit
-    /// dependencies); entries are never pruned, so it grows with the number
-    /// of Bamboo transactions an engine instance has finished.
-    pub(crate) outcomes: Mutex<FxHashMap<TxnId, bool>>,
+    /// The completion event of every *active* transaction under
+    /// [`Protocol::Bamboo`] (empty otherwise): a dependent clones its
+    /// writer's event when it reads the writer's dirty version, and the
+    /// writer posts [`COMMITTED`] or [`ABORTED`] to it — and leaves this map
+    /// — once its outcome is final.  A dependent's wait is then one park on
+    /// the event it holds; the event dies with its last dependent.
+    pub(crate) completions: Mutex<FxHashMap<TxnId, Arc<OsEvent>>>,
     /// The registered hooks behind one `Arc`, so a commit borrows the list
     /// with one reference-count step instead of copying it.
     pub(crate) hooks: RwLock<Arc<[Arc<dyn CommitHook>]>>,
@@ -122,7 +129,8 @@ pub(crate) struct DbInner {
     /// schema setup recover nothing but the log, so take a baseline
     /// checkpoint once tables are loaded.
     pub(crate) last_checkpoint: Mutex<CheckpointImage>,
-    sweeper_stop: Arc<AtomicBool>,
+    /// Set by shutdown; the sweeper waits on it with its interval as timeout.
+    sweeper_stop: Arc<OsEvent>,
     sweeper_handle: Mutex<Option<std::thread::JoinHandle<()>>>,
 }
 
@@ -207,7 +215,7 @@ impl Database {
             queue_locks,
             group_locks,
             pipeline,
-            outcomes: Mutex::new(FxHashMap::default()),
+            completions: Mutex::new(FxHashMap::default()),
             hooks: RwLock::new(Arc::new([])),
             history,
             aria,
@@ -215,7 +223,7 @@ impl Database {
                 lsn: Lsn(0),
                 tables: Vec::new(),
             }),
-            sweeper_stop: Arc::new(AtomicBool::new(false)),
+            sweeper_stop: OsEvent::new(),
             sweeper_handle: Mutex::new(None),
         });
         let db = Database { inner };
@@ -237,8 +245,7 @@ impl Database {
         let handle = std::thread::Builder::new()
             .name("txsql-hotspot-sweeper".into())
             .spawn(move || {
-                while !stop.load(Ordering::Relaxed) {
-                    std::thread::sleep(interval);
+                while stop.wait_for(interval) == WaitOutcome::TimedOut {
                     let Some(inner) = weak.upgrade() else { break };
                     inner.hotspots.sweep(|record| {
                         inner.group_locks.has_activity(record)
@@ -254,7 +261,7 @@ impl Database {
     /// Stops background threads.  Called automatically when the last handle is
     /// dropped; safe to call multiple times.
     pub fn shutdown(&self) {
-        self.inner.sweeper_stop.store(true, Ordering::Relaxed);
+        self.inner.sweeper_stop.set();
         if let Some(handle) = self.inner.sweeper_handle.lock().take() {
             let _ = handle.join();
         }
@@ -468,6 +475,10 @@ impl Database {
     /// Starts a transaction.
     pub fn begin(&self) -> Transaction {
         let mut txn = self.inner.trx_sys.begin();
+        if self.protocol() == Protocol::Bamboo {
+            let completion = OsEvent::acquire_pooled();
+            self.inner.completions.lock().insert(txn.id, completion);
+        }
         self.inner.storage.begin_txn(txn.id);
         txn.state = TxnState::Active;
         txn
@@ -566,7 +577,7 @@ impl Database {
 
         // Bamboo: wait for every transaction whose dirty data we read.
         if self.protocol() == Protocol::Bamboo {
-            if let Err(err) = self.wait_bamboo_dependencies(&mut txn) {
+            if let Err(err) = self.wait_bamboo_dependencies(&txn) {
                 self.rollback_internal(txn, Some(&err));
                 return Err(err);
             }
@@ -621,18 +632,13 @@ impl Database {
             }
         }
 
-        // The board entry goes in before the transaction leaves the active
-        // set: a dependent that finds us neither active nor on the board
-        // takes us for a writer from before this engine instance.
-        if self.protocol() == Protocol::Bamboo {
-            self.inner.outcomes.lock().insert(txn.id, true);
-        }
+        self.post_completion(txn.id, COMMITTED);
         self.inner.trx_sys.finish(txn.id, Some(trx_no));
 
         if let Err(err) = pipeline_result {
             // The flush failed (injected crash or read-only degradation): the
             // commit was stamped in memory — dependents that read our
-            // versions must not cascade, so the outcome board and trx_sys
+            // versions must not cascade, so the completion and trx_sys
             // horizon above still record a commit — but it never became
             // durable, so it must NOT be acknowledged to the client.  The
             // recovery oracle counts only `Ok` returns as acknowledged.
@@ -666,41 +672,71 @@ impl Database {
         Ok(())
     }
 
-    fn wait_bamboo_dependencies(&self, txn: &mut Transaction) -> Result<()> {
-        let deps: Vec<TxnId> = txn.dirty_reads_from().to_vec();
+    /// Bamboo: takes `txn`'s commit dependency on the writer of `record`'s
+    /// uncommitted head, if it has one.  A writer leaves `completions` only
+    /// after its versions were stamped or undone, so one that is no longer
+    /// there is no longer the head's uncommitted writer either: look again.
+    pub(crate) fn depend_on_dirty_head(
+        &self,
+        txn: &mut Transaction,
+        table: TableId,
+        record: RecordId,
+    ) -> Result<()> {
+        while let Some(writer) = self.inner.storage.latest_writer(table, record)? {
+            if writer == txn.id {
+                break;
+            }
+            let completion = self.inner.completions.lock().get(&writer).cloned();
+            if let Some(completion) = completion {
+                txn.record_dirty_read_from(writer, completion);
+                break;
+            }
+        }
+        Ok(())
+    }
+
+    /// Bamboo: waits for the outcome of every writer whose dirty data `txn`
+    /// read — one park per dependency, woken by that writer's
+    /// [`Database::post_completion`].  An I/O wait: the outcome is posted
+    /// after the writer's flush.
+    fn wait_bamboo_dependencies(&self, txn: &Transaction) -> Result<()> {
         // SimInstant: under deterministic simulation this deadline lives on
         // the scheduler's virtual clock, so the timeout path is explorable.
         let deadline = SimInstant::now() + self.inner.config.lock_wait_timeout * 4;
-        for dep in deps {
-            if !dep.is_valid() {
-                continue;
-            }
-            loop {
-                if let Some(committed) = self.inner.outcomes.lock().get(&dep).copied() {
-                    if committed {
-                        break;
-                    }
+        for (writer, completion) in txn.dirty_reads_from() {
+            let remaining = deadline.saturating_duration_since(SimInstant::now());
+            let _ = completion.wait_for(remaining);
+            match completion.payload() {
+                Some(COMMITTED) => {}
+                Some(_) => {
                     return Err(Error::DirtyReadAborted {
                         txn: txn.id,
-                        cause: dep,
+                        cause: *writer,
                     });
                 }
-                if !self.inner.trx_sys.is_active(dep) {
-                    // Finished but not on the board: every Bamboo finish
-                    // posts its outcome first, so this writer predates the
-                    // engine instance (a recovered row) and is committed.
-                    break;
-                }
-                if SimInstant::now() > deadline {
+                None => {
                     return Err(Error::LockWaitTimeout {
                         txn: txn.id,
                         record: RecordId::new(0, 0, 0),
                     });
                 }
-                txsql_common::latency::ut_delay(20);
             }
         }
         Ok(())
+    }
+
+    /// Bamboo: posts `txn`'s final outcome to the transactions that read its
+    /// dirty data and forgets the completion (they keep the event alive for
+    /// as long as they need it).  Call once the outcome is final in storage.
+    fn post_completion(&self, txn: TxnId, outcome: u32) {
+        if self.protocol() != Protocol::Bamboo {
+            return;
+        }
+        let completion = self.inner.completions.lock().remove(&txn);
+        if let Some(completion) = completion {
+            completion.set_with(outcome);
+            OsEvent::recycle(completion);
+        }
     }
 
     /// Rolls back a transaction explicitly.
@@ -723,7 +759,19 @@ impl Database {
             }
             for (record, _, _) in &hot_updates {
                 let wait_start = Instant::now();
-                let _ = self.inner.group_locks.wait_rollback_turn(txn.id, *record);
+                if self
+                    .inner
+                    .group_locks
+                    .wait_rollback_turn(txn.id, *record)
+                    .is_err()
+                {
+                    // Undoing out of turn beats wedging the row, but a
+                    // successor that never cascaded must not go unreported.
+                    self.inner
+                        .metrics
+                        .abort_causes
+                        .record("rollback_turn_timeout");
+                }
                 txn.add_blocked(wait_start.elapsed());
             }
         }
@@ -747,9 +795,7 @@ impl Database {
             }
         }
 
-        if self.protocol() == Protocol::Bamboo {
-            self.inner.outcomes.lock().insert(txn.id, false);
-        }
+        self.post_completion(txn.id, ABORTED);
         self.inner.trx_sys.finish(txn.id, None);
         txn.state = TxnState::Aborted;
         self.inner.metrics.aborted.inc();
@@ -879,7 +925,7 @@ impl Database {
 
 impl Drop for DbInner {
     fn drop(&mut self) {
-        self.sweeper_stop.store(true, Ordering::Relaxed);
+        self.sweeper_stop.set();
         if let Some(handle) = self.sweeper_handle.lock().take() {
             let _ = handle.join();
         }
@@ -890,30 +936,87 @@ impl Drop for DbInner {
 mod tests {
     use super::*;
 
+    fn one_row(protocol: Protocol) -> Database {
+        let db = Database::with_protocol(protocol);
+        db.create_table(TableSchema::new(TableId(1), "t", 2))
+            .unwrap();
+        db.load_row(TableId(1), Row::from_ints(&[0, 0])).unwrap();
+        db
+    }
+
     #[test]
-    fn outcome_board_is_written_only_under_bamboo() {
+    fn completions_exist_only_for_active_bamboo_transactions() {
         let program = TxnProgram::new(vec![Operation::UpdateAdd {
             table: TableId(1),
             pk: 0,
             column: 1,
             delta: 1,
         }]);
-        let run = |protocol: Protocol, commits: usize| {
-            let db = Database::with_protocol(protocol);
-            db.create_table(TableSchema::new(TableId(1), "t", 2))
-                .unwrap();
-            db.load_row(TableId(1), Row::from_ints(&[0, 0])).unwrap();
-            for _ in 0..commits {
+        for protocol in [
+            Protocol::GroupLockingTxsql,
+            Protocol::Aria,
+            Protocol::Bamboo,
+        ] {
+            let db = one_row(protocol);
+            for _ in 0..10 {
                 db.execute_program(&program).unwrap();
             }
-            let rolled_back = db.begin();
-            db.rollback(rolled_back, None);
-            let board = db.inner.outcomes.lock().len();
+            let open = db.begin();
+            let tracked = usize::from(protocol == Protocol::Bamboo);
+            assert_eq!(db.inner.completions.lock().len(), tracked, "{protocol:?}");
+            db.rollback(open, None);
+            assert!(db.inner.completions.lock().is_empty(), "{protocol:?}");
             db.shutdown();
-            board
+        }
+    }
+
+    /// A dependent parked on its writer's completion, the writer's outcome
+    /// and what is left afterwards.  Returns the dependent's commit result.
+    fn dependent_outcome(writer_commits: bool) -> Result<()> {
+        let db = one_row(Protocol::Bamboo);
+        let mut writer = db.begin();
+        db.update_add(&mut writer, TableId(1), 0, 1, 5).unwrap();
+        let mut dependent = db.begin();
+        // Early lock release: the row is free, its head is the writer's.
+        db.update_add(&mut dependent, TableId(1), 0, 1, 1).unwrap();
+        let completion = Arc::downgrade(&dependent.dirty_reads_from()[0].1);
+        assert_eq!(dependent.dirty_reads_from()[0].0, writer.id);
+
+        use std::sync::atomic::{AtomicBool, Ordering};
+        let returned = Arc::new(AtomicBool::new(false));
+        let committer = {
+            let (db, returned) = (db.clone(), Arc::clone(&returned));
+            std::thread::spawn(move || {
+                let result = db.commit(dependent);
+                returned.store(true, Ordering::SeqCst);
+                result
+            })
         };
-        assert_eq!(run(Protocol::GroupLockingTxsql, 10_000), 0);
-        assert_eq!(run(Protocol::Aria, 10), 0);
-        assert_eq!(run(Protocol::Bamboo, 10), 11, "10 commits + 1 rollback");
+        // The dependent cannot finish before its writer's outcome is posted.
+        std::thread::yield_now();
+        assert!(!returned.load(Ordering::SeqCst));
+        if writer_commits {
+            db.commit(writer).unwrap();
+        } else {
+            db.rollback(writer, None);
+        }
+        let result = committer.join().unwrap();
+        // Writer and dependent are done: nothing of the completion is left.
+        assert!(db.inner.completions.lock().is_empty());
+        assert!(completion.upgrade().is_none(), "completion event leaked");
+        let row = db
+            .storage()
+            .read_committed(TableId(1), RecordId::new(1, 0, 0));
+        let expected = if writer_commits { 6 } else { 0 };
+        assert_eq!(row.unwrap().unwrap().get_int(1), Some(expected));
+        db.shutdown();
+        result
+    }
+
+    #[test]
+    fn bamboo_dependent_wakes_on_its_writers_commit_and_abort() {
+        dependent_outcome(true).unwrap();
+        let err = dependent_outcome(false).unwrap_err();
+        assert!(matches!(err, Error::DirtyReadAborted { .. }), "{err:?}");
     }
 }

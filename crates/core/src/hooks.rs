@@ -11,6 +11,10 @@
 use std::ops::Range;
 use txsql_common::{Result, Row, TableId, TxnId};
 
+/// The engine's wait primitive, for a hook's blocking half to park on (an
+/// I/O wait: [`OsEvent::wait_for`]).
+pub use txsql_lockmgr::event::OsEvent;
+
 /// One committed transaction as it appears in the binlog.
 #[derive(Debug, Clone, PartialEq)]
 pub struct BinlogTxn {

@@ -39,5 +39,5 @@ pub use checker::{HistoryRecorder, SerializabilityReport};
 pub use commit::CommitPipeline;
 pub use config::{ConfigDelta, EngineConfig, Protocol};
 pub use database::Database;
-pub use hooks::{BinlogTxn, CommitHook};
+pub use hooks::{BinlogTxn, CommitHook, OsEvent};
 pub use program::{Operation, ProgramOutcome, TxnProgram};

@@ -110,13 +110,14 @@ impl Database {
 
         // Read the newest version (for group followers / Bamboo this is the
         // predecessor's uncommitted value — exactly the point of the design),
-        // apply the mutation, and stack the new version.
-        let mut row = self.inner.storage.read_latest(table, record)?;
+        // apply the mutation, and stack the new version.  Bamboo takes its
+        // commit dependency on that predecessor first: should the head change
+        // before the read, the writer depended on has finished, and its
+        // outcome decides ours.
         if self.protocol() == Protocol::Bamboo {
-            if let Some(writer) = self.inner.storage.latest_writer(table, record)? {
-                txn.record_dirty_read_from(writer);
-            }
+            self.depend_on_dirty_head(txn, table, record)?;
         }
+        let mut row = self.inner.storage.read_latest(table, record)?;
         mutate(&mut row);
         self.inner
             .storage

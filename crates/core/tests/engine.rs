@@ -949,3 +949,88 @@ fn cold_row_chains_stay_short_under_uniform_updates() {
     }
     db.shutdown();
 }
+
+// ---------------------------------------------------------------------------
+// Waits block; nothing polls
+// ---------------------------------------------------------------------------
+
+#[test]
+fn shutdown_of_an_idle_engine_does_not_wait_out_the_sweep_interval() {
+    // The sweeper waits on the stop event with its interval as the timeout,
+    // so shutdown wakes it instead of joining a sleeper.
+    let interval = Duration::from_millis(400);
+    let mut config = EngineConfig::for_protocol(Protocol::GroupLockingTxsql);
+    config.hotspot.sweep_interval = interval;
+    assert!(config.start_sweeper);
+    let db = setup(config, 1);
+    // The first sweep demotes this idle row: once it has, the sweeper is
+    // back in its wait with a whole interval to go.
+    let record = db.record_id(ACCOUNTS, 0).unwrap();
+    db.hotspots().promote(record);
+    while db.hotspots().is_hot(record) {
+        thread::yield_now();
+    }
+    let start = std::time::Instant::now();
+    db.shutdown();
+    let took = start.elapsed();
+    assert!(took < interval / 2, "shutdown took {took:?}");
+}
+
+/// On-CPU nanoseconds of the calling thread (`/proc/thread-self/schedstat`).
+fn thread_cpu_ns() -> u64 {
+    let stat = std::fs::read_to_string("/proc/thread-self/schedstat").expect("schedstat");
+    stat.split_whitespace().next().unwrap().parse().unwrap()
+}
+
+/// Commits single-update transactions on one pinned hot row from `threads`
+/// threads for `window`; returns the threads' CPU time per commit in µs.
+fn hot_row_cpu_us_per_commit(threads: usize, window: Duration) -> f64 {
+    let db = setup(EngineConfig::for_protocol(Protocol::GroupLockingTxsql), 1);
+    db.hotspots().pin(db.record_id(ACCOUNTS, 0).unwrap());
+    let program = TxnProgram::new(vec![Operation::UpdateAdd {
+        table: ACCOUNTS,
+        pk: 0,
+        column: 1,
+        delta: 1,
+    }]);
+    let start = std::time::Instant::now();
+    let (commits, cpu_ns) = thread::scope(|scope| {
+        let workers: Vec<_> = (0..threads)
+            .map(|_| {
+                scope.spawn(|| {
+                    let cpu_before = thread_cpu_ns();
+                    let mut commits = 0u64;
+                    while start.elapsed() < window {
+                        db.execute_program(&program).expect("nothing aborts here");
+                        commits += 1;
+                    }
+                    (commits, thread_cpu_ns() - cpu_before)
+                })
+            })
+            .collect();
+        workers
+            .into_iter()
+            .map(|worker| worker.join().unwrap())
+            .fold((0, 0), |sum, (commits, cpu)| (sum.0 + commits, sum.1 + cpu))
+    });
+    assert_eq!(committed_balance(&db, 0), 1_000 + commits as i64);
+    db.shutdown();
+    cpu_ns as f64 / 1e3 / commits as f64
+}
+
+#[test]
+fn oversubscribed_hot_row_waiters_do_not_burn_the_cpu() {
+    // The `hot_update_mem` shape at 16 threads.  A waiter that polls burns
+    // the time slice of the thread it waits for, so the CPU a commit costs
+    // grows with the number of waiters; a waiter that spins a few µs and
+    // then parks costs a bounded extra.  Measured against the single-thread
+    // cost on a 2-CPU box: 4 × (debug) and 12–15 × (release) parking, 17–20 ×
+    // and 55 × with the `ut_delay` poll loops.
+    let one = hot_row_cpu_us_per_commit(1, Duration::from_millis(300));
+    let sixteen = hot_row_cpu_us_per_commit(16, Duration::from_millis(1_000));
+    let bound = if cfg!(debug_assertions) { 8.0 } else { 25.0 };
+    assert!(
+        sixteen < bound * one,
+        "a commit costs {sixteen:.1} us of CPU at 16 threads, {one:.1} us at one"
+    );
+}

@@ -22,25 +22,40 @@
 //! The state machine below follows Algorithms 1–3 of the paper; the method
 //! names map to the pseudo-code lines noted in their doc comments.
 //!
-//! ## Batched commit handover
+//! ## One waiter list, named wakers
 //!
-//! The leader side of Algorithm 2 touches the group table twice per hot
-//! record: once to quiesce ([`GroupLockTable::leader_prepare_commit`]) and
-//! once to promote the next leader ([`GroupLockTable::leader_handover`]) —
-//! each paying one entry-map shard lock to fetch the record's
-//! `Arc<GroupEntry>`.  A leader committing N hot rows therefore took 2N+
-//! shard locks and woke each promoted leader while still iterating.  The
-//! batched path ([`GroupLockTable::begin_leader_commit`] /
-//! [`GroupLockTable::finish_leader_handover`]) collects the leader's hot
-//! records, groups them by entry shard, fetches every entry with **one
-//! shard-lock take per shard** (the entry map is sharded by *page*, so the
-//! multi-row flash-sale shape — several hot rows loaded together on one page
-//! — resolves in a single take), caches the `Arc`s across prepare *and*
-//! handover, and sets every promoted leader's event only after the last
-//! state guard is dropped (wake-outside-lock).  The `handover_shard_locks`
-//! counter in `EngineMetrics` records exactly these entry-map takes, making
-//! the amortization observable the same way `release_shard_locks` does for
-//! release batching.
+//! A parked *update* waits on its [`WaitSlot`] in `waiting_updates` and is
+//! granted by [`GroupLockTable::finish_update`] (follower) or a handover /
+//! [`GroupLockTable::resume_granting`] (new leader); the role travels as the
+//! wake-up's payload.  Every other wait on a hot row is a wait for a **turn**
+//! — a predicate over the group state:
+//!
+//! * the **commit turn** (§4.3, [`GroupLockTable::wait_commit_turn`]): first
+//!   of the dependency list, or doomed;
+//! * the leader's **quiesce** (Algorithm 2 lines 2–4,
+//!   [`GroupLockTable::begin_leader_commit`]): no granted update in flight;
+//! * the **rollback turn** (Algorithm 3 lines 6–7,
+//!   [`GroupLockTable::wait_rollback_turn`]): newest of the dependency list,
+//!   nothing in flight, no leader switching.
+//!
+//! All three park on the state's one `turn_waiters` list and nothing polls:
+//! a transition that can make a turn's predicate true —
+//! [`GroupLockTable::finish_update`], [`GroupLockTable::finish_commit`],
+//! [`GroupLockTable::finish_rollback`],
+//! [`GroupLockTable::finish_leader_handover`] and
+//! [`GroupLockTable::begin_rollback`] — re-evaluates the parked predicates
+//! under the state guard it already holds, takes the waiters whose turn has
+//! come off the list and fires their events after dropping the guard
+//! (wake-outside-lock).  A woken waiter re-checks under the guard, so a turn
+//! that was taken away again just parks again.  The waits are hand-off waits
+//! ([`OsEvent::wait_handoff`]): the transaction being waited for is running.
+//!
+//! A leader's commit of several hot rows fetches their group entries with
+//! one entry-map shard lock per shard, caches the `Arc`s across
+//! [`GroupLockTable::begin_leader_commit`] and
+//! [`GroupLockTable::finish_leader_handover`], and promotes every successor
+//! leader before firing any wake-up; the `handover_shard_locks` counter
+//! records exactly these entry-map takes.
 
 use crate::event::OsEvent;
 use crate::wake_check::GuardScope;
@@ -50,11 +65,17 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 use txsql_common::fxhash::{self, FxHashMap};
-use txsql_common::latency::ut_delay;
 use txsql_common::metrics::EngineMetrics;
 use txsql_common::pad::CachePadded;
 use txsql_common::time::SimInstant;
 use txsql_common::{Error, RecordId, Result, TxnId};
+
+/// Fires events collected under a state guard.  Call after dropping it.
+fn wake_all(events: Vec<Arc<OsEvent>>) {
+    for event in events {
+        event.set();
+    }
+}
 
 /// Configuration of group locking.
 #[derive(Debug, Clone)]
@@ -80,13 +101,14 @@ impl Default for GroupLockConfig {
     }
 }
 
-/// Role a parked transaction is woken with.
+/// Role a parked transaction is woken with (the wake-up's payload).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[repr(u32)]
 pub enum WokenRole {
     /// Granted execution inside the current group (no locking).
-    Follower,
+    Follower = 1,
     /// Promoted to leader of a new group (must acquire the row lock).
-    NewLeader,
+    NewLeader = 2,
 }
 
 /// A parked hotspot update waiting to be granted.
@@ -99,14 +121,12 @@ pub enum WokenRole {
 #[derive(Debug)]
 pub struct WaitSlot {
     event: Option<Arc<OsEvent>>,
-    role: Mutex<Option<WokenRole>>,
 }
 
 impl WaitSlot {
     fn new() -> Arc<Self> {
         Arc::new(Self {
             event: Some(OsEvent::acquire_pooled()),
-            role: Mutex::new(None),
         })
     }
 
@@ -115,9 +135,18 @@ impl WaitSlot {
         self.event.as_ref().expect("slot event present until drop")
     }
 
-    /// Role assigned by the waker, if any.
+    /// Role assigned by the waker, if any: the event's payload.
     pub fn role(&self) -> Option<WokenRole> {
-        *self.role.lock()
+        self.event().payload().map(|payload| match payload {
+            1 => WokenRole::Follower,
+            2 => WokenRole::NewLeader,
+            other => unreachable!("wait slot woken with payload {other}"),
+        })
+    }
+
+    /// Wakes the owner with its role.  Call after dropping the state guard.
+    fn grant(&self, role: WokenRole) {
+        self.event().set_with(role as u32);
     }
 }
 
@@ -152,7 +181,7 @@ pub enum CancelOutcome {
 }
 
 /// Outcome of asking for the commit turn.
-#[derive(Debug)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum CommitTurn {
     /// All dependency-list predecessors have committed: proceed.
     Ready,
@@ -161,14 +190,33 @@ pub enum CommitTurn {
         /// The transaction whose rollback doomed us.
         cause: TxnId,
     },
-    /// Wait on this event, then ask again.
-    Wait(Arc<OsEvent>),
+    /// A dependency-list predecessor has not committed yet.
+    Blocked,
 }
 
 #[derive(Debug)]
 struct Waiter {
     txn: TxnId,
     slot: Arc<WaitSlot>,
+}
+
+/// The predicate over the group state a parked transaction waits for (see
+/// the module docs).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Turn {
+    /// First of the dependency list, or doomed.
+    Commit,
+    /// No granted update in flight.
+    Quiesce,
+    /// Newest of the dependency list, nothing in flight, no leader switching.
+    Rollback,
+}
+
+#[derive(Debug)]
+struct TurnWaiter {
+    txn: TxnId,
+    turn: Turn,
+    event: Arc<OsEvent>,
 }
 
 #[derive(Debug, Default)]
@@ -203,8 +251,9 @@ struct GroupState {
     /// aborted write.  Once the undo has run (`mark_undone`) the head is
     /// clean again and later registrants need no doom.
     undo_pending: Vec<TxnId>,
-    /// Transactions waiting for their commit turn.
-    commit_waiters: Vec<(TxnId, Arc<OsEvent>)>,
+    /// Transactions parked until their turn comes (commit order, leader
+    /// quiesce, rollback order).
+    turn_waiters: Vec<TurnWaiter>,
     /// Set (under this state's mutex) when `maybe_gc` removed the entry from
     /// the shard map.  A thread that fetched the entry's `Arc` *before* the
     /// removal discovers the flag after locking and retries through the map
@@ -217,23 +266,49 @@ impl GroupState {
         self.dep_list.is_empty()
             && self.waiting_updates.is_empty()
             && self.leader.is_none()
-            && self.commit_waiters.is_empty()
+            && self.turn_waiters.is_empty()
             && self.doomed.is_empty()
             && self.rolling_back.is_empty()
     }
 
-    /// Drains the commit waiters for the caller to wake **after** dropping
-    /// the state guard (wake-outside-lock).
+    /// Whether `txn`'s `turn` has come.
+    fn turn_ready(&self, txn: TxnId, turn: Turn) -> bool {
+        match turn {
+            Turn::Commit => {
+                self.doomed.contains_key(&txn)
+                    || self.dep_list.first().is_none_or(|first| *first == txn)
+                    || !self.dep_list.contains(&txn)
+            }
+            Turn::Quiesce => !self.granting_new_trx,
+            Turn::Rollback => {
+                self.dep_list.last().is_none_or(|last| *last == txn)
+                    && !self.granting_new_trx
+                    && !self.switching_new_leader
+            }
+        }
+    }
+
+    /// Takes the parked transactions whose turn has come off the list, for
+    /// the caller to wake **after** dropping the state guard
+    /// (wake-outside-lock).  Every transition that can make a turn's
+    /// predicate true ends with this.
     #[must_use = "fire these events after dropping the state guard"]
-    fn take_commit_waiters(&mut self) -> Vec<Arc<OsEvent>> {
-        self.commit_waiters
-            .drain(..)
-            .map(|(_, event)| event)
-            .collect()
+    fn take_ready_waiters(&mut self) -> Vec<Arc<OsEvent>> {
+        let mut ready = Vec::new();
+        let mut at = 0;
+        while let Some(waiter) = self.turn_waiters.get(at) {
+            if self.turn_ready(waiter.txn, waiter.turn) {
+                ready.push(self.turn_waiters.swap_remove(at).event);
+            } else {
+                at += 1;
+            }
+        }
+        ready
     }
 
     /// Promotes the next parked update to leader of a fresh group.  The
-    /// caller fires the returned slot's event after dropping the guard.
+    /// caller grants the returned slot [`WokenRole::NewLeader`] after
+    /// dropping the guard.
     fn promote_next_leader(&mut self, metrics: &EngineMetrics) -> Option<(TxnId, Arc<WaitSlot>)> {
         let waiter = self.waiting_updates.pop_front()?;
         self.leader = Some(waiter.txn);
@@ -244,8 +319,46 @@ impl GroupState {
         self.granting_new_trx = true;
         self.executing = Some(waiter.txn);
         metrics.groups_formed.inc();
-        *waiter.slot.role.lock() = Some(WokenRole::NewLeader);
         Some((waiter.txn, waiter.slot))
+    }
+
+    /// One record of [`GroupLockTable::finish_leader_handover`]: `txn` steps
+    /// down as leader and the next parked update, if any, is promoted.
+    fn hand_over(
+        &mut self,
+        txn: TxnId,
+        metrics: &EngineMetrics,
+        new_leaders: &mut Vec<Arc<WaitSlot>>,
+    ) -> Option<TxnId> {
+        if self.leader == Some(txn) {
+            self.leader = None;
+            // The committing leader is stepping down: its
+            // `switching_new_leader` mark must not outlive it — left set, it
+            // blocks every rollback turn on the row until the deadline.
+            self.switching_new_leader = false;
+        } else if self.leader.is_some() {
+            // Another transaction's group already owns this row (our own
+            // entry went idle, was GC'd, and the map entry was re-created
+            // since): nothing to hand over, and the live group's in-flight
+            // flags must not be clobbered.
+            return None;
+        }
+        if self.rollback_pause {
+            // No promotion while a rollback is draining; the last
+            // `resume_granting` promotes instead.
+            return None;
+        }
+        if let Some((new_leader, slot)) = self.promote_next_leader(metrics) {
+            new_leaders.push(slot);
+            Some(new_leader)
+        } else {
+            // Dynamic batch size: release without nominating a leader; the
+            // next arrival starts a fresh group immediately.
+            self.switching_new_leader = false;
+            self.granting_new_trx = false;
+            self.executing = None;
+            None
+        }
     }
 }
 
@@ -302,6 +415,10 @@ pub struct GroupLockTable {
     entry_shards: Box<[EntryShard]>,
     global_hot_update_order: AtomicU64,
     metrics: Arc<EngineMetrics>,
+    /// Turn-predicate evaluations by waiting transactions (tests pin that a
+    /// turn wait checks once per wake-up instead of polling).
+    #[cfg(test)]
+    turn_checks: AtomicU64,
 }
 
 impl GroupLockTable {
@@ -314,6 +431,8 @@ impl GroupLockTable {
                 .collect(),
             global_hot_update_order: AtomicU64::new(1),
             metrics,
+            #[cfg(test)]
+            turn_checks: AtomicU64::new(0),
         }
     }
 
@@ -482,7 +601,8 @@ impl GroupLockTable {
         })
     }
 
-    /// Parks on `slot` until granted, returning the role, or times out.
+    /// Waits on `slot` until granted, returning the role, or times out.  A
+    /// hand-off wait: the granter is mid-update or mid-commit right now.
     pub fn wait_for_grant(
         &self,
         txn: TxnId,
@@ -490,28 +610,17 @@ impl GroupLockTable {
         slot: &Arc<WaitSlot>,
     ) -> Result<WokenRole> {
         let start = SimInstant::now();
-        let deadline = start + self.config.hot_wait_timeout;
-        loop {
-            if let Some(role) = slot.role() {
-                self.metrics.lock_wait_latency.record(start.elapsed());
-                return Ok(role);
-            }
-            let remaining = deadline.saturating_duration_since(SimInstant::now());
-            if remaining.is_zero() {
-                return match self.cancel_hot_wait(txn, record) {
-                    CancelOutcome::AlreadyGranted(role) => {
-                        self.metrics.lock_wait_latency.record(start.elapsed());
-                        Ok(role)
-                    }
-                    CancelOutcome::Cancelled => {
-                        self.metrics.lock_wait_latency.record(start.elapsed());
-                        Err(Error::LockWaitTimeout { txn, record })
-                    }
-                };
-            }
-            let _ = slot.event().wait_for(remaining);
-            slot.event().reset();
-        }
+        let _ = slot.event().wait_handoff(self.config.hot_wait_timeout);
+        // The role is the wake-up's payload; without one the wait timed out,
+        // and leaving the queue tells us whether a grant raced the deadline.
+        let role = slot
+            .role()
+            .or_else(|| match self.cancel_hot_wait(txn, record) {
+                CancelOutcome::AlreadyGranted(role) => Some(role),
+                CancelOutcome::Cancelled => None,
+            });
+        self.metrics.lock_wait_latency.record(start.elapsed());
+        role.ok_or(Error::LockWaitTimeout { txn, record })
     }
 
     /// Removes a parked transaction that gave up waiting.
@@ -521,9 +630,9 @@ impl GroupLockTable {
                 state.waiting_updates.remove(pos);
                 return CancelOutcome::Cancelled;
             }
-            // Not queued any more: the grant must have raced ahead of us.  The
-            // role is recorded on the slot the granter holds a clone of; look
-            // it up through the doomed/leader/dep_list state instead.
+            // Not queued any more: the grant raced ahead of us.  Its role
+            // reaches the slot only once the granter has dropped this guard,
+            // so read it off the state instead.
             if state.leader == Some(txn) {
                 CancelOutcome::AlreadyGranted(WokenRole::NewLeader)
             } else {
@@ -554,10 +663,11 @@ impl GroupLockTable {
     }
 
     /// Completes an update and grants the next follower if allowed
-    /// (Algorithm 1, lines 11–20).  The granted follower's event fires after
-    /// the state guard is dropped.
+    /// (Algorithm 1, lines 11–20); with nobody granted, nothing is in flight
+    /// any more, which is what a quiescing leader or a rollback turn waits
+    /// for.  Wake-ups fire after the state guard is dropped.
     pub fn finish_update(&self, txn: TxnId, record: RecordId, is_leader: bool) {
-        let granted = self.with_state(record, |state| {
+        let (granted, woken) = self.with_state(record, |state| {
             // Whoever just finished (leader or follower) is no longer
             // mid-update.
             state.granting_new_trx = false;
@@ -565,22 +675,24 @@ impl GroupLockTable {
             if is_leader && state.leader == Some(txn) {
                 state.switching_new_leader = false;
             }
-            if state.switching_new_leader || state.rollback_pause {
-                return None;
-            }
-            if self.config.batch_size > 0 && state.granted_in_group >= self.config.batch_size {
-                return None;
-            }
-            let waiter = state.waiting_updates.pop_front()?;
-            state.granting_new_trx = true;
-            state.granted_in_group += 1;
-            state.executing = Some(waiter.txn);
-            *waiter.slot.role.lock() = Some(WokenRole::Follower);
-            Some(waiter.slot)
+            let batch_full =
+                self.config.batch_size > 0 && state.granted_in_group >= self.config.batch_size;
+            let granted = if state.switching_new_leader || state.rollback_pause || batch_full {
+                None
+            } else {
+                state.waiting_updates.pop_front().map(|waiter| {
+                    state.granting_new_trx = true;
+                    state.granted_in_group += 1;
+                    state.executing = Some(waiter.txn);
+                    waiter.slot
+                })
+            };
+            (granted, state.take_ready_waiters())
         });
         if let Some(slot) = granted {
-            slot.event().set();
+            slot.grant(WokenRole::Follower);
         }
+        wake_all(woken);
     }
 
     // ------------------------------------------------------------------
@@ -614,7 +726,9 @@ impl GroupLockTable {
     /// Batched leader-side commit preparation (Algorithm 2, lines 2–4, for a
     /// whole commit): fetches every hot record's entry with one shard-lock
     /// take per entry shard, marks each group `switching_new_leader` and
-    /// waits until no granted follower is mid-update on any of them.  The
+    /// waits — parked as a quiesce turn, woken by the follower's
+    /// [`GroupLockTable::finish_update`] — until no granted follower is
+    /// mid-update on any of them.  The
     /// returned handle caches the entry `Arc`s so
     /// [`GroupLockTable::finish_leader_handover`] promotes without going back
     /// through the entry map.
@@ -625,31 +739,25 @@ impl GroupLockTable {
     pub fn begin_leader_commit(&self, txn: TxnId, records: &[RecordId]) -> LeaderCommit {
         let mut entries = self.fetch_hot_entries(records);
         for (record, entry) in entries.iter_mut() {
-            // Per-record quiesce budget, matching the per-record
-            // leader_prepare_commit this replaces: one stalled record's
-            // vanished follower must not eat later records' wait budget and
-            // force-clear their healthy in-flight followers.
-            let deadline = SimInstant::now() + self.config.hot_wait_timeout * 4;
-            loop {
-                let quiesced = self.with_cached_state(*record, entry, |state| {
-                    if state.leader == Some(txn) {
-                        state.switching_new_leader = true;
-                    }
-                    !state.granting_new_trx
-                });
-                if quiesced {
-                    break;
+            let quiesced = self.with_cached_state(*record, entry, |state| {
+                if state.leader == Some(txn) {
+                    state.switching_new_leader = true;
                 }
-                if SimInstant::now() > deadline {
-                    // A granted follower disappeared without calling
-                    // finish_update (it aborted on an unrelated error).
-                    // Proceed rather than wedging the whole hot row.
-                    self.with_cached_state(*record, entry, |state| {
-                        state.granting_new_trx = false;
-                    });
-                    break;
-                }
-                ut_delay(10);
+                !state.granting_new_trx
+            });
+            // The wait budget is per record: one stalled record's vanished
+            // follower must not eat later records' budget and force-clear
+            // their healthy in-flight followers.
+            let budget = self.config.hot_wait_timeout * 4;
+            if !quiesced && self.wait_turn(txn, *record, Turn::Quiesce, budget).is_err() {
+                // A granted follower disappeared without calling
+                // finish_update (it aborted on an unrelated error).  Proceed
+                // rather than wedging the whole hot row, and say so.
+                self.metrics.abort_causes.record("quiesce_forced");
+                wake_all(self.with_cached_state(*record, entry, |state| {
+                    state.granting_new_trx = false;
+                    state.take_ready_waiters()
+                }));
             }
         }
         LeaderCommit { entries }
@@ -669,58 +777,30 @@ impl GroupLockTable {
     ) -> Vec<(RecordId, Option<TxnId>)> {
         let LeaderCommit { mut entries } = commit;
         let mut promotions = Vec::with_capacity(entries.len());
-        let mut to_wake: Vec<Arc<WaitSlot>> = Vec::new();
+        let mut new_leaders: Vec<Arc<WaitSlot>> = Vec::new();
+        let mut woken: Vec<Arc<OsEvent>> = Vec::new();
         for (record, entry) in entries.iter_mut() {
             let promoted = self.with_cached_state(*record, entry, |state| {
-                if state.leader == Some(txn) {
-                    state.leader = None;
-                    // The committing leader is stepping down: its
-                    // `switching_new_leader` mark must not outlive it.  Left
-                    // set (as the rollback-pause return below used to), it
-                    // wedges `wait_rollback_turn` — which requires the flag
-                    // clear — for the full rollback deadline, freezing the
-                    // hot row.
-                    state.switching_new_leader = false;
-                } else if state.leader.is_some() {
-                    // Another transaction's group already owns this row (our
-                    // own entry went idle, was GC'd, and the map entry was
-                    // re-created since): nothing to hand over, and the live
-                    // group's in-flight flags must not be clobbered.
-                    return None;
-                }
-                if state.rollback_pause {
-                    // No promotion while a rollback is draining; the last
-                    // `resume_granting` promotes instead.
-                    return None;
-                }
-                if let Some((new_leader, slot)) = state.promote_next_leader(&self.metrics) {
-                    to_wake.push(slot);
-                    Some(new_leader)
-                } else {
-                    // Dynamic batch size: release without nominating a
-                    // leader; the next arrival starts a fresh group
-                    // immediately.
-                    state.switching_new_leader = false;
-                    state.granting_new_trx = false;
-                    state.executing = None;
-                    None
-                }
+                let promoted = state.hand_over(txn, &self.metrics, &mut new_leaders);
+                // Stepping down cleared `switching_new_leader` (and, with
+                // nobody to promote, the in-flight mark).
+                woken.append(&mut state.take_ready_waiters());
+                promoted
             });
             promotions.push((*record, promoted));
         }
-        // Every guard is dropped: fire the promoted leaders' events.
-        for slot in to_wake {
-            slot.event().set();
+        // Every guard is dropped: fire the promotions and the turns.
+        for slot in new_leaders {
+            slot.grant(WokenRole::NewLeader);
         }
+        wake_all(woken);
         promotions
     }
 
-    /// Leader-side commit preparation for a single record (Algorithm 2,
-    /// lines 2–4): stop granting and wait for the in-flight granted follower
-    /// to complete its update.  One record of the batched
-    /// [`GroupLockTable::begin_leader_commit`] with the cached entry dropped,
-    /// so a following [`GroupLockTable::leader_handover`] re-fetches it — the
-    /// gap the sim suite's entry-GC race tests explore.
+    /// [`GroupLockTable::begin_leader_commit`] for a single record, with the
+    /// cached entry dropped, so a following
+    /// [`GroupLockTable::leader_handover`] re-fetches it — the gap the sim
+    /// suite's entry-GC race tests explore.
     pub fn leader_prepare_commit(&self, txn: TxnId, record: RecordId) {
         let _ = self.begin_leader_commit(txn, std::slice::from_ref(&record));
     }
@@ -740,60 +820,84 @@ impl GroupLockTable {
 
     /// Asks whether `txn` may commit now (commit-order guarantee, §4.3).
     pub fn commit_turn(&self, txn: TxnId, record: RecordId) -> CommitTurn {
-        self.with_state(record, |state| {
-            if let Some(cause) = state.doomed.get(&txn) {
-                return CommitTurn::Doomed { cause: *cause };
-            }
-            match state.dep_list.first() {
-                Some(first) if *first == txn => CommitTurn::Ready,
-                None => CommitTurn::Ready,
-                Some(_) if !state.dep_list.contains(&txn) => CommitTurn::Ready,
-                Some(_) => {
-                    let event = OsEvent::acquire_pooled();
-                    state.commit_waiters.push((txn, Arc::clone(&event)));
-                    CommitTurn::Wait(event)
-                }
-            }
+        self.with_state(record, |state| match state.doomed.get(&txn) {
+            Some(cause) => CommitTurn::Doomed { cause: *cause },
+            None if state.turn_ready(txn, Turn::Commit) => CommitTurn::Ready,
+            None => CommitTurn::Blocked,
         })
     }
 
-    /// Detaches a commit-turn event after its wait ended (woken or timed out)
-    /// and drains it back to the thread-local pool.  Removing the state's
-    /// clone first is what makes the event unique and therefore recyclable;
-    /// an event a granter still holds is simply dropped, never pooled.
-    fn retire_commit_wait(&self, txn: TxnId, record: RecordId, event: Arc<OsEvent>) {
-        self.with_existing_state(record, |state| {
-            state
-                .commit_waiters
-                .retain(|(t, e)| !(*t == txn && Arc::ptr_eq(e, &event)));
-        });
-        OsEvent::recycle(event);
+    /// Waits — parked on the record's turn-waiter list, never polling — until
+    /// `txn`'s `turn` has come, and returns the transaction that doomed it
+    /// meanwhile, if any; `timeout` without the turn is a lock-wait timeout.
+    /// A hand-off wait: whoever holds the turn up is running now, and its
+    /// transition (see the module docs) fires our event.
+    fn wait_turn(
+        &self,
+        txn: TxnId,
+        record: RecordId,
+        turn: Turn,
+        timeout: Duration,
+    ) -> Result<Option<TxnId>> {
+        let deadline = SimInstant::now() + timeout;
+        let mut entry = self.entry(record);
+        // Our event, once we had to wait.
+        let mut event: Option<Arc<OsEvent>> = None;
+        let verdict = loop {
+            let remaining = deadline.saturating_duration_since(SimInstant::now());
+            let ready = self.with_cached_state(record, &mut entry, |state| {
+                #[cfg(test)]
+                self.turn_checks.fetch_add(1, Ordering::Relaxed);
+                if let Some(event) = &event {
+                    // A waker takes our entry off the list before it fires;
+                    // after a timeout it is still there.
+                    state
+                        .turn_waiters
+                        .retain(|waiter| !Arc::ptr_eq(&waiter.event, event));
+                }
+                if state.turn_ready(txn, turn) {
+                    return Some(Ok(state.doomed.get(&txn).copied()));
+                }
+                if remaining.is_zero() {
+                    return Some(Err(Error::LockWaitTimeout { txn, record }));
+                }
+                let event = event.get_or_insert_with(OsEvent::acquire_pooled);
+                event.reset();
+                state.turn_waiters.push(TurnWaiter {
+                    txn,
+                    turn,
+                    event: Arc::clone(event),
+                });
+                None
+            });
+            if let Some(verdict) = ready {
+                break verdict;
+            }
+            let _ = event
+                .as_ref()
+                .expect("registered above")
+                .wait_handoff(remaining);
+        };
+        if let Some(event) = event {
+            OsEvent::recycle(event);
+        }
+        verdict
     }
 
-    /// Blocks until `txn` may commit (or must cascade-abort).
+    /// Blocks until `txn` may commit (or must cascade-abort).  Woken by the
+    /// predecessor's [`GroupLockTable::finish_commit`] /
+    /// [`GroupLockTable::finish_rollback`], or by the
+    /// [`GroupLockTable::begin_rollback`] that dooms it.
     pub fn wait_commit_turn(&self, txn: TxnId, record: RecordId) -> Result<()> {
-        let deadline = SimInstant::now() + self.config.hot_wait_timeout * 4;
-        loop {
-            match self.commit_turn(txn, record) {
-                CommitTurn::Ready => return Ok(()),
-                CommitTurn::Doomed { cause } => {
-                    return Err(Error::CascadingAbort { txn, cause });
-                }
-                CommitTurn::Wait(event) => {
-                    if SimInstant::now() > deadline {
-                        self.retire_commit_wait(txn, record, event);
-                        return Err(Error::LockWaitTimeout { txn, record });
-                    }
-                    let _ = event.wait_for(Duration::from_millis(50));
-                    self.retire_commit_wait(txn, record, event);
-                }
-            }
+        match self.wait_turn(txn, record, Turn::Commit, self.config.hot_wait_timeout * 4)? {
+            Some(cause) => Err(Error::CascadingAbort { txn, cause }),
+            None => Ok(()),
         }
     }
 
     /// Finalises a commit: removes `txn` from the dependency list and wakes
-    /// commit waiters (Algorithm 2, lines 11–12) — after dropping the state
-    /// guard.
+    /// the transactions whose turn that makes it (Algorithm 2, lines 11–12)
+    /// — after dropping the state guard.
     pub fn finish_commit(&self, txn: TxnId, record: RecordId) {
         let woken = self.with_state(record, |state| {
             state.dep_list.retain(|t| *t != txn);
@@ -805,11 +909,9 @@ impl GroupLockTable {
                 state.leader = None;
                 state.switching_new_leader = false;
             }
-            state.take_commit_waiters()
+            state.take_ready_waiters()
         });
-        for event in woken {
-            event.set();
-        }
+        wake_all(woken);
         self.maybe_gc(record);
     }
 
@@ -847,31 +949,26 @@ impl GroupLockTable {
             for succ in &successors {
                 state.doomed.entry(*succ).or_insert(txn);
             }
-            (successors, state.take_commit_waiters())
+            (successors, state.take_ready_waiters())
         });
-        for event in woken {
-            event.set();
-        }
+        wake_all(woken);
         successors
     }
 
-    /// Blocks until `txn` is the newest entry of the dependency list and no
-    /// grant is in flight (Algorithm 3, lines 6–7).
+    /// Blocks until `txn` is the newest entry of the dependency list, no
+    /// grant is in flight and no leader is switching (Algorithm 3, lines
+    /// 6–7).  Woken by a successor's [`GroupLockTable::finish_rollback`] (or
+    /// [`GroupLockTable::finish_commit`]), the in-flight update's
+    /// [`GroupLockTable::finish_update`], or the committing leader's
+    /// [`GroupLockTable::finish_leader_handover`].
     pub fn wait_rollback_turn(&self, txn: TxnId, record: RecordId) -> Result<()> {
-        let deadline = SimInstant::now() + self.config.hot_wait_timeout * 4;
-        loop {
-            let my_turn = self.with_state(record, |state| {
-                let is_last = state.dep_list.last().map(|t| *t == txn).unwrap_or(true);
-                is_last && !state.granting_new_trx && !state.switching_new_leader
-            });
-            if my_turn {
-                return Ok(());
-            }
-            if SimInstant::now() > deadline {
-                return Err(Error::LockWaitTimeout { txn, record });
-            }
-            ut_delay(10);
-        }
+        self.wait_turn(
+            txn,
+            record,
+            Turn::Rollback,
+            self.config.hot_wait_timeout * 4,
+        )
+        .map(|_| ())
     }
 
     /// Records that `txn`'s storage undo for `record` has completed: the
@@ -885,8 +982,8 @@ impl GroupLockTable {
     }
 
     /// Finalises a rollback: removes `txn` from the dependency list, clears
-    /// its doomed mark and wakes commit waiters (Algorithm 3, lines 8–9) —
-    /// after dropping the state guard.
+    /// its doomed mark and wakes the transactions whose turn that makes it
+    /// (Algorithm 3, lines 8–9) — after dropping the state guard.
     pub fn finish_rollback(&self, txn: TxnId, record: RecordId) {
         let woken = self.with_state(record, |state| {
             state.dep_list.retain(|t| *t != txn);
@@ -896,11 +993,9 @@ impl GroupLockTable {
             if state.leader == Some(txn) {
                 state.leader = None;
             }
-            state.take_commit_waiters()
+            state.take_ready_waiters()
         });
-        for event in woken {
-            event.set();
-        }
+        wake_all(woken);
         self.maybe_gc(record);
     }
 
@@ -924,7 +1019,7 @@ impl GroupLockTable {
         match promoted {
             Some((new_leader, slot)) => {
                 // State guard dropped: fire the promotion.
-                slot.event().set();
+                slot.grant(WokenRole::NewLeader);
                 Some(new_leader)
             }
             None => {
@@ -1001,7 +1096,7 @@ impl GroupLockTable {
             format!(
                 "leader={:?} dep={:?} doomed={:?} waiting={:?} executing={:?} \
                  granting={} switching={} pause={} rolling_back={:?} undo_pending={:?} \
-                 granted_in_group={} commit_waiters={:?}",
+                 granted_in_group={} turn_waiters={:?}",
                 state.leader,
                 state.dep_list,
                 state.doomed.keys().collect::<Vec<_>>(),
@@ -1018,9 +1113,9 @@ impl GroupLockTable {
                 state.undo_pending,
                 state.granted_in_group,
                 state
-                    .commit_waiters
+                    .turn_waiters
                     .iter()
-                    .map(|(t, _)| *t)
+                    .map(|w| (w.txn, w.turn))
                     .collect::<Vec<_>>(),
             )
         })
@@ -1093,7 +1188,7 @@ mod tests {
         g.finish_update(TxnId(2), HOT, false);
 
         // Txn 2 cannot commit before txn 1.
-        assert!(matches!(g.commit_turn(TxnId(2), HOT), CommitTurn::Wait(_)));
+        assert_eq!(g.commit_turn(TxnId(2), HOT), CommitTurn::Blocked);
         assert!(matches!(g.commit_turn(TxnId(1), HOT), CommitTurn::Ready));
         g.finish_commit(TxnId(1), HOT);
         assert!(matches!(g.commit_turn(TxnId(2), HOT), CommitTurn::Ready));
@@ -1350,6 +1445,162 @@ mod tests {
         let b = g.register_update(TxnId(2), other);
         assert!(b > a);
         assert_eq!(g.next_hot_update_order(), b + 1);
+    }
+
+    /// Runs `wait` on its own thread, lets it park as a turn waiter on
+    /// `HOT`, runs `transition`, and returns how often the waiter evaluated
+    /// its predicate from then until it returned: 1 for a wait that is woken
+    /// by the transition, unbounded for one that polls.
+    fn checks_after_parking<R: Send + 'static>(
+        g: &Arc<GroupLockTable>,
+        wait: impl FnOnce(&GroupLockTable) -> R + Send + 'static,
+        transition: impl FnOnce(&GroupLockTable),
+    ) -> (R, u64) {
+        let waiter = {
+            let g = Arc::clone(g);
+            std::thread::spawn(move || wait(&g))
+        };
+        while g.with_state(HOT, |state| state.turn_waiters.is_empty()) {
+            std::thread::yield_now();
+        }
+        let parked_at = g.turn_checks.load(Ordering::Relaxed);
+        transition(g);
+        let result = waiter.join().unwrap();
+        (result, g.turn_checks.load(Ordering::Relaxed) - parked_at)
+    }
+
+    /// T1 leads `HOT` and has finished its update; each of `followers` was
+    /// granted, registered and (unless it is `in_flight`) finished.
+    fn group(followers: &[u64], in_flight: Option<u64>) -> Arc<GroupLockTable> {
+        let g = Arc::new(table());
+        assert!(matches!(
+            g.begin_hot_update(TxnId(1), HOT),
+            HotExecution::Leader
+        ));
+        g.register_update(TxnId(1), HOT);
+        g.finish_update(TxnId(1), HOT, true);
+        for follower in followers {
+            assert!(matches!(
+                g.begin_hot_update(TxnId(*follower), HOT),
+                HotExecution::Follower
+            ));
+            g.register_update(TxnId(*follower), HOT);
+            if in_flight != Some(*follower) {
+                g.finish_update(TxnId(*follower), HOT, false);
+            }
+        }
+        g
+    }
+
+    #[test]
+    fn quiescing_leader_is_woken_by_each_transition_that_ends_the_in_flight_update() {
+        let quiesce = |g: &GroupLockTable| g.leader_prepare_commit(TxnId(1), HOT);
+        // The granted follower finishes its update.
+        let g = group(&[2], Some(2));
+        let (_, checks) = checks_after_parking(&g, quiesce, |g| {
+            g.finish_update(TxnId(2), HOT, false);
+        });
+        assert_eq!(checks, 1, "finish_update");
+        // The granted follower rolls back mid-update.
+        let g = group(&[2], Some(2));
+        let (_, checks) = checks_after_parking(&g, quiesce, |g| {
+            g.begin_rollback(TxnId(2), HOT);
+        });
+        assert_eq!(checks, 1, "begin_rollback");
+        // A new leader whose row lock failed hands the row on while a
+        // former leader (T9) still quiesces.
+        let g = Arc::new(table());
+        let _ = g.begin_hot_update(TxnId(1), HOT);
+        let stale = |g: &GroupLockTable| g.leader_prepare_commit(TxnId(9), HOT);
+        let (_, checks) = checks_after_parking(&g, stale, |g| {
+            g.leader_handover(TxnId(1), HOT);
+        });
+        assert_eq!(checks, 1, "finish_leader_handover");
+        assert_eq!(g.metrics.abort_causes.get("quiesce_forced"), 0);
+    }
+
+    #[test]
+    fn rollback_turn_waiter_is_woken_by_each_transition_that_gives_it_the_turn() {
+        let turn = |g: &GroupLockTable| g.wait_rollback_turn(TxnId(2), HOT);
+        // Newest, but an update granted before the pause is in flight.
+        let g = group(&[2], None);
+        assert!(matches!(
+            g.begin_hot_update(TxnId(3), HOT),
+            HotExecution::Follower
+        ));
+        g.begin_rollback(TxnId(2), HOT);
+        let (result, checks) = checks_after_parking(&g, turn, |g| {
+            g.finish_update(TxnId(3), HOT, false);
+        });
+        assert_eq!((result, checks), (Ok(()), 1), "finish_update");
+        // A doomed successor must leave the dependency list first.
+        for leave in [
+            GroupLockTable::finish_rollback,
+            GroupLockTable::finish_commit,
+        ] {
+            let g = group(&[2, 3], None);
+            assert_eq!(g.begin_rollback(TxnId(2), HOT), vec![TxnId(3)]);
+            let (result, checks) = checks_after_parking(&g, turn, |g| leave(g, TxnId(3), HOT));
+            assert_eq!((result, checks), (Ok(()), 1), "successor leaves");
+        }
+        // The leader is committing (`switching_new_leader`) until it hands
+        // over — or rolls back itself.
+        let hand_over = |g: &GroupLockTable| {
+            g.leader_handover(TxnId(1), HOT);
+        };
+        let roll_back = |g: &GroupLockTable| {
+            g.begin_rollback(TxnId(1), HOT);
+        };
+        for step_down in [hand_over as fn(&GroupLockTable), roll_back] {
+            let g = group(&[2], None);
+            g.leader_prepare_commit(TxnId(1), HOT);
+            g.begin_rollback(TxnId(2), HOT);
+            let (result, checks) = checks_after_parking(&g, turn, step_down);
+            assert_eq!((result, checks), (Ok(()), 1), "leader steps down");
+        }
+    }
+
+    #[test]
+    fn commit_turn_waiter_is_woken_by_its_predecessor_and_by_its_doom() {
+        let turn = |g: &GroupLockTable| g.wait_commit_turn(TxnId(2), HOT);
+        let g = group(&[2], None);
+        let (result, checks) = checks_after_parking(&g, turn, |g| {
+            g.finish_commit(TxnId(1), HOT);
+        });
+        assert_eq!((result, checks), (Ok(()), 1), "finish_commit");
+        let g = group(&[2], None);
+        let (result, checks) = checks_after_parking(&g, turn, |g| {
+            g.begin_rollback(TxnId(1), HOT);
+        });
+        let doomed = Err(Error::CascadingAbort {
+            txn: TxnId(2),
+            cause: TxnId(1),
+        });
+        assert_eq!((result, checks), (doomed, 1), "begin_rollback");
+    }
+
+    #[test]
+    fn vanished_follower_is_force_cleared_and_reported() {
+        let metrics = Arc::new(EngineMetrics::new());
+        let g = GroupLockTable::new(
+            GroupLockConfig {
+                hot_wait_timeout: Duration::from_millis(5),
+                ..Default::default()
+            },
+            Arc::clone(&metrics),
+        );
+        let _ = g.begin_hot_update(TxnId(1), HOT);
+        g.register_update(TxnId(1), HOT);
+        g.finish_update(TxnId(1), HOT, true);
+        // T2 is granted and then never heard of again.
+        assert!(matches!(
+            g.begin_hot_update(TxnId(2), HOT),
+            HotExecution::Follower
+        ));
+        g.leader_prepare_commit(TxnId(1), HOT);
+        assert_eq!(metrics.abort_causes.get("quiesce_forced"), 1);
+        assert_eq!(g.leader_handover(TxnId(1), HOT), None);
+        assert_eq!(g.with_state(HOT, |state| state.turn_waiters.len()), 0);
     }
 
     #[test]

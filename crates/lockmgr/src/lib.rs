@@ -126,7 +126,7 @@
 //!
 //! The same pass made the **wake-outside-lock** rule uniform and checked:
 //! every path that wakes a waiter (grant scans, batched release, the group
-//! tables' follower grants, leader handover and commit-waiter wakes)
+//! tables' follower grants, leader handover and turn-waiter wakes)
 //! collects its events under the shard/state guard and fires them after
 //! dropping it, and `OsEvent::set` debug-asserts the calling thread holds no
 //! lockmgr guard (the private `wake_check` module).
@@ -139,7 +139,10 @@
 //! `handover_shard_locks` counter.
 //!
 //! Supporting modules: [`record_queue`] (the shared per-record queue core),
-//! [`event`] (the `os_event` wait/wake primitive and its pool), [`modes`]
+//! [`event`] (the engine's one wait primitive: a state word that carries the
+//! wake payload, a `set` that skips the condvar when nobody is parked, and
+//! hand-off waits that spin briefly before parking while I/O waits park at
+//! once — nothing in this crate polls), [`modes`]
 //! (lock modes and conflict matrix), [`deadlock`] (the sharded wait-for
 //! graph), [`registry`] (the per-transaction lock registry) and [`hotspot`]
 //! (hotspot detection and the `hot_row_hash` registry shared by queue and
@@ -155,8 +158,9 @@
 //! * blocking acquisitions of the `parking_lot` shim's `Mutex`/`RwLock` are
 //!   yield points, and contended acquisitions park the logical thread in the
 //!   scheduler instead of the OS;
-//! * [`event::OsEvent::wait`]/`wait_for`/`set` route the same way, with timed
-//!   waits parked on the scheduler's **virtual clock**;
+//! * [`event::OsEvent::wait`]/`wait_for`/`wait_handoff`/`set` route the same
+//!   way (one tagged scheduling point per wait, no spin), with timed waits
+//!   parked on the scheduler's **virtual clock**;
 //! * every deadline in this crate (`lock_wait_timeout`, `hot_wait_timeout`
 //!   and their multiples) is computed with `txsql_common::time::SimInstant`,
 //!   which reads the virtual clock inside a sim run — timeout paths fire

@@ -240,8 +240,9 @@ impl<L: Layout> RecordLockTable<L> {
         L::visit_queue(&mut shard, record, f)
     }
 
-    /// The doom-aware wait loop a queued request parks in: park outside the
-    /// shard mutex, consume dooms delivered before the event was parked in
+    /// The doom-aware wait loop a queued request parks in: wait outside the
+    /// shard mutex (a hand-off wait — the holder releases before its flush),
+    /// consume dooms delivered before the event was parked in
     /// the graph, re-check the grant under the shard guard on every wake-up,
     /// and — on timeout or doom — remove the waiting request, re-run the
     /// grant scan for waiters queued behind it, and clean up the registry
@@ -266,7 +267,7 @@ impl<L: Layout> RecordLockTable<L> {
             let remaining = deadline.saturating_duration_since(SimInstant::now());
             let timed_out = pre_doomed
                 || remaining.is_zero()
-                || event.wait_for(remaining) == WaitOutcome::TimedOut;
+                || event.wait_handoff(remaining) == WaitOutcome::TimedOut;
             let waited = wait_start.elapsed();
             // One shard acquisition serves both the grant check and the
             // give-up cleanup.  A pruned queue means our request is gone.

@@ -31,15 +31,17 @@ const HOT: RecordId = RecordId {
 };
 
 /// Runs one seeded schedule and panics with the replayable artifact on
-/// failure (deadlock, lost wakeup, or an assertion inside a sim thread).
-fn run_seed(seed: u64, build: impl Fn(&mut txsql_sim::Sim)) {
+/// failure (deadlock, lost wakeup, or an assertion inside a sim thread);
+/// returns the run's report (coverage) otherwise.
+fn run_seed(seed: u64, build: impl Fn(&mut txsql_sim::Sim)) -> txsql_sim::RunReport {
     let report = txsql_sim::run_with_seed(seed, build);
-    if let Some(failure) = report.failure {
+    if let Some(failure) = &report.failure {
         panic!(
             "seed {seed} failed: {failure}\nschedule: {:?}\nreproduce: txsql_sim::replay(&schedule, build)",
             report.schedule
         );
     }
+    report
 }
 
 fn group_table() -> GroupLockTable {
@@ -779,6 +781,182 @@ fn por_reaches_more_schedule_classes_than_random() {
 }
 
 // ---------------------------------------------------------------------------
+// Turn waits: the quiesce and rollback-turn wake-ups
+// ---------------------------------------------------------------------------
+
+/// Nothing in the turn-wait scenarios spends virtual time, so the clock only
+/// moves when the scheduler runs out of runnable threads and jumps to a
+/// parked waiter's deadline: a wake-up that was lost, even if the timed-out
+/// waiter then finds its turn has come.  Each sim thread ends with this.
+fn assert_no_wait_ran_into_its_deadline() {
+    let now = txsql_sim::current().expect("sim thread").now();
+    assert_eq!(now, Duration::ZERO, "a parked wait was ended by the clock");
+}
+
+/// A group whose leader T1 and followers T2, T3 have all updated `HOT`.
+fn three_member_group() -> Arc<GroupLockTable> {
+    let g = Arc::new(group_table());
+    assert!(matches!(
+        g.begin_hot_update(TxnId(1), HOT),
+        HotExecution::Leader
+    ));
+    g.register_update(TxnId(1), HOT);
+    g.finish_update(TxnId(1), HOT, true);
+    for follower in [TxnId(2), TxnId(3)] {
+        assert!(matches!(
+            g.begin_hot_update(follower, HOT),
+            HotExecution::Follower
+        ));
+        g.register_update(follower, HOT);
+        g.finish_update(follower, HOT, false);
+    }
+    g
+}
+
+/// The committing leader's quiesce is a parked wait that only the in-flight
+/// follower's `finish_update` ends.  Whatever the interleaving of the
+/// leader's check-then-park with that `finish_update` (and with a joiner
+/// queueing behind the switching leader), the wake-up must not be lost: a
+/// lost one shows as the leader sleeping to its virtual-clock deadline and
+/// force-clearing the follower (`quiesce_forced`).
+#[test]
+fn quiesce_wakeup_is_never_lost_under_exploration() {
+    let mut classes = std::collections::HashSet::new();
+    for seed in txsql_sim::ci_seeds(200) {
+        let metrics = Arc::new(EngineMetrics::new());
+        let g = Arc::new(GroupLockTable::new(
+            GroupLockConfig {
+                hot_wait_timeout: Duration::from_millis(100),
+                ..GroupLockConfig::default()
+            },
+            Arc::clone(&metrics),
+        ));
+        const LEADER: TxnId = TxnId(1);
+        const FOLLOWER: TxnId = TxnId(2);
+        const JOINER: TxnId = TxnId(3);
+        assert!(matches!(
+            g.begin_hot_update(LEADER, HOT),
+            HotExecution::Leader
+        ));
+        g.register_update(LEADER, HOT);
+        g.finish_update(LEADER, HOT, true);
+        // Granted and mid-update when the leader starts to commit.
+        assert!(matches!(
+            g.begin_hot_update(FOLLOWER, HOT),
+            HotExecution::Follower
+        ));
+
+        let shared = Arc::clone(&g);
+        let report = run_seed(seed, move |sim| {
+            let g = Arc::clone(&shared);
+            sim.spawn("leader", move || {
+                g.leader_prepare_commit(LEADER, HOT);
+                g.leader_handover(LEADER, HOT);
+                g.wait_commit_turn(LEADER, HOT).unwrap();
+                g.finish_commit(LEADER, HOT);
+                assert_no_wait_ran_into_its_deadline();
+            });
+            let g = Arc::clone(&shared);
+            sim.spawn("follower", move || {
+                g.register_update(FOLLOWER, HOT);
+                g.finish_update(FOLLOWER, HOT, false);
+                g.wait_commit_turn(FOLLOWER, HOT).unwrap();
+                g.finish_commit(FOLLOWER, HOT);
+                assert_no_wait_ran_into_its_deadline();
+            });
+            let g = Arc::clone(&shared);
+            sim.spawn("joiner", move || {
+                let role = match g.begin_hot_update(JOINER, HOT) {
+                    HotExecution::Leader => WokenRole::NewLeader,
+                    HotExecution::Follower => WokenRole::Follower,
+                    HotExecution::Wait(slot) => g.wait_for_grant(JOINER, HOT, &slot).unwrap(),
+                };
+                let leads = role == WokenRole::NewLeader;
+                g.register_update(JOINER, HOT);
+                g.finish_update(JOINER, HOT, leads);
+                if leads {
+                    g.leader_prepare_commit(JOINER, HOT);
+                    g.leader_handover(JOINER, HOT);
+                }
+                g.wait_commit_turn(JOINER, HOT).unwrap();
+                g.finish_commit(JOINER, HOT);
+                assert_no_wait_ran_into_its_deadline();
+            });
+        });
+        classes.insert(report.coverage.schedule_class);
+        assert_eq!(
+            metrics.abort_causes.get("quiesce_forced"),
+            0,
+            "seed {seed}: the leader slept through the follower's finish_update"
+        );
+        assert!(!g.has_activity(HOT), "seed {seed}: entry still live");
+    }
+    println!(
+        "sim-coverage: suite=sim_lock/quiesce classes={}",
+        classes.len()
+    );
+}
+
+/// A mid-list rollback (T2 of [T1, T2, T3]) waits for its turn while its
+/// doomed successor T3 cascades and the leader T1 commits and hands over:
+/// the turn comes through T3's `finish_rollback` (newest again) and T1's
+/// handover (`switching_new_leader` cleared), in either order.  A lost
+/// wake-up shows as a `LockWaitTimeout` on the virtual clock.
+#[test]
+fn rollback_turn_wakeup_is_never_lost_under_exploration() {
+    let mut classes = std::collections::HashSet::new();
+    for seed in txsql_sim::ci_seeds(200) {
+        let g = three_member_group();
+        let shared = Arc::clone(&g);
+        let report = run_seed(seed, move |sim| {
+            let roll_back = |g: &GroupLockTable, txn: TxnId| {
+                g.begin_rollback(txn, HOT);
+                g.wait_rollback_turn(txn, HOT).unwrap();
+                g.mark_undone(txn, HOT);
+                g.finish_rollback(txn, HOT);
+                g.resume_granting(HOT);
+                assert_no_wait_ran_into_its_deadline();
+            };
+            let g = Arc::clone(&shared);
+            sim.spawn("leader", move || {
+                g.leader_prepare_commit(TxnId(1), HOT);
+                g.leader_handover(TxnId(1), HOT);
+                g.wait_commit_turn(TxnId(1), HOT).unwrap();
+                g.finish_commit(TxnId(1), HOT);
+                assert_no_wait_ran_into_its_deadline();
+            });
+            let g = Arc::clone(&shared);
+            sim.spawn("aborter", move || roll_back(&g, TxnId(2)));
+            let g = Arc::clone(&shared);
+            sim.spawn("successor", move || {
+                // Commits if it beats the aborter's doom to its turn check
+                // (never: T2 precedes it), cascades otherwise.
+                match g.wait_commit_turn(TxnId(3), HOT) {
+                    Ok(()) => panic!("T3 committed ahead of its predecessor T2"),
+                    Err(err) => {
+                        assert!(
+                            matches!(err, txsql_common::Error::CascadingAbort { .. }),
+                            "seed {seed}: {err:?}"
+                        );
+                        roll_back(&g, TxnId(3));
+                    }
+                }
+            });
+        });
+        classes.insert(report.coverage.schedule_class);
+        assert!(
+            g.dep_list(HOT).is_empty(),
+            "seed {seed}: dep list not drained"
+        );
+        assert!(!g.has_activity(HOT), "seed {seed}: entry still live");
+    }
+    println!(
+        "sim-coverage: suite=sim_lock/rollback_turn classes={}",
+        classes.len()
+    );
+}
+
+// ---------------------------------------------------------------------------
 // Event-pool draining on the timeout / cancellation paths
 // ---------------------------------------------------------------------------
 
@@ -848,9 +1026,9 @@ fn cancelled_queue_wait_drains_event_to_pool() {
 }
 
 /// A commit-turn wait that times out under an explored schedule must retire
-/// its event (remove the state's clone) instead of leaking one commit-waiter
-/// entry per 50 ms poll — observable as a stable waiter list and a recycled
-/// event even though nobody ever woke the waiter.
+/// its event (remove the state's clone) instead of leaving its turn-waiter
+/// entry behind — observable as an empty waiter list and a recycled event
+/// even though nobody ever woke the waiter.
 #[test]
 fn timed_out_commit_wait_retires_its_event_under_sim() {
     for seed in txsql_sim::ci_seeds(20) {

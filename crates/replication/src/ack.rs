@@ -20,7 +20,9 @@
 //! commits wait again.
 
 use parking_lot::Mutex;
+use std::sync::Arc;
 use std::time::Duration;
+use txsql_core::OsEvent;
 
 /// Tunables of the semi-sync ack protocol (the `rpl_semi_sync_master_*`
 /// knobs of the modelled deployment).
@@ -112,44 +114,99 @@ pub enum SyncState {
     Degraded,
 }
 
-/// Per-replica cumulative acknowledged binlog positions.
+/// Per-replica cumulative acknowledged binlog positions, and the threads
+/// waiting for one of them to advance.
 #[derive(Debug)]
 pub struct AckTracker {
-    acked: Mutex<Vec<u64>>,
+    state: Mutex<AckState>,
+}
+
+#[derive(Debug)]
+struct AckState {
+    acked: Vec<u64>,
+    /// How many times a position has advanced: what a waiter compares
+    /// against to know whether it missed an ack between its check and its
+    /// park.
+    advances: u64,
+    /// Parked ack / catch-up waiters; all are woken by the next advance.
+    waiters: Vec<Arc<OsEvent>>,
 }
 
 impl AckTracker {
     /// A tracker for `n_replicas` replicas, all at position 0.
     pub fn new(n_replicas: usize) -> Self {
         Self {
-            acked: Mutex::new(vec![0; n_replicas]),
+            state: Mutex::new(AckState {
+                acked: vec![0; n_replicas],
+                advances: 0,
+                waiters: Vec::new(),
+            }),
         }
     }
 
     /// Records a cumulative ack: replica `replica` has applied everything
     /// below `pos`.  Acks never move backwards (a late-arriving duplicate
-    /// ack cannot regress the position).
+    /// ack cannot regress the position).  An advance wakes every thread
+    /// parked in [`AckTracker::wait_advance`].
     pub fn record(&self, replica: usize, pos: u64) {
-        let mut acked = self.acked.lock();
-        if pos > acked[replica] {
-            acked[replica] = pos;
+        let woken = {
+            let mut state = self.state.lock();
+            if pos <= state.acked[replica] {
+                return;
+            }
+            state.acked[replica] = pos;
+            state.advances += 1;
+            std::mem::take(&mut state.waiters)
+        };
+        for event in woken {
+            event.set();
         }
+    }
+
+    /// The number of advances recorded so far; read it *before* checking a
+    /// position and hand it to [`AckTracker::wait_advance`].
+    pub fn advances(&self) -> u64 {
+        self.state.lock().advances
+    }
+
+    /// Parks until a position advances past the `seen` count or `timeout`
+    /// elapses — an I/O wait: the ack crosses the network.  Returns at once
+    /// when an advance was already missed.
+    pub fn wait_advance(&self, seen: u64, timeout: Duration) {
+        let event = {
+            let mut state = self.state.lock();
+            if state.advances != seen {
+                return;
+            }
+            let event = OsEvent::acquire_pooled();
+            state.waiters.push(Arc::clone(&event));
+            event
+        };
+        let _ = event.wait_for(timeout);
+        // Still listed after a timeout; dropping the list's clone is what
+        // lets the event go back to the pool.
+        self.state
+            .lock()
+            .waiters
+            .retain(|waiter| !Arc::ptr_eq(waiter, &event));
+        OsEvent::recycle(event);
     }
 
     /// The position `replica` has acknowledged.
     pub fn acked_pos(&self, replica: usize) -> u64 {
-        self.acked.lock()[replica]
+        self.state.lock().acked[replica]
     }
 
     /// The slowest replica's acknowledged position.
     pub fn min_acked(&self) -> u64 {
-        self.acked.lock().iter().copied().min().unwrap_or(0)
+        self.state.lock().acked.iter().copied().min().unwrap_or(0)
     }
 
     /// How many replicas have acknowledged at least `pos` — the quorum test
     /// for a commit whose batch ends at binlog position `pos`.
     pub fn count_at_least(&self, pos: u64) -> usize {
-        self.acked.lock().iter().filter(|&&p| p >= pos).count()
+        let state = self.state.lock();
+        state.acked.iter().filter(|&&p| p >= pos).count()
     }
 }
 
@@ -178,6 +235,33 @@ mod tests {
         assert_eq!(tracker.count_at_least(10), 2);
         assert_eq!(tracker.count_at_least(4), 3);
         assert_eq!(tracker.count_at_least(11), 0);
+    }
+
+    #[test]
+    fn wait_advance_returns_on_an_ack_and_never_misses_one() {
+        let tracker = Arc::new(AckTracker::new(1));
+        // An advance between the caller's check and its wait is not slept
+        // through (the long timeout would fail the test run).
+        let seen = tracker.advances();
+        tracker.record(0, 1);
+        tracker.wait_advance(seen, Duration::from_secs(60));
+        // A duplicate ack is no advance; a parked waiter wakes on a real one.
+        let seen = tracker.advances();
+        tracker.record(0, 1);
+        assert_eq!(tracker.advances(), seen);
+        let waiter = {
+            let tracker = Arc::clone(&tracker);
+            std::thread::spawn(move || tracker.wait_advance(seen, Duration::from_secs(60)))
+        };
+        while tracker.state.lock().waiters.is_empty() {
+            std::thread::yield_now();
+        }
+        tracker.record(0, 2);
+        waiter.join().unwrap();
+        assert!(tracker.state.lock().waiters.is_empty());
+        // A timeout leaves no waiter behind.
+        tracker.wait_advance(tracker.advances(), Duration::from_millis(1));
+        assert!(tracker.state.lock().waiters.is_empty());
     }
 
     #[test]

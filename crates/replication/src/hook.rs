@@ -44,7 +44,7 @@ use std::ops::Range;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
-use txsql_common::latency::{simulate_delay, ut_delay, LatencyModel};
+use txsql_common::latency::{simulate_delay, LatencyModel};
 use txsql_common::metrics::EngineMetrics;
 use txsql_common::time::SimInstant;
 use txsql_common::{Error, Result};
@@ -62,6 +62,11 @@ pub enum ReplicationMode {
     Asynchronous,
 }
 
+/// How long an ack or catch-up wait parks before it drives the fault timers
+/// and retransmissions itself ([`Shared::pump`]): nothing else wakes it when
+/// the ack it waits for was dropped, or its replica is stalled or down.
+const RETRANSMIT_INTERVAL: Duration = Duration::from_micros(200);
+
 /// Primary-side shipping state behind one mutex: the retained binlog buffer
 /// (the ack protocol's position space) and the semi-sync ↔ degraded state.
 struct ShipState {
@@ -70,7 +75,7 @@ struct ShipState {
 }
 
 /// Everything the shipping paths (commit threads, background applier,
-/// `wait_caught_up` pollers) share.
+/// `wait_caught_up` callers) share.
 struct Shared {
     latency: LatencyModel,
     config: SemiSyncConfig,
@@ -79,11 +84,12 @@ struct Shared {
     faults: ReplFaults,
     metrics: Option<Arc<EngineMetrics>>,
     state: Mutex<ShipState>,
-    /// Bounded channel of not-yet-shipped position ranges.  Going through
+    /// Bounded channel of not-yet-shipped position ranges (`None` is the
+    /// teardown's "look at the stop flag" to an idle applier).  Going through
     /// the instrumented crossbeam shim makes every enqueue/drain a tagged
     /// yield point, so the simulator explores shed-vs-drain interleavings.
-    ship_tx: Sender<(u64, u64)>,
-    ship_rx: Receiver<(u64, u64)>,
+    ship_tx: Sender<Option<(u64, u64)>>,
+    ship_rx: Receiver<Option<(u64, u64)>>,
     /// True while a background applier thread is draining the queue (the
     /// commit paths then never drain inline).
     background_running: AtomicBool,
@@ -205,7 +211,7 @@ impl Shared {
     /// Enqueues a range on the bounded async channel; a full channel sheds
     /// the batch observably (the pump recovers it from the retained binlog).
     fn enqueue(&self, start: u64, end: u64) {
-        match self.ship_tx.try_send((start, end)) {
+        match self.ship_tx.try_send(Some((start, end))) {
             Ok(()) => {}
             Err(TrySendError::Full(_)) => self.metric(|m| m.ship_queue_full.inc()),
             // Shared owns both channel ends for its whole lifetime.
@@ -221,8 +227,10 @@ impl Shared {
 
     /// Drains the async channel inline, one batch at a time.
     fn drain_queue(&self) {
-        while let Ok((start, end)) = self.ship_rx.try_recv() {
-            self.deliver_queued(start, end);
+        while let Ok(queued) = self.ship_rx.try_recv() {
+            if let Some((start, end)) = queued {
+                self.deliver_queued(start, end);
+            }
         }
     }
 
@@ -486,7 +494,7 @@ impl ReplicationHook {
                 self.ship_async(start, end);
                 return Ok(());
             }
-            ut_delay(self.shared.config.retry_backoff.as_micros().max(1) as u32);
+            simulate_delay(self.shared.config.retry_backoff);
         }
 
         self.shared.deliver_range(start, batch);
@@ -498,8 +506,15 @@ impl ReplicationHook {
             .ack_quorum
             .min(self.shared.replicas.len());
         let deadline = SimInstant::now() + self.shared.config.ack_timeout;
-        while self.shared.tracker.count_at_least(end) < quorum {
-            if SimInstant::now() >= deadline {
+        loop {
+            // Parked until an ack is recorded (by any delivery, ours or a
+            // concurrent batch's), pumping on the retransmit interval.
+            let seen = self.shared.tracker.advances();
+            if self.shared.tracker.count_at_least(end) >= quorum {
+                break;
+            }
+            let remaining = deadline.saturating_duration_since(SimInstant::now());
+            if remaining.is_zero() {
                 // rpl_semi_sync-style timeout: degrade and let the commit
                 // through unacked by the replicas.
                 self.shared.degrade();
@@ -508,7 +523,9 @@ impl ReplicationHook {
                 return Ok(());
             }
             self.shared.pump(SimInstant::now());
-            ut_delay(10);
+            self.shared
+                .tracker
+                .wait_advance(seen, RETRANSMIT_INTERVAL.min(remaining));
         }
 
         self.crash_point(CrashPoint::PostAck)?;
@@ -531,20 +548,14 @@ impl ReplicationHook {
         self.shared
             .background_running
             .store(true, Ordering::Release);
-        loop {
-            match self.shared.ship_rx.try_recv() {
-                Ok((start, end)) => self.shared.deliver_queued(start, end),
-                Err(_) if self.shared.stop.load(Ordering::Acquire) => break,
-                Err(_) => {
-                    // Idle: nothing queued yet.  Under sim this advances the
-                    // virtual clock and yields; natively it pauses the OS
-                    // thread without burning the (single) CPU.
-                    if txsql_sim::current().is_some() {
-                        ut_delay(200);
-                    } else {
-                        std::thread::sleep(Duration::from_micros(200));
-                    }
-                }
+        while !(self.shared.stop.load(Ordering::Acquire) && self.shared.ship_rx.is_empty()) {
+            // Idle means blocked here; `teardown` raises the stop flag and
+            // then sends `None` to get us to look at it.
+            match self.shared.ship_rx.recv() {
+                Ok(Some((start, end))) => self.shared.deliver_queued(start, end),
+                Ok(None) => {}
+                // Unreachable while `Shared` owns both ends; never spin on it.
+                Err(_) => break,
             }
         }
         self.shared
@@ -554,12 +565,14 @@ impl ReplicationHook {
 
     /// Blocks until every replica has applied at least `expected_txns`
     /// transactions (or the timeout expires).  Returns true when the
-    /// replicas caught up.  Deterministic under simulation: the deadline is
-    /// a [`SimInstant`] and the polling pause is an instrumented delay, so
-    /// the sim's virtual clock controls both.
+    /// replicas caught up.  Parks on the ack tracker between looks — every
+    /// applied delivery records an ack — and pumps on the retransmit
+    /// interval.  Deterministic under simulation: the deadline is a
+    /// [`SimInstant`] and the park is on the sim's virtual clock.
     pub fn wait_caught_up(&self, expected_txns: u64, timeout: Duration) -> bool {
         let deadline = SimInstant::now() + timeout;
         loop {
+            let seen = self.shared.tracker.advances();
             if !self.shared.background_running.load(Ordering::Acquire) {
                 self.shared.drain_queue();
             }
@@ -573,10 +586,13 @@ impl ReplicationHook {
             if caught_up {
                 return true;
             }
-            if SimInstant::now() >= deadline {
+            let remaining = deadline.saturating_duration_since(SimInstant::now());
+            if remaining.is_zero() {
                 return false;
             }
-            ut_delay(20);
+            self.shared
+                .tracker
+                .wait_advance(seen, RETRANSMIT_INTERVAL.min(remaining));
         }
     }
 
@@ -588,14 +604,18 @@ impl ReplicationHook {
             return;
         }
         self.shared.stop.store(true, Ordering::Release);
+        // Whatever is still queued ships now, on the caller's thread.
+        self.shared.drain_queue();
+        if self.shared.background_running.load(Ordering::Acquire) {
+            // An idle applier is blocked in `recv`: get it to look at the flag.
+            let _ = self.shared.ship_tx.try_send(None);
+        }
         if let Some(handle) = self.applier.lock().take() {
             let _ = handle.join();
             self.shared
                 .background_running
                 .store(false, Ordering::Release);
         }
-        // Whatever is still queued ships now, on the caller's thread.
-        self.shared.drain_queue();
     }
 
     /// Stops the background applier (asynchronous mode) and flushes the
@@ -851,8 +871,8 @@ mod tests {
                 .build();
         // With no background applier the queue only drains lazily, so the
         // third enqueue finds it full and sheds.
-        hook.shared.ship_tx.try_send((0, 0)).unwrap();
-        hook.shared.ship_tx.try_send((0, 0)).unwrap();
+        hook.shared.ship_tx.try_send(Some((0, 0))).unwrap();
+        hook.shared.ship_tx.try_send(Some((0, 0))).unwrap();
         hook.on_commit_batch(&[event(1, 10)]).unwrap();
         assert_eq!(metrics.ship_queue_full.get(), 1);
         // Shedding dropped work, not data: catch-up re-ships the retained

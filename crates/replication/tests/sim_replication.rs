@@ -562,7 +562,7 @@ fn sim_ship_queue_shed_drain_and_degrade_races_converge() {
     let mut classes = HashSet::new();
     let mut channel_yields = 0u64;
     let mut lock_yields = 0u64;
-    let mut clock_yields = 0u64;
+    let mut event_yields = 0u64;
     let mut total_skips = 0u64;
     let mut shed_seeds = 0u64;
     let mut degraded_seeds = 0u64;
@@ -646,7 +646,7 @@ fn sim_ship_queue_shed_drain_and_degrade_races_converge() {
         classes.insert(report.coverage.schedule_class);
         channel_yields += report.coverage.yields_of(txsql_sim::ResourceKind::Channel);
         lock_yields += report.coverage.yields_of(txsql_sim::ResourceKind::Lock);
-        clock_yields += report.coverage.yields_of(txsql_sim::ResourceKind::Clock);
+        event_yields += report.coverage.yields_of(txsql_sim::ResourceKind::Event);
         total_skips += report.coverage.commuting_skips;
         if metrics.ship_queue_full.get() > 0 {
             shed_seeds += 1;
@@ -658,7 +658,7 @@ fn sim_ship_queue_shed_drain_and_degrade_races_converge() {
 
     println!(
         "sim-coverage: suite=sim_ship_queue runs={n_seeds} classes={} \
-         channel_yields={channel_yields} lock_yields={lock_yields} clock_yields={clock_yields} \
+         channel_yields={channel_yields} lock_yields={lock_yields} event_yields={event_yields} \
          skips={total_skips} shed_seeds={shed_seeds} degraded_seeds={degraded_seeds}",
         classes.len()
     );
@@ -669,7 +669,7 @@ fn sim_ship_queue_shed_drain_and_degrade_races_converge() {
         "the shipping channel never became a yield point"
     );
     assert!(lock_yields > 0, "no tagged mutex yields on the ship path");
-    assert!(clock_yields > 0, "no tagged clock yields on the ship path");
+    assert!(event_yields > 0, "no tagged event waits on the ship path");
     assert!(
         shed_seeds > 0,
         "no explored schedule filled the capacity-1 queue ({n_seeds} seeds) — \

@@ -241,8 +241,13 @@ mod tests {
 
     #[test]
     fn ci_seeds_parses_specs() {
-        // Can't set the env var safely in parallel tests; just check default.
-        assert_eq!(ci_seeds(3), vec![0, 1, 2]);
+        // The parser, not the variable: CI runs this suite with it set.
+        use crate::sched::parse_seeds;
+        assert_eq!(parse_seeds(None, 3), vec![0, 1, 2]);
+        assert_eq!(parse_seeds(Some("nonsense"), 3), vec![0, 1, 2]);
+        assert_eq!(parse_seeds(Some(" 2 "), 3), vec![0, 1]);
+        assert_eq!(parse_seeds(Some("5..8"), 3), vec![5, 6, 7]);
+        assert_eq!(parse_seeds(Some("7, 13,42"), 3), vec![7, 13, 42]);
     }
 
     // Two threads hammering *disjoint* tagged resources: every switch

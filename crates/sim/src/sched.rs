@@ -1051,23 +1051,22 @@ pub fn explore(seeds: impl IntoIterator<Item = u64>, build: impl Fn(&mut Sim)) {
 /// (`"200"`), a range (`"0..200"`) or a comma list (`"7,13,42"`); the default
 /// is `0..default_count`.
 pub fn ci_seeds(default_count: u64) -> Vec<u64> {
-    match std::env::var("TXSQL_SIM_SEEDS") {
-        Ok(spec) => {
-            let spec = spec.trim();
-            if let Some((a, b)) = spec.split_once("..") {
-                let a: u64 = a.trim().parse().unwrap_or(0);
-                let b: u64 = b.trim().parse().unwrap_or(default_count);
-                (a..b).collect()
-            } else if spec.contains(',') {
-                spec.split(',')
-                    .filter_map(|s| s.trim().parse().ok())
-                    .collect()
-            } else if let Ok(n) = spec.parse::<u64>() {
-                (0..n).collect()
-            } else {
-                (0..default_count).collect()
-            }
-        }
-        Err(_) => (0..default_count).collect(),
+    let spec = std::env::var("TXSQL_SIM_SEEDS").ok();
+    parse_seeds(spec.as_deref(), default_count)
+}
+
+/// [`ci_seeds`] for an explicit `TXSQL_SIM_SEEDS` value.
+pub(crate) fn parse_seeds(spec: Option<&str>, default_count: u64) -> Vec<u64> {
+    let spec = spec.unwrap_or("").trim();
+    if let Some((a, b)) = spec.split_once("..") {
+        let a: u64 = a.trim().parse().unwrap_or(0);
+        let b: u64 = b.trim().parse().unwrap_or(default_count);
+        (a..b).collect()
+    } else if spec.contains(',') {
+        spec.split(',')
+            .filter_map(|s| s.trim().parse().ok())
+            .collect()
+    } else {
+        (0..spec.parse().unwrap_or(default_count)).collect()
     }
 }

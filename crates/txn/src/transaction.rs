@@ -6,6 +6,7 @@ use std::time::Instant;
 use txsql_common::fxhash::{FxHashMap, FxHashSet};
 use txsql_common::metrics::{EngineMetrics, MetricsScratch};
 use txsql_common::{RecordId, Row, TableId, TxnId};
+use txsql_lockmgr::OsEvent;
 
 /// Lifecycle state of a transaction.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -53,9 +54,10 @@ pub struct Transaction {
     /// set so the per-statement "already locked?" check is O(1) no matter
     /// how many rows the transaction touches.
     locked_records: FxHashSet<RecordId>,
-    /// Records read from an uncommitted version (Bamboo-style dirty reads),
-    /// together with the writer depended upon.
-    dirty_reads_from: Vec<TxnId>,
+    /// Writers whose uncommitted versions this transaction read (Bamboo-style
+    /// dirty reads), each with the completion event that writer posts its
+    /// outcome to.
+    dirty_reads_from: Vec<(TxnId, Arc<OsEvent>)>,
     /// After-images of every change, in execution order — the material the
     /// binlog (replication) is built from at commit.
     changes: Vec<(TableId, i64, Row)>,
@@ -193,15 +195,17 @@ impl Transaction {
     }
 
     /// Records that this transaction read uncommitted data written by `writer`
-    /// (Bamboo early-lock-release path); commit must wait for `writer`.
-    pub fn record_dirty_read_from(&mut self, writer: TxnId) {
-        if writer != self.id && !self.dirty_reads_from.contains(&writer) {
-            self.dirty_reads_from.push(writer);
+    /// (Bamboo early-lock-release path); commit must wait on `completion`
+    /// for `writer`'s outcome.
+    pub fn record_dirty_read_from(&mut self, writer: TxnId, completion: Arc<OsEvent>) {
+        if writer != self.id && !self.dirty_reads_from.iter().any(|(w, _)| *w == writer) {
+            self.dirty_reads_from.push((writer, completion));
         }
     }
 
-    /// Writers of uncommitted data this transaction depends on.
-    pub fn dirty_reads_from(&self) -> &[TxnId] {
+    /// Writers of uncommitted data this transaction depends on, with their
+    /// completion events.
+    pub fn dirty_reads_from(&self) -> &[(TxnId, Arc<OsEvent>)] {
         &self.dirty_reads_from
     }
 
@@ -270,10 +274,11 @@ mod tests {
     #[test]
     fn dirty_read_dependencies_ignore_self_and_duplicates() {
         let mut t = Transaction::new(TxnId(3));
-        t.record_dirty_read_from(TxnId(3));
-        t.record_dirty_read_from(TxnId(4));
-        t.record_dirty_read_from(TxnId(4));
-        assert_eq!(t.dirty_reads_from(), &[TxnId(4)]);
+        t.record_dirty_read_from(TxnId(3), OsEvent::new());
+        t.record_dirty_read_from(TxnId(4), OsEvent::new());
+        t.record_dirty_read_from(TxnId(4), OsEvent::new());
+        let writers: Vec<TxnId> = t.dirty_reads_from().iter().map(|(w, _)| *w).collect();
+        assert_eq!(writers, [TxnId(4)]);
     }
 
     #[test]
