@@ -39,8 +39,13 @@
 //!   table's turn waiters) and the record-lock grant (`lock_table`; locks
 //!   are released before the flush).  They re-check the word for
 //!   `HANDOFF_SPIN` before parking, because a park + wake pair (two system
-//!   calls and a reschedule, 5–18 µs) costs more than the whole transaction
-//!   being waited for.
+//!   calls and a reschedule: ≈ 10 µs of the waker's time and 17–40 µs until
+//!   the waiter runs again) costs more than the whole transaction being
+//!   waited for.  A thread whose hand-off spins have been paying — the
+//!   transactions it waits for really are on another CPU — may spin up to
+//!   `HANDOFF_SPIN_PAYING`, as long as a park would cost it; one whose spins
+//!   keep ending in a park (more runnable threads than CPUs) stays at the
+//!   short bound.  See [`OsEvent::wait_handoff`].
 //! * **I/O waits** ([`OsEvent::wait`] / [`OsEvent::wait_for`]) are waits for
 //!   something that takes a flush, a network round trip or a timer: the
 //!   commit pipeline's stage queue, the admission queue and the queue lock's
@@ -69,7 +74,7 @@
 //! wait is one resource-tagged scheduling point, which makes lost-wakeup and
 //! stale-wake bugs reproducible from a seed.
 
-use std::cell::RefCell;
+use std::cell::{Cell, RefCell};
 use std::sync::atomic::{AtomicU32, Ordering};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 use std::time::{Duration, Instant};
@@ -78,14 +83,26 @@ use std::time::{Duration, Instant};
 /// small enough to be cache-friendly.
 const POOL_CAP: usize = 32;
 
-/// How long a hand-off wait re-checks the state word before it parks: the
-/// time a contended hot-row transaction needs to reach its wake-up, and no
-/// more than a park + wake pair costs.  Measured on the 2-CPU reference box
-/// (`hot_update_mem`, 2 clients): 92 % of hand-off waits end within 4 µs and
-/// 94 % within 5 µs, a park + wake pair costs 5–18 µs, and throughput reads
-/// 88k / 108k / 132k tps at 3 / 4 / 5 µs (45k with no spin) while 16
-/// oversubscribed clients lose ≈ 10 % from 2 to 5 µs and 30 % at 8 µs.
+/// How long every hand-off wait re-checks the state word before it parks.
+/// Measured on the 2-CPU reference box (`hot_update_mem`): with 2 clients
+/// 92 % of hand-off waits end within 4 µs and 94 % within 5 µs, and
+/// throughput reads 88k / 108k / 132k tps at 3 / 4 / 5 µs (45k with no spin);
+/// 16 oversubscribed clients, whose spins succeed 3 times in 1 000, lose
+/// ≈ 10 % from 2 to 5 µs, 30 % at 8 µs and as much again at 20 µs.
 const HANDOFF_SPIN: Duration = Duration::from_micros(5);
+
+/// How long a hand-off wait spins while the thread's spins are paying (see
+/// `SPIN_CREDIT`): what a park costs.  `HANDOFF_SPIN` alone sits on the knee
+/// of the 2-client wait distribution: a transaction that runs 2 µs late
+/// parks its waiter, the waker spends ≈ 10 µs in `futex_wake`, then waits
+/// for the thread it just woke 17–40 µs before that thread runs, and parks
+/// in turn.  10 % of the waits park in such chains, `hot_update_mem` reads
+/// 108k tps and a `p99_ms` of 0.10, and both move with how many chains a run
+/// catches; with this bound 0.4 % park and it reads 132k and 0.056.
+const HANDOFF_SPIN_PAYING: Duration = Duration::from_micros(20);
+
+/// `SPIN_CREDIT`'s ceiling, and (halved) the credit the long spin needs.
+const SPIN_CREDIT_MAX: u32 = 8;
 
 /// State-word bit: a waiter is parked (or committed to parking) on the
 /// condvar, so `set` must notify.
@@ -93,6 +110,21 @@ const PARKED: u32 = 1 << 31;
 
 thread_local! {
     static EVENT_POOL: RefCell<Vec<Arc<OsEvent>>> = const { RefCell::new(Vec::new()) };
+    /// Whether this thread's hand-off spins pay: +1 for a wait that ended in
+    /// its spin, halved by one that had to park.  One late transaction leaves
+    /// the long spin in place (the wait after a park is the one that most
+    /// needs it); spins that keep failing, as they do when the threads waited
+    /// for are not on a CPU, take it away within two waits.
+    static SPIN_CREDIT: Cell<u32> = const { Cell::new(SPIN_CREDIT_MAX) };
+}
+
+/// The calling thread's current hand-off spin bound.
+fn handoff_spin() -> Duration {
+    if SPIN_CREDIT.get() >= SPIN_CREDIT_MAX / 2 {
+        HANDOFF_SPIN_PAYING
+    } else {
+        HANDOFF_SPIN
+    }
 }
 
 /// A resettable signalling event that carries a small wake payload.
@@ -236,20 +268,24 @@ impl OsEvent {
             .unwrap_or_else(|| self.park(Some(Instant::now() + timeout)))
     }
 
-    /// Hand-off wait: re-checks the state word for `HANDOFF_SPIN`, then
-    /// parks until the event is set or `timeout` elapses.  For waits on a
-    /// transaction that is running now (see the module docs).
+    /// Hand-off wait: re-checks the state word for the calling thread's spin
+    /// bound — `HANDOFF_SPIN`, or `HANDOFF_SPIN_PAYING` while its spins have
+    /// been ending without a park — then parks until the event is set or
+    /// `timeout` elapses.  For waits on a transaction that is running now
+    /// (see the module docs).
     pub fn wait_handoff(&self, timeout: Duration) -> WaitOutcome {
         if let Some(outcome) = self.sim_wait(Some(timeout)) {
             return outcome;
         }
         let start = Instant::now();
-        let spin_until = start + HANDOFF_SPIN.min(timeout);
+        let spin_until = start + handoff_spin().min(timeout);
         loop {
             if self.is_set() {
+                SPIN_CREDIT.set((SPIN_CREDIT.get() + 1).min(SPIN_CREDIT_MAX));
                 return WaitOutcome::Signalled;
             }
             if Instant::now() >= spin_until {
+                SPIN_CREDIT.set(SPIN_CREDIT.get() / 2);
                 return self.park(Some(start + timeout));
             }
             std::hint::spin_loop();
@@ -480,6 +516,36 @@ mod tests {
         ev.set();
         waiter.join().unwrap();
         assert_eq!(ev.notifies.load(Ordering::Relaxed), 1);
+    }
+
+    #[test]
+    fn failing_spins_lose_the_long_bound_and_paying_ones_earn_it_back() {
+        // The credit is per thread: start from a fresh one.
+        thread::spawn(|| {
+            let ev = OsEvent::new();
+            let park = |ev: &OsEvent| ev.wait_handoff(Duration::from_micros(50));
+            assert_eq!(handoff_spin(), HANDOFF_SPIN_PAYING);
+            // One wait that parks keeps the long spin, a second in a row
+            // takes it away.
+            assert_eq!(park(&ev), WaitOutcome::TimedOut);
+            assert_eq!(handoff_spin(), HANDOFF_SPIN_PAYING);
+            assert_eq!(park(&ev), WaitOutcome::TimedOut);
+            assert_eq!(handoff_spin(), HANDOFF_SPIN);
+            // Two waits that end in their spin earn it back.
+            ev.set();
+            assert_eq!(park(&ev), WaitOutcome::Signalled);
+            assert_eq!(handoff_spin(), HANDOFF_SPIN);
+            assert_eq!(park(&ev), WaitOutcome::Signalled);
+            assert_eq!(handoff_spin(), HANDOFF_SPIN_PAYING);
+            // Spins that never pay stay at the short bound.
+            ev.reset();
+            for _ in 0..10 {
+                assert_eq!(park(&ev), WaitOutcome::TimedOut);
+            }
+            assert_eq!(handoff_spin(), HANDOFF_SPIN);
+        })
+        .join()
+        .unwrap();
     }
 
     /// N setter/waiter pairs, each racing `set` against the waiter's
