@@ -370,6 +370,15 @@ impl Database {
         self.inner.group_locks.debug_state(record)
     }
 
+    /// Entries the protocol's private tables still hold: hot-row groups, O2
+    /// ticket queues, Bamboo completion events.  Zero once every transaction
+    /// has finished — anything else is leaked protocol state.
+    pub fn protocol_entries(&self) -> usize {
+        self.inner.group_locks.live_groups()
+            + self.inner.queue_locks.live_queues()
+            + self.inner.completions.lock().len()
+    }
+
     /// The serializability history recorder, when enabled.
     pub fn history(&self) -> Option<&HistoryRecorder> {
         self.inner.history.as_ref()

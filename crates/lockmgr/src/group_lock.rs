@@ -1068,6 +1068,19 @@ impl GroupLockTable {
             .unwrap_or(false)
     }
 
+    /// Hot rows that still have group state — zero once every transaction
+    /// that touched a hot row has finished (the leak oracle of the tests).
+    pub fn live_groups(&self) -> usize {
+        let live = |shard: &EntryShard| {
+            let entries = shard.lock();
+            entries
+                .values()
+                .filter(|e| !e.state.lock().is_idle())
+                .count()
+        };
+        self.entry_shards.iter().map(live).sum()
+    }
+
     /// Current leader of the hot row, if any.
     pub fn leader_of(&self, record: RecordId) -> Option<TxnId> {
         let entries = self.entry_shard(record).lock();

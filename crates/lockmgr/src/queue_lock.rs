@@ -170,6 +170,12 @@ impl QueueLockTable {
             .unwrap_or(0)
     }
 
+    /// Hot rows with a ticket holder or a queue — zero once every transaction
+    /// that took a ticket has released it.
+    pub fn live_queues(&self) -> usize {
+        self.shards.iter().map(|shard| shard.lock().len()).sum()
+    }
+
     /// True when some transaction currently holds the ticket or is queued.
     pub fn has_waiters(&self, record: RecordId) -> bool {
         self.shard_for(record)
