@@ -34,8 +34,8 @@ fn main() {
             // (Reported rather than asserted: the Bamboo baseline's early lock
             // release can leak an aborted delta into a dependent after-image
             // under multi-statement transactions — a known limitation of this
-            // reproduction's Bamboo cascade handling, documented in
-            // EXPERIMENTS.md.  TXSQL/MySQL/Aria must always pass.)
+            // reproduction's Bamboo cascade handling.  TXSQL/MySQL/Aria must
+            // always pass.)
             let consistent = outcome.tpcc_consistent.expect("tpcc cell runs the check");
             if !consistent {
                 println!(

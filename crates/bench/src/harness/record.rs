@@ -1,9 +1,9 @@
 //! Rendering cell outcomes to the `BENCH_workloads.json` trajectory record.
 //!
-//! The file follows the same honest-trajectory protocol as
-//! `BENCH_lockmgr.json`: a top-level `description` and `environment`, then
-//! one block per PR keyed `prN...`, each holding its provenance (grid,
-//! seed, window lengths, thread counts) and an array of measured cells.
+//! The file follows an honest-trajectory protocol: a top-level
+//! `description` and `environment`, then one block per PR keyed `prN...`,
+//! each holding its provenance (grid, seed, window lengths, thread counts)
+//! and an array of measured cells.
 //! Blocks are appended, never rewritten, so the file reads as a history.
 
 use super::cell::CellOutcome;

@@ -9,7 +9,6 @@
 //! numbers are laptop-scale (this engine is an in-memory reproduction, not
 //! the paper's 80-core testbed); what is expected to match is the *shape*:
 //! which protocol wins, by roughly what factor, and where the crossovers are.
-//! `EXPERIMENTS.md` records one captured run per figure.
 //!
 //! Scaling knobs (environment variables):
 //!

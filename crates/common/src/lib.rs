@@ -21,8 +21,7 @@
 //! * [`pad`] — [`pad::CachePadded`], cache-line padding for sharded lock and
 //!   bookkeeping structures (kills false sharing between shard mutexes).
 //! * [`latency`] — the [`latency::LatencyModel`] that substitutes for the
-//!   paper's real fsync and replica network round-trips (see `DESIGN.md`,
-//!   substitution table).
+//!   paper's real fsync and replica network round-trips.
 //! * [`rng`] — a tiny, fast, seedable PRNG (xorshift*) used by workloads so
 //!   experiments are reproducible without pulling extra dependencies onto hot
 //!   paths.

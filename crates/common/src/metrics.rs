@@ -3,9 +3,9 @@
 //! The evaluation section reports, per protocol and configuration:
 //! throughput (TPS), 95th-percentile latency, the *lock-wait share* of that
 //! latency (Figure 6c), the number of locks created per query (Figure 6d),
-//! CPU utilisation (Figure 6b — we report a useful-work ratio instead, see
-//! `DESIGN.md`), abort and cascading-abort ratios (Figure 10) and failure
-//! rate over time (Figure 11).  [`EngineMetrics`] collects all of those with
+//! CPU utilisation (Figure 6b — we report a useful-work ratio instead:
+//! [`EngineMetrics::utilization`]), abort and cascading-abort ratios
+//! (Figure 10) and failure rate over time (Figure 11).  [`EngineMetrics`] collects all of those with
 //! relaxed atomics so that metrics collection itself does not become a point
 //! of contention.
 
@@ -524,119 +524,185 @@ impl AbortBreakdown {
     }
 }
 
-/// All metrics the engine maintains while running a workload.
-#[derive(Debug, Default)]
-pub struct EngineMetrics {
-    /// Committed transactions.
-    pub committed: Counter,
-    /// Aborted transactions (all causes).
-    pub aborted: Counter,
-    /// Aborts that were part of a cascade (Figure 10 left).
-    pub cascading_aborts: Counter,
-    /// Per-cause abort counters.
-    pub abort_causes: AbortCounters,
-    /// End-to-end transaction latency.
-    pub txn_latency: LatencyHistogram,
-    /// Time spent waiting for locks (the inner bar of Figure 6c).
-    pub lock_wait_latency: LatencyHistogram,
-    /// Number of `lock_t` objects created (Figure 6d numerator).
-    pub locks_created: Counter,
-    /// Record locks released (individually or via release-all), making
-    /// bookkeeping churn observable next to `locks_created`.
-    pub locks_released: Counter,
-    /// Live `(txn, record)` entries across the sharded lock registries —
-    /// the decentralized successor of the global `txn_locks` map.  Sampled
-    /// from the registries' per-shard counts at snapshot time (never updated
-    /// on the lock hot path).  A non-zero value with no active transactions
-    /// indicates leaked bookkeeping.
-    pub lock_registry_entries: Gauge,
-    /// Number of lock requests that had to wait.
-    pub lock_waits: Counter,
-    /// Driver-side retries after a retryable abort: each time a closed-loop
-    /// or fixed-TPS worker re-submits a transaction that aborted on
-    /// contention.  This is the retry-storm traffic arriving at the front
-    /// door — the signal the ROADMAP's admission-control layer will consume.
-    pub admission_retries: Counter,
-    /// Transactions that waited in a hot-key admission queue before being
-    /// admitted (the front-door serialization the admission layer applies to
-    /// declared-hot-key transactions).
-    pub admission_queued: Counter,
-    /// Transactions shed by admission control: rejected with
-    /// `Error::Overloaded` because a hot-key queue was at capacity or inside
-    /// its post-shed hysteresis window.
-    pub admission_shed: Counter,
-    /// Driver-side retry loops that gave up because their retry budget was
-    /// exhausted (the transaction is reported failed instead of retried).
-    pub retry_budget_exhausted: Counter,
-    /// Backoff sleeps taken by the drivers' budgeted retry loops (one per
-    /// retry that waited before re-submitting).
-    pub backoff_waits: Counter,
-    /// Live waiters across all hot-key admission queues.  Sampled by the
-    /// admission controller on enqueue/dequeue; like the other gauges it is
-    /// *not* reset between windows — a non-zero value after a burst drains
-    /// means a wedged queue.
-    pub admission_queue_depth: Gauge,
-    /// Shard-mutex acquisitions on the lock **release** paths: one per page
-    /// (or row-shard) group drained by the lock tables and one per registry
-    /// batch (`forget_records` / `take_all`).  The denominator for release
-    /// batching: batching early releases to statement boundaries amortizes
-    /// these, so takes-per-released-lock should drop as batch size grows.
-    pub release_shard_locks: Counter,
-    /// Group-table entry-map shard acquisitions on the leader's **commit
-    /// handover** path (prepare + handover).  The denominator for handover
-    /// batching: collecting a leader's hot records and fetching their group
-    /// entries shard by shard amortizes these, so takes-per-hot-record should
-    /// drop below 1.0 as the records-per-commit count grows (vs 2.0 for the
-    /// per-record prepare+handover sequence).
-    pub handover_shard_locks: Counter,
-    /// Length of each grant scan (requests examined per scan), recorded via
-    /// `record_micros(len)` — the log2 buckets hold request counts here, not
-    /// times.  With per-record wait queues this must stay bounded by the
-    /// queue on *one* record; growth with page population indicates the
-    /// O(page) scan regression the queue layout exists to prevent.
-    pub grant_scan_len: LatencyHistogram,
-    /// Number of queries (statements) executed (Figure 6d denominator).
-    pub queries: Counter,
-    /// Number of deadlock-detector runs.
-    pub deadlock_checks: Counter,
-    /// Number of transactions that entered a hotspot group (leader or follower).
-    pub hotspot_group_entries: Counter,
-    /// Number of groups formed by group locking.
-    pub groups_formed: Counter,
-    /// Nanoseconds spent doing useful work (executing statements / commit logic).
-    pub busy_nanos: Counter,
-    /// Nanoseconds spent blocked (waiting for locks, queues or group wake-ups).
-    pub blocked_nanos: Counter,
-    /// Group-commit batches flushed by the commit pipeline.
-    pub commit_batches: Counter,
-    /// Transactions that went through the binlog sync stage.
-    pub commit_synced: Counter,
-    /// Injected crash points that fired (fault-injection runs only).
-    pub crash_injected: Counter,
-    /// Fsync attempts retried after a transient injected error.
-    pub fsync_retries: Counter,
-    /// Redo records replayed by `Database::restart_from_crash`.
-    pub recovery_replayed: Counter,
-    /// Redo records dropped by checkpoint-time log truncation.
-    pub wal_truncated_records: Counter,
-    /// Semi-sync ack waits that hit the `rpl_semi_sync`-style timeout and
-    /// degraded the pipeline to asynchronous shipping.
-    pub semi_sync_timeouts: Counter,
-    /// Commits acknowledged to the client while the pipeline was degraded
-    /// (shipped asynchronously, no replica ack backing them).
-    pub degraded_commits: Counter,
-    /// Degraded→semi-sync transitions: the replicas caught back up within
-    /// the configured re-sync lag and ack waiting resumed.
-    pub semi_sync_resyncs: Counter,
-    /// Batches shed because the bounded asynchronous shipping queue was
-    /// full (the replicas recover the gap from the retained binlog buffer).
-    pub ship_queue_full: Counter,
-    /// Shipping attempts retried after a transient injected ship error.
-    pub ship_retries: Counter,
-    /// Replica lag in binlog batches: retained binlog length minus the
-    /// slowest replica's acknowledged position.  A live gauge sampled on
-    /// the shipping path, not reset between windows.
-    pub replica_lag: Gauge,
+/// A metric [`EngineMetrics::reset`] knows how to start a new window for.
+trait Metric {
+    /// Clears what the last measurement window accumulated.
+    fn reset(&self);
+}
+
+impl Metric for Counter {
+    fn reset(&self) {
+        self.take();
+    }
+}
+
+impl Metric for Gauge {
+    /// A gauge mirrors live state (in-flight transactions still own their
+    /// registry entries, parked waiters are still parked): a new window does
+    /// not change it.
+    fn reset(&self) {}
+}
+
+impl Metric for LatencyHistogram {
+    fn reset(&self) {
+        LatencyHistogram::reset(self);
+    }
+}
+
+impl Metric for AbortCounters {
+    fn reset(&self) {
+        AbortCounters::reset(self);
+    }
+}
+
+/// The one table of engine metrics.  Each row is a field of
+/// [`EngineMetrics`]; `reset` visits every row (what a reset means is the
+/// row's kind's business, see [`Metric`]); the `snapshot` rows are also
+/// copied, under the same name, into [`MetricsSnapshot`], whose derived
+/// ratios and percentiles are computed from the `internal` rows.
+macro_rules! metrics_table {
+    (
+        snapshot { $( $(#[$sdoc:meta])* $snap:ident: $skind:ty, )* }
+        internal { $( $(#[$idoc:meta])* $int:ident: $ikind:ty, )* }
+    ) => {
+        /// All metrics the engine maintains while running a workload.
+        #[derive(Debug, Default)]
+        pub struct EngineMetrics {
+            $( $(#[$sdoc])* pub $snap: $skind, )*
+            $( $(#[$idoc])* pub $int: $ikind, )*
+        }
+
+        impl EngineMetrics {
+            /// Starts a new measurement window: clears every counter,
+            /// histogram and label, and leaves the gauges alone.
+            pub fn reset(&self) {
+                $( Metric::reset(&self.$snap); )*
+                $( Metric::reset(&self.$int); )*
+            }
+
+            /// Copies every `snapshot` row into its same-named field.
+            fn copy_through(&self, snapshot: &mut MetricsSnapshot) {
+                $( snapshot.$snap = self.$snap.get(); )*
+            }
+        }
+    };
+}
+
+metrics_table! {
+    snapshot {
+        /// Committed transactions.
+        committed: Counter,
+        /// Aborted transactions (all causes).
+        aborted: Counter,
+        /// Aborts that were part of a cascade (Figure 10 left).
+        cascading_aborts: Counter,
+        /// Number of `lock_t` objects created (Figure 6d numerator).
+        locks_created: Counter,
+        /// Record locks released (individually or via release-all), making
+        /// bookkeeping churn observable next to `locks_created`.
+        locks_released: Counter,
+        /// Live `(txn, record)` entries across the sharded lock registries —
+        /// the decentralized successor of the global `txn_locks` map.  Sampled
+        /// from the registries' per-shard counts at snapshot time (never updated
+        /// on the lock hot path).  A non-zero value with no active transactions
+        /// indicates leaked bookkeeping.
+        lock_registry_entries: Gauge,
+        /// Number of lock requests that had to wait.
+        lock_waits: Counter,
+        /// Driver-side retries after a retryable abort: each time a closed-loop
+        /// or fixed-TPS worker re-submits a transaction that aborted on
+        /// contention.  This is the retry-storm traffic arriving at the front
+        /// door — the signal the ROADMAP's admission-control layer will consume.
+        admission_retries: Counter,
+        /// Transactions that waited in a hot-key admission queue before being
+        /// admitted (the front-door serialization the admission layer applies to
+        /// declared-hot-key transactions).
+        admission_queued: Counter,
+        /// Transactions shed by admission control: rejected with
+        /// `Error::Overloaded` because a hot-key queue was at capacity or inside
+        /// its post-shed hysteresis window.
+        admission_shed: Counter,
+        /// Driver-side retry loops that gave up because their retry budget was
+        /// exhausted (the transaction is reported failed instead of retried).
+        retry_budget_exhausted: Counter,
+        /// Backoff sleeps taken by the drivers' budgeted retry loops (one per
+        /// retry that waited before re-submitting).
+        backoff_waits: Counter,
+        /// Live waiters across all hot-key admission queues.  Sampled by the
+        /// admission controller on enqueue/dequeue; like the other gauges it is
+        /// *not* reset between windows — a non-zero value after a burst drains
+        /// means a wedged queue.
+        admission_queue_depth: Gauge,
+        /// Shard-mutex acquisitions on the lock **release** paths: one per page
+        /// (or row-shard) group drained by the lock tables and one per registry
+        /// batch (`forget_records` / `take_all`).  The denominator for release
+        /// batching: batching early releases to statement boundaries amortizes
+        /// these, so takes-per-released-lock should drop as batch size grows.
+        release_shard_locks: Counter,
+        /// Group-table entry-map shard acquisitions on the leader's **commit
+        /// handover** path (prepare + handover).  The denominator for handover
+        /// batching: collecting a leader's hot records and fetching their group
+        /// entries shard by shard amortizes these, so takes-per-hot-record should
+        /// drop below 1.0 as the records-per-commit count grows (vs 2.0 for the
+        /// per-record prepare+handover sequence).
+        handover_shard_locks: Counter,
+        /// Number of deadlock-detector runs.
+        deadlock_checks: Counter,
+        /// Number of transactions that entered a hotspot group (leader or follower).
+        hotspot_group_entries: Counter,
+        /// Number of groups formed by group locking.
+        groups_formed: Counter,
+        /// Group-commit batches flushed by the commit pipeline.
+        commit_batches: Counter,
+        /// Injected crash points that fired (fault-injection runs only).
+        crash_injected: Counter,
+        /// Fsync attempts retried after a transient injected error.
+        fsync_retries: Counter,
+        /// Redo records replayed by `Database::restart_from_crash`.
+        recovery_replayed: Counter,
+        /// Redo records dropped by checkpoint-time log truncation.
+        wal_truncated_records: Counter,
+        /// Semi-sync ack waits that hit the `rpl_semi_sync`-style timeout and
+        /// degraded the pipeline to asynchronous shipping.
+        semi_sync_timeouts: Counter,
+        /// Commits acknowledged to the client while the pipeline was degraded
+        /// (shipped asynchronously, no replica ack backing them).
+        degraded_commits: Counter,
+        /// Degraded→semi-sync transitions: the replicas caught back up within
+        /// the configured re-sync lag and ack waiting resumed.
+        semi_sync_resyncs: Counter,
+        /// Batches shed because the bounded asynchronous shipping queue was
+        /// full (the replicas recover the gap from the retained binlog buffer).
+        ship_queue_full: Counter,
+        /// Shipping attempts retried after a transient injected ship error.
+        ship_retries: Counter,
+        /// Replica lag in binlog batches: retained binlog length minus the
+        /// slowest replica's acknowledged position.  A live gauge sampled on
+        /// the shipping path, not reset between windows.
+        replica_lag: Gauge,
+    }
+    internal {
+        /// Per-cause abort counters.
+        abort_causes: AbortCounters,
+        /// End-to-end transaction latency.
+        txn_latency: LatencyHistogram,
+        /// Time spent waiting for locks (the inner bar of Figure 6c).
+        lock_wait_latency: LatencyHistogram,
+        /// Length of each grant scan (requests examined per scan), recorded via
+        /// `record_micros(len)` — the log2 buckets hold request counts here, not
+        /// times.  With per-record wait queues this must stay bounded by the
+        /// queue on *one* record; growth with page population indicates the
+        /// O(page) scan regression the queue layout exists to prevent.
+        grant_scan_len: LatencyHistogram,
+        /// Number of queries (statements) executed (Figure 6d denominator).
+        queries: Counter,
+        /// Nanoseconds spent doing useful work (executing statements / commit logic).
+        busy_nanos: Counter,
+        /// Nanoseconds spent blocked (waiting for locks, queues or group wake-ups).
+        blocked_nanos: Counter,
+        /// Transactions that went through the binlog sync stage.
+        commit_synced: Counter,
+    }
 }
 
 impl EngineMetrics {
@@ -646,7 +712,7 @@ impl EngineMetrics {
     }
 
     /// CPU-utilisation proxy: fraction of worker time spent doing useful work
-    /// rather than being blocked (see the substitution table in `DESIGN.md`).
+    /// rather than being blocked.
     pub fn utilization(&self) -> f64 {
         let busy = self.busy_nanos.get() as f64;
         let blocked = self.blocked_nanos.get() as f64;
@@ -689,50 +755,6 @@ impl EngineMetrics {
         }
     }
 
-    /// Resets every metric (used between benchmark measurement windows).
-    pub fn reset(&self) {
-        self.committed.take();
-        self.aborted.take();
-        self.cascading_aborts.take();
-        self.abort_causes.reset();
-        self.txn_latency.reset();
-        self.lock_wait_latency.reset();
-        self.locks_created.take();
-        self.locks_released.take();
-        // lock_registry_entries is deliberately not reset: it is a live gauge,
-        // and in-flight transactions still own their registry entries.
-        self.lock_waits.take();
-        self.admission_retries.take();
-        self.admission_queued.take();
-        self.admission_shed.take();
-        self.retry_budget_exhausted.take();
-        self.backoff_waits.take();
-        // admission_queue_depth is deliberately not reset: it is a live gauge
-        // of waiters currently parked in the hot-key queues.
-        self.release_shard_locks.take();
-        self.handover_shard_locks.take();
-        self.grant_scan_len.reset();
-        self.queries.take();
-        self.deadlock_checks.take();
-        self.hotspot_group_entries.take();
-        self.groups_formed.take();
-        self.busy_nanos.take();
-        self.blocked_nanos.take();
-        self.commit_batches.take();
-        self.commit_synced.take();
-        self.crash_injected.take();
-        self.fsync_retries.take();
-        self.recovery_replayed.take();
-        self.wal_truncated_records.take();
-        self.semi_sync_timeouts.take();
-        self.degraded_commits.take();
-        self.semi_sync_resyncs.take();
-        self.ship_queue_full.take();
-        self.ship_retries.take();
-        // replica_lag is deliberately not reset: like lock_registry_entries
-        // it mirrors live state (how far the slowest replica trails).
-    }
-
     /// Structured abort-reason breakdown of the current window.
     pub fn abort_breakdown(&self) -> AbortBreakdown {
         let causes: Vec<(String, u64)> = self
@@ -747,11 +769,8 @@ impl EngineMetrics {
     /// Takes a serialisable snapshot, computing TPS over `elapsed`.
     pub fn snapshot(&self, elapsed: Duration) -> MetricsSnapshot {
         let secs = elapsed.as_secs_f64().max(1e-9);
-        MetricsSnapshot {
+        let mut snapshot = MetricsSnapshot {
             elapsed_secs: elapsed.as_secs_f64(),
-            committed: self.committed.get(),
-            aborted: self.aborted.get(),
-            cascading_aborts: self.cascading_aborts.get(),
             tps: self.committed.get() as f64 / secs,
             abort_ratio: self.abort_ratio(),
             cascade_abort_ratio: self.cascade_abort_ratio(),
@@ -761,36 +780,10 @@ impl EngineMetrics {
             mean_latency_ms: self.txn_latency.mean_micros() / 1_000.0,
             p95_lock_wait_ms: self.lock_wait_latency.p95_millis(),
             mean_lock_wait_ms: self.lock_wait_latency.mean_micros() / 1_000.0,
-            locks_created: self.locks_created.get(),
-            locks_released: self.locks_released.get(),
-            lock_registry_entries: self.lock_registry_entries.get(),
             locks_per_query: self.locks_per_query(),
-            lock_waits: self.lock_waits.get(),
-            release_shard_locks: self.release_shard_locks.get(),
-            handover_shard_locks: self.handover_shard_locks.get(),
             mean_grant_scan_len: self.grant_scan_len.mean_micros(),
             max_grant_scan_len: self.grant_scan_len.max_micros(),
-            deadlock_checks: self.deadlock_checks.get(),
-            hotspot_group_entries: self.hotspot_group_entries.get(),
-            groups_formed: self.groups_formed.get(),
             utilization: self.utilization(),
-            commit_batches: self.commit_batches.get(),
-            crash_injected: self.crash_injected.get(),
-            fsync_retries: self.fsync_retries.get(),
-            recovery_replayed: self.recovery_replayed.get(),
-            wal_truncated_records: self.wal_truncated_records.get(),
-            semi_sync_timeouts: self.semi_sync_timeouts.get(),
-            degraded_commits: self.degraded_commits.get(),
-            semi_sync_resyncs: self.semi_sync_resyncs.get(),
-            ship_queue_full: self.ship_queue_full.get(),
-            ship_retries: self.ship_retries.get(),
-            replica_lag: self.replica_lag.get(),
-            admission_retries: self.admission_retries.get(),
-            admission_queued: self.admission_queued.get(),
-            admission_shed: self.admission_shed.get(),
-            retry_budget_exhausted: self.retry_budget_exhausted.get(),
-            backoff_waits: self.backoff_waits.get(),
-            admission_queue_depth: self.admission_queue_depth.get(),
             abort_breakdown: self.abort_breakdown(),
             abort_causes: self
                 .abort_causes
@@ -798,7 +791,10 @@ impl EngineMetrics {
                 .into_iter()
                 .map(|(l, c)| (l.to_owned(), c))
                 .collect(),
-        }
+            ..MetricsSnapshot::default()
+        };
+        self.copy_through(&mut snapshot);
+        snapshot
     }
 }
 

@@ -10,30 +10,33 @@
 //! committed in batch order; aborted transactions are retried by the caller
 //! in a later batch.
 //!
-//! Fidelity notes (documented in `DESIGN.md`): batch execution is performed
-//! by the thread that happens to become batch leader, so Aria's throughput in
-//! this reproduction is roughly flat as the client thread count grows —
-//! matching the qualitative behaviour the paper reports ("maintained stable
-//! TPS as the number of threads increased") without reproducing Aria's
-//! intra-batch parallelism.
+//! Fidelity note: batch execution is performed by the thread that happens to
+//! become batch leader, so Aria's throughput in this reproduction is roughly
+//! flat as the client thread count grows — matching the qualitative
+//! behaviour the paper reports ("maintained stable TPS as the number of
+//! threads increased") without reproducing Aria's intra-batch parallelism.
+//!
+//! Programs never touch the lock table.  The explicit session API still
+//! works under Aria and is plain 2PL on a lightweight table of its own.
 
-use crate::database::Database;
-use crate::hooks::{BinlogTxn, CommitHook};
+use super::{held, lock_to_commit, ConcurrencyControl, LockTable, WriteAdmission};
+use crate::database::{Database, DbInner};
 use crate::program::{Operation, ProgramOutcome, TxnProgram};
 use crossbeam::channel::{Receiver, Sender};
 use parking_lot::Mutex;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 use txsql_common::fxhash::FxHashMap;
 use txsql_common::time::SimInstant;
-use txsql_common::{Error, Result, Row, TableId};
+use txsql_common::{Error, RecordId, Result, Row, TableId, TxnId};
 use txsql_lockmgr::event::OsEvent;
-use txsql_storage::version::ReadCommitted;
+use txsql_lockmgr::LightweightLockTable;
+use txsql_txn::Transaction;
 
 struct AriaJob {
     program: TxnProgram,
-    submitted: SimInstant,
+    submitted: Instant,
     result: Arc<Mutex<Option<Result<ProgramOutcome>>>>,
     done: Arc<OsEvent>,
 }
@@ -46,7 +49,8 @@ struct AriaJob {
 /// primitives (`SimInstant`, channel yield points), so batch formation races
 /// — who joins a batch, who leads it, where the boundary falls — are explored
 /// deterministically under `txsql-sim` (`crates/core/tests/sim_aria.rs`).
-pub struct AriaCoordinator {
+pub(super) struct Aria {
+    locks: LightweightLockTable,
     batch_size: usize,
     batch_wait: Duration,
     jobs_tx: Sender<AriaJob>,
@@ -54,35 +58,28 @@ pub struct AriaCoordinator {
     batch_running: AtomicBool,
 }
 
-impl std::fmt::Debug for AriaCoordinator {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("AriaCoordinator")
-            .field("batch_size", &self.batch_size)
-            .finish()
-    }
-}
-
-impl AriaCoordinator {
-    /// Creates a coordinator with the given batch size.
-    pub fn new(batch_size: usize) -> Self {
-        let (jobs_tx, jobs_rx) = crossbeam::channel::unbounded();
-        Self {
-            batch_size: batch_size.max(1),
-            batch_wait: Duration::from_micros(200),
-            jobs_tx,
-            jobs_rx,
-            batch_running: AtomicBool::new(false),
+impl ConcurrencyControl for Aria {
+    fn acquire_for_write(
+        &self,
+        _db: &DbInner,
+        txn: &mut Transaction,
+        table: TableId,
+        record: RecordId,
+    ) -> Result<WriteAdmission> {
+        match held(txn, table, record) {
+            Some(admission) => Ok(admission),
+            None => lock_to_commit(&self.locks, txn, record),
         }
     }
 
     /// Submits a program and blocks until its batch has been processed.
-    pub fn execute(&self, db: &Database, program: &TxnProgram) -> Result<ProgramOutcome> {
+    fn execute_program(&self, db: &Database, program: &TxnProgram) -> Result<ProgramOutcome> {
         let result: Arc<Mutex<Option<Result<ProgramOutcome>>>> = Arc::new(Mutex::new(None));
         let done = OsEvent::new();
         self.jobs_tx
             .send(AriaJob {
                 program: program.clone(),
-                submitted: SimInstant::now(),
+                submitted: Instant::now(),
                 result: Arc::clone(&result),
                 done: Arc::clone(&done),
             })
@@ -124,6 +121,24 @@ impl AriaCoordinator {
         }
     }
 
+    fn locks(&self) -> &dyn LockTable {
+        &self.locks
+    }
+}
+
+impl Aria {
+    pub(super) fn new(locks: LightweightLockTable, batch_size: usize) -> Self {
+        let (jobs_tx, jobs_rx) = crossbeam::channel::unbounded();
+        Self {
+            locks,
+            batch_size: batch_size.max(1),
+            batch_wait: Duration::from_micros(200),
+            jobs_tx,
+            jobs_rx,
+            batch_running: AtomicBool::new(false),
+        }
+    }
+
     /// Executes one deterministic batch: snapshot execution, validation,
     /// ordered apply.
     fn run_batch(&self, db: &Database, jobs: Vec<AriaJob>) {
@@ -135,6 +150,10 @@ impl AriaCoordinator {
             writes: Vec<(TableId, i64, Row)>,
             forced_rollback: bool,
         }
+        let committed_row = |table: TableId, pk: i64| {
+            let record = db.record_id(table, pk).ok()?;
+            inner.storage.read_committed(table, record).ok().flatten()
+        };
         let mut executed: Vec<Executed> = Vec::with_capacity(jobs.len());
         for job in &jobs {
             let mut reads = Vec::new();
@@ -145,12 +164,8 @@ impl AriaCoordinator {
                 match op {
                     Operation::Read { table, pk } | Operation::SelectForUpdate { table, pk } => {
                         read_keys.push((*table, *pk));
-                        if let Ok(record) = db.record_id(*table, *pk) {
-                            if let Ok(Some(row)) =
-                                inner.storage.read_visible(*table, record, &ReadCommitted)
-                            {
-                                reads.push(row.get_int(1).unwrap_or_default());
-                            }
+                        if let Some(row) = committed_row(*table, *pk) {
+                            reads.push(row.get_int(1).unwrap_or_default());
                         }
                         inner.metrics.queries.inc();
                     }
@@ -162,18 +177,8 @@ impl AriaCoordinator {
                     } => {
                         inner.metrics.queries.inc();
                         let key = (*table, *pk);
-                        let base = if let Some(pending) = writes.get(&key) {
-                            Some(pending.clone())
-                        } else if let Ok(record) = db.record_id(*table, *pk) {
-                            inner
-                                .storage
-                                .read_visible(*table, record, &ReadCommitted)
-                                .ok()
-                                .flatten()
-                        } else {
-                            None
-                        };
-                        if let Some(mut row) = base {
+                        let pending = writes.get(&key).cloned();
+                        if let Some(mut row) = pending.or_else(|| committed_row(*table, *pk)) {
                             row.add_int(*column, *delta);
                             writes.insert(key, row);
                         }
@@ -181,14 +186,7 @@ impl AriaCoordinator {
                     }
                     Operation::Insert { table, pk, fill } => {
                         inner.metrics.queries.inc();
-                        let n_cols = inner
-                            .storage
-                            .table(*table)
-                            .map(|t| t.schema().n_columns)
-                            .unwrap_or(2);
-                        let mut cols = vec![*pk];
-                        cols.resize(n_cols, *fill);
-                        writes.insert((*table, *pk), Row::from_ints(&cols));
+                        writes.insert((*table, *pk), inner.filled_row(*table, *pk, *fill));
                     }
                     Operation::Work { micros } => {
                         txsql_common::latency::simulate_delay(std::time::Duration::from_micros(
@@ -241,84 +239,58 @@ impl AriaCoordinator {
         }
 
         // Phase 2: apply survivors in batch order.
-        let hooks = Arc::clone(&inner.hooks.read());
         for (idx, (job, exec)) in jobs.iter().zip(executed.iter()).enumerate() {
-            if exec.forced_rollback {
+            let outcome = if exec.forced_rollback {
                 inner.metrics.aborted.inc();
                 inner.metrics.abort_causes.record("explicit_rollback");
-                *job.result.lock() = Some(Ok(ProgramOutcome {
+                Ok(ProgramOutcome {
                     reads: exec.reads.clone(),
                     committed: false,
-                }));
-                job.done.set();
-                continue;
-            }
-            if aborted[idx] {
+                })
+            } else if aborted[idx] {
+                let err = Error::AriaValidationFailed { txn: TxnId(0) };
                 inner.metrics.aborted.inc();
-                let txn_id = txsql_common::TxnId(0);
-                inner
-                    .metrics
-                    .abort_causes
-                    .record(Error::AriaValidationFailed { txn: txn_id }.label());
-                *job.result.lock() = Some(Err(Error::AriaValidationFailed { txn: txn_id }));
-                job.done.set();
-                continue;
-            }
-            let outcome = self.apply_job(db, exec.reads.clone(), &exec.writes, job, &hooks);
+                inner.metrics.abort_causes.record(err.label());
+                Err(err)
+            } else {
+                Self::apply_job(db, exec.reads.clone(), &exec.writes, job)
+            };
             *job.result.lock() = Some(outcome);
             job.done.set();
         }
     }
 
+    /// Applies a surviving job's buffered writes and commits them through
+    /// the engine's one commit path.
     fn apply_job(
-        &self,
         db: &Database,
         reads: Vec<i64>,
         writes: &[(TableId, i64, Row)],
         job: &AriaJob,
-        hooks: &[Arc<dyn CommitHook>],
     ) -> Result<ProgramOutcome> {
-        let inner = &db.inner;
+        let storage = &db.inner.storage;
         let mut txn = db.begin();
-        let mut changes = Vec::new();
-        let mut write_set = Vec::new();
+        // The transaction's latency counts its wait for the batch.
+        txn.started_at = job.submitted;
         for (table, pk, row) in writes {
-            match db.record_id(*table, *pk) {
-                Ok(record) => {
-                    inner
-                        .storage
-                        .apply_update(txn.id, *table, record, row.clone())?;
-                    write_set.push((*table, record));
-                }
-                Err(_) => {
-                    let (record, _) = inner.storage.apply_insert(txn.id, *table, row.clone())?;
-                    write_set.push((*table, record));
+            let applied = match db.record_id(*table, *pk) {
+                Ok(record) => storage
+                    .apply_update(txn.id, *table, record, row.clone())
+                    .map(|_| record),
+                Err(_) => storage
+                    .apply_insert(txn.id, *table, row.clone())
+                    .map(|(record, _)| record),
+            };
+            match applied {
+                Ok(record) => txn.record_write(*table, record),
+                Err(err) => {
+                    db.rollback(txn, Some(&err));
+                    return Err(err);
                 }
             }
-            txn.record_write(*table, write_set.last().unwrap().1);
-            changes.push((*table, *pk, row.clone()));
+            txn.record_change(*table, *pk, row.clone());
         }
-        let trx_no = inner.trx_sys.allocate_trx_no();
-        let lsn = inner.storage.commit_writes(txn.id, trx_no, &write_set)?;
-        let binlog = BinlogTxn {
-            txn: txn.id,
-            trx_no,
-            changes,
-            involves_hotspot: false,
-        };
-        let pipeline_result = inner
-            .pipeline
-            .commit(inner.storage.redo(), lsn, binlog, hooks);
-        inner.trx_sys.finish(txn.id, Some(trx_no));
-        txn.state = txsql_txn::TxnState::Committed;
-        if let Err(err) = pipeline_result {
-            // The flush failed (injected crash / read-only): stamped in
-            // memory but not durable — do not acknowledge the commit.
-            inner.metrics.abort_causes.record(err.label());
-            return Err(err);
-        }
-        inner.metrics.committed.inc();
-        inner.metrics.txn_latency.record(job.submitted.elapsed());
+        db.commit(txn)?;
         Ok(ProgramOutcome {
             reads,
             committed: true,

@@ -1,0 +1,267 @@
+//! The protocol seam: one trait, one impl per concurrency-control protocol.
+//!
+//! The paper presents MySQL → O1 → O2 → group locking as successive
+//! replacements of the same three steps of a transaction's life (§3.1–3.3;
+//! §4 Alg. 1 Execute, Alg. 2 Commit, Alg. 3 Rollback).  [`Database`] runs
+//! those steps once and calls out to a [`ConcurrencyControl`] at the places
+//! where the protocols differ; it never asks which protocol it is.
+//!
+//! | hook | called from | paper |
+//! |---|---|---|
+//! | `begin` | `Database::begin` | — |
+//! | `acquire_for_write` | `update_row` / `select_for_update`, before the read | Alg. 1 lines 2–9 (+ §4.5 prevention) |
+//! | `after_write` | `update_row`, after the new version is stacked | Alg. 1 lines 10–14 (grant the next follower) |
+//! | `before_order` | `commit`, before `trx_no` and the commit record | Alg. 2 lines 2–10 (leader quiesce, hand-over, commit turn) |
+//! | `after_order` | `commit`, once the commit record is in the log | Alg. 2 lines 11–12 (leave the dependency list) |
+//! | `before_undo` | `rollback`, before the storage undo | Alg. 3 lines 2–7 (doom successors, rollback turn) |
+//! | `after_undo` | `rollback`, after the storage undo | Alg. 3 lines 8–12 (leave the list, resume granting) |
+//! | `finished` | last protocol step of commit and rollback | O2 ticket release, Bamboo outcome |
+//! | `execute_program` | `Database::execute_program`, after admission | Aria's batches |
+//!
+//! Every hook defaults to a no-op, so plain 2PL is its lock table and
+//! nothing else: between `after_order` / `after_undo` and `finished` the
+//! engine drops the transaction's locks through [`LockTable::release_all`]
+//! (the 2PL release point).  Each impl owns its protocol's state:
+//!
+//! | [`Protocol`] | impl | owns |
+//! |---|---|---|
+//! | `Mysql2pl` | [`TwoPhase`]`<PageLayout>` | the page-sharded `lock_sys` with its IX table locks |
+//! | `LightweightO1` | [`TwoPhase`]`<FlatLayout>` | the record-keyed lightweight table |
+//! | `QueueLockingO2` | [`QueueLocking`] | lightweight table + per-hot-row ticket queues |
+//! | `GroupLockingTxsql` | [`GroupLocking`] | lightweight table + `GroupLockTable` (groups, dependency lists) |
+//! | `Bamboo` | [`Bamboo`] | lightweight table + the completion event of every active transaction |
+//! | `Aria` | [`Aria`] | the batch queue (and a lightweight table for the session API) |
+//!
+//! The lock table is a concrete type inside each impl, so the acquire path
+//! stays monomorphised; the seam costs one indirect call per hook.  The
+//! hotspot registry stays on the engine: admission control reads it too.
+
+mod aria;
+mod bamboo;
+mod group;
+mod queue;
+
+use crate::config::{EngineConfig, Protocol};
+use crate::database::{Database, DbInner};
+use crate::program::{ProgramOutcome, TxnProgram};
+use aria::Aria;
+use bamboo::Bamboo;
+use group::GroupLocking;
+use parking_lot::Mutex;
+use queue::QueueLocking;
+use std::sync::Arc;
+use std::time::Instant;
+use txsql_common::metrics::EngineMetrics;
+use txsql_common::{RecordId, Result, TableId, TxnId};
+use txsql_lockmgr::group_lock::GroupLockTable;
+use txsql_lockmgr::hotspot::HotspotRegistry;
+use txsql_lockmgr::lock_table::{Layout, RecordLockTable};
+use txsql_lockmgr::queue_lock::QueueLockTable;
+use txsql_lockmgr::registry::TxnLockRegistry;
+use txsql_lockmgr::{LightweightLockTable, LockMode, LockSys, LockTableConfig};
+use txsql_txn::{HotRole, Transaction};
+
+/// How a row was admitted for writing.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum WriteAdmission {
+    /// A conventional lock is held (2PL / O1 / O2 / Bamboo / group leader).
+    Locked,
+    /// Group-locking follower: executes without any lock, and owns the
+    /// group's in-flight grant until `after_write`.
+    HotFollower,
+}
+
+/// What a protocol does at each step of a transaction (call sites: above).
+pub(crate) trait ConcurrencyControl: Send + Sync {
+    /// A transaction started.
+    fn begin(&self, _txn: &Transaction) {}
+
+    /// Admits `txn` to write `record`: blocks until it may read the row's
+    /// newest version and stack its own on top.
+    fn acquire_for_write(
+        &self,
+        db: &DbInner,
+        txn: &mut Transaction,
+        table: TableId,
+        record: RecordId,
+    ) -> Result<WriteAdmission>;
+
+    /// `txn` stacked a new version on `record` under `admission`.
+    fn after_write(&self, _txn: &Transaction, _record: RecordId, _admission: WriteAdmission) {}
+
+    /// Last step before the commit record is ordered; an error rolls back.
+    fn before_order(&self, _txn: &mut Transaction) -> Result<()> {
+        Ok(())
+    }
+
+    /// The commit record is in the log (locks are still held).
+    fn after_order(&self, _txn: &Transaction) {}
+
+    /// First step of a rollback, before storage undoes the writes.
+    fn before_undo(&self, _txn: &mut Transaction) {}
+
+    /// Storage has undone the writes (locks are still held).
+    fn after_undo(&self, _txn: &Transaction) {}
+
+    /// The outcome is final in storage and every lock is gone.
+    fn finished(&self, _txn: &Transaction, _committed: bool) {}
+
+    /// Runs an admitted program to its outcome.
+    fn execute_program(&self, db: &Database, program: &TxnProgram) -> Result<ProgramOutcome> {
+        db.run_session(program)
+    }
+
+    /// The protocol's record-lock table.
+    fn locks(&self) -> &dyn LockTable;
+
+    /// Whether a hot `record` still has traffic (keeps the sweeper from
+    /// demoting it).  Only asked under protocols that promote hotspots.
+    fn has_waiters(&self, _record: RecordId) -> bool {
+        false
+    }
+
+    /// Entries left in the protocol's private tables (groups, ticket queues,
+    /// completions); zero when no transaction is active.
+    fn live_entries(&self) -> usize {
+        0
+    }
+}
+
+/// What the engine itself asks of a record-lock table, in either layout.
+pub(crate) trait LockTable: Send + Sync {
+    /// Drops every record and table lock `txn` still holds; the release-path
+    /// counters go to the transaction's metrics scratch.
+    fn release_all(&self, txn: &Transaction);
+
+    /// The lock bookkeeping transaction teardown verifies and
+    /// `snapshot_metrics` samples.
+    fn registry(&self) -> &Arc<TxnLockRegistry>;
+
+    /// Transactions holding a record lock on `record`.
+    fn holders_of(&self, record: RecordId) -> Vec<TxnId>;
+}
+
+impl<L: Layout> LockTable for RecordLockTable<L> {
+    fn release_all(&self, txn: &Transaction) {
+        self.release_all_in(txn.id, txn.metrics_sink());
+    }
+
+    fn registry(&self) -> &Arc<TxnLockRegistry> {
+        RecordLockTable::registry(self)
+    }
+
+    fn holders_of(&self, record: RecordId) -> Vec<TxnId> {
+        RecordLockTable::holders_of(self, record)
+    }
+}
+
+/// Plain strict 2PL over either layout of the record-lock table: the MySQL
+/// baseline (page-sharded `lock_sys`, IX table lock before each record lock)
+/// and O1 (the record-keyed lightweight table, §3.1, which has no table
+/// locks).  The lock table is the whole protocol.
+struct TwoPhase<L: Layout> {
+    locks: RecordLockTable<L>,
+}
+
+impl<L: Layout> ConcurrencyControl for TwoPhase<L> {
+    fn acquire_for_write(
+        &self,
+        _db: &DbInner,
+        txn: &mut Transaction,
+        table: TableId,
+        record: RecordId,
+    ) -> Result<WriteAdmission> {
+        if let Some(admission) = held(txn, table, record) {
+            return Ok(admission);
+        }
+        self.locks
+            .lock_table(txn.id, table, LockMode::IntentionExclusive)?;
+        lock_to_commit(&self.locks, txn, record)
+    }
+
+    fn locks(&self) -> &dyn LockTable {
+        &self.locks
+    }
+}
+
+/// Builds the protocol `config` selects, with the state it owns.
+pub(crate) fn build(
+    config: &EngineConfig,
+    metrics: &Arc<EngineMetrics>,
+) -> Box<dyn ConcurrencyControl> {
+    let table = || LockTableConfig {
+        lock_wait_timeout: config.lock_wait_timeout,
+        ..LockTableConfig::default()
+    };
+    let metrics = || Arc::clone(metrics);
+    let flat = || LightweightLockTable::new(table(), metrics());
+    match config.protocol {
+        Protocol::Mysql2pl => Box::new(TwoPhase {
+            locks: LockSys::new(table(), metrics()),
+        }),
+        Protocol::LightweightO1 => Box::new(TwoPhase { locks: flat() }),
+        Protocol::QueueLockingO2 => Box::new(QueueLocking {
+            locks: flat(),
+            tickets: QueueLockTable::new(config.group.hot_wait_timeout),
+            metrics: metrics(),
+        }),
+        Protocol::GroupLockingTxsql => Box::new(GroupLocking {
+            locks: flat(),
+            groups: GroupLockTable::new(config.group.clone(), metrics()),
+            metrics: metrics(),
+        }),
+        Protocol::Bamboo => Box::new(Bamboo {
+            locks: flat(),
+            completions: Mutex::default(),
+            dependency_timeout: config.lock_wait_timeout * 4,
+        }),
+        Protocol::Aria => Box::new(Aria::new(flat(), config.aria_batch_size)),
+    }
+}
+
+/// The admission a transaction already has on `record`, if any: a row it
+/// wrote or locked (SELECT FOR UPDATE followed by UPDATE, repeated updates)
+/// does not queue again (§4.6.2), and a hot row keeps its group role.
+fn held(txn: &Transaction, table: TableId, record: RecordId) -> Option<WriteAdmission> {
+    if txn.write_set().contains(&(table, record)) || txn.holds_lock(record) {
+        return Some(WriteAdmission::Locked);
+    }
+    txn.hot_role(record).map(|role| match role {
+        HotRole::Leader => WriteAdmission::Locked,
+        HotRole::Follower => WriteAdmission::HotFollower,
+    })
+}
+
+/// X-locks `record`, charging the wait to the transaction's blocked time.
+/// The per-cycle lock counters go to the transaction's metrics scratch.
+fn lock_row<L: Layout>(
+    locks: &RecordLockTable<L>,
+    txn: &mut Transaction,
+    record: RecordId,
+) -> Result<()> {
+    let start = Instant::now();
+    let result = locks.lock_record_in(txn.id, record, LockMode::Exclusive, txn.metrics_sink());
+    txn.add_blocked(start.elapsed());
+    result
+}
+
+/// Plain 2PL admission: one exclusive record lock held to `release_all`.
+fn lock_to_commit<L: Layout>(
+    locks: &RecordLockTable<L>,
+    txn: &mut Transaction,
+    record: RecordId,
+) -> Result<WriteAdmission> {
+    lock_row(locks, txn, record)?;
+    txn.record_lock(record);
+    Ok(WriteAdmission::Locked)
+}
+
+/// Reports the lock queue a writer is about to join to the hotspot detector
+/// (§4.1 promotion).
+fn observe_contention(hotspots: &HotspotRegistry, locks: &LightweightLockTable, record: RecordId) {
+    let queue_len =
+        locks.wait_queue_len(record) + usize::from(!locks.holders_of(record).is_empty());
+    if queue_len > 0 {
+        hotspots.observe_wait(record, queue_len);
+    }
+}

@@ -1,0 +1,90 @@
+//! O2, queue locking (§3.2): O1, plus a FIFO ticket queue in front of every
+//! detected hot row.  A hot-row writer takes the row's ticket first and only
+//! then the real lock, so at most one transaction contends for it; the
+//! ticket is given back once the transaction's outcome is final.
+
+use super::{held, lock_row, lock_to_commit, observe_contention};
+use super::{ConcurrencyControl, LockTable, WriteAdmission};
+use crate::database::DbInner;
+use std::sync::Arc;
+use std::time::Instant;
+use txsql_common::metrics::EngineMetrics;
+use txsql_common::{Error, RecordId, Result, TableId};
+use txsql_lockmgr::event::{OsEvent, WaitOutcome};
+use txsql_lockmgr::queue_lock::{QueueAdmission, QueueLockTable};
+use txsql_lockmgr::LightweightLockTable;
+use txsql_txn::{HotRole, Transaction};
+
+pub(super) struct QueueLocking {
+    pub(super) locks: LightweightLockTable,
+    pub(super) tickets: QueueLockTable,
+    pub(super) metrics: Arc<EngineMetrics>,
+}
+
+impl ConcurrencyControl for QueueLocking {
+    fn acquire_for_write(
+        &self,
+        db: &DbInner,
+        txn: &mut Transaction,
+        table: TableId,
+        record: RecordId,
+    ) -> Result<WriteAdmission> {
+        if let Some(admission) = held(txn, table, record) {
+            return Ok(admission);
+        }
+        if !db.hotspots.is_hot(record) {
+            observe_contention(&db.hotspots, &self.locks, record);
+            return lock_to_commit(&self.locks, txn, record);
+        }
+        if let QueueAdmission::Wait(event) = self.tickets.admit(txn.id, record) {
+            let start = Instant::now();
+            // A false `cancel_wait` means the grant raced our timeout: the
+            // releaser already popped us and made us the active ticket
+            // holder, so bailing out would wedge the queue behind a ticket
+            // nobody releases — proceed as granted instead.  True means we
+            // really left the queue (and the queue's event clone with it, so
+            // the recycle below can pool the event).
+            let timed_out = event.wait_for(self.tickets.timeout()) == WaitOutcome::TimedOut
+                && !self.tickets.claim_ticket(txn.id, record)
+                && self.tickets.cancel_wait(txn.id, record);
+            OsEvent::recycle(event);
+            txn.add_blocked(start.elapsed());
+            if timed_out {
+                self.metrics.lock_waits.inc();
+                return Err(Error::LockWaitTimeout {
+                    txn: txn.id,
+                    record,
+                });
+            }
+        }
+        // Ticket acquired: take the real row lock (the previous holder has
+        // already released it, or will very soon).
+        if let Err(err) = lock_row(&self.locks, txn, record) {
+            self.tickets.release(txn.id, record);
+            return Err(err);
+        }
+        txn.record_lock(record);
+        txn.record_hot_update(record, HotRole::Leader, 0);
+        self.metrics.hotspot_group_entries.inc();
+        Ok(WriteAdmission::Locked)
+    }
+
+    /// The row lock is gone: the next ticket holder may contend for it.
+    fn finished(&self, txn: &Transaction, _committed: bool) {
+        for record in txn.hot_records() {
+            self.tickets.release(txn.id, record);
+        }
+    }
+
+    fn locks(&self) -> &dyn LockTable {
+        &self.locks
+    }
+
+    fn has_waiters(&self, record: RecordId) -> bool {
+        self.tickets.has_waiters(record) || self.locks.wait_queue_len(record) > 0
+    }
+
+    fn live_entries(&self) -> usize {
+        self.tickets.live_queues()
+    }
+}

@@ -66,11 +66,6 @@ impl Protocol {
         }
     }
 
-    /// True when the protocol uses the heavyweight page-sharded `lock_sys`.
-    pub fn uses_lock_sys(&self) -> bool {
-        matches!(self, Protocol::Mysql2pl)
-    }
-
     /// True when hotspot detection is active for this protocol.
     pub fn uses_hotspots(&self) -> bool {
         matches!(self, Protocol::QueueLockingO2 | Protocol::GroupLockingTxsql)
@@ -345,8 +340,6 @@ mod tests {
 
     #[test]
     fn protocol_classification() {
-        assert!(Protocol::Mysql2pl.uses_lock_sys());
-        assert!(!Protocol::GroupLockingTxsql.uses_lock_sys());
         assert!(Protocol::QueueLockingO2.uses_hotspots());
         assert!(!Protocol::Bamboo.uses_hotspots());
     }

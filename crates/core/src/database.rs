@@ -1,16 +1,14 @@
 //! The engine facade: tables, sessions, commit and rollback.
 //!
 //! A [`Database`] owns one storage engine, one transaction system, the
-//! record-lock table of its protocol's layout, the hotspot tables and the
-//! commit pipeline; which of those a transaction's write path actually
-//! exercises is decided by the configured [`crate::Protocol`] (see
-//! [`crate::write_path`]).  Commit and rollback live
-//! here because they are where the paper's ordering guarantees (§4.3 commit
-//! order, §4.4 rollback order, §4.5 deadlock prevention fallout) come
-//! together.
+//! hotspot registry, the commit pipeline and one `ConcurrencyControl` — the
+//! configured protocol with its lock table and private state (see
+//! `cc/mod.rs`).  Commit and rollback live here because their skeleton is
+//! the same for every protocol: the ordering guarantees of the paper (§4.3
+//! commit order, §4.4 rollback order) hang off the protocol hooks it calls.
 
 use crate::admission::{AdmissionController, AdmissionPermit};
-use crate::aria::AriaCoordinator;
+use crate::cc::{self, ConcurrencyControl};
 use crate::checker::HistoryRecorder;
 use crate::commit::CommitPipeline;
 use crate::config::{EngineConfig, Protocol};
@@ -18,88 +16,17 @@ use crate::hooks::{BinlogTxn, CommitHook};
 use crate::program::{Operation, ProgramOutcome, TxnProgram};
 use parking_lot::{Mutex, RwLock};
 use std::sync::Arc;
-use std::time::{Duration, Instant};
-use txsql_common::fxhash::FxHashMap;
-use txsql_common::metrics::{EngineMetrics, MetricsScratch, MetricsSnapshot};
-use txsql_common::time::SimInstant;
+use std::time::Duration;
+use txsql_common::metrics::{EngineMetrics, MetricsSnapshot};
 use txsql_common::{Error, Lsn, RecordId, Result, Row, TableId, TxnId};
 use txsql_lockmgr::event::WaitOutcome;
-use txsql_lockmgr::group_lock::GroupLockTable;
 use txsql_lockmgr::hotspot::HotspotRegistry;
-use txsql_lockmgr::queue_lock::QueueLockTable;
-use txsql_lockmgr::registry::TxnLockRegistry;
-use txsql_lockmgr::{LightweightLockTable, LockMode, LockSys, LockTableConfig, OsEvent};
+use txsql_lockmgr::OsEvent;
 use txsql_storage::fault::{CrashPoint, FaultInjector};
 use txsql_storage::recovery::{self, RecoveryReport};
 use txsql_storage::storage::CheckpointImage;
 use txsql_storage::{RedoRecord, Storage, TableSchema};
 use txsql_txn::{Transaction, TrxSys, TxnState};
-
-/// The engine's record-lock table in the layout its protocol measures: the
-/// page-hash `lock_sys` for the MySQL baseline, the record-keyed lightweight
-/// table for everything else.  A transaction only ever locks here, so
-/// release and the registry checks visit one table.
-pub(crate) enum RecordLocks {
-    LockSys(LockSys),
-    Lightweight(LightweightLockTable),
-}
-
-impl RecordLocks {
-    /// X-locks `record`, counting into the transaction's metrics scratch.
-    pub(crate) fn lock_exclusive(
-        &self,
-        txn: TxnId,
-        record: RecordId,
-        sink: &MetricsScratch,
-    ) -> Result<()> {
-        match self {
-            Self::LockSys(t) => t.lock_record_in(txn, record, LockMode::Exclusive, sink),
-            Self::Lightweight(t) => t.lock_record_in(txn, record, LockMode::Exclusive, sink),
-        }
-    }
-
-    /// Releases a batch of record locks before commit (Bamboo's early
-    /// release, the group leader's hot-row handover).
-    pub(crate) fn release_records(&self, txn: TxnId, records: &[RecordId], sink: &MetricsScratch) {
-        match self {
-            Self::LockSys(t) => t.release_record_locks_in(txn, records, sink),
-            Self::Lightweight(t) => t.release_record_locks_in(txn, records, sink),
-        }
-    }
-
-    fn release_all(&self, txn: TxnId, sink: &MetricsScratch) {
-        match self {
-            Self::LockSys(t) => t.release_all_in(txn, sink),
-            Self::Lightweight(t) => t.release_all_in(txn, sink),
-        }
-    }
-
-    pub(crate) fn wait_queue_len(&self, record: RecordId) -> usize {
-        match self {
-            Self::LockSys(t) => t.wait_queue_len(record),
-            Self::Lightweight(t) => t.wait_queue_len(record),
-        }
-    }
-
-    pub(crate) fn holders_of(&self, record: RecordId) -> Vec<TxnId> {
-        match self {
-            Self::LockSys(t) => t.holders_of(record),
-            Self::Lightweight(t) => t.holders_of(record),
-        }
-    }
-
-    fn registry(&self) -> &Arc<TxnLockRegistry> {
-        match self {
-            Self::LockSys(t) => t.registry(),
-            Self::Lightweight(t) => t.registry(),
-        }
-    }
-}
-
-/// Completion payload: the writer committed.
-const COMMITTED: u32 = 1;
-/// Completion payload: the writer rolled back; its dependents cascade.
-const ABORTED: u32 = 2;
 
 pub(crate) struct DbInner {
     pub(crate) config: EngineConfig,
@@ -107,23 +34,14 @@ pub(crate) struct DbInner {
     pub(crate) trx_sys: TrxSys,
     pub(crate) metrics: Arc<EngineMetrics>,
     pub(crate) admission: AdmissionController,
-    pub(crate) locks: RecordLocks,
     pub(crate) hotspots: HotspotRegistry,
-    pub(crate) queue_locks: QueueLockTable,
-    pub(crate) group_locks: GroupLockTable,
+    /// The configured protocol: lock table, private state, life-cycle hooks.
+    pub(crate) cc: Box<dyn ConcurrencyControl>,
     pub(crate) pipeline: CommitPipeline,
-    /// The completion event of every *active* transaction under
-    /// [`Protocol::Bamboo`] (empty otherwise): a dependent clones its
-    /// writer's event when it reads the writer's dirty version, and the
-    /// writer posts [`COMMITTED`] or [`ABORTED`] to it — and leaves this map
-    /// — once its outcome is final.  A dependent's wait is then one park on
-    /// the event it holds; the event dies with its last dependent.
-    pub(crate) completions: Mutex<FxHashMap<TxnId, Arc<OsEvent>>>,
     /// The registered hooks behind one `Arc`, so a commit borrows the list
     /// with one reference-count step instead of copying it.
     pub(crate) hooks: RwLock<Arc<[Arc<dyn CommitHook>]>>,
     pub(crate) history: Option<HistoryRecorder>,
-    pub(crate) aria: AriaCoordinator,
     /// The newest checkpoint image — what `restart_from_crash` recovers from.
     /// Starts empty (LSN 0, no tables): engines that never checkpoint after
     /// schema setup recover nothing but the log, so take a baseline
@@ -132,6 +50,24 @@ pub(crate) struct DbInner {
     /// Set by shutdown; the sweeper waits on it with its interval as timeout.
     sweeper_stop: Arc<OsEvent>,
     sweeper_handle: Mutex<Option<std::thread::JoinHandle<()>>>,
+}
+
+impl DbInner {
+    fn stop_sweeper(&self) {
+        self.sweeper_stop.set();
+        if let Some(handle) = self.sweeper_handle.lock().take() {
+            let _ = handle.join();
+        }
+    }
+
+    /// The row an [`Operation::Insert`] describes: `pk`, then `fill` in every
+    /// other column of `table`.
+    pub(crate) fn filled_row(&self, table: TableId, pk: i64, fill: i64) -> Row {
+        let n_cols = self.storage.table(table).map(|t| t.schema().n_columns);
+        let mut cols = vec![pk];
+        cols.resize(n_cols.unwrap_or(2), fill);
+        Row::from_ints(&cols)
+    }
 }
 
 /// The TXSQL-reproduction database engine.  Cheap to clone (shared handle).
@@ -171,18 +107,10 @@ impl Database {
         metrics: Arc<EngineMetrics>,
         trx_seed: Option<(u64, u64)>,
     ) -> Self {
-        let lock_config = LockTableConfig {
-            lock_wait_timeout: config.lock_wait_timeout,
-            ..LockTableConfig::default()
-        };
-        let locks = if config.protocol.uses_lock_sys() {
-            RecordLocks::LockSys(LockSys::new(lock_config, Arc::clone(&metrics)))
-        } else {
-            RecordLocks::Lightweight(LightweightLockTable::new(lock_config, Arc::clone(&metrics)))
-        };
+        let cc = cc::build(&config, &metrics);
         let mut trx_sys = TrxSys::new(config.read_view_mode)
             // Transaction teardown verifies the lock bookkeeping drained.
-            .with_lock_registries(vec![Arc::clone(locks.registry())])
+            .with_lock_registries(vec![Arc::clone(cc.locks().registry())])
             // Every transaction carries a Cell-based metrics scratch that
             // flushes here when it drops — the lock hot paths pay no shared
             // atomics per cycle (see txsql_txn::TxnMetrics).
@@ -194,15 +122,12 @@ impl Database {
         // publishes.
         let storage = storage.with_purge_floor(Arc::clone(trx_sys.purge_floor()));
         let hotspots = HotspotRegistry::new(config.hotspot.clone());
-        let queue_locks = QueueLockTable::new(config.group.hot_wait_timeout);
-        let group_locks = GroupLockTable::new(config.group.clone(), Arc::clone(&metrics));
         let pipeline = CommitPipeline::new(config.group_commit, Arc::clone(&metrics));
         let history = if config.record_history {
             Some(HistoryRecorder::new())
         } else {
             None
         };
-        let aria = AriaCoordinator::new(config.aria_batch_size);
         let admission = AdmissionController::new(config.admission.clone(), Arc::clone(&metrics));
         let inner = Arc::new(DbInner {
             config,
@@ -210,15 +135,11 @@ impl Database {
             trx_sys,
             metrics,
             admission,
-            locks,
             hotspots,
-            queue_locks,
-            group_locks,
+            cc,
             pipeline,
-            completions: Mutex::new(FxHashMap::default()),
             hooks: RwLock::new(Arc::new([])),
             history,
-            aria,
             last_checkpoint: Mutex::new(CheckpointImage {
                 lsn: Lsn(0),
                 tables: Vec::new(),
@@ -247,11 +168,7 @@ impl Database {
             .spawn(move || {
                 while stop.wait_for(interval) == WaitOutcome::TimedOut {
                     let Some(inner) = weak.upgrade() else { break };
-                    inner.hotspots.sweep(|record| {
-                        inner.group_locks.has_activity(record)
-                            || inner.queue_locks.has_waiters(record)
-                            || inner.locks.wait_queue_len(record) > 0
-                    });
+                    inner.hotspots.sweep(|record| inner.cc.has_waiters(record));
                 }
             })
             .expect("spawn hotspot sweeper");
@@ -261,10 +178,7 @@ impl Database {
     /// Stops background threads.  Called automatically when the last handle is
     /// dropped; safe to call multiple times.
     pub fn shutdown(&self) {
-        self.inner.sweeper_stop.set();
-        if let Some(handle) = self.inner.sweeper_handle.lock().take() {
-            let _ = handle.join();
-        }
+        self.inner.stop_sweeper();
     }
 
     // ------------------------------------------------------------------
@@ -316,7 +230,7 @@ impl Database {
     pub fn snapshot_metrics(&self, elapsed: Duration) -> MetricsSnapshot {
         // The registry-entry gauge is sampled here rather than maintained on
         // the lock hot path (per-shard counts stay with their shards).
-        let live = self.inner.locks.registry().total_entries();
+        let live = self.inner.cc.locks().registry().total_entries();
         self.inner.metrics.lock_registry_entries.set(live as u64);
         self.inner.metrics.snapshot(elapsed)
     }
@@ -346,37 +260,14 @@ impl Database {
     /// Transactions currently holding a record lock on `record`
     /// (introspection for tests of early lock release).
     pub fn lock_holders(&self, record: RecordId) -> Vec<TxnId> {
-        self.inner.locks.holders_of(record)
-    }
-
-    /// Current group leader of a hot row (introspection for tests and
-    /// diagnostics).
-    pub fn group_leader_of(&self, record: RecordId) -> Option<TxnId> {
-        self.inner.group_locks.leader_of(record)
-    }
-
-    /// Current dependency list of a hot row, in update order.
-    pub fn group_dep_list(&self, record: RecordId) -> Vec<TxnId> {
-        self.inner.group_locks.dep_list(record)
-    }
-
-    /// Number of updates parked on a hot row's group.
-    pub fn group_waiting_len(&self, record: RecordId) -> usize {
-        self.inner.group_locks.waiting_len(record)
-    }
-
-    /// One-line rendering of a hot row's full group state (diagnostics).
-    pub fn group_debug_state(&self, record: RecordId) -> String {
-        self.inner.group_locks.debug_state(record)
+        self.inner.cc.locks().holders_of(record)
     }
 
     /// Entries the protocol's private tables still hold: hot-row groups, O2
     /// ticket queues, Bamboo completion events.  Zero once every transaction
     /// has finished — anything else is leaked protocol state.
     pub fn protocol_entries(&self) -> usize {
-        self.inner.group_locks.live_groups()
-            + self.inner.queue_locks.live_queues()
-            + self.inner.completions.lock().len()
+        self.inner.cc.live_entries()
     }
 
     /// The serializability history recorder, when enabled.
@@ -484,10 +375,7 @@ impl Database {
     /// Starts a transaction.
     pub fn begin(&self) -> Transaction {
         let mut txn = self.inner.trx_sys.begin();
-        if self.protocol() == Protocol::Bamboo {
-            let completion = OsEvent::acquire_pooled();
-            self.inner.completions.lock().insert(txn.id, completion);
-        }
+        self.inner.cc.begin(&txn);
         self.inner.storage.begin_txn(txn.id);
         txn.state = TxnState::Active;
         txn
@@ -516,14 +404,6 @@ impl Database {
     // Commit / rollback
     // ------------------------------------------------------------------
 
-    /// Drops every lock the transaction holds: one registry-shard take, then
-    /// each lock-table shard it touched once.  Release-path counters go to
-    /// the transaction's metrics scratch (flushed when the transaction
-    /// drops).
-    fn release_all_locks(&self, txn: &Transaction) {
-        self.inner.locks.release_all(txn.id, txn.metrics_sink());
-    }
-
     /// Commits a transaction.  On a cascading abort or commit-time conflict the
     /// transaction is rolled back internally and the error returned.
     pub fn commit(&self, mut txn: Transaction) -> Result<()> {
@@ -531,65 +411,13 @@ impl Database {
             return Err(Error::TransactionClosed { txn: txn.id });
         }
         txn.state = TxnState::Preparing;
-        let hot_updates = txn.hot_updates();
+        let cc = &self.inner.cc;
 
-        // Group locking, leader side (Algorithm 2 lines 2–10): stop granting,
-        // wait for the in-flight grant, release the *hot row* lock and hand
-        // the next group over.  The early row-lock release is the paper's
-        // pipelining lever — group N+1 executes while group N drains its
-        // commit-order waits — and it is safe because the dependency list
-        // (not the row lock) serializes hot-row commit records; every row is
-        // only written through the group path while it is hot.  Cold locks
-        // stay held until the commit record is ordered below.
-        //
-        // The handover is batched across the leader's hot records: one
-        // entry-map fetch per group-table shard covers prepare AND handover,
-        // the row locks drain in one batched lock-table call, and every
-        // promoted leader is woken after the guards drop — see
-        // `GroupLockTable::begin_leader_commit`.
-        if self.protocol() == Protocol::GroupLockingTxsql {
-            let leader_records: Vec<RecordId> = hot_updates
-                .iter()
-                .filter(|(_, role, _)| *role == txsql_txn::HotRole::Leader)
-                .map(|(record, _, _)| *record)
-                .collect();
-            if !leader_records.is_empty() {
-                let prepared = self
-                    .inner
-                    .group_locks
-                    .begin_leader_commit(txn.id, &leader_records);
-                self.inner
-                    .locks
-                    .release_records(txn.id, &leader_records, txn.metrics_sink());
-                self.inner
-                    .group_locks
-                    .finish_leader_handover(txn.id, prepared);
-            }
-            // Commit-order guarantee (§4.3): wait for all dependency-list
-            // predecessors before ordering our own commit record.
-            // Predecessors commit without the row lock; a predecessor stuck
-            // on a *cold* lock we hold is pre-empted by the §4.5 deadlock
-            // prevention check, and any residual entanglement resolves
-            // through the wait deadline.
-            for (record, _, _) in &hot_updates {
-                let wait_start = Instant::now();
-                match self.inner.group_locks.wait_commit_turn(txn.id, *record) {
-                    Ok(()) => txn.add_blocked(wait_start.elapsed()),
-                    Err(err) => {
-                        txn.add_blocked(wait_start.elapsed());
-                        self.rollback_internal(txn, Some(&err));
-                        return Err(err);
-                    }
-                }
-            }
-        }
-
-        // Bamboo: wait for every transaction whose dirty data we read.
-        if self.protocol() == Protocol::Bamboo {
-            if let Err(err) = self.wait_bamboo_dependencies(&txn) {
-                self.rollback_internal(txn, Some(&err));
-                return Err(err);
-            }
+        // The protocol's commit-order waits (group locking's hand-over and
+        // commit turn, Bamboo's dirty-read dependencies).
+        if let Err(err) = cc.before_order(&mut txn) {
+            self.rollback(txn, Some(&err));
+            return Err(err);
         }
 
         // Order the commit record while every cold lock is still held
@@ -605,28 +433,19 @@ impl Database {
             Err(err) => {
                 // Locks are still held here — propagating without rolling
                 // back would leak them (and the group dep-list slot) forever.
-                self.rollback_internal(txn, Some(&err));
+                self.rollback(txn, Some(&err));
                 return Err(err);
             }
         };
-
-        // The dependency-list slot can be released as soon as our commit
-        // record is ordered in the log; the durable flush below may then be
-        // batched with our successors (group commit, Figure 5c).
-        if self.protocol() == Protocol::GroupLockingTxsql {
-            for (record, _, _) in &hot_updates {
-                self.inner.group_locks.finish_commit(txn.id, *record);
-            }
-        }
-
-        // The remaining (cold) locks go *after* the commit record is ordered.
-        self.release_all_locks(&txn);
+        cc.after_order(&txn);
+        // Locks go *after* the commit record is ordered.
+        cc.locks().release_all(&txn);
 
         let binlog = BinlogTxn {
             txn: txn.id,
             trx_no,
             changes: txn.changes().to_vec(),
-            involves_hotspot: !hot_updates.is_empty(),
+            involves_hotspot: txn.has_hot_updates(),
         };
         let hooks = Arc::clone(&self.inner.hooks.read());
         let pipeline_result =
@@ -634,20 +453,13 @@ impl Database {
                 .pipeline
                 .commit(self.inner.storage.redo(), commit_lsn, binlog, &hooks);
 
-        // Release hotspot queue tickets (O2) now that the lock is gone.
-        if self.protocol() == Protocol::QueueLockingO2 {
-            for (record, _, _) in &hot_updates {
-                self.inner.queue_locks.release(txn.id, *record);
-            }
-        }
-
-        self.post_completion(txn.id, COMMITTED);
+        cc.finished(&txn, true);
         self.inner.trx_sys.finish(txn.id, Some(trx_no));
 
         if let Err(err) = pipeline_result {
             // The flush failed (injected crash or read-only degradation): the
             // commit was stamped in memory — dependents that read our
-            // versions must not cascade, so the completion and trx_sys
+            // versions must not cascade, so `finished` and the trx_sys
             // horizon above still record a commit — but it never became
             // durable, so it must NOT be acknowledged to the client.  The
             // recovery oracle counts only `Ok` returns as acknowledged.
@@ -666,145 +478,28 @@ impl Database {
         }
 
         txn.state = TxnState::Committed;
-        let elapsed = txn.started_at.elapsed();
-        self.inner.metrics.committed.inc();
-        self.inner.metrics.txn_latency.record(elapsed);
-        let blocked = txn.blocked_time();
-        self.inner
-            .metrics
-            .blocked_nanos
-            .add(blocked.as_nanos() as u64);
-        self.inner
-            .metrics
-            .busy_nanos
-            .add(elapsed.saturating_sub(blocked).as_nanos() as u64);
+        let (elapsed, blocked) = (txn.started_at.elapsed(), txn.blocked_time());
+        let busy = elapsed.saturating_sub(blocked);
+        let metrics = &self.inner.metrics;
+        metrics.committed.inc();
+        metrics.txn_latency.record(elapsed);
+        metrics.blocked_nanos.add(blocked.as_nanos() as u64);
+        metrics.busy_nanos.add(busy.as_nanos() as u64);
         Ok(())
     }
 
-    /// Bamboo: takes `txn`'s commit dependency on the writer of `record`'s
-    /// uncommitted head, if it has one.  A writer leaves `completions` only
-    /// after its versions were stamped or undone, so one that is no longer
-    /// there is no longer the head's uncommitted writer either: look again.
-    pub(crate) fn depend_on_dirty_head(
-        &self,
-        txn: &mut Transaction,
-        table: TableId,
-        record: RecordId,
-    ) -> Result<()> {
-        while let Some(writer) = self.inner.storage.latest_writer(table, record)? {
-            if writer == txn.id {
-                break;
-            }
-            let completion = self.inner.completions.lock().get(&writer).cloned();
-            if let Some(completion) = completion {
-                txn.record_dirty_read_from(writer, completion);
-                break;
-            }
-        }
-        Ok(())
-    }
-
-    /// Bamboo: waits for the outcome of every writer whose dirty data `txn`
-    /// read — one park per dependency, woken by that writer's
-    /// [`Database::post_completion`].  An I/O wait: the outcome is posted
-    /// after the writer's flush.
-    fn wait_bamboo_dependencies(&self, txn: &Transaction) -> Result<()> {
-        // SimInstant: under deterministic simulation this deadline lives on
-        // the scheduler's virtual clock, so the timeout path is explorable.
-        let deadline = SimInstant::now() + self.inner.config.lock_wait_timeout * 4;
-        for (writer, completion) in txn.dirty_reads_from() {
-            let remaining = deadline.saturating_duration_since(SimInstant::now());
-            let _ = completion.wait_for(remaining);
-            match completion.payload() {
-                Some(COMMITTED) => {}
-                Some(_) => {
-                    return Err(Error::DirtyReadAborted {
-                        txn: txn.id,
-                        cause: *writer,
-                    });
-                }
-                None => {
-                    return Err(Error::LockWaitTimeout {
-                        txn: txn.id,
-                        record: RecordId::new(0, 0, 0),
-                    });
-                }
-            }
-        }
-        Ok(())
-    }
-
-    /// Bamboo: posts `txn`'s final outcome to the transactions that read its
-    /// dirty data and forgets the completion (they keep the event alive for
-    /// as long as they need it).  Call once the outcome is final in storage.
-    fn post_completion(&self, txn: TxnId, outcome: u32) {
-        if self.protocol() != Protocol::Bamboo {
-            return;
-        }
-        let completion = self.inner.completions.lock().remove(&txn);
-        if let Some(completion) = completion {
-            completion.set_with(outcome);
-            OsEvent::recycle(completion);
-        }
-    }
-
-    /// Rolls back a transaction explicitly.
-    pub fn rollback(&self, txn: Transaction, reason: Option<&Error>) {
-        self.rollback_internal(txn, reason);
-    }
-
-    pub(crate) fn rollback_internal(&self, mut txn: Transaction, reason: Option<&Error>) {
+    /// Rolls back a transaction, recording `reason` (or an explicit rollback)
+    /// as the abort cause.
+    pub fn rollback(&self, mut txn: Transaction, reason: Option<&Error>) {
         if txn.state == TxnState::Committed || txn.state == TxnState::Aborted {
             return;
         }
-        let hot_updates = txn.hot_updates();
-
-        // Group locking rollback ordering (Algorithm 3 + §4.4): doom
-        // successors, wait until we are the newest entry, then undo.
-        if self.protocol() == Protocol::GroupLockingTxsql && !hot_updates.is_empty() {
-            for (record, _, _) in &hot_updates {
-                let doomed = self.inner.group_locks.begin_rollback(txn.id, *record);
-                let _ = doomed;
-            }
-            for (record, _, _) in &hot_updates {
-                let wait_start = Instant::now();
-                if self
-                    .inner
-                    .group_locks
-                    .wait_rollback_turn(txn.id, *record)
-                    .is_err()
-                {
-                    // Undoing out of turn beats wedging the row, but a
-                    // successor that never cascaded must not go unreported.
-                    self.inner
-                        .metrics
-                        .abort_causes
-                        .record("rollback_turn_timeout");
-                }
-                txn.add_blocked(wait_start.elapsed());
-            }
-        }
-
+        let cc = &self.inner.cc;
+        cc.before_undo(&mut txn);
         let _ = self.inner.storage.rollback_writes(txn.id);
-
-        if self.protocol() == Protocol::GroupLockingTxsql && !hot_updates.is_empty() {
-            for (record, _, _) in &hot_updates {
-                // The undo above removed our version from the record's head:
-                // registrants from here on read clean data and need no doom.
-                self.inner.group_locks.mark_undone(txn.id, *record);
-                self.inner.group_locks.finish_rollback(txn.id, *record);
-                self.inner.group_locks.resume_granting(*record);
-            }
-        }
-
-        self.release_all_locks(&txn);
-        if self.protocol() == Protocol::QueueLockingO2 {
-            for (record, _, _) in &hot_updates {
-                self.inner.queue_locks.release(txn.id, *record);
-            }
-        }
-
-        self.post_completion(txn.id, ABORTED);
+        cc.after_undo(&txn);
+        cc.locks().release_all(&txn);
+        cc.finished(&txn, false);
         self.inner.trx_sys.finish(txn.id, None);
         txn.state = TxnState::Aborted;
         self.inner.metrics.aborted.inc();
@@ -844,7 +539,7 @@ impl Database {
                 return Err(err);
             }
         };
-        let result = self.execute_admitted(program);
+        let result = self.inner.cc.execute_program(self, program);
         self.inner.admission.release(permit);
         result
     }
@@ -869,10 +564,8 @@ impl Database {
         self.inner.admission.admit(&hot)
     }
 
-    fn execute_admitted(&self, program: &TxnProgram) -> Result<ProgramOutcome> {
-        if self.protocol() == Protocol::Aria {
-            return self.inner.aria.execute(self, program);
-        }
+    /// Runs a program statement by statement through the session API.
+    pub(crate) fn run_session(&self, program: &TxnProgram) -> Result<ProgramOutcome> {
         let mut txn = self.begin();
         let mut reads = Vec::new();
         for op in &program.operations {
@@ -894,15 +587,8 @@ impl Database {
                     .update_add(&mut txn, *table, *pk, *column, *delta)
                     .map(|_| ()),
                 Operation::Insert { table, pk, fill } => {
-                    let n_cols = self
-                        .inner
-                        .storage
-                        .table(*table)
-                        .map(|t| t.schema().n_columns)
-                        .unwrap_or(2);
-                    let mut cols = vec![*pk];
-                    cols.resize(n_cols, *fill);
-                    self.insert(&mut txn, *table, Row::from_ints(&cols))
+                    let row = self.inner.filled_row(*table, *pk, *fill);
+                    self.insert(&mut txn, *table, row)
                 }
                 Operation::Work { micros } => {
                     txsql_common::latency::simulate_delay(std::time::Duration::from_micros(
@@ -912,7 +598,7 @@ impl Database {
                 }
                 Operation::ForcedRollback => {
                     let err = Error::ExplicitRollback { txn: txn.id };
-                    self.rollback_internal(txn, Some(&err));
+                    self.rollback(txn, Some(&err));
                     return Ok(ProgramOutcome {
                         reads,
                         committed: false,
@@ -920,7 +606,7 @@ impl Database {
                 }
             };
             if let Err(err) = step {
-                self.rollback_internal(txn, Some(&err));
+                self.rollback(txn, Some(&err));
                 return Err(err);
             }
         }
@@ -934,98 +620,6 @@ impl Database {
 
 impl Drop for DbInner {
     fn drop(&mut self) {
-        self.sweeper_stop.set();
-        if let Some(handle) = self.sweeper_handle.lock().take() {
-            let _ = handle.join();
-        }
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    fn one_row(protocol: Protocol) -> Database {
-        let db = Database::with_protocol(protocol);
-        db.create_table(TableSchema::new(TableId(1), "t", 2))
-            .unwrap();
-        db.load_row(TableId(1), Row::from_ints(&[0, 0])).unwrap();
-        db
-    }
-
-    #[test]
-    fn completions_exist_only_for_active_bamboo_transactions() {
-        let program = TxnProgram::new(vec![Operation::UpdateAdd {
-            table: TableId(1),
-            pk: 0,
-            column: 1,
-            delta: 1,
-        }]);
-        for protocol in [
-            Protocol::GroupLockingTxsql,
-            Protocol::Aria,
-            Protocol::Bamboo,
-        ] {
-            let db = one_row(protocol);
-            for _ in 0..10 {
-                db.execute_program(&program).unwrap();
-            }
-            let open = db.begin();
-            let tracked = usize::from(protocol == Protocol::Bamboo);
-            assert_eq!(db.inner.completions.lock().len(), tracked, "{protocol:?}");
-            db.rollback(open, None);
-            assert!(db.inner.completions.lock().is_empty(), "{protocol:?}");
-            db.shutdown();
-        }
-    }
-
-    /// A dependent parked on its writer's completion, the writer's outcome
-    /// and what is left afterwards.  Returns the dependent's commit result.
-    fn dependent_outcome(writer_commits: bool) -> Result<()> {
-        let db = one_row(Protocol::Bamboo);
-        let mut writer = db.begin();
-        db.update_add(&mut writer, TableId(1), 0, 1, 5).unwrap();
-        let mut dependent = db.begin();
-        // Early lock release: the row is free, its head is the writer's.
-        db.update_add(&mut dependent, TableId(1), 0, 1, 1).unwrap();
-        let completion = Arc::downgrade(&dependent.dirty_reads_from()[0].1);
-        assert_eq!(dependent.dirty_reads_from()[0].0, writer.id);
-
-        use std::sync::atomic::{AtomicBool, Ordering};
-        let returned = Arc::new(AtomicBool::new(false));
-        let committer = {
-            let (db, returned) = (db.clone(), Arc::clone(&returned));
-            std::thread::spawn(move || {
-                let result = db.commit(dependent);
-                returned.store(true, Ordering::SeqCst);
-                result
-            })
-        };
-        // The dependent cannot finish before its writer's outcome is posted.
-        std::thread::yield_now();
-        assert!(!returned.load(Ordering::SeqCst));
-        if writer_commits {
-            db.commit(writer).unwrap();
-        } else {
-            db.rollback(writer, None);
-        }
-        let result = committer.join().unwrap();
-        // Writer and dependent are done: nothing of the completion is left.
-        assert!(db.inner.completions.lock().is_empty());
-        assert!(completion.upgrade().is_none(), "completion event leaked");
-        let row = db
-            .storage()
-            .read_committed(TableId(1), RecordId::new(1, 0, 0));
-        let expected = if writer_commits { 6 } else { 0 };
-        assert_eq!(row.unwrap().unwrap().get_int(1), Some(expected));
-        db.shutdown();
-        result
-    }
-
-    #[test]
-    fn bamboo_dependent_wakes_on_its_writers_commit_and_abort() {
-        dependent_outcome(true).unwrap();
-        let err = dependent_outcome(false).unwrap_err();
-        assert!(matches!(err, Error::DirtyReadAborted { .. }), "{err:?}");
+        self.stop_sweeper();
     }
 }

@@ -198,11 +198,7 @@ fn check(db: &Database, stream: &Stream, context: &str) {
         report.cycle,
         history.committed_snapshot()
     );
-    // Aria applies whole batches outside the session path and records no
-    // footprints; its part of the oracle is the totals above.
-    if db.protocol() != Protocol::Aria {
-        assert_eq!(report.transactions as u64, stream.committed, "{context}");
-    }
+    assert_eq!(report.transactions as u64, stream.committed, "{context}");
 
     let snapshot = db.snapshot_metrics(Duration::from_secs(1));
     assert_eq!(snapshot.lock_registry_entries, 0, "{context}: leaked locks");

@@ -1102,38 +1102,6 @@ impl GroupLockTable {
     pub fn next_hot_update_order(&self) -> u64 {
         self.global_hot_update_order.load(Ordering::Relaxed)
     }
-
-    /// One-line rendering of a hot row's full group state (diagnostics).
-    pub fn debug_state(&self, record: RecordId) -> String {
-        self.with_existing_state(record, |state| {
-            format!(
-                "leader={:?} dep={:?} doomed={:?} waiting={:?} executing={:?} \
-                 granting={} switching={} pause={} rolling_back={:?} undo_pending={:?} \
-                 granted_in_group={} turn_waiters={:?}",
-                state.leader,
-                state.dep_list,
-                state.doomed.keys().collect::<Vec<_>>(),
-                state
-                    .waiting_updates
-                    .iter()
-                    .map(|w| w.txn)
-                    .collect::<Vec<_>>(),
-                state.executing,
-                state.granting_new_trx,
-                state.switching_new_leader,
-                state.rollback_pause,
-                state.rolling_back,
-                state.undo_pending,
-                state.granted_in_group,
-                state
-                    .turn_waiters
-                    .iter()
-                    .map(|w| (w.txn, w.turn))
-                    .collect::<Vec<_>>(),
-            )
-        })
-        .unwrap_or_else(|| "idle (no entry)".to_string())
-    }
 }
 
 #[cfg(test)]

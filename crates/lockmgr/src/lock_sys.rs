@@ -22,7 +22,7 @@
 //! bytes each).
 //!
 //! The layout also owns the table-level intention locks
-//! ([`LockSys::lock_table`]), sharded by `TableId`; release-all visits only
+//! ([`RecordLockTable::lock_table`]), sharded by `TableId`; release-all visits only
 //! the tables the transaction actually locked (tracked by the registry).
 
 use crate::lock_table::{Layout, LockTableConfig, RecordLockTable};
@@ -128,15 +128,9 @@ impl Layout for PageLayout {
             }
         }
     }
-}
 
-impl LockSys {
-    /// Acquires a table lock.  Intention modes never conflict in the paper's
-    /// workloads; a genuine conflict is reported as an immediate timeout
-    /// rather than blocking (full table locks are outside the evaluated
-    /// scenarios).
-    pub fn lock_table(&self, txn: TxnId, table: TableId, mode: LockMode) -> Result<()> {
-        let mut tables = self.layout.table_shard_for(table).lock();
+    fn grant_table(&self, txn: TxnId, table: TableId, mode: LockMode) -> Result<bool> {
+        let mut tables = self.table_shard_for(table).lock();
         let _scope = GuardScope::enter();
         let holders = tables.entry(table).or_default();
         if holders
@@ -148,13 +142,11 @@ impl LockSys {
                 record: RecordId::new(table.0, u32::MAX, 0),
             });
         }
-        if !holders.iter().any(|(t, m)| *t == txn && m.covers(mode)) {
+        let newly = !holders.iter().any(|(t, m)| *t == txn && m.covers(mode));
+        if newly {
             holders.push((txn, mode));
-            drop(tables);
-            self.registry.remember_table(txn, table);
-            self.metrics.locks_created.inc();
         }
-        Ok(())
+        Ok(newly)
     }
 }
 

@@ -100,8 +100,13 @@ pub trait Layout: Default + Send + Sync {
         f: impl FnOnce(&mut RecordQueue) -> R,
     ) -> Option<R>;
 
-    /// Drops `txn`'s table-level locks at release-all (only the page layout
-    /// has any).
+    /// Grants `txn` a table-level lock, returning whether it is a new one
+    /// for the caller to track.  Only the page layout has table locks.
+    fn grant_table(&self, _txn: TxnId, _table: TableId, _mode: LockMode) -> Result<bool> {
+        Ok(false)
+    }
+
+    /// Drops `txn`'s table-level locks at release-all.
     fn release_tables(&self, _txn: TxnId, _tables: &[TableId]) {}
 }
 
@@ -161,6 +166,19 @@ impl<L: Layout> RecordLockTable<L> {
     #[inline]
     fn detects(&self) -> bool {
         self.config.deadlock_policy == DeadlockPolicy::Detect
+    }
+
+    /// Acquires a table-level (intention) lock — the MySQL baseline's step
+    /// in front of every record lock, nothing under a layout without table
+    /// locks.  Intention modes never conflict in the paper's workloads; a
+    /// genuine conflict is reported as an immediate timeout rather than
+    /// blocking (full table locks are outside the evaluated scenarios).
+    pub fn lock_table(&self, txn: TxnId, table: TableId, mode: LockMode) -> Result<()> {
+        if self.layout.grant_table(txn, table, mode)? {
+            self.registry.remember_table(txn, table);
+            self.metrics.locks_created.inc();
+        }
+        Ok(())
     }
 
     /// [`RecordLockTable::lock_record_in`] counting straight into the shared

@@ -300,21 +300,6 @@ impl TxnLockRegistry {
     pub fn is_empty(&self) -> bool {
         self.shards.iter().all(|s| s.lock().txns.is_empty())
     }
-
-    /// Number of shards (introspection / tests).
-    pub fn shard_count(&self) -> usize {
-        self.shards.len()
-    }
-
-    /// Largest number of transactions tracked by any one shard — the
-    /// shard-size signal for the bookkeeping gauge.
-    pub fn max_shard_txns(&self) -> usize {
-        self.shards
-            .iter()
-            .map(|s| s.lock().txns.len())
-            .max()
-            .unwrap_or(0)
-    }
 }
 
 /// Throw-away sink for registries constructed without a metrics handle.

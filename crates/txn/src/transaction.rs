@@ -30,6 +30,18 @@ pub enum HotRole {
     Follower,
 }
 
+/// A commit dependency taken by reading another transaction's uncommitted
+/// version (Bamboo's early lock release).
+#[derive(Debug)]
+pub struct DirtyRead {
+    /// The transaction whose uncommitted version was read.
+    pub writer: TxnId,
+    /// The record it was read from (reported when the wait times out).
+    pub record: RecordId,
+    /// The event `writer` posts its outcome to.
+    pub completion: Arc<OsEvent>,
+}
+
 /// A transaction: owned by exactly one worker thread.
 #[derive(Debug)]
 pub struct Transaction {
@@ -55,9 +67,8 @@ pub struct Transaction {
     /// how many rows the transaction touches.
     locked_records: FxHashSet<RecordId>,
     /// Writers whose uncommitted versions this transaction read (Bamboo-style
-    /// dirty reads), each with the completion event that writer posts its
-    /// outcome to.
-    dirty_reads_from: Vec<(TxnId, Arc<OsEvent>)>,
+    /// dirty reads), one entry per writer.
+    dirty_reads_from: Vec<DirtyRead>,
     /// After-images of every change, in execution order — the material the
     /// binlog (replication) is built from at commit.
     changes: Vec<(TableId, i64, Row)>,
@@ -161,16 +172,16 @@ impl Transaction {
             .collect()
     }
 
+    /// The hot rows this transaction updated, without allocating.
+    pub fn hot_records(&self) -> impl Iterator<Item = RecordId> + '_ {
+        self.hot_updates.keys().map(|p| RecordId::from_packed(*p))
+    }
+
     /// Role on a specific hot row, if the transaction updated it.
     pub fn hot_role(&self, record: RecordId) -> Option<HotRole> {
         self.hot_updates
             .get(&record.packed())
             .map(|(role, _)| *role)
-    }
-
-    /// True when this transaction updated the given hot row.
-    pub fn updated_hot_row(&self, record: RecordId) -> bool {
-        self.hot_updates.contains_key(&record.packed())
     }
 
     /// True when the transaction updated *any* hot row.
@@ -194,25 +205,19 @@ impl Transaction {
         self.locked_records.contains(&record)
     }
 
-    /// Records that this transaction read uncommitted data written by `writer`
-    /// (Bamboo early-lock-release path); commit must wait on `completion`
-    /// for `writer`'s outcome.
-    pub fn record_dirty_read_from(&mut self, writer: TxnId, completion: Arc<OsEvent>) {
-        if writer != self.id && !self.dirty_reads_from.iter().any(|(w, _)| *w == writer) {
-            self.dirty_reads_from.push((writer, completion));
+    /// Records that this transaction read uncommitted data (Bamboo
+    /// early-lock-release path); commit must wait on the read's completion
+    /// event for its writer's outcome.
+    pub fn record_dirty_read_from(&mut self, read: DirtyRead) {
+        let known = |r: &DirtyRead| r.writer == read.writer;
+        if read.writer != self.id && !self.dirty_reads_from.iter().any(known) {
+            self.dirty_reads_from.push(read);
         }
     }
 
-    /// Writers of uncommitted data this transaction depends on, with their
-    /// completion events.
-    pub fn dirty_reads_from(&self) -> &[(TxnId, Arc<OsEvent>)] {
+    /// The uncommitted data this transaction depends on.
+    pub fn dirty_reads_from(&self) -> &[DirtyRead] {
         &self.dirty_reads_from
-    }
-
-    /// Number of statements' worth of work recorded (reads + writes); used by
-    /// the metrics to compute locks-per-query style ratios.
-    pub fn touched_rows(&self) -> usize {
-        self.read_set.len() + self.write_set.len()
     }
 
     /// Records an after-image for the binlog.
@@ -254,7 +259,6 @@ mod tests {
         assert_eq!(t.read_set().len(), 1);
         // First observation wins: the version the logic consumed is kept.
         assert_eq!(t.read_set()[0].2, TxnId(7));
-        assert_eq!(t.touched_rows(), 2);
     }
 
     #[test]
@@ -264,8 +268,7 @@ mod tests {
         let cold = RecordId::new(1, 0, 1);
         assert!(!t.has_hot_updates());
         t.record_hot_update(hot, HotRole::Follower, 42);
-        assert!(t.updated_hot_row(hot));
-        assert!(!t.updated_hot_row(cold));
+        assert_eq!(t.hot_role(cold), None);
         assert_eq!(t.hot_role(hot), Some(HotRole::Follower));
         assert_eq!(t.hot_updates(), vec![(hot, HotRole::Follower, 42)]);
         assert!(t.has_hot_updates());
@@ -274,10 +277,15 @@ mod tests {
     #[test]
     fn dirty_read_dependencies_ignore_self_and_duplicates() {
         let mut t = Transaction::new(TxnId(3));
-        t.record_dirty_read_from(TxnId(3), OsEvent::new());
-        t.record_dirty_read_from(TxnId(4), OsEvent::new());
-        t.record_dirty_read_from(TxnId(4), OsEvent::new());
-        let writers: Vec<TxnId> = t.dirty_reads_from().iter().map(|(w, _)| *w).collect();
+        let read = |writer| DirtyRead {
+            writer: TxnId(writer),
+            record: RecordId::new(1, 0, 0),
+            completion: OsEvent::new(),
+        };
+        t.record_dirty_read_from(read(3));
+        t.record_dirty_read_from(read(4));
+        t.record_dirty_read_from(read(4));
+        let writers: Vec<TxnId> = t.dirty_reads_from().iter().map(|r| r.writer).collect();
         assert_eq!(writers, [TxnId(4)]);
     }
 

@@ -108,17 +108,10 @@ fn sequential_programs_match_model() {
 }
 
 /// Concurrent increments on a tiny key space never lose updates and stay
-/// serializable under group locking.
-///
-/// KNOWN ISSUE (EXPERIMENTS.md, deviation 6): with some seeds (e.g.
-/// seed=900, threads=3) a single increment can be lost at the exact
-/// moment a row is promoted to hotspot while a pre-promotion waiter still
-/// sits in the lightweight lock queue.  The targeted integration tests
-/// (engine.rs `concurrent_hot_increments_*`) pass reliably; this
-/// wider-space property test is kept, ignored, as the reproducer for the
-/// open bug rather than silently narrowed.
+/// serializable under group locking, across the hotspot-promotion boundary
+/// (a pre-promotion waiter still in the lightweight lock queue when the row
+/// turns hot re-enters through the group).
 #[test]
-#[ignore = "known issue: rare lost update at the hotspot-promotion boundary (seed=900, threads=3); see EXPERIMENTS.md deviation 6"]
 fn concurrent_increments_conserve_sum() {
     for case in 0u64..16 {
         let mut case_rng = XorShiftRng::for_worker(0xBEEF, case);
