@@ -558,8 +558,8 @@ impl Metric for AbortCounters {
 /// The one table of engine metrics.  Each row is a field of
 /// [`EngineMetrics`]; `reset` visits every row (what a reset means is the
 /// row's kind's business, see [`Metric`]); the `snapshot` rows are also
-/// copied, under the same name, into [`MetricsSnapshot`], whose derived
-/// ratios and percentiles are computed from the `internal` rows.
+/// copied, under the same name, into [`MetricsSnapshot`] by `snapshot`, whose
+/// derived ratios and percentiles are computed from the `internal` rows.
 macro_rules! metrics_table {
     (
         snapshot { $( $(#[$sdoc:meta])* $snap:ident: $skind:ty, )* }
@@ -580,9 +580,37 @@ macro_rules! metrics_table {
                 $( Metric::reset(&self.$int); )*
             }
 
-            /// Copies every `snapshot` row into its same-named field.
-            fn copy_through(&self, snapshot: &mut MetricsSnapshot) {
-                $( snapshot.$snap = self.$snap.get(); )*
+            /// Takes a serialisable snapshot, computing TPS over `elapsed`:
+            /// every `snapshot` row under its own name, plus the ratios and
+            /// percentiles derived from the `internal` rows.  The literal is
+            /// exhaustive, so a [`MetricsSnapshot`] field nobody fills does
+            /// not compile.
+            pub fn snapshot(&self, elapsed: Duration) -> MetricsSnapshot {
+                let secs = elapsed.as_secs_f64().max(1e-9);
+                MetricsSnapshot {
+                    $( $snap: self.$snap.get(), )*
+                    elapsed_secs: elapsed.as_secs_f64(),
+                    tps: self.committed.get() as f64 / secs,
+                    abort_ratio: self.abort_ratio(),
+                    cascade_abort_ratio: self.cascade_abort_ratio(),
+                    p50_latency_ms: self.txn_latency.p50_millis(),
+                    p99_latency_ms: self.txn_latency.p99_millis(),
+                    p95_latency_ms: self.txn_latency.p95_millis(),
+                    mean_latency_ms: self.txn_latency.mean_micros() / 1_000.0,
+                    p95_lock_wait_ms: self.lock_wait_latency.p95_millis(),
+                    mean_lock_wait_ms: self.lock_wait_latency.mean_micros() / 1_000.0,
+                    locks_per_query: self.locks_per_query(),
+                    mean_grant_scan_len: self.grant_scan_len.mean_micros(),
+                    max_grant_scan_len: self.grant_scan_len.max_micros(),
+                    utilization: self.utilization(),
+                    abort_breakdown: self.abort_breakdown(),
+                    abort_causes: self
+                        .abort_causes
+                        .snapshot()
+                        .into_iter()
+                        .map(|(l, c)| (l.to_owned(), c))
+                        .collect(),
+                }
             }
         }
     };
@@ -764,37 +792,6 @@ impl EngineMetrics {
             .map(|(l, c)| (l.to_owned(), c))
             .collect();
         AbortBreakdown::from_causes(&causes, self.admission_retries.get())
-    }
-
-    /// Takes a serialisable snapshot, computing TPS over `elapsed`.
-    pub fn snapshot(&self, elapsed: Duration) -> MetricsSnapshot {
-        let secs = elapsed.as_secs_f64().max(1e-9);
-        let mut snapshot = MetricsSnapshot {
-            elapsed_secs: elapsed.as_secs_f64(),
-            tps: self.committed.get() as f64 / secs,
-            abort_ratio: self.abort_ratio(),
-            cascade_abort_ratio: self.cascade_abort_ratio(),
-            p50_latency_ms: self.txn_latency.p50_millis(),
-            p99_latency_ms: self.txn_latency.p99_millis(),
-            p95_latency_ms: self.txn_latency.p95_millis(),
-            mean_latency_ms: self.txn_latency.mean_micros() / 1_000.0,
-            p95_lock_wait_ms: self.lock_wait_latency.p95_millis(),
-            mean_lock_wait_ms: self.lock_wait_latency.mean_micros() / 1_000.0,
-            locks_per_query: self.locks_per_query(),
-            mean_grant_scan_len: self.grant_scan_len.mean_micros(),
-            max_grant_scan_len: self.grant_scan_len.max_micros(),
-            utilization: self.utilization(),
-            abort_breakdown: self.abort_breakdown(),
-            abort_causes: self
-                .abort_causes
-                .snapshot()
-                .into_iter()
-                .map(|(l, c)| (l.to_owned(), c))
-                .collect(),
-            ..MetricsSnapshot::default()
-        };
-        self.copy_through(&mut snapshot);
-        snapshot
     }
 }
 

@@ -19,7 +19,7 @@
 //! Programs never touch the lock table.  The explicit session API still
 //! works under Aria and is plain 2PL on a lightweight table of its own.
 
-use super::{held, lock_to_commit, ConcurrencyControl, LockTable, WriteAdmission};
+use super::{ConcurrencyControl, LockTable, TwoPhase, WriteAdmission};
 use crate::database::{Database, DbInner};
 use crate::program::{Operation, ProgramOutcome, TxnProgram};
 use crossbeam::channel::{Receiver, Sender};
@@ -31,6 +31,7 @@ use txsql_common::fxhash::FxHashMap;
 use txsql_common::time::SimInstant;
 use txsql_common::{Error, RecordId, Result, Row, TableId, TxnId};
 use txsql_lockmgr::event::OsEvent;
+use txsql_lockmgr::lightweight::FlatLayout;
 use txsql_lockmgr::LightweightLockTable;
 use txsql_txn::Transaction;
 
@@ -50,7 +51,8 @@ struct AriaJob {
 /// — who joins a batch, who leads it, where the boundary falls — are explored
 /// deterministically under `txsql-sim` (`crates/core/tests/sim_aria.rs`).
 pub(super) struct Aria {
-    locks: LightweightLockTable,
+    /// The explicit session API: plain 2PL, never used by a batch.
+    session: TwoPhase<FlatLayout>,
     batch_size: usize,
     batch_wait: Duration,
     jobs_tx: Sender<AriaJob>,
@@ -61,15 +63,12 @@ pub(super) struct Aria {
 impl ConcurrencyControl for Aria {
     fn acquire_for_write(
         &self,
-        _db: &DbInner,
+        db: &DbInner,
         txn: &mut Transaction,
         table: TableId,
         record: RecordId,
     ) -> Result<WriteAdmission> {
-        match held(txn, table, record) {
-            Some(admission) => Ok(admission),
-            None => lock_to_commit(&self.locks, txn, record),
-        }
+        self.session.acquire_for_write(db, txn, table, record)
     }
 
     /// Submits a program and blocks until its batch has been processed.
@@ -122,7 +121,7 @@ impl ConcurrencyControl for Aria {
     }
 
     fn locks(&self) -> &dyn LockTable {
-        &self.locks
+        self.session.locks()
     }
 }
 
@@ -130,7 +129,7 @@ impl Aria {
     pub(super) fn new(locks: LightweightLockTable, batch_size: usize) -> Self {
         let (jobs_tx, jobs_rx) = crossbeam::channel::unbounded();
         Self {
-            locks,
+            session: TwoPhase { locks },
             batch_size: batch_size.max(1),
             batch_wait: Duration::from_micros(200),
             jobs_tx,

@@ -117,3 +117,103 @@ impl ConcurrencyControl for Bamboo {
         self.completions.lock().len()
     }
 }
+
+#[cfg(test)]
+mod tests {
+    use super::OsEvent;
+    use crate::config::Protocol;
+    use crate::database::Database;
+    use crate::program::{Operation, TxnProgram};
+    use std::sync::Arc;
+    use txsql_common::{Error, RecordId, Result, Row, TableId};
+    use txsql_storage::TableSchema;
+
+    fn one_row(protocol: Protocol) -> Database {
+        let db = Database::with_protocol(protocol);
+        db.create_table(TableSchema::new(TableId(1), "t", 2))
+            .unwrap();
+        db.load_row(TableId(1), Row::from_ints(&[0, 0])).unwrap();
+        db
+    }
+
+    #[test]
+    fn completions_exist_only_for_active_bamboo_transactions() {
+        let program = TxnProgram::new(vec![Operation::UpdateAdd {
+            table: TableId(1),
+            pk: 0,
+            column: 1,
+            delta: 1,
+        }]);
+        for protocol in [
+            Protocol::GroupLockingTxsql,
+            Protocol::Aria,
+            Protocol::Bamboo,
+        ] {
+            let db = one_row(protocol);
+            for _ in 0..10 {
+                db.execute_program(&program).unwrap();
+            }
+            let open = db.begin();
+            let tracked = usize::from(protocol == Protocol::Bamboo);
+            assert_eq!(db.inner.cc.live_entries(), tracked, "{protocol:?}");
+            db.rollback(open, None);
+            assert_eq!(db.inner.cc.live_entries(), 0, "{protocol:?}");
+            db.shutdown();
+        }
+    }
+
+    /// A dependent parked on its writer's completion, the writer's outcome
+    /// and what is left afterwards.  Returns the dependent's commit result.
+    fn dependent_outcome(writer_commits: bool) -> Result<()> {
+        let db = one_row(Protocol::Bamboo);
+        let mut writer = db.begin();
+        db.update_add(&mut writer, TableId(1), 0, 1, 5).unwrap();
+        let mut dependent = db.begin();
+        // Early lock release: the row is free, its head is the writer's.
+        db.update_add(&mut dependent, TableId(1), 0, 1, 1).unwrap();
+        let completion = Arc::downgrade(&dependent.dirty_reads_from()[0].completion);
+        assert_eq!(dependent.dirty_reads_from()[0].writer, writer.id);
+        let pooled_before = OsEvent::pooled_count();
+
+        use std::sync::atomic::{AtomicBool, Ordering};
+        let returned = Arc::new(AtomicBool::new(false));
+        let committer = {
+            let (db, returned) = (db.clone(), Arc::clone(&returned));
+            std::thread::spawn(move || {
+                let result = db.commit(dependent);
+                returned.store(true, Ordering::SeqCst);
+                result
+            })
+        };
+        // The dependent cannot finish before its writer's outcome is posted.
+        std::thread::yield_now();
+        assert!(!returned.load(Ordering::SeqCst));
+        if writer_commits {
+            db.commit(writer).unwrap();
+        } else {
+            db.rollback(writer, None);
+        }
+        let result = committer.join().unwrap();
+        // Writer and dependent are done: nothing of the completion is left.
+        assert_eq!(db.inner.cc.live_entries(), 0);
+        // The event is freed with its last dependent — or, when the dependent
+        // was gone before the writer let go of it, back in the writer's (this)
+        // thread's pool, which then holds the only reference.
+        let pooled = OsEvent::pooled_count() - pooled_before;
+        assert_eq!(completion.strong_count(), pooled, "completion event leaked");
+        let row = db
+            .storage()
+            .read_committed(TableId(1), RecordId::new(1, 0, 0));
+        let expected = if writer_commits { 6 } else { 0 };
+        assert_eq!(row.unwrap().unwrap().get_int(1), Some(expected));
+        db.shutdown();
+        result
+    }
+
+    #[test]
+    fn bamboo_dependent_wakes_on_its_writers_commit_and_abort() {
+        dependent_outcome(true).unwrap();
+        let err = dependent_outcome(false).unwrap_err();
+        assert!(matches!(err, Error::DirtyReadAborted { .. }), "{err:?}");
+    }
+}

@@ -61,7 +61,11 @@ use txsql_lockmgr::registry::TxnLockRegistry;
 use txsql_lockmgr::{LightweightLockTable, LockMode, LockSys, LockTableConfig};
 use txsql_txn::{HotRole, Transaction};
 
-/// How a row was admitted for writing.
+/// How a row was admitted for writing.  Not derivable from
+/// `Transaction::hot_role`: a follower's first update of a hot row owns the
+/// group's in-flight grant, its later updates of that row (already in its
+/// write set) do not, and ending a grant one does not own would let two
+/// followers run at once.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) enum WriteAdmission {
     /// A conventional lock is held (2PL / O1 / O2 / Bamboo / group leader).

@@ -237,10 +237,9 @@ fn select_for_update_blocks_conflicting_writers() {
 /// essentially never preempted mid-critical-section, so *organic* waiters —
 /// and therefore organic promotion — need help to materialise under OS
 /// scheduling.  The organic interleavings themselves are covered by
-/// deterministic schedule exploration in `protocol_differential.rs` (which
-/// also checks, for all six protocols, that concurrent hot increments are
-/// never lost and the history stays serializable); the explicit promote/pin
-/// variants here keep wall-clock OS-thread coverage of the hot path.
+/// deterministic schedule exploration in `sim_schedule.rs`
+/// (`sim_organic_hotspot_promotion_loses_no_updates`); the explicit
+/// promote/pin variants here keep wall-clock OS-thread coverage.
 #[derive(Clone, Copy, PartialEq)]
 enum HotSetup {
     /// No help: rely on scheduler preemption (fine for sum-conservation runs).
@@ -308,6 +307,125 @@ fn run_concurrent_increments_with(
         h.join().unwrap();
     }
     Arc::try_unwrap(db).unwrap_or_else(|arc| (*arc).clone())
+}
+
+#[test]
+fn concurrent_hot_increments_are_not_lost_txsql() {
+    let threads = 8;
+    let per_thread = 30;
+    // Promote the row up front so the group path engages deterministically
+    // (organic promotion needs multi-core preemption; see HotSetup).
+    let db = run_concurrent_increments_with(
+        Protocol::GroupLockingTxsql,
+        threads,
+        per_thread,
+        HotSetup::PromoteFirst,
+    );
+    assert_eq!(
+        committed_balance(&db, 0),
+        1_000 + (threads * per_thread) as i64
+    );
+    // The hot row must actually have been grouped.
+    assert!(
+        db.metrics().hotspot_group_entries.get() > 0,
+        "group locking never engaged"
+    );
+    db.shutdown();
+}
+
+#[test]
+fn concurrent_hot_increments_are_not_lost_queue_locking() {
+    let threads = 8;
+    let per_thread = 20;
+    let db = run_concurrent_increments(Protocol::QueueLockingO2, threads, per_thread);
+    assert_eq!(
+        committed_balance(&db, 0),
+        1_000 + (threads * per_thread) as i64
+    );
+    db.shutdown();
+}
+
+#[test]
+fn concurrent_hot_increments_are_not_lost_mysql_and_o1() {
+    for protocol in [Protocol::Mysql2pl, Protocol::LightweightO1] {
+        let threads = 4;
+        let per_thread = 15;
+        let db = run_concurrent_increments(protocol, threads, per_thread);
+        assert_eq!(
+            committed_balance(&db, 0),
+            1_000 + (threads * per_thread) as i64,
+            "{protocol:?}"
+        );
+        db.shutdown();
+    }
+}
+
+#[test]
+fn concurrent_hot_increments_are_not_lost_bamboo() {
+    let threads = 4;
+    let per_thread = 15;
+    let db = run_concurrent_increments(Protocol::Bamboo, threads, per_thread);
+    assert_eq!(
+        committed_balance(&db, 0),
+        1_000 + (threads * per_thread) as i64
+    );
+    db.shutdown();
+}
+
+#[test]
+fn concurrent_hot_increments_are_not_lost_aria() {
+    let threads = 4;
+    let per_thread = 15;
+    let db = run_concurrent_increments(Protocol::Aria, threads, per_thread);
+    assert_eq!(
+        committed_balance(&db, 0),
+        1_000 + (threads * per_thread) as i64
+    );
+    db.shutdown();
+}
+
+// ---------------------------------------------------------------------------
+// Serializability audit (§5.2, §6.4.5)
+// ---------------------------------------------------------------------------
+
+#[test]
+fn contended_histories_are_serializable_under_txsql() {
+    let config = hot_config(Protocol::GroupLockingTxsql).with_history_recording(true);
+    let db = Arc::new(setup(config, 4));
+    let mut handles = Vec::new();
+    for worker in 0..6 {
+        let db = Arc::clone(&db);
+        handles.push(thread::spawn(move || {
+            let program = TxnProgram::new(vec![
+                Operation::UpdateAdd {
+                    table: ACCOUNTS,
+                    pk: 0,
+                    column: 1,
+                    delta: 1,
+                },
+                Operation::Read {
+                    table: ACCOUNTS,
+                    pk: (worker % 3) as i64 + 1,
+                },
+            ]);
+            let mut committed = 0;
+            while committed < 20 {
+                match db.execute_program(&program) {
+                    Ok(o) if o.committed => committed += 1,
+                    Ok(_) => {}
+                    Err(e) if e.is_retryable() => {}
+                    Err(e) => panic!("{e}"),
+                }
+            }
+        }));
+    }
+    for h in handles {
+        h.join().unwrap();
+    }
+    let report = db.history().unwrap().check();
+    assert!(report.is_serializable(), "cycle found: {:?}", report.cycle);
+    assert!(report.transactions >= 120);
+    db.shutdown();
 }
 
 // ---------------------------------------------------------------------------
@@ -409,78 +527,56 @@ fn group_locking_reduces_lock_objects_versus_o1() {
     o1.shutdown();
 }
 
-/// A Bamboo dependent parked on its writer's completion, the writer's outcome
-/// (`None`: it outlives the dependent's wait) and what is left afterwards.
-/// Returns the dependent's commit result.
-fn bamboo_dependent_outcome(writer_commits: Option<bool>) -> txsql_common::Result<()> {
-    use std::sync::atomic::{AtomicBool, Ordering};
-    let timeout = Duration::from_millis(if writer_commits.is_some() { 200 } else { 5 });
-    let config = EngineConfig::for_protocol(Protocol::Bamboo).with_lock_wait_timeout(timeout);
-    let db = setup(config, 1);
-    let mut writer = db.begin();
-    db.update_add(&mut writer, ACCOUNTS, 0, 1, 5).unwrap();
-    let mut dependent = db.begin();
-    // Early lock release: the row is free, its head is the writer's.
-    db.update_add(&mut dependent, ACCOUNTS, 0, 1, 1).unwrap();
-    let read = &dependent.dirty_reads_from()[0];
-    let row = db.record_id(ACCOUNTS, 0).unwrap();
-    assert_eq!((read.writer, read.record), (writer.id, row));
-    // One completion per active transaction, gone with it.
-    assert_eq!(db.protocol_entries(), 2);
-    let completion = Arc::downgrade(&read.completion);
-
-    let returned = Arc::new(AtomicBool::new(false));
-    let committer = {
-        let (db, returned) = (db.clone(), Arc::clone(&returned));
-        thread::spawn(move || {
-            let result = db.commit(dependent);
-            returned.store(true, Ordering::SeqCst);
-            result
-        })
-    };
-    let result = match writer_commits {
-        Some(commits) => {
-            // The dependent cannot finish before its writer's outcome is posted.
-            thread::yield_now();
-            assert!(!returned.load(Ordering::SeqCst));
-            if commits {
-                db.commit(writer).unwrap();
-            } else {
-                db.rollback(writer, None);
-            }
-            committer.join().unwrap()
-        }
-        None => {
-            let result = committer.join().unwrap();
-            db.rollback(writer, None);
-            result
-        }
-    };
-    // Writer and dependent are done: the engine holds nothing of the
-    // completion (a writer whose dependents were already gone when it
-    // posted returns the event to its thread's pool — the one reference).
-    assert_eq!(db.protocol_entries(), 0);
-    assert!(completion.strong_count() <= 1, "completion event leaked");
-    let expected = if writer_commits == Some(true) { 6 } else { 0 };
-    assert_eq!(committed_balance(&db, 0), 1_000 + expected);
+#[test]
+fn bamboo_cascades_when_dirty_writer_aborts() {
+    let db = setup(
+        EngineConfig::for_protocol(Protocol::Bamboo)
+            .with_lock_wait_timeout(Duration::from_millis(200)),
+        2,
+    );
+    let mut t1 = db.begin();
+    db.update_add(&mut t1, ACCOUNTS, 0, 1, 10).unwrap();
+    // Bamboo released T1's lock right after the update, so T2 can update the
+    // same row and consume T1's dirty value.
+    let mut t2 = db.begin();
+    db.update_add(&mut t2, ACCOUNTS, 0, 1, 10).unwrap();
+    // T1 aborts -> T2's commit must cascade.
+    db.rollback(
+        t1,
+        Some(&txsql_common::Error::ExplicitRollback {
+            txn: txsql_common::TxnId(0),
+        }),
+    );
+    let err = db.commit(t2).unwrap_err();
+    assert!(err.is_cascading(), "expected cascade, got {err:?}");
+    assert_eq!(committed_balance(&db, 0), 1_000);
     db.shutdown();
-    result
 }
 
 #[test]
-fn bamboo_dependent_wakes_on_its_writers_commit_and_abort() {
-    use txsql_common::Error;
-    bamboo_dependent_outcome(Some(true)).unwrap();
-    let err = bamboo_dependent_outcome(Some(false)).unwrap_err();
-    assert!(matches!(err, Error::DirtyReadAborted { .. }), "{err:?}");
-    assert!(err.is_cascading());
-    // A writer that never finishes: the timeout names the record read.
-    let err = bamboo_dependent_outcome(None).unwrap_err();
-    let row = txsql_common::RecordId::new(ACCOUNTS.0, 0, 0);
+fn bamboo_dependency_timeout_names_the_record_read() {
+    let db = setup(
+        EngineConfig::for_protocol(Protocol::Bamboo)
+            .with_lock_wait_timeout(Duration::from_millis(5)),
+        1,
+    );
+    let mut writer = db.begin();
+    db.update_add(&mut writer, ACCOUNTS, 0, 1, 5).unwrap();
+    let mut dependent = db.begin();
+    db.update_add(&mut dependent, ACCOUNTS, 0, 1, 1).unwrap();
+    let row = db.record_id(ACCOUNTS, 0).unwrap();
+    let read = &dependent.dirty_reads_from()[0];
+    assert_eq!((read.writer, read.record), (writer.id, row));
+    // The writer never finishes: the dependent's commit times out on the
+    // row whose dirty head it read.
+    let err = db.commit(dependent).unwrap_err();
     assert!(
-        matches!(err, Error::LockWaitTimeout { record, .. } if record == row),
+        matches!(err, txsql_common::Error::LockWaitTimeout { record, .. } if record == row),
         "{err:?}"
     );
+    db.rollback(writer, None);
+    assert_eq!(committed_balance(&db, 0), 1_000);
+    db.shutdown();
 }
 
 #[test]

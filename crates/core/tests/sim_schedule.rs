@@ -1,7 +1,8 @@
 //! Whole-engine schedule exploration (`txsql-sim`): the regression tests for
-//! the interleaving bugs the 1-CPU CI box could never reproduce on demand.
-//! (Organic hotspot promotion under explored schedules, for every protocol,
-//! is `protocol_differential.rs`.)
+//! the two interleaving bugs the 1-CPU CI box could never reproduce on
+//! demand, plus the *organic* hotspot-promotion coverage that previously had
+//! to fall back to explicit promotion / row pinning (see `HotSetup` in
+//! `engine.rs`).
 //!
 //! Each test runs the production engine — lock tables, group locking, commit
 //! pipeline, MVCC storage — under the cooperative scheduler, once per seed.
@@ -157,5 +158,83 @@ fn sim_commit_release_ordering_red_envelope() {
             );
             db.shutdown();
         }
+    }
+}
+
+/// The PR-1 schedule-shape coverage, restored to *organic* promotion: no
+/// `hotspots().promote()`, no pinned row — the contended schedules the
+/// simulator explores make waiters pile up naturally, the engine detects the
+/// hotspot itself (threshold 2), and traffic mid-run migrates onto the
+/// queue-/group-locking path.  Increments must never be lost across the
+/// promotion boundary, whatever the schedule.
+#[test]
+fn sim_organic_hotspot_promotion_loses_no_updates() {
+    const THREADS: usize = 4;
+    const PER_THREAD: usize = 3;
+    for protocol in [Protocol::QueueLockingO2, Protocol::GroupLockingTxsql] {
+        let mut promoted_seeds = 0u64;
+        let seeds = txsql_sim::ci_seeds(100);
+        let n_seeds = seeds.len();
+        for seed in seeds {
+            let mut config = sim_config(protocol);
+            config.record_history = false;
+            let db = Database::new(config);
+            db.create_table(TableSchema::new(ENVELOPES, "accounts", 2))
+                .unwrap();
+            db.load_row(ENVELOPES, Row::from_ints(&[1, 0])).unwrap();
+            let db = Arc::new(db);
+
+            let db_build = Arc::clone(&db);
+            run_seed(seed, move |sim| {
+                for worker in 0..THREADS {
+                    let db = Arc::clone(&db_build);
+                    sim.spawn(format!("incr-{worker}"), move || {
+                        let mut committed = 0;
+                        let mut attempts = 0;
+                        while committed < PER_THREAD {
+                            attempts += 1;
+                            assert!(attempts < 200, "worker starved");
+                            let mut txn = db.begin();
+                            match db.update_add(&mut txn, ENVELOPES, 1, 1, 1) {
+                                Ok(_) => {
+                                    if db.commit(txn).is_ok() {
+                                        committed += 1;
+                                    }
+                                }
+                                Err(err) if err.is_retryable() => {
+                                    db.rollback(txn, Some(&err));
+                                }
+                                Err(err) => panic!("worker {worker}: {err}"),
+                            }
+                        }
+                    });
+                }
+            });
+
+            let record = db.record_id(ENVELOPES, 1).unwrap();
+            let balance = db
+                .storage()
+                .read_committed(ENVELOPES, record)
+                .unwrap()
+                .unwrap()
+                .get_int(1)
+                .unwrap();
+            assert_eq!(
+                balance,
+                (THREADS * PER_THREAD) as i64,
+                "{protocol:?} seed {seed}: increments were lost"
+            );
+            if db.hotspots().promotions() > 0 {
+                promoted_seeds += 1;
+            }
+            db.shutdown();
+        }
+        // The whole point of exploration: organic waiter pile-ups (and hence
+        // organic promotion) must actually occur on a 1-CPU box.
+        assert!(
+            promoted_seeds > 0,
+            "{protocol:?}: no explored schedule promoted the hot row organically \
+             ({n_seeds} seeds)"
+        );
     }
 }
