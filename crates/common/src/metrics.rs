@@ -284,7 +284,8 @@ impl MetricsSink for EngineMetrics {
 }
 
 /// A single-owner (per-transaction or per-bench-thread) scratch pad for the
-/// hot-path lock counters.
+/// hot-path lock counters, the per-statement query count and the
+/// transaction's commit sample.
 ///
 /// All fields are `Cell`s: recording is plain integer arithmetic with no
 /// atomics and no sharing.  [`MetricsScratch::flush`] drains the accumulated
@@ -303,6 +304,9 @@ pub struct MetricsScratch {
     grant_scan_count: Cell<u64>,
     grant_scan_sum: Cell<u64>,
     grant_scan_max: Cell<u64>,
+    queries: Cell<u64>,
+    /// `(latency, blocked)` of the owner's commit, once it committed.
+    commit: Cell<Option<(Duration, Duration)>>,
 }
 
 impl Default for MetricsScratch {
@@ -322,6 +326,8 @@ impl MetricsScratch {
             grant_scan_count: Cell::new(0),
             grant_scan_sum: Cell::new(0),
             grant_scan_max: Cell::new(0),
+            queries: Cell::new(0),
+            commit: Cell::new(None),
         }
     }
 
@@ -331,6 +337,21 @@ impl MetricsScratch {
             && self.locks_released.get() == 0
             && self.release_shard_locks.get() == 0
             && self.grant_scan_count.get() == 0
+            && self.queries.get() == 0
+            && self.commit.get().is_none()
+    }
+
+    /// One statement was executed.
+    #[inline]
+    pub fn on_query(&self) {
+        self.queries.set(self.queries.get() + 1);
+    }
+
+    /// The owning transaction committed after `latency`, `blocked` of it
+    /// spent waiting: the commit count, the latency histogram and the
+    /// blocked / busy split all come from this one sample.
+    pub fn on_commit(&self, latency: Duration, blocked: Duration) {
+        self.commit.set(Some((latency, blocked)));
     }
 
     /// Locks created recorded since the last flush (test observability).
@@ -351,6 +372,17 @@ impl MetricsScratch {
     /// Drains every accumulated count into `metrics`, leaving the scratch
     /// empty.  One atomic operation per non-zero counter/bucket.
     pub fn flush(&self, metrics: &EngineMetrics) {
+        let queries = self.queries.take();
+        if queries > 0 {
+            metrics.queries.add(queries);
+        }
+        if let Some((latency, blocked)) = self.commit.take() {
+            metrics.committed.inc();
+            metrics.txn_latency.record(latency);
+            metrics.blocked_nanos.add(blocked.as_nanos() as u64);
+            let busy = latency.saturating_sub(blocked);
+            metrics.busy_nanos.add(busy.as_nanos() as u64);
+        }
         let created = self.locks_created.take();
         if created > 0 {
             metrics.locks_created.add(created);
@@ -1000,7 +1032,11 @@ mod tests {
         scratch.on_release_shard_lock();
         scratch.on_grant_scan(1);
         scratch.on_grant_scan(5);
+        scratch.on_query();
+        scratch.on_query();
+        scratch.on_commit(Duration::from_micros(40), Duration::from_micros(10));
         // Nothing reaches the shared counters until the flush.
+        assert_eq!((m.queries.get(), m.committed.get()), (0, 0));
         assert_eq!(m.locks_created.get(), 0);
         assert_eq!(m.grant_scan_len.count(), 0);
         assert!(!scratch.is_empty());
@@ -1013,9 +1049,16 @@ mod tests {
         assert_eq!(m.grant_scan_len.count(), 2);
         assert_eq!(m.grant_scan_len.max_micros(), 5);
         assert!((m.grant_scan_len.mean_micros() - 3.0).abs() < 1e-9);
+        assert_eq!((m.queries.get(), m.committed.get()), (2, 1));
+        assert_eq!(m.txn_latency.count(), 1);
+        assert_eq!(
+            (m.blocked_nanos.get(), m.busy_nanos.get()),
+            (10_000, 30_000)
+        );
         // A second flush is a no-op.
         scratch.flush(&m);
         assert_eq!(m.grant_scan_len.count(), 2);
+        assert_eq!(m.committed.get(), 1);
     }
 
     #[test]

@@ -271,6 +271,9 @@ impl Aria {
         let mut txn = db.begin();
         // The transaction's latency counts its wait for the batch.
         txn.started_at = job.submitted;
+        if !writes.is_empty() {
+            db.begin_write(&mut txn);
+        }
         for (table, pk, row) in writes {
             let applied = match db.record_id(*table, *pk) {
                 Ok(record) => storage

@@ -8,7 +8,7 @@
 //! The group state itself lives in [`GroupLockTable`]; this impl is the
 //! order in which a transaction's life cycle drives it.
 
-use super::{held, lock_row, observe_contention};
+use super::{held, lock_row};
 use super::{ConcurrencyControl, LockTable, WriteAdmission};
 use crate::database::DbInner;
 use std::sync::Arc;
@@ -127,7 +127,7 @@ impl GroupLocking {
         txn: &mut Transaction,
         record: RecordId,
     ) -> Result<WriteAdmission> {
-        if let Err(err) = lock_row(&self.locks, txn, record) {
+        if let Err(err) = lock_row(&self.locks, txn, record, None) {
             self.groups.leader_handover(txn.id, record);
             return Err(err);
         }
@@ -160,8 +160,7 @@ impl ConcurrencyControl for GroupLocking {
         }
         if !db.hotspots.is_hot(record) {
             self.check_cold_wait(txn, record)?;
-            observe_contention(&db.hotspots, &self.locks, record);
-            lock_row(&self.locks, txn, record)?;
+            lock_row(&self.locks, txn, record, Some(&db.hotspots))?;
             if !db.hotspots.is_hot(record) {
                 txn.record_lock(record);
                 return Ok(WriteAdmission::Locked);

@@ -238,13 +238,24 @@ fn held(txn: &Transaction, table: TableId, record: RecordId) -> Option<WriteAdmi
 
 /// X-locks `record`, charging the wait to the transaction's blocked time.
 /// The per-cycle lock counters go to the transaction's metrics scratch.
+/// With a `detector` — the row is not hot (yet) — a request that has to
+/// queue reports the queue it joins to it (§4.1 promotion); the lock attempt
+/// itself does the reporting, so an uncontended row is probed exactly once,
+/// by the acquisition.
 fn lock_row<L: Layout>(
     locks: &RecordLockTable<L>,
     txn: &mut Transaction,
     record: RecordId,
+    detector: Option<&HotspotRegistry>,
 ) -> Result<()> {
     let start = Instant::now();
-    let result = locks.lock_record_in(txn.id, record, LockMode::Exclusive, txn.metrics_sink());
+    let report = |queue_len| {
+        if let Some(hotspots) = detector {
+            hotspots.observe_wait(record, queue_len);
+        }
+    };
+    let sink = txn.metrics_sink();
+    let result = locks.lock_record_reporting(txn.id, record, LockMode::Exclusive, sink, report);
     txn.add_blocked(start.elapsed());
     result
 }
@@ -255,17 +266,7 @@ fn lock_to_commit<L: Layout>(
     txn: &mut Transaction,
     record: RecordId,
 ) -> Result<WriteAdmission> {
-    lock_row(locks, txn, record)?;
+    lock_row(locks, txn, record, None)?;
     txn.record_lock(record);
     Ok(WriteAdmission::Locked)
-}
-
-/// Reports the lock queue a writer is about to join to the hotspot detector
-/// (§4.1 promotion).
-fn observe_contention(hotspots: &HotspotRegistry, locks: &LightweightLockTable, record: RecordId) {
-    let queue_len =
-        locks.wait_queue_len(record) + usize::from(!locks.holders_of(record).is_empty());
-    if queue_len > 0 {
-        hotspots.observe_wait(record, queue_len);
-    }
 }

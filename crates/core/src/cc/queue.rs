@@ -3,7 +3,7 @@
 //! then the real lock, so at most one transaction contends for it; the
 //! ticket is given back once the transaction's outcome is final.
 
-use super::{held, lock_row, lock_to_commit, observe_contention};
+use super::{held, lock_row};
 use super::{ConcurrencyControl, LockTable, WriteAdmission};
 use crate::database::DbInner;
 use std::sync::Arc;
@@ -33,8 +33,9 @@ impl ConcurrencyControl for QueueLocking {
             return Ok(admission);
         }
         if !db.hotspots.is_hot(record) {
-            observe_contention(&db.hotspots, &self.locks, record);
-            return lock_to_commit(&self.locks, txn, record);
+            lock_row(&self.locks, txn, record, Some(&db.hotspots))?;
+            txn.record_lock(record);
+            return Ok(WriteAdmission::Locked);
         }
         if let QueueAdmission::Wait(event) = self.tickets.admit(txn.id, record) {
             let start = Instant::now();
@@ -59,7 +60,7 @@ impl ConcurrencyControl for QueueLocking {
         }
         // Ticket acquired: take the real row lock (the previous holder has
         // already released it, or will very soon).
-        if let Err(err) = lock_row(&self.locks, txn, record) {
+        if let Err(err) = lock_row(&self.locks, txn, record, None) {
             self.tickets.release(txn.id, record);
             return Err(err);
         }

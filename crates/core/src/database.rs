@@ -15,6 +15,7 @@ use crate::config::{EngineConfig, Protocol};
 use crate::hooks::{BinlogTxn, CommitHook};
 use crate::program::{Operation, ProgramOutcome, TxnProgram};
 use parking_lot::{Mutex, RwLock};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 use txsql_common::metrics::{EngineMetrics, MetricsSnapshot};
@@ -41,6 +42,9 @@ pub(crate) struct DbInner {
     /// The registered hooks behind one `Arc`, so a commit borrows the list
     /// with one reference-count step instead of copying it.
     pub(crate) hooks: RwLock<Arc<[Arc<dyn CommitHook>]>>,
+    /// Set by the first registration: a commit on an engine without hooks
+    /// takes neither the lock nor the reference.
+    has_hooks: AtomicBool,
     pub(crate) history: Option<HistoryRecorder>,
     /// The newest checkpoint image — what `restart_from_crash` recovers from.
     /// Starts empty (LSN 0, no tables): engines that never checkpoint after
@@ -139,6 +143,7 @@ impl Database {
             cc,
             pipeline,
             hooks: RwLock::new(Arc::new([])),
+            has_hooks: AtomicBool::new(false),
             history,
             last_checkpoint: Mutex::new(CheckpointImage {
                 lsn: Lsn(0),
@@ -279,6 +284,7 @@ impl Database {
     pub fn register_commit_hook(&self, hook: Arc<dyn CommitHook>) {
         let mut hooks = self.inner.hooks.write();
         *hooks = hooks.iter().cloned().chain([hook]).collect();
+        self.inner.has_hooks.store(true, Ordering::Release);
     }
 
     /// Captures a checkpoint image, makes it the engine's recovery baseline
@@ -372,13 +378,22 @@ impl Database {
     // Session API
     // ------------------------------------------------------------------
 
-    /// Starts a transaction.
+    /// Starts a transaction.  Storage and the log hear of it at its first
+    /// write statement (`Database::begin_write`), not here.
     pub fn begin(&self) -> Transaction {
-        let mut txn = self.inner.trx_sys.begin();
+        let txn = self.inner.trx_sys.begin();
         self.inner.cc.begin(&txn);
-        self.inner.storage.begin_txn(txn.id);
-        txn.state = TxnState::Active;
         txn
+    }
+
+    /// Called by every write statement before it asks the protocol for the
+    /// row: the transaction's first one gives it its storage entry and its
+    /// `Begin` record.  Ahead of `acquire_for_write` on purpose — inside a
+    /// hot row's grant this would be paid by everyone queued behind it.
+    pub(crate) fn begin_write(&self, txn: &mut Transaction) {
+        if txn.become_writer() {
+            self.inner.storage.begin_txn(txn.id);
+        }
     }
 
     /// Snapshot read by primary key.  The read view is statement-scoped and
@@ -389,7 +404,7 @@ impl Database {
         if !txn.is_active() {
             return Err(Error::TransactionClosed { txn: txn.id });
         }
-        self.inner.metrics.queries.inc();
+        txn.metrics_sink().on_query();
         let record = self.record_id(table, pk)?;
         let (row, writer) = self
             .inner
@@ -413,6 +428,19 @@ impl Database {
         txn.state = TxnState::Preparing;
         let cc = &self.inner.cc;
 
+        if !txn.is_writer() {
+            // Nothing was written: there is nothing to order, log, ship or
+            // release, so the transaction takes no `trx_no` and no part in
+            // the commit sequence.  Its place in the history is the horizon
+            // it read under (the checker orders only writers by `trx_no`).
+            debug_assert!(txn.locked_records().is_empty() && !txn.has_hot_updates());
+            cc.finished(&txn, true);
+            let horizon = self.inner.trx_sys.commit_horizon();
+            self.inner.trx_sys.finish(txn.id, None);
+            self.acknowledge(txn, horizon);
+            return Ok(());
+        }
+
         // The protocol's commit-order waits (group locking's hand-over and
         // commit turn, Bamboo's dirty-read dependencies).
         if let Err(err) = cc.before_order(&mut txn) {
@@ -427,8 +455,11 @@ impl Database {
         // serializability violation the red_envelope example used to trip
         // over (see `sim_commit_release_ordering` in crates/core/tests).
         let trx_no = self.inner.trx_sys.allocate_trx_no();
-        let write_set: Vec<(TableId, RecordId)> = txn.write_set().to_vec();
-        let commit_lsn = match self.inner.storage.commit_writes(txn.id, trx_no, &write_set) {
+        let applied = self
+            .inner
+            .storage
+            .commit_writes(txn.id, trx_no, txn.write_set());
+        let commit_lsn = match applied {
             Ok(lsn) => lsn,
             Err(err) => {
                 // Locks are still held here — propagating without rolling
@@ -444,14 +475,17 @@ impl Database {
         let binlog = BinlogTxn {
             txn: txn.id,
             trx_no,
-            changes: txn.changes().to_vec(),
+            changes: txn.take_changes(),
             involves_hotspot: txn.has_hot_updates(),
         };
-        let hooks = Arc::clone(&self.inner.hooks.read());
-        let pipeline_result =
-            self.inner
-                .pipeline
-                .commit(self.inner.storage.redo(), commit_lsn, binlog, &hooks);
+        let has_hooks = self.inner.has_hooks.load(Ordering::Acquire);
+        let hooks = has_hooks.then(|| Arc::clone(&self.inner.hooks.read()));
+        let pipeline_result = self.inner.pipeline.commit(
+            self.inner.storage.redo(),
+            commit_lsn,
+            binlog,
+            hooks.as_deref().unwrap_or(&[]),
+        );
 
         cc.finished(&txn, true);
         self.inner.trx_sys.finish(txn.id, Some(trx_no));
@@ -468,24 +502,26 @@ impl Database {
             return Err(err);
         }
 
+        self.acknowledge(txn, trx_no);
+        Ok(())
+    }
+
+    /// Last step of a successful commit: the history entry at `position` (a
+    /// writer's `trx_no`, a reader's horizon) and the commit sample, which
+    /// reaches the engine's counters with the rest of the transaction's
+    /// metrics scratch when `txn` drops here.
+    fn acknowledge(&self, mut txn: Transaction, position: u64) {
         if let Some(history) = &self.inner.history {
             // The writer of each read version was captured at read time — no
             // commit-time re-read, which would mis-attribute reads to
             // whichever writer happened to have committed by now.
             let reads = txn.read_set().iter().map(|(_, r, w)| (*r, *w)).collect();
-            let writes = write_set.iter().map(|(_, r)| *r).collect();
-            history.record_commit(txn.id, trx_no, reads, writes);
+            let writes = txn.write_set().iter().map(|(_, r)| *r).collect();
+            history.record_commit(txn.id, position, reads, writes);
         }
-
         txn.state = TxnState::Committed;
-        let (elapsed, blocked) = (txn.started_at.elapsed(), txn.blocked_time());
-        let busy = elapsed.saturating_sub(blocked);
-        let metrics = &self.inner.metrics;
-        metrics.committed.inc();
-        metrics.txn_latency.record(elapsed);
-        metrics.blocked_nanos.add(blocked.as_nanos() as u64);
-        metrics.busy_nanos.add(busy.as_nanos() as u64);
-        Ok(())
+        txn.metrics_sink()
+            .on_commit(txn.started_at.elapsed(), txn.blocked_time());
     }
 
     /// Rolls back a transaction, recording `reason` (or an explicit rollback)

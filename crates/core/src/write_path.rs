@@ -1,7 +1,8 @@
 //! The write statements: `UPDATE` / `SELECT FOR UPDATE` / `INSERT`.
 //!
-//! Every write is the same skeleton — admit, read the newest version, stack
-//! a new one — with the protocol called at two places (Alg. 1 of the paper):
+//! Every write is the same skeleton — begin the transaction in storage if
+//! this is its first write, admit, read the newest version, stack a new one
+//! — with the protocol called at two places (Alg. 1 of the paper):
 //!
 //! 1. `ConcurrencyControl::acquire_for_write` before the read: Alg. 1
 //!    lines 2–9.  MySQL / O1 lock the row; O2 takes the hot row's ticket
@@ -46,8 +47,9 @@ impl Database {
         if !txn.is_active() {
             return Err(Error::TransactionClosed { txn: txn.id });
         }
-        self.inner.metrics.queries.inc();
+        txn.metrics_sink().on_query();
         let record = self.record_id(table, pk)?;
+        self.begin_write(txn);
         let inner = &self.inner;
         inner.cc.acquire_for_write(inner, txn, table, record)?;
         // The locked read observes the newest version (a predecessor's
@@ -63,10 +65,11 @@ impl Database {
         if !txn.is_active() {
             return Err(Error::TransactionClosed { txn: txn.id });
         }
-        self.inner.metrics.queries.inc();
+        txn.metrics_sink().on_query();
         let pk = row.primary_key().ok_or_else(|| Error::Internal {
             reason: "insert without integer pk".into(),
         })?;
+        self.begin_write(txn);
         let (record, _) = self
             .inner
             .storage
@@ -87,8 +90,9 @@ impl Database {
         if !txn.is_active() {
             return Err(Error::TransactionClosed { txn: txn.id });
         }
-        self.inner.metrics.queries.inc();
+        txn.metrics_sink().on_query();
         let record = self.record_id(table, pk)?;
+        self.begin_write(txn);
         let inner = &self.inner;
         let admission = inner.cc.acquire_for_write(inner, txn, table, record)?;
 

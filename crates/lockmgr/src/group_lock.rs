@@ -540,20 +540,29 @@ impl GroupLockTable {
         }
     }
 
-    fn maybe_gc(&self, record: RecordId) {
+    /// Collects `record`'s entry if it is idle; returns whether a busy one
+    /// remains.  Called where a row may have gone quiet for good — the end of
+    /// a rollback, and the sweeper's question before it demotes the row
+    /// ([`Self::has_activity`]) — and not per commit: a live hot row's next
+    /// writer is about to use the entry again, and finding that out costs
+    /// every commit the shard mutex.
+    fn maybe_gc(&self, record: RecordId) -> bool {
         // Shard lock first, then the entry's state lock (the same nesting
         // order `entry()` + `with_state` compose to), so the idle check, the
         // dead mark and the map removal are one atomic step.
         let mut entries = self.entry_shard(record).lock();
         let _scope = GuardScope::enter();
-        if let Some(existing) = entries.get(&record.packed()) {
-            let mut state = existing.state.lock();
-            if state.is_idle() {
-                state.dead = true;
-                drop(state);
-                entries.remove(&record.packed());
-            }
+        let Some(existing) = entries.get(&record.packed()) else {
+            return false;
+        };
+        let mut state = existing.state.lock();
+        if !state.is_idle() {
+            return true;
         }
+        state.dead = true;
+        drop(state);
+        entries.remove(&record.packed());
+        false
     }
 
     // ------------------------------------------------------------------
@@ -912,7 +921,6 @@ impl GroupLockTable {
             state.take_ready_waiters()
         });
         wake_all(woken);
-        self.maybe_gc(record);
     }
 
     // ------------------------------------------------------------------
@@ -1059,13 +1067,10 @@ impl GroupLockTable {
     }
 
     /// True when the hot row still has any group activity (used by the
-    /// hotspot sweeper to decide whether to demote).
+    /// hotspot sweeper to decide whether to demote).  A row found idle has
+    /// its entry collected.
     pub fn has_activity(&self, record: RecordId) -> bool {
-        let entries = self.entry_shard(record).lock();
-        entries
-            .get(&record.packed())
-            .map(|e| !e.state.lock().is_idle())
-            .unwrap_or(false)
+        self.maybe_gc(record)
     }
 
     /// Hot rows that still have group state — zero once every transaction

@@ -198,8 +198,26 @@ impl<L: Layout> RecordLockTable<L> {
         mode: LockMode,
         sink: &S,
     ) -> Result<()> {
+        self.lock_record_reporting(txn, record, mode, sink, |_| ())
+    }
+
+    /// [`Self::lock_record_in`] that tells `on_queue` the length of the queue
+    /// the request joins — the waiters ahead of it plus one for the holders,
+    /// the paper's hotspot-detection signal (§4.1) — when it has to wait,
+    /// before it does.  The length is read in the lock attempt's own
+    /// critical section: an uncontended acquisition pays nothing for it, and
+    /// `on_queue` runs after the shard guard is dropped.
+    pub fn lock_record_reporting<S: MetricsSink + ?Sized>(
+        &self,
+        txn: TxnId,
+        record: RecordId,
+        mode: LockMode,
+        sink: &S,
+        on_queue: impl FnOnce(usize),
+    ) -> Result<()> {
         debug_assert!(mode.is_record_mode());
         let event;
+        let queue_len;
         let mut doom_victim = None;
         {
             let mut shard = self.shards[self.shard_index(record)].lock();
@@ -217,6 +235,7 @@ impl<L: Layout> RecordLockTable<L> {
                     return Ok(());
                 }
                 AcquireOutcome::MustWait(blockers) => {
+                    queue_len = queue.waiter_count() + usize::from(queue.has_holders());
                     // A requester chosen as deadlock victim returns before
                     // any lock object or wait is recorded, so the Figure-6d
                     // counters stay truthful; a *remote* victim is doomed
@@ -235,6 +254,7 @@ impl<L: Layout> RecordLockTable<L> {
                 }
             }
         }
+        on_queue(queue_len);
         self.registry.remember_record(txn, record);
         if self.detects() {
             // Park our event in the graph so a later detection pass can doom

@@ -208,6 +208,12 @@ impl RecordQueue {
         self.waiters.as_ref().map_or(0, |w| w.len())
     }
 
+    /// True when some transaction holds a granted lock.
+    #[inline]
+    pub fn has_holders(&self) -> bool {
+        !self.holders.is_empty()
+    }
+
     /// Transactions currently holding a granted lock.
     pub fn holder_ids(&self) -> Vec<TxnId> {
         self.holders.as_slice().iter().map(|(t, _)| *t).collect()

@@ -20,12 +20,39 @@
 //! One rule follows from this design: within a sim run, instrumented locks
 //! must only be shared among sim-spawned threads — a non-sim thread's guard
 //! drop does not wake sim waiters.
+//!
+//! ## Acquisition counter
+//!
+//! Debug builds (`debug_assertions`, which `cargo test` has and a release
+//! build has not) also count every lock acquisition in a thread-local:
+//! [`thread_acquisitions`] is what the engine's acquisition-budget test reads
+//! to pin how many locks a statement takes.  Nothing of it exists on the
+//! release path.
 
 use std::fmt;
 use std::ops::{Deref, DerefMut};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::time::{Duration, Instant};
 use txsql_sim::{Resource, ResourceKind};
+
+#[cfg(debug_assertions)]
+thread_local! {
+    static ACQUISITIONS: std::cell::Cell<u64> = const { std::cell::Cell::new(0) };
+}
+
+/// `Mutex` / `RwLock` acquisitions (blocking, and successful `try_*`) this
+/// thread has made so far.  With one thread driving an engine the difference
+/// across a transaction repeats exactly.  Debug builds only.
+#[cfg(debug_assertions)]
+pub fn thread_acquisitions() -> u64 {
+    ACQUISITIONS.with(std::cell::Cell::get)
+}
+
+#[inline(always)]
+fn count_acquisition() {
+    #[cfg(debug_assertions)]
+    ACQUISITIONS.with(|n| n.set(n.get() + 1));
+}
 
 /// A mutual-exclusion primitive (non-poisoning facade over `std::sync::Mutex`).
 #[derive(Default)]
@@ -65,6 +92,7 @@ impl<T: ?Sized> Mutex<T> {
     /// Acquires the mutex, blocking until it is available.
     #[inline]
     pub fn lock(&self) -> MutexGuard<'_, T> {
+        count_acquisition();
         if let Some(handle) = txsql_sim::current() {
             let key = txsql_sim::key_of(self);
             // Preemption point, tagged with the lock: only threads whose next
@@ -96,11 +124,13 @@ impl<T: ?Sized> Mutex<T> {
     #[inline]
     pub fn try_lock(&self) -> Option<MutexGuard<'_, T>> {
         let sim_key = txsql_sim::current().map(|_| txsql_sim::key_of(self));
-        self.raw_try_lock().map(|g| MutexGuard {
-            lock: self,
-            inner: Some(g),
-            sim_key,
-        })
+        self.raw_try_lock()
+            .inspect(|_| count_acquisition())
+            .map(|g| MutexGuard {
+                lock: self,
+                inner: Some(g),
+                sim_key,
+            })
     }
 
     /// Mutable access without locking (requires exclusive borrow).
@@ -205,6 +235,7 @@ impl<T: ?Sized> RwLock<T> {
     /// Acquires shared read access.
     #[inline]
     pub fn read(&self) -> RwLockReadGuard<'_, T> {
+        count_acquisition();
         if let Some(handle) = txsql_sim::current() {
             let key = txsql_sim::key_of(self);
             handle.yield_at(Resource::new(ResourceKind::Lock, key));
@@ -231,6 +262,7 @@ impl<T: ?Sized> RwLock<T> {
     /// Acquires exclusive write access.
     #[inline]
     pub fn write(&self) -> RwLockWriteGuard<'_, T> {
+        count_acquisition();
         if let Some(handle) = txsql_sim::current() {
             let key = txsql_sim::key_of(self);
             handle.yield_at(Resource::new(ResourceKind::Lock, key));
@@ -258,20 +290,24 @@ impl<T: ?Sized> RwLock<T> {
     #[inline]
     pub fn try_read(&self) -> Option<RwLockReadGuard<'_, T>> {
         let sim_key = txsql_sim::current().map(|_| txsql_sim::key_of(self));
-        self.raw_try_read().map(|g| RwLockReadGuard {
-            inner: Some(g),
-            sim_key,
-        })
+        self.raw_try_read()
+            .inspect(|_| count_acquisition())
+            .map(|g| RwLockReadGuard {
+                inner: Some(g),
+                sim_key,
+            })
     }
 
     /// Attempts exclusive write access without blocking.
     #[inline]
     pub fn try_write(&self) -> Option<RwLockWriteGuard<'_, T>> {
         let sim_key = txsql_sim::current().map(|_| txsql_sim::key_of(self));
-        self.raw_try_write().map(|g| RwLockWriteGuard {
-            inner: Some(g),
-            sim_key,
-        })
+        self.raw_try_write()
+            .inspect(|_| count_acquisition())
+            .map(|g| RwLockWriteGuard {
+                inner: Some(g),
+                sim_key,
+            })
     }
 }
 

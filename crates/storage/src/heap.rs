@@ -6,22 +6,30 @@
 //! `parking_lot::RwLock` so that physical access (latching) is independent of
 //! the *logical* row locks managed by `txsql-lockmgr` — the same separation
 //! InnoDB makes between page latches and record locks.
+//!
+//! # Append-only
+//!
+//! A page's slot array is allocated whole when the page is created, a slot is
+//! published once (through its [`OnceLock`]) when a record is allocated in
+//! it, and neither is ever freed, moved or reused: a rolled-back insert
+//! leaves its slot allocated and unindexed.  [`Page::slot`] therefore hands
+//! out a plain `&RwLock<RecordVersions>` without taking any lock, and the
+//! first lock word a reader writes to is the record's own latch.
 
 use crate::version::RecordVersions;
 use parking_lot::RwLock;
-use std::sync::Arc;
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::OnceLock;
 use txsql_common::{HeapNo, PageNo, SpaceId};
-
-/// A heap record slot: the version chain behind a latch.
-pub type RecordSlot = Arc<RwLock<RecordVersions>>;
 
 /// A fixed-capacity page of record slots.
 #[derive(Debug)]
 pub struct Page {
     space_id: SpaceId,
     page_no: PageNo,
-    capacity: u16,
-    slots: Vec<RecordSlot>,
+    slots: Box<[OnceLock<RwLock<RecordVersions>>]>,
+    /// Slots allocated so far; written by [`Page::allocate`] only.
+    len: AtomicUsize,
 }
 
 impl Page {
@@ -31,8 +39,8 @@ impl Page {
         Self {
             space_id,
             page_no,
-            capacity,
-            slots: Vec::new(),
+            slots: (0..capacity).map(|_| OnceLock::new()).collect(),
+            len: AtomicUsize::new(0),
         }
     }
 
@@ -48,38 +56,40 @@ impl Page {
 
     /// Number of allocated slots.
     pub fn len(&self) -> usize {
-        self.slots.len()
+        self.len.load(Ordering::Acquire)
     }
 
     /// True when no slot is allocated yet.
     pub fn is_empty(&self) -> bool {
-        self.slots.is_empty()
+        self.len() == 0
     }
 
     /// True when no more records fit on this page.
     pub fn is_full(&self) -> bool {
-        self.slots.len() >= self.capacity as usize
+        self.len() >= self.slots.len()
     }
 
     /// Allocates the next slot for `versions`, returning its `heap_no`, or
-    /// `None` if the page is full.
-    pub fn allocate(&mut self, versions: RecordVersions) -> Option<HeapNo> {
-        if self.is_full() {
-            return None;
-        }
-        let heap_no = self.slots.len() as HeapNo;
-        self.slots.push(Arc::new(RwLock::new(versions)));
-        Some(heap_no)
+    /// `None` if the page is full.  Allocations on one page are serialised by
+    /// the caller (the table's allocation lock); one that lost a race it
+    /// should not have been in finds its slot taken and reports the page
+    /// full.
+    pub fn allocate(&self, versions: RecordVersions) -> Option<HeapNo> {
+        let heap_no = self.len.load(Ordering::Relaxed);
+        self.slots.get(heap_no)?.set(RwLock::new(versions)).ok()?;
+        self.len.store(heap_no + 1, Ordering::Release);
+        Some(heap_no as HeapNo)
     }
 
-    /// Returns the slot at `heap_no`.
-    pub fn slot(&self, heap_no: HeapNo) -> Option<&RecordSlot> {
-        self.slots.get(heap_no as usize)
+    /// Returns the slot at `heap_no`, if it was allocated.  Lock-free.
+    pub fn slot(&self, heap_no: HeapNo) -> Option<&RwLock<RecordVersions>> {
+        self.slots.get(heap_no as usize)?.get()
     }
 
     /// Iterates over `(heap_no, slot)` pairs.
-    pub fn iter(&self) -> impl Iterator<Item = (HeapNo, &RecordSlot)> {
-        self.slots.iter().enumerate().map(|(i, s)| (i as HeapNo, s))
+    pub fn iter(&self) -> impl Iterator<Item = (HeapNo, &RwLock<RecordVersions>)> {
+        let allocated = self.slots.iter().map_while(OnceLock::get);
+        allocated.enumerate().map(|(i, s)| (i as HeapNo, s))
     }
 }
 
@@ -90,7 +100,7 @@ mod tests {
 
     #[test]
     fn allocation_assigns_sequential_heap_numbers() {
-        let mut page = Page::new(1, 0, 4);
+        let page = Page::new(1, 0, 4);
         for expected in 0..4u16 {
             let heap_no = page.allocate(RecordVersions::new_committed(Row::from_ints(&[
                 expected as i64
@@ -104,7 +114,7 @@ mod tests {
 
     #[test]
     fn slots_are_individually_lockable() {
-        let mut page = Page::new(1, 0, 2);
+        let page = Page::new(1, 0, 2);
         page.allocate(RecordVersions::new_committed(Row::from_ints(&[1, 10])));
         page.allocate(RecordVersions::new_committed(Row::from_ints(&[2, 20])));
         let s0 = page.slot(0).unwrap();
@@ -130,7 +140,7 @@ mod tests {
 
     #[test]
     fn iter_visits_all_slots_in_order() {
-        let mut page = Page::new(3, 7, 8);
+        let page = Page::new(3, 7, 8);
         for i in 0..5 {
             page.allocate(RecordVersions::new_committed(Row::from_ints(&[i])));
         }

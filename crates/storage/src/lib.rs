@@ -9,7 +9,9 @@
 //!
 //! * rows addressed by `<space_id, page_no, heap_no>` and organised in pages
 //!   ([`heap`]),
-//! * tables with a primary-key index ([`schema`], [`table`]),
+//! * tables with a primary-key index ([`schema`], [`table`]), found — like
+//!   their pages and slots — through append-only directories that readers
+//!   borrow from without locking ([`directory`]),
 //! * MVCC version chains so snapshot reads never block ([`version`]),
 //! * per-transaction undo segments whose *header* can carry either the commit
 //!   sequence number or the `hot_update_order` (paper §5.3) ([`undo`]),
@@ -27,6 +29,7 @@
 #![warn(missing_docs)]
 #![deny(unsafe_code)]
 
+pub mod directory;
 pub mod fault;
 pub mod heap;
 pub mod recovery;

@@ -4,6 +4,10 @@
 //! transactional primitives the concurrency-control protocols in `txsql-core`
 //! are built from:
 //!
+//! * `begin_txn` — give a transaction its one storage entry (undo segment,
+//!   undo header, first LSN) and its `Begin` record; called at the first
+//!   write, so a transaction that only reads leaves no trace here or in the
+//!   log;
 //! * `apply_update` / `apply_insert` — write an uncommitted version, record
 //!   its undo entry and append physical redo;
 //! * `commit_writes` — stamp the versions with a commit sequence number,
@@ -15,7 +19,17 @@
 //!   (and redo) so crash recovery can order hotspot rollbacks (§5.3);
 //! * `checkpoint` — capture the committed state, the starting point for the
 //!   failure-recovery experiment (§6.4.6).
+//!
+//! # What is shared
+//!
+//! Tables are created and never dropped, so the catalog is an append-only
+//! [`Directory`] and [`Storage::table`] lends out `&Table` without a lock
+//! (likewise [`Table::slot`], see [`crate::table`]).  Per-transaction state
+//! lives in the sharded [`UndoLog`], which every primitive above takes at
+//! most once, on the transaction's own shard.  What every writer still
+//! shares is the redo log's tail and the apply latch's read side.
 
+use crate::directory::Directory;
 use crate::fault::{CrashPoint, FaultInjector};
 use crate::schema::TableSchema;
 use crate::table::Table;
@@ -26,7 +40,7 @@ use parking_lot::{Mutex, RwLock};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
-use txsql_common::fxhash::{FxHashMap, FxHashSet};
+use txsql_common::fxhash::FxHashSet;
 use txsql_common::{Error, Lsn, RecordId, Result, Row, TableId, TxnId};
 
 /// A consistent image of the committed data, used as the recovery baseline.
@@ -41,13 +55,15 @@ pub struct CheckpointImage {
 /// The storage engine facade.
 #[derive(Debug)]
 pub struct Storage {
-    tables: RwLock<FxHashMap<TableId, Arc<Table>>>,
+    /// The catalog, in creation order (a handful of tables: lookups scan).
+    tables: Directory<Table>,
+    /// Serialises `create_table`'s duplicate check with its push.
+    create_latch: Mutex<()>,
     redo: RedoLog,
+    /// One segment per unfinished *writing* transaction; the oldest
+    /// `first_lsn` in it is the floor checkpoint truncation must not cut past.
     undo: UndoLog,
     faults: Arc<FaultInjector>,
-    /// First redo LSN of every active (unfinished) transaction; checkpoint
-    /// truncation must never cut past the oldest of these.
-    first_lsn: Mutex<FxHashMap<TxnId, Lsn>>,
     /// Serialises commit *application* against checkpoint *capture*:
     /// `commit_writes` stamps a transaction's versions committed slot by
     /// slot, and a capture scanning rows in between would publish an image
@@ -78,11 +94,11 @@ impl Storage {
     /// its redo log, so crash points fire consistently across both).
     pub fn with_faults(fsync_latency: Duration, faults: Arc<FaultInjector>) -> Self {
         Self {
-            tables: RwLock::new(FxHashMap::default()),
+            tables: Directory::default(),
+            create_latch: Mutex::new(()),
             redo: RedoLog::with_faults(fsync_latency, Arc::clone(&faults)),
             undo: UndoLog::new(),
             faults,
-            first_lsn: Mutex::new(FxHashMap::default()),
             apply_latch: RwLock::new(()),
             purge_floor: Arc::default(),
         }
@@ -106,34 +122,32 @@ impl Storage {
     /// First redo LSN of the oldest active transaction, if any — the floor
     /// below which checkpoint truncation must not cut the log.
     pub fn active_txn_floor(&self) -> Option<Lsn> {
-        self.first_lsn.lock().values().min().copied()
+        self.undo.oldest_first_lsn()
     }
 
     /// Creates a table.  Returns an error if the id is already in use.
-    pub fn create_table(&self, schema: TableSchema) -> Result<Arc<Table>> {
-        let mut tables = self.tables.write();
-        if tables.contains_key(&schema.id) {
+    pub fn create_table(&self, schema: TableSchema) -> Result<&Table> {
+        let _create = self.create_latch.lock();
+        if self.table(schema.id).is_ok() {
             return Err(Error::Internal {
                 reason: format!("{} already exists", schema.id),
             });
         }
-        let table = Arc::new(Table::new(schema.clone()));
-        tables.insert(schema.id, Arc::clone(&table));
-        Ok(table)
+        Ok(self.tables.push(Table::new(schema)).1)
     }
 
-    /// Looks up a table.
-    pub fn table(&self, id: TableId) -> Result<Arc<Table>> {
+    /// Looks up a table.  Lock-free, and the borrow lasts as long as the
+    /// storage does: tables are never dropped.
+    pub fn table(&self, id: TableId) -> Result<&Table> {
         self.tables
-            .read()
-            .get(&id)
-            .cloned()
+            .iter()
+            .find(|table| table.schema().id == id)
             .ok_or(Error::UnknownTable { table: id })
     }
 
     /// All tables, in id order.
-    pub fn tables(&self) -> Vec<Arc<Table>> {
-        let mut tables: Vec<Arc<Table>> = self.tables.read().values().cloned().collect();
+    pub fn tables(&self) -> Vec<&Table> {
+        let mut tables: Vec<&Table> = self.tables.iter().collect();
         tables.sort_by_key(|t| t.schema().id);
         tables
     }
@@ -242,12 +256,22 @@ impl Storage {
     // Transactional primitives
     // ---------------------------------------------------------------------
 
-    /// Registers a transaction with the undo log and writes its Begin record.
+    /// Runs `f` on `txn`'s undo segment.  A transaction the undo log has not
+    /// seen yet is begun first: its `Begin` record is appended under the
+    /// segment's shard lock, which is what keeps the checkpoint floor exact
+    /// (a capture that read a log position covering the record finds the
+    /// segment when it scans the shard).
+    fn with_segment<R>(&self, txn: TxnId, f: impl FnOnce(&mut UndoSegment) -> R) -> R {
+        let begin = || self.redo.append(RedoRecord::Begin { txn });
+        self.undo.with(txn, begin, f)
+    }
+
+    /// Gives `txn` its undo segment and writes its `Begin` record, whose LSN
+    /// is returned.  Called once, before the transaction's first write; a
+    /// transaction that never writes is never begun.  (Idempotent, and
+    /// implied by any write primitive that finds no segment.)
     pub fn begin_txn(&self, txn: TxnId) -> Lsn {
-        self.undo.register(txn);
-        let lsn = self.redo.append(RedoRecord::Begin { txn });
-        self.first_lsn.lock().insert(txn, lsn);
-        lsn
+        self.with_segment(txn, |segment| segment.first_lsn)
     }
 
     /// Applies an update as a new uncommitted version, recording undo and
@@ -268,13 +292,12 @@ impl Storage {
             if guard.latest().is_none() {
                 return Err(Error::UnknownRecord { record });
             }
-            self.undo.push(
-                txn,
-                UndoRecord::Update {
+            self.with_segment(txn, |segment| {
+                segment.records.push(UndoRecord::Update {
                     table: table_id,
                     record,
-                },
-            );
+                })
+            });
             guard.push_uncommitted(new_row.clone(), txn);
         }
         let lsn = self.redo.append(RedoRecord::Update {
@@ -297,14 +320,13 @@ impl Storage {
         })?;
         let record =
             table.insert_versions(pk, RecordVersions::new_uncommitted(row.clone(), txn))?;
-        self.undo.push(
-            txn,
-            UndoRecord::Insert {
+        self.with_segment(txn, |segment| {
+            segment.records.push(UndoRecord::Insert {
                 table: table_id,
                 record,
                 pk,
-            },
-        );
+            })
+        });
         let lsn = self.redo.append(RedoRecord::Insert {
             txn,
             table: table_id,
@@ -319,7 +341,7 @@ impl Storage {
     /// Persists the hot-update order of `txn` in its undo header (§5.3).
     pub fn set_hot_update_order(&self, txn: TxnId, order: u64) -> Lsn {
         let header = UndoHeader::with_hot_update_order(order);
-        self.undo.set_header(txn, header);
+        self.with_segment(txn, |segment| segment.header = header);
         self.redo.append(RedoRecord::UndoHeader {
             txn,
             field: header.raw(),
@@ -344,21 +366,18 @@ impl Storage {
         let _apply = self.apply_latch.read();
         let floor = self.purge_floor.load(Ordering::Acquire);
         for (table_id, record) in writes {
-            let table = self.table(*table_id)?;
-            let slot = table.slot(*record)?;
-            let mut guard = slot.write();
+            let mut guard = self.table(*table_id)?.slot(*record)?.write();
             guard.commit_writer(txn, trx_no);
             guard.purge_to_floor(floor);
         }
-        let header = UndoHeader::with_trx_no(trx_no);
-        self.undo.set_header(txn, header);
-        self.redo.append(RedoRecord::UndoHeader {
-            txn,
-            field: header.raw(),
-        });
-        let lsn = self.redo.append(RedoRecord::Commit { txn, trx_no });
+        // The header now carries the trx_no (§5.3); the segment it belongs to
+        // ends here, so only the log sees it.
+        let field = UndoHeader::with_trx_no(trx_no).raw();
+        let lsn = self.redo.append_pair(
+            RedoRecord::UndoHeader { txn, field },
+            RedoRecord::Commit { txn, trx_no },
+        );
         self.undo.take(txn);
-        self.first_lsn.lock().remove(&txn);
         // A crash here leaves the commit marker in the log buffer but never
         // flushed: the transaction was stamped in memory yet its commit is
         // not durable and must not be acknowledged.
@@ -374,26 +393,28 @@ impl Storage {
     /// rollback must keep working after an fsync failure degraded the engine
     /// (it only pops in-memory versions), and after a crash it is a harmless
     /// no-op on the dead process image.
+    ///
+    /// A transaction that changed nothing gets no marker: the returned LSN is
+    /// then the log's current end.
     pub fn rollback_writes(&self, txn: TxnId) -> Result<Lsn> {
-        self.first_lsn.lock().remove(&txn);
-        let segment: Option<UndoSegment> = self.undo.take(txn);
-        if let Some(segment) = segment {
-            let mut popped: FxHashSet<RecordId> = FxHashSet::default();
-            for undo in segment.rollback_order() {
-                let table = self.table(undo.table())?;
-                let slot = table.slot(undo.record())?;
-                let mut guard = slot.write();
-                if popped.insert(undo.record()) {
-                    guard.rollback_writer(txn);
+        let segment = self.undo.take(txn).unwrap_or_default();
+        if segment.is_empty() {
+            return Ok(self.redo.latest_lsn());
+        }
+        let mut popped: FxHashSet<RecordId> = FxHashSet::default();
+        for undo in segment.rollback_order() {
+            let table = self.table(undo.table())?;
+            let mut guard = table.slot(undo.record())?.write();
+            if popped.insert(undo.record()) {
+                guard.rollback_writer(txn);
+            }
+            match undo {
+                UndoRecord::Update { .. } => {}
+                UndoRecord::Insert { pk, .. } => {
+                    drop(guard);
+                    table.unindex_pk(*pk);
                 }
-                match undo {
-                    UndoRecord::Update { .. } => {}
-                    UndoRecord::Insert { pk, .. } => {
-                        drop(guard);
-                        table.unindex_pk(*pk);
-                    }
-                    UndoRecord::Delete { .. } => guard.set_deleted(false),
-                }
+                UndoRecord::Delete { .. } => guard.set_deleted(false),
             }
         }
         Ok(self.redo.append(RedoRecord::Rollback { txn }))
@@ -516,7 +537,7 @@ mod tests {
         );
         assert_eq!(storage.latest_writer(tid, rid).unwrap(), None);
         // Undo segment is gone after commit.
-        assert_eq!(storage.undo().segment_len(txn), 0);
+        assert!(storage.undo().is_empty());
     }
 
     #[test]
@@ -598,7 +619,8 @@ mod tests {
             .apply_update(txn, tid, rid, Row::from_ints(&[1, 150]))
             .unwrap();
         storage.set_hot_update_order(txn, 17);
-        assert_eq!(storage.undo().header(txn).hot_update_order(), Some(17));
+        let segment = storage.undo().snapshot(txn).unwrap();
+        assert_eq!(segment.header.hot_update_order(), Some(17));
         let has_header_record = storage
             .redo()
             .all_records()
@@ -649,6 +671,94 @@ mod tests {
         assert!(storage.active_txn_floor().unwrap() > floor);
         storage.rollback_writes(b).unwrap();
         assert_eq!(storage.active_txn_floor(), None);
+    }
+
+    fn begins_logged(storage: &Storage) -> usize {
+        let records = storage.redo().all_records();
+        let begins = records
+            .iter()
+            .filter(|r| matches!(r, RedoRecord::Begin { .. }));
+        begins.count()
+    }
+
+    #[test]
+    fn hot_update_order_before_begin_opens_the_segment_once() {
+        let (storage, tid, rid) = setup();
+        let txn = TxnId(5);
+        // The header arrives first: the segment (and its Begin) come with it.
+        storage.set_hot_update_order(txn, 3);
+        let first = storage.active_txn_floor().expect("the segment exists");
+        // A later begin finds the segment: same first LSN, no second Begin.
+        assert_eq!(storage.begin_txn(txn), first);
+        let segment = storage.undo().snapshot(txn).unwrap();
+        assert_eq!(segment.header.hot_update_order(), Some(3));
+        storage
+            .apply_update(txn, tid, rid, Row::from_ints(&[1, 7]))
+            .unwrap();
+        storage.commit_writes(txn, 1, &[(tid, rid)]).unwrap();
+        assert_eq!(begins_logged(&storage), 1);
+        assert!(storage.undo().is_empty() && storage.active_txn_floor().is_none());
+    }
+
+    #[test]
+    fn rollback_of_a_transaction_that_wrote_nothing_logs_nothing() {
+        let (storage, _, _) = setup();
+        // Never begun: no trace at all.
+        let end = storage.rollback_writes(TxnId(8)).unwrap();
+        assert_eq!((end, storage.redo().len()), (Lsn(0), 0));
+        // Begun (a locked read, say) but nothing changed: its Begin is all
+        // the log ever sees of it, and its segment is gone.
+        let begin = storage.begin_txn(TxnId(9));
+        assert_eq!(storage.rollback_writes(TxnId(9)).unwrap(), begin);
+        assert_eq!(
+            storage.redo().all_records(),
+            [RedoRecord::Begin { txn: TxnId(9) }]
+        );
+        assert!(storage.undo().is_empty() && storage.active_txn_floor().is_none());
+    }
+
+    #[test]
+    fn a_storm_of_transactions_leaves_the_undo_log_empty() {
+        const THREADS: u64 = 16;
+        const PER_THREAD: u64 = 200;
+        let storage = Storage::default();
+        let tid = TableId(1);
+        storage
+            .create_table(TableSchema::new(tid, "t1", 2))
+            .unwrap();
+        let records: Vec<RecordId> = (0..THREADS as i64)
+            .map(|pk| storage.load_row(tid, Row::from_ints(&[pk, 0])).unwrap())
+            .collect();
+        std::thread::scope(|scope| {
+            for worker in 0..THREADS {
+                let (storage, record) = (&storage, records[worker as usize]);
+                scope.spawn(move || {
+                    for i in 0..PER_THREAD {
+                        // Ids interleave across workers, as `TrxSys` hands
+                        // them out; each worker owns one row.
+                        let txn = TxnId(1 + i * THREADS + worker);
+                        if i % 4 != 3 {
+                            storage.begin_txn(txn);
+                        }
+                        if i % 4 == 0 {
+                            storage.set_hot_update_order(txn, i);
+                        }
+                        let row = Row::from_ints(&[worker as i64, i as i64]);
+                        storage.apply_update(txn, tid, record, row).unwrap();
+                        if i % 3 == 0 {
+                            storage.rollback_writes(txn).unwrap();
+                        } else {
+                            storage.commit_writes(txn, txn.0, &[(tid, record)]).unwrap();
+                        }
+                    }
+                });
+            }
+        });
+        assert!(storage.undo().is_empty());
+        assert_eq!(storage.active_txn_floor(), None);
+        // Every transaction logged exactly one Begin, begun explicitly or by
+        // its first write.
+        assert_eq!(begins_logged(&storage) as u64, THREADS * PER_THREAD);
     }
 
     #[test]

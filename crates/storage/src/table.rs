@@ -5,24 +5,44 @@
 //! manager, hotspot hash, undo/redo — always speak `RecordId`, mirroring the
 //! paper's description of locating a record through its tablespace, page and
 //! heap position (§2.2).
+//!
+//! # Append-only
+//!
+//! Pages are only ever appended and a record never moves or gives its slot
+//! back (see [`crate::heap`]), so the page directory is a
+//! [`Directory`]: [`Table::slot`] resolves a record id to a borrowed latch
+//! without taking a lock, and a record id stays valid for as long as the
+//! table does.  An insert publishes in the order slot → index entry, so a
+//! record id a reader got from [`Table::lookup_pk`] always resolves; one it
+//! made up resolves to a slot or to [`Error::UnknownRecord`], never to a
+//! half-built slot.  Inserts serialise on the table's allocation lock.
+//!
+//! The primary-key index is the one lock a point lookup still takes, so it
+//! is striped by key: clients working on different rows mostly take
+//! different stripes, each on its own cache line.
 
-use crate::heap::{Page, RecordSlot};
+use crate::directory::Directory;
+use crate::heap::Page;
 use crate::schema::TableSchema;
 use crate::version::RecordVersions;
-use parking_lot::RwLock;
-use txsql_common::fxhash::FxHashMap;
-use txsql_common::{Error, HeapNo, PageNo, RecordId, Result, Row};
+use parking_lot::{Mutex, RwLock};
+use txsql_common::fxhash::{self, FxHashMap};
+use txsql_common::pad::CachePadded;
+use txsql_common::{Error, PageNo, RecordId, Result, Row};
+
+/// Stripes of the primary-key index (a power of two).
+const PK_STRIPES: usize = 16;
 
 /// A table: schema, heap pages and the primary-key index.
 #[derive(Debug)]
 pub struct Table {
     schema: TableSchema,
-    /// Heap pages.  Pages are only ever appended, so a read lock suffices for
-    /// all record accesses; the write lock is taken only when a new page must
-    /// be allocated.
-    pages: RwLock<Vec<Page>>,
-    /// Primary key -> record id.
-    pk_index: RwLock<FxHashMap<i64, RecordId>>,
+    /// Heap pages, append-only.
+    pages: Directory<Page>,
+    /// Serialises heap allocation: which page, which slot.
+    alloc: Mutex<()>,
+    /// Primary key -> record id, striped by key hash.
+    pk_index: [CachePadded<RwLock<FxHashMap<i64, RecordId>>>; PK_STRIPES],
 }
 
 impl Table {
@@ -30,9 +50,18 @@ impl Table {
     pub fn new(schema: TableSchema) -> Self {
         Self {
             schema,
-            pages: RwLock::new(Vec::new()),
-            pk_index: RwLock::new(FxHashMap::default()),
+            pages: Directory::default(),
+            alloc: Mutex::new(()),
+            pk_index: Default::default(),
         }
+    }
+
+    /// The index stripe `pk` lives in.
+    fn stripe(&self, pk: i64) -> &RwLock<FxHashMap<i64, RecordId>> {
+        // The top bits: the ones a multiplicative hash mixes best, and not
+        // the ones the stripe's own map buckets by.
+        let hash = fxhash::hash_u64(pk as u64);
+        &self.pk_index[(hash >> (u64::BITS - PK_STRIPES.ilog2())) as usize]
     }
 
     /// The table's schema.
@@ -42,46 +71,40 @@ impl Table {
 
     /// Number of live (indexed) rows.
     pub fn row_count(&self) -> usize {
-        self.pk_index.read().len()
+        self.pk_index.iter().map(|stripe| stripe.read().len()).sum()
     }
 
     /// Inserts a row version chain, allocating heap space and indexing the
     /// primary key.  Fails on duplicate primary keys.
     pub fn insert_versions(&self, row_pk: i64, versions: RecordVersions) -> Result<RecordId> {
-        {
-            let index = self.pk_index.read();
-            if index.contains_key(&row_pk) {
-                return Err(Error::DuplicateKey {
-                    table: self.schema.id,
-                    key: row_pk,
-                });
-            }
+        let duplicate = || Error::DuplicateKey {
+            table: self.schema.id,
+            key: row_pk,
+        };
+        if self.stripe(row_pk).read().contains_key(&row_pk) {
+            return Err(duplicate());
         }
         let record_id = {
-            let mut pages = self.pages.write();
-            let need_new_page = pages.last().map(|p| p.is_full()).unwrap_or(true);
-            if need_new_page {
-                let page_no = pages.len() as PageNo;
-                pages.push(Page::new(
-                    self.schema.space_id(),
-                    page_no,
-                    self.schema.rows_per_page,
-                ));
-            }
-            let page = pages.last_mut().expect("page just ensured");
-            let heap_no: HeapNo = page
+            let _alloc = self.alloc.lock();
+            let page = match self.pages.last() {
+                Some(page) if !page.is_full() => page,
+                _ => {
+                    let page_no = self.pages.len() as PageNo;
+                    let space_id = self.schema.space_id();
+                    let page = Page::new(space_id, page_no, self.schema.rows_per_page);
+                    self.pages.push(page).1
+                }
+            };
+            let heap_no = page
                 .allocate(versions)
-                .expect("freshly ensured page cannot be full");
-            RecordId::new(self.schema.space_id(), page.page_no(), heap_no)
+                .expect("the allocation lock is held and the page has room");
+            RecordId::new(page.space_id(), page.page_no(), heap_no)
         };
-        let mut index = self.pk_index.write();
+        let mut index = self.stripe(row_pk).write();
         if index.contains_key(&row_pk) {
             // Lost the race with a concurrent insert of the same key.  The heap
             // slot stays allocated but unindexed (same as a rolled-back insert).
-            return Err(Error::DuplicateKey {
-                table: self.schema.id,
-                key: row_pk,
-            });
+            return Err(duplicate());
         }
         index.insert(row_pk, record_id);
         Ok(record_id)
@@ -97,7 +120,7 @@ impl Table {
 
     /// Looks up the record id for a primary key.
     pub fn lookup_pk(&self, pk: i64) -> Result<RecordId> {
-        self.pk_index
+        self.stripe(pk)
             .read()
             .get(&pk)
             .copied()
@@ -110,37 +133,40 @@ impl Table {
     /// Removes a primary key from the index (used when rolling back an
     /// insert).  Returns true if the key was present.
     pub fn unindex_pk(&self, pk: i64) -> bool {
-        self.pk_index.write().remove(&pk).is_some()
+        self.stripe(pk).write().remove(&pk).is_some()
     }
 
-    /// Returns the record slot for a record id.
-    pub fn slot(&self, record: RecordId) -> Result<RecordSlot> {
-        let pages = self.pages.read();
-        pages
+    /// Returns the record slot — the version chain behind its latch — for a
+    /// record id.  Lock-free: see the module documentation.
+    pub fn slot(&self, record: RecordId) -> Result<&RwLock<RecordVersions>> {
+        self.pages
             .get(record.page_no as usize)
-            .and_then(|p| p.slot(record.heap_no))
-            .cloned()
+            .and_then(|page| page.slot(record.heap_no))
             .ok_or(Error::UnknownRecord { record })
     }
 
     /// Record ids of every indexed row, in primary-key order (used by scans,
     /// consistency checks and recovery verification).
     pub fn all_record_ids(&self) -> Vec<(i64, RecordId)> {
-        let mut rows: Vec<(i64, RecordId)> =
-            self.pk_index.read().iter().map(|(k, v)| (*k, *v)).collect();
+        let mut rows = Vec::new();
+        for stripe in &self.pk_index {
+            rows.extend(stripe.read().iter().map(|(k, v)| (*k, *v)));
+        }
         rows.sort_unstable_by_key(|(k, _)| *k);
         rows
     }
 
     /// Number of allocated pages.
     pub fn page_count(&self) -> usize {
-        self.pages.read().len()
+        self.pages.len()
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+    use std::sync::Arc;
     use txsql_common::TableId;
 
     fn small_table() -> Table {
@@ -214,5 +240,122 @@ mod tests {
         let t = small_table();
         let row = Row::new(vec![txsql_common::Value::Str("x".into())]);
         assert!(t.insert_committed(row).is_err());
+    }
+
+    /// The append-only invariants, as facts writers publish and readers check
+    /// while the directory grows under them.
+    struct Churn {
+        table: Table,
+        per_writer: usize,
+        /// Per writer: how many of its keys are finished (inserted and, every
+        /// other one, unindexed again as a rolled-back insert would be).
+        done: [AtomicUsize; 2],
+        /// Per key: the packed record id, published before `done` moves.
+        records: Vec<AtomicU64>,
+    }
+
+    impl Churn {
+        /// Two rows per page: every other insert opens a page, and a few
+        /// hundred keys cross the directory's first bucket boundaries.
+        fn new(per_writer: usize) -> Self {
+            Self {
+                table: small_table(),
+                per_writer,
+                done: Default::default(),
+                records: (0..2 * per_writer).map(|_| AtomicU64::new(0)).collect(),
+            }
+        }
+
+        fn write(&self, writer: usize) {
+            for i in 0..self.per_writer {
+                let pk = (writer * self.per_writer + i) as i64;
+                let record = self.table.insert_committed(Row::from_ints(&[pk, pk]));
+                self.records[pk as usize].store(record.unwrap().packed(), Ordering::Release);
+                if i % 2 == 1 {
+                    assert!(self.table.unindex_pk(pk));
+                }
+                self.done[writer].store(i + 1, Ordering::Release);
+            }
+        }
+
+        /// A slot that resolves is fully built: it holds `pk`'s row.
+        fn assert_built(&self, record: RecordId, pk: i64) {
+            let slot = self.table.slot(record).expect("published record id");
+            assert_eq!(slot.read().latest_row().unwrap().get_int(0), Some(pk));
+        }
+
+        /// One pass over the newest facts of each writer; true once both
+        /// writers are finished.
+        fn check(&self) -> bool {
+            let mut finished = true;
+            for writer in 0..2 {
+                let done = self.done[writer].load(Ordering::Acquire);
+                finished &= done == self.per_writer;
+                for i in done.saturating_sub(8)..done {
+                    let pk = (writer * self.per_writer + i) as i64;
+                    let packed = self.records[pk as usize].load(Ordering::Acquire);
+                    let record = RecordId::from_packed(packed);
+                    // Resolves for good, its key unindexed or not.
+                    self.assert_built(record, pk);
+                    match self.table.lookup_pk(pk) {
+                        Ok(found) => assert_eq!((found, i % 2), (record, 0)),
+                        Err(err) => {
+                            assert!(matches!(err, Error::KeyNotFound { .. }) && i % 2 == 1)
+                        }
+                    }
+                }
+                // The insert in flight: indexed means allocated.
+                let next = (writer * self.per_writer + done) as i64;
+                if let Ok(record) = self.table.lookup_pk(next) {
+                    self.assert_built(record, next);
+                }
+            }
+            // What was never allocated is unknown — the rest of the newest
+            // page, pages nobody appended — and never a half-built slot.
+            let pages = self.table.page_count() as PageNo;
+            for (page_no, heap_no) in [(pages.saturating_sub(1), 1), (pages + 1_000, 0)] {
+                match self.table.slot(RecordId::new(1, page_no, heap_no)) {
+                    Ok(slot) => assert!(slot.read().latest_row().is_some()),
+                    Err(err) => assert!(matches!(err, Error::UnknownRecord { .. })),
+                }
+            }
+            finished
+        }
+    }
+
+    #[test]
+    fn published_records_resolve_while_the_directory_grows() {
+        let churn = Churn::new(1_500);
+        std::thread::scope(|scope| {
+            for writer in 0..2 {
+                let churn = &churn;
+                scope.spawn(move || churn.write(writer));
+            }
+            for _ in 0..4 {
+                scope.spawn(|| while !churn.check() {});
+            }
+        });
+        assert!(churn.check());
+        assert_eq!(churn.table.row_count(), 1_500);
+        assert_eq!(churn.table.page_count(), 1_500);
+    }
+
+    #[test]
+    fn sim_published_records_resolve_while_the_directory_grows() {
+        txsql_sim::explore(txsql_sim::ci_seeds(50), |sim| {
+            let churn = Arc::new(Churn::new(5));
+            for writer in 0..2 {
+                let churn = Arc::clone(&churn);
+                sim.spawn(format!("writer-{writer}"), move || churn.write(writer));
+            }
+            for reader in 0..4 {
+                let churn = Arc::clone(&churn);
+                sim.spawn(format!("reader-{reader}"), move || {
+                    for _ in 0..3 {
+                        churn.check();
+                    }
+                });
+            }
+        });
     }
 }

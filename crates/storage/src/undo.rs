@@ -1,8 +1,10 @@
 //! Undo log: per-transaction undo segments.
 //!
-//! Each transaction owns an [`UndoSegment`] naming the records it modified
-//! plus an [`UndoHeader`].  The segment holds no before-images: the version
-//! chain *is* the undo image, and rollback pops the writer's versions off it.
+//! Each writing transaction owns an [`UndoSegment`] naming the records it
+//! modified plus an [`UndoHeader`] and the LSN its redo starts at — the one
+//! record storage keeps per transaction, in the sharded [`UndoLog`].  The
+//! segment holds no before-images: the version chain *is* the undo image,
+//! and rollback pops the writer's versions off it.
 //!
 //! The header reproduces the paper's recovery trick (§5.3): InnoDB's
 //! `TRX_UNDO_TRX_NO` field normally stores the commit sequence number
@@ -14,7 +16,8 @@
 
 use parking_lot::Mutex;
 use txsql_common::fxhash::FxHashMap;
-use txsql_common::{RecordId, TableId, TxnId};
+use txsql_common::pad::CachePadded;
+use txsql_common::{Lsn, RecordId, TableId, TxnId};
 
 /// Top bit of the `TRX_UNDO_TRX_NO` field: set → the value is a
 /// `hot_update_order`, clear → the value is a commit `trx_no` (§5.3).
@@ -134,9 +137,13 @@ impl UndoRecord {
     }
 }
 
-/// A transaction's undo segment.
+/// Everything storage keeps for one unfinished writing transaction: where
+/// its redo starts, the undo header and the undo records.
 #[derive(Debug, Clone, Default)]
 pub struct UndoSegment {
+    /// LSN of the transaction's first redo record; checkpoint truncation
+    /// must not cut past the oldest of these.
+    pub first_lsn: Lsn,
     /// The (repurposed) undo header.
     pub header: UndoHeader,
     /// Undo records in the order the operations were performed.
@@ -160,10 +167,27 @@ impl UndoSegment {
     }
 }
 
-/// The undo log: all active transactions' undo segments.
-#[derive(Debug, Default)]
+/// Shards of the undo log (a power of two).  Transaction ids are handed out
+/// in sequence, so concurrent transactions land on different shards.
+const SHARDS: usize = 64;
+
+/// One shard of the undo log, on its own cache line.
+type Shard = CachePadded<Mutex<FxHashMap<TxnId, UndoSegment>>>;
+
+/// The undo log: the segment of every unfinished writing transaction, in a
+/// table sharded by transaction id.  A transaction takes only its own shard,
+/// on its own cache line; a transaction that writes nothing is never in it.
+#[derive(Debug)]
 pub struct UndoLog {
-    segments: Mutex<FxHashMap<TxnId, UndoSegment>>,
+    shards: Box<[Shard]>,
+}
+
+impl Default for UndoLog {
+    fn default() -> Self {
+        Self {
+            shards: (0..SHARDS).map(|_| CachePadded::default()).collect(),
+        }
+    }
 }
 
 impl UndoLog {
@@ -172,54 +196,51 @@ impl UndoLog {
         Self::default()
     }
 
-    /// Registers a transaction (idempotent).
-    pub fn register(&self, txn: TxnId) {
-        self.segments.lock().entry(txn).or_default();
+    fn shard(&self, txn: TxnId) -> &Shard {
+        &self.shards[txn.0 as usize & (SHARDS - 1)]
     }
 
-    /// Appends an undo record for `txn`.
-    pub fn push(&self, txn: TxnId, record: UndoRecord) {
-        self.segments
-            .lock()
-            .entry(txn)
-            .or_default()
-            .records
-            .push(record);
+    /// Runs `f` on `txn`'s segment under its shard lock.  A transaction not
+    /// in the log yet gets a segment starting at `first_lsn()`, called under
+    /// the same lock: whoever sees the LSN it returns in the redo log also
+    /// finds the segment here (see `Storage::checkpoint_with_floor`).
+    pub fn with<R>(
+        &self,
+        txn: TxnId,
+        first_lsn: impl FnOnce() -> Lsn,
+        f: impl FnOnce(&mut UndoSegment) -> R,
+    ) -> R {
+        let mut shard = self.shard(txn).lock();
+        f(shard.entry(txn).or_insert_with(|| UndoSegment {
+            first_lsn: first_lsn(),
+            ..UndoSegment::default()
+        }))
     }
 
-    /// Sets the undo header field for `txn`.
-    pub fn set_header(&self, txn: TxnId, header: UndoHeader) {
-        self.segments.lock().entry(txn).or_default().header = header;
-    }
-
-    /// Reads the undo header for `txn`.
-    pub fn header(&self, txn: TxnId) -> UndoHeader {
-        self.segments
-            .lock()
-            .get(&txn)
-            .map(|s| s.header)
-            .unwrap_or_default()
-    }
-
-    /// Number of undo records accumulated by `txn`.
-    pub fn segment_len(&self, txn: TxnId) -> usize {
-        self.segments.lock().get(&txn).map(|s| s.len()).unwrap_or(0)
-    }
-
-    /// Removes and returns the segment for `txn` (at commit or after rollback).
+    /// Removes and returns the segment for `txn` (at commit or rollback).
     pub fn take(&self, txn: TxnId) -> Option<UndoSegment> {
-        self.segments.lock().remove(&txn)
+        self.shard(txn).lock().remove(&txn)
     }
 
-    /// Clones the segment for `txn` without removing it (rollback needs to
-    /// read the records while the transaction is still considered active).
+    /// A copy of `txn`'s segment, if it has one.
     pub fn snapshot(&self, txn: TxnId) -> Option<UndoSegment> {
-        self.segments.lock().get(&txn).cloned()
+        self.shard(txn).lock().get(&txn).cloned()
     }
 
-    /// Transactions that currently own an undo segment.
-    pub fn active_transactions(&self) -> Vec<TxnId> {
-        self.segments.lock().keys().copied().collect()
+    /// First redo LSN of the oldest transaction in the log, if any.
+    pub fn oldest_first_lsn(&self) -> Option<Lsn> {
+        let oldest = |shard: &Shard| shard.lock().values().map(|segment| segment.first_lsn).min();
+        self.shards.iter().filter_map(oldest).min()
+    }
+
+    /// Number of transactions that currently own a segment.
+    pub fn len(&self) -> usize {
+        self.shards.iter().map(|shard| shard.lock().len()).sum()
+    }
+
+    /// True when no transaction owns a segment.
+    pub fn is_empty(&self) -> bool {
+        self.len() == 0
     }
 }
 
@@ -262,50 +283,63 @@ mod tests {
     fn undo_log_accumulates_and_takes_segments() {
         let log = UndoLog::new();
         let txn = TxnId(5);
-        log.register(txn);
-        log.push(
+        // The segment starts at the LSN the first caller supplies; later
+        // callers find it and their LSN source is not asked.
+        log.with(txn, || Lsn(9), |_| ());
+        log.with(
             txn,
-            UndoRecord::Update {
-                table: TableId(1),
-                record: RecordId::new(1, 0, 0),
+            || unreachable!("the segment exists"),
+            |segment| {
+                segment.records.push(UndoRecord::Update {
+                    table: TableId(1),
+                    record: RecordId::new(1, 0, 0),
+                });
+                segment.records.push(UndoRecord::Insert {
+                    table: TableId(1),
+                    record: RecordId::new(1, 0, 1),
+                    pk: 2,
+                });
+                segment.header = UndoHeader::with_hot_update_order(3);
             },
         );
-        log.push(
-            txn,
-            UndoRecord::Insert {
-                table: TableId(1),
-                record: RecordId::new(1, 0, 1),
-                pk: 2,
-            },
-        );
-        log.set_header(txn, UndoHeader::with_hot_update_order(3));
-        assert_eq!(log.segment_len(txn), 2);
-        assert_eq!(log.header(txn).hot_update_order(), Some(3));
-        assert_eq!(log.active_transactions(), vec![txn]);
+        assert_eq!(log.len(), 1);
+        assert_eq!(log.oldest_first_lsn(), Some(Lsn(9)));
 
         let seg = log.take(txn).unwrap();
-        assert_eq!(seg.len(), 2);
+        assert_eq!((seg.len(), seg.first_lsn), (2, Lsn(9)));
+        assert_eq!(seg.header.hot_update_order(), Some(3));
         // Rollback order is reverse execution order.
         let first_rollback = seg.rollback_order().next().unwrap();
         assert!(matches!(first_rollback, UndoRecord::Insert { pk: 2, .. }));
         assert!(log.take(txn).is_none());
-        assert_eq!(log.segment_len(txn), 0);
+        assert!(log.is_empty() && log.oldest_first_lsn().is_none());
     }
 
     #[test]
     fn snapshot_does_not_remove_segment() {
         let log = UndoLog::new();
         let txn = TxnId(1);
-        log.push(
-            txn,
-            UndoRecord::Delete {
+        log.with(txn, Lsn::default, |segment| {
+            segment.records.push(UndoRecord::Delete {
                 table: TableId(2),
                 record: RecordId::new(2, 0, 0),
-            },
-        );
+            })
+        });
         let snap = log.snapshot(txn).unwrap();
         assert_eq!(snap.len(), 1);
-        assert_eq!(log.segment_len(txn), 1);
+        assert_eq!(log.snapshot(txn).unwrap().len(), 1);
+    }
+
+    #[test]
+    fn oldest_first_lsn_spans_the_shards() {
+        let log = UndoLog::new();
+        for id in 1..=3 * SHARDS as u64 {
+            log.with(TxnId(id), || Lsn(1_000 - id), |_| ());
+        }
+        assert_eq!(log.len(), 3 * SHARDS);
+        assert_eq!(log.oldest_first_lsn(), Some(Lsn(1_000 - 3 * SHARDS as u64)));
+        log.take(TxnId(3 * SHARDS as u64));
+        assert_eq!(log.oldest_first_lsn(), Some(Lsn(1_001 - 3 * SHARDS as u64)));
     }
 
     #[test]

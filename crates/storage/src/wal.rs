@@ -173,12 +173,29 @@ impl RedoLog {
     /// until a flush covers its LSN.  After an injected crash the append is
     /// swallowed (the process is dead; nothing reaches the log buffer).
     pub fn append(&self, record: RedoRecord) -> Lsn {
-        let lsn = Lsn(self.next_lsn.fetch_add(1, Ordering::Relaxed));
-        if self.faults.crashed() {
-            return lsn;
+        self.reserve(1, |lsn, log| log.push((Lsn(lsn), record)))
+    }
+
+    /// Appends `first` and `second` as consecutive records under one
+    /// reservation — one step of the LSN counter, one acquisition of the log
+    /// buffer — and returns the LSN of `second`.  What a stage that logs two
+    /// records at once (commit's undo header + marker) publishes with.
+    pub fn append_pair(&self, first: RedoRecord, second: RedoRecord) -> Lsn {
+        self.reserve(2, |lsn, log| {
+            log.push((Lsn(lsn), first));
+            log.push((Lsn(lsn + 1), second));
+        })
+    }
+
+    /// Takes the next `n` LSNs and lets `fill` push their records (it is
+    /// handed the first one); returns the last.  A dead process's appends
+    /// take their LSNs and are swallowed.
+    fn reserve(&self, n: u64, fill: impl FnOnce(u64, &mut Vec<(Lsn, RedoRecord)>)) -> Lsn {
+        let first = self.next_lsn.fetch_add(n, Ordering::Relaxed);
+        if !self.faults.crashed() {
+            fill(first, &mut self.records.lock());
         }
-        self.records.lock().push((lsn, record));
-        lsn
+        Lsn(first + n - 1)
     }
 
     /// Registers a hit of `point` and surfaces the injected crash (or an
@@ -397,6 +414,14 @@ mod tests {
         assert!(b > a);
         assert_eq!(log.latest_lsn(), b);
         assert_eq!(log.len(), 2);
+        // A pair takes consecutive LSNs and reports its last one.
+        let commit = RedoRecord::Commit {
+            txn: TxnId(1),
+            trx_no: 1,
+        };
+        let c = log.append_pair(upd(1, 0, 6), commit.clone());
+        assert_eq!((c, log.latest_lsn(), log.len()), (Lsn(b.0 + 2), c, 4));
+        assert_eq!(log.all_records()[3], commit);
     }
 
     #[test]

@@ -74,6 +74,8 @@ pub struct Transaction {
     changes: Vec<(TableId, i64, Row)>,
     /// Cumulative time spent blocked on locks / queues / commit ordering.
     blocked: std::time::Duration,
+    /// Set by the first write statement (see [`Transaction::become_writer`]).
+    writer: bool,
     /// Transaction-private metrics scratch: the lock tables' hot-path
     /// counters accumulate here (plain `Cell` arithmetic) and flush to the
     /// engine's shared `EngineMetrics` once, when the transaction drops —
@@ -106,6 +108,7 @@ impl Transaction {
             dirty_reads_from: Vec::new(),
             changes: Vec::new(),
             blocked: std::time::Duration::ZERO,
+            writer: false,
             metrics,
         }
     }
@@ -128,8 +131,25 @@ impl Transaction {
         self.state == TxnState::Active
     }
 
+    /// Marks the transaction a writer — one that has, or is about to have, a
+    /// footprint outside itself: a storage entry and `Begin` record, locks,
+    /// group membership, and at commit a `trx_no` and a commit record.
+    /// Returns true the first time, when the caller owes the storage begin.
+    /// Until then the transaction is a pure reader and finishes without
+    /// touching any of those.
+    pub fn become_writer(&mut self) -> bool {
+        !std::mem::replace(&mut self.writer, true)
+    }
+
+    /// True once a write statement started (see [`Transaction::become_writer`]).
+    pub fn is_writer(&self) -> bool {
+        self.writer
+    }
+
     /// Records a write.  Idempotent per `(table, record)`.
     pub fn record_write(&mut self, table: TableId, record: RecordId) {
+        // Whoever wrote without `become_writer` still commits as a writer.
+        self.writer = true;
         if !self.write_set.contains(&(table, record)) {
             self.write_set.push((table, record));
         }
@@ -240,6 +260,11 @@ impl Transaction {
     /// After-images accumulated so far, in execution order.
     pub fn changes(&self) -> &[(TableId, i64, Row)] {
         &self.changes
+    }
+
+    /// Moves the after-images out (commit hands them to the binlog).
+    pub fn take_changes(&mut self) -> Vec<(TableId, i64, Row)> {
+        std::mem::take(&mut self.changes)
     }
 }
 
