@@ -283,8 +283,8 @@ impl ConcurrencyControl for GroupLocking {
         &self.locks
     }
 
-    fn has_waiters(&self, record: RecordId) -> bool {
-        self.groups.has_activity(record) || self.locks.wait_queue_len(record) > 0
+    fn keep_hot(&self, record: RecordId) -> bool {
+        self.groups.collect_if_idle(record) || self.locks.wait_queue_len(record) > 0
     }
 
     fn live_entries(&self) -> usize {

@@ -118,9 +118,12 @@ pub(crate) trait ConcurrencyControl: Send + Sync {
     /// The protocol's record-lock table.
     fn locks(&self) -> &dyn LockTable;
 
-    /// Whether a hot `record` still has traffic (keeps the sweeper from
-    /// demoting it).  Only asked under protocols that promote hotspots.
-    fn has_waiters(&self, _record: RecordId) -> bool {
+    /// The sweeper's question before it demotes a hot `record`: does it still
+    /// have traffic?  Not a pure query — a protocol drops the idle per-row
+    /// state it finds while answering, this being the one place that learns
+    /// a row has gone quiet.  Only asked under protocols that promote
+    /// hotspots.
+    fn keep_hot(&self, _record: RecordId) -> bool {
         false
     }
 

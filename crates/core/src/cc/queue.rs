@@ -81,7 +81,7 @@ impl ConcurrencyControl for QueueLocking {
         &self.locks
     }
 
-    fn has_waiters(&self, record: RecordId) -> bool {
+    fn keep_hot(&self, record: RecordId) -> bool {
         self.tickets.has_waiters(record) || self.locks.wait_queue_len(record) > 0
     }
 

@@ -173,7 +173,7 @@ impl Database {
             .spawn(move || {
                 while stop.wait_for(interval) == WaitOutcome::TimedOut {
                     let Some(inner) = weak.upgrade() else { break };
-                    inner.hotspots.sweep(|record| inner.cc.has_waiters(record));
+                    inner.hotspots.sweep(|record| inner.cc.keep_hot(record));
                 }
             })
             .expect("spawn hotspot sweeper");

@@ -254,10 +254,11 @@ struct GroupState {
     /// Transactions parked until their turn comes (commit order, leader
     /// quiesce, rollback order).
     turn_waiters: Vec<TurnWaiter>,
-    /// Set (under this state's mutex) when `maybe_gc` removed the entry from
-    /// the shard map.  A thread that fetched the entry's `Arc` *before* the
-    /// removal discovers the flag after locking and retries through the map
-    /// — the fetch-then-lock lifecycle race that used to orphan waiters.
+    /// Set (under this state's mutex) when `collect_if_idle` removed the
+    /// entry from the shard map.  A thread that fetched the entry's `Arc`
+    /// *before* the removal discovers the flag after locking and retries
+    /// through the map — the fetch-then-lock lifecycle race that used to
+    /// orphan waiters.
     dead: bool,
 }
 
@@ -473,12 +474,13 @@ impl GroupLockTable {
     ///
     /// Every public operation routes through here.  The shard map hands out
     /// `Arc<GroupEntry>` clones without holding the entry's state mutex, so a
-    /// caller can fetch an entry, lose the CPU, and find that `maybe_gc`
-    /// removed it from the map in between — enqueueing on such an orphan used
-    /// to strand the waiter until `hot_wait_timeout` (and could elect two
-    /// leaders for one hot row).  GC therefore marks removed entries `dead`
-    /// under their own state mutex, and this helper re-validates after
-    /// locking, retrying through the map until it holds a live entry.
+    /// caller can fetch an entry, lose the CPU, and find that
+    /// `collect_if_idle` removed it from the map in between — enqueueing on
+    /// such an orphan used to strand the waiter until `hot_wait_timeout`
+    /// (and could elect two leaders for one hot row).  GC therefore marks
+    /// removed entries `dead` under their own state mutex, and this helper
+    /// re-validates after locking, retrying through the map until it holds
+    /// a live entry.
     fn with_state<R>(&self, record: RecordId, mut f: impl FnMut(&mut GroupState) -> R) -> R {
         loop {
             let entry = self.entry(record);
@@ -493,9 +495,10 @@ impl GroupLockTable {
 
     /// Runs `f` on a record's live state through a **cached** entry `Arc`
     /// (the batched commit path fetches entries once per shard group and
-    /// reuses them across prepare + handover).  A cached entry that `maybe_gc`
-    /// killed in the meantime is replaced through the map — one more counted
-    /// shard take — and the closure retried on the live entry.
+    /// reuses them across prepare + handover).  A cached entry that
+    /// `collect_if_idle` killed in the meantime is replaced through the map
+    /// — one more counted shard take — and the closure retried on the live
+    /// entry.
     fn with_cached_state<R>(
         &self,
         record: RecordId,
@@ -542,11 +545,13 @@ impl GroupLockTable {
 
     /// Collects `record`'s entry if it is idle; returns whether a busy one
     /// remains.  Called where a row may have gone quiet for good — the end of
-    /// a rollback, and the sweeper's question before it demotes the row
-    /// ([`Self::has_activity`]) — and not per commit: a live hot row's next
-    /// writer is about to use the entry again, and finding that out costs
-    /// every commit the shard mutex.
-    fn maybe_gc(&self, record: RecordId) -> bool {
+    /// a rollback, and by the sweeper before it demotes the row — and not
+    /// per commit: a live hot row's next writer is about to use the entry
+    /// again, and finding that out costs every commit the shard mutex.  An
+    /// idle entry therefore outlives its last commit until the sweeper
+    /// comes by; a pinned row, which the sweeper never asks about, keeps its
+    /// one entry.
+    pub fn collect_if_idle(&self, record: RecordId) -> bool {
         // Shard lock first, then the entry's state lock (the same nesting
         // order `entry()` + `with_state` compose to), so the idle check, the
         // dead mark and the map removal are one atomic step.
@@ -1004,7 +1009,7 @@ impl GroupLockTable {
             state.take_ready_waiters()
         });
         wake_all(woken);
-        self.maybe_gc(record);
+        self.collect_if_idle(record);
     }
 
     /// Resumes granting after a server-initiated rollback completed (§4.4).
@@ -1033,7 +1038,7 @@ impl GroupLockTable {
             None => {
                 // A rollback that left the row fully idle must not keep the
                 // map entry alive.
-                self.maybe_gc(record);
+                self.collect_if_idle(record);
                 None
             }
         }
@@ -1066,11 +1071,13 @@ impl GroupLockTable {
             .unwrap_or_default()
     }
 
-    /// True when the hot row still has any group activity (used by the
-    /// hotspot sweeper to decide whether to demote).  A row found idle has
-    /// its entry collected.
+    /// True when the hot row still has any group activity.
     pub fn has_activity(&self, record: RecordId) -> bool {
-        self.maybe_gc(record)
+        let entries = self.entry_shard(record).lock();
+        entries
+            .get(&record.packed())
+            .map(|e| !e.state.lock().is_idle())
+            .unwrap_or(false)
     }
 
     /// Hot rows that still have group state — zero once every transaction

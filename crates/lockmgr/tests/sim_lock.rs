@@ -55,14 +55,14 @@ fn group_table() -> GroupLockTable {
 }
 
 // ---------------------------------------------------------------------------
-// group_lock entry()/maybe_gc lifecycle race (ROADMAP pre-existing bug)
+// group_lock entry()/collect_if_idle lifecycle race (ROADMAP pre-existing bug)
 // ---------------------------------------------------------------------------
 
 /// Drives the fetch → deschedule → gc → enqueue interleaving that used to
 /// orphan hot-row state: `begin_hot_update` fetched the `GroupEntry` Arc from
 /// the shard map, and if the committing leader's `finish_commit` ran
-/// `maybe_gc` before the joiner locked the entry's state, the joiner elected
-/// itself leader of (or parked on) an entry no longer reachable through the
+/// `collect_if_idle` before the joiner locked the entry's state, the joiner
+/// elected itself leader of (or parked on) an entry no longer reachable through the
 /// map — invisible to every later `entry()` lookup.
 ///
 /// On the pre-fix code this fails within the first few seeds in two ways:

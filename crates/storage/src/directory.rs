@@ -11,9 +11,12 @@
 //! so no element is ever copied and an empty directory owns no storage.  A
 //! bucket, and then each element in it, is published through a
 //! [`OnceLock`]: a reader sees an element fully built or not at all.  Pushes
-//! are serialised by an internal mutex; nothing is ever removed.
+//! are serialised by the directory's one mutex, which [`Directory::grow`]
+//! lends out so that a caller's decision (is this id taken?  is the newest
+//! page full?) and its push are one critical section; nothing is ever
+//! removed.
 
-use parking_lot::Mutex;
+use parking_lot::{Mutex, MutexGuard};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::OnceLock;
 
@@ -29,8 +32,15 @@ pub struct Directory<T> {
     /// Elements published so far.  Stored (`Release`) after the element, so
     /// every index below an `Acquire`-loaded length resolves.
     len: AtomicUsize,
-    /// Serialises [`Directory::push`].
+    /// Held by the one [`Grower`] there can be.
     grow: Mutex<()>,
+}
+
+/// The exclusive right to append to a [`Directory`], from
+/// [`Directory::grow`] until dropped.  Reads go on beside it.
+pub struct Grower<'a, T> {
+    dir: &'a Directory<T>,
+    _exclusive: MutexGuard<'a, ()>,
 }
 
 impl<T> Default for Directory<T> {
@@ -77,18 +87,29 @@ impl<T> Directory<T> {
         (0..self.len()).map_while(|index| self.get(index))
     }
 
+    /// Waits for the right to append.  What the holder reads of the
+    /// directory stays true until it pushes.
+    pub fn grow(&self) -> Grower<'_, T> {
+        Grower {
+            dir: self,
+            _exclusive: self.grow.lock(),
+        }
+    }
+}
+
+impl<'a, T> Grower<'a, T> {
     /// Appends `value`, returning its index and the element in place.
-    pub fn push(&self, value: T) -> (usize, &T) {
-        let _grow = self.grow.lock();
-        let index = self.len.load(Ordering::Relaxed);
+    pub fn push(&mut self, value: T) -> (usize, &'a T) {
+        let dir = self.dir;
+        let index = dir.len.load(Ordering::Relaxed);
         let (bucket_no, offset) = locate(index);
-        let bucket = self
+        let bucket = dir
             .buckets
             .get(bucket_no)
             .expect("directory holds at most u32::MAX elements")
             .get_or_init(|| (0..FIRST << bucket_no).map(|_| OnceLock::new()).collect());
         let element = bucket[offset].get_or_init(|| value);
-        self.len.store(index + 1, Ordering::Release);
+        dir.len.store(index + 1, Ordering::Release);
         (index, element)
     }
 }
@@ -111,9 +132,9 @@ mod tests {
     fn pushed_elements_resolve_and_never_move() {
         let dir = Directory::default();
         assert!(dir.is_empty() && dir.last().is_none() && dir.get(0).is_none());
-        let first: &u64 = dir.push(0).1;
+        let first: &u64 = dir.grow().push(0).1;
         for value in 1..1_000u64 {
-            assert_eq!(dir.push(value), (value as usize, &value));
+            assert_eq!(dir.grow().push(value), (value as usize, &value));
         }
         assert_eq!(dir.len(), 1_000);
         assert!(std::ptr::eq(first, dir.get(0).unwrap()));
@@ -127,8 +148,9 @@ mod tests {
         let dir = Directory::default();
         std::thread::scope(|scope| {
             scope.spawn(|| {
+                let mut grower = dir.grow();
                 for value in 0..20_000usize {
-                    dir.push(value);
+                    grower.push(value);
                 }
             });
             for _ in 0..3 {

@@ -71,7 +71,7 @@ impl Page {
 
     /// Allocates the next slot for `versions`, returning its `heap_no`, or
     /// `None` if the page is full.  Allocations on one page are serialised by
-    /// the caller (the table's allocation lock); one that lost a race it
+    /// the caller (the page directory's growth lock); one that lost a race it
     /// should not have been in finds its slot taken and reports the page
     /// full.
     pub fn allocate(&self, versions: RecordVersions) -> Option<HeapNo> {

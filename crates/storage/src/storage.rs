@@ -36,7 +36,7 @@ use crate::table::Table;
 use crate::undo::{UndoHeader, UndoLog, UndoRecord, UndoSegment};
 use crate::version::{ReadCommitted, RecordVersions, VisibilityJudge};
 use crate::wal::{RedoLog, RedoRecord};
-use parking_lot::{Mutex, RwLock};
+use parking_lot::RwLock;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
@@ -57,8 +57,6 @@ pub struct CheckpointImage {
 pub struct Storage {
     /// The catalog, in creation order (a handful of tables: lookups scan).
     tables: Directory<Table>,
-    /// Serialises `create_table`'s duplicate check with its push.
-    create_latch: Mutex<()>,
     redo: RedoLog,
     /// One segment per unfinished *writing* transaction; the oldest
     /// `first_lsn` in it is the floor checkpoint truncation must not cut past.
@@ -95,7 +93,6 @@ impl Storage {
     pub fn with_faults(fsync_latency: Duration, faults: Arc<FaultInjector>) -> Self {
         Self {
             tables: Directory::default(),
-            create_latch: Mutex::new(()),
             redo: RedoLog::with_faults(fsync_latency, Arc::clone(&faults)),
             undo: UndoLog::new(),
             faults,
@@ -127,13 +124,13 @@ impl Storage {
 
     /// Creates a table.  Returns an error if the id is already in use.
     pub fn create_table(&self, schema: TableSchema) -> Result<&Table> {
-        let _create = self.create_latch.lock();
+        let mut catalog = self.tables.grow();
         if self.table(schema.id).is_ok() {
             return Err(Error::Internal {
                 reason: format!("{} already exists", schema.id),
             });
         }
-        Ok(self.tables.push(Table::new(schema)).1)
+        Ok(catalog.push(Table::new(schema)).1)
     }
 
     /// Looks up a table.  Lock-free, and the borrow lasts as long as the

@@ -15,34 +15,28 @@
 //! table does.  An insert publishes in the order slot → index entry, so a
 //! record id a reader got from [`Table::lookup_pk`] always resolves; one it
 //! made up resolves to a slot or to [`Error::UnknownRecord`], never to a
-//! half-built slot.  Inserts serialise on the table's allocation lock.
+//! half-built slot.  Inserts serialise on the page directory's growth lock,
+//! which an insert holds from choosing its page to filling its slot.
 //!
-//! The primary-key index is the one lock a point lookup still takes, so it
-//! is striped by key: clients working on different rows mostly take
-//! different stripes, each on its own cache line.
+//! The primary-key index is the one lock a point lookup still takes.
 
 use crate::directory::Directory;
 use crate::heap::Page;
 use crate::schema::TableSchema;
 use crate::version::RecordVersions;
-use parking_lot::{Mutex, RwLock};
-use txsql_common::fxhash::{self, FxHashMap};
-use txsql_common::pad::CachePadded;
+use parking_lot::RwLock;
+use txsql_common::fxhash::FxHashMap;
 use txsql_common::{Error, PageNo, RecordId, Result, Row};
-
-/// Stripes of the primary-key index (a power of two).
-const PK_STRIPES: usize = 16;
 
 /// A table: schema, heap pages and the primary-key index.
 #[derive(Debug)]
 pub struct Table {
     schema: TableSchema,
-    /// Heap pages, append-only.
+    /// Heap pages, append-only.  Its growth lock serialises heap allocation:
+    /// which page, which slot.
     pages: Directory<Page>,
-    /// Serialises heap allocation: which page, which slot.
-    alloc: Mutex<()>,
-    /// Primary key -> record id, striped by key hash.
-    pk_index: [CachePadded<RwLock<FxHashMap<i64, RecordId>>>; PK_STRIPES],
+    /// Primary key -> record id.
+    pk_index: RwLock<FxHashMap<i64, RecordId>>,
 }
 
 impl Table {
@@ -51,17 +45,8 @@ impl Table {
         Self {
             schema,
             pages: Directory::default(),
-            alloc: Mutex::new(()),
-            pk_index: Default::default(),
+            pk_index: RwLock::new(FxHashMap::default()),
         }
-    }
-
-    /// The index stripe `pk` lives in.
-    fn stripe(&self, pk: i64) -> &RwLock<FxHashMap<i64, RecordId>> {
-        // The top bits: the ones a multiplicative hash mixes best, and not
-        // the ones the stripe's own map buckets by.
-        let hash = fxhash::hash_u64(pk as u64);
-        &self.pk_index[(hash >> (u64::BITS - PK_STRIPES.ilog2())) as usize]
     }
 
     /// The table's schema.
@@ -71,7 +56,7 @@ impl Table {
 
     /// Number of live (indexed) rows.
     pub fn row_count(&self) -> usize {
-        self.pk_index.iter().map(|stripe| stripe.read().len()).sum()
+        self.pk_index.read().len()
     }
 
     /// Inserts a row version chain, allocating heap space and indexing the
@@ -81,26 +66,26 @@ impl Table {
             table: self.schema.id,
             key: row_pk,
         };
-        if self.stripe(row_pk).read().contains_key(&row_pk) {
+        if self.pk_index.read().contains_key(&row_pk) {
             return Err(duplicate());
         }
         let record_id = {
-            let _alloc = self.alloc.lock();
+            let mut pages = self.pages.grow();
             let page = match self.pages.last() {
                 Some(page) if !page.is_full() => page,
                 _ => {
                     let page_no = self.pages.len() as PageNo;
                     let space_id = self.schema.space_id();
                     let page = Page::new(space_id, page_no, self.schema.rows_per_page);
-                    self.pages.push(page).1
+                    pages.push(page).1
                 }
             };
             let heap_no = page
                 .allocate(versions)
-                .expect("the allocation lock is held and the page has room");
+                .expect("the growth lock is held and the page has room");
             RecordId::new(page.space_id(), page.page_no(), heap_no)
         };
-        let mut index = self.stripe(row_pk).write();
+        let mut index = self.pk_index.write();
         if index.contains_key(&row_pk) {
             // Lost the race with a concurrent insert of the same key.  The heap
             // slot stays allocated but unindexed (same as a rolled-back insert).
@@ -120,7 +105,7 @@ impl Table {
 
     /// Looks up the record id for a primary key.
     pub fn lookup_pk(&self, pk: i64) -> Result<RecordId> {
-        self.stripe(pk)
+        self.pk_index
             .read()
             .get(&pk)
             .copied()
@@ -133,7 +118,7 @@ impl Table {
     /// Removes a primary key from the index (used when rolling back an
     /// insert).  Returns true if the key was present.
     pub fn unindex_pk(&self, pk: i64) -> bool {
-        self.stripe(pk).write().remove(&pk).is_some()
+        self.pk_index.write().remove(&pk).is_some()
     }
 
     /// Returns the record slot — the version chain behind its latch — for a
@@ -148,10 +133,8 @@ impl Table {
     /// Record ids of every indexed row, in primary-key order (used by scans,
     /// consistency checks and recovery verification).
     pub fn all_record_ids(&self) -> Vec<(i64, RecordId)> {
-        let mut rows = Vec::new();
-        for stripe in &self.pk_index {
-            rows.extend(stripe.read().iter().map(|(k, v)| (*k, *v)));
-        }
+        let mut rows: Vec<(i64, RecordId)> =
+            self.pk_index.read().iter().map(|(k, v)| (*k, *v)).collect();
         rows.sort_unstable_by_key(|(k, _)| *k);
         rows
     }

@@ -148,8 +148,7 @@ impl Transaction {
 
     /// Records a write.  Idempotent per `(table, record)`.
     pub fn record_write(&mut self, table: TableId, record: RecordId) {
-        // Whoever wrote without `become_writer` still commits as a writer.
-        self.writer = true;
+        debug_assert!(self.writer, "a write statement calls become_writer first");
         if !self.write_set.contains(&(table, record)) {
             self.write_set.push((table, record));
         }
@@ -276,6 +275,7 @@ mod tests {
     fn write_and_read_sets_deduplicate() {
         let mut t = Transaction::new(TxnId(1));
         let r = RecordId::new(1, 0, 0);
+        assert!(t.become_writer() && !t.become_writer() && t.is_writer());
         t.record_write(TableId(1), r);
         t.record_write(TableId(1), r);
         t.record_read(TableId(1), r, TxnId(7));
