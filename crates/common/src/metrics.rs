@@ -138,8 +138,13 @@ impl LatencyHistogram {
     /// Records one latency observation.
     #[inline]
     pub fn record(&self, latency: Duration) {
-        let micros = latency.as_micros().min(u128::from(u64::MAX)) as u64;
-        self.record_micros(micros);
+        self.record_micros(Self::micros(latency));
+    }
+
+    /// `latency` in the unit the buckets hold.
+    #[inline]
+    fn micros(latency: Duration) -> u64 {
+        latency.as_micros().min(u128::from(u64::MAX)) as u64
     }
 
     /// Records a latency expressed in microseconds.
@@ -250,9 +255,12 @@ impl LatencyHistogram {
 /// while stand-alone callers keep passing [`EngineMetrics`] itself, which
 /// implements the trait by doing the atomic increment immediately.
 ///
-/// Only the counters that fire on *every* cycle are routed this way; the
-/// wait/deadlock/latency paths are already rare enough that they record into
-/// [`EngineMetrics`] directly.
+/// The counters that fire on *every* cycle are routed this way, and so is
+/// everything a hot row's group counts between a grant and the update it
+/// admits (group formed, group joined, the wait for the grant): a shared
+/// line written there is paid for by every transaction queued behind.  The
+/// record-lock tables' wait / deadlock paths are rare enough that they
+/// record into [`EngineMetrics`] directly.
 pub trait MetricsSink {
     /// One lock object was created (Figure 6d numerator).
     fn on_lock_created(&self);
@@ -262,6 +270,12 @@ pub trait MetricsSink {
     fn on_release_shard_lock(&self);
     /// One grant scan examined `len` requests.
     fn on_grant_scan(&self, len: u64);
+    /// One lock request (row lock, hot-row grant) waited for `waited`.
+    fn on_lock_wait(&self, waited: Duration);
+    /// One hot-row group was formed (a leader took office).
+    fn on_group_formed(&self);
+    /// One transaction joined a hot row's group, as leader or follower.
+    fn on_group_entry(&self);
 }
 
 impl MetricsSink for EngineMetrics {
@@ -280,6 +294,70 @@ impl MetricsSink for EngineMetrics {
     #[inline]
     fn on_grant_scan(&self, len: u64) {
         self.grant_scan_len.record_micros(len);
+    }
+    #[inline]
+    fn on_lock_wait(&self, waited: Duration) {
+        self.lock_waits.inc();
+        self.lock_wait_latency.record(waited);
+    }
+    #[inline]
+    fn on_group_formed(&self) {
+        self.groups_formed.inc();
+    }
+    #[inline]
+    fn on_group_entry(&self) {
+        self.hotspot_group_entries.inc();
+    }
+}
+
+/// A single-owner [`LatencyHistogram`]: the same buckets as plain `Cell`s,
+/// merged into the shared one bucket by bucket (full fidelity).
+#[derive(Debug)]
+struct ScratchHistogram {
+    buckets: [Cell<u64>; BUCKETS],
+    count: Cell<u64>,
+    sum: Cell<u64>,
+    max: Cell<u64>,
+}
+
+impl ScratchHistogram {
+    fn new() -> Self {
+        Self {
+            buckets: std::array::from_fn(|_| Cell::new(0)),
+            count: Cell::new(0),
+            sum: Cell::new(0),
+            max: Cell::new(0),
+        }
+    }
+
+    #[inline]
+    fn record(&self, value: u64) {
+        let bucket = &self.buckets[LatencyHistogram::bucket_for(value)];
+        bucket.set(bucket.get() + 1);
+        self.count.set(self.count.get() + 1);
+        self.sum.set(self.sum.get() + value);
+        self.max.set(self.max.get().max(value));
+    }
+
+    /// Drains into `shared`; returns how many observations moved.
+    fn flush(&self, shared: &LatencyHistogram) -> u64 {
+        let count = self.count.take();
+        if count > 0 {
+            for (i, bucket) in self.buckets.iter().enumerate() {
+                let n = bucket.take();
+                if n > 0 {
+                    shared.buckets[i].fetch_add(n, Ordering::Relaxed);
+                }
+            }
+            shared.count.fetch_add(count, Ordering::Relaxed);
+            shared
+                .sum_micros
+                .fetch_add(self.sum.take(), Ordering::Relaxed);
+            shared
+                .max_micros
+                .fetch_max(self.max.take(), Ordering::Relaxed);
+        }
+        count
     }
 }
 
@@ -300,10 +378,11 @@ pub struct MetricsScratch {
     locks_created: Cell<u64>,
     locks_released: Cell<u64>,
     release_shard_locks: Cell<u64>,
-    grant_scan_buckets: [Cell<u64>; BUCKETS],
-    grant_scan_count: Cell<u64>,
-    grant_scan_sum: Cell<u64>,
-    grant_scan_max: Cell<u64>,
+    grant_scans: ScratchHistogram,
+    /// One observation per lock wait: the flush derives `lock_waits` from it.
+    lock_waits: ScratchHistogram,
+    groups_formed: Cell<u64>,
+    group_entries: Cell<u64>,
     queries: Cell<u64>,
     /// `(latency, blocked)` of the owner's commit, once it committed.
     commit: Cell<Option<(Duration, Duration)>>,
@@ -322,10 +401,10 @@ impl MetricsScratch {
             locks_created: Cell::new(0),
             locks_released: Cell::new(0),
             release_shard_locks: Cell::new(0),
-            grant_scan_buckets: std::array::from_fn(|_| Cell::new(0)),
-            grant_scan_count: Cell::new(0),
-            grant_scan_sum: Cell::new(0),
-            grant_scan_max: Cell::new(0),
+            grant_scans: ScratchHistogram::new(),
+            lock_waits: ScratchHistogram::new(),
+            groups_formed: Cell::new(0),
+            group_entries: Cell::new(0),
             queries: Cell::new(0),
             commit: Cell::new(None),
         }
@@ -336,7 +415,10 @@ impl MetricsScratch {
         self.locks_created.get() == 0
             && self.locks_released.get() == 0
             && self.release_shard_locks.get() == 0
-            && self.grant_scan_count.get() == 0
+            && self.grant_scans.count.get() == 0
+            && self.lock_waits.count.get() == 0
+            && self.groups_formed.get() == 0
+            && self.group_entries.get() == 0
             && self.queries.get() == 0
             && self.commit.get().is_none()
     }
@@ -372,10 +454,11 @@ impl MetricsScratch {
     /// Drains every accumulated count into `metrics`, leaving the scratch
     /// empty.  One atomic operation per non-zero counter/bucket.
     pub fn flush(&self, metrics: &EngineMetrics) {
-        let queries = self.queries.take();
-        if queries > 0 {
-            metrics.queries.add(queries);
-        }
+        let drain = |from: &Cell<u64>, to: &Counter| match from.take() {
+            0 => {}
+            n => to.add(n),
+        };
+        drain(&self.queries, &metrics.queries);
         if let Some((latency, blocked)) = self.commit.take() {
             metrics.committed.inc();
             metrics.txn_latency.record(latency);
@@ -383,34 +466,15 @@ impl MetricsScratch {
             let busy = latency.saturating_sub(blocked);
             metrics.busy_nanos.add(busy.as_nanos() as u64);
         }
-        let created = self.locks_created.take();
-        if created > 0 {
-            metrics.locks_created.add(created);
-        }
-        let released = self.locks_released.take();
-        if released > 0 {
-            metrics.locks_released.add(released);
-        }
-        let shard = self.release_shard_locks.take();
-        if shard > 0 {
-            metrics.release_shard_locks.add(shard);
-        }
-        if self.grant_scan_count.take() > 0 {
-            for (i, bucket) in self.grant_scan_buckets.iter().enumerate() {
-                let n = bucket.take();
-                if n > 0 {
-                    metrics.grant_scan_len.buckets[i].fetch_add(n, Ordering::Relaxed);
-                    metrics.grant_scan_len.count.fetch_add(n, Ordering::Relaxed);
-                }
-            }
-            metrics
-                .grant_scan_len
-                .sum_micros
-                .fetch_add(self.grant_scan_sum.take(), Ordering::Relaxed);
-            metrics
-                .grant_scan_len
-                .max_micros
-                .fetch_max(self.grant_scan_max.take(), Ordering::Relaxed);
+        drain(&self.locks_created, &metrics.locks_created);
+        drain(&self.locks_released, &metrics.locks_released);
+        drain(&self.release_shard_locks, &metrics.release_shard_locks);
+        drain(&self.groups_formed, &metrics.groups_formed);
+        drain(&self.group_entries, &metrics.hotspot_group_entries);
+        self.grant_scans.flush(&metrics.grant_scan_len);
+        match self.lock_waits.flush(&metrics.lock_wait_latency) {
+            0 => {}
+            waits => metrics.lock_waits.add(waits),
         }
     }
 }
@@ -431,11 +495,19 @@ impl MetricsSink for MetricsScratch {
     }
     #[inline]
     fn on_grant_scan(&self, len: u64) {
-        let bucket = &self.grant_scan_buckets[LatencyHistogram::bucket_for(len)];
-        bucket.set(bucket.get() + 1);
-        self.grant_scan_count.set(self.grant_scan_count.get() + 1);
-        self.grant_scan_sum.set(self.grant_scan_sum.get() + len);
-        self.grant_scan_max.set(self.grant_scan_max.get().max(len));
+        self.grant_scans.record(len);
+    }
+    #[inline]
+    fn on_lock_wait(&self, waited: Duration) {
+        self.lock_waits.record(LatencyHistogram::micros(waited));
+    }
+    #[inline]
+    fn on_group_formed(&self) {
+        self.groups_formed.set(self.groups_formed.get() + 1);
+    }
+    #[inline]
+    fn on_group_entry(&self) {
+        self.group_entries.set(self.group_entries.get() + 1);
     }
 }
 
@@ -699,13 +771,6 @@ metrics_table! {
         /// batching: batching early releases to statement boundaries amortizes
         /// these, so takes-per-released-lock should drop as batch size grows.
         release_shard_locks: Counter,
-        /// Group-table entry-map shard acquisitions on the leader's **commit
-        /// handover** path (prepare + handover).  The denominator for handover
-        /// batching: collecting a leader's hot records and fetching their group
-        /// entries shard by shard amortizes these, so takes-per-hot-record should
-        /// drop below 1.0 as the records-per-commit count grows (vs 2.0 for the
-        /// per-record prepare+handover sequence).
-        handover_shard_locks: Counter,
         /// Number of deadlock-detector runs.
         deadlock_checks: Counter,
         /// Number of transactions that entered a hotspot group (leader or follower).
@@ -868,8 +933,6 @@ pub struct MetricsSnapshot {
     pub lock_waits: u64,
     /// Shard-mutex acquisitions on the release paths (lock tables + registry).
     pub release_shard_locks: u64,
-    /// Group-table shard acquisitions on the leader commit-handover path.
-    pub handover_shard_locks: u64,
     /// Mean grant-scan length (requests examined per scan).
     pub mean_grant_scan_len: f64,
     /// Longest grant scan observed (requests examined).
@@ -1032,6 +1095,11 @@ mod tests {
         scratch.on_release_shard_lock();
         scratch.on_grant_scan(1);
         scratch.on_grant_scan(5);
+        scratch.on_lock_wait(Duration::from_micros(3));
+        scratch.on_lock_wait(Duration::from_micros(9));
+        scratch.on_group_formed();
+        scratch.on_group_entry();
+        scratch.on_group_entry();
         scratch.on_query();
         scratch.on_query();
         scratch.on_commit(Duration::from_micros(40), Duration::from_micros(10));
@@ -1039,6 +1107,7 @@ mod tests {
         assert_eq!((m.queries.get(), m.committed.get()), (0, 0));
         assert_eq!(m.locks_created.get(), 0);
         assert_eq!(m.grant_scan_len.count(), 0);
+        assert_eq!((m.lock_waits.get(), m.groups_formed.get()), (0, 0));
         assert!(!scratch.is_empty());
         assert_eq!(scratch.pending_locks_created(), 2);
         scratch.flush(&m);
@@ -1049,6 +1118,11 @@ mod tests {
         assert_eq!(m.grant_scan_len.count(), 2);
         assert_eq!(m.grant_scan_len.max_micros(), 5);
         assert!((m.grant_scan_len.mean_micros() - 3.0).abs() < 1e-9);
+        assert_eq!(m.lock_waits.get(), 2);
+        assert_eq!(m.lock_wait_latency.count(), 2);
+        assert!((m.lock_wait_latency.mean_micros() - 6.0).abs() < 1e-9);
+        assert_eq!(m.groups_formed.get(), 1);
+        assert_eq!(m.hotspot_group_entries.get(), 2);
         assert_eq!((m.queries.get(), m.committed.get()), (2, 1));
         assert_eq!(m.txn_latency.count(), 1);
         assert_eq!(
@@ -1058,6 +1132,7 @@ mod tests {
         // A second flush is a no-op.
         scratch.flush(&m);
         assert_eq!(m.grant_scan_len.count(), 2);
+        assert_eq!(m.lock_waits.get(), 2);
         assert_eq!(m.committed.get(), 1);
     }
 
@@ -1068,6 +1143,12 @@ mod tests {
         MetricsSink::on_locks_released(&m, 2);
         MetricsSink::on_release_shard_lock(&m);
         MetricsSink::on_grant_scan(&m, 7);
+        MetricsSink::on_lock_wait(&m, Duration::from_micros(4));
+        MetricsSink::on_group_formed(&m);
+        MetricsSink::on_group_entry(&m);
+        assert_eq!((m.lock_waits.get(), m.lock_wait_latency.count()), (1, 1));
+        assert_eq!(m.groups_formed.get(), 1);
+        assert_eq!(m.hotspot_group_entries.get(), 1);
         assert_eq!(m.locks_created.get(), 1);
         assert_eq!(m.locks_released.get(), 2);
         assert_eq!(m.release_shard_locks.get(), 1);

@@ -12,17 +12,24 @@ use super::{held, lock_row};
 use super::{ConcurrencyControl, LockTable, WriteAdmission};
 use crate::database::DbInner;
 use std::sync::Arc;
-use std::time::Instant;
-use txsql_common::metrics::EngineMetrics;
+use std::time::{Duration, Instant};
+use txsql_common::metrics::{EngineMetrics, MetricsSink};
 use txsql_common::{Error, RecordId, Result, TableId};
-use txsql_lockmgr::group_lock::{GroupLockTable, HotExecution, WokenRole};
+use txsql_lockmgr::group_lock::{CommitTurn, GroupHandle, GroupLockTable, HotExecution, WokenRole};
 use txsql_lockmgr::LightweightLockTable;
-use txsql_txn::{HotRole, Transaction};
+use txsql_txn::{HotRole, HotUpdate, Transaction};
 
 pub(super) struct GroupLocking {
     pub(super) locks: LightweightLockTable,
     pub(super) groups: GroupLockTable,
     pub(super) metrics: Arc<EngineMetrics>,
+}
+
+/// The transaction's handle on a hot row's group: resolved by its first
+/// group call on the row, used by every later one.
+fn group_of(hot: &HotUpdate) -> &GroupHandle {
+    let group = hot.group.as_ref();
+    group.expect("group locking records a handle with every hot row")
 }
 
 impl GroupLocking {
@@ -42,11 +49,11 @@ impl GroupLocking {
             if holder == txn.id {
                 continue;
             }
-            for hot_record in txn.hot_records() {
-                if self.groups.both_updated(hot_record, txn.id, holder) {
+            for hot in txn.hot_updates() {
+                if self.groups.both_updated(group_of(hot), txn.id, holder) {
                     return Err(Error::HotspotDeadlockPrevented {
                         txn: txn.id,
-                        hot_record,
+                        hot_record: hot.record,
                         blocker: holder,
                     });
                 }
@@ -55,26 +62,23 @@ impl GroupLocking {
         Ok(())
     }
 
-    /// The §4.5 prevention check extended to hot-row *registration*: joining
-    /// `record`'s group behind a transaction that is ordered **after** us on
+    /// The §4.5 prevention check extended to joining a hot row's group:
+    /// joining `group` behind a transaction that is ordered **after** us on
     /// another hot row we both updated would create a cross-record
     /// commit-order cycle — each of us first on one dependency list and
     /// second on the other — which the per-record FIFO commit waits can only
     /// resolve by timing out.  Aborting now converts a multi-second wedge of
     /// the whole hot row into one quick retried abort.  (The check snapshots
     /// the dependency lists without nesting group-entry locks; the rare
-    /// registration that races past it still resolves through the
-    /// commit-turn deadline.)
-    fn check_hot_inversion(&self, txn: &Transaction, record: RecordId) -> Result<()> {
+    /// join that races past it still resolves through the commit-turn
+    /// deadline.)  A transaction's first hot row has nothing to compare.
+    fn check_hot_inversion(&self, txn: &Transaction, group: &GroupHandle) -> Result<()> {
         if !txn.has_hot_updates() {
             return Ok(());
         }
-        let members = self.groups.dep_list(record);
-        if members.is_empty() {
-            return Ok(());
-        }
-        for prior in txn.hot_records().filter(|prior| *prior != record) {
-            let prior_list = self.groups.dep_list(prior);
+        let members = self.groups.members(group);
+        for prior in txn.hot_updates() {
+            let prior_list = self.groups.members(group_of(prior));
             let Some(my_pos) = prior_list.iter().position(|t| *t == txn.id) else {
                 continue;
             };
@@ -82,7 +86,7 @@ impl GroupLocking {
             if let Some(blocker) = members.iter().find(|m| behind_us.contains(m)) {
                 return Err(Error::HotspotDeadlockPrevented {
                     txn: txn.id,
-                    hot_record: record,
+                    hot_record: group.record(),
                     blocker: *blocker,
                 });
             }
@@ -90,49 +94,45 @@ impl GroupLocking {
         Ok(())
     }
 
-    /// Joins `record`'s dependency list in `role` (Alg. 1 lines 7–9).  If
-    /// the registration check objects, the grant just taken is given back so
-    /// the group keeps moving: a leader hands leadership over (its row lock
-    /// drains with the rollback's release), a follower clears the in-flight
-    /// grant.
+    /// What stands between a grant and using it: a leader's one real lock
+    /// acquisition per group, and the prevention check.
+    fn claim_grant(&self, txn: &mut Transaction, group: &GroupHandle, role: HotRole) -> Result<()> {
+        if role == HotRole::Leader {
+            lock_row(&self.locks, txn, group.record(), None)?;
+            txn.record_lock(group.record());
+        }
+        self.check_hot_inversion(txn, group)
+    }
+
+    /// `txn` was granted `role` on the row: it is the row's in-flight
+    /// updater and on its dependency list already (Alg. 1 lines 7–9 happen
+    /// in the granter's critical section), so what is left is to draw its
+    /// order and remember the group.  A grant that cannot be used is given
+    /// back with its registration so the group keeps moving: leadership is
+    /// handed over (a row lock taken drains with the rollback's release), a
+    /// follower's in-flight mark is cleared.
     fn join_group(
         &self,
-        db: &DbInner,
         txn: &mut Transaction,
-        record: RecordId,
+        group: GroupHandle,
         role: HotRole,
     ) -> Result<WriteAdmission> {
-        if let Err(err) = self.check_hot_inversion(txn, record) {
-            match role {
-                HotRole::Leader => {
-                    self.groups.leader_handover(txn.id, record);
-                }
-                HotRole::Follower => self.groups.finish_update(txn.id, record, false),
-            }
+        let leads = role == HotRole::Leader;
+        if let Err(err) = self.claim_grant(txn, &group, role) {
+            self.groups.abandon_update(txn.id, &group, leads);
             return Err(err);
         }
-        let order = self.groups.register_update(txn.id, record);
-        db.storage.set_hot_update_order(txn.id, order);
-        txn.record_hot_update(record, role, order);
+        let order = self.groups.take_hot_update_order();
+        let sink = txn.metrics_sink();
+        sink.on_group_entry();
+        if leads {
+            sink.on_group_formed();
+        }
+        txn.record_hot_update(group.record(), role, order, Some(group));
         Ok(match role {
             HotRole::Leader => WriteAdmission::Locked,
             HotRole::Follower => WriteAdmission::HotFollower,
         })
-    }
-
-    /// Leads a group: the one real lock acquisition per group, then the join.
-    fn lead_group(
-        &self,
-        db: &DbInner,
-        txn: &mut Transaction,
-        record: RecordId,
-    ) -> Result<WriteAdmission> {
-        if let Err(err) = lock_row(&self.locks, txn, record, None) {
-            self.groups.leader_handover(txn.id, record);
-            return Err(err);
-        }
-        txn.record_lock(record);
-        self.join_group(db, txn, record, HotRole::Leader)
     }
 }
 
@@ -153,8 +153,8 @@ impl ConcurrencyControl for GroupLocking {
         // the aborter's rollback (with granting paused on that row) cannot
         // finish until we cascade.  Aborting at the next admission instead of
         // at commit shortens the whole drain.
-        for prior in txn.hot_records() {
-            if let Some(cause) = self.groups.doomed_cause(txn.id, prior) {
+        for prior in txn.hot_updates() {
+            if let Some(cause) = self.groups.doomed_cause(txn.id, group_of(prior)) {
                 return Err(Error::CascadingAbort { txn: txn.id, cause });
             }
         }
@@ -175,70 +175,81 @@ impl ConcurrencyControl for GroupLocking {
             self.locks.release_record_locks_in(txn.id, &[record], sink);
         }
 
-        match self.groups.begin_hot_update(txn.id, record) {
-            HotExecution::Leader => self.lead_group(db, txn, record),
-            HotExecution::Follower => self.join_group(db, txn, record, HotRole::Follower),
+        // From the grant to `after_write` the whole group waits for us:
+        // nothing in there allocates or writes a line other clients share.
+        txn.reserve_hot_update();
+        let (group, execution) = self.groups.begin_update(txn.id, record);
+        let role = match execution {
+            HotExecution::Leader => HotRole::Leader,
+            HotExecution::Follower => HotRole::Follower,
             HotExecution::Wait(slot) => {
                 let start = Instant::now();
-                let role = self.groups.wait_for_grant(txn.id, record, &slot);
-                txn.add_blocked(start.elapsed());
-                self.metrics.lock_waits.inc();
+                let role = self.groups.wait_for_grant(txn.id, &group, &slot);
+                let waited = start.elapsed();
+                txn.add_blocked(waited);
+                txn.metrics_sink().on_lock_wait(waited);
                 match role? {
-                    WokenRole::Follower => self.join_group(db, txn, record, HotRole::Follower),
-                    WokenRole::NewLeader => self.lead_group(db, txn, record),
+                    WokenRole::Follower => HotRole::Follower,
+                    WokenRole::NewLeader => HotRole::Leader,
                 }
             }
-        }
+        };
+        self.join_group(txn, group, role)
     }
 
     /// Ends the update's in-flight grant so the group grants the next
     /// follower (Alg. 1 lines 10–14); a leader does so after each of its own
-    /// updates of the hot row.
+    /// updates of the hot row, a follower only after the one that was granted
+    /// (its later ones come in as `Locked` and own no grant).
     fn after_write(&self, txn: &Transaction, record: RecordId, admission: WriteAdmission) {
-        match admission {
-            WriteAdmission::HotFollower => self.groups.finish_update(txn.id, record, false),
-            WriteAdmission::Locked if txn.hot_role(record) == Some(HotRole::Leader) => {
-                self.groups.finish_update(txn.id, record, true)
-            }
-            WriteAdmission::Locked => {}
+        let Some(hot) = txn.hot_update(record) else {
+            return;
+        };
+        let leads = hot.role == HotRole::Leader;
+        if leads || admission == WriteAdmission::HotFollower {
+            self.groups.finish_update(txn.id, group_of(hot), leads);
         }
     }
 
-    /// Leader side (Alg. 2 lines 2–10): stop granting, wait for the
-    /// in-flight grant, release the *hot row* lock and hand the next group
-    /// over.  The early row-lock release is the paper's pipelining lever —
-    /// group N+1 executes while group N drains its commit-order waits — and
-    /// it is safe because the dependency list (not the row lock) serialises
-    /// hot-row commit records; every row is only written through the group
-    /// path while it is hot.  Cold locks stay held until the commit record is
-    /// ordered.  The hand-over is batched across the leader's hot records
-    /// (see `GroupLockTable::begin_leader_commit`).
+    /// Leader side (Alg. 2 lines 2–10), per hot row it leads: stop granting,
+    /// wait for the in-flight grant, release the *hot row* lock and hand the
+    /// next group over.  The early row-lock release is the paper's
+    /// pipelining lever — group N+1 executes while group N drains its
+    /// commit-order waits — and it is safe because the dependency list (not
+    /// the row lock) serialises hot-row commit records; every row is only
+    /// written through the group path while it is hot.  Cold locks stay held
+    /// until the commit record is ordered.
     ///
     /// Then, for every member (§4.3): wait for all dependency-list
-    /// predecessors before ordering our own commit record.  Predecessors
-    /// commit without the row lock; a predecessor stuck on a *cold* lock we
-    /// hold is pre-empted by the §4.5 check, and any residual entanglement
-    /// resolves through the wait deadline.
+    /// predecessors before ordering our own commit record.  A leader's
+    /// hand-over saw its turn under the guard it held, so a leader that is
+    /// first of its list does not ask again (one that is not — blocked, or
+    /// doomed — hears it from the wait).  Predecessors commit without
+    /// the row lock; a predecessor stuck on a *cold* lock we hold is
+    /// pre-empted by the §4.5 check, and any residual entanglement resolves
+    /// through the wait deadline.
     fn before_order(&self, txn: &mut Transaction) -> Result<()> {
-        let hot_updates = txn.hot_updates();
-        let leader_records: Vec<RecordId> = hot_updates
-            .iter()
-            .filter(|(_, role, _)| *role == HotRole::Leader)
-            .map(|(record, _, _)| *record)
-            .collect();
-        if !leader_records.is_empty() {
-            let prepared = self.groups.begin_leader_commit(txn.id, &leader_records);
-            let sink = txn.metrics_sink();
-            self.locks
-                .release_record_locks_in(txn.id, &leader_records, sink);
-            self.groups.finish_leader_handover(txn.id, prepared);
+        let (id, sink) = (txn.id, txn.metrics_sink());
+        let mut ask_again = false;
+        for hot in txn.hot_updates() {
+            if hot.role != HotRole::Leader {
+                continue;
+            }
+            let group = group_of(hot);
+            self.groups.leader_prepare_commit(id, group);
+            let row = std::slice::from_ref(&hot.record);
+            self.locks.release_record_locks_in(id, row, sink);
+            ask_again |= self.groups.leader_handover(id, group).turn != CommitTurn::Ready;
         }
-        for (record, _, _) in hot_updates {
-            let start = Instant::now();
-            let turn = self.groups.wait_commit_turn(txn.id, record);
-            txn.add_blocked(start.elapsed());
-            turn?;
-        }
+        let mut waits = txn.hot_updates().iter();
+        let blocked = waits.try_fold(Duration::ZERO, |blocked, hot| {
+            if hot.role == HotRole::Leader && !ask_again {
+                return Ok(blocked);
+            }
+            let waited = self.groups.wait_commit_turn(id, group_of(hot))?;
+            Ok::<_, Error>(blocked + waited)
+        })?;
+        txn.add_blocked(blocked);
         Ok(())
     }
 
@@ -246,36 +257,37 @@ impl ConcurrencyControl for GroupLocking {
     /// ordered in the log; the durable flush may then be batched with our
     /// successors (group commit, Figure 5c).
     fn after_order(&self, txn: &Transaction) {
-        for record in txn.hot_records() {
-            self.groups.finish_commit(txn.id, record);
+        for hot in txn.hot_updates() {
+            self.groups.finish_commit(txn.id, group_of(hot));
         }
     }
 
     /// Rollback ordering (Alg. 3 + §4.4): doom successors, then wait until
     /// we are the newest entry of every dependency list we are on.
     fn before_undo(&self, txn: &mut Transaction) {
-        let records: Vec<RecordId> = txn.hot_records().collect();
-        for record in &records {
-            self.groups.begin_rollback(txn.id, *record);
+        for hot in txn.hot_updates() {
+            self.groups.begin_rollback(txn.id, group_of(hot));
         }
-        for record in records {
-            let start = Instant::now();
-            if self.groups.wait_rollback_turn(txn.id, record).is_err() {
+        let start = Instant::now();
+        for hot in txn.hot_updates() {
+            let turn = self.groups.wait_rollback_turn(txn.id, group_of(hot));
+            if turn.is_err() {
                 // Undoing out of turn beats wedging the row, but a
                 // successor that never cascaded must not go unreported.
                 self.metrics.abort_causes.record("rollback_turn_timeout");
             }
-            txn.add_blocked(start.elapsed());
         }
+        txn.add_blocked(start.elapsed());
     }
 
-    /// The undo removed our version from each record's head: registrants
-    /// from here on read clean data and need no doom.
+    /// The undo removed our version from each record's head: leave the
+    /// dependency lists and let granting resume (whoever is granted from
+    /// here on reads clean data).
     fn after_undo(&self, txn: &Transaction) {
-        for record in txn.hot_records() {
-            self.groups.mark_undone(txn.id, record);
-            self.groups.finish_rollback(txn.id, record);
-            self.groups.resume_granting(record);
+        for hot in txn.hot_updates() {
+            let group = group_of(hot);
+            self.groups.finish_rollback(txn.id, group);
+            self.groups.resume_granting(group);
         }
     }
 

@@ -65,7 +65,7 @@ impl ConcurrencyControl for QueueLocking {
             return Err(err);
         }
         txn.record_lock(record);
-        txn.record_hot_update(record, HotRole::Leader, 0);
+        txn.record_hot_update(record, HotRole::Leader, 0, None);
         self.metrics.hotspot_group_entries.inc();
         Ok(WriteAdmission::Locked)
     }

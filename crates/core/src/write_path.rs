@@ -1,8 +1,10 @@
 //! The write statements: `UPDATE` / `SELECT FOR UPDATE` / `INSERT`.
 //!
 //! Every write is the same skeleton — begin the transaction in storage if
-//! this is its first write, admit, read the newest version, stack a new one
-//! — with the protocol called at two places (Alg. 1 of the paper):
+//! this is its first write, admit, read the newest version and stack a new
+//! one on it (one `Storage::update_row`: one latch hold, one undo visit, one
+//! log reservation, for hot and cold rows alike) — with the protocol called
+//! at two places (Alg. 1 of the paper):
 //!
 //! 1. `ConcurrencyControl::acquire_for_write` before the read: Alg. 1
 //!    lines 2–9.  MySQL / O1 lock the row; O2 takes the hot row's ticket
@@ -11,7 +13,9 @@
 //!    takes its commit dependency on the writer of a dirty head.
 //! 2. `ConcurrencyControl::after_write` once the new version is stacked:
 //!    Alg. 1 lines 10–14.  Group locking ends the in-flight grant so the next
-//!    follower runs; Bamboo releases the row lock early.
+//!    follower runs; Bamboo releases the row lock early.  Between the two a
+//!    hot row's whole group is waiting, so nothing else happens there: the
+//!    transaction's own bookkeeping (write set, binlog image) comes after.
 //!
 //! Aria programs never come through here (whole-program batches, see
 //! `cc/aria.rs`); its session API does, as plain 2PL.  `cc/mod.rs` has the
@@ -52,6 +56,11 @@ impl Database {
         self.begin_write(txn);
         let inner = &self.inner;
         inner.cc.acquire_for_write(inner, txn, table, record)?;
+        if let Some(order) = txn.take_unlogged_order(record) {
+            // Joined the hot row's group without writing it: the order an
+            // update would carry (§5.3) is logged on its own.
+            inner.storage.set_hot_update_order(txn.id, order);
+        }
         // The locked read observes the newest version (a predecessor's
         // uncommitted head for group followers / Bamboo — by design); record
         // that version's writer so the checker sees the true wr dependency.
@@ -86,7 +95,7 @@ impl Database {
         table: TableId,
         pk: i64,
         mutate: &mut dyn FnMut(&mut Row),
-    ) -> Result<Row> {
+    ) -> Result<()> {
         if !txn.is_active() {
             return Err(Error::TransactionClosed { txn: txn.id });
         }
@@ -98,15 +107,22 @@ impl Database {
 
         // Read the newest version (for group followers / Bamboo this is the
         // predecessor's uncommitted value — exactly the point of the design),
-        // apply the mutation, and stack the new version.
-        let mut row = inner.storage.read_latest(table, record)?;
-        mutate(&mut row);
+        // apply the mutation, and stack the new version.  One row image per
+        // keeper: the chain and the log inside, the binlog's here.
+        let hot_order = txn.take_unlogged_order(record);
+        let mut after = None;
+        let make = |head: &Row| {
+            let mut row = head.clone();
+            mutate(&mut row);
+            after = Some(row.clone());
+            row
+        };
         inner
             .storage
-            .apply_update(txn.id, table, record, row.clone())?;
-        txn.record_write(table, record);
-        txn.record_change(table, pk, row.clone());
+            .update_row(txn.id, table, record, hot_order, make)?;
         inner.cc.after_write(txn, record, admission);
-        Ok(row)
+        txn.record_write(table, record);
+        txn.record_change(table, pk, after.expect("update_row ran `make`"));
+        Ok(())
     }
 }

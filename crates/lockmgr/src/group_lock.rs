@@ -9,8 +9,8 @@
 //!   `waiting_updates` queue and granted execution one at a time, directly on
 //!   the (still uncommitted) newest row version, without touching the lock
 //!   manager at all;
-//! * every executed update is appended to the row's **dependency list**
-//!   (`dep_list`) together with a globally increasing `hot_update_order`;
+//! * every granted update is appended to the row's **dependency list**
+//!   (`dep_list`) and draws a globally increasing `hot_update_order`;
 //!   commits must proceed in dependency-list order (§4.3) and rollbacks in
 //!   the reverse order (§4.4, cascading aborts);
 //! * when the leader commits it stops granting (`switching_new_leader`),
@@ -22,18 +22,66 @@
 //! The state machine below follows Algorithms 1–3 of the paper; the method
 //! names map to the pseudo-code lines noted in their doc comments.
 //!
+//! ## Two serial sections, one state transition each
+//!
+//! Members of a group run "serially in an uncommitted state … without the
+//! need for locking", so what bounds a hot row is the length of the two
+//! sections that *are* serial: grant → [`GroupLockTable::finish_update`]
+//! (Alg. 1) and commit turn → [`GroupLockTable::finish_commit`] (Alg. 2).
+//! Each costs this module one acquisition of the row's state mutex and
+//! nothing else: no entry-map lookup, no shared counter, no allocation.
+//!
+//! * **One handle per (transaction, hot row).**  The first group call,
+//!   [`GroupLockTable::begin_update`], resolves the row's entry through the
+//!   sharded entry map — the only time the transaction takes a map shard —
+//!   and returns a [`GroupHandle`]; the transaction keeps it next to its
+//!   role and order and names the row by it in every later call
+//!   ([`HotRow`]).  A handle guarantees that the call lands on the row's
+//!   **live** state: [`GroupLockTable::collect_if_idle`] marks the entry it
+//!   removes `dead` under its own mutex, and a call that finds the mark goes
+//!   back through the map.  (An entry with the holder on its dependency
+//!   list or in its queue is never idle, so in a transaction's life that
+//!   only happens at its edges.)  A call that names the row by
+//!   [`RecordId`] is `handle(record)` plus the same call, for tests, probes
+//!   and introspection.
+//! * **Granting registers.**  Whoever makes a transaction the row's
+//!   in-flight updater — [`GroupLockTable::begin_update`]'s two immediate
+//!   paths, [`GroupLockTable::finish_update`]'s grant, a promotion by
+//!   [`GroupLockTable::leader_handover`] /
+//!   [`GroupLockTable::resume_granting`] — appends it to the dependency
+//!   list in the critical section it already holds.  A woken follower goes
+//!   from its event straight to the row; it draws its `hot_update_order`
+//!   from the global counter without the state lock
+//!   ([`GroupLockTable::take_hot_update_order`]: one grantee per row is in
+//!   flight, so per-row order equals list order).  A grantee that cannot
+//!   use its grant gives both back with [`GroupLockTable::abandon_update`].
+//!   Nothing is granted while a rollback has granting paused, so a grantee
+//!   is on the list before any later [`GroupLockTable::begin_rollback`]
+//!   scans it: a follower of an aborting transaction is always doomed, one
+//!   granted after [`GroupLockTable::resume_granting`] never is.
+//!   [`GroupLockTable::register_update`] remains for callers that register
+//!   by hand; it is idempotent, and a first registration that arrives while
+//!   a rollback is in progress is doomed with it.
+//! * **Commit transitions fuse.**  A leader's commit is
+//!   [`GroupLockTable::leader_prepare_commit`] (quiesce),
+//!   [`GroupLockTable::leader_handover`] — which returns the commit-turn
+//!   verdict it can see under the guard it holds — and `finish_commit`:
+//!   three state acquisitions; a follower's is turn check and
+//!   `finish_commit`.
+//!
 //! ## One waiter list, named wakers
 //!
 //! A parked *update* waits on its [`WaitSlot`] in `waiting_updates` and is
-//! granted by [`GroupLockTable::finish_update`] (follower) or a handover /
+//! granted by [`GroupLockTable::finish_update`] (follower) or a hand-over /
 //! [`GroupLockTable::resume_granting`] (new leader); the role travels as the
-//! wake-up's payload.  Every other wait on a hot row is a wait for a **turn**
-//! — a predicate over the group state:
+//! wake-up's payload.  Every other wait on a hot row is a wait for a
+//! **turn** — a predicate over the group state:
 //!
 //! * the **commit turn** (§4.3, [`GroupLockTable::wait_commit_turn`]): first
 //!   of the dependency list, or doomed;
 //! * the leader's **quiesce** (Algorithm 2 lines 2–4,
-//!   [`GroupLockTable::begin_leader_commit`]): no granted update in flight;
+//!   [`GroupLockTable::leader_prepare_commit`]): no granted update in
+//!   flight;
 //! * the **rollback turn** (Algorithm 3 lines 6–7,
 //!   [`GroupLockTable::wait_rollback_turn`]): newest of the dependency list,
 //!   nothing in flight, no leader switching.
@@ -41,26 +89,21 @@
 //! All three park on the state's one `turn_waiters` list and nothing polls:
 //! a transition that can make a turn's predicate true —
 //! [`GroupLockTable::finish_update`], [`GroupLockTable::finish_commit`],
-//! [`GroupLockTable::finish_rollback`],
-//! [`GroupLockTable::finish_leader_handover`] and
-//! [`GroupLockTable::begin_rollback`] — re-evaluates the parked predicates
-//! under the state guard it already holds, takes the waiters whose turn has
-//! come off the list and fires their events after dropping the guard
-//! (wake-outside-lock).  A woken waiter re-checks under the guard, so a turn
-//! that was taken away again just parks again.  The waits are hand-off waits
-//! ([`OsEvent::wait_handoff`]): the transaction being waited for is running.
-//!
-//! A leader's commit of several hot rows fetches their group entries with
-//! one entry-map shard lock per shard, caches the `Arc`s across
-//! [`GroupLockTable::begin_leader_commit`] and
-//! [`GroupLockTable::finish_leader_handover`], and promotes every successor
-//! leader before firing any wake-up; the `handover_shard_locks` counter
-//! records exactly these entry-map takes.
+//! [`GroupLockTable::finish_rollback`], [`GroupLockTable::leader_handover`],
+//! [`GroupLockTable::abandon_update`] and [`GroupLockTable::begin_rollback`]
+//! — re-evaluates the parked predicates under the state guard it already
+//! holds, takes the waiters whose turn has come off the list and fires their
+//! events after dropping the guard (wake-outside-lock).  A woken waiter
+//! re-checks under the guard, so a turn that was taken away again just parks
+//! again.  The waits are hand-off waits ([`OsEvent::wait_handoff`]): the
+//! transaction being waited for is running.
 
 use crate::event::OsEvent;
 use crate::wake_check::GuardScope;
 use parking_lot::Mutex;
+use std::borrow::Cow;
 use std::collections::VecDeque;
+use std::fmt;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
@@ -70,10 +113,28 @@ use txsql_common::pad::CachePadded;
 use txsql_common::time::SimInstant;
 use txsql_common::{Error, RecordId, Result, TxnId};
 
-/// Fires events collected under a state guard.  Call after dropping it.
-fn wake_all(events: Vec<Arc<OsEvent>>) {
-    for event in events {
-        event.set();
+/// Events collected under a state guard, fired after dropping it.  The first
+/// one is held inline: a transition of a two-member group wakes at most one
+/// waiter, and must not allocate to do so.
+#[derive(Debug, Default)]
+#[must_use = "fire these events after dropping the state guard"]
+struct WakeList {
+    first: Option<Arc<OsEvent>>,
+    rest: Vec<Arc<OsEvent>>,
+}
+
+impl WakeList {
+    fn push(&mut self, event: Arc<OsEvent>) {
+        match self.first {
+            None => self.first = Some(event),
+            Some(_) => self.rest.push(event),
+        }
+    }
+
+    fn fire(self) {
+        for event in self.first.into_iter().chain(self.rest) {
+            event.set();
+        }
     }
 }
 
@@ -158,14 +219,16 @@ impl Drop for WaitSlot {
     }
 }
 
-/// Outcome of starting a hotspot update.
+/// Outcome of starting a hotspot update.  Whoever is granted — at once, or
+/// by the wake-up of its slot — is the row's in-flight updater and already
+/// on its dependency list.
 #[derive(Debug)]
 pub enum HotExecution {
-    /// The transaction is the group leader: acquire the row lock, then call
-    /// [`GroupLockTable::register_update`].
+    /// The transaction is the group leader: acquire the row lock, then
+    /// execute.
     Leader,
     /// Granted follower execution immediately (no other hotspot update was in
-    /// flight): register the update and execute without locking.
+    /// flight): execute without locking.
     Follower,
     /// Park on the slot; the waker assigns [`WokenRole`].
     Wait(Arc<WaitSlot>),
@@ -192,6 +255,17 @@ pub enum CommitTurn {
     },
     /// A dependency-list predecessor has not committed yet.
     Blocked,
+}
+
+/// What a leader's hand-over did and saw (see
+/// [`GroupLockTable::leader_handover`]).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct HandOver {
+    /// The parked update promoted to leader of the next group, if any (with
+    /// the dynamic batch size there may be none).
+    pub promoted: Option<TxnId>,
+    /// The outgoing leader's commit turn, as of the hand-over.
+    pub turn: CommitTurn,
 }
 
 #[derive(Debug)]
@@ -221,7 +295,7 @@ struct TurnWaiter {
 
 #[derive(Debug, Default)]
 struct GroupState {
-    /// Executed-but-uncommitted transactions in update order.
+    /// Granted-but-uncommitted transactions in update order.
     dep_list: Vec<TxnId>,
     /// Transactions doomed to cascade-abort, with the causing transaction.
     doomed: FxHashMap<TxnId, TxnId>,
@@ -241,24 +315,18 @@ struct GroupState {
     /// no new grants, no leader handover.
     rollback_pause: bool,
     /// Transactions between `begin_rollback` and `finish_rollback` on this
-    /// record (granting stays paused until the last one resumes).
+    /// record.  Granting stays paused until the last one resumes, so nobody
+    /// is granted — and therefore nobody joins the dependency list through a
+    /// grant — while this is non-empty; a by-hand registration that does is
+    /// doomed (see `register`).
     rolling_back: Vec<TxnId>,
-    /// The subset of `rolling_back` whose storage undo has not completed
-    /// yet.  An update that registers while this is non-empty may have read
-    /// a rolling-back transaction's uncommitted head (it was granted before
-    /// the pause and registers after the doom scan), so it is doomed on
-    /// registration — otherwise it could commit a value derived from an
-    /// aborted write.  Once the undo has run (`mark_undone`) the head is
-    /// clean again and later registrants need no doom.
-    undo_pending: Vec<TxnId>,
     /// Transactions parked until their turn comes (commit order, leader
     /// quiesce, rollback order).
     turn_waiters: Vec<TurnWaiter>,
     /// Set (under this state's mutex) when `collect_if_idle` removed the
-    /// entry from the shard map.  A thread that fetched the entry's `Arc`
-    /// *before* the removal discovers the flag after locking and retries
-    /// through the map — the fetch-then-lock lifecycle race that used to
-    /// orphan waiters.
+    /// entry from the shard map.  A thread holding the entry's `Arc` — a
+    /// handle — discovers the flag after locking and goes back through the
+    /// map: the fetch-then-lock lifecycle race that used to orphan waiters.
     dead: bool,
 }
 
@@ -289,13 +357,21 @@ impl GroupState {
         }
     }
 
+    /// `txn`'s commit turn (§4.3).
+    fn commit_turn(&self, txn: TxnId) -> CommitTurn {
+        match self.doomed.get(&txn) {
+            Some(cause) => CommitTurn::Doomed { cause: *cause },
+            None if self.turn_ready(txn, Turn::Commit) => CommitTurn::Ready,
+            None => CommitTurn::Blocked,
+        }
+    }
+
     /// Takes the parked transactions whose turn has come off the list, for
     /// the caller to wake **after** dropping the state guard
     /// (wake-outside-lock).  Every transition that can make a turn's
     /// predicate true ends with this.
-    #[must_use = "fire these events after dropping the state guard"]
-    fn take_ready_waiters(&mut self) -> Vec<Arc<OsEvent>> {
-        let mut ready = Vec::new();
+    fn take_ready_waiters(&mut self) -> WakeList {
+        let mut ready = WakeList::default();
         let mut at = 0;
         while let Some(waiter) = self.turn_waiters.get(at) {
             if self.turn_ready(waiter.txn, waiter.turn) {
@@ -307,30 +383,107 @@ impl GroupState {
         ready
     }
 
+    /// Appends `txn` to the dependency list (Algorithm 1, lines 7–9);
+    /// idempotent.  A first registration while a rollback is in progress
+    /// may read the aborting transaction's head, so it cascade-aborts too.
+    /// Grants never get here in that state — granting is paused — which is
+    /// why a grantee needs no second look after `begin_rollback`'s scan.
+    fn register(&mut self, txn: TxnId) {
+        if self.dep_list.contains(&txn) {
+            return;
+        }
+        self.dep_list.push(txn);
+        if let Some(cause) = self.rolling_back.iter().find(|t| **t != txn) {
+            self.doomed.entry(txn).or_insert(*cause);
+        }
+    }
+
+    /// Gives `txn` back what a grant gave it: its dependency-list entry.
+    fn unregister(&mut self, txn: TxnId) {
+        self.dep_list.retain(|t| *t != txn);
+        self.doomed.remove(&txn);
+    }
+
+    /// Makes `txn` the row's in-flight updater, and registers it.
+    fn grant(&mut self, txn: TxnId) {
+        self.granting_new_trx = true;
+        self.executing = Some(txn);
+        self.register(txn);
+    }
+
+    /// Makes `txn` leader of a fresh group.  Its own update is in flight
+    /// until it calls `finish_update`, so nobody can slip in between.
+    fn lead(&mut self, txn: TxnId) {
+        self.leader = Some(txn);
+        self.switching_new_leader = false;
+        self.granted_in_group = 0;
+        self.grant(txn);
+    }
+
+    /// Starts `txn`'s update (Algorithm 1, lines 2–6).
+    fn begin(&mut self, txn: TxnId, batch_size: usize) -> HotExecution {
+        if self.leader.is_none() && self.waiting_updates.is_empty() && !self.rollback_pause {
+            self.lead(txn);
+            return HotExecution::Leader;
+        }
+        let batch_open = batch_size == 0 || self.granted_in_group < batch_size;
+        if !self.granting_new_trx
+            && !self.switching_new_leader
+            && !self.rollback_pause
+            && self.waiting_updates.is_empty()
+            && self.leader.is_some()
+            && batch_open
+        {
+            self.granted_in_group += 1;
+            self.grant(txn);
+            return HotExecution::Follower;
+        }
+        let slot = WaitSlot::new();
+        self.waiting_updates.push_back(Waiter {
+            txn,
+            slot: Arc::clone(&slot),
+        });
+        HotExecution::Wait(slot)
+    }
+
+    /// Ends `txn`'s in-flight update and grants the next follower if allowed
+    /// (Algorithm 1, lines 11–20).  The caller grants the returned slot
+    /// [`WokenRole::Follower`] after dropping the guard.
+    fn end_update(
+        &mut self,
+        txn: TxnId,
+        is_leader: bool,
+        batch_size: usize,
+    ) -> Option<Arc<WaitSlot>> {
+        // Whoever just finished (leader or follower) is no longer
+        // mid-update.
+        self.granting_new_trx = false;
+        self.executing = None;
+        if is_leader && self.leader == Some(txn) {
+            self.switching_new_leader = false;
+        }
+        let batch_full = batch_size > 0 && self.granted_in_group >= batch_size;
+        if self.switching_new_leader || self.rollback_pause || batch_full {
+            return None;
+        }
+        let waiter = self.waiting_updates.pop_front()?;
+        self.granted_in_group += 1;
+        self.grant(waiter.txn);
+        Some(waiter.slot)
+    }
+
     /// Promotes the next parked update to leader of a fresh group.  The
     /// caller grants the returned slot [`WokenRole::NewLeader`] after
     /// dropping the guard.
-    fn promote_next_leader(&mut self, metrics: &EngineMetrics) -> Option<(TxnId, Arc<WaitSlot>)> {
+    fn promote_next_leader(&mut self) -> Option<(TxnId, Arc<WaitSlot>)> {
         let waiter = self.waiting_updates.pop_front()?;
-        self.leader = Some(waiter.txn);
-        self.granted_in_group = 0;
-        self.switching_new_leader = false;
-        // The new leader's own update is considered in flight until it
-        // calls `finish_update`, so nobody can slip in between.
-        self.granting_new_trx = true;
-        self.executing = Some(waiter.txn);
-        metrics.groups_formed.inc();
+        self.lead(waiter.txn);
         Some((waiter.txn, waiter.slot))
     }
 
-    /// One record of [`GroupLockTable::finish_leader_handover`]: `txn` steps
-    /// down as leader and the next parked update, if any, is promoted.
-    fn hand_over(
-        &mut self,
-        txn: TxnId,
-        metrics: &EngineMetrics,
-        new_leaders: &mut Vec<Arc<WaitSlot>>,
-    ) -> Option<TxnId> {
+    /// `txn` steps down as leader and the next parked update, if any, is
+    /// promoted (Algorithm 2, lines 7–10).
+    fn hand_over(&mut self, txn: TxnId) -> Option<(TxnId, Arc<WaitSlot>)> {
         if self.leader == Some(txn) {
             self.leader = None;
             // The committing leader is stepping down: its
@@ -349,17 +502,15 @@ impl GroupState {
             // `resume_granting` promotes instead.
             return None;
         }
-        if let Some((new_leader, slot)) = self.promote_next_leader(metrics) {
-            new_leaders.push(slot);
-            Some(new_leader)
-        } else {
+        let promoted = self.promote_next_leader();
+        if promoted.is_none() {
             // Dynamic batch size: release without nominating a leader; the
             // next arrival starts a fresh group immediately.
             self.switching_new_leader = false;
             self.granting_new_trx = false;
             self.executing = None;
-            None
         }
+        promoted
     }
 }
 
@@ -368,42 +519,70 @@ struct GroupEntry {
     state: Mutex<GroupState>,
 }
 
-/// Prepared state of a leader's **batched** commit handover: the leader's
-/// hot records with their group entries already fetched (one entry-map
-/// shard-lock take per shard) and quiesced by
-/// [`GroupLockTable::begin_leader_commit`].  Handing this back to
-/// [`GroupLockTable::finish_leader_handover`] promotes the next leaders
-/// without ever going through the entry map again.
-#[derive(Debug)]
-pub struct LeaderCommit {
-    entries: Vec<(RecordId, Arc<GroupEntry>)>,
+/// A transaction's hold on one hot row's group state: the entry, resolved
+/// through the entry map once.  A call that names its row by handle lands on
+/// the row's live state whatever [`GroupLockTable::collect_if_idle`] did in
+/// between (see the module docs).
+#[derive(Clone)]
+pub struct GroupHandle {
+    record: RecordId,
+    entry: Arc<GroupEntry>,
 }
 
-impl LeaderCommit {
-    /// Number of hot records in this commit batch.
-    pub fn record_count(&self) -> usize {
-        self.entries.len()
+impl GroupHandle {
+    /// The hot row this handle is for.
+    pub fn record(&self) -> RecordId {
+        self.record
     }
 }
 
-/// Number of shards for the hot-row entry map.  Each hot row already has
-/// its own `GroupEntry` mutex; sharding the *lookup* map keeps unrelated hot
-/// rows from contending on one global mutex just to fetch their entry.
-///
-/// The map is sharded by **page**, not by record: all group-state mutation
-/// happens under the per-row `GroupEntry` mutex, so the shard lock is only
-/// held to clone an `Arc` out of the map — and page locality is exactly what
-/// lets the batched commit handover fetch a leader's co-located hot records
-/// with one shard-lock take (hot rows of one flash sale are loaded together
-/// and land on the same page).
-///
-/// Trade: same-page hot rows now share one shard mutex for *every* entry
-/// fetch (`begin_hot_update`, `register_update`, `commit_turn`, …), where
-/// record-keyed sharding spread them across up to 64 shards.  The hold is a
-/// hash plus an `Arc` clone — all group-state mutation still happens under
-/// the per-row `GroupEntry` mutex — but workloads hammering several hot rows
-/// of one page from many threads pay a new cross-row fetch serialization
-/// point in exchange for the amortized commit handover.
+impl fmt::Debug for GroupHandle {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        write!(f, "GroupHandle({})", self.record)
+    }
+}
+
+/// How a group call names its hot row.  The engine passes the
+/// `&`[`GroupHandle`] the transaction holds: no entry-map lookup.  A
+/// [`RecordId`] is `handle(record)` plus the same call — for tests, probes
+/// and introspection, which keep no handle.
+pub trait HotRow<'a> {
+    /// The row's handle in `table`.
+    fn handle_in(self, table: &GroupLockTable) -> Cow<'a, GroupHandle>;
+}
+
+impl<'a> HotRow<'a> for &'a GroupHandle {
+    fn handle_in(self, _: &GroupLockTable) -> Cow<'a, GroupHandle> {
+        Cow::Borrowed(self)
+    }
+}
+
+impl HotRow<'static> for RecordId {
+    fn handle_in(self, table: &GroupLockTable) -> Cow<'static, GroupHandle> {
+        Cow::Owned(table.handle(self))
+    }
+}
+
+/// A leader's hot records between [`GroupLockTable::begin_leader_commit`]
+/// (all quiesced) and [`GroupLockTable::finish_leader_handover`]: the
+/// per-row [`GroupLockTable::leader_prepare_commit`] /
+/// [`GroupLockTable::leader_handover`] pair for a list of records.
+#[derive(Debug)]
+pub struct LeaderCommit {
+    records: Vec<RecordId>,
+}
+
+impl LeaderCommit {
+    /// Number of hot records in this commit.
+    pub fn record_count(&self) -> usize {
+        self.records.len()
+    }
+}
+
+/// Number of shards for the hot-row entry map, keyed by record.  Each hot
+/// row has its own `GroupEntry` mutex, and a transaction goes through the
+/// map once per hot row it touches (its [`GroupHandle`]); sharding the map
+/// keeps unrelated hot rows' first calls off one mutex.
 const ENTRY_SHARDS: usize = 64;
 
 /// One shard of the hot-row entry map.
@@ -414,7 +593,9 @@ type EntryShard = CachePadded<Mutex<FxHashMap<u64, Arc<GroupEntry>>>>;
 pub struct GroupLockTable {
     config: GroupLockConfig,
     entry_shards: Box<[EntryShard]>,
-    global_hot_update_order: AtomicU64,
+    /// Written by every grantee; on a line of its own so that the fields
+    /// every call reads (configuration, shard table) stay shared.
+    global_hot_update_order: CachePadded<AtomicU64>,
     metrics: Arc<EngineMetrics>,
     /// Turn-predicate evaluations by waiting transactions (tests pin that a
     /// turn wait checks once per wake-up instead of polling).
@@ -430,7 +611,7 @@ impl GroupLockTable {
             entry_shards: (0..ENTRY_SHARDS)
                 .map(|_| CachePadded::new(Mutex::new(FxHashMap::default())))
                 .collect(),
-            global_hot_update_order: AtomicU64::new(1),
+            global_hot_update_order: CachePadded::new(AtomicU64::new(1)),
             metrics,
             #[cfg(test)]
             turn_checks: AtomicU64::new(0),
@@ -443,104 +624,55 @@ impl GroupLockTable {
     }
 
     #[inline]
-    fn entry_shard_index(&self, record: RecordId) -> usize {
-        // Page-keyed sharding: see the ENTRY_SHARDS docs.
-        let page = record.page();
-        let key = ((page.space_id as u64) << 32) | page.page_no as u64;
-        (fxhash::hash_u64(key) % ENTRY_SHARDS as u64) as usize
-    }
-
-    #[inline]
     fn entry_shard(&self, record: RecordId) -> &Mutex<FxHashMap<u64, Arc<GroupEntry>>> {
-        &self.entry_shards[self.entry_shard_index(record)]
+        let shard = fxhash::hash_u64(record.packed()) % ENTRY_SHARDS as u64;
+        &self.entry_shards[shard as usize]
     }
 
-    fn entry(&self, record: RecordId) -> Arc<GroupEntry> {
+    /// Resolves `record`'s group entry through the entry map, creating it if
+    /// the row has none.
+    pub fn handle(&self, record: RecordId) -> GroupHandle {
         let mut entries = self.entry_shard(record).lock();
         let _scope = GuardScope::enter();
-        Arc::clone(entries.entry(record.packed()).or_default())
+        let entry = Arc::clone(entries.entry(record.packed()).or_default());
+        GroupHandle { record, entry }
     }
 
-    /// Fetches one record's entry on the **commit-handover path**, counting
-    /// the entry-map shard take in `handover_shard_locks` (the unbatched
-    /// prepare/handover pair pays two of these per record; the batched path
-    /// amortizes them across shard groups).
-    fn entry_counted(&self, record: RecordId) -> Arc<GroupEntry> {
-        self.metrics.handover_shard_locks.inc();
-        self.entry(record)
-    }
-
-    /// Runs `f` on the record's *live* group state.
+    /// Runs `f` on the row's *live* group state.
     ///
-    /// Every public operation routes through here.  The shard map hands out
-    /// `Arc<GroupEntry>` clones without holding the entry's state mutex, so a
-    /// caller can fetch an entry, lose the CPU, and find that
-    /// `collect_if_idle` removed it from the map in between — enqueueing on
-    /// such an orphan used to strand the waiter until `hot_wait_timeout`
-    /// (and could elect two leaders for one hot row).  GC therefore marks
-    /// removed entries `dead` under their own state mutex, and this helper
-    /// re-validates after locking, retrying through the map until it holds
-    /// a live entry.
-    fn with_state<R>(&self, record: RecordId, mut f: impl FnMut(&mut GroupState) -> R) -> R {
+    /// Every mutation routes through here.  A handle is held without the
+    /// entry's state mutex, so `collect_if_idle` can remove the entry from
+    /// the map in between — enqueueing on such an orphan used to strand the
+    /// waiter until `hot_wait_timeout` (and could elect two leaders for one
+    /// hot row).  GC therefore marks removed entries `dead` under their own
+    /// state mutex, and this helper re-validates after locking, going back
+    /// through the map until it holds a live entry.
+    fn with_state<R>(&self, handle: &GroupHandle, mut f: impl FnMut(&mut GroupState) -> R) -> R {
+        let mut replacement: Option<GroupHandle> = None;
         loop {
-            let entry = self.entry(record);
-            let mut state = entry.state.lock();
-            let _scope = GuardScope::enter();
-            if state.dead {
-                continue;
-            }
-            return f(&mut state);
-        }
-    }
-
-    /// Runs `f` on a record's live state through a **cached** entry `Arc`
-    /// (the batched commit path fetches entries once per shard group and
-    /// reuses them across prepare + handover).  A cached entry that
-    /// `collect_if_idle` killed in the meantime is replaced through the map
-    /// — one more counted shard take — and the closure retried on the live
-    /// entry.
-    fn with_cached_state<R>(
-        &self,
-        record: RecordId,
-        entry: &mut Arc<GroupEntry>,
-        mut f: impl FnMut(&mut GroupState) -> R,
-    ) -> R {
-        loop {
+            let live = replacement.as_ref().unwrap_or(handle);
             {
-                let mut state = entry.state.lock();
+                let mut state = live.entry.state.lock();
                 let _scope = GuardScope::enter();
                 if !state.dead {
                     return f(&mut state);
                 }
             }
-            *entry = self.entry_counted(record);
+            replacement = Some(self.handle(handle.record));
         }
     }
 
-    /// Like [`Self::with_state`], but never creates an entry: read-only
-    /// queries and post-timeout cleanup must not resurrect a GC'd row (the
-    /// §4.5 prevention check probes `both_updated` on every cold-lock
-    /// conflict, which would otherwise repopulate the shard maps with empty
-    /// entries nothing collects).  Returns `None` when the row has no live
-    /// group state.
-    fn with_existing_state<R>(
-        &self,
-        record: RecordId,
-        mut f: impl FnMut(&mut GroupState) -> R,
-    ) -> Option<R> {
-        loop {
-            let entry = {
-                let entries = self.entry_shard(record).lock();
-                let _scope = GuardScope::enter();
-                Arc::clone(entries.get(&record.packed())?)
-            };
-            let mut state = entry.state.lock();
-            let _scope = GuardScope::enter();
-            if state.dead {
-                continue;
-            }
-            return Some(f(&mut state));
-        }
+    /// Reads `record`'s group state if the row has any, without creating an
+    /// entry: introspection must not repopulate the map with empty entries
+    /// nothing collects.
+    fn peek<R: Default>(&self, record: RecordId, f: impl FnOnce(&GroupState) -> R) -> R {
+        // Shard lock, then state lock: the nesting `collect_if_idle` uses,
+        // so an entry found here is live.
+        let entries = self.entry_shard(record).lock();
+        let entry = entries.get(&record.packed());
+        entry
+            .map(|entry| f(&entry.state.lock()))
+            .unwrap_or_default()
     }
 
     /// Collects `record`'s entry if it is idle; returns whether a busy one
@@ -552,9 +684,8 @@ impl GroupLockTable {
     /// comes by; a pinned row, which the sweeper never asks about, keeps its
     /// one entry.
     pub fn collect_if_idle(&self, record: RecordId) -> bool {
-        // Shard lock first, then the entry's state lock (the same nesting
-        // order `entry()` + `with_state` compose to), so the idle check, the
-        // dead mark and the map removal are one atomic step.
+        // Shard lock first, then the entry's state lock, so the idle check,
+        // the dead mark and the map removal are one atomic step.
         let mut entries = self.entry_shard(record).lock();
         let _scope = GuardScope::enter();
         let Some(existing) = entries.get(&record.packed()) else {
@@ -574,72 +705,59 @@ impl GroupLockTable {
     // Algorithm 1 — Execute
     // ------------------------------------------------------------------
 
-    /// Starts a hotspot update (Algorithm 1, lines 2–6).
+    /// Starts a hotspot update (Algorithm 1, lines 2–6): the transaction's
+    /// first call on the row, and the one that resolves its handle.
     ///
     /// `granting_new_trx` doubles as the "a hotspot update is executing right
     /// now" flag: when the group exists but nothing is mid-update (the leader
     /// is idle between statements, as in the paper's §4.5 worked example), an
     /// arriving update is granted follower execution immediately instead of
     /// parking.
+    pub fn begin_update(&self, txn: TxnId, record: RecordId) -> (GroupHandle, HotExecution) {
+        loop {
+            let handle = self.handle(record);
+            let execution = {
+                let mut state = handle.entry.state.lock();
+                let _scope = GuardScope::enter();
+                if state.dead {
+                    continue;
+                }
+                state.begin(txn, self.config.batch_size)
+            };
+            return (handle, execution);
+        }
+    }
+
+    /// [`GroupLockTable::begin_update`] without the handle.
     pub fn begin_hot_update(&self, txn: TxnId, record: RecordId) -> HotExecution {
-        self.with_state(record, |state| {
-            if state.leader.is_none() && state.waiting_updates.is_empty() && !state.rollback_pause {
-                state.leader = Some(txn);
-                state.switching_new_leader = false;
-                state.granted_in_group = 0;
-                state.granting_new_trx = true;
-                state.executing = Some(txn);
-                self.metrics.groups_formed.inc();
-                return HotExecution::Leader;
-            }
-            let batch_open =
-                self.config.batch_size == 0 || state.granted_in_group < self.config.batch_size;
-            if !state.granting_new_trx
-                && !state.switching_new_leader
-                && !state.rollback_pause
-                && state.waiting_updates.is_empty()
-                && state.leader.is_some()
-                && batch_open
-            {
-                state.granting_new_trx = true;
-                state.granted_in_group += 1;
-                state.executing = Some(txn);
-                return HotExecution::Follower;
-            }
-            let slot = WaitSlot::new();
-            state.waiting_updates.push_back(Waiter {
-                txn,
-                slot: Arc::clone(&slot),
-            });
-            HotExecution::Wait(slot)
-        })
+        self.begin_update(txn, record).1
     }
 
     /// Waits on `slot` until granted, returning the role, or times out.  A
     /// hand-off wait: the granter is mid-update or mid-commit right now.
-    pub fn wait_for_grant(
+    pub fn wait_for_grant<'a>(
         &self,
         txn: TxnId,
-        record: RecordId,
+        row: impl HotRow<'a>,
         slot: &Arc<WaitSlot>,
     ) -> Result<WokenRole> {
-        let start = SimInstant::now();
         let _ = slot.event().wait_handoff(self.config.hot_wait_timeout);
         // The role is the wake-up's payload; without one the wait timed out,
         // and leaving the queue tells us whether a grant raced the deadline.
+        let handle = row.handle_in(self);
         let role = slot
             .role()
-            .or_else(|| match self.cancel_hot_wait(txn, record) {
+            .or_else(|| match self.cancel_hot_wait(txn, &*handle) {
                 CancelOutcome::AlreadyGranted(role) => Some(role),
                 CancelOutcome::Cancelled => None,
             });
-        self.metrics.lock_wait_latency.record(start.elapsed());
+        let record = handle.record;
         role.ok_or(Error::LockWaitTimeout { txn, record })
     }
 
     /// Removes a parked transaction that gave up waiting.
-    pub fn cancel_hot_wait(&self, txn: TxnId, record: RecordId) -> CancelOutcome {
-        self.with_state(record, |state| {
+    pub fn cancel_hot_wait<'a>(&self, txn: TxnId, row: impl HotRow<'a>) -> CancelOutcome {
+        self.with_state(&row.handle_in(self), |state| {
             if let Some(pos) = state.waiting_updates.iter().position(|w| w.txn == txn) {
                 state.waiting_updates.remove(pos);
                 return CancelOutcome::Cancelled;
@@ -655,24 +773,19 @@ impl GroupLockTable {
         })
     }
 
-    /// Registers an executed update (Algorithm 1, lines 7–9): assigns the
-    /// global `hot_update_order` and appends the transaction to the
-    /// dependency list.
-    pub fn register_update(&self, txn: TxnId, record: RecordId) -> u64 {
-        let order = self.global_hot_update_order.fetch_add(1, Ordering::Relaxed);
-        self.with_state(record, |state| {
-            if !state.dep_list.contains(&txn) {
-                state.dep_list.push(txn);
-            }
-            // A registrant arriving while an undo is still pending was granted
-            // before the pause but slipped past `begin_rollback`'s doom scan:
-            // its upcoming read may observe the aborting transaction's head,
-            // so it must cascade-abort too (see `GroupState::undo_pending`).
-            if let Some(cause) = state.undo_pending.iter().find(|t| **t != txn).copied() {
-                state.doomed.entry(txn).or_insert(cause);
-            }
-        });
-        self.metrics.hotspot_group_entries.inc();
+    /// Draws the next global `hot_update_order` — what a grantee does first.
+    /// No state lock: it is the one update in flight on its row, so the
+    /// orders of a row's updates ascend along its dependency list.
+    pub fn take_hot_update_order(&self) -> u64 {
+        self.global_hot_update_order.fetch_add(1, Ordering::Relaxed)
+    }
+
+    /// Registers an update by hand (Algorithm 1, lines 7–9): draws a
+    /// `hot_update_order` and makes sure the transaction is on the
+    /// dependency list — a grantee already is, so for it this only draws.
+    pub fn register_update<'a>(&self, txn: TxnId, row: impl HotRow<'a>) -> u64 {
+        let order = self.take_hot_update_order();
+        self.with_state(&row.handle_in(self), |state| state.register(txn));
         order
     }
 
@@ -680,189 +793,147 @@ impl GroupLockTable {
     /// (Algorithm 1, lines 11–20); with nobody granted, nothing is in flight
     /// any more, which is what a quiescing leader or a rollback turn waits
     /// for.  Wake-ups fire after the state guard is dropped.
-    pub fn finish_update(&self, txn: TxnId, record: RecordId, is_leader: bool) {
-        let (granted, woken) = self.with_state(record, |state| {
-            // Whoever just finished (leader or follower) is no longer
-            // mid-update.
-            state.granting_new_trx = false;
-            state.executing = None;
-            if is_leader && state.leader == Some(txn) {
-                state.switching_new_leader = false;
-            }
-            let batch_full =
-                self.config.batch_size > 0 && state.granted_in_group >= self.config.batch_size;
-            let granted = if state.switching_new_leader || state.rollback_pause || batch_full {
-                None
-            } else {
-                state.waiting_updates.pop_front().map(|waiter| {
-                    state.granting_new_trx = true;
-                    state.granted_in_group += 1;
-                    state.executing = Some(waiter.txn);
-                    waiter.slot
-                })
-            };
+    pub fn finish_update<'a>(&self, txn: TxnId, row: impl HotRow<'a>, is_leader: bool) {
+        let (granted, woken) = self.with_state(&row.handle_in(self), |state| {
+            let granted = state.end_update(txn, is_leader, self.config.batch_size);
             (granted, state.take_ready_waiters())
         });
         if let Some(slot) = granted {
             slot.grant(WokenRole::Follower);
         }
-        wake_all(woken);
+        woken.fire();
+    }
+
+    /// Gives an unused grant back — the row lock could not be taken, a
+    /// prevention check objected — together with the registration it came
+    /// with, in one transition: `txn` leaves the dependency list, and the
+    /// group keeps moving as after a [`GroupLockTable::leader_handover`]
+    /// (leader) or a [`GroupLockTable::finish_update`] (follower).
+    pub fn abandon_update<'a>(&self, txn: TxnId, row: impl HotRow<'a>, is_leader: bool) {
+        let (granted, woken) = self.with_state(&row.handle_in(self), |state| {
+            state.unregister(txn);
+            let granted = if is_leader {
+                let promoted = state.hand_over(txn);
+                promoted.map(|(_, slot)| (slot, WokenRole::NewLeader))
+            } else {
+                let next = state.end_update(txn, false, self.config.batch_size);
+                next.map(|slot| (slot, WokenRole::Follower))
+            };
+            (granted, state.take_ready_waiters())
+        });
+        if let Some((slot, role)) = granted {
+            slot.grant(role);
+        }
+        woken.fire();
     }
 
     // ------------------------------------------------------------------
     // Algorithm 2 — Commit
     // ------------------------------------------------------------------
 
-    /// Fetches the entries for a leader's hot records, grouped by entry
-    /// shard: each distinct shard's map lock is taken **once** for all the
-    /// records it hosts (counted in `handover_shard_locks`).
-    fn fetch_hot_entries(&self, records: &[RecordId]) -> Vec<(RecordId, Arc<GroupEntry>)> {
-        let mut keyed: Vec<(usize, RecordId)> = records
-            .iter()
-            .map(|r| (self.entry_shard_index(*r), *r))
-            .collect();
-        keyed.sort_unstable();
-        let mut entries = Vec::with_capacity(records.len());
-        for chunk in keyed.chunk_by(|a, b| a.0 == b.0) {
-            self.metrics.handover_shard_locks.inc();
-            let mut shard = self.entry_shards[chunk[0].0].lock();
-            let _scope = GuardScope::enter();
-            for (_, record) in chunk {
-                entries.push((
-                    *record,
-                    Arc::clone(shard.entry(record.packed()).or_default()),
-                ));
-            }
-        }
-        entries
-    }
-
-    /// Batched leader-side commit preparation (Algorithm 2, lines 2–4, for a
-    /// whole commit): fetches every hot record's entry with one shard-lock
-    /// take per entry shard, marks each group `switching_new_leader` and
-    /// waits — parked as a quiesce turn, woken by the follower's
-    /// [`GroupLockTable::finish_update`] — until no granted follower is
-    /// mid-update on any of them.  The
-    /// returned handle caches the entry `Arc`s so
-    /// [`GroupLockTable::finish_leader_handover`] promotes without going back
-    /// through the entry map.
+    /// Leader-side commit preparation (Algorithm 2, lines 2–4): marks the
+    /// group `switching_new_leader` and waits — parked as a quiesce turn,
+    /// woken by the follower's [`GroupLockTable::finish_update`] — until no
+    /// granted follower is mid-update.
     ///
-    /// The caller releases the real row locks **between** the two calls —
-    /// ideally as one batched `release_record_locks` call — so every promoted
-    /// leader finds its row lock free.
-    pub fn begin_leader_commit(&self, txn: TxnId, records: &[RecordId]) -> LeaderCommit {
-        let mut entries = self.fetch_hot_entries(records);
-        for (record, entry) in entries.iter_mut() {
-            let quiesced = self.with_cached_state(*record, entry, |state| {
-                if state.leader == Some(txn) {
-                    state.switching_new_leader = true;
-                }
-                !state.granting_new_trx
-            });
-            // The wait budget is per record: one stalled record's vanished
-            // follower must not eat later records' budget and force-clear
-            // their healthy in-flight followers.
-            let budget = self.config.hot_wait_timeout * 4;
-            if !quiesced && self.wait_turn(txn, *record, Turn::Quiesce, budget).is_err() {
-                // A granted follower disappeared without calling
-                // finish_update (it aborted on an unrelated error).  Proceed
-                // rather than wedging the whole hot row, and say so.
-                self.metrics.abort_causes.record("quiesce_forced");
-                wake_all(self.with_cached_state(*record, entry, |state| {
-                    state.granting_new_trx = false;
-                    state.take_ready_waiters()
-                }));
+    /// The caller releases the real row lock between this and
+    /// [`GroupLockTable::leader_handover`], so the promoted leader finds it
+    /// free.
+    pub fn leader_prepare_commit<'a>(&self, txn: TxnId, row: impl HotRow<'a>) {
+        let handle = row.handle_in(self);
+        let quiesced = self.with_state(&handle, |state| {
+            if state.leader == Some(txn) {
+                state.switching_new_leader = true;
             }
+            !state.granting_new_trx
+        });
+        let budget = self.config.hot_wait_timeout * 4;
+        if !quiesced && self.wait_turn(&handle, txn, Turn::Quiesce, budget).is_err() {
+            // A granted follower disappeared without calling
+            // finish_update (it aborted on an unrelated error).  Proceed
+            // rather than wedging the whole hot row, and say so.
+            self.metrics.abort_causes.record("quiesce_forced");
+            let woken = self.with_state(&handle, |state| {
+                state.granting_new_trx = false;
+                state.take_ready_waiters()
+            });
+            woken.fire();
         }
-        LeaderCommit { entries }
     }
 
-    /// Batched leader-side handover after the row locks were released
-    /// (Algorithm 2, lines 7–10): promotes the next waiter of each prepared
-    /// hot record to leader of a new group — reusing the entry `Arc`s cached
-    /// by [`GroupLockTable::begin_leader_commit`], no entry-map locks — and
-    /// fires every promoted leader's event only after the last state guard
-    /// is dropped.  Returns the promotion per record (`None` with the
-    /// dynamic batch size when the queue was empty).
+    /// Leader-side hand-over after the row lock was released (Algorithm 2,
+    /// lines 7–10): promotes the next waiter to leader of a new group, and
+    /// reports the outgoing leader's commit turn as seen under the same
+    /// guard — a leader that is first of the dependency list goes straight
+    /// on to order its commit record.  Wake-ups fire after the guard is
+    /// dropped.
+    pub fn leader_handover<'a>(&self, txn: TxnId, row: impl HotRow<'a>) -> HandOver {
+        let (promoted, turn, woken) = self.with_state(&row.handle_in(self), |state| {
+            let promoted = state.hand_over(txn);
+            // Stepping down cleared `switching_new_leader` (and, with
+            // nobody to promote, the in-flight mark).
+            (promoted, state.commit_turn(txn), state.take_ready_waiters())
+        });
+        let promoted = promoted.map(|(new_leader, slot)| {
+            slot.grant(WokenRole::NewLeader);
+            new_leader
+        });
+        woken.fire();
+        HandOver { promoted, turn }
+    }
+
+    /// [`GroupLockTable::leader_prepare_commit`] for all of a leader's hot
+    /// records.  The wait budget is per record: one stalled record's
+    /// vanished follower must not eat later records' budget and force-clear
+    /// their healthy in-flight followers.
+    pub fn begin_leader_commit(&self, txn: TxnId, records: &[RecordId]) -> LeaderCommit {
+        for record in records {
+            self.leader_prepare_commit(txn, *record);
+        }
+        LeaderCommit {
+            records: records.to_vec(),
+        }
+    }
+
+    /// [`GroupLockTable::leader_handover`] for the records of `commit`;
+    /// returns the promotion per record.
     pub fn finish_leader_handover(
         &self,
         txn: TxnId,
         commit: LeaderCommit,
     ) -> Vec<(RecordId, Option<TxnId>)> {
-        let LeaderCommit { mut entries } = commit;
-        let mut promotions = Vec::with_capacity(entries.len());
-        let mut new_leaders: Vec<Arc<WaitSlot>> = Vec::new();
-        let mut woken: Vec<Arc<OsEvent>> = Vec::new();
-        for (record, entry) in entries.iter_mut() {
-            let promoted = self.with_cached_state(*record, entry, |state| {
-                let promoted = state.hand_over(txn, &self.metrics, &mut new_leaders);
-                // Stepping down cleared `switching_new_leader` (and, with
-                // nobody to promote, the in-flight mark).
-                woken.append(&mut state.take_ready_waiters());
-                promoted
-            });
-            promotions.push((*record, promoted));
-        }
-        // Every guard is dropped: fire the promotions and the turns.
-        for slot in new_leaders {
-            slot.grant(WokenRole::NewLeader);
-        }
-        wake_all(woken);
-        promotions
-    }
-
-    /// [`GroupLockTable::begin_leader_commit`] for a single record, with the
-    /// cached entry dropped, so a following
-    /// [`GroupLockTable::leader_handover`] re-fetches it — the gap the sim
-    /// suite's entry-GC race tests explore.
-    pub fn leader_prepare_commit(&self, txn: TxnId, record: RecordId) {
-        let _ = self.begin_leader_commit(txn, std::slice::from_ref(&record));
-    }
-
-    /// Leader-side handover for a single record after releasing the row lock
-    /// (Algorithm 2, lines 7–10): promotes the next waiter to leader of a new
-    /// group.  Returns the new leader, if any (with the dynamic batch size
-    /// there may be none).
-    pub fn leader_handover(&self, txn: TxnId, record: RecordId) -> Option<TxnId> {
-        let commit = LeaderCommit {
-            entries: vec![(record, self.entry_counted(record))],
-        };
-        self.finish_leader_handover(txn, commit)
-            .pop()
-            .and_then(|(_, promoted)| promoted)
+        let hand_over = |record| (record, self.leader_handover(txn, record).promoted);
+        commit.records.into_iter().map(hand_over).collect()
     }
 
     /// Asks whether `txn` may commit now (commit-order guarantee, §4.3).
-    pub fn commit_turn(&self, txn: TxnId, record: RecordId) -> CommitTurn {
-        self.with_state(record, |state| match state.doomed.get(&txn) {
-            Some(cause) => CommitTurn::Doomed { cause: *cause },
-            None if state.turn_ready(txn, Turn::Commit) => CommitTurn::Ready,
-            None => CommitTurn::Blocked,
-        })
+    pub fn commit_turn<'a>(&self, txn: TxnId, row: impl HotRow<'a>) -> CommitTurn {
+        self.with_state(&row.handle_in(self), |state| state.commit_turn(txn))
     }
 
-    /// Waits — parked on the record's turn-waiter list, never polling — until
-    /// `txn`'s `turn` has come, and returns the transaction that doomed it
-    /// meanwhile, if any; `timeout` without the turn is a lock-wait timeout.
-    /// A hand-off wait: whoever holds the turn up is running now, and its
-    /// transition (see the module docs) fires our event.
+    /// Waits — parked on the row's turn-waiter list, never polling — until
+    /// `txn`'s `turn` has come.  Returns the transaction that doomed it
+    /// meanwhile, if any, and how long it waited (zero, and no clock read,
+    /// when the turn had already come); `timeout` without the turn is a
+    /// lock-wait timeout.  A hand-off wait: whoever holds the turn up is
+    /// running now, and its transition (see the module docs) fires our
+    /// event.
     fn wait_turn(
         &self,
+        handle: &GroupHandle,
         txn: TxnId,
-        record: RecordId,
         turn: Turn,
         timeout: Duration,
-    ) -> Result<Option<TxnId>> {
-        let deadline = SimInstant::now() + timeout;
-        let mut entry = self.entry(record);
-        // Our event, once we had to wait.
-        let mut event: Option<Arc<OsEvent>> = None;
+    ) -> Result<(Option<TxnId>, Duration)> {
+        // Our event and when we started, once we had to wait.
+        let mut waiting: Option<(Arc<OsEvent>, SimInstant)> = None;
         let verdict = loop {
-            let remaining = deadline.saturating_duration_since(SimInstant::now());
-            let ready = self.with_cached_state(record, &mut entry, |state| {
+            let waited = waiting.as_ref().map(|(_, start)| start.elapsed());
+            let remaining = timeout.saturating_sub(waited.unwrap_or_default());
+            let ready = self.with_state(handle, |state| {
                 #[cfg(test)]
                 self.turn_checks.fetch_add(1, Ordering::Relaxed);
-                if let Some(event) = &event {
+                if let Some((event, _)) = &waiting {
                     // A waker takes our entry off the list before it fires;
                     // after a timeout it is still there.
                     state
@@ -870,12 +941,15 @@ impl GroupLockTable {
                         .retain(|waiter| !Arc::ptr_eq(&waiter.event, event));
                 }
                 if state.turn_ready(txn, turn) {
-                    return Some(Ok(state.doomed.get(&txn).copied()));
+                    let doomed_by = state.doomed.get(&txn).copied();
+                    return Some(Ok((doomed_by, waited.unwrap_or_default())));
                 }
                 if remaining.is_zero() {
+                    let record = handle.record;
                     return Some(Err(Error::LockWaitTimeout { txn, record }));
                 }
-                let event = event.get_or_insert_with(OsEvent::acquire_pooled);
+                let (event, _) =
+                    waiting.get_or_insert_with(|| (OsEvent::acquire_pooled(), SimInstant::now()));
                 event.reset();
                 state.turn_waiters.push(TurnWaiter {
                     txn,
@@ -887,37 +961,36 @@ impl GroupLockTable {
             if let Some(verdict) = ready {
                 break verdict;
             }
-            let _ = event
-                .as_ref()
-                .expect("registered above")
-                .wait_handoff(remaining);
+            let (event, _) = waiting.as_ref().expect("registered above");
+            let _ = event.wait_handoff(remaining);
         };
-        if let Some(event) = event {
+        if let Some((event, _)) = waiting {
             OsEvent::recycle(event);
         }
         verdict
     }
 
-    /// Blocks until `txn` may commit (or must cascade-abort).  Woken by the
-    /// predecessor's [`GroupLockTable::finish_commit`] /
+    /// Blocks until `txn` may commit (or must cascade-abort), and returns
+    /// how long that took.  Woken by the predecessor's
+    /// [`GroupLockTable::finish_commit`] /
     /// [`GroupLockTable::finish_rollback`], or by the
     /// [`GroupLockTable::begin_rollback`] that dooms it.
-    pub fn wait_commit_turn(&self, txn: TxnId, record: RecordId) -> Result<()> {
-        match self.wait_turn(txn, record, Turn::Commit, self.config.hot_wait_timeout * 4)? {
-            Some(cause) => Err(Error::CascadingAbort { txn, cause }),
-            None => Ok(()),
+    pub fn wait_commit_turn<'a>(&self, txn: TxnId, row: impl HotRow<'a>) -> Result<Duration> {
+        let budget = self.config.hot_wait_timeout * 4;
+        match self.wait_turn(&row.handle_in(self), txn, Turn::Commit, budget)? {
+            (Some(cause), _) => Err(Error::CascadingAbort { txn, cause }),
+            (None, waited) => Ok(waited),
         }
     }
 
     /// Finalises a commit: removes `txn` from the dependency list and wakes
     /// the transactions whose turn that makes it (Algorithm 2, lines 11–12)
     /// — after dropping the state guard.
-    pub fn finish_commit(&self, txn: TxnId, record: RecordId) {
-        let woken = self.with_state(record, |state| {
-            state.dep_list.retain(|t| *t != txn);
-            state.doomed.remove(&txn);
+    pub fn finish_commit<'a>(&self, txn: TxnId, row: impl HotRow<'a>) {
+        let woken = self.with_state(&row.handle_in(self), |state| {
+            state.unregister(txn);
             if state.leader == Some(txn) {
-                // Normally leader_handover already ran; clear defensively so a
+                // Normally the hand-over already ran; clear defensively so a
                 // committed leader can never keep the entry alive (nor its
                 // commit-in-progress mark wedge later rollback turns).
                 state.leader = None;
@@ -925,7 +998,7 @@ impl GroupLockTable {
             }
             state.take_ready_waiters()
         });
-        wake_all(woken);
+        woken.fire();
     }
 
     // ------------------------------------------------------------------
@@ -935,23 +1008,20 @@ impl GroupLockTable {
     /// Starts a rollback of `txn` (Algorithm 3, lines 2–5, plus the §4.4
     /// rollback optimization): pauses granting, dooms every dependency-list
     /// successor and returns them (they must cascade-abort first).
-    pub fn begin_rollback(&self, txn: TxnId, record: RecordId) -> Vec<TxnId> {
-        let (successors, woken) = self.with_state(record, |state| {
+    pub fn begin_rollback<'a>(&self, txn: TxnId, row: impl HotRow<'a>) -> Vec<TxnId> {
+        let (successors, woken) = self.with_state(&row.handle_in(self), |state| {
             state.rollback_pause = true;
             if !state.rolling_back.contains(&txn) {
                 state.rolling_back.push(txn);
-            }
-            if !state.undo_pending.contains(&txn) {
-                state.undo_pending.push(txn);
             }
             if state.leader == Some(txn) {
                 state.switching_new_leader = false;
             }
             if state.executing == Some(txn) {
                 // The rolling-back transaction was itself mid-update (it
-                // aborted between register and finish): clear the in-flight
-                // flag so the rollback-order wait below does not wait for
-                // itself.
+                // aborted between its grant and `finish_update`): clear the
+                // in-flight flag so the rollback-order wait below does not
+                // wait for itself.
                 state.granting_new_trx = false;
                 state.executing = None;
             }
@@ -964,7 +1034,7 @@ impl GroupLockTable {
             }
             (successors, state.take_ready_waiters())
         });
-        wake_all(woken);
+        woken.fire();
         successors
     }
 
@@ -973,50 +1043,37 @@ impl GroupLockTable {
     /// 6–7).  Woken by a successor's [`GroupLockTable::finish_rollback`] (or
     /// [`GroupLockTable::finish_commit`]), the in-flight update's
     /// [`GroupLockTable::finish_update`], or the committing leader's
-    /// [`GroupLockTable::finish_leader_handover`].
-    pub fn wait_rollback_turn(&self, txn: TxnId, record: RecordId) -> Result<()> {
-        self.wait_turn(
-            txn,
-            record,
-            Turn::Rollback,
-            self.config.hot_wait_timeout * 4,
-        )
-        .map(|_| ())
+    /// [`GroupLockTable::leader_handover`].
+    pub fn wait_rollback_turn<'a>(&self, txn: TxnId, row: impl HotRow<'a>) -> Result<()> {
+        let budget = self.config.hot_wait_timeout * 4;
+        self.wait_turn(&row.handle_in(self), txn, Turn::Rollback, budget)
+            .map(|_| ())
     }
 
-    /// Records that `txn`'s storage undo for `record` has completed: the
-    /// record's head no longer carries the aborted write, so transactions
-    /// registering from here on read clean data and are not doomed.  Call
-    /// between the storage rollback and `finish_rollback`.
-    pub fn mark_undone(&self, txn: TxnId, record: RecordId) {
-        self.with_state(record, |state| {
-            state.undo_pending.retain(|t| *t != txn);
-        });
-    }
-
-    /// Finalises a rollback: removes `txn` from the dependency list, clears
-    /// its doomed mark and wakes the transactions whose turn that makes it
-    /// (Algorithm 3, lines 8–9) — after dropping the state guard.
-    pub fn finish_rollback(&self, txn: TxnId, record: RecordId) {
-        let woken = self.with_state(record, |state| {
-            state.dep_list.retain(|t| *t != txn);
+    /// Finalises a rollback, once storage has undone `txn`'s writes: removes
+    /// it from the dependency list, clears its doomed mark and wakes the
+    /// transactions whose turn that makes it (Algorithm 3, lines 8–9) —
+    /// after dropping the state guard.
+    pub fn finish_rollback<'a>(&self, txn: TxnId, row: impl HotRow<'a>) {
+        let handle = row.handle_in(self);
+        let woken = self.with_state(&handle, |state| {
+            state.unregister(txn);
             state.rolling_back.retain(|t| *t != txn);
-            state.undo_pending.retain(|t| *t != txn);
-            state.doomed.remove(&txn);
             if state.leader == Some(txn) {
                 state.leader = None;
             }
             state.take_ready_waiters()
         });
-        wake_all(woken);
-        self.collect_if_idle(record);
+        woken.fire();
+        self.collect_if_idle(handle.record);
     }
 
     /// Resumes granting after a server-initiated rollback completed (§4.4).
     /// If the row lock was left free, the next parked transaction is promoted
     /// to leader so the queue does not stall.
-    pub fn resume_granting(&self, record: RecordId) -> Option<TxnId> {
-        let promoted = self.with_state(record, |state| {
+    pub fn resume_granting<'a>(&self, row: impl HotRow<'a>) -> Option<TxnId> {
+        let handle = row.handle_in(self);
+        let promoted = self.with_state(&handle, |state| {
             // Another transaction may still be between `begin_rollback` and
             // `finish_rollback` on this record; granting stays paused until
             // the last of them resumes.
@@ -1025,7 +1082,7 @@ impl GroupLockTable {
             }
             state.rollback_pause = false;
             if state.leader.is_none() {
-                return state.promote_next_leader(&self.metrics);
+                return state.promote_next_leader();
             }
             None
         });
@@ -1038,7 +1095,7 @@ impl GroupLockTable {
             None => {
                 // A rollback that left the row fully idle must not keep the
                 // map entry alive.
-                self.collect_if_idle(record);
+                self.collect_if_idle(handle.record);
                 None
             }
         }
@@ -1048,36 +1105,36 @@ impl GroupLockTable {
     // Introspection (deadlock prevention §4.5, sweeper, tests)
     // ------------------------------------------------------------------
 
-    /// True when both transactions have executed uncommitted updates on this
-    /// hot row — the §4.5 deadlock-prevention predicate.
-    pub fn both_updated(&self, record: RecordId, a: TxnId, b: TxnId) -> bool {
-        self.with_existing_state(record, |state| {
+    /// True when both transactions have been granted uncommitted updates on
+    /// this hot row — the §4.5 deadlock-prevention predicate.
+    pub fn both_updated(&self, handle: &GroupHandle, a: TxnId, b: TxnId) -> bool {
+        self.with_state(handle, |state| {
             state.dep_list.contains(&a) && state.dep_list.contains(&b)
         })
-        .unwrap_or(false)
     }
 
     /// Returns the transaction that doomed `txn` on this hot row, if any
     /// (lets the write path cascade-abort at the next statement instead of
     /// running to commit while the paused group waits on it).
-    pub fn doomed_cause(&self, txn: TxnId, record: RecordId) -> Option<TxnId> {
-        self.with_existing_state(record, |state| state.doomed.get(&txn).copied())
-            .flatten()
+    pub fn doomed_cause(&self, txn: TxnId, handle: &GroupHandle) -> Option<TxnId> {
+        self.with_state(handle, |state| state.doomed.get(&txn).copied())
     }
 
-    /// Current dependency list (update order) of a hot row.
+    /// The dependency list (update order) of a hot row a transaction holds
+    /// a handle on.
+    pub fn members(&self, handle: &GroupHandle) -> Vec<TxnId> {
+        self.with_state(handle, |state| state.dep_list.clone())
+    }
+
+    /// Current dependency list (update order) of a hot row, if it has any
+    /// group state.
     pub fn dep_list(&self, record: RecordId) -> Vec<TxnId> {
-        self.with_existing_state(record, |state| state.dep_list.clone())
-            .unwrap_or_default()
+        self.peek(record, |state| state.dep_list.clone())
     }
 
     /// True when the hot row still has any group activity.
     pub fn has_activity(&self, record: RecordId) -> bool {
-        let entries = self.entry_shard(record).lock();
-        entries
-            .get(&record.packed())
-            .map(|e| !e.state.lock().is_idle())
-            .unwrap_or(false)
+        self.peek(record, |state| !state.is_idle())
     }
 
     /// Hot rows that still have group state — zero once every transaction
@@ -1095,19 +1152,12 @@ impl GroupLockTable {
 
     /// Current leader of the hot row, if any.
     pub fn leader_of(&self, record: RecordId) -> Option<TxnId> {
-        let entries = self.entry_shard(record).lock();
-        entries
-            .get(&record.packed())
-            .and_then(|e| e.state.lock().leader)
+        self.peek(record, |state| state.leader)
     }
 
     /// Number of parked hotspot updates.
     pub fn waiting_len(&self, record: RecordId) -> usize {
-        let entries = self.entry_shard(record).lock();
-        entries
-            .get(&record.packed())
-            .map(|e| e.state.lock().waiting_updates.len())
-            .unwrap_or(0)
+        self.peek(record, |state| state.waiting_updates.len())
     }
 
     /// The next value the global hot-update order counter will hand out.
@@ -1212,7 +1262,7 @@ mod tests {
             HotExecution::Wait(s) => s,
             other => panic!("expected Wait, got {other:?}"),
         };
-        let new_leader = g.leader_handover(TxnId(1), HOT);
+        let new_leader = g.leader_handover(TxnId(1), HOT).promoted;
         assert_eq!(new_leader, Some(TxnId(3)));
         assert_eq!(slot3.role(), Some(WokenRole::NewLeader));
         assert_eq!(g.leader_of(HOT), Some(TxnId(3)));
@@ -1225,7 +1275,7 @@ mod tests {
         g.register_update(TxnId(1), HOT);
         g.finish_update(TxnId(1), HOT, true);
         g.leader_prepare_commit(TxnId(1), HOT);
-        assert_eq!(g.leader_handover(TxnId(1), HOT), None);
+        assert_eq!(g.leader_handover(TxnId(1), HOT).promoted, None);
         assert_eq!(g.leader_of(HOT), None);
         // Next arrival becomes leader immediately.
         assert!(matches!(
@@ -1261,16 +1311,13 @@ mod tests {
         assert_eq!(slot3.role(), None);
         // It becomes the next group's leader at handover.
         g.leader_prepare_commit(TxnId(1), HOT);
-        assert_eq!(g.leader_handover(TxnId(1), HOT), Some(TxnId(3)));
+        assert_eq!(g.leader_handover(TxnId(1), HOT).promoted, Some(TxnId(3)));
         assert_eq!(slot3.role(), Some(WokenRole::NewLeader));
     }
 
     #[test]
-    fn batched_handover_amortizes_entry_shard_takes_and_promotes_each_row() {
-        let metrics = Arc::new(EngineMetrics::new());
-        let g = GroupLockTable::new(GroupLockConfig::default(), Arc::clone(&metrics));
-        // Four hot rows on ONE page: page-keyed entry sharding puts them in
-        // one shard, so the batched fetch is a single counted take.
+    fn leader_commit_of_several_rows_promotes_each_row() {
+        let g = table();
         let records: Vec<RecordId> = (0..4).map(|heap| RecordId::new(1, 0, heap)).collect();
         let mut slots = Vec::new();
         for (i, record) in records.iter().enumerate() {
@@ -1278,28 +1325,22 @@ mod tests {
                 g.begin_hot_update(TxnId(1), *record),
                 HotExecution::Leader
             ));
-            g.register_update(TxnId(1), *record);
             g.finish_update(TxnId(1), *record, true);
             // Park one waiter per row while the leader is idle — force the
             // Wait path by marking the leader committing first.
-            g.with_state(*record, |state| state.switching_new_leader = true);
+            let handle = g.handle(*record);
+            g.with_state(&handle, |state| state.switching_new_leader = true);
             let slot = match g.begin_hot_update(TxnId(10 + i as u64), *record) {
                 HotExecution::Wait(slot) => slot,
                 other => panic!("expected Wait, got {other:?}"),
             };
-            g.with_state(*record, |state| state.switching_new_leader = false);
+            g.with_state(&handle, |state| state.switching_new_leader = false);
             slots.push(slot);
         }
 
-        let takes_before = metrics.handover_shard_locks.get();
         let prepared = g.begin_leader_commit(TxnId(1), &records);
         assert_eq!(prepared.record_count(), 4);
         let promotions = g.finish_leader_handover(TxnId(1), prepared);
-        assert_eq!(
-            metrics.handover_shard_locks.get() - takes_before,
-            1,
-            "four same-page rows must resolve in one entry-shard take"
-        );
         for ((record, promoted), (i, slot)) in promotions.iter().zip(slots.iter().enumerate()) {
             assert_eq!(
                 *promoted,
@@ -1310,15 +1351,6 @@ mod tests {
             assert!(slot.event().is_set(), "promotion must fire the event");
             assert_eq!(g.leader_of(*record), Some(TxnId(10 + i as u64)));
         }
-        // The unbatched pair pays two counted takes for one record.
-        let single = RecordId::new(2, 0, 0);
-        let _ = g.begin_hot_update(TxnId(2), single);
-        g.register_update(TxnId(2), single);
-        g.finish_update(TxnId(2), single, true);
-        let takes_before = metrics.handover_shard_locks.get();
-        g.leader_prepare_commit(TxnId(2), single);
-        g.leader_handover(TxnId(2), single);
-        assert_eq!(metrics.handover_shard_locks.get() - takes_before, 2);
     }
 
     #[test]
@@ -1399,14 +1431,176 @@ mod tests {
     }
 
     #[test]
+    fn granting_registers_the_grantee() {
+        let g = table();
+        // The two immediate paths of `begin_update` ...
+        let (leader, execution) = g.begin_update(TxnId(1), HOT);
+        assert!(matches!(execution, HotExecution::Leader));
+        assert_eq!(g.members(&leader), [TxnId(1)]);
+        g.finish_update(TxnId(1), &leader, true);
+        let (follower, execution) = g.begin_update(TxnId(2), HOT);
+        assert!(matches!(execution, HotExecution::Follower));
+        assert_eq!(g.members(&follower), [TxnId(1), TxnId(2)]);
+        // ... a parked update is not on the list until `finish_update`
+        // grants it ...
+        let (waiter, execution) = g.begin_update(TxnId(3), HOT);
+        assert!(matches!(execution, HotExecution::Wait(_)));
+        assert_eq!(g.dep_list(HOT), [TxnId(1), TxnId(2)]);
+        g.finish_update(TxnId(2), &follower, false);
+        assert_eq!(g.dep_list(HOT), [TxnId(1), TxnId(2), TxnId(3)]);
+        // ... and a hand-over registers the leader it promotes.
+        g.finish_update(TxnId(3), &waiter, false);
+        g.leader_prepare_commit(TxnId(1), &leader);
+        let (_, execution) = g.begin_update(TxnId(5), HOT);
+        let HotExecution::Wait(slot) = execution else {
+            panic!("the leader is switching")
+        };
+        let hand_over = g.leader_handover(TxnId(1), &leader);
+        assert_eq!(hand_over.promoted, Some(TxnId(5)));
+        assert_eq!(slot.role(), Some(WokenRole::NewLeader));
+        assert_eq!(g.dep_list(HOT), [1, 2, 3, 5].map(TxnId));
+        // Registering by hand on top of a grant changes nothing, and orders
+        // ascend along the list.
+        let before = g.take_hot_update_order();
+        assert!(g.register_update(TxnId(5), HOT) > before);
+        assert_eq!(g.dep_list(HOT).len(), 4);
+    }
+
+    #[test]
+    fn hand_over_reports_the_outgoing_leaders_commit_turn() {
+        // First of its list: straight on to the commit record.
+        let g = group(&[2], None);
+        let leader = g.handle(HOT);
+        g.leader_prepare_commit(TxnId(1), &leader);
+        assert_eq!(g.leader_handover(TxnId(1), &leader).turn, CommitTurn::Ready);
+        // The next group's leader behind a member of the last one.
+        let (next, execution) = g.begin_update(TxnId(3), HOT);
+        assert!(matches!(execution, HotExecution::Leader));
+        g.finish_update(TxnId(3), &next, true);
+        g.leader_prepare_commit(TxnId(3), &next);
+        let blocked = g.leader_handover(TxnId(3), &next);
+        assert_eq!(
+            (blocked.promoted, blocked.turn),
+            (None, CommitTurn::Blocked)
+        );
+        // Doomed by a predecessor's rollback meanwhile.
+        g.begin_rollback(TxnId(2), HOT);
+        let doomed = CommitTurn::Doomed { cause: TxnId(2) };
+        assert_eq!(g.leader_handover(TxnId(3), &next).turn, doomed);
+    }
+
+    #[test]
+    fn an_abandoned_grant_gives_its_registration_back_and_the_group_moves_on() {
+        // A leader whose row lock failed: no dependency-list entry is left,
+        // and the update parked behind it leads instead.
+        let g = table();
+        let (leader, _) = g.begin_update(TxnId(1), HOT);
+        let HotExecution::Wait(slot) = g.begin_hot_update(TxnId(2), HOT) else {
+            panic!("T1 is in flight")
+        };
+        g.abandon_update(TxnId(1), &leader, true);
+        assert_eq!(slot.role(), Some(WokenRole::NewLeader));
+        assert_eq!(
+            (g.leader_of(HOT), g.dep_list(HOT)),
+            (Some(TxnId(2)), vec![TxnId(2)])
+        );
+        // With nobody parked the row is left leaderless: the next arrival
+        // leads a fresh group.
+        g.abandon_update(TxnId(2), HOT, true);
+        assert!(g.dep_list(HOT).is_empty() && !g.has_activity(HOT));
+        assert!(matches!(
+            g.begin_hot_update(TxnId(3), HOT),
+            HotExecution::Leader
+        ));
+        // A follower that a prevention check turned away: the next parked
+        // update is granted in its place.
+        g.finish_update(TxnId(3), HOT, true);
+        let (follower, execution) = g.begin_update(TxnId(4), HOT);
+        assert!(matches!(execution, HotExecution::Follower));
+        let HotExecution::Wait(slot) = g.begin_hot_update(TxnId(5), HOT) else {
+            panic!("T4 is in flight")
+        };
+        g.abandon_update(TxnId(4), &follower, false);
+        assert_eq!(slot.role(), Some(WokenRole::Follower));
+        assert_eq!(g.dep_list(HOT), [TxnId(3), TxnId(5)]);
+    }
+
+    #[test]
+    fn a_handle_held_across_collection_lands_on_the_live_entry() {
+        let g = table();
+        let (stale, _) = g.begin_update(TxnId(1), HOT);
+        g.finish_update(TxnId(1), &stale, true);
+        g.leader_prepare_commit(TxnId(1), &stale);
+        g.leader_handover(TxnId(1), &stale);
+        g.finish_commit(TxnId(1), &stale);
+        // The row went quiet and its entry was collected; a peer re-created
+        // it and leads.
+        assert!(!g.collect_if_idle(HOT));
+        let (live, execution) = g.begin_update(TxnId(2), HOT);
+        assert!(matches!(execution, HotExecution::Leader));
+        // The stale handle sees, and acts on, the peer's group.
+        assert_eq!(g.members(&stale), [TxnId(2)]);
+        let hand_over = g.leader_handover(TxnId(1), &stale);
+        assert_eq!(
+            (hand_over.promoted, hand_over.turn),
+            (None, CommitTurn::Ready)
+        );
+        assert_eq!(g.leader_of(HOT), Some(TxnId(2)), "one leader, the live one");
+        g.finish_update(TxnId(2), &live, true);
+        assert_eq!(g.live_groups(), 1);
+    }
+
+    /// The two serial sections of a hot row cost this module one state-mutex
+    /// acquisition each — no entry-map shard, nothing else — counted with
+    /// the shim's per-thread acquisition counter (debug builds).
+    #[cfg(debug_assertions)]
+    #[test]
+    fn a_woken_follower_takes_one_group_lock_and_a_commit_turn_waiter_two() {
+        let g = Arc::new(table());
+        let (leader, _) = g.begin_update(TxnId(1), HOT);
+        let follower = {
+            let g = Arc::clone(&g);
+            std::thread::spawn(move || {
+                let (handle, execution) = g.begin_update(TxnId(2), HOT);
+                let HotExecution::Wait(slot) = execution else {
+                    panic!("the leader is in flight")
+                };
+                let role = g.wait_for_grant(TxnId(2), &handle, &slot);
+                // Grant → `finish_update`: the order, then the one lock.
+                let woken = parking_lot::thread_acquisitions();
+                assert_eq!(role, Ok(WokenRole::Follower));
+                g.take_hot_update_order();
+                g.finish_update(TxnId(2), &handle, false);
+                let in_grant = parking_lot::thread_acquisitions() - woken;
+                // The commit turn behind T1: check and park, woken, re-check.
+                let before = parking_lot::thread_acquisitions();
+                g.wait_commit_turn(TxnId(2), &handle).unwrap();
+                let in_turn = parking_lot::thread_acquisitions() - before;
+                g.finish_commit(TxnId(2), &handle);
+                (in_grant, in_turn)
+            })
+        };
+        while g.waiting_len(HOT) == 0 {
+            std::thread::yield_now();
+        }
+        g.finish_update(TxnId(1), &leader, true);
+        while g.with_state(&leader, |state| state.turn_waiters.is_empty()) {
+            std::thread::yield_now();
+        }
+        g.finish_commit(TxnId(1), &leader);
+        assert_eq!(follower.join().unwrap(), (1, 2));
+    }
+
+    #[test]
     fn both_updated_detects_shared_hot_row() {
         let g = table();
         let _ = g.begin_hot_update(TxnId(1), HOT);
         g.register_update(TxnId(1), HOT);
         let _ = g.begin_hot_update(TxnId(2), HOT);
         g.register_update(TxnId(2), HOT);
-        assert!(g.both_updated(HOT, TxnId(1), TxnId(2)));
-        assert!(!g.both_updated(HOT, TxnId(1), TxnId(9)));
+        let hot = g.handle(HOT);
+        assert!(g.both_updated(&hot, TxnId(1), TxnId(2)));
+        assert!(!g.both_updated(&hot, TxnId(1), TxnId(9)));
     }
 
     #[test]
@@ -1453,7 +1647,7 @@ mod tests {
             let g = Arc::clone(g);
             std::thread::spawn(move || wait(&g))
         };
-        while g.with_state(HOT, |state| state.turn_waiters.is_empty()) {
+        while g.with_state(&g.handle(HOT), |state| state.turn_waiters.is_empty()) {
             std::thread::yield_now();
         }
         let parked_at = g.turn_checks.load(Ordering::Relaxed);
@@ -1515,17 +1709,32 @@ mod tests {
     #[test]
     fn rollback_turn_waiter_is_woken_by_each_transition_that_gives_it_the_turn() {
         let turn = |g: &GroupLockTable| g.wait_rollback_turn(TxnId(2), HOT);
-        // Newest, but an update granted before the pause is in flight.
+        // Newest, but an update granted before the pause is in flight (a
+        // predecessor's second one: it is on the list already).
+        let g = group(&[2], None);
+        assert!(matches!(
+            g.begin_hot_update(TxnId(1), HOT),
+            HotExecution::Follower
+        ));
+        g.begin_rollback(TxnId(2), HOT);
+        let (result, checks) = checks_after_parking(&g, turn, |g| {
+            g.finish_update(TxnId(1), HOT, false);
+        });
+        assert_eq!((result, checks), (Ok(()), 1), "finish_update");
+        // A newcomer granted before the pause joined the list with its
+        // grant, so the scan doomed it: the end of its update does not give
+        // the turn (and wakes nobody), its cascade does.
         let g = group(&[2], None);
         assert!(matches!(
             g.begin_hot_update(TxnId(3), HOT),
             HotExecution::Follower
         ));
-        g.begin_rollback(TxnId(2), HOT);
+        assert_eq!(g.begin_rollback(TxnId(2), HOT), vec![TxnId(3)]);
         let (result, checks) = checks_after_parking(&g, turn, |g| {
             g.finish_update(TxnId(3), HOT, false);
+            g.finish_rollback(TxnId(3), HOT);
         });
-        assert_eq!((result, checks), (Ok(()), 1), "finish_update");
+        assert_eq!((result, checks), (Ok(()), 1), "in-flight successor leaves");
         // A doomed successor must leave the dependency list first.
         for leave in [
             GroupLockTable::finish_rollback,
@@ -1555,7 +1764,7 @@ mod tests {
 
     #[test]
     fn commit_turn_waiter_is_woken_by_its_predecessor_and_by_its_doom() {
-        let turn = |g: &GroupLockTable| g.wait_commit_turn(TxnId(2), HOT);
+        let turn = |g: &GroupLockTable| g.wait_commit_turn(TxnId(2), HOT).map(drop);
         let g = group(&[2], None);
         let (result, checks) = checks_after_parking(&g, turn, |g| {
             g.finish_commit(TxnId(1), HOT);
@@ -1592,8 +1801,11 @@ mod tests {
         ));
         g.leader_prepare_commit(TxnId(1), HOT);
         assert_eq!(metrics.abort_causes.get("quiesce_forced"), 1);
-        assert_eq!(g.leader_handover(TxnId(1), HOT), None);
-        assert_eq!(g.with_state(HOT, |state| state.turn_waiters.len()), 0);
+        assert_eq!(g.leader_handover(TxnId(1), HOT).promoted, None);
+        assert_eq!(
+            g.with_state(&g.handle(HOT), |state| state.turn_waiters.len()),
+            0
+        );
     }
 
     #[test]

@@ -131,12 +131,26 @@
 //! dropping it, and `OsEvent::set` debug-asserts the calling thread holds no
 //! lockmgr guard (the private `wake_check` module).
 //!
-//! The other end of the lifecycle is batched too: a group-locking leader's
-//! commit-time handover of several hot rows fetches their group entries with
-//! one entry-map shard lock per shard and promotes all successor leaders
-//! before firing any wake-up — see
-//! [`group_lock::GroupLockTable::begin_leader_commit`] and the
-//! `handover_shard_locks` counter.
+//! ## Group locking: handles, and who appends to the dependency list
+//!
+//! A hot row's members execute serially without locking, so the row is
+//! bounded by its two serial sections — grant → `finish_update`, commit
+//! turn → `finish_commit` — and [`group_lock`] keeps each at one
+//! acquisition of the row's state mutex.  A transaction resolves the row's
+//! entry through the entry map **once**
+//! ([`group_lock::GroupLockTable::begin_update`]) and holds a
+//! [`group_lock::GroupHandle`] from then on, by which every later call
+//! names the row ([`group_lock::HotRow`]); such a call always lands on the
+//! row's live state, whatever entry collection did in between.  The
+//! dependency list is appended to by **whoever grants** — `begin_update`'s
+//! two immediate paths, `finish_update`'s follower grant, a promotion by
+//! `leader_handover` / `resume_granting` — in the critical section that
+//! grant already holds, never by the grantee in one of its own; a grantee
+//! only draws its `hot_update_order`, lock-free.  An unused grant goes back
+//! with its registration (`abandon_update`).  The counts a group produces
+//! between a grant and the update it admits go to the caller's
+//! [`MetricsSink`](txsql_common::metrics::MetricsSink), like the lock
+//! tables' per-cycle counters.
 //!
 //! Supporting modules: [`record_queue`] (the shared per-record queue core),
 //! [`event`] (the engine's one wait primitive: a state word that carries the

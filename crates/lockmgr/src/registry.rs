@@ -310,6 +310,9 @@ impl MetricsSink for NoopSink {
     fn on_locks_released(&self, _n: u64) {}
     fn on_release_shard_lock(&self) {}
     fn on_grant_scan(&self, _len: u64) {}
+    fn on_lock_wait(&self, _waited: std::time::Duration) {}
+    fn on_group_formed(&self) {}
+    fn on_group_entry(&self) {}
 }
 
 #[cfg(test)]

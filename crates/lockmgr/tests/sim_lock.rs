@@ -138,6 +138,225 @@ fn group_entry_gc_race_is_closed_under_exploration() {
 }
 
 // ---------------------------------------------------------------------------
+// Group handles: one entry lookup per (transaction, hot row)
+// ---------------------------------------------------------------------------
+
+/// One transaction's whole life on `HOT` through its handle, as the engine
+/// drives it: begin (the one entry-map lookup), the update, and the commit.
+/// A leader's leadership and every member's registration must be visible
+/// through the entry map the moment it is granted — on an orphaned entry
+/// they would not be.  Returns whether it led.
+fn run_member_on_its_handle(g: &GroupLockTable, txn: TxnId) -> bool {
+    let (handle, execution) = g.begin_update(txn, HOT);
+    let leads = match execution {
+        HotExecution::Leader => true,
+        HotExecution::Follower => false,
+        HotExecution::Wait(slot) => {
+            g.wait_for_grant(txn, &handle, &slot).unwrap() == WokenRole::NewLeader
+        }
+    };
+    if leads {
+        assert_eq!(
+            g.leader_of(HOT),
+            Some(txn),
+            "leadership not visible through the entry map"
+        );
+    }
+    assert!(
+        g.dep_list(HOT).contains(&txn),
+        "registration not visible through the entry map"
+    );
+    g.take_hot_update_order();
+    g.finish_update(txn, &handle, leads);
+    if leads {
+        g.leader_prepare_commit(txn, &handle);
+        g.leader_handover(txn, &handle);
+    }
+    g.wait_commit_turn(txn, &handle).unwrap();
+    g.finish_commit(txn, &handle);
+    leads
+}
+
+/// The entry-lifecycle race of the test above, now with the entry `Arc`
+/// held for a transaction's whole life instead of one call: T1 keeps its
+/// handle across its own `finish_commit` — after which the entry is idle, a
+/// sweeper collects it and peers re-create it — and still hands over with
+/// it.  Every call must land on the live entry: a hand-over through a dead
+/// one would leave the live group's waiters parked (a timeout on the
+/// virtual clock), and one that clobbered the live group's leader would
+/// elect two.
+#[test]
+fn handle_held_across_entry_gc_lands_on_the_live_entry_under_exploration() {
+    const T1: TxnId = TxnId(1);
+    for seed in txsql_sim::ci_seeds(200) {
+        let g = Arc::new(group_table());
+        let (handle, execution) = g.begin_update(T1, HOT);
+        assert!(matches!(execution, HotExecution::Leader));
+        g.finish_update(T1, &handle, true);
+
+        let shared = Arc::clone(&g);
+        run_seed(seed, move |sim| {
+            let g = Arc::clone(&shared);
+            let handle = handle.clone();
+            sim.spawn("committer", move || {
+                g.leader_prepare_commit(T1, &handle);
+                g.wait_commit_turn(T1, &handle).unwrap();
+                g.finish_commit(T1, &handle); // idle from here: collectable
+                g.leader_handover(T1, &handle);
+                assert_no_wait_ran_into_its_deadline();
+            });
+            let g = Arc::clone(&shared);
+            sim.spawn("sweeper", move || {
+                for _ in 0..3 {
+                    g.collect_if_idle(HOT);
+                }
+            });
+            for joiner in [TxnId(2), TxnId(3)] {
+                let g = Arc::clone(&shared);
+                sim.spawn(format!("joiner-{}", joiner.0), move || {
+                    run_member_on_its_handle(&g, joiner);
+                    assert_no_wait_ran_into_its_deadline();
+                });
+            }
+        });
+        assert!(
+            g.dep_list(HOT).is_empty(),
+            "seed {seed}: dep list not drained"
+        );
+        assert_eq!(g.leader_of(HOT), None, "seed {seed}: leader not cleared");
+        assert!(!g.has_activity(HOT), "seed {seed}: entry still live");
+    }
+}
+
+/// Granting registers, so the doom scan of a rollback sees every
+/// transaction that can have read the aborting one's uncommitted head: an
+/// arrival granted before T1's `begin_rollback` paused the row is on the
+/// dependency list behind T1 and **always** doomed; one granted after the
+/// last `resume_granting` reads the undone head and **never** is.  (The
+/// window between — granted before the pause, registered after the scan —
+/// needed a second doom rule while registration was the grantee's own
+/// step.)  `head` stands for the row: 1 is T1's uncommitted write.
+#[test]
+fn grant_before_a_rollback_is_doomed_and_after_it_is_clean_under_exploration() {
+    const T1: TxnId = TxnId(1);
+    const T2: TxnId = TxnId(2);
+    let (mut doomed_seeds, mut clean_seeds) = (0, 0);
+    for seed in txsql_sim::ci_seeds(200) {
+        let g = Arc::new(group_table());
+        let (aborter, execution) = g.begin_update(T1, HOT);
+        assert!(matches!(execution, HotExecution::Leader));
+        g.finish_update(T1, &aborter, true);
+        let head = Arc::new(AtomicUsize::new(1));
+        let doomed = Arc::new(AtomicUsize::new(0));
+
+        let (shared, row, outcome) = (Arc::clone(&g), Arc::clone(&head), Arc::clone(&doomed));
+        run_seed(seed, move |sim| {
+            let (g, head) = (Arc::clone(&shared), Arc::clone(&row));
+            let aborter = aborter.clone();
+            sim.spawn("aborter", move || {
+                g.begin_rollback(T1, &aborter);
+                g.wait_rollback_turn(T1, &aborter).unwrap();
+                head.store(0, Ordering::Relaxed); // the storage undo
+                g.finish_rollback(T1, &aborter);
+                g.resume_granting(&aborter);
+                assert_no_wait_ran_into_its_deadline();
+            });
+            let (g, head, doomed) = (Arc::clone(&shared), Arc::clone(&row), Arc::clone(&outcome));
+            sim.spawn("arrival", move || {
+                let (handle, execution) = g.begin_update(T2, HOT);
+                let follows = match execution {
+                    HotExecution::Leader => false,
+                    HotExecution::Follower => true,
+                    HotExecution::Wait(slot) => {
+                        g.wait_for_grant(T2, &handle, &slot).unwrap() == WokenRole::Follower
+                    }
+                };
+                let seen = head.load(Ordering::Relaxed);
+                g.finish_update(T2, &handle, !follows);
+                if !follows {
+                    g.leader_prepare_commit(T2, &handle);
+                    g.leader_handover(T2, &handle);
+                }
+                match g.wait_commit_turn(T2, &handle) {
+                    Ok(_) => {
+                        // Only T1 can have been followed: a follower was
+                        // granted before the pause.
+                        assert!(!follows, "granted before the rollback, not doomed");
+                        assert_eq!(seen, 0, "committed on top of an aborted write");
+                        g.finish_commit(T2, &handle);
+                    }
+                    Err(err) => {
+                        let cascade = txsql_common::Error::CascadingAbort { txn: T2, cause: T1 };
+                        assert_eq!(err, cascade);
+                        assert!(follows, "granted after the rollback, yet doomed");
+                        doomed.store(1, Ordering::Relaxed);
+                        g.begin_rollback(T2, &handle);
+                        g.wait_rollback_turn(T2, &handle).unwrap();
+                        g.finish_rollback(T2, &handle);
+                        g.resume_granting(&handle);
+                    }
+                }
+                assert_no_wait_ran_into_its_deadline();
+            });
+        });
+        match doomed.load(Ordering::Relaxed) {
+            0 => clean_seeds += 1,
+            _ => doomed_seeds += 1,
+        }
+        assert!(!g.has_activity(HOT), "seed {seed}: entry still live");
+    }
+    println!("sim_lock/doom_window: doomed_seeds={doomed_seeds} clean_seeds={clean_seeds}");
+    assert!(
+        doomed_seeds > 0 && clean_seeds > 0,
+        "both sides of the pause must be explored ({doomed_seeds} doomed, {clean_seeds} clean)"
+    );
+}
+
+/// A leader is registered by the grant that makes it leader, before it has
+/// the row lock.  When the lock cannot be had it gives the grant back, and
+/// the registration with it: no dependency-list entry of T1 survives for a
+/// successor's commit turn to wait behind, and whoever is granted next
+/// leads a fresh group — it must not follow a leader that never was.
+#[test]
+fn abandoned_leader_grant_leaves_no_registration_under_exploration() {
+    const T1: TxnId = TxnId(1);
+    for seed in txsql_sim::ci_seeds(200) {
+        let g = Arc::new(group_table());
+        let (failed, execution) = g.begin_update(T1, HOT);
+        assert!(matches!(execution, HotExecution::Leader));
+        let leaders = Arc::new(AtomicUsize::new(0));
+
+        let (shared, led) = (Arc::clone(&g), Arc::clone(&leaders));
+        run_seed(seed, move |sim| {
+            let g = Arc::clone(&shared);
+            let failed = failed.clone();
+            sim.spawn("lock-failed", move || {
+                g.abandon_update(T1, &failed, true);
+                assert!(!g.dep_list(HOT).contains(&T1), "registration survived");
+            });
+            for arrival in [TxnId(2), TxnId(3)] {
+                let (g, led) = (Arc::clone(&shared), Arc::clone(&led));
+                sim.spawn(format!("arrival-{}", arrival.0), move || {
+                    if run_member_on_its_handle(&g, arrival) {
+                        led.fetch_add(1, Ordering::Relaxed);
+                    }
+                    assert_no_wait_ran_into_its_deadline();
+                });
+            }
+        });
+        assert!(
+            leaders.load(Ordering::Relaxed) >= 1,
+            "seed {seed}: both arrivals followed the leader that never was"
+        );
+        assert!(
+            g.dep_list(HOT).is_empty(),
+            "seed {seed}: dep list not drained"
+        );
+        assert!(!g.has_activity(HOT), "seed {seed}: entry still live");
+    }
+}
+
+// ---------------------------------------------------------------------------
 // Batched commit handover (PR 5): one promotion per hot row, timeout-safe
 // ---------------------------------------------------------------------------
 
@@ -912,7 +1131,6 @@ fn rollback_turn_wakeup_is_never_lost_under_exploration() {
             let roll_back = |g: &GroupLockTable, txn: TxnId| {
                 g.begin_rollback(txn, HOT);
                 g.wait_rollback_turn(txn, HOT).unwrap();
-                g.mark_undone(txn, HOT);
                 g.finish_rollback(txn, HOT);
                 g.resume_granting(HOT);
                 assert_no_wait_ran_into_its_deadline();
@@ -932,7 +1150,7 @@ fn rollback_turn_wakeup_is_never_lost_under_exploration() {
                 // Commits if it beats the aborter's doom to its turn check
                 // (never: T2 precedes it), cascades otherwise.
                 match g.wait_commit_turn(TxnId(3), HOT) {
-                    Ok(()) => panic!("T3 committed ahead of its predecessor T2"),
+                    Ok(_) => panic!("T3 committed ahead of its predecessor T2"),
                     Err(err) => {
                         assert!(
                             matches!(err, txsql_common::Error::CascadingAbort { .. }),

@@ -704,6 +704,51 @@ mod tests {
     }
 
     #[test]
+    fn cut_between_hot_order_header_and_its_update_keeps_the_order() {
+        let (storage, tid, hot, cold, checkpoint) = setup();
+        // T1 and T2 stack uncommitted updates on the hot row (orders 1, 2);
+        // T2 wrote a cold row first.  An update's header and row image are
+        // one reservation — consecutive LSNs — so a mid-flush cut can fall
+        // between them: here T2's header is durable, its hot update torn.
+        storage.begin_txn(TxnId(1));
+        let bump = |row: &Row| Row::from_ints(&[1, row.get_int(1).unwrap() + 1]);
+        storage
+            .update_row(TxnId(1), tid, hot, Some(1), bump)
+            .unwrap();
+        storage.begin_txn(TxnId(2));
+        storage
+            .apply_update(TxnId(2), tid, cold, Row::from_ints(&[2, 7]))
+            .unwrap();
+        let update = storage
+            .update_row(TxnId(2), tid, hot, Some(2), bump)
+            .unwrap();
+        storage.redo().flush_all().unwrap();
+        let mut frames = storage.redo().durable_frames();
+        let header = &frames[frames.len() - 2];
+        assert_eq!(header.0, Lsn(update.0 - 1), "consecutive LSNs");
+        assert!(matches!(
+            header.1,
+            LogFrame::Intact(RedoRecord::UndoHeader { txn: TxnId(2), .. })
+        ));
+        *frames.last_mut().unwrap() = (update, LogFrame::Torn);
+
+        let outcome = recover_frames(&checkpoint, &frames, Duration::ZERO).unwrap();
+        assert_eq!(outcome.report.torn_tail, Some(update));
+        // T2 rolls back what of it reached the disk, and does so in its
+        // place of the reverse hot order (§5.3): before T1.
+        assert_eq!(outcome.report.rolled_back, vec![TxnId(2), TxnId(1)]);
+        assert_eq!(
+            outcome.report.recovered_hot_orders,
+            vec![(TxnId(2), 2), (TxnId(1), 1)]
+        );
+        for (pk, base) in [(1, 1), (2, 100)] {
+            let record = outcome.storage.table(tid).unwrap().lookup_pk(pk).unwrap();
+            let row = outcome.storage.read_latest(tid, record).unwrap();
+            assert_eq!(row.get_int(1), Some(base));
+        }
+    }
+
+    #[test]
     fn torn_record_before_the_tail_is_corrupt() {
         let (_storage, _tid, _hot, _cold, checkpoint) = setup();
         let frames = vec![

@@ -8,15 +8,18 @@
 //!   undo header, first LSN) and its `Begin` record; called at the first
 //!   write, so a transaction that only reads leaves no trace here or in the
 //!   log;
-//! * `apply_update` / `apply_insert` — write an uncommitted version, record
-//!   its undo entry and append physical redo;
+//! * `update_row` / `apply_insert` — write an uncommitted version, record
+//!   its undo entry and append physical redo (`update_row` is the whole
+//!   read-modify-write under one latch hold; `apply_update` is the same with
+//!   the new image in hand);
 //! * `commit_writes` — stamp the versions with a commit sequence number,
 //!   purge what no read view can select any more, and append the commit
 //!   marker;
 //! * `rollback_writes` — pop the transaction's versions (the chain is the
 //!   undo image) and append the rollback marker;
 //! * `set_hot_update_order` — persist the hot-update order in the undo header
-//!   (and redo) so crash recovery can order hotspot rollbacks (§5.3);
+//!   (and redo) so crash recovery can order hotspot rollbacks (§5.3); an
+//!   update of the hot row carries it instead (`update_row`);
 //! * `checkpoint` — capture the committed state, the starting point for the
 //!   failure-recovery experiment (§6.4.6).
 //!
@@ -271,8 +274,62 @@ impl Storage {
         self.with_segment(txn, |segment| segment.first_lsn)
     }
 
-    /// Applies an update as a new uncommitted version, recording undo and
-    /// redo.  Returns the redo LSN of the update.
+    /// The read-modify-write an update statement is: under **one** hold of
+    /// the record's latch, `make` is shown the newest (possibly uncommitted)
+    /// row image and returns the new one, which is stacked as `txn`'s
+    /// uncommitted version.  The undo entry — and, for the first write of a
+    /// hot row the transaction joined, its `hot_update_order` in the undo
+    /// header (§5.3) — is one visit to the transaction's segment; the
+    /// header and the update are one redo reservation, so they have
+    /// consecutive LSNs.  Returns the redo LSN of the update.
+    pub fn update_row(
+        &self,
+        txn: TxnId,
+        table_id: TableId,
+        record: RecordId,
+        hot_update_order: Option<u64>,
+        make: impl FnOnce(&Row) -> Row,
+    ) -> Result<Lsn> {
+        self.redo.crash_point(CrashPoint::PreAppend)?;
+        let slot = self.table(table_id)?.slot(record)?;
+        let header = hot_update_order.map(UndoHeader::with_hot_update_order);
+        let new_row = {
+            let mut guard = slot.write();
+            let head = guard.latest().ok_or(Error::UnknownRecord { record })?;
+            let new_row = make(&head.row);
+            self.with_segment(txn, |segment| {
+                segment.records.push(UndoRecord::Update {
+                    table: table_id,
+                    record,
+                });
+                if let Some(header) = header {
+                    segment.header = header;
+                }
+            });
+            guard.push_uncommitted(new_row.clone(), txn);
+            new_row
+        };
+        let update = RedoRecord::Update {
+            txn,
+            table: table_id,
+            record,
+            pk: new_row.primary_key().unwrap_or_default(),
+            after: new_row,
+        };
+        let lsn = match header {
+            Some(header) => {
+                let field = header.raw();
+                let header = RedoRecord::UndoHeader { txn, field };
+                self.redo.append_pair(header, update)
+            }
+            None => self.redo.append(update),
+        };
+        self.redo.crash_point(CrashPoint::PostAppendPreFlush)?;
+        Ok(lsn)
+    }
+
+    /// [`Storage::update_row`] with the new image in hand: stacks `new_row`
+    /// whatever the newest version holds.
     pub fn apply_update(
         &self,
         txn: TxnId,
@@ -280,32 +337,7 @@ impl Storage {
         record: RecordId,
         new_row: Row,
     ) -> Result<Lsn> {
-        self.redo.crash_point(CrashPoint::PreAppend)?;
-        let table = self.table(table_id)?;
-        let slot = table.slot(record)?;
-        let pk = new_row.primary_key().unwrap_or_default();
-        {
-            let mut guard = slot.write();
-            if guard.latest().is_none() {
-                return Err(Error::UnknownRecord { record });
-            }
-            self.with_segment(txn, |segment| {
-                segment.records.push(UndoRecord::Update {
-                    table: table_id,
-                    record,
-                })
-            });
-            guard.push_uncommitted(new_row.clone(), txn);
-        }
-        let lsn = self.redo.append(RedoRecord::Update {
-            txn,
-            table: table_id,
-            record,
-            pk,
-            after: new_row,
-        });
-        self.redo.crash_point(CrashPoint::PostAppendPreFlush)?;
-        Ok(lsn)
+        self.update_row(txn, table_id, record, None, |_| new_row)
     }
 
     /// Applies a transactional insert (uncommitted), recording undo and redo.
@@ -335,7 +367,10 @@ impl Storage {
         Ok((record, lsn))
     }
 
-    /// Persists the hot-update order of `txn` in its undo header (§5.3).
+    /// Persists the hot-update order of `txn` in its undo header (§5.3) on
+    /// its own — for a transaction that joined a hot row's group without
+    /// writing the row yet (`SELECT ... FOR UPDATE`); an update carries it
+    /// along ([`Storage::update_row`]).
     pub fn set_hot_update_order(&self, txn: TxnId, order: u64) -> Lsn {
         let header = UndoHeader::with_hot_update_order(order);
         self.with_segment(txn, |segment| segment.header = header);
@@ -624,6 +659,46 @@ mod tests {
             .iter()
             .any(|r| matches!(r, RedoRecord::UndoHeader { txn: t, field } if *t == txn && field & crate::undo::HOT_UPDATE_ORDER_FLAG != 0));
         assert!(has_header_record);
+    }
+
+    #[test]
+    fn update_row_is_one_latch_hold_one_undo_visit_one_log_reservation() {
+        let (storage, tid, rid) = setup();
+        let txn = TxnId(22);
+        let begin = storage.begin_txn(txn);
+        let add = |row: &Row| Row::from_ints(&[1, row.get_int(1).unwrap() + 5]);
+        // A hot row's first update carries the order: header and row image
+        // take consecutive LSNs, the header first.
+        let hot = storage.update_row(txn, tid, rid, Some(17), add).unwrap();
+        assert_eq!(hot, Lsn(begin.0 + 2));
+        // The next one (and any cold update) is the row image alone, built
+        // from the head the first one left.
+        let cold = storage.update_row(txn, tid, rid, None, add).unwrap();
+        assert_eq!(cold, Lsn(hot.0 + 1));
+        assert_eq!(storage.read_latest(tid, rid).unwrap().get_int(1), Some(110));
+        let segment = storage.undo().snapshot(txn).unwrap();
+        assert_eq!(segment.header.hot_update_order(), Some(17));
+        assert_eq!(segment.records.len(), 2);
+        let logged = storage.redo().all_records();
+        assert!(matches!(
+            logged[..],
+            [
+                RedoRecord::Begin { .. },
+                RedoRecord::UndoHeader { .. },
+                RedoRecord::Update { .. },
+                RedoRecord::Update { .. }
+            ]
+        ));
+        #[cfg(debug_assertions)]
+        {
+            // Slot latch, undo shard, redo tail — and nothing else.
+            let before = parking_lot::thread_acquisitions();
+            storage.update_row(txn, tid, rid, Some(18), add).unwrap();
+            assert_eq!(parking_lot::thread_acquisitions() - before, 3);
+        }
+        // An unknown record leaves no trace.
+        let missing = RecordId::new(rid.space_id, rid.page_no, rid.heap_no + 1);
+        assert!(storage.update_row(txn, tid, missing, None, add).is_err());
     }
 
     #[test]

@@ -30,5 +30,5 @@ pub mod trx_sys;
 
 pub use metrics::TxnMetrics;
 pub use readview::{ReadView, ReadViewMode};
-pub use transaction::{DirtyRead, HotRole, Transaction, TxnState};
+pub use transaction::{DirtyRead, HotRole, HotUpdate, Transaction, TxnState};
 pub use trx_sys::TrxSys;

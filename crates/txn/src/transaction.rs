@@ -3,9 +3,10 @@
 use crate::metrics::TxnMetrics;
 use std::sync::Arc;
 use std::time::Instant;
-use txsql_common::fxhash::{FxHashMap, FxHashSet};
+use txsql_common::fxhash::FxHashSet;
 use txsql_common::metrics::{EngineMetrics, MetricsScratch};
 use txsql_common::{RecordId, Row, TableId, TxnId};
+use txsql_lockmgr::group_lock::GroupHandle;
 use txsql_lockmgr::OsEvent;
 
 /// Lifecycle state of a transaction.
@@ -28,6 +29,26 @@ pub enum HotRole {
     Leader,
     /// Follower: executed without locking inside a group.
     Follower,
+}
+
+/// A transaction's membership of one hot row's group (group locking) or
+/// ticket queue (O2).
+#[derive(Debug)]
+pub struct HotUpdate {
+    /// The hot row.
+    pub record: RecordId,
+    /// The role the transaction was granted.
+    pub role: HotRole,
+    /// Its `hot_update_order` on the row.
+    pub order: u64,
+    /// Its handle on the row's group state, resolved once by its first
+    /// group call; every later step of its life goes through it.  O2's
+    /// ticket holders have none.
+    pub group: Option<GroupHandle>,
+    /// A group member's `order` has not been written to the undo header
+    /// yet: the row's first write statement carries it (see
+    /// [`Transaction::take_unlogged_order`]).
+    order_unlogged: bool,
 }
 
 /// A commit dependency taken by reading another transaction's uncommitted
@@ -59,8 +80,9 @@ pub struct Transaction {
     /// is what lets the checker attribute `wr`/`rw` edges to the version a
     /// statement really saw, even when later writers commit in between.
     read_set: Vec<(TableId, RecordId, TxnId)>,
-    /// Hot rows this transaction updated, with its role and hot-update order.
-    hot_updates: FxHashMap<u64, (HotRole, u64)>,
+    /// Hot rows this transaction updated, in join order (a handful at most:
+    /// lookups scan).
+    hot_updates: Vec<HotUpdate>,
     /// Rows whose lock this transaction currently holds through the lock
     /// manager (leaders and plain-2PL writers; followers hold none).  A hash
     /// set so the per-statement "already locked?" check is O(1) no matter
@@ -103,7 +125,7 @@ impl Transaction {
             started_at: Instant::now(),
             write_set: Vec::new(),
             read_set: Vec::new(),
-            hot_updates: FxHashMap::default(),
+            hot_updates: Vec::new(),
             locked_records: FxHashSet::default(),
             dirty_reads_from: Vec::new(),
             changes: Vec::new(),
@@ -178,29 +200,56 @@ impl Transaction {
         &self.read_set
     }
 
-    /// Registers participation in a hot-row group.
-    pub fn record_hot_update(&mut self, record: RecordId, role: HotRole, order: u64) {
-        self.hot_updates.insert(record.packed(), (role, order));
+    /// Makes room for one more hot row, so that recording it — inside the
+    /// row's grant, with the group queued behind — does not allocate.
+    pub fn reserve_hot_update(&mut self) {
+        self.hot_updates.reserve(1);
     }
 
-    /// Hot rows this transaction updated (record, role, order).
-    pub fn hot_updates(&self) -> Vec<(RecordId, HotRole, u64)> {
-        self.hot_updates
-            .iter()
-            .map(|(packed, (role, order))| (RecordId::from_packed(*packed), *role, *order))
-            .collect()
+    /// Registers participation in a hot row's group or ticket queue.
+    pub fn record_hot_update(
+        &mut self,
+        record: RecordId,
+        role: HotRole,
+        order: u64,
+        group: Option<GroupHandle>,
+    ) {
+        debug_assert!(self.hot_role(record).is_none(), "one entry per hot row");
+        self.hot_updates.push(HotUpdate {
+            record,
+            role,
+            order,
+            order_unlogged: group.is_some(),
+            group,
+        });
     }
 
-    /// The hot rows this transaction updated, without allocating.
+    /// Hot rows this transaction updated, in join order.
+    pub fn hot_updates(&self) -> &[HotUpdate] {
+        &self.hot_updates
+    }
+
+    /// The hot rows this transaction updated.
     pub fn hot_records(&self) -> impl Iterator<Item = RecordId> + '_ {
-        self.hot_updates.keys().map(|p| RecordId::from_packed(*p))
+        self.hot_updates.iter().map(|hot| hot.record)
+    }
+
+    /// The transaction's membership of `record`'s group or ticket queue.
+    pub fn hot_update(&self, record: RecordId) -> Option<&HotUpdate> {
+        self.hot_updates.iter().find(|hot| hot.record == record)
     }
 
     /// Role on a specific hot row, if the transaction updated it.
     pub fn hot_role(&self, record: RecordId) -> Option<HotRole> {
-        self.hot_updates
-            .get(&record.packed())
-            .map(|(role, _)| *role)
+        self.hot_update(record).map(|hot| hot.role)
+    }
+
+    /// The `hot_update_order` the statement about to write `record` must
+    /// persist in the undo header (§5.3): `Some` once per hot row, for the
+    /// first write statement after the transaction joined its group.
+    pub fn take_unlogged_order(&mut self, record: RecordId) -> Option<u64> {
+        let hot = self.hot_updates.iter_mut().find(|h| h.record == record)?;
+        std::mem::take(&mut hot.order_unlogged).then_some(hot.order)
     }
 
     /// True when the transaction updated *any* hot row.
@@ -270,6 +319,7 @@ impl Transaction {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use txsql_lockmgr::group_lock::{GroupLockConfig, GroupLockTable};
 
     #[test]
     fn write_and_read_sets_deduplicate() {
@@ -292,11 +342,31 @@ mod tests {
         let hot = RecordId::new(1, 0, 0);
         let cold = RecordId::new(1, 0, 1);
         assert!(!t.has_hot_updates());
-        t.record_hot_update(hot, HotRole::Follower, 42);
+        let groups = GroupLockTable::new(GroupLockConfig::default(), Arc::default());
+        t.reserve_hot_update();
+        t.record_hot_update(hot, HotRole::Follower, 42, Some(groups.handle(hot)));
         assert_eq!(t.hot_role(cold), None);
         assert_eq!(t.hot_role(hot), Some(HotRole::Follower));
-        assert_eq!(t.hot_updates(), vec![(hot, HotRole::Follower, 42)]);
+        let [update] = t.hot_updates() else {
+            panic!("one hot row")
+        };
+        assert_eq!(
+            (update.record, update.role, update.order),
+            (hot, HotRole::Follower, 42)
+        );
+        assert_eq!(update.group.as_ref().map(GroupHandle::record), Some(hot));
+        assert_eq!(t.hot_records().collect::<Vec<_>>(), [hot]);
         assert!(t.has_hot_updates());
+        // The order is handed to exactly one write statement of the row.
+        assert_eq!(t.take_unlogged_order(cold), None);
+        assert_eq!(t.take_unlogged_order(hot), Some(42));
+        assert_eq!(t.take_unlogged_order(hot), None);
+        // An O2 ticket holder has neither a group nor an order to log.
+        t.record_hot_update(cold, HotRole::Leader, 0, None);
+        assert!(t
+            .hot_update(cold)
+            .is_some_and(|ticket| ticket.group.is_none()));
+        assert_eq!(t.take_unlogged_order(cold), None);
     }
 
     #[test]
