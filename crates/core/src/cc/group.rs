@@ -76,9 +76,9 @@ impl GroupLocking {
         if !txn.has_hot_updates() {
             return Ok(());
         }
-        let members = self.groups.members(group);
+        let members = self.groups.dep_list(group);
         for prior in txn.hot_updates() {
-            let prior_list = self.groups.members(group_of(prior));
+            let prior_list = self.groups.dep_list(group_of(prior));
             let Some(my_pos) = prior_list.iter().position(|t| *t == txn.id) else {
                 continue;
             };
@@ -94,16 +94,6 @@ impl GroupLocking {
         Ok(())
     }
 
-    /// What stands between a grant and using it: a leader's one real lock
-    /// acquisition per group, and the prevention check.
-    fn claim_grant(&self, txn: &mut Transaction, group: &GroupHandle, role: HotRole) -> Result<()> {
-        if role == HotRole::Leader {
-            lock_row(&self.locks, txn, group.record(), None)?;
-            txn.record_lock(group.record());
-        }
-        self.check_hot_inversion(txn, group)
-    }
-
     /// `txn` was granted `role` on the row: it is the row's in-flight
     /// updater and on its dependency list already (Alg. 1 lines 7–9 happen
     /// in the granter's critical section), so what is left is to draw its
@@ -117,8 +107,14 @@ impl GroupLocking {
         group: GroupHandle,
         role: HotRole,
     ) -> Result<WriteAdmission> {
-        let leads = role == HotRole::Leader;
-        if let Err(err) = self.claim_grant(txn, &group, role) {
+        let (leads, record) = (role == HotRole::Leader, group.record());
+        // A leader's one real lock acquisition per group, then the
+        // prevention check.
+        let locked = match leads {
+            true => lock_row(&self.locks, txn, record, None).map(|()| txn.record_lock(record)),
+            false => Ok(()),
+        };
+        if let Err(err) = locked.and_then(|()| self.check_hot_inversion(txn, &group)) {
             self.groups.abandon_update(txn.id, &group, leads);
             return Err(err);
         }
@@ -128,7 +124,7 @@ impl GroupLocking {
         if leads {
             sink.on_group_formed();
         }
-        txn.record_hot_update(group.record(), role, order, Some(group));
+        txn.record_hot_update(record, role, order, Some(group));
         Ok(match role {
             HotRole::Leader => WriteAdmission::Locked,
             HotRole::Follower => WriteAdmission::HotFollower,

@@ -72,8 +72,8 @@ impl ConcurrencyControl for QueueLocking {
 
     /// The row lock is gone: the next ticket holder may contend for it.
     fn finished(&self, txn: &Transaction, _committed: bool) {
-        for record in txn.hot_records() {
-            self.tickets.release(txn.id, record);
+        for hot in txn.hot_updates() {
+            self.tickets.release(txn.id, hot.record);
         }
     }
 

@@ -89,6 +89,11 @@ impl Database {
     }
 
     /// The shared read-modify-write skeleton used by every update statement.
+    ///
+    /// `mutate` runs under the row's write latch and, on a hot row, inside
+    /// the transaction's grant with the row's group queued behind it: keep
+    /// it short, and do not call back into the engine from it — a read of
+    /// the same row would wait for the latch this call holds.
     pub fn update_row(
         &self,
         txn: &mut Transaction,

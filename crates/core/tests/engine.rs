@@ -847,14 +847,12 @@ fn hot_row_chain_stays_short_and_readers_never_lose_the_row() {
     const WRITERS: usize = 4;
     for protocol in Protocol::ALL {
         // 20k commits where a commit costs microseconds.  Bamboo's pile-ups
-        // on one row end in parked dependency waits and cascades and an Aria
-        // batch validates one writer of the row, so those two get fewer —
-        // but enough that the quarter of them the peak is held to below
-        // stays clear of what commits while one committer is off the CPU
-        // for a timeslice (a few hundred; with 250 per writer that alone
-        // reached the bound one run in six).
+        // on one row end in dependency-wait polling and cascades (~6 ms per
+        // commit) and an Aria batch validates one writer of the row, so
+        // those two get fewer.
         let per_writer = match protocol {
-            Protocol::Bamboo | Protocol::Aria => 1_250,
+            Protocol::Bamboo => 250,
+            Protocol::Aria => 1_250,
             _ => 5_000,
         };
         for mode in [
@@ -1176,12 +1174,9 @@ fn read_only_transactions_leave_no_footprint() {
 }
 
 /// Pinned per-transaction budgets of shim lock acquisitions, `(shape, locks)`:
-/// ten point reads, four cold updates, one update of a pinned hot row.  The
-/// engine before statements stopped taking catalog, page-directory, undo-map
-/// and first-LSN locks read 68 / 98 / 53, and 23 / 57 / 39 before an update
-/// became one latch hold and a hot row's group one handle per transaction
-/// (6 `GroupLockTable` acquisitions instead of 13).  ARCHITECTURE.md, "What
-/// a statement touches", has the break-down.
+/// ten point reads, four cold updates, one update of a pinned hot row (6 of
+/// its locks are `GroupLockTable`'s).  ARCHITECTURE.md, "What a statement
+/// touches", has the break-down.
 #[cfg(debug_assertions)]
 const LOCK_BUDGET: [(&str, u64); 3] = [
     ("10 reads", 23),

@@ -1107,8 +1107,8 @@ impl GroupLockTable {
 
     /// True when both transactions have been granted uncommitted updates on
     /// this hot row — the §4.5 deadlock-prevention predicate.
-    pub fn both_updated(&self, handle: &GroupHandle, a: TxnId, b: TxnId) -> bool {
-        self.with_state(handle, |state| {
+    pub fn both_updated<'a>(&self, row: impl HotRow<'a>, a: TxnId, b: TxnId) -> bool {
+        self.with_state(&row.handle_in(self), |state| {
             state.dep_list.contains(&a) && state.dep_list.contains(&b)
         })
     }
@@ -1116,20 +1116,15 @@ impl GroupLockTable {
     /// Returns the transaction that doomed `txn` on this hot row, if any
     /// (lets the write path cascade-abort at the next statement instead of
     /// running to commit while the paused group waits on it).
-    pub fn doomed_cause(&self, txn: TxnId, handle: &GroupHandle) -> Option<TxnId> {
-        self.with_state(handle, |state| state.doomed.get(&txn).copied())
+    pub fn doomed_cause<'a>(&self, txn: TxnId, row: impl HotRow<'a>) -> Option<TxnId> {
+        self.with_state(&row.handle_in(self), |state| {
+            state.doomed.get(&txn).copied()
+        })
     }
 
-    /// The dependency list (update order) of a hot row a transaction holds
-    /// a handle on.
-    pub fn members(&self, handle: &GroupHandle) -> Vec<TxnId> {
-        self.with_state(handle, |state| state.dep_list.clone())
-    }
-
-    /// Current dependency list (update order) of a hot row, if it has any
-    /// group state.
-    pub fn dep_list(&self, record: RecordId) -> Vec<TxnId> {
-        self.peek(record, |state| state.dep_list.clone())
+    /// Current dependency list (update order) of a hot row.
+    pub fn dep_list<'a>(&self, row: impl HotRow<'a>) -> Vec<TxnId> {
+        self.with_state(&row.handle_in(self), |state| state.dep_list.clone())
     }
 
     /// True when the hot row still has any group activity.
@@ -1436,11 +1431,11 @@ mod tests {
         // The two immediate paths of `begin_update` ...
         let (leader, execution) = g.begin_update(TxnId(1), HOT);
         assert!(matches!(execution, HotExecution::Leader));
-        assert_eq!(g.members(&leader), [TxnId(1)]);
+        assert_eq!(g.dep_list(&leader), [TxnId(1)]);
         g.finish_update(TxnId(1), &leader, true);
         let (follower, execution) = g.begin_update(TxnId(2), HOT);
         assert!(matches!(execution, HotExecution::Follower));
-        assert_eq!(g.members(&follower), [TxnId(1), TxnId(2)]);
+        assert_eq!(g.dep_list(&follower), [TxnId(1), TxnId(2)]);
         // ... a parked update is not on the list until `finish_update`
         // grants it ...
         let (waiter, execution) = g.begin_update(TxnId(3), HOT);
@@ -1539,7 +1534,7 @@ mod tests {
         let (live, execution) = g.begin_update(TxnId(2), HOT);
         assert!(matches!(execution, HotExecution::Leader));
         // The stale handle sees, and acts on, the peer's group.
-        assert_eq!(g.members(&stale), [TxnId(2)]);
+        assert_eq!(g.dep_list(&stale), [TxnId(2)]);
         let hand_over = g.leader_handover(TxnId(1), &stale);
         assert_eq!(
             (hand_over.promoted, hand_over.turn),

@@ -229,11 +229,6 @@ impl Transaction {
         &self.hot_updates
     }
 
-    /// The hot rows this transaction updated.
-    pub fn hot_records(&self) -> impl Iterator<Item = RecordId> + '_ {
-        self.hot_updates.iter().map(|hot| hot.record)
-    }
-
     /// The transaction's membership of `record`'s group or ticket queue.
     pub fn hot_update(&self, record: RecordId) -> Option<&HotUpdate> {
         self.hot_updates.iter().find(|hot| hot.record == record)
@@ -355,7 +350,6 @@ mod tests {
             (hot, HotRole::Follower, 42)
         );
         assert_eq!(update.group.as_ref().map(GroupHandle::record), Some(hot));
-        assert_eq!(t.hot_records().collect::<Vec<_>>(), [hot]);
         assert!(t.has_hot_updates());
         // The order is handed to exactly one write statement of the row.
         assert_eq!(t.take_unlogged_order(cold), None);
