@@ -311,10 +311,13 @@ impl MetricsSink for EngineMetrics {
 }
 
 /// A single-owner [`LatencyHistogram`]: the same buckets as plain `Cell`s,
-/// merged into the shared one bucket by bucket (full fidelity).
+/// merged into the shared one bucket by bucket (full fidelity).  The buckets
+/// are `u32` — a scratch counts one transaction's observations — because
+/// every `Transaction` carries two of these by value through `begin`,
+/// `commit` and `rollback`.
 #[derive(Debug)]
 struct ScratchHistogram {
-    buckets: [Cell<u64>; BUCKETS],
+    buckets: [Cell<u32>; BUCKETS],
     count: Cell<u64>,
     sum: Cell<u64>,
     max: Cell<u64>,
@@ -346,7 +349,7 @@ impl ScratchHistogram {
             for (i, bucket) in self.buckets.iter().enumerate() {
                 let n = bucket.take();
                 if n > 0 {
-                    shared.buckets[i].fetch_add(n, Ordering::Relaxed);
+                    shared.buckets[i].fetch_add(u64::from(n), Ordering::Relaxed);
                 }
             }
             shared.count.fetch_add(count, Ordering::Relaxed);
