@@ -1,10 +1,11 @@
 //! One benchmark cell: a declarative spec and its measured outcome.
 
 use crate::{measure_duration, warmup_duration};
+use serde::Json;
 use std::sync::Arc;
 use std::time::Duration;
 use txsql_common::latency::LatencyModel;
-use txsql_common::metrics::{EngineMetrics, MetricsSnapshot};
+use txsql_common::metrics::{Counter, EngineMetrics, MetricsSnapshot};
 use txsql_core::{ConfigDelta, Database, EngineConfig, Protocol};
 use txsql_replication::{ReplFaultPlan, ReplicationHook, ReplicationMode, SyncState};
 use txsql_workloads::{
@@ -12,14 +13,32 @@ use txsql_workloads::{
     SecondSample, WorkloadSpec,
 };
 
+/// Fresh-database repeats behind every cell.  A constant of the grid, as in
+/// `benchmark/`: a recorded number is a median with a spread, and two records
+/// taken with different repeat counts do not compare (odd, so that one repeat
+/// *is* the median).
+pub const REPEATS: usize = 5;
+
+/// Median and inter-quartile range (quartiles interpolated linearly between
+/// order statistics) of a non-empty sample.
+pub fn median_iqr(sample: &[f64]) -> (f64, f64) {
+    let mut sorted = sample.to_vec();
+    sorted.sort_by(f64::total_cmp);
+    let quantile = |q: f64| {
+        let at = q * (sorted.len() - 1) as f64;
+        let (lo, hi) = (at.floor() as usize, at.ceil() as usize);
+        sorted[lo] + (sorted[hi] - sorted[lo]) * (at - lo as f64)
+    };
+    (quantile(0.5), quantile(0.75) - quantile(0.25))
+}
+
 /// One point of an experiment grid, as pure data.
 ///
 /// `run` builds the [`Database`] from the protocol plus [`ConfigDelta`]s,
 /// optionally registers a replication hook, runs the workload under the
 /// driver the spec's workload family requires (closed-loop for SysBench /
-/// FiT / TPC-C, fixed-TPS open loop for Hotspots), and tears everything
-/// down — the setup/measure/report glue every figure binary used to
-/// copy-paste.
+/// FiT / TPC-C, fixed-TPS open loop for Hotspots), tears everything down,
+/// and does so [`REPEATS`] times.
 #[derive(Debug, Clone)]
 pub struct CellSpec {
     /// Concurrency-control protocol under test.
@@ -70,9 +89,9 @@ impl CellSpec {
         self
     }
 
-    /// Enables the replication hook in `mode`.
-    pub fn replication(mut self, mode: ReplicationMode) -> Self {
-        self.replication = Some(mode);
+    /// Enables the replication hook in `mode` (`None`: no hook).
+    pub fn replication(mut self, mode: impl Into<Option<ReplicationMode>>) -> Self {
+        self.replication = mode.into();
         self
     }
 
@@ -95,32 +114,64 @@ impl CellSpec {
         self
     }
 
+    /// Resizes the workload's table (SysBench rows, FiT users); the other
+    /// families have no such size.  Not part of the cell id.
+    pub fn rows(mut self, rows: u64) -> Self {
+        match &mut self.workload {
+            WorkloadSpec::Sysbench { table_size, .. }
+            | WorkloadSpec::SysbenchAbortInject { table_size, .. } => *table_size = rows,
+            WorkloadSpec::Fit { users, .. } => *users = rows,
+            WorkloadSpec::Tpcc { .. }
+            | WorkloadSpec::Hotspots { .. }
+            | WorkloadSpec::HotspotBurst { .. } => {}
+        }
+        self
+    }
+
     /// A stable cell id: `workload/protocol/tN[/delta...][/repl-...]`.
     pub fn id(&self) -> String {
-        let mut id = format!(
-            "{}/{}/t{}",
+        let protocol = self.protocol.label().to_lowercase();
+        format!(
+            "{}/{protocol}/t{}{}",
             self.workload.label(),
-            self.protocol.label().to_lowercase(),
-            self.threads
-        );
-        for delta in &self.deltas {
-            id.push('/');
-            id.push_str(&delta.label());
-        }
+            self.threads,
+            self.settings()
+        )
+    }
+
+    /// The id's tail: what is set besides workload, protocol and threads.
+    pub fn settings(&self) -> String {
+        let mut settings: String = self
+            .deltas
+            .iter()
+            .map(|d| format!("/{}", d.label()))
+            .collect();
         match self.replication {
-            Some(ReplicationMode::Synchronous) => id.push_str("/repl-sync"),
-            Some(ReplicationMode::Asynchronous) => id.push_str("/repl-async"),
+            Some(ReplicationMode::Synchronous) => settings.push_str("/repl-sync"),
+            Some(ReplicationMode::Asynchronous) => settings.push_str("/repl-async"),
             None => {}
         }
         if let Some(plan) = &self.replication_fault {
-            id.push_str("/rplfault-");
-            id.push_str(plan.label());
+            settings.push_str("/rplfault-");
+            settings.push_str(plan.label());
         }
-        id
+        settings
     }
 
-    /// Runs the cell and returns its outcome.
+    /// Runs the cell [`REPEATS`] times on fresh databases and returns the
+    /// repeat with the median goodput (every field of the outcome is that
+    /// one run's, so counters and rates agree with each other) carrying the
+    /// inter-quartile range of the repeats' goodput.
     pub fn run(&self) -> CellOutcome {
+        let mut runs: Vec<CellOutcome> = (0..REPEATS).map(|_| self.run_once()).collect();
+        runs.sort_by(|a, b| a.goodput_tps.total_cmp(&b.goodput_tps));
+        let goodput: Vec<f64> = runs.iter().map(|run| run.goodput_tps).collect();
+        let mut median = runs.swap_remove(REPEATS / 2);
+        median.goodput_iqr = median_iqr(&goodput).1;
+        median
+    }
+
+    fn run_once(&self) -> CellOutcome {
         let mut config = EngineConfig::for_protocol(self.protocol).with_deltas(&self.deltas);
         let latency = self.latency.or(self
             .replication
@@ -155,6 +206,7 @@ impl CellSpec {
                 CellOutcome {
                     spec: self.clone(),
                     goodput_tps: snapshot.tps,
+                    goodput_iqr: 0.0,
                     abort_rate_pct: snapshot.abort_ratio * 100.0,
                     p50_ms: snapshot.p50_latency_ms,
                     p95_ms: snapshot.p95_latency_ms,
@@ -163,9 +215,8 @@ impl CellSpec {
                     failed: snapshot.aborted,
                     snapshot: Some(snapshot),
                     seconds: None,
-                    admission: None,
                     tpcc_consistent: None,
-                    replication: None,
+                    extras: Vec::new(),
                 }
             }
             BuiltWorkload::Open(trace) => {
@@ -181,16 +232,26 @@ impl CellSpec {
                 let total = trace.total_seconds();
                 let pre_end = trace.phases().first().map_or(0, |p| p.seconds);
                 let post_start = total - trace.phases().last().map_or(0, |p| p.seconds);
-                let admission = AdmissionSummary {
-                    shed: report.total_shed(),
-                    queued: report.total_queued(),
-                    budget_exhausted: report.total_budget_exhausted(),
-                    pre_burst_goodput_tps: report.goodput_tps_in(0..pre_end),
-                    post_burst_goodput_tps: report.goodput_tps_in(post_start..total),
-                };
+                let extras = vec![
+                    ("admission_shed", Json::U64(report.total_shed())),
+                    ("admission_queued", Json::U64(report.total_queued())),
+                    (
+                        "retry_budget_exhausted",
+                        Json::U64(report.total_budget_exhausted()),
+                    ),
+                    (
+                        "pre_burst_goodput_tps",
+                        Json::F64(report.goodput_tps_in(0..pre_end)),
+                    ),
+                    (
+                        "post_burst_goodput_tps",
+                        Json::F64(report.goodput_tps_in(post_start..total)),
+                    ),
+                ];
                 CellOutcome {
                     spec: self.clone(),
                     goodput_tps: report.goodput_tps(),
+                    goodput_iqr: 0.0,
                     abort_rate_pct: report.failure_rate_pct(),
                     p50_ms: report.latencies.p50_millis(),
                     p95_ms: report.latencies.p95_millis(),
@@ -199,9 +260,8 @@ impl CellSpec {
                     failed: report.total_failed(),
                     snapshot: None,
                     seconds: Some(report.samples),
-                    admission: Some(admission),
                     tpcc_consistent: None,
-                    replication: None,
+                    extras,
                 }
             }
         };
@@ -214,15 +274,17 @@ impl CellSpec {
             // or shed queue may have left them behind), then snapshot the
             // degrade/re-sync trajectory for the record.
             let caught_up = hook.wait_caught_up(hook.binlog_len(), Duration::from_secs(5));
-            outcome.replication = Some(ReplicationStats {
-                degraded_commits: repl_metrics.degraded_commits.get(),
-                semi_sync_timeouts: repl_metrics.semi_sync_timeouts.get(),
-                semi_sync_resyncs: repl_metrics.semi_sync_resyncs.get(),
-                ship_queue_full: repl_metrics.ship_queue_full.get(),
-                ship_retries: repl_metrics.ship_retries.get(),
-                caught_up,
-                resynced: hook.sync_state() == SyncState::SemiSync,
-            });
+            let resynced = hook.sync_state() == SyncState::SemiSync;
+            let (count, m) = (|c: &Counter| Json::U64(c.get()), &repl_metrics);
+            outcome.extras.extend([
+                ("degraded_commits", count(&m.degraded_commits)),
+                ("semi_sync_timeouts", count(&m.semi_sync_timeouts)),
+                ("semi_sync_resyncs", count(&m.semi_sync_resyncs)),
+                ("ship_queue_full", count(&m.ship_queue_full)),
+                ("ship_retries", count(&m.ship_retries)),
+                ("replicas_caught_up", Json::Bool(caught_up)),
+                ("resynced", Json::Bool(resynced)),
+            ]);
             hook.shutdown();
         }
         db.shutdown();
@@ -235,8 +297,11 @@ impl CellSpec {
 pub struct CellOutcome {
     /// The spec that produced this outcome.
     pub spec: CellSpec,
-    /// Committed (and, open-loop, within-deadline) transactions per second.
+    /// Committed (and, open-loop, within-deadline) transactions per second:
+    /// the median of the cell's repeats.
     pub goodput_tps: f64,
+    /// Inter-quartile range of the repeats' goodput.
+    pub goodput_iqr: f64,
     /// Closed loop: engine abort ratio; open loop: failure rate.  Percent.
     pub abort_rate_pct: f64,
     /// Median end-to-end latency (ms).
@@ -254,63 +319,24 @@ pub struct CellOutcome {
     pub snapshot: Option<MetricsSnapshot>,
     /// Per-second samples — open-loop cells only.
     pub seconds: Option<Vec<SecondSample>>,
-    /// Front-door admission summary — open-loop cells only (closed-loop
-    /// cells carry the same counters inside their `snapshot`).
-    pub admission: Option<AdmissionSummary>,
     /// TPC-C warehouse/district YTD consistency — TPC-C cells only.
     pub tpcc_consistent: Option<bool>,
-    /// Semi-sync degrade/re-sync trajectory — replication cells only.
-    pub replication: Option<ReplicationStats>,
-}
-
-/// Front-door admission activity over one open-loop cell, summed from the
-/// per-second samples, plus goodput resolved to the trace's calm shoulders —
-/// the "did the burst end in re-admission" evidence.
-#[derive(Debug, Clone)]
-pub struct AdmissionSummary {
-    /// Transactions shed with `Error::Overloaded` over the whole run.
-    pub shed: u64,
-    /// Transactions that waited in a hot-key admission queue.
-    pub queued: u64,
-    /// Transactions whose retry budget ran out.
-    pub budget_exhausted: u64,
-    /// Goodput over the first (calm, pre-burst) trace phase.
-    pub pre_burst_goodput_tps: f64,
-    /// Goodput over the last (calm, post-burst) trace phase.
-    pub post_burst_goodput_tps: f64,
-}
-
-/// What the replication hook went through over one cell: how often the
-/// semi-sync pipeline degraded, whether it re-synced, and the load it shed.
-#[derive(Debug, Clone)]
-pub struct ReplicationStats {
-    /// Commits shipped while the hook was (or went) degraded.
-    pub degraded_commits: u64,
-    /// Semi-sync ack waits that timed out (degrade transitions).
-    pub semi_sync_timeouts: u64,
-    /// Degraded → semi-sync recoveries.
-    pub semi_sync_resyncs: u64,
-    /// Batches shed because the bounded async queue was full.
-    pub ship_queue_full: u64,
-    /// Transient ship failures that were retried.
-    pub ship_retries: u64,
-    /// Whether the replicas caught up to the full binlog before teardown.
-    pub caught_up: bool,
-    /// Whether the hook ended the cell back in semi-sync state.
-    pub resynced: bool,
+    /// What only some cells measure, under the keys it is recorded by.
+    /// Open-loop cells: front-door admission activity summed over the run
+    /// (`admission_shed`, `admission_queued`, `retry_budget_exhausted`) and
+    /// goodput over the trace's calm first and last phases
+    /// (`pre_burst_goodput_tps`, `post_burst_goodput_tps`) — the "did the
+    /// burst end in re-admission" evidence; closed-loop cells carry the same
+    /// counters inside their `snapshot`.  Replication cells: how often the
+    /// semi-sync pipeline degraded and re-synced, the load it shed, and
+    /// whether the replicas caught up and the hook ended back in semi-sync.
+    pub extras: Vec<(&'static str, Json)>,
 }
 
 impl CellOutcome {
     /// The cell id of the producing spec.
     pub fn id(&self) -> String {
         self.spec.id()
-    }
-
-    /// The snapshot, for figure code that knows the cell was closed-loop.
-    pub fn snapshot(&self) -> &MetricsSnapshot {
-        self.snapshot
-            .as_ref()
-            .expect("closed-loop cell has a snapshot")
     }
 }
 
@@ -365,5 +391,14 @@ mod tests {
         assert_eq!(spec.threads, 1, "thread count is clamped to >= 1");
         assert_eq!(spec.seed, 9);
         assert!(spec.latency.is_some());
+    }
+
+    #[test]
+    fn median_and_iqr_of_a_known_sample() {
+        assert_eq!(median_iqr(&[5.0, 1.0, 4.0, 2.0, 3.0]), (3.0, 2.0));
+        assert_eq!(median_iqr(&[10.0, 20.0, 40.0, 30.0]), (25.0, 15.0));
+        assert_eq!(median_iqr(&[7.0]), (7.0, 0.0));
+        // One stalled repeat in five moves neither figure.
+        assert_eq!(median_iqr(&[100.0, 101.0, 102.0, 103.0, 3.0]), (101.0, 2.0));
     }
 }

@@ -1,10 +1,20 @@
-//! Named experiment grids.
+//! The two recorded selections: the paper grid and the CI smoke grid.
+//!
+//! Both are panels like any figure's ([`super::figures`]); what sets them
+//! apart is that `bench_workloads` records them.
 
-use super::cell::{CellOutcome, CellSpec};
+use super::cell::CellSpec;
+use super::figures::{
+    axis, fields, Axis, GridSpec, Panel, ABORTS, P50, P95, P99, TPCC, TPS, TPS_IQR,
+};
+use crate::short_thread_ladder;
 use std::time::Duration;
 use txsql_core::{ConfigDelta, Protocol};
 use txsql_replication::{ReplFaultPlan, ReplicationMode};
 use txsql_workloads::{SysbenchVariant, WorkloadSpec};
+
+/// Rows of the smoke grid's tables, and of any figure run with `--smoke`.
+pub const SMOKE_ROWS: u64 = 10_000;
 
 /// The injected follower-tier pause used by the `rplfault-stall` cells: both
 /// replicas stop answering at their first delivery for 100 ms, long past the
@@ -15,197 +25,172 @@ fn stall_plan() -> ReplFaultPlan {
     ReplFaultPlan::none().with_stall(None, 1, Duration::from_millis(100))
 }
 
-/// A named list of cells.
-#[derive(Debug, Clone)]
-pub struct GridSpec {
-    /// Grid name, recorded in the block provenance.
-    pub name: String,
-    /// The cells, run in order.
-    pub cells: Vec<CellSpec>,
+/// The cells that measure operations rather than a paper figure, at the
+/// grid's size: FiT under semi-sync with a follower-tier stall mid-run (the
+/// hook must degrade and re-sync, goodput recovering rather than the primary
+/// wedging), and the same sharp hot-row burst without and with the front-door
+/// hot-key queues.  The win to look for in the pair is burst p99 and
+/// post-burst goodput, with non-zero `admission_shed` proving the queues
+/// fired; the burst trace declares its hot row up front
+/// (`HotspotsTrace::burst` promotes it in setup), so the pair differs only in
+/// the front door — organic promotion timing on a small box is not part of
+/// the experiment.
+fn operations_cells(
+    fit: WorkloadSpec,
+    burst: WorkloadSpec,
+    threads: usize,
+    workers: usize,
+    depth: usize,
+) -> Vec<CellSpec> {
+    let burst = CellSpec::new(Protocol::GroupLockingTxsql, burst).threads(workers);
+    vec![
+        CellSpec::new(Protocol::GroupLockingTxsql, fit)
+            .threads(threads)
+            .replication(ReplicationMode::Synchronous)
+            .replication_fault(stall_plan()),
+        burst.clone(),
+        burst
+            .delta(ConfigDelta::Admission(true))
+            .delta(ConfigDelta::AdmissionDepth(depth)),
+    ]
 }
 
-impl GridSpec {
-    /// Runs every cell sequentially, invoking `progress` after each one.
-    pub fn run(&self, mut progress: impl FnMut(&CellOutcome)) -> Vec<CellOutcome> {
-        self.cells
-            .iter()
-            .map(|cell| {
-                let outcome = cell.run();
-                progress(&outcome);
-                outcome
-            })
-            .collect()
-    }
+/// One row per cell, with the fields a pivot leaves out.
+fn every_cell(grid: &str, cells: Vec<CellSpec>) -> Panel {
+    let title = format!("workload grid `{grid}`: every cell");
+    let rows: Axis<CellSpec> = cells.into_iter().map(|cell| (cell.id(), cell)).collect();
+    let columns = fields(&[TPS, TPS_IQR, ABORTS, P50, P95, P99, TPCC]);
+    Panel::new(title, "cell", &rows, &columns, |cell, &show| {
+        (cell.clone(), show)
+    })
 }
 
-/// The recorded grid: the paper's four compared systems on all four workload
-/// families, two thread counts on the contended SysBench hotspot, semi-sync
-/// replication toggled on FiT, and the Hotspots trace driven open-loop.
+/// The recorded grid.  The paper's claim first — the ablation ladder MySQL /
+/// O1 / O2 / TXSQL on the two hot-row workloads (Fig. 6a / 6e), in memory and
+/// under semi-sync replication (Fig. 9's commit latency), at the short ladder
+/// plus 64 threads — then the four compared systems on every workload family
+/// (Fig. 8 / 9 / 12 / 11 at one thread count each), then the operations cells
+/// and TPC-C with per-warehouse Payment admission caps (the warehouse YTD
+/// row is each warehouse's hot key; compare its abort breakdown with the
+/// plain `tpcc-w2` cells).
 pub fn paper_grid(seed: u64) -> GridSpec {
-    let sysbench = WorkloadSpec::Sysbench {
-        variant: SysbenchVariant::HotspotUpdate,
-        table_size: 100_000,
-    };
-    let fit = WorkloadSpec::Fit {
-        hot_accounts: 1,
-        users: 100_000,
-    };
-    let tpcc = WorkloadSpec::Tpcc { warehouses: 2 };
+    let hot_update = WorkloadSpec::sysbench(SysbenchVariant::HotspotUpdate);
+    let fit = WorkloadSpec::fit_standard();
+    let tpcc = WorkloadSpec::tpcc(2);
+    let (base_tps, sync) = (300, Some(ReplicationMode::Synchronous));
     let hotspots = WorkloadSpec::Hotspots {
-        base_tps: 300,
+        base_tps,
         phase_seconds: 1,
     };
-
-    let mut cells = Vec::new();
-    for protocol in Protocol::SYSTEMS {
-        for threads in [8usize, 64] {
-            cells.push(
-                CellSpec::new(protocol, sysbench)
-                    .threads(threads)
-                    .seed(seed),
-            );
-        }
-        cells.push(CellSpec::new(protocol, fit).threads(64).seed(seed));
-        cells.push(
-            CellSpec::new(protocol, fit)
-                .threads(64)
-                .replication(ReplicationMode::Synchronous)
-                .seed(seed),
-        );
-        cells.push(CellSpec::new(protocol, tpcc).threads(64).seed(seed));
-        cells.push(CellSpec::new(protocol, hotspots).threads(16).seed(seed));
-    }
-    // Fault tolerance under the paper's replication setting: a follower-tier
-    // stall mid-run must degrade semi-sync shipping and re-sync afterwards,
-    // with goodput recovering rather than the primary wedging.
-    cells.push(
-        CellSpec::new(Protocol::GroupLockingTxsql, fit)
-            .threads(64)
-            .replication(ReplicationMode::Synchronous)
-            .replication_fault(stall_plan())
-            .seed(seed),
-    );
-    // Front-door admission control under a sharp hot-row overload: the same
-    // burst with and without the hot-key queues, side by side.  The win to
-    // look for is burst p99 and post-burst goodput recovery, with non-zero
-    // `admission_shed` proving the queues actually fired.  The burst trace
-    // declares its hot row up front (`HotspotsTrace::burst` promotes it in
-    // setup), so the pair differs only in the admission front door —
-    // organic promotion timing on a small box is not part of the
-    // experiment.
     let burst = WorkloadSpec::HotspotBurst {
-        base_tps: 300,
+        base_tps,
         phase_seconds: 2,
     };
-    cells.push(
-        CellSpec::new(Protocol::GroupLockingTxsql, burst)
-            .threads(16)
-            .seed(seed),
-    );
-    cells.push(
-        CellSpec::new(Protocol::GroupLockingTxsql, burst)
-            .threads(16)
-            .delta(ConfigDelta::Admission(true))
-            .delta(ConfigDelta::AdmissionDepth(4))
-            .seed(seed),
-    );
-    // Per-warehouse Payment admission caps under high concurrency: the
-    // warehouse YTD row is each warehouse's hot key, so the hot-key queues
-    // act as per-warehouse Payment caps.  Compare the abort breakdown with
-    // the plain tpcc/t64 cells above.
+
+    let mut ladder = short_thread_ladder();
+    ladder.push(64);
+    ladder.sort_unstable();
+    ladder.dedup();
+    let ablation = |(workload, replication)| {
+        let cell = |p| CellSpec::new(p, workload).replication(replication);
+        Panel::by_threads("Ablation", &ladder, &Protocol::ABLATION, TPS, cell)
+    };
+    let hot_rows = [
+        (hot_update, None),
+        (hot_update, sync),
+        (fit, None),
+        (fit, sync),
+    ];
+    let mut panels: Vec<Panel> = hot_rows.map(ablation).into();
+
+    let families = [
+        (hot_update, 8, None),
+        (hot_update, 64, None),
+        (fit, 64, None),
+        (fit, 64, sync),
+        (tpcc, 64, None),
+        (hotspots, 16, None),
+    ];
+    let family = |&(workload, threads, replication): &(WorkloadSpec, usize, _), &p: &Protocol| {
+        (
+            CellSpec::new(p, workload)
+                .threads(threads)
+                .replication(replication),
+            TPS,
+        )
+    };
+    let families = axis(&families, |row| {
+        let cell = family(row, &Protocol::Mysql2pl).0;
+        format!(
+            "{}/t{}{}",
+            cell.workload.label(),
+            cell.threads,
+            cell.settings()
+        )
+    });
+    let systems = axis(&Protocol::SYSTEMS, |p| p.label().to_string());
+    let title = "Compared systems on every workload family (TPS)";
+    panels.push(Panel::new(
+        title,
+        "workload/threads",
+        &families,
+        &systems,
+        family,
+    ));
+
+    let mut grid = GridSpec {
+        name: "paper".to_string(),
+        panels,
+    };
+    let mut cells = grid.cells();
+    cells.extend(operations_cells(fit, burst, 64, 16, 4));
     cells.push(
         CellSpec::new(Protocol::GroupLockingTxsql, tpcc)
             .threads(64)
-            .delta(ConfigDelta::Admission(true))
-            .seed(seed),
+            .delta(ConfigDelta::Admission(true)),
     );
-    GridSpec {
-        name: "paper".to_string(),
-        cells,
-    }
+    grid.panels.push(every_cell("paper", cells));
+    grid.map_cells(|cell| cell.seed(seed))
 }
 
-/// The CI grid: two protocols, small tables, one replication cell, one
-/// short open-loop trace — fast enough for every push.
+/// The CI grid: two protocols, small tables, one replication cell, one short
+/// open-loop trace and the operations cells — fast enough for every push.
+/// Queue depth 2 under 8 bursty workers guarantees the admission cell
+/// actually sheds (CI greps `admission_shed=` non-zero).
 pub fn smoke_grid(seed: u64) -> GridSpec {
-    let sysbench = WorkloadSpec::Sysbench {
-        variant: SysbenchVariant::HotspotUpdate,
-        table_size: 10_000,
+    let hot_update = WorkloadSpec::sysbench(SysbenchVariant::HotspotUpdate);
+    let fit = WorkloadSpec::fit_standard();
+    let (base_tps, phase_seconds) = (50, 1);
+    let burst = WorkloadSpec::HotspotBurst {
+        base_tps,
+        phase_seconds,
     };
-    let tpcc = WorkloadSpec::Tpcc { warehouses: 2 };
+    let hotspots = WorkloadSpec::Hotspots {
+        base_tps,
+        phase_seconds,
+    };
+    let txsql = Protocol::GroupLockingTxsql;
 
     let mut cells = Vec::new();
-    for protocol in [Protocol::Mysql2pl, Protocol::GroupLockingTxsql] {
-        cells.push(CellSpec::new(protocol, sysbench).threads(8).seed(seed));
-        cells.push(CellSpec::new(protocol, tpcc).threads(8).seed(seed));
+    for protocol in [Protocol::Mysql2pl, txsql] {
+        cells.push(CellSpec::new(protocol, hot_update));
+        cells.push(CellSpec::new(protocol, WorkloadSpec::tpcc(2)));
     }
-    cells.push(
-        CellSpec::new(
-            Protocol::GroupLockingTxsql,
-            WorkloadSpec::Fit {
-                hot_accounts: 1,
-                users: 10_000,
-            },
-        )
-        .threads(8)
-        .replication(ReplicationMode::Synchronous)
-        .seed(seed),
-    );
-    cells.push(
-        CellSpec::new(
-            Protocol::GroupLockingTxsql,
-            WorkloadSpec::Hotspots {
-                base_tps: 50,
-                phase_seconds: 1,
-            },
-        )
-        .threads(4)
-        .seed(seed),
-    );
-    // The degrade → re-sync smoke check: semi-sync with both replicas
-    // stalled at the first delivery.
-    cells.push(
-        CellSpec::new(
-            Protocol::GroupLockingTxsql,
-            WorkloadSpec::Fit {
-                hot_accounts: 1,
-                users: 10_000,
-            },
-        )
-        .threads(8)
-        .replication(ReplicationMode::Synchronous)
-        .replication_fault(stall_plan())
-        .seed(seed),
-    );
-    // Admission-control smoke pair: the same sharp burst with and without
-    // the hot-key queues.  The trace declares its hot row in setup, and
-    // queue depth 2 under 8 bursty workers guarantees the admission cell
-    // actually sheds (CI greps `admission_shed=` non-zero).
-    let burst = WorkloadSpec::HotspotBurst {
-        base_tps: 50,
-        phase_seconds: 1,
-    };
-    cells.push(
-        CellSpec::new(Protocol::GroupLockingTxsql, burst)
-            .threads(8)
-            .seed(seed),
-    );
-    cells.push(
-        CellSpec::new(Protocol::GroupLockingTxsql, burst)
-            .threads(8)
-            .delta(ConfigDelta::Admission(true))
-            .delta(ConfigDelta::AdmissionDepth(2))
-            .seed(seed),
-    );
+    cells.push(CellSpec::new(txsql, fit).replication(ReplicationMode::Synchronous));
+    cells.push(CellSpec::new(txsql, hotspots).threads(4));
+    cells.extend(operations_cells(fit, burst, 8, 8, 2));
+
     GridSpec {
         name: "smoke".to_string(),
-        cells,
+        panels: vec![every_cell("smoke", cells)],
     }
+    .map_cells(|cell| cell.seed(seed).rows(SMOKE_ROWS))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::harness::figures::{figure, FIGURES};
     use std::collections::BTreeSet;
 
     fn family(cell: &CellSpec) -> &'static str {
@@ -221,41 +206,40 @@ mod tests {
     #[test]
     fn paper_grid_covers_the_acceptance_matrix() {
         let grid = paper_grid(42);
-        let protocols: BTreeSet<String> = grid
-            .cells
+        let cells = grid.cells();
+        let protocols: BTreeSet<String> = cells
             .iter()
             .map(|c| c.protocol.label().to_string())
             .collect();
         assert!(protocols.len() >= 4, "need >= 4 protocols: {protocols:?}");
-        let families: BTreeSet<&str> = grid.cells.iter().map(family).collect();
+        let families: BTreeSet<&str> = cells.iter().map(family).collect();
         assert_eq!(
             families,
             BTreeSet::from(["sysbench", "fit", "tpcc", "hotspots", "hotspot-burst"])
         );
         assert!(
-            grid.cells.iter().any(|c| c.replication.is_some()),
+            cells.iter().any(|c| c.replication.is_some()),
             "replication must be toggled on at least one workload"
         );
         assert!(
-            grid.cells.iter().any(|c| c.workload.is_open_loop()),
+            cells.iter().any(|c| c.workload.is_open_loop()),
             "hotspots must run open-loop"
         );
-        let ids: BTreeSet<String> = grid.cells.iter().map(CellSpec::id).collect();
-        assert_eq!(ids.len(), grid.cells.len(), "cell ids must be unique");
+        let ids: BTreeSet<String> = cells.iter().map(CellSpec::id).collect();
+        assert_eq!(ids.len(), cells.len(), "cell ids must be unique");
     }
 
     #[test]
     fn smoke_grid_is_small_and_still_representative() {
-        let grid = smoke_grid(42);
-        assert!(grid.cells.len() <= 10, "smoke grid must stay CI-fast");
-        assert!(grid.cells.iter().any(|c| c.replication.is_some()));
-        assert!(grid.cells.iter().any(|c| c.workload.is_open_loop()));
-        assert!(grid
-            .cells
+        let cells = smoke_grid(42).cells();
+        assert!(cells.len() <= 10, "smoke grid must stay CI-fast");
+        assert!(cells.iter().any(|c| c.replication.is_some()));
+        assert!(cells.iter().any(|c| c.workload.is_open_loop()));
+        assert!(cells
             .iter()
             .any(|c| c.id() == "sysbench-hotspot-update/mysql/t8"));
         assert!(
-            grid.cells
+            cells
                 .iter()
                 .any(|c| c.replication.is_some() && c.replication_fault.is_some()),
             "the smoke grid must exercise the semi-sync degrade path"
@@ -265,8 +249,8 @@ mod tests {
     #[test]
     fn both_grids_carry_an_admission_burst_pair() {
         for grid in [paper_grid(42), smoke_grid(42)] {
-            let bursts: Vec<&CellSpec> = grid
-                .cells
+            let cells = grid.cells();
+            let bursts: Vec<&CellSpec> = cells
                 .iter()
                 .filter(|c| matches!(c.workload, WorkloadSpec::HotspotBurst { .. }))
                 .collect();
@@ -290,8 +274,8 @@ mod tests {
     #[test]
     fn both_grids_carry_a_replica_stall_cell() {
         for grid in [paper_grid(42), smoke_grid(42)] {
-            let stall = grid
-                .cells
+            let cells = grid.cells();
+            let stall = cells
                 .iter()
                 .find(|c| c.id().ends_with("/rplfault-stall"))
                 .unwrap_or_else(|| panic!("grid `{}` has no stall cell", grid.name));
@@ -301,6 +285,111 @@ mod tests {
                 plan.stall.is_some_and(|(target, _, _)| target.is_none()),
                 "the stall must hit the whole follower tier so the ack quorum degrades"
             );
+        }
+    }
+
+    /// FNV-1a over cell ids in run order, the way
+    /// `workloads/tests/determinism.rs` pins a stream.
+    fn id_digest(cells: &[CellSpec]) -> u64 {
+        let mut hash = txsql_workloads::digest::Fnv1a::new();
+        for cell in cells {
+            cell.id().bytes().for_each(|b| hash.write_u64(b.into()));
+            hash.write_u64(u64::MAX);
+        }
+        hash.finish()
+    }
+
+    /// Cell count and id digest per figure, at the quick ladder.  Taken from
+    /// what the ten `figNN_*` programs ran at 35eb196 (Figure 6 is
+    /// `fig06_ablation_fit` then `fig06_ablation_sysbench`; Figure 13 without
+    /// the `dynbatch=false` its batch cells carried for a knob nothing read):
+    /// a figure that gains, loses or renames a cell re-pins here and says so.
+    const FIGURE_CELLS: [(&str, usize, u64); 9] = [
+        ("2", 18, 10039732274263093379),
+        ("6", 60, 15968620108520615566),
+        ("7", 32, 18163337977189685573),
+        ("8", 12, 11250236258816546074),
+        ("9", 24, 9199192685663702661),
+        ("10", 28, 15065119205325925226),
+        ("11", 3, 8034533958530523582),
+        ("12", 12, 15172408650430955674),
+        ("13", 34, 7306876167739846367),
+    ];
+
+    #[test]
+    fn every_figure_builds_the_cells_its_binary_built() {
+        assert_eq!(FIGURE_CELLS.map(|(id, _, _)| id), FIGURES.map(|(id, _)| id));
+        for (id, count, digest) in FIGURE_CELLS {
+            let cells = figure(id).expect("listed figure").cells();
+            let ids: Vec<String> = cells.iter().map(CellSpec::id).collect();
+            assert_eq!(cells.len(), count, "figure {id}: {ids:#?}");
+            assert_eq!(id_digest(&cells), digest, "figure {id}: {ids:#?}");
+        }
+        assert!(figure("14").is_none());
+    }
+
+    #[test]
+    fn a_cell_id_names_one_spec_in_every_selection() {
+        for grid in [figure("all").unwrap(), paper_grid(42), smoke_grid(42)] {
+            let mut specs = std::collections::BTreeMap::new();
+            for cell in grid.panels.iter().flat_map(Panel::cells) {
+                let spec = format!("{cell:?}");
+                let first = specs.entry(cell.id()).or_insert_with(|| spec.clone());
+                assert_eq!(
+                    *first,
+                    spec,
+                    "`{}` names two cells in `{}`",
+                    cell.id(),
+                    grid.name
+                );
+            }
+            assert_eq!(specs.len(), grid.cells().len());
+        }
+    }
+
+    /// The ablation ladder on the two hot-row workloads: Figure 6 holds it in
+    /// memory (Figure 8 is the compared systems on the same row, so MySQL and
+    /// TXSQL only), the recorded grid holds it in memory and under semi-sync
+    /// at the short ladder and 64 threads.
+    #[test]
+    fn the_ablation_ladder_is_on_the_hot_row() {
+        let has = |cells: &[CellSpec], id: String| cells.iter().any(|c| c.id() == id);
+        let (fig6, fig8) = (figure("6").unwrap().cells(), figure("8").unwrap().cells());
+        let recorded = paper_grid(42).cells();
+        for protocol in Protocol::ABLATION {
+            let p = protocol.label().to_lowercase();
+            for threads in crate::short_thread_ladder() {
+                for workload in ["sysbench-hotspot-update", "fit"] {
+                    assert!(has(&fig6, format!("{workload}/{p}/t{threads}")));
+                }
+            }
+            for threads in [8, 32, 64, 128] {
+                for workload in ["sysbench-hotspot-update", "fit"] {
+                    assert!(has(&recorded, format!("{workload}/{p}/t{threads}")));
+                    assert!(has(
+                        &recorded,
+                        format!("{workload}/{p}/t{threads}/repl-sync")
+                    ));
+                }
+            }
+        }
+        for protocol in Protocol::SYSTEMS {
+            let p = protocol.label().to_lowercase();
+            assert!(has(&fig8, format!("sysbench-hotspot-update/{p}/t128")));
+        }
+    }
+
+    #[test]
+    fn smoke_size_reaches_every_sized_workload_and_no_id() {
+        let fig6 = figure("6").unwrap();
+        let small = fig6.clone().map_cells(|cell| cell.rows(SMOKE_ROWS));
+        for (paper, smoke) in fig6.cells().iter().zip(small.cells()) {
+            assert_eq!(paper.id(), smoke.id());
+            match smoke.workload {
+                WorkloadSpec::Sysbench { table_size, .. } => assert_eq!(table_size, SMOKE_ROWS),
+                WorkloadSpec::Fit { users, .. } => assert_eq!(users, SMOKE_ROWS),
+                other => panic!("figure 6 runs {other:?}"),
+            }
         }
     }
 }

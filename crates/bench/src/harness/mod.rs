@@ -8,19 +8,23 @@
 //! * [`cell`] — [`CellSpec`] (one declarative cell) and [`CellOutcome`]
 //!   (goodput, abort rate, p50/p95/p99, metrics snapshot, per-second
 //!   samples for open-loop cells);
-//! * [`grid`] — named grids: the recorded [`paper_grid`] and the CI
+//! * [`figures`] — the paper's figures as [`Panel`] declarations (row axis ×
+//!   column axis → cell and shown field) and [`GridSpec`], the one runner and
+//!   table printer over them;
+//! * [`grid`] — the two recorded selections: [`paper_grid`] and the CI
 //!   [`smoke_grid`];
-//! * [`record`] — JSON rendering of outcomes and the append-a-block-per-PR
-//!   protocol of `BENCH_workloads.json`.
+//! * [`record`] — JSON rendering of outcomes, block provenance and the
+//!   `BENCH_workloads.json` checks.
 //!
-//! The per-figure binaries (`fig02`–`fig13`) are thin grid declarations on
-//! top of [`CellSpec::run`]; `bench_workloads` runs the named grids and
-//! records them.
+//! `bench_workloads` is the one entry point: `--fig N` runs a figure, no
+//! selection runs the paper grid, `--record` writes what ran.
 
 pub mod cell;
+pub mod figures;
 pub mod grid;
 pub mod record;
 
-pub use cell::{CellOutcome, CellSpec};
-pub use grid::{paper_grid, smoke_grid, GridSpec};
+pub use cell::{CellOutcome, CellSpec, REPEATS};
+pub use figures::{figure, GridSpec, Panel};
+pub use grid::{paper_grid, smoke_grid, SMOKE_ROWS};
 pub use record::{block_json, cell_json, merge_block, render_json, validate_block, Provenance};

@@ -1,10 +1,12 @@
 //! # txsql-bench
 //!
-//! Shared harness helpers for the per-figure benchmark binaries (in
-//! `src/bin/`).  Per-layer micro-measurements are the `probe.*` metrics of
-//! the gated benchmark in `benchmark/`.
+//! The paper's evaluation as data, and the two programs over it (in
+//! `src/bin/`): `bench_workloads` runs, prints and records every figure and
+//! the recorded grid, `exp_recovery` the §6.4.6 restart experiment.
+//! Per-layer micro-measurements are the `probe.*` metrics of the gated
+//! benchmark in `benchmark/`.
 //!
-//! Every figure binary prints a whitespace-aligned table with one series per
+//! Every figure prints as whitespace-aligned tables with one series per
 //! protocol, mirroring the corresponding figure of the paper.  Absolute
 //! numbers are laptop-scale (this engine is an in-memory reproduction, not
 //! the paper's 80-core testbed); what is expected to match is the *shape*:
@@ -18,8 +20,8 @@
 //!   (fractional values allowed; default 0.4, or 2.0 with `TXSQL_BENCH_FULL`).
 //!
 //! The [`harness`] module is the experiment-harness subsystem: declarative
-//! cell/grid specs, the shared cell runner every figure binary is built on,
-//! and the `BENCH_workloads.json` recording protocol.
+//! cells, the figures as panels over them, the one runner and table printer,
+//! and the `BENCH_workloads.json` record.
 
 #![warn(missing_docs)]
 #![deny(unsafe_code)]

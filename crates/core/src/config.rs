@@ -84,8 +84,6 @@ impl Protocol {
 pub enum ConfigDelta {
     /// Group-locking batch size (0 = unbounded), see `with_batch_size`.
     BatchSize(usize),
-    /// Dynamic batch sizing on/off (§4.6.1).
-    DynamicBatch(bool),
     /// Group commit on/off (Figure 13 ablation).
     GroupCommit(bool),
     /// Front-door admission control (hot-key queues + shedding) on/off.
@@ -99,7 +97,6 @@ impl ConfigDelta {
     pub fn apply(self, config: EngineConfig) -> EngineConfig {
         match self {
             ConfigDelta::BatchSize(n) => config.with_batch_size(n),
-            ConfigDelta::DynamicBatch(on) => config.with_dynamic_batch(on),
             ConfigDelta::GroupCommit(on) => config.with_group_commit(on),
             ConfigDelta::Admission(on) => config.with_admission(on),
             ConfigDelta::AdmissionDepth(n) => config.with_admission_depth(n),
@@ -110,7 +107,6 @@ impl ConfigDelta {
     pub fn label(&self) -> String {
         match self {
             ConfigDelta::BatchSize(n) => format!("batch={n}"),
-            ConfigDelta::DynamicBatch(on) => format!("dynbatch={on}"),
             ConfigDelta::GroupCommit(on) => format!("gc={on}"),
             ConfigDelta::Admission(on) => format!("admission={on}"),
             ConfigDelta::AdmissionDepth(n) => format!("admdepth={n}"),
@@ -205,12 +201,6 @@ impl EngineConfig {
         self
     }
 
-    /// Enables or disables dynamic batch sizing (§4.6.1).
-    pub fn with_dynamic_batch(mut self, dynamic: bool) -> Self {
-        self.group.dynamic_batch = dynamic;
-        self
-    }
-
     /// Enables or disables group commit (Figure 13 ablation).
     pub fn with_group_commit(mut self, enabled: bool) -> Self {
         self.group_commit = enabled;
@@ -296,7 +286,6 @@ mod tests {
             .with_lock_wait_timeout(Duration::from_millis(77))
             .with_aria_batch_size(0)
             .with_history_recording(true)
-            .with_dynamic_batch(false)
             .with_fault_plan(FaultPlan::seeded(7));
         assert_eq!(cfg.group.batch_size, 64);
         assert!(cfg.fault_plan.is_some());
@@ -306,7 +295,6 @@ mod tests {
         assert_eq!(cfg.group.hot_wait_timeout, Duration::from_millis(77));
         assert_eq!(cfg.aria_batch_size, 1);
         assert!(cfg.record_history);
-        assert!(!cfg.group.dynamic_batch);
     }
 
     #[test]
@@ -314,7 +302,6 @@ mod tests {
         let deltas = [
             ConfigDelta::BatchSize(64),
             ConfigDelta::GroupCommit(false),
-            ConfigDelta::DynamicBatch(false),
             ConfigDelta::Admission(true),
             ConfigDelta::AdmissionDepth(4),
         ];
@@ -324,7 +311,6 @@ mod tests {
         assert_eq!(ConfigDelta::Admission(true).label(), "admission=true");
         assert_eq!(cfg.group.batch_size, 64);
         assert!(!cfg.group_commit);
-        assert!(!cfg.group.dynamic_batch);
         assert_eq!(ConfigDelta::BatchSize(64).label(), "batch=64");
         // Labels are distinct per knob kind.
         let labels: std::collections::HashSet<String> = deltas.iter().map(|d| d.label()).collect();

@@ -28,6 +28,7 @@ use txsql_common::{Row, TableId};
 use txsql_core::{
     AdmissionConfig, BackoffPolicy, Database, EngineConfig, Operation, Protocol, TxnProgram,
 };
+use txsql_sim::run_seed;
 use txsql_storage::TableSchema;
 
 const ACCOUNTS: TableId = TableId(1);
@@ -49,17 +50,6 @@ fn sim_config(depth: usize) -> EngineConfig {
         .with_admission_config(admission);
     config.start_sweeper = false;
     config
-}
-
-fn run_seed(seed: u64, build: impl Fn(&mut txsql_sim::Sim)) -> txsql_sim::RunReport {
-    let report = txsql_sim::run_with_seed(seed, build);
-    if let Some(failure) = &report.failure {
-        panic!(
-            "seed {seed} failed: {failure}\nschedule: {:?}\nreproduce: txsql_sim::replay(&schedule, build)",
-            report.schedule
-        );
-    }
-    report
 }
 
 /// One worker's admitted-increment loop: every retryable front-door outcome

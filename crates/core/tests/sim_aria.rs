@@ -19,7 +19,7 @@ use std::sync::Arc;
 use std::time::Duration;
 use txsql_common::{Row, TableId};
 use txsql_core::{Database, EngineConfig, Operation, Protocol, TxnProgram};
-use txsql_sim::ResourceKind;
+use txsql_sim::{run_seed, ResourceKind};
 use txsql_storage::TableSchema;
 
 const ACCOUNTS: TableId = TableId(1);
@@ -32,17 +32,6 @@ fn sim_config(batch_size: usize) -> EngineConfig {
         .with_lock_wait_timeout(Duration::from_millis(100));
     config.start_sweeper = false;
     config
-}
-
-fn run_seed(seed: u64, build: impl Fn(&mut txsql_sim::Sim)) -> txsql_sim::RunReport {
-    let report = txsql_sim::run_with_seed(seed, build);
-    if let Some(failure) = &report.failure {
-        panic!(
-            "seed {seed} failed: {failure}\nschedule: {:?}\nreproduce: txsql_sim::replay(&schedule, build)",
-            report.schedule
-        );
-    }
-    report
 }
 
 /// A worker that retries its program until it commits; Aria validation

@@ -20,6 +20,7 @@ use std::sync::Arc;
 use std::time::Duration;
 use txsql_common::{Lsn, Row, TableId, TxnId};
 use txsql_core::{Database, EngineConfig, Protocol};
+use txsql_sim::run_seed;
 use txsql_storage::fault::{CrashPoint, FaultInjector, FaultPlan};
 use txsql_storage::wal::{RedoLog, RedoRecord};
 use txsql_storage::TableSchema;
@@ -42,16 +43,6 @@ fn sim_config(protocol: Protocol) -> EngineConfig {
     config.start_sweeper = false;
     config.record_history = false;
     config
-}
-
-fn run_seed(seed: u64, build: impl Fn(&mut txsql_sim::Sim)) {
-    let report = txsql_sim::run_with_seed(seed, build);
-    if let Some(failure) = report.failure {
-        panic!(
-            "seed {seed} failed: {failure}\nschedule: {:?}\nreproduce: txsql_sim::replay(&schedule, build)",
-            report.schedule
-        );
-    }
 }
 
 fn setup_accounts(db: &Database) {

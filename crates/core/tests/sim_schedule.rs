@@ -15,6 +15,7 @@ use std::sync::Arc;
 use std::time::Duration;
 use txsql_common::{Row, TableId};
 use txsql_core::{Database, EngineConfig, Protocol};
+use txsql_sim::run_seed;
 use txsql_storage::TableSchema;
 
 const ENVELOPES: TableId = TableId(1);
@@ -29,16 +30,6 @@ fn sim_config(protocol: Protocol) -> EngineConfig {
         .with_history_recording(true);
     config.start_sweeper = false;
     config
-}
-
-fn run_seed(seed: u64, build: impl Fn(&mut txsql_sim::Sim)) {
-    let report = txsql_sim::run_with_seed(seed, build);
-    if let Some(failure) = report.failure {
-        panic!(
-            "seed {seed} failed: {failure}\nschedule: {:?}\nreproduce: txsql_sim::replay(&schedule, build)",
-            report.schedule
-        );
-    }
 }
 
 /// One recipient's claim loop of the miniature red envelope: retryable

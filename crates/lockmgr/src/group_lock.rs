@@ -144,9 +144,6 @@ pub struct GroupLockConfig {
     /// Maximum number of follower grants per group (the paper's default batch
     /// size is 10).  `0` means unbounded.
     pub batch_size: usize,
-    /// Dynamic batch size (§4.6.1): when the waiting queue is empty at
-    /// commit, release the lock without nominating a new leader.
-    pub dynamic_batch: bool,
     /// How long a queued hotspot update waits before giving up (the timeout
     /// that replaces deadlock detection on hot rows).
     pub hot_wait_timeout: Duration,
@@ -156,7 +153,6 @@ impl Default for GroupLockConfig {
     fn default() -> Self {
         Self {
             batch_size: 10,
-            dynamic_batch: true,
             hot_wait_timeout: Duration::from_millis(500),
         }
     }

@@ -23,26 +23,13 @@ use txsql_lockmgr::lock_sys::PageLayout;
 use txsql_lockmgr::lock_table::{DeadlockPolicy, Layout, LockTableConfig, RecordLockTable};
 use txsql_lockmgr::modes::LockMode;
 use txsql_lockmgr::queue_lock::{QueueAdmission, QueueLockTable};
+use txsql_sim::run_seed;
 
 const HOT: RecordId = RecordId {
     space_id: 1,
     page_no: 0,
     heap_no: 0,
 };
-
-/// Runs one seeded schedule and panics with the replayable artifact on
-/// failure (deadlock, lost wakeup, or an assertion inside a sim thread);
-/// returns the run's report (coverage) otherwise.
-fn run_seed(seed: u64, build: impl Fn(&mut txsql_sim::Sim)) -> txsql_sim::RunReport {
-    let report = txsql_sim::run_with_seed(seed, build);
-    if let Some(failure) = &report.failure {
-        panic!(
-            "seed {seed} failed: {failure}\nschedule: {:?}\nreproduce: txsql_sim::replay(&schedule, build)",
-            report.schedule
-        );
-    }
-    report
-}
 
 fn group_table() -> GroupLockTable {
     GroupLockTable::new(

@@ -36,6 +36,7 @@ use txsql_replication::{
     ReplFaultPlan, ReplFaultPoint, Replica, ReplicationHook, ReplicationMode, SemiSyncConfig,
     SyncState,
 };
+use txsql_sim::run_seed;
 use txsql_storage::fault::{CrashPoint, FaultPlan};
 use txsql_storage::TableSchema;
 
@@ -67,17 +68,6 @@ fn sim_semi_sync() -> SemiSyncConfig {
     SemiSyncConfig::default()
         .with_ack_timeout(Duration::from_millis(2))
         .with_background_applier(false)
-}
-
-fn run_seed(seed: u64, build: impl Fn(&mut txsql_sim::Sim)) -> txsql_sim::RunReport {
-    let report = txsql_sim::run_with_seed(seed, build);
-    if let Some(failure) = &report.failure {
-        panic!(
-            "seed {seed} failed: {failure}\nschedule: {:?}\nreproduce: txsql_sim::replay(&schedule, build)",
-            report.schedule
-        );
-    }
-    report
 }
 
 fn setup_accounts(db: &Database) {

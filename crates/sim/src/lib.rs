@@ -108,8 +108,9 @@ mod sched;
 pub use clock::SimInstant;
 pub use minimize::{minimize, Minimized};
 pub use sched::{
-    ci_seeds, current, explore, explore_collect, key_of, replay, replay_with_seed, run_with_seed,
-    ExploreSummary, Explorer, Resource, ResourceKind, RunReport, ScheduleCoverage, Sim, SimHandle,
+    ci_seeds, current, explore, explore_collect, key_of, replay, replay_with_seed, run_seed,
+    run_with_seed, ExploreSummary, Explorer, Resource, ResourceKind, RunReport, ScheduleCoverage,
+    Sim, SimHandle,
 };
 
 #[cfg(test)]

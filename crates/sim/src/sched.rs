@@ -935,6 +935,20 @@ pub fn run_with_seed(seed: u64, build: impl Fn(&mut Sim)) -> RunReport {
     run_inner(seed, None, &build)
 }
 
+/// [`run_with_seed`] for tests: panics with the replayable artifact (seed,
+/// failure, schedule trace) on a deadlock, a lost wake-up or an assertion
+/// inside a sim thread, and returns the run's report (coverage) otherwise.
+pub fn run_seed(seed: u64, build: impl Fn(&mut Sim)) -> RunReport {
+    let report = run_with_seed(seed, build);
+    if let Some(failure) = &report.failure {
+        panic!(
+            "seed {seed} failed: {failure}\nschedule: {:?}\nreproduce: txsql_sim::replay(&schedule, build)",
+            report.schedule
+        );
+    }
+    report
+}
+
 /// Replays a recorded schedule (the `schedule` field of a failing
 /// [`RunReport`]).  Divergence falls back to seeded picks so the run still
 /// terminates.
