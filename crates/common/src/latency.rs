@@ -99,24 +99,6 @@ pub fn simulate_delay(d: Duration) {
     }
 }
 
-/// The `ut_delay` helper from InnoDB (used in Algorithms 2 and 3): a short
-/// calibrated busy loop, `units` of roughly one microsecond each.
-pub fn ut_delay(units: u32) {
-    if let Some(handle) = txsql_sim::current() {
-        // A busy-wait in a spin-until-condition loop: under simulation the
-        // yield gives whichever thread must change the condition a chance to
-        // run, and the clock advance lets enclosing deadlines expire.
-        handle.advance(Duration::from_micros(units as u64));
-        handle.yield_at(txsql_sim::Resource::global(txsql_sim::ResourceKind::Clock));
-        return;
-    }
-    let start = std::time::Instant::now();
-    let target = Duration::from_micros(units as u64);
-    while start.elapsed() < target {
-        std::hint::spin_loop();
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -149,13 +131,6 @@ mod tests {
         let elapsed = start.elapsed();
         assert!(elapsed >= Duration::from_micros(200));
         assert!(elapsed < Duration::from_millis(50), "took {elapsed:?}");
-    }
-
-    #[test]
-    fn ut_delay_spins_at_least_requested_micros() {
-        let start = Instant::now();
-        ut_delay(50);
-        assert!(start.elapsed() >= Duration::from_micros(50));
     }
 
     #[test]

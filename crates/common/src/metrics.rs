@@ -444,16 +444,6 @@ impl MetricsScratch {
         self.locks_created.get()
     }
 
-    /// Locks released recorded since the last flush (test observability).
-    pub fn pending_locks_released(&self) -> u64 {
-        self.locks_released.get()
-    }
-
-    /// Release-path shard acquisitions since the last flush.
-    pub fn pending_release_shard_locks(&self) -> u64 {
-        self.release_shard_locks.get()
-    }
-
     /// Drains every accumulated count into `metrics`, leaving the scratch
     /// empty.  One atomic operation per non-zero counter/bucket.
     pub fn flush(&self, metrics: &EngineMetrics) {
@@ -532,13 +522,9 @@ impl AbortCounters {
     }
 
     /// Snapshot of `(label, count)` pairs.
-    pub fn snapshot(&self) -> Vec<(&'static str, u64)> {
-        self.inner.lock().clone()
-    }
-
-    /// Total aborts across all labels.
-    pub fn total(&self) -> u64 {
-        self.inner.lock().iter().map(|(_, c)| *c).sum()
+    pub fn snapshot(&self) -> Vec<(String, u64)> {
+        let owned = |(label, count): &(&str, u64)| (label.to_string(), *count);
+        self.inner.lock().iter().map(owned).collect()
     }
 
     /// Count for a specific label.
@@ -662,20 +648,64 @@ impl Metric for AbortCounters {
     }
 }
 
-/// The one table of engine metrics.  Each row is a field of
-/// [`EngineMetrics`]; `reset` visits every row (what a reset means is the
-/// row's kind's business, see [`Metric`]); the `snapshot` rows are also
-/// copied, under the same name, into [`MetricsSnapshot`] by `snapshot`, whose
-/// derived ratios and percentiles are computed from the `internal` rows.
+/// Fills one derived [`MetricsSnapshot`] field; being a function gives the
+/// table's closures their parameter types.
+fn derived<T>(
+    metrics: &EngineMetrics,
+    elapsed: Duration,
+    fill: impl FnOnce(&EngineMetrics, Duration) -> T,
+) -> T {
+    fill(metrics, elapsed)
+}
+
+/// The one table of engine metrics.  A `snapshot` row is a field of
+/// [`MetricsSnapshot`], in the order the snapshot serialises: `name: Kind`
+/// is also a field of [`EngineMetrics`], copied over under its own name;
+/// `name: Type = |metrics, elapsed| …` is a ratio or percentile computed when
+/// the snapshot is taken, most of them from the `internal` rows, which only
+/// [`EngineMetrics`] has.  `reset` visits every metric (what a reset means
+/// is the row's kind's business, see [`Metric`]).
 macro_rules! metrics_table {
     (
-        snapshot { $( $(#[$sdoc:meta])* $snap:ident: $skind:ty, )* }
+        snapshot { $($rows:tt)* }
         internal { $( $(#[$idoc:meta])* $int:ident: $ikind:ty, )* }
+    ) => {
+        metrics_table!(@row [] [] { $($rows)* } { $( $(#[$idoc])* $int: $ikind, )* });
+    };
+    // A metric: an `EngineMetrics` field and the snapshot field it is copied to.
+    (@row [$($metrics:tt)*] [$($fields:tt)*] {
+        $(#[doc = $doc:literal])* $(#[serde($serde:ident)])? $name:ident: $kind:ident,
+        $($rows:tt)*
+    } $internal:tt) => {
+        metrics_table!(@row
+            [$($metrics)* { $(#[doc = $doc])* $name: $kind }]
+            [$($fields)* {
+                $(#[doc = $doc])* $(#[serde($serde)])? $name: u64 = |m, _| m.$name.get()
+            }]
+            { $($rows)* } $internal);
+    };
+    // A derived snapshot field.
+    (@row [$($metrics:tt)*] [$($fields:tt)*] {
+        $(#[doc = $doc:literal])* $name:ident: $ty:ty = $fill:expr,
+        $($rows:tt)*
+    } $internal:tt) => {
+        metrics_table!(@row
+            [$($metrics)*]
+            [$($fields)* { $(#[doc = $doc])* $name: $ty = $fill }]
+            { $($rows)* } $internal);
+    };
+    (@row
+        [$({ $(#[doc = $mdoc:literal])* $metric:ident: $kind:ident })*]
+        [$({
+            $(#[doc = $doc:literal])* $(#[serde($serde:ident)])? $field:ident: $ty:ty = $fill:expr
+        })*]
+        {}
+        { $( $(#[$idoc:meta])* $int:ident: $ikind:ty, )* }
     ) => {
         /// All metrics the engine maintains while running a workload.
         #[derive(Debug, Default)]
         pub struct EngineMetrics {
-            $( $(#[$sdoc])* pub $snap: $skind, )*
+            $( $(#[doc = $mdoc])* pub $metric: $kind, )*
             $( $(#[$idoc])* pub $int: $ikind, )*
         }
 
@@ -683,54 +713,54 @@ macro_rules! metrics_table {
             /// Starts a new measurement window: clears every counter,
             /// histogram and label, and leaves the gauges alone.
             pub fn reset(&self) {
-                $( Metric::reset(&self.$snap); )*
+                $( Metric::reset(&self.$metric); )*
                 $( Metric::reset(&self.$int); )*
             }
 
-            /// Takes a serialisable snapshot, computing TPS over `elapsed`:
-            /// every `snapshot` row under its own name, plus the ratios and
-            /// percentiles derived from the `internal` rows.  The literal is
-            /// exhaustive, so a [`MetricsSnapshot`] field nobody fills does
-            /// not compile.
+            /// Takes a serialisable snapshot, computing TPS over `elapsed`.
             pub fn snapshot(&self, elapsed: Duration) -> MetricsSnapshot {
-                let secs = elapsed.as_secs_f64().max(1e-9);
                 MetricsSnapshot {
-                    $( $snap: self.$snap.get(), )*
-                    elapsed_secs: elapsed.as_secs_f64(),
-                    tps: self.committed.get() as f64 / secs,
-                    abort_ratio: self.abort_ratio(),
-                    cascade_abort_ratio: self.cascade_abort_ratio(),
-                    p50_latency_ms: self.txn_latency.p50_millis(),
-                    p99_latency_ms: self.txn_latency.p99_millis(),
-                    p95_latency_ms: self.txn_latency.p95_millis(),
-                    mean_latency_ms: self.txn_latency.mean_micros() / 1_000.0,
-                    p95_lock_wait_ms: self.lock_wait_latency.p95_millis(),
-                    mean_lock_wait_ms: self.lock_wait_latency.mean_micros() / 1_000.0,
-                    locks_per_query: self.locks_per_query(),
-                    mean_grant_scan_len: self.grant_scan_len.mean_micros(),
-                    max_grant_scan_len: self.grant_scan_len.max_micros(),
-                    utilization: self.utilization(),
-                    abort_breakdown: self.abort_breakdown(),
-                    abort_causes: self
-                        .abort_causes
-                        .snapshot()
-                        .into_iter()
-                        .map(|(l, c)| (l.to_owned(), c))
-                        .collect(),
+                    $( $field: derived(self, elapsed, $fill), )*
                 }
             }
+        }
+
+        /// A point-in-time, serialisable view of [`EngineMetrics`].
+        #[derive(Debug, Clone, Serialize, Deserialize, Default)]
+        pub struct MetricsSnapshot {
+            $( $(#[doc = $doc])* $(#[serde($serde)])? pub $field: $ty, )*
         }
     };
 }
 
 metrics_table! {
     snapshot {
+        /// Measurement window length in seconds.
+        elapsed_secs: f64 = |_, elapsed| elapsed.as_secs_f64(),
         /// Committed transactions.
         committed: Counter,
         /// Aborted transactions (all causes).
         aborted: Counter,
         /// Aborts that were part of a cascade (Figure 10 left).
         cascading_aborts: Counter,
+        /// Transactions per second.
+        tps: f64 = |m, elapsed| m.committed.get() as f64 / elapsed.as_secs_f64().max(1e-9),
+        /// aborted / (aborted + committed).
+        abort_ratio: f64 = |m, _| m.abort_ratio(),
+        /// cascading aborts / (aborted + committed).
+        cascade_abort_ratio: f64 = |m, _| m.cascade_abort_ratio(),
+        /// Median end-to-end latency (ms).
+        p50_latency_ms: f64 = |m, _| m.txn_latency.p50_millis(),
+        /// 99th percentile end-to-end latency (ms).
+        p99_latency_ms: f64 = |m, _| m.txn_latency.p99_millis(),
+        /// 95th percentile end-to-end latency (ms).
+        p95_latency_ms: f64 = |m, _| m.txn_latency.p95_millis(),
+        /// Mean end-to-end latency (ms).
+        mean_latency_ms: f64 = |m, _| m.txn_latency.mean_micros() / 1_000.0,
+        /// 95th percentile lock-wait time (ms).
+        p95_lock_wait_ms: f64 = |m, _| m.lock_wait_latency.p95_millis(),
+        /// Mean lock-wait time (ms).
+        mean_lock_wait_ms: f64 = |m, _| m.lock_wait_latency.mean_micros() / 1_000.0,
         /// Number of `lock_t` objects created (Figure 6d numerator).
         locks_created: Counter,
         /// Record locks released (individually or via release-all), making
@@ -742,44 +772,28 @@ metrics_table! {
         /// on the lock hot path).  A non-zero value with no active transactions
         /// indicates leaked bookkeeping.
         lock_registry_entries: Gauge,
+        /// Lock objects created per query (Figure 6d).
+        locks_per_query: f64 = |m, _| m.locks_per_query(),
         /// Number of lock requests that had to wait.
         lock_waits: Counter,
-        /// Driver-side retries after a retryable abort: each time a closed-loop
-        /// or fixed-TPS worker re-submits a transaction that aborted on
-        /// contention.  This is the retry-storm traffic arriving at the front
-        /// door — the signal the ROADMAP's admission-control layer will consume.
-        admission_retries: Counter,
-        /// Transactions that waited in a hot-key admission queue before being
-        /// admitted (the front-door serialization the admission layer applies to
-        /// declared-hot-key transactions).
-        admission_queued: Counter,
-        /// Transactions shed by admission control: rejected with
-        /// `Error::Overloaded` because a hot-key queue was at capacity or inside
-        /// its post-shed hysteresis window.
-        admission_shed: Counter,
-        /// Driver-side retry loops that gave up because their retry budget was
-        /// exhausted (the transaction is reported failed instead of retried).
-        retry_budget_exhausted: Counter,
-        /// Backoff sleeps taken by the drivers' budgeted retry loops (one per
-        /// retry that waited before re-submitting).
-        backoff_waits: Counter,
-        /// Live waiters across all hot-key admission queues.  Sampled by the
-        /// admission controller on enqueue/dequeue; like the other gauges it is
-        /// *not* reset between windows — a non-zero value after a burst drains
-        /// means a wedged queue.
-        admission_queue_depth: Gauge,
         /// Shard-mutex acquisitions on the lock **release** paths: one per page
         /// (or row-shard) group drained by the lock tables and one per registry
         /// batch (`forget_records` / `take_all`).  The denominator for release
         /// batching: batching early releases to statement boundaries amortizes
         /// these, so takes-per-released-lock should drop as batch size grows.
         release_shard_locks: Counter,
+        /// Mean grant-scan length (requests examined per scan).
+        mean_grant_scan_len: f64 = |m, _| m.grant_scan_len.mean_micros(),
+        /// Longest grant scan observed (requests examined).
+        max_grant_scan_len: u64 = |m, _| m.grant_scan_len.max_micros(),
         /// Number of deadlock-detector runs.
         deadlock_checks: Counter,
         /// Number of transactions that entered a hotspot group (leader or follower).
         hotspot_group_entries: Counter,
         /// Number of groups formed by group locking.
         groups_formed: Counter,
+        /// Useful-work ratio (CPU utilisation proxy).
+        utilization: f64 = |m, _| m.utilization(),
         /// Group-commit batches flushed by the commit pipeline.
         commit_batches: Counter,
         /// Injected crash points that fired (fault-injection runs only).
@@ -808,6 +822,39 @@ metrics_table! {
         /// slowest replica's acknowledged position.  A live gauge sampled on
         /// the shipping path, not reset between windows.
         replica_lag: Gauge,
+        /// Driver-side retries after a retryable abort: each time a closed-loop
+        /// or fixed-TPS worker re-submits a transaction that aborted on
+        /// contention.  This is the retry-storm traffic arriving at the front
+        /// door — the signal the ROADMAP's admission-control layer will consume.
+        admission_retries: Counter,
+        /// Transactions that waited in a hot-key admission queue before being
+        /// admitted (the front-door serialization the admission layer applies to
+        /// declared-hot-key transactions).
+        #[serde(default)]
+        admission_queued: Counter,
+        /// Transactions shed by admission control: rejected with
+        /// `Error::Overloaded` because a hot-key queue was at capacity or inside
+        /// its post-shed hysteresis window.
+        #[serde(default)]
+        admission_shed: Counter,
+        /// Driver-side retry loops that gave up because their retry budget was
+        /// exhausted (the transaction is reported failed instead of retried).
+        #[serde(default)]
+        retry_budget_exhausted: Counter,
+        /// Backoff sleeps taken by the drivers' budgeted retry loops (one per
+        /// retry that waited before re-submitting).
+        #[serde(default)]
+        backoff_waits: Counter,
+        /// Live waiters across all hot-key admission queues.  Sampled by the
+        /// admission controller on enqueue/dequeue; like the other gauges it is
+        /// *not* reset between windows — a non-zero value after a burst drains
+        /// means a wedged queue.
+        #[serde(default)]
+        admission_queue_depth: Gauge,
+        /// Structured abort-reason breakdown (see [`AbortBreakdown`]).
+        abort_breakdown: AbortBreakdown = |m, _| m.abort_breakdown(),
+        /// Per-cause abort counts.
+        abort_causes: Vec<(String, u64)> = |m, _| m.abort_causes.snapshot(),
     }
     internal {
         /// Per-cause abort counters.
@@ -885,112 +932,9 @@ impl EngineMetrics {
 
     /// Structured abort-reason breakdown of the current window.
     pub fn abort_breakdown(&self) -> AbortBreakdown {
-        let causes: Vec<(String, u64)> = self
-            .abort_causes
-            .snapshot()
-            .into_iter()
-            .map(|(l, c)| (l.to_owned(), c))
-            .collect();
+        let causes = self.abort_causes.snapshot();
         AbortBreakdown::from_causes(&causes, self.admission_retries.get())
     }
-}
-
-/// A point-in-time, serialisable view of [`EngineMetrics`].
-#[derive(Debug, Clone, Serialize, Deserialize, Default)]
-pub struct MetricsSnapshot {
-    /// Measurement window length in seconds.
-    pub elapsed_secs: f64,
-    /// Committed transactions in the window.
-    pub committed: u64,
-    /// Aborted transactions in the window.
-    pub aborted: u64,
-    /// Cascading aborts in the window.
-    pub cascading_aborts: u64,
-    /// Transactions per second.
-    pub tps: f64,
-    /// aborted / (aborted + committed).
-    pub abort_ratio: f64,
-    /// cascading aborts / (aborted + committed).
-    pub cascade_abort_ratio: f64,
-    /// Median end-to-end latency (ms).
-    pub p50_latency_ms: f64,
-    /// 99th percentile end-to-end latency (ms).
-    pub p99_latency_ms: f64,
-    /// 95th percentile end-to-end latency (ms).
-    pub p95_latency_ms: f64,
-    /// Mean end-to-end latency (ms).
-    pub mean_latency_ms: f64,
-    /// 95th percentile lock-wait time (ms).
-    pub p95_lock_wait_ms: f64,
-    /// Mean lock-wait time (ms).
-    pub mean_lock_wait_ms: f64,
-    /// Total lock objects created.
-    pub locks_created: u64,
-    /// Record locks released.
-    pub locks_released: u64,
-    /// Live lock-registry entries at snapshot time.
-    pub lock_registry_entries: u64,
-    /// Lock objects created per query.
-    pub locks_per_query: f64,
-    /// Lock requests that had to wait.
-    pub lock_waits: u64,
-    /// Shard-mutex acquisitions on the release paths (lock tables + registry).
-    pub release_shard_locks: u64,
-    /// Mean grant-scan length (requests examined per scan).
-    pub mean_grant_scan_len: f64,
-    /// Longest grant scan observed (requests examined).
-    pub max_grant_scan_len: u64,
-    /// Deadlock detector invocations.
-    pub deadlock_checks: u64,
-    /// Transactions that joined hotspot groups.
-    pub hotspot_group_entries: u64,
-    /// Hotspot groups formed.
-    pub groups_formed: u64,
-    /// Useful-work ratio (CPU utilisation proxy).
-    pub utilization: f64,
-    /// Group-commit batches.
-    pub commit_batches: u64,
-    /// Injected crash points that fired.
-    pub crash_injected: u64,
-    /// Fsync attempts retried after transient injected errors.
-    pub fsync_retries: u64,
-    /// Redo records replayed during crash restart.
-    pub recovery_replayed: u64,
-    /// Redo records dropped by checkpoint truncation.
-    pub wal_truncated_records: u64,
-    /// Semi-sync ack waits that timed out and degraded the pipeline.
-    pub semi_sync_timeouts: u64,
-    /// Commits acknowledged while the pipeline was degraded to async.
-    pub degraded_commits: u64,
-    /// Degraded→semi-sync re-sync transitions.
-    pub semi_sync_resyncs: u64,
-    /// Batches shed by the bounded asynchronous shipping queue.
-    pub ship_queue_full: u64,
-    /// Shipping attempts retried after transient ship errors.
-    pub ship_retries: u64,
-    /// Replica lag in binlog batches at snapshot time.
-    pub replica_lag: u64,
-    /// Driver-side retries after retryable aborts.
-    pub admission_retries: u64,
-    /// Transactions that waited in a hot-key admission queue.
-    #[serde(default)]
-    pub admission_queued: u64,
-    /// Transactions shed by admission control (`Error::Overloaded`).
-    #[serde(default)]
-    pub admission_shed: u64,
-    /// Retry loops that exhausted their budget and gave up.
-    #[serde(default)]
-    pub retry_budget_exhausted: u64,
-    /// Backoff sleeps taken by the budgeted retry loops.
-    #[serde(default)]
-    pub backoff_waits: u64,
-    /// Live admission-queue waiters at snapshot time.
-    #[serde(default)]
-    pub admission_queue_depth: u64,
-    /// Structured abort-reason breakdown (see [`AbortBreakdown`]).
-    pub abort_breakdown: AbortBreakdown,
-    /// Per-cause abort counts.
-    pub abort_causes: Vec<(String, u64)>,
 }
 
 #[cfg(test)]
@@ -1064,7 +1008,6 @@ mod tests {
         assert_eq!(a.get("deadlock"), 2);
         assert_eq!(a.get("lock_wait_timeout"), 1);
         assert_eq!(a.get("other"), 0);
-        assert_eq!(a.total(), 3);
     }
 
     #[test]
@@ -1239,11 +1182,38 @@ mod tests {
     #[test]
     fn snapshot_serialises_to_json() {
         let m = EngineMetrics::new();
-        m.committed.add(1);
-        let snap = m.snapshot(Duration::from_secs(1));
+        m.committed.add(3);
+        m.aborted.add(1);
+        m.abort_causes.record("deadlock");
+        m.txn_latency.record_micros(100);
+        let snap = m.snapshot(Duration::from_secs(2));
         let json = serde_json::to_string(&snap).unwrap();
-        assert!(json.contains("\"tps\""));
+        // The table's row order is the serialised order: recorded files and
+        // their readers see the bytes the hand-written struct produced.
+        let recorded = concat!(
+            r#"{"elapsed_secs":2.0,"committed":3,"aborted":1,"cascading_aborts":0,"tps":1.5,"#,
+            r#""abort_ratio":0.25,"cascade_abort_ratio":0.0,"p50_latency_ms":0.128,"#,
+            r#""p99_latency_ms":0.128,"p95_latency_ms":0.128,"mean_latency_ms":0.1,"#,
+            r#""p95_lock_wait_ms":0.0,"mean_lock_wait_ms":0.0,"locks_created":0,"#,
+            r#""locks_released":0,"lock_registry_entries":0,"locks_per_query":0.0,"#,
+            r#""lock_waits":0,"release_shard_locks":0,"mean_grant_scan_len":0.0,"#,
+            r#""max_grant_scan_len":0,"deadlock_checks":0,"hotspot_group_entries":0,"#,
+            r#""groups_formed":0,"utilization":0.0,"commit_batches":0,"crash_injected":0,"#,
+            r#""fsync_retries":0,"recovery_replayed":0,"wal_truncated_records":0,"#,
+            r#""semi_sync_timeouts":0,"degraded_commits":0,"semi_sync_resyncs":0,"#,
+            r#""ship_queue_full":0,"ship_retries":0,"replica_lag":0,"admission_retries":0,"#,
+            r#""admission_queued":0,"admission_shed":0,"retry_budget_exhausted":0,"#,
+            r#""backoff_waits":0,"admission_queue_depth":0,"abort_breakdown":{"deadlocks":1,"#,
+            r#""wait_timeouts":0,"hotspot_prevented":0,"cascading":0,"dirty_reads":0,"#,
+            r#""aria_conflicts":0,"explicit_rollbacks":0,"overloaded":0,"other":0,"#,
+            r#""admission_retries":0},"abort_causes":[["deadlock",1]]}"#,
+        );
+        assert_eq!(json, recorded);
         let back: MetricsSnapshot = serde_json::from_str(&json).unwrap();
-        assert_eq!(back.committed, 1);
+        assert_eq!(back.committed, 3);
+        // The admission fields were added after the first recordings.
+        let older = json.replace(r#""admission_shed":0,"#, "");
+        let back: MetricsSnapshot = serde_json::from_str(&older).unwrap();
+        assert_eq!((back.admission_shed, back.backoff_waits), (0, 0));
     }
 }

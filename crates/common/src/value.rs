@@ -154,11 +154,6 @@ impl Row {
     pub fn size_bytes(&self) -> usize {
         self.columns.iter().map(Value::size_bytes).sum::<usize>() + 8
     }
-
-    /// Consumes the row returning its columns.
-    pub fn into_columns(self) -> Vec<Value> {
-        self.columns
-    }
 }
 
 impl fmt::Display for Row {

@@ -13,10 +13,13 @@
 //! * **Per-hot-key admission queues** — [`AdmissionController::admit`] checks
 //!   the transaction's declared write keys against the hotspot registry
 //!   (§4.1's promotion signal).  A transaction declaring a currently-hot key
-//!   is serialized through that key's FIFO ticket queue: at most one admitted
-//!   holder runs at a time and at most [`AdmissionConfig::queue_depth`]
-//!   waiters park behind it (on pooled [`OsEvent`]s, so waits are yield
-//!   points under deterministic simulation).
+//!   is serialized through that key's FIFO ticket queue — the lock manager's
+//!   [`QueueLockTable`], the structure queue locking (O2) puts in front of a
+//!   hot row, here with a bound: at most one admitted holder runs at a time
+//!   and at most [`AdmissionConfig::queue_depth`] waiters park behind it (on
+//!   pooled events, so waits are yield points under deterministic
+//!   simulation).  What is admission's own is the policy — when to shed, the
+//!   hysteresis watermark, the permit — and the counters and gauge.
 //! * **Load shedding with hysteresis** — an arrival that finds the queue at
 //!   capacity is rejected with [`Error::Overloaded`] *before* touching the
 //!   lock table, and the queue enters a degraded window in which further
@@ -34,17 +37,13 @@
 //! `admission_shed`, `retry_budget_exhausted`, `backoff_waits` and the live
 //! `admission_queue_depth` gauge.
 
-use parking_lot::Mutex;
-use std::collections::VecDeque;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
-use txsql_common::fxhash::FxHashMap;
 use txsql_common::metrics::EngineMetrics;
-use txsql_common::pad::CachePadded;
 use txsql_common::rng::XorShiftRng;
 use txsql_common::{Error, RecordId, Result};
-use txsql_lockmgr::event::{OsEvent, WaitOutcome};
+use txsql_lockmgr::queue_lock::{QueueAdmission, QueueLockTable};
 
 /// Admission-control configuration: the front-door knobs.
 #[derive(Debug, Clone)]
@@ -102,19 +101,6 @@ impl AdmissionConfig {
     /// Sets the wait-deadline budget.
     pub fn with_queue_timeout(mut self, timeout: Duration) -> Self {
         self.queue_timeout = timeout;
-        self
-    }
-
-    /// Sets the drivers' retry budget.
-    pub fn with_retry_budget(mut self, budget: u32) -> Self {
-        self.retry_budget = budget;
-        self
-    }
-
-    /// Sets the backoff base/cap pair.
-    pub fn with_backoff(mut self, base: Duration, cap: Duration) -> Self {
-        self.backoff_base = base;
-        self.backoff_cap = cap;
         self
     }
 
@@ -197,32 +183,6 @@ impl RetryState {
     }
 }
 
-/// One waiter parked in a hot-key queue.
-struct Waiter {
-    ticket: u64,
-    event: Arc<OsEvent>,
-}
-
-/// The FIFO ticket queue in front of one hot record.
-#[derive(Default)]
-struct KeyQueue {
-    /// Ticket currently admitted for this key (`None` = key idle).
-    active: Option<u64>,
-    /// Parked arrivals, in ticket (arrival) order.
-    waiters: VecDeque<Waiter>,
-    /// Next ticket to hand out.
-    next_ticket: u64,
-    /// Highest ticket ever granted — the per-key FIFO oracle: grants must be
-    /// strictly increasing.
-    last_granted: u64,
-    /// True from a shed until the backlog drains to the recover watermark.
-    degraded: bool,
-}
-
-/// How many shards the queue map is split across (admission is consulted
-/// once per transaction, so contention on the map itself is modest).
-const SHARDS: usize = 16;
-
 /// The per-database admission controller.
 ///
 /// Owned by the `Database`, consulted by `execute_program` before `begin`:
@@ -232,14 +192,19 @@ const SHARDS: usize = 16;
 /// returned [`AdmissionPermit`] must be handed back to
 /// [`AdmissionController::release`] when the transaction finishes (commit,
 /// abort and shed paths alike) so the next waiter is woken.
+#[derive(Debug)]
 pub struct AdmissionController {
-    config: AdmissionConfig,
+    /// [`AdmissionConfig::enabled`]: off admits everything at once.
+    enabled: bool,
     metrics: Arc<EngineMetrics>,
-    shards: Vec<CachePadded<Mutex<FxHashMap<u64, KeyQueue>>>>,
+    /// The hot keys' ticket queues: bounded by `queue_depth`, draining to
+    /// `recover_depth` after a shed, waits bounded by `queue_timeout`.
+    queues: QueueLockTable,
+    /// Names each admission among its key's concurrent holders and waiters.
+    next_owner: AtomicU64,
     /// Live waiters across every queue (mirrored into the depth gauge).
     waiting: AtomicU64,
-    /// Deepest backlog ever observed on one queue (sim-oracle observability:
-    /// a depth shed implies this reached `queue_depth`).
+    /// Deepest place in one queue an admission has waited at.
     peak_depth: AtomicU64,
     /// Sheds taken because the queue was full (or degraded).
     depth_sheds: AtomicU64,
@@ -255,7 +220,7 @@ pub struct AdmissionController {
 #[derive(Debug, Default)]
 #[must_use = "release() the permit or the next waiter is never woken"]
 pub struct AdmissionPermit {
-    /// `(key, ticket)` grants in acquisition order.
+    /// `(key, owner)` grants in acquisition order.
     grants: Vec<(RecordId, u64)>,
 }
 
@@ -269,38 +234,22 @@ impl AdmissionPermit {
 impl AdmissionController {
     /// Creates a controller publishing into `metrics`.
     pub fn new(config: AdmissionConfig, metrics: Arc<EngineMetrics>) -> Self {
+        let queues = QueueLockTable::bounded(
+            config.queue_timeout,
+            config.queue_depth,
+            config.recover_depth(),
+        );
         Self {
-            config,
+            enabled: config.enabled,
             metrics,
-            shards: (0..SHARDS)
-                .map(|_| CachePadded::new(Mutex::new(FxHashMap::default())))
-                .collect(),
+            queues,
+            next_owner: AtomicU64::new(0),
             waiting: AtomicU64::new(0),
             peak_depth: AtomicU64::new(0),
             depth_sheds: AtomicU64::new(0),
             timeout_sheds: AtomicU64::new(0),
             queued_grants: AtomicU64::new(0),
         }
-    }
-
-    /// The configuration the controller runs with.
-    pub fn config(&self) -> &AdmissionConfig {
-        &self.config
-    }
-
-    fn shard(&self, key: u64) -> &Mutex<FxHashMap<u64, KeyQueue>> {
-        &self.shards[(key as usize) % SHARDS]
-    }
-
-    fn add_waiting(&self, delta: i64) {
-        let now = if delta >= 0 {
-            self.waiting.fetch_add(delta as u64, Ordering::Relaxed) + delta as u64
-        } else {
-            self.waiting
-                .fetch_sub((-delta) as u64, Ordering::Relaxed)
-                .saturating_sub((-delta) as u64)
-        };
-        self.metrics.admission_queue_depth.set(now);
     }
 
     /// Serializes the caller through the admission queues of every key in
@@ -310,12 +259,12 @@ impl AdmissionController {
     /// arrival; grants already taken are released before the error returns.
     pub fn admit(&self, hot_keys: &[RecordId]) -> Result<AdmissionPermit> {
         let mut permit = AdmissionPermit::default();
-        if !self.config.enabled || hot_keys.is_empty() {
+        if !self.enabled || hot_keys.is_empty() {
             return Ok(permit);
         }
         for &key in hot_keys {
             match self.admit_one(key) {
-                Ok(ticket) => permit.grants.push((key, ticket)),
+                Ok(owner) => permit.grants.push((key, owner)),
                 Err(err) => {
                     self.release(permit);
                     return Err(err);
@@ -325,104 +274,39 @@ impl AdmissionController {
         Ok(permit)
     }
 
-    /// Admission through one key's queue; returns the granted ticket.
+    /// Admission through one key's queue; returns the owner number the
+    /// grant is held under.
     fn admit_one(&self, key: RecordId) -> Result<u64> {
-        let packed = key.packed();
-        let event;
-        let ticket;
-        {
-            let mut shard = self.shard(packed).lock();
-            let queue = shard.entry(packed).or_default();
-            // Tickets start at 1 so `last_granted == 0` means "none yet".
-            queue.next_ticket += 1;
-            ticket = queue.next_ticket;
-            if queue.active.is_none() && queue.waiters.is_empty() {
-                // Fast path: the key is idle, admit immediately.
-                queue.grant(ticket);
-                return Ok(ticket);
-            }
-            let depth = queue.waiters.len();
-            self.peak_depth
-                .fetch_max(depth as u64 + 1, Ordering::Relaxed);
-            if queue.degraded && depth <= self.config.recover_depth() {
-                // Hysteresis re-arm: the backlog drained below the recover
-                // watermark, normal admission resumes.
-                queue.degraded = false;
-            }
-            if queue.degraded || depth >= self.config.queue_depth {
-                queue.degraded = true;
-                self.depth_sheds.fetch_add(1, Ordering::Relaxed);
-                self.metrics.admission_shed.inc();
-                return Err(Error::Overloaded { record: key });
-            }
-            event = OsEvent::acquire_pooled();
-            queue.waiters.push_back(Waiter {
-                ticket,
-                event: Arc::clone(&event),
-            });
-        }
-        self.metrics.admission_queued.inc();
-        self.add_waiting(1);
-        let outcome = event.wait_for(self.config.queue_timeout);
-        self.add_waiting(-1);
-        match outcome {
-            WaitOutcome::Signalled => {
-                self.queued_grants.fetch_add(1, Ordering::Relaxed);
-                OsEvent::recycle(event);
-                Ok(ticket)
-            }
-            WaitOutcome::TimedOut => {
-                let mut shard = self.shard(packed).lock();
-                let queue = shard.get_mut(&packed).expect("queue exists while waited");
-                if queue.active == Some(ticket) {
-                    // Grant/timeout race: the holder granted us concurrently
-                    // with the deadline.  The grant wins — we are admitted.
-                    drop(shard);
-                    self.queued_grants.fetch_add(1, Ordering::Relaxed);
-                    OsEvent::recycle(event);
-                    return Ok(ticket);
+        let owner = self.next_owner.fetch_add(1, Ordering::Relaxed);
+        let shed = |sheds: &AtomicU64| {
+            sheds.fetch_add(1, Ordering::Relaxed);
+            self.metrics.admission_shed.inc();
+            Err(Error::Overloaded { record: key })
+        };
+        match self.queues.admit(key.packed(), owner) {
+            QueueAdmission::Proceed => Ok(owner),
+            QueueAdmission::Full => shed(&self.depth_sheds),
+            QueueAdmission::Wait(event, place) => {
+                self.peak_depth.fetch_max(place as u64, Ordering::Relaxed);
+                self.metrics.admission_queued.inc();
+                let gauge = &self.metrics.admission_queue_depth;
+                gauge.set(self.waiting.fetch_add(1, Ordering::Relaxed) + 1);
+                let granted = self.queues.wait(key.packed(), owner, event);
+                gauge.set(self.waiting.fetch_sub(1, Ordering::Relaxed) - 1);
+                if !granted {
+                    return shed(&self.timeout_sheds);
                 }
-                // Still queued: withdraw and shed.  Removing our entry drops
-                // the queue's event clone, so recycle() below can pool the
-                // event — and no granter can reach it afterwards.
-                queue.waiters.retain(|waiter| waiter.ticket != ticket);
-                drop(shard);
-                OsEvent::recycle(event);
-                self.timeout_sheds.fetch_add(1, Ordering::Relaxed);
-                self.metrics.admission_shed.inc();
-                Err(Error::Overloaded { record: key })
+                self.queued_grants.fetch_add(1, Ordering::Relaxed);
+                Ok(owner)
             }
         }
     }
 
     /// Hands a finished transaction's grants back, waking each queue's next
-    /// waiter in FIFO order.  Wake-ups fire outside the shard guard.
+    /// waiter in FIFO order.
     pub fn release(&self, permit: AdmissionPermit) {
-        for (key, ticket) in permit.grants.into_iter().rev() {
-            let packed = key.packed();
-            let wake;
-            {
-                let mut shard = self.shard(packed).lock();
-                let queue = shard.get_mut(&packed).expect("queue exists while held");
-                debug_assert_eq!(queue.active, Some(ticket), "release by non-holder");
-                queue.active = None;
-                wake = queue.waiters.pop_front().map(|next| {
-                    queue.grant(next.ticket);
-                    next.event
-                });
-                if queue.degraded && queue.waiters.len() <= self.config.recover_depth() {
-                    queue.degraded = false;
-                }
-                if queue.active.is_none() && queue.waiters.is_empty() {
-                    // Drop idle queues so demoted hotspots do not leak map
-                    // entries (next_ticket/last_granted restart at 0, which
-                    // keeps the FIFO invariant per queue *incarnation*).
-                    shard.remove(&packed);
-                }
-            }
-            if let Some(event) = wake {
-                event.set();
-            }
+        for (key, owner) in permit.grants.into_iter().rev() {
+            self.queues.release(key.packed(), owner);
         }
     }
 
@@ -433,10 +317,7 @@ impl AdmissionController {
 
     /// Queues currently inside their post-shed hysteresis window.
     pub fn degraded_queues(&self) -> usize {
-        self.shards
-            .iter()
-            .map(|shard| shard.lock().values().filter(|q| q.degraded).count())
-            .sum()
+        self.queues.full_queues()
     }
 
     /// Sheds taken because a queue was at capacity (or degraded).
@@ -457,35 +338,6 @@ impl AdmissionController {
     /// Admissions granted through a queue wait (excludes the idle fast path).
     pub fn queued_grants(&self) -> u64 {
         self.queued_grants.load(Ordering::Relaxed)
-    }
-}
-
-impl std::fmt::Debug for AdmissionController {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("AdmissionController")
-            .field("enabled", &self.config.enabled)
-            .field("waiting", &self.total_waiting())
-            .field("depth_sheds", &self.depth_sheds())
-            .field("timeout_sheds", &self.timeout_sheds())
-            .finish()
-    }
-}
-
-impl KeyQueue {
-    /// Marks `ticket` as the admitted holder, checking the FIFO oracle:
-    /// within one queue incarnation, grants are strictly increasing.
-    fn grant(&mut self, ticket: u64) {
-        assert!(
-            self.active.is_none(),
-            "admission grant while another holder is active"
-        );
-        assert!(
-            ticket > self.last_granted,
-            "admission FIFO violated: granted #{ticket} after #{}",
-            self.last_granted
-        );
-        self.active = Some(ticket);
-        self.last_granted = ticket;
     }
 }
 
@@ -545,6 +397,11 @@ mod tests {
         c.release(holder);
         waiter.join().unwrap().unwrap();
         assert_eq!(c.total_waiting(), 0);
+        assert_eq!(
+            c.queued_grants(),
+            1,
+            "the waiter was granted by the release"
+        );
         assert_eq!(c.metrics.admission_shed.get(), 1);
         assert_eq!(c.metrics.admission_queued.get(), 1);
     }
@@ -566,41 +423,6 @@ mod tests {
         // The queue is usable again after the shed.
         let next = c.admit(&[key(1)]).unwrap();
         c.release(next);
-    }
-
-    #[test]
-    fn fifo_order_is_preserved_per_key() {
-        let c = Arc::new(controller(
-            AdmissionConfig::default()
-                .with_enabled(true)
-                .with_queue_depth(8)
-                .with_queue_timeout(Duration::from_secs(2)),
-        ));
-        let holder = c.admit(&[key(1)]).unwrap();
-        let order = Arc::new(Mutex::new(Vec::new()));
-        let mut handles = Vec::new();
-        for i in 0..4 {
-            let c2 = Arc::clone(&c);
-            let order = Arc::clone(&order);
-            // Stagger arrivals so ticket order matches spawn order.
-            while c.total_waiting() < i {
-                thread::yield_now();
-            }
-            handles.push(thread::spawn(move || {
-                let permit = c2.admit(&[key(1)]).unwrap();
-                order.lock().push(i);
-                c2.release(permit);
-            }));
-        }
-        while c.total_waiting() < 4 {
-            thread::yield_now();
-        }
-        c.release(holder);
-        for handle in handles {
-            handle.join().unwrap();
-        }
-        assert_eq!(*order.lock(), vec![0, 1, 2, 3], "grants follow arrival");
-        assert_eq!(c.queued_grants(), 4);
     }
 
     #[test]

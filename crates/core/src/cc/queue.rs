@@ -10,7 +10,6 @@ use std::sync::Arc;
 use std::time::Instant;
 use txsql_common::metrics::EngineMetrics;
 use txsql_common::{Error, RecordId, Result, TableId};
-use txsql_lockmgr::event::{OsEvent, WaitOutcome};
 use txsql_lockmgr::queue_lock::{QueueAdmission, QueueLockTable};
 use txsql_lockmgr::LightweightLockTable;
 use txsql_txn::{HotRole, Transaction};
@@ -37,31 +36,27 @@ impl ConcurrencyControl for QueueLocking {
             txn.record_lock(record);
             return Ok(WriteAdmission::Locked);
         }
-        if let QueueAdmission::Wait(event) = self.tickets.admit(txn.id, record) {
-            let start = Instant::now();
-            // A false `cancel_wait` means the grant raced our timeout: the
-            // releaser already popped us and made us the active ticket
-            // holder, so bailing out would wedge the queue behind a ticket
-            // nobody releases — proceed as granted instead.  True means we
-            // really left the queue (and the queue's event clone with it, so
-            // the recycle below can pool the event).
-            let timed_out = event.wait_for(self.tickets.timeout()) == WaitOutcome::TimedOut
-                && !self.tickets.claim_ticket(txn.id, record)
-                && self.tickets.cancel_wait(txn.id, record);
-            OsEvent::recycle(event);
-            txn.add_blocked(start.elapsed());
-            if timed_out {
-                self.metrics.lock_waits.inc();
-                return Err(Error::LockWaitTimeout {
-                    txn: txn.id,
-                    record,
-                });
+        let (key, owner) = (record.packed(), txn.id.0);
+        match self.tickets.admit(key, owner) {
+            QueueAdmission::Proceed => {}
+            QueueAdmission::Full => unreachable!("queue locking sets no bound"),
+            QueueAdmission::Wait(event, _) => {
+                let start = Instant::now();
+                let granted = self.tickets.wait(key, owner, event);
+                txn.add_blocked(start.elapsed());
+                if !granted {
+                    self.metrics.lock_waits.inc();
+                    return Err(Error::LockWaitTimeout {
+                        txn: txn.id,
+                        record,
+                    });
+                }
             }
         }
         // Ticket acquired: take the real row lock (the previous holder has
         // already released it, or will very soon).
         if let Err(err) = lock_row(&self.locks, txn, record, None) {
-            self.tickets.release(txn.id, record);
+            self.tickets.release(key, owner);
             return Err(err);
         }
         txn.record_lock(record);
@@ -73,7 +68,7 @@ impl ConcurrencyControl for QueueLocking {
     /// The row lock is gone: the next ticket holder may contend for it.
     fn finished(&self, txn: &Transaction, _committed: bool) {
         for hot in txn.hot_updates() {
-            self.tickets.release(txn.id, hot.record);
+            self.tickets.release(hot.record.packed(), txn.id.0);
         }
     }
 
@@ -82,7 +77,7 @@ impl ConcurrencyControl for QueueLocking {
     }
 
     fn keep_hot(&self, record: RecordId) -> bool {
-        self.tickets.has_waiters(record) || self.locks.wait_queue_len(record) > 0
+        self.tickets.has_waiters(record.packed()) || self.locks.wait_queue_len(record) > 0
     }
 
     fn live_entries(&self) -> usize {

@@ -90,11 +90,6 @@ impl CommitPipeline {
         }
     }
 
-    /// Whether group commit is enabled.
-    pub fn group_commit_enabled(&self) -> bool {
-        self.group_commit
-    }
-
     /// Commits one transaction whose commit record was appended at `lsn`:
     /// blocks until it is durable and every hook has acknowledged its batch.
     /// An error means the client must not be told "committed" — though after
@@ -286,7 +281,6 @@ mod tests {
         });
         pipeline.commit(&redo, lsn, binlog(1), &[]).unwrap();
         assert_eq!(redo.durable_lsn(), lsn);
-        assert!(pipeline.group_commit_enabled());
     }
 
     #[test]

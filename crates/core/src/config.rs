@@ -243,12 +243,6 @@ impl EngineConfig {
         self
     }
 
-    /// Replaces the whole admission configuration.
-    pub fn with_admission_config(mut self, admission: AdmissionConfig) -> Self {
-        self.admission = admission;
-        self
-    }
-
     /// Applies a list of declarative knob overrides in order.
     pub fn with_deltas(self, deltas: &[ConfigDelta]) -> Self {
         deltas

@@ -8,39 +8,23 @@ use std::time::Duration;
 use txsql_common::{Row, TableId, Value};
 use txsql_core::{Database, EngineConfig, Operation, Protocol, TxnProgram};
 use txsql_storage::TableSchema;
+use txsql_workloads::fixture::{self, add, Fixture, ACCOUNTS};
 
-const ACCOUNTS: TableId = TableId(1);
 const JOURNAL: TableId = TableId(2);
 
-/// Builds a database with an `accounts(id, balance)` table holding
-/// `n_accounts` rows with balance 1000, and an empty `journal(id, amount)`.
-fn setup(config: EngineConfig, n_accounts: i64) -> Database {
-    let db = Database::new(config);
-    db.create_table(TableSchema::new(ACCOUNTS, "accounts", 2))
-        .unwrap();
-    db.create_table(TableSchema::new(JOURNAL, "journal", 2))
-        .unwrap();
-    for pk in 0..n_accounts {
-        db.load_row(ACCOUNTS, Row::from_ints(&[pk, 1_000])).unwrap();
-    }
-    db
+/// The shared fixture (`txsql_workloads::fixture`) with `n_accounts` hot rows
+/// at balance 0, and an empty `journal(id, amount)`.
+fn setup(config: EngineConfig, n_accounts: i64) -> Fixture {
+    let fixture = Fixture::new(Database::new(config), n_accounts, 0);
+    let journal = TableSchema::new(JOURNAL, "journal", 2);
+    fixture.db.create_table(journal).unwrap();
+    fixture
 }
 
+/// The fixture's configuration (promotion after two waiters, history on for
+/// the audit) with a lock wait long enough for native threads.
 fn hot_config(protocol: Protocol) -> EngineConfig {
-    // Low promotion threshold so the short tests actually trigger hotspot
-    // handling; short timeouts keep failure cases fast.
-    EngineConfig::for_protocol(protocol)
-        .with_hotspot_threshold(2)
-        .with_lock_wait_timeout(Duration::from_millis(500))
-}
-
-fn committed_balance(db: &Database, pk: i64) -> i64 {
-    let record = db.record_id(ACCOUNTS, pk).unwrap();
-    db.storage()
-        .read_committed(ACCOUNTS, record)
-        .unwrap()
-        .map(|r| r.get_int(1).unwrap())
-        .unwrap()
+    fixture::config(protocol).with_lock_wait_timeout(Duration::from_millis(500))
 }
 
 // ---------------------------------------------------------------------------
@@ -57,11 +41,9 @@ fn per_txn_metrics_scratch_loses_no_counts_across_abort_paths() {
     // against the app-side count of records the registry ever tracked, and
     // leftover bookkeeping would show in the `lock_registry_entries` gauge.
     use std::sync::atomic::{AtomicU64, Ordering};
-    let db = setup(
-        EngineConfig::for_protocol(Protocol::LightweightO1)
-            .with_lock_wait_timeout(Duration::from_millis(10)),
-        64,
-    );
+    let config = EngineConfig::for_protocol(Protocol::LightweightO1)
+        .with_lock_wait_timeout(Duration::from_millis(10));
+    let db = setup(config, 64).db;
     const THREADS: usize = 6;
     const TXNS_PER_THREAD: usize = 60;
     const HOT_PK: i64 = 0;
@@ -126,39 +108,24 @@ fn per_txn_metrics_scratch_loses_no_counts_across_abort_paths() {
 #[test]
 fn commit_makes_updates_visible_under_every_protocol() {
     for protocol in Protocol::ALL {
-        let db = setup(EngineConfig::for_protocol(protocol), 4);
-        let program = TxnProgram::new(vec![Operation::UpdateAdd {
-            table: ACCOUNTS,
-            pk: 1,
-            column: 1,
-            delta: 25,
-        }]);
-        let outcome = db.execute_program(&program).unwrap();
-        assert!(outcome.committed, "{protocol:?}");
-        assert_eq!(committed_balance(&db, 1), 1_025, "{protocol:?}");
-        assert_eq!(db.metrics().committed.get(), 1, "{protocol:?}");
-        db.shutdown();
+        let fixture = setup(fixture::config(protocol), 4);
+        let program = TxnProgram::new(vec![add(1, 25)]);
+        assert_eq!(fixture.run(0, &[program]), 1, "{protocol:?}");
+        assert_eq!(fixture.value(1), 25, "{protocol:?}");
+        assert_eq!(fixture.db.metrics().committed.get(), 1, "{protocol:?}");
+        fixture.audit(&format!("{protocol:?}"));
     }
 }
 
 #[test]
 fn explicit_rollback_restores_old_value_under_every_protocol() {
     for protocol in Protocol::ALL {
-        let db = setup(EngineConfig::for_protocol(protocol), 4);
-        let program = TxnProgram::new(vec![
-            Operation::UpdateAdd {
-                table: ACCOUNTS,
-                pk: 1,
-                column: 1,
-                delta: 500,
-            },
-            Operation::ForcedRollback,
-        ]);
-        let outcome = db.execute_program(&program).unwrap();
-        assert!(!outcome.committed, "{protocol:?}");
-        assert_eq!(committed_balance(&db, 1), 1_000, "{protocol:?}");
-        assert_eq!(db.metrics().aborted.get(), 1, "{protocol:?}");
-        db.shutdown();
+        let fixture = setup(fixture::config(protocol), 4);
+        let program = TxnProgram::new(vec![add(1, 500), Operation::ForcedRollback]);
+        assert_eq!(fixture.run(0, &[program]), 0, "{protocol:?}");
+        assert_eq!(fixture.db.metrics().aborted.get(), 1, "{protocol:?}");
+        // Nothing was acknowledged: the audit finds the old value.
+        fixture.audit(&format!("{protocol:?}"));
     }
 }
 
@@ -169,18 +136,18 @@ fn snapshot_reads_do_not_observe_uncommitted_updates() {
         Protocol::LightweightO1,
         Protocol::GroupLockingTxsql,
     ] {
-        let db = setup(EngineConfig::for_protocol(protocol), 4);
+        let db = setup(EngineConfig::for_protocol(protocol), 4).db;
         let mut writer = db.begin();
         db.update_add(&mut writer, ACCOUNTS, 2, 1, 77).unwrap();
         let mut reader = db.begin();
         let row = db.read(&mut reader, ACCOUNTS, 2).unwrap();
-        assert_eq!(row.get_int(1), Some(1_000), "{protocol:?}");
+        assert_eq!(row.get_int(1), Some(0), "{protocol:?}");
         db.rollback(reader, None);
         db.commit(writer).unwrap();
         let mut reader2 = db.begin();
         assert_eq!(
             db.read(&mut reader2, ACCOUNTS, 2).unwrap().get_int(1),
-            Some(1_077)
+            Some(77)
         );
         db.rollback(reader2, None);
         db.shutdown();
@@ -189,7 +156,7 @@ fn snapshot_reads_do_not_observe_uncommitted_updates() {
 
 #[test]
 fn insert_and_read_back() {
-    let db = setup(EngineConfig::for_protocol(Protocol::LightweightO1), 2);
+    let db = setup(EngineConfig::for_protocol(Protocol::LightweightO1), 2).db;
     let program = TxnProgram::new(vec![Operation::Insert {
         table: JOURNAL,
         pk: 42,
@@ -208,14 +175,13 @@ fn insert_and_read_back() {
 
 #[test]
 fn select_for_update_blocks_conflicting_writers() {
-    let db = setup(
-        EngineConfig::for_protocol(Protocol::LightweightO1)
-            .with_lock_wait_timeout(Duration::from_millis(50)),
-        4,
-    );
+    let config =
+        fixture::config(Protocol::LightweightO1).with_lock_wait_timeout(Duration::from_millis(50));
+    let fixture = setup(config, 4);
+    let db = &fixture.db;
     let mut holder = db.begin();
     let row = db.select_for_update(&mut holder, ACCOUNTS, 3).unwrap();
-    assert_eq!(row.get_int(1), Some(1_000));
+    assert_eq!(row.get_int(1), Some(0));
     // A concurrent updater times out while the lock is held.
     let mut other = db.begin();
     let err = db.update_add(&mut other, ACCOUNTS, 3, 1, 1).unwrap_err();
@@ -224,8 +190,8 @@ fn select_for_update_blocks_conflicting_writers() {
     // The holder can update without re-queueing and commit.
     db.update_add(&mut holder, ACCOUNTS, 3, 1, 5).unwrap();
     db.commit(holder).unwrap();
-    assert_eq!(committed_balance(&db, 3), 1_005);
-    db.shutdown();
+    fixture.acked(&[(3, 5)]);
+    fixture.audit("the holder's update, not the waiter's");
 }
 
 // ---------------------------------------------------------------------------
@@ -252,180 +218,60 @@ enum HotSetup {
     PinRow,
 }
 
-fn run_concurrent_increments(protocol: Protocol, threads: usize, per_thread: usize) -> Database {
-    run_concurrent_increments_with(protocol, threads, per_thread, HotSetup::Organic)
-}
-
-fn run_concurrent_increments_with(
-    protocol: Protocol,
-    threads: usize,
+/// `threads` clients, started together, each commit `per_thread` increments
+/// of account 0 (and read account 1, which nobody writes) through the
+/// fixture's retry loop; the run ends in the audit.
+fn run_concurrent_increments(
+    config: EngineConfig,
+    threads: u64,
     per_thread: usize,
     hot_setup: HotSetup,
-) -> Database {
-    let db = setup(hot_config(protocol), 2);
-    let db = Arc::new(db);
+) -> Fixture {
+    let fixture = setup(config, 2);
+    let db = &fixture.db;
     if hot_setup == HotSetup::PromoteFirst {
-        db.hotspots().promote(db.record_id(ACCOUNTS, 0).unwrap());
+        db.hotspots().promote(fixture.record(0));
     }
-    let pin = if hot_setup == HotSetup::PinRow {
+    let pin = (hot_setup == HotSetup::PinRow).then(|| {
         let mut txn = db.begin();
         db.update_add(&mut txn, ACCOUNTS, 0, 1, 0).unwrap();
-        Some(txn)
-    } else {
-        None
-    };
-    let barrier = Arc::new(std::sync::Barrier::new(threads));
-    let mut handles = Vec::new();
-    for worker in 0..threads {
-        let db = Arc::clone(&db);
-        let barrier = Arc::clone(&barrier);
-        handles.push(thread::spawn(move || {
-            barrier.wait();
-            let program = TxnProgram::new(vec![Operation::UpdateAdd {
-                table: ACCOUNTS,
-                pk: 0,
-                column: 1,
-                delta: 1,
-            }]);
-            let mut committed = 0usize;
-            while committed < per_thread {
-                match db.execute_program(&program) {
-                    Ok(outcome) if outcome.committed => committed += 1,
-                    Ok(_) => {}
-                    Err(err) if err.is_retryable() => {}
-                    Err(err) => panic!("worker {worker}: unexpected error {err}"),
-                }
-            }
-        }));
-    }
-    if let Some(txn) = pin {
-        // Give the workers time to queue behind the pinned row, then let go.
-        thread::sleep(Duration::from_millis(50));
-        db.commit(txn).unwrap();
-    }
-    for h in handles {
-        h.join().unwrap();
-    }
-    Arc::try_unwrap(db).unwrap_or_else(|arc| (*arc).clone())
+        txn
+    });
+    thread::scope(|scope| {
+        scope.spawn(|| {
+            fixture.threads(threads, |fixture, worker| {
+                let (table, pk) = (ACCOUNTS, 1);
+                let program = TxnProgram::new(vec![add(0, 1), Operation::Read { table, pk }]);
+                let committed = fixture.run(worker, &vec![program; per_thread]);
+                assert_eq!(committed, per_thread as u64, "worker {worker} starved");
+            });
+        });
+        if let Some(txn) = pin {
+            // Give the workers time to queue behind the pinned row, then let go.
+            thread::sleep(Duration::from_millis(50));
+            db.commit(txn).unwrap();
+        }
+    });
+    fixture.audit(&format!("{:?}, {threads} x {per_thread}", db.protocol()));
+    fixture
 }
 
+/// No increment is lost, the history is serializable and nothing stays
+/// locked (the audit) under every protocol; where the protocol has a hot-row
+/// path, the row is promoted up front so that the path engages
+/// deterministically (organic promotion needs multi-core preemption; see
+/// `HotSetup`).
 #[test]
-fn concurrent_hot_increments_are_not_lost_txsql() {
-    let threads = 8;
-    let per_thread = 30;
-    // Promote the row up front so the group path engages deterministically
-    // (organic promotion needs multi-core preemption; see HotSetup).
-    let db = run_concurrent_increments_with(
-        Protocol::GroupLockingTxsql,
-        threads,
-        per_thread,
-        HotSetup::PromoteFirst,
-    );
-    assert_eq!(
-        committed_balance(&db, 0),
-        1_000 + (threads * per_thread) as i64
-    );
-    // The hot row must actually have been grouped.
-    assert!(
-        db.metrics().hotspot_group_entries.get() > 0,
-        "group locking never engaged"
-    );
-    db.shutdown();
-}
-
-#[test]
-fn concurrent_hot_increments_are_not_lost_queue_locking() {
-    let threads = 8;
-    let per_thread = 20;
-    let db = run_concurrent_increments(Protocol::QueueLockingO2, threads, per_thread);
-    assert_eq!(
-        committed_balance(&db, 0),
-        1_000 + (threads * per_thread) as i64
-    );
-    db.shutdown();
-}
-
-#[test]
-fn concurrent_hot_increments_are_not_lost_mysql_and_o1() {
-    for protocol in [Protocol::Mysql2pl, Protocol::LightweightO1] {
-        let threads = 4;
-        let per_thread = 15;
-        let db = run_concurrent_increments(protocol, threads, per_thread);
-        assert_eq!(
-            committed_balance(&db, 0),
-            1_000 + (threads * per_thread) as i64,
-            "{protocol:?}"
-        );
-        db.shutdown();
+fn concurrent_hot_increments_are_not_lost() {
+    for protocol in Protocol::ALL {
+        let hot_setup = match protocol.uses_hotspots() {
+            true => HotSetup::PromoteFirst,
+            false => HotSetup::Organic,
+        };
+        let fixture = run_concurrent_increments(hot_config(protocol), 8, 20, hot_setup);
+        let hot_entries = fixture.db.metrics().hotspot_group_entries.get();
+        assert_eq!(hot_entries > 0, protocol.uses_hotspots(), "{protocol:?}");
     }
-}
-
-#[test]
-fn concurrent_hot_increments_are_not_lost_bamboo() {
-    let threads = 4;
-    let per_thread = 15;
-    let db = run_concurrent_increments(Protocol::Bamboo, threads, per_thread);
-    assert_eq!(
-        committed_balance(&db, 0),
-        1_000 + (threads * per_thread) as i64
-    );
-    db.shutdown();
-}
-
-#[test]
-fn concurrent_hot_increments_are_not_lost_aria() {
-    let threads = 4;
-    let per_thread = 15;
-    let db = run_concurrent_increments(Protocol::Aria, threads, per_thread);
-    assert_eq!(
-        committed_balance(&db, 0),
-        1_000 + (threads * per_thread) as i64
-    );
-    db.shutdown();
-}
-
-// ---------------------------------------------------------------------------
-// Serializability audit (§5.2, §6.4.5)
-// ---------------------------------------------------------------------------
-
-#[test]
-fn contended_histories_are_serializable_under_txsql() {
-    let config = hot_config(Protocol::GroupLockingTxsql).with_history_recording(true);
-    let db = Arc::new(setup(config, 4));
-    let mut handles = Vec::new();
-    for worker in 0..6 {
-        let db = Arc::clone(&db);
-        handles.push(thread::spawn(move || {
-            let program = TxnProgram::new(vec![
-                Operation::UpdateAdd {
-                    table: ACCOUNTS,
-                    pk: 0,
-                    column: 1,
-                    delta: 1,
-                },
-                Operation::Read {
-                    table: ACCOUNTS,
-                    pk: (worker % 3) as i64 + 1,
-                },
-            ]);
-            let mut committed = 0;
-            while committed < 20 {
-                match db.execute_program(&program) {
-                    Ok(o) if o.committed => committed += 1,
-                    Ok(_) => {}
-                    Err(e) if e.is_retryable() => {}
-                    Err(e) => panic!("{e}"),
-                }
-            }
-        }));
-    }
-    for h in handles {
-        h.join().unwrap();
-    }
-    let report = db.history().unwrap().check();
-    assert!(report.is_serializable(), "cycle found: {:?}", report.cycle);
-    assert!(report.transactions >= 120);
-    db.shutdown();
 }
 
 // ---------------------------------------------------------------------------
@@ -437,9 +283,9 @@ fn contended_histories_are_serializable_under_txsql() {
 /// row with its blocker must be rolled back proactively.
 #[test]
 fn hot_plus_cold_deadlock_is_prevented() {
-    let db = setup(hot_config(Protocol::GroupLockingTxsql), 4);
-    let hot_record = db.record_id(ACCOUNTS, 0).unwrap();
-    db.hotspots().promote(hot_record);
+    let fixture = setup(hot_config(Protocol::GroupLockingTxsql), 4);
+    let db = &fixture.db;
+    db.hotspots().promote(fixture.record(0));
 
     let mut t1 = db.begin();
     let mut t2 = db.begin();
@@ -457,9 +303,8 @@ fn hot_plus_cold_deadlock_is_prevented() {
     );
     db.rollback(t2, Some(&err));
     db.commit(t1).unwrap();
-    assert_eq!(committed_balance(&db, 0), 1_001);
-    assert_eq!(committed_balance(&db, 2), 1_001);
-    db.shutdown();
+    fixture.acked(&[(0, 1), (2, 1)]);
+    fixture.audit("T1 committed, T2 was prevented");
 }
 
 /// §4.4: T1, T3, T2 update the hot row in that order; T1 then rolls back, so
@@ -469,16 +314,16 @@ fn hot_plus_cold_deadlock_is_prevented() {
 /// threads exactly like the paper's worked example.
 #[test]
 fn cascading_rollback_follows_reverse_update_order() {
-    let db = Arc::new(setup(hot_config(Protocol::GroupLockingTxsql), 4));
-    let hot_record = db.record_id(ACCOUNTS, 0).unwrap();
-    db.hotspots().promote(hot_record);
+    let fixture = setup(hot_config(Protocol::GroupLockingTxsql), 4);
+    let db = Arc::new(fixture.db.clone());
+    db.hotspots().promote(fixture.record(0));
 
     let mut t1 = db.begin();
     let mut t3 = db.begin();
     let mut t2 = db.begin();
-    db.update_add(&mut t1, ACCOUNTS, 0, 1, 1).unwrap(); // leader, val -> 1001
-    db.update_add(&mut t3, ACCOUNTS, 0, 1, 1).unwrap(); // follower, val -> 1002
-    db.update_add(&mut t2, ACCOUNTS, 0, 1, 1).unwrap(); // follower, val -> 1003
+    db.update_add(&mut t1, ACCOUNTS, 0, 1, 1).unwrap(); // leader, val -> 1
+    db.update_add(&mut t3, ACCOUNTS, 0, 1, 1).unwrap(); // follower, val -> 2
+    db.update_add(&mut t2, ACCOUNTS, 0, 1, 1).unwrap(); // follower, val -> 3
 
     // T1 rolls back (blocks until T2 and T3 have rolled back).
     let db1 = Arc::clone(&db);
@@ -501,39 +346,34 @@ fn cascading_rollback_follows_reverse_update_order() {
     assert!(err3.is_cascading(), "T3 should cascade, got {err3:?}");
     rollback_t1.join().unwrap();
 
-    assert_eq!(committed_balance(&db, 0), 1_000);
     assert!(db.metrics().cascading_aborts.get() >= 2);
-    db.shutdown();
+    fixture.audit("all three rolled back: the row is back at its original value");
 }
 
 /// Figure 3(c): within a group only the leader locks; followers execute
 /// without creating lock objects.
 #[test]
 fn group_locking_reduces_lock_objects_versus_o1() {
-    let threads = 6;
-    let per_thread = 25;
-    let txsql = run_concurrent_increments(Protocol::GroupLockingTxsql, threads, per_thread);
-    let o1 = run_concurrent_increments(Protocol::LightweightO1, threads, per_thread);
-    let txsql_locks =
-        txsql.metrics().locks_created.get() as f64 / txsql.metrics().committed.get().max(1) as f64;
-    let o1_locks =
-        o1.metrics().locks_created.get() as f64 / o1.metrics().committed.get().max(1) as f64;
+    let locks_per_txn = |protocol: Protocol| {
+        let fixture = run_concurrent_increments(hot_config(protocol), 6, 25, HotSetup::Organic);
+        let metrics = fixture.db.metrics();
+        metrics.locks_created.get() as f64 / metrics.committed.get() as f64
+    };
+    let txsql_locks = locks_per_txn(Protocol::GroupLockingTxsql);
+    let o1_locks = locks_per_txn(Protocol::LightweightO1);
     assert!(
         txsql_locks <= o1_locks + 0.1,
         "group locking should not create more lock objects per txn than O1 \
          (TXSQL {txsql_locks:.3} vs O1 {o1_locks:.3})"
     );
-    txsql.shutdown();
-    o1.shutdown();
 }
 
 #[test]
 fn bamboo_cascades_when_dirty_writer_aborts() {
-    let db = setup(
-        EngineConfig::for_protocol(Protocol::Bamboo)
-            .with_lock_wait_timeout(Duration::from_millis(200)),
-        2,
-    );
+    let config =
+        fixture::config(Protocol::Bamboo).with_lock_wait_timeout(Duration::from_millis(200));
+    let fixture = setup(config, 2);
+    let db = &fixture.db;
     let mut t1 = db.begin();
     db.update_add(&mut t1, ACCOUNTS, 0, 1, 10).unwrap();
     // Bamboo released T1's lock right after the update, so T2 can update the
@@ -549,22 +389,19 @@ fn bamboo_cascades_when_dirty_writer_aborts() {
     );
     let err = db.commit(t2).unwrap_err();
     assert!(err.is_cascading(), "expected cascade, got {err:?}");
-    assert_eq!(committed_balance(&db, 0), 1_000);
-    db.shutdown();
+    fixture.audit("neither committed");
 }
 
 #[test]
 fn bamboo_dependency_timeout_names_the_record_read() {
-    let db = setup(
-        EngineConfig::for_protocol(Protocol::Bamboo)
-            .with_lock_wait_timeout(Duration::from_millis(5)),
-        1,
-    );
+    let config = fixture::config(Protocol::Bamboo).with_lock_wait_timeout(Duration::from_millis(5));
+    let fixture = setup(config, 1);
+    let db = &fixture.db;
     let mut writer = db.begin();
     db.update_add(&mut writer, ACCOUNTS, 0, 1, 5).unwrap();
     let mut dependent = db.begin();
     db.update_add(&mut dependent, ACCOUNTS, 0, 1, 1).unwrap();
-    let row = db.record_id(ACCOUNTS, 0).unwrap();
+    let row = fixture.record(0);
     let read = &dependent.dirty_reads_from()[0];
     assert_eq!((read.writer, read.record), (writer.id, row));
     // The writer never finishes: the dependent's commit times out on the
@@ -575,21 +412,17 @@ fn bamboo_dependency_timeout_names_the_record_read() {
         "{err:?}"
     );
     db.rollback(writer, None);
-    assert_eq!(committed_balance(&db, 0), 1_000);
-    db.shutdown();
+    fixture.audit("neither committed");
 }
 
 #[test]
 fn bamboo_releases_each_record_lock_at_its_statement() {
-    let db = setup(
-        EngineConfig::for_protocol(Protocol::Bamboo)
-            .with_lock_wait_timeout(Duration::from_millis(100)),
-        4,
-    );
+    let fixture = setup(fixture::config(Protocol::Bamboo), 4);
+    let db = &fixture.db;
     let mut t1 = db.begin();
     for pk in 0..3 {
         db.update_add(&mut t1, ACCOUNTS, pk, 1, 10).unwrap();
-        let record = db.record_id(ACCOUNTS, pk).unwrap();
+        let record = fixture.record(pk);
         assert!(
             db.lock_holders(record).is_empty(),
             "the update statement must release its own lock"
@@ -601,37 +434,30 @@ fn bamboo_releases_each_record_lock_at_its_statement() {
     db.update_add(&mut t2, ACCOUNTS, 0, 1, 5).unwrap();
     db.commit(t1).unwrap();
     db.commit(t2).unwrap();
-    assert_eq!(committed_balance(&db, 0), 1_015);
-    db.shutdown();
+    fixture.acked(&[(0, 10 + 5), (1, 10), (2, 10)]);
+    fixture.audit("both committed, in dependency order");
 }
 
 #[test]
 fn aria_aborts_one_of_two_conflicting_transactions_in_a_batch() {
-    let db = setup(
-        EngineConfig::for_protocol(Protocol::Aria).with_aria_batch_size(2),
-        2,
-    );
-    let db = Arc::new(db);
-    let program = TxnProgram::new(vec![Operation::UpdateAdd {
-        table: ACCOUNTS,
-        pk: 0,
-        column: 1,
-        delta: 5,
-    }]);
-    let mut handles = Vec::new();
-    for _ in 0..2 {
-        let db = Arc::clone(&db);
-        let program = program.clone();
-        handles.push(thread::spawn(move || db.execute_program(&program)));
-    }
-    let results: Vec<_> = handles.into_iter().map(|h| h.join().unwrap()).collect();
-    let committed = results.iter().filter(|r| r.is_ok()).count();
+    let config = fixture::config(Protocol::Aria).with_aria_batch_size(2);
+    let fixture = setup(config, 2);
+    let committed = std::sync::atomic::AtomicU64::new(0);
+    // One attempt each: a retry would hide the abort this is about.
+    fixture.threads(2, |fixture, _| {
+        if fixture
+            .db
+            .execute_program(&TxnProgram::new(vec![add(0, 5)]))
+            .is_ok()
+        {
+            fixture.acked(&[(0, 5)]);
+            committed.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+        }
+    });
     // Either they landed in the same batch (one aborts) or different batches
     // (both commit); in both cases no update is lost.
-    let expected = 1_000 + committed as i64 * 5;
-    assert_eq!(committed_balance(&db, 0), expected);
-    assert!(committed >= 1);
-    db.shutdown();
+    assert!(committed.into_inner() >= 1);
+    fixture.audit("two writers of one row, batches of two");
 }
 
 // ---------------------------------------------------------------------------
@@ -642,46 +468,31 @@ fn aria_aborts_one_of_two_conflicting_transactions_in_a_batch() {
 fn hotspot_is_detected_then_demoted_when_idle() {
     // Pin the row briefly so waiters pile up and the engine performs an
     // *organic* promotion even on a single-core runner.
-    let db = run_concurrent_increments_with(Protocol::GroupLockingTxsql, 8, 20, HotSetup::PinRow);
-    let hot_record = db.record_id(ACCOUNTS, 0).unwrap();
+    let config = hot_config(Protocol::GroupLockingTxsql);
+    let fixture = run_concurrent_increments(config, 8, 20, HotSetup::PinRow);
+    let (db, hot_record) = (&fixture.db, fixture.record(0));
     assert!(db.hotspots().promotions() > 0, "hotspot was never promoted");
     // With no load, the sweeper (or two manual sweeps) demotes the row.
     db.hotspots().sweep(|_| false);
     db.hotspots().sweep(|_| false);
     assert!(!db.hotspots().is_hot(hot_record));
-    db.shutdown();
 }
 
 #[test]
 fn uniform_workload_triggers_no_hotspot_handling() {
-    let db = setup(hot_config(Protocol::GroupLockingTxsql), 64);
-    let db = Arc::new(db);
-    let mut handles = Vec::new();
-    for worker in 0..4u64 {
-        let db = Arc::clone(&db);
-        handles.push(thread::spawn(move || {
-            for i in 0..50 {
-                // Disjoint 16-row stripes per worker: a truly uniform load
-                // never queues two transactions on one row, so promotion
-                // (threshold 2) must stay impossible even when the OS
-                // preempts a lock holder on a busy machine.
-                let pk = (worker * 16 + i % 16) as i64;
-                let program = TxnProgram::new(vec![Operation::UpdateAdd {
-                    table: ACCOUNTS,
-                    pk,
-                    column: 1,
-                    delta: 1,
-                }]);
-                while db.execute_program(&program).is_err() {}
-            }
-        }));
-    }
-    for h in handles {
-        h.join().unwrap();
-    }
-    assert_eq!(db.metrics().hotspot_group_entries.get(), 0);
-    assert_eq!(db.metrics().committed.get(), 200);
-    db.shutdown();
+    let fixture = setup(hot_config(Protocol::GroupLockingTxsql), 64);
+    fixture.threads(4, |fixture, worker| {
+        // Disjoint 16-row stripes per worker: a truly uniform load never
+        // queues two transactions on one row, so promotion (threshold 2)
+        // must stay impossible even when the OS preempts a lock holder on a
+        // busy machine.
+        let update = |i: u64| TxnProgram::new(vec![add((worker * 16 + i % 16) as i64, 1)]);
+        let programs: Vec<_> = (0..50).map(update).collect();
+        assert_eq!(fixture.run(worker, &programs), 50);
+    });
+    assert_eq!(fixture.db.metrics().hotspot_group_entries.get(), 0);
+    assert_eq!(fixture.db.metrics().committed.get(), 200);
+    fixture.audit("uniform load");
 }
 
 // ---------------------------------------------------------------------------
@@ -698,11 +509,11 @@ fn group_commit_uses_fewer_fsyncs_than_per_txn_commit() {
                 network_one_way: Duration::ZERO,
                 statement_overhead: Duration::ZERO,
             });
-        let db = run_concurrent_increments_with_config(config, 6, 20);
-        let fsyncs = db.storage().redo().fsync_count();
-        let committed = db.metrics().committed.get();
-        db.shutdown();
-        (fsyncs, committed)
+        let db = run_concurrent_increments(config, 6, 20, HotSetup::Organic).db;
+        (
+            db.storage().redo().fsync_count(),
+            db.metrics().committed.get(),
+        )
     };
     let (fsync_grouped, committed_grouped) = run(true);
     let (fsync_single, committed_single) = run(false);
@@ -713,56 +524,19 @@ fn group_commit_uses_fewer_fsyncs_than_per_txn_commit() {
     );
 }
 
-fn run_concurrent_increments_with_config(
-    config: EngineConfig,
-    threads: usize,
-    per_thread: usize,
-) -> Database {
-    let db = Arc::new(setup(config, 2));
-    let mut handles = Vec::new();
-    for _ in 0..threads {
-        let db = Arc::clone(&db);
-        handles.push(thread::spawn(move || {
-            let program = TxnProgram::new(vec![Operation::UpdateAdd {
-                table: ACCOUNTS,
-                pk: 0,
-                column: 1,
-                delta: 1,
-            }]);
-            let mut committed = 0;
-            while committed < per_thread {
-                match db.execute_program(&program) {
-                    Ok(o) if o.committed => committed += 1,
-                    _ => {}
-                }
-            }
-        }));
-    }
-    for h in handles {
-        h.join().unwrap();
-    }
-    Arc::try_unwrap(db).unwrap_or_else(|arc| (*arc).clone())
-}
-
 // ---------------------------------------------------------------------------
 // Recovery of hotspot state (§5.3) through the engine
 // ---------------------------------------------------------------------------
 
 #[test]
 fn crash_recovery_discards_uncommitted_hotspot_updates() {
-    let db = setup(hot_config(Protocol::GroupLockingTxsql), 2);
-    let hot_record = db.record_id(ACCOUNTS, 0).unwrap();
-    db.hotspots().promote(hot_record);
-    let checkpoint = db.checkpoint().unwrap();
+    let fixture = setup(hot_config(Protocol::GroupLockingTxsql), 2);
+    let db = &fixture.db;
+    db.hotspots().promote(fixture.record(0));
+    db.checkpoint().unwrap();
 
     // One committed, durable update...
-    let program = TxnProgram::new(vec![Operation::UpdateAdd {
-        table: ACCOUNTS,
-        pk: 0,
-        column: 1,
-        delta: 5,
-    }]);
-    db.execute_program(&program).unwrap();
+    assert_eq!(fixture.run(0, &[TxnProgram::new(vec![add(0, 5)])]), 1);
     db.storage().redo().flush_all().unwrap();
     // ...and two uncommitted hotspot updates left in flight at the crash.
     let mut t_a = db.begin();
@@ -771,27 +545,19 @@ fn crash_recovery_discards_uncommitted_hotspot_updates() {
     db.update_add(&mut t_b, ACCOUNTS, 0, 1, 100).unwrap();
     db.storage().redo().flush_all().unwrap();
 
-    let outcome =
-        txsql_storage::recovery::recover(&checkpoint, &db.durable_redo(), Duration::ZERO).unwrap();
-    let table = outcome.storage.table(ACCOUNTS).unwrap();
-    let rid = table.lookup_pk(0).unwrap();
-    let recovered = outcome
-        .storage
-        .read_committed(ACCOUNTS, rid)
-        .unwrap()
-        .unwrap();
-    assert_eq!(recovered.get_int(1), Some(1_005));
-    assert_eq!(outcome.report.rolled_back.len(), 2);
-    assert_eq!(outcome.report.recovered_hot_orders.len(), 2);
-    // Leave the in-flight transactions to clean up normally.
+    let (recovered, report) = fixture.restart();
+    assert_eq!(report.rolled_back.len(), 2);
+    assert_eq!(report.recovered_hot_orders.len(), 2);
+    // Leave the in-flight transactions to clean up normally; the audit finds
+    // the committed 5 and the restart's probe, and neither 100.
     db.rollback(t_a, None);
     db.rollback(t_b, None);
-    db.shutdown();
+    recovered.audit("two hot updates in flight at the crash");
 }
 
 #[test]
 fn string_columns_round_trip_through_updates() {
-    let db = setup(EngineConfig::for_protocol(Protocol::LightweightO1), 2);
+    let db = setup(EngineConfig::for_protocol(Protocol::LightweightO1), 2).db;
     let mut txn = db.begin();
     db.update_row(&mut txn, ACCOUNTS, 1, &mut |row: &mut Row| {
         row.set(1, Value::Str("padded".into()));
@@ -819,31 +585,19 @@ fn chain_len(db: &Database, pk: i64) -> usize {
     len
 }
 
-/// Commits `delta` on `pk`, retrying contention aborts; `false` for the
-/// program that ends in a forced rollback.
-fn run_update(db: &Database, pk: i64, roll_back: bool) -> bool {
-    let mut operations = vec![Operation::UpdateAdd {
-        table: ACCOUNTS,
-        pk,
-        column: 1,
-        delta: 1,
-    }];
+/// Commits `+1` on `pk` through the fixture's retry loop; `false` for the
+/// program that ends in a forced rollback (or spent its retry budget).
+fn run_update(fixture: &Fixture, pk: i64, roll_back: bool) -> bool {
+    let mut operations = vec![add(pk, 1)];
     if roll_back {
         operations.push(Operation::ForcedRollback);
     }
-    let program = TxnProgram::new(operations);
-    loop {
-        match db.execute_program(&program) {
-            Ok(outcome) => return outcome.committed,
-            Err(err) if err.is_retryable() => {}
-            Err(err) => panic!("unexpected error {err}"),
-        }
-    }
+    fixture.run(0, &[TxnProgram::new(operations)]) == 1
 }
 
 #[test]
 fn hot_row_chain_stays_short_and_readers_never_lose_the_row() {
-    use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+    use std::sync::atomic::{AtomicUsize, Ordering};
     const WRITERS: usize = 4;
     for protocol in Protocol::ALL {
         // 20k commits where a commit costs microseconds.  Bamboo's pile-ups
@@ -855,24 +609,29 @@ fn hot_row_chain_stays_short_and_readers_never_lose_the_row() {
             Protocol::Aria => 1_250,
             _ => 5_000,
         };
+        let total = WRITERS * per_writer;
         for mode in [
             txsql_txn::ReadViewMode::CopyFree,
             txsql_txn::ReadViewMode::Copying,
         ] {
+            // (No history: the two readers below commit a hundred thousand
+            // read-only transactions, and the checker's rw edges are the
+            // product of readers and writers.)
             let mut config = EngineConfig::for_protocol(protocol)
                 .with_lock_wait_timeout(Duration::from_millis(500));
             config.read_view_mode = mode;
-            let db = setup(config, 2);
+            let fixture = setup(config, 2);
+            let db = &fixture.db;
             if protocol.uses_hotspots() {
-                db.hotspots().pin(db.record_id(ACCOUNTS, 0).unwrap());
+                db.hotspots().pin(fixture.record(0));
             }
-            let writers_done = AtomicBool::new(false);
-            let peak = AtomicUsize::new(0);
+            let committed = AtomicUsize::new(0);
+            let shortest_late = AtomicUsize::new(usize::MAX);
             thread::scope(|scope| {
                 for _ in 0..2 {
                     scope.spawn(|| {
                         let mut last = 0;
-                        while !writers_done.load(Ordering::Acquire) {
+                        while committed.load(Ordering::Acquire) < total {
                             let mut txn = db.begin();
                             let row = db.read(&mut txn, ACCOUNTS, 0).unwrap_or_else(|err| {
                                 panic!("{protocol:?}/{mode:?}: reader lost the row: {err}")
@@ -884,96 +643,94 @@ fn hot_row_chain_stays_short_and_readers_never_lose_the_row() {
                                 "{protocol:?}/{mode:?}: {last} -> {balance}"
                             );
                             last = balance;
-                            peak.fetch_max(chain_len(&db, 0), Ordering::Relaxed);
                         }
                     });
                 }
-                let writers: Vec<_> = (0..WRITERS)
-                    .map(|_| {
-                        scope.spawn(|| {
-                            let mut committed = 0;
-                            while committed < per_writer {
-                                // One program in a hundred rolls back.
-                                let attempt = committed + 1;
-                                if attempt % 100 == 0 {
-                                    assert!(!run_update(&db, 0, true));
-                                }
-                                committed += usize::from(run_update(&db, 0, false));
+                for _ in 0..WRITERS {
+                    scope.spawn(|| {
+                        let mut attempt = 0;
+                        while committed.load(Ordering::Acquire) < total {
+                            // One program in a hundred rolls back.
+                            attempt += 1;
+                            if attempt % 100 == 0 {
+                                assert!(!run_update(&fixture, 0, true));
+                            } else if run_update(&fixture, 0, false)
+                                && committed.fetch_add(1, Ordering::AcqRel) >= total / 2
+                            {
+                                shortest_late.fetch_min(chain_len(db, 0), Ordering::Relaxed);
                             }
-                        })
-                    })
-                    .collect();
-                for writer in writers {
-                    writer.join().unwrap();
+                        }
+                    });
                 }
-                writers_done.store(true, Ordering::Release);
             });
-            let total = (WRITERS * per_writer) as i64;
             // (Bamboo can commit on top of a dirty value whose writer then
             // aborts — it reads the row and the writer in two latch takes —
             // so its total is not exact, here or at the parent.)
+            let total = committed.into_inner();
             if protocol != Protocol::Bamboo {
-                assert_eq!(committed_balance(&db, 0), 1_000 + total);
+                assert_eq!(fixture.value(0), total as i64);
             }
             // A commit keeps the newest version at or below the purge floor
             // plus one per transaction that was handed a commit number and
             // has not finished — itself included.  Nothing is in flight now,
             // so one more commit leaves the kept version and its own.
-            assert!(run_update(&db, 0, false));
+            assert!(run_update(&fixture, 0, false));
             assert!(
-                chain_len(&db, 0) <= 2,
+                chain_len(db, 0) <= 2,
                 "{protocol:?}/{mode:?}: {} versions after {total} commits",
-                chain_len(&db, 0)
+                chain_len(db, 0)
             );
-            // While it ran, a descheduled committer held the floor back for
-            // as long as it was off the CPU and no longer: the chain never
-            // came near the row's history.
-            let peak = peak.load(Ordering::Relaxed);
+            // The same rule while it ran, which is what this still proves:
+            // commits purge as they go, not only the last one.  How long a
+            // chain gets meanwhile is how many commits fit into the time
+            // slice of a committer (or a reader's view) descheduled between
+            // its commit number and its finish — a property of the box, so
+            // the peak is not bounded.  But whenever nobody is held, the
+            // chain is the kept version plus at most one per writer in
+            // flight, and of the writers that looked right after their own
+            // commit in the second half of the run (every one does, so the
+            // samples do not depend on who gets scheduled) some must have
+            // seen it so; a chain that was cut only at the end would be
+            // `total / 2` long or longer in every one of those samples.
+            let shortest = shortest_late.load(Ordering::Relaxed);
             assert!(
-                peak <= total as usize / 4,
-                "{protocol:?}/{mode:?}: chain peaked at {peak} of {total} versions"
+                shortest <= 2 * WRITERS + 2,
+                "{protocol:?}/{mode:?}: chain never under {shortest} of {total} versions \
+                 while the second half of the commits ran"
             );
-            db.shutdown();
         }
     }
 }
 
 #[test]
 fn cold_row_chains_stay_short_under_uniform_updates() {
-    const WRITERS: usize = 4;
+    const WRITERS: u64 = 4;
     const PER_WRITER: usize = 5_000;
     const ROWS: i64 = 1_024;
-    let db = setup(
-        EngineConfig::for_protocol(Protocol::GroupLockingTxsql),
-        ROWS,
-    );
-    thread::scope(|scope| {
-        for worker in 0..WRITERS {
-            let db = &db;
-            scope.spawn(move || {
-                let mut rng = txsql_common::rng::XorShiftRng::for_worker(7, worker as u64);
-                for i in 0..PER_WRITER {
-                    let pk = rng.next_bounded(ROWS as u64) as i64;
-                    run_update(db, pk, i % 100 == 99);
-                }
-            });
+    let fixture = setup(fixture::config(Protocol::GroupLockingTxsql), ROWS);
+    fixture.threads(WRITERS, |fixture, worker| {
+        let mut rng = txsql_common::rng::XorShiftRng::for_worker(7, worker);
+        for i in 0..PER_WRITER {
+            let pk = rng.next_bounded(ROWS as u64) as i64;
+            run_update(fixture, pk, i % 100 == 99);
         }
     });
+    let db = &fixture.db;
     // A cold row's last commit kept one version at the floor plus the
     // commits of *this row* above it — its own, and rarely another that a
     // descheduled committer held there.  Other rows' traffic does not
     // lengthen its chain: ~2 versions a row, not the ~20 it was given.
-    let total: usize = (0..ROWS).map(|pk| chain_len(&db, pk)).sum();
+    let total: usize = (0..ROWS).map(|pk| chain_len(db, pk)).sum();
     assert!(
         total <= 3 * ROWS as usize,
         "{total} versions on {ROWS} rows"
     );
     // With nothing in flight, one more commit leaves exactly two.
     for pk in 0..ROWS {
-        assert!(run_update(&db, pk, false));
-        assert_eq!(chain_len(&db, pk), 2, "row {pk}");
+        assert!(run_update(&fixture, pk, false));
+        assert_eq!(chain_len(db, pk), 2, "row {pk}");
     }
-    db.shutdown();
+    fixture.audit("uniform updates of cold rows");
 }
 
 // ---------------------------------------------------------------------------
@@ -988,7 +745,7 @@ fn shutdown_of_an_idle_engine_does_not_wait_out_the_sweep_interval() {
     let mut config = EngineConfig::for_protocol(Protocol::GroupLockingTxsql);
     config.hotspot.sweep_interval = interval;
     assert!(config.start_sweeper);
-    let db = setup(config, 1);
+    let db = setup(config, 1).db;
     // The first sweep demotes this idle row: once it has, the sweeper is
     // back in its wait with a whole interval to go.
     let record = db.record_id(ACCOUNTS, 0).unwrap();
@@ -1011,14 +768,10 @@ fn thread_cpu_ns() -> u64 {
 /// Commits single-update transactions on one pinned hot row from `threads`
 /// threads for `window`; returns the threads' CPU time per commit in µs.
 fn hot_row_cpu_us_per_commit(threads: usize, window: Duration) -> f64 {
-    let db = setup(EngineConfig::for_protocol(Protocol::GroupLockingTxsql), 1);
-    db.hotspots().pin(db.record_id(ACCOUNTS, 0).unwrap());
-    let program = TxnProgram::new(vec![Operation::UpdateAdd {
-        table: ACCOUNTS,
-        pk: 0,
-        column: 1,
-        delta: 1,
-    }]);
+    let fixture = setup(EngineConfig::for_protocol(Protocol::GroupLockingTxsql), 1);
+    let db = &fixture.db;
+    db.hotspots().pin(fixture.record(0));
+    let program = TxnProgram::new(vec![add(0, 1)]);
     let start = std::time::Instant::now();
     let (commits, cpu_ns) = thread::scope(|scope| {
         let workers: Vec<_> = (0..threads)
@@ -1039,8 +792,7 @@ fn hot_row_cpu_us_per_commit(threads: usize, window: Duration) -> f64 {
             .map(|worker| worker.join().unwrap())
             .fold((0, 0), |sum, (commits, cpu)| (sum.0 + commits, sum.1 + cpu))
     });
-    assert_eq!(committed_balance(&db, 0), 1_000 + commits as i64);
-    db.shutdown();
+    assert_eq!(fixture.value(0), commits as i64);
     cpu_ns as f64 / 1e3 / commits as f64
 }
 
@@ -1067,22 +819,11 @@ fn read_only_transactions_leave_no_footprint() {
     // transaction system: no storage entry, no log record, no `trx_no`, no
     // hold on the checkpoint floor — under every protocol.
     for protocol in Protocol::ALL {
-        let db = setup(
-            EngineConfig::for_protocol(protocol).with_history_recording(true),
-            8,
-        );
+        let fixture = setup(fixture::config(protocol), 8);
+        let db = &fixture.db;
         db.checkpoint().unwrap();
-        let update = |pk| {
-            TxnProgram::new(vec![Operation::UpdateAdd {
-                table: ACCOUNTS,
-                pk,
-                column: 1,
-                delta: 7,
-            }])
-        };
-        for pk in 0..3 {
-            assert!(db.execute_program(&update(pk)).unwrap().committed);
-        }
+        let update = |pk| TxnProgram::new(vec![add(pk, 7)]);
+        assert_eq!(fixture.run(0, &[update(0), update(1), update(2)]), 3);
         let history = db.history().unwrap();
         let newest = |history: &txsql_core::checker::HistoryRecorder| {
             let (txn, info) = history.committed_snapshot().pop().unwrap();
@@ -1104,12 +845,12 @@ fn read_only_transactions_leave_no_footprint() {
         for _ in 0..20 {
             let outcome = db.execute_program(&reads).unwrap();
             assert!(outcome.committed, "{protocol:?}");
-            assert_eq!(outcome.reads[..3], [1_007; 3], "{protocol:?}");
+            assert_eq!(outcome.reads[..3], [7; 3], "{protocol:?}");
         }
         let mut reader = db.begin();
         assert_eq!(
             db.read(&mut reader, ACCOUNTS, 5).unwrap().get_int(1),
-            Some(1_000)
+            Some(0)
         );
         assert_eq!(
             db.storage().active_txn_floor(),
@@ -1138,7 +879,7 @@ fn read_only_transactions_leave_no_footprint() {
             .collect();
         assert!(readers.len() >= 21, "{protocol:?}: {}", readers.len());
         assert!(readers.iter().all(|(_, t)| t.trx_no == last_trx_no));
-        assert!(db.execute_program(&update(3)).unwrap().committed);
+        assert_eq!(fixture.run(0, &[update(3)]), 1);
         assert_eq!(newest(history).1, last_trx_no + 1, "{protocol:?}");
 
         // A restart finds nothing of the readers: the same state, and ids
@@ -1148,14 +889,13 @@ fn read_only_transactions_leave_no_footprint() {
         assert!(report.rolled_back.is_empty(), "{protocol:?}");
         assert!(report.max_txn_id > last_writer.0, "{protocol:?}");
         assert!(restarted.begin().id.0 > report.max_txn_id, "{protocol:?}");
-        for pk in 0..8 {
-            assert_eq!(
-                committed_balance(&restarted, pk),
-                committed_balance(&db, pk),
-                "{protocol:?} pk {pk}"
-            );
-        }
-        restarted.shutdown();
+        let balances = |db: &Database| -> Vec<_> {
+            let row = |pk| db.storage().read_committed(ACCOUNTS, fixture.record(pk));
+            (0..8)
+                .map(|pk| row(pk).unwrap().unwrap().get_int(1))
+                .collect()
+        };
+        assert_eq!(balances(&restarted), balances(db), "{protocol:?}");
 
         // Nor do they hold a checkpoint back: it truncates the whole log.
         for _ in 0..5 {
@@ -1165,11 +905,11 @@ fn read_only_transactions_leave_no_footprint() {
         db.checkpoint().unwrap();
         assert!(redo.is_empty(), "{protocol:?}: {} records left", redo.len());
         db.commit(reader).unwrap();
-        let (restarted, report) = db.restart_from_crash().unwrap();
+        // Nothing to replay, and the restarted engine holds what the ledger
+        // holds (and the restart's probe).
+        let (restarted, report) = fixture.restart();
         assert_eq!(report.replayed, 0, "{protocol:?}");
-        assert_eq!(committed_balance(&restarted, 3), 1_007, "{protocol:?}");
-        restarted.shutdown();
-        db.shutdown();
+        restarted.audit(&format!("{protocol:?}"));
     }
 }
 
@@ -1193,18 +933,14 @@ fn lock_acquisitions_per_transaction_stay_within_budget() {
     // group entry created) the count per transaction repeats exactly, so it
     // can be pinned: a statement or commit path that starts taking one more
     // engine-wide lock fails here before any benchmark has to notice.
-    let db = setup(EngineConfig::for_protocol(Protocol::GroupLockingTxsql), 64);
-    db.hotspots().pin(db.record_id(ACCOUNTS, 0).unwrap());
+    let fixture = setup(EngineConfig::for_protocol(Protocol::GroupLockingTxsql), 64);
+    let db = &fixture.db;
+    db.hotspots().pin(fixture.record(0));
     let read = |pk| Operation::Read {
         table: ACCOUNTS,
         pk,
     };
-    let add = |pk| Operation::UpdateAdd {
-        table: ACCOUNTS,
-        pk,
-        column: 1,
-        delta: 1,
-    };
+    let add = |pk| add(pk, 1);
     let programs = [
         TxnProgram::new((1..=10).map(read).collect()),
         TxnProgram::new((11..=14).map(add).collect()),
@@ -1229,5 +965,4 @@ fn lock_acquisitions_per_transaction_stay_within_budget() {
             counts[1]
         );
     }
-    db.shutdown();
 }

@@ -14,22 +14,20 @@
 //! commit turn that is never passed on, a ticket or a completion that is
 //! never released, a lock that outlives its transaction.
 
-use std::collections::HashSet;
 use std::sync::Arc;
-use std::time::Duration;
 use txsql_common::rng::XorShiftRng;
-use txsql_common::{Row, TableId};
-use txsql_core::{Database, EngineConfig, Operation, OsEvent, Protocol, TxnProgram};
+use txsql_common::TableId;
+use txsql_core::{Operation, Protocol, TxnProgram};
 use txsql_storage::TableSchema;
 use txsql_workloads::digest::{program_digest, Fnv1a};
+use txsql_workloads::fixture::{self, add, Fixture};
 
-const ACCOUNTS: TableId = TableId(1);
 const JOURNAL: TableId = TableId(2);
 /// Accounts 0 and 1 take an increment from every program; 0 is declared hot
 /// up front, 1 has to be promoted by the waits it causes.
 const HOT_ROWS: u64 = 2;
+/// The accounts transfers move money between; the one after them is only read.
 const COLD_ROWS: u64 = 12;
-const COLD_BALANCE: i64 = 1_000;
 
 /// One worker's programs: a snapshot read of a row nobody writes (snapshot
 /// reads of written rows are consistent, not serializable), a hot increment,
@@ -39,12 +37,7 @@ const COLD_BALANCE: i64 = 1_000;
 /// at the end.
 fn worker_stream(seed: u64, worker: u64, programs: usize, rollback_pct: u64) -> Vec<TxnProgram> {
     let mut rng = XorShiftRng::for_worker(seed, worker);
-    let add = |pk: u64, delta: i64| Operation::UpdateAdd {
-        table: ACCOUNTS,
-        pk: pk as i64,
-        column: 1,
-        delta,
-    };
+    let add = |pk: u64, delta: i64| add(pk as i64, delta);
     (0..programs)
         .map(|i| {
             let hot = rng.next_bounded(HOT_ROWS);
@@ -53,7 +46,7 @@ fn worker_stream(seed: u64, worker: u64, programs: usize, rollback_pct: u64) -> 
             let amount = 1 + rng.next_bounded(9) as i64;
             let mut ops = vec![
                 Operation::Read {
-                    table: ACCOUNTS,
+                    table: fixture::ACCOUNTS,
                     pk: (HOT_ROWS + COLD_ROWS) as i64,
                 },
                 add(hot, 1),
@@ -78,9 +71,7 @@ fn worker_stream(seed: u64, worker: u64, programs: usize, rollback_pct: u64) -> 
 
 struct Stream {
     workers: Vec<Vec<TxnProgram>>,
-    /// What every protocol must end with: the hot rows' values and the number
-    /// of committed programs (= journal rows).
-    hot_totals: [i64; HOT_ROWS as usize],
+    /// Programs without a forced rollback: what every protocol must commit.
     committed: u64,
 }
 
@@ -90,135 +81,69 @@ impl Stream {
             .map(|w| worker_stream(seed, w, programs, rollback_pct))
             .collect();
         let mut hash = Fnv1a::new();
-        let mut hot_totals = [0; HOT_ROWS as usize];
-        let mut committed = 0;
         for program in workers.iter().flatten() {
             hash.write_u64(program_digest(program));
-            if program.operations.contains(&Operation::ForcedRollback) {
-                continue;
-            }
-            committed += 1;
-            for op in &program.operations {
-                if let Operation::UpdateAdd { pk, delta, .. } = op {
-                    if (*pk as u64) < HOT_ROWS {
-                        hot_totals[*pk as usize] += delta;
-                    }
-                }
-            }
         }
         assert_eq!(hash.finish(), digest, "the program stream changed; re-pin");
-        let forced = workers.iter().flatten().count() as u64 - committed;
-        assert!(forced > 0, "the stream must exercise the rollback path");
-        Self {
-            workers,
-            hot_totals,
-            committed,
-        }
+        let committed = workers.iter().flatten().filter(|p| !forced(p)).count() as u64;
+        let total = workers.iter().flatten().count() as u64;
+        assert!(
+            committed < total,
+            "the stream must exercise the rollback path"
+        );
+        Self { workers, committed }
     }
 }
 
-fn database(protocol: Protocol, sweeper: bool) -> Arc<Database> {
-    let mut config = EngineConfig::for_protocol(protocol)
-        .with_hotspot_threshold(2)
-        .with_lock_wait_timeout(Duration::from_millis(100))
-        .with_history_recording(true);
-    config.start_sweeper &= sweeper;
-    let db = Database::new(config);
-    db.create_table(TableSchema::new(ACCOUNTS, "accounts", 2))
-        .unwrap();
-    db.create_table(TableSchema::new(JOURNAL, "journal", 2))
-        .unwrap();
-    for pk in 0..=(HOT_ROWS + COLD_ROWS) as i64 {
-        let balance = if (pk as u64) < HOT_ROWS {
-            0
-        } else {
-            COLD_BALANCE
-        };
-        db.load_row(ACCOUNTS, Row::from_ints(&[pk, balance]))
-            .unwrap();
-    }
-    db.hotspots().pin(db.record_id(ACCOUNTS, 0).unwrap());
-    Arc::new(db)
+fn forced(program: &TxnProgram) -> bool {
+    program.operations.contains(&Operation::ForcedRollback)
 }
 
-/// Runs one worker's programs, each until it commits (or is rolled back by
-/// its own `ForcedRollback`), pacing retries with the drivers' backoff (its
-/// jitter seeded per worker, or colliding workers would retry in lockstep).
-/// The pause is a wait nobody ends: natively a sleep, under the simulator a
-/// park until the virtual deadline — it takes this worker off the run queue
-/// without pushing the shared clock under everybody else's timeouts.
-fn run_worker(db: &Database, stream: &Stream, worker: usize) {
-    let mut policy = db.backoff_policy();
-    policy.budget = 200;
-    for (i, program) in stream.workers[worker].iter().enumerate() {
-        let forced = program.operations.contains(&Operation::ForcedRollback);
-        let mut retry = policy.begin((worker * 1_000 + i) as u64);
-        loop {
-            match db.execute_program(program) {
-                Ok(outcome) => {
-                    assert_eq!(outcome.committed, !forced);
-                    break;
-                }
-                Err(err) if err.is_retryable() => match retry.next_backoff(&policy) {
-                    Some(delay) => drop(OsEvent::new().wait_for(delay)),
-                    None => panic!("program starved, last error {err}: {program:?}"),
-                },
-                Err(err) => panic!("unexpected error {err}: {program:?}"),
-            }
-        }
-    }
+/// The stream's fixture under `protocol`: the accounts, the journal, row 0
+/// pinned hot.
+fn database(protocol: Protocol, sweeper: bool) -> Fixture {
+    let mut config = fixture::config(protocol);
+    config.start_sweeper = sweeper && protocol.uses_hotspots();
+    let db = txsql_core::Database::new(config);
+    let fixture = Fixture::new(db, HOT_ROWS as i64, COLD_ROWS as i64 + 1);
+    let journal = TableSchema::new(JOURNAL, "journal", 2);
+    fixture.db.create_table(journal).unwrap();
+    fixture.db.hotspots().pin(fixture.record(0));
+    fixture
 }
 
-fn balance(db: &Database, pk: i64) -> i64 {
-    let record = db.record_id(ACCOUNTS, pk).unwrap();
-    let row = db.storage().read_committed(ACCOUNTS, record).unwrap();
-    row.unwrap().get_int(1).unwrap()
+/// Runs one worker's programs, each until it commits or is rolled back by its
+/// own `ForcedRollback`: none may starve.
+fn run_worker(fixture: &Fixture, stream: &Stream, worker: u64) {
+    let programs = &stream.workers[worker as usize];
+    let committed = fixture.run(worker, programs);
+    let expected = programs.iter().filter(|p| !forced(p)).count() as u64;
+    assert_eq!(committed, expected, "worker {worker}: a program starved");
 }
 
-/// The one oracle every protocol has to pass once its workers are done.
-fn check(db: &Database, stream: &Stream, context: &str) {
-    for (pk, expected) in stream.hot_totals.iter().enumerate() {
-        let got = balance(db, pk as i64);
-        assert_eq!(got, *expected, "{context}: hot row {pk} lost an update");
-    }
-    let cold: i64 = (HOT_ROWS..HOT_ROWS + COLD_ROWS)
-        .map(|pk| balance(db, pk as i64))
-        .sum();
-    let expected_cold = COLD_ROWS as i64 * COLD_BALANCE;
-    assert_eq!(cold, expected_cold, "{context}: transfers leaked money");
+/// The audit, and what this stream adds to it: every program that could
+/// commit did, exactly once.
+fn check(fixture: &Fixture, stream: &Stream, context: &str) {
+    fixture.audit(context);
+    let db = &fixture.db;
     let journal = db.storage().table(JOURNAL).unwrap().row_count() as u64;
     assert_eq!(journal, stream.committed, "{context}: journal rows");
     assert_eq!(db.metrics().committed.get(), stream.committed, "{context}");
-
-    let history = db.history().expect("history recording is on");
-    let report = history.check();
-    assert!(
-        report.is_serializable(),
-        "{context}: history is not serializable, cycle {:?}\nhistory: {:#?}",
-        report.cycle,
-        history.committed_snapshot()
-    );
-    assert_eq!(report.transactions as u64, stream.committed, "{context}");
-
-    let snapshot = db.snapshot_metrics(Duration::from_secs(1));
-    assert_eq!(snapshot.lock_registry_entries, 0, "{context}: leaked locks");
-    assert_eq!(snapshot.admission_queue_depth, 0, "{context}");
-    let leaked = db.protocol_entries();
-    assert_eq!(leaked, 0, "{context}: leaked protocol state");
+    let recorded = db.history().unwrap().committed_count() as u64;
+    assert_eq!(recorded, stream.committed, "{context}: history entries");
 }
 
 #[test]
 fn every_protocol_reaches_the_same_state_natively() {
     let stream = Stream::new(42, 4, 150, 1, 17858908738049935679);
     for protocol in Protocol::ALL {
-        let db = database(protocol, true);
-        std::thread::scope(|scope| {
-            for worker in 0..stream.workers.len() {
-                let (db, stream) = (&db, &stream);
-                scope.spawn(move || run_worker(db, stream, worker));
-            }
+        let fixture = database(protocol, true);
+        let workers = stream.workers.len() as u64;
+        fixture.threads(workers, |fixture, worker| {
+            run_worker(fixture, &stream, worker)
         });
-        check(&db, &stream, &format!("{protocol:?}"));
+        check(&fixture, &stream, &format!("{protocol:?}"));
+        let db = &fixture.db;
         // Row 0 is hot from the first statement: the ticket queue / the group
         // path must have carried its writers.
         let hot_entries = db.metrics().hotspot_group_entries.get();
@@ -234,47 +159,33 @@ fn every_protocol_reaches_the_same_state_natively() {
 #[test]
 fn every_protocol_reaches_the_same_state_on_every_explored_schedule() {
     let stream = Arc::new(Stream::new(42, 4, 3, 20, 5795412385265887868));
-    let seeds = txsql_sim::ci_seeds(100);
-    let mut classes: HashSet<(Protocol, u64)> = HashSet::new();
-    let mut runs = 0;
+    let cases = fixture::cases(&Protocol::ALL, 100);
+    // Seeds whose schedule piled enough waiters on row 1 to promote it
+    // mid-run (the pin of row 0 counts as the first promotion): writers then
+    // cross the promotion boundary.
+    let mut promoted_seeds = [0; Protocol::ALL.len()];
+    let sweep = fixture::explore("sim_protocols", cases, |(protocol, seed)| {
+        let fixture = database(protocol, false);
+        let stream_in = Arc::clone(&stream);
+        let workers = stream.workers.len() as u64;
+        let mut report = fixture.simulate(seed, workers, move |fixture, worker| {
+            run_worker(fixture, &stream_in, worker);
+        });
+        check(&fixture, &stream, &format!("{protocol:?} seed {seed}"));
+        promoted_seeds[protocol as usize] += u64::from(fixture.db.hotspots().promotions() > 1);
+        // A schedule class is a class of one protocol's schedules.
+        report.coverage.schedule_class ^= (protocol as u64 + 1) << 56;
+        report
+    });
+    // The point of exploring: waiters pile up on their own, and only where
+    // the protocol promotes.
     for protocol in Protocol::ALL {
-        // Seeds whose schedule piled enough waiters on row 1 to promote it
-        // mid-run: writers then cross the promotion boundary.
-        let mut promoted_seeds = 0;
-        for &seed in &seeds {
-            let db = database(protocol, false);
-            let report = txsql_sim::run_with_seed(seed, |sim| {
-                for worker in 0..stream.workers.len() {
-                    let (db, stream) = (Arc::clone(&db), Arc::clone(&stream));
-                    sim.spawn(format!("worker-{worker}"), move || {
-                        run_worker(&db, &stream, worker);
-                    });
-                }
-            });
-            if let Some(failure) = &report.failure {
-                panic!(
-                    "{protocol:?} seed {seed} failed: {failure}\nschedule: {:?}",
-                    report.schedule
-                );
-            }
-            check(&db, &stream, &format!("{protocol:?} seed {seed}"));
-            classes.insert((protocol, report.coverage.schedule_class));
-            runs += 1;
-            // The pin of row 0 counts as the first promotion.
-            promoted_seeds += u64::from(db.hotspots().promotions() > 1);
-            db.shutdown();
-        }
-        // The point of exploring: waiters pile up on their own, and only
-        // where the protocol promotes.
+        let promoted = promoted_seeds[protocol as usize];
         assert_eq!(
-            promoted_seeds > 0,
+            promoted > 0,
             protocol.uses_hotspots(),
-            "{protocol:?}: organic promotion in {promoted_seeds} of {} seeds",
-            seeds.len()
+            "{protocol:?}: organic promotion in {promoted} of {} runs",
+            sweep.runs
         );
     }
-    println!(
-        "sim-coverage: suite=sim_protocols runs={runs} classes={}",
-        classes.len()
-    );
 }

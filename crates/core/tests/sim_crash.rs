@@ -2,280 +2,147 @@
 //! injector): every seed derives a [`FaultPlan`] that crashes the engine at
 //! a named crash point — mid-commit, mid-handover, mid-group-commit-batch,
 //! mid-checkpoint — then restarts it through
-//! [`Database::restart_from_crash`] and checks the **recovery oracle**:
+//! [`Fixture::restart`] (`Database::restart_from_crash` plus a probe commit)
+//! and ends in the shared audit (`txsql_workloads::fixture`), which is the
+//! **recovery oracle**:
 //!
-//! 1. every commit the pipeline *acknowledged* (an `Ok` return from
-//!    `Database::commit`) is present after restart;
+//! 1. every commit the pipeline *acknowledged* is present after restart;
 //! 2. no uncommitted write survives — transactions in flight at the crash
-//!    are rolled back, and a transaction's writes recover atomically
-//!    (the hot row and the per-worker cold rows stay in lockstep);
-//! 3. the restarted engine is fully working (it accepts and commits new
-//!    transactions).
+//!    are rolled back, and a transaction's writes recover atomically (each
+//!    one writes the hot row and its worker's cold row);
+//! 3. the restarted engine is fully working, and the history the crashed one
+//!    recorded is serializable.
 //!
-//! A failing seed panics with a replayable schedule trace; the seed set is
+//! What is this suite's own is the fault — the plans, which crash points must
+//! fire, what a torn tail or a half-published checkpoint recovers to.  The
+//! sweeps run every seed under 2PL, queue locking and group locking.  A
+//! failing seed panics with a replayable schedule trace; the seed set is
 //! `TXSQL_SIM_SEEDS`-overridable (CI pins `0..200`).
 
-use std::sync::atomic::{AtomicI64, Ordering};
+use std::collections::HashSet;
 use std::sync::Arc;
 use std::time::Duration;
-use txsql_common::{Lsn, Row, TableId, TxnId};
-use txsql_core::{Database, EngineConfig, Protocol};
-use txsql_sim::run_seed;
+use txsql_common::latency::LatencyModel;
+use txsql_common::{Lsn, TxnId};
+use txsql_core::{Database, Protocol, TxnProgram};
+use txsql_sim::{run_seed, RunReport};
 use txsql_storage::fault::{CrashPoint, FaultInjector, FaultPlan};
 use txsql_storage::wal::{RedoLog, RedoRecord};
-use txsql_storage::TableSchema;
+use txsql_workloads::fixture::{self, add, explore, Fixture};
 
-const ACCOUNTS: TableId = TableId(1);
-const HOT_PK: i64 = 1;
-const WORKERS: usize = 3;
+const HOT: i64 = 0;
+const WORKERS: u64 = 3;
 const PER_WORKER: usize = 2;
 
-fn cold_pk(worker: usize) -> i64 {
-    100 + worker as i64
+/// Every sweep runs every seed under each of these, so that a seed-derived
+/// fault parameter meets every protocol.
+const PROTOCOLS: [Protocol; 3] = [
+    Protocol::GroupLockingTxsql,
+    Protocol::Mysql2pl,
+    Protocol::QueueLockingO2,
+];
+
+/// A fixture whose engine runs `plan`, one hot row, a cold row per worker.
+fn crash_fixture(protocol: Protocol, plan: FaultPlan, latency: LatencyModel) -> Fixture {
+    let config = fixture::config(protocol)
+        .with_fault_plan(plan)
+        .with_latency(latency);
+    Fixture::new(Database::new(config), 1, WORKERS as i64)
 }
 
-/// Engine configuration safe for a sim run: every thread touching the engine
-/// must be a sim thread, so the background hotspot sweeper stays off.
-fn sim_config(protocol: Protocol) -> EngineConfig {
-    let mut config = EngineConfig::for_protocol(protocol)
-        .with_hotspot_threshold(2)
-        .with_lock_wait_timeout(Duration::from_millis(100));
-    config.start_sweeper = false;
-    config.record_history = false;
-    config
+/// `+1` to the hot row *and* `+1` to the worker's cold row, so the audit sees
+/// durability (every acknowledged increment) and atomicity (both or neither).
+fn increment(fixture: &Fixture, worker: u64) -> TxnProgram {
+    TxnProgram::new(vec![add(HOT, 1), add(fixture.cold(worker), 1)])
 }
 
-fn setup_accounts(db: &Database) {
-    db.create_table(TableSchema::new(ACCOUNTS, "accounts", 2))
-        .unwrap();
-    db.load_row(ACCOUNTS, Row::from_ints(&[HOT_PK, 0])).unwrap();
-    for worker in 0..WORKERS {
-        db.load_row(ACCOUNTS, Row::from_ints(&[cold_pk(worker), 0]))
-            .unwrap();
-    }
-}
-
-fn committed_value(db: &Database, pk: i64) -> i64 {
-    let record = db.record_id(ACCOUNTS, pk).unwrap();
-    db.storage()
-        .read_committed(ACCOUNTS, record)
-        .unwrap()
-        .unwrap()
-        .get_int(1)
-        .unwrap()
-}
-
-/// One worker of the crash workload: each transaction adds `+1` to the hot
-/// row *and* `+1` to the worker's private cold row, so recovered state can be
-/// checked for both durability (hot total) and atomicity (hot == Σ cold).
-/// Retryable contention errors retry; a crash or read-only degradation stops
-/// the worker — the engine is dead and only `restart_from_crash` continues.
-fn crash_worker(
-    db: Arc<Database>,
-    worker: usize,
-    acked: Arc<parking_lot::Mutex<Vec<TxnId>>>,
-    commit_attempts: Arc<AtomicI64>,
-) {
-    let mut committed = 0;
-    let mut tries = 0;
-    while committed < PER_WORKER {
-        tries += 1;
-        if tries > 60 {
-            return; // starved by this schedule — the oracle still holds
+/// The crash workload under one seed: `WORKERS` workers commit `PER_WORKER`
+/// increments each (a dead engine ends a worker's run) and, with
+/// `checkpointer`, one more thread checkpoints twice alongside them so that
+/// a crash can land between publishing an image and truncating behind it.
+fn run_workload(fixture: &Fixture, seed: u64, checkpointer: bool) -> RunReport {
+    let threads = WORKERS + u64::from(checkpointer);
+    fixture.simulate(seed, threads, |fixture, worker| {
+        if worker == WORKERS {
+            // Stops at a crash mid-checkpoint (or a read-only engine).
+            let _ = fixture
+                .db
+                .checkpoint()
+                .and_then(|_| fixture.db.checkpoint());
+        } else {
+            fixture.run(worker, &vec![increment(fixture, worker); PER_WORKER]);
         }
-        let mut txn = db.begin();
-        let step = db
-            .update_add(&mut txn, ACCOUNTS, HOT_PK, 1, 1)
-            .and_then(|_| db.update_add(&mut txn, ACCOUNTS, cold_pk(worker), 1, 1));
-        match step {
-            Ok(_) => {
-                let id = txn.id;
-                commit_attempts.fetch_add(1, Ordering::Relaxed);
-                match db.commit(txn) {
-                    Ok(()) => {
-                        acked.lock().push(id);
-                        committed += 1;
-                    }
-                    Err(err) if err.is_retryable() => {}
-                    Err(_) => return, // crashed / read-only: process is dead
-                }
-            }
-            Err(err) if err.is_retryable() => db.rollback(txn, Some(&err)),
-            Err(_) => {
-                db.rollback(txn, None);
-                return;
-            }
-        }
-    }
+    })
 }
 
-/// A checkpointer running alongside the workload, so seeded crashes can land
-/// between publishing a checkpoint image and truncating the log behind it.
-fn checkpoint_worker(db: Arc<Database>, rounds: usize) {
-    for _ in 0..rounds {
-        if db.checkpoint().is_err() {
-            return; // crashed mid-checkpoint (or read-only)
-        }
-    }
-}
-
-/// Runs the crash workload under one seed and applies the recovery oracle.
-/// Returns the name of the crash point that fired, if the seed crashed.
-fn explore_one_seed(seed: u64, plan: FaultPlan) -> Option<&'static str> {
-    let target = plan.crash_target();
-    let db = Database::new(sim_config(Protocol::GroupLockingTxsql).with_fault_plan(plan));
-    setup_accounts(&db);
-    // The baseline checkpoint makes the bulk-loaded rows recoverable (bulk
-    // load is not redo-logged).  A `Checkpoint`-targeted plan with
-    // `nth_hit == 1` crashes right here — before any workload ran — and the
-    // only oracle left is "restart produces a working engine".
-    if db.checkpoint().is_err() {
-        assert!(
-            db.has_crashed(),
-            "seed {seed}: baseline checkpoint failed without a crash"
-        );
-        let (recovered, report) = db.restart_from_crash().unwrap();
-        assert!(report.committed.is_empty() && report.rolled_back.is_empty());
-        recovered
-            .create_table(TableSchema::new(ACCOUNTS, "accounts", 2))
-            .unwrap();
-        recovered
-            .load_row(ACCOUNTS, Row::from_ints(&[HOT_PK, 0]))
-            .unwrap();
-        let mut probe = recovered.begin();
-        recovered
-            .update_add(&mut probe, ACCOUNTS, HOT_PK, 1, 1)
-            .unwrap();
-        recovered.commit(probe).unwrap();
-        recovered.shutdown();
-        return Some(
-            target
-                .expect("only a planned crash fails the baseline")
-                .0
-                .name(),
-        );
-    }
-
-    let db = Arc::new(db);
-    let acked = Arc::new(parking_lot::Mutex::new(Vec::new()));
-    let commit_attempts = Arc::new(AtomicI64::new(0));
-    let db_build = Arc::clone(&db);
-    let acked_build = Arc::clone(&acked);
-    let attempts_build = Arc::clone(&commit_attempts);
-    run_seed(seed, move |sim| {
-        for worker in 0..WORKERS {
-            let db = Arc::clone(&db_build);
-            let acked = Arc::clone(&acked_build);
-            let attempts = Arc::clone(&attempts_build);
-            sim.spawn(format!("worker-{worker}"), move || {
-                crash_worker(db, worker, acked, attempts);
-            });
-        }
-        let db = Arc::clone(&db_build);
-        sim.spawn("checkpointer", move || checkpoint_worker(db, 2));
-    });
-
-    let crashed_at = if db.has_crashed() {
-        assert_eq!(
-            db.metrics().crash_injected.get(),
-            1,
-            "seed {seed}: a crash fires exactly once"
-        );
-        Some(target.expect("only a planned crash can fire").0.name())
-    } else {
-        None
-    };
-
-    // --- Restart and apply the recovery oracle. ---
-    let acked: Vec<TxnId> = acked.lock().clone();
-    let attempts = commit_attempts.load(Ordering::Relaxed);
-    let (recovered, report) = db.restart_from_crash().unwrap();
-
-    // (2) In-flight transactions roll back; nothing acknowledged is among
-    // them.  (Acked transactions folded into a mid-run checkpoint image are
-    // no longer in the log at all — which is also not-rolled-back.)
-    for id in &acked {
-        assert!(
-            !report.rolled_back.contains(id),
-            "seed {seed}: acked transaction {id} was rolled back\n{}",
-            report.summary()
-        );
-    }
-
-    // (1)+(2) Durability and no-ghost-commits envelope: every acked commit
-    // adds exactly +1 to the hot row, and nothing that never reached a
-    // commit attempt can be counted.
-    let hot = committed_value(&recovered, HOT_PK);
-    assert!(
-        hot >= acked.len() as i64 && hot <= attempts,
-        "seed {seed}: recovered hot value {hot} outside [{}, {attempts}]\n{}",
-        acked.len(),
-        report.summary()
-    );
-
-    // (2) Atomicity: each transaction writes the hot row and one cold row
-    // together, so a partially-recovered transaction would break lockstep.
-    let cold_sum: i64 = (0..WORKERS)
-        .map(|w| committed_value(&recovered, cold_pk(w)))
-        .sum();
-    assert_eq!(
-        hot,
-        cold_sum,
-        "seed {seed}: a transaction recovered partially\n{}",
-        report.summary()
-    );
-
-    // Observability: the replay counter of the restarted engine matches the
-    // report.
-    assert_eq!(
-        recovered.metrics().recovery_replayed.get(),
-        report.replayed as u64
-    );
-
-    // (3) The restarted engine is fully working.
-    let mut probe = recovered.begin();
-    recovered
-        .update_add(&mut probe, ACCOUNTS, HOT_PK, 1, 1)
-        .unwrap();
-    recovered.commit(probe).unwrap();
-    assert_eq!(committed_value(&recovered, HOT_PK), hot + 1);
-    recovered.shutdown();
-    crashed_at
+/// The sweeps' vacuity check: under every protocol some explored schedule
+/// crashed with a commit already acknowledged — without one the audit's
+/// acked ⊆ durable has nothing to lose.
+fn assert_all_crashed_after_an_ack(crashed: &HashSet<Protocol>) {
+    let all = PROTOCOLS.len();
+    assert_eq!(crashed.len(), all, "only {crashed:?} crashed after an ack");
 }
 
 /// Seeded crash exploration: every explored schedule must satisfy the
 /// recovery oracle, and across the seed set every seeded crash point must
-/// actually fire at least once (otherwise the exploration is vacuous).
+/// actually fire at least once, and every protocol must have been crashed
+/// after it acknowledged something (otherwise the exploration is vacuous).
 #[test]
 fn sim_crash_exploration_recovers_every_acknowledged_commit() {
-    let seeds = txsql_sim::ci_seeds(200);
-    let n_seeds = seeds.len();
-    let mut crashed_points = std::collections::HashSet::new();
-    let mut crashed_seeds = 0u64;
-    for seed in seeds {
-        if let Some(point) = explore_one_seed(seed, FaultPlan::seeded(seed)) {
-            crashed_points.insert(point);
-            crashed_seeds += 1;
+    let mut crashed = HashSet::new();
+    let mut acked_then_crashed = HashSet::new();
+    let cases = fixture::cases(&PROTOCOLS, 200);
+    let summary = explore("sim_crash", cases, |(protocol, seed)| {
+        let plan = FaultPlan::seeded(seed);
+        let target = plan.crash_target();
+        let mut fixture = crash_fixture(protocol, plan, LatencyModel::in_memory());
+        let context = format!("{protocol:?} seed {seed}");
+        // The baseline checkpoint makes the bulk-loaded rows recoverable (bulk
+        // load is not redo-logged).  A `Checkpoint`-targeted plan with
+        // `nth_hit == 1` crashes right here — before any workload ran — and
+        // restart produces an empty engine, which the workload below has to
+        // find working.
+        if fixture.db.checkpoint().is_err() {
+            assert!(fixture.db.has_crashed(), "{context}: baseline checkpoint");
+            let (recovered, report) = fixture.db.restart_from_crash().unwrap();
+            assert!(report.committed.is_empty() && report.rolled_back.is_empty());
+            crashed.insert(target.unwrap().0.name());
+            fixture = Fixture::new(recovered, 1, WORKERS as i64);
+            fixture.db.checkpoint().unwrap();
         }
-    }
-    assert!(
-        crashed_seeds > 0,
-        "no explored schedule crashed ({n_seeds} seeds)"
-    );
-    // Meta-assertion: the whole point of seeding is coverage of every
-    // seeded crash point (FsyncError crashes are exercised separately by
-    // the wal unit tests and the fsync-retry seeds below).
+        let run = run_workload(&fixture, seed, true);
+        if fixture.db.has_crashed() {
+            let fired = fixture.db.metrics().crash_injected.get();
+            assert_eq!(fired, 1, "{context}: a crash fires exactly once");
+            crashed.insert(target.expect("only a planned crash can fire").0.name());
+            if fixture.acknowledged(HOT) > 0 {
+                acked_then_crashed.insert(protocol);
+            }
+        }
+        let (recovered, report) = fixture.restart();
+        // Observability: the replay counter of the restarted engine matches
+        // the report.
+        let replayed = recovered.db.metrics().recovery_replayed.get();
+        assert_eq!(replayed, report.replayed as u64, "{context}");
+        recovered.audit(&format!("{context}\n{}", report.summary()));
+        run
+    });
+    // Meta-assertion: the whole point of seeding is coverage of every seeded
+    // crash point (FsyncError crashes are exercised separately by the wal
+    // unit tests and the fsync-retry seeds below).
     for point in [
         "pre_append",
         "post_append_pre_flush",
         "mid_flush",
         "checkpoint",
     ] {
+        let runs = summary.runs;
         assert!(
-            crashed_points.contains(point),
-            "crash point {point} never fired across {n_seeds} seeds (saw {crashed_points:?})"
+            crashed.contains(point),
+            "crash point {point} never fired across {runs} runs (saw {crashed:?})"
         );
     }
+    assert_all_crashed_after_an_ack(&acked_then_crashed);
 }
 
 /// The bounded-retry path under exploration: seeds whose plan injects
@@ -283,86 +150,52 @@ fn sim_crash_exploration_recovers_every_acknowledged_commit() {
 /// without degrading the engine, and the oracle must still hold.
 #[test]
 fn sim_transient_fsync_errors_recover_under_exploration() {
-    let mut retried = 0u64;
-    for seed in txsql_sim::ci_seeds(40) {
+    let mut retried = HashSet::new();
+    let cases = fixture::cases(&PROTOCOLS, 40);
+    explore("sim_crash/fsync_retry", cases, |(protocol, seed)| {
         // Plans without a crash: only the transient-error budget, so every
         // flush eventually succeeds and no worker dies early.
         let plan = FaultPlan::none().with_transient_fsync_errors(2);
-        let db = Database::new(sim_config(Protocol::GroupLockingTxsql).with_fault_plan(plan));
-        setup_accounts(&db);
-        db.checkpoint().unwrap();
-        let db = Arc::new(db);
-        let acked = Arc::new(parking_lot::Mutex::new(Vec::new()));
-        let attempts = Arc::new(AtomicI64::new(0));
-        let db_build = Arc::clone(&db);
-        let acked_build = Arc::clone(&acked);
-        let attempts_build = Arc::clone(&attempts);
-        run_seed(seed, move |sim| {
-            for worker in 0..WORKERS {
-                let db = Arc::clone(&db_build);
-                let acked = Arc::clone(&acked_build);
-                let attempts = Arc::clone(&attempts_build);
-                sim.spawn(format!("worker-{worker}"), move || {
-                    crash_worker(db, worker, acked, attempts);
-                });
-            }
-        });
-        assert!(!db.has_crashed() && !db.is_read_only());
-        retried += db.metrics().fsync_retries.get();
-        let acked_count = acked.lock().len() as i64;
-        assert_eq!(
-            committed_value(&db, HOT_PK),
-            acked_count,
-            "seed {seed}: retried flushes must not lose or invent commits"
-        );
-        db.shutdown();
-    }
-    assert!(retried > 0, "no explored schedule exercised an fsync retry");
+        let fixture = crash_fixture(protocol, plan, LatencyModel::in_memory());
+        fixture.db.checkpoint().unwrap();
+        let run = run_workload(&fixture, seed, false);
+        assert!(!fixture.db.has_crashed() && !fixture.db.is_read_only());
+        if fixture.db.metrics().fsync_retries.get() > 0 {
+            retried.insert(protocol);
+        }
+        // Retried flushes must not lose or invent commits.
+        fixture.audit(&format!("{protocol:?} seed {seed}"));
+        run
+    });
+    assert_eq!(
+        retried.len(),
+        PROTOCOLS.len(),
+        "only {retried:?} exercised an fsync retry"
+    );
 }
 
 /// A crash landing *inside* a group-commit flush batch: non-zero fsync
 /// latency makes followers pile up behind one leader flush, and the
 /// mid-flush cut leaves a torn tail that recovery must scan-stop at.
 /// Some batch members' commit markers may survive below the cut — they were
-/// answered with an error (ambiguous outcome), which the oracle's envelope
-/// permits — but nothing acknowledged may be lost.
+/// answered with an error (in doubt), which the audit permits — but nothing
+/// acknowledged may be lost.
 #[test]
 fn sim_torn_tail_inside_group_commit_batch_recovers() {
-    let mut crashed_seeds = 0u64;
-    for seed in txsql_sim::ci_seeds(60) {
+    let mut acked_then_crashed = HashSet::new();
+    let cases = fixture::cases(&PROTOCOLS, 60);
+    explore("sim_crash/torn_tail", cases, |(protocol, seed)| {
         let plan = FaultPlan::none()
             .crash_at(CrashPoint::MidFlush, 1 + seed % 3)
             .with_torn_cut_back(1 + seed % 2);
-        let db = Database::new(
-            sim_config(Protocol::GroupLockingTxsql)
-                .with_fault_plan(plan)
-                .with_latency(txsql_common::latency::LatencyModel::local_ssd()),
-        );
-        setup_accounts(&db);
-        db.checkpoint().unwrap();
-        let db = Arc::new(db);
-        let acked = Arc::new(parking_lot::Mutex::new(Vec::new()));
-        let attempts = Arc::new(AtomicI64::new(0));
-        let db_build = Arc::clone(&db);
-        let acked_build = Arc::clone(&acked);
-        let attempts_build = Arc::clone(&attempts);
-        run_seed(seed, move |sim| {
-            for worker in 0..WORKERS {
-                let db = Arc::clone(&db_build);
-                let acked = Arc::clone(&acked_build);
-                let attempts = Arc::clone(&attempts_build);
-                sim.spawn(format!("worker-{worker}"), move || {
-                    crash_worker(db, worker, acked, attempts);
-                });
-            }
-        });
-        let crashed = db.has_crashed();
-        let torn = db.storage().redo().torn_lsn();
-        let acked: Vec<TxnId> = acked.lock().clone();
-        let attempts = attempts.load(Ordering::Relaxed);
-        let (recovered, report) = db.restart_from_crash().unwrap();
+        let fixture = crash_fixture(protocol, plan, LatencyModel::local_ssd());
+        fixture.db.checkpoint().unwrap();
+        let run = run_workload(&fixture, seed, false);
+        let crashed = fixture.db.has_crashed();
+        let acked = fixture.acknowledged(HOT);
+        let torn = fixture.db.storage().redo().torn_lsn();
+        let (recovered, report) = fixture.restart();
         if crashed {
-            crashed_seeds += 1;
             assert!(
                 torn.is_some(),
                 "seed {seed}: a mid-flush crash must leave a torn tail"
@@ -371,32 +204,32 @@ fn sim_torn_tail_inside_group_commit_batch_recovers() {
                 report.torn_tail, torn,
                 "recovery must scan-stop at the torn record"
             );
+            if acked > 0 {
+                acked_then_crashed.insert(protocol);
+            }
         }
-        for id in &acked {
-            assert!(
-                !report.rolled_back.contains(id),
-                "seed {seed}: acked {id} rolled back"
-            );
-        }
-        let hot = committed_value(&recovered, HOT_PK);
-        assert!(
-            hot >= acked.len() as i64 && hot <= attempts,
-            "seed {seed}: recovered hot value {hot} outside [{}, {attempts}]",
-            acked.len()
-        );
-        let mut probe = recovered.begin();
-        recovered
-            .update_add(&mut probe, ACCOUNTS, HOT_PK, 1, 1)
-            .unwrap();
-        recovered.commit(probe).unwrap();
-        recovered.shutdown();
-    }
-    assert!(crashed_seeds > 0, "no explored schedule crashed mid-flush");
+        recovered.audit(&format!("{protocol:?} seed {seed}"));
+        run
+    });
+    assert_all_crashed_after_an_ack(&acked_then_crashed);
 }
 
 // ---------------------------------------------------------------------------
 // Deterministic checkpoint/truncation interplay (no sim needed)
 // ---------------------------------------------------------------------------
+
+/// Commits `delta` to the hot row through the session API and flushes it.
+fn commit_durably(fixture: &Fixture, delta: i64) -> TxnId {
+    let db = &fixture.db;
+    let mut txn = db.begin();
+    db.update_add(&mut txn, fixture::ACCOUNTS, HOT, 1, delta)
+        .unwrap();
+    let id = txn.id;
+    db.commit(txn).unwrap();
+    fixture.acked(&[(HOT, delta)]);
+    db.storage().redo().flush_all().unwrap();
+    id
+}
 
 /// A checkpoint taken with a transaction in flight must keep that
 /// transaction's records in the log (truncation stops at the active-txn
@@ -404,20 +237,17 @@ fn sim_torn_tail_inside_group_commit_batch_recovers() {
 /// the in-flight transaction rolled back.
 #[test]
 fn checkpoint_with_inflight_txn_then_crash_recovers_image_plus_log() {
-    let db = Database::new(sim_config(Protocol::GroupLockingTxsql));
-    setup_accounts(&db);
+    let fixture = crash_fixture(PROTOCOLS[0], FaultPlan::none(), LatencyModel::in_memory());
+    let db = &fixture.db;
     db.checkpoint().unwrap();
 
     // A committed, durable transaction folded into the next image...
-    let mut a = db.begin();
-    db.update_add(&mut a, ACCOUNTS, HOT_PK, 1, 5).unwrap();
-    db.commit(a).unwrap();
-    db.storage().redo().flush_all().unwrap();
+    commit_durably(&fixture, 5);
 
     // ...a transaction still in flight when the checkpoint runs (it holds a
     // cold row so the later hot-row commit is not blocked behind its lock)...
     let mut in_flight = db.begin();
-    db.update_add(&mut in_flight, ACCOUNTS, cold_pk(0), 1, 100)
+    db.update_add(&mut in_flight, fixture::ACCOUNTS, fixture.cold(0), 1, 100)
         .unwrap();
     let image = db.checkpoint().unwrap();
     assert!(
@@ -426,27 +256,20 @@ fn checkpoint_with_inflight_txn_then_crash_recovers_image_plus_log() {
     );
 
     // ...and one committed after the image was cut.
-    let mut c = db.begin();
-    db.update_add(&mut c, ACCOUNTS, HOT_PK, 1, 7).unwrap();
-    let c_id = c.id;
-    db.commit(c).unwrap();
-    db.storage().redo().flush_all().unwrap();
+    let c_id = commit_durably(&fixture, 7);
 
     // "Crash" with the in-flight transaction still open: restart recovers
     // the image (5), replays the post-image suffix (7) and rolls back the
-    // in-flight +100.
+    // in-flight +100 — the ledger never heard of it, so the audit would see
+    // it survive.
     let in_flight_id = in_flight.id;
-    let (recovered, report) = db.restart_from_crash().unwrap();
-    assert_eq!(committed_value(&recovered, HOT_PK), 12);
-    assert_eq!(
-        committed_value(&recovered, cold_pk(0)),
-        0,
-        "the in-flight +100 must not survive"
-    );
+    let (recovered, report) = fixture.restart();
+    assert_eq!(recovered.value(HOT), 5 + 7 + 1, "image, log and the probe");
     assert!(report.rolled_back.contains(&in_flight_id));
     assert!(report.committed.contains(&c_id));
     assert!(image.lsn >= Lsn(1));
-    recovered.shutdown();
+    db.rollback(in_flight, None);
+    recovered.audit("checkpoint with a transaction in flight");
 }
 
 /// A crash *between* flushing a checkpoint image and publishing it: the new
@@ -457,27 +280,18 @@ fn checkpoint_with_inflight_txn_then_crash_recovers_image_plus_log() {
 fn crash_during_checkpoint_falls_back_to_previous_baseline() {
     // Hit 1 is the baseline checkpoint below; hit 2 the crashing one.
     let plan = FaultPlan::none().crash_at(CrashPoint::Checkpoint, 2);
-    let db = Database::new(sim_config(Protocol::GroupLockingTxsql).with_fault_plan(plan));
-    setup_accounts(&db);
-    db.checkpoint().unwrap();
+    let fixture = crash_fixture(PROTOCOLS[0], plan, LatencyModel::in_memory());
+    fixture.db.checkpoint().unwrap();
+    let a_id = commit_durably(&fixture, 5);
 
-    let mut a = db.begin();
-    db.update_add(&mut a, ACCOUNTS, HOT_PK, 1, 5).unwrap();
-    let a_id = a.id;
-    db.commit(a).unwrap();
-    db.storage().redo().flush_all().unwrap();
+    let second = fixture.db.checkpoint();
+    assert!(second.is_err(), "the second checkpoint crashes");
+    assert!(fixture.db.has_crashed());
 
-    assert!(db.checkpoint().is_err(), "the second checkpoint crashes");
-    assert!(db.has_crashed());
-
-    let (recovered, report) = db.restart_from_crash().unwrap();
-    assert_eq!(
-        committed_value(&recovered, HOT_PK),
-        5,
-        "recovery replays the durable log over the previous baseline"
-    );
+    // Recovery replays the durable log over the previous baseline.
+    let (recovered, report) = fixture.restart();
     assert!(report.committed.contains(&a_id));
-    recovered.shutdown();
+    recovered.audit("crash between image and publication");
 }
 
 // ---------------------------------------------------------------------------
@@ -499,6 +313,8 @@ fn crash_during_checkpoint_falls_back_to_previous_baseline() {
 /// commit that recovery cannot see.  With flushers serialized and the
 /// post-fsync `crashed()` re-check, every `Ok` return's records are in the
 /// durable suffix on every explored schedule.
+///
+/// (The redo log alone, no engine: there is no history or ledger to audit.)
 #[test]
 fn sim_flush_to_race_never_acks_records_the_crash_destroyed() {
     let mut crashed_seeds = 0u64;
@@ -510,12 +326,10 @@ fn sim_flush_to_race_never_acks_records_the_crash_destroyed() {
         );
         let redo = Arc::new(RedoLog::with_faults(Duration::from_micros(50), faults));
         let acked = Arc::new(parking_lot::Mutex::new(Vec::new()));
-        let redo_build = Arc::clone(&redo);
-        let acked_build = Arc::clone(&acked);
-        run_seed(seed, move |sim| {
+        run_seed(seed, |sim| {
             for t in 0..2u64 {
-                let redo = Arc::clone(&redo_build);
-                let acked = Arc::clone(&acked_build);
+                let redo = Arc::clone(&redo);
+                let acked = Arc::clone(&acked);
                 sim.spawn(format!("flusher-{t}"), move || {
                     let lsn = redo.append(RedoRecord::Commit {
                         txn: TxnId(t + 1),

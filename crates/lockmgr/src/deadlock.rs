@@ -152,35 +152,6 @@ impl WaitForGraph {
         }
     }
 
-    /// Adds holders to `waiter`'s existing wait set (used when a queue scan
-    /// discovers additional blockers).
-    pub fn add_waits_for(&self, waiter: TxnId, holders: impl IntoIterator<Item = TxnId>) {
-        let mut shard = self.shard_for(waiter).lock();
-        let _scope = crate::wake_check::GuardScope::enter();
-        let existed = shard.contains_key(&waiter);
-        let entry = shard.entry(waiter).or_default();
-        for h in holders {
-            if h != waiter {
-                entry.out.insert(h);
-            }
-        }
-        let now_exists = if entry.out.is_empty() {
-            shard.remove(&waiter);
-            false
-        } else {
-            true
-        };
-        match (existed, now_exists) {
-            (false, true) => {
-                self.approx_waiters.fetch_add(1, Ordering::Relaxed);
-            }
-            (true, false) => {
-                self.approx_waiters.fetch_sub(1, Ordering::Relaxed);
-            }
-            _ => {}
-        }
-    }
-
     /// Parks the waiter's wake-up event in its graph entry so a later
     /// detection pass can [`WaitForGraph::doom`] it.  A no-op when the entry
     /// is already gone (the wait was granted before the event was parked).
@@ -402,10 +373,9 @@ mod tests {
     }
 
     #[test]
-    fn add_waits_for_accumulates_blockers() {
+    fn a_wait_set_holds_several_blockers() {
         let g = WaitForGraph::new();
-        g.add_waits_for(TxnId(1), [TxnId(2)]);
-        g.add_waits_for(TxnId(1), [TxnId(3)]);
+        g.set_waits_for(TxnId(1), [TxnId(2), TxnId(3)]);
         g.set_waits_for(TxnId(3), [TxnId(1)]);
         assert!(g.find_cycle_from(TxnId(1)).is_some());
         g.clear_waits_of(TxnId(1));

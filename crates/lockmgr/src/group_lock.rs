@@ -1150,11 +1150,6 @@ impl GroupLockTable {
     pub fn waiting_len(&self, record: RecordId) -> usize {
         self.peek(record, |state| state.waiting_updates.len())
     }
-
-    /// The next value the global hot-update order counter will hand out.
-    pub fn next_hot_update_order(&self) -> u64 {
-        self.global_hot_update_order.load(Ordering::Relaxed)
-    }
 }
 
 #[cfg(test)]
@@ -1622,7 +1617,6 @@ mod tests {
         let _ = g.begin_hot_update(TxnId(2), other);
         let b = g.register_update(TxnId(2), other);
         assert!(b > a);
-        assert_eq!(g.next_hot_update_order(), b + 1);
     }
 
     /// Runs `wait` on its own thread, lets it park as a turn waiter on

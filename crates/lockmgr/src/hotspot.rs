@@ -215,19 +215,6 @@ impl HotspotRegistry {
         self.hot_rows.iter().map(|s| s.read().len()).sum()
     }
 
-    /// Currently hot records.
-    pub fn hot_records(&self) -> Vec<RecordId> {
-        self.hot_rows
-            .iter()
-            .flat_map(|s| {
-                s.read()
-                    .iter()
-                    .map(|k| RecordId::from_packed(*k))
-                    .collect::<Vec<_>>()
-            })
-            .collect()
-    }
-
     /// Lifetime promotion count.
     pub fn promotions(&self) -> u64 {
         self.promotions.load(Ordering::Relaxed)
@@ -295,7 +282,7 @@ mod tests {
         let reg = HotspotRegistry::new(HotspotConfig::default());
         reg.promote(HOT);
         assert!(reg.is_hot(HOT));
-        assert_eq!(reg.hot_records(), vec![HOT]);
+        assert_eq!(reg.hot_count(), 1);
         reg.demote(HOT);
         assert!(!reg.is_hot(HOT));
         assert_eq!(reg.hot_count(), 0);

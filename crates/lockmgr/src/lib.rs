@@ -23,7 +23,9 @@
 //! 3. [`queue_lock`] — queue locking for hotspots (§3.2, "O2"): detected hot
 //!    rows get a FIFO of waiting transactions *in front of* the lock manager,
 //!    woken one at a time by the committing predecessor, with timeouts
-//!    instead of deadlock detection.
+//!    instead of deadlock detection.  The FIFO is a ticket queue per key
+//!    with an optional bound; `txsql-core`'s admission control is its second
+//!    user.
 //! 4. [`group_lock`] — group locking (§3.3/§4, "TXSQL"): leader/follower
 //!    groups executing serially on uncommitted data without locking, the
 //!    dependency list that fixes commit and rollback order, and the

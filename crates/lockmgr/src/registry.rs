@@ -407,8 +407,6 @@ mod tests {
         // Shared counters untouched until the flush.
         assert_eq!(metrics.locks_released.get(), 0);
         assert_eq!(metrics.release_shard_locks.get(), 0);
-        assert_eq!(scratch.pending_locks_released(), 2);
-        assert_eq!(scratch.pending_release_shard_locks(), 2);
         scratch.flush(&metrics);
         assert_eq!(metrics.locks_released.get(), 2);
         assert_eq!(metrics.release_shard_locks.get(), 2);

@@ -11,7 +11,7 @@
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
-use txsql_common::latency::ut_delay;
+use txsql_common::latency::simulate_delay;
 use txsql_common::metrics::EngineMetrics;
 use txsql_common::{RecordId, TxnId};
 use txsql_lockmgr::event::OsEvent;
@@ -363,7 +363,7 @@ fn abandoned_leader_grant_leaves_no_registration_under_exploration() {
 ///   `AlreadyGranted(NewLeader)` (the waiter proceeds as the promoted leader)
 ///   or `Cancelled` (the promotion never happened; the queue entry is gone).
 ///
-/// The committing leader's `ut_delay` lines the handover up against the
+/// The committing leader's `simulate_delay` lines the handover up against the
 /// waiters' wait deadline so both orders of the race are explored across the
 /// seed set.
 #[test]
@@ -483,7 +483,7 @@ fn batched_handover_promotes_exactly_one_leader_per_row_under_exploration() {
                 // timeouts fire on the virtual clock *while* the handover is
                 // pending, so `cancel_hot_wait` races `promote_next_leader`
                 // in both orders across the seed set.
-                ut_delay(105_000);
+                simulate_delay(Duration::from_micros(105_000));
                 let promotions = g2.finish_leader_handover(LEADER, prepared);
                 assert_eq!(promotions.len(), ROWS);
                 for record in &rs2 {
@@ -651,12 +651,12 @@ fn timeout_grants_compatible_waiter_behind<L: Layout + 'static>(
             // Enqueue strictly behind the Exclusive waiter, with a later
             // virtual-clock deadline: gate on the registry entry (written
             // just before the Exclusive waiter captures its deadline, with
-            // no yield point in between) so the ut_delay below advances the
+            // no yield point in between) so the delay below advances the
             // clock strictly after that capture.
             while table.wait_queue_len(HOT) != 1 || table.lock_count_of(TxnId(2)) != 1 {
                 h.yield_now();
             }
-            ut_delay(1_000);
+            simulate_delay(Duration::from_micros(1_000));
             // FIFO fairness keeps us waiting behind the Exclusive request;
             // its timeout cleanup must then grant us.
             table.lock_record(TxnId(3), HOT, LockMode::Shared).unwrap();
@@ -733,7 +733,7 @@ fn per_record_queues_are_independent<L: Layout + 'static>(
             while table.wait_queue_len(A) != 1 || table.lock_count_of(TxnId(3)) != 1 {
                 h.yield_now();
             }
-            ut_delay(150_000);
+            simulate_delay(Duration::from_micros(150_000));
             table.lock_record(TxnId(4), B, LockMode::Exclusive).unwrap();
             order.lock().push(4);
             table.release_all(TxnId(4));
@@ -746,7 +746,7 @@ fn per_record_queues_are_independent<L: Layout + 'static>(
             while table.wait_queue_len(B) != 1 {
                 h.yield_now();
             }
-            ut_delay(10_000);
+            simulate_delay(Duration::from_micros(10_000));
             table.lock_record(TxnId(5), B, LockMode::Exclusive).unwrap();
             order.lock().push(5);
             table.release_all(TxnId(5));
@@ -762,7 +762,7 @@ fn per_record_queues_are_independent<L: Layout + 'static>(
                 h.yield_now();
             }
             // Jump to 220 ms: past A's 200 ms deadline, short of B's 350 ms.
-            ut_delay(60_000);
+            simulate_delay(Duration::from_micros(60_000));
             while a_flag.load(Ordering::Relaxed) == 0 {
                 h.yield_now();
             }
@@ -1213,21 +1213,21 @@ fn granted_slot_event_is_not_pooled_while_shared() {
     drop(stale_granter_clone);
 }
 
-/// A timed-out queue-lock wait must be recyclable after `cancel_wait`
-/// removed the queue's clone.
+/// A timed-out ticket wait leaves the queue, its clone of the event with it,
+/// so the wait can pool the event.
 #[test]
 fn cancelled_queue_wait_drains_event_to_pool() {
     let q = QueueLockTable::new(Duration::from_millis(10));
-    assert!(matches!(q.admit(TxnId(1), HOT), QueueAdmission::Proceed));
-    let event = match q.admit(TxnId(2), HOT) {
-        QueueAdmission::Wait(event) => event,
+    let key = HOT.packed();
+    assert!(matches!(q.admit(key, 1), QueueAdmission::Proceed));
+    let event = match q.admit(key, 2) {
+        QueueAdmission::Wait(event, _) => event,
         other => panic!("expected Wait, got {other:?}"),
     };
-    assert!(q.cancel_wait(TxnId(2), HOT));
     let before = OsEvent::pooled_count();
-    OsEvent::recycle(event);
+    assert!(!q.wait(key, 2, event), "owner 1 never released");
     assert_eq!(OsEvent::pooled_count(), before + 1);
-    q.release(TxnId(1), HOT);
+    q.release(key, 1);
 }
 
 /// A commit-turn wait that times out under an explored schedule must retire

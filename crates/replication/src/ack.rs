@@ -66,21 +66,9 @@ impl Default for SemiSyncConfig {
 }
 
 impl SemiSyncConfig {
-    /// Sets the ack quorum.
-    pub fn with_ack_quorum(mut self, quorum: usize) -> Self {
-        self.ack_quorum = quorum.max(1);
-        self
-    }
-
     /// Sets the ack timeout.
     pub fn with_ack_timeout(mut self, timeout: Duration) -> Self {
         self.ack_timeout = timeout;
-        self
-    }
-
-    /// Sets the re-sync lag threshold.
-    pub fn with_resync_lag(mut self, lag: u64) -> Self {
-        self.resync_lag = lag;
         self
     }
 
@@ -267,16 +255,12 @@ mod tests {
     #[test]
     fn config_builders_clamp_and_apply() {
         let config = SemiSyncConfig::default()
-            .with_ack_quorum(0)
             .with_queue_capacity(0)
             .with_ack_timeout(Duration::from_millis(2))
-            .with_resync_lag(3)
             .with_ship_retries(5, Duration::from_micros(10))
             .with_background_applier(false);
-        assert_eq!(config.ack_quorum, 1, "quorum clamps to >= 1");
         assert_eq!(config.queue_capacity, 1, "capacity clamps to >= 1");
         assert_eq!(config.ack_timeout, Duration::from_millis(2));
-        assert_eq!(config.resync_lag, 3);
         assert_eq!(config.ship_retries, 5);
         assert!(!config.background_applier);
     }

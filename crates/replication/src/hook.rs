@@ -304,8 +304,10 @@ pub struct ReplicationHookBuilder {
 }
 
 impl ReplicationHookBuilder {
-    /// Overrides the semi-sync configuration.
-    pub fn config(mut self, config: SemiSyncConfig) -> Self {
+    /// Overrides the semi-sync configuration (an ack quorum of 0 would wait
+    /// for nobody: it is raised to 1).
+    pub fn config(mut self, mut config: SemiSyncConfig) -> Self {
+        config.ack_quorum = config.ack_quorum.max(1);
         self.config = config;
         self
     }
@@ -724,7 +726,11 @@ mod tests {
         let hook =
             ReplicationHook::builder(ReplicationMode::Synchronous, LatencyModel::in_memory(), 1)
                 .faults(ReplFaultPlan::none().with_ack_drop(0, 1))
-                .config(SemiSyncConfig::default().with_ack_timeout(Duration::from_millis(100)))
+                // (A quorum of 0 is raised to 1: the commit waits for the ack.)
+                .config(SemiSyncConfig {
+                    ack_quorum: 0,
+                    ..SemiSyncConfig::default().with_ack_timeout(Duration::from_millis(100))
+                })
                 .metrics(Arc::clone(&metrics))
                 .build();
         hook.on_commit_batch(&[event(1, 10)]).unwrap();

@@ -28,8 +28,8 @@
 //!   Aria's batch hand-off and the replication ship queue are explorable,
 //! * `txsql_lockmgr::event::OsEvent::wait`/`wait_for`/`set` route the same
 //!   way,
-//! * `txsql_common::latency::ut_delay` / `simulate_delay` become virtual
-//!   clock advances plus a yield,
+//! * `txsql_common::latency::simulate_delay` becomes a virtual clock advance
+//!   plus a yield,
 //! * every *crash point* of the storage fault injector
 //!   (`txsql_storage::fault::FaultInjector::hit`) is a yield point too, so
 //!   seeded crash plans land at explored positions inside commits, flush
@@ -108,9 +108,9 @@ mod sched;
 pub use clock::SimInstant;
 pub use minimize::{minimize, Minimized};
 pub use sched::{
-    ci_seeds, current, explore, explore_collect, key_of, replay, replay_with_seed, run_seed,
-    run_with_seed, ExploreSummary, Explorer, Resource, ResourceKind, RunReport, ScheduleCoverage,
-    Sim, SimHandle,
+    ci_seeds, current, explore, explore_cases, explore_collect, key_of, replay, replay_with_seed,
+    run_seed, run_with_seed, ExploreSummary, Explorer, Resource, ResourceKind, RunReport,
+    ScheduleCoverage, Sim, SimHandle,
 };
 
 #[cfg(test)]

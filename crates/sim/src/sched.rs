@@ -3,7 +3,7 @@
 //! recorded schedule (replay).
 //!
 //! Every instrumented synchronisation operation (shim `Mutex`/`RwLock`
-//! acquisition, `OsEvent::wait`/`set`, channel `send`/`recv`, `ut_delay`)
+//! acquisition, `OsEvent::wait`/`set`, channel `send`/`recv`, `simulate_delay`)
 //! funnels into [`Scheduler::reschedule`], which parks the calling OS thread
 //! on a condvar until the scheduler hands the baton back.  Blocked threads
 //! are parked *in the sim* (state [`RunState::Blocked`]), never in the OS, so
@@ -55,6 +55,9 @@ pub(crate) struct SimTeardown;
 /// turns to advance to their conflicting accesses.
 const SKIP_CHAIN_MAX: u64 = 8;
 
+/// Scheduling decisions one run may make before it is failed as a livelock.
+const MAX_STEPS: u64 = 500_000;
+
 /// What kind of shared resource a yield point touches.  The kind is
 /// informational (coverage accounting, class hashing); conflict detection is
 /// by key, with key 0 meaning "global — conflicts with everything".
@@ -68,7 +71,7 @@ pub enum ResourceKind {
     Event = 2,
     /// A crossbeam-shim channel (Aria hand-off, replication ship queue).
     Channel = 3,
-    /// The virtual clock (`ut_delay` / `simulate_delay` advances).
+    /// The virtual clock (`simulate_delay` advances).
     Clock = 4,
     /// A fault-injector crash point.
     Fault = 5,
@@ -238,7 +241,7 @@ pub(crate) struct SchedState {
     current: Option<usize>,
     /// Virtual nanoseconds since the run started.  Only advances when nothing
     /// is runnable (jump to the earliest deadline) or through `advance`
-    /// (`ut_delay` under sim).
+    /// (`simulate_delay` under sim).
     virtual_now: Duration,
     rng: u64,
     /// Recorded schedule to replay instead of random picks.
@@ -247,7 +250,6 @@ pub(crate) struct SchedState {
     /// skips are *not* recorded (they are re-derived deterministically).
     pub(crate) trace: Vec<u32>,
     steps: u64,
-    max_steps: u64,
     /// POR filtering enabled (false = [`Explorer::Random`]).
     por: bool,
     /// Consecutive commuting skips since the last real pick (bounded by
@@ -281,7 +283,6 @@ impl Scheduler {
         names: Vec<String>,
         seed: u64,
         replay: Option<Vec<u32>>,
-        max_steps: u64,
         explorer: Explorer,
     ) -> Arc<Self> {
         let threads = names
@@ -303,7 +304,6 @@ impl Scheduler {
                 replay,
                 trace: Vec::new(),
                 steps: 0,
-                max_steps,
                 por: explorer == Explorer::Por,
                 skip_chain: 0,
                 coverage: ScheduleCoverage::new(),
@@ -348,10 +348,10 @@ impl Scheduler {
 
     fn charge_step(&self, st: &mut SchedState) {
         st.steps += 1;
-        if st.steps > st.max_steps {
+        if st.steps > MAX_STEPS {
             let msg = format!(
-                "sim: step budget of {} exceeded (livelock?); vclock={:?}",
-                st.max_steps, st.virtual_now
+                "sim: step budget of {MAX_STEPS} exceeded (livelock?); vclock={:?}",
+                st.virtual_now
             );
             self.fail(st, msg);
         }
@@ -827,7 +827,6 @@ pub fn key_of<T: ?Sized>(t: &T) -> usize {
 #[derive(Default)]
 pub struct Sim {
     threads: Vec<(String, Box<dyn FnOnce() + Send>)>,
-    max_steps: Option<u64>,
     explorer: Option<Explorer>,
 }
 
@@ -836,11 +835,6 @@ impl Sim {
     /// order in the schedule trace (thread 0 is the first spawned).
     pub fn spawn(&mut self, name: impl Into<String>, f: impl FnOnce() + Send + 'static) {
         self.threads.push((name.into(), Box::new(f)));
-    }
-
-    /// Overrides the default step budget (500_000 picks per run).
-    pub fn set_step_limit(&mut self, max_steps: u64) {
-        self.max_steps = Some(max_steps);
     }
 
     /// Overrides the explorer for this run (default: `TXSQL_SIM_EXPLORER`
@@ -868,7 +862,7 @@ pub struct RunReport {
     pub schedule: Vec<u32>,
     /// Scheduling decisions made (including POR commuting skips).
     pub steps: u64,
-    /// Virtual time consumed (timeouts and `ut_delay`s, not wall clock).
+    /// Virtual time consumed (timeouts and `simulate_delay`s, not wall clock).
     pub virtual_time: Duration,
     /// Schedule-class and yield-point coverage of the run.
     pub coverage: ScheduleCoverage,
@@ -879,11 +873,10 @@ pub struct RunReport {
 fn run_inner(seed: u64, replay: Option<Vec<u32>>, build: &dyn Fn(&mut Sim)) -> RunReport {
     let mut sim = Sim::default();
     build(&mut sim);
-    let max_steps = sim.max_steps.unwrap_or(500_000);
     let explorer = sim.explorer.unwrap_or_else(explorer_from_env);
     let names: Vec<String> = sim.threads.iter().map(|(n, _)| n.clone()).collect();
     let n = names.len();
-    let sched = Scheduler::new(names, seed, replay, max_steps, explorer);
+    let sched = Scheduler::new(names, seed, replay, explorer);
 
     ACTIVE_SIMS.fetch_add(1, Ordering::SeqCst);
     let mut handles = Vec::with_capacity(n);
@@ -965,7 +958,7 @@ pub fn replay_with_seed(seed: u64, schedule: &[u32], build: impl Fn(&mut Sim)) -
 }
 
 /// Aggregate coverage of an exploration sweep (see [`explore_collect`]).
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct ExploreSummary {
     /// Seeds run.
     pub runs: u64,
@@ -998,23 +991,18 @@ impl ExploreSummary {
     }
 }
 
-/// Explores one schedule per seed, accumulating coverage.  On the first
-/// failure the trace is shrunk with [`crate::minimize`] and both the full and
-/// the minimized artifacts are printed before panicking.
-pub fn explore_collect(
-    seeds: impl IntoIterator<Item = u64>,
-    build: impl Fn(&mut Sim),
+/// Runs `run` once per case (a seed, or a seed with whatever else a suite
+/// varies) and accumulates the coverage of the reports it returns.  `run`
+/// owns the failure of its case: [`run_seed`] panics with the replayable
+/// artifact.
+pub fn explore_cases<C>(
+    cases: impl IntoIterator<Item = C>,
+    mut run: impl FnMut(C) -> RunReport,
 ) -> ExploreSummary {
-    let mut summary = ExploreSummary {
-        runs: 0,
-        distinct_classes: 0,
-        contended_decisions: 0,
-        commuting_skips: 0,
-        yields_by_kind: [0; ResourceKind::COUNT],
-    };
+    let mut summary = ExploreSummary::default();
     let mut classes: HashSet<u64> = HashSet::new();
-    for seed in seeds {
-        let report = run_with_seed(seed, &build);
+    for case in cases {
+        let report = run(case);
         summary.runs += 1;
         classes.insert(report.coverage.schedule_class);
         summary.contended_decisions += report.coverage.contended_decisions;
@@ -1026,6 +1014,20 @@ pub fn explore_collect(
         {
             *acc += n;
         }
+    }
+    summary.distinct_classes = classes.len() as u64;
+    summary
+}
+
+/// Explores one schedule per seed, accumulating coverage.  On the first
+/// failure the trace is shrunk with [`crate::minimize`] and both the full and
+/// the minimized artifacts are printed before panicking.
+pub fn explore_collect(
+    seeds: impl IntoIterator<Item = u64>,
+    build: impl Fn(&mut Sim),
+) -> ExploreSummary {
+    explore_cases(seeds, |seed| {
+        let report = run_with_seed(seed, &build);
         if let Some(failure) = &report.failure {
             eprintln!("==== txsql-sim failure artifact ====");
             eprintln!("seed     : {seed}");
@@ -1049,9 +1051,8 @@ pub fn explore_collect(
             );
             panic!("sim: seed {seed} failed: {failure}");
         }
-    }
-    summary.distinct_classes = classes.len() as u64;
-    summary
+        report
+    })
 }
 
 /// Explores one schedule per seed and panics on the first failure, printing

@@ -242,16 +242,6 @@ impl Storage {
         })
     }
 
-    /// Writer of the newest version of a record, committed or not
-    /// (`TxnId::INVALID` for a bulk-loaded base version).  This is the
-    /// version a locked read (`SELECT ... FOR UPDATE`, `update_row`)
-    /// observes, recorded in the read set for the serializability checker.
-    pub fn latest_version_writer(&self, table: TableId, record: RecordId) -> Result<Option<TxnId>> {
-        let slot = self.table(table)?.slot(record)?;
-        let guard = slot.read();
-        Ok(guard.latest_writer())
-    }
-
     // ---------------------------------------------------------------------
     // Transactional primitives
     // ---------------------------------------------------------------------

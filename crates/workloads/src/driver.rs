@@ -4,7 +4,7 @@
 //!   submit transactions back-to-back, retrying contention aborts, for a
 //!   fixed duration.  Used by the throughput/latency figures (2, 6–10, 12,
 //!   13).
-//! * [`run_fixed_tps`] — the industry rate model of §4.6.1: a dispatcher
+//! * [`run_fixed_tps_report`] — the industry rate model of §4.6.1: a dispatcher
 //!   issues a fixed number of transactions per second to a worker pool and
 //!   records per-second throughput, failure rate, p95 latency and the
 //!   utilisation proxy — the four panels of Figure 11.
@@ -18,6 +18,7 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 use txsql_common::metrics::{LatencyHistogram, MetricsSnapshot};
 use txsql_common::rng::XorShiftRng;
+use txsql_common::Result;
 use txsql_core::{Database, TxnProgram};
 
 /// Salt separating the retry-jitter RNG stream from the program-generation
@@ -39,14 +40,17 @@ const RETRY_SEED_SALT: u64 = 0xB0FF_5EED;
 /// simulator.  Every retry is counted into
 /// [`txsql_common::metrics::EngineMetrics::admission_retries`] so the abort
 /// breakdown can distinguish driver-side retry pressure from engine-side
-/// aborts.  Returns whether the transaction finally committed.
-fn execute_with_retries(
+/// aborts.  Returns whether the transaction committed or was rolled back by
+/// its own [`txsql_core::Operation::ForcedRollback`], or the error that ended
+/// the loop: the last retryable one when the budget (or the stop flag) did,
+/// otherwise one no retry can cure.
+pub(crate) fn execute_with_retries(
     db: &Database,
     program: &TxnProgram,
     max_retries: usize,
     stop: &AtomicBool,
     retry_seed: u64,
-) -> bool {
+) -> Result<bool> {
     let mut policy = db.backoff_policy();
     if max_retries > 0 {
         policy.budget = max_retries.min(u32::MAX as usize) as u32;
@@ -57,11 +61,11 @@ fn execute_with_retries(
     let mut state = policy.begin(retry_seed);
     loop {
         match db.execute_program(program) {
-            Ok(outcome) => return outcome.committed,
+            Ok(outcome) => return Ok(outcome.committed),
             Err(err) if err.is_retryable() => {
                 db.metrics().admission_retries.inc();
                 if stop.load(Ordering::Relaxed) {
-                    return false;
+                    return Err(err);
                 }
                 match state.next_backoff(&policy) {
                     Some(delay) => {
@@ -70,11 +74,11 @@ fn execute_with_retries(
                     }
                     None => {
                         db.metrics().retry_budget_exhausted.inc();
-                        return false;
+                        return Err(err);
                     }
                 }
             }
-            Err(_) => return false,
+            Err(err) => return Err(err),
         }
     }
 }
@@ -148,7 +152,13 @@ pub fn run_closed_loop(
                 let mut retry_rng = XorShiftRng::for_worker(seed ^ RETRY_SEED_SALT, worker as u64);
                 while !stop.load(Ordering::Relaxed) {
                     let program = workload_ref.next_program(&mut rng);
-                    execute_with_retries(&db, &program, max_retries, &stop, retry_rng.next_u64());
+                    let _ = execute_with_retries(
+                        &db,
+                        &program,
+                        max_retries,
+                        &stop,
+                        retry_rng.next_u64(),
+                    );
                 }
             });
         }
@@ -230,7 +240,7 @@ struct DispatchedJob {
 /// Everything a fixed-TPS run produced: the per-second Figure 11 panels plus
 /// a cumulative latency histogram spanning the whole trace.
 ///
-/// [`run_fixed_tps`] resets the engine metrics every second to produce the
+/// [`run_fixed_tps_report`] resets the engine metrics every second to produce the
 /// per-second panels, so a harness cell that wants whole-run p50/p95/p99 must
 /// read them from this driver-side histogram rather than from a
 /// [`MetricsSnapshot`].
@@ -305,19 +315,8 @@ impl FixedTpsReport {
     }
 }
 
-/// Runs the composite trace against `db` at its fixed per-second rates,
-/// returning only the per-second samples.  See [`run_fixed_tps_report`] for
-/// the whole-run latency histogram as well.
-pub fn run_fixed_tps(
-    db: &Database,
-    trace: &HotspotsTrace,
-    options: &FixedTpsOptions,
-) -> Vec<SecondSample> {
-    run_fixed_tps_report(db, trace, options).samples
-}
-
-/// Runs the composite trace against `db` and returns the full
-/// [`FixedTpsReport`].
+/// Runs the composite trace against `db` at its fixed per-second rates and
+/// returns the per-second samples with the whole-run latency histogram.
 pub fn run_fixed_tps_report(
     db: &Database,
     trace: &HotspotsTrace,
@@ -355,7 +354,7 @@ pub fn run_fixed_tps_report(
                     // `retry_limit` backoff retries on top of the first
                     // attempt; the stop flag inside the helper bounds the
                     // loop by the measurement deadline.
-                    let success = execute_with_retries(
+                    let outcome = execute_with_retries(
                         &db,
                         &program,
                         retry_limit,
@@ -365,7 +364,7 @@ pub fn run_fixed_tps_report(
                     let elapsed = job.issued_at.elapsed();
                     second_latencies.lock().record(elapsed);
                     run_latencies.lock().record(elapsed);
-                    if success && elapsed <= deadline {
+                    if matches!(outcome, Ok(true)) && elapsed <= deadline {
                         committed.fetch_add(1, Ordering::Relaxed);
                     } else {
                         failed.fetch_add(1, Ordering::Relaxed);
@@ -492,7 +491,7 @@ mod tests {
         };
 
         // Commit path: a free row commits on the first attempt.
-        assert!(execute_with_retries(&db, &bump(1), 3, &stop, 7));
+        assert!(execute_with_retries(&db, &bump(1), 3, &stop, 7).unwrap());
         assert_eq!(db.metrics().backoff_waits.get(), 0);
         assert_eq!(db.metrics().admission_retries.get(), 0);
         assert_eq!(db.metrics().retry_budget_exhausted.get(), 0);
@@ -501,7 +500,7 @@ mod tests {
         // no budget spent.
         let mut rollback = bump(1);
         rollback.operations.push(Operation::ForcedRollback);
-        assert!(!execute_with_retries(&db, &rollback, 3, &stop, 7));
+        assert!(!execute_with_retries(&db, &rollback, 3, &stop, 7).unwrap());
         assert_eq!(db.metrics().backoff_waits.get(), 0);
         assert_eq!(db.metrics().admission_retries.get(), 0);
         assert_eq!(db.metrics().retry_budget_exhausted.get(), 0);
@@ -511,7 +510,7 @@ mod tests {
         // budget exhaustion.
         let mut holder = db.begin();
         db.select_for_update(&mut holder, TABLE, 2).unwrap();
-        assert!(!execute_with_retries(&db, &bump(2), 3, &stop, 7));
+        assert!(execute_with_retries(&db, &bump(2), 3, &stop, 7).is_err());
         assert_eq!(db.metrics().backoff_waits.get(), 3);
         assert_eq!(db.metrics().admission_retries.get(), 4);
         assert_eq!(db.metrics().retry_budget_exhausted.get(), 1);
@@ -519,7 +518,7 @@ mod tests {
         // Once the holder releases, the same program commits and the
         // exhaustion tally does not move.
         db.rollback(holder, None);
-        assert!(execute_with_retries(&db, &bump(2), 3, &stop, 7));
+        assert!(execute_with_retries(&db, &bump(2), 3, &stop, 7).unwrap());
         assert_eq!(db.metrics().retry_budget_exhausted.get(), 1);
         db.shutdown();
     }
@@ -570,7 +569,7 @@ mod tests {
             threads: 4,
             ..Default::default()
         };
-        let samples = run_fixed_tps(&db, &trace, &options);
+        let samples = run_fixed_tps_report(&db, &trace, &options).samples;
         assert_eq!(samples.len(), 2);
         assert_eq!(samples[0].target_tps, 50);
         assert_eq!(samples[1].target_tps, 100);

@@ -17,6 +17,8 @@
 //! * [`spec`] — declarative workload specifications ([`WorkloadSpec`]) the
 //!   experiment harness grids are written in.
 //! * [`digest`] — seed-determinism digests pinning each family's stream.
+//! * [`fixture`] — the accounts fixture and the one audit every engine test
+//!   suite ends in.
 
 #![warn(missing_docs)]
 #![deny(unsafe_code)]
@@ -24,14 +26,15 @@
 pub mod digest;
 pub mod driver;
 pub mod fit;
+pub mod fixture;
 pub mod hotspots;
 pub mod spec;
 pub mod sysbench;
 pub mod tpcc;
 
 pub use driver::{
-    run_closed_loop, run_fixed_tps, run_fixed_tps_report, ClosedLoopOptions, FixedTpsOptions,
-    FixedTpsReport, SecondSample,
+    run_closed_loop, run_fixed_tps_report, ClosedLoopOptions, FixedTpsOptions, FixedTpsReport,
+    SecondSample,
 };
 pub use fit::FitWorkload;
 pub use hotspots::HotspotsTrace;

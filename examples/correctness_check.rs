@@ -1,90 +1,44 @@
 //! Correctness audit (§6.4.5): run a contended workload under every protocol
 //! with history recording enabled, then
 //!
-//! * check the serialization graph is acyclic,
-//! * check value conservation on the hot row (no lost updates),
+//! * put it through the audit every engine test suite ends in
+//!   (`txsql::workloads::fixture`): the serialization graph is acyclic, every
+//!   row holds exactly the acknowledged updates, nothing is left locked,
 //! * run the TPC-C warehouse-vs-district reconciliation.
 //!
 //! ```bash
 //! cargo run --release --example correctness_check
 //! ```
 
-use std::sync::Arc;
 use txsql::prelude::*;
-
-const COUNTERS: TableId = TableId(1);
+use txsql::workloads::fixture::{self, add, Fixture, ACCOUNTS};
 
 fn audit_protocol(protocol: Protocol) {
-    let db = Arc::new(Database::new(
-        EngineConfig::for_protocol(protocol)
-            .with_hotspot_threshold(4)
-            .with_history_recording(true),
-    ));
-    db.create_table(TableSchema::new(COUNTERS, "counters", 2))
-        .unwrap();
-    for pk in 0..16 {
-        db.load_row(COUNTERS, Row::from_ints(&[pk, 0])).unwrap();
-    }
-
-    let threads = 6;
-    let per_thread = 50;
-    std::thread::scope(|scope| {
-        for worker in 0..threads {
-            let db = Arc::clone(&db);
-            scope.spawn(move || {
-                let program = TxnProgram::new(vec![
-                    Operation::UpdateAdd {
-                        table: COUNTERS,
-                        pk: 0,
-                        column: 1,
-                        delta: 1,
-                    },
-                    Operation::Read {
-                        table: COUNTERS,
-                        pk: (worker % 16) as i64,
-                    },
-                ]);
-                let mut committed = 0;
-                while committed < per_thread {
-                    match db.execute_program(&program) {
-                        Ok(outcome) if outcome.committed => committed += 1,
-                        _ => {}
-                    }
-                }
-            });
-        }
+    const THREADS: u64 = 6;
+    const PER_THREAD: usize = 50;
+    let fixture = Fixture::new(Database::new(fixture::config(protocol)), 1, THREADS as i64);
+    fixture.threads(THREADS, |fixture, worker| {
+        // Client 0 reads back the hot row, the others a row nobody writes.
+        let (table, pk) = (ACCOUNTS, worker as i64);
+        let program = TxnProgram::new(vec![add(0, 1), Operation::Read { table, pk }]);
+        let committed = fixture.run(worker, &vec![program; PER_THREAD]);
+        assert_eq!(
+            committed, PER_THREAD as u64,
+            "{protocol:?}: a client starved"
+        );
     });
-
-    let record = db.record_id(COUNTERS, 0).unwrap();
-    let hot_value = db
-        .storage()
-        .read_committed(COUNTERS, record)
-        .unwrap()
-        .unwrap()
-        .get_int(1)
-        .unwrap();
-    let expected = (threads * per_thread) as i64;
-    let report = db.history().unwrap().check();
+    // Lost updates, a non-serializable history or leaked locks panic here.
+    fixture.audit(&format!("{protocol:?}"));
+    let report = fixture.db.history().unwrap().check();
     println!(
-        "{:<20} hot row {:>4}/{:<4} lost-updates: {}  serializable: {} ({} txns, {} edges)",
+        "{:<20} hot row {:>4}/{:<4} serializable: {} ({} txns, {} edges), nothing left locked",
         format!("{protocol:?}"),
-        hot_value,
-        expected,
-        if hot_value == expected {
-            "none"
-        } else {
-            "FOUND"
-        },
+        fixture.value(0),
+        THREADS as usize * PER_THREAD,
         report.is_serializable(),
         report.transactions,
         report.edges,
     );
-    assert_eq!(hot_value, expected, "lost update under {protocol:?}");
-    assert!(
-        report.is_serializable(),
-        "non-serializable history under {protocol:?}"
-    );
-    db.shutdown();
 }
 
 fn tpcc_reconciliation() {
@@ -106,14 +60,7 @@ fn tpcc_reconciliation() {
 
 fn main() {
     println!("correctness audit across protocols (hot-row conservation + serializability):\n");
-    for protocol in [
-        Protocol::Mysql2pl,
-        Protocol::LightweightO1,
-        Protocol::QueueLockingO2,
-        Protocol::GroupLockingTxsql,
-        Protocol::Bamboo,
-        Protocol::Aria,
-    ] {
+    for protocol in Protocol::ALL {
         audit_protocol(protocol);
     }
     println!();

@@ -43,6 +43,8 @@ fn main() -> Result<()> {
                 let mut rng = txsql::common::rng::XorShiftRng::for_worker(2024, recipient as u64);
                 for _ in 0..CLAIMS_PER_RECIPIENT {
                     let want = 1 + rng.next_bounded(50) as i64;
+                    // Retried by hand: the claim reads the envelope before it
+                    // decides what to write, which a `TxnProgram` cannot say.
                     loop {
                         let mut txn = db.begin();
                         let attempt = (|| -> Result<Option<i64>> {

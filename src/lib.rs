@@ -47,7 +47,7 @@ pub mod prelude {
     pub use txsql_replication::{ReplicationHook, ReplicationMode};
     pub use txsql_storage::TableSchema;
     pub use txsql_workloads::{
-        run_closed_loop, run_fixed_tps, ClosedLoopOptions, FitWorkload, FixedTpsOptions,
+        run_closed_loop, run_fixed_tps_report, ClosedLoopOptions, FitWorkload, FixedTpsOptions,
         HotspotsTrace, SysbenchVariant, SysbenchWorkload, TpccWorkload, Workload,
     };
 }

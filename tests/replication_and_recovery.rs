@@ -1,149 +1,94 @@
 //! Cross-crate integration tests: primary/replica consistency under
-//! contention, end-to-end crash recovery, and the replication replay modes.
+//! contention, end-to-end crash recovery, and the replication replay modes —
+//! each on the shared fixture, ending in its audit.
 
 use std::sync::Arc;
 use std::time::Duration;
 use txsql::prelude::*;
 use txsql::replication::{replay, ReplayMode};
+use txsql::workloads::fixture::{self, add, Fixture, ACCOUNTS};
 
-const ACCOUNTS: TableId = TableId(1);
+const HOT: i64 = 0;
 
-fn contended_run(db: &Database, threads: usize, per_thread: usize) {
-    let db = db.clone();
-    let db = Arc::new(db);
-    std::thread::scope(|scope| {
-        for _ in 0..threads {
-            let db = Arc::clone(&db);
-            scope.spawn(move || {
-                let program = TxnProgram::new(vec![Operation::UpdateAdd {
-                    table: ACCOUNTS,
-                    pk: 0,
-                    column: 1,
-                    delta: 1,
-                }]);
-                let mut committed = 0;
-                while committed < per_thread {
-                    if let Ok(outcome) = db.execute_program(&program) {
-                        if outcome.committed {
-                            committed += 1;
-                        }
-                    }
-                }
-            });
-        }
-    });
+fn setup(protocol: Protocol) -> Fixture {
+    Fixture::new(Database::new(fixture::config(protocol)), 1, 3)
 }
 
-fn setup_accounts(db: &Database, rows: i64) {
-    db.create_table(TableSchema::new(ACCOUNTS, "accounts", 2))
-        .unwrap();
-    for pk in 0..rows {
-        db.load_row(ACCOUNTS, Row::from_ints(&[pk, 0])).unwrap();
-    }
+/// `threads` clients each commit `per_thread` increments of the hot row.
+fn contended_run(fixture: &Fixture, threads: u64, per_thread: usize) {
+    fixture.threads(threads, |fixture, worker| {
+        let increment = TxnProgram::new(vec![add(HOT, 1)]);
+        let committed = fixture.run(worker, &vec![increment; per_thread]);
+        assert_eq!(committed, per_thread as u64, "client {worker} starved");
+    });
 }
 
 #[test]
 fn synchronous_replica_matches_primary_after_contended_run() {
-    let latency = LatencyModel::in_memory();
-    let db = Database::new(
-        EngineConfig::for_protocol(Protocol::GroupLockingTxsql).with_hotspot_threshold(2),
-    );
-    setup_accounts(&db, 8);
-    let hook = ReplicationHook::new(ReplicationMode::Synchronous, latency, 2);
+    let fixture = setup(Protocol::GroupLockingTxsql);
+    let db = &fixture.db;
+    let hook = ReplicationHook::new(ReplicationMode::Synchronous, LatencyModel::in_memory(), 2);
     db.register_commit_hook(hook.clone());
 
-    contended_run(&db, 6, 25);
+    contended_run(&fixture, 6, 25);
 
+    // The primary holds every acknowledged increment (the audit); the hot
+    // row reached the replicas with the primary's committed value.
+    fixture.audit("semi-sync primary");
     for replica in hook.replicas() {
         let diverging = replica.diverging_rows(|table, pk| {
             let record = db.record_id(table, pk).ok()?;
             db.storage().read_committed(table, record).ok().flatten()
         });
         assert!(diverging.is_empty(), "replica diverged on {diverging:?}");
-        // The hot row reached the replica with the primary's committed value.
-        // (The exact count is covered by the engine-level conservation tests;
-        // this test is about primary/replica agreement.)
-        let primary_record = db.record_id(ACCOUNTS, 0).unwrap();
-        let primary_value = db
-            .storage()
-            .read_committed(ACCOUNTS, primary_record)
-            .unwrap()
-            .unwrap()
-            .get_int(1);
-        assert_eq!(replica.row(ACCOUNTS, 0).unwrap().get_int(1), primary_value);
-        assert!(primary_value.unwrap() > 0);
+        let replicated = replica.row(ACCOUNTS, HOT).unwrap().get_int(1);
+        assert_eq!(replicated, Some(fixture.value(HOT)));
     }
     hook.shutdown();
-    db.shutdown();
 }
 
 #[test]
 fn asynchronous_replica_catches_up() {
-    let db = Database::with_protocol(Protocol::LightweightO1);
-    setup_accounts(&db, 4);
+    let fixture = setup(Protocol::LightweightO1);
     let hook = ReplicationHook::new(ReplicationMode::Asynchronous, LatencyModel::in_memory(), 1);
-    db.register_commit_hook(hook.clone());
-    for _ in 0..20 {
-        db.execute_program(&TxnProgram::new(vec![Operation::UpdateAdd {
-            table: ACCOUNTS,
-            pk: 1,
-            column: 1,
-            delta: 1,
-        }]))
-        .unwrap();
-    }
+    fixture.db.register_commit_hook(hook.clone());
+    contended_run(&fixture, 1, 20);
     assert!(hook.wait_caught_up(20, Duration::from_secs(2)));
-    assert_eq!(
-        hook.replicas()[0].row(ACCOUNTS, 1).unwrap().get_int(1),
-        Some(20)
-    );
+    let replicated = hook.replicas()[0].row(ACCOUNTS, HOT).unwrap().get_int(1);
+    assert_eq!(replicated, Some(20));
     hook.shutdown();
-    db.shutdown();
+    fixture.audit("async primary");
 }
 
 #[test]
 fn crash_recovery_preserves_exactly_the_durable_commits() {
-    let db = Database::new(
-        EngineConfig::for_protocol(Protocol::GroupLockingTxsql).with_hotspot_threshold(2),
-    );
-    setup_accounts(&db, 4);
-    let checkpoint = db.checkpoint().unwrap();
+    let fixture = setup(Protocol::GroupLockingTxsql);
+    let db = &fixture.db;
+    db.checkpoint().unwrap();
 
-    contended_run(&db, 4, 20);
+    contended_run(&fixture, 4, 20);
     db.storage().redo().flush_all().unwrap();
-    // A few updates that never become durable.
+    // An update that never becomes durable.
     let mut in_flight = db.begin();
-    db.update_add(&mut in_flight, ACCOUNTS, 0, 1, 1_000)
+    db.update_add(&mut in_flight, ACCOUNTS, HOT, 1, 1_000)
         .unwrap();
 
-    let outcome =
-        txsql::storage::recovery::recover(&checkpoint, &db.durable_redo(), Duration::ZERO).unwrap();
-    let table = outcome.storage.table(ACCOUNTS).unwrap();
-    let rid = table.lookup_pk(0).unwrap();
-    let recovered = outcome
-        .storage
-        .read_committed(ACCOUNTS, rid)
-        .unwrap()
-        .unwrap();
-    assert_eq!(
-        recovered.get_int(1),
-        Some(80),
-        "recovered state must equal durable commits"
-    );
+    // The restarted engine holds the 80 acknowledged increments and the
+    // restart's probe; the audit would see the in-flight 1 000 survive.
+    let (recovered, report) = fixture.restart();
+    assert_eq!(recovered.value(HOT), 80 + 1, "{}", report.summary());
     db.rollback(in_flight, None);
-    db.shutdown();
+    recovered.audit("recovered state must equal durable commits");
 }
 
 #[test]
 fn binlog_replay_modes_agree_on_final_state() {
-    let db = Database::new(
-        EngineConfig::for_protocol(Protocol::GroupLockingTxsql).with_hotspot_threshold(2),
-    );
-    setup_accounts(&db, 4);
+    let fixture = setup(Protocol::GroupLockingTxsql);
     // Capture the binlog through a collecting hook.
     let collector = Arc::new(txsql::core::hooks::CollectingHook::new());
-    db.register_commit_hook(collector.clone());
-    contended_run(&db, 4, 15);
+    fixture.db.register_commit_hook(collector.clone());
+    contended_run(&fixture, 4, 15);
+    fixture.audit("binlog source");
     let mut events = collector.events();
     events.sort_by_key(|e| e.trx_no);
 
@@ -153,11 +98,10 @@ fn binlog_replay_modes_agree_on_final_state() {
         ReplayMode::ParallelHotspotRestricted { workers: 4 },
     );
     assert_eq!(
-        single.row(ACCOUNTS, 0).unwrap().get_int(1),
-        restricted.row(ACCOUNTS, 0).unwrap().get_int(1),
+        single.row(ACCOUNTS, HOT).unwrap().get_int(1),
+        restricted.row(ACCOUNTS, HOT).unwrap().get_int(1),
         "hotspot-restricted parallel replay must match single-threaded replay"
     );
-    assert_eq!(single.row(ACCOUNTS, 0).unwrap().get_int(1), Some(60));
+    assert_eq!(single.row(ACCOUNTS, HOT).unwrap().get_int(1), Some(60));
     assert!(report.transactions == events.len());
-    db.shutdown();
 }

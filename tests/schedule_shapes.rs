@@ -1,52 +1,27 @@
 //! Tests that the lock *schedules* have the shapes of Figures 3 and 5:
 //! group locking takes one lock per group instead of one per transaction,
 //! queue locking still locks per transaction, and the hot/non-hot deadlock
-//! example of §4.5 resolves by prevention rather than by timeout.
+//! example of §4.5 resolves by prevention rather than by timeout.  Every test
+//! runs on the shared fixture and ends in its audit.
 
-use std::sync::Arc;
-use std::time::Duration;
+use std::time::Instant;
 use txsql::prelude::*;
+use txsql::workloads::fixture::{self, add, Fixture, ACCOUNTS};
 
-const T: TableId = TableId(1);
+/// Account 0 is the row the tests contend on; 2 is a row they lock cold.
+const HOT: i64 = 0;
 
-fn setup(protocol: Protocol) -> Database {
-    let db = Database::new(
-        EngineConfig::for_protocol(protocol)
-            .with_hotspot_threshold(2)
-            .with_lock_wait_timeout(Duration::from_millis(400)),
-    );
-    db.create_table(TableSchema::new(T, "t", 2)).unwrap();
-    for pk in 0..4 {
-        db.load_row(T, Row::from_ints(&[pk, 0])).unwrap();
-    }
-    db
+fn setup(protocol: Protocol) -> Fixture {
+    Fixture::new(Database::new(fixture::config(protocol)), 1, 3)
 }
 
-fn hammer_hot_row(db: &Database, threads: usize, per_thread: usize) {
-    let db = Arc::new(db.clone());
-    let barrier = Arc::new(std::sync::Barrier::new(threads));
-    std::thread::scope(|scope| {
-        for _ in 0..threads {
-            let db = Arc::clone(&db);
-            let barrier = Arc::clone(&barrier);
-            scope.spawn(move || {
-                barrier.wait();
-                let program = TxnProgram::new(vec![Operation::UpdateAdd {
-                    table: T,
-                    pk: 0,
-                    column: 1,
-                    delta: 1,
-                }]);
-                let mut committed = 0;
-                while committed < per_thread {
-                    if let Ok(o) = db.execute_program(&program) {
-                        if o.committed {
-                            committed += 1;
-                        }
-                    }
-                }
-            });
-        }
+/// `threads` clients, started together, each commit `per_thread` increments
+/// of the hot row.
+fn hammer_hot_row(fixture: &Fixture, threads: u64, per_thread: usize) {
+    fixture.threads(threads, |fixture, worker| {
+        let increment = TxnProgram::new(vec![add(HOT, 1)]);
+        let committed = fixture.run(worker, &vec![increment; per_thread]);
+        assert_eq!(committed, per_thread as u64, "client {worker} starved");
     });
 }
 
@@ -59,20 +34,19 @@ fn hammer_hot_row(db: &Database, threads: usize, per_thread: usize) {
 /// organic preemption inside a microsecond transaction is vanishingly rare.
 #[test]
 fn group_locking_locks_once_per_group() {
-    let db = setup(Protocol::GroupLockingTxsql);
-    let hot = db.record_id(T, 0).unwrap();
-    db.hotspots().promote(hot);
+    let fixture = setup(Protocol::GroupLockingTxsql);
+    let db = &fixture.db;
+    db.hotspots().promote(fixture.record(HOT));
 
     // Leader opens the group; two followers join while it is uncommitted.
-    let mut t1 = db.begin();
-    let mut t2 = db.begin();
-    let mut t3 = db.begin();
-    db.update_add(&mut t1, T, 0, 1, 1).unwrap();
-    db.update_add(&mut t2, T, 0, 1, 1).unwrap();
-    db.update_add(&mut t3, T, 0, 1, 1).unwrap();
-    db.commit(t1).unwrap();
-    db.commit(t2).unwrap();
-    db.commit(t3).unwrap();
+    let mut members = [db.begin(), db.begin(), db.begin()];
+    for txn in &mut members {
+        db.update_add(txn, ACCOUNTS, HOT, 1, 1).unwrap();
+    }
+    for txn in members {
+        db.commit(txn).unwrap();
+        fixture.acked(&[(HOT, 1)]);
+    }
 
     let groups = db.metrics().groups_formed.get();
     let members = db.metrics().hotspot_group_entries.get();
@@ -85,37 +59,25 @@ fn group_locking_locks_once_per_group() {
         "expected several members per group (groups={groups}, members={members})"
     );
     // The committed value reflects every member exactly once.
-    let value = db
-        .storage()
-        .read_committed(T, hot)
-        .unwrap()
-        .unwrap()
-        .get_int(1)
-        .unwrap();
-    assert_eq!(value, 3);
-    db.shutdown();
+    fixture.audit("a group of three");
 }
 
 /// MySQL-style 2PL creates a lock object for every acquisition; group locking
 /// creates far fewer per committed transaction (Figure 6d's shape).
 #[test]
 fn txsql_creates_fewer_lock_objects_than_mysql() {
-    let mysql = setup(Protocol::Mysql2pl);
-    hammer_hot_row(&mysql, 6, 20);
-    let mysql_locks_per_txn =
-        mysql.metrics().locks_created.get() as f64 / mysql.metrics().committed.get() as f64;
-    mysql.shutdown();
-
-    let txsql = setup(Protocol::GroupLockingTxsql);
-    hammer_hot_row(&txsql, 6, 20);
-    let txsql_locks_per_txn =
-        txsql.metrics().locks_created.get() as f64 / txsql.metrics().committed.get() as f64;
-    txsql.shutdown();
-
+    let locks_per_txn = |protocol: Protocol| {
+        let fixture = setup(protocol);
+        hammer_hot_row(&fixture, 6, 20);
+        fixture.audit(protocol.label());
+        let metrics = fixture.db.metrics();
+        metrics.locks_created.get() as f64 / metrics.committed.get() as f64
+    };
+    let mysql = locks_per_txn(Protocol::Mysql2pl);
+    let txsql = locks_per_txn(Protocol::GroupLockingTxsql);
     assert!(
-        txsql_locks_per_txn < mysql_locks_per_txn,
-        "TXSQL should need fewer lock objects per transaction \
-         ({txsql_locks_per_txn:.3} vs {mysql_locks_per_txn:.3})"
+        txsql < mysql,
+        "TXSQL should need fewer lock objects per transaction ({txsql:.3} vs {mysql:.3})"
     );
 }
 
@@ -127,45 +89,35 @@ fn txsql_creates_fewer_lock_objects_than_mysql() {
 /// update — cascades.  Both end up rolled back and every value reverts.
 #[test]
 fn hot_and_cold_deadlock_example_resolves_by_prevention() {
-    let db = setup(Protocol::GroupLockingTxsql);
-    let hot = db.record_id(T, 0).unwrap();
-    db.hotspots().promote(hot);
+    let fixture = setup(Protocol::GroupLockingTxsql);
+    let db = &fixture.db;
+    db.hotspots().promote(fixture.record(HOT));
 
     let mut t1 = db.begin();
     let mut t2 = db.begin();
-    db.update_add(&mut t1, T, 0, 1, 1).unwrap(); // hot row -> 1 (leader)
-    db.update_add(&mut t2, T, 0, 1, 1).unwrap(); // hot row -> 2 (follower)
-    db.update_add(&mut t2, T, 2, 1, 1).unwrap(); // non-hot row locked by T2
-    let started = std::time::Instant::now();
-    let err = db.update_add(&mut t1, T, 2, 1, 1).unwrap_err();
+    db.update_add(&mut t1, ACCOUNTS, HOT, 1, 1).unwrap(); // hot row -> 1 (leader)
+    db.update_add(&mut t2, ACCOUNTS, HOT, 1, 1).unwrap(); // hot row -> 2 (follower)
+    db.update_add(&mut t2, ACCOUNTS, 2, 1, 1).unwrap(); // non-hot row locked by T2
+    let started = Instant::now();
+    let err = db.update_add(&mut t1, ACCOUNTS, 2, 1, 1).unwrap_err();
     assert!(
         matches!(err, Error::HotspotDeadlockPrevented { .. }),
         "got {err:?}"
     );
-    // Prevention is immediate — far quicker than the 400 ms lock-wait timeout.
-    assert!(started.elapsed() < Duration::from_millis(200));
+    // Prevention is immediate — it does not sit out the lock-wait timeout.
+    assert!(started.elapsed() < db.config().lock_wait_timeout);
     db.rollback(t1, Some(&err));
     // T2 read T1's uncommitted hot update, so its commit must cascade.
     let cascade = db.commit(t2).unwrap_err();
     assert!(cascade.is_cascading(), "expected cascade, got {cascade:?}");
 
-    for pk in [0, 2] {
-        let record = db.record_id(T, pk).unwrap();
-        let value = db
-            .storage()
-            .read_committed(T, record)
-            .unwrap()
-            .unwrap()
-            .get_int(1)
-            .unwrap();
-        assert_eq!(value, 0, "row {pk} must revert after both rollbacks");
-    }
+    // Nothing was acknowledged: the audit finds every row back at 0.
+    fixture.audit("both rolled back");
     assert_eq!(
         db.metrics().abort_causes.get("hotspot_deadlock_prevented"),
         1
     );
     assert!(db.metrics().cascading_aborts.get() >= 1);
-    db.shutdown();
 }
 
 /// Queue locking (O2) keeps one lock acquisition per transaction: the number
@@ -176,10 +128,10 @@ fn hot_and_cold_deadlock_example_resolves_by_prevention() {
 /// hammer then checks no updates are lost and every admission locked.
 #[test]
 fn queue_locking_still_locks_per_transaction() {
-    let db = setup(Protocol::QueueLockingO2);
-    let hot = db.record_id(T, 0).unwrap();
-    db.hotspots().promote(hot);
-    hammer_hot_row(&db, 6, 20);
+    let fixture = setup(Protocol::QueueLockingO2);
+    let db = &fixture.db;
+    db.hotspots().promote(fixture.record(HOT));
+    hammer_hot_row(&fixture, 6, 20);
     let entries = db.metrics().hotspot_group_entries.get();
     assert!(
         entries >= 6 * 20,
@@ -190,13 +142,6 @@ fn queue_locking_still_locks_per_transaction() {
         0,
         "O2 must not form groups"
     );
-    let value = db
-        .storage()
-        .read_committed(T, hot)
-        .unwrap()
-        .unwrap()
-        .get_int(1)
-        .unwrap();
-    assert_eq!(value, 6 * 20, "every committed increment must be present");
-    db.shutdown();
+    // Every committed increment is present.
+    fixture.audit("O2 hammer");
 }
