@@ -778,7 +778,7 @@ metrics_table! {
         lock_waits: Counter,
         /// Shard-mutex acquisitions on the lock **release** paths: one per page
         /// (or row-shard) group drained by the lock tables and one per registry
-        /// batch (`forget_records` / `take_all`).  The denominator for release
+        /// batch (`forget_records` / `take_all_in`).  The denominator for release
         /// batching: batching early releases to statement boundaries amortizes
         /// these, so takes-per-released-lock should drop as batch size grows.
         release_shard_locks: Counter,

@@ -277,13 +277,12 @@ impl ConcurrencyControl for GroupLocking {
     }
 
     /// The undo removed our version from each record's head: leave the
-    /// dependency lists and let granting resume (whoever is granted from
-    /// here on reads clean data).
+    /// dependency lists, which lets granting resume once the last member
+    /// rolling back has left (whoever is granted from there on reads clean
+    /// data).
     fn after_undo(&self, txn: &Transaction) {
         for hot in txn.hot_updates() {
-            let group = group_of(hot);
-            self.groups.finish_rollback(txn.id, group);
-            self.groups.resume_granting(group);
+            self.groups.finish_rollback(txn.id, group_of(hot));
         }
     }
 

@@ -127,7 +127,9 @@ pub struct EngineConfig {
     pub lock_wait_timeout: Duration,
     /// Hotspot detection configuration (§4.1).
     pub hotspot: HotspotConfig,
-    /// Group-locking configuration (batch size, dynamic batching, §4.2/§4.6.1).
+    /// Group-locking configuration: the follower batch size (§4.2) and the
+    /// hot-row wait timeout.  (The §4.6.1 dynamic batch size is not a knob:
+    /// a hand-over with nobody parked always leaves the row leaderless.)
     pub group: GroupLockConfig,
     /// Group commit in the 2PC commit pipeline (§4.3, Figure 13).
     pub group_commit: bool,

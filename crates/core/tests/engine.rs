@@ -278,35 +278,6 @@ fn concurrent_hot_increments_are_not_lost() {
 // The paper's worked examples
 // ---------------------------------------------------------------------------
 
-/// §4.5: T1 and T2 both update the hot row, then both update a non-hot row.
-/// The transaction that would block on the non-hot lock while sharing the hot
-/// row with its blocker must be rolled back proactively.
-#[test]
-fn hot_plus_cold_deadlock_is_prevented() {
-    let fixture = setup(hot_config(Protocol::GroupLockingTxsql), 4);
-    let db = &fixture.db;
-    db.hotspots().promote(fixture.record(0));
-
-    let mut t1 = db.begin();
-    let mut t2 = db.begin();
-    // Both update the hot row (T1 first -> leader, T2 follower).
-    db.update_add(&mut t1, ACCOUNTS, 0, 1, 1).unwrap();
-    db.update_add(&mut t2, ACCOUNTS, 0, 1, 1).unwrap();
-    // T1 takes the non-hot row.
-    db.update_add(&mut t1, ACCOUNTS, 2, 1, 1).unwrap();
-    // T2 now tries the same non-hot row: instead of waiting (which would
-    // deadlock with the commit-order dependency), it is rolled back.
-    let err = db.update_add(&mut t2, ACCOUNTS, 2, 1, 1).unwrap_err();
-    assert!(
-        matches!(err, txsql_common::Error::HotspotDeadlockPrevented { .. }),
-        "expected prevention, got {err:?}"
-    );
-    db.rollback(t2, Some(&err));
-    db.commit(t1).unwrap();
-    fixture.acked(&[(0, 1), (2, 1)]);
-    fixture.audit("T1 committed, T2 was prevented");
-}
-
 /// §4.4: T1, T3, T2 update the hot row in that order; T1 then rolls back, so
 /// T3 and T2 must cascade (their commits fail) and the row returns to its
 /// original value.  T1's rollback blocks until its successors have rolled
@@ -915,13 +886,17 @@ fn read_only_transactions_leave_no_footprint() {
 
 /// Pinned per-transaction budgets of shim lock acquisitions, `(shape, locks)`:
 /// ten point reads, four cold updates, one update of a pinned hot row (6 of
-/// its locks are `GroupLockTable`'s).  ARCHITECTURE.md, "What a statement
-/// touches", has the break-down.
+/// its locks are `GroupLockTable`'s), and that update rolled back (8 of
+/// `GroupLockTable`'s: a lone member's `finish_rollback` is one state
+/// acquisition and one collection; 31 with 13 while lifting the pause was a
+/// second call).  ARCHITECTURE.md, "What a statement touches", has the
+/// break-down.
 #[cfg(debug_assertions)]
-const LOCK_BUDGET: [(&str, u64); 3] = [
+const LOCK_BUDGET: [(&str, u64); 4] = [
     ("10 reads", 23),
     ("4 cold updates", 53),
     ("1 hot update", 29),
+    ("1 hot update, rolled back", 26),
 ];
 
 #[cfg(debug_assertions)]
@@ -945,12 +920,15 @@ fn lock_acquisitions_per_transaction_stay_within_budget() {
         TxnProgram::new((1..=10).map(read).collect()),
         TxnProgram::new((11..=14).map(add).collect()),
         TxnProgram::new(vec![add(0)]),
+        TxnProgram::new(vec![add(0), Operation::ForcedRollback]),
     ];
     for (program, (shape, budget)) in programs.iter().zip(LOCK_BUDGET) {
         let mut counts = [0u64; 4];
         for count in &mut counts {
             let before = parking_lot::thread_acquisitions();
-            assert!(db.execute_program(program).unwrap().committed);
+            let rolls_back = program.operations.last() == Some(&Operation::ForcedRollback);
+            let committed = db.execute_program(program).unwrap().committed;
+            assert_eq!(committed, !rolls_back, "{shape}");
             *count = parking_lot::thread_acquisitions() - before;
         }
         // counts[0] is the warm-up.

@@ -14,13 +14,15 @@
 //!   commits must proceed in dependency-list order (§4.3) and rollbacks in
 //!   the reverse order (§4.4, cascading aborts);
 //! * when the leader commits it stops granting (`switching_new_leader`),
-//!   waits for the in-flight granted follower (`granting_new_trx`), releases
-//!   the row lock and promotes the next waiter to leader of a fresh group —
-//!   or, with the **dynamic batch size** optimization (§4.6.1), releases the
-//!   lock without promoting anyone when the queue is empty.
+//!   waits for the in-flight granted follower (the paper's
+//!   `granting_new_trx`; here `executing.is_some()`), releases the row lock
+//!   and promotes the next waiter to leader of a fresh group — or, with the
+//!   **dynamic batch size** optimization (§4.6.1), releases the lock without
+//!   promoting anyone when the queue is empty.
 //!
 //! The state machine below follows Algorithms 1–3 of the paper; the method
-//! names map to the pseudo-code lines noted in their doc comments.
+//! names map to the pseudo-code lines noted in their doc comments.  Every
+//! rule in it is one an engine transaction can reach.
 //!
 //! ## Two serial sections, one state transition each
 //!
@@ -42,40 +44,57 @@
 //!   back through the map.  (An entry with the holder on its dependency
 //!   list or in its queue is never idle, so in a transaction's life that
 //!   only happens at its edges.)  A call that names the row by
-//!   [`RecordId`] is `handle(record)` plus the same call, for tests, probes
-//!   and introspection.
+//!   [`RecordId`] is an entry-map lookup plus the same call, for tests and
+//!   probes; [`GroupLockTable::peek`] is the one read-only view of a row
+//!   and never creates an entry.
 //! * **Granting registers.**  Whoever makes a transaction the row's
 //!   in-flight updater — [`GroupLockTable::begin_update`]'s two immediate
 //!   paths, [`GroupLockTable::finish_update`]'s grant, a promotion by
-//!   [`GroupLockTable::leader_handover`] /
-//!   [`GroupLockTable::resume_granting`] — appends it to the dependency
+//!   [`GroupLockTable::leader_handover`] or by the last
+//!   [`GroupLockTable::finish_rollback`] — appends it to the dependency
 //!   list in the critical section it already holds.  A woken follower goes
 //!   from its event straight to the row; it draws its `hot_update_order`
 //!   from the global counter without the state lock
 //!   ([`GroupLockTable::take_hot_update_order`]: one grantee per row is in
 //!   flight, so per-row order equals list order).  A grantee that cannot
 //!   use its grant gives both back with [`GroupLockTable::abandon_update`].
-//!   Nothing is granted while a rollback has granting paused, so a grantee
-//!   is on the list before any later [`GroupLockTable::begin_rollback`]
-//!   scans it: a follower of an aborting transaction is always doomed, one
-//!   granted after [`GroupLockTable::resume_granting`] never is.
-//!   [`GroupLockTable::register_update`] remains for callers that register
-//!   by hand; it is idempotent, and a first registration that arrives while
-//!   a rollback is in progress is doomed with it.
+//!   Every granting path is closed while a rollback is in progress, so a
+//!   grantee is on the list before any later
+//!   [`GroupLockTable::begin_rollback`] scans it: a follower of an aborting
+//!   transaction is always doomed, one granted after the last
+//!   [`GroupLockTable::finish_rollback`] never is.
+//!   [`GroupLockTable::register_update`] remains for the probe that
+//!   registers by hand; it draws an order and is otherwise idempotent.
 //! * **Commit transitions fuse.**  A leader's commit is
 //!   [`GroupLockTable::leader_prepare_commit`] (quiesce),
 //!   [`GroupLockTable::leader_handover`] — which returns the commit-turn
 //!   verdict it can see under the guard it holds — and `finish_commit`:
 //!   three state acquisitions; a follower's is turn check and
 //!   `finish_commit`.
+//! * **Rollback transitions fuse.**  A rollback is three transitions per
+//!   hot row ([`GroupLockTable::begin_rollback`],
+//!   [`GroupLockTable::wait_rollback_turn`],
+//!   [`GroupLockTable::finish_rollback`]), and granting is paused exactly
+//!   while some member is between the first and the last of them: the
+//!   `rolling_back` list *is* the §4.4 pause, there is no flag beside it.
+//!   The last step leaves the list, lifts the pause when the last
+//!   roller-back leaves, promotes a parked update if the row lock was left
+//!   free, wakes, and collects the entry if that left the row idle: one
+//!   state acquisition and at most one collection.
 //!
-//! ## One waiter list, named wakers
+//! ## Two waiter lists, named wakers
 //!
-//! A parked *update* waits on its [`WaitSlot`] in `waiting_updates` and is
-//! granted by [`GroupLockTable::finish_update`] (follower) or a hand-over /
-//! [`GroupLockTable::resume_granting`] (new leader); the role travels as the
-//! wake-up's payload.  Every other wait on a hot row is a wait for a
-//! **turn** — a predicate over the group state:
+//! A hot row parks transactions on two lists, because they are woken with
+//! different things.  A parked *update* waits on its [`WaitSlot`] in
+//! `waiting_updates` and is granted by [`GroupLockTable::finish_update`]
+//! (follower) or by a hand-over / the last
+//! [`GroupLockTable::finish_rollback`] (new leader); the **role travels as
+//! the wake-up's payload**, so a woken follower takes no state lock between
+//! its event and its update (that lock was one of the ten a follower's
+//! grant → `finish_update` used to take; it takes four).  Every other wait
+//! on a hot row is a wait for a **turn** — a predicate over the group state,
+//! re-checked under the guard by the woken waiter — and parks on
+//! `turn_waiters`:
 //!
 //! * the **commit turn** (§4.3, [`GroupLockTable::wait_commit_turn`]): first
 //!   of the dependency list, or doomed;
@@ -86,8 +105,7 @@
 //!   [`GroupLockTable::wait_rollback_turn`]): newest of the dependency list,
 //!   nothing in flight, no leader switching.
 //!
-//! All three park on the state's one `turn_waiters` list and nothing polls:
-//! a transition that can make a turn's predicate true —
+//! Nothing polls: a transition that can make a turn's predicate true —
 //! [`GroupLockTable::finish_update`], [`GroupLockTable::finish_commit`],
 //! [`GroupLockTable::finish_rollback`], [`GroupLockTable::leader_handover`],
 //! [`GroupLockTable::abandon_update`] and [`GroupLockTable::begin_rollback`]
@@ -188,12 +206,12 @@ impl WaitSlot {
     }
 
     /// The event the owner waits on.
-    pub fn event(&self) -> &Arc<OsEvent> {
+    fn event(&self) -> &Arc<OsEvent> {
         self.event.as_ref().expect("slot event present until drop")
     }
 
     /// Role assigned by the waker, if any: the event's payload.
-    pub fn role(&self) -> Option<WokenRole> {
+    fn role(&self) -> Option<WokenRole> {
         self.event().payload().map(|payload| match payload {
             1 => WokenRole::Follower,
             2 => WokenRole::NewLeader,
@@ -228,15 +246,6 @@ pub enum HotExecution {
     Follower,
     /// Park on the slot; the waker assigns [`WokenRole`].
     Wait(Arc<WaitSlot>),
-}
-
-/// Outcome of cancelling a parked wait.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum CancelOutcome {
-    /// Successfully removed from the queue.
-    Cancelled,
-    /// The grant raced ahead: the transaction must proceed with this role.
-    AlreadyGranted(WokenRole),
 }
 
 /// Outcome of asking for the commit turn.
@@ -299,22 +308,17 @@ struct GroupState {
     waiting_updates: VecDeque<Waiter>,
     /// Current group leader (holder of the real row lock).
     leader: Option<TxnId>,
-    /// Transaction whose hotspot update is currently in flight, if any.
+    /// Transaction whose granted hotspot update has not yet finished, if
+    /// any (`granting_new_trx` in the paper, which does not say whose).
     executing: Option<TxnId>,
-    /// `granting_new_trx`: a granted hotspot update has not yet finished.
-    granting_new_trx: bool,
     /// `switching_new_leader`: the leader is committing; stop granting.
     switching_new_leader: bool,
     /// Followers granted in the current group (for the batch size).
     granted_in_group: usize,
-    /// Server-initiated rollback in progress (§4.4 rollback optimization):
-    /// no new grants, no leader handover.
-    rollback_pause: bool,
     /// Transactions between `begin_rollback` and `finish_rollback` on this
-    /// record.  Granting stays paused until the last one resumes, so nobody
-    /// is granted — and therefore nobody joins the dependency list through a
-    /// grant — while this is non-empty; a by-hand registration that does is
-    /// doomed (see `register`).
+    /// record.  While there is one, granting is paused (`paused`, the §4.4
+    /// rollback optimization), so nobody joins the dependency list behind an
+    /// aborting transaction's head.
     rolling_back: Vec<TxnId>,
     /// Transactions parked until their turn comes (commit order, leader
     /// quiesce, rollback order).
@@ -336,6 +340,12 @@ impl GroupState {
             && self.rolling_back.is_empty()
     }
 
+    /// The §4.4 pause — no new grants, no leader promotion — lasts exactly
+    /// while some member is between `begin_rollback` and `finish_rollback`.
+    fn paused(&self) -> bool {
+        !self.rolling_back.is_empty()
+    }
+
     /// Whether `txn`'s `turn` has come.
     fn turn_ready(&self, txn: TxnId, turn: Turn) -> bool {
         match turn {
@@ -344,10 +354,10 @@ impl GroupState {
                     || self.dep_list.first().is_none_or(|first| *first == txn)
                     || !self.dep_list.contains(&txn)
             }
-            Turn::Quiesce => !self.granting_new_trx,
+            Turn::Quiesce => self.executing.is_none(),
             Turn::Rollback => {
                 self.dep_list.last().is_none_or(|last| *last == txn)
-                    && !self.granting_new_trx
+                    && self.executing.is_none()
                     && !self.switching_new_leader
             }
         }
@@ -380,17 +390,12 @@ impl GroupState {
     }
 
     /// Appends `txn` to the dependency list (Algorithm 1, lines 7–9);
-    /// idempotent.  A first registration while a rollback is in progress
-    /// may read the aborting transaction's head, so it cascade-aborts too.
-    /// Grants never get here in that state — granting is paused — which is
-    /// why a grantee needs no second look after `begin_rollback`'s scan.
+    /// idempotent.  Grants never get here while a rollback is in progress —
+    /// granting is paused — which is why a grantee needs no second look
+    /// after `begin_rollback`'s scan.
     fn register(&mut self, txn: TxnId) {
-        if self.dep_list.contains(&txn) {
-            return;
-        }
-        self.dep_list.push(txn);
-        if let Some(cause) = self.rolling_back.iter().find(|t| **t != txn) {
-            self.doomed.entry(txn).or_insert(*cause);
+        if !self.dep_list.contains(&txn) {
+            self.dep_list.push(txn);
         }
     }
 
@@ -402,7 +407,6 @@ impl GroupState {
 
     /// Makes `txn` the row's in-flight updater, and registers it.
     fn grant(&mut self, txn: TxnId) {
-        self.granting_new_trx = true;
         self.executing = Some(txn);
         self.register(txn);
     }
@@ -418,14 +422,15 @@ impl GroupState {
 
     /// Starts `txn`'s update (Algorithm 1, lines 2–6).
     fn begin(&mut self, txn: TxnId, batch_size: usize) -> HotExecution {
-        if self.leader.is_none() && self.waiting_updates.is_empty() && !self.rollback_pause {
+        let paused = self.paused();
+        if self.leader.is_none() && self.waiting_updates.is_empty() && !paused {
             self.lead(txn);
             return HotExecution::Leader;
         }
         let batch_open = batch_size == 0 || self.granted_in_group < batch_size;
-        if !self.granting_new_trx
+        if self.executing.is_none()
             && !self.switching_new_leader
-            && !self.rollback_pause
+            && !paused
             && self.waiting_updates.is_empty()
             && self.leader.is_some()
             && batch_open
@@ -453,13 +458,12 @@ impl GroupState {
     ) -> Option<Arc<WaitSlot>> {
         // Whoever just finished (leader or follower) is no longer
         // mid-update.
-        self.granting_new_trx = false;
         self.executing = None;
         if is_leader && self.leader == Some(txn) {
             self.switching_new_leader = false;
         }
         let batch_full = batch_size > 0 && self.granted_in_group >= batch_size;
-        if self.switching_new_leader || self.rollback_pause || batch_full {
+        if self.switching_new_leader || self.paused() || batch_full {
             return None;
         }
         let waiter = self.waiting_updates.pop_front()?;
@@ -493,9 +497,9 @@ impl GroupState {
             // flags must not be clobbered.
             return None;
         }
-        if self.rollback_pause {
+        if self.paused() {
             // No promotion while a rollback is draining; the last
-            // `resume_granting` promotes instead.
+            // `finish_rollback` promotes instead.
             return None;
         }
         let promoted = self.promote_next_leader();
@@ -503,7 +507,6 @@ impl GroupState {
             // Dynamic batch size: release without nominating a leader; the
             // next arrival starts a fresh group immediately.
             self.switching_new_leader = false;
-            self.granting_new_trx = false;
             self.executing = None;
         }
         promoted
@@ -559,6 +562,22 @@ impl HotRow<'static> for RecordId {
     }
 }
 
+/// What [`GroupLockTable::peek`] reads off a hot row's group state.
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
+pub struct RowView {
+    /// Current group leader (holder of the real row lock), if any.
+    pub leader: Option<TxnId>,
+    /// Granted-but-uncommitted transactions in update order.
+    pub dep_list: Vec<TxnId>,
+    /// Parked hotspot updates, in arrival order.
+    pub waiting: Vec<TxnId>,
+    /// Transactions doomed to cascade-abort, each with its cause.
+    pub doomed: Vec<(TxnId, TxnId)>,
+    /// Nothing is registered, parked, leading or rolling back: the entry, if
+    /// the row still has one, is collectable.
+    pub idle: bool,
+}
+
 /// A leader's hot records between [`GroupLockTable::begin_leader_commit`]
 /// (all quiesced) and [`GroupLockTable::finish_leader_handover`]: the
 /// per-row [`GroupLockTable::leader_prepare_commit`] /
@@ -566,13 +585,6 @@ impl HotRow<'static> for RecordId {
 #[derive(Debug)]
 pub struct LeaderCommit {
     records: Vec<RecordId>,
-}
-
-impl LeaderCommit {
-    /// Number of hot records in this commit.
-    pub fn record_count(&self) -> usize {
-        self.records.len()
-    }
 }
 
 /// Number of shards for the hot-row entry map, keyed by record.  Each hot
@@ -614,11 +626,6 @@ impl GroupLockTable {
         }
     }
 
-    /// The configuration in force.
-    pub fn config(&self) -> &GroupLockConfig {
-        &self.config
-    }
-
     #[inline]
     fn entry_shard(&self, record: RecordId) -> &Mutex<FxHashMap<u64, Arc<GroupEntry>>> {
         let shard = fxhash::hash_u64(record.packed()) % ENTRY_SHARDS as u64;
@@ -627,7 +634,7 @@ impl GroupLockTable {
 
     /// Resolves `record`'s group entry through the entry map, creating it if
     /// the row has none.
-    pub fn handle(&self, record: RecordId) -> GroupHandle {
+    fn handle(&self, record: RecordId) -> GroupHandle {
         let mut entries = self.entry_shard(record).lock();
         let _scope = GuardScope::enter();
         let entry = Arc::clone(entries.entry(record.packed()).or_default());
@@ -658,17 +665,28 @@ impl GroupLockTable {
         }
     }
 
-    /// Reads `record`'s group state if the row has any, without creating an
-    /// entry: introspection must not repopulate the map with empty entries
-    /// nothing collects.
-    fn peek<R: Default>(&self, record: RecordId, f: impl FnOnce(&GroupState) -> R) -> R {
+    /// The one read-only view of a hot row, for tests and failure reports.
+    /// It never creates an entry — introspection must not repopulate the map
+    /// with empty entries nothing collects — and a row without one reads as
+    /// idle.
+    pub fn peek(&self, record: RecordId) -> RowView {
         // Shard lock, then state lock: the nesting `collect_if_idle` uses,
         // so an entry found here is live.
         let entries = self.entry_shard(record).lock();
-        let entry = entries.get(&record.packed());
-        entry
-            .map(|entry| f(&entry.state.lock()))
-            .unwrap_or_default()
+        let Some(entry) = entries.get(&record.packed()) else {
+            return RowView {
+                idle: true,
+                ..RowView::default()
+            };
+        };
+        let state = entry.state.lock();
+        RowView {
+            leader: state.leader,
+            dep_list: state.dep_list.clone(),
+            waiting: state.waiting_updates.iter().map(|w| w.txn).collect(),
+            doomed: state.doomed.iter().map(|(txn, by)| (*txn, *by)).collect(),
+            idle: state.is_idle(),
+        }
     }
 
     /// Collects `record`'s entry if it is idle; returns whether a busy one
@@ -704,9 +722,8 @@ impl GroupLockTable {
     /// Starts a hotspot update (Algorithm 1, lines 2–6): the transaction's
     /// first call on the row, and the one that resolves its handle.
     ///
-    /// `granting_new_trx` doubles as the "a hotspot update is executing right
-    /// now" flag: when the group exists but nothing is mid-update (the leader
-    /// is idle between statements, as in the paper's §4.5 worked example), an
+    /// When the group exists but nothing is mid-update (the leader is idle
+    /// between statements, as in the paper's §4.5 worked example), an
     /// arriving update is granted follower execution immediately instead of
     /// parking.
     pub fn begin_update(&self, txn: TxnId, record: RecordId) -> (GroupHandle, HotExecution) {
@@ -741,31 +758,26 @@ impl GroupLockTable {
         // The role is the wake-up's payload; without one the wait timed out,
         // and leaving the queue tells us whether a grant raced the deadline.
         let handle = row.handle_in(self);
-        let role = slot
-            .role()
-            .or_else(|| match self.cancel_hot_wait(txn, &*handle) {
-                CancelOutcome::AlreadyGranted(role) => Some(role),
-                CancelOutcome::Cancelled => None,
-            });
+        let role = slot.role().or_else(|| self.cancel_wait(txn, &handle));
         let record = handle.record;
         role.ok_or(Error::LockWaitTimeout { txn, record })
     }
 
-    /// Removes a parked transaction that gave up waiting.
-    pub fn cancel_hot_wait<'a>(&self, txn: TxnId, row: impl HotRow<'a>) -> CancelOutcome {
-        self.with_state(&row.handle_in(self), |state| {
+    /// Takes a transaction that gave up waiting out of the queue.  When it
+    /// is not queued any more the grant raced ahead of the deadline, and the
+    /// transaction must proceed with the role returned.
+    fn cancel_wait(&self, txn: TxnId, handle: &GroupHandle) -> Option<WokenRole> {
+        self.with_state(handle, |state| {
             if let Some(pos) = state.waiting_updates.iter().position(|w| w.txn == txn) {
                 state.waiting_updates.remove(pos);
-                return CancelOutcome::Cancelled;
+                return None;
             }
-            // Not queued any more: the grant raced ahead of us.  Its role
-            // reaches the slot only once the granter has dropped this guard,
-            // so read it off the state instead.
-            if state.leader == Some(txn) {
-                CancelOutcome::AlreadyGranted(WokenRole::NewLeader)
-            } else {
-                CancelOutcome::AlreadyGranted(WokenRole::Follower)
-            }
+            // The role reaches the slot only once the granter has dropped
+            // this guard, so read it off the state instead.
+            Some(match state.leader == Some(txn) {
+                true => WokenRole::NewLeader,
+                false => WokenRole::Follower,
+            })
         })
     }
 
@@ -779,6 +791,7 @@ impl GroupLockTable {
     /// Registers an update by hand (Algorithm 1, lines 7–9): draws a
     /// `hot_update_order` and makes sure the transaction is on the
     /// dependency list — a grantee already is, so for it this only draws.
+    /// (No engine caller: the gate's lock-manager probe drives it.)
     pub fn register_update<'a>(&self, txn: TxnId, row: impl HotRow<'a>) -> u64 {
         let order = self.take_hot_update_order();
         self.with_state(&row.handle_in(self), |state| state.register(txn));
@@ -841,7 +854,7 @@ impl GroupLockTable {
             if state.leader == Some(txn) {
                 state.switching_new_leader = true;
             }
-            !state.granting_new_trx
+            state.executing.is_none()
         });
         let budget = self.config.hot_wait_timeout * 4;
         if !quiesced && self.wait_turn(&handle, txn, Turn::Quiesce, budget).is_err() {
@@ -850,7 +863,7 @@ impl GroupLockTable {
             // rather than wedging the whole hot row, and say so.
             self.metrics.abort_causes.record("quiesce_forced");
             let woken = self.with_state(&handle, |state| {
-                state.granting_new_trx = false;
+                state.executing = None;
                 state.take_ready_waiters()
             });
             woken.fire();
@@ -900,11 +913,6 @@ impl GroupLockTable {
     ) -> Vec<(RecordId, Option<TxnId>)> {
         let hand_over = |record| (record, self.leader_handover(txn, record).promoted);
         commit.records.into_iter().map(hand_over).collect()
-    }
-
-    /// Asks whether `txn` may commit now (commit-order guarantee, §4.3).
-    pub fn commit_turn<'a>(&self, txn: TxnId, row: impl HotRow<'a>) -> CommitTurn {
-        self.with_state(&row.handle_in(self), |state| state.commit_turn(txn))
     }
 
     /// Waits — parked on the row's turn-waiter list, never polling — until
@@ -1006,7 +1014,6 @@ impl GroupLockTable {
     /// successor and returns them (they must cascade-abort first).
     pub fn begin_rollback<'a>(&self, txn: TxnId, row: impl HotRow<'a>) -> Vec<TxnId> {
         let (successors, woken) = self.with_state(&row.handle_in(self), |state| {
-            state.rollback_pause = true;
             if !state.rolling_back.contains(&txn) {
                 state.rolling_back.push(txn);
             }
@@ -1016,9 +1023,8 @@ impl GroupLockTable {
             if state.executing == Some(txn) {
                 // The rolling-back transaction was itself mid-update (it
                 // aborted between its grant and `finish_update`): clear the
-                // in-flight flag so the rollback-order wait below does not
+                // in-flight mark so the rollback-order wait below does not
                 // wait for itself.
-                state.granting_new_trx = false;
                 state.executing = None;
             }
             let successors: Vec<TxnId> = match state.dep_list.iter().position(|t| *t == txn) {
@@ -1046,55 +1052,37 @@ impl GroupLockTable {
             .map(|_| ())
     }
 
-    /// Finalises a rollback, once storage has undone `txn`'s writes: removes
-    /// it from the dependency list, clears its doomed mark and wakes the
-    /// transactions whose turn that makes it (Algorithm 3, lines 8–9) —
-    /// after dropping the state guard.
-    pub fn finish_rollback<'a>(&self, txn: TxnId, row: impl HotRow<'a>) {
+    /// The last step of a rollback, once storage has undone `txn`'s writes
+    /// (Algorithm 3, lines 8–9, and the end of the §4.4 pause), as one
+    /// transition: `txn` leaves the dependency list and loses its doomed
+    /// mark; if it was the last member rolling back, granting resumes, and
+    /// with the row lock left free the next parked update is promoted to
+    /// leader so the queue does not stall (returned); the transactions whose
+    /// turn this makes it are woken after the state guard is dropped; and a
+    /// row left idle gives its entry back.
+    pub fn finish_rollback<'a>(&self, txn: TxnId, row: impl HotRow<'a>) -> Option<TxnId> {
         let handle = row.handle_in(self);
-        let woken = self.with_state(&handle, |state| {
+        let (promoted, woken, idle) = self.with_state(&handle, |state| {
             state.unregister(txn);
             state.rolling_back.retain(|t| *t != txn);
             if state.leader == Some(txn) {
                 state.leader = None;
             }
-            state.take_ready_waiters()
+            // Another member may still be between `begin_rollback` and here:
+            // granting stays paused until the last of them leaves.
+            let resume = !state.paused() && state.leader.is_none();
+            let promoted = resume.then(|| state.promote_next_leader()).flatten();
+            (promoted, state.take_ready_waiters(), state.is_idle())
+        });
+        let promoted = promoted.map(|(new_leader, slot)| {
+            slot.grant(WokenRole::NewLeader);
+            new_leader
         });
         woken.fire();
-        self.collect_if_idle(handle.record);
-    }
-
-    /// Resumes granting after a server-initiated rollback completed (§4.4).
-    /// If the row lock was left free, the next parked transaction is promoted
-    /// to leader so the queue does not stall.
-    pub fn resume_granting<'a>(&self, row: impl HotRow<'a>) -> Option<TxnId> {
-        let handle = row.handle_in(self);
-        let promoted = self.with_state(&handle, |state| {
-            // Another transaction may still be between `begin_rollback` and
-            // `finish_rollback` on this record; granting stays paused until
-            // the last of them resumes.
-            if !state.rolling_back.is_empty() {
-                return None;
-            }
-            state.rollback_pause = false;
-            if state.leader.is_none() {
-                return state.promote_next_leader();
-            }
-            None
-        });
-        match promoted {
-            Some((new_leader, slot)) => {
-                // State guard dropped: fire the promotion.
-                slot.grant(WokenRole::NewLeader);
-                Some(new_leader)
-            }
-            None => {
-                // A rollback that left the row fully idle must not keep the
-                // map entry alive.
-                self.collect_if_idle(handle.record);
-                None
-            }
+        if idle {
+            self.collect_if_idle(handle.record);
         }
+        promoted
     }
 
     // ------------------------------------------------------------------
@@ -1123,11 +1111,6 @@ impl GroupLockTable {
         self.with_state(&row.handle_in(self), |state| state.dep_list.clone())
     }
 
-    /// True when the hot row still has any group activity.
-    pub fn has_activity(&self, record: RecordId) -> bool {
-        self.peek(record, |state| !state.is_idle())
-    }
-
     /// Hot rows that still have group state — zero once every transaction
     /// that touched a hot row has finished (the leak oracle of the tests).
     pub fn live_groups(&self) -> usize {
@@ -1140,400 +1123,125 @@ impl GroupLockTable {
         };
         self.entry_shards.iter().map(live).sum()
     }
-
-    /// Current leader of the hot row, if any.
-    pub fn leader_of(&self, record: RecordId) -> Option<TxnId> {
-        self.peek(record, |state| state.leader)
-    }
-
-    /// Number of parked hotspot updates.
-    pub fn waiting_len(&self, record: RecordId) -> usize {
-        self.peek(record, |state| state.waiting_updates.len())
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::test_support::{Hot, HOT};
 
-    const HOT: RecordId = RecordId {
-        space_id: 1,
-        page_no: 0,
-        heap_no: 0,
-    };
-
-    fn table() -> GroupLockTable {
-        GroupLockTable::new(GroupLockConfig::default(), Arc::new(EngineMetrics::new()))
-    }
-
-    #[test]
-    fn first_transaction_becomes_leader() {
-        let g = table();
-        assert!(matches!(
-            g.begin_hot_update(TxnId(1), HOT),
-            HotExecution::Leader
-        ));
-        assert_eq!(g.leader_of(HOT), Some(TxnId(1)));
-        let order = g.register_update(TxnId(1), HOT);
-        assert!(order >= 1);
-        assert_eq!(g.dep_list(HOT), vec![TxnId(1)]);
-    }
-
-    #[test]
-    fn second_transaction_waits_and_is_granted_as_follower() {
-        let g = table();
-        assert!(matches!(
-            g.begin_hot_update(TxnId(1), HOT),
-            HotExecution::Leader
-        ));
-        g.register_update(TxnId(1), HOT);
-        let slot = match g.begin_hot_update(TxnId(2), HOT) {
-            HotExecution::Wait(slot) => slot,
-            other => panic!("expected Wait, got {other:?}"),
-        };
-        assert_eq!(g.waiting_len(HOT), 1);
-        // Leader finishes its update: follower is granted.
-        g.finish_update(TxnId(1), HOT, true);
-        assert_eq!(slot.role(), Some(WokenRole::Follower));
-        assert!(slot.event().is_set());
-        let order2 = g.register_update(TxnId(2), HOT);
-        g.finish_update(TxnId(2), HOT, false);
-        assert_eq!(g.dep_list(HOT), vec![TxnId(1), TxnId(2)]);
-        assert!(order2 > 1);
-    }
-
-    #[test]
-    fn commit_order_follows_dependency_list() {
-        let g = table();
-        let _ = g.begin_hot_update(TxnId(1), HOT);
-        g.register_update(TxnId(1), HOT);
-        let slot2 = match g.begin_hot_update(TxnId(2), HOT) {
-            HotExecution::Wait(s) => s,
-            _ => unreachable!(),
-        };
-        g.finish_update(TxnId(1), HOT, true);
-        assert_eq!(slot2.role(), Some(WokenRole::Follower));
-        g.register_update(TxnId(2), HOT);
-        g.finish_update(TxnId(2), HOT, false);
-
-        // Txn 2 cannot commit before txn 1.
-        assert_eq!(g.commit_turn(TxnId(2), HOT), CommitTurn::Blocked);
-        assert!(matches!(g.commit_turn(TxnId(1), HOT), CommitTurn::Ready));
-        g.finish_commit(TxnId(1), HOT);
-        assert!(matches!(g.commit_turn(TxnId(2), HOT), CommitTurn::Ready));
-        g.finish_commit(TxnId(2), HOT);
-        assert!(g.dep_list(HOT).is_empty());
-        assert!(!g.has_activity(HOT));
-    }
-
-    #[test]
-    fn leader_handover_promotes_next_waiter_to_new_leader() {
-        let g = table();
-        let _ = g.begin_hot_update(TxnId(1), HOT);
-        g.register_update(TxnId(1), HOT);
-        g.finish_update(TxnId(1), HOT, true);
-        // The leader is idle, so the next arrival is granted follower
-        // execution immediately (the §4.5 worked-example behaviour).
-        assert!(matches!(
-            g.begin_hot_update(TxnId(2), HOT),
-            HotExecution::Follower
-        ));
-        g.register_update(TxnId(2), HOT);
-        g.finish_update(TxnId(2), HOT, false);
-
-        // A third arrives while the leader is committing: it must be parked
-        // and promoted to the next group's leader at handover.
-        g.leader_prepare_commit(TxnId(1), HOT);
-        let slot3 = match g.begin_hot_update(TxnId(3), HOT) {
-            HotExecution::Wait(s) => s,
-            other => panic!("expected Wait, got {other:?}"),
-        };
-        let new_leader = g.leader_handover(TxnId(1), HOT).promoted;
-        assert_eq!(new_leader, Some(TxnId(3)));
-        assert_eq!(slot3.role(), Some(WokenRole::NewLeader));
-        assert_eq!(g.leader_of(HOT), Some(TxnId(3)));
-    }
-
-    #[test]
-    fn dynamic_batch_leaves_no_leader_when_queue_empty() {
-        let g = table();
-        let _ = g.begin_hot_update(TxnId(1), HOT);
-        g.register_update(TxnId(1), HOT);
-        g.finish_update(TxnId(1), HOT, true);
-        g.leader_prepare_commit(TxnId(1), HOT);
-        assert_eq!(g.leader_handover(TxnId(1), HOT).promoted, None);
-        assert_eq!(g.leader_of(HOT), None);
-        // Next arrival becomes leader immediately.
-        assert!(matches!(
-            g.begin_hot_update(TxnId(2), HOT),
-            HotExecution::Leader
-        ));
+    /// Parks `txn` behind whatever keeps `HOT` from granting it at once.
+    fn parked(g: &GroupLockTable, txn: u64) -> (GroupHandle, Arc<WaitSlot>) {
+        match g.begin_update(TxnId(txn), HOT) {
+            (handle, HotExecution::Wait(slot)) => (handle, slot),
+            (_, granted) => panic!("T{txn} should park, got {granted:?}"),
+        }
     }
 
     #[test]
     fn batch_size_limits_grants_per_group() {
-        let g = GroupLockTable::new(
-            GroupLockConfig {
-                batch_size: 1,
-                ..Default::default()
-            },
-            Arc::new(EngineMetrics::new()),
-        );
-        let _ = g.begin_hot_update(TxnId(1), HOT);
-        g.register_update(TxnId(1), HOT);
-        let slot2 = match g.begin_hot_update(TxnId(2), HOT) {
-            HotExecution::Wait(s) => s,
-            _ => unreachable!(),
+        let config = GroupLockConfig {
+            batch_size: 1,
+            ..Default::default()
         };
-        let slot3 = match g.begin_hot_update(TxnId(3), HOT) {
-            HotExecution::Wait(s) => s,
-            _ => unreachable!(),
-        };
-        g.finish_update(TxnId(1), HOT, true);
-        assert_eq!(slot2.role(), Some(WokenRole::Follower));
-        g.register_update(TxnId(2), HOT);
-        g.finish_update(TxnId(2), HOT, false);
-        // Batch of 1 exhausted: txn 3 must NOT be granted as follower.
-        assert_eq!(slot3.role(), None);
-        // It becomes the next group's leader at handover.
-        g.leader_prepare_commit(TxnId(1), HOT);
-        assert_eq!(g.leader_handover(TxnId(1), HOT).promoted, Some(TxnId(3)));
-        assert_eq!(slot3.role(), Some(WokenRole::NewLeader));
-    }
-
-    #[test]
-    fn leader_commit_of_several_rows_promotes_each_row() {
-        let g = table();
-        let records: Vec<RecordId> = (0..4).map(|heap| RecordId::new(1, 0, heap)).collect();
-        let mut slots = Vec::new();
-        for (i, record) in records.iter().enumerate() {
-            assert!(matches!(
-                g.begin_hot_update(TxnId(1), *record),
-                HotExecution::Leader
-            ));
-            g.finish_update(TxnId(1), *record, true);
-            // Park one waiter per row while the leader is idle — force the
-            // Wait path by marking the leader committing first.
-            let handle = g.handle(*record);
-            g.with_state(&handle, |state| state.switching_new_leader = true);
-            let slot = match g.begin_hot_update(TxnId(10 + i as u64), *record) {
-                HotExecution::Wait(slot) => slot,
-                other => panic!("expected Wait, got {other:?}"),
-            };
-            g.with_state(&handle, |state| state.switching_new_leader = false);
-            slots.push(slot);
-        }
-
-        let prepared = g.begin_leader_commit(TxnId(1), &records);
-        assert_eq!(prepared.record_count(), 4);
-        let promotions = g.finish_leader_handover(TxnId(1), prepared);
-        for ((record, promoted), (i, slot)) in promotions.iter().zip(slots.iter().enumerate()) {
-            assert_eq!(
-                *promoted,
-                Some(TxnId(10 + i as u64)),
-                "waiter on {record} must be promoted to leader"
-            );
-            assert_eq!(slot.role(), Some(WokenRole::NewLeader));
-            assert!(slot.event().is_set(), "promotion must fire the event");
-            assert_eq!(g.leader_of(*record), Some(TxnId(10 + i as u64)));
-        }
-    }
-
-    #[test]
-    fn rollback_dooms_successors_and_enforces_reverse_order() {
-        let g = table();
-        // T1 updates, then T3, then T2 (the paper's §4.4 example), following
-        // the real grant flow: each follower registers and finishes its
-        // update before the next one is granted.
-        let _ = g.begin_hot_update(TxnId(1), HOT);
-        g.register_update(TxnId(1), HOT);
-        let slot3 = match g.begin_hot_update(TxnId(3), HOT) {
-            HotExecution::Wait(s) => s,
-            _ => unreachable!(),
-        };
-        let slot2 = match g.begin_hot_update(TxnId(2), HOT) {
-            HotExecution::Wait(s) => s,
-            _ => unreachable!(),
-        };
-        g.finish_update(TxnId(1), HOT, true);
-        assert_eq!(slot3.role(), Some(WokenRole::Follower));
-        g.register_update(TxnId(3), HOT);
-        g.finish_update(TxnId(3), HOT, false);
-        assert_eq!(slot2.role(), Some(WokenRole::Follower));
-        g.register_update(TxnId(2), HOT);
-        g.finish_update(TxnId(2), HOT, false);
-        assert_eq!(g.dep_list(HOT), vec![TxnId(1), TxnId(3), TxnId(2)]);
-
-        let doomed = g.begin_rollback(TxnId(1), HOT);
-        assert_eq!(doomed, vec![TxnId(3), TxnId(2)]);
-        // Successors cascade in reverse order.
-        assert!(matches!(
-            g.commit_turn(TxnId(2), HOT),
-            CommitTurn::Doomed { cause: TxnId(1) }
-        ));
-        g.finish_rollback(TxnId(2), HOT);
-        assert!(matches!(
-            g.commit_turn(TxnId(3), HOT),
-            CommitTurn::Doomed { cause: TxnId(1) }
-        ));
-        g.finish_rollback(TxnId(3), HOT);
-        // Now T1 is last and may roll back.
-        g.wait_rollback_turn(TxnId(1), HOT).unwrap();
-        g.finish_rollback(TxnId(1), HOT);
-        g.resume_granting(HOT);
-        assert!(g.dep_list(HOT).is_empty());
-        assert!(!g.has_activity(HOT));
-    }
-
-    #[test]
-    fn late_registrant_during_rollback_is_doomed() {
-        let g = table();
-        // T1 is the leader and has an uncommitted update; T2 was granted
-        // follower execution but has not registered yet when T1 begins its
-        // rollback — the race `begin_rollback`'s doom scan cannot see.
-        let _ = g.begin_hot_update(TxnId(1), HOT);
-        g.register_update(TxnId(1), HOT);
-        g.finish_update(TxnId(1), HOT, true);
-        let doomed = g.begin_rollback(TxnId(1), HOT);
-        assert!(doomed.is_empty(), "T2 has not registered yet");
-        // T2 registers mid-rollback: it may have read T1's doomed head, so it
-        // must cascade-abort instead of committing a value derived from it.
-        g.register_update(TxnId(2), HOT);
-        assert!(matches!(
-            g.commit_turn(TxnId(2), HOT),
-            CommitTurn::Doomed { cause: TxnId(1) }
-        ));
-        g.finish_rollback(TxnId(2), HOT);
-        g.wait_rollback_turn(TxnId(1), HOT).unwrap();
-        g.finish_rollback(TxnId(1), HOT);
-        // Granting resumes only once no rollback is in flight.
-        g.resume_granting(HOT);
-        assert!(!g.has_activity(HOT));
-        // A registrant arriving after the rollback fully finished is clean.
-        let _ = g.begin_hot_update(TxnId(3), HOT);
-        g.register_update(TxnId(3), HOT);
-        assert!(matches!(g.commit_turn(TxnId(3), HOT), CommitTurn::Ready));
-        g.finish_commit(TxnId(3), HOT);
-    }
-
-    #[test]
-    fn granting_registers_the_grantee() {
-        let g = table();
-        // The two immediate paths of `begin_update` ...
-        let (leader, execution) = g.begin_update(TxnId(1), HOT);
-        assert!(matches!(execution, HotExecution::Leader));
-        assert_eq!(g.dep_list(&leader), [TxnId(1)]);
+        let g = GroupLockTable::new(config, Arc::default());
+        let (leader, _) = g.begin_update(TxnId(1), HOT);
+        let ((second, slot2), (_, slot3)) = (parked(&g, 2), parked(&g, 3));
         g.finish_update(TxnId(1), &leader, true);
-        let (follower, execution) = g.begin_update(TxnId(2), HOT);
-        assert!(matches!(execution, HotExecution::Follower));
-        assert_eq!(g.dep_list(&follower), [TxnId(1), TxnId(2)]);
-        // ... a parked update is not on the list until `finish_update`
-        // grants it ...
-        let (waiter, execution) = g.begin_update(TxnId(3), HOT);
-        assert!(matches!(execution, HotExecution::Wait(_)));
-        assert_eq!(g.dep_list(HOT), [TxnId(1), TxnId(2)]);
-        g.finish_update(TxnId(2), &follower, false);
-        assert_eq!(g.dep_list(HOT), [TxnId(1), TxnId(2), TxnId(3)]);
-        // ... and a hand-over registers the leader it promotes.
-        g.finish_update(TxnId(3), &waiter, false);
+        assert_eq!(slot2.role(), Some(WokenRole::Follower));
+        g.finish_update(TxnId(2), &second, false);
+        // Batch of 1 exhausted: T3 is not granted as a follower; it leads
+        // the next group at the hand-over.
+        assert_eq!(slot3.role(), None);
         g.leader_prepare_commit(TxnId(1), &leader);
-        let (_, execution) = g.begin_update(TxnId(5), HOT);
-        let HotExecution::Wait(slot) = execution else {
-            panic!("the leader is switching")
-        };
-        let hand_over = g.leader_handover(TxnId(1), &leader);
-        assert_eq!(hand_over.promoted, Some(TxnId(5)));
-        assert_eq!(slot.role(), Some(WokenRole::NewLeader));
-        assert_eq!(g.dep_list(HOT), [1, 2, 3, 5].map(TxnId));
-        // Registering by hand on top of a grant changes nothing, and orders
-        // ascend along the list.
-        let before = g.take_hot_update_order();
-        assert!(g.register_update(TxnId(5), HOT) > before);
-        assert_eq!(g.dep_list(HOT).len(), 4);
+        assert_eq!(
+            g.leader_handover(TxnId(1), &leader).promoted,
+            Some(TxnId(3))
+        );
+        assert_eq!(slot3.role(), Some(WokenRole::NewLeader));
+        assert_eq!(g.peek(HOT).dep_list, [1, 2, 3].map(TxnId));
+    }
+
+    /// The calls only the gate's probe makes (`probe.lockmgr.group_lock.
+    /// cycle_ns`: rows named by `RecordId`, registration by hand, the
+    /// several-rows commit) are the by-handle transitions under other names.
+    #[test]
+    fn the_probes_by_record_calls_are_the_by_handle_transitions() {
+        let g = GroupLockTable::new(GroupLockConfig::default(), Arc::default());
+        let rows = [HOT, RecordId::new(2, 0, 0)];
+        let mut last_order = 0;
+        for txn in [TxnId(1), TxnId(2)] {
+            for row in rows {
+                let execution = g.begin_hot_update(txn, row);
+                assert!(matches!(execution, HotExecution::Leader), "{execution:?}");
+                // Registering on top of the grant changes nothing, and orders
+                // ascend across rows.
+                let order = g.register_update(txn, row);
+                assert!(order > last_order);
+                last_order = order;
+                assert_eq!(g.dep_list(row), [txn]);
+                g.finish_update(txn, row, true);
+            }
+            let prepared = g.begin_leader_commit(txn, &rows);
+            let promotions = g.finish_leader_handover(txn, prepared);
+            assert_eq!(promotions, rows.map(|row| (row, None)));
+            for row in rows {
+                g.wait_commit_turn(txn, row).unwrap();
+                g.finish_commit(txn, row);
+            }
+        }
+        assert_eq!(g.live_groups(), 0);
     }
 
     #[test]
     fn hand_over_reports_the_outgoing_leaders_commit_turn() {
         // First of its list: straight on to the commit record.
-        let g = group(&[2], None);
-        let leader = g.handle(HOT);
-        g.leader_prepare_commit(TxnId(1), &leader);
-        assert_eq!(g.leader_handover(TxnId(1), &leader).turn, CommitTurn::Ready);
+        let (hot, members) = Hot::group(&[2], None);
+        let (g, leader) = (&hot.g, &members[0].handle);
+        g.leader_prepare_commit(TxnId(1), leader);
+        assert_eq!(g.leader_handover(TxnId(1), leader).turn, CommitTurn::Ready);
         // The next group's leader behind a member of the last one.
-        let (next, execution) = g.begin_update(TxnId(3), HOT);
-        assert!(matches!(execution, HotExecution::Leader));
-        g.finish_update(TxnId(3), &next, true);
-        g.leader_prepare_commit(TxnId(3), &next);
-        let blocked = g.leader_handover(TxnId(3), &next);
+        let next = hot.arrive(TxnId(3)).unwrap();
+        assert!(next.leads);
+        next.update();
+        g.leader_prepare_commit(TxnId(3), &next.handle);
+        let blocked = g.leader_handover(TxnId(3), &next.handle);
         assert_eq!(
             (blocked.promoted, blocked.turn),
             (None, CommitTurn::Blocked)
         );
         // Doomed by a predecessor's rollback meanwhile.
-        g.begin_rollback(TxnId(2), HOT);
+        g.begin_rollback(TxnId(2), &members[1].handle);
         let doomed = CommitTurn::Doomed { cause: TxnId(2) };
-        assert_eq!(g.leader_handover(TxnId(3), &next).turn, doomed);
+        assert_eq!(g.leader_handover(TxnId(3), &next.handle).turn, doomed);
     }
 
-    #[test]
-    fn an_abandoned_grant_gives_its_registration_back_and_the_group_moves_on() {
-        // A leader whose row lock failed: no dependency-list entry is left,
-        // and the update parked behind it leads instead.
-        let g = table();
-        let (leader, _) = g.begin_update(TxnId(1), HOT);
-        let HotExecution::Wait(slot) = g.begin_hot_update(TxnId(2), HOT) else {
-            panic!("T1 is in flight")
-        };
-        g.abandon_update(TxnId(1), &leader, true);
-        assert_eq!(slot.role(), Some(WokenRole::NewLeader));
-        assert_eq!(
-            (g.leader_of(HOT), g.dep_list(HOT)),
-            (Some(TxnId(2)), vec![TxnId(2)])
-        );
-        // With nobody parked the row is left leaderless: the next arrival
-        // leads a fresh group.
-        g.abandon_update(TxnId(2), HOT, true);
-        assert!(g.dep_list(HOT).is_empty() && !g.has_activity(HOT));
-        assert!(matches!(
-            g.begin_hot_update(TxnId(3), HOT),
-            HotExecution::Leader
-        ));
-        // A follower that a prevention check turned away: the next parked
-        // update is granted in its place.
-        g.finish_update(TxnId(3), HOT, true);
-        let (follower, execution) = g.begin_update(TxnId(4), HOT);
-        assert!(matches!(execution, HotExecution::Follower));
-        let HotExecution::Wait(slot) = g.begin_hot_update(TxnId(5), HOT) else {
-            panic!("T4 is in flight")
-        };
-        g.abandon_update(TxnId(4), &follower, false);
-        assert_eq!(slot.role(), Some(WokenRole::Follower));
-        assert_eq!(g.dep_list(HOT), [TxnId(3), TxnId(5)]);
-    }
-
+    /// A transaction that is on no list does not keep the entry alive, so the
+    /// handle it still holds can go stale; the exploration of that race
+    /// (`sim_lock`) only ever makes harmless calls through one, so the rule
+    /// itself — `with_state` re-validates against `dead` — is pinned here.
     #[test]
     fn a_handle_held_across_collection_lands_on_the_live_entry() {
-        let g = table();
-        let (stale, _) = g.begin_update(TxnId(1), HOT);
-        g.finish_update(TxnId(1), &stale, true);
-        g.leader_prepare_commit(TxnId(1), &stale);
-        g.leader_handover(TxnId(1), &stale);
-        g.finish_commit(TxnId(1), &stale);
+        let (hot, members) = Hot::group(&[], None);
+        let (g, stale) = (&hot.g, &members[0].handle);
+        members[0].commit().unwrap();
         // The row went quiet and its entry was collected; a peer re-created
         // it and leads.
         assert!(!g.collect_if_idle(HOT));
-        let (live, execution) = g.begin_update(TxnId(2), HOT);
-        assert!(matches!(execution, HotExecution::Leader));
+        let peer = hot.arrive(TxnId(2)).unwrap();
         // The stale handle sees, and acts on, the peer's group.
-        assert_eq!(g.dep_list(&stale), [TxnId(2)]);
-        let hand_over = g.leader_handover(TxnId(1), &stale);
+        assert_eq!(g.dep_list(stale), [TxnId(2)]);
+        let hand_over = g.leader_handover(TxnId(1), stale);
+        let nothing_to_do = (None, CommitTurn::Ready);
+        assert_eq!((hand_over.promoted, hand_over.turn), nothing_to_do);
         assert_eq!(
-            (hand_over.promoted, hand_over.turn),
-            (None, CommitTurn::Ready)
+            g.peek(HOT).leader,
+            Some(TxnId(2)),
+            "one leader, the live one"
         );
-        assert_eq!(g.leader_of(HOT), Some(TxnId(2)), "one leader, the live one");
-        g.finish_update(TxnId(2), &live, true);
-        assert_eq!(g.live_groups(), 1);
+        peer.update();
+        peer.commit().unwrap();
+        hot.assert_drained("the peer committed");
     }
 
     /// The two serial sections of a hot row cost this module one state-mutex
@@ -1542,31 +1250,26 @@ mod tests {
     #[cfg(debug_assertions)]
     #[test]
     fn a_woken_follower_takes_one_group_lock_and_a_commit_turn_waiter_two() {
-        let g = Arc::new(table());
-        let (leader, _) = g.begin_update(TxnId(1), HOT);
-        let follower = {
-            let g = Arc::clone(&g);
-            std::thread::spawn(move || {
-                let (handle, execution) = g.begin_update(TxnId(2), HOT);
-                let HotExecution::Wait(slot) = execution else {
-                    panic!("the leader is in flight")
-                };
-                let role = g.wait_for_grant(TxnId(2), &handle, &slot);
-                // Grant → `finish_update`: the order, then the one lock.
-                let woken = parking_lot::thread_acquisitions();
-                assert_eq!(role, Ok(WokenRole::Follower));
-                g.take_hot_update_order();
-                g.finish_update(TxnId(2), &handle, false);
-                let in_grant = parking_lot::thread_acquisitions() - woken;
-                // The commit turn behind T1: check and park, woken, re-check.
-                let before = parking_lot::thread_acquisitions();
-                g.wait_commit_turn(TxnId(2), &handle).unwrap();
-                let in_turn = parking_lot::thread_acquisitions() - before;
-                g.finish_commit(TxnId(2), &handle);
-                (in_grant, in_turn)
-            })
-        };
-        while g.waiting_len(HOT) == 0 {
+        let (hot, members) = Hot::group(&[], Some(1));
+        let (g, leader) = (Arc::clone(&hot.g), members[0].handle.clone());
+        let follower = std::thread::spawn(move || {
+            let (handle, slot) = parked(&g, 2);
+            let role = g.wait_for_grant(TxnId(2), &handle, &slot);
+            // Grant → `finish_update`: the order, then the one lock.
+            let woken = parking_lot::thread_acquisitions();
+            assert_eq!(role, Ok(WokenRole::Follower));
+            g.take_hot_update_order();
+            g.finish_update(TxnId(2), &handle, false);
+            let in_grant = parking_lot::thread_acquisitions() - woken;
+            // The commit turn behind T1: check and park, woken, re-check.
+            let before = parking_lot::thread_acquisitions();
+            g.wait_commit_turn(TxnId(2), &handle).unwrap();
+            let in_turn = parking_lot::thread_acquisitions() - before;
+            g.finish_commit(TxnId(2), &handle);
+            (in_grant, in_turn)
+        });
+        let g = &hot.g;
+        while g.peek(HOT).waiting.is_empty() {
             std::thread::yield_now();
         }
         g.finish_update(TxnId(1), &leader, true);
@@ -1575,48 +1278,6 @@ mod tests {
         }
         g.finish_commit(TxnId(1), &leader);
         assert_eq!(follower.join().unwrap(), (1, 2));
-    }
-
-    #[test]
-    fn both_updated_detects_shared_hot_row() {
-        let g = table();
-        let _ = g.begin_hot_update(TxnId(1), HOT);
-        g.register_update(TxnId(1), HOT);
-        let _ = g.begin_hot_update(TxnId(2), HOT);
-        g.register_update(TxnId(2), HOT);
-        let hot = g.handle(HOT);
-        assert!(g.both_updated(&hot, TxnId(1), TxnId(2)));
-        assert!(!g.both_updated(&hot, TxnId(1), TxnId(9)));
-    }
-
-    #[test]
-    fn wait_for_grant_times_out_when_never_granted() {
-        let g = GroupLockTable::new(
-            GroupLockConfig {
-                hot_wait_timeout: Duration::from_millis(30),
-                ..Default::default()
-            },
-            Arc::new(EngineMetrics::new()),
-        );
-        let _ = g.begin_hot_update(TxnId(1), HOT);
-        let slot = match g.begin_hot_update(TxnId(2), HOT) {
-            HotExecution::Wait(s) => s,
-            _ => unreachable!(),
-        };
-        let err = g.wait_for_grant(TxnId(2), HOT, &slot).unwrap_err();
-        assert!(matches!(err, Error::LockWaitTimeout { .. }));
-        assert_eq!(g.waiting_len(HOT), 0);
-    }
-
-    #[test]
-    fn hot_update_order_is_globally_increasing_across_records() {
-        let g = table();
-        let other = RecordId::new(2, 0, 0);
-        let _ = g.begin_hot_update(TxnId(1), HOT);
-        let a = g.register_update(TxnId(1), HOT);
-        let _ = g.begin_hot_update(TxnId(2), other);
-        let b = g.register_update(TxnId(2), other);
-        assert!(b > a);
     }
 
     /// Runs `wait` on its own thread, lets it park as a turn waiter on
@@ -1641,27 +1302,9 @@ mod tests {
         (result, g.turn_checks.load(Ordering::Relaxed) - parked_at)
     }
 
-    /// T1 leads `HOT` and has finished its update; each of `followers` was
-    /// granted, registered and (unless it is `in_flight`) finished.
+    /// [`Hot::group`]'s table; these tests name the row by `RecordId`.
     fn group(followers: &[u64], in_flight: Option<u64>) -> Arc<GroupLockTable> {
-        let g = Arc::new(table());
-        assert!(matches!(
-            g.begin_hot_update(TxnId(1), HOT),
-            HotExecution::Leader
-        ));
-        g.register_update(TxnId(1), HOT);
-        g.finish_update(TxnId(1), HOT, true);
-        for follower in followers {
-            assert!(matches!(
-                g.begin_hot_update(TxnId(*follower), HOT),
-                HotExecution::Follower
-            ));
-            g.register_update(TxnId(*follower), HOT);
-            if in_flight != Some(*follower) {
-                g.finish_update(TxnId(*follower), HOT, false);
-            }
-        }
-        g
+        Hot::group(followers, in_flight).0.g
     }
 
     #[test]
@@ -1681,26 +1324,26 @@ mod tests {
         assert_eq!(checks, 1, "begin_rollback");
         // A new leader whose row lock failed hands the row on while a
         // former leader (T9) still quiesces.
-        let g = Arc::new(table());
-        let _ = g.begin_hot_update(TxnId(1), HOT);
+        let g = group(&[], Some(1));
         let stale = |g: &GroupLockTable| g.leader_prepare_commit(TxnId(9), HOT);
         let (_, checks) = checks_after_parking(&g, stale, |g| {
             g.leader_handover(TxnId(1), HOT);
         });
-        assert_eq!(checks, 1, "finish_leader_handover");
+        assert_eq!(checks, 1, "leader_handover");
         assert_eq!(g.metrics.abort_causes.get("quiesce_forced"), 0);
     }
 
     #[test]
     fn rollback_turn_waiter_is_woken_by_each_transition_that_gives_it_the_turn() {
         let turn = |g: &GroupLockTable| g.wait_rollback_turn(TxnId(2), HOT);
+        let follows = |g: &GroupLockTable, txn| {
+            let execution = g.begin_hot_update(TxnId(txn), HOT);
+            assert!(matches!(execution, HotExecution::Follower), "{execution:?}");
+        };
         // Newest, but an update granted before the pause is in flight (a
         // predecessor's second one: it is on the list already).
         let g = group(&[2], None);
-        assert!(matches!(
-            g.begin_hot_update(TxnId(1), HOT),
-            HotExecution::Follower
-        ));
+        follows(&g, 1);
         g.begin_rollback(TxnId(2), HOT);
         let (result, checks) = checks_after_parking(&g, turn, |g| {
             g.finish_update(TxnId(1), HOT, false);
@@ -1710,10 +1353,7 @@ mod tests {
         // grant, so the scan doomed it: the end of its update does not give
         // the turn (and wakes nobody), its cascade does.
         let g = group(&[2], None);
-        assert!(matches!(
-            g.begin_hot_update(TxnId(3), HOT),
-            HotExecution::Follower
-        ));
+        follows(&g, 3);
         assert_eq!(g.begin_rollback(TxnId(2), HOT), vec![TxnId(3)]);
         let (result, checks) = checks_after_parking(&g, turn, |g| {
             g.finish_update(TxnId(3), HOT, false);
@@ -1721,13 +1361,14 @@ mod tests {
         });
         assert_eq!((result, checks), (Ok(()), 1), "in-flight successor leaves");
         // A doomed successor must leave the dependency list first.
-        for leave in [
-            GroupLockTable::finish_rollback,
-            GroupLockTable::finish_commit,
-        ] {
+        let roll_back = |g: &GroupLockTable| {
+            g.finish_rollback(TxnId(3), HOT);
+        };
+        let commit = |g: &GroupLockTable| g.finish_commit(TxnId(3), HOT);
+        for leave in [roll_back as fn(&GroupLockTable), commit] {
             let g = group(&[2, 3], None);
             assert_eq!(g.begin_rollback(TxnId(2), HOT), vec![TxnId(3)]);
-            let (result, checks) = checks_after_parking(&g, turn, |g| leave(g, TxnId(3), HOT));
+            let (result, checks) = checks_after_parking(&g, turn, leave);
             assert_eq!((result, checks), (Ok(()), 1), "successor leaves");
         }
         // The leader is committing (`switching_new_leader`) until it hands
@@ -1766,49 +1407,21 @@ mod tests {
         assert_eq!((result, checks), (doomed, 1), "begin_rollback");
     }
 
+    /// A granted follower that is never heard of again: the quiesce gives up
+    /// after its budget, says so, and clears the in-flight mark — whose it
+    /// was included, so nothing stale is left for a later rollback to act on.
     #[test]
     fn vanished_follower_is_force_cleared_and_reported() {
-        let metrics = Arc::new(EngineMetrics::new());
-        let g = GroupLockTable::new(
-            GroupLockConfig {
-                hot_wait_timeout: Duration::from_millis(5),
-                ..Default::default()
-            },
-            Arc::clone(&metrics),
-        );
-        let _ = g.begin_hot_update(TxnId(1), HOT);
-        g.register_update(TxnId(1), HOT);
-        g.finish_update(TxnId(1), HOT, true);
-        // T2 is granted and then never heard of again.
-        assert!(matches!(
-            g.begin_hot_update(TxnId(2), HOT),
-            HotExecution::Follower
-        ));
-        g.leader_prepare_commit(TxnId(1), HOT);
-        assert_eq!(metrics.abort_causes.get("quiesce_forced"), 1);
-        assert_eq!(g.leader_handover(TxnId(1), HOT).promoted, None);
-        assert_eq!(
-            g.with_state(&g.handle(HOT), |state| state.turn_waiters.len()),
-            0
-        );
-    }
-
-    #[test]
-    fn resume_granting_promotes_waiter_after_rollback() {
-        let g = table();
-        let _ = g.begin_hot_update(TxnId(1), HOT);
-        g.register_update(TxnId(1), HOT);
-        let slot2 = match g.begin_hot_update(TxnId(2), HOT) {
-            HotExecution::Wait(s) => s,
-            _ => unreachable!(),
-        };
-        g.begin_rollback(TxnId(1), HOT);
-        g.wait_rollback_turn(TxnId(1), HOT).unwrap();
-        g.finish_rollback(TxnId(1), HOT);
-        // While paused, nobody was promoted.
-        assert_eq!(slot2.role(), None);
-        let promoted = g.resume_granting(HOT);
-        assert_eq!(promoted, Some(TxnId(2)));
-        assert_eq!(slot2.role(), Some(WokenRole::NewLeader));
+        let hot = Hot::new(5);
+        let leader = hot.arrive(TxnId(1)).unwrap();
+        leader.update();
+        let _vanished = hot.arrive(TxnId(2)).unwrap();
+        let g = &hot.g;
+        g.leader_prepare_commit(TxnId(1), &leader.handle);
+        assert_eq!(hot.metrics.abort_causes.get("quiesce_forced"), 1);
+        let (in_flight, parked) =
+            g.with_state(&leader.handle, |s| (s.executing, s.turn_waiters.len()));
+        assert_eq!((in_flight, parked), (None, 0));
+        assert_eq!(g.leader_handover(TxnId(1), &leader.handle).promoted, None);
     }
 }

@@ -230,16 +230,8 @@ impl HotspotRegistry {
 mod tests {
     use super::*;
 
-    const HOT: RecordId = RecordId {
-        space_id: 1,
-        page_no: 0,
-        heap_no: 0,
-    };
-    const COLD: RecordId = RecordId {
-        space_id: 1,
-        page_no: 0,
-        heap_no: 1,
-    };
+    const HOT: RecordId = RecordId::new(1, 0, 0);
+    const COLD: RecordId = RecordId::new(1, 0, 1);
 
     #[test]
     fn promotion_happens_at_threshold() {

@@ -122,7 +122,7 @@
 //!   sink-less names remain as shared-metrics conveniences;
 //! * **append-log registry inserts**: [`registry::TxnLockRegistry`] records
 //!   an acquisition with a plain `Vec::push`; the page-major sort the
-//!   grouped release paths rely on is deferred to `take_all` — paid once per
+//!   grouped release paths rely on is deferred to `take_all_in` — paid once per
 //!   transaction at release, where batching already amortizes everything
 //!   else, instead of a sorted insert on every acquisition.
 //!
@@ -146,10 +146,14 @@
 //! row's live state, whatever entry collection did in between.  The
 //! dependency list is appended to by **whoever grants** — `begin_update`'s
 //! two immediate paths, `finish_update`'s follower grant, a promotion by
-//! `leader_handover` / `resume_granting` — in the critical section that
-//! grant already holds, never by the grantee in one of its own; a grantee
-//! only draws its `hot_update_order`, lock-free.  An unused grant goes back
-//! with its registration (`abandon_update`).  The counts a group produces
+//! `leader_handover` or by the last `finish_rollback` — in the critical
+//! section that grant already holds, never by the grantee in one of its
+//! own; a grantee only draws its `hot_update_order`, lock-free.  An unused
+//! grant goes back with its registration (`abandon_update`).  A rollback is
+//! one transition per step (`begin_rollback`, `wait_rollback_turn`,
+//! `finish_rollback`), and granting is paused exactly while some member is
+//! between the first and the last; [`group_lock::GroupLockTable::peek`] is
+//! the one read-only view of a row.  The counts a group produces
 //! between a grant and the update it admits go to the caller's
 //! [`MetricsSink`](txsql_common::metrics::MetricsSink), like the lock
 //! tables' per-cycle counters.
@@ -186,8 +190,10 @@
 //! simulator schedules.  `crates/lockmgr/tests/sim_lock.rs` explores the
 //! grant/timeout/GC interleavings (including regression tests for the
 //! `group_lock` entry-lifecycle race) across hundreds of seeded schedules;
-//! see `crates/sim/README.md` for how to write a sim test and replay a
-//! failing seed.
+//! its scenarios, the inline tests and `tests/stress.rs` share one member
+//! driver, one group builder and the drained checks (`tests/support`).  See
+//! `crates/sim/README.md` for how to write a sim test and replay a failing
+//! seed.
 
 #![warn(missing_docs)]
 #![deny(unsafe_code)]
@@ -216,3 +222,11 @@ pub use modes::LockMode;
 pub use queue_lock::QueueLockTable;
 pub use record_queue::{QueuePolicy, RecordQueue};
 pub use registry::{TxnLockRegistry, TxnLocks};
+
+/// The suites' shared drivers (`tests/support`), for the inline tests; it
+/// names this crate the way the integration suites do.
+#[cfg(test)]
+extern crate self as txsql_lockmgr;
+#[cfg(test)]
+#[path = "../tests/support/mod.rs"]
+mod test_support;

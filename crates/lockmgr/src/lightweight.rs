@@ -74,73 +74,3 @@ impl Layout for FlatLayout {
         Some(result)
     }
 }
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use crate::lock_table::DeadlockPolicy;
-    use crate::LockMode;
-    use std::sync::Arc;
-    use std::time::Duration;
-    use txsql_common::metrics::EngineMetrics;
-    use txsql_common::TxnId;
-
-    const R1: RecordId = RecordId {
-        space_id: 1,
-        page_no: 0,
-        heap_no: 0,
-    };
-
-    fn table(metrics: &Arc<EngineMetrics>) -> Arc<LightweightLockTable> {
-        Arc::new(LightweightLockTable::new(
-            LightweightConfig {
-                deadlock_policy: DeadlockPolicy::Detect,
-                lock_wait_timeout: Duration::from_millis(2_000),
-            },
-            Arc::clone(metrics),
-        ))
-    }
-
-    #[test]
-    fn uncontended_locks_create_no_lock_objects() {
-        let metrics = Arc::new(EngineMetrics::new());
-        let t = table(&metrics);
-        for txn in 1..=10u64 {
-            let rid = RecordId::new(1, 0, txn as u16);
-            t.lock_record(TxnId(txn), rid, LockMode::Exclusive).unwrap();
-        }
-        assert_eq!(
-            metrics.locks_created.get(),
-            0,
-            "O1 must not create lock objects without conflicts"
-        );
-        for txn in 1..=10u64 {
-            t.release_all(TxnId(txn));
-        }
-        assert!(
-            t.registry().is_empty(),
-            "registry must drain after release_all"
-        );
-        assert_eq!(t.registry().total_entries(), 0);
-        assert_eq!(metrics.locks_released.get(), 10);
-    }
-
-    #[test]
-    fn conflicting_lock_creates_object_and_waits() {
-        let metrics = Arc::new(EngineMetrics::new());
-        let t = table(&metrics);
-        t.lock_record(TxnId(1), R1, LockMode::Exclusive).unwrap();
-        let t2 = Arc::clone(&t);
-        let h = std::thread::spawn(move || t2.lock_record(TxnId(2), R1, LockMode::Exclusive));
-        while t.wait_queue_len(R1) != 1 {
-            std::thread::sleep(Duration::from_millis(1));
-        }
-        assert_eq!(metrics.locks_created.get(), 1);
-        t.release_all(TxnId(1));
-        h.join().unwrap().unwrap();
-        assert_eq!(t.holders_of(R1), vec![TxnId(2)]);
-        t.release_all(TxnId(2));
-        assert_eq!(t.holders_of(R1), Vec::<TxnId>::new());
-        assert_eq!(t.lock_count_of(TxnId(2)), 0);
-    }
-}

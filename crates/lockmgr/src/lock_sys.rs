@@ -154,92 +154,18 @@ impl Layout for PageLayout {
 mod tests {
     use super::*;
     use crate::lock_table::DeadlockPolicy;
-    use std::sync::Arc;
-    use std::time::Duration;
-    use txsql_common::metrics::EngineMetrics;
-
-    fn sys(metrics: &Arc<EngineMetrics>) -> LockSys {
-        LockSys::new(
-            LockSysConfig {
-                deadlock_policy: DeadlockPolicy::TimeoutOnly,
-                lock_wait_timeout: Duration::from_millis(200),
-            },
-            Arc::clone(metrics),
-        )
-    }
-
-    const R1: RecordId = RecordId {
-        space_id: 1,
-        page_no: 0,
-        heap_no: 0,
-    };
-    const R2: RecordId = RecordId {
-        space_id: 1,
-        page_no: 0,
-        heap_no: 1,
-    };
+    use crate::test_support::{assert_locks_drained, lock_table};
 
     #[test]
     fn table_intention_locks_are_compatible() {
-        let s = sys(&Arc::new(EngineMetrics::new()));
-        s.lock_table(TxnId(1), TableId(1), LockMode::IntentionExclusive)
-            .unwrap();
-        s.lock_table(TxnId(2), TableId(1), LockMode::IntentionExclusive)
-            .unwrap();
-        s.lock_table(TxnId(3), TableId(1), LockMode::IntentionShared)
-            .unwrap();
-        s.release_all(TxnId(1));
-        s.release_all(TxnId(2));
-        s.release_all(TxnId(3));
-        assert!(s.registry().is_empty());
-    }
-
-    #[test]
-    fn uncontended_grant_counts_one_object_and_no_wait() {
-        let metrics = Arc::new(EngineMetrics::new());
-        let s = sys(&metrics);
-        s.lock_record(TxnId(1), R1, LockMode::Exclusive).unwrap();
-        s.lock_record(TxnId(1), R2, LockMode::Exclusive).unwrap();
-        // One lock object per acquisition (vanilla behaviour) but no waits,
-        // hence no events, and live registry entries for exactly the two
-        // records.
-        assert_eq!(metrics.locks_created.get(), 2);
-        assert_eq!(metrics.lock_waits.get(), 0);
-        assert_eq!(s.registry().total_entries(), 2);
-        s.release_all(TxnId(1));
-        assert_eq!(s.registry().total_entries(), 0);
-        assert_eq!(metrics.locks_released.get(), 2);
-    }
-
-    #[test]
-    fn grant_scan_length_is_per_record_not_per_page() {
-        let metrics = Arc::new(EngineMetrics::new());
-        let s = Arc::new(sys(&metrics));
-        // Populate one page with 100 granted locks on other heap_nos.
-        for heap in 10..110u16 {
-            s.lock_record(
-                TxnId(heap as u64),
-                RecordId::new(1, 0, heap),
-                LockMode::Exclusive,
-            )
-            .unwrap();
+        let s = lock_table::<PageLayout>(DeadlockPolicy::TimeoutOnly, 200);
+        let (ix, is) = (LockMode::IntentionExclusive, LockMode::IntentionShared);
+        for (txn, mode) in [(1, ix), (2, ix), (3, is)] {
+            s.lock_table(TxnId(txn), TableId(1), mode).unwrap();
         }
-        // A release that grants a real waiter on R1: the grant scan must
-        // examine only that record's queue (one waiter), not the 100 other
-        // requests on the page.
-        s.lock_record(TxnId(500), R1, LockMode::Exclusive).unwrap();
-        let s2 = Arc::clone(&s);
-        let w = std::thread::spawn(move || s2.lock_record(TxnId(501), R1, LockMode::Exclusive));
-        while s.wait_queue_len(R1) != 1 {
-            std::thread::sleep(Duration::from_millis(1));
+        for txn in 1..=3 {
+            s.release_all(TxnId(txn));
         }
-        s.release_record_lock(TxnId(500), R1);
-        w.join().unwrap().unwrap();
-        assert!(
-            metrics.grant_scan_len.max_micros() <= 2,
-            "grant scan examined {} requests — it must not scale with page population",
-            metrics.grant_scan_len.max_micros()
-        );
-        s.release_all(TxnId(501));
+        assert_locks_drained(&s);
     }
 }

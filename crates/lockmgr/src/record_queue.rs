@@ -463,54 +463,6 @@ mod tests {
     }
 
     #[test]
-    fn upgrade_fairness_is_policy_controlled() {
-        let metrics = EngineMetrics::new();
-        let fair = QueuePolicy {
-            upgrade_respects_queue: true,
-            count_uncontended_grants: false,
-        };
-        let jumping = QueuePolicy {
-            upgrade_respects_queue: false,
-            count_uncontended_grants: false,
-        };
-        // Holder T1 (Shared) with a queued Exclusive waiter T2: an S→X
-        // upgrade by T1 must wait under FIFO fairness but may jump without.
-        let mk = || {
-            let mut q = RecordQueue::default();
-            q.try_acquire(TxnId(1), LockMode::Shared, fair, &metrics);
-            q.enqueue_waiter(TxnId(2), LockMode::Exclusive, &metrics);
-            q
-        };
-        assert!(matches!(
-            mk().try_acquire(TxnId(1), LockMode::Exclusive, fair, &metrics),
-            AcquireOutcome::MustWait(_)
-        ));
-        assert!(matches!(
-            mk().try_acquire(TxnId(1), LockMode::Exclusive, jumping, &metrics),
-            AcquireOutcome::Upgraded
-        ));
-    }
-
-    #[test]
-    fn uncontended_grant_accounting_is_policy_controlled() {
-        let metrics = EngineMetrics::new();
-        let counting = QueuePolicy {
-            upgrade_respects_queue: true,
-            count_uncontended_grants: true,
-        };
-        let mut q = RecordQueue::default();
-        q.try_acquire(TxnId(1), LockMode::Exclusive, counting, &metrics);
-        assert_eq!(metrics.locks_created.get(), 1);
-        let mut q2 = RecordQueue::default();
-        q2.try_acquire(TxnId(2), LockMode::Exclusive, POLICY, &metrics);
-        assert_eq!(
-            metrics.locks_created.get(),
-            1,
-            "lightweight-style grant is free"
-        );
-    }
-
-    #[test]
     fn try_acquire_routes_counts_through_a_scratch_sink() {
         use txsql_common::metrics::MetricsScratch;
         let metrics = EngineMetrics::new();

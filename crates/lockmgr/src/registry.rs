@@ -17,9 +17,9 @@
 //! is a plain `Vec::push` (with a cheap last-entry dedupe for the common
 //! re-lock-the-same-row case), so the acquire path pays no ordered insert and
 //! no binary search.  The page-major sort the release paths want is deferred
-//! to [`TxnLockRegistry::take_all`] — release is already batched, so sorting
+//! to [`TxnLockRegistry::take_all_in`] — release is already batched, so sorting
 //! **once per transaction** at release amortizes what a sorted-insert scheme
-//! paid on every acquisition.  `take_all` removes the whole entry from the
+//! paid on every acquisition.  `take_all_in` removes the whole entry from the
 //! owning shard in one lock acquisition and sorts + dedupes it; the lock
 //! table then groups the records by its own shards and takes each shard
 //! mutex once, instead of re-locking a shard once per record.
@@ -28,7 +28,7 @@
 //! log is unsorted, so removal is a linear scan, bounded by the handful of
 //! locks a realistic transaction holds).  Rare duplicate log entries (a
 //! transaction that queued a lock *upgrade* on a record it already holds
-//! appends the record a second time) are collapsed by `take_all`'s dedupe;
+//! appends the record a second time) are collapsed by `take_all_in`'s dedupe;
 //! [`TxnLockRegistry::record_count_of`] may transiently count them, which
 //! only nudges the deadlock victim weight.
 //!
@@ -62,32 +62,20 @@ use txsql_common::pad::CachePadded;
 use txsql_common::{RecordId, TableId, TxnId};
 
 /// Everything a transaction held (or waited on) through one lock table,
-/// as returned by [`TxnLockRegistry::take_all`].
+/// as returned by [`TxnLockRegistry::take_all_in`].
 #[derive(Debug, Default)]
 pub struct TxnLocks {
     /// Records locked or waited on, deduplicated and sorted page-major
     /// (`RecordId`'s ordering is `(space_id, page_no, heap_no)`).  The sort
-    /// happens once, in `take_all`; the live entry is an unsorted append log.
+    /// happens once, in `take_all_in`; the live entry is an unsorted append log.
     pub records: Vec<RecordId>,
     /// Tables with intention locks (tiny in practice, deduplicated).
     pub tables: Vec<TableId>,
 }
 
-impl TxnLocks {
-    /// Total number of records.
-    pub fn record_count(&self) -> usize {
-        self.records.len()
-    }
-
-    /// True when `record` is tracked.
-    pub fn contains(&self, record: RecordId) -> bool {
-        self.records.binary_search(&record).is_ok()
-    }
-}
-
 /// Live per-transaction state inside a shard: the records are an **unsorted
 /// append log** — `remember_record` is a plain push (the acquire-path cost),
-/// and `take_all` pays the one sort + dedupe at release, where the batch
+/// and `take_all_in` pays the one sort + dedupe at release, where the batch
 /// APIs already amortize everything else.  Transactions hold few locks in
 /// the paper's workloads, so the occasional linear scan (`forget_records`)
 /// stays cheap.  (A transaction holding many thousands of locks would prefer
@@ -117,23 +105,15 @@ struct Shard {
 #[derive(Debug)]
 pub struct TxnLockRegistry {
     shards: Box<[CachePadded<Mutex<Shard>>]>,
-    metrics: Option<Arc<EngineMetrics>>,
+    metrics: Arc<EngineMetrics>,
 }
 
 impl TxnLockRegistry {
-    /// Creates a registry with `n_shards` shards (rounded up to at least 1).
-    pub fn new(n_shards: usize) -> Self {
-        Self::build(n_shards, None)
-    }
-
-    /// Creates a registry that feeds the `locks_released` counter on
-    /// `metrics` from its sink-less convenience methods (live-entry counts
-    /// stay per shard; see module docs).
-    pub fn with_metrics(n_shards: usize, metrics: Arc<EngineMetrics>) -> Self {
-        Self::build(n_shards, Some(metrics))
-    }
-
-    fn build(n_shards: usize, metrics: Option<Arc<EngineMetrics>>) -> Self {
+    /// Creates a registry with `n_shards` shards (rounded up to at least 1)
+    /// whose sink-less [`TxnLockRegistry::forget_records`] feeds the
+    /// `locks_released` counter on `metrics` (live-entry counts stay per
+    /// shard; see module docs).
+    pub fn new(n_shards: usize, metrics: Arc<EngineMetrics>) -> Self {
         let n = n_shards.max(1);
         Self {
             shards: (0..n)
@@ -152,7 +132,7 @@ impl TxnLockRegistry {
     /// Records that `txn` holds (or waits on) `record`: one shard lock and
     /// one `Vec::push`.  Immediately repeated records (re-locking the row
     /// the statement just locked) are skipped via a last-entry check; other
-    /// duplicates are collapsed by `take_all`'s dedupe.  Returns true when
+    /// duplicates are collapsed by `take_all_in`'s dedupe.  Returns true when
     /// the record was appended.
     pub fn remember_record(&self, txn: TxnId, record: RecordId) -> bool {
         let mut shard = self.shard_for(txn).lock();
@@ -222,10 +202,7 @@ impl TxnLockRegistry {
     /// (the bookkeeping half of a batched pre-commit release).  Returns how
     /// many of them were actually tracked.
     pub fn forget_records(&self, txn: TxnId, records: &[RecordId]) -> usize {
-        match &self.metrics {
-            Some(metrics) => self.forget_records_in(txn, records, &**metrics),
-            None => self.forget_records_in(txn, records, &NoopSink),
-        }
+        self.forget_records_in(txn, records, &*self.metrics)
     }
 
     /// Records that `txn` holds an intention lock on `table`.
@@ -237,8 +214,11 @@ impl TxnLockRegistry {
         }
     }
 
-    /// [`TxnLockRegistry::take_all`] with the counts routed through the
-    /// caller's sink (the engine passes the transaction's scratch).
+    /// Removes and returns everything `txn` holds — one shard lock, no walk
+    /// of anyone else's state — with the records sorted page-major and
+    /// deduplicated, or `None` when the transaction holds nothing.  The
+    /// counts go through the caller's sink (the engine passes the
+    /// transaction's scratch).
     pub fn take_all_in<S: MetricsSink + ?Sized>(&self, txn: TxnId, sink: &S) -> Option<TxnLocks> {
         let taken = {
             let mut shard = self.shard_for(txn).lock();
@@ -260,17 +240,6 @@ impl TxnLockRegistry {
             records: entry.records,
             tables: entry.tables,
         })
-    }
-
-    /// Removes and returns everything `txn` holds — one shard lock, no walk
-    /// of anyone else's state — with the records sorted page-major and
-    /// deduplicated.  Returns `None` when
-    /// the transaction holds nothing.
-    pub fn take_all(&self, txn: TxnId) -> Option<TxnLocks> {
-        match &self.metrics {
-            Some(metrics) => self.take_all_in(txn, &**metrics),
-            None => self.take_all_in(txn, &NoopSink),
-        }
     }
 
     /// Number of log entries `txn` currently holds or waits on (may
@@ -302,38 +271,33 @@ impl TxnLockRegistry {
     }
 }
 
-/// Throw-away sink for registries constructed without a metrics handle.
-struct NoopSink;
-
-impl MetricsSink for NoopSink {
-    fn on_lock_created(&self) {}
-    fn on_locks_released(&self, _n: u64) {}
-    fn on_release_shard_lock(&self) {}
-    fn on_grant_scan(&self, _len: u64) {}
-    fn on_lock_wait(&self, _waited: std::time::Duration) {}
-    fn on_group_formed(&self) {}
-    fn on_group_entry(&self) {}
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use std::thread;
 
-    const R1: RecordId = RecordId {
-        space_id: 1,
-        page_no: 0,
-        heap_no: 0,
-    };
-    const R2: RecordId = RecordId {
-        space_id: 1,
-        page_no: 0,
-        heap_no: 1,
-    };
+    const R1: RecordId = RecordId::new(1, 0, 0);
+    const R2: RecordId = RecordId::new(1, 0, 1);
+
+    /// A registry and the metrics its sink-less calls count into.
+    fn registry(n_shards: usize) -> (TxnLockRegistry, Arc<EngineMetrics>) {
+        let metrics = Arc::new(EngineMetrics::new());
+        (
+            TxnLockRegistry::new(n_shards, Arc::clone(&metrics)),
+            metrics,
+        )
+    }
+
+    impl TxnLockRegistry {
+        /// The release-all path, counting into the registry's own metrics.
+        fn take_all(&self, txn: TxnId) -> Option<TxnLocks> {
+            self.take_all_in(txn, &*self.metrics)
+        }
+    }
 
     #[test]
     fn remember_skips_consecutive_duplicates() {
-        let reg = TxnLockRegistry::new(8);
+        let (reg, _) = registry(8);
         assert!(reg.remember_record(TxnId(1), R1));
         assert!(!reg.remember_record(TxnId(1), R1));
         assert!(reg.remember_record(TxnId(1), R2));
@@ -343,7 +307,7 @@ mod tests {
 
     #[test]
     fn take_all_dedupes_interleaved_duplicates() {
-        let reg = TxnLockRegistry::new(8);
+        let (reg, _) = registry(8);
         // R1 appended twice with R2 in between (the queued-upgrade shape):
         // the log keeps both, take_all collapses them.
         assert!(reg.remember_record(TxnId(1), R1));
@@ -358,11 +322,11 @@ mod tests {
 
     #[test]
     fn take_all_empties_the_transaction() {
-        let reg = TxnLockRegistry::new(8);
+        let (reg, _) = registry(8);
         reg.remember_record(TxnId(1), R1);
         reg.remember_table(TxnId(1), TableId(3));
         let locks = reg.take_all(TxnId(1)).unwrap();
-        assert!(locks.contains(R1));
+        assert_eq!(locks.records, [R1]);
         assert_eq!(locks.tables, vec![TableId(3)]);
         assert!(reg.take_all(TxnId(1)).is_none());
         assert!(reg.is_empty());
@@ -370,7 +334,7 @@ mod tests {
 
     #[test]
     fn forget_record_prunes_empty_entries() {
-        let reg = TxnLockRegistry::new(8);
+        let (reg, _) = registry(8);
         reg.remember_record(TxnId(1), R1);
         assert!(reg.forget_record(TxnId(1), R1));
         assert!(!reg.forget_record(TxnId(1), R1));
@@ -379,8 +343,7 @@ mod tests {
 
     #[test]
     fn live_counts_and_release_metrics_track_entries() {
-        let metrics = Arc::new(EngineMetrics::new());
-        let reg = TxnLockRegistry::with_metrics(8, Arc::clone(&metrics));
+        let (reg, metrics) = registry(8);
         reg.remember_record(TxnId(1), R1);
         reg.remember_record(TxnId(1), R2);
         reg.remember_record(TxnId(2), R1);
@@ -397,8 +360,7 @@ mod tests {
     #[test]
     fn sink_variants_route_counts_to_the_scratch() {
         use txsql_common::metrics::MetricsScratch;
-        let metrics = Arc::new(EngineMetrics::new());
-        let reg = TxnLockRegistry::with_metrics(8, Arc::clone(&metrics));
+        let (reg, metrics) = registry(8);
         let scratch = MetricsScratch::new();
         reg.remember_record(TxnId(1), R1);
         reg.remember_record(TxnId(1), R2);
@@ -414,7 +376,7 @@ mod tests {
 
     #[test]
     fn take_all_sorts_records_page_major() {
-        let reg = TxnLockRegistry::new(8);
+        let (reg, _) = registry(8);
         // Insert interleaved across two pages; take_all must come back
         // page-major regardless of insertion order (the deferred sort).
         reg.remember_record(TxnId(1), RecordId::new(1, 8, 0));
@@ -422,17 +384,14 @@ mod tests {
             reg.remember_record(TxnId(1), RecordId::new(1, 7, heap));
         }
         let locks = reg.take_all(TxnId(1)).unwrap();
-        assert_eq!(locks.record_count(), 5);
+        assert_eq!(locks.records.len(), 5);
         assert!(locks.records[..4].iter().all(|r| r.page_no == 7));
         assert_eq!(locks.records[4], RecordId::new(1, 8, 0));
-        assert!(locks.contains(RecordId::new(1, 7, 2)));
-        assert!(!locks.contains(RecordId::new(1, 9, 0)));
     }
 
     #[test]
     fn forget_records_batch_takes_one_pass() {
-        let metrics = Arc::new(EngineMetrics::new());
-        let reg = TxnLockRegistry::with_metrics(8, Arc::clone(&metrics));
+        let (reg, metrics) = registry(8);
         reg.remember_record(TxnId(1), R1);
         reg.remember_record(TxnId(1), R2);
         let untracked = RecordId::new(5, 5, 5);
@@ -447,8 +406,7 @@ mod tests {
         // so the last-entry dedupe misses it).  Forgetting that record must
         // drop BOTH log copies but count ONE released lock — and the
         // per-shard live count must stay balanced so the gauge drains.
-        let metrics = Arc::new(EngineMetrics::new());
-        let reg = TxnLockRegistry::with_metrics(8, Arc::clone(&metrics));
+        let (reg, metrics) = registry(8);
         reg.remember_record(TxnId(1), R1);
         reg.remember_record(TxnId(1), R2);
         reg.remember_record(TxnId(1), R1);
@@ -464,7 +422,7 @@ mod tests {
 
     #[test]
     fn tables_deduplicate() {
-        let reg = TxnLockRegistry::new(8);
+        let (reg, _) = registry(8);
         reg.remember_table(TxnId(1), TableId(1));
         reg.remember_table(TxnId(1), TableId(1));
         reg.remember_table(TxnId(1), TableId(2));
@@ -476,7 +434,7 @@ mod tests {
 
     #[test]
     fn concurrent_transactions_do_not_interfere() {
-        let reg = Arc::new(TxnLockRegistry::new(16));
+        let reg = Arc::new(registry(16).0);
         let handles: Vec<_> = (1..=8u64)
             .map(|t| {
                 let reg = Arc::clone(&reg);
@@ -486,7 +444,7 @@ mod tests {
                     }
                     assert_eq!(reg.record_count_of(TxnId(t)), 64);
                     let locks = reg.take_all(TxnId(t)).unwrap();
-                    assert_eq!(locks.record_count(), 64);
+                    assert_eq!(locks.records.len(), 64);
                 })
             })
             .collect();

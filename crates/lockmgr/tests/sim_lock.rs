@@ -6,554 +6,357 @@
 //! virtual clock.  A failing seed prints a replayable failure artifact; see
 //! `crates/sim/README.md` for how to replay it.
 //!
-//! The seed set is `TXSQL_SIM_SEEDS`-overridable (CI pins `0..200`).
+//! A group scenario declares who is on the hot row when the schedule starts
+//! ([`Hot::group`]) and what each sim thread's member does with its life
+//! (`support::Member`); the driver checks, under every schedule, that a grant is
+//! visible through the entry map, that commits leave the row's version
+//! chain from the bottom and undos from the top, and that a cascade names a
+//! transaction whose write the doomed one read.  Every sweep goes through
+//! [`explore`]: the seed set is `TXSQL_SIM_SEEDS`-overridable (CI pins
+//! `0..200`) and each prints its `sim-coverage:` line.
+
+mod support;
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
+use support::{assert_locks_drained, assert_no_wait_ran_into_its_deadline, explore, lock_table};
+use support::{Hot, HOT};
 use txsql_common::latency::simulate_delay;
-use txsql_common::metrics::EngineMetrics;
-use txsql_common::{RecordId, TxnId};
+use txsql_common::{Error, RecordId, TxnId};
 use txsql_lockmgr::event::OsEvent;
-use txsql_lockmgr::group_lock::{
-    CancelOutcome, GroupLockConfig, GroupLockTable, HotExecution, WokenRole,
-};
+use txsql_lockmgr::group_lock::HotExecution;
 use txsql_lockmgr::lightweight::FlatLayout;
 use txsql_lockmgr::lock_sys::PageLayout;
-use txsql_lockmgr::lock_table::{DeadlockPolicy, Layout, LockTableConfig, RecordLockTable};
+use txsql_lockmgr::lock_table::{DeadlockPolicy, Layout, RecordLockTable};
 use txsql_lockmgr::modes::LockMode;
-use txsql_lockmgr::queue_lock::{QueueAdmission, QueueLockTable};
-use txsql_sim::run_seed;
+use txsql_sim::{run_seed, RunReport, Sim};
 
-const HOT: RecordId = RecordId {
-    space_id: 1,
-    page_no: 0,
-    heap_no: 0,
-};
+/// Runs `life` on its own sim thread with a clone of `with` (a member, or
+/// the [`Hot`] row for a transaction that has yet to arrive).  No group
+/// scenario but the timeout ones spends virtual time, so the thread must end
+/// without the clock having ended a wait for it.
+fn on<T: Clone + Send + 'static>(
+    sim: &mut Sim,
+    name: &str,
+    with: &T,
+    life: impl FnOnce(T) + Send + 'static,
+) {
+    let with = with.clone();
+    sim.spawn(name, move || {
+        life(with);
+        assert_no_wait_ran_into_its_deadline();
+    });
+}
 
-fn group_table() -> GroupLockTable {
-    GroupLockTable::new(
-        GroupLockConfig {
-            hot_wait_timeout: Duration::from_millis(100),
-            ..GroupLockConfig::default()
-        },
-        Arc::new(EngineMetrics::new()),
-    )
+/// A transaction that arrives while a rollback may be going on: granted
+/// before the pause it read the aborting head and cascades, granted after
+/// the last `finish_rollback` it commits (`Member::commit_or_cascade` holds
+/// it to that).  Returns whether it was doomed.
+fn arrival(hot: Hot, txn: u64) -> bool {
+    let member = hot.arrive(TxnId(txn)).unwrap();
+    member.update();
+    member.commit_or_cascade().is_some()
 }
 
 // ---------------------------------------------------------------------------
-// group_lock entry()/collect_if_idle lifecycle race (ROADMAP pre-existing bug)
+// Group handles and the entry lifecycle
 // ---------------------------------------------------------------------------
 
-/// Drives the fetch → deschedule → gc → enqueue interleaving that used to
-/// orphan hot-row state: `begin_hot_update` fetched the `GroupEntry` Arc from
-/// the shard map, and if the committing leader's `finish_commit` ran
-/// `collect_if_idle` before the joiner locked the entry's state, the joiner
-/// elected itself leader of (or parked on) an entry no longer reachable through the
-/// map — invisible to every later `entry()` lookup.
-///
-/// On the pre-fix code this fails within the first few seeds in two ways:
-/// the joiner's `leader_of(HOT)` assertion sees `None`/a stale leader because
-/// its leadership lives on the orphaned entry, or the joiner times out in
-/// `wait_for_grant` because its wait slot is queued where no granter will
-/// ever look (the artifact then shows `LockWaitTimeout` after a virtual-clock
-/// jump).  Post-fix, `with_state` re-validates the entry after locking (the
-/// `dead` generation mark), so every seed passes.
-#[test]
-fn group_entry_gc_race_is_closed_under_exploration() {
-    for seed in txsql_sim::ci_seeds(200) {
-        let g = Arc::new(group_table());
-        const T1: TxnId = TxnId(1);
-        const T2: TxnId = TxnId(2);
-        // T1 is an established leader that has finished its update and is
-        // about to commit (the state in which finish_commit can GC).
-        assert!(matches!(g.begin_hot_update(T1, HOT), HotExecution::Leader));
-        g.register_update(T1, HOT);
-        g.finish_update(T1, HOT, true);
-
-        let committer = Arc::clone(&g);
-        let joiner = Arc::clone(&g);
-        run_seed(seed, move |sim| {
-            let g1 = Arc::clone(&committer);
-            sim.spawn("committer", move || {
-                g1.leader_prepare_commit(T1, HOT);
-                g1.wait_commit_turn(T1, HOT).unwrap();
-                g1.finish_commit(T1, HOT); // may remove the map entry
-                g1.leader_handover(T1, HOT);
-            });
-            let g2 = Arc::clone(&joiner);
-            sim.spawn("joiner", move || {
-                let role = match g2.begin_hot_update(T2, HOT) {
-                    HotExecution::Leader => WokenRole::NewLeader,
-                    HotExecution::Follower => WokenRole::Follower,
-                    HotExecution::Wait(slot) => g2.wait_for_grant(T2, HOT, &slot).unwrap(),
-                };
-                g2.register_update(T2, HOT);
-                if role == WokenRole::NewLeader {
-                    // Leadership must be visible through the shard map: a
-                    // leader recorded on an orphaned entry is the bug.
-                    assert_eq!(
-                        g2.leader_of(HOT),
-                        Some(T2),
-                        "joiner's leadership is not visible through the entry map"
-                    );
-                }
-                assert!(
-                    g2.dep_list(HOT).contains(&T2),
-                    "joiner's update landed on an orphaned dependency list"
-                );
-                g2.finish_update(T2, HOT, role == WokenRole::NewLeader);
-                if role == WokenRole::NewLeader {
-                    g2.leader_prepare_commit(T2, HOT);
-                }
-                g2.wait_commit_turn(T2, HOT).unwrap();
-                g2.finish_commit(T2, HOT);
-                if role == WokenRole::NewLeader {
-                    g2.leader_handover(T2, HOT);
-                }
-            });
-        });
-
-        // Whatever the schedule, the hot row must end fully drained.
-        assert!(
-            g.dep_list(HOT).is_empty(),
-            "seed {seed}: dep list not drained"
-        );
-        assert_eq!(g.leader_of(HOT), None, "seed {seed}: leader not cleared");
-        assert!(!g.has_activity(HOT), "seed {seed}: entry still live");
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Group handles: one entry lookup per (transaction, hot row)
-// ---------------------------------------------------------------------------
-
-/// One transaction's whole life on `HOT` through its handle, as the engine
-/// drives it: begin (the one entry-map lookup), the update, and the commit.
-/// A leader's leadership and every member's registration must be visible
-/// through the entry map the moment it is granted — on an orphaned entry
-/// they would not be.  Returns whether it led.
-fn run_member_on_its_handle(g: &GroupLockTable, txn: TxnId) -> bool {
-    let (handle, execution) = g.begin_update(txn, HOT);
-    let leads = match execution {
-        HotExecution::Leader => true,
-        HotExecution::Follower => false,
-        HotExecution::Wait(slot) => {
-            g.wait_for_grant(txn, &handle, &slot).unwrap() == WokenRole::NewLeader
-        }
-    };
-    if leads {
-        assert_eq!(
-            g.leader_of(HOT),
-            Some(txn),
-            "leadership not visible through the entry map"
-        );
-    }
-    assert!(
-        g.dep_list(HOT).contains(&txn),
-        "registration not visible through the entry map"
-    );
-    g.take_hot_update_order();
-    g.finish_update(txn, &handle, leads);
-    if leads {
-        g.leader_prepare_commit(txn, &handle);
-        g.leader_handover(txn, &handle);
-    }
-    g.wait_commit_turn(txn, &handle).unwrap();
-    g.finish_commit(txn, &handle);
-    leads
-}
-
-/// The entry-lifecycle race of the test above, now with the entry `Arc`
-/// held for a transaction's whole life instead of one call: T1 keeps its
-/// handle across its own `finish_commit` — after which the entry is idle, a
-/// sweeper collects it and peers re-create it — and still hands over with
-/// it.  Every call must land on the live entry: a hand-over through a dead
-/// one would leave the live group's waiters parked (a timeout on the
-/// virtual clock), and one that clobbered the live group's leader would
-/// elect two.
+/// The entry-lifecycle race: a handle is held without the entry's state
+/// mutex, so `collect_if_idle` can take the entry out of the map under it.
+/// T1 keeps its handle across its own `finish_commit` — after which the
+/// entry is idle, a sweeper collects it and peers re-create it — and still
+/// hands over with it.  Every call must land on the live entry
+/// (`with_state`'s re-validation of the `dead` mark): a joiner that enqueued
+/// on a dead one would wait out its deadline where no granter looks, a
+/// hand-over through a dead one would leave the live group's waiters parked,
+/// and one that clobbered the live group's leader would elect two.
 #[test]
 fn handle_held_across_entry_gc_lands_on_the_live_entry_under_exploration() {
-    const T1: TxnId = TxnId(1);
-    for seed in txsql_sim::ci_seeds(200) {
-        let g = Arc::new(group_table());
-        let (handle, execution) = g.begin_update(T1, HOT);
-        assert!(matches!(execution, HotExecution::Leader));
-        g.finish_update(T1, &handle, true);
-
-        let shared = Arc::clone(&g);
-        run_seed(seed, move |sim| {
-            let g = Arc::clone(&shared);
-            let handle = handle.clone();
-            sim.spawn("committer", move || {
-                g.leader_prepare_commit(T1, &handle);
-                g.wait_commit_turn(T1, &handle).unwrap();
-                g.finish_commit(T1, &handle); // idle from here: collectable
-                g.leader_handover(T1, &handle);
-                assert_no_wait_ran_into_its_deadline();
+    explore("sim_lock/entry_gc", 200, |seed| {
+        let (hot, members) = Hot::group(&[], None);
+        let report = run_seed(seed, |sim| {
+            on(sim, "committer", &members[0], |t1| {
+                let g = &t1.hot.g;
+                g.leader_prepare_commit(t1.txn, &t1.handle);
+                g.wait_commit_turn(t1.txn, &t1.handle).unwrap();
+                t1.hot.committed(t1.txn);
+                g.finish_commit(t1.txn, &t1.handle); // idle from here: collectable
+                g.leader_handover(t1.txn, &t1.handle);
             });
-            let g = Arc::clone(&shared);
-            sim.spawn("sweeper", move || {
+            on(sim, "sweeper", &hot, |hot| {
                 for _ in 0..3 {
-                    g.collect_if_idle(HOT);
+                    hot.g.collect_if_idle(HOT);
                 }
             });
-            for joiner in [TxnId(2), TxnId(3)] {
-                let g = Arc::clone(&shared);
-                sim.spawn(format!("joiner-{}", joiner.0), move || {
-                    run_member_on_its_handle(&g, joiner);
-                    assert_no_wait_ran_into_its_deadline();
+            for joiner in [2, 3] {
+                on(sim, &format!("joiner-{joiner}"), &hot, move |hot| {
+                    hot.run(TxnId(joiner));
                 });
             }
         });
-        assert!(
-            g.dep_list(HOT).is_empty(),
-            "seed {seed}: dep list not drained"
-        );
-        assert_eq!(g.leader_of(HOT), None, "seed {seed}: leader not cleared");
-        assert!(!g.has_activity(HOT), "seed {seed}: entry still live");
+        hot.assert_drained(&format!("seed {seed}"));
+        report
+    });
+}
+
+/// A grantee is registered by the grant, before it can use it.  When it
+/// cannot — a leader whose row lock failed, a follower a prevention check
+/// turned away — it gives the grant back, and the registration with it: no
+/// dependency-list entry survives for a successor's commit turn to wait
+/// behind, and after a leader that never was, whoever is granted next leads
+/// a fresh group.
+#[test]
+fn abandoned_grant_leaves_no_registration_under_exploration() {
+    let shapes: [(&str, &[u64]); 2] = [
+        ("sim_lock/abandoned_leader", &[]),
+        ("sim_lock/abandoned_follower", &[2]),
+    ];
+    for (suite, followers) in shapes {
+        explore(suite, 200, |seed| {
+            // The last to be granted is in flight and will abandon.
+            let abandoner = followers.last().copied().unwrap_or(1);
+            let (hot, members) = Hot::group(followers, Some(abandoner));
+            let leaders = Arc::new(AtomicUsize::new(0));
+            let report = run_seed(seed, |sim| {
+                on(sim, "abandoner", members.last().unwrap(), |gone| {
+                    let g = &gone.hot.g;
+                    g.abandon_update(gone.txn, &gone.handle, gone.leads);
+                    let row = g.peek(HOT);
+                    assert!(!row.dep_list.contains(&gone.txn), "left behind: {row:?}");
+                });
+                if !followers.is_empty() {
+                    on(sim, "leader", &members[0], |t1| t1.commit().unwrap());
+                }
+                for arrival in [8, 9] {
+                    let with = (hot.clone(), Arc::clone(&leaders));
+                    on(
+                        sim,
+                        &format!("arrival-{arrival}"),
+                        &with,
+                        move |(hot, leaders)| {
+                            if hot.run(TxnId(arrival)) {
+                                leaders.fetch_add(1, Ordering::Relaxed);
+                            }
+                        },
+                    );
+                }
+            });
+            assert!(
+                !followers.is_empty() || leaders.load(Ordering::Relaxed) >= 1,
+                "seed {seed}: both arrivals followed the leader that never was"
+            );
+            hot.assert_drained(&format!("seed {seed}"));
+            report
+        });
     }
 }
+
+/// A parked update's deadline racing the hand-over that would promote it
+/// resolves to one side: the waiter either proceeds as the promoted leader
+/// (the grant raced ahead of the cancellation) or left the queue and the row
+/// is left leaderless — never both, never a lost promotion.  The committing
+/// leader stalls between quiesce and hand-over past the waiter's 100 ms
+/// deadline, so both orders occur across the seed set; a waiter that arrives
+/// before the quiesce follows the old group instead, one that arrives after
+/// the stall is promoted in time.
+#[test]
+fn grant_deadline_racing_the_hand_over_resolves_to_one_side_under_exploration() {
+    let gave_up = Arc::new(AtomicUsize::new(0));
+    let summary = explore("sim_lock/handover_deadline", 200, |seed| {
+        let (hot, members) = Hot::group(&[], None);
+        let report = run_seed(seed, |sim| {
+            let (hot, gave_up) = (hot.clone(), Arc::clone(&gave_up));
+            sim.spawn("waiter", move || match hot.arrive(TxnId(2)) {
+                Ok(member) => {
+                    member.update();
+                    member.commit().unwrap();
+                }
+                Err(err) => {
+                    assert!(matches!(err, Error::LockWaitTimeout { .. }), "{err:?}");
+                    let row = hot.g.peek(HOT);
+                    assert_ne!(row.leader, Some(TxnId(2)), "gave up, yet leads");
+                    gave_up.fetch_add(1, Ordering::Relaxed);
+                }
+            });
+            let t1 = members[0].clone();
+            sim.spawn("committer", move || {
+                let g = &t1.hot.g;
+                g.leader_prepare_commit(t1.txn, &t1.handle);
+                // A first pause lets the waiter park behind the switching
+                // leader; the second runs past the deadline it then took.
+                simulate_delay(Duration::from_millis(1));
+                simulate_delay(Duration::from_millis(105));
+                g.leader_handover(t1.txn, &t1.handle);
+                g.wait_commit_turn(t1.txn, &t1.handle).unwrap();
+                t1.hot.committed(t1.txn);
+                g.finish_commit(t1.txn, &t1.handle);
+            });
+        });
+        hot.assert_drained(&format!("seed {seed}"));
+        report
+    });
+    let gave_up = gave_up.load(Ordering::Relaxed) as u64;
+    assert!(
+        0 < gave_up && gave_up < summary.runs,
+        "both sides of the race must be explored ({gave_up} of {} gave up)",
+        summary.runs
+    );
+}
+
+// ---------------------------------------------------------------------------
+// Rollbacks: the doom scan, the pause and the turn
+// ---------------------------------------------------------------------------
 
 /// Granting registers, so the doom scan of a rollback sees every
 /// transaction that can have read the aborting one's uncommitted head: an
 /// arrival granted before T1's `begin_rollback` paused the row is on the
 /// dependency list behind T1 and **always** doomed; one granted after the
-/// last `resume_granting` reads the undone head and **never** is.  (The
-/// window between — granted before the pause, registered after the scan —
-/// needed a second doom rule while registration was the grantee's own
-/// step.)  `head` stands for the row: 1 is T1's uncommitted write.
+/// last `finish_rollback` reads the undone head and **never** is.
 #[test]
 fn grant_before_a_rollback_is_doomed_and_after_it_is_clean_under_exploration() {
-    const T1: TxnId = TxnId(1);
-    const T2: TxnId = TxnId(2);
-    let (mut doomed_seeds, mut clean_seeds) = (0, 0);
-    for seed in txsql_sim::ci_seeds(200) {
-        let g = Arc::new(group_table());
-        let (aborter, execution) = g.begin_update(T1, HOT);
-        assert!(matches!(execution, HotExecution::Leader));
-        g.finish_update(T1, &aborter, true);
-        let head = Arc::new(AtomicUsize::new(1));
-        let doomed = Arc::new(AtomicUsize::new(0));
-
-        let (shared, row, outcome) = (Arc::clone(&g), Arc::clone(&head), Arc::clone(&doomed));
-        run_seed(seed, move |sim| {
-            let (g, head) = (Arc::clone(&shared), Arc::clone(&row));
-            let aborter = aborter.clone();
-            sim.spawn("aborter", move || {
-                g.begin_rollback(T1, &aborter);
-                g.wait_rollback_turn(T1, &aborter).unwrap();
-                head.store(0, Ordering::Relaxed); // the storage undo
-                g.finish_rollback(T1, &aborter);
-                g.resume_granting(&aborter);
-                assert_no_wait_ran_into_its_deadline();
+    let doomed = Arc::new(AtomicUsize::new(0));
+    let summary = explore("sim_lock/doom_window", 200, |seed| {
+        let (hot, members) = Hot::group(&[], None);
+        let report = run_seed(seed, |sim| {
+            on(sim, "aborter", &members[0], |t1| {
+                t1.roll_back();
             });
-            let (g, head, doomed) = (Arc::clone(&shared), Arc::clone(&row), Arc::clone(&outcome));
-            sim.spawn("arrival", move || {
-                let (handle, execution) = g.begin_update(T2, HOT);
-                let follows = match execution {
-                    HotExecution::Leader => false,
-                    HotExecution::Follower => true,
-                    HotExecution::Wait(slot) => {
-                        g.wait_for_grant(T2, &handle, &slot).unwrap() == WokenRole::Follower
-                    }
-                };
-                let seen = head.load(Ordering::Relaxed);
-                g.finish_update(T2, &handle, !follows);
-                if !follows {
-                    g.leader_prepare_commit(T2, &handle);
-                    g.leader_handover(T2, &handle);
-                }
-                match g.wait_commit_turn(T2, &handle) {
-                    Ok(_) => {
-                        // Only T1 can have been followed: a follower was
-                        // granted before the pause.
-                        assert!(!follows, "granted before the rollback, not doomed");
-                        assert_eq!(seen, 0, "committed on top of an aborted write");
-                        g.finish_commit(T2, &handle);
-                    }
-                    Err(err) => {
-                        let cascade = txsql_common::Error::CascadingAbort { txn: T2, cause: T1 };
-                        assert_eq!(err, cascade);
-                        assert!(follows, "granted after the rollback, yet doomed");
-                        doomed.store(1, Ordering::Relaxed);
-                        g.begin_rollback(T2, &handle);
-                        g.wait_rollback_turn(T2, &handle).unwrap();
-                        g.finish_rollback(T2, &handle);
-                        g.resume_granting(&handle);
-                    }
-                }
-                assert_no_wait_ran_into_its_deadline();
+            let with = (hot.clone(), Arc::clone(&doomed));
+            on(sim, "arrival", &with, |(hot, doomed)| {
+                doomed.fetch_add(arrival(hot, 2) as usize, Ordering::Relaxed);
             });
         });
-        match doomed.load(Ordering::Relaxed) {
-            0 => clean_seeds += 1,
-            _ => doomed_seeds += 1,
-        }
-        assert!(!g.has_activity(HOT), "seed {seed}: entry still live");
-    }
-    println!("sim_lock/doom_window: doomed_seeds={doomed_seeds} clean_seeds={clean_seeds}");
+        hot.assert_drained(&format!("seed {seed}"));
+        report
+    });
+    let doomed = doomed.load(Ordering::Relaxed) as u64;
     assert!(
-        doomed_seeds > 0 && clean_seeds > 0,
-        "both sides of the pause must be explored ({doomed_seeds} doomed, {clean_seeds} clean)"
+        0 < doomed && doomed < summary.runs,
+        "both sides of the pause must be explored ({doomed} of {} doomed)",
+        summary.runs
     );
 }
 
-/// A leader is registered by the grant that makes it leader, before it has
-/// the row lock.  When the lock cannot be had it gives the grant back, and
-/// the registration with it: no dependency-list entry of T1 survives for a
-/// successor's commit turn to wait behind, and whoever is granted next
-/// leads a fresh group — it must not follow a leader that never was.
+/// Two members of one row rolling back at once: the leader T1 has committed
+/// and left the row leaderless, T2 aborts and its doomed successor T3
+/// cascades, so T3 finishes its rollback while T2 is still between
+/// `begin_rollback` and `finish_rollback`.  The pause is the list of members
+/// rolling back and nothing else: T3's `finish_rollback` promotes nobody,
+/// no arrival is granted before T2's — it would write on top of T2's head,
+/// and T2's undo would not find its own version there — and T2's promotes
+/// the one parked arrival there is room for.
 #[test]
-fn abandoned_leader_grant_leaves_no_registration_under_exploration() {
-    const T1: TxnId = TxnId(1);
-    for seed in txsql_sim::ci_seeds(200) {
-        let g = Arc::new(group_table());
-        let (failed, execution) = g.begin_update(T1, HOT);
-        assert!(matches!(execution, HotExecution::Leader));
-        let leaders = Arc::new(AtomicUsize::new(0));
-
-        let (shared, led) = (Arc::clone(&g), Arc::clone(&leaders));
-        run_seed(seed, move |sim| {
-            let g = Arc::clone(&shared);
-            let failed = failed.clone();
-            sim.spawn("lock-failed", move || {
-                g.abandon_update(T1, &failed, true);
-                assert!(!g.dep_list(HOT).contains(&T1), "registration survived");
-            });
-            for arrival in [TxnId(2), TxnId(3)] {
-                let (g, led) = (Arc::clone(&shared), Arc::clone(&led));
-                sim.spawn(format!("arrival-{}", arrival.0), move || {
-                    if run_member_on_its_handle(&g, arrival) {
-                        led.fetch_add(1, Ordering::Relaxed);
-                    }
-                    assert_no_wait_ran_into_its_deadline();
-                });
-            }
-        });
-        assert!(
-            leaders.load(Ordering::Relaxed) >= 1,
-            "seed {seed}: both arrivals followed the leader that never was"
-        );
-        assert!(
-            g.dep_list(HOT).is_empty(),
-            "seed {seed}: dep list not drained"
-        );
-        assert!(!g.has_activity(HOT), "seed {seed}: entry still live");
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Batched commit handover (PR 5): one promotion per hot row, timeout-safe
-// ---------------------------------------------------------------------------
-
-/// The batched leader commit (`begin_leader_commit` + `finish_leader_handover`
-/// across several hot rows at once) must behave exactly like the per-record
-/// sequence under every interleaving with waiter timeouts:
-///
-/// * **exactly one new leader per hot row** — each parked waiter is either
-///   promoted (role `NewLeader`, leadership visible through the entry map) or
-///   it cancels out on timeout and the row is left leaderless (dynamic batch),
-///   never both and never two leaders;
-/// * **no lost promotion** — a waiter that stays queued through the handover
-///   is always woken (a lost wake surfaces as a virtual-clock timeout with the
-///   waiter still queued, or a sim deadlock artifact);
-/// * **no double-leader when a follower times out mid-handover** — the
-///   `cancel_hot_wait` vs `promote_next_leader` race resolves to one side:
-///   `AlreadyGranted(NewLeader)` (the waiter proceeds as the promoted leader)
-///   or `Cancelled` (the promotion never happened; the queue entry is gone).
-///
-/// The committing leader's `simulate_delay` lines the handover up against the
-/// waiters' wait deadline so both orders of the race are explored across the
-/// seed set.
-#[test]
-fn batched_handover_promotes_exactly_one_leader_per_row_under_exploration() {
-    const ROWS: usize = 2;
-    const LEADER: TxnId = TxnId(1);
-    for seed in txsql_sim::ci_seeds(200) {
-        let g = Arc::new(GroupLockTable::new(
-            GroupLockConfig {
-                hot_wait_timeout: Duration::from_millis(100),
-                ..GroupLockConfig::default()
-            },
-            Arc::new(EngineMetrics::new()),
-        ));
-        // Same page on purpose: the batched fetch takes the entry shard once.
-        let records: Vec<RecordId> = (0..ROWS).map(|h| RecordId::new(1, 0, h as u16)).collect();
-        for record in &records {
-            assert!(matches!(
-                g.begin_hot_update(LEADER, *record),
-                HotExecution::Leader
-            ));
-            g.register_update(LEADER, *record);
-            g.finish_update(LEADER, *record, true);
-        }
-        // Per row: how often the waiter acted as a leader (promoted by the
-        // handover, or fresh leader of the next group), executed as a
-        // follower of the old group, or cancelled out on timeout.
-        let led = Arc::new([AtomicUsize::new(0), AtomicUsize::new(0)]);
-        let followed = Arc::new([AtomicUsize::new(0), AtomicUsize::new(0)]);
-        let cancelled = Arc::new([AtomicUsize::new(0), AtomicUsize::new(0)]);
-
-        let gt = Arc::clone(&g);
-        let led2 = Arc::clone(&led);
-        let followed2 = Arc::clone(&followed);
-        let cancelled2 = Arc::clone(&cancelled);
-        let rs = records.clone();
-        run_seed(seed, move |sim| {
-            for (i, record) in rs.iter().enumerate() {
-                let g2 = Arc::clone(&gt);
-                let led = Arc::clone(&led2);
-                let followed = Arc::clone(&followed2);
-                let cancelled = Arc::clone(&cancelled2);
-                let record = *record;
-                let txn = TxnId(10 + i as u64);
-                sim.spawn(format!("waiter-{i}"), move || {
-                    let commit_as_leader = |g: &GroupLockTable| {
-                        // The write path's leader shape: leadership must be
-                        // visible through the entry map (a leader recorded on
-                        // an orphaned/duplicate entry is the double-leader
-                        // bug), then the full Algorithm-2 commit.
-                        assert_eq!(
-                            g.leader_of(record),
-                            Some(txn),
-                            "leadership not visible through the entry map"
-                        );
-                        g.register_update(txn, record);
-                        g.finish_update(txn, record, true);
-                        g.leader_prepare_commit(txn, record);
-                        g.leader_handover(txn, record);
-                        g.wait_commit_turn(txn, record).unwrap();
-                        g.finish_commit(txn, record);
-                    };
-                    match g2.begin_hot_update(txn, record) {
-                        // Arrived after the whole handover drained the row
-                        // (dynamic batch left it leaderless): fresh group.
-                        HotExecution::Leader => {
-                            led[i].fetch_add(1, Ordering::Relaxed);
-                            commit_as_leader(&g2);
-                        }
-                        // Arrived while the old group's leader was idle
-                        // before its commit: granted follower execution.
-                        HotExecution::Follower => {
-                            followed[i].fetch_add(1, Ordering::Relaxed);
-                            g2.register_update(txn, record);
-                            g2.finish_update(txn, record, false);
-                            g2.wait_commit_turn(txn, record).unwrap();
-                            g2.finish_commit(txn, record);
-                        }
-                        HotExecution::Wait(slot) => {
-                            match g2.wait_for_grant(txn, record, &slot) {
-                                Ok(WokenRole::NewLeader) => {
-                                    led[i].fetch_add(1, Ordering::Relaxed);
-                                    commit_as_leader(&g2);
-                                }
-                                Ok(WokenRole::Follower) => {
-                                    panic!("a commit handover must promote, not grant a follower")
-                                }
-                                Err(err) => {
-                                    assert!(
-                                        matches!(err, txsql_common::Error::LockWaitTimeout { .. }),
-                                        "unexpected waiter error: {err:?}"
-                                    );
-                                    cancelled[i].fetch_add(1, Ordering::Relaxed);
-                                    // A cancelled waiter must not be (or
-                                    // become) the leader — that would be the
-                                    // double-leader bug.
-                                    assert_ne!(
-                                        g2.leader_of(record),
-                                        Some(txn),
-                                        "cancelled waiter still recorded as leader"
-                                    );
-                                }
-                            }
-                        }
-                    }
-                });
-            }
-            let g2 = Arc::clone(&gt);
-            let rs2 = rs.clone();
-            sim.spawn("committer", move || {
-                // Prepare first: a waiter arriving after this parks
-                // (`switching_new_leader`); one arriving before executes as a
-                // follower of the old group — both orders occur across seeds.
-                let prepared = g2.begin_leader_commit(LEADER, &rs2);
-                assert_eq!(prepared.record_count(), ROWS);
-                // Stall mid-handover past the waiters' 100 ms deadline: their
-                // timeouts fire on the virtual clock *while* the handover is
-                // pending, so `cancel_hot_wait` races `promote_next_leader`
-                // in both orders across the seed set.
-                simulate_delay(Duration::from_micros(105_000));
-                let promotions = g2.finish_leader_handover(LEADER, prepared);
-                assert_eq!(promotions.len(), ROWS);
-                for record in &rs2 {
-                    g2.finish_commit(LEADER, *record);
+fn pause_lasts_until_the_last_of_two_rollbacks_finishes_under_exploration() {
+    let promotions = Arc::new(AtomicUsize::new(0));
+    explore("sim_lock/rollback_pair", 200, |seed| {
+        let (hot, members) = Hot::group(&[2, 3], None);
+        members[0].commit().unwrap();
+        let report = run_seed(seed, |sim| {
+            let with = (members[1].clone(), Arc::clone(&promotions));
+            on(sim, "aborter", &with, |(t2, promotions)| {
+                if let Some(promoted) = t2.roll_back() {
+                    assert!(promoted.0 >= 8, "promoted {promoted}");
+                    promotions.fetch_add(1, Ordering::Relaxed);
                 }
             });
-        });
-
-        for (i, record) in records.iter().enumerate() {
-            let l = led[i].load(Ordering::Relaxed);
-            let f = followed[i].load(Ordering::Relaxed);
-            let c = cancelled[i].load(Ordering::Relaxed);
-            assert_eq!(
-                l + f + c,
-                1,
-                "seed {seed}, row {record}: waiter must lead XOR follow XOR cancel \
-                 (led={l}, followed={f}, cancelled={c})"
-            );
-            // Whatever the race outcome, the row must end fully drained: no
-            // leader, no parked waiter, no dependency-list residue.  A lost
-            // promotion would leave the waiter parked (or surface above as
-            // its timeout); a double promotion would trip the leader_of
-            // assertions inside the threads.
-            assert_eq!(
-                g.waiting_len(*record),
-                0,
-                "seed {seed}, row {record}: lost promotion left a parked waiter"
-            );
-            if c == 1 {
-                assert_eq!(
-                    g.leader_of(*record),
-                    None,
-                    "seed {seed}, row {record}: cancelled row must be leaderless"
-                );
+            on(sim, "successor", &members[2], |t3| {
+                let err = t3.commit().expect_err("T2 precedes it and rolls back");
+                assert!(err.is_cascading(), "{err:?}");
+                let promoted = t3.roll_back();
+                assert_eq!(promoted, None, "promoted while T2 is still rolling back");
+            });
+            for txn in [8, 9] {
+                on(sim, &format!("arrival-{txn}"), &hot, move |hot| {
+                    arrival(hot, txn);
+                });
             }
-            assert!(
-                g.dep_list(*record).is_empty(),
-                "seed {seed}, row {record}: dep list not drained"
-            );
-            assert!(
-                !g.has_activity(*record),
-                "seed {seed}, row {record}: entry still live"
-            );
-        }
-    }
+        });
+        hot.assert_drained(&format!("seed {seed}"));
+        report
+    });
+    let promotions = promotions.load(Ordering::Relaxed);
+    assert!(promotions > 0, "no schedule parked an arrival in the pause");
+}
+
+/// A mid-list rollback (T2 of [T1, T2, T3]) waits for its turn while its
+/// doomed successor T3 cascades and the leader T1 commits and hands over:
+/// the turn comes through T3's `finish_rollback` (newest again) and T1's
+/// hand-over (`switching_new_leader` cleared), in either order, and a lost
+/// wake-up shows as a wait ended by the virtual clock.  An arrival parked in
+/// the pause must not be promoted by T1's hand-over while T2 and T3 are
+/// still rolling back.
+#[test]
+fn rollback_turn_wakeup_is_never_lost_under_exploration() {
+    explore("sim_lock/rollback_turn", 200, |seed| {
+        let (hot, members) = Hot::group(&[2, 3], None);
+        let report = run_seed(seed, |sim| {
+            on(sim, "leader", &members[0], |t1| t1.commit().unwrap());
+            on(sim, "aborter", &members[1], |t2| {
+                t2.roll_back();
+            });
+            on(sim, "successor", &members[2], |t3| {
+                let cause = t3.commit_or_cascade();
+                assert_eq!(cause, Some(TxnId(2)), "T3 committed ahead of T2");
+            });
+            on(sim, "arrival", &hot, |hot| {
+                arrival(hot, 4);
+            });
+        });
+        hot.assert_drained(&format!("seed {seed}"));
+        report
+    });
+}
+
+/// The committing leader's quiesce is a parked wait that only the in-flight
+/// follower's `finish_update` ends.  Whatever the interleaving of the
+/// leader's check-then-park with that `finish_update` (and with a joiner
+/// queueing behind the switching leader), the wake-up must not be lost: a
+/// lost one shows as the leader sleeping to its virtual-clock deadline and
+/// force-clearing the follower (`quiesce_forced`).
+#[test]
+fn quiesce_wakeup_is_never_lost_under_exploration() {
+    explore("sim_lock/quiesce", 200, |seed| {
+        let (hot, members) = Hot::group(&[2], Some(2));
+        let report = run_seed(seed, |sim| {
+            on(sim, "leader", &members[0], |t1| t1.commit().unwrap());
+            on(sim, "follower", &members[1], |t2| {
+                t2.update();
+                t2.commit().unwrap();
+            });
+            on(sim, "joiner", &hot, |hot| {
+                hot.run(TxnId(3));
+            });
+        });
+        let forced = hot.metrics.abort_causes.get("quiesce_forced");
+        assert_eq!(
+            forced, 0,
+            "seed {seed}: the leader slept through finish_update"
+        );
+        hot.assert_drained(&format!("seed {seed}"));
+        report
+    });
 }
 
 // ---------------------------------------------------------------------------
 // grant_waiters FIFO / compatibility invariants (both lock tables)
 // ---------------------------------------------------------------------------
 
-/// A timeout-only table of layout `L`.  Under that policy the registry
-/// entry (`lock_count_of`) is written immediately before the wait deadline is
-/// captured (no yield point in between — detection would add the graph's
-/// event-attach lock there), so tests can gate on it to order virtual-clock
-/// deadlines deterministically.
-fn lock_table<L: Layout>() -> Arc<RecordLockTable<L>> {
-    Arc::new(RecordLockTable::new(
-        LockTableConfig {
-            deadlock_policy: DeadlockPolicy::TimeoutOnly,
-            lock_wait_timeout: Duration::from_millis(200),
-        },
-        Arc::new(EngineMetrics::new()),
-    ))
+/// The scenarios below run on a timeout-only table.  Under that policy the
+/// registry entry (`lock_count_of`) is written immediately before the wait
+/// deadline is captured (no yield point in between — detection would add the
+/// graph's event-attach lock there), so they can gate on it to order
+/// virtual-clock deadlines deterministically.
+fn timeout_only<L: Layout>() -> Arc<RecordLockTable<L>> {
+    lock_table(DeadlockPolicy::TimeoutOnly, 200)
 }
 
 /// Exclusive waiters staged in a known arrival order must be granted in that
 /// order, and none may be lost: a lost wakeup surfaces as either a
 /// virtual-clock timeout (`unwrap` fails) or a sim deadlock artifact.
-fn fifo_grant_order<L: Layout + 'static>(table: Arc<RecordLockTable<L>>, seed: u64) {
+fn fifo_grant_order<L: Layout + 'static>(seed: u64) -> RunReport {
+    let table = timeout_only::<L>();
     const WAITERS: usize = 3;
     let order = Arc::new(parking_lot::Mutex::new(Vec::<usize>::new()));
     let holder_txn = TxnId(1);
@@ -564,7 +367,7 @@ fn fifo_grant_order<L: Layout + 'static>(table: Arc<RecordLockTable<L>>, seed: u
 
     let t = Arc::clone(&table);
     let o = Arc::clone(&order);
-    run_seed(seed, move |sim| {
+    let report = run_seed(seed, move |sim| {
         for i in 0..WAITERS {
             let table = Arc::clone(&t);
             let order = Arc::clone(&o);
@@ -597,20 +400,8 @@ fn fifo_grant_order<L: Layout + 'static>(table: Arc<RecordLockTable<L>>, seed: u
         (0..WAITERS).collect::<Vec<_>>(),
         "seed {seed}: grants out of FIFO order"
     );
-}
-
-#[test]
-fn fifo_grant_order_under_exploration_lock_sys() {
-    for seed in txsql_sim::ci_seeds(200) {
-        fifo_grant_order(lock_table::<PageLayout>(), seed);
-    }
-}
-
-#[test]
-fn fifo_grant_order_under_exploration_lightweight() {
-    for seed in txsql_sim::ci_seeds(200) {
-        fifo_grant_order(lock_table::<FlatLayout>(), seed);
-    }
+    assert_locks_drained(&table);
+    report
 }
 
 /// A Shared waiter queued behind an earlier conflicting Exclusive waiter must
@@ -619,10 +410,8 @@ fn fifo_grant_order_under_exploration_lightweight() {
 /// and wake the compatible waiter behind it (no lost wakeup on the timeout
 /// path).  The virtual clock makes the timeout fire deterministically in
 /// every explored schedule.
-fn timeout_grants_compatible_waiter_behind<L: Layout + 'static>(
-    table: Arc<RecordLockTable<L>>,
-    seed: u64,
-) {
+fn timeout_grants_compatible_waiter_behind<L: Layout + 'static>(seed: u64) -> RunReport {
+    let table = timeout_only::<L>();
     let holder_txn = TxnId(1);
     table
         .lock_record(holder_txn, HOT, LockMode::Shared)
@@ -631,7 +420,7 @@ fn timeout_grants_compatible_waiter_behind<L: Layout + 'static>(
 
     let t = Arc::clone(&table);
     let g = Arc::clone(&granted_shared);
-    run_seed(seed, move |sim| {
+    let report = run_seed(seed, move |sim| {
         let table = Arc::clone(&t);
         sim.spawn("exclusive-waiter", move || {
             // Conflicts with the Shared holder; nobody releases, so this wait
@@ -640,7 +429,7 @@ fn timeout_grants_compatible_waiter_behind<L: Layout + 'static>(
                 .lock_record(TxnId(2), HOT, LockMode::Exclusive)
                 .unwrap_err();
             assert!(
-                matches!(err, txsql_common::Error::LockWaitTimeout { .. }),
+                matches!(err, Error::LockWaitTimeout { .. }),
                 "unexpected error: {err:?}"
             );
         });
@@ -671,6 +460,8 @@ fn timeout_grants_compatible_waiter_behind<L: Layout + 'static>(
         "seed {seed}: compatible waiter was never granted"
     );
     table.release_all(holder_txn);
+    assert_locks_drained(&table);
+    report
 }
 
 /// Two hot heap_nos on ONE page: FIFO and compatibility invariants must hold
@@ -684,20 +475,10 @@ fn timeout_grants_compatible_waiter_behind<L: Layout + 'static>(
 /// before queueing, so firing A's timeout (the +60 ms jump at 220 ms) leaves
 /// B's deadlines (350 ms / 360 ms) unexpired — B's waiters can only proceed
 /// through a genuine grant.
-fn per_record_queues_are_independent<L: Layout + 'static>(
-    table: Arc<RecordLockTable<L>>,
-    seed: u64,
-) {
-    const A: RecordId = RecordId {
-        space_id: 1,
-        page_no: 0,
-        heap_no: 0,
-    };
-    const B: RecordId = RecordId {
-        space_id: 1,
-        page_no: 0,
-        heap_no: 1,
-    };
+fn per_record_queues_are_independent<L: Layout + 'static>(seed: u64) -> RunReport {
+    let table = timeout_only::<L>();
+    const A: RecordId = RecordId::new(1, 0, 0);
+    const B: RecordId = RecordId::new(1, 0, 1);
     let holder_a = TxnId(1);
     let holder_b = TxnId(2);
     table.lock_record(holder_a, A, LockMode::Exclusive).unwrap();
@@ -708,7 +489,7 @@ fn per_record_queues_are_independent<L: Layout + 'static>(
     let t = Arc::clone(&table);
     let o = Arc::clone(&order);
     let flag = Arc::clone(&a_timed_out);
-    run_seed(seed, move |sim| {
+    let report = run_seed(seed, move |sim| {
         // A's waiter: its holder never releases, so only the virtual-clock
         // timeout can end this wait — and its cleanup (the grant scan on A)
         // must not leak into B's queue.
@@ -719,7 +500,7 @@ fn per_record_queues_are_independent<L: Layout + 'static>(
                 .lock_record(TxnId(3), A, LockMode::Exclusive)
                 .unwrap_err();
             assert!(
-                matches!(err, txsql_common::Error::LockWaitTimeout { .. }),
+                matches!(err, Error::LockWaitTimeout { .. }),
                 "A's waiter must end by timeout, got {err:?}"
             );
             flag2.store(1, Ordering::Relaxed);
@@ -797,6 +578,8 @@ fn per_record_queues_are_independent<L: Layout + 'static>(
     );
     assert_eq!(table.wait_queue_len(A), 0);
     table.release_all(holder_a);
+    assert_locks_drained(&table);
+    report
 }
 
 /// A statement-boundary **batched** release (`release_record_locks` over
@@ -807,10 +590,8 @@ fn per_record_queues_are_independent<L: Layout + 'static>(
 /// itself as the record's only holder).  On the page-sharded table all
 /// records share one page, so the whole batch drains under a single shard
 /// acquisition — exactly the path the statement-boundary flush exercises.
-fn batched_release_wakes_each_waiter_exactly_once<L: Layout + 'static>(
-    table: Arc<RecordLockTable<L>>,
-    seed: u64,
-) {
+fn batched_release_wakes_each_waiter_exactly_once<L: Layout + 'static>(seed: u64) -> RunReport {
+    let table = timeout_only::<L>();
     const RECORDS: usize = 3;
     let records: Vec<RecordId> = (0..RECORDS)
         .map(|heap| RecordId::new(1, 0, heap as u16))
@@ -826,7 +607,7 @@ fn batched_release_wakes_each_waiter_exactly_once<L: Layout + 'static>(
     let t = Arc::clone(&table);
     let g = Arc::clone(&grants);
     let rs = records.clone();
-    run_seed(seed, move |sim| {
+    let report = run_seed(seed, move |sim| {
         for (i, record) in rs.iter().enumerate() {
             let table = Arc::clone(&t);
             let grants = Arc::clone(&g);
@@ -867,50 +648,30 @@ fn batched_release_wakes_each_waiter_exactly_once<L: Layout + 'static>(
             "seed {seed}: {record} must drain"
         );
     }
-    assert_eq!(table.lock_count_of(holder), 0, "seed {seed}: registry leak");
+    assert_locks_drained(&table);
+    report
 }
 
-#[test]
-fn batched_release_wakes_each_waiter_exactly_once_lock_sys() {
-    for seed in txsql_sim::ci_seeds(200) {
-        batched_release_wakes_each_waiter_exactly_once(lock_table::<PageLayout>(), seed);
-    }
+/// One `#[test]` per scenario and layout: every CI seed, one coverage line.
+macro_rules! under_exploration {
+    ($($test:ident: $scenario:ident::<$layout:ty>),* $(,)?) => {$(
+        #[test]
+        fn $test() {
+            explore(concat!("sim_lock/", stringify!($test)), 200, $scenario::<$layout>);
+        }
+    )*};
 }
 
-#[test]
-fn batched_release_wakes_each_waiter_exactly_once_lightweight() {
-    for seed in txsql_sim::ci_seeds(200) {
-        batched_release_wakes_each_waiter_exactly_once(lock_table::<FlatLayout>(), seed);
-    }
-}
-
-#[test]
-fn per_record_queue_independence_under_exploration_lock_sys() {
-    for seed in txsql_sim::ci_seeds(200) {
-        per_record_queues_are_independent(lock_table::<PageLayout>(), seed);
-    }
-}
-
-#[test]
-fn per_record_queue_independence_under_exploration_lightweight() {
-    for seed in txsql_sim::ci_seeds(200) {
-        per_record_queues_are_independent(lock_table::<FlatLayout>(), seed);
-    }
-}
-
-#[test]
-fn timeout_wakes_compatible_waiter_lock_sys() {
-    for seed in txsql_sim::ci_seeds(200) {
-        timeout_grants_compatible_waiter_behind(lock_table::<PageLayout>(), seed);
-    }
-}
-
-#[test]
-fn timeout_wakes_compatible_waiter_lightweight() {
-    for seed in txsql_sim::ci_seeds(200) {
-        timeout_grants_compatible_waiter_behind(lock_table::<FlatLayout>(), seed);
-    }
-}
+under_exploration!(
+    fifo_grant_order_under_exploration_lock_sys: fifo_grant_order::<PageLayout>,
+    fifo_grant_order_under_exploration_lightweight: fifo_grant_order::<FlatLayout>,
+    timeout_wakes_compatible_waiter_lock_sys: timeout_grants_compatible_waiter_behind::<PageLayout>,
+    timeout_wakes_compatible_waiter_lightweight: timeout_grants_compatible_waiter_behind::<FlatLayout>,
+    per_record_queue_independence_under_exploration_lock_sys: per_record_queues_are_independent::<PageLayout>,
+    per_record_queue_independence_under_exploration_lightweight: per_record_queues_are_independent::<FlatLayout>,
+    batched_release_wakes_each_waiter_exactly_once_lock_sys: batched_release_wakes_each_waiter_exactly_once::<PageLayout>,
+    batched_release_wakes_each_waiter_exactly_once_lightweight: batched_release_wakes_each_waiter_exactly_once::<FlatLayout>,
+);
 
 // ---------------------------------------------------------------------------
 // POR coverage win (explorer comparison)
@@ -936,7 +697,7 @@ fn por_reaches_more_schedule_classes_than_random() {
     fn build(explorer: txsql_sim::Explorer) -> impl Fn(&mut txsql_sim::Sim) {
         move |sim: &mut txsql_sim::Sim| {
             sim.set_explorer(explorer);
-            let table = lock_table::<PageLayout>();
+            let table = timeout_only::<PageLayout>();
             // Per-thread private work between hot accesses: deliberately
             // different, so lockstep arrival order is nontrivial to reorder.
             const CHURN: [usize; 3] = [40, 95, 150];
@@ -987,284 +748,43 @@ fn por_reaches_more_schedule_classes_than_random() {
 }
 
 // ---------------------------------------------------------------------------
-// Turn waits: the quiesce and rollback-turn wake-ups
-// ---------------------------------------------------------------------------
-
-/// Nothing in the turn-wait scenarios spends virtual time, so the clock only
-/// moves when the scheduler runs out of runnable threads and jumps to a
-/// parked waiter's deadline: a wake-up that was lost, even if the timed-out
-/// waiter then finds its turn has come.  Each sim thread ends with this.
-fn assert_no_wait_ran_into_its_deadline() {
-    let now = txsql_sim::current().expect("sim thread").now();
-    assert_eq!(now, Duration::ZERO, "a parked wait was ended by the clock");
-}
-
-/// A group whose leader T1 and followers T2, T3 have all updated `HOT`.
-fn three_member_group() -> Arc<GroupLockTable> {
-    let g = Arc::new(group_table());
-    assert!(matches!(
-        g.begin_hot_update(TxnId(1), HOT),
-        HotExecution::Leader
-    ));
-    g.register_update(TxnId(1), HOT);
-    g.finish_update(TxnId(1), HOT, true);
-    for follower in [TxnId(2), TxnId(3)] {
-        assert!(matches!(
-            g.begin_hot_update(follower, HOT),
-            HotExecution::Follower
-        ));
-        g.register_update(follower, HOT);
-        g.finish_update(follower, HOT, false);
-    }
-    g
-}
-
-/// The committing leader's quiesce is a parked wait that only the in-flight
-/// follower's `finish_update` ends.  Whatever the interleaving of the
-/// leader's check-then-park with that `finish_update` (and with a joiner
-/// queueing behind the switching leader), the wake-up must not be lost: a
-/// lost one shows as the leader sleeping to its virtual-clock deadline and
-/// force-clearing the follower (`quiesce_forced`).
-#[test]
-fn quiesce_wakeup_is_never_lost_under_exploration() {
-    let mut classes = std::collections::HashSet::new();
-    for seed in txsql_sim::ci_seeds(200) {
-        let metrics = Arc::new(EngineMetrics::new());
-        let g = Arc::new(GroupLockTable::new(
-            GroupLockConfig {
-                hot_wait_timeout: Duration::from_millis(100),
-                ..GroupLockConfig::default()
-            },
-            Arc::clone(&metrics),
-        ));
-        const LEADER: TxnId = TxnId(1);
-        const FOLLOWER: TxnId = TxnId(2);
-        const JOINER: TxnId = TxnId(3);
-        assert!(matches!(
-            g.begin_hot_update(LEADER, HOT),
-            HotExecution::Leader
-        ));
-        g.register_update(LEADER, HOT);
-        g.finish_update(LEADER, HOT, true);
-        // Granted and mid-update when the leader starts to commit.
-        assert!(matches!(
-            g.begin_hot_update(FOLLOWER, HOT),
-            HotExecution::Follower
-        ));
-
-        let shared = Arc::clone(&g);
-        let report = run_seed(seed, move |sim| {
-            let g = Arc::clone(&shared);
-            sim.spawn("leader", move || {
-                g.leader_prepare_commit(LEADER, HOT);
-                g.leader_handover(LEADER, HOT);
-                g.wait_commit_turn(LEADER, HOT).unwrap();
-                g.finish_commit(LEADER, HOT);
-                assert_no_wait_ran_into_its_deadline();
-            });
-            let g = Arc::clone(&shared);
-            sim.spawn("follower", move || {
-                g.register_update(FOLLOWER, HOT);
-                g.finish_update(FOLLOWER, HOT, false);
-                g.wait_commit_turn(FOLLOWER, HOT).unwrap();
-                g.finish_commit(FOLLOWER, HOT);
-                assert_no_wait_ran_into_its_deadline();
-            });
-            let g = Arc::clone(&shared);
-            sim.spawn("joiner", move || {
-                let role = match g.begin_hot_update(JOINER, HOT) {
-                    HotExecution::Leader => WokenRole::NewLeader,
-                    HotExecution::Follower => WokenRole::Follower,
-                    HotExecution::Wait(slot) => g.wait_for_grant(JOINER, HOT, &slot).unwrap(),
-                };
-                let leads = role == WokenRole::NewLeader;
-                g.register_update(JOINER, HOT);
-                g.finish_update(JOINER, HOT, leads);
-                if leads {
-                    g.leader_prepare_commit(JOINER, HOT);
-                    g.leader_handover(JOINER, HOT);
-                }
-                g.wait_commit_turn(JOINER, HOT).unwrap();
-                g.finish_commit(JOINER, HOT);
-                assert_no_wait_ran_into_its_deadline();
-            });
-        });
-        classes.insert(report.coverage.schedule_class);
-        assert_eq!(
-            metrics.abort_causes.get("quiesce_forced"),
-            0,
-            "seed {seed}: the leader slept through the follower's finish_update"
-        );
-        assert!(!g.has_activity(HOT), "seed {seed}: entry still live");
-    }
-    println!(
-        "sim-coverage: suite=sim_lock/quiesce classes={}",
-        classes.len()
-    );
-}
-
-/// A mid-list rollback (T2 of [T1, T2, T3]) waits for its turn while its
-/// doomed successor T3 cascades and the leader T1 commits and hands over:
-/// the turn comes through T3's `finish_rollback` (newest again) and T1's
-/// handover (`switching_new_leader` cleared), in either order.  A lost
-/// wake-up shows as a `LockWaitTimeout` on the virtual clock.
-#[test]
-fn rollback_turn_wakeup_is_never_lost_under_exploration() {
-    let mut classes = std::collections::HashSet::new();
-    for seed in txsql_sim::ci_seeds(200) {
-        let g = three_member_group();
-        let shared = Arc::clone(&g);
-        let report = run_seed(seed, move |sim| {
-            let roll_back = |g: &GroupLockTable, txn: TxnId| {
-                g.begin_rollback(txn, HOT);
-                g.wait_rollback_turn(txn, HOT).unwrap();
-                g.finish_rollback(txn, HOT);
-                g.resume_granting(HOT);
-                assert_no_wait_ran_into_its_deadline();
-            };
-            let g = Arc::clone(&shared);
-            sim.spawn("leader", move || {
-                g.leader_prepare_commit(TxnId(1), HOT);
-                g.leader_handover(TxnId(1), HOT);
-                g.wait_commit_turn(TxnId(1), HOT).unwrap();
-                g.finish_commit(TxnId(1), HOT);
-                assert_no_wait_ran_into_its_deadline();
-            });
-            let g = Arc::clone(&shared);
-            sim.spawn("aborter", move || roll_back(&g, TxnId(2)));
-            let g = Arc::clone(&shared);
-            sim.spawn("successor", move || {
-                // Commits if it beats the aborter's doom to its turn check
-                // (never: T2 precedes it), cascades otherwise.
-                match g.wait_commit_turn(TxnId(3), HOT) {
-                    Ok(_) => panic!("T3 committed ahead of its predecessor T2"),
-                    Err(err) => {
-                        assert!(
-                            matches!(err, txsql_common::Error::CascadingAbort { .. }),
-                            "seed {seed}: {err:?}"
-                        );
-                        roll_back(&g, TxnId(3));
-                    }
-                }
-            });
-        });
-        classes.insert(report.coverage.schedule_class);
-        assert!(
-            g.dep_list(HOT).is_empty(),
-            "seed {seed}: dep list not drained"
-        );
-        assert!(!g.has_activity(HOT), "seed {seed}: entry still live");
-    }
-    println!(
-        "sim-coverage: suite=sim_lock/rollback_turn classes={}",
-        classes.len()
-    );
-}
-
-// ---------------------------------------------------------------------------
 // Event-pool draining on the timeout / cancellation paths
 // ---------------------------------------------------------------------------
 
-/// A cancelled group-lock wait must drain its pooled event back to the
-/// thread-local free list: cancellation removes the queue's `WaitSlot` clone,
-/// so the waiter's drop is the last one and recycles the (unique) event.
+/// A grant wait that gives up leaves the queue, and the queue's clone of its
+/// `WaitSlot` with it, so the waiter's drop is the last one and recycles the
+/// (unique) pooled event.
 #[test]
-fn cancelled_group_wait_drains_event_to_pool() {
-    let g = group_table();
-    assert!(matches!(
-        g.begin_hot_update(TxnId(1), HOT),
-        HotExecution::Leader
-    ));
-    g.register_update(TxnId(1), HOT);
-    let slot = match g.begin_hot_update(TxnId(2), HOT) {
-        HotExecution::Wait(slot) => slot,
-        other => panic!("expected Wait, got {other:?}"),
+fn timed_out_grant_wait_leaves_the_queue_and_pools_its_event() {
+    let (hot, _in_flight) = Hot::group(&[], Some(1));
+    let (handle, execution) = hot.g.begin_update(TxnId(2), HOT);
+    let HotExecution::Wait(slot) = execution else {
+        panic!("T1 is in flight: {execution:?}")
     };
     let before = OsEvent::pooled_count();
-    assert_eq!(g.cancel_hot_wait(TxnId(2), HOT), CancelOutcome::Cancelled);
+    let err = hot.g.wait_for_grant(TxnId(2), &handle, &slot).unwrap_err();
+    assert!(matches!(err, Error::LockWaitTimeout { .. }), "{err:?}");
+    assert!(hot.g.peek(HOT).waiting.is_empty(), "still queued");
     drop(slot);
-    assert_eq!(
-        OsEvent::pooled_count(),
-        before + 1,
-        "cancelled wait slot must recycle its event"
-    );
-}
-
-/// A slot whose granter still holds a clone must NOT recycle a shared event:
-/// the unique-`Arc` rule protects the pool from stale wakes.
-#[test]
-fn granted_slot_event_is_not_pooled_while_shared() {
-    let g = group_table();
-    let _ = g.begin_hot_update(TxnId(1), HOT);
-    g.register_update(TxnId(1), HOT);
-    let slot = match g.begin_hot_update(TxnId(2), HOT) {
-        HotExecution::Wait(slot) => slot,
-        other => panic!("expected Wait, got {other:?}"),
-    };
-    let stale_granter_clone = Arc::clone(slot.event());
-    g.finish_update(TxnId(1), HOT, true); // grants T2, queue drops its slot clone
-    let before = OsEvent::pooled_count();
-    drop(slot);
-    assert_eq!(
-        OsEvent::pooled_count(),
-        before,
-        "event with an outstanding granter clone must not be pooled"
-    );
-    drop(stale_granter_clone);
-}
-
-/// A timed-out ticket wait leaves the queue, its clone of the event with it,
-/// so the wait can pool the event.
-#[test]
-fn cancelled_queue_wait_drains_event_to_pool() {
-    let q = QueueLockTable::new(Duration::from_millis(10));
-    let key = HOT.packed();
-    assert!(matches!(q.admit(key, 1), QueueAdmission::Proceed));
-    let event = match q.admit(key, 2) {
-        QueueAdmission::Wait(event, _) => event,
-        other => panic!("expected Wait, got {other:?}"),
-    };
-    let before = OsEvent::pooled_count();
-    assert!(!q.wait(key, 2, event), "owner 1 never released");
-    assert_eq!(OsEvent::pooled_count(), before + 1);
-    q.release(key, 1);
+    assert_eq!(OsEvent::pooled_count(), before + 1, "event not recycled");
 }
 
 /// A commit-turn wait that times out under an explored schedule must retire
 /// its event (remove the state's clone) instead of leaving its turn-waiter
-/// entry behind — observable as an empty waiter list and a recycled event
-/// even though nobody ever woke the waiter.
+/// entry behind — observable as a recycled event and a row that drains even
+/// though nobody ever woke the waiter.
 #[test]
 fn timed_out_commit_wait_retires_its_event_under_sim() {
-    for seed in txsql_sim::ci_seeds(20) {
-        let g = Arc::new(GroupLockTable::new(
-            GroupLockConfig {
-                hot_wait_timeout: Duration::from_millis(20),
-                ..GroupLockConfig::default()
-            },
-            Arc::new(EngineMetrics::new()),
-        ));
-        const T1: TxnId = TxnId(1);
-        const T2: TxnId = TxnId(2);
-        // T1 precedes T2 in the dependency list and never commits, so T2's
+    explore("sim_lock/commit_wait_timeout", 20, |seed| {
+        // T1 precedes T2 on the dependency list and never commits, so T2's
         // commit turn can only end in a (virtual clock) timeout.
-        let _ = g.begin_hot_update(T1, HOT);
-        g.register_update(T1, HOT);
-        g.finish_update(T1, HOT, true);
-        assert!(matches!(
-            g.begin_hot_update(T2, HOT),
-            HotExecution::Follower
-        ));
-        g.register_update(T2, HOT);
-        g.finish_update(T2, HOT, false);
-
-        let gt = Arc::clone(&g);
-        run_seed(seed, move |sim| {
-            let g2 = Arc::clone(&gt);
+        let (hot, members) = Hot::group(&[2], None);
+        let report = run_seed(seed, |sim| {
+            let t2 = members[1].clone();
             sim.spawn("commit-waiter", move || {
                 let pooled_before = OsEvent::pooled_count();
-                let err = g2.wait_commit_turn(T2, HOT).unwrap_err();
-                assert!(matches!(err, txsql_common::Error::LockWaitTimeout { .. }));
+                let err = t2.commit().unwrap_err();
+                assert!(matches!(err, Error::LockWaitTimeout { .. }), "{err:?}");
                 // The retired events went back to this thread's pool (capped
                 // by the pool size); at minimum the last one must be there.
                 assert!(
@@ -1273,9 +793,10 @@ fn timed_out_commit_wait_retires_its_event_under_sim() {
                 );
             });
         });
-        // No abandoned commit-waiter entries may survive the timeout.
-        g.finish_rollback(T2, HOT);
-        g.finish_rollback(T1, HOT);
-        assert!(!g.has_activity(HOT), "seed {seed}: entry still live");
-    }
+        // No abandoned turn-waiter entry may keep the row alive.
+        members[1].roll_back();
+        members[0].roll_back();
+        hot.assert_drained(&format!("seed {seed}"));
+        report
+    });
 }

@@ -25,42 +25,28 @@
 //!   grant-scan flatness assertions prove histogram fidelity survives the
 //!   scratch's bucketed accumulation.
 
+mod support;
+
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
-use std::time::Duration;
+use support::{assert_locks_drained, lock_table, lock_table_on};
 use txsql_common::metrics::{EngineMetrics, MetricsScratch};
 use txsql_common::{RecordId, TxnId};
-use txsql_lockmgr::lock_table::{DeadlockPolicy, Layout, LockTableConfig, RecordLockTable};
+use txsql_lockmgr::lightweight::FlatLayout;
+use txsql_lockmgr::lock_sys::PageLayout;
+use txsql_lockmgr::lock_table::{DeadlockPolicy, Layout};
 use txsql_lockmgr::modes::LockMode;
-use txsql_lockmgr::{LightweightLockTable, LockSys};
 
-const HOT: RecordId = RecordId {
-    space_id: 9,
-    page_no: 0,
-    heap_no: 0,
-};
+const HOT: RecordId = RecordId::new(9, 0, 0);
 const THREADS: usize = 8;
 const OPS_PER_THREAD: usize = 200;
 
-/// A table of layout `L` with the stress suite's short timeout.
-fn table<L: Layout>(
-    policy: DeadlockPolicy,
-    timeout_ms: u64,
-) -> (Arc<RecordLockTable<L>>, Arc<EngineMetrics>) {
-    let metrics = Arc::new(EngineMetrics::new());
-    let config = LockTableConfig {
-        deadlock_policy: policy,
-        lock_wait_timeout: Duration::from_millis(timeout_ms),
-    };
-    (
-        Arc::new(RecordLockTable::new(config, Arc::clone(&metrics))),
-        metrics,
-    )
-}
-
-/// Drives the table the way the engine does: every lock/release entry point
-/// takes the worker's `MetricsScratch`.
-fn stress<L: Layout + 'static>(table: Arc<RecordLockTable<L>>, metrics: &EngineMetrics) {
+/// Drives a table of layout `L` the way the engine does: every lock/release
+/// entry point takes the worker's `MetricsScratch`.  Returns its metrics.
+fn stress<L: Layout + 'static>() -> Arc<EngineMetrics> {
+    let shared = Arc::new(EngineMetrics::new());
+    let table = lock_table_on::<L>(DeadlockPolicy::TimeoutOnly, 10, &shared);
+    let metrics = &*shared;
     let counter = Arc::new(AtomicU64::new(0));
     let grants = Arc::new(AtomicU64::new(0));
     let barrier = Arc::new(std::sync::Barrier::new(THREADS));
@@ -137,16 +123,7 @@ fn stress<L: Layout + 'static>(table: Arc<RecordLockTable<L>>, metrics: &EngineM
         table.holders_of(HOT).is_empty(),
         "hot record must end with no holders"
     );
-    assert!(
-        table.registry().is_empty(),
-        "registry must be empty after all release_all calls (left {} entries)",
-        table.registry().total_entries()
-    );
-    assert_eq!(
-        table.wait_for_graph().waiting_count(),
-        0,
-        "wait-for graph must drain"
-    );
+    assert_locks_drained(&table);
     // Grant scans must stay per-record: at most the hot record's one holder
     // plus THREADS-1 waiters.  All cold records live on one page, so a scan
     // that grew with page population would blow through this bound.
@@ -155,25 +132,22 @@ fn stress<L: Layout + 'static>(table: Arc<RecordLockTable<L>>, metrics: &EngineM
         "grant scan examined {} requests — scans must not scale with page population",
         metrics.grant_scan_len.max_micros()
     );
+    shared
 }
 
 #[test]
 fn lock_sys_hot_and_cold_stress() {
-    let (sys, metrics): (Arc<LockSys>, _) = table(DeadlockPolicy::TimeoutOnly, 10);
-    stress(sys, &metrics);
+    stress::<PageLayout>();
 }
 
 #[test]
 fn lightweight_hot_and_cold_stress() {
-    let (table, metrics): (Arc<LightweightLockTable>, _) = table(DeadlockPolicy::TimeoutOnly, 10);
-    stress(table, &metrics);
+    let metrics = stress::<FlatLayout>();
     // Lightweight only creates lock objects for waits; releases must cover
     // every registry entry ever created (two batched cold releases plus the
     // hot record per op).
-    assert_eq!(
-        metrics.locks_released.get(),
-        (THREADS * OPS_PER_THREAD) as u64 * 3
-    );
+    let released = metrics.locks_released.get();
+    assert_eq!(released, (THREADS * OPS_PER_THREAD) as u64 * 3);
 }
 
 #[test]
@@ -181,7 +155,7 @@ fn deadlock_detection_survives_concurrent_churn() {
     // With detection enabled and short timeouts, cross-thread cycles on two
     // records must resolve as deadlock or timeout — never hang — and the
     // graph must drain afterwards.
-    let (table, _): (Arc<LightweightLockTable>, _) = table(DeadlockPolicy::Detect, 20);
+    let table = lock_table::<FlatLayout>(DeadlockPolicy::Detect, 20);
     let a = RecordId::new(3, 0, 0);
     let b = RecordId::new(3, 0, 1);
     std::thread::scope(|scope| {
@@ -205,7 +179,5 @@ fn deadlock_detection_survives_concurrent_churn() {
     });
     assert!(table.holders_of(a).is_empty());
     assert!(table.holders_of(b).is_empty());
-    assert!(table.registry().is_empty());
-    assert_eq!(table.wait_for_graph().waiting_count(), 0);
-    assert_eq!(table.wait_for_graph().edge_count(), 0);
+    assert_locks_drained(&table);
 }

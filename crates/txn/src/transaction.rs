@@ -339,7 +339,8 @@ mod tests {
         assert!(!t.has_hot_updates());
         let groups = GroupLockTable::new(GroupLockConfig::default(), Arc::default());
         t.reserve_hot_update();
-        t.record_hot_update(hot, HotRole::Follower, 42, Some(groups.handle(hot)));
+        let (group, _) = groups.begin_update(t.id, hot);
+        t.record_hot_update(hot, HotRole::Follower, 42, Some(group));
         assert_eq!(t.hot_role(cold), None);
         assert_eq!(t.hot_role(hot), Some(HotRole::Follower));
         let [update] = t.hot_updates() else {

@@ -239,7 +239,7 @@ mod tests {
 
     #[test]
     fn finish_asserts_registries_drained() {
-        let registry = Arc::new(TxnLockRegistry::new(8));
+        let registry = Arc::new(TxnLockRegistry::new(8, Arc::default()));
         let sys =
             TrxSys::new(ReadViewMode::CopyFree).with_lock_registries(vec![Arc::clone(&registry)]);
         // Clean teardown passes the drained-registry check.
