@@ -378,12 +378,6 @@ impl<L: Layout> RecordLockTable<L> {
         }
     }
 
-    /// Releases a single record lock held by `txn` and grants any waiters
-    /// that no longer conflict.
-    pub fn release_record_lock(&self, txn: TxnId, record: RecordId) {
-        self.release_record_locks(txn, std::slice::from_ref(&record));
-    }
-
     /// [`RecordLockTable::release_record_locks_in`] counting into the shared
     /// metrics.
     pub fn release_record_locks(&self, txn: TxnId, records: &[RecordId]) {
@@ -589,7 +583,7 @@ mod tests {
         assert!(t.holders_of(R1).is_empty());
         assert_eq!(t.holders_of(R2), vec![TxnId(1)]);
         assert_eq!(t.lock_count_of(TxnId(1)), 1);
-        t.release_record_lock(TxnId(1), R2);
+        t.release_record_locks(TxnId(1), &[R2]);
         assert!(t.holders_of(R2).is_empty());
         t.release_all(TxnId(1));
         t.release_all(TxnId(2));
@@ -706,6 +700,13 @@ mod tests {
             blocked: Option<(RecordId, JoinHandle<Result<()>>)>,
         }
         let t = table::<L>(DeadlockPolicy::TimeoutOnly, 30_000);
+        // Ballast: 100 granted requests on other records of R1's and R2's
+        // page, which no grant scan of the script may count.
+        const BALLAST: TxnId = TxnId(u64::MAX);
+        for heap in 10..110 {
+            t.lock_record(BALLAST, RecordId::new(1, 0, heap), X)
+                .unwrap();
+        }
         let mut rng = XorShiftRng::new(seed);
         let mut slots: Vec<Slot> = (1..=6u64)
             .map(|txn| Slot {
@@ -768,6 +769,10 @@ mod tests {
         for slot in &slots {
             t.release_all(TxnId(slot.txn));
         }
+        t.release_all(BALLAST);
+        // A scan is one record's queue (six slots at most), not its page's.
+        let longest_scan = t.metrics.grant_scan_len.max_micros();
+        assert!(longest_scan <= 6, "a grant scan examined {longest_scan}");
         (log, t)
     }
 

@@ -67,41 +67,27 @@ mod tests {
     use super::*;
     use LockMode::*;
 
-    #[test]
-    fn shared_locks_are_compatible() {
-        assert!(Shared.is_compatible_with(Shared));
-        assert!(!Shared.is_compatible_with(Exclusive));
-        assert!(!Exclusive.is_compatible_with(Shared));
-        assert!(!Exclusive.is_compatible_with(Exclusive));
-    }
+    const MODES: [LockMode; 4] = [Shared, Exclusive, IntentionShared, IntentionExclusive];
 
     #[test]
-    fn intention_locks_follow_the_standard_matrix() {
-        assert!(IntentionShared.is_compatible_with(IntentionExclusive));
-        assert!(IntentionExclusive.is_compatible_with(IntentionExclusive));
-        assert!(IntentionShared.is_compatible_with(Shared));
-        assert!(!IntentionExclusive.is_compatible_with(Shared));
-        assert!(!IntentionExclusive.is_compatible_with(Exclusive));
-        assert!(!IntentionShared.is_compatible_with(Exclusive));
-    }
-
-    #[test]
-    fn compatibility_is_symmetric() {
-        let modes = [Shared, Exclusive, IntentionShared, IntentionExclusive];
-        for &a in &modes {
-            for &b in &modes {
-                assert_eq!(
-                    a.is_compatible_with(b),
-                    b.is_compatible_with(a),
-                    "{a:?} vs {b:?}"
-                );
+    fn compatibility_is_the_standard_matrix() {
+        // Rows and columns in the order of `MODES`: S, X, IS, IX.
+        const MATRIX: [[bool; 4]; 4] = [
+            [true, false, true, false],
+            [false, false, false, false],
+            [true, false, true, true],
+            [false, false, true, true],
+        ];
+        for (a, row) in MODES.iter().zip(MATRIX) {
+            for (b, compatible) in MODES.iter().zip(row) {
+                assert_eq!(a.is_compatible_with(*b), compatible, "{a:?} vs {b:?}");
             }
         }
     }
 
     #[test]
     fn exclusive_covers_everything() {
-        for &m in &[Shared, Exclusive, IntentionShared, IntentionExclusive] {
+        for m in MODES {
             assert!(Exclusive.covers(m));
         }
         assert!(!Shared.covers(Exclusive));

@@ -288,13 +288,6 @@ mod tests {
         )
     }
 
-    impl TxnLockRegistry {
-        /// The release-all path, counting into the registry's own metrics.
-        fn take_all(&self, txn: TxnId) -> Option<TxnLocks> {
-            self.take_all_in(txn, &*self.metrics)
-        }
-    }
-
     #[test]
     fn remember_skips_consecutive_duplicates() {
         let (reg, _) = registry(8);
@@ -314,7 +307,7 @@ mod tests {
         assert!(reg.remember_record(TxnId(1), R2));
         assert!(reg.remember_record(TxnId(1), R1));
         assert_eq!(reg.record_count_of(TxnId(1)), 3, "log keeps the duplicate");
-        let locks = reg.take_all(TxnId(1)).unwrap();
+        let locks = reg.take_all_in(TxnId(1), &*reg.metrics).unwrap();
         assert_eq!(locks.records, vec![R1, R2], "sorted and deduplicated");
         assert!(reg.is_empty());
         assert_eq!(reg.total_entries(), 0);
@@ -325,10 +318,10 @@ mod tests {
         let (reg, _) = registry(8);
         reg.remember_record(TxnId(1), R1);
         reg.remember_table(TxnId(1), TableId(3));
-        let locks = reg.take_all(TxnId(1)).unwrap();
+        let locks = reg.take_all_in(TxnId(1), &*reg.metrics).unwrap();
         assert_eq!(locks.records, [R1]);
         assert_eq!(locks.tables, vec![TableId(3)]);
-        assert!(reg.take_all(TxnId(1)).is_none());
+        assert!(reg.take_all_in(TxnId(1), &*reg.metrics).is_none());
         assert!(reg.is_empty());
     }
 
@@ -351,8 +344,8 @@ mod tests {
         reg.forget_record(TxnId(1), R2);
         assert_eq!(reg.total_entries(), 2);
         assert_eq!(metrics.locks_released.get(), 1);
-        reg.take_all(TxnId(1));
-        reg.take_all(TxnId(2));
+        reg.take_all_in(TxnId(1), &*reg.metrics);
+        reg.take_all_in(TxnId(2), &*reg.metrics);
         assert_eq!(reg.total_entries(), 0);
         assert_eq!(metrics.locks_released.get(), 3);
     }
@@ -383,7 +376,7 @@ mod tests {
         for heap in 0..4u16 {
             reg.remember_record(TxnId(1), RecordId::new(1, 7, heap));
         }
-        let locks = reg.take_all(TxnId(1)).unwrap();
+        let locks = reg.take_all_in(TxnId(1), &*reg.metrics).unwrap();
         assert_eq!(locks.records.len(), 5);
         assert!(locks.records[..4].iter().all(|r| r.page_no == 7));
         assert_eq!(locks.records[4], RecordId::new(1, 8, 0));
@@ -414,7 +407,7 @@ mod tests {
         assert_eq!(reg.forget_records(TxnId(1), &[R1]), 1, "one lock, not two");
         assert_eq!(metrics.locks_released.get(), 1);
         assert_eq!(reg.total_entries(), 1, "both log copies must be gone");
-        reg.take_all(TxnId(1));
+        reg.take_all_in(TxnId(1), &*reg.metrics);
         assert_eq!(reg.total_entries(), 0);
         assert_eq!(metrics.locks_released.get(), 2);
         assert!(reg.is_empty());
@@ -427,7 +420,7 @@ mod tests {
         reg.remember_table(TxnId(1), TableId(1));
         reg.remember_table(TxnId(1), TableId(2));
         assert_eq!(
-            reg.take_all(TxnId(1)).unwrap().tables,
+            reg.take_all_in(TxnId(1), &*reg.metrics).unwrap().tables,
             vec![TableId(1), TableId(2)]
         );
     }
@@ -443,7 +436,7 @@ mod tests {
                         reg.remember_record(TxnId(t), RecordId::new(1, t as u32, heap));
                     }
                     assert_eq!(reg.record_count_of(TxnId(t)), 64);
-                    let locks = reg.take_all(TxnId(t)).unwrap();
+                    let locks = reg.take_all_in(TxnId(t), &*reg.metrics).unwrap();
                     assert_eq!(locks.records.len(), 64);
                 })
             })

@@ -11,8 +11,8 @@
 //! * bookkeeping drains — after every thread has issued `release_all`, the
 //!   per-transaction registry and the wait-for graph are empty (this is the
 //!   race the timeout-removal vs grant-scan interplay can leak on);
-//! * grant scans stay per-record — every cold record lives on one shared
-//!   page, so a layout that scanned the whole page's request population
+//! * grant scans stay per-record — the hot record and every cold record live
+//!   on one page, so a layout that scanned the whole page's request population
 //!   would show up as growth in the `grant_scan_len` histogram; with
 //!   per-record queues it must stay bounded by one record's queue depth, and
 //!   the batched `release_record_locks` path the cold records go through
@@ -37,7 +37,8 @@ use txsql_lockmgr::lock_sys::PageLayout;
 use txsql_lockmgr::lock_table::{DeadlockPolicy, Layout};
 use txsql_lockmgr::modes::LockMode;
 
-const HOT: RecordId = RecordId::new(9, 0, 0);
+/// On the cold records' page (they use heap numbers under 3,200).
+const HOT: RecordId = RecordId::new(9, 1, 4_095);
 const THREADS: usize = 8;
 const OPS_PER_THREAD: usize = 200;
 
@@ -125,7 +126,7 @@ fn stress<L: Layout + 'static>() -> Arc<EngineMetrics> {
     );
     assert_locks_drained(&table);
     // Grant scans must stay per-record: at most the hot record's one holder
-    // plus THREADS-1 waiters.  All cold records live on one page, so a scan
+    // plus THREADS-1 waiters.  The cold records live on its page, so a scan
     // that grew with page population would blow through this bound.
     assert!(
         metrics.grant_scan_len.max_micros() <= THREADS as u64 + 1,
