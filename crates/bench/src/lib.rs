@@ -160,7 +160,7 @@ mod tests {
     fn build_db_applies_protocol() {
         let db = build_db(Protocol::Bamboo, Some(LatencyModel::local_ssd()));
         assert_eq!(db.protocol(), Protocol::Bamboo);
-        assert!(!db.config().latency.is_instant());
+        assert_eq!(db.config().latency, LatencyModel::local_ssd());
         db.shutdown();
     }
 }

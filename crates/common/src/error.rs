@@ -118,10 +118,10 @@ pub enum Error {
         /// Why the engine degraded.
         reason: &'static str,
     },
-    /// Recovery found a corrupt or truncated log record.
-    CorruptLog {
-        /// Human-readable description of the corruption.
-        reason: String,
+    /// A row whose redo image does not fit a frame of the log.
+    RowTooLarge {
+        /// Size of the image in bytes.
+        bytes: usize,
     },
     /// Generic invariant violation (programming error surfaced gracefully).
     Internal {
@@ -178,7 +178,7 @@ impl Error {
             Error::ShuttingDown => "shutting_down",
             Error::Crashed { .. } => "crash_injected",
             Error::ReadOnly { .. } => "read_only",
-            Error::CorruptLog { .. } => "corrupt_log",
+            Error::RowTooLarge { .. } => "row_too_large",
             Error::Internal { .. } => "internal",
         }
     }
@@ -216,7 +216,7 @@ impl fmt::Display for Error {
             Error::ShuttingDown => write!(f, "engine is shutting down"),
             Error::Crashed { point } => write!(f, "injected crash fired at {point}"),
             Error::ReadOnly { reason } => write!(f, "engine is read-only: {reason}"),
-            Error::CorruptLog { reason } => write!(f, "corrupt log: {reason}"),
+            Error::RowTooLarge { bytes } => write!(f, "a {bytes}-byte row image fits no log frame"),
             Error::Internal { reason } => write!(f, "internal error: {reason}"),
         }
     }

@@ -64,11 +64,6 @@ impl LatencyModel {
     pub fn network_round_trip(&self) -> Duration {
         self.network_one_way * 2
     }
-
-    /// True when the commit path has any artificial latency at all.
-    pub fn is_instant(&self) -> bool {
-        self.fsync.is_zero() && self.network_one_way.is_zero() && self.statement_overhead.is_zero()
-    }
 }
 
 /// Busy-waits (for sub-100µs pauses) or sleeps for `d`.
@@ -103,12 +98,6 @@ pub fn simulate_delay(d: Duration) {
 mod tests {
     use super::*;
     use std::time::Instant;
-
-    #[test]
-    fn default_model_is_instant() {
-        assert!(LatencyModel::default().is_instant());
-        assert!(!LatencyModel::local_ssd().is_instant());
-    }
 
     #[test]
     fn semi_sync_has_network_latency() {

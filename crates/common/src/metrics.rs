@@ -439,11 +439,6 @@ impl MetricsScratch {
         self.commit.set(Some((latency, blocked)));
     }
 
-    /// Locks created recorded since the last flush (test observability).
-    pub fn pending_locks_created(&self) -> u64 {
-        self.locks_created.get()
-    }
-
     /// Drains every accumulated count into `metrics`, leaving the scratch
     /// empty.  One atomic operation per non-zero counter/bucket.
     pub fn flush(&self, metrics: &EngineMetrics) {
@@ -1055,7 +1050,6 @@ mod tests {
         assert_eq!(m.grant_scan_len.count(), 0);
         assert_eq!((m.lock_waits.get(), m.groups_formed.get()), (0, 0));
         assert!(!scratch.is_empty());
-        assert_eq!(scratch.pending_locks_created(), 2);
         scratch.flush(&m);
         assert!(scratch.is_empty());
         assert_eq!(m.locks_created.get(), 2);

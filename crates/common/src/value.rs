@@ -37,11 +37,6 @@ impl Value {
         }
     }
 
-    /// True when the value is SQL NULL.
-    pub fn is_null(&self) -> bool {
-        matches!(self, Value::Null)
-    }
-
     /// Approximate in-memory size in bytes, used by the storage engine to
     /// account for page fill and by recovery to size log records.
     pub fn size_bytes(&self) -> usize {
@@ -205,7 +200,6 @@ mod tests {
     fn value_accessors() {
         assert_eq!(Value::Int(7).as_int(), Some(7));
         assert_eq!(Value::Str("a".into()).as_str(), Some("a"));
-        assert!(Value::Null.is_null());
         assert_eq!(Value::from("abc").size_bytes(), 3);
         assert_eq!(Value::from(1i64).size_bytes(), 8);
     }

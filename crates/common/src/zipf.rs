@@ -97,12 +97,6 @@ impl ZipfGenerator {
         v.min(self.n - 1)
     }
 
-    /// The probability mass of the hottest item — used by tests and by the
-    /// hotspot-detection heuristics to reason about expected queue lengths.
-    pub fn hottest_mass(&self) -> f64 {
-        1.0 / self.zetan
-    }
-
     /// Exposes the zeta(2, theta) constant (used in unit tests to validate the
     /// internal constants stay consistent after refactors).
     pub fn zeta2theta(&self) -> f64 {
@@ -155,20 +149,6 @@ mod tests {
         );
         // With theta=0.99 the top item should receive a visible share.
         assert!(high[0] as f64 / 200_000.0 > 0.05);
-    }
-
-    #[test]
-    fn hottest_mass_matches_empirical_frequency() {
-        let gen = ZipfGenerator::new(256, 0.9);
-        let mut rng = XorShiftRng::new(7);
-        let draws = 400_000;
-        let hits = (0..draws).filter(|_| gen.next(&mut rng) == 0).count();
-        let empirical = hits as f64 / draws as f64;
-        let predicted = gen.hottest_mass();
-        assert!(
-            (empirical - predicted).abs() / predicted < 0.15,
-            "empirical {empirical} vs predicted {predicted}"
-        );
     }
 
     #[test]

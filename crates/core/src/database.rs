@@ -332,8 +332,9 @@ impl Database {
     pub fn restart_from_crash(&self) -> Result<(Database, RecoveryReport)> {
         self.shutdown();
         let image = self.inner.last_checkpoint.lock().clone();
+        // The log's own walk over its durable frames, decoded in place.
         let frames = self.inner.storage.redo().durable_frames();
-        let outcome = recovery::recover_frames(&image, &frames, self.inner.config.latency.fsync)?;
+        let outcome = recovery::recover_frames(&image, frames, self.inner.config.latency.fsync)?;
         let report = outcome.report;
         let metrics = Arc::new(EngineMetrics::new());
         metrics.recovery_replayed.add(report.replayed as u64);
@@ -387,9 +388,10 @@ impl Database {
     }
 
     /// Called by every write statement before it asks the protocol for the
-    /// row: the transaction's first one gives it its storage entry and its
-    /// `Begin` record.  Ahead of `acquire_for_write` on purpose — inside a
-    /// hot row's grant this would be paid by everyone queued behind it.
+    /// row: the transaction's first one gives it its storage entry (the log
+    /// hears of it with its first frame).  Ahead of `acquire_for_write` on
+    /// purpose — inside a hot row's grant this would be paid by everyone
+    /// queued behind it.
     pub(crate) fn begin_write(&self, txn: &mut Transaction) {
         if txn.become_writer() {
             self.inner.storage.begin_txn(txn.id);

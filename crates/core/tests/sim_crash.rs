@@ -20,10 +20,11 @@
 //! `TXSQL_SIM_SEEDS`-overridable (CI pins `0..200`).
 
 use std::collections::HashSet;
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 use txsql_common::latency::LatencyModel;
-use txsql_common::{Lsn, TxnId};
+use txsql_common::{Error, Lsn, TxnId};
 use txsql_core::{Database, Protocol, TxnProgram};
 use txsql_sim::{run_seed, RunReport};
 use txsql_storage::fault::{CrashPoint, FaultInjector, FaultPlan};
@@ -73,6 +74,14 @@ fn run_workload(fixture: &Fixture, seed: u64, checkpointer: bool) -> RunReport {
             fixture.run(worker, &vec![increment(fixture, worker); PER_WORKER]);
         }
     })
+}
+
+/// Where a walk over `redo`'s durable bytes scan-stops: the frame a cut
+/// flush tore, `None` when the bytes end with a whole frame.
+fn torn_tail(redo: &RedoLog) -> Option<Lsn> {
+    let mut frames = redo.durable_frames();
+    frames.by_ref().for_each(drop);
+    frames.torn_tail()
 }
 
 /// The sweeps' vacuity check: under every protocol some explored schedule
@@ -176,10 +185,11 @@ fn sim_transient_fsync_errors_recover_under_exploration() {
 
 /// A crash landing *inside* a group-commit flush batch: non-zero fsync
 /// latency makes followers pile up behind one leader flush, and the
-/// mid-flush cut leaves a torn tail that recovery must scan-stop at.
-/// Some batch members' commit markers may survive below the cut — they were
-/// answered with an error (in doubt), which the audit permits — but nothing
-/// acknowledged may be lost.
+/// mid-flush cut — at a byte offset, with garbage behind it: any prefix of
+/// the batch's bytes, from all of it but a byte to none of it — leaves a torn
+/// tail that recovery must scan-stop at.  Some batch members' commit markers
+/// may survive below the cut — they were answered with an error (in doubt),
+/// which the audit permits — but nothing acknowledged may be lost.
 #[test]
 fn sim_torn_tail_inside_group_commit_batch_recovers() {
     let mut acked_then_crashed = HashSet::new();
@@ -187,22 +197,24 @@ fn sim_torn_tail_inside_group_commit_batch_recovers() {
     explore("sim_crash/torn_tail", cases, |(protocol, seed)| {
         let plan = FaultPlan::none()
             .crash_at(CrashPoint::MidFlush, 1 + seed % 3)
-            .with_torn_cut_back(1 + seed % 2);
+            .with_torn_cut_back(1 + seed * 7 % 300);
         let fixture = crash_fixture(protocol, plan, LatencyModel::local_ssd());
         fixture.db.checkpoint().unwrap();
         let run = run_workload(&fixture, seed, false);
         let crashed = fixture.db.has_crashed();
         let acked = fixture.acknowledged(HOT);
-        let torn = fixture.db.storage().redo().torn_lsn();
+        let redo = fixture.db.storage().redo();
+        let (torn, durable) = (torn_tail(redo), redo.durable_lsn());
         let (recovered, report) = fixture.restart();
         if crashed {
-            assert!(
-                torn.is_some(),
+            assert_eq!(
+                torn,
+                Some(Lsn(durable.0 + 1)),
                 "seed {seed}: a mid-flush crash must leave a torn tail"
             );
             assert_eq!(
                 report.torn_tail, torn,
-                "recovery must scan-stop at the torn record"
+                "recovery must scan-stop at the torn frame"
             );
             if acked > 0 {
                 acked_then_crashed.insert(protocol);
@@ -322,21 +334,27 @@ fn sim_flush_to_race_never_acks_records_the_crash_destroyed() {
         let faults = FaultInjector::new(
             FaultPlan::none()
                 .crash_at(CrashPoint::MidFlush, 1)
-                .with_torn_cut_back(1 + seed % 2),
+                // Inside the batch's last commit marker, or all of it.
+                .with_torn_cut_back(8 + 16 * (seed % 2)),
         );
         let redo = Arc::new(RedoLog::with_faults(Duration::from_micros(50), faults));
         let acked = Arc::new(parking_lot::Mutex::new(Vec::new()));
+        let frozen = Arc::new(AtomicU64::new(u64::MAX));
         run_seed(seed, |sim| {
             for t in 0..2u64 {
-                let redo = Arc::clone(&redo);
-                let acked = Arc::clone(&acked);
+                let (redo, acked, frozen) = (redo.clone(), acked.clone(), frozen.clone());
                 sim.spawn(format!("flusher-{t}"), move || {
                     let lsn = redo.append(RedoRecord::Commit {
                         txn: TxnId(t + 1),
                         trx_no: t + 1,
                     });
-                    if redo.flush_to(lsn).is_ok() {
-                        acked.lock().push((TxnId(t + 1), lsn));
+                    match redo.flush_to(lsn) {
+                        Ok(()) => acked.lock().push((TxnId(t + 1), lsn)),
+                        // The crash image: the horizon as the cut flush left it.
+                        Err(Error::Crashed { point: "mid_flush" }) => {
+                            frozen.store(redo.durable_lsn().0, Ordering::Release)
+                        }
+                        Err(_) => {}
                     }
                 });
             }
@@ -344,13 +362,16 @@ fn sim_flush_to_race_never_acks_records_the_crash_destroyed() {
         if redo.faults().crashed() {
             crashed_seeds += 1;
         }
-        // The frozen-horizon invariant: the torn record a mid-flush crash
-        // left behind must stay *above* the durable horizon forever.  On the
+        // The frozen-horizon invariant: the horizon stays where the cut flush
+        // left it, and the torn frame stays *above* it, forever.  On the
         // pre-fix code, a concurrent flusher whose fsync was in flight at
-        // the crash re-advanced the horizon over the torn record with its
-        // post-fsync `fetch_max` — acknowledging records the crash image
-        // destroyed.
-        if let Some(torn) = redo.torn_lsn() {
+        // the crash re-advanced the horizon over the torn frame with its
+        // post-fsync `fetch_max` — acknowledging records whose bytes the
+        // crash had turned to garbage.
+        let (frozen, now) = (frozen.load(Ordering::Acquire), redo.durable_lsn().0);
+        let moved = frozen != u64::MAX && frozen != now;
+        assert!(!moved, "seed {seed}: the horizon moved, {frozen} to {now}");
+        if let Some(torn) = torn_tail(&redo) {
             assert!(
                 redo.durable_lsn().0 < torn.0,
                 "seed {seed}: durable horizon {:?} swallowed the torn record at {torn:?}",

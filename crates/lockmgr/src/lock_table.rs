@@ -480,11 +480,6 @@ impl<L: Layout> RecordLockTable<L> {
             .unwrap_or_default()
     }
 
-    /// Number of records `txn` currently holds or waits on.
-    pub fn lock_count_of(&self, txn: TxnId) -> usize {
-        self.registry.record_count_of(txn)
-    }
-
     /// The wait-for graph (tests assert it drains).
     pub fn wait_for_graph(&self) -> &WaitForGraph {
         &self.graph
@@ -533,10 +528,10 @@ mod tests {
         t.lock_record(TxnId(1), R1, X).unwrap();
         t.lock_record(TxnId(1), R1, S).unwrap();
         assert_eq!(t.holders_of(R1), vec![TxnId(1)], "re-entry adds no holder");
-        assert_eq!(t.lock_count_of(TxnId(1)), 1);
+        assert_eq!(t.registry.record_count_of(TxnId(1)), 1);
         t.release_all(TxnId(1));
         assert!(t.holders_of(R1).is_empty());
-        assert_eq!(t.lock_count_of(TxnId(1)), 0);
+        assert_eq!(t.registry.record_count_of(TxnId(1)), 0);
         assert_drained(&t);
     }
 
@@ -548,7 +543,7 @@ mod tests {
         let err = t.lock_record(TxnId(3), R1, X).unwrap_err();
         assert!(matches!(err, Error::LockWaitTimeout { .. }));
         // The timed-out waiter left no bookkeeping behind.
-        assert_eq!(t.lock_count_of(TxnId(3)), 0);
+        assert_eq!(t.registry.record_count_of(TxnId(3)), 0);
         t.release_all(TxnId(1));
         t.release_all(TxnId(2));
         assert_drained(&t);
@@ -582,7 +577,7 @@ mod tests {
         assert_eq!(t.holders_of(other_page), vec![TxnId(2)]);
         assert!(t.holders_of(R1).is_empty());
         assert_eq!(t.holders_of(R2), vec![TxnId(1)]);
-        assert_eq!(t.lock_count_of(TxnId(1)), 1);
+        assert_eq!(t.registry.record_count_of(TxnId(1)), 1);
         t.release_record_locks(TxnId(1), &[R2]);
         assert!(t.holders_of(R2).is_empty());
         t.release_all(TxnId(1));
@@ -654,7 +649,11 @@ mod tests {
         let err = t.lock_record(TxnId(1), R1, X).unwrap_err();
         assert!(matches!(err, Error::LockWaitTimeout { .. }));
         assert_eq!(t.holders_of(R1).len(), 2, "both Shared holders must remain");
-        assert_eq!(t.lock_count_of(TxnId(1)), 1, "registry still tracks T1");
+        assert_eq!(
+            t.registry.record_count_of(TxnId(1)),
+            1,
+            "registry still tracks T1"
+        );
         // Release-all must actually remove the surviving granted lock.
         t.release_all(TxnId(1));
         t.release_all(TxnId(2));

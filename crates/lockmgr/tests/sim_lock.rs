@@ -343,312 +343,215 @@ fn quiesce_wakeup_is_never_lost_under_exploration() {
 // grant_waiters FIFO / compatibility invariants (both lock tables)
 // ---------------------------------------------------------------------------
 
-/// The scenarios below run on a timeout-only table.  Under that policy the
-/// registry entry (`lock_count_of`) is written immediately before the wait
-/// deadline is captured (no yield point in between — detection would add the
-/// graph's event-attach lock there), so they can gate on it to order
-/// virtual-clock deadlines deterministically.
+/// The scenarios below run on a timeout-only table.  Under that policy a
+/// request's registry entry is written immediately before its wait deadline
+/// is captured (no yield point in between — detection would add the graph's
+/// event-attach lock there), so a waiter can gate on it ([`Waiter::behind`])
+/// to order virtual-clock deadlines deterministically.
 fn timeout_only<L: Layout>() -> Arc<RecordLockTable<L>> {
     lock_table(DeadlockPolicy::TimeoutOnly, 200)
 }
 
-/// Exclusive waiters staged in a known arrival order must be granted in that
-/// order, and none may be lost: a lost wakeup surfaces as either a
-/// virtual-clock timeout (`unwrap` fails) or a sim deadlock artifact.
-fn fifo_grant_order<L: Layout + 'static>(seed: u64) -> RunReport {
-    let table = timeout_only::<L>();
-    const WAITERS: usize = 3;
-    let order = Arc::new(parking_lot::Mutex::new(Vec::<usize>::new()));
-    let holder_txn = TxnId(1);
-    // The holder takes the lock before any sim thread runs.
-    table
-        .lock_record(holder_txn, HOT, LockMode::Exclusive)
-        .unwrap();
+/// One staged waiter of a lock-table scenario.  It requests `record` in
+/// `mode` once every record of `queued` has that many waiters and the
+/// request of `behind` is registered, `delay_us` of virtual time later; then
+/// it is granted — an exclusive grantee sees itself as the only holder, so
+/// no grant was doubled — and releases, or, with `times_out`, gives up.  A
+/// wake-up that is lost surfaces as the wrong one of the two.
+#[derive(Clone)]
+struct Waiter {
+    txn: u64,
+    record: RecordId,
+    mode: LockMode,
+    queued: Vec<(RecordId, usize)>,
+    behind: Option<u64>,
+    delay_us: u64,
+    times_out: bool,
+}
 
-    let t = Arc::clone(&table);
-    let o = Arc::clone(&order);
-    let report = run_seed(seed, move |sim| {
-        for i in 0..WAITERS {
-            let table = Arc::clone(&t);
-            let order = Arc::clone(&o);
-            sim.spawn(format!("waiter-{i}"), move || {
-                let h = txsql_sim::current().unwrap();
-                // Stage arrivals: waiter i enqueues only once i earlier
-                // waiters are already parked in the queue.
-                while table.wait_queue_len(HOT) != i {
-                    h.yield_now();
+/// An exclusive request that is granted, made once `queued` holds.
+fn waiter(txn: u64, record: RecordId, queued: &[(RecordId, usize)]) -> Waiter {
+    Waiter {
+        txn,
+        record,
+        mode: LockMode::Exclusive,
+        queued: queued.to_vec(),
+        behind: None,
+        delay_us: 0,
+        times_out: false,
+    }
+}
+
+impl Waiter {
+    /// …and once `behind`'s request is registered, `delay_us` later.
+    fn late(mut self, behind: Option<u64>, delay_us: u64) -> Self {
+        (self.behind, self.delay_us) = (behind, delay_us);
+        self
+    }
+}
+
+/// Who was granted and who timed out, in the order it happened.
+#[derive(Default)]
+struct Outcomes {
+    granted: Vec<u64>,
+    timed_out: Vec<u64>,
+}
+
+fn yield_until(done: impl Fn() -> bool) {
+    let sim = txsql_sim::current().expect("sim thread");
+    while !done() {
+        sim.yield_now();
+    }
+}
+
+fn queued<L: Layout>(table: &RecordLockTable<L>, queues: &[(RecordId, usize)]) -> bool {
+    (queues.iter()).all(|(record, waiters)| table.wait_queue_len(*record) == *waiters)
+}
+
+/// Runs `waiters`, and `driver` beside them, against `table` under `seed`,
+/// then releases what `held` still holds: the table must be drained.
+fn stage<L: Layout + 'static>(
+    seed: u64,
+    table: &Arc<RecordLockTable<L>>,
+    held: &[TxnId],
+    waiters: &[Waiter],
+    driver: impl Fn(&RecordLockTable<L>, &parking_lot::Mutex<Outcomes>) + Clone + Send + 'static,
+) -> (RunReport, Outcomes) {
+    let outcomes = Arc::new(parking_lot::Mutex::new(Outcomes::default()));
+    let report = run_seed(seed, |sim| {
+        for waiter in waiters.iter().cloned() {
+            let (table, outcomes) = (Arc::clone(table), Arc::clone(&outcomes));
+            sim.spawn(format!("waiter-{}", waiter.txn), move || {
+                let registry = table.registry();
+                let registered = |txn| registry.record_count_of(TxnId(txn)) == 1;
+                yield_until(|| {
+                    queued(&table, &waiter.queued) && waiter.behind.is_none_or(registered)
+                });
+                simulate_delay(Duration::from_micros(waiter.delay_us));
+                let (txn, record) = (TxnId(waiter.txn), waiter.record);
+                match table.lock_record(txn, record, waiter.mode) {
+                    Ok(()) if !waiter.times_out => {
+                        let alone = table.holders_of(record) == [txn];
+                        assert!(alone || waiter.mode == LockMode::Shared, "double grant");
+                        outcomes.lock().granted.push(waiter.txn);
+                        table.release_all(txn);
+                    }
+                    Err(Error::LockWaitTimeout { .. }) if waiter.times_out => {
+                        outcomes.lock().timed_out.push(waiter.txn)
+                    }
+                    other => panic!("seed {seed}: {txn} ended in {other:?}"),
                 }
-                table
-                    .lock_record(TxnId(10 + i as u64), HOT, LockMode::Exclusive)
-                    .unwrap();
-                order.lock().push(i);
-                table.release_all(TxnId(10 + i as u64));
             });
         }
-        let table = Arc::clone(&t);
-        sim.spawn("releaser", move || {
-            let h = txsql_sim::current().unwrap();
-            while table.wait_queue_len(HOT) != WAITERS {
-                h.yield_now();
-            }
-            table.release_all(holder_txn);
-        });
+        let (table, outcomes, driver) = (Arc::clone(table), Arc::clone(&outcomes), driver.clone());
+        sim.spawn("driver", move || driver(&table, &outcomes));
     });
+    let outcomes = std::mem::take(&mut *outcomes.lock());
+    for holder in held {
+        let kept = table.registry().record_count_of(*holder);
+        assert!(kept > 0, "seed {seed}: the churn cost {holder} its lock");
+        table.release_all(*holder);
+    }
+    assert_locks_drained(table);
+    (report, outcomes)
+}
 
-    assert_eq!(
-        *order.lock(),
-        (0..WAITERS).collect::<Vec<_>>(),
-        "seed {seed}: grants out of FIFO order"
-    );
-    assert_locks_drained(&table);
+/// Exclusive waiters staged in a known arrival order are granted in that
+/// order, and none is lost.
+fn fifo_grant_order<L: Layout + 'static>(seed: u64) -> RunReport {
+    let (table, holder) = (timeout_only::<L>(), TxnId(1));
+    table.lock_record(holder, HOT, LockMode::Exclusive).unwrap();
+    // Waiter i enqueues only once i earlier ones are parked in the queue.
+    let waiters: Vec<Waiter> = (0..3)
+        .map(|i| waiter(10 + i as u64, HOT, &[(HOT, i)]))
+        .collect();
+    let (report, outcomes) = stage(seed, &table, &[], &waiters, move |table, _| {
+        yield_until(|| queued(table, &[(HOT, 3)]));
+        table.release_all(holder);
+    });
+    assert_eq!(outcomes.granted, [10, 11, 12], "seed {seed}: not FIFO");
     report
 }
 
-/// A Shared waiter queued behind an earlier conflicting Exclusive waiter must
+/// A Shared waiter queued behind an earlier conflicting Exclusive waiter does
 /// not jump the queue while the Exclusive wait is pending — but when that
-/// front waiter *times out*, the timeout cleanup must re-run the grant scan
-/// and wake the compatible waiter behind it (no lost wakeup on the timeout
-/// path).  The virtual clock makes the timeout fire deterministically in
-/// every explored schedule.
+/// front waiter *times out* (nobody releases: only the virtual clock can end
+/// its wait), the timeout cleanup re-runs the grant scan and wakes the
+/// compatible waiter behind it.
 fn timeout_grants_compatible_waiter_behind<L: Layout + 'static>(seed: u64) -> RunReport {
-    let table = timeout_only::<L>();
-    let holder_txn = TxnId(1);
-    table
-        .lock_record(holder_txn, HOT, LockMode::Shared)
-        .unwrap();
-    let granted_shared = Arc::new(AtomicUsize::new(0));
-
-    let t = Arc::clone(&table);
-    let g = Arc::clone(&granted_shared);
-    let report = run_seed(seed, move |sim| {
-        let table = Arc::clone(&t);
-        sim.spawn("exclusive-waiter", move || {
-            // Conflicts with the Shared holder; nobody releases, so this wait
-            // can only end through the (virtual-clock) timeout.
-            let err = table
-                .lock_record(TxnId(2), HOT, LockMode::Exclusive)
-                .unwrap_err();
-            assert!(
-                matches!(err, Error::LockWaitTimeout { .. }),
-                "unexpected error: {err:?}"
-            );
-        });
-        let table = Arc::clone(&t);
-        let granted = Arc::clone(&g);
-        sim.spawn("shared-waiter", move || {
-            let h = txsql_sim::current().unwrap();
-            // Enqueue strictly behind the Exclusive waiter, with a later
-            // virtual-clock deadline: gate on the registry entry (written
-            // just before the Exclusive waiter captures its deadline, with
-            // no yield point in between) so the delay below advances the
-            // clock strictly after that capture.
-            while table.wait_queue_len(HOT) != 1 || table.lock_count_of(TxnId(2)) != 1 {
-                h.yield_now();
-            }
-            simulate_delay(Duration::from_micros(1_000));
-            // FIFO fairness keeps us waiting behind the Exclusive request;
-            // its timeout cleanup must then grant us.
-            table.lock_record(TxnId(3), HOT, LockMode::Shared).unwrap();
-            granted.fetch_add(1, Ordering::Relaxed);
-            table.release_all(TxnId(3));
-        });
-    });
-
-    assert_eq!(
-        granted_shared.load(Ordering::Relaxed),
-        1,
-        "seed {seed}: compatible waiter was never granted"
-    );
-    table.release_all(holder_txn);
-    assert_locks_drained(&table);
+    let (table, holder) = (timeout_only::<L>(), TxnId(1));
+    table.lock_record(holder, HOT, LockMode::Shared).unwrap();
+    let mut exclusive = waiter(2, HOT, &[]);
+    exclusive.times_out = true;
+    // Strictly behind it, with a later deadline: the delay advances the clock
+    // after the Exclusive waiter captured its own.
+    let mut shared = waiter(3, HOT, &[(HOT, 1)]).late(Some(2), 1_000);
+    shared.mode = LockMode::Shared;
+    let (report, outcomes) = stage(seed, &table, &[holder], &[exclusive, shared], |_, _| ());
+    assert_eq!((outcomes.timed_out, outcomes.granted), (vec![2], vec![3]));
     report
 }
 
-/// Two hot heap_nos on ONE page: FIFO and compatibility invariants must hold
-/// independently per record, and one record's timeout churn must never wake
-/// (or time out) the other record's waiters.  On the page-sharded `lock_sys`
-/// both records share a shard mutex, so this is exactly the per-record-queue
-/// guarantee; the record-keyed lightweight table gets it structurally.
+/// Two hot heap_nos on ONE page: FIFO and compatibility hold per record, and
+/// one record's timeout churn never wakes (or times out) the other record's
+/// waiters.  On the page-sharded `lock_sys` both records share a shard mutex,
+/// so this is exactly the per-record-queue guarantee; the record-keyed
+/// lightweight table gets it structurally.
 ///
-/// Virtual-clock layout: record A's waiter captures its 200 ms deadline
-/// first; record B's two waiters push the clock forward (150 ms / 10 ms)
-/// before queueing, so firing A's timeout (the +60 ms jump at 220 ms) leaves
-/// B's deadlines (350 ms / 360 ms) unexpired — B's waiters can only proceed
+/// Virtual-clock layout: A's waiter captures its 200 ms deadline first; B's
+/// two waiters push the clock forward (150 ms / 10 ms) before queueing, so
+/// firing A's timeout (the driver's +60 ms jump, to 220 ms) leaves B's
+/// deadlines (350 ms / 360 ms) unexpired — B's waiters can only proceed
 /// through a genuine grant.
 fn per_record_queues_are_independent<L: Layout + 'static>(seed: u64) -> RunReport {
-    let table = timeout_only::<L>();
     const A: RecordId = RecordId::new(1, 0, 0);
     const B: RecordId = RecordId::new(1, 0, 1);
-    let holder_a = TxnId(1);
-    let holder_b = TxnId(2);
+    let (table, holder_a, holder_b) = (timeout_only::<L>(), TxnId(1), TxnId(2));
     table.lock_record(holder_a, A, LockMode::Exclusive).unwrap();
     table.lock_record(holder_b, B, LockMode::Exclusive).unwrap();
-    let order = Arc::new(parking_lot::Mutex::new(Vec::<u64>::new()));
-    let a_timed_out = Arc::new(AtomicUsize::new(0));
-
-    let t = Arc::clone(&table);
-    let o = Arc::clone(&order);
-    let flag = Arc::clone(&a_timed_out);
-    let report = run_seed(seed, move |sim| {
-        // A's waiter: its holder never releases, so only the virtual-clock
-        // timeout can end this wait — and its cleanup (the grant scan on A)
-        // must not leak into B's queue.
-        let table = Arc::clone(&t);
-        let flag2 = Arc::clone(&flag);
-        sim.spawn("a-waiter", move || {
-            let err = table
-                .lock_record(TxnId(3), A, LockMode::Exclusive)
-                .unwrap_err();
-            assert!(
-                matches!(err, Error::LockWaitTimeout { .. }),
-                "A's waiter must end by timeout, got {err:?}"
-            );
-            flag2.store(1, Ordering::Relaxed);
-        });
-        // B's first waiter queues after A's deadline is captured, with a
-        // +150 ms clock push so its own deadline lands well past A's.
-        let table = Arc::clone(&t);
-        let order = Arc::clone(&o);
-        sim.spawn("b-waiter-4", move || {
-            let h = txsql_sim::current().unwrap();
-            while table.wait_queue_len(A) != 1 || table.lock_count_of(TxnId(3)) != 1 {
-                h.yield_now();
-            }
-            simulate_delay(Duration::from_micros(150_000));
-            table.lock_record(TxnId(4), B, LockMode::Exclusive).unwrap();
-            order.lock().push(4);
-            table.release_all(TxnId(4));
-        });
-        // B's second waiter queues strictly behind the first (FIFO).
-        let table = Arc::clone(&t);
-        let order = Arc::clone(&o);
-        sim.spawn("b-waiter-5", move || {
-            let h = txsql_sim::current().unwrap();
-            while table.wait_queue_len(B) != 1 {
-                h.yield_now();
-            }
-            simulate_delay(Duration::from_micros(10_000));
-            table.lock_record(TxnId(5), B, LockMode::Exclusive).unwrap();
-            order.lock().push(5);
-            table.release_all(TxnId(5));
-        });
-        // The driver: once everyone queued, fire A's timeout, verify B's
-        // queue survived the churn untouched, then release B for real.
-        let table = Arc::clone(&t);
-        let order = Arc::clone(&o);
-        let a_flag = Arc::clone(&flag);
-        sim.spawn("b-releaser", move || {
-            let h = txsql_sim::current().unwrap();
-            while table.wait_queue_len(A) != 1 || table.wait_queue_len(B) != 2 {
-                h.yield_now();
-            }
-            // Jump to 220 ms: past A's 200 ms deadline, short of B's 350 ms.
-            simulate_delay(Duration::from_micros(60_000));
-            while a_flag.load(Ordering::Relaxed) == 0 {
-                h.yield_now();
-            }
-            // A's timeout cleanup ran its grant scan; B must be untouched.
-            assert_eq!(
-                table.holders_of(B),
-                vec![holder_b],
-                "seed {seed}: A's timeout churn must not change B's holders"
-            );
-            assert_eq!(
-                table.wait_queue_len(B),
-                2,
-                "seed {seed}: A's timeout churn must not wake B's waiters"
-            );
-            assert!(
-                order.lock().is_empty(),
-                "seed {seed}: no B waiter may be granted before B is released"
-            );
-            table.release_all(holder_b);
-        });
+    // A's holder never releases: its waiter's wait ends by timeout, and its
+    // cleanup (the grant scan on A) must not leak into B's queue.
+    let mut waiters = [
+        waiter(3, A, &[]),
+        waiter(4, B, &[(A, 1)]).late(Some(3), 150_000),
+        waiter(5, B, &[(B, 1)]).late(None, 10_000),
+    ];
+    waiters[0].times_out = true;
+    let (report, outcomes) = stage(seed, &table, &[holder_a], &waiters, move |table, seen| {
+        yield_until(|| queued(table, &[(A, 1), (B, 2)]));
+        simulate_delay(Duration::from_micros(60_000));
+        yield_until(|| seen.lock().timed_out == [3]);
+        // A's timeout cleanup ran its grant scan; B is untouched.
+        assert_eq!(table.holders_of(B), [holder_b], "seed {seed}");
+        assert!(queued(table, &[(A, 0), (B, 2)]), "seed {seed}: B was woken");
+        assert!(seen.lock().granted.is_empty(), "seed {seed}");
+        table.release_all(holder_b);
     });
-
-    assert_eq!(
-        *order.lock(),
-        vec![4, 5],
-        "seed {seed}: B's grants out of FIFO order"
-    );
-    assert_eq!(
-        table.holders_of(A),
-        vec![holder_a],
-        "seed {seed}: A's holder must survive all the churn"
-    );
-    assert_eq!(table.wait_queue_len(A), 0);
-    table.release_all(holder_a);
-    assert_locks_drained(&table);
+    assert_eq!(outcomes.granted, [4, 5], "seed {seed}: B not FIFO");
     report
 }
 
 /// A statement-boundary **batched** release (`release_record_locks` over
-/// several records at once — the wider Bamboo early-release batch) must wake
-/// every eligible waiter exactly once: no lost wakeup (every waiter is
-/// granted — a lost one would surface as a virtual-clock timeout or a sim
-/// deadlock artifact) and no double grant (each exclusive grantee observes
-/// itself as the record's only holder).  On the page-sharded table all
-/// records share one page, so the whole batch drains under a single shard
+/// several records at once — the wider Bamboo early-release batch) wakes
+/// every eligible waiter exactly once.  On the page-sharded table all records
+/// share one page, so the whole batch drains under a single shard
 /// acquisition — exactly the path the statement-boundary flush exercises.
 fn batched_release_wakes_each_waiter_exactly_once<L: Layout + 'static>(seed: u64) -> RunReport {
-    let table = timeout_only::<L>();
-    const RECORDS: usize = 3;
-    let records: Vec<RecordId> = (0..RECORDS)
-        .map(|heap| RecordId::new(1, 0, heap as u16))
-        .collect();
-    let holder = TxnId(1);
+    let (table, holder) = (timeout_only::<L>(), TxnId(1));
+    let records: Vec<RecordId> = (0..3).map(|heap| RecordId::new(1, 0, heap)).collect();
     for record in &records {
         table
             .lock_record(holder, *record, LockMode::Exclusive)
             .unwrap();
     }
-    let grants = Arc::new(AtomicUsize::new(0));
-
-    let t = Arc::clone(&table);
-    let g = Arc::clone(&grants);
-    let rs = records.clone();
-    let report = run_seed(seed, move |sim| {
-        for (i, record) in rs.iter().enumerate() {
-            let table = Arc::clone(&t);
-            let grants = Arc::clone(&g);
-            let record = *record;
-            let txn = TxnId(10 + i as u64);
-            sim.spawn(format!("waiter-{i}"), move || {
-                table.lock_record(txn, record, LockMode::Exclusive).unwrap();
-                // Exactly-once: an exclusive grant must be the sole holder;
-                // a double grant would show a second transaction here.
-                assert_eq!(
-                    table.holders_of(record),
-                    vec![txn],
-                    "double grant on {record}"
-                );
-                grants.fetch_add(1, Ordering::Relaxed);
-                table.release_all(txn);
-            });
-        }
-        let table = Arc::clone(&t);
-        let rs2 = rs.clone();
-        sim.spawn("batch-releaser", move || {
-            let h = txsql_sim::current().unwrap();
-            while rs2.iter().any(|r| table.wait_queue_len(*r) != 1) {
-                h.yield_now();
-            }
-            table.release_record_locks(holder, &rs2);
-        });
+    let waiters = (records.iter().zip(10..)).map(|(record, txn)| waiter(txn, *record, &[]));
+    let waiters: Vec<Waiter> = waiters.collect();
+    let (report, mut outcomes) = stage(seed, &table, &[], &waiters, move |table, _| {
+        yield_until(|| records.iter().all(|record| queued(table, &[(*record, 1)])));
+        table.release_record_locks(holder, &records);
     });
-
-    assert_eq!(
-        grants.load(Ordering::Relaxed),
-        RECORDS,
-        "seed {seed}: every waiter must be woken exactly once by the batch"
-    );
-    for record in &records {
-        assert!(
-            table.holders_of(*record).is_empty(),
-            "seed {seed}: {record} must drain"
-        );
-    }
-    assert_locks_drained(&table);
+    outcomes.granted.sort_unstable();
+    assert_eq!(outcomes.granted, [10, 11, 12], "seed {seed}: a lost waiter");
     report
 }
 

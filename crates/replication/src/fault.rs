@@ -206,11 +206,6 @@ impl ReplFaults {
         Self::new(ReplFaultPlan::none(), n_replicas)
     }
 
-    /// The plan in force.
-    pub fn plan(&self) -> &ReplFaultPlan {
-        &self.plan
-    }
-
     /// Counts one primary-side ship attempt; `false` means the plan injected
     /// a transient failure and the hook should back off and retry.
     pub fn ship_attempt_ok(&self) -> bool {

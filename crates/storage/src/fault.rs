@@ -10,9 +10,9 @@
 //!   log buffer but the durability horizon is frozen before any flush covers
 //!   it;
 //! * [`CrashPoint::MidFlush`] — the crash lands *inside* a flush batch: the
-//!   durable horizon advances only part-way through the batch and the first
-//!   record past it becomes a **torn tail** (recovery scan-stops there, see
-//!   [`crate::recovery`]);
+//!   batch's bytes reach the disk only up to a cut, and the frame the cut
+//!   falls in (or before) is the **torn tail** (recovery scan-stops there,
+//!   see [`crate::recovery`]);
 //! * [`CrashPoint::FsyncError`] — fired once per *injected fsync error*;
 //!   transient errors are retried with bounded backoff, persistent ones
 //!   degrade the engine to read-only instead of panicking;
@@ -105,8 +105,8 @@ impl CrashPoint {
 pub struct FaultPlan {
     /// Crash at the `n`-th hit of a crash point (1-based), if set.
     crash: Option<(CrashPoint, u64)>,
-    /// How many records a [`CrashPoint::MidFlush`] crash cuts back from the
-    /// flush target (1 = the batch's last record becomes the torn tail).
+    /// How many bytes short of its end a [`CrashPoint::MidFlush`] crash cuts
+    /// the flush batch (at least 1: the batch's last frame is torn).
     torn_cut_back: u64,
     /// Number of fsync attempts that fail transiently before succeeding.
     fsync_transient_errors: u64,
@@ -126,9 +126,9 @@ impl FaultPlan {
         self
     }
 
-    /// Sets how many records a mid-flush crash cuts back from the target.
-    pub fn with_torn_cut_back(mut self, records: u64) -> Self {
-        self.torn_cut_back = records;
+    /// Sets how many bytes of its flush batch a mid-flush crash loses.
+    pub fn with_torn_cut_back(mut self, bytes: u64) -> Self {
+        self.torn_cut_back = bytes;
         self
     }
 
@@ -157,7 +157,9 @@ impl FaultPlan {
 
     /// Derives a deterministic plan from an exploration seed: the seed picks
     /// the crash point, how many hits to let pass first, the torn-tail cut
-    /// depth and whether transient fsync errors precede the crash.  Every
+    /// (4 to 96 bytes, so that it falls inside a header, inside a payload and
+    /// on a frame boundary) and whether transient fsync errors precede the
+    /// crash.  Every
     /// point in [`CrashPoint::ALL`] except `FsyncError` is covered by
     /// `seed % 4`; `FsyncError` crashes are driven by the seeds that also
     /// inject fsync errors.
@@ -173,7 +175,7 @@ impl FaultPlan {
         let nth_hit = 1 + (seed / 4) % 12;
         let mut plan = FaultPlan::none()
             .crash_at(point, nth_hit)
-            .with_torn_cut_back(1 + seed % 3);
+            .with_torn_cut_back(4 * (1 + (seed / 4) % 24));
         if seed.is_multiple_of(5) {
             // Exercise the bounded-retry path under exploration too; two
             // transient errors stay under the retry budget so the flush
@@ -253,11 +255,6 @@ impl FaultInjector {
             read_only: AtomicBool::new(false),
             metrics,
         })
-    }
-
-    /// The plan this injector runs.
-    pub fn plan(&self) -> &FaultPlan {
-        &self.plan
     }
 
     /// True when the injector can fire at all.
@@ -354,7 +351,7 @@ impl FaultInjector {
         }
     }
 
-    /// How many records a mid-flush crash cuts back from its flush target.
+    /// How many bytes of its flush batch a mid-flush crash loses.
     pub fn torn_cut_back(&self) -> u64 {
         self.plan.torn_cut_back.max(1)
     }

@@ -15,7 +15,8 @@
 //! * MVCC version chains so snapshot reads never block ([`version`]),
 //! * per-transaction undo segments whose *header* can carry either the commit
 //!   sequence number or the `hot_update_order` (paper §5.3) ([`undo`]),
-//! * a redo log / WAL with an explicit durability horizon so crashes can be
+//! * a redo log / WAL of checksummed frames in fixed segments, appended to
+//!   without a lock, with an explicit durability horizon so crashes can be
 //!   simulated ([`wal`]),
 //! * crash-fault injection that kills the simulated process at named crash
 //!   points from a seeded plan ([`fault`]),
@@ -46,4 +47,4 @@ pub use storage::Storage;
 pub use table::Table;
 pub use undo::{UndoHeader, UndoRecord, UndoSegment};
 pub use version::{RecordVersions, Version, VisibilityJudge};
-pub use wal::{LogFrame, RedoLog, RedoRecord};
+pub use wal::{RedoLog, RedoRecord};

@@ -6,7 +6,7 @@
 //! 1. **Outcome resolution** — one scan of the suffix for `Commit` markers
 //!    (the first `trx_no` of a duplicated marker wins) and `UndoHeader`
 //!    records (which may carry a `hot_update_order`, §5.3).
-//! 2. **Replay** — every durable `Insert`/`Update` image is re-applied in
+//! 2. **Replay** — every durable row image is re-applied in
 //!    log order as a version written by its original transaction.  A winner's
 //!    image is stamped with its `trx_no` as it is applied and the committed
 //!    image it supersedes is dropped, so a row's chain never grows past the
@@ -27,20 +27,20 @@
 //!
 //! # Torn tails
 //!
-//! A mid-flush crash can leave a *torn* record at the end of the durable
-//! suffix ([`LogFrame::Torn`]).  [`recover_frames`] scan-stops at the last
-//! intact record — the torn record never reached disk whole, so the
-//! transaction it belonged to simply falls into the rollback pass.  A torn
-//! frame anywhere *except* the tail means the log itself is corrupt and
-//! recovery refuses with [`Error::CorruptLog`].
+//! A mid-flush crash cuts the durable bytes inside a flush batch, usually
+//! inside a frame.  [`recover_frames`] is handed the log's own walk over its
+//! durable frames ([`Frames`]), which scan-stops at the first frame whose
+//! length or checksum does not hold — that record never reached disk whole,
+//! so the transaction it belonged to simply falls into the rollback pass —
+//! and reports where it stopped as [`RecoveryReport::torn_tail`].
 
 use crate::storage::{CheckpointImage, Storage};
 use crate::undo::UndoHeader;
 use crate::version::RecordVersions;
-use crate::wal::{LogFrame, RedoRecord};
+use crate::wal::{Frames, RedoRecord};
 use std::time::Duration;
 use txsql_common::fxhash::{FxHashMap, FxHashSet};
-use txsql_common::{Error, Lsn, Result, Row, TableId, TxnId};
+use txsql_common::{Lsn, Result, Row, TableId, TxnId};
 
 /// Everything recovery learned, separated from the recovered engine so it can
 /// be logged, asserted on by the recovery oracle, and used to reseed the
@@ -60,7 +60,7 @@ pub struct RecoveryReport {
     /// Hot-update orders recovered from persisted undo headers, in rollback
     /// order (descending).
     pub recovered_hot_orders: Vec<(TxnId, u64)>,
-    /// LSN of the torn record recovery scan-stopped at, if any.
+    /// LSN of the torn frame the log walk scan-stopped at, if any.
     pub torn_tail: Option<Lsn>,
     /// Highest transaction id seen in the durable suffix (0 if none).
     pub max_txn_id: u64,
@@ -114,10 +114,7 @@ struct TxnRecoveryState {
 /// The row image a redo record carries: table, primary key, row.
 fn row_image(record: &RedoRecord) -> Option<(TableId, i64, &Row)> {
     match record {
-        RedoRecord::Update {
-            table, pk, after, ..
-        } => Some((*table, *pk, after)),
-        RedoRecord::Insert { table, pk, row, .. } => Some((*table, *pk, row)),
+        RedoRecord::Image { table, pk, row, .. } => Some((*table, *pk, row)),
         _ => None,
     }
 }
@@ -150,46 +147,25 @@ fn replay_row(
     Ok(())
 }
 
+/// Recovers a storage engine from `checkpoint` and the durable log as read
+/// back after a crash: `frames` is decoded once, in place, up to where it
+/// scan-stops (the two passes of [`recover`] index what it yielded).
+pub fn recover_frames(
+    checkpoint: &CheckpointImage,
+    mut frames: Frames<'_>,
+    fsync_latency: Duration,
+) -> Result<RecoveryOutcome> {
+    let records: Vec<RedoRecord> = frames.by_ref().map(|(_, record)| record).collect();
+    let mut outcome = recover(checkpoint, &records, fsync_latency)?;
+    outcome.report.torn_tail = frames.torn_tail();
+    Ok(outcome)
+}
+
 /// Recovers a storage engine from `checkpoint` and the durable redo suffix,
-/// given as plain records (no torn tail).  See [`recover_frames`] for the
-/// frame-aware entry point a restarted process uses.
+/// given as the records of its whole frames.
 pub fn recover(
     checkpoint: &CheckpointImage,
     durable_redo: &[RedoRecord],
-    fsync_latency: Duration,
-) -> Result<RecoveryOutcome> {
-    recover_records(checkpoint, durable_redo, None, fsync_latency)
-}
-
-/// Recovers a storage engine from `checkpoint` and the durable log suffix as
-/// read back after a crash.  A [`LogFrame::Torn`] frame at the tail makes
-/// recovery scan-stop at the last intact record; a torn frame anywhere else
-/// is a corrupt log and recovery refuses with [`Error::CorruptLog`].
-pub fn recover_frames(
-    checkpoint: &CheckpointImage,
-    frames: &[(Lsn, LogFrame)],
-    fsync_latency: Duration,
-) -> Result<RecoveryOutcome> {
-    let mut records = Vec::with_capacity(frames.len());
-    let mut torn_tail = None;
-    for (i, (lsn, frame)) in frames.iter().enumerate() {
-        match frame {
-            LogFrame::Intact(record) => records.push(record.clone()),
-            LogFrame::Torn if i + 1 == frames.len() => torn_tail = Some(*lsn),
-            LogFrame::Torn => {
-                return Err(Error::CorruptLog {
-                    reason: format!("torn record at lsn {} before the log tail", lsn.0),
-                });
-            }
-        }
-    }
-    recover_records(checkpoint, &records, torn_tail, fsync_latency)
-}
-
-fn recover_records(
-    checkpoint: &CheckpointImage,
-    durable_redo: &[RedoRecord],
-    torn_tail: Option<Lsn>,
     fsync_latency: Duration,
 ) -> Result<RecoveryOutcome> {
     let storage = Storage::from_checkpoint(checkpoint, fsync_latency)?;
@@ -300,7 +276,7 @@ fn recover_records(
             replayed,
             duplicate_replays_skipped,
             recovered_hot_orders,
-            torn_tail,
+            torn_tail: None,
             max_txn_id,
             max_trx_no,
         },
@@ -322,7 +298,22 @@ mod tests {
     /// Builds a storage with one table, one hot row (pk=1) and one cold row
     /// (pk=2), returning (storage, table id, hot rid, cold rid, checkpoint).
     fn setup() -> (Storage, TableId, RecordId, RecordId, CheckpointImage) {
-        let storage = Storage::default();
+        setup_on(Storage::default())
+    }
+
+    /// [`setup`] on an engine whose first flush is cut `cut_back` bytes short.
+    fn setup_torn(cut_back: u64) -> (Storage, TableId, RecordId, RecordId, CheckpointImage) {
+        use crate::fault::{CrashPoint, FaultInjector, FaultPlan};
+        let plan = FaultPlan::none()
+            .crash_at(CrashPoint::MidFlush, 1)
+            .with_torn_cut_back(cut_back);
+        setup_on(Storage::with_faults(
+            Duration::ZERO,
+            FaultInjector::new(plan),
+        ))
+    }
+
+    fn setup_on(storage: Storage) -> (Storage, TableId, RecordId, RecordId, CheckpointImage) {
         let tid = TableId(1);
         storage.create_table(TableSchema::new(tid, "t", 2)).unwrap();
         let hot = storage.load_row(tid, Row::from_ints(&[1, 1])).unwrap();
@@ -331,71 +322,59 @@ mod tests {
         (storage, tid, hot, cold, checkpoint)
     }
 
+    /// Begins `txn` and has it set the hot row's value.
+    fn set_hot(storage: &Storage, txn: TxnId, tid: TableId, hot: RecordId, value: i64) -> Lsn {
+        storage.begin_txn(txn);
+        let row = Row::from_ints(&[1, value]);
+        storage.apply_update(txn, tid, hot, row).unwrap()
+    }
+
+    /// Recovery from `checkpoint` and what of `storage`'s log is durable.
+    fn recovered(storage: &Storage, checkpoint: &CheckpointImage) -> RecoveryOutcome {
+        recover(
+            checkpoint,
+            &storage.redo().durable_records(),
+            Duration::ZERO,
+        )
+        .unwrap()
+    }
+
+    /// The committed value of the row with primary key `pk`.
+    fn value_of(outcome: &RecoveryOutcome, tid: TableId, pk: i64) -> Option<i64> {
+        let rid = outcome.storage.table(tid).unwrap().lookup_pk(pk).unwrap();
+        let row = outcome.storage.read_committed(tid, rid).unwrap();
+        row.unwrap().get_int(1)
+    }
+
     #[test]
     fn committed_transactions_survive_a_crash() {
         let (storage, tid, hot, _cold, checkpoint) = setup();
         let txn = TxnId(10);
-        storage.begin_txn(txn);
-        storage
-            .apply_update(txn, tid, hot, Row::from_ints(&[1, 2]))
-            .unwrap();
+        set_hot(&storage, txn, tid, hot, 2);
         let lsn = storage.commit_writes(txn, 1, &[(tid, hot)]).unwrap();
         storage.redo().flush_to(lsn).unwrap();
 
-        let outcome = recover(
-            &checkpoint,
-            &storage.redo().durable_records(),
-            Duration::ZERO,
-        )
-        .unwrap();
+        let outcome = recovered(&storage, &checkpoint);
         assert_eq!(outcome.report.committed, vec![txn]);
         assert!(outcome.report.rolled_back.is_empty());
         assert_eq!(outcome.report.max_txn_id, 10);
         assert_eq!(outcome.report.max_trx_no, 1);
-        let t = outcome.storage.table(tid).unwrap();
-        let rid = t.lookup_pk(1).unwrap();
-        assert_eq!(
-            outcome
-                .storage
-                .read_committed(tid, rid)
-                .unwrap()
-                .unwrap()
-                .get_int(1),
-            Some(2)
-        );
+        assert_eq!(value_of(&outcome, tid, 1), Some(2));
     }
 
     #[test]
     fn unflushed_commit_is_rolled_back() {
         let (storage, tid, hot, _cold, checkpoint) = setup();
         let txn = TxnId(10);
-        storage.begin_txn(txn);
-        let lsn = storage
-            .apply_update(txn, tid, hot, Row::from_ints(&[1, 2]))
-            .unwrap();
+        let lsn = set_hot(&storage, txn, tid, hot, 2);
         storage.redo().flush_to(lsn).unwrap();
         // Commit marker exists but is NOT flushed.
         storage.commit_writes(txn, 1, &[(tid, hot)]).unwrap();
 
-        let outcome = recover(
-            &checkpoint,
-            &storage.redo().durable_records(),
-            Duration::ZERO,
-        )
-        .unwrap();
+        let outcome = recovered(&storage, &checkpoint);
         assert!(outcome.report.committed.is_empty());
         assert_eq!(outcome.report.rolled_back, vec![txn]);
-        let t = outcome.storage.table(tid).unwrap();
-        let rid = t.lookup_pk(1).unwrap();
-        assert_eq!(
-            outcome
-                .storage
-                .read_committed(tid, rid)
-                .unwrap()
-                .unwrap()
-                .get_int(1),
-            Some(1)
-        );
+        assert_eq!(value_of(&outcome, tid, 1), Some(1));
     }
 
     #[test]
@@ -404,40 +383,20 @@ mod tests {
         // Three uncommitted hotspot updates, orders 1,2,3 (paper §4.4 example).
         for (t, order, val) in [(1u64, 1u64, 2i64), (3, 2, 3), (2, 3, 4)] {
             let txn = TxnId(t);
-            storage.begin_txn(txn);
-            storage
-                .apply_update(txn, tid, hot, Row::from_ints(&[1, val]))
-                .unwrap();
+            set_hot(&storage, txn, tid, hot, val);
             storage.set_hot_update_order(txn, order);
         }
         storage.redo().flush_all().unwrap();
 
-        let outcome = recover(
-            &checkpoint,
-            &storage.redo().durable_records(),
-            Duration::ZERO,
-        )
-        .unwrap();
+        let outcome = recovered(&storage, &checkpoint);
         // Reverse hot-update order: order 3 (T2), then order 2 (T3), then order 1 (T1).
-        assert_eq!(
-            outcome.report.rolled_back,
-            vec![TxnId(2), TxnId(3), TxnId(1)]
-        );
+        let rolled_back = &outcome.report.rolled_back;
+        assert_eq!(rolled_back, &[TxnId(2), TxnId(3), TxnId(1)]);
         assert_eq!(
             outcome.report.recovered_hot_orders,
             vec![(TxnId(2), 3), (TxnId(3), 2), (TxnId(1), 1)]
         );
-        let t = outcome.storage.table(tid).unwrap();
-        let rid = t.lookup_pk(1).unwrap();
-        assert_eq!(
-            outcome
-                .storage
-                .read_committed(tid, rid)
-                .unwrap()
-                .unwrap()
-                .get_int(1),
-            Some(1)
-        );
+        assert_eq!(value_of(&outcome, tid, 1), Some(1));
     }
 
     #[test]
@@ -460,18 +419,10 @@ mod tests {
             .unwrap();
         storage.redo().flush_all().unwrap();
 
-        let outcome = recover(
-            &checkpoint,
-            &storage.redo().durable_records(),
-            Duration::ZERO,
-        )
-        .unwrap();
+        let outcome = recovered(&storage, &checkpoint);
         let t = outcome.storage.table(tid).unwrap();
         assert!(t.lookup_pk(10).is_ok(), "committed insert must survive");
-        assert!(
-            t.lookup_pk(11).is_err(),
-            "uncommitted insert must be rolled back"
-        );
+        assert!(t.lookup_pk(11).is_err(), "the uncommitted insert stayed");
         assert_eq!(outcome.report.committed, vec![committed_txn]);
         assert!(outcome.report.rolled_back.contains(&active_txn));
     }
@@ -483,10 +434,7 @@ mod tests {
         let (storage, tid, hot, _cold, checkpoint) = setup();
         for (t, order, val) in [(1u64, 1u64, 2i64), (2, 2, 3)] {
             let txn = TxnId(t);
-            storage.begin_txn(txn);
-            storage
-                .apply_update(txn, tid, hot, Row::from_ints(&[1, val]))
-                .unwrap();
+            set_hot(&storage, txn, tid, hot, val);
             storage.set_hot_update_order(txn, order);
         }
         storage.redo().flush_all().unwrap();
@@ -494,17 +442,7 @@ mod tests {
 
         let first = recover(&checkpoint, &durable, Duration::ZERO).unwrap();
         let second = recover(&checkpoint, &durable, Duration::ZERO).unwrap();
-        let value = |outcome: &RecoveryOutcome| {
-            let t = outcome.storage.table(tid).unwrap();
-            let rid = t.lookup_pk(1).unwrap();
-            outcome
-                .storage
-                .read_committed(tid, rid)
-                .unwrap()
-                .unwrap()
-                .get_int(1)
-        };
-        assert_eq!(value(&first), value(&second));
+        assert_eq!(value_of(&first, tid, 1), value_of(&second, tid, 1));
         assert_eq!(first.report.rolled_back, second.report.rolled_back);
     }
 
@@ -515,16 +453,10 @@ mod tests {
         // versions or double-commit.
         let (storage, tid, hot, _cold, checkpoint) = setup();
         let committed = TxnId(1);
-        storage.begin_txn(committed);
-        storage
-            .apply_update(committed, tid, hot, Row::from_ints(&[1, 7]))
-            .unwrap();
+        set_hot(&storage, committed, tid, hot, 7);
         storage.commit_writes(committed, 1, &[(tid, hot)]).unwrap();
         let in_flight = TxnId(2);
-        storage.begin_txn(in_flight);
-        storage
-            .apply_update(in_flight, tid, hot, Row::from_ints(&[1, 9]))
-            .unwrap();
+        set_hot(&storage, in_flight, tid, hot, 9);
         storage.redo().flush_all().unwrap();
 
         let suffix = storage.redo().durable_records();
@@ -566,13 +498,12 @@ mod tests {
         let (mut log, mut rolled_back) = (Vec::new(), Vec::new());
         let update = |log: &mut Vec<RedoRecord>, txn: u64, value: i64, order: u64| {
             let txn = TxnId(txn);
-            log.push(RedoRecord::Begin { txn });
-            log.push(RedoRecord::Update {
+            log.push(RedoRecord::Image {
                 txn,
                 table: tid,
                 record,
                 pk: 1,
-                after: Row::from_ints(&[1, value]),
+                row: Row::from_ints(&[1, value]),
             });
             log.push(RedoRecord::UndoHeader {
                 txn,
@@ -639,7 +570,7 @@ mod tests {
         assert_eq!(report.committed, expected_committed);
         assert_eq!(report.committed.len(), 49_794);
         assert_eq!(report.replayed, 50_006);
-        assert_eq!(report.duplicate_replays_skipped, 400);
+        assert_eq!(report.duplicate_replays_skipped, 501);
         assert_eq!((report.max_txn_id, report.max_trx_no), (50_006, 49_794));
         let rid = outcome.storage.table(tid).unwrap().lookup_pk(1).unwrap();
         let row = outcome.storage.read_committed(tid, rid).unwrap().unwrap();
@@ -654,10 +585,7 @@ mod tests {
     fn duplicate_commit_marker_is_applied_once() {
         let (storage, tid, hot, _cold, checkpoint) = setup();
         let txn = TxnId(4);
-        storage.begin_txn(txn);
-        storage
-            .apply_update(txn, tid, hot, Row::from_ints(&[1, 42]))
-            .unwrap();
+        set_hot(&storage, txn, tid, hot, 42);
         storage.commit_writes(txn, 9, &[(tid, hot)]).unwrap();
         storage.redo().flush_all().unwrap();
         let mut suffix = storage.redo().durable_records();
@@ -666,73 +594,60 @@ mod tests {
         let outcome = recover(&checkpoint, &suffix, Duration::ZERO).unwrap();
         assert_eq!(outcome.report.committed, vec![txn]);
         assert_eq!(outcome.report.max_trx_no, 9);
-        let t = outcome.storage.table(tid).unwrap();
-        let rid = t.lookup_pk(1).unwrap();
-        assert_eq!(
-            outcome
-                .storage
-                .read_committed(tid, rid)
-                .unwrap()
-                .unwrap()
-                .get_int(1),
-            Some(42)
-        );
+        assert_eq!(value_of(&outcome, tid, 1), Some(42));
     }
 
     #[test]
     fn torn_tail_scan_stops_at_last_intact_record() {
-        let (storage, tid, hot, _cold, checkpoint) = setup();
-        let durable_txn = TxnId(1);
-        storage.begin_txn(durable_txn);
-        storage
-            .apply_update(durable_txn, tid, hot, Row::from_ints(&[1, 5]))
-            .unwrap();
-        storage
-            .commit_writes(durable_txn, 1, &[(tid, hot)])
-            .unwrap();
-        storage.redo().flush_all().unwrap();
-        // Simulate a mid-flush crash image: the durable frames plus a torn
-        // record where the next commit marker would have been.
-        let mut frames = storage.redo().durable_frames();
-        let torn_at = Lsn(storage.redo().latest_lsn().0 + 1);
-        frames.push((torn_at, LogFrame::Torn));
+        // The cut falls inside the second transaction's commit marker, the
+        // batch's last frame (3 words).
+        let (storage, tid, hot, cold, checkpoint) = setup_torn(20);
+        for (txn, record, pk) in [(TxnId(1), hot, 1), (TxnId(2), cold, 2)] {
+            storage
+                .apply_update(txn, tid, record, Row::from_ints(&[pk, 5]))
+                .unwrap();
+            storage.commit_writes(txn, txn.0, &[(tid, record)]).unwrap();
+        }
+        let torn_at = storage.redo().latest_lsn();
+        assert!(storage.redo().flush_all().is_err());
 
-        let outcome = recover_frames(&checkpoint, &frames, Duration::ZERO).unwrap();
+        let frames = storage.redo().durable_frames();
+        let outcome = recover_frames(&checkpoint, frames, Duration::ZERO).unwrap();
         assert_eq!(outcome.report.torn_tail, Some(torn_at));
-        assert_eq!(outcome.report.committed, vec![durable_txn]);
+        assert_eq!(outcome.report.committed, vec![TxnId(1)]);
+        assert_eq!(outcome.report.rolled_back, vec![TxnId(2)]);
         assert!(outcome.report.summary().contains("torn tail"));
     }
 
     #[test]
     fn cut_between_hot_order_header_and_its_update_keeps_the_order() {
-        let (storage, tid, hot, cold, checkpoint) = setup();
         // T1 and T2 stack uncommitted updates on the hot row (orders 1, 2);
         // T2 wrote a cold row first.  An update's header and row image are
-        // one reservation — consecutive LSNs — so a mid-flush cut can fall
-        // between them: here T2's header is durable, its hot update torn.
-        storage.begin_txn(TxnId(1));
+        // one reservation — consecutive frames — so a mid-flush cut can fall
+        // between them: here T2's header is durable, its hot update (the
+        // batch's last 64 bytes) is not.
+        let (storage, tid, hot, cold, checkpoint) = setup_torn(64);
         let bump = |row: &Row| Row::from_ints(&[1, row.get_int(1).unwrap() + 1]);
         storage
             .update_row(TxnId(1), tid, hot, Some(1), bump)
             .unwrap();
-        storage.begin_txn(TxnId(2));
         storage
             .apply_update(TxnId(2), tid, cold, Row::from_ints(&[2, 7]))
             .unwrap();
         let update = storage
             .update_row(TxnId(2), tid, hot, Some(2), bump)
             .unwrap();
-        storage.redo().flush_all().unwrap();
-        let mut frames = storage.redo().durable_frames();
-        let header = &frames[frames.len() - 2];
-        assert_eq!(header.0, Lsn(update.0 - 1), "consecutive LSNs");
+        assert!(storage.redo().flush_all().is_err());
+        let durable = storage.redo().durable_records();
+        assert_eq!(storage.redo().durable_lsn(), Lsn(update.0 - 1));
+        let header = durable.last().unwrap();
         assert!(matches!(
-            header.1,
-            LogFrame::Intact(RedoRecord::UndoHeader { txn: TxnId(2), .. })
+            header,
+            RedoRecord::UndoHeader { txn: TxnId(2), .. }
         ));
-        *frames.last_mut().unwrap() = (update, LogFrame::Torn);
 
-        let outcome = recover_frames(&checkpoint, &frames, Duration::ZERO).unwrap();
+        let frames = storage.redo().durable_frames();
+        let outcome = recover_frames(&checkpoint, frames, Duration::ZERO).unwrap();
         assert_eq!(outcome.report.torn_tail, Some(update));
         // T2 rolls back what of it reached the disk, and does so in its
         // place of the reverse hot order (§5.3): before T1.
@@ -746,20 +661,6 @@ mod tests {
             let row = outcome.storage.read_latest(tid, record).unwrap();
             assert_eq!(row.get_int(1), Some(base));
         }
-    }
-
-    #[test]
-    fn torn_record_before_the_tail_is_corrupt() {
-        let (_storage, _tid, _hot, _cold, checkpoint) = setup();
-        let frames = vec![
-            (Lsn(1), LogFrame::Torn),
-            (
-                Lsn(2),
-                LogFrame::Intact(RedoRecord::Begin { txn: TxnId(1) }),
-            ),
-        ];
-        let err = recover_frames(&checkpoint, &frames, Duration::ZERO).unwrap_err();
-        assert!(matches!(err, Error::CorruptLog { .. }));
     }
 
     #[test]

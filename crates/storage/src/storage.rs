@@ -5,9 +5,9 @@
 //! are built from:
 //!
 //! * `begin_txn` — give a transaction its one storage entry (undo segment,
-//!   undo header, first LSN) and its `Begin` record; called at the first
-//!   write, so a transaction that only reads leaves no trace here or in the
-//!   log;
+//!   undo header, first LSN); called at the first write, so a transaction
+//!   that only reads leaves no trace here, and in the log a transaction
+//!   begins with its first frame;
 //! * `update_row` / `apply_insert` — write an uncommitted version, record
 //!   its undo entry and append physical redo (`update_row` is the whole
 //!   read-modify-write under one latch hold; `apply_update` is the same with
@@ -30,7 +30,8 @@
 //! (likewise [`Table::slot`], see [`crate::table`]).  Per-transaction state
 //! lives in the sharded [`UndoLog`], which every primitive above takes at
 //! most once, on the transaction's own shard.  What every writer still
-//! shares is the redo log's tail and the apply latch's read side.
+//! shares is the redo log's tail word (one compare-and-swap per reservation,
+//! no lock) and the apply latch's read side.
 
 use crate::directory::Directory;
 use crate::fault::{CrashPoint, FaultInjector};
@@ -119,8 +120,8 @@ impl Storage {
         &self.faults
     }
 
-    /// First redo LSN of the oldest active transaction, if any — the floor
-    /// below which checkpoint truncation must not cut the log.
+    /// The floor below which checkpoint truncation must not cut the log: no
+    /// frame of an unfinished transaction lies below it.
     pub fn active_txn_floor(&self) -> Option<Lsn> {
         self.undo.oldest_first_lsn()
     }
@@ -246,22 +247,28 @@ impl Storage {
     // Transactional primitives
     // ---------------------------------------------------------------------
 
-    /// Runs `f` on `txn`'s undo segment.  A transaction the undo log has not
-    /// seen yet is begun first: its `Begin` record is appended under the
-    /// segment's shard lock, which is what keeps the checkpoint floor exact
-    /// (a capture that read a log position covering the record finds the
-    /// segment when it scans the shard).
+    /// Runs `f` on `txn`'s undo segment for a write that is about to be
+    /// logged.  A transaction's first frame begins it, so the first such
+    /// visit stamps the segment with the log's next LSN — a lower bound of
+    /// that frame's — under the shard lock and before the frame is reserved.
+    /// That keeps the checkpoint floor safe: a capture that read a log
+    /// position covering the frame scans the shard after the stamp and finds
+    /// it; a segment it finds unstamped belongs to a transaction whose every
+    /// frame lies above the position it read.
     fn with_segment<R>(&self, txn: TxnId, f: impl FnOnce(&mut UndoSegment) -> R) -> R {
-        let begin = || self.redo.append(RedoRecord::Begin { txn });
-        self.undo.with(txn, begin, f)
+        self.undo.with(txn, |segment| {
+            let next_lsn = || Lsn(self.redo.latest_lsn().0 + 1);
+            segment.first_lsn.get_or_insert_with(next_lsn);
+            f(segment)
+        })
     }
 
-    /// Gives `txn` its undo segment and writes its `Begin` record, whose LSN
-    /// is returned.  Called once, before the transaction's first write; a
-    /// transaction that never writes is never begun.  (Idempotent, and
-    /// implied by any write primitive that finds no segment.)
-    pub fn begin_txn(&self, txn: TxnId) -> Lsn {
-        self.with_segment(txn, |segment| segment.first_lsn)
+    /// Gives `txn` its undo segment, ahead of its first write (which would
+    /// otherwise create it inside the row's latch hold); the log hears of the
+    /// transaction with that write.  A transaction that never writes is
+    /// never begun.  Idempotent.
+    pub fn begin_txn(&self, txn: TxnId) {
+        self.undo.with(txn, |_| ());
     }
 
     /// The read-modify-write an update statement is: under **one** hold of
@@ -287,6 +294,11 @@ impl Storage {
             let mut guard = slot.write();
             let head = guard.latest().ok_or(Error::UnknownRecord { record })?;
             let new_row = make(&head.row);
+            if !RedoRecord::fits(&new_row) {
+                return Err(Error::RowTooLarge {
+                    bytes: new_row.size_bytes(),
+                });
+            }
             self.with_segment(txn, |segment| {
                 segment.records.push(UndoRecord::Update {
                     table: table_id,
@@ -299,12 +311,12 @@ impl Storage {
             guard.push_uncommitted(new_row.clone(), txn);
             new_row
         };
-        let update = RedoRecord::Update {
+        let update = RedoRecord::Image {
             txn,
             table: table_id,
             record,
             pk: new_row.primary_key().unwrap_or_default(),
-            after: new_row,
+            row: new_row,
         };
         let lsn = match header {
             Some(header) => {
@@ -337,6 +349,11 @@ impl Storage {
         let pk = row.primary_key().ok_or_else(|| Error::Internal {
             reason: "insert without integer pk".into(),
         })?;
+        if !RedoRecord::fits(&row) {
+            return Err(Error::RowTooLarge {
+                bytes: row.size_bytes(),
+            });
+        }
         let record =
             table.insert_versions(pk, RecordVersions::new_uncommitted(row.clone(), txn))?;
         self.with_segment(txn, |segment| {
@@ -346,7 +363,7 @@ impl Storage {
                 pk,
             })
         });
-        let lsn = self.redo.append(RedoRecord::Insert {
+        let lsn = self.redo.append(RedoRecord::Image {
             txn,
             table: table_id,
             record,
@@ -518,6 +535,17 @@ impl Storage {
 mod tests {
     use super::*;
 
+    /// `txn` sets the row's value.
+    fn set(storage: &Storage, txn: TxnId, tid: TableId, rid: RecordId, value: i64) -> Lsn {
+        let row = Row::from_ints(&[1, value]);
+        storage.apply_update(txn, tid, rid, row).unwrap()
+    }
+
+    /// The row's newest committed value.
+    fn committed(storage: &Storage, tid: TableId, rid: RecordId) -> Option<i64> {
+        storage.read_committed(tid, rid).unwrap()?.get_int(1)
+    }
+
     fn setup() -> (Storage, TableId, RecordId) {
         let storage = Storage::default();
         let tid = TableId(1);
@@ -533,30 +561,14 @@ mod tests {
         let (storage, tid, rid) = setup();
         let txn = TxnId(10);
         storage.begin_txn(txn);
-        storage
-            .apply_update(txn, tid, rid, Row::from_ints(&[1, 101]))
-            .unwrap();
+        set(&storage, txn, tid, rid, 101);
         // Not yet visible to committed readers.
-        assert_eq!(
-            storage
-                .read_committed(tid, rid)
-                .unwrap()
-                .unwrap()
-                .get_int(1),
-            Some(100)
-        );
+        assert_eq!(committed(&storage, tid, rid), Some(100));
         assert_eq!(storage.read_latest(tid, rid).unwrap().get_int(1), Some(101));
         assert_eq!(storage.latest_writer(tid, rid).unwrap(), Some(txn));
         let lsn = storage.commit_writes(txn, 1, &[(tid, rid)]).unwrap();
         storage.redo().flush_to(lsn).unwrap();
-        assert_eq!(
-            storage
-                .read_committed(tid, rid)
-                .unwrap()
-                .unwrap()
-                .get_int(1),
-            Some(101)
-        );
+        assert_eq!(committed(&storage, tid, rid), Some(101));
         assert_eq!(storage.latest_writer(tid, rid).unwrap(), None);
         // Undo segment is gone after commit.
         assert!(storage.undo().is_empty());
@@ -567,19 +579,10 @@ mod tests {
         let (storage, tid, rid) = setup();
         let txn = TxnId(11);
         storage.begin_txn(txn);
-        storage
-            .apply_update(txn, tid, rid, Row::from_ints(&[1, 999]))
-            .unwrap();
+        set(&storage, txn, tid, rid, 999);
         storage.rollback_writes(txn).unwrap();
         assert_eq!(storage.read_latest(tid, rid).unwrap().get_int(1), Some(100));
-        assert_eq!(
-            storage
-                .read_committed(tid, rid)
-                .unwrap()
-                .unwrap()
-                .get_int(1),
-            Some(100)
-        );
+        assert_eq!(committed(&storage, tid, rid), Some(100));
     }
 
     #[test]
@@ -605,14 +608,7 @@ mod tests {
             .unwrap();
         assert!(storage.read_committed(tid, rid).unwrap().is_none());
         storage.commit_writes(txn, 2, &[(tid, rid)]).unwrap();
-        assert_eq!(
-            storage
-                .read_committed(tid, rid)
-                .unwrap()
-                .unwrap()
-                .get_int(1),
-            Some(500)
-        );
+        assert_eq!(committed(&storage, tid, rid), Some(500));
     }
 
     #[test]
@@ -621,9 +617,7 @@ mod tests {
         for (t, v) in [(1u64, 101i64), (2, 102), (3, 103)] {
             let txn = TxnId(t);
             storage.begin_txn(txn);
-            storage
-                .apply_update(txn, tid, rid, Row::from_ints(&[1, v]))
-                .unwrap();
+            set(&storage, txn, tid, rid, v);
         }
         assert_eq!(storage.read_latest(tid, rid).unwrap().get_int(1), Some(103));
         storage.rollback_writes(TxnId(3)).unwrap();
@@ -637,15 +631,14 @@ mod tests {
         let (storage, tid, rid) = setup();
         let txn = TxnId(21);
         storage.begin_txn(txn);
-        storage
-            .apply_update(txn, tid, rid, Row::from_ints(&[1, 150]))
-            .unwrap();
+        set(&storage, txn, tid, rid, 150);
         storage.set_hot_update_order(txn, 17);
         let segment = storage.undo().snapshot(txn).unwrap();
         assert_eq!(segment.header.hot_update_order(), Some(17));
+        storage.redo().flush_all().unwrap();
         let has_header_record = storage
             .redo()
-            .all_records()
+            .durable_records()
             .iter()
             .any(|r| matches!(r, RedoRecord::UndoHeader { txn: t, field } if *t == txn && field & crate::undo::HOT_UPDATE_ORDER_FLAG != 0));
         assert!(has_header_record);
@@ -655,12 +648,12 @@ mod tests {
     fn update_row_is_one_latch_hold_one_undo_visit_one_log_reservation() {
         let (storage, tid, rid) = setup();
         let txn = TxnId(22);
-        let begin = storage.begin_txn(txn);
+        storage.begin_txn(txn);
         let add = |row: &Row| Row::from_ints(&[1, row.get_int(1).unwrap() + 5]);
         // A hot row's first update carries the order: header and row image
-        // take consecutive LSNs, the header first.
+        // take consecutive LSNs, the header first, and begin the transaction.
         let hot = storage.update_row(txn, tid, rid, Some(17), add).unwrap();
-        assert_eq!(hot, Lsn(begin.0 + 2));
+        assert_eq!((hot, storage.active_txn_floor()), (Lsn(2), Some(Lsn(1))));
         // The next one (and any cold update) is the row image alone, built
         // from the head the first one left.
         let cold = storage.update_row(txn, tid, rid, None, add).unwrap();
@@ -669,22 +662,22 @@ mod tests {
         let segment = storage.undo().snapshot(txn).unwrap();
         assert_eq!(segment.header.hot_update_order(), Some(17));
         assert_eq!(segment.records.len(), 2);
-        let logged = storage.redo().all_records();
+        storage.redo().flush_all().unwrap();
         assert!(matches!(
-            logged[..],
+            storage.redo().durable_records()[..],
             [
-                RedoRecord::Begin { .. },
                 RedoRecord::UndoHeader { .. },
-                RedoRecord::Update { .. },
-                RedoRecord::Update { .. }
+                RedoRecord::Image { .. },
+                RedoRecord::Image { .. }
             ]
         ));
         #[cfg(debug_assertions)]
         {
-            // Slot latch, undo shard, redo tail — and nothing else.
+            // Slot latch, undo shard — and nothing else: the log reservation
+            // takes no lock.
             let before = parking_lot::thread_acquisitions();
             storage.update_row(txn, tid, rid, Some(18), add).unwrap();
-            assert_eq!(parking_lot::thread_acquisitions() - before, 3);
+            assert_eq!(parking_lot::thread_acquisitions() - before, 2);
         }
         // An unknown record leaves no trace.
         let missing = RecordId::new(rid.space_id, rid.page_no, rid.heap_no + 1);
@@ -692,28 +685,46 @@ mod tests {
     }
 
     #[test]
+    fn a_row_image_that_fits_no_frame_is_refused_before_anything_is_installed() {
+        let (storage, tid, rid) = setup();
+        let wide = |bytes: usize| Row::new(vec![1.into(), "x".repeat(bytes).into()]);
+        // 600 KB fits a 1 MiB segment beside its hot-order header.
+        storage
+            .update_row(TxnId(1), tid, rid, Some(1), |_| wide(600_000))
+            .unwrap();
+        storage.rollback_writes(TxnId(1)).unwrap();
+        let before = (storage.redo().latest_lsn(), storage.read_latest(tid, rid));
+        for result in [
+            storage.apply_update(TxnId(2), tid, rid, wide(1 << 20)),
+            (storage.apply_insert(TxnId(2), tid, wide(1 << 20))).map(|(_, lsn)| lsn),
+            storage.apply_update(TxnId(2), tid, rid, Row::from_ints(&[1; 1 << 16])),
+        ] {
+            assert!(matches!(result, Err(Error::RowTooLarge { .. })));
+        }
+        // No version, no undo entry, no frame: the statement never happened.
+        let after = (storage.redo().latest_lsn(), storage.read_latest(tid, rid));
+        assert_eq!(after, before);
+        assert!(storage.undo().is_empty() && storage.table(tid).unwrap().lookup_pk(1) == Ok(rid));
+        storage.redo().flush_all().unwrap();
+        assert_eq!(storage.redo().durable_records().len(), 3);
+    }
+
+    #[test]
     fn checkpoint_round_trip() {
         let (storage, tid, rid) = setup();
         let txn = TxnId(30);
         storage.begin_txn(txn);
-        storage
-            .apply_update(txn, tid, rid, Row::from_ints(&[1, 123]))
-            .unwrap();
+        set(&storage, txn, tid, rid, 123);
         storage.commit_writes(txn, 3, &[(tid, rid)]).unwrap();
         // An uncommitted change must not leak into the checkpoint.
         let txn2 = TxnId(31);
         storage.begin_txn(txn2);
-        storage
-            .apply_update(txn2, tid, rid, Row::from_ints(&[1, 999]))
-            .unwrap();
+        set(&storage, txn2, tid, rid, 999);
 
         let image = storage.checkpoint();
         let rebuilt = Storage::from_checkpoint(&image, Duration::ZERO).unwrap();
         let rid2 = rebuilt.table(tid).unwrap().lookup_pk(1).unwrap();
-        assert_eq!(
-            rebuilt.read_latest(tid, rid2).unwrap().get_int(1),
-            Some(123)
-        );
+        assert_eq!(committed(&rebuilt, tid, rid2), Some(123));
     }
 
     #[test]
@@ -722,43 +733,35 @@ mod tests {
         assert_eq!(storage.active_txn_floor(), None);
         let a = TxnId(1);
         let b = TxnId(2);
-        let floor = storage.begin_txn(a);
+        // A transaction that has a segment but logged nothing sets no floor.
+        storage.begin_txn(a);
         storage.begin_txn(b);
-        assert_eq!(storage.active_txn_floor(), Some(floor));
-        storage
-            .apply_update(a, tid, rid, Row::from_ints(&[1, 101]))
-            .unwrap();
+        assert_eq!(storage.active_txn_floor(), None);
+        let first = set(&storage, a, tid, rid, 101);
+        assert_eq!(storage.active_txn_floor(), Some(first));
+        storage.set_hot_update_order(b, 1);
         storage.commit_writes(a, 1, &[(tid, rid)]).unwrap();
         // The floor advances to the younger transaction once `a` finishes.
-        assert!(storage.active_txn_floor().unwrap() > floor);
+        assert_eq!(storage.active_txn_floor(), Some(Lsn(first.0 + 1)));
         storage.rollback_writes(b).unwrap();
         assert_eq!(storage.active_txn_floor(), None);
-    }
-
-    fn begins_logged(storage: &Storage) -> usize {
-        let records = storage.redo().all_records();
-        let begins = records
-            .iter()
-            .filter(|r| matches!(r, RedoRecord::Begin { .. }));
-        begins.count()
     }
 
     #[test]
     fn hot_update_order_before_begin_opens_the_segment_once() {
         let (storage, tid, rid) = setup();
         let txn = TxnId(5);
-        // The header arrives first: the segment (and its Begin) come with it.
-        storage.set_hot_update_order(txn, 3);
-        let first = storage.active_txn_floor().expect("the segment exists");
-        // A later begin finds the segment: same first LSN, no second Begin.
-        assert_eq!(storage.begin_txn(txn), first);
+        // The header arrives first: the segment comes with it, and the
+        // header's frame is the transaction's first.
+        let first = storage.set_hot_update_order(txn, 3);
+        assert_eq!(storage.active_txn_floor(), Some(first));
+        // A later begin finds the segment: same first LSN.
+        storage.begin_txn(txn);
+        assert_eq!(storage.active_txn_floor(), Some(first));
         let segment = storage.undo().snapshot(txn).unwrap();
         assert_eq!(segment.header.hot_update_order(), Some(3));
-        storage
-            .apply_update(txn, tid, rid, Row::from_ints(&[1, 7]))
-            .unwrap();
+        set(&storage, txn, tid, rid, 7);
         storage.commit_writes(txn, 1, &[(tid, rid)]).unwrap();
-        assert_eq!(begins_logged(&storage), 1);
         assert!(storage.undo().is_empty() && storage.active_txn_floor().is_none());
     }
 
@@ -768,14 +771,11 @@ mod tests {
         // Never begun: no trace at all.
         let end = storage.rollback_writes(TxnId(8)).unwrap();
         assert_eq!((end, storage.redo().len()), (Lsn(0), 0));
-        // Begun (a locked read, say) but nothing changed: its Begin is all
-        // the log ever sees of it, and its segment is gone.
-        let begin = storage.begin_txn(TxnId(9));
-        assert_eq!(storage.rollback_writes(TxnId(9)).unwrap(), begin);
-        assert_eq!(
-            storage.redo().all_records(),
-            [RedoRecord::Begin { txn: TxnId(9) }]
-        );
+        // Begun (a locked read, say) but nothing changed: the log never
+        // hears of it, and its segment is gone.
+        storage.begin_txn(TxnId(9));
+        assert_eq!(storage.rollback_writes(TxnId(9)).unwrap(), Lsn(0));
+        assert!(storage.redo().is_empty());
         assert!(storage.undo().is_empty() && storage.active_txn_floor().is_none());
     }
 
@@ -818,9 +818,15 @@ mod tests {
         });
         assert!(storage.undo().is_empty());
         assert_eq!(storage.active_txn_floor(), None);
-        // Every transaction logged exactly one Begin, begun explicitly or by
-        // its first write.
-        assert_eq!(begins_logged(&storage) as u64, THREADS * PER_THREAD);
+        // Every frame of the storm decodes, in LSN order, and every
+        // transaction ends in its one marker.
+        storage.redo().flush_all().unwrap();
+        let frames: Vec<_> = storage.redo().durable_frames().collect();
+        assert!((frames.iter().map(|(lsn, _)| lsn.0)).eq(1..=storage.redo().latest_lsn().0));
+        let is_marker =
+            |r: &RedoRecord| matches!(r, RedoRecord::Commit { .. } | RedoRecord::Rollback { .. });
+        let markers = frames.iter().filter(|(_, record)| is_marker(record));
+        assert_eq!(markers.count() as u64, THREADS * PER_THREAD);
     }
 
     #[test]
@@ -838,9 +844,7 @@ mod tests {
         let rid = storage.load_row(tid, Row::from_ints(&[1, 100])).unwrap();
         let txn = TxnId(7);
         storage.begin_txn(txn);
-        storage
-            .apply_update(txn, tid, rid, Row::from_ints(&[1, 101]))
-            .unwrap(); // first PostAppendPreFlush hit passes
+        set(&storage, txn, tid, rid, 101); // first PostAppendPreFlush hit passes
         let err = storage.commit_writes(txn, 1, &[(tid, rid)]).unwrap_err();
         assert!(matches!(err, Error::Crashed { .. }));
         // Nothing was ever flushed: the durable image has no trace of txn.

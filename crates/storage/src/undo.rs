@@ -1,8 +1,9 @@
 //! Undo log: per-transaction undo segments.
 //!
 //! Each writing transaction owns an [`UndoSegment`] naming the records it
-//! modified plus an [`UndoHeader`] and the LSN its redo starts at — the one
-//! record storage keeps per transaction, in the sharded [`UndoLog`].  The
+//! modified plus an [`UndoHeader`] and a lower bound of the LSN its redo
+//! starts at — the one record storage keeps per transaction, in the sharded
+//! [`UndoLog`].  The
 //! segment holds no before-images: the version chain *is* the undo image,
 //! and rollback pops the writer's versions off it.
 //!
@@ -141,9 +142,10 @@ impl UndoRecord {
 /// its redo starts, the undo header and the undo records.
 #[derive(Debug, Clone, Default)]
 pub struct UndoSegment {
-    /// LSN of the transaction's first redo record; checkpoint truncation
-    /// must not cut past the oldest of these.
-    pub first_lsn: Lsn,
+    /// No frame of the transaction lies below this LSN (`None` until it is
+    /// about to log its first); checkpoint truncation must not cut past the
+    /// oldest of these.
+    pub first_lsn: Option<Lsn>,
     /// The (repurposed) undo header.
     pub header: UndoHeader,
     /// Undo records in the order the operations were performed.
@@ -200,21 +202,10 @@ impl UndoLog {
         &self.shards[txn.0 as usize & (SHARDS - 1)]
     }
 
-    /// Runs `f` on `txn`'s segment under its shard lock.  A transaction not
-    /// in the log yet gets a segment starting at `first_lsn()`, called under
-    /// the same lock: whoever sees the LSN it returns in the redo log also
-    /// finds the segment here (see `Storage::checkpoint_with_floor`).
-    pub fn with<R>(
-        &self,
-        txn: TxnId,
-        first_lsn: impl FnOnce() -> Lsn,
-        f: impl FnOnce(&mut UndoSegment) -> R,
-    ) -> R {
-        let mut shard = self.shard(txn).lock();
-        f(shard.entry(txn).or_insert_with(|| UndoSegment {
-            first_lsn: first_lsn(),
-            ..UndoSegment::default()
-        }))
+    /// Runs `f` on `txn`'s segment under its shard lock; a transaction not
+    /// in the log yet gets an empty one.
+    pub fn with<R>(&self, txn: TxnId, f: impl FnOnce(&mut UndoSegment) -> R) -> R {
+        f(self.shard(txn).lock().entry(txn).or_default())
     }
 
     /// Removes and returns the segment for `txn` (at commit or rollback).
@@ -227,9 +218,9 @@ impl UndoLog {
         self.shard(txn).lock().get(&txn).cloned()
     }
 
-    /// First redo LSN of the oldest transaction in the log, if any.
+    /// The lowest `first_lsn` of the transactions in the log, if any has one.
     pub fn oldest_first_lsn(&self) -> Option<Lsn> {
-        let oldest = |shard: &Shard| shard.lock().values().map(|segment| segment.first_lsn).min();
+        let oldest = |shard: &Shard| shard.lock().values().filter_map(|s| s.first_lsn).min();
         self.shards.iter().filter_map(oldest).min()
     }
 
@@ -283,30 +274,27 @@ mod tests {
     fn undo_log_accumulates_and_takes_segments() {
         let log = UndoLog::new();
         let txn = TxnId(5);
-        // The segment starts at the LSN the first caller supplies; later
-        // callers find it and their LSN source is not asked.
-        log.with(txn, || Lsn(9), |_| ());
-        log.with(
-            txn,
-            || unreachable!("the segment exists"),
-            |segment| {
-                segment.records.push(UndoRecord::Update {
-                    table: TableId(1),
-                    record: RecordId::new(1, 0, 0),
-                });
-                segment.records.push(UndoRecord::Insert {
-                    table: TableId(1),
-                    record: RecordId::new(1, 0, 1),
-                    pk: 2,
-                });
-                segment.header = UndoHeader::with_hot_update_order(3);
-            },
-        );
+        // A segment without a first LSN has logged nothing: no floor yet.
+        log.with(txn, |_| ());
+        assert_eq!((log.len(), log.oldest_first_lsn()), (1, None));
+        log.with(txn, |segment| {
+            segment.first_lsn = Some(Lsn(9));
+            segment.records.push(UndoRecord::Update {
+                table: TableId(1),
+                record: RecordId::new(1, 0, 0),
+            });
+            segment.records.push(UndoRecord::Insert {
+                table: TableId(1),
+                record: RecordId::new(1, 0, 1),
+                pk: 2,
+            });
+            segment.header = UndoHeader::with_hot_update_order(3);
+        });
         assert_eq!(log.len(), 1);
         assert_eq!(log.oldest_first_lsn(), Some(Lsn(9)));
 
         let seg = log.take(txn).unwrap();
-        assert_eq!((seg.len(), seg.first_lsn), (2, Lsn(9)));
+        assert_eq!((seg.len(), seg.first_lsn), (2, Some(Lsn(9))));
         assert_eq!(seg.header.hot_update_order(), Some(3));
         // Rollback order is reverse execution order.
         let first_rollback = seg.rollback_order().next().unwrap();
@@ -319,7 +307,7 @@ mod tests {
     fn snapshot_does_not_remove_segment() {
         let log = UndoLog::new();
         let txn = TxnId(1);
-        log.with(txn, Lsn::default, |segment| {
+        log.with(txn, |segment| {
             segment.records.push(UndoRecord::Delete {
                 table: TableId(2),
                 record: RecordId::new(2, 0, 0),
@@ -334,7 +322,9 @@ mod tests {
     fn oldest_first_lsn_spans_the_shards() {
         let log = UndoLog::new();
         for id in 1..=3 * SHARDS as u64 {
-            log.with(TxnId(id), || Lsn(1_000 - id), |_| ());
+            log.with(TxnId(id), |segment| {
+                segment.first_lsn = Some(Lsn(1_000 - id))
+            });
         }
         assert_eq!(log.len(), 3 * SHARDS);
         assert_eq!(log.oldest_first_lsn(), Some(Lsn(1_000 - 3 * SHARDS as u64)));

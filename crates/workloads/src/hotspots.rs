@@ -2,7 +2,7 @@
 //!
 //! Tencent's online figure is a fixed-TPS workload (the industry rate model
 //! of §4.6.1) whose traffic is mostly uniform but suffers bursts during which
-//! nearly every transaction hits one hot row.  [`HotspotsTrace::paper_like`]
+//! nearly every transaction hits one hot row.  [`HotspotsTrace::paper_like_scaled`]
 //! encodes a schedule with the same shape as Figure 11: a stable baseline,
 //! a hotspot burst, a higher-rate sustained burst, and a final phase in which
 //! the operator bumps the group-locking batch size (the harness applies that
@@ -51,14 +51,10 @@ impl HotspotsTrace {
         }
     }
 
-    /// A laptop-scaled version of the Figure 11 schedule: baseline traffic,
-    /// a hotspot burst, a sustained higher-rate burst, then recovery.
-    pub fn paper_like(base_tps: u64) -> Self {
-        Self::paper_like_scaled(base_tps, 5)
-    }
-
-    /// The Figure 11 schedule with an explicit per-phase length, so harness
-    /// smoke cells can run the same five-phase shape in a few seconds.
+    /// A laptop-scaled version of the Figure 11 schedule — baseline traffic,
+    /// a hotspot burst, a sustained higher-rate burst, then recovery — with
+    /// an explicit per-phase length, so harness smoke cells can run the same
+    /// five-phase shape in a few seconds.
     pub fn paper_like_scaled(base_tps: u64, phase_seconds: u64) -> Self {
         let burst = base_tps * 3;
         Self::new(
@@ -143,12 +139,6 @@ impl HotspotsTrace {
         // absorbed and the admission cell would have nothing to do.
         trace.hot_work_micros = 30_000;
         trace
-    }
-
-    /// Whether `setup` declares row 0 hot up front instead of waiting for
-    /// organic promotion.
-    pub fn declares_hotspot(&self) -> bool {
-        self.declared_hotspot
     }
 
     /// The phase schedule.
@@ -239,7 +229,7 @@ mod tests {
 
     #[test]
     fn phase_lookup_follows_the_schedule() {
-        let trace = HotspotsTrace::paper_like(100);
+        let trace = HotspotsTrace::paper_like_scaled(100, 5);
         assert_eq!(trace.total_seconds(), 25);
         assert_eq!(trace.target_tps_at(0), 100);
         assert_eq!(trace.target_tps_at(6), 300);
@@ -250,7 +240,7 @@ mod tests {
 
     #[test]
     fn burst_phases_concentrate_on_the_hot_row() {
-        let trace = HotspotsTrace::paper_like(100);
+        let trace = HotspotsTrace::paper_like_scaled(100, 5);
         let mut rng = XorShiftRng::new(1);
         let burst_hot = (0..500)
             .filter(|_| trace.program_at(6, &mut rng).write_keys()[0].1 == 0)
@@ -270,8 +260,6 @@ mod tests {
 
     #[test]
     fn burst_setup_declares_the_hot_row() {
-        assert!(HotspotsTrace::burst(50, 1).declares_hotspot());
-        assert!(!HotspotsTrace::paper_like(100).declares_hotspot());
         let db = Database::with_protocol(txsql_core::Protocol::GroupLockingTxsql);
         HotspotsTrace::burst(50, 1).setup(&db);
         let hot = db.record_id(APP_TABLE, 0).unwrap();
