@@ -270,8 +270,8 @@ impl CellSpec {
             outcome.tpcc_consistent = Some(checker.consistency_check(&db));
         }
         if let Some(hook) = hook {
-            // Let the replicas drain the retained binlog (an injected stall
-            // or shed queue may have left them behind), then snapshot the
+            // Let the replicas catch up on the retained binlog (an injected
+            // stall may have left them behind), then snapshot the
             // degrade/re-sync trajectory for the record.
             let caught_up = hook.wait_caught_up(hook.binlog_len(), Duration::from_secs(5));
             let resynced = hook.sync_state() == SyncState::SemiSync;
@@ -280,7 +280,6 @@ impl CellSpec {
                 ("degraded_commits", count(&m.degraded_commits)),
                 ("semi_sync_timeouts", count(&m.semi_sync_timeouts)),
                 ("semi_sync_resyncs", count(&m.semi_sync_resyncs)),
-                ("ship_queue_full", count(&m.ship_queue_full)),
                 ("ship_retries", count(&m.ship_retries)),
                 ("replicas_caught_up", Json::Bool(caught_up)),
                 ("resynced", Json::Bool(resynced)),
@@ -328,7 +327,7 @@ pub struct CellOutcome {
     /// (`pre_burst_goodput_tps`, `post_burst_goodput_tps`) — the "did the
     /// burst end in re-admission" evidence; closed-loop cells carry the same
     /// counters inside their `snapshot`.  Replication cells: how often the
-    /// semi-sync pipeline degraded and re-synced, the load it shed, and
+    /// semi-sync pipeline degraded and re-synced, its ship retries, and
     /// whether the replicas caught up and the hook ended back in semi-sync.
     pub extras: Vec<(&'static str, Json)>,
 }

@@ -8,11 +8,18 @@
 //! (Figure 10) and failure rate over time (Figure 11).  [`EngineMetrics`] collects all of those with
 //! relaxed atomics so that metrics collection itself does not become a point
 //! of contention.
+//!
+//! Everything the engine measures is one row of the `metrics_table!` below.
+//! What fires on every lock cycle or statement is counted privately per
+//! transaction instead, in a [`MetricsScratch`] flushed once when the
+//! transaction finishes: such a per-transaction counter is one `scratch`
+//! row, which makes it a field of both structs and of the flush.
 
 use parking_lot::Mutex;
 use serde::{Deserialize, Serialize};
 use std::cell::Cell;
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Arc;
 use std::time::Duration;
 
 /// A relaxed atomic counter.
@@ -245,68 +252,35 @@ impl LatencyHistogram {
     }
 }
 
-/// Where the lock system's *per-cycle* hot-path counts go.
-///
-/// The uncontended acquire/release cycle used to pay 2+ relaxed atomic RMWs
-/// (and 4 more per grant-scan histogram record) straight into
-/// [`EngineMetrics`].  The hot paths now write through this trait instead:
-/// the engine hands them the transaction's [`MetricsScratch`] (plain `Cell`
-/// arithmetic, flushed to the shared counters once per statement/commit),
-/// while stand-alone callers keep passing [`EngineMetrics`] itself, which
-/// implements the trait by doing the atomic increment immediately.
-///
-/// The counters that fire on *every* cycle are routed this way, and so is
-/// everything a hot row's group counts between a grant and the update it
-/// admits (group formed, group joined, the wait for the grant): a shared
-/// line written there is paid for by every transaction queued behind.  The
-/// record-lock tables' wait / deadlock paths are rare enough that they
-/// record into [`EngineMetrics`] directly.
-pub trait MetricsSink {
-    /// One lock object was created (Figure 6d numerator).
-    fn on_lock_created(&self);
-    /// `n` record locks were released.
-    fn on_locks_released(&self, n: u64);
-    /// One release-path shard mutex acquisition (lock table or registry).
-    fn on_release_shard_lock(&self);
-    /// One grant scan examined `len` requests.
-    fn on_grant_scan(&self, len: u64);
-    /// One lock request (row lock, hot-row grant) waited for `waited`.
-    fn on_lock_wait(&self, waited: Duration);
-    /// One hot-row group was formed (a leader took office).
-    fn on_group_formed(&self);
-    /// One transaction joined a hot row's group, as leader or follower.
-    fn on_group_entry(&self);
-}
+/// A single-owner [`Counter`]: a plain `Cell`, drained into the shared
+/// counter by [`MetricsScratch::flush`].
+#[derive(Debug, Default)]
+pub struct ScratchCounter(Cell<u64>);
 
-impl MetricsSink for EngineMetrics {
+impl ScratchCounter {
+    /// Increments by one.
     #[inline]
-    fn on_lock_created(&self) {
-        self.locks_created.inc();
+    pub fn inc(&self) {
+        self.add(1);
     }
+
+    /// Adds `v`.
     #[inline]
-    fn on_locks_released(&self, n: u64) {
-        self.locks_released.add(n);
+    pub fn add(&self, v: u64) {
+        self.0.set(self.0.get() + v);
     }
-    #[inline]
-    fn on_release_shard_lock(&self) {
-        self.release_shard_locks.inc();
+
+    fn is_empty(&self) -> bool {
+        self.0.get() == 0
     }
-    #[inline]
-    fn on_grant_scan(&self, len: u64) {
-        self.grant_scan_len.record_micros(len);
-    }
-    #[inline]
-    fn on_lock_wait(&self, waited: Duration) {
-        self.lock_waits.inc();
-        self.lock_wait_latency.record(waited);
-    }
-    #[inline]
-    fn on_group_formed(&self) {
-        self.groups_formed.inc();
-    }
-    #[inline]
-    fn on_group_entry(&self) {
-        self.hotspot_group_entries.inc();
+
+    /// Moves the count into `shared`; returns it.
+    fn drain(&self, shared: &Counter) -> u64 {
+        let n = self.0.take();
+        if n > 0 {
+            shared.add(n);
+        }
+        n
     }
 }
 
@@ -316,15 +290,15 @@ impl MetricsSink for EngineMetrics {
 /// every `Transaction` carries two of these by value through `begin`,
 /// `commit` and `rollback`.
 #[derive(Debug)]
-struct ScratchHistogram {
+pub struct ScratchHistogram {
     buckets: [Cell<u32>; BUCKETS],
     count: Cell<u64>,
     sum: Cell<u64>,
     max: Cell<u64>,
 }
 
-impl ScratchHistogram {
-    fn new() -> Self {
+impl Default for ScratchHistogram {
+    fn default() -> Self {
         Self {
             buckets: std::array::from_fn(|_| Cell::new(0)),
             count: Cell::new(0),
@@ -332,9 +306,18 @@ impl ScratchHistogram {
             max: Cell::new(0),
         }
     }
+}
 
+impl ScratchHistogram {
+    /// Records one latency observation.
     #[inline]
-    fn record(&self, value: u64) {
+    pub fn record(&self, latency: Duration) {
+        self.record_micros(LatencyHistogram::micros(latency));
+    }
+
+    /// Records a value in the unit the buckets hold.
+    #[inline]
+    pub fn record_micros(&self, value: u64) {
         let bucket = &self.buckets[LatencyHistogram::bucket_for(value)];
         bucket.set(bucket.get() + 1);
         self.count.set(self.count.get() + 1);
@@ -342,8 +325,12 @@ impl ScratchHistogram {
         self.max.set(self.max.get().max(value));
     }
 
+    fn is_empty(&self) -> bool {
+        self.count.get() == 0
+    }
+
     /// Drains into `shared`; returns how many observations moved.
-    fn flush(&self, shared: &LatencyHistogram) -> u64 {
+    fn drain(&self, shared: &LatencyHistogram) -> u64 {
         let count = self.count.take();
         if count > 0 {
             for (i, bucket) in self.buckets.iter().enumerate() {
@@ -364,72 +351,29 @@ impl ScratchHistogram {
     }
 }
 
-/// A single-owner (per-transaction or per-bench-thread) scratch pad for the
-/// hot-path lock counters, the per-statement query count and the
-/// transaction's commit sample.
-///
-/// All fields are `Cell`s: recording is plain integer arithmetic with no
-/// atomics and no sharing.  [`MetricsScratch::flush`] drains the accumulated
-/// counts into an [`EngineMetrics`] with one batch of atomic operations —
-/// the owner calls it at a statement boundary or commit (the engine's
-/// `TxnMetrics` wrapper additionally flushes on drop so abort paths cannot
-/// lose counts).  Grant-scan lengths keep full histogram fidelity: the
-/// scratch accumulates per-bucket counts and the flush merges them bucket by
-/// bucket.
-#[derive(Debug)]
-pub struct MetricsScratch {
-    locks_created: Cell<u64>,
-    locks_released: Cell<u64>,
-    release_shard_locks: Cell<u64>,
-    grant_scans: ScratchHistogram,
-    /// One observation per lock wait: the flush derives `lock_waits` from it.
-    lock_waits: ScratchHistogram,
-    groups_formed: Cell<u64>,
-    group_entries: Cell<u64>,
-    queries: Cell<u64>,
-    /// `(latency, blocked)` of the owner's commit, once it committed.
-    commit: Cell<Option<(Duration, Duration)>>,
-}
-
-impl Default for MetricsScratch {
-    fn default() -> Self {
-        Self::new()
-    }
+/// The single-owner stand-in of a `scratch` row's kind.
+macro_rules! scratch_of {
+    (Counter) => {
+        ScratchCounter
+    };
+    (LatencyHistogram) => {
+        ScratchHistogram
+    };
 }
 
 impl MetricsScratch {
-    /// Creates an empty scratch pad.
+    /// A detached scratch: counts accumulate and stay (probes, and
+    /// transactions created outside an engine).
     pub fn new() -> Self {
-        Self {
-            locks_created: Cell::new(0),
-            locks_released: Cell::new(0),
-            release_shard_locks: Cell::new(0),
-            grant_scans: ScratchHistogram::new(),
-            lock_waits: ScratchHistogram::new(),
-            groups_formed: Cell::new(0),
-            group_entries: Cell::new(0),
-            queries: Cell::new(0),
-            commit: Cell::new(None),
-        }
+        Self::default()
     }
 
-    /// True when nothing has been recorded since the last flush.
-    pub fn is_empty(&self) -> bool {
-        self.locks_created.get() == 0
-            && self.locks_released.get() == 0
-            && self.release_shard_locks.get() == 0
-            && self.grant_scans.count.get() == 0
-            && self.lock_waits.count.get() == 0
-            && self.groups_formed.get() == 0
-            && self.group_entries.get() == 0
-            && self.queries.get() == 0
-            && self.commit.get().is_none()
-    }
-
-    /// One statement was executed.
-    #[inline]
-    pub fn on_query(&self) {
-        self.queries.set(self.queries.get() + 1);
+    /// A scratch whose [`MetricsScratch::flush`] — and drop — drains into
+    /// `target`.
+    pub fn attached(target: Arc<EngineMetrics>) -> Self {
+        let mut scratch = Self::default();
+        scratch.target = Some(target);
+        scratch
     }
 
     /// The owning transaction committed after `latency`, `blocked` of it
@@ -439,14 +383,15 @@ impl MetricsScratch {
         self.commit.set(Some((latency, blocked)));
     }
 
-    /// Drains every accumulated count into `metrics`, leaving the scratch
-    /// empty.  One atomic operation per non-zero counter/bucket.
-    pub fn flush(&self, metrics: &EngineMetrics) {
-        let drain = |from: &Cell<u64>, to: &Counter| match from.take() {
-            0 => {}
-            n => to.add(n),
+    /// Drains everything recorded into the attached [`EngineMetrics`] with
+    /// one atomic operation per non-zero counter or bucket, leaving the
+    /// scratch empty; a detached scratch keeps its counts.  Safe to call
+    /// repeatedly; dropping the scratch calls it, so no abort path loses
+    /// counts.
+    pub fn flush(&self) {
+        let Some(metrics) = &self.target else {
+            return;
         };
-        drain(&self.queries, &metrics.queries);
         if let Some((latency, blocked)) = self.commit.take() {
             metrics.committed.inc();
             metrics.txn_latency.record(latency);
@@ -454,48 +399,13 @@ impl MetricsScratch {
             let busy = latency.saturating_sub(blocked);
             metrics.busy_nanos.add(busy.as_nanos() as u64);
         }
-        drain(&self.locks_created, &metrics.locks_created);
-        drain(&self.locks_released, &metrics.locks_released);
-        drain(&self.release_shard_locks, &metrics.release_shard_locks);
-        drain(&self.groups_formed, &metrics.groups_formed);
-        drain(&self.group_entries, &metrics.hotspot_group_entries);
-        self.grant_scans.flush(&metrics.grant_scan_len);
-        match self.lock_waits.flush(&metrics.lock_wait_latency) {
-            0 => {}
-            waits => metrics.lock_waits.add(waits),
-        }
+        self.drain_rows(metrics);
     }
 }
 
-impl MetricsSink for MetricsScratch {
-    #[inline]
-    fn on_lock_created(&self) {
-        self.locks_created.set(self.locks_created.get() + 1);
-    }
-    #[inline]
-    fn on_locks_released(&self, n: u64) {
-        self.locks_released.set(self.locks_released.get() + n);
-    }
-    #[inline]
-    fn on_release_shard_lock(&self) {
-        self.release_shard_locks
-            .set(self.release_shard_locks.get() + 1);
-    }
-    #[inline]
-    fn on_grant_scan(&self, len: u64) {
-        self.grant_scans.record(len);
-    }
-    #[inline]
-    fn on_lock_wait(&self, waited: Duration) {
-        self.lock_waits.record(LatencyHistogram::micros(waited));
-    }
-    #[inline]
-    fn on_group_formed(&self) {
-        self.groups_formed.set(self.groups_formed.get() + 1);
-    }
-    #[inline]
-    fn on_group_entry(&self) {
-        self.group_entries.set(self.group_entries.get() + 1);
+impl Drop for MetricsScratch {
+    fn drop(&mut self) {
+        self.flush();
     }
 }
 
@@ -657,37 +567,43 @@ fn derived<T>(
 /// [`MetricsSnapshot`], in the order the snapshot serialises: `name: Kind`
 /// is also a field of [`EngineMetrics`], copied over under its own name;
 /// `name: Type = |metrics, elapsed| …` is a ratio or percentile computed when
-/// the snapshot is taken, most of them from the `internal` rows, which only
-/// [`EngineMetrics`] has.  `reset` visits every metric (what a reset means
-/// is the row's kind's business, see [`Metric`]).
+/// the snapshot is taken, most of them from the `internal` and `scratch`
+/// rows, which only [`EngineMetrics`] has.  A `scratch` row is a metric a
+/// transaction counts privately: it is a field of both [`EngineMetrics`] and
+/// [`MetricsScratch`], recorded into the same way, and
+/// [`MetricsScratch::flush`] drains the one into the other; `=> counter` also
+/// adds the number of observations the row drained to `counter`.  `reset`
+/// visits every metric (what a reset means is the row's kind's business, see
+/// [`Metric`]).
 macro_rules! metrics_table {
     (
         snapshot { $($rows:tt)* }
-        internal { $( $(#[$idoc:meta])* $int:ident: $ikind:ty, )* }
+        internal { $($internal:tt)* }
+        scratch { $($scratch:tt)* }
     ) => {
-        metrics_table!(@row [] [] { $($rows)* } { $( $(#[$idoc])* $int: $ikind, )* });
+        metrics_table!(@row [] [] { $($rows)* } { $($internal)* } { $($scratch)* });
     };
     // A metric: an `EngineMetrics` field and the snapshot field it is copied to.
     (@row [$($metrics:tt)*] [$($fields:tt)*] {
         $(#[doc = $doc:literal])* $(#[serde($serde:ident)])? $name:ident: $kind:ident,
         $($rows:tt)*
-    } $internal:tt) => {
+    } $internal:tt $scratch:tt) => {
         metrics_table!(@row
             [$($metrics)* { $(#[doc = $doc])* $name: $kind }]
             [$($fields)* {
                 $(#[doc = $doc])* $(#[serde($serde)])? $name: u64 = |m, _| m.$name.get()
             }]
-            { $($rows)* } $internal);
+            { $($rows)* } $internal $scratch);
     };
     // A derived snapshot field.
     (@row [$($metrics:tt)*] [$($fields:tt)*] {
         $(#[doc = $doc:literal])* $name:ident: $ty:ty = $fill:expr,
         $($rows:tt)*
-    } $internal:tt) => {
+    } $internal:tt $scratch:tt) => {
         metrics_table!(@row
             [$($metrics)*]
             [$($fields)* { $(#[doc = $doc])* $name: $ty = $fill }]
-            { $($rows)* } $internal);
+            { $($rows)* } $internal $scratch);
     };
     (@row
         [$({ $(#[doc = $mdoc:literal])* $metric:ident: $kind:ident })*]
@@ -696,12 +612,14 @@ macro_rules! metrics_table {
         })*]
         {}
         { $( $(#[$idoc:meta])* $int:ident: $ikind:ty, )* }
+        { $( $(#[$sdoc:meta])* $scr:ident: $skind:ident $(=> $count:ident)?, )* }
     ) => {
         /// All metrics the engine maintains while running a workload.
         #[derive(Debug, Default)]
         pub struct EngineMetrics {
             $( $(#[doc = $mdoc])* pub $metric: $kind, )*
             $( $(#[$idoc])* pub $int: $ikind, )*
+            $( $(#[$sdoc])* pub $scr: $skind, )*
         }
 
         impl EngineMetrics {
@@ -710,6 +628,7 @@ macro_rules! metrics_table {
             pub fn reset(&self) {
                 $( Metric::reset(&self.$metric); )*
                 $( Metric::reset(&self.$int); )*
+                $( Metric::reset(&self.$scr); )*
             }
 
             /// Takes a serialisable snapshot, computing TPS over `elapsed`.
@@ -724,6 +643,38 @@ macro_rules! metrics_table {
         #[derive(Debug, Clone, Serialize, Deserialize, Default)]
         pub struct MetricsSnapshot {
             $( $(#[doc = $doc])* $(#[serde($serde)])? pub $field: $ty, )*
+        }
+
+        /// A single-owner (per-transaction or per-bench-thread) scratch pad:
+        /// one field per `scratch` row, recorded into exactly like the
+        /// [`EngineMetrics`] field of the same name but with plain `Cell`
+        /// arithmetic — no atomics, no sharing — plus the owner's commit
+        /// sample.  [`MetricsScratch::flush`] drains it into the metrics it is
+        /// attached to, at a commit or when the scratch drops.
+        #[derive(Debug, Default)]
+        pub struct MetricsScratch {
+            $( $(#[$sdoc])* pub $scr: scratch_of!($skind), )*
+            /// `(latency, blocked)` of the owner's commit, once it committed.
+            commit: Cell<Option<(Duration, Duration)>>,
+            /// Where a flush drains to; `None` keeps the counts.
+            target: Option<Arc<EngineMetrics>>,
+        }
+
+        impl MetricsScratch {
+            /// True when nothing has been recorded since the last flush.
+            pub fn is_empty(&self) -> bool {
+                $( self.$scr.is_empty() && )* self.commit.get().is_none()
+            }
+
+            /// Drains every row into `metrics`.
+            fn drain_rows(&self, metrics: &EngineMetrics) {
+                $(
+                    let _drained = self.$scr.drain(&metrics.$scr);
+                    $( if _drained > 0 {
+                        metrics.$count.add(_drained);
+                    } )?
+                )*
+            }
         }
     };
 }
@@ -757,10 +708,10 @@ metrics_table! {
         /// Mean lock-wait time (ms).
         mean_lock_wait_ms: f64 = |m, _| m.lock_wait_latency.mean_micros() / 1_000.0,
         /// Number of `lock_t` objects created (Figure 6d numerator).
-        locks_created: Counter,
+        locks_created: u64 = |m, _| m.locks_created.get(),
         /// Record locks released (individually or via release-all), making
         /// bookkeeping churn observable next to `locks_created`.
-        locks_released: Counter,
+        locks_released: u64 = |m, _| m.locks_released.get(),
         /// Live `(txn, record)` entries across the sharded lock registries —
         /// the decentralized successor of the global `txn_locks` map.  Sampled
         /// from the registries' per-shard counts at snapshot time (never updated
@@ -773,10 +724,10 @@ metrics_table! {
         lock_waits: Counter,
         /// Shard-mutex acquisitions on the lock **release** paths: one per page
         /// (or row-shard) group drained by the lock tables and one per registry
-        /// batch (`forget_records` / `take_all_in`).  The denominator for release
+        /// batch (`forget_records_in` / `take_all_in`).  The denominator for release
         /// batching: batching early releases to statement boundaries amortizes
         /// these, so takes-per-released-lock should drop as batch size grows.
-        release_shard_locks: Counter,
+        release_shard_locks: u64 = |m, _| m.release_shard_locks.get(),
         /// Mean grant-scan length (requests examined per scan).
         mean_grant_scan_len: f64 = |m, _| m.grant_scan_len.mean_micros(),
         /// Longest grant scan observed (requests examined).
@@ -784,9 +735,9 @@ metrics_table! {
         /// Number of deadlock-detector runs.
         deadlock_checks: Counter,
         /// Number of transactions that entered a hotspot group (leader or follower).
-        hotspot_group_entries: Counter,
+        hotspot_group_entries: u64 = |m, _| m.hotspot_group_entries.get(),
         /// Number of groups formed by group locking.
-        groups_formed: Counter,
+        groups_formed: u64 = |m, _| m.groups_formed.get(),
         /// Useful-work ratio (CPU utilisation proxy).
         utilization: f64 = |m, _| m.utilization(),
         /// Group-commit batches flushed by the commit pipeline.
@@ -808,9 +759,6 @@ metrics_table! {
         /// Degraded→semi-sync transitions: the replicas caught back up within
         /// the configured re-sync lag and ack waiting resumed.
         semi_sync_resyncs: Counter,
-        /// Batches shed because the bounded asynchronous shipping queue was
-        /// full (the replicas recover the gap from the retained binlog buffer).
-        ship_queue_full: Counter,
         /// Shipping attempts retried after a transient injected ship error.
         ship_retries: Counter,
         /// Replica lag in binlog batches: retained binlog length minus the
@@ -856,22 +804,35 @@ metrics_table! {
         abort_causes: AbortCounters,
         /// End-to-end transaction latency.
         txn_latency: LatencyHistogram,
-        /// Time spent waiting for locks (the inner bar of Figure 6c).
-        lock_wait_latency: LatencyHistogram,
-        /// Length of each grant scan (requests examined per scan), recorded via
-        /// `record_micros(len)` — the log2 buckets hold request counts here, not
-        /// times.  With per-record wait queues this must stay bounded by the
-        /// queue on *one* record; growth with page population indicates the
-        /// O(page) scan regression the queue layout exists to prevent.
-        grant_scan_len: LatencyHistogram,
-        /// Number of queries (statements) executed (Figure 6d denominator).
-        queries: Counter,
         /// Nanoseconds spent doing useful work (executing statements / commit logic).
         busy_nanos: Counter,
         /// Nanoseconds spent blocked (waiting for locks, queues or group wake-ups).
         blocked_nanos: Counter,
         /// Transactions that went through the binlog sync stage.
         commit_synced: Counter,
+    }
+    scratch {
+        /// Queries (statements) executed (Figure 6d denominator).
+        queries: Counter,
+        /// Lock objects created (Figure 6d numerator).
+        locks_created: Counter,
+        /// Record locks released.
+        locks_released: Counter,
+        /// Shard-mutex acquisitions on the lock release paths.
+        release_shard_locks: Counter,
+        /// Groups formed by group locking.
+        groups_formed: Counter,
+        /// Transactions that entered a hotspot group (leader or follower).
+        hotspot_group_entries: Counter,
+        /// Length of each grant scan (requests examined per scan), recorded via
+        /// `record_micros(len)` — the log2 buckets hold request counts here, not
+        /// times.  With per-record wait queues this must stay bounded by the
+        /// queue on *one* record; growth with page population indicates the
+        /// O(page) scan regression the queue layout exists to prevent.
+        grant_scan_len: LatencyHistogram,
+        /// Time spent waiting for locks (the inner bar of Figure 6c); each
+        /// observation a scratch drains is also one `lock_waits`.
+        lock_wait_latency: LatencyHistogram => lock_waits,
     }
 }
 
@@ -1027,73 +988,59 @@ mod tests {
     }
 
     #[test]
-    fn scratch_accumulates_locally_and_flushes_once() {
-        let m = EngineMetrics::new();
-        let scratch = MetricsScratch::new();
-        scratch.on_lock_created();
-        scratch.on_lock_created();
-        scratch.on_locks_released(3);
-        scratch.on_release_shard_lock();
-        scratch.on_grant_scan(1);
-        scratch.on_grant_scan(5);
-        scratch.on_lock_wait(Duration::from_micros(3));
-        scratch.on_lock_wait(Duration::from_micros(9));
-        scratch.on_group_formed();
-        scratch.on_group_entry();
-        scratch.on_group_entry();
-        scratch.on_query();
-        scratch.on_query();
+    fn every_scratch_row_reaches_the_attached_metrics_once() {
+        let m = Arc::new(EngineMetrics::new());
+        let scratch = MetricsScratch::attached(Arc::clone(&m));
+        scratch.queries.add(2);
+        scratch.locks_created.inc();
+        scratch.locks_created.inc();
+        scratch.locks_released.add(3);
+        scratch.release_shard_locks.inc();
+        scratch.groups_formed.inc();
+        scratch.hotspot_group_entries.add(2);
+        scratch.grant_scan_len.record_micros(1);
+        scratch.grant_scan_len.record_micros(5);
+        scratch.lock_wait_latency.record(Duration::from_micros(3));
+        scratch.lock_wait_latency.record(Duration::from_micros(9));
         scratch.on_commit(Duration::from_micros(40), Duration::from_micros(10));
         // Nothing reaches the shared counters until the flush.
         assert_eq!((m.queries.get(), m.committed.get()), (0, 0));
-        assert_eq!(m.locks_created.get(), 0);
-        assert_eq!(m.grant_scan_len.count(), 0);
+        assert_eq!((m.locks_created.get(), m.grant_scan_len.count()), (0, 0));
         assert_eq!((m.lock_waits.get(), m.groups_formed.get()), (0, 0));
         assert!(!scratch.is_empty());
-        scratch.flush(&m);
+        let drained = |m: &EngineMetrics| {
+            assert_eq!(m.queries.get(), 2);
+            assert_eq!(m.locks_created.get(), 2);
+            assert_eq!(m.locks_released.get(), 3);
+            assert_eq!(m.release_shard_locks.get(), 1);
+            assert_eq!(m.groups_formed.get(), 1);
+            assert_eq!(m.hotspot_group_entries.get(), 2);
+            assert_eq!(m.grant_scan_len.count(), 2);
+            assert_eq!(m.grant_scan_len.max_micros(), 5);
+            assert!((m.grant_scan_len.mean_micros() - 3.0).abs() < 1e-9);
+            assert_eq!((m.lock_waits.get(), m.lock_wait_latency.count()), (2, 2));
+            assert!((m.lock_wait_latency.mean_micros() - 6.0).abs() < 1e-9);
+            assert_eq!((m.committed.get(), m.txn_latency.count()), (1, 1));
+            assert_eq!(
+                (m.blocked_nanos.get(), m.busy_nanos.get()),
+                (10_000, 30_000)
+            );
+        };
+        scratch.flush();
         assert!(scratch.is_empty());
-        assert_eq!(m.locks_created.get(), 2);
-        assert_eq!(m.locks_released.get(), 3);
-        assert_eq!(m.release_shard_locks.get(), 1);
-        assert_eq!(m.grant_scan_len.count(), 2);
-        assert_eq!(m.grant_scan_len.max_micros(), 5);
-        assert!((m.grant_scan_len.mean_micros() - 3.0).abs() < 1e-9);
-        assert_eq!(m.lock_waits.get(), 2);
-        assert_eq!(m.lock_wait_latency.count(), 2);
-        assert!((m.lock_wait_latency.mean_micros() - 6.0).abs() < 1e-9);
-        assert_eq!(m.groups_formed.get(), 1);
-        assert_eq!(m.hotspot_group_entries.get(), 2);
-        assert_eq!((m.queries.get(), m.committed.get()), (2, 1));
-        assert_eq!(m.txn_latency.count(), 1);
-        assert_eq!(
-            (m.blocked_nanos.get(), m.busy_nanos.get()),
-            (10_000, 30_000)
-        );
-        // A second flush is a no-op.
-        scratch.flush(&m);
-        assert_eq!(m.grant_scan_len.count(), 2);
-        assert_eq!(m.lock_waits.get(), 2);
-        assert_eq!(m.committed.get(), 1);
-    }
-
-    #[test]
-    fn engine_metrics_is_a_passthrough_sink() {
-        let m = EngineMetrics::new();
-        MetricsSink::on_lock_created(&m);
-        MetricsSink::on_locks_released(&m, 2);
-        MetricsSink::on_release_shard_lock(&m);
-        MetricsSink::on_grant_scan(&m, 7);
-        MetricsSink::on_lock_wait(&m, Duration::from_micros(4));
-        MetricsSink::on_group_formed(&m);
-        MetricsSink::on_group_entry(&m);
-        assert_eq!((m.lock_waits.get(), m.lock_wait_latency.count()), (1, 1));
-        assert_eq!(m.groups_formed.get(), 1);
-        assert_eq!(m.hotspot_group_entries.get(), 1);
-        assert_eq!(m.locks_created.get(), 1);
-        assert_eq!(m.locks_released.get(), 2);
-        assert_eq!(m.release_shard_locks.get(), 1);
-        assert_eq!(m.grant_scan_len.count(), 1);
-        assert_eq!(m.grant_scan_len.max_micros(), 7);
+        drained(&m);
+        // A second flush is a no-op; dropping the scratch flushes what came
+        // after the first.
+        scratch.flush();
+        drained(&m);
+        scratch.locks_created.inc();
+        drop(scratch);
+        assert_eq!(m.locks_created.get(), 3);
+        // A detached scratch keeps its counts.
+        let detached = MetricsScratch::new();
+        detached.locks_created.inc();
+        detached.flush();
+        assert!(!detached.is_empty());
     }
 
     #[test]
@@ -1195,7 +1142,7 @@ mod tests {
             r#""groups_formed":0,"utilization":0.0,"commit_batches":0,"crash_injected":0,"#,
             r#""fsync_retries":0,"recovery_replayed":0,"wal_truncated_records":0,"#,
             r#""semi_sync_timeouts":0,"degraded_commits":0,"semi_sync_resyncs":0,"#,
-            r#""ship_queue_full":0,"ship_retries":0,"replica_lag":0,"admission_retries":0,"#,
+            r#""ship_retries":0,"replica_lag":0,"admission_retries":0,"#,
             r#""admission_queued":0,"admission_shed":0,"retry_budget_exhausted":0,"#,
             r#""backoff_waits":0,"admission_queue_depth":0,"abort_breakdown":{"deadlocks":1,"#,
             r#""wait_timeouts":0,"hotspot_prevented":0,"cascading":0,"dirty_reads":0,"#,

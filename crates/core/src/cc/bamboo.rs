@@ -74,8 +74,8 @@ impl ConcurrencyControl for Bamboo {
 
     /// The 2PL violation that gives early lock release its name.
     fn after_write(&self, txn: &Transaction, record: RecordId, _admission: WriteAdmission) {
-        let sink = txn.metrics_sink();
-        self.locks.release_record_locks_in(txn.id, &[record], sink);
+        self.locks
+            .release_record_locks_in(txn.id, &[record], txn.metrics());
     }
 
     /// Waits for the outcome of every writer whose dirty data `txn` read —

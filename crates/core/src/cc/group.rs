@@ -13,7 +13,7 @@ use super::{ConcurrencyControl, LockTable, WriteAdmission};
 use crate::database::DbInner;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
-use txsql_common::metrics::{EngineMetrics, MetricsSink};
+use txsql_common::metrics::EngineMetrics;
 use txsql_common::{Error, RecordId, Result, TableId};
 use txsql_lockmgr::group_lock::{CommitTurn, GroupHandle, GroupLockTable, HotExecution, WokenRole};
 use txsql_lockmgr::LightweightLockTable;
@@ -119,10 +119,10 @@ impl GroupLocking {
             return Err(err);
         }
         let order = self.groups.take_hot_update_order();
-        let sink = txn.metrics_sink();
-        sink.on_group_entry();
+        let scratch = txn.metrics();
+        scratch.hotspot_group_entries.inc();
         if leads {
-            sink.on_group_formed();
+            scratch.groups_formed.inc();
         }
         txn.record_hot_update(record, role, order, Some(group));
         Ok(match role {
@@ -167,8 +167,8 @@ impl ConcurrencyControl for GroupLocking {
             // the lock outside the group we could read its uncommitted head
             // and commit first.  Nothing was read yet: give the lock back and
             // enter through the group like a fresh arrival.
-            let sink = txn.metrics_sink();
-            self.locks.release_record_locks_in(txn.id, &[record], sink);
+            self.locks
+                .release_record_locks_in(txn.id, &[record], txn.metrics());
         }
 
         // From the grant to `after_write` the whole group waits for us:
@@ -183,7 +183,7 @@ impl ConcurrencyControl for GroupLocking {
                 let role = self.groups.wait_for_grant(txn.id, &group, &slot);
                 let waited = start.elapsed();
                 txn.add_blocked(waited);
-                txn.metrics_sink().on_lock_wait(waited);
+                txn.metrics().lock_wait_latency.record(waited);
                 match role? {
                     WokenRole::Follower => HotRole::Follower,
                     WokenRole::NewLeader => HotRole::Leader,
@@ -225,7 +225,7 @@ impl ConcurrencyControl for GroupLocking {
     /// pre-empted by the §4.5 check, and any residual entanglement resolves
     /// through the wait deadline.
     fn before_order(&self, txn: &mut Transaction) -> Result<()> {
-        let (id, sink) = (txn.id, txn.metrics_sink());
+        let (id, scratch) = (txn.id, txn.metrics());
         let mut ask_again = false;
         for hot in txn.hot_updates() {
             if hot.role != HotRole::Leader {
@@ -234,7 +234,7 @@ impl ConcurrencyControl for GroupLocking {
             let group = group_of(hot);
             self.groups.leader_prepare_commit(id, group);
             let row = std::slice::from_ref(&hot.record);
-            self.locks.release_record_locks_in(id, row, sink);
+            self.locks.release_record_locks_in(id, row, scratch);
             ask_again |= self.groups.leader_handover(id, group).turn != CommitTurn::Ready;
         }
         let mut waits = txn.hot_updates().iter();

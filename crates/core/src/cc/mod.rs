@@ -150,7 +150,7 @@ pub(crate) trait LockTable: Send + Sync {
 
 impl<L: Layout> LockTable for RecordLockTable<L> {
     fn release_all(&self, txn: &Transaction) {
-        self.release_all_in(txn.id, txn.metrics_sink());
+        self.release_all_in(txn.id, txn.metrics());
     }
 
     fn registry(&self) -> &Arc<TxnLockRegistry> {
@@ -257,8 +257,8 @@ fn lock_row<L: Layout>(
             hotspots.observe_wait(record, queue_len);
         }
     };
-    let sink = txn.metrics_sink();
-    let result = locks.lock_record_reporting(txn.id, record, LockMode::Exclusive, sink, report);
+    let result =
+        locks.lock_record_reporting(txn.id, record, LockMode::Exclusive, txn.metrics(), report);
     txn.add_blocked(start.elapsed());
     result
 }

@@ -26,7 +26,7 @@ use txsql_lockmgr::OsEvent;
 use txsql_storage::fault::{CrashPoint, FaultInjector};
 use txsql_storage::recovery::{self, RecoveryReport};
 use txsql_storage::storage::CheckpointImage;
-use txsql_storage::{RedoRecord, Storage, TableSchema};
+use txsql_storage::{Storage, TableSchema};
 use txsql_txn::{Transaction, TrxSys, TxnState};
 
 pub(crate) struct DbInner {
@@ -117,7 +117,7 @@ impl Database {
             .with_lock_registries(vec![Arc::clone(cc.locks().registry())])
             // Every transaction carries a Cell-based metrics scratch that
             // flushes here when it drops — the lock hot paths pay no shared
-            // atomics per cycle (see txsql_txn::TxnMetrics).
+            // atomics per cycle (see txsql_common::metrics::MetricsScratch).
             .with_engine_metrics(Arc::clone(&metrics));
         if let Some((next_txn_id, next_trx_no)) = trx_seed {
             trx_sys = trx_sys.with_start(next_txn_id, next_trx_no);
@@ -370,11 +370,6 @@ impl Database {
         self.inner.storage.faults().is_read_only()
     }
 
-    /// Redo records that would survive a crash right now.
-    pub fn durable_redo(&self) -> Vec<RedoRecord> {
-        self.inner.storage.redo().durable_records()
-    }
-
     // ------------------------------------------------------------------
     // Session API
     // ------------------------------------------------------------------
@@ -406,7 +401,7 @@ impl Database {
         if !txn.is_active() {
             return Err(Error::TransactionClosed { txn: txn.id });
         }
-        txn.metrics_sink().on_query();
+        txn.metrics().queries.inc();
         let record = self.record_id(table, pk)?;
         let (row, writer) = self
             .inner
@@ -522,7 +517,7 @@ impl Database {
             history.record_commit(txn.id, position, reads, writes);
         }
         txn.state = TxnState::Committed;
-        txn.metrics_sink()
+        txn.metrics()
             .on_commit(txn.started_at.elapsed(), txn.blocked_time());
     }
 

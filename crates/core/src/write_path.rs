@@ -51,7 +51,7 @@ impl Database {
         if !txn.is_active() {
             return Err(Error::TransactionClosed { txn: txn.id });
         }
-        txn.metrics_sink().on_query();
+        txn.metrics().queries.inc();
         let record = self.record_id(table, pk)?;
         self.begin_write(txn);
         let inner = &self.inner;
@@ -74,7 +74,7 @@ impl Database {
         if !txn.is_active() {
             return Err(Error::TransactionClosed { txn: txn.id });
         }
-        txn.metrics_sink().on_query();
+        txn.metrics().queries.inc();
         let pk = row.primary_key().ok_or_else(|| Error::Internal {
             reason: "insert without integer pk".into(),
         })?;
@@ -104,7 +104,7 @@ impl Database {
         if !txn.is_active() {
             return Err(Error::TransactionClosed { txn: txn.id });
         }
-        txn.metrics_sink().on_query();
+        txn.metrics().queries.inc();
         let record = self.record_id(table, pk)?;
         self.begin_write(txn);
         let inner = &self.inner;

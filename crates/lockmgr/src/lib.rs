@@ -74,7 +74,7 @@
 //!   lock-table shard — by page in the page layout, since a page's rows
 //!   share a shard — take each shard mutex once, and drain the registry
 //!   bookkeeping with one registry-shard lock per batch
-//!   ([`registry::TxnLockRegistry::forget_records`]).  The
+//!   ([`registry::TxnLockRegistry::forget_records_in`]).  The
 //!   `release_shard_locks` counter in `EngineMetrics` makes the amortization
 //!   observable.
 //! * **The wait-for graph is sharded by waiter** ([`deadlock`]): a
@@ -112,14 +112,13 @@
 //!   performs **zero heap allocations** in either lock table;
 //! * **per-transaction metrics scratch**: the per-cycle counters
 //!   (`locks_created`, `locks_released`, `release_shard_locks`, grant-scan
-//!   lengths) flow through a
-//!   [`MetricsSink`](txsql_common::metrics::MetricsSink) — the engine passes
-//!   each transaction's `Cell`-based scratch (`txsql_txn::TxnMetrics`,
-//!   flushed to `EngineMetrics` once per commit and on drop, so abort paths
-//!   lose nothing) instead of hammering shared atomics 2+ times per cycle;
-//!   the lock tables' `*_in` entry points (`lock_record_in`,
-//!   `release_all_in`, `release_record_locks_in`) accept the sink, and the
-//!   sink-less names remain as shared-metrics conveniences;
+//!   lengths) go to a `Cell`-based
+//!   [`MetricsScratch`](txsql_common::metrics::MetricsScratch) — the
+//!   transaction's, flushed to `EngineMetrics` once when it drops, so abort
+//!   paths lose nothing — instead of hammering shared atomics 2+ times per
+//!   cycle; the lock tables' `*_in` entry points (`lock_record_in`,
+//!   `release_all_in`, `release_record_locks_in`) take the scratch, and the
+//!   names without `_in` count through one attached to the table's metrics;
 //! * **append-log registry inserts**: [`registry::TxnLockRegistry`] records
 //!   an acquisition with a plain `Vec::push`; the page-major sort the
 //!   grouped release paths rely on is deferred to `take_all_in` — paid once per
@@ -154,9 +153,8 @@
 //! `finish_rollback`), and granting is paused exactly while some member is
 //! between the first and the last; [`group_lock::GroupLockTable::peek`] is
 //! the one read-only view of a row.  The counts a group produces
-//! between a grant and the update it admits go to the caller's
-//! [`MetricsSink`](txsql_common::metrics::MetricsSink), like the lock
-//! tables' per-cycle counters.
+//! between a grant and the update it admits go to the transaction's
+//! `MetricsScratch`, like the lock tables' per-cycle counters.
 //!
 //! Supporting modules: [`record_queue`] (the shared per-record queue core),
 //! [`event`] (the engine's one wait primitive: a state word that carries the

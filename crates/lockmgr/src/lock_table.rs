@@ -39,7 +39,7 @@ use parking_lot::Mutex;
 use std::sync::Arc;
 use std::time::Duration;
 use txsql_common::fxhash;
-use txsql_common::metrics::{EngineMetrics, MetricsSink};
+use txsql_common::metrics::{EngineMetrics, MetricsScratch};
 use txsql_common::pad::CachePadded;
 use txsql_common::time::SimInstant;
 use txsql_common::{Error, RecordId, Result, TableId, TxnId};
@@ -137,10 +137,7 @@ pub struct RecordLockTable<L: Layout> {
 impl<L: Layout> RecordLockTable<L> {
     /// Creates a lock table with its own lock registry.
     pub fn new(config: LockTableConfig, metrics: Arc<EngineMetrics>) -> Self {
-        let registry = Arc::new(TxnLockRegistry::new(
-            (L::SHARDS / 4).max(64),
-            Arc::clone(&metrics),
-        ));
+        let registry = Arc::new(TxnLockRegistry::new((L::SHARDS / 4).max(64)));
         Self {
             config,
             layout: L::default(),
@@ -181,24 +178,29 @@ impl<L: Layout> RecordLockTable<L> {
         Ok(())
     }
 
-    /// [`RecordLockTable::lock_record_in`] counting straight into the shared
-    /// [`EngineMetrics`].
+    /// A scratch that drains into the table's own metrics when it drops:
+    /// what the entry points without a `_in` count through.
+    fn own_scratch(&self) -> MetricsScratch {
+        MetricsScratch::attached(Arc::clone(&self.metrics))
+    }
+
+    /// [`RecordLockTable::lock_record_in`] counting into the table's metrics.
     pub fn lock_record(&self, txn: TxnId, record: RecordId, mode: LockMode) -> Result<()> {
-        self.lock_record_in(txn, record, mode, &*self.metrics)
+        self.lock_record_in(txn, record, mode, &self.own_scratch())
     }
 
     /// Acquires a record lock, blocking until granted, deadlock or timeout.
-    /// `sink` receives the per-cycle counters (`locks_created`) — the engine
-    /// passes the transaction's metrics scratch so the uncontended fast path
-    /// performs no atomic RMW.
-    pub fn lock_record_in<S: MetricsSink + ?Sized>(
+    /// `scratch` receives the per-cycle counters (`locks_created`, and a
+    /// give-up's release counts) — the engine passes the transaction's, so
+    /// the uncontended fast path performs no atomic RMW.
+    pub fn lock_record_in(
         &self,
         txn: TxnId,
         record: RecordId,
         mode: LockMode,
-        sink: &S,
+        scratch: &MetricsScratch,
     ) -> Result<()> {
-        self.lock_record_reporting(txn, record, mode, sink, |_| ())
+        self.lock_record_reporting(txn, record, mode, scratch, |_| ())
     }
 
     /// [`Self::lock_record_in`] that tells `on_queue` the length of the queue
@@ -207,12 +209,12 @@ impl<L: Layout> RecordLockTable<L> {
     /// before it does.  The length is read in the lock attempt's own
     /// critical section: an uncontended acquisition pays nothing for it, and
     /// `on_queue` runs after the shard guard is dropped.
-    pub fn lock_record_reporting<S: MetricsSink + ?Sized>(
+    pub fn lock_record_reporting(
         &self,
         txn: TxnId,
         record: RecordId,
         mode: LockMode,
-        sink: &S,
+        scratch: &MetricsScratch,
         on_queue: impl FnOnce(usize),
     ) -> Result<()> {
         debug_assert!(mode.is_record_mode());
@@ -223,7 +225,7 @@ impl<L: Layout> RecordLockTable<L> {
             let mut shard = self.shards[self.shard_index(record)].lock();
             let _scope = GuardScope::enter();
             let queue = L::queue_or_insert(&mut shard, record);
-            match queue.try_acquire(txn, mode, L::POLICY, sink) {
+            match queue.try_acquire(txn, mode, L::POLICY, scratch) {
                 AcquireOutcome::AlreadyHeld | AcquireOutcome::Upgraded => return Ok(()),
                 AcquireOutcome::Granted => {
                     // Uncontended grant: no OsEvent, no global bookkeeping —
@@ -266,7 +268,7 @@ impl<L: Layout> RecordLockTable<L> {
                 self.graph.doom(victim);
             }
         }
-        self.wait_until_granted(txn, record, mode, event)
+        self.wait_until_granted(txn, record, mode, event, scratch)
     }
 
     /// Locks `record`'s shard and runs `f` on its still-existing queue,
@@ -285,14 +287,16 @@ impl<L: Layout> RecordLockTable<L> {
     /// and — on timeout or doom — remove the waiting request, re-run the
     /// grant scan for waiters queued behind it, and clean up the registry
     /// entry unless a granted holder entry (a timed-out *upgrade*'s original
-    /// lock) survives.  The deadline lives on [`SimInstant`], so under
-    /// deterministic simulation it fires on the virtual clock.
+    /// lock) survives; the give-up's grant scan and registry release count
+    /// into the requester's `scratch`.  The deadline lives on [`SimInstant`],
+    /// so under deterministic simulation it fires on the virtual clock.
     fn wait_until_granted(
         &self,
         txn: TxnId,
         record: RecordId,
         mode: LockMode,
         event: Arc<OsEvent>,
+        scratch: &MetricsScratch,
     ) -> Result<()> {
         let (graph, metrics, detect) = (&self.graph, &*self.metrics, self.detects());
         let wait_start = SimInstant::now();
@@ -323,7 +327,7 @@ impl<L: Layout> RecordLockTable<L> {
                     // now that our conflicting request is gone.
                     let mut woken = Vec::new();
                     queue.remove_waiter(txn);
-                    queue.grant_from_front(graph, metrics, &mut woken);
+                    queue.grant_from_front(graph, scratch, &mut woken);
                     WaitPoll::GaveUp {
                         doomed,
                         woken,
@@ -356,7 +360,7 @@ impl<L: Layout> RecordLockTable<L> {
                         woken_event.set();
                     }
                     if !still_holds {
-                        self.registry.forget_record(txn, record);
+                        self.registry.forget_records_in(txn, &[record], scratch);
                     }
                     Err(if doomed {
                         Error::Deadlock { txn }
@@ -378,29 +382,29 @@ impl<L: Layout> RecordLockTable<L> {
         }
     }
 
-    /// [`RecordLockTable::release_record_locks_in`] counting into the shared
-    /// metrics.
+    /// [`RecordLockTable::release_record_locks_in`] counting into the
+    /// table's metrics.
     pub fn release_record_locks(&self, txn: TxnId, records: &[RecordId]) {
-        self.release_record_locks_in(txn, records, &*self.metrics);
+        self.release_record_locks_in(txn, records, &self.own_scratch());
     }
 
     /// Releases a batch of record locks before commit (Bamboo's early lock
     /// release, the group leader's hot-row handover): each lock-table shard
     /// is taken once per batch, and the registry bookkeeping drains with one
     /// registry-shard lock for the whole batch.  Release-path counters
-    /// (`release_shard_locks`, `locks_released`, grant-scan lengths) go
-    /// through `sink`.
-    pub fn release_record_locks_in<S: MetricsSink + ?Sized>(
+    /// (`release_shard_locks`, `locks_released`, grant-scan lengths) go to
+    /// `scratch`.
+    pub fn release_record_locks_in(
         &self,
         txn: TxnId,
         records: &[RecordId],
-        sink: &S,
+        scratch: &MetricsScratch,
     ) {
         if records.is_empty() {
             return;
         }
-        self.drop_requests(txn, records, sink);
-        self.registry.forget_records_in(txn, records, sink);
+        self.drop_requests(txn, records, scratch);
+        self.registry.forget_records_in(txn, records, scratch);
     }
 
     /// Removes `txn`'s requests on `records` and grants whatever unblocks
@@ -408,37 +412,37 @@ impl<L: Layout> RecordLockTable<L> {
     /// Records are grouped by shard — one sorted scratch vec, cheaper than a
     /// hash-map group-by for statement-sized batches — so each shard mutex is
     /// taken once.
-    fn drop_requests<S: MetricsSink + ?Sized>(&self, txn: TxnId, records: &[RecordId], sink: &S) {
+    fn drop_requests(&self, txn: TxnId, records: &[RecordId], scratch: &MetricsScratch) {
         if let [single] = records {
-            return self.drop_shard_requests(txn, self.shard_index(*single), [*single], sink);
+            return self.drop_shard_requests(txn, self.shard_index(*single), [*single], scratch);
         }
         let mut keyed: Vec<(usize, RecordId)> =
             records.iter().map(|r| (self.shard_index(*r), *r)).collect();
         keyed.sort_unstable();
         for chunk in keyed.chunk_by(|a, b| a.0 == b.0) {
-            self.drop_shard_requests(txn, chunk[0].0, chunk.iter().map(|(_, r)| *r), sink);
+            self.drop_shard_requests(txn, chunk[0].0, chunk.iter().map(|(_, r)| *r), scratch);
         }
     }
 
     /// Removes `txn`'s requests on the given records of one shard under a
     /// single shard-lock acquisition, firing the grants after the guard
     /// drops.
-    fn drop_shard_requests<S: MetricsSink + ?Sized>(
+    fn drop_shard_requests(
         &self,
         txn: TxnId,
         shard_idx: usize,
         records: impl IntoIterator<Item = RecordId>,
-        sink: &S,
+        scratch: &MetricsScratch,
     ) {
         let mut woken = Vec::new();
         {
             let mut shard = self.shards[shard_idx].lock();
             let _scope = GuardScope::enter();
-            sink.on_release_shard_lock();
+            scratch.release_shard_locks.inc();
             for record in records {
                 L::visit_queue(&mut shard, record, |queue| {
                     queue.remove_requests_of(txn);
-                    queue.grant_from_front(&self.graph, sink, &mut woken);
+                    queue.grant_from_front(&self.graph, scratch, &mut woken);
                 });
             }
         }
@@ -447,19 +451,19 @@ impl<L: Layout> RecordLockTable<L> {
         }
     }
 
-    /// [`RecordLockTable::release_all_in`] counting into the shared metrics.
+    /// [`RecordLockTable::release_all_in`] counting into the table's metrics.
     pub fn release_all(&self, txn: TxnId) {
-        self.release_all_in(txn, &*self.metrics);
+        self.release_all_in(txn, &self.own_scratch());
     }
 
     /// Releases every lock `txn` holds (and abandons any waits), granting
     /// whatever unblocks.  Called at commit and rollback.  Walks only the
     /// transaction's own registry shard and the lock-table shards it
-    /// touched, each taken once.  Release-path counters go through `sink`
-    /// (the engine passes the transaction's metrics scratch).
-    pub fn release_all_in<S: MetricsSink + ?Sized>(&self, txn: TxnId, sink: &S) {
-        if let Some(locks) = self.registry.take_all_in(txn, sink) {
-            self.drop_requests(txn, &locks.records, sink);
+    /// touched, each taken once.  Release-path counters go to `scratch`
+    /// (the engine passes the transaction's).
+    pub fn release_all_in(&self, txn: TxnId, scratch: &MetricsScratch) {
+        if let Some(locks) = self.registry.take_all_in(txn, scratch) {
+            self.drop_requests(txn, &locks.records, scratch);
             self.layout.release_tables(txn, &locks.tables);
         }
         self.graph.remove_txn(txn);

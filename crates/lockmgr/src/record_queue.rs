@@ -33,13 +33,12 @@
 //!   conflict never materialises its `VecDeque` (it lives behind an
 //!   `Option<Box<…>>` created by the first [`RecordQueue::enqueue_waiter`]),
 //!   which also keeps the queue struct small inside the tables' shard maps;
-//! * **hot counters go through a [`MetricsSink`]** — [`RecordQueue::try_acquire`]
-//!   and [`RecordQueue::grant_from_front`] are generic over the sink, so the
-//!   engine routes the per-cycle counts (`locks_created`, grant-scan lengths)
-//!   into the transaction's `Cell`-based
-//!   [`MetricsScratch`](txsql_common::metrics::MetricsScratch) instead of
-//!   shared atomics; the slow paths (waits, deadlock checks) still record
-//!   into [`EngineMetrics`] directly.
+//! * **hot counters go to the transaction's scratch** —
+//!   [`RecordQueue::try_acquire`] and [`RecordQueue::grant_from_front`] count
+//!   the per-cycle `locks_created` and grant-scan lengths into the caller's
+//!   `Cell`-based [`MetricsScratch`] instead of shared atomics; the slow
+//!   paths (waits, deadlock checks) still record into [`EngineMetrics`]
+//!   directly.
 
 use crate::deadlock::{select_victim, WaitForGraph};
 use crate::event::OsEvent;
@@ -47,7 +46,7 @@ use crate::modes::LockMode;
 use crate::registry::TxnLockRegistry;
 use std::collections::VecDeque;
 use std::sync::Arc;
-use txsql_common::metrics::{EngineMetrics, MetricsSink};
+use txsql_common::metrics::{EngineMetrics, MetricsScratch};
 use txsql_common::{Error, Result, TxnId};
 
 /// The two in-queue behaviours on which the lock-table layouts differ.
@@ -246,17 +245,16 @@ impl RecordQueue {
 
     /// Resolves an acquisition attempt under the owning shard's guard: the
     /// re-entrant fast path, the in-place upgrade, the uncontended grant and
-    /// the must-wait decision, in one conflict scan.  `sink` receives the
-    /// `locks_created` count per `policy` — the engine passes the
-    /// transaction's metrics scratch here so the uncontended grant costs no
+    /// the must-wait decision, in one conflict scan.  `scratch` receives the
+    /// `locks_created` count per `policy`, so the uncontended grant costs no
     /// atomic RMW.
     #[inline]
-    pub fn try_acquire<S: MetricsSink + ?Sized>(
+    pub fn try_acquire(
         &mut self,
         txn: TxnId,
         mode: LockMode,
         policy: QueuePolicy,
-        sink: &S,
+        scratch: &MetricsScratch,
     ) -> AcquireOutcome {
         let held = self
             .holders
@@ -291,7 +289,7 @@ impl RecordQueue {
                 // Uncontended grant: no OsEvent, no lock object unless the
                 // table's accounting says every acquisition creates one.
                 if policy.count_uncontended_grants {
-                    sink.on_lock_created();
+                    scratch.locks_created.inc();
                 }
                 self.holders.push((txn, mode));
                 return AcquireOutcome::Granted;
@@ -350,16 +348,17 @@ impl RecordQueue {
 
     /// FIFO grant scan: grants waiters from the front while they are
     /// compatible with the remaining holders.  Records the scan length
-    /// (requests examined) through `sink` and pushes the events to fire once
+    /// (requests examined) in `scratch` and pushes the events to fire once
     /// the caller has dropped the shard guard.
     #[inline]
-    pub fn grant_from_front<S: MetricsSink + ?Sized>(
+    pub fn grant_from_front(
         &mut self,
         graph: &WaitForGraph,
-        sink: &S,
+        scratch: &MetricsScratch,
         woken: &mut Vec<Arc<OsEvent>>,
     ) {
-        sink.on_grant_scan((self.holders.len() + self.waiter_count()) as u64);
+        let examined = self.holders.len() + self.waiter_count();
+        scratch.grant_scan_len.record_micros(examined as u64);
         let Some(waiters) = self.waiters.as_mut() else {
             return;
         };
@@ -441,58 +440,51 @@ mod tests {
 
     #[test]
     fn try_acquire_grant_reentrant_upgrade_and_wait() {
-        let metrics = EngineMetrics::new();
+        let scratch = MetricsScratch::new();
         let mut q = RecordQueue::default();
         assert!(matches!(
-            q.try_acquire(TxnId(1), LockMode::Shared, POLICY, &metrics),
+            q.try_acquire(TxnId(1), LockMode::Shared, POLICY, &scratch),
             AcquireOutcome::Granted
         ));
         assert!(matches!(
-            q.try_acquire(TxnId(1), LockMode::Shared, POLICY, &metrics),
+            q.try_acquire(TxnId(1), LockMode::Shared, POLICY, &scratch),
             AcquireOutcome::AlreadyHeld
         ));
         assert!(matches!(
-            q.try_acquire(TxnId(1), LockMode::Exclusive, POLICY, &metrics),
+            q.try_acquire(TxnId(1), LockMode::Exclusive, POLICY, &scratch),
             AcquireOutcome::Upgraded
         ));
-        match q.try_acquire(TxnId(2), LockMode::Exclusive, POLICY, &metrics) {
+        match q.try_acquire(TxnId(2), LockMode::Exclusive, POLICY, &scratch) {
             AcquireOutcome::MustWait(blockers) => assert_eq!(blockers, vec![TxnId(1)]),
             other => panic!("expected MustWait, got {other:?}"),
         }
-        assert_eq!(metrics.locks_created.get(), 0);
+        assert!(scratch.is_empty(), "no lock object under this policy");
     }
 
     #[test]
-    fn try_acquire_routes_counts_through_a_scratch_sink() {
-        use txsql_common::metrics::MetricsScratch;
-        let metrics = EngineMetrics::new();
-        let scratch = MetricsScratch::new();
+    fn a_counted_grant_and_its_release_scan_land_in_the_scratch() {
+        let metrics = Arc::new(EngineMetrics::new());
+        let scratch = MetricsScratch::attached(Arc::clone(&metrics));
         let counting = QueuePolicy {
             upgrade_respects_queue: true,
             count_uncontended_grants: true,
         };
         let mut q = RecordQueue::default();
-        let graph = WaitForGraph::new();
         q.try_acquire(TxnId(1), LockMode::Exclusive, counting, &scratch);
         q.remove_requests_of(TxnId(1));
-        let mut woken = Vec::new();
-        q.grant_from_front(&graph, &scratch, &mut woken);
-        // Nothing hit the shared counters yet; the scratch holds the counts.
-        assert_eq!(metrics.locks_created.get(), 0);
-        assert_eq!(metrics.grant_scan_len.count(), 0);
-        assert!(!scratch.is_empty());
-        scratch.flush(&metrics);
+        q.grant_from_front(&WaitForGraph::new(), &scratch, &mut Vec::new());
+        scratch.flush();
         assert_eq!(metrics.locks_created.get(), 1);
         assert_eq!(metrics.grant_scan_len.count(), 1);
     }
 
     #[test]
     fn single_holder_stays_inline_and_shared_holders_spill_and_collapse() {
-        let metrics = EngineMetrics::new();
+        let scratch = MetricsScratch::new();
         let mut q = RecordQueue::default();
-        q.try_acquire(TxnId(1), LockMode::Shared, POLICY, &metrics);
+        q.try_acquire(TxnId(1), LockMode::Shared, POLICY, &scratch);
         assert!(matches!(q.holders, Holders::One(_)));
-        q.try_acquire(TxnId(2), LockMode::Shared, POLICY, &metrics);
+        q.try_acquire(TxnId(2), LockMode::Shared, POLICY, &scratch);
         assert!(matches!(q.holders, Holders::Many(_)));
         assert_eq!(q.holder_ids(), vec![TxnId(1), TxnId(2)]);
         q.remove_requests_of(TxnId(1));
@@ -507,16 +499,16 @@ mod tests {
 
     #[test]
     fn waiter_deque_is_lazy_and_freed_when_drained() {
-        let metrics = EngineMetrics::new();
+        let (metrics, scratch) = (EngineMetrics::new(), MetricsScratch::new());
         let graph = WaitForGraph::new();
         let mut q = RecordQueue::default();
-        q.try_acquire(TxnId(1), LockMode::Exclusive, POLICY, &metrics);
+        q.try_acquire(TxnId(1), LockMode::Exclusive, POLICY, &scratch);
         assert!(q.waiters.is_none(), "no conflict, no deque");
         q.enqueue_waiter(TxnId(2), LockMode::Exclusive, &metrics);
         assert!(q.waiters.is_some());
         q.remove_requests_of(TxnId(1));
         let mut woken = Vec::new();
-        q.grant_from_front(&graph, &metrics, &mut woken);
+        q.grant_from_front(&graph, &scratch, &mut woken);
         assert_eq!(woken.len(), 1);
         assert!(
             q.waiters.is_none(),
@@ -526,14 +518,14 @@ mod tests {
 
     #[test]
     fn granted_upgrade_replaces_holder_entry_instead_of_duplicating() {
-        let metrics = EngineMetrics::new();
+        let (metrics, scratch) = (EngineMetrics::new(), MetricsScratch::new());
         let graph = WaitForGraph::new();
         let mut q = RecordQueue::default();
         // T1 and T2 share the record; T1's queued upgrade is blocked by T2.
-        q.try_acquire(TxnId(1), LockMode::Shared, POLICY, &metrics);
-        q.try_acquire(TxnId(2), LockMode::Shared, POLICY, &metrics);
+        q.try_acquire(TxnId(1), LockMode::Shared, POLICY, &scratch);
+        q.try_acquire(TxnId(2), LockMode::Shared, POLICY, &scratch);
         assert!(matches!(
-            q.try_acquire(TxnId(1), LockMode::Exclusive, POLICY, &metrics),
+            q.try_acquire(TxnId(1), LockMode::Exclusive, POLICY, &scratch),
             AcquireOutcome::MustWait(_)
         ));
         q.enqueue_waiter(TxnId(1), LockMode::Exclusive, &metrics);
@@ -541,7 +533,7 @@ mod tests {
         // place, not append a duplicate holder.
         q.remove_requests_of(TxnId(2));
         let mut woken = Vec::new();
-        q.grant_from_front(&graph, &metrics, &mut woken);
+        q.grant_from_front(&graph, &scratch, &mut woken);
         assert_eq!(woken.len(), 1);
         assert_eq!(q.holder_ids(), vec![TxnId(1)], "exactly one holder entry");
         assert!(q.is_granted(TxnId(1), LockMode::Exclusive));
@@ -550,16 +542,16 @@ mod tests {
 
     #[test]
     fn grant_scan_is_fifo_and_compat_bounded() {
-        let metrics = EngineMetrics::new();
+        let (metrics, scratch) = (EngineMetrics::new(), MetricsScratch::new());
         let graph = WaitForGraph::new();
         let mut q = RecordQueue::default();
-        q.try_acquire(TxnId(1), LockMode::Exclusive, POLICY, &metrics);
+        q.try_acquire(TxnId(1), LockMode::Exclusive, POLICY, &scratch);
         q.enqueue_waiter(TxnId(2), LockMode::Shared, &metrics);
         q.enqueue_waiter(TxnId(3), LockMode::Shared, &metrics);
         q.enqueue_waiter(TxnId(4), LockMode::Exclusive, &metrics);
         q.remove_requests_of(TxnId(1));
         let mut woken = Vec::new();
-        q.grant_from_front(&graph, &metrics, &mut woken);
+        q.grant_from_front(&graph, &scratch, &mut woken);
         // Both Shared waiters are granted together; the Exclusive stays.
         assert_eq!(woken.len(), 2);
         assert_eq!(q.holder_ids(), vec![TxnId(2), TxnId(3)]);

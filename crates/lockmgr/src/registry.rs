@@ -23,7 +23,7 @@
 //! owning shard in one lock acquisition and sorts + dedupes it; the lock
 //! table then groups the records by its own shards and takes each shard
 //! mutex once, instead of re-locking a shard once per record.
-//! [`TxnLockRegistry::forget_records`] batches the early-release bookkeeping
+//! [`TxnLockRegistry::forget_records_in`] batches the early-release bookkeeping
 //! (Bamboo) the same way — one shard lock per batch, not one per row (the
 //! log is unsorted, so removal is a linear scan, bounded by the handful of
 //! locks a realistic transaction holds).  Rare duplicate log entries (a
@@ -36,28 +36,23 @@
 //! wait loop forgets a timed-out waiter's record, `release_record_locks`
 //! forgets a whole batch), each table owns its own instance, and only the
 //! shard counts differ.  Release-path shard acquisitions (here and in the
-//! lock tables) are counted through the caller's
-//! [`MetricsSink`] — the engine passes the transaction's `Cell`-based
-//! scratch, stand-alone callers the shared `EngineMetrics` — and land in
-//! `EngineMetrics::release_shard_locks`, the denominator for the batching
-//! amortization the bench records.
+//! lock tables) are counted in the releasing transaction's
+//! [`MetricsScratch`] and land in `EngineMetrics::release_shard_locks`, the
+//! denominator for the batching amortization the bench records.
 //!
 //! The registry also remembers which **tables** a transaction holds
 //! intention locks on, so table-lock release no longer scans every table's
 //! holder list.
 //!
-//! When constructed with a metrics handle, the registry feeds
-//! `EngineMetrics::locks_released` on its sink-less convenience methods;
-//! live-entry counts are kept **per shard** (a plain integer guarded by the
+//! Live-entry counts are kept **per shard** (a plain integer guarded by the
 //! shard mutex — no shared atomic on the acquire path) and aggregated on
 //! demand by [`TxnLockRegistry::total_entries`], which the engine samples
 //! into the `lock_registry_entries` gauge at snapshot time.
 
 use crate::wake_check::GuardScope;
 use parking_lot::Mutex;
-use std::sync::Arc;
 use txsql_common::fxhash::{self, FxHashMap};
-use txsql_common::metrics::{EngineMetrics, MetricsSink};
+use txsql_common::metrics::MetricsScratch;
 use txsql_common::pad::CachePadded;
 use txsql_common::{RecordId, TableId, TxnId};
 
@@ -77,7 +72,7 @@ pub struct TxnLocks {
 /// append log** — `remember_record` is a plain push (the acquire-path cost),
 /// and `take_all_in` pays the one sort + dedupe at release, where the batch
 /// APIs already amortize everything else.  Transactions hold few locks in
-/// the paper's workloads, so the occasional linear scan (`forget_records`)
+/// the paper's workloads, so the occasional linear scan (`forget_records_in`)
 /// stays cheap.  (A transaction holding many thousands of locks would prefer
 /// a tiered structure; nothing in the evaluated workloads comes close.)
 #[derive(Debug, Default)]
@@ -105,21 +100,16 @@ struct Shard {
 #[derive(Debug)]
 pub struct TxnLockRegistry {
     shards: Box<[CachePadded<Mutex<Shard>>]>,
-    metrics: Arc<EngineMetrics>,
 }
 
 impl TxnLockRegistry {
-    /// Creates a registry with `n_shards` shards (rounded up to at least 1)
-    /// whose sink-less [`TxnLockRegistry::forget_records`] feeds the
-    /// `locks_released` counter on `metrics` (live-entry counts stay per
-    /// shard; see module docs).
-    pub fn new(n_shards: usize, metrics: Arc<EngineMetrics>) -> Self {
+    /// Creates a registry with `n_shards` shards (rounded up to at least 1).
+    pub fn new(n_shards: usize) -> Self {
         let n = n_shards.max(1);
         Self {
             shards: (0..n)
                 .map(|_| CachePadded::new(Mutex::new(Shard::default())))
                 .collect(),
-            metrics,
         }
     }
 
@@ -146,24 +136,20 @@ impl TxnLockRegistry {
         true
     }
 
-    /// Forgets a single record (early release).  Returns true when the
-    /// record was tracked.
-    pub fn forget_record(&self, txn: TxnId, record: RecordId) -> bool {
-        self.forget_records(txn, std::slice::from_ref(&record)) == 1
-    }
-
-    /// [`TxnLockRegistry::forget_records`] with the counts routed through
-    /// the caller's sink (the engine passes the transaction's scratch).
-    pub fn forget_records_in<S: MetricsSink + ?Sized>(
+    /// Forgets a batch of records with one shard lock for the whole batch
+    /// (the bookkeeping half of a batched pre-commit release, or of a wait
+    /// that gave up), counting into `scratch`.  Returns how many of them were
+    /// actually tracked.
+    pub fn forget_records_in(
         &self,
         txn: TxnId,
         records: &[RecordId],
-        sink: &S,
+        scratch: &MetricsScratch,
     ) -> usize {
         let released = {
             let mut shard = self.shard_for(txn).lock();
             let _scope = GuardScope::enter();
-            sink.on_release_shard_lock();
+            scratch.release_shard_locks.inc();
             // Two tallies: `log_entries` (every log copy dropped — keeps the
             // per-shard live_records balance, which counts pushes) and
             // `released` (distinct records actually tracked — what the
@@ -192,17 +178,8 @@ impl TxnLockRegistry {
             shard.live_records -= log_entries as u64;
             released
         };
-        if released > 0 {
-            sink.on_locks_released(released as u64);
-        }
+        scratch.locks_released.add(released as u64);
         released
-    }
-
-    /// Forgets a batch of records with one shard lock for the whole batch
-    /// (the bookkeeping half of a batched pre-commit release).  Returns how
-    /// many of them were actually tracked.
-    pub fn forget_records(&self, txn: TxnId, records: &[RecordId]) -> usize {
-        self.forget_records_in(txn, records, &*self.metrics)
     }
 
     /// Records that `txn` holds an intention lock on `table`.
@@ -217,13 +194,12 @@ impl TxnLockRegistry {
     /// Removes and returns everything `txn` holds — one shard lock, no walk
     /// of anyone else's state — with the records sorted page-major and
     /// deduplicated, or `None` when the transaction holds nothing.  The
-    /// counts go through the caller's sink (the engine passes the
-    /// transaction's scratch).
-    pub fn take_all_in<S: MetricsSink + ?Sized>(&self, txn: TxnId, sink: &S) -> Option<TxnLocks> {
+    /// counts go to `scratch`.
+    pub fn take_all_in(&self, txn: TxnId, scratch: &MetricsScratch) -> Option<TxnLocks> {
         let taken = {
             let mut shard = self.shard_for(txn).lock();
             let _scope = GuardScope::enter();
-            sink.on_release_shard_lock();
+            scratch.release_shard_locks.inc();
             let taken = shard.txns.remove(&txn);
             if let Some(entry) = &taken {
                 shard.live_records -= entry.records.len() as u64;
@@ -235,7 +211,7 @@ impl TxnLockRegistry {
         // transaction instead of once per acquisition.
         entry.records.sort_unstable();
         entry.records.dedup();
-        sink.on_locks_released(entry.records.len() as u64);
+        scratch.locks_released.add(entry.records.len() as u64);
         Some(TxnLocks {
             records: entry.records,
             tables: entry.tables,
@@ -274,23 +250,23 @@ impl TxnLockRegistry {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::sync::Arc;
     use std::thread;
+    use txsql_common::metrics::EngineMetrics;
 
     const R1: RecordId = RecordId::new(1, 0, 0);
     const R2: RecordId = RecordId::new(1, 0, 1);
 
-    /// A registry and the metrics its sink-less calls count into.
-    fn registry(n_shards: usize) -> (TxnLockRegistry, Arc<EngineMetrics>) {
+    /// A registry, and a scratch attached to the metrics it returns.
+    fn counted() -> (TxnLockRegistry, Arc<EngineMetrics>, MetricsScratch) {
         let metrics = Arc::new(EngineMetrics::new());
-        (
-            TxnLockRegistry::new(n_shards, Arc::clone(&metrics)),
-            metrics,
-        )
+        let scratch = MetricsScratch::attached(Arc::clone(&metrics));
+        (TxnLockRegistry::new(8), metrics, scratch)
     }
 
     #[test]
     fn remember_skips_consecutive_duplicates() {
-        let (reg, _) = registry(8);
+        let reg = TxnLockRegistry::new(8);
         assert!(reg.remember_record(TxnId(1), R1));
         assert!(!reg.remember_record(TxnId(1), R1));
         assert!(reg.remember_record(TxnId(1), R2));
@@ -300,14 +276,14 @@ mod tests {
 
     #[test]
     fn take_all_dedupes_interleaved_duplicates() {
-        let (reg, _) = registry(8);
+        let (reg, scratch) = (TxnLockRegistry::new(8), MetricsScratch::new());
         // R1 appended twice with R2 in between (the queued-upgrade shape):
         // the log keeps both, take_all collapses them.
         assert!(reg.remember_record(TxnId(1), R1));
         assert!(reg.remember_record(TxnId(1), R2));
         assert!(reg.remember_record(TxnId(1), R1));
         assert_eq!(reg.record_count_of(TxnId(1)), 3, "log keeps the duplicate");
-        let locks = reg.take_all_in(TxnId(1), &*reg.metrics).unwrap();
+        let locks = reg.take_all_in(TxnId(1), &scratch).unwrap();
         assert_eq!(locks.records, vec![R1, R2], "sorted and deduplicated");
         assert!(reg.is_empty());
         assert_eq!(reg.total_entries(), 0);
@@ -315,68 +291,47 @@ mod tests {
 
     #[test]
     fn take_all_empties_the_transaction() {
-        let (reg, _) = registry(8);
+        let (reg, scratch) = (TxnLockRegistry::new(8), MetricsScratch::new());
         reg.remember_record(TxnId(1), R1);
         reg.remember_table(TxnId(1), TableId(3));
-        let locks = reg.take_all_in(TxnId(1), &*reg.metrics).unwrap();
+        let locks = reg.take_all_in(TxnId(1), &scratch).unwrap();
         assert_eq!(locks.records, [R1]);
         assert_eq!(locks.tables, vec![TableId(3)]);
-        assert!(reg.take_all_in(TxnId(1), &*reg.metrics).is_none());
+        assert!(reg.take_all_in(TxnId(1), &scratch).is_none());
         assert!(reg.is_empty());
     }
 
     #[test]
-    fn forget_record_prunes_empty_entries() {
-        let (reg, _) = registry(8);
-        reg.remember_record(TxnId(1), R1);
-        assert!(reg.forget_record(TxnId(1), R1));
-        assert!(!reg.forget_record(TxnId(1), R1));
-        assert!(reg.is_empty());
-    }
-
-    #[test]
-    fn live_counts_and_release_metrics_track_entries() {
-        let (reg, metrics) = registry(8);
+    fn forgetting_prunes_empty_entries_and_counts_into_the_scratch() {
+        let (reg, metrics, scratch) = counted();
         reg.remember_record(TxnId(1), R1);
         reg.remember_record(TxnId(1), R2);
         reg.remember_record(TxnId(2), R1);
         assert_eq!(reg.total_entries(), 3);
-        reg.forget_record(TxnId(1), R2);
+        assert_eq!(reg.forget_records_in(TxnId(1), &[R2], &scratch), 1);
+        assert_eq!(reg.forget_records_in(TxnId(1), &[R2], &scratch), 0);
         assert_eq!(reg.total_entries(), 2);
-        assert_eq!(metrics.locks_released.get(), 1);
-        reg.take_all_in(TxnId(1), &*reg.metrics);
-        reg.take_all_in(TxnId(2), &*reg.metrics);
+        reg.take_all_in(TxnId(1), &scratch);
+        reg.take_all_in(TxnId(2), &scratch);
+        assert!(reg.is_empty());
         assert_eq!(reg.total_entries(), 0);
-        assert_eq!(metrics.locks_released.get(), 3);
-    }
-
-    #[test]
-    fn sink_variants_route_counts_to_the_scratch() {
-        use txsql_common::metrics::MetricsScratch;
-        let (reg, metrics) = registry(8);
-        let scratch = MetricsScratch::new();
-        reg.remember_record(TxnId(1), R1);
-        reg.remember_record(TxnId(1), R2);
-        assert_eq!(reg.forget_records_in(TxnId(1), &[R1], &scratch), 1);
-        assert!(reg.take_all_in(TxnId(1), &scratch).is_some());
         // Shared counters untouched until the flush.
         assert_eq!(metrics.locks_released.get(), 0);
-        assert_eq!(metrics.release_shard_locks.get(), 0);
-        scratch.flush(&metrics);
-        assert_eq!(metrics.locks_released.get(), 2);
-        assert_eq!(metrics.release_shard_locks.get(), 2);
+        scratch.flush();
+        assert_eq!(metrics.locks_released.get(), 3);
+        assert_eq!(metrics.release_shard_locks.get(), 4);
     }
 
     #[test]
     fn take_all_sorts_records_page_major() {
-        let (reg, _) = registry(8);
+        let (reg, scratch) = (TxnLockRegistry::new(8), MetricsScratch::new());
         // Insert interleaved across two pages; take_all must come back
         // page-major regardless of insertion order (the deferred sort).
         reg.remember_record(TxnId(1), RecordId::new(1, 8, 0));
         for heap in 0..4u16 {
             reg.remember_record(TxnId(1), RecordId::new(1, 7, heap));
         }
-        let locks = reg.take_all_in(TxnId(1), &*reg.metrics).unwrap();
+        let locks = reg.take_all_in(TxnId(1), &scratch).unwrap();
         assert_eq!(locks.records.len(), 5);
         assert!(locks.records[..4].iter().all(|r| r.page_no == 7));
         assert_eq!(locks.records[4], RecordId::new(1, 8, 0));
@@ -384,13 +339,18 @@ mod tests {
 
     #[test]
     fn forget_records_batch_takes_one_pass() {
-        let (reg, metrics) = registry(8);
+        let (reg, metrics, scratch) = counted();
         reg.remember_record(TxnId(1), R1);
         reg.remember_record(TxnId(1), R2);
         let untracked = RecordId::new(5, 5, 5);
-        assert_eq!(reg.forget_records(TxnId(1), &[R1, R2, untracked]), 2);
+        assert_eq!(
+            reg.forget_records_in(TxnId(1), &[R1, R2, untracked], &scratch),
+            2
+        );
         assert!(reg.is_empty());
+        scratch.flush();
         assert_eq!(metrics.locks_released.get(), 2);
+        assert_eq!(metrics.release_shard_locks.get(), 1);
     }
 
     #[test]
@@ -399,35 +359,36 @@ mod tests {
         // so the last-entry dedupe misses it).  Forgetting that record must
         // drop BOTH log copies but count ONE released lock — and the
         // per-shard live count must stay balanced so the gauge drains.
-        let (reg, metrics) = registry(8);
+        let (reg, metrics, scratch) = counted();
         reg.remember_record(TxnId(1), R1);
         reg.remember_record(TxnId(1), R2);
         reg.remember_record(TxnId(1), R1);
         assert_eq!(reg.total_entries(), 3);
-        assert_eq!(reg.forget_records(TxnId(1), &[R1]), 1, "one lock, not two");
-        assert_eq!(metrics.locks_released.get(), 1);
+        let forgotten = reg.forget_records_in(TxnId(1), &[R1], &scratch);
+        assert_eq!(forgotten, 1, "one lock, not two");
         assert_eq!(reg.total_entries(), 1, "both log copies must be gone");
-        reg.take_all_in(TxnId(1), &*reg.metrics);
+        reg.take_all_in(TxnId(1), &scratch);
         assert_eq!(reg.total_entries(), 0);
+        scratch.flush();
         assert_eq!(metrics.locks_released.get(), 2);
         assert!(reg.is_empty());
     }
 
     #[test]
     fn tables_deduplicate() {
-        let (reg, _) = registry(8);
+        let (reg, scratch) = (TxnLockRegistry::new(8), MetricsScratch::new());
         reg.remember_table(TxnId(1), TableId(1));
         reg.remember_table(TxnId(1), TableId(1));
         reg.remember_table(TxnId(1), TableId(2));
         assert_eq!(
-            reg.take_all_in(TxnId(1), &*reg.metrics).unwrap().tables,
+            reg.take_all_in(TxnId(1), &scratch).unwrap().tables,
             vec![TableId(1), TableId(2)]
         );
     }
 
     #[test]
     fn concurrent_transactions_do_not_interfere() {
-        let reg = Arc::new(registry(16).0);
+        let reg = Arc::new(TxnLockRegistry::new(16));
         let handles: Vec<_> = (1..=8u64)
             .map(|t| {
                 let reg = Arc::clone(&reg);
@@ -436,7 +397,7 @@ mod tests {
                         reg.remember_record(TxnId(t), RecordId::new(1, t as u32, heap));
                     }
                     assert_eq!(reg.record_count_of(TxnId(t)), 64);
-                    let locks = reg.take_all_in(TxnId(t), &*reg.metrics).unwrap();
+                    let locks = reg.take_all_in(TxnId(t), &MetricsScratch::new()).unwrap();
                     assert_eq!(locks.records.len(), 64);
                 })
             })

@@ -20,7 +20,7 @@
 //! * the per-transaction metrics scratch loses no counts — every worker
 //!   drives the tables through its own `MetricsScratch` (the engine shape:
 //!   `lock_record_in` / `release_record_locks_in` / `release_all_in`) and
-//!   flushes at the end, so the `locks_released` totals asserted below
+//!   flushes when it drops, so the `locks_released` totals asserted below
 //!   would come up short if any scratch count were dropped, and the
 //!   grant-scan flatness assertions prove histogram fidelity survives the
 //!   scratch's bucketed accumulation.
@@ -58,13 +58,13 @@ fn stress<L: Layout + 'static>() -> Arc<EngineMetrics> {
             let counter = Arc::clone(&counter);
             let grants = Arc::clone(&grants);
             let barrier = Arc::clone(&barrier);
+            // The worker's private metrics scratch — per-cycle counts
+            // accumulate here and flush in one batch when the worker ends
+            // (the engine flushes per transaction; one flush per worker
+            // makes any lost count equally visible in the totals below).
+            let scratch = MetricsScratch::attached(Arc::clone(&shared));
             scope.spawn(move || {
                 barrier.wait();
-                // The worker's private metrics scratch — per-cycle counts
-                // accumulate here and flush in one batch at the end (the
-                // engine flushes per transaction; one flush per worker makes
-                // any lost count equally visible in the totals below).
-                let scratch = MetricsScratch::new();
                 let mut txn_no = ((worker as u64) + 1) << 32;
                 for op in 0..OPS_PER_THREAD {
                     txn_no += 1;
@@ -106,7 +106,6 @@ fn stress<L: Layout + 'static>() -> Arc<EngineMetrics> {
                     assert!(table.holders_of(cold_a).is_empty());
                     table.release_all_in(txn, &scratch);
                 }
-                scratch.flush(metrics);
             });
         }
     });

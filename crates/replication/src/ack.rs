@@ -37,18 +37,10 @@ pub struct SemiSyncConfig {
     /// How close (in binlog entries) the quorum must be to the binlog end
     /// for a degraded pipeline to re-enter semi-sync.
     pub resync_lag: u64,
-    /// Capacity of the bounded asynchronous shipping queue, in batches.
-    /// When full, new batches are shed (counted in `ship_queue_full`); the
-    /// replicas recover the gap from the retained binlog buffer instead.
-    pub queue_capacity: usize,
     /// Bounded retries when a ship attempt fails transiently.
     pub ship_retries: u32,
     /// Backoff between ship retries.
     pub retry_backoff: Duration,
-    /// Whether asynchronous shipping drains on a background OS thread.  Must
-    /// be `false` under the deterministic simulator (the sim cannot schedule
-    /// threads it did not spawn); the inline drain path is identical.
-    pub background_applier: bool,
 }
 
 impl Default for SemiSyncConfig {
@@ -57,10 +49,8 @@ impl Default for SemiSyncConfig {
             ack_quorum: 1,
             ack_timeout: Duration::from_millis(10),
             resync_lag: 0,
-            queue_capacity: 64,
             ship_retries: 3,
             retry_backoff: Duration::from_micros(50),
-            background_applier: true,
         }
     }
 }
@@ -72,22 +62,10 @@ impl SemiSyncConfig {
         self
     }
 
-    /// Sets the bounded async-queue capacity (at least 1).
-    pub fn with_queue_capacity(mut self, capacity: usize) -> Self {
-        self.queue_capacity = capacity.max(1);
-        self
-    }
-
     /// Sets the bounded ship-retry budget and backoff.
     pub fn with_ship_retries(mut self, retries: u32, backoff: Duration) -> Self {
         self.ship_retries = retries;
         self.retry_backoff = backoff;
-        self
-    }
-
-    /// Selects inline (deterministic) or background asynchronous draining.
-    pub fn with_background_applier(mut self, background: bool) -> Self {
-        self.background_applier = background;
         self
     }
 }
@@ -253,15 +231,12 @@ mod tests {
     }
 
     #[test]
-    fn config_builders_clamp_and_apply() {
+    fn config_builders_apply() {
         let config = SemiSyncConfig::default()
-            .with_queue_capacity(0)
             .with_ack_timeout(Duration::from_millis(2))
-            .with_ship_retries(5, Duration::from_micros(10))
-            .with_background_applier(false);
-        assert_eq!(config.queue_capacity, 1, "capacity clamps to >= 1");
+            .with_ship_retries(5, Duration::from_micros(10));
         assert_eq!(config.ack_timeout, Duration::from_millis(2));
         assert_eq!(config.ship_retries, 5);
-        assert!(!config.background_applier);
+        assert_eq!(config.retry_backoff, Duration::from_micros(10));
     }
 }

@@ -11,23 +11,32 @@
 //! an early arrival, the primary refills the hole from the retained buffer,
 //! and the batch that was overtaken later lands as an idempotent duplicate.
 //!
+//! What is left to ship is recorded once: the retained binlog beyond each
+//! replica's acknowledged position.  One *catch-up pass* restarts the
+//! replicas whose injected crash is over, ships every reachable replica the
+//! suffix it has not acknowledged behind one network delay, and decides
+//! re-sync; whoever needs the replicas to move runs one.
+//!
 //! * in **synchronous** (semi-sync) mode the committing batch ships, then
 //!   blocks until [`SemiSyncConfig::ack_quorum`] replicas acknowledge its
 //!   binlog position or [`SemiSyncConfig::ack_timeout`] expires — the
 //!   Figure 9 "synchronization mode" setting, which lengthens lock hold
-//!   times and is where group locking pays off the most.  A timeout
-//!   **degrades** the hook to asynchronous shipping (the commit still
-//!   succeeds: a stalled follower tier costs bounded latency, never a wedged
-//!   primary) and the hook **re-syncs** automatically once the quorum has
-//!   caught back up;
-//! * in **asynchronous** mode batches flow through a *bounded channel*
-//!   (the instrumented crossbeam shim, so every enqueue/drain is a tagged
-//!   yield point under the deterministic simulator) drained by a background
-//!   applier — or inline when built under sim, where a background OS thread
-//!   would be invisible to the scheduler; when the channel is full the new
-//!   batch is shed observably (`ship_queue_full`) — the replicas recover the
-//!   gap from the retained binlog buffer via position-addressed catch-up, so
-//!   shedding drops work, never data.
+//!   times and is where group locking pays off the most.  The wait runs a
+//!   catch-up pass before each park (nothing else re-requests a dropped ack
+//!   or reaches a replica whose stall is over).  A timeout **degrades** the
+//!   hook to asynchronous shipping (the commit still succeeds: a stalled
+//!   follower tier costs bounded latency, never a wedged primary); a
+//!   degraded commit runs one catch-up pass instead of waiting, and the hook
+//!   **re-syncs** in the pass that finds the quorum caught back up;
+//! * in **asynchronous** mode the committing batch rings the applier's
+//!   doorbell and returns.  The applier — a background thread, or under the
+//!   deterministic simulator a sim thread a test schedules on
+//!   [`ReplicationHook::run_applier_loop`] — runs one catch-up pass per ring.
+//!   The doorbell holds one ring: a pass ships everything appended before it
+//!   started, so a ring that finds one pending is already answered, not shed.
+//!
+//! [`ReplicationHook::wait_caught_up`] is the semi-sync ack wait with every
+//! replica in the quorum.
 //!
 //! Fault injection ([`crate::fault`]) drives ack drops, replica stalls,
 //! replica crash/restart and transient ship errors on this path, and an
@@ -38,7 +47,7 @@
 use crate::ack::{AckTracker, SemiSyncConfig, SyncState};
 use crate::fault::{DeliveryFault, ReplFaultPlan, ReplFaults};
 use crate::replica::{DeliverOutcome, Replica};
-use crossbeam::channel::{Receiver, Sender, TrySendError};
+use crossbeam::channel::{Receiver, Sender};
 use parking_lot::Mutex;
 use std::ops::Range;
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -62,9 +71,9 @@ pub enum ReplicationMode {
     Asynchronous,
 }
 
-/// How long an ack or catch-up wait parks before it drives the fault timers
-/// and retransmissions itself ([`Shared::pump`]): nothing else wakes it when
-/// the ack it waits for was dropped, or its replica is stalled or down.
+/// How long an ack or catch-up wait parks before it runs a catch-up pass
+/// itself: nothing else wakes it when the ack it waits for was dropped, or
+/// its replica is stalled or down.
 const RETRANSMIT_INTERVAL: Duration = Duration::from_micros(200);
 
 /// Primary-side shipping state behind one mutex: the retained binlog buffer
@@ -74,7 +83,7 @@ struct ShipState {
     sync_state: SyncState,
 }
 
-/// Everything the shipping paths (commit threads, background applier,
+/// Everything the shipping paths (commit threads, the async applier,
 /// `wait_caught_up` callers) share.
 struct Shared {
     latency: LatencyModel,
@@ -84,16 +93,11 @@ struct Shared {
     faults: ReplFaults,
     metrics: Option<Arc<EngineMetrics>>,
     state: Mutex<ShipState>,
-    /// Bounded channel of not-yet-shipped position ranges (`None` is the
-    /// teardown's "look at the stop flag" to an idle applier).  Going through
-    /// the instrumented crossbeam shim makes every enqueue/drain a tagged
-    /// yield point, so the simulator explores shed-vs-drain interleavings.
-    ship_tx: Sender<Option<(u64, u64)>>,
-    ship_rx: Receiver<Option<(u64, u64)>>,
-    /// True while a background applier thread is draining the queue (the
-    /// commit paths then never drain inline).
-    background_running: AtomicBool,
-    /// Asks the background applier to exit once the queue is empty.
+    /// The async applier's doorbell, one ring deep.  Going through the
+    /// instrumented crossbeam shim makes ringing and waiting tagged yield
+    /// points, so the simulator interleaves them with the committers.
+    doorbell: (Sender<()>, Receiver<()>),
+    /// Asks the async applier to exit after its next pass.
     stop: AtomicBool,
 }
 
@@ -140,8 +144,8 @@ impl Shared {
         let replica = &self.replicas[idx];
         match self.faults.on_delivery(idx, now) {
             DeliveryFault::Crash(_) => {
-                // The restart deadline was recorded by the injector; the
-                // pump revives the replica when it passes.
+                // The restart deadline was recorded by the injector; a
+                // catch-up pass revives the replica when it passes.
                 replica.crash();
                 return;
             }
@@ -150,8 +154,8 @@ impl Shared {
                 return;
             }
             DeliveryFault::DropAck => {
-                // The replica applies the delivery but its ack is lost; the
-                // pump's idempotent re-delivery recovers the ack later.
+                // The replica applies the delivery but its ack is lost; a
+                // catch-up pass's idempotent re-delivery recovers it later.
                 let _ = replica.deliver(start, events, now);
                 return;
             }
@@ -183,63 +187,70 @@ impl Shared {
         self.update_lag();
     }
 
-    /// Drives fault timers and replica catch-up: restarts replicas whose
-    /// injected crash deadline passed, and re-delivers the retained binlog
-    /// suffix to every reachable replica that has not acknowledged the end
-    /// of the buffer (covers expired stalls, dropped acks and restarts).
-    fn pump(&self, now: SimInstant) {
+    /// One catch-up pass: restarts the replicas whose injected crash
+    /// deadline passed, ships every reachable replica that has not
+    /// acknowledged the end of the retained binlog its suffix from its own
+    /// relay position — behind one network delay for the pass — and decides
+    /// re-sync.  Batches not shipped yet, expired stalls, dropped acks and
+    /// restarts are all the same gap; an empty suffix is a pure ack
+    /// retransmission request.
+    fn pump(&self) {
+        let now = SimInstant::now();
         for idx in self.faults.due_restarts(now) {
             self.replicas[idx].restart();
         }
         let end = self.binlog_len();
-        for (idx, replica) in self.replicas.iter().enumerate() {
-            if !replica.is_online() || replica.is_stalled(now) {
-                continue;
+        let behind: Vec<usize> = (0..self.replicas.len())
+            .filter(|&idx| {
+                let replica = &self.replicas[idx];
+                self.tracker.acked_pos(idx) < end && replica.is_online() && !replica.is_stalled(now)
+            })
+            .collect();
+        if !behind.is_empty() {
+            simulate_delay(self.latency.network_one_way);
+            let now = SimInstant::now();
+            for idx in behind {
+                let start = self.replicas[idx].log_pos().min(end);
+                self.deliver_to(idx, start, &self.slice(start, end), now);
             }
-            if self.tracker.acked_pos(idx) >= end {
-                continue;
-            }
-            // Re-deliver from the replica's own relay position; an empty
-            // suffix is a pure ack retransmission request.
-            let start = replica.log_pos().min(end);
-            let events = self.slice(start, end);
-            self.deliver_to(idx, start, &events, now);
         }
         self.update_lag();
+        self.try_resync();
     }
 
-    /// Enqueues a range on the bounded async channel; a full channel sheds
-    /// the batch observably (the pump recovers it from the retained binlog).
-    fn enqueue(&self, start: u64, end: u64) {
-        match self.ship_tx.try_send(Some((start, end))) {
-            Ok(()) => {}
-            Err(TrySendError::Full(_)) => self.metric(|m| m.ship_queue_full.inc()),
-            // Shared owns both channel ends for its whole lifetime.
-            Err(TrySendError::Disconnected(_)) => unreachable!("ship channel disconnected"),
-        }
-    }
-
-    /// Ships a queued range.  It outlived the call that enqueued it, so this
-    /// path reads the batch back from the retained buffer.
-    fn deliver_queued(&self, start: u64, end: u64) {
-        self.deliver_range(start, &self.slice(start, end));
-    }
-
-    /// Drains the async channel inline, one batch at a time.
-    fn drain_queue(&self) {
-        while let Ok(queued) = self.ship_rx.try_recv() {
-            if let Some((start, end)) = queued {
-                self.deliver_queued(start, end);
+    /// Parks until `replicas` replicas have acknowledged binlog position
+    /// `pos`, running a catch-up pass before every park; false when
+    /// `timeout` passes first.  Every recorded ack — any delivery's, ours or
+    /// a concurrent batch's — wakes the park.  Deterministic under
+    /// simulation: the deadline is a [`SimInstant`] and the park is on the
+    /// sim's virtual clock.
+    fn wait_acked(&self, pos: u64, replicas: usize, timeout: Duration) -> bool {
+        let deadline = SimInstant::now() + timeout;
+        loop {
+            let seen = self.tracker.advances();
+            if self.tracker.count_at_least(pos) >= replicas {
+                return true;
             }
+            let remaining = deadline.saturating_duration_since(SimInstant::now());
+            if remaining.is_zero() {
+                return false;
+            }
+            self.pump();
+            self.tracker
+                .wait_advance(seen, RETRANSMIT_INTERVAL.min(remaining));
         }
     }
 
-    /// Degraded → semi-sync: re-enter ack waiting once the queue is drained
-    /// and the quorum has caught up to within `resync_lag` of the binlog end.
+    /// A commit acknowledged without a replica ack behind it (the hook is
+    /// degraded): counted, and the replicas get one catch-up pass instead.
+    fn degraded_commit(&self) {
+        self.metric(|m| m.degraded_commits.inc());
+        self.pump();
+    }
+
+    /// Degraded → semi-sync: re-enter ack waiting once the quorum has caught
+    /// up to within `resync_lag` of the binlog end.
     fn try_resync(&self) {
-        if !self.ship_rx.is_empty() {
-            return;
-        }
         let target = {
             let state = self.state.lock();
             if state.sync_state != SyncState::Degraded {
@@ -258,13 +269,37 @@ impl Shared {
         }
     }
 
-    /// Semi-sync → degraded (ack timeout or exhausted ship retries).
+    /// Semi-sync → degraded (ack timeout or exhausted ship retries); the
+    /// commit that gave up goes through as a degraded one.
     fn degrade(&self) {
-        let mut state = self.state.lock();
-        if state.sync_state == SyncState::SemiSync {
+        let flipped = {
+            let mut state = self.state.lock();
+            let flipped = state.sync_state == SyncState::SemiSync;
             state.sync_state = SyncState::Degraded;
-            drop(state);
+            flipped
+        };
+        if flipped {
             self.metric(|m| m.semi_sync_timeouts.inc());
+        }
+        self.degraded_commit();
+    }
+
+    /// Tells the async applier the binlog grew.  A full doorbell holds a
+    /// ring the applier has not taken yet, and the pass that ring starts
+    /// reads the binlog after this append.
+    fn ring(&self) {
+        let _ = self.doorbell.0.try_send(());
+    }
+
+    /// The async applier: one catch-up pass per ring, until the pass that
+    /// started after [`ReplicationHook::shutdown`] raised the stop flag.
+    fn run_applier(&self) {
+        while self.doorbell.1.recv().is_ok() {
+            let last = self.stop.load(Ordering::Acquire);
+            self.pump();
+            if last {
+                return;
+            }
         }
     }
 }
@@ -276,8 +311,9 @@ pub struct ReplicationHook {
     /// Storage fault injector for the `post_ship_pre_ack` / `post_ack`
     /// crash points (the primary's own crash window inside the hook).
     injector: Option<Arc<FaultInjector>>,
+    /// The async applier thread.  It holds the shared state, not the hook,
+    /// so dropping the last handle on the hook stops and joins it.
     applier: Mutex<Option<std::thread::JoinHandle<()>>>,
-    torn_down: AtomicBool,
 }
 
 impl std::fmt::Debug for ReplicationHook {
@@ -333,13 +369,16 @@ impl ReplicationHookBuilder {
         self
     }
 
-    /// Builds the hook (spawning the background applier when the mode is
-    /// asynchronous and [`SemiSyncConfig::background_applier`] is set).
+    /// Builds the hook, spawning the applier thread when the mode is
+    /// asynchronous.  A background OS thread is invisible to the
+    /// deterministic scheduler (it would race the sim's logical threads on
+    /// real time), so a hook built inside a simulation spawns none: a sim
+    /// test schedules [`ReplicationHook::run_applier_loop`] as an explicit
+    /// sim thread instead, and the explorer interleaves it like any other.
     pub fn build(self) -> Arc<ReplicationHook> {
         let replicas: Vec<Arc<Replica>> = (0..self.n_replicas)
             .map(|i| Arc::new(Replica::new(format!("replica-{i}"))))
             .collect();
-        let (ship_tx, ship_rx) = crossbeam::channel::bounded(self.config.queue_capacity);
         let shared = Arc::new(Shared {
             latency: self.latency,
             config: self.config,
@@ -351,40 +390,23 @@ impl ReplicationHookBuilder {
                 binlog: Vec::new(),
                 sync_state: SyncState::SemiSync,
             }),
-            ship_tx,
-            ship_rx,
-            background_running: AtomicBool::new(false),
+            doorbell: crossbeam::channel::bounded(1),
             stop: AtomicBool::new(false),
         });
-        let hook = Arc::new(ReplicationHook {
+        let spawn = self.mode == ReplicationMode::Asynchronous && txsql_sim::current().is_none();
+        let applier = spawn.then(|| {
+            let shared = Arc::clone(&shared);
+            std::thread::Builder::new()
+                .name("txsql-async-applier".into())
+                .spawn(move || shared.run_applier())
+                .expect("spawn async applier")
+        });
+        Arc::new(ReplicationHook {
             mode: self.mode,
             shared,
             injector: self.injector,
-            applier: Mutex::new(None),
-            torn_down: AtomicBool::new(false),
-        });
-        // A background OS thread is invisible to the deterministic scheduler
-        // (it would race the sim's logical threads on real time), so a hook
-        // built inside a simulation never auto-spawns: sim tests schedule
-        // the same [`ReplicationHook::run_applier_loop`] as an explicit sim
-        // thread instead, and the explorer interleaves it like any other.
-        let spawn_applier = self.mode == ReplicationMode::Asynchronous
-            && self.config.background_applier
-            && txsql_sim::current().is_none();
-        if spawn_applier {
-            // Claim the queue before `build` returns so no commit in the
-            // spawn window drains inline.
-            hook.shared
-                .background_running
-                .store(true, Ordering::Release);
-            let hook_bg = Arc::clone(&hook);
-            let handle = std::thread::Builder::new()
-                .name("txsql-async-applier".into())
-                .spawn(move || hook_bg.run_applier_loop())
-                .expect("spawn async applier");
-            *hook.applier.lock() = Some(handle);
-        }
-        hook
+            applier: Mutex::new(applier),
+        })
     }
 }
 
@@ -420,12 +442,6 @@ impl ReplicationHook {
     /// The shipping mode.
     pub fn mode(&self) -> ReplicationMode {
         self.mode
-    }
-
-    /// True while an applier (OS thread or scheduled sim thread) owns the
-    /// ship queue, i.e. while the commit paths never drain inline.
-    pub fn applier_running(&self) -> bool {
-        self.shared.background_running.load(Ordering::Acquire)
     }
 
     /// Whether commits currently wait for acks or ship degraded.
@@ -470,160 +486,74 @@ impl ReplicationHook {
         Ok(())
     }
 
-    /// The degraded / asynchronous shipping path: enqueue on the bounded
-    /// queue and, unless a background applier owns the queue, drain inline.
-    fn ship_async(&self, start: u64, end: u64) {
-        self.shared.enqueue(start, end);
-        if !self.shared.background_running.load(Ordering::Acquire) {
-            self.shared.drain_queue();
-        }
-    }
-
-    /// The semi-sync path for one batch at `[start, end)`.  Returns `Ok` when
+    /// The semi-sync path for one batch at `range`.  Returns `Ok` when
     /// the commit may be acknowledged (quorum met, or the hook degraded —
     /// MySQL semantics: a semi-sync timeout never fails the commit); `Err`
     /// only on an injected primary crash.
-    fn ship_semi_sync(&self, start: u64, end: u64, batch: &[BinlogTxn]) -> Result<()> {
+    fn ship_semi_sync(&self, range: Range<u64>, batch: &[BinlogTxn]) -> Result<()> {
+        let shared = &*self.shared;
         // Bounded retry/backoff on transient ship errors; exhausting the
         // budget degrades instead of wedging the committing thread.
         let mut retries = 0u32;
-        while !self.shared.faults.ship_attempt_ok() {
+        while !shared.faults.ship_attempt_ok() {
             retries += 1;
-            self.shared.metric(|m| m.ship_retries.inc());
-            if retries > self.shared.config.ship_retries {
-                self.shared.degrade();
-                self.shared.metric(|m| m.degraded_commits.inc());
-                self.ship_async(start, end);
+            shared.metric(|m| m.ship_retries.inc());
+            if retries > shared.config.ship_retries {
+                shared.degrade();
                 return Ok(());
             }
-            simulate_delay(self.shared.config.retry_backoff);
+            simulate_delay(shared.config.retry_backoff);
         }
 
-        self.shared.deliver_range(start, batch);
+        shared.deliver_range(range.start, batch);
         self.crash_point(CrashPoint::PostShipPreAck)?;
 
-        let quorum = self
-            .shared
-            .config
-            .ack_quorum
-            .min(self.shared.replicas.len());
-        let deadline = SimInstant::now() + self.shared.config.ack_timeout;
-        loop {
-            // Parked until an ack is recorded (by any delivery, ours or a
-            // concurrent batch's), pumping on the retransmit interval.
-            let seen = self.shared.tracker.advances();
-            if self.shared.tracker.count_at_least(end) >= quorum {
-                break;
-            }
-            let remaining = deadline.saturating_duration_since(SimInstant::now());
-            if remaining.is_zero() {
-                // rpl_semi_sync-style timeout: degrade and let the commit
-                // through unacked by the replicas.
-                self.shared.degrade();
-                self.shared.metric(|m| m.degraded_commits.inc());
-                self.shared.update_lag();
-                return Ok(());
-            }
-            self.shared.pump(SimInstant::now());
-            self.shared
-                .tracker
-                .wait_advance(seen, RETRANSMIT_INTERVAL.min(remaining));
+        let quorum = shared.config.ack_quorum.min(shared.replicas.len());
+        if !shared.wait_acked(range.end, quorum, shared.config.ack_timeout) {
+            // rpl_semi_sync-style timeout: degrade and let the commit
+            // through unacked by the replicas.
+            shared.degrade();
+            return Ok(());
         }
 
         self.crash_point(CrashPoint::PostAck)?;
         // The ack's network leg back to the primary.
-        simulate_delay(self.shared.latency.network_one_way);
+        simulate_delay(shared.latency.network_one_way);
         Ok(())
     }
 
-    /// The async ship-queue applier loop: drains queued position ranges one
-    /// batch at a time until [`ReplicationHook::shutdown`] raises the stop
-    /// flag *and* the queue is empty.  While it runs, the commit paths and
-    /// `wait_caught_up` never drain inline — the queue has one owner.
+    /// The async applier loop: one catch-up pass per ring of the doorbell,
+    /// until a pass that started after [`ReplicationHook::shutdown`].
     ///
-    /// Natively this is the body of the auto-spawned applier thread.  Under
-    /// the deterministic simulator (where `build` spawns nothing) a test
-    /// schedules it as an ordinary sim thread, so enqueue/drain/shutdown
-    /// interleavings are explored rather than hidden behind an OS thread
-    /// the scheduler cannot see.
+    /// Natively this is the body of the applier thread `build` spawns.
+    /// Under the deterministic simulator (where `build` spawns nothing) a
+    /// test schedules it as an ordinary sim thread, so ring / pass /
+    /// shutdown interleavings are explored rather than hidden behind an OS
+    /// thread the scheduler cannot see.
     pub fn run_applier_loop(&self) {
-        self.shared
-            .background_running
-            .store(true, Ordering::Release);
-        while !(self.shared.stop.load(Ordering::Acquire) && self.shared.ship_rx.is_empty()) {
-            // Idle means blocked here; `teardown` raises the stop flag and
-            // then sends `None` to get us to look at it.
-            match self.shared.ship_rx.recv() {
-                Ok(Some((start, end))) => self.shared.deliver_queued(start, end),
-                Ok(None) => {}
-                // Unreachable while `Shared` owns both ends; never spin on it.
-                Err(_) => break,
-            }
-        }
-        self.shared
-            .background_running
-            .store(false, Ordering::Release);
+        self.shared.run_applier();
     }
 
-    /// Blocks until every replica has applied at least `expected_txns`
-    /// transactions (or the timeout expires).  Returns true when the
-    /// replicas caught up.  Parks on the ack tracker between looks — every
-    /// applied delivery records an ack — and pumps on the retransmit
-    /// interval.  Deterministic under simulation: the deadline is a
-    /// [`SimInstant`] and the park is on the sim's virtual clock.
-    pub fn wait_caught_up(&self, expected_txns: u64, timeout: Duration) -> bool {
-        let deadline = SimInstant::now() + timeout;
-        loop {
-            let seen = self.shared.tracker.advances();
-            if !self.shared.background_running.load(Ordering::Acquire) {
-                self.shared.drain_queue();
-            }
-            self.shared.pump(SimInstant::now());
-            self.shared.try_resync();
-            let caught_up = self
-                .shared
-                .replicas
-                .iter()
-                .all(|replica| replica.applied_txns() >= expected_txns);
-            if caught_up {
-                return true;
-            }
-            let remaining = deadline.saturating_duration_since(SimInstant::now());
-            if remaining.is_zero() {
-                return false;
-            }
-            self.shared
-                .tracker
-                .wait_advance(seen, RETRANSMIT_INTERVAL.min(remaining));
-        }
+    /// Blocks until every replica has acknowledged binlog position
+    /// `expected` (with one transaction per binlog entry, applied that many
+    /// transactions) or the timeout expires, then decides re-sync: true
+    /// means caught up.  The semi-sync ack wait with all replicas in the
+    /// quorum.
+    pub fn wait_caught_up(&self, expected: u64, timeout: Duration) -> bool {
+        let replicas = self.shared.replicas.len();
+        let caught_up = self.shared.wait_acked(expected, replicas, timeout);
+        self.shared.try_resync();
+        caught_up
     }
 
-    /// Stops the background applier and drains any queued batches.  Shared
-    /// by [`ReplicationHook::shutdown`] and `Drop`, and idempotent — the
-    /// first caller tears down, later calls are no-ops.
-    fn teardown(&self) {
-        if self.torn_down.swap(true, Ordering::AcqRel) {
-            return;
-        }
+    /// Stops the async applier after one last catch-up pass and joins it.
+    /// Idempotent; `Drop` calls it too.
+    pub fn shutdown(&self) {
         self.shared.stop.store(true, Ordering::Release);
-        // Whatever is still queued ships now, on the caller's thread.
-        self.shared.drain_queue();
-        if self.shared.background_running.load(Ordering::Acquire) {
-            // An idle applier is blocked in `recv`: get it to look at the flag.
-            let _ = self.shared.ship_tx.try_send(None);
-        }
+        self.shared.ring();
         if let Some(handle) = self.applier.lock().take() {
             let _ = handle.join();
-            self.shared
-                .background_running
-                .store(false, Ordering::Release);
         }
-    }
-
-    /// Stops the background applier (asynchronous mode) and flushes the
-    /// shipping queue.
-    pub fn shutdown(&self) {
-        self.teardown();
     }
 }
 
@@ -644,29 +574,20 @@ impl CommitHook for ReplicationHook {
     /// Delivery, ack wait and return leg.  Concurrent calls may reach a
     /// replica in any order; see the module docs.
     fn await_ack(&self, range: Range<u64>, batch: &[BinlogTxn]) -> Result<()> {
-        let Range { start, end } = range;
         match self.mode {
-            ReplicationMode::Asynchronous => {
-                self.ship_async(start, end);
-                Ok(())
+            ReplicationMode::Asynchronous => self.shared.ring(),
+            ReplicationMode::Synchronous if self.shared.sync_state() == SyncState::Degraded => {
+                self.shared.degraded_commit()
             }
-            ReplicationMode::Synchronous => {
-                if self.shared.sync_state() == SyncState::Degraded {
-                    self.shared.metric(|m| m.degraded_commits.inc());
-                    self.ship_async(start, end);
-                    self.shared.pump(SimInstant::now());
-                    self.shared.try_resync();
-                    return Ok(());
-                }
-                self.ship_semi_sync(start, end, batch)
-            }
+            ReplicationMode::Synchronous => return self.ship_semi_sync(range, batch),
         }
+        Ok(())
     }
 }
 
 impl Drop for ReplicationHook {
     fn drop(&mut self) {
-        self.teardown();
+        self.shutdown();
     }
 }
 
@@ -770,11 +691,7 @@ mod tests {
         let hook =
             ReplicationHook::builder(ReplicationMode::Synchronous, LatencyModel::in_memory(), 1)
                 .faults(ReplFaultPlan::none().with_stall(None, 1, Duration::from_millis(10)))
-                .config(
-                    SemiSyncConfig::default()
-                        .with_ack_timeout(Duration::from_millis(2))
-                        .with_background_applier(false),
-                )
+                .config(SemiSyncConfig::default().with_ack_timeout(Duration::from_millis(2)))
                 .metrics(Arc::clone(&metrics))
                 .build();
 
@@ -812,11 +729,7 @@ mod tests {
         let hook =
             ReplicationHook::builder(ReplicationMode::Synchronous, LatencyModel::in_memory(), 1)
                 .faults(ReplFaultPlan::none().with_crash(0, 1, Some(Duration::from_millis(5))))
-                .config(
-                    SemiSyncConfig::default()
-                        .with_ack_timeout(Duration::from_millis(2))
-                        .with_background_applier(false),
-                )
+                .config(SemiSyncConfig::default().with_ack_timeout(Duration::from_millis(2)))
                 .metrics(Arc::clone(&metrics))
                 .build();
         hook.on_commit_batch(&[event(1, 10)]).unwrap();
@@ -850,42 +763,55 @@ mod tests {
         let hook =
             ReplicationHook::builder(ReplicationMode::Synchronous, LatencyModel::in_memory(), 1)
                 .faults(ReplFaultPlan::none().with_ship_errors(10))
-                .config(
-                    SemiSyncConfig::default()
-                        .with_ship_retries(2, Duration::from_micros(5))
-                        .with_background_applier(false),
-                )
+                .config(SemiSyncConfig::default().with_ship_retries(2, Duration::from_micros(5)))
                 .metrics(Arc::clone(&metrics))
                 .build();
         hook.on_commit_batch(&[event(1, 10)]).unwrap();
-        assert_eq!(hook.sync_state(), SyncState::Degraded);
+        assert_eq!(metrics.semi_sync_timeouts.get(), 1, "degraded");
         assert_eq!(metrics.degraded_commits.get(), 1);
         assert!(metrics.ship_retries.get() >= 2);
+        // The degraded commit's catch-up pass reached the replica, and the
+        // same pass re-synced.
+        assert_eq!(hook.acked_pos(0), 1);
+        assert_eq!(hook.sync_state(), SyncState::SemiSync);
+        assert_eq!(metrics.semi_sync_resyncs.get(), 1);
     }
 
     #[test]
-    fn bounded_queue_sheds_observably_and_catchup_recovers() {
-        let metrics = Arc::new(EngineMetrics::new());
+    fn catching_up_after_a_dropped_ack_ends_resynced() {
+        // The stall outlives the ack timeout; the delivery after it applies
+        // but loses its ack.  Catch-up is the acknowledged position, so the
+        // wait re-requests the ack and re-syncs before it returns.
         let hook =
-            ReplicationHook::builder(ReplicationMode::Asynchronous, LatencyModel::in_memory(), 1)
-                .config(
-                    SemiSyncConfig::default()
-                        .with_queue_capacity(2)
-                        .with_background_applier(false),
+            ReplicationHook::builder(ReplicationMode::Synchronous, LatencyModel::in_memory(), 1)
+                .faults(
+                    ReplFaultPlan::none()
+                        .with_stall(None, 1, Duration::from_millis(10))
+                        .with_ack_drop(0, 2),
                 )
-                .metrics(Arc::clone(&metrics))
+                .config(SemiSyncConfig::default().with_ack_timeout(Duration::from_millis(2)))
                 .build();
-        // With no background applier the queue only drains lazily, so the
-        // third enqueue finds it full and sheds.
-        hook.shared.ship_tx.try_send(Some((0, 0))).unwrap();
-        hook.shared.ship_tx.try_send(Some((0, 0))).unwrap();
         hook.on_commit_batch(&[event(1, 10)]).unwrap();
-        assert_eq!(metrics.ship_queue_full.get(), 1);
-        // Shedding dropped work, not data: catch-up re-ships the retained
-        // binlog and the replica converges anyway.
+        assert_eq!(hook.sync_state(), SyncState::Degraded);
         assert!(hook.wait_caught_up(1, Duration::from_secs(2)));
-        assert_eq!(hook.acked_pos(0), 1);
-        hook.shutdown();
+        assert_eq!(hook.sync_state(), SyncState::SemiSync);
+    }
+
+    #[test]
+    fn dropping_an_async_hook_stops_its_applier_after_one_last_pass() {
+        let hook =
+            ReplicationHook::new(ReplicationMode::Asynchronous, LatencyModel::in_memory(), 1);
+        hook.on_commit_batch(&[event(1, 10)]).unwrap();
+        let (shared, replica) = (
+            Arc::downgrade(&hook.shared),
+            Arc::clone(&hook.replicas()[0]),
+        );
+        drop(hook);
+        assert!(
+            shared.upgrade().is_none(),
+            "the applier thread still holds the hook's state"
+        );
+        assert_eq!(replica.applied_txns(), 1);
     }
 
     #[test]
@@ -895,7 +821,11 @@ mod tests {
         hook.on_commit_batch(&[event(1, 10)]).unwrap();
         hook.shutdown();
         hook.shutdown(); // Idempotent.
-        assert_eq!(hook.replicas()[0].applied_txns(), 1, "queue flushed");
+        assert_eq!(
+            hook.replicas()[0].applied_txns(),
+            1,
+            "the last pass shipped"
+        );
         // Drop after shutdown is the second teardown call — a no-op.
     }
 

@@ -14,8 +14,8 @@
 //!   commit batch to the replicas either *semi-synchronously* (the commit
 //!   waits for a configurable ack quorum under an `rpl_semi_sync`-style
 //!   timeout, degrading to asynchronous shipping on timeout and re-syncing
-//!   once the replicas catch up) or *asynchronously* (a bounded queue drained
-//!   in the background; a full queue sheds observably);
+//!   once the replicas catch up) or *asynchronously* (a background applier
+//!   catches the replicas up on the retained binlog);
 //! * [`mod@ack`] — the ack protocol: position-based cumulative
 //!   acknowledgements, the quorum tracker and the semi-sync ↔ degraded state
 //!   machine configuration;

@@ -31,9 +31,9 @@
 use std::collections::{HashMap, HashSet};
 use std::ops::Range;
 use std::sync::atomic::{AtomicBool, AtomicI64, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 use std::time::Duration;
-use txsql_common::latency::LatencyModel;
+use txsql_common::latency::{simulate_delay, LatencyModel};
 use txsql_common::{Error, Result, Row, TxnId};
 use txsql_core::{BinlogTxn, CommitHook, Database, Protocol, TxnProgram};
 use txsql_replication::{
@@ -58,12 +58,9 @@ const PROTOCOLS: [Protocol; 3] = [
 ];
 
 /// Semi-sync knobs for exploration: a short ack timeout so injected stalls
-/// and crashes degrade the hook within the run, and no background applier
-/// (the sim cannot schedule threads it did not spawn).
+/// and crashes degrade the hook within the run.
 fn sim_semi_sync() -> SemiSyncConfig {
-    SemiSyncConfig::default()
-        .with_ack_timeout(Duration::from_millis(2))
-        .with_background_applier(false)
+    SemiSyncConfig::default().with_ack_timeout(Duration::from_millis(2))
 }
 
 /// The value a replica holds for `pk` (0 when it never saw the row — bulk
@@ -73,20 +70,6 @@ fn replica_value(replica: &Replica, pk: i64) -> i64 {
         .row(ACCOUNTS, pk)
         .and_then(|row| row.get_int(1))
         .unwrap_or(0)
-}
-
-/// A degraded hook re-syncs once the quorum has caught up to `expected`; the
-/// last ack of the run can race the catch-up check, so the pump gets a few
-/// more rounds before the assertion.
-fn assert_resynced(hook: &ReplicationHook, expected: u64, context: &str) {
-    for _ in 0..3 {
-        if hook.sync_state() == SyncState::SemiSync {
-            break;
-        }
-        hook.wait_caught_up(expected, Duration::from_millis(50));
-    }
-    let state = hook.sync_state();
-    assert_eq!(state, SyncState::SemiSync, "{context}: stayed degraded");
 }
 
 /// Wraps the replication hook to notice a schedule this suite must reach
@@ -234,7 +217,8 @@ fn explore_seed(
             (0..REPLICAS).map(|i| hook.acked_pos(i)).collect::<Vec<_>>(),
             hook.replica_lag()
         );
-        assert_resynced(&hook, expected, &context);
+        let state = hook.sync_state();
+        assert_eq!(state, SyncState::SemiSync, "{context}: stayed degraded");
 
         // Exact convergence: every replica row matches the primary's
         // committed value, and every binlog entry was applied exactly once —
@@ -405,16 +389,13 @@ fn sim_crash_with_a_second_batch_in_flight_upholds_the_oracle() {
 }
 
 // ---------------------------------------------------------------------------
-// Ship-queue channel races: the bounded shipping queue is an instrumented
-// channel, so enqueue (`try_send`), drain (`try_recv`) and shed (Full) are
-// tagged yield points — the explorer can now place context switches *inside*
-// the shed-vs-drain window, an interleaving class that was invisible while
-// the queue was a plain VecDeque behind the state mutex.
+// The async applier under exploration: a scheduled sim thread, so the
+// doorbell's rings and takes are tagged yield points the explorer interleaves
+// with the committers, a concurrent catch-up wait and shutdown.
 // ---------------------------------------------------------------------------
 
-/// One committer of the two hook-only sweeps below: ships `rounds` batches,
-/// each setting account `100 + committer` to the round's number.  (Degraded
-/// shipping never fails the commit.)
+/// One committer: ships `rounds` batches, each setting account
+/// `100 + committer` to the round's number.
 fn ship_rounds(hook: &ReplicationHook, next_trx: &AtomicI64, committer: usize, rounds: u64) {
     let pk = 100 + committer as i64;
     for round in 1..=rounds {
@@ -429,193 +410,97 @@ fn ship_rounds(hook: &ReplicationHook, next_trx: &AtomicI64, committer: usize, r
     }
 }
 
-/// Every committer's last [`ship_rounds`] write reached `replica`.
-fn assert_last_writes(replica: &Replica, committers: usize, rounds: u64, seed: u64) {
-    for pk in (0..committers as i64).map(|committer| 100 + committer) {
-        let value = replica_value(replica, pk);
-        assert_eq!(value, rounds as i64, "seed {seed}: last write to {pk} lost");
+/// The hook the applier thread built, once it has.
+fn published(built: &OnceLock<Arc<ReplicationHook>>) -> Arc<ReplicationHook> {
+    loop {
+        if let Some(hook) = built.get() {
+            return Arc::clone(hook);
+        }
+        simulate_delay(Duration::from_micros(10));
     }
 }
 
-/// Ship-queue races under exploration: concurrent committers (degraded to
-/// the async path by a stalled replica) race each other and a
-/// `wait_caught_up` drainer on a capacity-1 shipping channel.  On every
-/// schedule, shedding may drop *work* but never *data* — catch-up re-ships
-/// from the retained binlog and the replica converges exactly — and the
-/// degraded hook re-syncs once the stall clears.
-///
-/// Per-yield-point coverage meta-assertions pin that the sweep actually
-/// explored the new surface: channel yields fired (the queue is explorable),
-/// at least one schedule shed on a full queue, and the degrade-to-async flip
-/// occurred.  (The hook alone, fed batches by hand: there is no engine whose
-/// history or accounts the audit could check.)
+/// The async applier as a scheduled sim thread running
+/// [`ReplicationHook::run_applier_loop`] — the loop the native applier
+/// thread runs: committers ring it, a concurrent `wait_caught_up` runs
+/// catch-up passes of its own, and a coordinator shuts the hook down once
+/// the committers are done.  On every schedule the applier exits and the
+/// replica holds every binlog entry exactly once, each committer's last
+/// write included.  The applier thread builds the hook, inside the run,
+/// where `build` spawns no OS thread.  (The hook alone, fed batches by hand:
+/// there is no engine whose history or accounts the audit could check.)
 #[test]
-fn sim_ship_queue_shed_drain_and_degrade_races_converge() {
-    const COMMITTERS: usize = 3;
-    const PER_COMMITTER: u64 = 2;
-    const TOTAL: u64 = COMMITTERS as u64 * PER_COMMITTER;
-    let mut shed_seeds = 0u64;
-    let mut degraded_seeds = 0u64;
-
-    let sweep = explore("sim_ship_queue", txsql_sim::ci_seeds(200), |seed| {
-        let metrics = Arc::new(txsql_common::metrics::EngineMetrics::new());
-        let hook =
-            ReplicationHook::builder(ReplicationMode::Synchronous, LatencyModel::in_memory(), 1)
-                .config(sim_semi_sync().with_queue_capacity(1))
-                .faults(ReplFaultPlan::none().with_stall(None, 1, Duration::from_millis(10)))
-                .metrics(Arc::clone(&metrics))
-                .build();
-        let next_trx = Arc::new(AtomicI64::new(1));
-
-        let report = run_seed(seed, |sim| {
-            for committer in 0..COMMITTERS {
-                let hook = Arc::clone(&hook);
-                let next_trx = Arc::clone(&next_trx);
-                sim.spawn(format!("committer-{committer}"), move || {
-                    ship_rounds(&hook, &next_trx, committer, PER_COMMITTER);
-                });
-            }
-            let hook = Arc::clone(&hook);
-            sim.spawn("drainer", move || {
-                // A concurrent catch-up poller: drains the queue and pumps
-                // while the committers are still enqueueing — the drain half
-                // of the shed-vs-drain race.
-                hook.wait_caught_up(TOTAL, Duration::from_millis(500));
-            });
-        });
-
-        // The stall outlives the ack timeout, so the first commit degraded;
-        // afterwards everything flowed through the bounded channel.  Shed or
-        // not, convergence must be exact.
-        assert!(
-            hook.wait_caught_up(TOTAL, Duration::from_secs(2)),
-            "seed {seed}: replica never converged (lag {})",
-            hook.replica_lag()
-        );
-        assert_resynced(&hook, TOTAL, &format!("seed {seed}, stall cleared"));
-        let replica = &hook.replicas()[0];
-        assert_eq!(
-            replica.applied_txns(),
-            TOTAL,
-            "seed {seed}: a shed batch was lost (or one applied twice)"
-        );
-        assert_eq!(replica.log_pos(), TOTAL, "seed {seed}: relay gap");
-        assert_last_writes(replica, COMMITTERS, PER_COMMITTER, seed);
-        hook.shutdown();
-
-        shed_seeds += u64::from(metrics.ship_queue_full.get() > 0);
-        degraded_seeds += u64::from(metrics.degraded_commits.get() > 0);
-        report
-    });
-    let n_seeds = sweep.runs;
-    let yields = |kind: txsql_sim::ResourceKind| sweep.yields_by_kind[kind as usize];
-
-    // Per-yield-point coverage: the shipping path must actually exercise the
-    // instrumented primitives, or the exploration above is vacuous.
-    assert!(
-        yields(txsql_sim::ResourceKind::Channel) > 0,
-        "the shipping channel never became a yield point"
-    );
-    assert!(
-        yields(txsql_sim::ResourceKind::Lock) > 0,
-        "no tagged mutex yields on the ship path"
-    );
-    assert!(
-        yields(txsql_sim::ResourceKind::Event) > 0,
-        "no tagged event waits on the ship path"
-    );
-    assert!(
-        shed_seeds > 0,
-        "no explored schedule filled the capacity-1 queue ({n_seeds} seeds) — \
-         the shed-vs-drain interleaving class is not being reached"
-    );
-    assert!(
-        degraded_seeds > 0,
-        "no explored schedule flipped the hook to async shipping ({n_seeds} seeds)"
-    );
-    assert!(
-        sweep.distinct_classes > 1,
-        "every seed collapsed to a single schedule class"
-    );
-}
-
-/// The async applier as a *scheduled sim thread* (PR 9 leftover): instead of
-/// committers draining the ship queue inline, a dedicated sim thread runs
-/// [`ReplicationHook::run_applier_loop`] — the same loop the native
-/// background thread runs — so the explorer interleaves enqueue, drain, idle
-/// wake-ups and shutdown like any other threads.  Committers gate on
-/// `applier_running()` before enqueueing, so every delivery in the run is
-/// the applier's; the coordinator shuts the hook down once they finish, and
-/// the loop must exit with the queue empty and the ownership flag cleared.
-/// (The hook alone again: no engine to audit.)
-#[test]
-fn sim_scheduled_applier_owns_the_ship_queue() {
+fn sim_async_applier_converges_and_exits() {
     const COMMITTERS: usize = 2;
     const PER_COMMITTER: u64 = 2;
     const TOTAL: u64 = COMMITTERS as u64 * PER_COMMITTER;
-    let sweep = explore("sim_scheduled_applier", txsql_sim::ci_seeds(100), |seed| {
-        let metrics = Arc::new(txsql_common::metrics::EngineMetrics::new());
-        let hook =
-            ReplicationHook::builder(ReplicationMode::Asynchronous, LatencyModel::in_memory(), 1)
-                .config(sim_semi_sync().with_queue_capacity(4))
-                .metrics(Arc::clone(&metrics))
-                .build();
+    let sweep = explore("sim_async_applier", txsql_sim::ci_seeds(200), |seed| {
+        let built = Arc::new(OnceLock::new());
+        let exited = Arc::new(AtomicBool::new(false));
         let next_trx = Arc::new(AtomicI64::new(1));
         let done = Arc::new(AtomicI64::new(0));
 
         let report = run_seed(seed, |sim| {
-            let applier = Arc::clone(&hook);
-            sim.spawn("applier", move || applier.run_applier_loop());
+            let (cell, exited) = (Arc::clone(&built), Arc::clone(&exited));
+            sim.spawn("applier", move || {
+                let latency = LatencyModel::in_memory();
+                let hook = ReplicationHook::new(ReplicationMode::Asynchronous, latency, 1);
+                let _ = cell.set(Arc::clone(&hook));
+                hook.run_applier_loop();
+                exited.store(true, Ordering::Relaxed);
+            });
             for committer in 0..COMMITTERS {
-                let hook = Arc::clone(&hook);
-                let next_trx = Arc::clone(&next_trx);
-                let done = Arc::clone(&done);
+                let (cell, next_trx, done) =
+                    (Arc::clone(&built), Arc::clone(&next_trx), Arc::clone(&done));
                 sim.spawn(format!("committer-{committer}"), move || {
-                    // Wait for the applier to claim the queue, so the drain
-                    // below is attributable to it alone.
-                    while !hook.applier_running() {
-                        txsql_common::latency::simulate_delay(Duration::from_micros(10));
-                    }
-                    ship_rounds(&hook, &next_trx, committer, PER_COMMITTER);
+                    ship_rounds(&published(&cell), &next_trx, committer, PER_COMMITTER);
                     done.fetch_add(1, Ordering::Relaxed);
                 });
             }
-            let (hook, done) = (Arc::clone(&hook), Arc::clone(&done));
+            let cell = Arc::clone(&built);
+            sim.spawn("catch-up", move || {
+                published(&cell).wait_caught_up(TOTAL, Duration::from_millis(500));
+            });
+            let (cell, done) = (Arc::clone(&built), Arc::clone(&done));
             sim.spawn("coordinator", move || {
+                let hook = published(&cell);
                 while done.load(Ordering::Relaxed) < COMMITTERS as i64 {
-                    txsql_common::latency::simulate_delay(Duration::from_micros(50));
+                    simulate_delay(Duration::from_micros(50));
                 }
-                // Stop the applier: it may only exit once the queue is empty.
                 hook.shutdown();
             });
         });
 
+        let hook = built.get().expect("the applier built the hook");
         assert!(
-            !hook.applier_running(),
-            "seed {seed}: the applier exited without releasing queue ownership"
+            exited.load(Ordering::Relaxed),
+            "seed {seed}: the applier never exited"
         );
         let replica = &hook.replicas()[0];
         assert_eq!(
-            replica.applied_txns(),
-            TOTAL,
-            "seed {seed}: the scheduled applier lost a queued batch"
-        );
-        assert_eq!(
-            hook.replica_lag(),
-            0,
-            "seed {seed}: shutdown returned with the replica still behind"
+            (replica.applied_txns(), replica.log_pos(), hook.binlog_len()),
+            (TOTAL, TOTAL, TOTAL),
+            "seed {seed}: a batch was lost or applied twice"
         );
         assert_last_writes(replica, COMMITTERS, PER_COMMITTER, seed);
         report
     });
     assert!(
         sweep.yields_by_kind[txsql_sim::ResourceKind::Channel as usize] > 0,
-        "the applier's queue never became a yield point"
+        "the applier's doorbell never became a yield point"
     );
     assert!(
         sweep.distinct_classes > 1,
         "every seed collapsed to a single schedule class"
     );
+}
+
+/// Every committer's last [`ship_rounds`] write reached `replica`.
+fn assert_last_writes(replica: &Replica, committers: usize, rounds: u64, seed: u64) {
+    for pk in (0..committers as i64).map(|committer| 100 + committer) {
+        let value = replica_value(replica, pk);
+        assert_eq!(value, rounds as i64, "seed {seed}: last write to {pk} lost");
+    }
 }
 
 // ---------------------------------------------------------------------------

@@ -93,8 +93,8 @@
 //!
 //! * every thread touching instrumented state must be a [`Sim::spawn`]ed
 //!   thread (no background OS threads — e.g. construct `Database` with
-//!   `start_sweeper: false` and replication hooks without a background
-//!   applier),
+//!   `start_sweeper: false`, and build an asynchronous replication hook
+//!   inside a sim thread, where it spawns no applier),
 //! * `build` must create fresh state per run (it is called once per seed),
 //! * don't use real-time sleeps or OS synchronisation inside sim threads.
 

@@ -447,13 +447,9 @@ impl Storage {
             if popped.insert(undo.record()) {
                 guard.rollback_writer(txn);
             }
-            match undo {
-                UndoRecord::Update { .. } => {}
-                UndoRecord::Insert { pk, .. } => {
-                    drop(guard);
-                    table.unindex_pk(*pk);
-                }
-                UndoRecord::Delete { .. } => guard.set_deleted(false),
+            if let UndoRecord::Insert { pk, .. } = undo {
+                drop(guard);
+                table.unindex_pk(*pk);
             }
         }
         Ok(self.redo.append(RedoRecord::Rollback { txn }))

@@ -109,31 +109,20 @@ pub enum UndoRecord {
         /// Primary key to unindex on rollback.
         pk: i64,
     },
-    /// A delete: restore the row (tombstone removal).
-    Delete {
-        /// Table the row belongs to.
-        table: TableId,
-        /// The deleted record.
-        record: RecordId,
-    },
 }
 
 impl UndoRecord {
     /// The table this undo entry refers to.
     pub fn table(&self) -> TableId {
         match self {
-            UndoRecord::Update { table, .. }
-            | UndoRecord::Insert { table, .. }
-            | UndoRecord::Delete { table, .. } => *table,
+            UndoRecord::Update { table, .. } | UndoRecord::Insert { table, .. } => *table,
         }
     }
 
     /// The record this undo entry refers to.
     pub fn record(&self) -> RecordId {
         match self {
-            UndoRecord::Update { record, .. }
-            | UndoRecord::Insert { record, .. }
-            | UndoRecord::Delete { record, .. } => *record,
+            UndoRecord::Update { record, .. } | UndoRecord::Insert { record, .. } => *record,
         }
     }
 }
@@ -308,9 +297,10 @@ mod tests {
         let log = UndoLog::new();
         let txn = TxnId(1);
         log.with(txn, |segment| {
-            segment.records.push(UndoRecord::Delete {
+            segment.records.push(UndoRecord::Insert {
                 table: TableId(2),
                 record: RecordId::new(2, 0, 0),
+                pk: 0,
             })
         });
         let snap = log.snapshot(txn).unwrap();

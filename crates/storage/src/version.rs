@@ -91,8 +91,6 @@ impl VisibilityJudge for ReadCommitted {
 pub struct RecordVersions {
     /// Versions, oldest first; the last one is the current row.
     versions: Vec<Version>,
-    /// Tombstone flag for deleted records.
-    deleted: bool,
 }
 
 impl RecordVersions {
@@ -106,7 +104,6 @@ impl RecordVersions {
                 writer: TxnId::INVALID,
                 commit_no: Some(0),
             }],
-            deleted: false,
         }
     }
 
@@ -119,7 +116,6 @@ impl RecordVersions {
                 writer,
                 commit_no: None,
             }],
-            deleted: false,
         }
     }
 
@@ -146,16 +142,6 @@ impl RecordVersions {
     /// Number of versions currently retained.
     pub fn version_count(&self) -> usize {
         self.versions.len()
-    }
-
-    /// True when the record has been deleted (tombstoned).
-    pub fn is_deleted(&self) -> bool {
-        self.deleted
-    }
-
-    /// Marks the record deleted / undeleted.
-    pub fn set_deleted(&mut self, deleted: bool) {
-        self.deleted = deleted;
     }
 
     /// Pushes a new uncommitted version written by `writer`.
@@ -217,11 +203,8 @@ impl RecordVersions {
     }
 
     /// Returns the newest version visible to `judge` (the MVCC read path), or
-    /// `None` for a deleted record or when nothing retained is visible.
+    /// `None` when nothing retained is visible.
     pub fn visible<J: VisibilityJudge + ?Sized>(&self, judge: &J) -> Option<&Version> {
-        if self.deleted {
-            return None;
-        }
         self.versions
             .iter()
             .rev()
@@ -365,14 +348,6 @@ mod tests {
         assert_eq!(chain.version_count(), 2);
         assert_eq!(chain.latest_row().unwrap().get_int(1), Some(99));
         assert_eq!(committed_value(&chain), Some(15));
-    }
-
-    #[test]
-    fn deleted_records_are_invisible() {
-        let mut chain = RecordVersions::new_committed(row(1));
-        chain.set_deleted(true);
-        assert!(chain.is_deleted());
-        assert!(chain.visible(&ReadCommitted).is_none());
     }
 
     #[test]

@@ -23,12 +23,10 @@
 #![warn(missing_docs)]
 #![deny(unsafe_code)]
 
-pub mod metrics;
 pub mod readview;
 pub mod transaction;
 pub mod trx_sys;
 
-pub use metrics::TxnMetrics;
 pub use readview::{ReadView, ReadViewMode};
 pub use transaction::{DirtyRead, HotRole, HotUpdate, Transaction, TxnState};
 pub use trx_sys::TrxSys;

@@ -1,6 +1,5 @@
 //! The per-worker transaction handle.
 
-use crate::metrics::TxnMetrics;
 use std::sync::Arc;
 use std::time::Instant;
 use txsql_common::fxhash::FxHashSet;
@@ -101,24 +100,24 @@ pub struct Transaction {
     /// Transaction-private metrics scratch: the lock tables' hot-path
     /// counters accumulate here (plain `Cell` arithmetic) and flush to the
     /// engine's shared `EngineMetrics` once, when the transaction drops —
-    /// commit, rollback and abort paths alike (see [`TxnMetrics`]).
-    metrics: TxnMetrics,
+    /// commit, rollback and abort paths alike.
+    metrics: MetricsScratch,
 }
 
 impl Transaction {
     /// Creates a new active transaction with a detached metrics scratch
     /// (counts are kept but never flushed — tests and stand-alone use).
     pub fn new(id: TxnId) -> Self {
-        Self::with_metrics(id, TxnMetrics::detached())
+        Self::with_metrics(id, MetricsScratch::new())
     }
 
     /// Creates a new active transaction attached to the engine's metrics:
     /// the scratch flushes there when the transaction finishes.
     pub fn attached_to(id: TxnId, engine_metrics: Arc<EngineMetrics>) -> Self {
-        Self::with_metrics(id, TxnMetrics::attached(engine_metrics))
+        Self::with_metrics(id, MetricsScratch::attached(engine_metrics))
     }
 
-    fn with_metrics(id: TxnId, metrics: TxnMetrics) -> Self {
+    fn with_metrics(id: TxnId, metrics: MetricsScratch) -> Self {
         Self {
             id,
             state: TxnState::Active,
@@ -135,16 +134,11 @@ impl Transaction {
         }
     }
 
-    /// The transaction's metrics scratch in sink form — what the engine
-    /// passes to the lock tables' `*_in` entry points so per-cycle counters
-    /// cost no atomic RMW.
+    /// The transaction's metrics scratch — what the engine passes to the
+    /// lock tables' `*_in` entry points so per-cycle counters cost no atomic
+    /// RMW.
     #[inline]
-    pub fn metrics_sink(&self) -> &MetricsScratch {
-        self.metrics.sink()
-    }
-
-    /// The transaction's metrics scratch (flush control / introspection).
-    pub fn metrics(&self) -> &TxnMetrics {
+    pub fn metrics(&self) -> &MetricsScratch {
         &self.metrics
     }
 

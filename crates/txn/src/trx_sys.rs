@@ -56,7 +56,7 @@ pub struct TrxSys {
     /// bookkeeping, so leaks surface at the transaction that caused them.
     lock_registries: Vec<Arc<TxnLockRegistry>>,
     /// Engine metrics handle threaded into every transaction at `begin` so
-    /// its per-transaction scratch (`TxnMetrics`) can flush on drop.
+    /// its per-transaction scratch can flush on drop.
     engine_metrics: Option<Arc<EngineMetrics>>,
 }
 
@@ -232,7 +232,7 @@ mod tests {
 
     #[test]
     fn finish_asserts_registries_drained() {
-        let registry = Arc::new(TxnLockRegistry::new(8, Arc::default()));
+        let registry = Arc::new(TxnLockRegistry::new(8));
         let sys =
             TrxSys::new(ReadViewMode::CopyFree).with_lock_registries(vec![Arc::clone(&registry)]);
         // Clean teardown passes the drained-registry check.
