@@ -742,6 +742,15 @@ metrics_table! {
         utilization: f64 = |m, _| m.utilization(),
         /// Group-commit batches flushed by the commit pipeline.
         commit_batches: Counter,
+        /// Batches led from a held stage: a committer that found the stage
+        /// free queued for up to one sync, and the next arrival took its
+        /// queue plus itself through one flush.
+        #[serde(default)]
+        commit_held_batches: Counter,
+        /// Holds whose sync passed with nobody back: the holder flushed its
+        /// queue itself.
+        #[serde(default)]
+        commit_hold_expired: Counter,
         /// Injected crash points that fired (fault-injection runs only).
         crash_injected: Counter,
         /// Fsync attempts retried after a transient injected error.
@@ -1139,7 +1148,8 @@ mod tests {
             r#""locks_released":0,"lock_registry_entries":0,"locks_per_query":0.0,"#,
             r#""lock_waits":0,"release_shard_locks":0,"mean_grant_scan_len":0.0,"#,
             r#""max_grant_scan_len":0,"deadlock_checks":0,"hotspot_group_entries":0,"#,
-            r#""groups_formed":0,"utilization":0.0,"commit_batches":0,"crash_injected":0,"#,
+            r#""groups_formed":0,"utilization":0.0,"commit_batches":0,"#,
+            r#""commit_held_batches":0,"commit_hold_expired":0,"crash_injected":0,"#,
             r#""fsync_retries":0,"recovery_replayed":0,"wal_truncated_records":0,"#,
             r#""semi_sync_timeouts":0,"degraded_commits":0,"semi_sync_resyncs":0,"#,
             r#""ship_retries":0,"replica_lag":0,"admission_retries":0,"#,
@@ -1152,9 +1162,11 @@ mod tests {
         assert_eq!(json, recorded);
         let back: MetricsSnapshot = serde_json::from_str(&json).unwrap();
         assert_eq!(back.committed, 3);
-        // The admission fields were added after the first recordings.
+        // The admission and hold fields were added after the first recordings.
         let older = json.replace(r#""admission_shed":0,"#, "");
+        let older = older.replace(r#""commit_held_batches":0,"commit_hold_expired":0,"#, "");
         let back: MetricsSnapshot = serde_json::from_str(&older).unwrap();
         assert_eq!((back.admission_shed, back.backoff_waits), (0, 0));
+        assert_eq!((back.commit_held_batches, back.commit_hold_expired), (0, 0));
     }
 }

@@ -24,7 +24,29 @@
 //! commit off, Figure 5b, only itself) or marks it free, whether or not its
 //! own flush succeeded.  It never leads a second batch: it runs the blocking
 //! half ([`CommitHook::await_ack`]) for *its* batch while the next owner is
-//! already flushing, wakes its members and returns to its client.
+//! already flushing, releases its members (wakes them) and returns to its
+//! client.
+//!
+//! **Holding a free stage for the committer on its way back.**  Group
+//! locking hands a hot row on before its writer is durable so that the
+//! writers can then share one sync.  Two clients on one hot row would still
+//! take turns at the stage: each finds it free and flushes alone.  So the
+//! pipeline counts the members it has *released* — after the blocking half,
+//! so a batch still waiting for its replica is not out — and takes one off
+//! for every committer that enters `commit`, measuring the gap since the last
+//! release.  The count is the pipeline's, not a client's: whoever arrives is
+//! taken as one of them back.  A committer that finds the stage free while,
+//! after its own arrival, a released member is still out, and the last gap
+//! was shorter than one sync ([`RedoLog::fsync_latency`]), queues and parks
+//! for at most one sync instead of flushing alone.  The next committer to
+//! arrive takes the held queue plus itself as its batch; it is already
+//! running, so no wake is spent on it.  If the sync passes first, the holder
+//! flushes its queue itself, and the pipeline forgets who is out and stops
+//! holding until a fast return is measured again.  The wait is
+//! bounded by the measured return time of the committer waited for
+//! (Thomasian's restart-wait rule), not by a constant.  With group commit off
+//! or a sync that costs nothing the pipeline never holds, and reads no clock
+//! and writes nothing shared for it.
 //!
 //! **Failure scope.**  A flush, crash-point or hook error fails exactly the
 //! members of the batch it happened in.  A later batch is judged on its own:
@@ -37,7 +59,9 @@
 use crate::hooks::{BinlogTxn, CommitHook};
 use parking_lot::Mutex;
 use std::sync::Arc;
+use std::time::Duration;
 use txsql_common::metrics::EngineMetrics;
+use txsql_common::time::SimInstant;
 use txsql_common::{Error, Lsn, Result};
 use txsql_lockmgr::event::OsEvent;
 use txsql_storage::fault::CrashPoint;
@@ -51,17 +75,86 @@ struct Waiter {
     wake: Arc<OsEvent>,
 }
 
+/// The members the pipeline released and has not seen back in `commit`.
+/// Any arrival counts as one of them back: the count is the pipeline's, not
+/// a client's, so a committer that follows itself (Aria's batch leader
+/// commits its batch's jobs one after another) takes itself off before it
+/// could wait for itself.
+#[derive(Default)]
+struct Out {
+    count: usize,
+    /// When the last batch was released.
+    released_at: Option<SimInstant>,
+    /// The last gap measured from a release to the next return; `None`
+    /// until one is.
+    last_gap: Option<Duration>,
+}
+
+impl Out {
+    /// Whether a committer that finds the stage free should hold it: someone
+    /// else is out, and the last one back came within a sync.
+    fn worth_holding(&self, sync: Duration) -> bool {
+        self.count > 0 && self.last_gap.is_some_and(|gap| gap < sync)
+    }
+
+    /// `members` were released at `at`.
+    fn release(&mut self, members: usize, at: SimInstant) {
+        self.count += members;
+        self.released_at = Some(at);
+    }
+
+    /// A committer entered `commit` at `now`: one fewer is out.
+    fn arrived(&mut self, now: SimInstant) {
+        if let Some(at) = self.released_at.filter(|_| self.count > 0) {
+            self.count -= 1;
+            self.last_gap = Some(now.saturating_duration_since(at));
+        }
+    }
+}
+
 #[derive(Default)]
 struct PipelineState {
     /// True while some committer owns the flush stage.
     flushing: bool,
-    /// Committers that found the stage busy, in arrival order, and their
-    /// transactions.  Non-empty only while `flushing`.
+    /// Committers that found the stage busy, or are holding it free, in
+    /// arrival order, and their transactions.  Non-empty with `!flushing`
+    /// only while a holder waits.
     waiters: Vec<Waiter>,
     txns: Vec<BinlogTxn>,
     next_seq: u64,
     /// Errors of failed batches, by member `seq`; a member takes its own on waking.
     failed: Vec<(u64, Error)>,
+    /// Released members not back yet; tracked only while holding is possible.
+    out: Out,
+}
+
+impl PipelineState {
+    /// Queues a committer; returns its arrival number and the event it parks on.
+    fn enqueue(&mut self, lsn: Lsn, binlog: BinlogTxn) -> (u64, Arc<OsEvent>) {
+        let seq = self.next_seq;
+        self.next_seq += 1;
+        let wake = OsEvent::acquire_pooled();
+        self.txns.push(binlog);
+        self.waiters.push(Waiter {
+            seq,
+            lsn,
+            wake: Arc::clone(&wake),
+        });
+        (seq, wake)
+    }
+
+    /// Makes the committer queued as `seq` the stage's owner, with the first
+    /// `take` queued committers — itself among them — as its batch: their
+    /// transactions in arrival order, the highest LSN, and the members to
+    /// wake when it is done.
+    fn take_batch(&mut self, seq: u64, take: usize) -> (Vec<BinlogTxn>, Lsn, Vec<Waiter>) {
+        self.flushing = true;
+        let txns = self.txns.drain(..take).collect();
+        let mut followers: Vec<_> = self.waiters.drain(..take).collect();
+        let max_lsn = followers.iter().map(|w| w.lsn).max();
+        followers.retain(|w| w.seq != seq);
+        (txns, max_lsn.expect("the owner's own slot"), followers)
+    }
 }
 
 /// The commit pipeline.
@@ -106,45 +199,66 @@ impl CommitPipeline {
             Ok(()) if redo.faults().crashed() => Err(Error::Crashed { point: "crashed" }),
             result => result,
         };
+        // One sync, when a hold can save one: with group commit off or a free
+        // sync, nothing below reads the clock or counts who is out.
+        let sync = Some(redo.fsync_latency()).filter(|sync| self.group_commit && !sync.is_zero());
+        let now = sync.map(|_| SimInstant::now());
         let mut state = self.state.lock();
-        let (txns, max_lsn, followers) = if !state.flushing {
+        if let Some(now) = now {
+            state.out.arrived(now);
+        }
+        // A free stage with a queue is held: its holder waits for us.
+        let free = !state.flushing;
+        let held = free && !state.waiters.is_empty();
+        let hold = free && !held && sync.is_some_and(|sync| state.out.worth_holding(sync));
+        let (txns, max_lsn, followers) = if free && !held && !hold {
             state.flushing = true;
             drop(state);
             (vec![binlog], lsn, Vec::new())
         } else {
-            let seq = state.next_seq;
-            state.next_seq += 1;
-            let wake = OsEvent::acquire_pooled();
-            state.txns.push(binlog);
-            state.waiters.push(Waiter {
-                seq,
-                lsn,
-                wake: Arc::clone(&wake),
-            });
-            drop(state);
-            wake.wait();
-
-            // Woken as a member of a finished batch (our slot left the queue
-            // with its leader) or as the head, handed the stage (still first).
-            let mut state = self.state.lock();
-            if state.waiters.first().is_none_or(|head| head.seq != seq) {
-                let failed = state.failed.iter().position(|(s, _)| *s == seq);
-                let failure = failed.map(|at| state.failed.swap_remove(at).1);
+            // Behind the owner, or holding the free stage, we park; at a held
+            // stage we lead the holder's queue at once, and no wake is spent.
+            let (seq, wake) = state.enqueue(lsn, binlog);
+            if held {
+                self.metrics.commit_held_batches.inc();
+            } else {
                 drop(state);
-                OsEvent::recycle(wake);
-                return unless_dead(failure.map_or(Ok(()), Err));
+                match sync.filter(|_| hold) {
+                    Some(sync) => {
+                        wake.wait_for(sync);
+                    }
+                    None => wake.wait(),
+                }
+                state = self.state.lock();
+                // Our slot left the queue with another owner's batch, or we
+                // are the head: handed the stage, or a holder nobody came
+                // back for within the sync.
+                if state.waiters.first().is_none_or(|head| head.seq != seq) {
+                    if !wake.is_set() {
+                        // A hold that timed out as a returner took it.
+                        drop(state);
+                        wake.wait();
+                        state = self.state.lock();
+                    }
+                    let failed = state.failed.iter().position(|(s, _)| *s == seq);
+                    let failure = failed.map(|at| state.failed.swap_remove(at).1);
+                    drop(state);
+                    OsEvent::recycle(wake);
+                    return unless_dead(failure.map_or(Ok(()), Err));
+                }
+                if hold {
+                    self.metrics.commit_hold_expired.inc();
+                    state.out = Out::default();
+                }
             }
             let take = match self.group_commit {
                 true => state.waiters.len(),
                 false => 1,
             };
-            let txns: Vec<_> = state.txns.drain(..take).collect();
-            let mut followers: Vec<_> = state.waiters.drain(..take).collect();
+            let batch = state.take_batch(seq, take);
             drop(state);
-            let max_lsn = followers.iter().map(|w| w.lsn).max().unwrap_or(lsn);
-            followers.swap_remove(0); // our own slot
             OsEvent::recycle(wake);
-            (txns, max_lsn, followers)
+            batch
         };
 
         // Flush stage, owned: one fsync for the batch, then the ordered half
@@ -174,6 +288,11 @@ impl CommitPipeline {
             Ok(()) => {
                 self.metrics.commit_batches.inc();
                 self.metrics.commit_synced.add(txns.len() as u64);
+                if sync.is_some() {
+                    // Released: every member is out until its next commit.
+                    let now = SimInstant::now();
+                    self.state.lock().out.release(txns.len(), now);
+                }
             }
             // Nothing counts as synced (after a post-flush failure the batch
             // IS durable in redo, but its clients are never acknowledged).
@@ -230,6 +349,7 @@ mod tests {
         assert_eq!(redo.fsync_count(), 5);
         assert_eq!(hook.batch_count(), 5);
         assert_eq!(metrics.commit_batches.get(), 5);
+        assert_eq!(metrics.commit_held_batches.get(), 0);
     }
 
     #[test]
@@ -435,6 +555,13 @@ mod tests {
             (lsn, rx)
         }
 
+        /// The same rig with group commit off (Figure 5b).
+        fn without_group_commit(mut self) -> Self {
+            let metrics = Arc::clone(&self.metrics);
+            self.pipeline = Arc::new(CommitPipeline::new(false, metrics));
+            self
+        }
+
         /// Blocks until exactly `n` committers are parked in the queue.
         fn wait_queued(&self, n: usize) {
             let deadline = Instant::now() + WAIT;
@@ -573,20 +700,30 @@ mod tests {
 
     #[test]
     fn nothing_in_flight_is_acknowledged_after_a_crash_in_a_later_batch() {
-        // The second flush crashes while batch {1} waits for its ack.
-        let plan = FaultPlan::none().crash_at(CrashPoint::MidFlush, 2);
-        let redo = RedoLog::with_faults(Duration::ZERO, FaultInjector::new(plan));
-        let rig = Rig::new(redo, &[(Half::Blocking, 1)], None);
+        // Batch {1} waits for its ack while batches {2} and {3} put two
+        // members out (flushes 2 and 3); then 4 holds the free stage and 5
+        // leads both into flush 4, which crashes.
+        let plan = FaultPlan::none().crash_at(CrashPoint::MidFlush, 4);
+        let redo = RedoLog::with_faults(SYNC, FaultInjector::new(plan));
+        let rig = Rig::new(redo, &[(Half::Blocking, 1), (Half::Ordered, 2)], None);
         let (lsn, first) = rig.spawn_commit();
         assert_eq!(
             rig.next_entered(2),
             HashSet::from([(Half::Ordered, 1), (Half::Blocking, 1)])
         );
-        let (_, second) = rig.spawn_commit();
-        assert!(matches!(
-            second.recv_timeout(WAIT),
-            Ok(Err(Error::Crashed { .. }))
-        ));
+        two_out(&rig);
+        let (_, held) = rig.spawn_commit();
+        rig.wait_queued(1);
+        let (_, returner) = rig.spawn_commit();
+        // The crash fails the whole batch it cut: the returner and the
+        // commit held for it.
+        for member in [&returner, &held] {
+            assert!(matches!(
+                member.recv_timeout(WAIT),
+                Ok(Err(Error::Crashed { .. }))
+            ));
+        }
+        assert_eq!(rig.metrics.commit_held_batches.get(), 1);
 
         // Batch {1} is durable and its hook is about to succeed, but the
         // process is dead: its client must not hear "committed".
@@ -602,6 +739,102 @@ mod tests {
             third.recv_timeout(WAIT),
             Ok(Err(Error::Crashed { .. }))
         ));
+    }
+
+    // ------------------------------------------------------------------
+    // The held stage.  A log whose sync is long against every step a test
+    // takes, so that a hold outlasts any of them unless nobody comes back.
+    // ------------------------------------------------------------------
+
+    const SYNC: Duration = Duration::from_millis(200);
+
+    /// Puts two members out with no return measured yet: the next commit
+    /// waits in its ordered half (the rig gates it) until one more queues
+    /// behind it, and then both batches are released.
+    fn two_out(rig: &Rig) {
+        let (first, a) = rig.spawn_commit();
+        assert_eq!(rig.entered.recv_timeout(WAIT), Ok((Half::Ordered, first.0)));
+        let (_, b) = rig.spawn_commit();
+        rig.wait_queued(1);
+        rig.hook.release(Half::Ordered, first.0);
+        for done in [a, b] {
+            assert_eq!(done.recv_timeout(WAIT), Ok(Ok(())));
+        }
+    }
+
+    #[test]
+    fn a_free_stage_is_held_for_the_returner_and_both_share_its_flush() {
+        let rig = Rig::new(RedoLog::new(SYNC), &[(Half::Ordered, 1)], None);
+        two_out(&rig);
+        let fsyncs = rig.redo.fsync_count();
+
+        // The stage is free and, once the arrival took itself off, one
+        // member is still out: the arrival queues.
+        let (held, first) = rig.spawn_commit();
+        rig.wait_queued(1);
+        assert!(!rig.pipeline.state.lock().flushing);
+        // The returner leads both, in arrival order, through one flush.
+        let (lsn, returner) = rig.spawn_commit();
+        assert_eq!(returner.recv_timeout(WAIT), Ok(Ok(())));
+        assert_eq!(first.recv_timeout(WAIT), Ok(Ok(())));
+        assert_eq!(rig.redo.fsync_count(), fsyncs + 1);
+        assert_eq!(rig.hook.batches().last(), Some(&vec![held.0, lsn.0]));
+        assert_eq!(rig.metrics.commit_held_batches.get(), 1);
+        assert_eq!(rig.metrics.commit_hold_expired.get(), 0);
+    }
+
+    #[test]
+    fn a_hold_nobody_comes_back_for_flushes_alone_after_one_sync() {
+        let rig = Rig::new(RedoLog::new(SYNC), &[(Half::Ordered, 1)], None);
+        two_out(&rig);
+        let start = Instant::now();
+        let (held, first) = rig.spawn_commit();
+        assert_eq!(first.recv_timeout(WAIT), Ok(Ok(())));
+        assert!(start.elapsed() >= 2 * SYNC, "one sync held, one flushed");
+        assert_eq!(rig.hook.batches().last(), Some(&vec![held.0]));
+        assert_eq!(rig.metrics.commit_held_batches.get(), 0);
+        assert_eq!(rig.metrics.commit_hold_expired.get(), 1);
+
+        // The pipeline forgot who was out — the member still out and the
+        // holder it just released would make a quick arrival hold again —
+        // so the next arrival at the free stage flushes at once.
+        let (next, second) = rig.spawn_commit();
+        assert_eq!(second.recv_timeout(WAIT), Ok(Ok(())));
+        assert_eq!(rig.hook.batches().last(), Some(&vec![next.0]));
+        assert_eq!(rig.metrics.commit_hold_expired.get(), 1);
+    }
+
+    #[test]
+    fn a_free_sync_or_group_commit_off_never_holds() {
+        let gate = [(Half::Ordered, 1)];
+        let free_sync = Rig::new(RedoLog::default(), &gate, None);
+        let group_commit_off = Rig::new(RedoLog::new(SYNC), &gate, None).without_group_commit();
+        for rig in [free_sync, group_commit_off] {
+            two_out(&rig);
+            let (lsn, alone) = rig.spawn_commit();
+            assert_eq!(alone.recv_timeout(WAIT), Ok(Ok(())));
+            assert_eq!(rig.hook.batches().last(), Some(&vec![lsn.0]));
+            assert_eq!(rig.metrics.commit_held_batches.get(), 0);
+            assert_eq!(rig.metrics.commit_hold_expired.get(), 0);
+        }
+    }
+
+    #[test]
+    fn a_leader_taking_over_from_a_serial_committer_does_not_hold_for_it() {
+        // Aria's batch leader commits its batch's jobs one after another on
+        // its own thread while the other clients are parked, and then
+        // another client leads the next batch.  Nobody is on the way back.
+        let rig = Rig::new(RedoLog::new(SYNC), &[], None);
+        let hooks: Vec<Arc<dyn CommitHook>> = vec![rig.hook.clone()];
+        for _ in 0..2 {
+            let lsn = append_commit(&rig.redo);
+            let committed = rig.pipeline.commit(&rig.redo, lsn, binlog(lsn.0), &hooks);
+            assert_eq!(committed, Ok(()));
+        }
+        let (_, next_leader) = rig.spawn_commit();
+        assert_eq!(next_leader.recv_timeout(WAIT), Ok(Ok(())));
+        assert_eq!(rig.metrics.commit_held_batches.get(), 0);
+        assert_eq!(rig.metrics.commit_hold_expired.get(), 0);
     }
 
     #[test]

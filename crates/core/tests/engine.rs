@@ -5,6 +5,7 @@
 use std::sync::Arc;
 use std::thread;
 use std::time::Duration;
+use txsql_common::latency::LatencyModel;
 use txsql_common::{Row, TableId, Value};
 use txsql_core::{Database, EngineConfig, Operation, Protocol, TxnProgram};
 use txsql_storage::TableSchema;
@@ -886,19 +887,21 @@ fn read_only_transactions_leave_no_footprint() {
 
 /// Pinned per-transaction budgets of shim lock acquisitions, `(shape, locks)`:
 /// ten point reads, four cold updates, one update of a pinned hot row (6 of
-/// its locks are `GroupLockTable`'s), and that update rolled back (8 of
+/// its locks are `GroupLockTable`'s), that update rolled back (8 of
 /// `GroupLockTable`'s: a lone member's `finish_rollback` is one state
 /// acquisition and one collection; 31 with 13 while lifting the pause was a
-/// second call).  None is the redo log's: an append is a compare-and-swap
-/// (53 / 29 / 26 while `Begin`, every update and the marker each took its
-/// tail mutex).  ARCHITECTURE.md, "What a statement touches", has the
-/// break-down.
+/// second call), and the update again with a 100 µs sync (the commit
+/// pipeline's count of released members is one more state acquisition).
+/// None is the redo log's: an append is a compare-and-swap (53 / 29 / 26
+/// while `Begin`, every update and the marker each took its tail mutex).
+/// ARCHITECTURE.md, "What a statement touches", has the break-down.
 #[cfg(debug_assertions)]
-const LOCK_BUDGET: [(&str, u64); 4] = [
+const LOCK_BUDGET: [(&str, u64); 5] = [
     ("10 reads", 23),
     ("4 cold updates", 47),
     ("1 hot update", 26),
     ("1 hot update, rolled back", 23),
+    ("1 hot update, local_ssd", 27),
 ];
 
 #[cfg(debug_assertions)]
@@ -910,21 +913,31 @@ fn lock_acquisitions_per_transaction_stay_within_budget() {
     // group entry created) the count per transaction repeats exactly, so it
     // can be pinned: a statement or commit path that starts taking one more
     // engine-wide lock fails here before any benchmark has to notice.
-    let fixture = setup(EngineConfig::for_protocol(Protocol::GroupLockingTxsql), 64);
-    let db = &fixture.db;
-    db.hotspots().pin(fixture.record(0));
+    let pinned = |latency| {
+        let config = EngineConfig::for_protocol(Protocol::GroupLockingTxsql);
+        let fixture = setup(config.with_latency(latency), 64);
+        fixture.db.hotspots().pin(fixture.record(0));
+        fixture
+    };
+    let memory = pinned(LatencyModel::in_memory());
+    let ssd = pinned(LatencyModel::local_ssd());
     let read = |pk| Operation::Read {
         table: ACCOUNTS,
         pk,
     };
     let add = |pk| add(pk, 1);
-    let programs = [
-        TxnProgram::new((1..=10).map(read).collect()),
-        TxnProgram::new((11..=14).map(add).collect()),
-        TxnProgram::new(vec![add(0)]),
-        TxnProgram::new(vec![add(0), Operation::ForcedRollback]),
+    let runs = [
+        (&memory, TxnProgram::new((1..=10).map(read).collect())),
+        (&memory, TxnProgram::new((11..=14).map(add).collect())),
+        (&memory, TxnProgram::new(vec![add(0)])),
+        (
+            &memory,
+            TxnProgram::new(vec![add(0), Operation::ForcedRollback]),
+        ),
+        (&ssd, TxnProgram::new(vec![add(0)])),
     ];
-    for (program, (shape, budget)) in programs.iter().zip(LOCK_BUDGET) {
+    for ((fixture, program), (shape, budget)) in runs.iter().zip(LOCK_BUDGET) {
+        let db = &fixture.db;
         let mut counts = [0u64; 4];
         for count in &mut counts {
             let before = parking_lot::thread_acquisitions();
@@ -945,4 +958,8 @@ fn lock_acquisitions_per_transaction_stay_within_budget() {
             counts[1]
         );
     }
+    // A lone committer takes itself off before it could wait for itself.
+    let metrics = ssd.db.metrics();
+    let holds = metrics.commit_held_batches.get() + metrics.commit_hold_expired.get();
+    assert_eq!(holds, 0);
 }

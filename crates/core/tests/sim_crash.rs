@@ -189,10 +189,14 @@ fn sim_transient_fsync_errors_recover_under_exploration() {
 /// the batch's bytes, from all of it but a byte to none of it — leaves a torn
 /// tail that recovery must scan-stop at.  Some batch members' commit markers
 /// may survive below the cut — they were answered with an error (in doubt),
-/// which the audit permits — but nothing acknowledged may be lost.
+/// which the audit permits — but nothing acknowledged may be lost.  Under
+/// every protocol some schedule must lead a batch from a held stage (a
+/// worker held the free stage and the next arrival took its queue,
+/// `core::commit`), so that a held batch meets the cut too.
 #[test]
 fn sim_torn_tail_inside_group_commit_batch_recovers() {
     let mut acked_then_crashed = HashSet::new();
+    let mut held = HashSet::new();
     let cases = fixture::cases(&PROTOCOLS, 60);
     explore("sim_crash/torn_tail", cases, |(protocol, seed)| {
         let plan = FaultPlan::none()
@@ -201,6 +205,9 @@ fn sim_torn_tail_inside_group_commit_batch_recovers() {
         let fixture = crash_fixture(protocol, plan, LatencyModel::local_ssd());
         fixture.db.checkpoint().unwrap();
         let run = run_workload(&fixture, seed, false);
+        if fixture.db.metrics().commit_held_batches.get() > 0 {
+            held.insert(protocol);
+        }
         let crashed = fixture.db.has_crashed();
         let acked = fixture.acknowledged(HOT);
         let redo = fixture.db.storage().redo();
@@ -224,6 +231,7 @@ fn sim_torn_tail_inside_group_commit_batch_recovers() {
         run
     });
     assert_all_crashed_after_an_ack(&acked_then_crashed);
+    assert_eq!(held.len(), PROTOCOLS.len(), "only {held:?} held a stage");
 }
 
 // ---------------------------------------------------------------------------

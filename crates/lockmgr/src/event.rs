@@ -48,7 +48,9 @@
 //!   short bound.  See [`OsEvent::wait_handoff`].
 //! * **I/O waits** ([`OsEvent::wait`] / [`OsEvent::wait_for`]) are waits for
 //!   something that takes a flush, a network round trip or a timer: the
-//!   commit pipeline's stage queue, the admission queue and the queue lock's
+//!   commit pipeline's stage queue and its held stage (a committer waiting,
+//!   for at most one sync, for the next committer to arrive and lead both
+//!   into one flush), the admission queue and the queue lock's
 //!   ticket (both held across a whole commit), a Bamboo dependency's
 //!   completion (posted after the writer's flush), an Aria batch, the
 //!   replication ack and the sweeper's interval.  They park at once — a spin

@@ -122,7 +122,7 @@ mod tests {
         // Holding a write latch on slot 0 must not block reading slot 1.
         let _w = s0.write();
         let r = s1.read();
-        assert_eq!(r.latest_row().unwrap().get_int(1), Some(20));
+        assert_eq!(r.latest().unwrap().row.get_int(1), Some(20));
     }
 
     #[test]

@@ -575,7 +575,8 @@ mod tests {
         let rid = outcome.storage.table(tid).unwrap().lookup_pk(1).unwrap();
         let row = outcome.storage.read_committed(tid, rid).unwrap().unwrap();
         assert_eq!(row.get_int(1), Some(49_795));
-        assert_eq!(outcome.storage.read_latest(tid, rid).unwrap(), row);
+        let (latest, _) = outcome.storage.read_latest_with_writer(tid, rid).unwrap();
+        assert_eq!(latest, row);
         // The chain never held more than the committed image and the three
         // in-flight updates stacked on it.
         assert_eq!(PEAK_CHAIN.with(|peak| peak.get()), losers.len() + 1);
@@ -658,7 +659,10 @@ mod tests {
         );
         for (pk, base) in [(1, 1), (2, 100)] {
             let record = outcome.storage.table(tid).unwrap().lookup_pk(pk).unwrap();
-            let row = outcome.storage.read_latest(tid, record).unwrap();
+            let (row, _) = outcome
+                .storage
+                .read_latest_with_writer(tid, record)
+                .unwrap();
             assert_eq!(row.get_int(1), Some(base));
         }
     }

@@ -173,13 +173,6 @@ impl Storage {
         self.table(table)?.insert_committed(row)
     }
 
-    /// Reads the newest (possibly uncommitted) row image.
-    pub fn read_latest(&self, table: TableId, record: RecordId) -> Result<Row> {
-        let slot = self.table(table)?.slot(record)?;
-        let guard = slot.read();
-        guard.latest_row().ok_or(Error::UnknownRecord { record })
-    }
-
     /// Reads the newest (possibly uncommitted) row image together with its
     /// writer (`TxnId::INVALID` for a bulk-loaded base version), in a single
     /// slot read — the locked-read hot path records both.
@@ -542,6 +535,12 @@ mod tests {
         storage.read_committed(tid, rid).unwrap()?.get_int(1)
     }
 
+    /// The row's newest value, committed or not.
+    fn latest(storage: &Storage, tid: TableId, rid: RecordId) -> Option<i64> {
+        let (row, _) = storage.read_latest_with_writer(tid, rid).unwrap();
+        row.get_int(1)
+    }
+
     fn setup() -> (Storage, TableId, RecordId) {
         let storage = Storage::default();
         let tid = TableId(1);
@@ -560,7 +559,7 @@ mod tests {
         set(&storage, txn, tid, rid, 101);
         // Not yet visible to committed readers.
         assert_eq!(committed(&storage, tid, rid), Some(100));
-        assert_eq!(storage.read_latest(tid, rid).unwrap().get_int(1), Some(101));
+        assert_eq!(latest(&storage, tid, rid), Some(101));
         assert_eq!(storage.latest_writer(tid, rid).unwrap(), Some(txn));
         let lsn = storage.commit_writes(txn, 1, &[(tid, rid)]).unwrap();
         storage.redo().flush_to(lsn).unwrap();
@@ -577,7 +576,7 @@ mod tests {
         storage.begin_txn(txn);
         set(&storage, txn, tid, rid, 999);
         storage.rollback_writes(txn).unwrap();
-        assert_eq!(storage.read_latest(tid, rid).unwrap().get_int(1), Some(100));
+        assert_eq!(latest(&storage, tid, rid), Some(100));
         assert_eq!(committed(&storage, tid, rid), Some(100));
     }
 
@@ -589,7 +588,7 @@ mod tests {
         let (rid, _) = storage
             .apply_insert(txn, tid, Row::from_ints(&[2, 200]))
             .unwrap();
-        assert_eq!(storage.read_latest(tid, rid).unwrap().get_int(1), Some(200));
+        assert_eq!(latest(&storage, tid, rid), Some(200));
         storage.rollback_writes(txn).unwrap();
         assert!(storage.table(tid).unwrap().lookup_pk(2).is_err());
     }
@@ -615,11 +614,11 @@ mod tests {
             storage.begin_txn(txn);
             set(&storage, txn, tid, rid, v);
         }
-        assert_eq!(storage.read_latest(tid, rid).unwrap().get_int(1), Some(103));
+        assert_eq!(latest(&storage, tid, rid), Some(103));
         storage.rollback_writes(TxnId(3)).unwrap();
         storage.rollback_writes(TxnId(2)).unwrap();
         storage.rollback_writes(TxnId(1)).unwrap();
-        assert_eq!(storage.read_latest(tid, rid).unwrap().get_int(1), Some(100));
+        assert_eq!(latest(&storage, tid, rid), Some(100));
     }
 
     #[test]
@@ -654,7 +653,7 @@ mod tests {
         // from the head the first one left.
         let cold = storage.update_row(txn, tid, rid, None, add).unwrap();
         assert_eq!(cold, Lsn(hot.0 + 1));
-        assert_eq!(storage.read_latest(tid, rid).unwrap().get_int(1), Some(110));
+        assert_eq!(latest(&storage, tid, rid), Some(110));
         let segment = storage.undo().snapshot(txn).unwrap();
         assert_eq!(segment.header.hot_update_order(), Some(17));
         assert_eq!(segment.records.len(), 2);
@@ -689,7 +688,8 @@ mod tests {
             .update_row(TxnId(1), tid, rid, Some(1), |_| wide(600_000))
             .unwrap();
         storage.rollback_writes(TxnId(1)).unwrap();
-        let before = (storage.redo().latest_lsn(), storage.read_latest(tid, rid));
+        let newest = || storage.read_latest_with_writer(tid, rid);
+        let before = (storage.redo().latest_lsn(), newest());
         for result in [
             storage.apply_update(TxnId(2), tid, rid, wide(1 << 20)),
             (storage.apply_insert(TxnId(2), tid, wide(1 << 20))).map(|(_, lsn)| lsn),
@@ -698,8 +698,7 @@ mod tests {
             assert!(matches!(result, Err(Error::RowTooLarge { .. })));
         }
         // No version, no undo entry, no frame: the statement never happened.
-        let after = (storage.redo().latest_lsn(), storage.read_latest(tid, rid));
-        assert_eq!(after, before);
+        assert_eq!((storage.redo().latest_lsn(), newest()), before);
         assert!(storage.undo().is_empty() && storage.table(tid).unwrap().lookup_pk(1) == Ok(rid));
         storage.redo().flush_all().unwrap();
         assert_eq!(storage.redo().durable_records().len(), 3);

@@ -163,7 +163,7 @@ mod tests {
         assert_eq!(t.lookup_pk(7).unwrap(), rid);
         assert_eq!(t.row_count(), 1);
         let slot = t.slot(rid).unwrap();
-        assert_eq!(slot.read().latest_row().unwrap().get_int(1), Some(70));
+        assert_eq!(slot.read().latest().unwrap().row.get_int(1), Some(70));
     }
 
     #[test]
@@ -264,7 +264,7 @@ mod tests {
         /// A slot that resolves is fully built: it holds `pk`'s row.
         fn assert_built(&self, record: RecordId, pk: i64) {
             let slot = self.table.slot(record).expect("published record id");
-            assert_eq!(slot.read().latest_row().unwrap().get_int(0), Some(pk));
+            assert_eq!(slot.read().latest().unwrap().row.get_int(0), Some(pk));
         }
 
         /// One pass over the newest facts of each writer; true once both
@@ -298,7 +298,7 @@ mod tests {
             let pages = self.table.page_count() as PageNo;
             for (page_no, heap_no) in [(pages.saturating_sub(1), 1), (pages + 1_000, 0)] {
                 match self.table.slot(RecordId::new(1, page_no, heap_no)) {
-                    Ok(slot) => assert!(slot.read().latest_row().is_some()),
+                    Ok(slot) => assert!(slot.read().latest().is_some()),
                     Err(err) => assert!(matches!(err, Error::UnknownRecord { .. })),
                 }
             }

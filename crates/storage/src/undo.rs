@@ -31,11 +31,6 @@ pub struct UndoHeader {
 }
 
 impl UndoHeader {
-    /// An empty header (neither a trx_no nor a hot_update_order recorded yet).
-    pub const fn empty() -> Self {
-        Self { field: 0 }
-    }
-
     /// Encodes a commit sequence number.
     pub fn with_trx_no(trx_no: u64) -> Self {
         assert!(
@@ -239,7 +234,7 @@ mod tests {
         // Raw persistence round trip (what the redo log stores).
         assert_eq!(UndoHeader::from_raw(hot.raw()), hot);
         assert_eq!(UndoHeader::from_raw(commit.raw()), commit);
-        assert!(UndoHeader::empty().is_empty());
+        assert!(UndoHeader::default().is_empty());
     }
 
     #[test]

@@ -124,11 +124,6 @@ impl RecordVersions {
         self.versions.last()
     }
 
-    /// The newest row image, cloned.
-    pub fn latest_row(&self) -> Option<Row> {
-        self.latest().map(|v| v.row.clone())
-    }
-
     /// Writer of the newest version.
     pub fn latest_writer(&self) -> Option<TxnId> {
         self.latest().map(|v| v.writer)
@@ -268,7 +263,7 @@ mod tests {
         let mut chain = RecordVersions::new_committed(row(10));
         chain.push_uncommitted(row(20), TxnId(5));
         assert!(chain.has_uncommitted_head());
-        assert_eq!(chain.latest_row().unwrap().get_int(1), Some(20));
+        assert_eq!(chain.latest().unwrap().row.get_int(1), Some(20));
         // Snapshot readers still see the committed value.
         assert_eq!(committed_value(&chain), Some(10));
     }
@@ -288,7 +283,7 @@ mod tests {
         let mut chain = RecordVersions::new_committed(row(10));
         chain.push_uncommitted(row(20), TxnId(5));
         assert_eq!(chain.rollback_writer(TxnId(5)), 1);
-        assert_eq!(chain.latest_row().unwrap().get_int(1), Some(10));
+        assert_eq!(chain.latest().unwrap().row.get_int(1), Some(10));
         assert_eq!(chain.version_count(), 1);
         // Rolling back a writer with no versions is a no-op.
         assert_eq!(chain.rollback_writer(TxnId(9)), 0);
@@ -303,14 +298,14 @@ mod tests {
         chain.push_uncommitted(row(3), TxnId(3));
         chain.push_uncommitted(row(4), TxnId(2));
         assert_eq!(chain.version_count(), 4);
-        assert_eq!(chain.latest_row().unwrap().get_int(1), Some(4));
+        assert_eq!(chain.latest().unwrap().row.get_int(1), Some(4));
         // Rollback in reverse update order: T2, then T3, then T1.
         chain.rollback_writer(TxnId(2));
-        assert_eq!(chain.latest_row().unwrap().get_int(1), Some(3));
+        assert_eq!(chain.latest().unwrap().row.get_int(1), Some(3));
         chain.rollback_writer(TxnId(3));
-        assert_eq!(chain.latest_row().unwrap().get_int(1), Some(2));
+        assert_eq!(chain.latest().unwrap().row.get_int(1), Some(2));
         chain.rollback_writer(TxnId(1));
-        assert_eq!(chain.latest_row().unwrap().get_int(1), Some(1));
+        assert_eq!(chain.latest().unwrap().row.get_int(1), Some(1));
     }
 
     #[test]
@@ -346,7 +341,7 @@ mod tests {
         // Unbounded floor: the newest committed version and the head stay.
         assert_eq!(chain.purge_to_floor(u64::MAX), 2);
         assert_eq!(chain.version_count(), 2);
-        assert_eq!(chain.latest_row().unwrap().get_int(1), Some(99));
+        assert_eq!(chain.latest().unwrap().row.get_int(1), Some(99));
         assert_eq!(committed_value(&chain), Some(15));
     }
 

@@ -597,6 +597,12 @@ impl RedoLog {
         Lsn(self.durable_lsn.load(Ordering::Relaxed))
     }
 
+    /// What one flush costs: the latency every `flush_to` with something new
+    /// to flush pays.
+    pub fn fsync_latency(&self) -> Duration {
+        self.fsync_latency
+    }
+
     /// Number of fsyncs performed (group commit reduces this; Figure 13).
     pub fn fsync_count(&self) -> u64 {
         self.fsync_count.load(Ordering::Relaxed)

@@ -53,13 +53,6 @@ pub enum ReadView {
 }
 
 impl ReadView {
-    /// The owning transaction.
-    pub fn owner(&self) -> TxnId {
-        match self {
-            ReadView::Copying { owner, .. } | ReadView::CopyFree { owner, .. } => *owner,
-        }
-    }
-
     /// Which mode this view was created in.
     pub fn mode(&self) -> ReadViewMode {
         match self {
@@ -179,10 +172,8 @@ mod tests {
             commit_horizon: 1,
             owner: TxnId(2),
         };
-        assert_eq!(v.owner(), TxnId(2));
         assert_eq!(v.mode(), ReadViewMode::CopyFree);
         let c = copying(&[], 1, 3);
         assert_eq!(c.mode(), ReadViewMode::Copying);
-        assert_eq!(c.owner(), TxnId(3));
     }
 }
