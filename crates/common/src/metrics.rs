@@ -738,6 +738,12 @@ metrics_table! {
         hotspot_group_entries: u64 = |m, _| m.hotspot_group_entries.get(),
         /// Number of groups formed by group locking.
         groups_formed: u64 = |m, _| m.groups_formed.get(),
+        /// Leader quiesces that gave up on a vanished follower (no abort).
+        #[serde(default)]
+        quiesce_forced: Counter,
+        /// Rollbacks that undid out of turn after their turn wait timed out.
+        #[serde(default)]
+        rollback_turn_timeouts: Counter,
         /// Useful-work ratio (CPU utilisation proxy).
         utilization: f64 = |m, _| m.utilization(),
         /// Group-commit batches flushed by the commit pipeline.
@@ -1148,7 +1154,8 @@ mod tests {
             r#""locks_released":0,"lock_registry_entries":0,"locks_per_query":0.0,"#,
             r#""lock_waits":0,"release_shard_locks":0,"mean_grant_scan_len":0.0,"#,
             r#""max_grant_scan_len":0,"deadlock_checks":0,"hotspot_group_entries":0,"#,
-            r#""groups_formed":0,"utilization":0.0,"commit_batches":0,"#,
+            r#""groups_formed":0,"quiesce_forced":0,"rollback_turn_timeouts":0,"#,
+            r#""utilization":0.0,"commit_batches":0,"#,
             r#""commit_held_batches":0,"commit_hold_expired":0,"crash_injected":0,"#,
             r#""fsync_retries":0,"recovery_replayed":0,"wal_truncated_records":0,"#,
             r#""semi_sync_timeouts":0,"degraded_commits":0,"semi_sync_resyncs":0,"#,
@@ -1162,11 +1169,13 @@ mod tests {
         assert_eq!(json, recorded);
         let back: MetricsSnapshot = serde_json::from_str(&json).unwrap();
         assert_eq!(back.committed, 3);
-        // The admission and hold fields were added after the first recordings.
+        // The admission, hold and group-event fields came after the first recordings.
         let older = json.replace(r#""admission_shed":0,"#, "");
         let older = older.replace(r#""commit_held_batches":0,"commit_hold_expired":0,"#, "");
+        let older = older.replace(r#""quiesce_forced":0,"rollback_turn_timeouts":0,"#, "");
         let back: MetricsSnapshot = serde_json::from_str(&older).unwrap();
         assert_eq!((back.admission_shed, back.backoff_waits), (0, 0));
         assert_eq!((back.commit_held_batches, back.commit_hold_expired), (0, 0));
+        assert_eq!((back.quiesce_forced, back.rollback_turn_timeouts), (0, 0));
     }
 }

@@ -98,12 +98,6 @@ impl AdmissionConfig {
         self
     }
 
-    /// Sets the wait-deadline budget.
-    pub fn with_queue_timeout(mut self, timeout: Duration) -> Self {
-        self.queue_timeout = timeout;
-        self
-    }
-
     /// The re-admission watermark of the shed hysteresis: after a shed, the
     /// queue keeps shedding until its backlog drains to this depth.
     pub fn recover_depth(&self) -> usize {
@@ -374,12 +368,12 @@ mod tests {
 
     #[test]
     fn full_queue_sheds_with_overloaded() {
-        let c = controller(
-            AdmissionConfig::default()
+        let c = controller(AdmissionConfig {
+            queue_timeout: Duration::from_millis(200),
+            ..AdmissionConfig::default()
                 .with_enabled(true)
                 .with_queue_depth(1)
-                .with_queue_timeout(Duration::from_millis(200)),
-        );
+        });
         let holder = c.admit(&[key(1)]).unwrap();
         // One waiter fits; the next arrival must shed.
         let c = Arc::new(c);
@@ -408,11 +402,10 @@ mod tests {
 
     #[test]
     fn wait_deadline_budget_sheds_instead_of_wedging() {
-        let c = controller(
-            AdmissionConfig::default()
-                .with_enabled(true)
-                .with_queue_timeout(Duration::from_millis(5)),
-        );
+        let c = controller(AdmissionConfig {
+            queue_timeout: Duration::from_millis(5),
+            ..AdmissionConfig::default().with_enabled(true)
+        });
         let holder = c.admit(&[key(1)]).unwrap();
         // The holder never releases within the budget: the waiter sheds.
         let shed = c.admit(&[key(1)]);
@@ -427,11 +420,10 @@ mod tests {
 
     #[test]
     fn multi_key_admission_releases_partial_grants_on_shed() {
-        let c = controller(
-            AdmissionConfig::default()
-                .with_enabled(true)
-                .with_queue_timeout(Duration::from_millis(5)),
-        );
+        let c = controller(AdmissionConfig {
+            queue_timeout: Duration::from_millis(5),
+            ..AdmissionConfig::default().with_enabled(true)
+        });
         // key(2) is held, so a (key1, key2) admission takes key1 then sheds
         // on key2 — and must hand key1 back.
         let blocker = c.admit(&[key(2)]).unwrap();

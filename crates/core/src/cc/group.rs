@@ -270,7 +270,7 @@ impl ConcurrencyControl for GroupLocking {
             if turn.is_err() {
                 // Undoing out of turn beats wedging the row, but a
                 // successor that never cascaded must not go unreported.
-                self.metrics.abort_causes.record("rollback_turn_timeout");
+                self.metrics.rollback_turn_timeouts.inc();
             }
         }
         txn.add_blocked(start.elapsed());

@@ -20,6 +20,14 @@
 //! global mutex, so a long detection scan no longer stalls every other
 //! waiter in the system.
 //!
+//! An entry lives exactly as long as its owner waits.  An edge to a finished
+//! transaction is a dead end for the DFS (ids are never reused), so only the
+//! waiters still queued on a record it released need pruning
+//! ([`WaitForGraph::remove_txn`]): a FIFO waiter's set would otherwise keep
+//! the whole queue it joined, walked by every later check on that queue
+//! under the lock-table shard mutex.  A release nobody waits on leaves the
+//! graph alone.
+//!
 //! Consequence of per-shard locking: a DFS observes each out-edge set at a
 //! (possibly slightly different) instant rather than one global snapshot.
 //! Under concurrent edge churn it can therefore report a cycle whose edges
@@ -48,16 +56,15 @@
 
 use crate::event::OsEvent;
 use parking_lot::Mutex;
-use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 use txsql_common::fxhash::{self, FxHashMap, FxHashSet};
 use txsql_common::pad::CachePadded;
 use txsql_common::TxnId;
 
-/// Default number of waiter shards (waits are rare relative to acquisitions;
-/// 64 shards keeps the footprint small while eliminating cross-waiter
+/// Number of waiter shards (waits are rare relative to acquisitions; 64
+/// shards keeps the footprint small while eliminating cross-waiter
 /// contention).
-const DEFAULT_SHARDS: usize = 64;
+const SHARDS: usize = 64;
 
 /// Picks the deadlock victim among `cycle` members: the one holding the
 /// fewest registry-tracked locks (least work lost), as reported by
@@ -88,44 +95,27 @@ type Shard = FxHashMap<TxnId, WaiterEntry>;
 pub struct WaitForGraph {
     /// waiter -> set of transactions it waits for, sharded by waiter id.
     shards: Box<[CachePadded<Mutex<Shard>>]>,
-    /// Advisory count of waiter entries across all shards (maintained under
-    /// the shard mutexes, read relaxed).  Lets the release path skip the
-    /// cross-shard incoming-edge sweep entirely when nothing waits — the
-    /// overwhelmingly common case on uncontended workloads.  A stale read
-    /// can only skip removing *incoming* edges of a finished transaction;
-    /// such a transaction never has outgoing edges again (ids are never
-    /// reused), so no false cycle can form and the stale edge is dropped
-    /// when its owner stops waiting.
-    approx_waiters: AtomicUsize,
 }
 
 impl Default for WaitForGraph {
     fn default() -> Self {
-        Self::with_shards(DEFAULT_SHARDS)
+        Self::new()
     }
 }
 
 impl WaitForGraph {
-    /// Creates an empty graph with the default shard count.
+    /// Creates an empty graph.
     pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Creates an empty graph with `n_shards` waiter shards.
-    pub fn with_shards(n_shards: usize) -> Self {
-        let n = n_shards.max(1);
         Self {
-            shards: (0..n)
+            shards: (0..SHARDS)
                 .map(|_| CachePadded::new(Mutex::new(Shard::default())))
                 .collect(),
-            approx_waiters: AtomicUsize::new(0),
         }
     }
 
     #[inline]
     fn shard_for(&self, waiter: TxnId) -> &Mutex<Shard> {
-        let idx = (fxhash::hash_u64(waiter.0) % self.shards.len() as u64) as usize;
-        &self.shards[idx]
+        &self.shards[(fxhash::hash_u64(waiter.0) % SHARDS as u64) as usize]
     }
 
     /// Declares that `waiter` now waits for each transaction in `holders`.
@@ -137,18 +127,13 @@ impl WaitForGraph {
         let mut shard = self.shard_for(waiter).lock();
         let _scope = crate::wake_check::GuardScope::enter();
         if set.is_empty() {
-            if shard.remove(&waiter).is_some() {
-                self.approx_waiters.fetch_sub(1, Ordering::Relaxed);
-            }
+            shard.remove(&waiter);
         } else {
             let entry = WaiterEntry {
                 out: set,
-                event: None,
-                doomed: false,
+                ..WaiterEntry::default()
             };
-            if shard.insert(waiter, entry).is_none() {
-                self.approx_waiters.fetch_add(1, Ordering::Relaxed);
-            }
+            shard.insert(waiter, entry);
         }
     }
 
@@ -208,29 +193,17 @@ impl WaitForGraph {
         }
     }
 
-    /// Removes every edge originating at `txn` (it stopped waiting) and every
-    /// edge pointing to it (it committed / rolled back, so nobody waits for it
-    /// any more through this graph — the lock tables re-add fresh edges when
-    /// waits are re-evaluated).  Takes per-shard guards one at a time.
+    /// Removes `txn`'s entry and every edge pointing to it: it finished, and
+    /// the waiters still queued on a record it held name it.  Takes the
+    /// shards one at a time.
     pub fn remove_txn(&self, txn: TxnId) {
-        // Fast path: nobody waits for anything, so there is nothing to
-        // remove — skip the cross-shard sweep (see `approx_waiters`).
-        if self.approx_waiters.load(Ordering::Relaxed) == 0 {
-            return;
-        }
-        self.clear_waits_of(txn);
         for shard in &self.shards {
             let mut guard = shard.lock();
             let _scope = crate::wake_check::GuardScope::enter();
-            let before = guard.len();
-            for entry in guard.values_mut() {
+            guard.retain(|waiter, entry| {
                 entry.out.remove(&txn);
-            }
-            guard.retain(|_, entry| !entry.out.is_empty());
-            let removed = before - guard.len();
-            if removed > 0 {
-                self.approx_waiters.fetch_sub(removed, Ordering::Relaxed);
-            }
+                *waiter != txn && !entry.out.is_empty()
+            });
         }
     }
 
@@ -239,9 +212,7 @@ impl WaitForGraph {
     pub fn clear_waits_of(&self, txn: TxnId) {
         let mut shard = self.shard_for(txn).lock();
         let _scope = crate::wake_check::GuardScope::enter();
-        if shard.remove(&txn).is_some() {
-            self.approx_waiters.fetch_sub(1, Ordering::Relaxed);
-        }
+        shard.remove(&txn);
     }
 
     /// Snapshot of one waiter's out-edges (locks only that waiter's shard).
@@ -291,23 +262,10 @@ impl WaitForGraph {
         None
     }
 
-    /// Number of transactions currently waiting (outgoing-edge count).
+    /// Number of transactions currently waiting.  An entry always has an
+    /// out-edge, so zero waiters is also zero edges.
     pub fn waiting_count(&self) -> usize {
         self.shards.iter().map(|s| s.lock().len()).sum()
-    }
-
-    /// Total number of edges (used by tests and the ablation bench that
-    /// measures detection cost as queues grow).
-    pub fn edge_count(&self) -> usize {
-        self.shards
-            .iter()
-            .map(|s| {
-                s.lock()
-                    .values()
-                    .map(|entry| entry.out.len())
-                    .sum::<usize>()
-            })
-            .sum()
     }
 }
 
@@ -326,30 +284,21 @@ mod tests {
     }
 
     #[test]
-    fn two_transaction_cycle_detected() {
-        let g = WaitForGraph::new();
-        g.set_waits_for(TxnId(1), [TxnId(2)]);
-        g.set_waits_for(TxnId(2), [TxnId(1)]);
-        let cycle = g.find_cycle_from(TxnId(2)).unwrap();
-        assert_eq!(cycle[0], TxnId(2), "requester leads the cycle");
-        assert!(cycle.contains(&TxnId(1)));
-        assert_eq!(cycle.len(), 2);
-        assert!(g.find_cycle_from(TxnId(1)).is_some());
-    }
-
-    #[test]
     fn long_cycle_detected_across_shards() {
-        // A cycle longer than the shard count guarantees the DFS crosses
-        // shard boundaries.
-        let g = WaitForGraph::with_shards(4);
-        for i in 1..=9u64 {
+        // A cycle longer than the shard count crosses shard boundaries and
+        // has two members in one shard.
+        let g = WaitForGraph::new();
+        let n = SHARDS as u64 + 1;
+        for i in 1..n {
             g.set_waits_for(TxnId(i), [TxnId(i + 1)]);
         }
-        g.set_waits_for(TxnId(10), [TxnId(1)]);
-        let cycle = g.find_cycle_from(TxnId(10)).unwrap();
-        assert_eq!(cycle[0], TxnId(10));
-        assert_eq!(cycle.len(), 10, "every member of the ring is reported");
-        assert_eq!(g.edge_count(), 10);
+        g.set_waits_for(TxnId(n), [TxnId(1)]);
+        let cycle = g.find_cycle_from(TxnId(n)).unwrap();
+        assert_eq!(cycle[0], TxnId(n));
+        assert_eq!(cycle.len(), n as usize, "the whole ring is reported");
+        assert_eq!(g.waiting_count(), n as usize);
+        (1..=n).for_each(|i| g.clear_waits_of(TxnId(i)));
+        assert_eq!(g.waiting_count(), 0);
     }
 
     #[test]
@@ -362,6 +311,7 @@ mod tests {
         g.remove_txn(TxnId(2));
         assert_eq!(g.find_cycle_from(TxnId(1)), None);
         assert_eq!(g.find_cycle_from(TxnId(3)), None);
+        assert_eq!(g.waiting_count(), 1, "T1 waited for T2 alone, T3 waits on");
     }
 
     #[test]
@@ -373,11 +323,14 @@ mod tests {
     }
 
     #[test]
-    fn a_wait_set_holds_several_blockers() {
+    fn a_wait_set_holds_several_blockers_and_a_finished_one_is_a_dead_end() {
         let g = WaitForGraph::new();
+        // T1 waits for T2 and T3; T2 has finished, so it has no entry.
         g.set_waits_for(TxnId(1), [TxnId(2), TxnId(3)]);
         g.set_waits_for(TxnId(3), [TxnId(1)]);
-        assert!(g.find_cycle_from(TxnId(1)).is_some());
+        // The requester leads the cycle it closed.
+        assert_eq!(g.find_cycle_from(TxnId(3)), Some(vec![TxnId(3), TxnId(1)]));
+        assert!(!g.find_cycle_from(TxnId(1)).unwrap().contains(&TxnId(2)));
         g.clear_waits_of(TxnId(1));
         assert_eq!(g.find_cycle_from(TxnId(1)), None);
         // Txn 3 still waits for 1.
@@ -391,16 +344,6 @@ mod tests {
         g.set_waits_for(TxnId(2), [TxnId(4)]);
         g.set_waits_for(TxnId(3), [TxnId(4)]);
         assert_eq!(g.find_cycle_from(TxnId(1)), None);
-    }
-
-    #[test]
-    fn single_shard_graph_still_works() {
-        let g = WaitForGraph::with_shards(1);
-        g.set_waits_for(TxnId(1), [TxnId(2)]);
-        g.set_waits_for(TxnId(2), [TxnId(1)]);
-        assert!(g.find_cycle_from(TxnId(1)).is_some());
-        g.remove_txn(TxnId(1));
-        assert_eq!(g.waiting_count(), 0);
     }
 
     #[test]

@@ -861,7 +861,7 @@ impl GroupLockTable {
             // A granted follower disappeared without calling
             // finish_update (it aborted on an unrelated error).  Proceed
             // rather than wedging the whole hot row, and say so.
-            self.metrics.abort_causes.record("quiesce_forced");
+            self.metrics.quiesce_forced.inc();
             let woken = self.with_state(&handle, |state| {
                 state.executing = None;
                 state.take_ready_waiters()
@@ -1330,7 +1330,7 @@ mod tests {
             g.leader_handover(TxnId(1), HOT);
         });
         assert_eq!(checks, 1, "leader_handover");
-        assert_eq!(g.metrics.abort_causes.get("quiesce_forced"), 0);
+        assert_eq!(g.metrics.quiesce_forced.get(), 0);
     }
 
     #[test]
@@ -1418,7 +1418,8 @@ mod tests {
         let _vanished = hot.arrive(TxnId(2)).unwrap();
         let g = &hot.g;
         g.leader_prepare_commit(TxnId(1), &leader.handle);
-        assert_eq!(hot.metrics.abort_causes.get("quiesce_forced"), 1);
+        assert_eq!(hot.metrics.quiesce_forced.get(), 1);
+        assert_eq!(hot.metrics.abort_breakdown().total(), 0, "nothing aborted");
         let (in_flight, parked) =
             g.with_state(&leader.handle, |s| (s.executing, s.turn_waiters.len()));
         assert_eq!((in_flight, parked), (None, 0));

@@ -2,31 +2,41 @@
 //!
 //! A row becomes a *hotspot* when the number of transactions waiting for its
 //! lock exceeds a threshold (the paper uses 32 as a rule of thumb).  Once
-//! promoted, the row's identifier lives in the `hot_row_hash`; subsequent
-//! update transactions take the queue-locking (O2) or group-locking (TXSQL)
-//! path instead of the plain lock manager.  A background sweeper periodically
+//! promoted, the row has an entry in the `hot_row_hash`; subsequent update
+//! transactions take the queue-locking (O2) or group-locking (TXSQL) path
+//! instead of the plain lock manager.  A background sweeper periodically
 //! demotes rows that no longer have waiters, reverting them to standard 2PL.
 //!
 //! Detection is deliberately lightweight: the only signal is the wait-queue
 //! length the lock manager already knows, observed at the moment a
-//! transaction is about to wait.
+//! transaction is about to wait.  A row is hot exactly when the map has an
+//! entry for it, the one record kept per row; a wait on a cold row below
+//! the threshold reads one shard and writes nothing.
 
 use parking_lot::RwLock;
+use std::collections::hash_map::Entry;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Duration;
-use txsql_common::fxhash::{self, FxHashMap, FxHashSet};
+use txsql_common::fxhash::{self, FxHashMap};
 use txsql_common::pad::CachePadded;
 use txsql_common::RecordId;
 
-/// Shards for the `hot_row_hash` and the recent-wait counters.  `is_hot` is
-/// consulted on every hotspot-capable acquisition, so even its read lock
-/// must not be a single global cache line.
+/// Shards of the `hot_row_hash`.  `is_hot` is consulted on every
+/// hotspot-capable acquisition, so even its read lock must not be a single
+/// global cache line.
 const HOT_SHARDS: usize = 64;
 
-/// One shard of the hot-row set.
-type HotShard = CachePadded<RwLock<FxHashSet<u64>>>;
-/// One shard of the recent-wait counters.
-type RecentShard = CachePadded<RwLock<FxHashMap<u64, u64>>>;
+/// What the registry keeps per hot row.
+#[derive(Debug, Default)]
+struct HotRow {
+    /// Declared hot ([`HotspotRegistry::pin`]): only a `demote` ends it.
+    pinned: bool,
+    /// Waits seen since the last sweep, the promoting one included.
+    waits: u64,
+}
+
+/// One shard of the `hot_row_hash`, keyed by packed record id.
+type HotShard = CachePadded<RwLock<FxHashMap<u64, HotRow>>>;
 
 /// Configuration of hotspot detection.
 #[derive(Debug, Clone)]
@@ -71,14 +81,7 @@ impl HotspotConfig {
 #[derive(Debug)]
 pub struct HotspotRegistry {
     config: HotspotConfig,
-    hot_rows: Box<[HotShard]>,
-    /// Rows declared hot by the workload ([`HotspotRegistry::pin`]): the
-    /// sweeper never demotes them, only an explicit
-    /// [`HotspotRegistry::demote`] does.
-    pinned_rows: Box<[HotShard]>,
-    /// Cumulative wait observations per record since the last sweep — used by
-    /// the sweeper to decide whether a hotspot is still hot.
-    recent_waits: Box<[RecentShard]>,
+    rows: Box<[HotShard]>,
     promotions: AtomicU64,
     demotions: AtomicU64,
 }
@@ -88,13 +91,7 @@ impl HotspotRegistry {
     pub fn new(config: HotspotConfig) -> Self {
         Self {
             config,
-            hot_rows: (0..HOT_SHARDS)
-                .map(|_| CachePadded::new(RwLock::new(FxHashSet::default())))
-                .collect(),
-            pinned_rows: (0..HOT_SHARDS)
-                .map(|_| CachePadded::new(RwLock::new(FxHashSet::default())))
-                .collect(),
-            recent_waits: (0..HOT_SHARDS)
+            rows: (0..HOT_SHARDS)
                 .map(|_| CachePadded::new(RwLock::new(FxHashMap::default())))
                 .collect(),
             promotions: AtomicU64::new(0),
@@ -103,13 +100,14 @@ impl HotspotRegistry {
     }
 
     #[inline]
-    fn shard_idx(key: u64) -> usize {
-        (fxhash::hash_u64(key) % HOT_SHARDS as u64) as usize
+    fn shard(&self, key: u64) -> &RwLock<FxHashMap<u64, HotRow>> {
+        &self.rows[(fxhash::hash_u64(key) % HOT_SHARDS as u64) as usize]
     }
 
-    /// The configuration in force.
-    pub fn config(&self) -> &HotspotConfig {
-        &self.config
+    /// A new hot row's entry, counted as a promotion.
+    fn promoted(&self) -> HotRow {
+        self.promotions.fetch_add(1, Ordering::Relaxed);
+        HotRow::default()
     }
 
     /// Is this record currently a hotspot?
@@ -119,7 +117,7 @@ impl HotspotRegistry {
             return false;
         }
         let key = record.packed();
-        self.hot_rows[Self::shard_idx(key)].read().contains(&key)
+        self.shard(key).read().contains_key(&key)
     }
 
     /// Reports that a transaction is about to wait for `record` behind
@@ -130,23 +128,20 @@ impl HotspotRegistry {
             return false;
         }
         let key = record.packed();
-        let idx = Self::shard_idx(key);
-        {
-            let mut recent = self.recent_waits[idx].write();
-            *recent.entry(key).or_insert(0) += 1;
+        let promotes = queue_len >= self.config.promote_threshold;
+        let shard = self.shard(key);
+        if !promotes && !shard.read().contains_key(&key) {
+            return false;
         }
-        if self.hot_rows[idx].read().contains(&key) {
-            return true;
-        }
-        if queue_len >= self.config.promote_threshold {
-            let mut hot = self.hot_rows[idx].write();
-            if hot.insert(key) {
-                self.promotions.fetch_add(1, Ordering::Relaxed);
-            }
-            true
-        } else {
-            false
-        }
+        let mut rows = shard.write();
+        let row = match rows.entry(key) {
+            Entry::Occupied(row) => row.into_mut(),
+            // Demoted between the two guards: as if the read came after.
+            Entry::Vacant(_) if !promotes => return false,
+            Entry::Vacant(row) => row.insert(self.promoted()),
+        };
+        row.waits += 1;
+        true
     }
 
     /// Force-promotes a record (used by tests and by workloads that declare
@@ -156,9 +151,10 @@ impl HotspotRegistry {
     /// must outlive idle periods.
     pub fn promote(&self, record: RecordId) {
         let key = record.packed();
-        if self.hot_rows[Self::shard_idx(key)].write().insert(key) {
-            self.promotions.fetch_add(1, Ordering::Relaxed);
-        }
+        self.shard(key)
+            .write()
+            .entry(key)
+            .or_insert_with(|| self.promoted());
     }
 
     /// Declares a record hot for the lifetime of the workload: promotes it
@@ -167,42 +163,33 @@ impl HotspotRegistry {
     /// explicit [`HotspotRegistry::demote`] undoes a pin.
     pub fn pin(&self, record: RecordId) {
         let key = record.packed();
-        let idx = Self::shard_idx(key);
-        self.pinned_rows[idx].write().insert(key);
-        if self.hot_rows[idx].write().insert(key) {
-            self.promotions.fetch_add(1, Ordering::Relaxed);
-        }
+        let mut rows = self.shard(key).write();
+        rows.entry(key).or_insert_with(|| self.promoted()).pinned = true;
     }
 
     /// Demotes a record back to plain 2PL (clearing any pin).
     pub fn demote(&self, record: RecordId) {
         let key = record.packed();
-        let idx = Self::shard_idx(key);
-        self.pinned_rows[idx].write().remove(&key);
-        if self.hot_rows[idx].write().remove(&key) {
+        if self.shard(key).write().remove(&key).is_some() {
             self.demotions.fetch_add(1, Ordering::Relaxed);
         }
     }
 
-    /// One sweeper pass: demote every hot row that both (a) saw no waits since
-    /// the previous sweep and (b) currently has no waiting transactions
-    /// according to `has_waiters`.
+    /// One sweeper pass: demote every hot row that is not pinned, saw no
+    /// waits since the previous sweep and currently has no waiting
+    /// transactions according to `has_waiters`; the rows that stay start
+    /// the next window at zero waits.
     pub fn sweep<F: Fn(RecordId) -> bool>(&self, has_waiters: F) -> usize {
         if !self.config.enabled {
             return 0;
         }
         let mut demoted = 0;
-        for idx in 0..HOT_SHARDS {
-            let recent = std::mem::take(&mut *self.recent_waits[idx].write());
-            let pinned = self.pinned_rows[idx].read();
-            let mut hot = self.hot_rows[idx].write();
-            hot.retain(|key| {
+        for shard in self.rows.iter() {
+            shard.write().retain(|key, row| {
                 let record = RecordId::from_packed(*key);
-                let seen_recent_waits = recent.get(key).copied().unwrap_or(0) > 0;
-                let keep = pinned.contains(key) || seen_recent_waits || has_waiters(record);
-                if !keep {
-                    demoted += 1;
-                }
+                let keep = row.pinned || row.waits > 0 || has_waiters(record);
+                row.waits = 0;
+                demoted += usize::from(!keep);
                 keep
             });
         }
@@ -265,15 +252,6 @@ mod tests {
     }
 
     #[test]
-    fn manual_promote_and_demote() {
-        let reg = HotspotRegistry::new(HotspotConfig::default());
-        reg.promote(HOT);
-        assert!(reg.is_hot(HOT));
-        reg.demote(HOT);
-        assert!(!reg.is_hot(HOT));
-    }
-
-    #[test]
     fn pinned_rows_survive_idle_sweeps() {
         let reg = HotspotRegistry::new(HotspotConfig::default());
         reg.pin(HOT);
@@ -298,6 +276,13 @@ mod tests {
         reg.observe_wait(HOT, 2);
         reg.promote(HOT);
         assert_eq!(reg.promotions(), 1);
+    }
+
+    #[test]
+    fn waits_below_the_threshold_on_cold_rows_leave_no_entry() {
+        let reg = HotspotRegistry::new(HotspotConfig::default().with_threshold(4));
+        (0..100).for_each(|heap| assert!(!reg.observe_wait(RecordId::new(1, 0, heap), 3)));
+        assert!(reg.rows.iter().all(|shard| shard.read().is_empty()));
     }
 
     #[test]

@@ -80,12 +80,12 @@
 //! * **The wait-for graph is sharded by waiter** ([`deadlock`]): a
 //!   transaction waits for at most one lock at a time, so its out-edge set
 //!   lives in a per-waiter-shard slot; `set_waits_for` / `clear_waits_of`
-//!   never contend across unrelated waiters, and the cycle DFS takes
-//!   per-shard guards one node at a time instead of freezing the whole
-//!   graph.  Detection reports the full cycle membership, and the member
-//!   with the fewest registry-tracked locks dies (ties to the youngest id);
-//!   a remote victim is woken through the event parked in its graph entry
-//!   and aborts out of its own wait.
+//!   never contend across unrelated waiters, a release sweeps the graph only
+//!   when a record it released has waiters, and the cycle DFS takes
+//!   per-shard guards one node at a time.  Detection reports the full cycle
+//!   membership, and the member with the fewest registry-tracked locks dies
+//!   (ties to the youngest id); a remote victim is woken through the event
+//!   parked in its graph entry and aborts out of its own wait.
 //! * **Uncontended grants allocate nothing**: a request that does not wait
 //!   carries no `OsEvent` (waiters-only request objects in `lock_sys`'s
 //!   record queues, holder ids only in `lightweight`), and requests that
@@ -163,8 +163,8 @@
 //! once — nothing in this crate polls), [`modes`]
 //! (lock modes and conflict matrix), [`deadlock`] (the sharded wait-for
 //! graph), [`registry`] (the per-transaction lock registry) and [`hotspot`]
-//! (hotspot detection and the `hot_row_hash` registry shared by queue and
-//! group locking).
+//! (hotspot detection and the `hot_row_hash` shared by queue and group
+//! locking: one sharded map holding one entry per hot row).
 //!
 //! ## Deterministic testing
 //!

@@ -411,30 +411,33 @@ impl<L: Layout> RecordLockTable<L> {
     /// (lock-table state only; registry bookkeeping is the caller's).
     /// Records are grouped by shard — one sorted scratch vec, cheaper than a
     /// hash-map group-by for statement-sized batches — so each shard mutex is
-    /// taken once.
-    fn drop_requests(&self, txn: TxnId, records: &[RecordId], scratch: &MetricsScratch) {
+    /// taken once.  Returns whether a request still waits on one of them.
+    fn drop_requests(&self, txn: TxnId, records: &[RecordId], scratch: &MetricsScratch) -> bool {
         if let [single] = records {
             return self.drop_shard_requests(txn, self.shard_index(*single), [*single], scratch);
         }
         let mut keyed: Vec<(usize, RecordId)> =
             records.iter().map(|r| (self.shard_index(*r), *r)).collect();
         keyed.sort_unstable();
+        let mut waited_on = false;
         for chunk in keyed.chunk_by(|a, b| a.0 == b.0) {
-            self.drop_shard_requests(txn, chunk[0].0, chunk.iter().map(|(_, r)| *r), scratch);
+            let records = chunk.iter().map(|(_, r)| *r);
+            waited_on |= self.drop_shard_requests(txn, chunk[0].0, records, scratch);
         }
+        waited_on
     }
 
     /// Removes `txn`'s requests on the given records of one shard under a
     /// single shard-lock acquisition, firing the grants after the guard
-    /// drops.
+    /// drops.  Returns whether a request still waits on one of them.
     fn drop_shard_requests(
         &self,
         txn: TxnId,
         shard_idx: usize,
         records: impl IntoIterator<Item = RecordId>,
         scratch: &MetricsScratch,
-    ) {
-        let mut woken = Vec::new();
+    ) -> bool {
+        let (mut woken, mut waited_on) = (Vec::new(), false);
         {
             let mut shard = self.shards[shard_idx].lock();
             let _scope = GuardScope::enter();
@@ -443,12 +446,14 @@ impl<L: Layout> RecordLockTable<L> {
                 L::visit_queue(&mut shard, record, |queue| {
                     queue.remove_requests_of(txn);
                     queue.grant_from_front(&self.graph, scratch, &mut woken);
+                    waited_on |= queue.waiter_count() > 0;
                 });
             }
         }
         for event in woken {
             event.set();
         }
+        waited_on
     }
 
     /// [`RecordLockTable::release_all_in`] counting into the table's metrics.
@@ -459,14 +464,16 @@ impl<L: Layout> RecordLockTable<L> {
     /// Releases every lock `txn` holds (and abandons any waits), granting
     /// whatever unblocks.  Called at commit and rollback.  Walks only the
     /// transaction's own registry shard and the lock-table shards it
-    /// touched, each taken once.  Release-path counters go to `scratch`
-    /// (the engine passes the transaction's).
+    /// touched, each taken once, and the graph only if a request still waits
+    /// on one of its records.  Counters go to `scratch` (the transaction's).
     pub fn release_all_in(&self, txn: TxnId, scratch: &MetricsScratch) {
         if let Some(locks) = self.registry.take_all_in(txn, scratch) {
-            self.drop_requests(txn, &locks.records, scratch);
+            let waited_on = self.drop_requests(txn, &locks.records, scratch);
             self.layout.release_tables(txn, &locks.tables);
+            if waited_on && self.detects() {
+                self.graph.remove_txn(txn);
+            }
         }
-        self.graph.remove_txn(txn);
     }
 
     /// Number of requests waiting on `record` — the paper's
@@ -688,6 +695,23 @@ mod tests {
         timeout_policy_never_reports_deadlock,
         timed_out_upgrade_keeps_its_granted_lock,
     );
+
+    /// A release takes its registry shard and its record's lock-table shard,
+    /// no graph shard, while an unrelated transaction waits (debug builds).
+    #[cfg(debug_assertions)]
+    #[test]
+    fn a_release_takes_no_graph_shard_while_another_transaction_waits() {
+        let t = table::<PageLayout>(DeadlockPolicy::Detect, 5_000);
+        t.lock_record(TxnId(1), R1, X).unwrap();
+        let waiter = lock_async(&t, 2, R1, X);
+        t.lock_record(TxnId(3), R2, X).unwrap();
+        let before = parking_lot::thread_acquisitions();
+        t.release_all(TxnId(3));
+        let taken = parking_lot::thread_acquisitions() - before;
+        assert_eq!(taken, 2, "the registry shard and the lock shard");
+        t.release_all(TxnId(1));
+        waiter.join().unwrap().unwrap();
+    }
 
     /// Runs a seeded lock/release script over six transaction slots and
     /// three records (two sharing a page) and returns the grant log: holders

@@ -500,7 +500,6 @@ mod tests {
     #[test]
     fn waiter_deque_is_lazy_and_freed_when_drained() {
         let (metrics, scratch) = (EngineMetrics::new(), MetricsScratch::new());
-        let graph = WaitForGraph::new();
         let mut q = RecordQueue::default();
         q.try_acquire(TxnId(1), LockMode::Exclusive, POLICY, &scratch);
         assert!(q.waiters.is_none(), "no conflict, no deque");
@@ -508,7 +507,7 @@ mod tests {
         assert!(q.waiters.is_some());
         q.remove_requests_of(TxnId(1));
         let mut woken = Vec::new();
-        q.grant_from_front(&graph, &scratch, &mut woken);
+        q.grant_from_front(&WaitForGraph::new(), &scratch, &mut woken);
         assert_eq!(woken.len(), 1);
         assert!(
             q.waiters.is_none(),
@@ -519,7 +518,6 @@ mod tests {
     #[test]
     fn granted_upgrade_replaces_holder_entry_instead_of_duplicating() {
         let (metrics, scratch) = (EngineMetrics::new(), MetricsScratch::new());
-        let graph = WaitForGraph::new();
         let mut q = RecordQueue::default();
         // T1 and T2 share the record; T1's queued upgrade is blocked by T2.
         q.try_acquire(TxnId(1), LockMode::Shared, POLICY, &scratch);
@@ -533,7 +531,7 @@ mod tests {
         // place, not append a duplicate holder.
         q.remove_requests_of(TxnId(2));
         let mut woken = Vec::new();
-        q.grant_from_front(&graph, &scratch, &mut woken);
+        q.grant_from_front(&WaitForGraph::new(), &scratch, &mut woken);
         assert_eq!(woken.len(), 1);
         assert_eq!(q.holder_ids(), vec![TxnId(1)], "exactly one holder entry");
         assert!(q.is_granted(TxnId(1), LockMode::Exclusive));
@@ -543,7 +541,6 @@ mod tests {
     #[test]
     fn grant_scan_is_fifo_and_compat_bounded() {
         let (metrics, scratch) = (EngineMetrics::new(), MetricsScratch::new());
-        let graph = WaitForGraph::new();
         let mut q = RecordQueue::default();
         q.try_acquire(TxnId(1), LockMode::Exclusive, POLICY, &scratch);
         q.enqueue_waiter(TxnId(2), LockMode::Shared, &metrics);
@@ -551,7 +548,7 @@ mod tests {
         q.enqueue_waiter(TxnId(4), LockMode::Exclusive, &metrics);
         q.remove_requests_of(TxnId(1));
         let mut woken = Vec::new();
-        q.grant_from_front(&graph, &scratch, &mut woken);
+        q.grant_from_front(&WaitForGraph::new(), &scratch, &mut woken);
         // Both Shared waiters are granted together; the Exclusive stays.
         assert_eq!(woken.len(), 2);
         assert_eq!(q.holder_ids(), vec![TxnId(2), TxnId(3)]);

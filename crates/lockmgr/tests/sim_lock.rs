@@ -329,11 +329,8 @@ fn quiesce_wakeup_is_never_lost_under_exploration() {
                 hot.run(TxnId(3));
             });
         });
-        let forced = hot.metrics.abort_causes.get("quiesce_forced");
-        assert_eq!(
-            forced, 0,
-            "seed {seed}: the leader slept through finish_update"
-        );
+        let forced = hot.metrics.quiesce_forced.get();
+        assert_eq!(forced, 0, "seed {seed}: a finish_update wake-up was lost");
         hot.assert_drained(&format!("seed {seed}"));
         report
     });

@@ -65,8 +65,7 @@ pub fn lock_table<L: Layout>(policy: DeadlockPolicy, timeout_ms: u64) -> Arc<Rec
 pub fn assert_locks_drained<L: Layout>(table: &RecordLockTable<L>) {
     let left = table.registry().total_entries();
     assert!(table.registry().is_empty(), "registry left {left} entries");
-    let graph = table.wait_for_graph();
-    assert_eq!((graph.waiting_count(), graph.edge_count()), (0, 0));
+    assert_eq!(table.wait_for_graph().waiting_count(), 0);
 }
 
 /// A model of a hot row's storage: the writers of its uncommitted versions,

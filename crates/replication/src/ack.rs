@@ -55,21 +55,6 @@ impl Default for SemiSyncConfig {
     }
 }
 
-impl SemiSyncConfig {
-    /// Sets the ack timeout.
-    pub fn with_ack_timeout(mut self, timeout: Duration) -> Self {
-        self.ack_timeout = timeout;
-        self
-    }
-
-    /// Sets the bounded ship-retry budget and backoff.
-    pub fn with_ship_retries(mut self, retries: u32, backoff: Duration) -> Self {
-        self.ship_retries = retries;
-        self.retry_backoff = backoff;
-        self
-    }
-}
-
 /// Whether commits currently wait for replica acks.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum SyncState {
@@ -228,15 +213,5 @@ mod tests {
         // A timeout leaves no waiter behind.
         tracker.wait_advance(tracker.advances(), Duration::from_millis(1));
         assert!(tracker.state.lock().waiters.is_empty());
-    }
-
-    #[test]
-    fn config_builders_apply() {
-        let config = SemiSyncConfig::default()
-            .with_ack_timeout(Duration::from_millis(2))
-            .with_ship_retries(5, Duration::from_micros(10));
-        assert_eq!(config.ack_timeout, Duration::from_millis(2));
-        assert_eq!(config.ship_retries, 5);
-        assert_eq!(config.retry_backoff, Duration::from_micros(10));
     }
 }

@@ -596,6 +596,14 @@ mod tests {
     use super::*;
     use txsql_common::{Row, TableId, TxnId};
 
+    /// The default semi-sync knobs with an ack timeout of `ms` milliseconds.
+    fn ack_timeout_ms(ms: u64) -> SemiSyncConfig {
+        SemiSyncConfig {
+            ack_timeout: Duration::from_millis(ms),
+            ..SemiSyncConfig::default()
+        }
+    }
+
     fn event(trx_no: u64, value: i64) -> BinlogTxn {
         BinlogTxn {
             txn: TxnId(trx_no),
@@ -650,7 +658,7 @@ mod tests {
                 // (A quorum of 0 is raised to 1: the commit waits for the ack.)
                 .config(SemiSyncConfig {
                     ack_quorum: 0,
-                    ..SemiSyncConfig::default().with_ack_timeout(Duration::from_millis(100))
+                    ..ack_timeout_ms(100)
                 })
                 .metrics(Arc::clone(&metrics))
                 .build();
@@ -674,7 +682,7 @@ mod tests {
         let hook =
             ReplicationHook::builder(ReplicationMode::Synchronous, LatencyModel::in_memory(), 1)
                 .faults(ReplFaultPlan::none().with_stall(None, 1, Duration::from_millis(2)))
-                .config(SemiSyncConfig::default().with_ack_timeout(Duration::from_millis(200)))
+                .config(ack_timeout_ms(200))
                 .metrics(Arc::clone(&metrics))
                 .build();
         hook.on_commit_batch(&[event(1, 10)]).unwrap();
@@ -691,7 +699,7 @@ mod tests {
         let hook =
             ReplicationHook::builder(ReplicationMode::Synchronous, LatencyModel::in_memory(), 1)
                 .faults(ReplFaultPlan::none().with_stall(None, 1, Duration::from_millis(10)))
-                .config(SemiSyncConfig::default().with_ack_timeout(Duration::from_millis(2)))
+                .config(ack_timeout_ms(2))
                 .metrics(Arc::clone(&metrics))
                 .build();
 
@@ -729,7 +737,7 @@ mod tests {
         let hook =
             ReplicationHook::builder(ReplicationMode::Synchronous, LatencyModel::in_memory(), 1)
                 .faults(ReplFaultPlan::none().with_crash(0, 1, Some(Duration::from_millis(5))))
-                .config(SemiSyncConfig::default().with_ack_timeout(Duration::from_millis(2)))
+                .config(ack_timeout_ms(2))
                 .metrics(Arc::clone(&metrics))
                 .build();
         hook.on_commit_batch(&[event(1, 10)]).unwrap();
@@ -763,7 +771,11 @@ mod tests {
         let hook =
             ReplicationHook::builder(ReplicationMode::Synchronous, LatencyModel::in_memory(), 1)
                 .faults(ReplFaultPlan::none().with_ship_errors(10))
-                .config(SemiSyncConfig::default().with_ship_retries(2, Duration::from_micros(5)))
+                .config(SemiSyncConfig {
+                    ship_retries: 2,
+                    retry_backoff: Duration::from_micros(5),
+                    ..SemiSyncConfig::default()
+                })
                 .metrics(Arc::clone(&metrics))
                 .build();
         hook.on_commit_batch(&[event(1, 10)]).unwrap();
@@ -789,7 +801,7 @@ mod tests {
                         .with_stall(None, 1, Duration::from_millis(10))
                         .with_ack_drop(0, 2),
                 )
-                .config(SemiSyncConfig::default().with_ack_timeout(Duration::from_millis(2)))
+                .config(ack_timeout_ms(2))
                 .build();
         hook.on_commit_batch(&[event(1, 10)]).unwrap();
         assert_eq!(hook.sync_state(), SyncState::Degraded);

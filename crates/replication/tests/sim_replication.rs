@@ -60,7 +60,10 @@ const PROTOCOLS: [Protocol; 3] = [
 /// Semi-sync knobs for exploration: a short ack timeout so injected stalls
 /// and crashes degrade the hook within the run.
 fn sim_semi_sync() -> SemiSyncConfig {
-    SemiSyncConfig::default().with_ack_timeout(Duration::from_millis(2))
+    SemiSyncConfig {
+        ack_timeout: Duration::from_millis(2),
+        ..SemiSyncConfig::default()
+    }
 }
 
 /// The value a replica holds for `pk` (0 when it never saw the row — bulk

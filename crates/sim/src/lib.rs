@@ -55,8 +55,8 @@
 //! The seed's randomness is thereby spent only where interleavings differ,
 //! so a fixed seed budget reaches more distinct *schedule classes* (the
 //! [`ScheduleCoverage::schedule_class`] hash over contended decisions).
-//! `TXSQL_SIM_EXPLORER=random` (or [`Sim::set_explorer`]) restores the pure
-//! random explorer for A/B comparison; [`explore_collect`] returns an
+//! [`Sim::set_explorer`] restores the pure random explorer for A/B
+//! comparison; [`explore_collect`] returns an
 //! [`ExploreSummary`] whose `line(suite)` emits the `sim-coverage:` lines CI
 //! pins.
 //!

@@ -143,12 +143,13 @@ fn conflicts(a: Resource, b: Option<Resource>) -> bool {
 }
 
 /// Which schedule explorer drives the run.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub enum Explorer {
     /// Pure random picks at every yield point (the pre-v2 behaviour).
     Random,
     /// Partial-order reduction: commuting switches are skipped, random picks
     /// are restricted to threads whose next step conflicts (default).
+    #[default]
     Por,
 }
 
@@ -827,7 +828,7 @@ pub fn key_of<T: ?Sized>(t: &T) -> usize {
 #[derive(Default)]
 pub struct Sim {
     threads: Vec<(String, Box<dyn FnOnce() + Send>)>,
-    explorer: Option<Explorer>,
+    explorer: Explorer,
 }
 
 impl Sim {
@@ -837,17 +838,9 @@ impl Sim {
         self.threads.push((name.into(), Box::new(f)));
     }
 
-    /// Overrides the explorer for this run (default: `TXSQL_SIM_EXPLORER`
-    /// env, falling back to [`Explorer::Por`]).
+    /// Overrides the explorer for this run (default: [`Explorer::Por`]).
     pub fn set_explorer(&mut self, explorer: Explorer) {
-        self.explorer = Some(explorer);
-    }
-}
-
-fn explorer_from_env() -> Explorer {
-    match std::env::var("TXSQL_SIM_EXPLORER").as_deref() {
-        Ok("random") => Explorer::Random,
-        _ => Explorer::Por,
+        self.explorer = explorer;
     }
 }
 
@@ -873,10 +866,9 @@ pub struct RunReport {
 fn run_inner(seed: u64, replay: Option<Vec<u32>>, build: &dyn Fn(&mut Sim)) -> RunReport {
     let mut sim = Sim::default();
     build(&mut sim);
-    let explorer = sim.explorer.unwrap_or_else(explorer_from_env);
     let names: Vec<String> = sim.threads.iter().map(|(n, _)| n.clone()).collect();
     let n = names.len();
-    let sched = Scheduler::new(names, seed, replay, explorer);
+    let sched = Scheduler::new(names, seed, replay, sim.explorer);
 
     ACTIVE_SIMS.fetch_add(1, Ordering::SeqCst);
     let mut handles = Vec::with_capacity(n);

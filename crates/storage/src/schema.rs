@@ -42,14 +42,6 @@ impl TableSchema {
         }
     }
 
-    /// Overrides the number of rows per page (used by tests that want to force
-    /// many or few rows to share a lock-manager shard).
-    pub fn with_rows_per_page(mut self, rows_per_page: u16) -> Self {
-        assert!(rows_per_page > 0, "rows_per_page must be positive");
-        self.rows_per_page = rows_per_page;
-        self
-    }
-
     /// The tablespace id used in record identifiers for this table.
     pub fn space_id(&self) -> u32 {
         self.id.0
@@ -69,20 +61,8 @@ mod tests {
     }
 
     #[test]
-    fn rows_per_page_override() {
-        let s = TableSchema::new(TableId(1), "t", 2).with_rows_per_page(1);
-        assert_eq!(s.rows_per_page, 1);
-    }
-
-    #[test]
     #[should_panic(expected = "at least the primary key")]
     fn zero_columns_rejected() {
         let _ = TableSchema::new(TableId(1), "t", 0);
-    }
-
-    #[test]
-    #[should_panic(expected = "must be positive")]
-    fn zero_rows_per_page_rejected() {
-        let _ = TableSchema::new(TableId(1), "t", 1).with_rows_per_page(0);
     }
 }

@@ -138,11 +138,6 @@ impl Table {
         rows.sort_unstable_by_key(|(k, _)| *k);
         rows
     }
-
-    /// Number of allocated pages.
-    pub fn page_count(&self) -> usize {
-        self.pages.len()
-    }
 }
 
 #[cfg(test)]
@@ -153,7 +148,10 @@ mod tests {
     use txsql_common::TableId;
 
     fn small_table() -> Table {
-        Table::new(TableSchema::new(TableId(1), "t", 2).with_rows_per_page(2))
+        Table::new(TableSchema {
+            rows_per_page: 2,
+            ..TableSchema::new(TableId(1), "t", 2)
+        })
     }
 
     #[test]
@@ -180,7 +178,7 @@ mod tests {
         for pk in 0..5 {
             t.insert_committed(Row::from_ints(&[pk, pk])).unwrap();
         }
-        assert_eq!(t.page_count(), 3);
+        assert_eq!(t.pages.len(), 3);
         // Records keep the (space, page, heap) addressing.
         let rid = t.lookup_pk(4).unwrap();
         assert_eq!(rid.space_id, 1);
@@ -295,7 +293,7 @@ mod tests {
             }
             // What was never allocated is unknown — the rest of the newest
             // page, pages nobody appended — and never a half-built slot.
-            let pages = self.table.page_count() as PageNo;
+            let pages = self.table.pages.len() as PageNo;
             for (page_no, heap_no) in [(pages.saturating_sub(1), 1), (pages + 1_000, 0)] {
                 match self.table.slot(RecordId::new(1, page_no, heap_no)) {
                     Ok(slot) => assert!(slot.read().latest().is_some()),
@@ -320,7 +318,7 @@ mod tests {
         });
         assert!(churn.check());
         assert_eq!(churn.table.row_count(), 1_500);
-        assert_eq!(churn.table.page_count(), 1_500);
+        assert_eq!(churn.table.pages.len(), 1_500);
     }
 
     #[test]
