@@ -1,15 +1,14 @@
-//! The workload-grid experiment harness: the one program that runs, prints
-//! and records the paper's figures and the recorded grid.
+//! The workload-grid experiment harness: the one program that runs, prints,
+//! records and scores the paper's figures.
 //!
 //! ```text
-//! bench_workloads                     # run the paper grid, print only
+//! bench_workloads                     # run every figure, print only
 //! bench_workloads --fig 6             # run Figure 6's panels (2 6 7 8 9 10 11 12 13, or `all`)
 //! bench_workloads --fig all --list    # print the cell ids a selection runs, run nothing
 //! bench_workloads --smoke             # run the small CI grid
 //! bench_workloads --smoke --fig 6     # a figure at the smoke table size
-//! bench_workloads --record paper      # run the paper grid, write block `paper`
-//! bench_workloads --smoke --record smoke --out target/smoke.json
-//! bench_workloads --check BENCH_workloads.json   # validate an existing file
+//! bench_workloads --record BENCH_workloads.json   # run every figure, write the file
+//! bench_workloads --check BENCH_workloads.json    # match a file's cells, print its scoreboard
 //! bench_workloads --seed 7            # override the base RNG seed
 //! ```
 //!
@@ -21,30 +20,25 @@ use serde::Json;
 use std::path::PathBuf;
 use txsql_bench::fmt;
 use txsql_bench::harness::{
-    block_json, figure, merge_block, paper_grid, record, render_json, smoke_grid, Provenance,
-    REPEATS, SMOKE_ROWS,
+    block_json, check, render_json, selection, CellOutcome, CellSpec, Provenance, REPEATS,
+    SMOKE_ROWS,
 };
 use txsql_core::Protocol;
 
+#[derive(Default)]
 struct Args {
     smoke: bool,
     fig: Option<String>,
     list: bool,
-    record: Option<String>,
-    out: PathBuf,
+    record: Option<PathBuf>,
     check: Option<PathBuf>,
     seed: u64,
 }
 
 fn parse_args() -> Result<Args, String> {
     let mut args = Args {
-        smoke: false,
-        fig: None,
-        list: false,
-        record: None,
-        out: PathBuf::from("BENCH_workloads.json"),
-        check: None,
         seed: 42,
+        ..Args::default()
     };
     let mut iter = std::env::args().skip(1);
     while let Some(arg) = iter.next() {
@@ -53,23 +47,14 @@ fn parse_args() -> Result<Args, String> {
             "--list" => args.list = true,
             "--fig" => args.fig = Some(iter.next().ok_or("--fig needs a figure id or `all`")?),
             "--record" => {
-                args.record = Some(
-                    iter.next()
-                        .ok_or("--record needs a block key (e.g. paper)")?,
-                );
-            }
-            "--out" => {
-                args.out = PathBuf::from(iter.next().ok_or("--out needs a path")?);
+                args.record = Some(PathBuf::from(iter.next().ok_or("--record needs a path")?));
             }
             "--check" => {
                 args.check = Some(PathBuf::from(iter.next().ok_or("--check needs a path")?));
             }
             "--seed" => {
-                args.seed = iter
-                    .next()
-                    .ok_or("--seed needs a value")?
-                    .parse()
-                    .map_err(|_| "--seed needs an integer")?;
+                let seed = iter.next().and_then(|seed| seed.parse().ok());
+                args.seed = seed.ok_or("--seed needs an integer")?;
             }
             other => return Err(format!("unknown argument `{other}`")),
         }
@@ -88,28 +73,26 @@ fn main() {
     if let Some(path) = &args.check {
         let text = std::fs::read_to_string(path)
             .unwrap_or_else(|err| fail(1, format!("cannot read {}: {err}", path.display())));
-        match record::validate_file(&text) {
-            Ok(cells) => println!("{}: schema ok ({cells} cells)", path.display()),
+        let block = serde_json::parse(&text)
+            .unwrap_or_else(|err| fail(1, format!("{}: {err}", path.display())));
+        match check(&block) {
+            Ok(board) => board.print(),
             Err(err) => fail(1, format!("{}: {err}", path.display())),
         }
         return;
     }
 
-    let grid = match &args.fig {
-        Some(id) => {
-            let grid = figure(id).unwrap_or_else(|| fail(2, format!("no figure `{id}`")));
-            grid.map_cells(|cell| {
-                let cell = cell.seed(args.seed);
-                if args.smoke {
-                    cell.rows(SMOKE_ROWS)
-                } else {
-                    cell
-                }
-            })
-        }
-        None if args.smoke => smoke_grid(args.seed),
-        None => paper_grid(args.seed),
+    let name = match &args.fig {
+        Some(id) => format!("fig{id}"),
+        None if args.smoke => "smoke".to_string(),
+        None => "figall".to_string(),
     };
+    let grid = selection(&name).unwrap_or_else(|| fail(2, format!("no selection `{name}`")));
+    let rows = |cell: CellSpec| match args.smoke {
+        true => cell.rows(SMOKE_ROWS),
+        false => cell,
+    };
+    let grid = grid.map_cells(|cell| rows(cell.seed(args.seed)));
     if args.list {
         for cell in grid.cells() {
             println!("{}", cell.id());
@@ -130,7 +113,8 @@ fn main() {
         provenance.nproc,
     );
 
-    let outcomes = grid.run(|outcome| {
+    let run = |cell: &CellSpec| {
+        let outcome = cell.run();
         let mut line = format!(
             "cell {:<55} goodput={:>9} tps (iqr {})  aborts={:>6.2}%  p95={} ms ",
             outcome.id(),
@@ -147,7 +131,9 @@ fn main() {
             line.push_str(&format!(" {key}={value}"));
         }
         println!("{line}");
-    });
+        outcome
+    };
+    let outcomes: Vec<CellOutcome> = grid.cells().iter().map(run).collect();
     grid.print(&outcomes);
 
     // §6.4.5-style check on every TPC-C cell: warehouse YTD == sum of its
@@ -165,14 +151,14 @@ fn main() {
     }
 
     let block = block_json(&outcomes, &provenance);
-    match record::validate_block(&block) {
-        Ok(cells) => println!("block schema: ok ({cells} cells)"),
-        Err(err) => fail(1, format!("emitted block failed validation: {err}")),
-    }
-    if let Some(key) = &args.record {
-        if let Err(err) = merge_block(&args.out, key, &block) {
-            fail(1, format!("cannot record to {}: {err}", args.out.display()));
+    let board =
+        check(&block).unwrap_or_else(|err| fail(1, format!("emitted block failed --check: {err}")));
+    println!("block schema: ok ({} cells)", outcomes.len());
+    board.print();
+    if let Some(path) = &args.record {
+        if let Err(err) = std::fs::write(path, render_json(&block) + "\n") {
+            fail(1, format!("cannot record to {}: {err}", path.display()));
         }
-        println!("recorded block `{key}` to {}", args.out.display());
+        println!("recorded {}", path.display());
     }
 }

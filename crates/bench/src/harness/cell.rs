@@ -10,7 +10,7 @@ use txsql_core::{ConfigDelta, Database, EngineConfig, Protocol};
 use txsql_replication::{ReplFaultPlan, ReplicationHook, ReplicationMode, SyncState};
 use txsql_workloads::{
     run_closed_loop, run_fixed_tps_report, BuiltWorkload, ClosedLoopOptions, FixedTpsOptions,
-    SecondSample, WorkloadSpec,
+    WorkloadSpec,
 };
 
 /// Fresh-database repeats behind every cell.  A constant of the grid, as in
@@ -128,7 +128,7 @@ impl CellSpec {
         self
     }
 
-    /// A stable cell id: `workload/protocol/tN[/delta...][/repl-...]`.
+    /// A stable cell id: `workload/protocol/tN[/delta...][/repl-...][/latency]`.
     pub fn id(&self) -> String {
         let protocol = self.protocol.label().to_lowercase();
         format!(
@@ -154,6 +154,13 @@ impl CellSpec {
         if let Some(plan) = &self.replication_fault {
             settings.push_str("/rplfault-");
             settings.push_str(plan.label());
+        }
+        if let Some(model) = &self.latency {
+            let (fsync, rtt) = (model.fsync, model.network_round_trip());
+            settings += &format!("/fsync={}us/rtt={}us", fsync.as_micros(), rtt.as_micros());
+            if !model.statement_overhead.is_zero() {
+                settings += &format!("/stmt={}us", model.statement_overhead.as_micros());
+            }
         }
         settings
     }
@@ -214,7 +221,6 @@ impl CellSpec {
                     committed: snapshot.committed,
                     failed: snapshot.aborted,
                     snapshot: Some(snapshot),
-                    seconds: None,
                     tpcc_consistent: None,
                     extras: Vec::new(),
                 }
@@ -232,6 +238,8 @@ impl CellSpec {
                 let total = trace.total_seconds();
                 let pre_end = trace.phases().first().map_or(0, |p| p.seconds);
                 let post_start = total - trace.phases().last().map_or(0, |p| p.seconds);
+                let pre = report.goodput_tps_in(0..pre_end);
+                let post = report.goodput_tps_in(post_start..total);
                 let extras = vec![
                     ("admission_shed", Json::U64(report.total_shed())),
                     ("admission_queued", Json::U64(report.total_queued())),
@@ -239,14 +247,8 @@ impl CellSpec {
                         "retry_budget_exhausted",
                         Json::U64(report.total_budget_exhausted()),
                     ),
-                    (
-                        "pre_burst_goodput_tps",
-                        Json::F64(report.goodput_tps_in(0..pre_end)),
-                    ),
-                    (
-                        "post_burst_goodput_tps",
-                        Json::F64(report.goodput_tps_in(post_start..total)),
-                    ),
+                    ("pre_burst_goodput_tps", Json::F64(pre)),
+                    ("post_burst_goodput_tps", Json::F64(post)),
                 ];
                 CellOutcome {
                     spec: self.clone(),
@@ -259,7 +261,6 @@ impl CellSpec {
                     committed: report.total_committed(),
                     failed: report.total_failed(),
                     snapshot: None,
-                    seconds: Some(report.samples),
                     tpcc_consistent: None,
                     extras,
                 }
@@ -314,10 +315,8 @@ pub struct CellOutcome {
     /// Aborted (closed loop) or failed/late (open loop) transactions.
     pub failed: u64,
     /// Full engine snapshot — closed-loop cells only (the open-loop driver
-    /// resets engine metrics every second for its per-second panels).
+    /// resets engine metrics every second).
     pub snapshot: Option<MetricsSnapshot>,
-    /// Per-second samples — open-loop cells only.
-    pub seconds: Option<Vec<SecondSample>>,
     /// TPC-C warehouse/district YTD consistency — TPC-C cells only.
     pub tpcc_consistent: Option<bool>,
     /// What only some cells measure, under the keys it is recorded by.
@@ -373,6 +372,22 @@ mod tests {
 
         let plain = CellSpec::new(Protocol::Mysql2pl, WorkloadSpec::Tpcc { warehouses: 2 });
         assert_eq!(plain.id(), "tpcc-w2/mysql/t8");
+
+        // Two specs that differ in one thing only have two ids.
+        let trace = |phase_seconds| WorkloadSpec::Hotspots {
+            base_tps: 300,
+            phase_seconds,
+        };
+        let [short, long] = [1, 5].map(|s| CellSpec::new(Protocol::QueueLockingO2, trace(s)).id());
+        assert_eq!(short, "hotspots-tps300-phase1s/o2/t8");
+        assert_ne!(short, long);
+        let rtt = |one_way| LatencyModel {
+            network_one_way: std::time::Duration::from_micros(one_way),
+            ..LatencyModel::semi_sync_replication()
+        };
+        let [near, far] = [50, 1_500].map(|us| plain.clone().latency(rtt(us)).id());
+        assert_eq!(near, "tpcc-w2/mysql/t8/fsync=100us/rtt=100us");
+        assert_ne!(near, far);
     }
 
     #[test]

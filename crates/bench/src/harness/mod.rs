@@ -1,23 +1,16 @@
-//! The experiment-harness subsystem: declarative grids of benchmark cells.
+//! The experiment-harness subsystem: the paper's evidence as data.
 //!
-//! The paper's evidence is a grid of *cells* — one (protocol, workload,
-//! thread count, configuration, replication) point each, measured with the
-//! closed-loop or fixed-TPS driver.  This module makes that grid data
-//! instead of code:
+//! * [`cell`] — [`CellSpec`], one (protocol, workload, threads,
+//!   configuration, replication) point, and its measured [`CellOutcome`];
+//! * [`figures`] — the paper's figures as [`Panel`]s of cells, with the
+//!   paper's [`Claim`]s about each, and [`GridSpec`], which runs, prints and
+//!   scores them;
+//! * [`grid`] — the selections a record can name: a figure, `all` of them,
+//!   or the CI [`smoke_grid`];
+//! * [`record`] — the JSON record of a run and `--check`.
 //!
-//! * [`cell`] — [`CellSpec`] (one declarative cell) and [`CellOutcome`]
-//!   (goodput, abort rate, p50/p95/p99, metrics snapshot, per-second
-//!   samples for open-loop cells);
-//! * [`figures`] — the paper's figures as [`Panel`] declarations (row axis ×
-//!   column axis → cell and shown field) and [`GridSpec`], the one runner and
-//!   table printer over them;
-//! * [`grid`] — the two recorded selections: [`paper_grid`] and the CI
-//!   [`smoke_grid`];
-//! * [`record`] — JSON rendering of outcomes, block provenance and the
-//!   `BENCH_workloads.json` checks.
-//!
-//! `bench_workloads` is the one entry point: `--fig N` runs a figure, no
-//! selection runs the paper grid, `--record` writes what ran.
+//! `bench_workloads` is the one entry point: every run and every `--check`
+//! ends in the scoreboard of the selection's claims.
 
 pub mod cell;
 pub mod figures;
@@ -25,6 +18,6 @@ pub mod grid;
 pub mod record;
 
 pub use cell::{CellOutcome, CellSpec, REPEATS};
-pub use figures::{figure, GridSpec, Panel};
-pub use grid::{paper_grid, smoke_grid, SMOKE_ROWS};
-pub use record::{block_json, cell_json, merge_block, render_json, validate_block, Provenance};
+pub use figures::{figure, Claim, GridSpec, Panel, Scoreboard};
+pub use grid::{selection, smoke_grid, SMOKE_ROWS};
+pub use record::{block_json, cell_json, check, render_json, Provenance};

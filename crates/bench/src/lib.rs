@@ -1,16 +1,14 @@
 //! # txsql-bench
 //!
 //! The paper's evaluation as data, and the two programs over it (in
-//! `src/bin/`): `bench_workloads` runs, prints and records every figure and
-//! the recorded grid, `exp_recovery` the §6.4.6 restart experiment.
-//! Per-layer micro-measurements are the `probe.*` metrics of the gated
-//! benchmark in `benchmark/`.
+//! `src/bin/`): `bench_workloads` runs, prints, records and scores every
+//! figure, `exp_recovery` the §6.4.6 restart experiment.  Per-layer
+//! micro-measurements are the `probe.*` metrics of the gated benchmark in
+//! `benchmark/`.
 //!
-//! Every figure prints as whitespace-aligned tables with one series per
-//! protocol, mirroring the corresponding figure of the paper.  Absolute
-//! numbers are laptop-scale (this engine is an in-memory reproduction, not
-//! the paper's 80-core testbed); what is expected to match is the *shape*:
-//! which protocol wins, by roughly what factor, and where the crossovers are.
+//! Absolute numbers are laptop-scale (this engine is an in-memory
+//! reproduction, not the paper's 80-core testbed); what is expected to match
+//! is the *shape*, which the [`harness`] declares as claims per figure.
 //!
 //! Scaling knobs (environment variables):
 //!
@@ -18,10 +16,6 @@
 //!   longer measurement windows; default is a quick laptop-scale ladder.
 //! * `TXSQL_BENCH_SECONDS` — measurement window per cell in seconds
 //!   (fractional values allowed; default 0.4, or 2.0 with `TXSQL_BENCH_FULL`).
-//!
-//! The [`harness`] module is the experiment-harness subsystem: declarative
-//! cells, the figures as panels over them, the one runner and table printer,
-//! and the `BENCH_workloads.json` record.
 
 #![warn(missing_docs)]
 #![deny(unsafe_code)]
@@ -29,9 +23,6 @@
 pub mod harness;
 
 use std::time::Duration;
-use txsql_common::latency::LatencyModel;
-use txsql_core::{Database, EngineConfig, Protocol};
-use txsql_workloads::ClosedLoopOptions;
 
 /// True when the full (paper-scale) configuration was requested.
 pub fn full_scale() -> bool {
@@ -71,22 +62,6 @@ pub fn measure_duration() -> Duration {
 /// Warm-up window per benchmark cell.
 pub fn warmup_duration() -> Duration {
     Duration::from_secs_f64(measure_duration().as_secs_f64() * 0.25)
-}
-
-/// Closed-loop options for `threads` clients with the configured windows.
-pub fn closed_loop(threads: usize) -> ClosedLoopOptions {
-    ClosedLoopOptions::default()
-        .with_threads(threads)
-        .with_durations(warmup_duration(), measure_duration())
-}
-
-/// Builds a database for `protocol` with an optional latency model override.
-pub fn build_db(protocol: Protocol, latency: Option<LatencyModel>) -> Database {
-    let mut config = EngineConfig::for_protocol(protocol);
-    if let Some(latency) = latency {
-        config = config.with_latency(latency);
-    }
-    Database::new(config)
 }
 
 /// Prints a titled, whitespace-aligned table.
@@ -154,13 +129,5 @@ mod tests {
         assert_eq!(fmt(12_345.6), "12346");
         assert_eq!(fmt(12.34), "12.3");
         assert_eq!(fmt(0.5), "0.500");
-    }
-
-    #[test]
-    fn build_db_applies_protocol() {
-        let db = build_db(Protocol::Bamboo, Some(LatencyModel::local_ssd()));
-        assert_eq!(db.protocol(), Protocol::Bamboo);
-        assert_eq!(db.config().latency, LatencyModel::local_ssd());
-        db.shutdown();
     }
 }

@@ -144,8 +144,14 @@ impl WorkloadSpec {
             } => format!("{}-inject{inject_pct}pct", variant_label(variant)),
             WorkloadSpec::Fit { .. } => "fit".to_string(),
             WorkloadSpec::Tpcc { warehouses } => format!("tpcc-w{warehouses}"),
-            WorkloadSpec::Hotspots { base_tps, .. } => format!("hotspots-tps{base_tps}"),
-            WorkloadSpec::HotspotBurst { base_tps, .. } => format!("hotspot-burst-tps{base_tps}"),
+            WorkloadSpec::Hotspots {
+                base_tps,
+                phase_seconds,
+            } => format!("hotspots-tps{base_tps}-phase{phase_seconds}s"),
+            WorkloadSpec::HotspotBurst {
+                base_tps,
+                phase_seconds,
+            } => format!("hotspot-burst-tps{base_tps}-phase{phase_seconds}s"),
         }
     }
 
@@ -250,8 +256,8 @@ mod tests {
         assert_eq!(labels[1], "sysbench-hotspot-update-inject2pct");
         assert_eq!(labels[2], "fit");
         assert_eq!(labels[3], "tpcc-w4");
-        assert_eq!(labels[4], "hotspots-tps100");
-        assert_eq!(labels[5], "hotspot-burst-tps100");
+        assert_eq!(labels[4], "hotspots-tps100-phase1s");
+        assert_eq!(labels[5], "hotspot-burst-tps100-phase1s");
         let mut dedup = labels.clone();
         dedup.sort();
         dedup.dedup();
