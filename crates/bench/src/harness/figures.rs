@@ -7,7 +7,7 @@
 //! views of the same twelve cells), so [`GridSpec::cells`] is what runs and
 //! [`GridSpec::print`] is the only table loop in the crate.
 //!
-//! A panel also carries the paper's [`Claim`]s about it, and
+//! A panel also carries the paper's claims about it, and
 //! [`GridSpec::score`] checks them against a recorded block: this file is the
 //! one place the reproduction's cells and its verdict are declared.  A claim
 //! names columns (*arms*) by their labels and reads one recorded cell key,
@@ -96,7 +96,7 @@ pub fn fields(fields: &[Show]) -> Axis<Show> {
 
 /// What a [`Form`] follows down a panel's rows.
 #[derive(Debug, Clone, Copy)]
-pub enum Series {
+pub(crate) enum Series {
     /// The column with this label.
     Arm(&'static str),
     /// The first column's value over the second's.
@@ -105,7 +105,7 @@ pub enum Series {
 
 /// The five forms of a [`Claim`]; arms are column labels.
 #[derive(Debug, Clone, Copy)]
-pub enum Form {
+pub(crate) enum Form {
     /// In every row, each arm is above the one before it.
     Ordered(&'static [&'static str]),
     /// In every row, the first arm is not below the second.
@@ -123,7 +123,7 @@ pub enum Form {
 /// One thing the paper says about a panel: a [`Form`], the recorded cell
 /// key it reads, and whether it is checked at every row or the last only.
 #[derive(Debug, Clone, Copy)]
-pub struct Claim {
+pub(crate) struct Claim {
     form: Form,
     key: &'static str,
     top: bool,
@@ -140,12 +140,12 @@ impl From<Form> for Claim {
 
 impl Claim {
     /// Reads the recorded cell key `key` instead of `goodput_tps`.
-    pub fn on(self, key: &'static str) -> Self {
+    pub(crate) fn on(self, key: &'static str) -> Self {
         Self { key, ..self }
     }
 
     /// Checks the panel's last row only (the top rung of a ladder).
-    pub fn at_top(self) -> Self {
+    pub(crate) fn at_top(self) -> Self {
         Self { top: true, ..self }
     }
 }
@@ -217,7 +217,7 @@ pub struct Panel {
     /// Row label and, per column, the cell measured and the field shown.
     pub rows: Vec<(String, Vec<(CellSpec, Show)>)>,
     /// The claims [`GridSpec::score`] checks.
-    pub claims: Vec<Claim>,
+    pub(crate) claims: Vec<Claim>,
 }
 
 impl Panel {
@@ -268,7 +268,7 @@ impl Panel {
     }
 
     /// Declares what the paper claims about the panel.
-    pub fn claims(mut self, claims: impl IntoIterator<Item = Claim>) -> Self {
+    pub(crate) fn claims(mut self, claims: impl IntoIterator<Item = Claim>) -> Self {
         self.claims = claims.into_iter().collect();
         self
     }
@@ -336,8 +336,8 @@ impl Panel {
                 let path: Vec<Reading> = table.iter().map(follow).collect();
                 let (first, last) = (&path[0], &path[path.len() - 1]);
                 match path.windows(2).find(|step| ahead(&step[1], &step[0])) {
-                    Some(step) => Some(format!("{} then {}", step[0], step[1])),
-                    None => (!ahead(first, last)).then(|| format!("{first} to {last}")),
+                    Some(step) => Some(format!("steps back: {} then {}", step[0], step[1])),
+                    None => (!ahead(first, last)).then(|| format!("ends level: {first}, {last}")),
                 }
             }
             Discriminates => {
@@ -358,9 +358,12 @@ impl Panel {
                 (!high.above(&low)).then(|| format!("{high} is not above {low}"))
             }
             Stable => {
-                let cells = table.iter().flatten().count();
-                let wide = |r: &&Reading| 4.0 * (r.hi - r.mid) >= r.mid;
-                let bimodal: Vec<&Reading> = table.iter().flatten().filter(wide).collect();
+                let mut seen = HashSet::new();
+                let once = table.iter().flatten().filter(|r| seen.insert(&r.of));
+                let readings: Vec<&Reading> = once.collect();
+                let cells = readings.len();
+                let wide = |r: &&&Reading| 4.0 * (r.hi - r.mid) >= r.mid;
+                let bimodal: Vec<&&Reading> = readings.iter().filter(wide).collect();
                 bimodal.first().map(|first| {
                     let (iqr, count) = (fmt(first.hi - first.mid), bimodal.len());
                     format!("{first} has iqr {iqr} ({count} of {cells} cells)")
@@ -638,12 +641,12 @@ fn fig08_scalability() -> Vec<Panel> {
 fn fig09_replication() -> Vec<Panel> {
     let fit = WorkloadSpec::fit_standard();
     let sync = ReplicationMode::Synchronous;
-    let leads = [AtLeast("TXSQL", "MySQL"), AtLeast("TXSQL", "Aria")];
-    let leads = [leads[0], leads[1], AtLeast("TXSQL", "Bamboo"), Stable].map(Claim::from);
+    let leads = ["MySQL", "Aria", "Bamboo"].map(|other| AtLeast("TXSQL", other));
+    let leads: Vec<Claim> = leads.into_iter().chain([Stable]).map(Claim::from).collect();
     let panel = |(tag, mode): (&str, ReplicationMode)| {
         let cell = |p| CellSpec::new(p, fit).replication(mode);
         let ladder = short_thread_ladder();
-        Panel::by_threads(tag, &ladder, &Protocol::SYSTEMS, TPS, cell).claims(leads)
+        Panel::by_threads(tag, &ladder, &Protocol::SYSTEMS, TPS, cell).claims(leads.clone())
     };
     let modes = [
         ("Figure 9a", sync),

@@ -3,7 +3,7 @@
 //! * [`cell`] — [`CellSpec`], one (protocol, workload, threads,
 //!   configuration, replication) point, and its measured [`CellOutcome`];
 //! * [`figures`] — the paper's figures as [`Panel`]s of cells, with the
-//!   paper's [`Claim`]s about each, and [`GridSpec`], which runs, prints and
+//!   paper's claims about each, and [`GridSpec`], which runs, prints and
 //!   scores them;
 //! * [`grid`] — the selections a record can name: a figure, `all` of them,
 //!   or the CI [`smoke_grid`];
@@ -18,6 +18,6 @@ pub mod grid;
 pub mod record;
 
 pub use cell::{CellOutcome, CellSpec, REPEATS};
-pub use figures::{figure, Claim, GridSpec, Panel, Scoreboard};
+pub use figures::{figure, GridSpec, Panel, Scoreboard};
 pub use grid::{selection, smoke_grid, SMOKE_ROWS};
-pub use record::{block_json, cell_json, check, render_json, Provenance};
+pub use record::{block_json, check, render_json, Provenance};
