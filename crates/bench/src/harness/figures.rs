@@ -733,8 +733,8 @@ fn fig10_abort_skew() -> Vec<Panel> {
 /// Figure 11 — the hotspot burst: TXSQL on an open-loop trace whose middle
 /// phase sends nearly every transaction to the hot row at eight times the
 /// base rate, without and with the front door's hot-key queues.  (The
-/// figure's five-phase online trace peaks at 1,800 tps, below every arm's
-/// capacity, so its arms could not differ and its panels went.)
+/// figure's five-phase online trace is not declared: at this scale it peaks
+/// at 1,800 tps, below every arm's capacity, so its arms cannot differ.)
 fn fig11_admission() -> Vec<Panel> {
     let burst = WorkloadSpec::HotspotBurst {
         base_tps: 300,
