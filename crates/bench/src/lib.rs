@@ -130,4 +130,12 @@ mod tests {
         assert_eq!(fmt(12.34), "12.3");
         assert_eq!(fmt(0.5), "0.500");
     }
+
+    #[test]
+    fn build_db_applies_protocol() {
+        let db = build_db(Protocol::Bamboo, Some(LatencyModel::local_ssd()));
+        assert_eq!(db.protocol(), Protocol::Bamboo);
+        assert_eq!(db.config().latency, LatencyModel::local_ssd());
+        db.shutdown();
+    }
 }
