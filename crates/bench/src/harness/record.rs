@@ -3,7 +3,7 @@
 //!
 //! A record file is one block: a `description`, an `environment` note, the
 //! provenance — the selection it ran and everything its numbers depend on:
-//! commit, CPU count, seed, window lengths, repeat count — and an array of
+//! commit, CPU count, seed, window lengths, repeat count, scale — and an array of
 //! measured cells, each a median with its spread.  A new run re-records the
 //! whole file (git keeps what it replaced).  The scoreboard is not stored:
 //! `--check` derives it from the cells and the selection's declared claims.
@@ -11,7 +11,7 @@
 use super::cell::{CellOutcome, REPEATS};
 use super::figures::Scoreboard;
 use super::grid::selection;
-use crate::{measure_duration, warmup_duration};
+use crate::{full_scale, measure_duration, warmup_duration};
 use serde::{Json, Serialize};
 use txsql_replication::ReplicationMode;
 
@@ -33,11 +33,15 @@ pub struct Provenance {
     pub measure_secs: f64,
     /// Fresh-database repeats behind every cell.
     pub repeats: u64,
+    /// Recorded with `TXSQL_BENCH_FULL=1`: the paper-scale thread ladder
+    /// and Fig. 12 / 13's sizes, which decide the selection's cells.
+    pub full_scale: bool,
 }
 
 impl Provenance {
     /// The keys a recorded provenance carries.
-    const KEYS: &'static str = "grid commit nproc seed warmup_secs measure_secs repeats threads";
+    const KEYS: &'static str =
+        "grid commit nproc seed warmup_secs measure_secs repeats full_scale threads";
 
     /// The provenance of a run made now, by this binary, in this directory.
     pub fn capture(grid: &str, seed: u64) -> Self {
@@ -58,6 +62,7 @@ impl Provenance {
             warmup_secs: warmup_duration().as_secs_f64(),
             measure_secs: measure_duration().as_secs_f64(),
             repeats: REPEATS as u64,
+            full_scale: full_scale(),
         }
     }
 }
@@ -227,6 +232,7 @@ pub fn block_json(outcomes: &[CellOutcome], provenance: &Provenance) -> Json {
         ("warmup_secs", Json::F64(provenance.warmup_secs)),
         ("measure_secs", Json::F64(provenance.measure_secs)),
         ("repeats", Json::U64(provenance.repeats)),
+        ("full_scale", Json::Bool(provenance.full_scale)),
         (
             "threads",
             Json::Arr(threads.into_iter().map(Json::U64).collect()),
@@ -272,14 +278,23 @@ fn checked_block(block: &Json) -> Result<&[Json], String> {
     Ok(cells)
 }
 
-/// `--check`: the block's shape, then its cells against the selection its
-/// `provenance.grid` names, then that selection's claims.  An error is a
-/// block that does not compare; a claim that fails is a line of the
-/// scoreboard.
+/// `--check`: the block's shape and scale, then its cells against the
+/// selection its `provenance.grid` names, then that selection's claims.  An
+/// error is a block that does not compare; a claim that fails is a line of
+/// the scoreboard.
 pub fn check(block: &Json) -> Result<Scoreboard, String> {
     let cells = checked_block(block)?;
-    let name = block.field("provenance").and_then(|p| p.field("grid"));
-    let name = name.ok().and_then(Json::as_str).unwrap_or_default();
+    let recorded = |key| block.field("provenance").and_then(|p| p.field(key)).ok();
+    let full = matches!(recorded("full_scale"), Some(Json::Bool(true)));
+    if full != full_scale() {
+        let set = |full| if full { "set" } else { "unset" };
+        return Err(format!(
+            "recorded with TXSQL_BENCH_FULL {}, checked with it {}: the selections differ",
+            set(full),
+            set(full_scale())
+        ));
+    }
+    let name = recorded("grid").and_then(Json::as_str).unwrap_or_default();
     let grid = selection(name).ok_or_else(|| format!("no figure declares selection `{name}`"))?;
     grid.score(cells)
 }
@@ -328,6 +343,7 @@ mod tests {
             warmup_secs: 0.1,
             measure_secs: 0.4,
             repeats: REPEATS as u64,
+            full_scale: full_scale(),
         }
     }
 
@@ -425,8 +441,8 @@ mod tests {
         assert!(cell.contains(&("note".to_string(), Json::Str(text))));
     }
 
-    /// Figure 11's two cells, recorded under `grid`.
-    fn figure_11_block(grid: &str) -> Json {
+    /// Figure 11's two cells, recorded under `grid` at `full_scale`.
+    fn figure_11_block(grid: &str, full_scale: bool) -> Json {
         let outcome = |spec: CellSpec| CellOutcome {
             spec,
             ..fake_outcome()
@@ -439,6 +455,7 @@ mod tests {
             .collect();
         let provenance = Provenance {
             grid: grid.to_string(),
+            full_scale,
             ..fake_provenance()
         };
         block_json(&outcomes, &provenance)
@@ -446,9 +463,9 @@ mod tests {
 
     #[test]
     fn check_refuses_a_block_that_is_not_its_selection() {
-        let board = check(&figure_11_block("fig11")).expect("the declared cells");
+        let board = check(&figure_11_block("fig11", full_scale())).expect("the declared cells");
         assert_eq!(board.0.len(), 1);
-        let mut undeclared = figure_11_block("fig11");
+        let mut undeclared = figure_11_block("fig11", full_scale());
         edit_cells(&mut undeclared, |cells| {
             cells.push(cell_json(&fake_outcome()))
         });
@@ -457,15 +474,17 @@ mod tests {
             err.contains("recorded but not declared [\"sysbench-hotspot-update/txsql/t8\"]"),
             "{err}"
         );
-        let mut missing = figure_11_block("fig11");
+        let mut missing = figure_11_block("fig11", full_scale());
         edit_cells(&mut missing, |cells| drop(cells.pop()));
         let err = check(&missing).unwrap_err();
         assert!(
             err.contains("declared but not recorded [\"hotspot-burst"),
             "{err}"
         );
-        let err = check(&figure_11_block("paper")).unwrap_err();
+        let err = check(&figure_11_block("paper", full_scale())).unwrap_err();
         assert_eq!(err, "no figure declares selection `paper`");
+        let err = check(&figure_11_block("fig11", !full_scale())).unwrap_err();
+        assert!(err.starts_with("recorded with TXSQL_BENCH_FULL"), "{err}");
     }
 
     #[test]

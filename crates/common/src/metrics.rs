@@ -738,7 +738,8 @@ metrics_table! {
         hotspot_group_entries: u64 = |m, _| m.hotspot_group_entries.get(),
         /// Number of groups formed by group locking.
         groups_formed: u64 = |m, _| m.groups_formed.get(),
-        /// Leader quiesces that gave up on a vanished follower (no abort).
+        /// Pending hand-overs a timed-out grant wait completed past a
+        /// vanished follower (no abort).
         #[serde(default)]
         quiesce_forced: Counter,
         /// Rollbacks that undid out of turn after their turn wait timed out.

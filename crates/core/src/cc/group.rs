@@ -207,10 +207,11 @@ impl ConcurrencyControl for GroupLocking {
         }
     }
 
-    /// Leader side (Alg. 2 lines 2–10), per hot row it leads: stop granting,
-    /// wait for the in-flight grant, release the *hot row* lock and hand the
-    /// next group over.  The early row-lock release is the paper's
-    /// pipelining lever — group N+1 executes while group N drains its
+    /// Leader side (Alg. 2 lines 2–10), per hot row it leads: release the
+    /// *hot row* lock and step down, which hands the next group over — at
+    /// once, or, behind a follower's update in flight, when that update ends
+    /// (the leader does not wait for it).  The early row-lock release is the
+    /// paper's pipelining lever — group N+1 executes while group N drains its
     /// commit-order waits — and it is safe because the dependency list (not
     /// the row lock) serialises hot-row commit records; every row is only
     /// written through the group path while it is hot.  Cold locks stay held
@@ -218,7 +219,7 @@ impl ConcurrencyControl for GroupLocking {
     ///
     /// Then, for every member (§4.3): wait for all dependency-list
     /// predecessors before ordering our own commit record.  A leader's
-    /// hand-over saw its turn under the guard it held, so a leader that is
+    /// step-down saw its turn under the guard it held, so a leader that is
     /// first of its list does not ask again (one that is not — blocked, or
     /// doomed — hears it from the wait).  Predecessors commit without
     /// the row lock; a predecessor stuck on a *cold* lock we hold is
@@ -231,11 +232,9 @@ impl ConcurrencyControl for GroupLocking {
             if hot.role != HotRole::Leader {
                 continue;
             }
-            let group = group_of(hot);
-            self.groups.leader_prepare_commit(id, group);
             let row = std::slice::from_ref(&hot.record);
             self.locks.release_record_locks_in(id, row, scratch);
-            ask_again |= self.groups.leader_handover(id, group).turn != CommitTurn::Ready;
+            ask_again |= self.groups.leader_step_down(id, group_of(hot)).turn != CommitTurn::Ready;
         }
         let mut waits = txn.hot_updates().iter();
         let blocked = waits.try_fold(Duration::ZERO, |blocked, hot| {

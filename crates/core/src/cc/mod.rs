@@ -11,7 +11,7 @@
 //! | `begin` | `Database::begin` | — |
 //! | `acquire_for_write` | `update_row` / `select_for_update`, before the read | Alg. 1 lines 2–9 (+ §4.5 prevention) |
 //! | `after_write` | `update_row`, after the new version is stacked | Alg. 1 lines 10–14 (grant the next follower) |
-//! | `before_order` | `commit`, before `trx_no` and the commit record | Alg. 2 lines 2–10 (leader quiesce, hand-over, commit turn) |
+//! | `before_order` | `commit`, before `trx_no` and the commit record | Alg. 2 lines 2–10 (leader step-down, commit turn) |
 //! | `after_order` | `commit`, once the commit record is in the log | Alg. 2 lines 11–12 (leave the dependency list) |
 //! | `before_undo` | `rollback`, before the storage undo | Alg. 3 lines 2–7 (doom successors, rollback turn) |
 //! | `after_undo` | `rollback`, after the storage undo | Alg. 3 lines 8–12 (leave the list, resume granting) |

@@ -35,8 +35,8 @@
 //! * **Hand-off waits** ([`OsEvent::wait_handoff`]) are waits for another
 //!   transaction that is *running right now* and will wake us within a
 //!   statement's time: the hot-row grant (`group_lock::wait_for_grant`), the
-//!   commit turn, the leader's quiesce and the rollback turn (the group
-//!   table's turn waiters) and the record-lock grant (`lock_table`; locks
+//!   commit turn and the rollback turn (the group table's turn waiters)
+//!   and the record-lock grant (`lock_table`; locks
 //!   are released before the flush).  They re-check the word for
 //!   `HANDOFF_SPIN` before parking, because a park + wake pair (two system
 //!   calls and a reschedule: ≈ 10 µs of the waker's time and 17–40 µs until

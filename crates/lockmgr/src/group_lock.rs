@@ -13,12 +13,18 @@
 //!   (`dep_list`) and draws a globally increasing `hot_update_order`;
 //!   commits must proceed in dependency-list order (§4.3) and rollbacks in
 //!   the reverse order (§4.4, cascading aborts);
-//! * when the leader commits it stops granting (`switching_new_leader`),
-//!   waits for the in-flight granted follower (the paper's
-//!   `granting_new_trx`; here `executing.is_some()`), releases the row lock
-//!   and promotes the next waiter to leader of a fresh group — or, with the
-//!   **dynamic batch size** optimization (§4.6.1), releases the lock without
-//!   promoting anyone when the queue is empty.
+//! * when the leader commits it releases the row lock and steps down: the
+//!   next waiter is promoted to leader of a fresh group — or, with the
+//!   **dynamic batch size** optimization (§4.6.1), nobody is when the queue
+//!   is empty.  Algorithm 2 lines 2–4 (stop granting, wait while a granted
+//!   follower is still updating — the paper's `granting_new_trx`, here
+//!   `executing`) are a **flag here, not a wait**: a leader that steps down
+//!   behind a follower's update in flight marks the group
+//!   `switching_new_leader` and goes on to its commit turn, and whichever
+//!   transition ends that update completes the hand-over under the guard it
+//!   already holds.  Waiting there put the follower's whole update inside
+//!   the leader's commit — one more cross-core hand-off per group, on a row
+//!   whose throughput is the count of those hand-offs.
 //!
 //! The state machine below follows Algorithms 1–3 of the paper; the method
 //! names map to the pseudo-code lines noted in their doc comments.  Every
@@ -49,8 +55,9 @@
 //!   and never creates an entry.
 //! * **Granting registers.**  Whoever makes a transaction the row's
 //!   in-flight updater — [`GroupLockTable::begin_update`]'s two immediate
-//!   paths, [`GroupLockTable::finish_update`]'s grant, a promotion by
-//!   [`GroupLockTable::leader_handover`] or by the last
+//!   paths, [`GroupLockTable::finish_update`]'s grant, a promotion by a
+//!   step-down ([`GroupLockTable::leader_step_down`] or the end of the
+//!   update it left pending) or by the last
 //!   [`GroupLockTable::finish_rollback`] — appends it to the dependency
 //!   list in the critical section it already holds.  A woken follower goes
 //!   from its event straight to the row; it draws its `hot_update_order`
@@ -66,11 +73,13 @@
 //!   [`GroupLockTable::register_update`] remains for the probe that
 //!   registers by hand; it draws an order and is otherwise idempotent.
 //! * **Commit transitions fuse.**  A leader's commit is
-//!   [`GroupLockTable::leader_prepare_commit`] (quiesce),
-//!   [`GroupLockTable::leader_handover`] — which returns the commit-turn
+//!   [`GroupLockTable::leader_step_down`] — which returns the commit-turn
 //!   verdict it can see under the guard it holds — and `finish_commit`:
-//!   three state acquisitions; a follower's is turn check and
-//!   `finish_commit`.
+//!   two state acquisitions, the same as a follower's turn check and
+//!   `finish_commit`.  A step-down never waits: at most one update is in
+//!   flight per row, and while the hand-over it left pending is open
+//!   nothing but the end of that update clears `leader` or
+//!   `switching_new_leader` (a fresh arrival parks behind them).
 //! * **Rollback transitions fuse.**  A rollback is three transitions per
 //!   hot row ([`GroupLockTable::begin_rollback`],
 //!   [`GroupLockTable::wait_rollback_turn`],
@@ -87,28 +96,25 @@
 //! A hot row parks transactions on two lists, because they are woken with
 //! different things.  A parked *update* waits on its [`WaitSlot`] in
 //! `waiting_updates` and is granted by [`GroupLockTable::finish_update`]
-//! (follower) or by a hand-over / the last
-//! [`GroupLockTable::finish_rollback`] (new leader); the **role travels as
-//! the wake-up's payload**, so a woken follower takes no state lock between
-//! its event and its update (that lock was one of the ten a follower's
-//! grant → `finish_update` used to take; it takes four).  Every other wait
-//! on a hot row is a wait for a **turn** — a predicate over the group state,
-//! re-checked under the guard by the woken waiter — and parks on
-//! `turn_waiters`:
+//! (follower) or by a step-down, the end of the update one left pending or
+//! the last [`GroupLockTable::finish_rollback`] (new leader); the **role
+//! travels as the wake-up's payload**, so a woken follower takes no state
+//! lock between its event and its update (that lock was one of the ten a
+//! follower's grant → `finish_update` used to take; it takes four).  Every
+//! other wait on a hot row is a wait for a **turn** — a predicate over the
+//! group state, re-checked under the guard by the woken waiter — and parks
+//! on `turn_waiters`:
 //!
 //! * the **commit turn** (§4.3, [`GroupLockTable::wait_commit_turn`]): first
 //!   of the dependency list, or doomed;
-//! * the leader's **quiesce** (Algorithm 2 lines 2–4,
-//!   [`GroupLockTable::leader_prepare_commit`]): no granted update in
-//!   flight;
 //! * the **rollback turn** (Algorithm 3 lines 6–7,
-//!   [`GroupLockTable::wait_rollback_turn`]): newest of the dependency list,
-//!   nothing in flight, no leader switching.
+//!   [`GroupLockTable::wait_rollback_turn`]): newest of the dependency list
+//!   and nothing in flight (a leader is switching only while an update is).
 //!
 //! Nothing polls: a transition that can make a turn's predicate true —
 //! [`GroupLockTable::finish_update`], [`GroupLockTable::finish_commit`],
-//! [`GroupLockTable::finish_rollback`], [`GroupLockTable::leader_handover`],
-//! [`GroupLockTable::abandon_update`] and [`GroupLockTable::begin_rollback`]
+//! [`GroupLockTable::finish_rollback`], [`GroupLockTable::abandon_update`]
+//! and [`GroupLockTable::begin_rollback`], and a grant wait's force-clear
 //! — re-evaluates the parked predicates under the state guard it already
 //! holds, takes the waiters whose turn has come off the list and fires their
 //! events after dropping the guard (wake-outside-lock).  A woken waiter
@@ -262,14 +268,15 @@ pub enum CommitTurn {
     Blocked,
 }
 
-/// What a leader's hand-over did and saw (see
-/// [`GroupLockTable::leader_handover`]).
+/// What a leader's step-down did and saw (see
+/// [`GroupLockTable::leader_step_down`]).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct HandOver {
-    /// The parked update promoted to leader of the next group, if any (with
-    /// the dynamic batch size there may be none).
+    /// The parked update promoted to leader of the next group, if any: with
+    /// the dynamic batch size there may be none, and behind an update in
+    /// flight its end promotes.
     pub promoted: Option<TxnId>,
-    /// The outgoing leader's commit turn, as of the hand-over.
+    /// The outgoing leader's commit turn, as of the step-down.
     pub turn: CommitTurn,
 }
 
@@ -285,9 +292,7 @@ struct Waiter {
 enum Turn {
     /// First of the dependency list, or doomed.
     Commit,
-    /// No granted update in flight.
-    Quiesce,
-    /// Newest of the dependency list, nothing in flight, no leader switching.
+    /// Newest of the dependency list, nothing in flight.
     Rollback,
 }
 
@@ -311,7 +316,9 @@ struct GroupState {
     /// Transaction whose granted hotspot update has not yet finished, if
     /// any (`granting_new_trx` in the paper, which does not say whose).
     executing: Option<TxnId>,
-    /// `switching_new_leader`: the leader is committing; stop granting.
+    /// `switching_new_leader`: the leader stepped down while `executing`'s
+    /// update was in flight; stop granting, and hand the row over when that
+    /// update ends.  Set only then, so it implies `executing.is_some()`.
     switching_new_leader: bool,
     /// Followers granted in the current group (for the batch size).
     granted_in_group: usize,
@@ -320,8 +327,8 @@ struct GroupState {
     /// rollback optimization), so nobody joins the dependency list behind an
     /// aborting transaction's head.
     rolling_back: Vec<TxnId>,
-    /// Transactions parked until their turn comes (commit order, leader
-    /// quiesce, rollback order).
+    /// Transactions parked until their turn comes (commit order, rollback
+    /// order).
     turn_waiters: Vec<TurnWaiter>,
     /// Set (under this state's mutex) when `collect_if_idle` removed the
     /// entry from the shard map.  A thread holding the entry's `Arc` — a
@@ -354,11 +361,8 @@ impl GroupState {
                     || self.dep_list.first().is_none_or(|first| *first == txn)
                     || !self.dep_list.contains(&txn)
             }
-            Turn::Quiesce => self.executing.is_none(),
             Turn::Rollback => {
-                self.dep_list.last().is_none_or(|last| *last == txn)
-                    && self.executing.is_none()
-                    && !self.switching_new_leader
+                self.dep_list.last().is_none_or(|last| *last == txn) && self.executing.is_none()
             }
         }
     }
@@ -447,29 +451,30 @@ impl GroupState {
         HotExecution::Wait(slot)
     }
 
-    /// Ends `txn`'s in-flight update and grants the next follower if allowed
-    /// (Algorithm 1, lines 11–20).  The caller grants the returned slot
-    /// [`WokenRole::Follower`] after dropping the guard.
-    fn end_update(
-        &mut self,
-        txn: TxnId,
-        is_leader: bool,
-        batch_size: usize,
-    ) -> Option<Arc<WaitSlot>> {
-        // Whoever just finished (leader or follower) is no longer
-        // mid-update.
+    /// Ends `txn`'s in-flight update, if it has one: a hand-over the leader
+    /// left pending behind it completes — the next parked update is promoted
+    /// — or else the next follower is granted if allowed (Algorithm 1,
+    /// lines 11–20).  The caller grants the returned slot its role after
+    /// dropping the guard.
+    fn end_update(&mut self, txn: TxnId, batch_size: usize) -> Option<(Arc<WaitSlot>, WokenRole)> {
+        if self.executing != Some(txn) {
+            // A leader's later write of its row owns no grant.
+            return None;
+        }
         self.executing = None;
-        if is_leader && self.leader == Some(txn) {
-            self.switching_new_leader = false;
+        if self.switching_new_leader {
+            return self
+                .step_down()
+                .map(|(_, slot)| (slot, WokenRole::NewLeader));
         }
         let batch_full = batch_size > 0 && self.granted_in_group >= batch_size;
-        if self.switching_new_leader || self.paused() || batch_full {
+        if self.paused() || batch_full {
             return None;
         }
         let waiter = self.waiting_updates.pop_front()?;
         self.granted_in_group += 1;
         self.grant(waiter.txn);
-        Some(waiter.slot)
+        Some((waiter.slot, WokenRole::Follower))
     }
 
     /// Promotes the next parked update to leader of a fresh group.  The
@@ -481,35 +486,18 @@ impl GroupState {
         Some((waiter.txn, waiter.slot))
     }
 
-    /// `txn` steps down as leader and the next parked update, if any, is
-    /// promoted (Algorithm 2, lines 7–10).
-    fn hand_over(&mut self, txn: TxnId) -> Option<(TxnId, Arc<WaitSlot>)> {
-        if self.leader == Some(txn) {
-            self.leader = None;
-            // The committing leader is stepping down: its
-            // `switching_new_leader` mark must not outlive it — left set, it
-            // blocks every rollback turn on the row until the deadline.
-            self.switching_new_leader = false;
-        } else if self.leader.is_some() {
-            // Another transaction's group already owns this row (our own
-            // entry went idle, was GC'd, and the map entry was re-created
-            // since): nothing to hand over, and the live group's in-flight
-            // flags must not be clobbered.
-            return None;
-        }
+    /// The leader, with nothing in flight, steps down and the next parked
+    /// update, if any, is promoted (Algorithm 2, lines 7–10).  With nobody
+    /// parked — the dynamic batch size — the next arrival starts a fresh
+    /// group at once; while a rollback is draining, the last
+    /// `finish_rollback` promotes instead.
+    fn step_down(&mut self) -> Option<(TxnId, Arc<WaitSlot>)> {
+        self.leader = None;
+        self.switching_new_leader = false;
         if self.paused() {
-            // No promotion while a rollback is draining; the last
-            // `finish_rollback` promotes instead.
             return None;
         }
-        let promoted = self.promote_next_leader();
-        if promoted.is_none() {
-            // Dynamic batch size: release without nominating a leader; the
-            // next arrival starts a fresh group immediately.
-            self.switching_new_leader = false;
-            self.executing = None;
-        }
-        promoted
+        self.promote_next_leader()
     }
 }
 
@@ -579,9 +567,9 @@ pub struct RowView {
 }
 
 /// A leader's hot records between [`GroupLockTable::begin_leader_commit`]
-/// (all quiesced) and [`GroupLockTable::finish_leader_handover`]: the
-/// per-row [`GroupLockTable::leader_prepare_commit`] /
-/// [`GroupLockTable::leader_handover`] pair for a list of records.
+/// and [`GroupLockTable::finish_leader_handover`], which steps down on each:
+/// the probe's by-record name for [`GroupLockTable::leader_step_down`], with
+/// the row locks released in between as `before_order` releases them.
 #[derive(Debug)]
 pub struct LeaderCommit {
     records: Vec<RecordId>,
@@ -748,6 +736,12 @@ impl GroupLockTable {
 
     /// Waits on `slot` until granted, returning the role, or times out.  A
     /// hand-off wait: the granter is mid-update or mid-commit right now.
+    ///
+    /// A wait that times out behind a pending hand-over takes the update in
+    /// flight for one that will never end — its transaction vanished between
+    /// grant and `finish_update` (it failed on an unrelated error) — and
+    /// force-clears it: the hand-over completes rather than wedge the row,
+    /// and `quiesce_forced` says so.  No transaction is aborted for it.
     pub fn wait_for_grant<'a>(
         &self,
         txn: TxnId,
@@ -767,18 +761,30 @@ impl GroupLockTable {
     /// is not queued any more the grant raced ahead of the deadline, and the
     /// transaction must proceed with the role returned.
     fn cancel_wait(&self, txn: TxnId, handle: &GroupHandle) -> Option<WokenRole> {
-        self.with_state(handle, |state| {
-            if let Some(pos) = state.waiting_updates.iter().position(|w| w.txn == txn) {
-                state.waiting_updates.remove(pos);
-                return None;
+        let (role, promoted, woken) = self.with_state(handle, |state| {
+            let mut promoted = None;
+            if state.switching_new_leader {
+                self.metrics.quiesce_forced.inc();
+                state.executing = None;
+                promoted = state.step_down();
             }
-            // The role reaches the slot only once the granter has dropped
-            // this guard, so read it off the state instead.
-            Some(match state.leader == Some(txn) {
-                true => WokenRole::NewLeader,
-                false => WokenRole::Follower,
-            })
-        })
+            let role = match state.waiting_updates.iter().position(|w| w.txn == txn) {
+                Some(pos) => {
+                    state.waiting_updates.remove(pos);
+                    None
+                }
+                // The role reaches the slot only once the granter has dropped
+                // this guard, so read it off the state instead.
+                None if state.leader == Some(txn) => Some(WokenRole::NewLeader),
+                None => Some(WokenRole::Follower),
+            };
+            (role, promoted, state.take_ready_waiters())
+        });
+        if let Some((_, slot)) = promoted {
+            slot.grant(WokenRole::NewLeader);
+        }
+        woken.fire();
+        role
     }
 
     /// Draws the next global `hot_update_order` — what a grantee does first.
@@ -799,16 +805,23 @@ impl GroupLockTable {
     }
 
     /// Completes an update and grants the next follower if allowed
-    /// (Algorithm 1, lines 11–20); with nobody granted, nothing is in flight
-    /// any more, which is what a quiescing leader or a rollback turn waits
-    /// for.  Wake-ups fire after the state guard is dropped.
+    /// (Algorithm 1, lines 11–20) — or, behind a leader that stepped down
+    /// meanwhile, completes its hand-over; with nobody granted, nothing is
+    /// in flight any more, which is what a rollback turn waits for.  A
+    /// leader calls it after each write of its row (`is_leader`), a follower
+    /// once, for the write it was granted.  Wake-ups fire after the state
+    /// guard is dropped.
     pub fn finish_update<'a>(&self, txn: TxnId, row: impl HotRow<'a>, is_leader: bool) {
         let (granted, woken) = self.with_state(&row.handle_in(self), |state| {
-            let granted = state.end_update(txn, is_leader, self.config.batch_size);
+            debug_assert!(
+                is_leader || state.executing == Some(txn),
+                "{txn} has no grant"
+            );
+            let granted = state.end_update(txn, self.config.batch_size);
             (granted, state.take_ready_waiters())
         });
-        if let Some(slot) = granted {
-            slot.grant(WokenRole::Follower);
+        if let Some((slot, role)) = granted {
+            slot.grant(role);
         }
         woken.fire();
     }
@@ -816,17 +829,18 @@ impl GroupLockTable {
     /// Gives an unused grant back — the row lock could not be taken, a
     /// prevention check objected — together with the registration it came
     /// with, in one transition: `txn` leaves the dependency list, and the
-    /// group keeps moving as after a [`GroupLockTable::leader_handover`]
+    /// group keeps moving as after a [`GroupLockTable::leader_step_down`]
     /// (leader) or a [`GroupLockTable::finish_update`] (follower).
     pub fn abandon_update<'a>(&self, txn: TxnId, row: impl HotRow<'a>, is_leader: bool) {
         let (granted, woken) = self.with_state(&row.handle_in(self), |state| {
             state.unregister(txn);
-            let granted = if is_leader {
-                let promoted = state.hand_over(txn);
-                promoted.map(|(_, slot)| (slot, WokenRole::NewLeader))
-            } else {
-                let next = state.end_update(txn, false, self.config.batch_size);
-                next.map(|slot| (slot, WokenRole::Follower))
+            let granted = match is_leader && state.leader == Some(txn) {
+                true => {
+                    state.executing = None;
+                    let promoted = state.step_down();
+                    promoted.map(|(_, slot)| (slot, WokenRole::NewLeader))
+                }
+                false => state.end_update(txn, self.config.batch_size),
             };
             (granted, state.take_ready_waiters())
         });
@@ -840,79 +854,51 @@ impl GroupLockTable {
     // Algorithm 2 — Commit
     // ------------------------------------------------------------------
 
-    /// Leader-side commit preparation (Algorithm 2, lines 2–4): marks the
-    /// group `switching_new_leader` and waits — parked as a quiesce turn,
-    /// woken by the follower's [`GroupLockTable::finish_update`] — until no
-    /// granted follower is mid-update.
-    ///
-    /// The caller releases the real row lock between this and
-    /// [`GroupLockTable::leader_handover`], so the promoted leader finds it
-    /// free.
-    pub fn leader_prepare_commit<'a>(&self, txn: TxnId, row: impl HotRow<'a>) {
-        let handle = row.handle_in(self);
-        let quiesced = self.with_state(&handle, |state| {
-            if state.leader == Some(txn) {
-                state.switching_new_leader = true;
-            }
-            state.executing.is_none()
-        });
-        let budget = self.config.hot_wait_timeout * 4;
-        if !quiesced && self.wait_turn(&handle, txn, Turn::Quiesce, budget).is_err() {
-            // A granted follower disappeared without calling
-            // finish_update (it aborted on an unrelated error).  Proceed
-            // rather than wedging the whole hot row, and say so.
-            self.metrics.quiesce_forced.inc();
-            let woken = self.with_state(&handle, |state| {
-                state.executing = None;
-                state.take_ready_waiters()
-            });
-            woken.fire();
-        }
-    }
-
-    /// Leader-side hand-over after the row lock was released (Algorithm 2,
-    /// lines 7–10): promotes the next waiter to leader of a new group, and
-    /// reports the outgoing leader's commit turn as seen under the same
-    /// guard — a leader that is first of the dependency list goes straight
-    /// on to order its commit record.  Wake-ups fire after the guard is
-    /// dropped.
-    pub fn leader_handover<'a>(&self, txn: TxnId, row: impl HotRow<'a>) -> HandOver {
-        let (promoted, turn, woken) = self.with_state(&row.handle_in(self), |state| {
-            let promoted = state.hand_over(txn);
-            // Stepping down cleared `switching_new_leader` (and, with
-            // nobody to promote, the in-flight mark).
-            (promoted, state.commit_turn(txn), state.take_ready_waiters())
+    /// The committing leader steps down, after releasing the row lock
+    /// (Algorithm 2): with nothing in flight the next waiter is promoted to
+    /// leader of a new group at once (lines 7–10); behind a follower's update
+    /// in flight the group is marked `switching_new_leader` (lines 2–3) and
+    /// the end of that update promotes.  Never waits.  Reports the leader's
+    /// commit turn as seen under the same guard — one that is first of the
+    /// dependency list goes straight on to order its commit record.  A
+    /// transaction that does not lead the row (a stale handle) changes
+    /// nothing.
+    pub fn leader_step_down<'a>(&self, txn: TxnId, row: impl HotRow<'a>) -> HandOver {
+        let (promoted, turn) = self.with_state(&row.handle_in(self), |state| {
+            let promoted = match state.leader == Some(txn) {
+                true if state.executing.is_some() => {
+                    state.switching_new_leader = true;
+                    None
+                }
+                true => state.step_down(),
+                false => None,
+            };
+            (promoted, state.commit_turn(txn))
         });
         let promoted = promoted.map(|(new_leader, slot)| {
             slot.grant(WokenRole::NewLeader);
             new_leader
         });
-        woken.fire();
         HandOver { promoted, turn }
     }
 
-    /// [`GroupLockTable::leader_prepare_commit`] for all of a leader's hot
-    /// records.  The wait budget is per record: one stalled record's
-    /// vanished follower must not eat later records' budget and force-clear
-    /// their healthy in-flight followers.
-    pub fn begin_leader_commit(&self, txn: TxnId, records: &[RecordId]) -> LeaderCommit {
-        for record in records {
-            self.leader_prepare_commit(txn, *record);
-        }
+    /// The start of a leader's commit on all of its hot `records`; nothing
+    /// changes until [`GroupLockTable::finish_leader_handover`].
+    pub fn begin_leader_commit(&self, _txn: TxnId, records: &[RecordId]) -> LeaderCommit {
         LeaderCommit {
             records: records.to_vec(),
         }
     }
 
-    /// [`GroupLockTable::leader_handover`] for the records of `commit`;
+    /// [`GroupLockTable::leader_step_down`] on the records of `commit`;
     /// returns the promotion per record.
     pub fn finish_leader_handover(
         &self,
         txn: TxnId,
         commit: LeaderCommit,
     ) -> Vec<(RecordId, Option<TxnId>)> {
-        let hand_over = |record| (record, self.leader_handover(txn, record).promoted);
-        commit.records.into_iter().map(hand_over).collect()
+        let step_down = |record| (record, self.leader_step_down(txn, record).promoted);
+        commit.records.into_iter().map(step_down).collect()
     }
 
     /// Waits — parked on the row's turn-waiter list, never polling — until
@@ -990,16 +976,12 @@ impl GroupLockTable {
     /// Finalises a commit: removes `txn` from the dependency list and wakes
     /// the transactions whose turn that makes it (Algorithm 2, lines 11–12)
     /// — after dropping the state guard.
+    /// A leader has stepped down by then; one whose hand-over is pending
+    /// stays `leader` until the update in flight ends, so that no arrival
+    /// leads beside that update.
     pub fn finish_commit<'a>(&self, txn: TxnId, row: impl HotRow<'a>) {
         let woken = self.with_state(&row.handle_in(self), |state| {
             state.unregister(txn);
-            if state.leader == Some(txn) {
-                // Normally the hand-over already ran; clear defensively so a
-                // committed leader can never keep the entry alive (nor its
-                // commit-in-progress mark wedge later rollback turns).
-                state.leader = None;
-                state.switching_new_leader = false;
-            }
             state.take_ready_waiters()
         });
         woken.fire();
@@ -1017,16 +999,12 @@ impl GroupLockTable {
             if !state.rolling_back.contains(&txn) {
                 state.rolling_back.push(txn);
             }
-            if state.leader == Some(txn) {
-                state.switching_new_leader = false;
-            }
-            if state.executing == Some(txn) {
-                // The rolling-back transaction was itself mid-update (it
-                // aborted between its grant and `finish_update`): clear the
-                // in-flight mark so the rollback-order wait below does not
-                // wait for itself.
-                state.executing = None;
-            }
+            // Aborted between its grant and `finish_update`, the transaction
+            // ends its own update here, so that its rollback turn does not
+            // wait for itself; a pending hand-over completes, promoting
+            // nobody inside the pause.
+            let granted = state.end_update(txn, self.config.batch_size);
+            debug_assert!(granted.is_none(), "granted inside the pause");
             let successors: Vec<TxnId> = match state.dep_list.iter().position(|t| *t == txn) {
                 Some(pos) => state.dep_list[pos + 1..].to_vec(),
                 None => Vec::new(),
@@ -1040,12 +1018,11 @@ impl GroupLockTable {
         successors
     }
 
-    /// Blocks until `txn` is the newest entry of the dependency list, no
-    /// grant is in flight and no leader is switching (Algorithm 3, lines
-    /// 6–7).  Woken by a successor's [`GroupLockTable::finish_rollback`] (or
-    /// [`GroupLockTable::finish_commit`]), the in-flight update's
-    /// [`GroupLockTable::finish_update`], or the committing leader's
-    /// [`GroupLockTable::leader_handover`].
+    /// Blocks until `txn` is the newest entry of the dependency list and no
+    /// grant is in flight (Algorithm 3, lines 6–7).  Woken by a successor's
+    /// [`GroupLockTable::finish_rollback`] (or
+    /// [`GroupLockTable::finish_commit`]), or by the end of the update in
+    /// flight.
     pub fn wait_rollback_turn<'a>(&self, txn: TxnId, row: impl HotRow<'a>) -> Result<()> {
         let budget = self.config.hot_wait_timeout * 4;
         self.wait_turn(&row.handle_in(self), txn, Turn::Rollback, budget)
@@ -1065,7 +1042,9 @@ impl GroupLockTable {
         let (promoted, woken, idle) = self.with_state(&handle, |state| {
             state.unregister(txn);
             state.rolling_back.retain(|t| *t != txn);
-            if state.leader == Some(txn) {
+            // (A leader that stepped down behind an update still in flight
+            // stays `leader` until that update ends.)
+            if state.leader == Some(txn) && !state.switching_new_leader {
                 state.leader = None;
             }
             // Another member may still be between `begin_rollback` and here:
@@ -1153,11 +1132,8 @@ mod tests {
         // Batch of 1 exhausted: T3 is not granted as a follower; it leads
         // the next group at the hand-over.
         assert_eq!(slot3.role(), None);
-        g.leader_prepare_commit(TxnId(1), &leader);
-        assert_eq!(
-            g.leader_handover(TxnId(1), &leader).promoted,
-            Some(TxnId(3))
-        );
+        let promoted = g.leader_step_down(TxnId(1), &leader).promoted;
+        assert_eq!(promoted, Some(TxnId(3)));
         assert_eq!(slot3.role(), Some(WokenRole::NewLeader));
         assert_eq!(g.peek(HOT).dep_list, [1, 2, 3].map(TxnId));
     }
@@ -1194,18 +1170,16 @@ mod tests {
     }
 
     #[test]
-    fn hand_over_reports_the_outgoing_leaders_commit_turn() {
+    fn step_down_reports_the_outgoing_leaders_commit_turn() {
         // First of its list: straight on to the commit record.
         let (hot, members) = Hot::group(&[2], None);
         let (g, leader) = (&hot.g, &members[0].handle);
-        g.leader_prepare_commit(TxnId(1), leader);
-        assert_eq!(g.leader_handover(TxnId(1), leader).turn, CommitTurn::Ready);
+        assert_eq!(g.leader_step_down(TxnId(1), leader).turn, CommitTurn::Ready);
         // The next group's leader behind a member of the last one.
         let next = hot.arrive(TxnId(3)).unwrap();
         assert!(next.leads);
         next.update();
-        g.leader_prepare_commit(TxnId(3), &next.handle);
-        let blocked = g.leader_handover(TxnId(3), &next.handle);
+        let blocked = g.leader_step_down(TxnId(3), &next.handle);
         assert_eq!(
             (blocked.promoted, blocked.turn),
             (None, CommitTurn::Blocked)
@@ -1213,7 +1187,26 @@ mod tests {
         // Doomed by a predecessor's rollback meanwhile.
         g.begin_rollback(TxnId(2), &members[1].handle);
         let doomed = CommitTurn::Doomed { cause: TxnId(2) };
-        assert_eq!(g.leader_handover(TxnId(3), &next.handle).turn, doomed);
+        assert_eq!(g.leader_step_down(TxnId(3), &next.handle).turn, doomed);
+    }
+
+    /// A leader commits while its follower is mid-update: its step-down
+    /// parks on nothing, and the end of the follower's update completes the
+    /// hand-over it left pending — the arrival parked behind both leads.
+    #[test]
+    fn a_leader_commits_past_its_in_flight_follower_whose_update_hands_over() {
+        let (hot, members) = Hot::group(&[2], Some(2));
+        let (g, leader, follower) = (&hot.g, &members[0], &members[1]);
+        let (_, slot) = parked(g, 3);
+        let checks = g.turn_checks.load(Ordering::Relaxed);
+        leader.commit().unwrap();
+        assert_eq!(g.turn_checks.load(Ordering::Relaxed), checks, "parked");
+        let row = g.peek(HOT);
+        assert_eq!((row.leader, slot.role()), (Some(TxnId(1)), None));
+        follower.update();
+        assert_eq!(slot.role(), Some(WokenRole::NewLeader));
+        assert_eq!(g.peek(HOT).leader, Some(TxnId(3)));
+        assert_eq!(g.peek(HOT).dep_list, [2, 3].map(TxnId));
     }
 
     /// A transaction that is on no list does not keep the entry alive, so the
@@ -1231,9 +1224,9 @@ mod tests {
         let peer = hot.arrive(TxnId(2)).unwrap();
         // The stale handle sees, and acts on, the peer's group.
         assert_eq!(g.dep_list(stale), [TxnId(2)]);
-        let hand_over = g.leader_handover(TxnId(1), stale);
+        let step_down = g.leader_step_down(TxnId(1), stale);
         let nothing_to_do = (None, CommitTurn::Ready);
-        assert_eq!((hand_over.promoted, hand_over.turn), nothing_to_do);
+        assert_eq!((step_down.promoted, step_down.turn), nothing_to_do);
         assert_eq!(
             g.peek(HOT).leader,
             Some(TxnId(2)),
@@ -1308,32 +1301,6 @@ mod tests {
     }
 
     #[test]
-    fn quiescing_leader_is_woken_by_each_transition_that_ends_the_in_flight_update() {
-        let quiesce = |g: &GroupLockTable| g.leader_prepare_commit(TxnId(1), HOT);
-        // The granted follower finishes its update.
-        let g = group(&[2], Some(2));
-        let (_, checks) = checks_after_parking(&g, quiesce, |g| {
-            g.finish_update(TxnId(2), HOT, false);
-        });
-        assert_eq!(checks, 1, "finish_update");
-        // The granted follower rolls back mid-update.
-        let g = group(&[2], Some(2));
-        let (_, checks) = checks_after_parking(&g, quiesce, |g| {
-            g.begin_rollback(TxnId(2), HOT);
-        });
-        assert_eq!(checks, 1, "begin_rollback");
-        // A new leader whose row lock failed hands the row on while a
-        // former leader (T9) still quiesces.
-        let g = group(&[], Some(1));
-        let stale = |g: &GroupLockTable| g.leader_prepare_commit(TxnId(9), HOT);
-        let (_, checks) = checks_after_parking(&g, stale, |g| {
-            g.leader_handover(TxnId(1), HOT);
-        });
-        assert_eq!(checks, 1, "leader_handover");
-        assert_eq!(g.metrics.quiesce_forced.get(), 0);
-    }
-
-    #[test]
     fn rollback_turn_waiter_is_woken_by_each_transition_that_gives_it_the_turn() {
         let turn = |g: &GroupLockTable| g.wait_rollback_turn(TxnId(2), HOT);
         let follows = |g: &GroupLockTable, txn| {
@@ -1371,21 +1338,6 @@ mod tests {
             let (result, checks) = checks_after_parking(&g, turn, leave);
             assert_eq!((result, checks), (Ok(()), 1), "successor leaves");
         }
-        // The leader is committing (`switching_new_leader`) until it hands
-        // over — or rolls back itself.
-        let hand_over = |g: &GroupLockTable| {
-            g.leader_handover(TxnId(1), HOT);
-        };
-        let roll_back = |g: &GroupLockTable| {
-            g.begin_rollback(TxnId(1), HOT);
-        };
-        for step_down in [hand_over as fn(&GroupLockTable), roll_back] {
-            let g = group(&[2], None);
-            g.leader_prepare_commit(TxnId(1), HOT);
-            g.begin_rollback(TxnId(2), HOT);
-            let (result, checks) = checks_after_parking(&g, turn, step_down);
-            assert_eq!((result, checks), (Ok(()), 1), "leader steps down");
-        }
     }
 
     #[test]
@@ -1407,22 +1359,26 @@ mod tests {
         assert_eq!((result, checks), (doomed, 1), "begin_rollback");
     }
 
-    /// A granted follower that is never heard of again: the quiesce gives up
-    /// after its budget, says so, and clears the in-flight mark — whose it
-    /// was included, so nothing stale is left for a later rollback to act on.
+    /// A granted follower that is never heard of again, behind a leader that
+    /// stepped down: the arrival whose grant wait times out behind the
+    /// pending hand-over clears the in-flight mark, says so, and is promoted
+    /// — nothing stale is left for a later rollback to act on.
     #[test]
     fn vanished_follower_is_force_cleared_and_reported() {
         let hot = Hot::new(5);
         let leader = hot.arrive(TxnId(1)).unwrap();
         leader.update();
         let _vanished = hot.arrive(TxnId(2)).unwrap();
+        leader.commit().unwrap();
         let g = &hot.g;
-        g.leader_prepare_commit(TxnId(1), &leader.handle);
+        let (handle, slot) = parked(g, 3);
+        let role = g.wait_for_grant(TxnId(3), &handle, &slot);
+        assert_eq!(role, Ok(WokenRole::NewLeader));
         assert_eq!(hot.metrics.quiesce_forced.get(), 1);
         assert_eq!(hot.metrics.abort_breakdown().total(), 0, "nothing aborted");
-        let (in_flight, parked) =
-            g.with_state(&leader.handle, |s| (s.executing, s.turn_waiters.len()));
+        g.take_hot_update_order();
+        g.finish_update(TxnId(3), &handle, true);
+        let (in_flight, parked) = g.with_state(&handle, |s| (s.executing, s.turn_waiters.len()));
         assert_eq!((in_flight, parked), (None, 0));
-        assert_eq!(g.leader_handover(TxnId(1), &leader.handle).promoted, None);
     }
 }

@@ -127,7 +127,7 @@
 //!
 //! The same pass made the **wake-outside-lock** rule uniform and checked:
 //! every path that wakes a waiter (grant scans, batched release, the group
-//! tables' follower grants, leader handover and turn-waiter wakes)
+//! tables' follower grants, leader step-down and turn-waiter wakes)
 //! collects its events under the shard/state guard and fires them after
 //! dropping it, and `OsEvent::set` debug-asserts the calling thread holds no
 //! lockmgr guard (the private `wake_check` module).
@@ -145,10 +145,13 @@
 //! row's live state, whatever entry collection did in between.  The
 //! dependency list is appended to by **whoever grants** — `begin_update`'s
 //! two immediate paths, `finish_update`'s follower grant, a promotion by
-//! `leader_handover` or by the last `finish_rollback` — in the critical
-//! section that grant already holds, never by the grantee in one of its
-//! own; a grantee only draws its `hot_update_order`, lock-free.  An unused
-//! grant goes back with its registration (`abandon_update`).  A rollback is
+//! `leader_step_down`, by the end of the update a step-down left pending or
+//! by the last `finish_rollback` — in the critical section that grant
+//! already holds, never by the grantee in one of its own; a grantee only
+//! draws its `hot_update_order`, lock-free.  A committing leader never
+//! waits for the follower in flight: its step-down leaves the hand-over to
+//! whichever transition ends that update.  An unused grant goes back with
+//! its registration (`abandon_update`).  A rollback is
 //! one transition per step (`begin_rollback`, `wait_rollback_turn`,
 //! `finish_rollback`), and granting is paused exactly while some member is
 //! between the first and the last; [`group_lock::GroupLockTable::peek`] is

@@ -9,11 +9,12 @@
 //! A group scenario declares who is on the hot row when the schedule starts
 //! ([`Hot::group`]) and what each sim thread's member does with its life
 //! (`support::Member`); the driver checks, under every schedule, that a grant is
-//! visible through the entry map, that commits leave the row's version
-//! chain from the bottom and undos from the top, and that a cascade names a
-//! transaction whose write the doomed one read.  Every sweep goes through
-//! [`explore`]: the seed set is `TXSQL_SIM_SEEDS`-overridable (CI pins
-//! `0..200`) and each prints its `sim-coverage:` line.
+//! visible through the entry map and lands beside no other update in flight,
+//! that commits leave the row's version chain from the bottom and undos from
+//! the top, and that a cascade names a transaction whose write the doomed one
+//! read.  Every sweep goes through [`explore`]: the seed set is
+//! `TXSQL_SIM_SEEDS`-overridable (CI pins `0..200`) and each prints its
+//! `sim-coverage:` line.
 
 mod support;
 
@@ -21,7 +22,7 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 use support::{assert_locks_drained, assert_no_wait_ran_into_its_deadline, explore, lock_table};
-use support::{Hot, HOT};
+use support::{Hot, Member, HOT};
 use txsql_common::latency::simulate_delay;
 use txsql_common::{Error, RecordId, TxnId};
 use txsql_lockmgr::event::OsEvent;
@@ -66,24 +67,19 @@ fn arrival(hot: Hot, txn: u64) -> bool {
 /// The entry-lifecycle race: a handle is held without the entry's state
 /// mutex, so `collect_if_idle` can take the entry out of the map under it.
 /// T1 keeps its handle across its own `finish_commit` — after which the
-/// entry is idle, a sweeper collects it and peers re-create it — and still
-/// hands over with it.  Every call must land on the live entry
+/// entry is idle, a sweeper collects it and peers re-create it — and steps
+/// down with it once more.  Every call must land on the live entry
 /// (`with_state`'s re-validation of the `dead` mark): a joiner that enqueued
-/// on a dead one would wait out its deadline where no granter looks, a
-/// hand-over through a dead one would leave the live group's waiters parked,
-/// and one that clobbered the live group's leader would elect two.
+/// on a dead one would wait out its deadline where no granter looks, and a
+/// step-down that clobbered the live group's leader would elect two.
 #[test]
 fn handle_held_across_entry_gc_lands_on_the_live_entry_under_exploration() {
     explore("sim_lock/entry_gc", 200, |seed| {
         let (hot, members) = Hot::group(&[], None);
         let report = run_seed(seed, |sim| {
             on(sim, "committer", &members[0], |t1| {
-                let g = &t1.hot.g;
-                g.leader_prepare_commit(t1.txn, &t1.handle);
-                g.wait_commit_turn(t1.txn, &t1.handle).unwrap();
-                t1.hot.committed(t1.txn);
-                g.finish_commit(t1.txn, &t1.handle); // idle from here: collectable
-                g.leader_handover(t1.txn, &t1.handle);
+                t1.commit().unwrap(); // idle from here: collectable
+                t1.hot.g.leader_step_down(t1.txn, &t1.handle);
             });
             on(sim, "sweeper", &hot, |hot| {
                 for _ in 0..3 {
@@ -121,9 +117,8 @@ fn abandoned_grant_leaves_no_registration_under_exploration() {
             let leaders = Arc::new(AtomicUsize::new(0));
             let report = run_seed(seed, |sim| {
                 on(sim, "abandoner", members.last().unwrap(), |gone| {
-                    let g = &gone.hot.g;
-                    g.abandon_update(gone.txn, &gone.handle, gone.leads);
-                    let row = g.peek(HOT);
+                    gone.abandon();
+                    let row = gone.hot.g.peek(HOT);
                     assert!(!row.dep_list.contains(&gone.txn), "left behind: {row:?}");
                 });
                 if !followers.is_empty() {
@@ -153,19 +148,18 @@ fn abandoned_grant_leaves_no_registration_under_exploration() {
     }
 }
 
-/// A parked update's deadline racing the hand-over that would promote it
+/// A parked update's deadline racing the promotion that would make it leader
 /// resolves to one side: the waiter either proceeds as the promoted leader
 /// (the grant raced ahead of the cancellation) or left the queue and the row
-/// is left leaderless — never both, never a lost promotion.  The committing
-/// leader stalls between quiesce and hand-over past the waiter's 100 ms
-/// deadline, so both orders occur across the seed set; a waiter that arrives
-/// before the quiesce follows the old group instead, one that arrives after
-/// the stall is promoted in time.
+/// is left leaderless — never both, never a lost promotion.  T1 leads, its
+/// update in flight, and stalls past the waiter's 100 ms deadline before it
+/// gives the grant back (its row lock failed); a waiter parked before the
+/// stall gives up, one that arrives after it is promoted in time or leads.
 #[test]
-fn grant_deadline_racing_the_hand_over_resolves_to_one_side_under_exploration() {
+fn grant_deadline_racing_a_promotion_resolves_to_one_side_under_exploration() {
     let gave_up = Arc::new(AtomicUsize::new(0));
     let summary = explore("sim_lock/handover_deadline", 200, |seed| {
-        let (hot, members) = Hot::group(&[], None);
+        let (hot, members) = Hot::group(&[], Some(1));
         let report = run_seed(seed, |sim| {
             let (hot, gave_up) = (hot.clone(), Arc::clone(&gave_up));
             sim.spawn("waiter", move || match hot.arrive(TxnId(2)) {
@@ -181,17 +175,12 @@ fn grant_deadline_racing_the_hand_over_resolves_to_one_side_under_exploration() 
                 }
             });
             let t1 = members[0].clone();
-            sim.spawn("committer", move || {
-                let g = &t1.hot.g;
-                g.leader_prepare_commit(t1.txn, &t1.handle);
-                // A first pause lets the waiter park behind the switching
-                // leader; the second runs past the deadline it then took.
+            sim.spawn("abandoner", move || {
+                // A first pause lets the waiter park behind the update in
+                // flight; the second runs past the deadline it then took.
                 simulate_delay(Duration::from_millis(1));
                 simulate_delay(Duration::from_millis(105));
-                g.leader_handover(t1.txn, &t1.handle);
-                g.wait_commit_turn(t1.txn, &t1.handle).unwrap();
-                t1.hot.committed(t1.txn);
-                g.finish_commit(t1.txn, &t1.handle);
+                t1.abandon();
             });
         });
         hot.assert_drained(&format!("seed {seed}"));
@@ -281,11 +270,10 @@ fn pause_lasts_until_the_last_of_two_rollbacks_finishes_under_exploration() {
 }
 
 /// A mid-list rollback (T2 of [T1, T2, T3]) waits for its turn while its
-/// doomed successor T3 cascades and the leader T1 commits and hands over:
-/// the turn comes through T3's `finish_rollback` (newest again) and T1's
-/// hand-over (`switching_new_leader` cleared), in either order, and a lost
+/// doomed successor T3 cascades and the leader T1 commits and steps down:
+/// the turn comes through T3's `finish_rollback` (newest again), and a lost
 /// wake-up shows as a wait ended by the virtual clock.  An arrival parked in
-/// the pause must not be promoted by T1's hand-over while T2 and T3 are
+/// the pause must not be promoted by T1's step-down while T2 and T3 are
 /// still rolling back.
 #[test]
 fn rollback_turn_wakeup_is_never_lost_under_exploration() {
@@ -309,28 +297,37 @@ fn rollback_turn_wakeup_is_never_lost_under_exploration() {
     });
 }
 
-/// The committing leader's quiesce is a parked wait that only the in-flight
-/// follower's `finish_update` ends.  Whatever the interleaving of the
-/// leader's check-then-park with that `finish_update` (and with a joiner
-/// queueing behind the switching leader), the wake-up must not be lost: a
-/// lost one shows as the leader sleeping to its virtual-clock deadline and
-/// force-clearing the follower (`quiesce_forced`).
+/// The committing leader steps down while its follower T2's update is in
+/// flight, and parks on nothing: the hand-over it leaves pending is
+/// completed by whichever transition ends the flight — T2's `finish_update`,
+/// its `abandon_update`, or its `begin_rollback` (then the last
+/// `finish_rollback` promotes) — each explored against the step-down and a
+/// joiner arriving anywhere around them.  The joiner is granted before its
+/// deadline (a lost promotion shows as the clock ending its wait, a
+/// force-clear as `quiesce_forced`), the driver sees no two updates in
+/// flight, and the row drains.
 #[test]
-fn quiesce_wakeup_is_never_lost_under_exploration() {
-    explore("sim_lock/quiesce", 200, |seed| {
+fn a_pending_hand_over_is_completed_by_whatever_ends_the_flight_under_exploration() {
+    let ends: [fn(Member); 3] = [
+        |t2| {
+            t2.update();
+            t2.commit().unwrap();
+        },
+        |t2| t2.abandon(),
+        |t2| _ = t2.roll_back(),
+    ];
+    explore("sim_lock/step_down", 200, |seed| {
         let (hot, members) = Hot::group(&[2], Some(2));
+        let end = ends[seed as usize % ends.len()];
         let report = run_seed(seed, |sim| {
             on(sim, "leader", &members[0], |t1| t1.commit().unwrap());
-            on(sim, "follower", &members[1], |t2| {
-                t2.update();
-                t2.commit().unwrap();
-            });
+            on(sim, "follower", &members[1], end);
             on(sim, "joiner", &hot, |hot| {
                 hot.run(TxnId(3));
             });
         });
         let forced = hot.metrics.quiesce_forced.get();
-        assert_eq!(forced, 0, "seed {seed}: a finish_update wake-up was lost");
+        assert_eq!(forced, 0, "seed {seed}: the end of the flight was lost");
         hot.assert_drained(&format!("seed {seed}"));
         report
     });

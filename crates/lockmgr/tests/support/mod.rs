@@ -69,11 +69,13 @@ pub fn assert_locks_drained<L: Layout>(table: &RecordLockTable<L>) {
 }
 
 /// A model of a hot row's storage: the writers of its uncommitted versions,
-/// oldest first, and for each what it wrote on top of.
+/// oldest first, for each what it wrote on top of, and whose granted update
+/// is in flight.
 #[derive(Default)]
 struct Chain {
     uncommitted: Vec<TxnId>,
     read_by: Vec<(TxnId, Vec<TxnId>)>,
+    in_flight: Option<TxnId>,
 }
 
 /// One hot row under test: the group table, its metrics, and the model of
@@ -124,7 +126,7 @@ impl Hot {
     /// waits for its grant; `Err` when that wait gave up.  A leader's
     /// leadership and every member's registration must be visible through
     /// the entry map the moment it is granted — on an orphaned entry they
-    /// would not be.
+    /// would not be — and no other granted update may still be in flight.
     pub fn arrive(&self, txn: TxnId) -> Result<Member> {
         let (handle, execution) = self.g.begin_update(txn, HOT);
         let leads = match execution {
@@ -134,6 +136,8 @@ impl Hot {
                 self.g.wait_for_grant(txn, &handle, &slot)? == WokenRole::NewLeader
             }
         };
+        let other = self.chain.lock().unwrap().in_flight.replace(txn);
+        assert_eq!(other, None, "{txn} granted beside an update in flight");
         let row = self.g.peek(HOT);
         assert!(row.dep_list.contains(&txn), "{txn} granted, not registered");
         assert_eq!(row.leader == Some(txn), leads, "{txn}'s role: {row:?}");
@@ -165,6 +169,12 @@ impl Hot {
         assert_eq!(self.g.peek(HOT), drained, "{context}: row not drained");
         let left = &self.chain.lock().unwrap().uncommitted;
         assert!(left.is_empty(), "{context}: uncommitted versions {left:?}");
+    }
+
+    /// `txn`'s granted update lands — before the group hears of it, so the
+    /// next grantee finds nothing in flight.
+    fn landed(&self, txn: TxnId) {
+        (self.chain.lock().unwrap().in_flight).take_if(|flying| *flying == txn);
     }
 
     /// `txn` writes the row's head, on top of every uncommitted version.
@@ -218,19 +228,26 @@ impl Member {
     pub fn update(&self) {
         self.hot.wrote(self.txn);
         self.hot.g.take_hot_update_order();
+        self.hot.landed(self.txn);
         self.hot.g.finish_update(self.txn, &self.handle, self.leads);
     }
 
+    /// Gives the unused grant back (`GroupLocking::join_group` when the row
+    /// lock or a prevention check fails): nothing was written.
+    pub fn abandon(&self) {
+        self.hot.landed(self.txn);
+        (self.hot.g).abandon_update(self.txn, &self.handle, self.leads);
+    }
+
     /// Alg. 2 as `GroupLocking::before_order` / `after_order` drive it: a
-    /// leader quiesces and hands over, and believes the hand-over's verdict
-    /// on its turn; everybody else waits for the turn.  `Err` is the cascade
-    /// (or the timeout) the turn wait ended in; nothing was committed then.
+    /// leader steps down, and believes the step-down's verdict on its turn;
+    /// everybody else waits for the turn.  `Err` is the cascade (or the
+    /// timeout) the turn wait ended in; nothing was committed then.
     pub fn commit(&self) -> Result<()> {
         let (g, txn) = (&self.hot.g, self.txn);
         let mut turn = CommitTurn::Blocked;
         if self.leads {
-            g.leader_prepare_commit(txn, &self.handle);
-            turn = g.leader_handover(txn, &self.handle).turn;
+            turn = g.leader_step_down(txn, &self.handle).turn;
         }
         if turn != CommitTurn::Ready {
             g.wait_commit_turn(txn, &self.handle)?;
@@ -265,6 +282,7 @@ impl Member {
     /// wait for the turn, undo, leave.  Returns what the last step promoted.
     pub fn roll_back(&self) -> Option<TxnId> {
         let (g, txn) = (&self.hot.g, self.txn);
+        self.hot.landed(txn);
         g.begin_rollback(txn, &self.handle);
         g.wait_rollback_turn(txn, &self.handle).unwrap();
         self.hot.undid(txn);
