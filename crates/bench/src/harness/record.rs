@@ -3,10 +3,11 @@
 //!
 //! A record file is one block: a `description`, an `environment` note, the
 //! provenance — the selection it ran and everything its numbers depend on:
-//! commit, CPU count, seed, window lengths, repeat count, scale — and an array of
-//! measured cells, each a median with its spread.  A new run re-records the
-//! whole file (git keeps what it replaced).  The scoreboard is not stored:
-//! `--check` derives it from the cells and the selection's declared claims.
+//! commit, CPU count, seed, window lengths, repeat count, scale — and an
+//! array of measured cells, each a median with its spread.  A new run
+//! re-records the whole file (git keeps what it replaced).  The scoreboard is
+//! not stored: `--check` derives it from the cells and the selection's
+//! declared claims.
 
 use super::cell::{CellOutcome, REPEATS};
 use super::figures::Scoreboard;
@@ -287,11 +288,9 @@ pub fn check(block: &Json) -> Result<Scoreboard, String> {
     let recorded = |key| block.field("provenance").and_then(|p| p.field(key)).ok();
     let full = matches!(recorded("full_scale"), Some(Json::Bool(true)));
     if full != full_scale() {
-        let set = |full| if full { "set" } else { "unset" };
+        let un = if full { "" } else { "un" };
         return Err(format!(
-            "recorded with TXSQL_BENCH_FULL {}, checked with it {}: the selections differ",
-            set(full),
-            set(full_scale())
+            "recorded with TXSQL_BENCH_FULL {un}set: check it the same way"
         ));
     }
     let name = recorded("grid").and_then(Json::as_str).unwrap_or_default();
