@@ -316,10 +316,10 @@ struct GroupState {
     /// Transaction whose granted hotspot update has not yet finished, if
     /// any (`granting_new_trx` in the paper, which does not say whose).
     executing: Option<TxnId>,
-    /// `switching_new_leader`: the leader stepped down while `executing`'s
-    /// update was in flight; stop granting, and hand the row over when that
-    /// update ends.  Set only then, so it implies `executing.is_some()`.
-    switching_new_leader: bool,
+    /// `switching_new_leader`, and since when: the leader stepped down while
+    /// `executing`'s update was in flight; stop granting, and hand the row
+    /// over when that update ends.  Set only then: it implies `executing`.
+    switching_new_leader: Option<SimInstant>,
     /// Followers granted in the current group (for the batch size).
     granted_in_group: usize,
     /// Transactions between `begin_rollback` and `finish_rollback` on this
@@ -419,7 +419,6 @@ impl GroupState {
     /// until it calls `finish_update`, so nobody can slip in between.
     fn lead(&mut self, txn: TxnId) {
         self.leader = Some(txn);
-        self.switching_new_leader = false;
         self.granted_in_group = 0;
         self.grant(txn);
     }
@@ -433,7 +432,6 @@ impl GroupState {
         }
         let batch_open = batch_size == 0 || self.granted_in_group < batch_size;
         if self.executing.is_none()
-            && !self.switching_new_leader
             && !paused
             && self.waiting_updates.is_empty()
             && self.leader.is_some()
@@ -462,7 +460,7 @@ impl GroupState {
             return None;
         }
         self.executing = None;
-        if self.switching_new_leader {
+        if self.switching_new_leader.is_some() {
             return self
                 .step_down()
                 .map(|(_, slot)| (slot, WokenRole::NewLeader));
@@ -493,7 +491,7 @@ impl GroupState {
     /// `finish_rollback` promotes instead.
     fn step_down(&mut self) -> Option<(TxnId, Arc<WaitSlot>)> {
         self.leader = None;
-        self.switching_new_leader = false;
+        self.switching_new_leader = None;
         if self.paused() {
             return None;
         }
@@ -737,11 +735,11 @@ impl GroupLockTable {
     /// Waits on `slot` until granted, returning the role, or times out.  A
     /// hand-off wait: the granter is mid-update or mid-commit right now.
     ///
-    /// A wait that times out behind a pending hand-over takes the update in
-    /// flight for one that will never end — its transaction vanished between
-    /// grant and `finish_update` (it failed on an unrelated error) — and
-    /// force-clears it: the hand-over completes rather than wedge the row,
-    /// and `quiesce_forced` says so.  No transaction is aborted for it.
+    /// A wait that times out, still queued, behind a hand-over pending for
+    /// four wait budgets since the step-down takes the update in flight for
+    /// one that will never end — its transaction vanished after its grant
+    /// (it failed on an unrelated error) — and force-clears it: the row is
+    /// handed over, `quiesce_forced` says so, and nothing is aborted.
     pub fn wait_for_grant<'a>(
         &self,
         txn: TxnId,
@@ -758,17 +756,19 @@ impl GroupLockTable {
     }
 
     /// Takes a transaction that gave up waiting out of the queue.  When it
-    /// is not queued any more the grant raced ahead of the deadline, and the
-    /// transaction must proceed with the role returned.
+    /// is not queued any more the grant (of the update in flight, maybe)
+    /// raced the deadline, and it must proceed with the role returned.
     fn cancel_wait(&self, txn: TxnId, handle: &GroupHandle) -> Option<WokenRole> {
+        let vanished = |since: SimInstant| since.elapsed() >= self.config.hot_wait_timeout * 4;
+        let queued = |state: &GroupState| state.waiting_updates.iter().position(|w| w.txn == txn);
         let (role, promoted, woken) = self.with_state(handle, |state| {
             let mut promoted = None;
-            if state.switching_new_leader {
+            if queued(state).is_some() && state.switching_new_leader.is_some_and(vanished) {
                 self.metrics.quiesce_forced.inc();
                 state.executing = None;
                 promoted = state.step_down();
             }
-            let role = match state.waiting_updates.iter().position(|w| w.txn == txn) {
+            let role = match queued(state) {
                 Some(pos) => {
                     state.waiting_updates.remove(pos);
                     None
@@ -867,7 +867,7 @@ impl GroupLockTable {
         let (promoted, turn) = self.with_state(&row.handle_in(self), |state| {
             let promoted = match state.leader == Some(txn) {
                 true if state.executing.is_some() => {
-                    state.switching_new_leader = true;
+                    state.switching_new_leader = Some(SimInstant::now());
                     None
                 }
                 true => state.step_down(),
@@ -1044,7 +1044,7 @@ impl GroupLockTable {
             state.rolling_back.retain(|t| *t != txn);
             // (A leader that stepped down behind an update still in flight
             // stays `leader` until that update ends.)
-            if state.leader == Some(txn) && !state.switching_new_leader {
+            if state.leader == Some(txn) && state.switching_new_leader.is_none() {
                 state.leader = None;
             }
             // Another member may still be between `begin_rollback` and here:
@@ -1360,24 +1360,30 @@ mod tests {
     }
 
     /// A granted follower that is never heard of again, behind a leader that
-    /// stepped down: the arrival whose grant wait times out behind the
-    /// pending hand-over clears the in-flight mark, says so, and is promoted
-    /// — nothing stale is left for a later rollback to act on.
+    /// stepped down.  An arrival whose grant wait times out before the
+    /// hand-over has been pending for four of its budgets leaves the update
+    /// in flight alone — slow is not gone — and gives up; the first to time
+    /// out after that clears the in-flight mark, says so, and is promoted —
+    /// nothing stale is left for a later rollback to act on.
     #[test]
     fn vanished_follower_is_force_cleared_and_reported() {
-        let hot = Hot::new(5);
+        let hot = Hot::new(25);
         let leader = hot.arrive(TxnId(1)).unwrap();
         leader.update();
         let _vanished = hot.arrive(TxnId(2)).unwrap();
         leader.commit().unwrap();
-        let g = &hot.g;
+        let (g, forced) = (&hot.g, || hot.metrics.quiesce_forced.get());
         let (handle, slot) = parked(g, 3);
-        let role = g.wait_for_grant(TxnId(3), &handle, &slot);
-        assert_eq!(role, Ok(WokenRole::NewLeader));
-        assert_eq!(hot.metrics.quiesce_forced.get(), 1);
+        let early = g.wait_for_grant(TxnId(3), &handle, &slot).unwrap_err();
+        assert!(matches!(early, Error::LockWaitTimeout { .. }), "{early:?}");
+        assert_eq!(forced(), 0, "cleared a flight too young to be gone");
+        std::thread::sleep(Duration::from_millis(100));
+        let (handle, slot) = parked(g, 4);
+        let role = g.wait_for_grant(TxnId(4), &handle, &slot);
+        assert_eq!((role, forced()), (Ok(WokenRole::NewLeader), 1));
         assert_eq!(hot.metrics.abort_breakdown().total(), 0, "nothing aborted");
         g.take_hot_update_order();
-        g.finish_update(TxnId(3), &handle, true);
+        g.finish_update(TxnId(4), &handle, true);
         let (in_flight, parked) = g.with_state(&handle, |s| (s.executing, s.turn_waiters.len()));
         assert_eq!((in_flight, parked), (None, 0));
     }

@@ -148,41 +148,58 @@ fn abandoned_grant_leaves_no_registration_under_exploration() {
     }
 }
 
-/// A parked update's deadline racing the promotion that would make it leader
-/// resolves to one side: the waiter either proceeds as the promoted leader
-/// (the grant raced ahead of the cancellation) or left the queue and the row
-/// is left leaderless — never both, never a lost promotion.  T1 leads, its
-/// update in flight, and stalls past the waiter's 100 ms deadline before it
-/// gives the grant back (its row lock failed); a waiter parked before the
-/// stall gives up, one that arrives after it is promoted in time or leads.
+/// A parked update's deadline racing the grant that would end its wait
+/// resolves to one side: the waiter proceeds with the role it was granted
+/// (the grant raced ahead of the cancellation) or left the queue — never
+/// both, never a lost grant.  T1 leads, its update in flight, and stalls
+/// past the deadline of T2, parked behind it; then, by the seed, it gives
+/// the grant back (its row lock failed: T2 would lead) or ends its update
+/// (T2 would follow) and commits, stepping down behind T2's update.  T3
+/// arrives anywhere around them.  Nothing is granted beside an update in
+/// flight: a hand-over pending behind a grant that young is for the end of
+/// that update to complete, not for a timed-out waiter (`quiesce_forced`).
 #[test]
-fn grant_deadline_racing_a_promotion_resolves_to_one_side_under_exploration() {
+fn grant_deadline_racing_a_grant_resolves_to_one_side_under_exploration() {
+    let ends: [fn(Member); 2] = [
+        |t1| t1.abandon(),
+        |t1| {
+            t1.update();
+            t1.commit().unwrap();
+        },
+    ];
     let gave_up = Arc::new(AtomicUsize::new(0));
-    let summary = explore("sim_lock/handover_deadline", 200, |seed| {
+    let summary = explore("sim_lock/grant_deadline", 200, |seed| {
         let (hot, members) = Hot::group(&[], Some(1));
+        let end = ends[seed as usize % ends.len()];
         let report = run_seed(seed, |sim| {
-            let (hot, gave_up) = (hot.clone(), Arc::clone(&gave_up));
-            sim.spawn("waiter", move || match hot.arrive(TxnId(2)) {
-                Ok(member) => {
-                    member.update();
-                    member.commit().unwrap();
-                }
-                Err(err) => {
-                    assert!(matches!(err, Error::LockWaitTimeout { .. }), "{err:?}");
-                    let row = hot.g.peek(HOT);
-                    assert_ne!(row.leader, Some(TxnId(2)), "gave up, yet leads");
-                    gave_up.fetch_add(1, Ordering::Relaxed);
-                }
-            });
             let t1 = members[0].clone();
-            sim.spawn("abandoner", move || {
-                // A first pause lets the waiter park behind the update in
-                // flight; the second runs past the deadline it then took.
+            sim.spawn("leader", move || {
+                // A first pause lets T2 park behind the update in flight;
+                // the second runs past the deadline it then took.
                 simulate_delay(Duration::from_millis(1));
                 simulate_delay(Duration::from_millis(105));
-                t1.abandon();
+                end(t1);
             });
+            for txn in [2, 3] {
+                let (hot, gave_up) = (hot.clone(), Arc::clone(&gave_up));
+                sim.spawn(format!("arrival-{txn}"), move || {
+                    match hot.arrive(TxnId(txn)) {
+                        Ok(member) => {
+                            member.update();
+                            member.commit().unwrap();
+                        }
+                        Err(err) => {
+                            assert!(matches!(err, Error::LockWaitTimeout { .. }), "{err:?}");
+                            let row = hot.g.peek(HOT);
+                            assert_ne!(row.leader, Some(TxnId(txn)), "gave up, yet leads");
+                            gave_up.fetch_add((txn == 2) as usize, Ordering::Relaxed);
+                        }
+                    }
+                });
+            }
         });
+        let forced = hot.metrics.quiesce_forced.get();
+        assert_eq!(forced, 0, "seed {seed}: a live update was force-cleared");
         hot.assert_drained(&format!("seed {seed}"));
         report
     });
