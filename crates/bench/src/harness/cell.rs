@@ -121,9 +121,7 @@ impl CellSpec {
             WorkloadSpec::Sysbench { table_size, .. }
             | WorkloadSpec::SysbenchAbortInject { table_size, .. } => *table_size = rows,
             WorkloadSpec::Fit { users, .. } => *users = rows,
-            WorkloadSpec::Tpcc { .. }
-            | WorkloadSpec::Hotspots { .. }
-            | WorkloadSpec::HotspotBurst { .. } => {}
+            WorkloadSpec::Tpcc { .. } | WorkloadSpec::HotspotBurst { .. } => {}
         }
         self
     }
@@ -374,12 +372,12 @@ mod tests {
         assert_eq!(plain.id(), "tpcc-w2/mysql/t8");
 
         // Two specs that differ in one thing only have two ids.
-        let trace = |phase_seconds| WorkloadSpec::Hotspots {
+        let trace = |phase_seconds| WorkloadSpec::HotspotBurst {
             base_tps: 300,
             phase_seconds,
         };
         let [short, long] = [1, 5].map(|s| CellSpec::new(Protocol::QueueLockingO2, trace(s)).id());
-        assert_eq!(short, "hotspots-tps300-phase1s/o2/t8");
+        assert_eq!(short, "hotspot-burst-tps300-phase1s/o2/t8");
         assert_ne!(short, long);
         let rtt = |one_way| LatencyModel {
             network_one_way: std::time::Duration::from_micros(one_way),

@@ -34,21 +34,16 @@ fn every_cell(grid: &str, cells: Vec<CellSpec>) -> Panel {
     })
 }
 
-/// The CI grid: two protocols, small tables, one replication cell, one short
-/// open-loop trace, a replica stall and the admission burst pair — fast
-/// enough for every push.  Queue depth 2 under 8 bursty workers guarantees
+/// The CI grid: two protocols, small tables, one replication cell, a replica
+/// stall and the admission burst pair (the open-loop cells) — fast enough
+/// for every push.  Queue depth 2 under 8 bursty workers guarantees
 /// the admission cell actually sheds (CI greps `admission_shed=` non-zero).
 pub fn smoke_grid() -> GridSpec {
     let hot_update = WorkloadSpec::sysbench(SysbenchVariant::HotspotUpdate);
     let fit = WorkloadSpec::fit_standard();
-    let (base_tps, phase_seconds) = (50, 1);
     let burst = WorkloadSpec::HotspotBurst {
-        base_tps,
-        phase_seconds,
-    };
-    let hotspots = WorkloadSpec::Hotspots {
-        base_tps,
-        phase_seconds,
+        base_tps: 50,
+        phase_seconds: 1,
     };
     let txsql = Protocol::GroupLockingTxsql;
 
@@ -59,7 +54,6 @@ pub fn smoke_grid() -> GridSpec {
     }
     let semi_sync = CellSpec::new(txsql, fit).replication(ReplicationMode::Synchronous);
     cells.push(semi_sync.clone());
-    cells.push(CellSpec::new(txsql, hotspots).threads(4));
     cells.push(replica_stall(semi_sync));
     cells.extend(
         admission_pair(burst, 8, 2)

@@ -95,7 +95,7 @@ fn obj(pairs: Vec<(&str, Json)>) -> Json {
 enum Field {
     Label(fn(&CellOutcome) -> String),
     Count(fn(&CellOutcome) -> u64),
-    Value(fn(&CellOutcome) -> f64),
+    Measured(fn(&CellOutcome) -> f64),
 }
 
 /// The keys every recorded cell carries: written by [`cell_json`], required
@@ -109,12 +109,12 @@ const CELL_FIELDS: [(&str, Field); 13] = [
     ("workload", Field::Label(|o| o.spec.workload.label())),
     ("threads", Field::Count(|o| o.spec.threads as u64)),
     ("replication", Field::Label(replication_label)),
-    ("goodput_tps", Field::Value(|o| o.goodput_tps)),
-    ("goodput_iqr", Field::Value(|o| o.goodput_iqr)),
-    ("abort_rate_pct", Field::Value(|o| o.abort_rate_pct)),
-    ("p50_ms", Field::Value(|o| o.p50_ms)),
-    ("p95_ms", Field::Value(|o| o.p95_ms)),
-    ("p99_ms", Field::Value(|o| o.p99_ms)),
+    ("goodput_tps", Field::Measured(|o| o.goodput_tps)),
+    ("goodput_iqr", Field::Measured(|o| o.goodput_iqr)),
+    ("abort_rate_pct", Field::Measured(|o| o.abort_rate_pct)),
+    ("p50_ms", Field::Measured(|o| o.p50_ms)),
+    ("p95_ms", Field::Measured(|o| o.p95_ms)),
+    ("p99_ms", Field::Measured(|o| o.p99_ms)),
     ("committed", Field::Count(|o| o.committed)),
     ("failed", Field::Count(|o| o.failed)),
 ];
@@ -164,7 +164,7 @@ pub fn cell_json(outcome: &CellOutcome) -> Json {
         let value = match field {
             Field::Label(read) => Json::Str(read(outcome)),
             Field::Count(read) => Json::U64(read(outcome)),
-            Field::Value(read) => Json::F64(read(outcome)),
+            Field::Measured(read) => Json::F64(read(outcome)),
         };
         pairs.push((key, value));
     }

@@ -118,10 +118,10 @@ pub enum Error {
         /// Why the engine degraded.
         reason: &'static str,
     },
-    /// A row whose redo image does not fit a frame of the log.
+    /// A row with more columns than a frame of the redo log holds.
     RowTooLarge {
-        /// Size of the image in bytes.
-        bytes: usize,
+        /// The row's column count.
+        columns: usize,
     },
     /// Generic invariant violation (programming error surfaced gracefully).
     Internal {
@@ -216,7 +216,7 @@ impl fmt::Display for Error {
             Error::ShuttingDown => write!(f, "engine is shutting down"),
             Error::Crashed { point } => write!(f, "injected crash fired at {point}"),
             Error::ReadOnly { reason } => write!(f, "engine is read-only: {reason}"),
-            Error::RowTooLarge { bytes } => write!(f, "a {bytes}-byte row image fits no log frame"),
+            Error::RowTooLarge { columns } => write!(f, "a {columns}-column row fits no log frame"),
             Error::Internal { reason } => write!(f, "internal error: {reason}"),
         }
     }

@@ -9,8 +9,8 @@
 //!   InnoDB / the paper (§2.2): a `(space_id, page_no, heap_no)` triple
 //!   ([`ids::RecordId`]); transactions, tables and log sequence numbers get
 //!   their own newtypes.
-//! * [`value`] — a small dynamically-typed [`value::Value`] / [`value::Row`]
-//!   model, enough to express the SysBench, TPC-C and FiT schemas.
+//! * [`value`] — [`value::Row`], a row of integer columns: every SysBench,
+//!   TPC-C and FiT schema here is integers.
 //! * [`error`] — the crate-wide [`error::Error`] type (lock wait timeouts,
 //!   deadlocks, hotspot aborts, …).
 //! * [`fxhash`] — an FxHash implementation and the [`fxhash::FxHashMap`] /
@@ -43,4 +43,4 @@ pub mod zipf;
 pub use error::{Error, Result};
 pub use ids::{HeapNo, Lsn, PageNo, RecordId, SpaceId, TableId, TxnId};
 pub use pad::CachePadded;
-pub use value::{Row, Value};
+pub use value::Row;

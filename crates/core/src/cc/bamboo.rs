@@ -2,14 +2,17 @@
 //! right after the update (early lock release).  A later writer that stacks
 //! on the uncommitted head takes a commit dependency on its writer: it may
 //! not order its commit record before that writer's outcome is final, and
-//! cascades if the writer aborts.
+//! cascades if the writer aborts.  A dependency that would close a cycle —
+//! its writer already waits, however indirectly, for the reader's outcome —
+//! is refused before the read: every member of such a cycle would otherwise
+//! wait out its timeout and cascade the others.
 
 use super::{held, lock_to_commit, ConcurrencyControl, LockTable, WriteAdmission};
 use crate::database::DbInner;
 use parking_lot::Mutex;
 use std::sync::Arc;
 use std::time::Duration;
-use txsql_common::fxhash::FxHashMap;
+use txsql_common::fxhash::{FxHashMap, FxHashSet};
 use txsql_common::time::SimInstant;
 use txsql_common::{Error, RecordId, Result, TableId, TxnId};
 use txsql_lockmgr::{LightweightLockTable, OsEvent};
@@ -20,14 +23,19 @@ const COMMITTED: u32 = 1;
 /// Completion payload: the writer rolled back; its dependents cascade.
 const ABORTED: u32 = 2;
 
+/// Per active transaction: its completion event, and the writers whose
+/// dirty data it read.
+type Completions = FxHashMap<TxnId, (Arc<OsEvent>, Vec<TxnId>)>;
+
 pub(super) struct Bamboo {
     pub(super) locks: LightweightLockTable,
-    /// The completion event of every *active* transaction: a dependent clones
-    /// its writer's event when it reads the writer's dirty version, and the
-    /// writer posts [`COMMITTED`] or [`ABORTED`] to it — and leaves this map
-    /// — once its outcome is final.  A dependent's wait is then one park on
-    /// the event it holds; the event dies with its last dependent.
-    pub(super) completions: Mutex<FxHashMap<TxnId, Arc<OsEvent>>>,
+    /// The completion event of every *active* transaction, with the writers
+    /// whose dirty data it read: a dependent clones its writer's event when
+    /// it reads the writer's dirty version, and the writer posts
+    /// [`COMMITTED`] or [`ABORTED`] to it — and leaves this map — once its
+    /// outcome is final.  A dependent's wait is then one park on the event it
+    /// holds; the event dies with its last dependent.
+    pub(super) completions: Mutex<Completions>,
     /// How long a commit waits for the writers it depends on.
     pub(super) dependency_timeout: Duration,
 }
@@ -35,7 +43,9 @@ pub(super) struct Bamboo {
 impl ConcurrencyControl for Bamboo {
     fn begin(&self, txn: &Transaction) {
         let completion = OsEvent::acquire_pooled();
-        self.completions.lock().insert(txn.id, completion);
+        self.completions
+            .lock()
+            .insert(txn.id, (completion, Vec::new()));
     }
 
     /// Locks the row, then takes `txn`'s commit dependency on the writer of
@@ -59,8 +69,15 @@ impl ConcurrencyControl for Bamboo {
             if writer == txn.id {
                 break;
             }
-            let completion = self.completions.lock().get(&writer).cloned();
-            if let Some(completion) = completion {
+            let mut completions = self.completions.lock();
+            if let Some((completion, _)) = completions.get(&writer) {
+                let completion = Arc::clone(completion);
+                if waits_for(&completions, writer, txn.id) {
+                    return Err(Error::Deadlock { txn: txn.id });
+                }
+                let (_, reads_from) = completions.get_mut(&txn.id).expect("begun");
+                reads_from.push(writer);
+                drop(completions);
                 txn.record_dirty_read_from(DirtyRead {
                     writer,
                     record,
@@ -103,7 +120,7 @@ impl ConcurrencyControl for Bamboo {
     /// they need it).
     fn finished(&self, txn: &Transaction, committed: bool) {
         let completion = self.completions.lock().remove(&txn.id);
-        if let Some(completion) = completion {
+        if let Some((completion, _)) = completion {
             completion.set_with(if committed { COMMITTED } else { ABORTED });
             OsEvent::recycle(completion);
         }
@@ -116,6 +133,21 @@ impl ConcurrencyControl for Bamboo {
     fn live_entries(&self) -> usize {
         self.completions.lock().len()
     }
+}
+
+/// Whether `from` waits for `target`'s outcome: read its dirty data, or that
+/// of a writer that does (a finished writer waits for nobody).
+fn waits_for(completions: &Completions, from: TxnId, target: TxnId) -> bool {
+    let (mut stack, mut seen) = (vec![from], FxHashSet::default());
+    while let Some(txn) = stack.pop() {
+        if txn == target {
+            return true;
+        }
+        if seen.insert(txn) {
+            stack.extend(completions.get(&txn).into_iter().flat_map(|(_, r)| r));
+        }
+    }
+    false
 }
 
 #[cfg(test)]
@@ -208,6 +240,25 @@ mod tests {
         assert_eq!(row.unwrap().unwrap().get_int(1), Some(expected));
         db.shutdown();
         result
+    }
+
+    #[test]
+    fn a_dependency_that_would_close_a_cycle_is_refused_before_the_read() {
+        let db = one_row(Protocol::Bamboo);
+        db.load_row(TableId(1), Row::from_ints(&[1, 0])).unwrap();
+        let (mut t1, mut t2) = (db.begin(), db.begin());
+        db.update_add(&mut t1, TableId(1), 0, 1, 1).unwrap();
+        db.update_add(&mut t2, TableId(1), 1, 1, 1).unwrap();
+        // T1 reads T2's dirty row 1, so T1 waits for T2; T2 reading T1's
+        // dirty row 0 would make T2 wait for T1.
+        db.update_add(&mut t1, TableId(1), 1, 1, 1).unwrap();
+        let err = db.update_add(&mut t2, TableId(1), 0, 1, 1).unwrap_err();
+        assert!(matches!(err, Error::Deadlock { .. }), "{err:?}");
+        db.rollback(t2, Some(&err));
+        let err = db.commit(t1).unwrap_err();
+        assert!(matches!(err, Error::DirtyReadAborted { .. }), "{err:?}");
+        assert_eq!(db.inner.cc.live_entries(), 0);
+        db.shutdown();
     }
 
     #[test]

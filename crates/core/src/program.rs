@@ -45,7 +45,7 @@ pub enum Operation {
         table: TableId,
         /// Primary key of the new row.
         pk: i64,
-        /// Value for the non-key integer columns.
+        /// What the non-key columns are filled with.
         fill: i64,
     },
     /// Application work performed inside the transaction (business logic, a

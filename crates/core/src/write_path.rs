@@ -76,7 +76,7 @@ impl Database {
         }
         txn.metrics().queries.inc();
         let pk = row.primary_key().ok_or_else(|| Error::Internal {
-            reason: "insert without integer pk".into(),
+            reason: "insert without a primary key".into(),
         })?;
         self.begin_write(txn);
         let (record, _) = self

@@ -6,7 +6,7 @@ use std::sync::Arc;
 use std::thread;
 use std::time::Duration;
 use txsql_common::latency::LatencyModel;
-use txsql_common::{Row, TableId, Value};
+use txsql_common::TableId;
 use txsql_core::{Database, EngineConfig, Operation, Protocol, TxnProgram};
 use txsql_storage::TableSchema;
 use txsql_workloads::fixture::{self, add, Fixture, ACCOUNTS};
@@ -193,6 +193,40 @@ fn select_for_update_blocks_conflicting_writers() {
     db.commit(holder).unwrap();
     fixture.acked(&[(3, 5)]);
     fixture.audit("the holder's update, not the waiter's");
+}
+
+/// A hot-row `SELECT … FOR UPDATE` holds the group's grant like an update in
+/// flight.  One that no update of the row follows ends the grant at commit,
+/// so the next writer gets the row within its wait budget — for a leader and
+/// for a follower — and the group's entry is gone once every transaction is.
+#[test]
+fn a_hot_select_for_update_without_an_update_passes_the_row_on_at_commit() {
+    let config = fixture::config(Protocol::GroupLockingTxsql)
+        .with_lock_wait_timeout(Duration::from_millis(100));
+    let fixture = setup(config, 2);
+    let db = &fixture.db;
+    db.hotspots().pin(fixture.record(0));
+    let write_and_commit = || {
+        let mut writer = db.begin();
+        db.update_add(&mut writer, ACCOUNTS, 0, 1, 1).unwrap();
+        db.commit(writer).unwrap();
+    };
+    // The leader selects and commits.
+    let mut leader = db.begin();
+    db.select_for_update(&mut leader, ACCOUNTS, 0).unwrap();
+    db.commit(leader).unwrap();
+    write_and_commit();
+    // A leader updates, a follower selects; both commit.
+    let mut leader = db.begin();
+    db.update_add(&mut leader, ACCOUNTS, 0, 1, 1).unwrap();
+    let mut follower = db.begin();
+    db.select_for_update(&mut follower, ACCOUNTS, 0).unwrap();
+    db.commit(leader).unwrap();
+    db.commit(follower).unwrap();
+    write_and_commit();
+    assert_eq!(db.protocol_entries(), 0);
+    fixture.acked(&[(0, 3)]);
+    fixture.audit("every select committed, every writer got the row");
 }
 
 // ---------------------------------------------------------------------------
@@ -525,25 +559,6 @@ fn crash_recovery_discards_uncommitted_hotspot_updates() {
     db.rollback(t_a, None);
     db.rollback(t_b, None);
     recovered.audit("two hot updates in flight at the crash");
-}
-
-#[test]
-fn string_columns_round_trip_through_updates() {
-    let db = setup(EngineConfig::for_protocol(Protocol::LightweightO1), 2).db;
-    let mut txn = db.begin();
-    db.update_row(&mut txn, ACCOUNTS, 1, &mut |row: &mut Row| {
-        row.set(1, Value::Str("padded".into()));
-    })
-    .unwrap();
-    db.commit(txn).unwrap();
-    let record = db.record_id(ACCOUNTS, 1).unwrap();
-    let row = db
-        .storage()
-        .read_committed(ACCOUNTS, record)
-        .unwrap()
-        .unwrap();
-    assert_eq!(row.get(1).unwrap().as_str(), Some("padded"));
-    db.shutdown();
 }
 
 // ---------------------------------------------------------------------------

@@ -860,17 +860,21 @@ impl GroupLockTable {
     /// in flight the group is marked `switching_new_leader` (lines 2–3) and
     /// the end of that update promotes.  Never waits.  Reports the leader's
     /// commit turn as seen under the same guard — one that is first of the
-    /// dependency list goes straight on to order its commit record.  A
-    /// transaction that does not lead the row (a stale handle) changes
-    /// nothing.
+    /// dependency list goes straight on to order its commit record.  The
+    /// leader's own grant — a `SELECT … FOR UPDATE` it never followed with an
+    /// update — ends here.  A transaction that does not lead the row (a stale
+    /// handle) changes nothing.
     pub fn leader_step_down<'a>(&self, txn: TxnId, row: impl HotRow<'a>) -> HandOver {
         let (promoted, turn) = self.with_state(&row.handle_in(self), |state| {
             let promoted = match state.leader == Some(txn) {
-                true if state.executing.is_some() => {
+                true if state.executing.is_some_and(|t| t != txn) => {
                     state.switching_new_leader = Some(SimInstant::now());
                     None
                 }
-                true => state.step_down(),
+                true => {
+                    state.executing = None;
+                    state.step_down()
+                }
                 false => None,
             };
             (promoted, state.commit_turn(txn))
@@ -975,15 +979,21 @@ impl GroupLockTable {
 
     /// Finalises a commit: removes `txn` from the dependency list and wakes
     /// the transactions whose turn that makes it (Algorithm 2, lines 11–12)
-    /// — after dropping the state guard.
+    /// — after dropping the state guard.  A follower's grant that no update
+    /// ended — a `SELECT … FOR UPDATE` alone — ends here, as after
+    /// [`GroupLockTable::finish_update`].
     /// A leader has stepped down by then; one whose hand-over is pending
     /// stays `leader` until the update in flight ends, so that no arrival
     /// leads beside that update.
     pub fn finish_commit<'a>(&self, txn: TxnId, row: impl HotRow<'a>) {
-        let woken = self.with_state(&row.handle_in(self), |state| {
+        let (granted, woken) = self.with_state(&row.handle_in(self), |state| {
             state.unregister(txn);
-            state.take_ready_waiters()
+            let granted = state.end_update(txn, self.config.batch_size);
+            (granted, state.take_ready_waiters())
         });
+        if let Some((slot, role)) = granted {
+            slot.grant(role);
+        }
         woken.fire();
     }
 

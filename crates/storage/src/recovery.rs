@@ -111,10 +111,11 @@ struct TxnRecoveryState {
     last_seq: usize,
 }
 
-/// The row image a redo record carries: table, primary key, row.
+/// The row image a redo record carries: table, primary key, row.  The image
+/// names no record: replay finds the row by its primary key, column 0.
 fn row_image(record: &RedoRecord) -> Option<(TableId, i64, &Row)> {
     match record {
-        RedoRecord::Image { table, pk, row, .. } => Some((*table, *pk, row)),
+        RedoRecord::Image { table, row, .. } => Some((*table, row.primary_key()?, row)),
         _ => None,
     }
 }
@@ -493,7 +494,7 @@ mod tests {
     /// back — then three in-flight hotspot updates, then the last 2 000
     /// records once more (an overlapping archive segment).  Returns the log
     /// and the transactions it rolled back before the crash.
-    fn hot_row_log(tid: TableId, record: RecordId) -> (Vec<RedoRecord>, Vec<TxnId>) {
+    fn hot_row_log(tid: TableId) -> (Vec<RedoRecord>, Vec<TxnId>) {
         let mut rng = txsql_common::rng::XorShiftRng::new(18);
         let (mut log, mut rolled_back) = (Vec::new(), Vec::new());
         let update = |log: &mut Vec<RedoRecord>, txn: u64, value: i64, order: u64| {
@@ -501,8 +502,6 @@ mod tests {
             log.push(RedoRecord::Image {
                 txn,
                 table: tid,
-                record,
-                pk: 1,
                 row: Row::from_ints(&[1, value]),
             });
             log.push(RedoRecord::UndoHeader {
@@ -548,8 +547,8 @@ mod tests {
 
     #[test]
     fn hot_row_replay_is_linear_and_matches_the_two_pass_algorithm() {
-        let (_storage, tid, hot, _cold, checkpoint) = setup();
-        let (log, rolled_back_before_crash) = hot_row_log(tid, hot);
+        let (_storage, tid, _hot, _cold, checkpoint) = setup();
+        let (log, rolled_back_before_crash) = hot_row_log(tid);
         PEAK_CHAIN.with(|peak| peak.set(0));
         let outcome = recover(&checkpoint, &log, Duration::ZERO).unwrap();
         // Every number below is what the parent's replay-all-then-resolve
@@ -626,8 +625,8 @@ mod tests {
         // T2 wrote a cold row first.  An update's header and row image are
         // one reservation — consecutive frames — so a mid-flush cut can fall
         // between them: here T2's header is durable, its hot update (the
-        // batch's last 64 bytes) is not.
-        let (storage, tid, hot, cold, checkpoint) = setup_torn(64);
+        // batch's last 40 bytes) is not.
+        let (storage, tid, hot, cold, checkpoint) = setup_torn(40);
         let bump = |row: &Row| Row::from_ints(&[1, row.get_int(1).unwrap() + 1]);
         storage
             .update_row(TxnId(1), tid, hot, Some(1), bump)

@@ -9,9 +9,10 @@
 //!   that only reads leaves no trace here, and in the log a transaction
 //!   begins with its first frame;
 //! * `update_row` / `apply_insert` — write an uncommitted version, record
-//!   its undo entry and append physical redo (`update_row` is the whole
-//!   read-modify-write under one latch hold; `apply_update` is the same with
-//!   the new image in hand);
+//!   its undo entry and append physical redo: the row image, which names its
+//!   table and carries the row's integers, nothing else (`update_row` is the
+//!   whole read-modify-write under one latch hold; `apply_update` is the same
+//!   with the new image in hand);
 //! * `commit_writes` — stamp the versions with a commit sequence number,
 //!   purge what no read view can select any more, and append the commit
 //!   marker;
@@ -288,9 +289,8 @@ impl Storage {
             let head = guard.latest().ok_or(Error::UnknownRecord { record })?;
             let new_row = make(&head.row);
             if !RedoRecord::fits(&new_row) {
-                return Err(Error::RowTooLarge {
-                    bytes: new_row.size_bytes(),
-                });
+                let columns = new_row.len();
+                return Err(Error::RowTooLarge { columns });
             }
             self.with_segment(txn, |segment| {
                 segment.records.push(UndoRecord::Update {
@@ -307,8 +307,6 @@ impl Storage {
         let update = RedoRecord::Image {
             txn,
             table: table_id,
-            record,
-            pk: new_row.primary_key().unwrap_or_default(),
             row: new_row,
         };
         let lsn = match header {
@@ -340,12 +338,11 @@ impl Storage {
         self.redo.crash_point(CrashPoint::PreAppend)?;
         let table = self.table(table_id)?;
         let pk = row.primary_key().ok_or_else(|| Error::Internal {
-            reason: "insert without integer pk".into(),
+            reason: "insert without a primary key".into(),
         })?;
         if !RedoRecord::fits(&row) {
-            return Err(Error::RowTooLarge {
-                bytes: row.size_bytes(),
-            });
+            let columns = row.len();
+            return Err(Error::RowTooLarge { columns });
         }
         let record =
             table.insert_versions(pk, RecordVersions::new_uncommitted(row.clone(), txn))?;
@@ -359,8 +356,6 @@ impl Storage {
         let lsn = self.redo.append(RedoRecord::Image {
             txn,
             table: table_id,
-            record,
-            pk,
             row,
         });
         self.redo.crash_point(CrashPoint::PostAppendPreFlush)?;
@@ -682,18 +677,19 @@ mod tests {
     #[test]
     fn a_row_image_that_fits_no_frame_is_refused_before_anything_is_installed() {
         let (storage, tid, rid) = setup();
-        let wide = |bytes: usize| Row::new(vec![1.into(), "x".repeat(bytes).into()]);
-        // 600 KB fits a 1 MiB segment beside its hot-order header.
+        let wide = |columns: usize| Row::from_ints(&vec![1; columns]);
+        // The widest row fits a segment beside its hot-order header.
         storage
-            .update_row(TxnId(1), tid, rid, Some(1), |_| wide(600_000))
+            .update_row(TxnId(1), tid, rid, Some(1), |_| {
+                wide(RedoRecord::MAX_COLUMNS)
+            })
             .unwrap();
         storage.rollback_writes(TxnId(1)).unwrap();
         let newest = || storage.read_latest_with_writer(tid, rid);
         let before = (storage.redo().latest_lsn(), newest());
         for result in [
-            storage.apply_update(TxnId(2), tid, rid, wide(1 << 20)),
+            storage.apply_update(TxnId(2), tid, rid, wide(RedoRecord::MAX_COLUMNS + 1)),
             (storage.apply_insert(TxnId(2), tid, wide(1 << 20))).map(|(_, lsn)| lsn),
-            storage.apply_update(TxnId(2), tid, rid, Row::from_ints(&[1; 1 << 16])),
         ] {
             assert!(matches!(result, Err(Error::RowTooLarge { .. })));
         }

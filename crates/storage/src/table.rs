@@ -98,7 +98,7 @@ impl Table {
     /// Bulk-load convenience: inserts a committed row.
     pub fn insert_committed(&self, row: Row) -> Result<RecordId> {
         let pk = row.primary_key().ok_or_else(|| Error::Internal {
-            reason: "row has no integer primary key".into(),
+            reason: "row has no primary key".into(),
         })?;
         self.insert_versions(pk, RecordVersions::new_committed(row))
     }
@@ -217,10 +217,9 @@ mod tests {
     }
 
     #[test]
-    fn rows_without_int_pk_rejected() {
+    fn rows_without_pk_rejected() {
         let t = small_table();
-        let row = Row::new(vec![txsql_common::Value::Str("x".into())]);
-        assert!(t.insert_committed(row).is_err());
+        assert!(t.insert_committed(Row::default()).is_err());
     }
 
     /// The append-only invariants, as facts writers publish and readers check

@@ -10,11 +10,15 @@
 //!
 //! A record is encoded as a **frame**: one header word (payload length,
 //! kind, checksum over the frame's LSN and payload) followed by the payload,
-//! in 8-byte words.  Frames sit back to back in **segments** of
-//! `SEGMENT_WORDS` words; a frame never spans two, so a frame that does not
-//! fit the rest of the tail segment *seals* it (a marker word where the frame
-//! would have started) and opens the next, and storage refuses a row whose
-//! image would not fit one ([`RedoRecord::fits`]).  Segments are slots of an
+//! in 8-byte words.  A row image's payload is what replay reads and nothing
+//! else: the transaction, one word of table and column count, and a word per
+//! column — so a 2-column update is a 5-word frame.  It holds no primary key
+//! (column 0 is the key) and no record id (replay finds the row by its key).
+//! Frames sit back to back in **segments** of `SEGMENT_WORDS` words; a frame
+//! never spans two, so a frame that does not fit the rest of the tail
+//! segment *seals* it (a marker word where the frame would have started) and
+//! opens the next, and storage refuses a row wider than one frame holds
+//! ([`RedoRecord::MAX_COLUMNS`]).  Segments are slots of an
 //! append-only [`Directory`]: a truncated segment is zeroed and reused, the
 //! directory only grows while the retained log does.
 //!
@@ -65,7 +69,7 @@ use std::time::Duration;
 use txsql_common::fxhash::FxHasher;
 use txsql_common::latency::simulate_delay;
 use txsql_common::pad::CachePadded;
-use txsql_common::{Error, Lsn, RecordId, Result, Row, TableId, TxnId, Value};
+use txsql_common::{Error, Lsn, Result, Row, TableId, TxnId};
 
 /// How many times a transiently failing fsync is retried (with backoff)
 /// before the engine degrades to read-only.
@@ -82,16 +86,13 @@ const SEGMENT_WORDS: usize = 1 << 17;
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum RedoRecord {
     /// A row image: physical redo of an update's after-image or of an
-    /// inserted row (replay treats them alike).
+    /// inserted row (replay treats them alike, and finds the row by its
+    /// primary key, column 0).
     Image {
         /// Writing transaction.
         txn: TxnId,
         /// Table of the row.
         table: TableId,
-        /// The record written.
-        record: RecordId,
-        /// Primary key of the row (so recovery can rebuild the index).
-        pk: i64,
         /// The row as the statement left it.
         row: Row,
     },
@@ -126,11 +127,6 @@ const ROLLBACK: u64 = 4;
 /// `Segment::next`.
 const SEAL: u64 = 5;
 
-/// Column tags of an encoded row, two bits a column.
-const INT: u64 = 0;
-const STR: u64 = 1;
-const NULL: u64 = 2;
-
 impl RedoRecord {
     /// The transaction this record belongs to.
     pub fn txn(&self) -> TxnId {
@@ -151,39 +147,32 @@ impl RedoRecord {
         }
     }
 
-    /// Whether `row`'s image fits a segment beside the undo header that may
-    /// share its reservation (and its column count the 16 bits it is given).
+    /// The most columns a row may have: its image (header, transaction,
+    /// table / column-count word, a word per column) fits a segment beside
+    /// the three-word undo header that may share its reservation.
+    pub const MAX_COLUMNS: usize = SEGMENT_WORDS - 7;
+
+    /// Whether `row`'s image fits a frame ([`RedoRecord::MAX_COLUMNS`]).
     /// Storage asks before it installs the version: a frame never spans two
     /// segments, and the log cannot refuse a row that is already in place.
     pub fn fits(row: &Row) -> bool {
-        // The image's header, transaction and three fixed words, and a
-        // three-word frame in front of it.
-        let mut words = 8;
-        encode_row(row, &mut |_| words += 1);
-        words < SEGMENT_WORDS && row.len() <= u16::MAX as usize
+        row.len() <= Self::MAX_COLUMNS
     }
 
     /// Feeds the payload words to `put`, in order: the transaction, then what
-    /// the kind carries.  A row image is its table / heap number / column
-    /// count, page, primary key, and the row ([`encode_row`]).
+    /// the kind carries.  A row image is its table and column count in one
+    /// word, then a word per column.
     fn encode(&self, put: &mut impl FnMut(u64)) {
         put(self.txn().0);
-        let (table, record, pk, row) = match self {
-            RedoRecord::Image {
-                table,
-                record,
-                pk,
-                row,
-                ..
-            } => (table, record, pk, row),
+        match self {
+            RedoRecord::Image { table, row, .. } => {
+                put((table.0 as u64) << 32 | row.len() as u64);
+                row.ints().iter().for_each(|&column| put(column as u64));
+            }
             RedoRecord::UndoHeader { field: word, .. }
-            | RedoRecord::Commit { trx_no: word, .. } => return put(*word),
-            RedoRecord::Rollback { .. } => return,
-        };
-        put((table.0 as u64) << 32 | (record.heap_no as u64) << 16 | row.len() as u64);
-        put((record.space_id as u64) << 32 | record.page_no as u64);
-        put(*pk as u64);
-        encode_row(row, put);
+            | RedoRecord::Commit { trx_no: word, .. } => put(*word),
+            RedoRecord::Rollback { .. } => {}
+        }
     }
 
     /// Reverses [`RedoRecord::encode`]; `None` when `payload` is not exactly
@@ -203,72 +192,20 @@ impl RedoRecord {
             },
             ROLLBACK => RedoRecord::Rollback { txn },
             IMAGE => {
-                let (shape, page, pk) = (words.next()?, words.next()?, words.next()? as i64);
-                let count = shape as u16 as usize;
-                let mut columns = Vec::with_capacity(count);
-                while columns.len() < count {
-                    let mut tags = words.next()?;
-                    for _ in 0..(count - columns.len()).min(32) {
-                        columns.push(match tags & 3 {
-                            INT => Value::Int(words.next()? as i64),
-                            NULL => Value::Null,
-                            STR => {
-                                let len = usize::try_from(words.next()?).ok()?;
-                                let mut bytes = Vec::with_capacity(len.min(8 * words.len()));
-                                for word in words.by_ref().take(len.div_ceil(8)) {
-                                    bytes.extend(word.to_le_bytes());
-                                }
-                                if bytes.len() < len {
-                                    return None;
-                                }
-                                bytes.truncate(len);
-                                Value::Str(String::from_utf8(bytes).ok()?)
-                            }
-                            _ => return None,
-                        });
-                        tags >>= 2;
-                    }
+                let shape = words.next()?;
+                let columns: Vec<i64> = words.by_ref().map(|word| word as i64).collect();
+                if columns.len() != shape as u32 as usize {
+                    return None;
                 }
                 RedoRecord::Image {
                     txn,
                     table: TableId((shape >> 32) as u32),
-                    record: RecordId::new((page >> 32) as u32, page as u32, (shape >> 16) as u16),
-                    pk,
-                    row: Row::new(columns),
+                    row: columns.into(),
                 }
             }
             _ => return None,
         };
         words.next().is_none().then_some(record)
-    }
-}
-
-/// Feeds a row's words to `put`: per 32 columns a word of tags followed by
-/// the values (an integer is a word, a string its length and bytes).
-fn encode_row(row: &Row, put: &mut impl FnMut(u64)) {
-    for columns in row.iter().as_slice().chunks(32) {
-        put(columns.iter().rev().fold(0, |tags, value| {
-            tags << 2
-                | match value {
-                    Value::Int(_) => INT,
-                    Value::Str(_) => STR,
-                    Value::Null => NULL,
-                }
-        }));
-        for value in columns {
-            match value {
-                Value::Int(int) => put(*int as u64),
-                Value::Str(text) => {
-                    put(text.len() as u64);
-                    for bytes in text.as_bytes().chunks(8) {
-                        let mut word = [0; 8];
-                        word[..bytes.len()].copy_from_slice(bytes);
-                        put(u64::from_le_bytes(word));
-                    }
-                }
-                Value::Null => {}
-            }
-        }
     }
 }
 
@@ -869,10 +806,27 @@ mod tests {
         RedoRecord::Image {
             txn: TxnId(txn),
             table: TableId(1),
-            record: RecordId::new(1, 0, pk as u16),
-            pk,
             row: Row::from_ints(&[pk, val]),
         }
+    }
+
+    /// The words `records` take in a segment, headers included.
+    fn frame_words(records: &[RedoRecord]) -> usize {
+        let log = RedoLog::default();
+        records.iter().for_each(|record| {
+            log.append(record.clone());
+        });
+        unpack(log.tail.reserved.load(Ordering::Relaxed), 1).off
+    }
+
+    #[test]
+    fn a_two_column_update_image_is_five_words() {
+        // Header, transaction, table and column count, the two columns.
+        assert_eq!(frame_words(&[upd(1, 7, 5)]), 5);
+        assert_eq!(frame_words(&[upd(1, 7, 5), commit(1)]), 8);
+        let wide = Row::from_ints(&vec![1; RedoRecord::MAX_COLUMNS]);
+        assert!(RedoRecord::fits(&wide));
+        assert!(!RedoRecord::fits(&Row::from_ints(&vec![1; wide.len() + 1])));
     }
 
     fn commit(txn: u64) -> RedoRecord {
@@ -936,38 +890,23 @@ mod tests {
         assert_eq!(log.durable_records().len(), 20);
     }
 
-    /// A seeded record: any kind, rows of up to 70 columns of every type,
-    /// now and then a string of a twelfth of a segment.
+    /// A seeded record: any kind, rows of up to 70 columns, one in eight
+    /// of them 10 000 columns wider (a thirteenth of a segment).
     fn random_record(rng: &mut XorShiftRng) -> RedoRecord {
         let txn = TxnId(rng.next_u64());
         let kind = rng.next_bounded(6);
         let word = rng.next_u64();
-        let text = |rng: &mut XorShiftRng, base| {
-            let letters = (0..base + rng.next_bounded(40))
-                .map(|_| char::from_u32(0x3b1 + rng.next_bounded(24) as u32));
-            Value::Str(letters.map(Option::unwrap).collect())
-        };
-        let mut columns = Vec::new();
-        for _ in 0..rng.next_bounded(70) * (kind / 3) {
-            columns.push(match rng.next_bounded(8) {
-                0 => Value::Null,
-                1 => text(rng, 0),
-                2 if rng.next_bounded(16) == 0 => text(rng, 40_000),
-                _ => Value::Int(rng.next_u64() as i64),
-            });
-        }
-        let (table, record) = (TableId(word as u32), RecordId::new(!word as u32, 9, 7));
-        let (pk, row) = (word as i64, Row::new(columns));
+        let wide = if rng.next_bounded(8) == 0 { 10_000 } else { 0 };
+        let columns = 0..(wide + rng.next_bounded(70)) * (kind / 3);
+        let row: Vec<i64> = columns.map(|_| rng.next_u64() as i64).collect();
         match kind {
             0 => RedoRecord::Rollback { txn },
             1 => RedoRecord::Commit { txn, trx_no: word },
             2 => RedoRecord::UndoHeader { txn, field: word },
             _ => RedoRecord::Image {
                 txn,
-                table,
-                record,
-                pk,
-                row,
+                table: TableId(word as u32),
+                row: row.into(),
             },
         }
     }
@@ -1108,20 +1047,19 @@ mod tests {
 
     /// What appender `who` logs: `rounds` of a pair and a single, every
     /// record naming its appender and its place in the appender's sequence;
-    /// the single carries `text` bytes of string.  Returns the LSN each record
-    /// was given.
-    fn append_rounds(log: &RedoLog, who: u64, rounds: u64, text: usize) -> Vec<Lsn> {
+    /// the single is `width` columns wide.  Returns the LSN each record was
+    /// given.
+    fn append_rounds(log: &RedoLog, who: u64, rounds: u64, width: usize) -> Vec<Lsn> {
         let mut lsns = Vec::new();
         for round in 0..rounds {
             let seq = 3 * round;
             let pair = log.append_pair(upd(who, 0, seq as i64), upd(who, 0, seq as i64 + 1));
-            let text = "x".repeat(text);
+            let mut row = vec![0; width.max(2)];
+            row[1] = seq as i64 + 2;
             let single = log.append(RedoRecord::Image {
                 txn: TxnId(who),
                 table: TableId(1),
-                record: RecordId::new(1, 0, 0),
-                pk: 0,
-                row: Row::new(vec![Value::Int(0), Value::Int(seq as i64 + 2), text.into()]),
+                row: row.into(),
             });
             lsns.extend([Lsn(pair.0 - 1), pair, single]);
         }
@@ -1156,7 +1094,7 @@ mod tests {
                     let (log, appended) = (Arc::clone(&log), Arc::clone(&appended));
                     sim.spawn(format!("appender-{who}"), move || {
                         // Singles of a quarter segment: the second round seals.
-                        let lsns = append_rounds(&log, who, 2, 8 * SEGMENT_WORDS / 4);
+                        let lsns = append_rounds(&log, who, 2, SEGMENT_WORDS / 4);
                         appended.lock()[who as usize] = lsns;
                     });
                 }
@@ -1187,8 +1125,8 @@ mod tests {
         let (log, stop) = (&RedoLog::default(), &AtomicU64::new(0));
         let appended = std::thread::scope(|scope| {
             let appenders: Vec<_> = (0..4)
-                .map(|who| (who, if who == 0 { 16 << 10 } else { 3 }))
-                .map(|(who, text)| scope.spawn(move || append_rounds(log, who, 3_000, text)))
+                .map(|who| (who, if who == 0 { 2 << 10 } else { 3 }))
+                .map(|(who, width)| scope.spawn(move || append_rounds(log, who, 3_000, width)))
                 .collect();
             scope.spawn(|| {
                 while stop.load(Ordering::Acquire) == 0 {

@@ -1,12 +1,11 @@
-//! The "Hotspots" composite online trace (§6.1.1, Figure 11).
+//! Fixed-TPS hot-row traces (§6.1.1, Figure 11).
 //!
 //! Tencent's online figure is a fixed-TPS workload (the industry rate model
 //! of §4.6.1) whose traffic is mostly uniform but suffers bursts during which
-//! nearly every transaction hits one hot row.  [`HotspotsTrace::paper_like_scaled`]
-//! encodes a schedule with the same shape as Figure 11: a stable baseline,
-//! a hotspot burst, a higher-rate sustained burst, and a final phase in which
-//! the operator bumps the group-locking batch size (the harness applies that
-//! configuration change; the trace only describes load).
+//! nearly every transaction hits one hot row.  A [`HotspotsTrace`] is such a
+//! schedule of phases, driven open-loop; [`HotspotsTrace::burst`] — calm, an
+//! 8× burst on a declared hot row, calm — is the one the recorded Figure 11
+//! pair (admission off / on) and the smoke grid run.
 
 use crate::Workload;
 use txsql_common::rng::XorShiftRng;
@@ -49,44 +48,6 @@ impl HotspotsTrace {
             declared_hotspot: false,
             hot_work_micros: 0,
         }
-    }
-
-    /// A laptop-scaled version of the Figure 11 schedule — baseline traffic,
-    /// a hotspot burst, a sustained higher-rate burst, then recovery — with
-    /// an explicit per-phase length, so harness smoke cells can run the same
-    /// five-phase shape in a few seconds.
-    pub fn paper_like_scaled(base_tps: u64, phase_seconds: u64) -> Self {
-        let burst = base_tps * 3;
-        Self::new(
-            vec![
-                TracePhase {
-                    seconds: phase_seconds,
-                    target_tps: base_tps,
-                    hotspot_share: 0.05,
-                },
-                TracePhase {
-                    seconds: phase_seconds,
-                    target_tps: burst,
-                    hotspot_share: 0.9,
-                },
-                TracePhase {
-                    seconds: phase_seconds,
-                    target_tps: base_tps,
-                    hotspot_share: 0.05,
-                },
-                TracePhase {
-                    seconds: phase_seconds,
-                    target_tps: burst * 2,
-                    hotspot_share: 0.95,
-                },
-                TracePhase {
-                    seconds: phase_seconds,
-                    target_tps: base_tps,
-                    hotspot_share: 0.05,
-                },
-            ],
-            10_000,
-        )
     }
 
     /// A sharp three-phase overload for admission-control experiments: a
@@ -229,18 +190,18 @@ mod tests {
 
     #[test]
     fn phase_lookup_follows_the_schedule() {
-        let trace = HotspotsTrace::paper_like_scaled(100, 5);
-        assert_eq!(trace.total_seconds(), 25);
+        let trace = HotspotsTrace::burst(100, 5);
+        assert_eq!(trace.total_seconds(), 15);
         assert_eq!(trace.target_tps_at(0), 100);
-        assert_eq!(trace.target_tps_at(6), 300);
-        assert_eq!(trace.target_tps_at(16), 600);
+        assert_eq!(trace.target_tps_at(6), 800);
+        assert_eq!(trace.target_tps_at(11), 100);
         // Past the end: last phase applies.
         assert_eq!(trace.target_tps_at(1_000), 100);
     }
 
     #[test]
     fn burst_phases_concentrate_on_the_hot_row() {
-        let trace = HotspotsTrace::paper_like_scaled(100, 5);
+        let trace = HotspotsTrace::burst(100, 5);
         let mut rng = XorShiftRng::new(1);
         let burst_hot = (0..500)
             .filter(|_| trace.program_at(6, &mut rng).write_keys()[0].1 == 0)

@@ -10,8 +10,8 @@
 //!   balances are updated constantly plus an append-only journal table.
 //! * [`tpcc`] — a compact TPC-C (NewOrder + Payment) where contention is
 //!   controlled by the warehouse count (Figure 12).
-//! * [`hotspots`] — the "Hotspots" composite online trace: a fixed-TPS open
-//!   loop with hotspot bursts at known offsets (Figure 11).
+//! * [`hotspots`] — fixed-TPS phase schedules with a hot-row burst at a
+//!   known offset, driven open-loop (Figure 11's admission pair).
 //! * [`driver`] — closed-loop (thread-per-client, retry-on-abort) and
 //!   fixed-TPS open-loop drivers that produce the numbers the figures plot.
 //! * [`spec`] — declarative workload specifications ([`WorkloadSpec`]) the

@@ -85,13 +85,6 @@ pub enum WorkloadSpec {
         /// Warehouse count (the contention knob of Figure 12).
         warehouses: i64,
     },
-    /// The Hotspots composite trace, driven open-loop at fixed TPS.
-    Hotspots {
-        /// Baseline transactions per second.
-        base_tps: u64,
-        /// Length of each of the five schedule phases, in seconds.
-        phase_seconds: u64,
-    },
     /// A sharp three-phase hot-row overload (calm / 8× burst / calm),
     /// driven open-loop — the admission-control experiment trace
     /// ([`HotspotsTrace::burst`]).
@@ -144,10 +137,6 @@ impl WorkloadSpec {
             } => format!("{}-inject{inject_pct}pct", variant_label(variant)),
             WorkloadSpec::Fit { .. } => "fit".to_string(),
             WorkloadSpec::Tpcc { warehouses } => format!("tpcc-w{warehouses}"),
-            WorkloadSpec::Hotspots {
-                base_tps,
-                phase_seconds,
-            } => format!("hotspots-tps{base_tps}-phase{phase_seconds}s"),
             WorkloadSpec::HotspotBurst {
                 base_tps,
                 phase_seconds,
@@ -157,10 +146,7 @@ impl WorkloadSpec {
 
     /// True for specs that run under the fixed-TPS open-loop driver.
     pub fn is_open_loop(&self) -> bool {
-        matches!(
-            self,
-            WorkloadSpec::Hotspots { .. } | WorkloadSpec::HotspotBurst { .. }
-        )
+        matches!(self, WorkloadSpec::HotspotBurst { .. })
     }
 
     /// Builds the concrete workload generator.
@@ -185,10 +171,6 @@ impl WorkloadSpec {
             WorkloadSpec::Tpcc { warehouses } => {
                 BuiltWorkload::Closed(Box::new(TpccWorkload::new(warehouses)))
             }
-            WorkloadSpec::Hotspots {
-                base_tps,
-                phase_seconds,
-            } => BuiltWorkload::Open(HotspotsTrace::paper_like_scaled(base_tps, phase_seconds)),
             WorkloadSpec::HotspotBurst {
                 base_tps,
                 phase_seconds,
@@ -242,10 +224,6 @@ mod tests {
                 users: 100,
             },
             WorkloadSpec::Tpcc { warehouses: 4 },
-            WorkloadSpec::Hotspots {
-                base_tps: 100,
-                phase_seconds: 1,
-            },
             WorkloadSpec::HotspotBurst {
                 base_tps: 100,
                 phase_seconds: 1,
@@ -256,8 +234,7 @@ mod tests {
         assert_eq!(labels[1], "sysbench-hotspot-update-inject2pct");
         assert_eq!(labels[2], "fit");
         assert_eq!(labels[3], "tpcc-w4");
-        assert_eq!(labels[4], "hotspots-tps100-phase1s");
-        assert_eq!(labels[5], "hotspot-burst-tps100-phase1s");
+        assert_eq!(labels[4], "hotspot-burst-tps100-phase1s");
         let mut dedup = labels.clone();
         dedup.sort();
         dedup.dedup();
@@ -266,7 +243,7 @@ mod tests {
 
     #[test]
     fn open_loop_flag_matches_the_family() {
-        assert!(WorkloadSpec::Hotspots {
+        assert!(WorkloadSpec::HotspotBurst {
             base_tps: 10,
             phase_seconds: 1
         }
@@ -298,14 +275,14 @@ mod tests {
             BuiltWorkload::Closed(w) => assert!(w.name().contains("tpcc")),
             BuiltWorkload::Open(_) => panic!("tpcc is closed-loop"),
         }
-        match (WorkloadSpec::Hotspots {
+        match (WorkloadSpec::HotspotBurst {
             base_tps: 10,
             phase_seconds: 1,
         })
         .build()
         {
-            BuiltWorkload::Open(trace) => assert_eq!(trace.total_seconds(), 5),
-            BuiltWorkload::Closed(_) => panic!("hotspots is open-loop"),
+            BuiltWorkload::Open(trace) => assert_eq!(trace.total_seconds(), 3),
+            BuiltWorkload::Closed(_) => panic!("the burst is open-loop"),
         }
         assert!((WorkloadSpec::Tpcc { warehouses: 2 })
             .tpcc_checker()

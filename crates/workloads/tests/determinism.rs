@@ -63,22 +63,6 @@ fn tpcc_stream_is_pinned() {
 }
 
 #[test]
-fn hotspots_trace_is_pinned() {
-    let spec = WorkloadSpec::Hotspots {
-        base_tps: 100,
-        phase_seconds: 2,
-    };
-    let BuiltWorkload::Open(trace) = spec.build() else {
-        panic!("hotspots is open-loop");
-    };
-    assert_eq!(
-        trace_digest(&trace, SEED, 20),
-        5636555760313713346,
-        "hotspots trace stream changed; re-pin if intentional"
-    );
-}
-
-#[test]
 fn hotspot_burst_trace_is_pinned() {
     let spec = WorkloadSpec::HotspotBurst {
         base_tps: 50,

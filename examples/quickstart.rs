@@ -22,7 +22,10 @@ fn main() -> Result<()> {
     let mut txn = db.begin();
     let new_balance = db.update_add(&mut txn, ACCOUNTS, 3, 1, 250)?;
     let row = db.read(&mut txn, ACCOUNTS, 3)?;
-    println!("inside the transaction account 3 = {row} (new balance {new_balance})");
+    println!(
+        "inside the transaction account 3 = {:?} (new balance {new_balance})",
+        row.ints()
+    );
     db.commit(txn)?;
 
     // Declarative programs: what the workload drivers (and Aria) use.
@@ -51,7 +54,7 @@ fn main() -> Result<()> {
     for pk in [3, 7] {
         let record = db.record_id(ACCOUNTS, pk)?;
         let row = db.storage().read_committed(ACCOUNTS, record)?.unwrap();
-        println!("account {pk}: {row}");
+        println!("account {pk}: {:?}", row.ints());
     }
 
     let snapshot = db.snapshot_metrics(std::time::Duration::from_secs(1));

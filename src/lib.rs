@@ -42,7 +42,7 @@ pub use txsql_workloads as workloads;
 /// The most commonly used types, re-exported for convenience.
 pub mod prelude {
     pub use txsql_common::latency::LatencyModel;
-    pub use txsql_common::{Error, RecordId, Result, Row, TableId, TxnId, Value};
+    pub use txsql_common::{Error, RecordId, Result, Row, TableId, TxnId};
     pub use txsql_core::{Database, EngineConfig, Operation, ProgramOutcome, Protocol, TxnProgram};
     pub use txsql_replication::{ReplicationHook, ReplicationMode};
     pub use txsql_storage::TableSchema;
