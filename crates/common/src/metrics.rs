@@ -738,10 +738,6 @@ metrics_table! {
         hotspot_group_entries: u64 = |m, _| m.hotspot_group_entries.get(),
         /// Number of groups formed by group locking.
         groups_formed: u64 = |m, _| m.groups_formed.get(),
-        /// Pending hand-overs a timed-out grant wait completed past a
-        /// vanished follower (no abort).
-        #[serde(default)]
-        quiesce_forced: Counter,
         /// Rollbacks that undid out of turn after their turn wait timed out.
         #[serde(default)]
         rollback_turn_timeouts: Counter,
@@ -1155,7 +1151,7 @@ mod tests {
             r#""locks_released":0,"lock_registry_entries":0,"locks_per_query":0.0,"#,
             r#""lock_waits":0,"release_shard_locks":0,"mean_grant_scan_len":0.0,"#,
             r#""max_grant_scan_len":0,"deadlock_checks":0,"hotspot_group_entries":0,"#,
-            r#""groups_formed":0,"quiesce_forced":0,"rollback_turn_timeouts":0,"#,
+            r#""groups_formed":0,"rollback_turn_timeouts":0,"#,
             r#""utilization":0.0,"commit_batches":0,"#,
             r#""commit_held_batches":0,"commit_hold_expired":0,"crash_injected":0,"#,
             r#""fsync_retries":0,"recovery_replayed":0,"wal_truncated_records":0,"#,
@@ -1173,10 +1169,10 @@ mod tests {
         // The admission, hold and group-event fields came after the first recordings.
         let older = json.replace(r#""admission_shed":0,"#, "");
         let older = older.replace(r#""commit_held_batches":0,"commit_hold_expired":0,"#, "");
-        let older = older.replace(r#""quiesce_forced":0,"rollback_turn_timeouts":0,"#, "");
+        let older = older.replace(r#""rollback_turn_timeouts":0,"#, "");
         let back: MetricsSnapshot = serde_json::from_str(&older).unwrap();
         assert_eq!((back.admission_shed, back.backoff_waits), (0, 0));
         assert_eq!((back.commit_held_batches, back.commit_hold_expired), (0, 0));
-        assert_eq!((back.quiesce_forced, back.rollback_turn_timeouts), (0, 0));
+        assert_eq!(back.rollback_turn_timeouts, 0);
     }
 }

@@ -19,7 +19,7 @@
 //! Programs never touch the lock table.  The explicit session API still
 //! works under Aria and is plain 2PL on a lightweight table of its own.
 
-use super::{ConcurrencyControl, LockTable, TwoPhase, WriteAdmission};
+use super::{ConcurrencyControl, LockTable, TwoPhase};
 use crate::database::{Database, DbInner};
 use crate::program::{Operation, ProgramOutcome, TxnProgram};
 use crossbeam::channel::{Receiver, Sender};
@@ -67,7 +67,7 @@ impl ConcurrencyControl for Aria {
         txn: &mut Transaction,
         table: TableId,
         record: RecordId,
-    ) -> Result<WriteAdmission> {
+    ) -> Result<()> {
         self.session.acquire_for_write(db, txn, table, record)
     }
 

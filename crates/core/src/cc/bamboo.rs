@@ -1,13 +1,13 @@
-//! Bamboo \[29\]: O1's lock acquisition, but the record lock is released
-//! right after the update (early lock release).  A later writer that stacks
-//! on the uncommitted head takes a commit dependency on its writer: it may
-//! not order its commit record before that writer's outcome is final, and
-//! cascades if the writer aborts.  A dependency that would close a cycle —
+//! Bamboo \[29\]: O1's lock acquisition, taken again by every write, but the
+//! record lock is released right after the update (early lock release).  A
+//! later writer that stacks on the uncommitted head takes a commit
+//! dependency on its writer: it may not order its commit record before that
+//! writer's outcome is final, and cascades if the writer aborts.  A dependency that would close a cycle —
 //! its writer already waits, however indirectly, for the reader's outcome —
 //! is refused before the read: every member of such a cycle would otherwise
 //! wait out its timeout and cascade the others.
 
-use super::{held, lock_to_commit, ConcurrencyControl, LockTable, WriteAdmission};
+use super::{lock_to_commit, ConcurrencyControl, LockTable};
 use crate::database::DbInner;
 use parking_lot::Mutex;
 use std::sync::Arc;
@@ -48,7 +48,8 @@ impl ConcurrencyControl for Bamboo {
             .insert(txn.id, (completion, Vec::new()));
     }
 
-    /// Locks the row, then takes `txn`'s commit dependency on the writer of
+    /// Locks the row — a second write of it too, since a writer may have
+    /// stacked on the first once its lock went back — then takes `txn`'s commit dependency on the writer of
     /// the row's uncommitted head, if it has one — before the read, so that
     /// should the head change in between, the writer depended on has
     /// finished and its outcome decides ours.  A writer leaves `completions`
@@ -61,10 +62,8 @@ impl ConcurrencyControl for Bamboo {
         txn: &mut Transaction,
         table: TableId,
         record: RecordId,
-    ) -> Result<WriteAdmission> {
-        if held(txn, table, record).is_none() {
-            lock_to_commit(&self.locks, txn, record)?;
-        }
+    ) -> Result<()> {
+        lock_to_commit(&self.locks, txn, record)?;
         while let Some(writer) = db.storage.latest_writer(table, record)? {
             if writer == txn.id {
                 break;
@@ -86,11 +85,11 @@ impl ConcurrencyControl for Bamboo {
                 break;
             }
         }
-        Ok(WriteAdmission::Locked)
+        Ok(())
     }
 
     /// The 2PL violation that gives early lock release its name.
-    fn after_write(&self, txn: &Transaction, record: RecordId, _admission: WriteAdmission) {
+    fn after_write(&self, txn: &Transaction, record: RecordId) {
         self.locks
             .release_record_locks_in(txn.id, &[record], txn.metrics());
     }

@@ -1,15 +1,16 @@
 //! TXSQL group locking (§3.3, §4): O1, plus, once a row is a detected
 //! hotspot, its writers form groups.  The leader takes the row lock once per
 //! group; followers execute serially on the uncommitted head without
-//! locking; the row's dependency list (update order) serialises commit
-//! records (§4.3) and rollbacks (§4.4); the §4.5 prevention checks abort a
-//! transaction that would wait behind a peer sharing its hot row.
+//! locking, each write in the row's one flight, which its writer owns; the
+//! row's dependency list (update order) serialises commit records (§4.3)
+//! and rollbacks (§4.4); the §4.5 prevention checks abort a transaction
+//! that would wait behind a peer sharing its hot row.
 //!
 //! The group state itself lives in [`GroupLockTable`]; this impl is the
 //! order in which a transaction's life cycle drives it.
 
 use super::{held, lock_row};
-use super::{ConcurrencyControl, LockTable, WriteAdmission};
+use super::{ConcurrencyControl, LockTable};
 use crate::database::DbInner;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -101,12 +102,7 @@ impl GroupLocking {
     /// back with its registration so the group keeps moving: leadership is
     /// handed over (a row lock taken drains with the rollback's release), a
     /// follower's in-flight mark is cleared.
-    fn join_group(
-        &self,
-        txn: &mut Transaction,
-        group: GroupHandle,
-        role: HotRole,
-    ) -> Result<WriteAdmission> {
+    fn join_group(&self, txn: &mut Transaction, group: GroupHandle, role: HotRole) -> Result<()> {
         let (leads, record) = (role == HotRole::Leader, group.record());
         // A leader's one real lock acquisition per group, then the
         // prevention check.
@@ -115,7 +111,7 @@ impl GroupLocking {
             false => Ok(()),
         };
         if let Err(err) = locked.and_then(|()| self.check_hot_inversion(txn, &group)) {
-            self.groups.abandon_update(txn.id, &group, leads);
+            self.groups.abandon_update(txn.id, &group);
             return Err(err);
         }
         let order = self.groups.take_hot_update_order();
@@ -125,24 +121,25 @@ impl GroupLocking {
             scratch.groups_formed.inc();
         }
         txn.record_hot_update(record, role, order, Some(group));
-        Ok(match role {
-            HotRole::Leader => WriteAdmission::Locked,
-            HotRole::Follower => WriteAdmission::HotFollower,
-        })
+        Ok(())
     }
 }
 
 impl ConcurrencyControl for GroupLocking {
-    /// Algorithm 1, plus the §4.5 prevention check for non-hot rows.
+    /// Algorithm 1, plus the §4.5 prevention check for non-hot rows.  A
+    /// member's later write of its hot row takes the row's flight again.
     fn acquire_for_write(
         &self,
         db: &DbInner,
         txn: &mut Transaction,
         table: TableId,
         record: RecordId,
-    ) -> Result<WriteAdmission> {
-        if let Some(admission) = held(txn, table, record) {
-            return Ok(admission);
+    ) -> Result<()> {
+        if let Some(hot) = txn.hot_update(record) {
+            return self.groups.rewrite(txn.id, group_of(hot));
+        }
+        if held(txn, table, record) {
+            return Ok(());
         }
         // Fail fast if a predecessor's rollback already doomed us on a hot
         // row we updated: every statement from here on is wasted work, and
@@ -159,7 +156,7 @@ impl ConcurrencyControl for GroupLocking {
             lock_row(&self.locks, txn, record, Some(&db.hotspots))?;
             if !db.hotspots.is_hot(record) {
                 txn.record_lock(record);
-                return Ok(WriteAdmission::Locked);
+                return Ok(());
             }
             // The row was promoted while we queued.  A group leader hands the
             // row lock over *before* its commit record is ordered, relying on
@@ -193,17 +190,12 @@ impl ConcurrencyControl for GroupLocking {
         self.join_group(txn, group, role)
     }
 
-    /// Ends the update's in-flight grant so the group grants the next
-    /// follower (Alg. 1 lines 10–14); a leader does so after each of its own
-    /// updates of the hot row, a follower only after the one that was granted
-    /// (its later ones come in as `Locked` and own no grant).
-    fn after_write(&self, txn: &Transaction, record: RecordId, admission: WriteAdmission) {
-        let Some(hot) = txn.hot_update(record) else {
-            return;
-        };
-        let leads = hot.role == HotRole::Leader;
-        if leads || admission == WriteAdmission::HotFollower {
-            self.groups.finish_update(txn.id, group_of(hot), leads);
+    /// Ends the write's flight so the group grants the next follower
+    /// (Alg. 1 lines 10–14): after every write of a hot row, each of which
+    /// ran in a flight its writer owned.
+    fn after_write(&self, txn: &Transaction, record: RecordId) {
+        if let Some(hot) = txn.hot_update(record) {
+            (self.groups).finish_update(txn.id, group_of(hot), hot.role == HotRole::Leader);
         }
     }
 

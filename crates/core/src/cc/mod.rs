@@ -9,8 +9,8 @@
 //! | hook | called from | paper |
 //! |---|---|---|
 //! | `begin` | `Database::begin` | — |
-//! | `acquire_for_write` | `update_row` / `select_for_update`, before the read | Alg. 1 lines 2–9 (+ §4.5 prevention) |
-//! | `after_write` | `update_row`, after the new version is stacked | Alg. 1 lines 10–14 (grant the next follower) |
+//! | `acquire_for_write` | `update_row` / `select_for_update`, before the read | Alg. 1 lines 2–9 (+ §4.5 prevention): a hot row's writer owns the row's one flight |
+//! | `after_write` | `update_row`, after the new version is stacked | Alg. 1 lines 10–14 (end the flight, grant the next follower) |
 //! | `before_order` | `commit`, before `trx_no` and the commit record | Alg. 2 lines 2–10 (leader step-down, commit turn) |
 //! | `after_order` | `commit`, once the commit record is in the log | Alg. 2 lines 11–12 (leave the dependency list) |
 //! | `before_undo` | `rollback`, before the storage undo | Alg. 3 lines 2–7 (doom successors, rollback turn) |
@@ -59,21 +59,7 @@ use txsql_lockmgr::lock_table::{Layout, RecordLockTable};
 use txsql_lockmgr::queue_lock::QueueLockTable;
 use txsql_lockmgr::registry::TxnLockRegistry;
 use txsql_lockmgr::{LightweightLockTable, LockMode, LockSys, LockTableConfig};
-use txsql_txn::{HotRole, Transaction};
-
-/// How a row was admitted for writing.  Not derivable from
-/// `Transaction::hot_role`: a follower's first update of a hot row owns the
-/// group's in-flight grant, its later updates of that row (already in its
-/// write set) do not, and ending a grant one does not own would let two
-/// followers run at once.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) enum WriteAdmission {
-    /// A conventional lock is held (2PL / O1 / O2 / Bamboo / group leader).
-    Locked,
-    /// Group-locking follower: executes without any lock, and owns the
-    /// group's in-flight grant until `after_write`.
-    HotFollower,
-}
+use txsql_txn::Transaction;
 
 /// What a protocol does at each step of a transaction (call sites: above).
 pub(crate) trait ConcurrencyControl: Send + Sync {
@@ -88,10 +74,10 @@ pub(crate) trait ConcurrencyControl: Send + Sync {
         txn: &mut Transaction,
         table: TableId,
         record: RecordId,
-    ) -> Result<WriteAdmission>;
+    ) -> Result<()>;
 
-    /// `txn` stacked a new version on `record` under `admission`.
-    fn after_write(&self, _txn: &Transaction, _record: RecordId, _admission: WriteAdmission) {}
+    /// `txn` stacked a new version on `record`.
+    fn after_write(&self, _txn: &Transaction, _record: RecordId) {}
 
     /// Last step before the commit record is ordered; an error rolls back.
     fn before_order(&self, _txn: &mut Transaction) -> Result<()> {
@@ -177,9 +163,9 @@ impl<L: Layout> ConcurrencyControl for TwoPhase<L> {
         txn: &mut Transaction,
         table: TableId,
         record: RecordId,
-    ) -> Result<WriteAdmission> {
-        if let Some(admission) = held(txn, table, record) {
-            return Ok(admission);
+    ) -> Result<()> {
+        if held(txn, table, record) {
+            return Ok(());
         }
         self.locks
             .lock_table(txn.id, table, LockMode::IntentionExclusive)?;
@@ -226,17 +212,11 @@ pub(crate) fn build(
     }
 }
 
-/// The admission a transaction already has on `record`, if any: a row it
-/// wrote or locked (SELECT FOR UPDATE followed by UPDATE, repeated updates)
-/// does not queue again (§4.6.2), and a hot row keeps its group role.
-fn held(txn: &Transaction, table: TableId, record: RecordId) -> Option<WriteAdmission> {
-    if txn.write_set().contains(&(table, record)) || txn.holds_lock(record) {
-        return Some(WriteAdmission::Locked);
-    }
-    txn.hot_role(record).map(|role| match role {
-        HotRole::Leader => WriteAdmission::Locked,
-        HotRole::Follower => WriteAdmission::HotFollower,
-    })
+/// Whether `txn` wrote or locked `record` already (SELECT FOR UPDATE, then
+/// UPDATE; repeated updates): it does not queue again (§4.6.2).  A hot
+/// row's member asks its group instead.
+fn held(txn: &Transaction, table: TableId, record: RecordId) -> bool {
+    txn.write_set().contains(&(table, record)) || txn.holds_lock(record)
 }
 
 /// X-locks `record`, charging the wait to the transaction's blocked time.
@@ -268,8 +248,8 @@ fn lock_to_commit<L: Layout>(
     locks: &RecordLockTable<L>,
     txn: &mut Transaction,
     record: RecordId,
-) -> Result<WriteAdmission> {
+) -> Result<()> {
     lock_row(locks, txn, record, None)?;
     txn.record_lock(record);
-    Ok(WriteAdmission::Locked)
+    Ok(())
 }

@@ -4,7 +4,7 @@
 //! ticket is given back once the transaction's outcome is final.
 
 use super::{held, lock_row};
-use super::{ConcurrencyControl, LockTable, WriteAdmission};
+use super::{ConcurrencyControl, LockTable};
 use crate::database::DbInner;
 use std::sync::Arc;
 use std::time::Instant;
@@ -27,14 +27,14 @@ impl ConcurrencyControl for QueueLocking {
         txn: &mut Transaction,
         table: TableId,
         record: RecordId,
-    ) -> Result<WriteAdmission> {
-        if let Some(admission) = held(txn, table, record) {
-            return Ok(admission);
+    ) -> Result<()> {
+        if held(txn, table, record) {
+            return Ok(());
         }
         if !db.hotspots.is_hot(record) {
             lock_row(&self.locks, txn, record, Some(&db.hotspots))?;
             txn.record_lock(record);
-            return Ok(WriteAdmission::Locked);
+            return Ok(());
         }
         let (key, owner) = (record.packed(), txn.id.0);
         match self.tickets.admit(key, owner) {
@@ -62,7 +62,7 @@ impl ConcurrencyControl for QueueLocking {
         txn.record_lock(record);
         txn.record_hot_update(record, HotRole::Leader, 0, None);
         self.metrics.hotspot_group_entries.inc();
-        Ok(WriteAdmission::Locked)
+        Ok(())
     }
 
     /// The row lock is gone: the next ticket holder may contend for it.

@@ -12,10 +12,12 @@
 //!    row's group (a follower takes no lock at all); Bamboo locks and then
 //!    takes its commit dependency on the writer of a dirty head.
 //! 2. `ConcurrencyControl::after_write` once the new version is stacked:
-//!    Alg. 1 lines 10–14.  Group locking ends the in-flight grant so the next
-//!    follower runs; Bamboo releases the row lock early.  Between the two a
-//!    hot row's whole group is waiting, so nothing else happens there: the
-//!    transaction's own bookkeeping (write set, binlog image) comes after.
+//!    Alg. 1 lines 10–14.  Group locking ends the write's flight (every
+//!    write of a hot row, a second one too, runs in one its writer owns) so
+//!    the next follower runs; Bamboo releases the row lock early.  Between
+//!    the two a hot row's whole group is waiting, so nothing else happens
+//!    there: the transaction's own bookkeeping (write set, binlog image)
+//!    comes after.
 //!
 //! Aria programs never come through here (whole-program batches, see
 //! `cc/aria.rs`); its session API does, as plain 2PL.  `cc/mod.rs` has the
@@ -108,7 +110,7 @@ impl Database {
         let record = self.record_id(table, pk)?;
         self.begin_write(txn);
         let inner = &self.inner;
-        let admission = inner.cc.acquire_for_write(inner, txn, table, record)?;
+        inner.cc.acquire_for_write(inner, txn, table, record)?;
 
         // Read the newest version (for group followers / Bamboo this is the
         // predecessor's uncommitted value — exactly the point of the design),
@@ -125,7 +127,7 @@ impl Database {
         inner
             .storage
             .update_row(txn.id, table, record, hot_order, make)?;
-        inner.cc.after_write(txn, record, admission);
+        inner.cc.after_write(txn, record);
         txn.record_write(table, record);
         txn.record_change(table, pk, after.expect("update_row ran `make`"));
         Ok(())

@@ -72,6 +72,11 @@
 //!   [`GroupLockTable::finish_rollback`] never is.
 //!   [`GroupLockTable::register_update`] remains for the probe that
 //!   registers by hand; it draws an order and is otherwise idempotent.
+//! * **Every write runs in a flight its writer owns** (`executing`, the
+//!   paper's `granting_new_trx`): a grant opens it, a member's later write
+//!   of the row reopens it ([`GroupLockTable::rewrite`]), and
+//!   [`GroupLockTable::finish_update`] ends it after every write.  A commit
+//!   or rollback ends one no write ended (a `SELECT … FOR UPDATE` alone).
 //! * **Commit transitions fuse.**  A leader's commit is
 //!   [`GroupLockTable::leader_step_down`] — which returns the commit-turn
 //!   verdict it can see under the guard it holds — and `finish_commit`:
@@ -114,13 +119,13 @@
 //! Nothing polls: a transition that can make a turn's predicate true —
 //! [`GroupLockTable::finish_update`], [`GroupLockTable::finish_commit`],
 //! [`GroupLockTable::finish_rollback`], [`GroupLockTable::abandon_update`]
-//! and [`GroupLockTable::begin_rollback`], and a grant wait's force-clear
-//! — re-evaluates the parked predicates under the state guard it already
-//! holds, takes the waiters whose turn has come off the list and fires their
-//! events after dropping the guard (wake-outside-lock).  A woken waiter
-//! re-checks under the guard, so a turn that was taken away again just parks
-//! again.  The waits are hand-off waits ([`OsEvent::wait_handoff`]): the
-//! transaction being waited for is running.
+//! and [`GroupLockTable::begin_rollback`] — re-evaluates the parked
+//! predicates under the state guard it already holds, takes the waiters
+//! whose turn has come off the list and fires their events after dropping
+//! the guard (wake-outside-lock).  A woken waiter re-checks under the guard,
+//! so a turn that was taken away again just parks again.  The waits are
+//! hand-off waits ([`OsEvent::wait_handoff`]): the transaction being waited
+//! for is running.
 
 use crate::event::OsEvent;
 use crate::wake_check::GuardScope;
@@ -316,10 +321,10 @@ struct GroupState {
     /// Transaction whose granted hotspot update has not yet finished, if
     /// any (`granting_new_trx` in the paper, which does not say whose).
     executing: Option<TxnId>,
-    /// `switching_new_leader`, and since when: the leader stepped down while
-    /// `executing`'s update was in flight; stop granting, and hand the row
-    /// over when that update ends.  Set only then: it implies `executing`.
-    switching_new_leader: Option<SimInstant>,
+    /// `switching_new_leader`: the leader stepped down while `executing`'s
+    /// update was in flight; stop granting, and hand the row over when that
+    /// update ends.  Set only then: it implies `executing`.
+    switching_new_leader: bool,
     /// Followers granted in the current group (for the batch size).
     granted_in_group: usize,
     /// Transactions between `begin_rollback` and `finish_rollback` on this
@@ -456,11 +461,12 @@ impl GroupState {
     /// dropping the guard.
     fn end_update(&mut self, txn: TxnId, batch_size: usize) -> Option<(Arc<WaitSlot>, WokenRole)> {
         if self.executing != Some(txn) {
-            // A leader's later write of its row owns no grant.
+            // Nothing of `txn`'s in flight: a commit or rollback after its
+            // last write ended its flight.
             return None;
         }
         self.executing = None;
-        if self.switching_new_leader.is_some() {
+        if self.switching_new_leader {
             return self
                 .step_down()
                 .map(|(_, slot)| (slot, WokenRole::NewLeader));
@@ -491,7 +497,7 @@ impl GroupState {
     /// `finish_rollback` promotes instead.
     fn step_down(&mut self) -> Option<(TxnId, Arc<WaitSlot>)> {
         self.leader = None;
-        self.switching_new_leader = None;
+        self.switching_new_leader = false;
         if self.paused() {
             return None;
         }
@@ -590,7 +596,6 @@ pub struct GroupLockTable {
     /// Written by every grantee; on a line of its own so that the fields
     /// every call reads (configuration, shard table) stay shared.
     global_hot_update_order: CachePadded<AtomicU64>,
-    metrics: Arc<EngineMetrics>,
     /// Turn-predicate evaluations by waiting transactions (tests pin that a
     /// turn wait checks once per wake-up instead of polling).
     #[cfg(test)]
@@ -598,15 +603,15 @@ pub struct GroupLockTable {
 }
 
 impl GroupLockTable {
-    /// Creates a group-lock table.
-    pub fn new(config: GroupLockConfig, metrics: Arc<EngineMetrics>) -> Self {
+    /// Creates a group-lock table.  It counts nothing; `_metrics` stays for
+    /// the callers that pass the engine's.
+    pub fn new(config: GroupLockConfig, _metrics: Arc<EngineMetrics>) -> Self {
         Self {
             config,
             entry_shards: (0..ENTRY_SHARDS)
                 .map(|_| CachePadded::new(Mutex::new(FxHashMap::default())))
                 .collect(),
             global_hot_update_order: CachePadded::new(AtomicU64::new(1)),
-            metrics,
             #[cfg(test)]
             turn_checks: AtomicU64::new(0),
         }
@@ -734,12 +739,6 @@ impl GroupLockTable {
 
     /// Waits on `slot` until granted, returning the role, or times out.  A
     /// hand-off wait: the granter is mid-update or mid-commit right now.
-    ///
-    /// A wait that times out, still queued, behind a hand-over pending for
-    /// four wait budgets since the step-down takes the update in flight for
-    /// one that will never end — its transaction vanished after its grant
-    /// (it failed on an unrelated error) — and force-clears it: the row is
-    /// handed over, `quiesce_forced` says so, and nothing is aborted.
     pub fn wait_for_grant<'a>(
         &self,
         txn: TxnId,
@@ -759,16 +758,8 @@ impl GroupLockTable {
     /// is not queued any more the grant (of the update in flight, maybe)
     /// raced the deadline, and it must proceed with the role returned.
     fn cancel_wait(&self, txn: TxnId, handle: &GroupHandle) -> Option<WokenRole> {
-        let vanished = |since: SimInstant| since.elapsed() >= self.config.hot_wait_timeout * 4;
-        let queued = |state: &GroupState| state.waiting_updates.iter().position(|w| w.txn == txn);
-        let (role, promoted, woken) = self.with_state(handle, |state| {
-            let mut promoted = None;
-            if queued(state).is_some() && state.switching_new_leader.is_some_and(vanished) {
-                self.metrics.quiesce_forced.inc();
-                state.executing = None;
-                promoted = state.step_down();
-            }
-            let role = match queued(state) {
+        self.with_state(handle, |state| {
+            match state.waiting_updates.iter().position(|w| w.txn == txn) {
                 Some(pos) => {
                     state.waiting_updates.remove(pos);
                     None
@@ -777,14 +768,8 @@ impl GroupLockTable {
                 // this guard, so read it off the state instead.
                 None if state.leader == Some(txn) => Some(WokenRole::NewLeader),
                 None => Some(WokenRole::Follower),
-            };
-            (role, promoted, state.take_ready_waiters())
-        });
-        if let Some((_, slot)) = promoted {
-            slot.grant(WokenRole::NewLeader);
-        }
-        woken.fire();
-        role
+            }
+        })
     }
 
     /// Draws the next global `hot_update_order` — what a grantee does first.
@@ -804,19 +789,44 @@ impl GroupLockTable {
         order
     }
 
+    /// Gives a member's later write of its row a flight: its grant if still
+    /// open (a `SELECT … FOR UPDATE`), else the row's, taken again while
+    /// nothing is in flight and `txn` is the newest member — no later member
+    /// read its write — of a row with a leader (`begin`'s lead path and the
+    /// last `finish_rollback`'s promotion take a leaderless row for an idle
+    /// one).  Otherwise the write is §4.5-prevented behind the member in
+    /// flight or the newest.
+    pub fn rewrite<'a>(&self, txn: TxnId, row: impl HotRow<'a>) -> Result<()> {
+        let handle = row.handle_in(self);
+        let hot_record = handle.record;
+        self.with_state(&handle, |state| {
+            if let Some(&cause) = state.doomed.get(&txn) {
+                return Err(Error::CascadingAbort { txn, cause });
+            }
+            let newest = state.dep_list.last().copied();
+            let retake = state.executing.is_none() && state.leader.is_some() && newest == Some(txn);
+            if retake || state.executing == Some(txn) {
+                state.executing = Some(txn);
+                return Ok(());
+            }
+            let blocker = state.executing.or(newest).unwrap_or(txn);
+            Err(Error::HotspotDeadlockPrevented {
+                txn,
+                hot_record,
+                blocker,
+            })
+        })
+    }
+
     /// Completes an update and grants the next follower if allowed
     /// (Algorithm 1, lines 11–20) — or, behind a leader that stepped down
     /// meanwhile, completes its hand-over; with nobody granted, nothing is
-    /// in flight any more, which is what a rollback turn waits for.  A
-    /// leader calls it after each write of its row (`is_leader`), a follower
-    /// once, for the write it was granted.  Wake-ups fire after the state
-    /// guard is dropped.
-    pub fn finish_update<'a>(&self, txn: TxnId, row: impl HotRow<'a>, is_leader: bool) {
+    /// in flight any more, which is what a rollback turn waits for.  Called
+    /// after every write, each in a flight its writer owns, whatever its
+    /// role (`_is_leader`).  Wake-ups fire after the state guard is dropped.
+    pub fn finish_update<'a>(&self, txn: TxnId, row: impl HotRow<'a>, _is_leader: bool) {
         let (granted, woken) = self.with_state(&row.handle_in(self), |state| {
-            debug_assert!(
-                is_leader || state.executing == Some(txn),
-                "{txn} has no grant"
-            );
+            debug_assert_eq!(state.executing, Some(txn), "{txn} has no grant");
             let granted = state.end_update(txn, self.config.batch_size);
             (granted, state.take_ready_waiters())
         });
@@ -831,10 +841,10 @@ impl GroupLockTable {
     /// with, in one transition: `txn` leaves the dependency list, and the
     /// group keeps moving as after a [`GroupLockTable::leader_step_down`]
     /// (leader) or a [`GroupLockTable::finish_update`] (follower).
-    pub fn abandon_update<'a>(&self, txn: TxnId, row: impl HotRow<'a>, is_leader: bool) {
+    pub fn abandon_update<'a>(&self, txn: TxnId, row: impl HotRow<'a>) {
         let (granted, woken) = self.with_state(&row.handle_in(self), |state| {
             state.unregister(txn);
-            let granted = match is_leader && state.leader == Some(txn) {
+            let granted = match state.leader == Some(txn) {
                 true => {
                     state.executing = None;
                     let promoted = state.step_down();
@@ -868,7 +878,7 @@ impl GroupLockTable {
         let (promoted, turn) = self.with_state(&row.handle_in(self), |state| {
             let promoted = match state.leader == Some(txn) {
                 true if state.executing.is_some_and(|t| t != txn) => {
-                    state.switching_new_leader = Some(SimInstant::now());
+                    state.switching_new_leader = true;
                     None
                 }
                 true => {
@@ -1054,7 +1064,7 @@ impl GroupLockTable {
             state.rolling_back.retain(|t| *t != txn);
             // (A leader that stepped down behind an update still in flight
             // stays `leader` until that update ends.)
-            if state.leader == Some(txn) && state.switching_new_leader.is_none() {
+            if state.leader == Some(txn) && !state.switching_new_leader {
                 state.leader = None;
             }
             // Another member may still be between `begin_rollback` and here:
@@ -1369,32 +1379,34 @@ mod tests {
         assert_eq!((result, checks), (doomed, 1), "begin_rollback");
     }
 
-    /// A granted follower that is never heard of again, behind a leader that
-    /// stepped down.  An arrival whose grant wait times out before the
-    /// hand-over has been pending for four of its budgets leaves the update
-    /// in flight alone — slow is not gone — and gives up; the first to time
-    /// out after that clears the in-flight mark, says so, and is promoted —
-    /// nothing stale is left for a later rollback to act on.
+    /// A member's later write of its row runs in a flight it owns: its open
+    /// grant, or the row's taken again by the newest member while nothing
+    /// flies and the row has a leader.  Anything else is prevented.
     #[test]
-    fn vanished_follower_is_force_cleared_and_reported() {
-        let hot = Hot::new(25);
-        let leader = hot.arrive(TxnId(1)).unwrap();
-        leader.update();
-        let _vanished = hot.arrive(TxnId(2)).unwrap();
-        leader.commit().unwrap();
-        let (g, forced) = (&hot.g, || hot.metrics.quiesce_forced.get());
-        let (handle, slot) = parked(g, 3);
-        let early = g.wait_for_grant(TxnId(3), &handle, &slot).unwrap_err();
-        assert!(matches!(early, Error::LockWaitTimeout { .. }), "{early:?}");
-        assert_eq!(forced(), 0, "cleared a flight too young to be gone");
-        std::thread::sleep(Duration::from_millis(100));
-        let (handle, slot) = parked(g, 4);
-        let role = g.wait_for_grant(TxnId(4), &handle, &slot);
-        assert_eq!((role, forced()), (Ok(WokenRole::NewLeader), 1));
-        assert_eq!(hot.metrics.abort_breakdown().total(), 0, "nothing aborted");
-        g.take_hot_update_order();
-        g.finish_update(TxnId(4), &handle, true);
-        let (in_flight, parked) = g.with_state(&handle, |s| (s.executing, s.turn_waiters.len()));
-        assert_eq!((in_flight, parked), (None, 0));
+    fn a_rewrite_runs_in_its_own_flight_or_is_prevented() {
+        let (hot, members) = Hot::group(&[2], Some(2));
+        let (g, t1, t2) = (&hot.g, TxnId(1), TxnId(2));
+        let prevented = |txn, blocker| {
+            Err(Error::HotspotDeadlockPrevented {
+                txn,
+                hot_record: HOT,
+                blocker,
+            })
+        };
+        // T2's grant is open: its write goes in it, T1's would go beside it.
+        assert_eq!(
+            (g.rewrite(t2, HOT), g.rewrite(t1, HOT)),
+            (Ok(()), prevented(t1, t2))
+        );
+        members[1].update();
+        // Nothing in flight: T2 takes it again, T1 (T2 read its write) not.
+        assert_eq!(
+            (g.rewrite(t1, HOT), g.rewrite(t2, HOT)),
+            (prevented(t1, t2), Ok(()))
+        );
+        g.finish_update(t2, HOT, false);
+        // Leaderless, an arrival would lead beside the flight.
+        members[0].commit().unwrap();
+        assert_eq!(g.rewrite(t2, HOT), prevented(t2, t2));
     }
 }

@@ -156,8 +156,8 @@ fn abandoned_grant_leaves_no_registration_under_exploration() {
 /// the grant back (its row lock failed: T2 would lead) or ends its update
 /// (T2 would follow) and commits, stepping down behind T2's update.  T3
 /// arrives anywhere around them.  Nothing is granted beside an update in
-/// flight: a hand-over pending behind a grant that young is for the end of
-/// that update to complete, not for a timed-out waiter (`quiesce_forced`).
+/// flight: a pending hand-over is for the end of that update to complete,
+/// never for a timed-out waiter.
 #[test]
 fn grant_deadline_racing_a_grant_resolves_to_one_side_under_exploration() {
     let ends: [fn(Member); 2] = [
@@ -198,8 +198,6 @@ fn grant_deadline_racing_a_grant_resolves_to_one_side_under_exploration() {
                 });
             }
         });
-        let forced = hot.metrics.quiesce_forced.get();
-        assert_eq!(forced, 0, "seed {seed}: a live update was force-cleared");
         hot.assert_drained(&format!("seed {seed}"));
         report
     });
@@ -320,9 +318,8 @@ fn rollback_turn_wakeup_is_never_lost_under_exploration() {
 /// its `abandon_update`, or its `begin_rollback` (then the last
 /// `finish_rollback` promotes) — each explored against the step-down and a
 /// joiner arriving anywhere around them.  The joiner is granted before its
-/// deadline (a lost promotion shows as the clock ending its wait, a
-/// force-clear as `quiesce_forced`), the driver sees no two updates in
-/// flight, and the row drains.
+/// deadline (a lost promotion shows as the clock ending its wait), the
+/// driver sees no two updates in flight, and the row drains.
 #[test]
 fn a_pending_hand_over_is_completed_by_whatever_ends_the_flight_under_exploration() {
     let ends: [fn(Member); 3] = [
@@ -343,8 +340,6 @@ fn a_pending_hand_over_is_completed_by_whatever_ends_the_flight_under_exploratio
                 hot.run(TxnId(3));
             });
         });
-        let forced = hot.metrics.quiesce_forced.get();
-        assert_eq!(forced, 0, "seed {seed}: the end of the flight was lost");
         hot.assert_drained(&format!("seed {seed}"));
         report
     });

@@ -78,7 +78,7 @@ struct Chain {
     in_flight: Option<TxnId>,
 }
 
-/// One hot row under test: the group table, its metrics, and the model of
+/// One hot row under test: the group table and the model of
 /// the row every member driven through [`Member`] is checked against — a
 /// commit leaves the chain from the bottom (§4.3: dependency-list order) and
 /// an undo from the top (§4.4: reverse order), so nobody commits on top of a
@@ -86,21 +86,18 @@ struct Chain {
 #[derive(Clone)]
 pub struct Hot {
     pub g: Arc<GroupLockTable>,
-    pub metrics: Arc<EngineMetrics>,
     chain: Arc<Mutex<Chain>>,
 }
 
 impl Hot {
     /// [`HOT`] in a fresh table whose waits give up after `timeout_ms`.
     pub fn new(timeout_ms: u64) -> Self {
-        let metrics = Arc::new(EngineMetrics::new());
         let config = GroupLockConfig {
             hot_wait_timeout: Duration::from_millis(timeout_ms),
             ..GroupLockConfig::default()
         };
         Self {
-            g: Arc::new(GroupLockTable::new(config, Arc::clone(&metrics))),
-            metrics,
+            g: Arc::new(GroupLockTable::new(config, Arc::default())),
             chain: Arc::default(),
         }
     }
@@ -236,7 +233,7 @@ impl Member {
     /// lock or a prevention check fails): nothing was written.
     pub fn abandon(&self) {
         self.hot.landed(self.txn);
-        (self.hot.g).abandon_update(self.txn, &self.handle, self.leads);
+        self.hot.g.abandon_update(self.txn, &self.handle);
     }
 
     /// Alg. 2 as `GroupLocking::before_order` / `after_order` drive it: a

@@ -208,7 +208,7 @@ impl Transaction {
         order: u64,
         group: Option<GroupHandle>,
     ) {
-        debug_assert!(self.hot_role(record).is_none(), "one entry per hot row");
+        debug_assert!(self.hot_update(record).is_none(), "one entry per hot row");
         self.hot_updates.push(HotUpdate {
             record,
             role,
@@ -226,11 +226,6 @@ impl Transaction {
     /// The transaction's membership of `record`'s group or ticket queue.
     pub fn hot_update(&self, record: RecordId) -> Option<&HotUpdate> {
         self.hot_updates.iter().find(|hot| hot.record == record)
-    }
-
-    /// Role on a specific hot row, if the transaction updated it.
-    pub fn hot_role(&self, record: RecordId) -> Option<HotRole> {
-        self.hot_update(record).map(|hot| hot.role)
     }
 
     /// The `hot_update_order` the statement about to write `record` must
@@ -335,8 +330,7 @@ mod tests {
         t.reserve_hot_update();
         let (group, _) = groups.begin_update(t.id, hot);
         t.record_hot_update(hot, HotRole::Follower, 42, Some(group));
-        assert_eq!(t.hot_role(cold), None);
-        assert_eq!(t.hot_role(hot), Some(HotRole::Follower));
+        assert!(t.hot_update(cold).is_none());
         let [update] = t.hot_updates() else {
             panic!("one hot row")
         };

@@ -70,7 +70,7 @@ pub(crate) fn execute_with_retries(
                 match state.next_backoff(&policy) {
                     Some(delay) => {
                         db.metrics().backoff_waits.inc();
-                        txsql_common::latency::simulate_delay(delay);
+                        back_off(delay);
                     }
                     None => {
                         db.metrics().retry_budget_exhausted.inc();
@@ -80,6 +80,16 @@ pub(crate) fn execute_with_retries(
             }
             Err(err) => return Err(err),
         }
+    }
+}
+
+/// Waits out a retry's backoff: under the simulator, parked until the
+/// virtual deadline, as a sleeping thread is (`simulate_delay` leaves it
+/// runnable, so retriers that aborted together retried together forever).
+fn back_off(delay: Duration) {
+    match txsql_sim::current() {
+        Some(sim) => _ = sim.park_timeout(txsql_sim::key_of(&delay), delay),
+        None => txsql_common::latency::simulate_delay(delay),
     }
 }
 
@@ -136,7 +146,6 @@ pub fn run_closed_loop(
 ) -> MetricsSnapshot {
     workload.setup(db);
     let stop = Arc::new(AtomicBool::new(false));
-    let measuring = Arc::new(AtomicBool::new(false));
 
     std::thread::scope(|scope| {
         for worker in 0..options.threads {
@@ -166,7 +175,6 @@ pub fn run_closed_loop(
         // Warm-up, then reset metrics and measure.
         std::thread::sleep(options.warmup);
         db.reset_metrics();
-        measuring.store(true, Ordering::Relaxed);
         std::thread::sleep(options.duration);
         stop.store(true, Ordering::Relaxed);
     });
