@@ -6,8 +6,9 @@
 //! and rollbacks (§4.4); the §4.5 prevention checks abort a transaction
 //! that would wait behind a peer sharing its hot row.
 //!
-//! The group state itself lives in [`GroupLockTable`]; this impl is the
-//! order in which a transaction's life cycle drives it.
+//! The group state itself, and the §4.5 rules over it, live in
+//! [`GroupLockTable`]; this impl is the order in which a transaction's life
+//! cycle drives it.
 
 use super::{held, lock_row};
 use super::{ConcurrencyControl, LockTable};
@@ -16,7 +17,7 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 use txsql_common::metrics::EngineMetrics;
 use txsql_common::{Error, RecordId, Result, TableId};
-use txsql_lockmgr::group_lock::{CommitTurn, GroupHandle, GroupLockTable, HotExecution, WokenRole};
+use txsql_lockmgr::group_lock::{CommitTurn, GroupHandle, GroupLockTable, HotExecution};
 use txsql_lockmgr::LightweightLockTable;
 use txsql_txn::{HotRole, HotUpdate, Transaction};
 
@@ -33,84 +34,29 @@ fn group_of(hot: &HotUpdate) -> &GroupHandle {
     group.expect("group locking records a handle with every hot row")
 }
 
+/// The handles of every hot row the transaction joined so far.
+fn groups_of(txn: &Transaction) -> impl Iterator<Item = &GroupHandle> {
+    txn.hot_updates().iter().map(group_of)
+}
+
 impl GroupLocking {
-    /// §4.5 deadlock prevention for a *cold* row: if we already updated a hot
-    /// row and one of the transactions holding the lock we are about to wait
-    /// for updated the same hot row, waiting would very likely deadlock (its
-    /// commit depends on us, or ours on it) — roll back proactively instead.
-    /// The check is deliberately non-directional, as in the paper: waiting
-    /// even behind a holder that commits before us convoys the hot row's
-    /// commit FIFO behind a cold-lock timeout, which measures far worse than
-    /// the quick abort-and-retry this produces.
-    fn check_cold_wait(&self, txn: &Transaction, record: RecordId) -> Result<()> {
-        if !txn.has_hot_updates() {
-            return Ok(());
-        }
-        for holder in self.locks.holders_of(record) {
-            if holder == txn.id {
-                continue;
-            }
-            for hot in txn.hot_updates() {
-                if self.groups.both_updated(group_of(hot), txn.id, holder) {
-                    return Err(Error::HotspotDeadlockPrevented {
-                        txn: txn.id,
-                        hot_record: hot.record,
-                        blocker: holder,
-                    });
-                }
-            }
-        }
-        Ok(())
-    }
-
-    /// The §4.5 prevention check extended to joining a hot row's group:
-    /// joining `group` behind a transaction that is ordered **after** us on
-    /// another hot row we both updated would create a cross-record
-    /// commit-order cycle — each of us first on one dependency list and
-    /// second on the other — which the per-record FIFO commit waits can only
-    /// resolve by timing out.  Aborting now converts a multi-second wedge of
-    /// the whole hot row into one quick retried abort.  (The check snapshots
-    /// the dependency lists without nesting group-entry locks; the rare
-    /// join that races past it still resolves through the commit-turn
-    /// deadline.)  A transaction's first hot row has nothing to compare.
-    fn check_hot_inversion(&self, txn: &Transaction, group: &GroupHandle) -> Result<()> {
-        if !txn.has_hot_updates() {
-            return Ok(());
-        }
-        let members = self.groups.dep_list(group);
-        for prior in txn.hot_updates() {
-            let prior_list = self.groups.dep_list(group_of(prior));
-            let Some(my_pos) = prior_list.iter().position(|t| *t == txn.id) else {
-                continue;
-            };
-            let behind_us = &prior_list[my_pos + 1..];
-            if let Some(blocker) = members.iter().find(|m| behind_us.contains(m)) {
-                return Err(Error::HotspotDeadlockPrevented {
-                    txn: txn.id,
-                    hot_record: group.record(),
-                    blocker: *blocker,
-                });
-            }
-        }
-        Ok(())
-    }
-
     /// `txn` was granted `role` on the row: it is the row's in-flight
     /// updater and on its dependency list already (Alg. 1 lines 7–9 happen
     /// in the granter's critical section), so what is left is to draw its
-    /// order and remember the group.  A grant that cannot be used is given
-    /// back with its registration so the group keeps moving: leadership is
-    /// handed over (a row lock taken drains with the rollback's release), a
-    /// follower's in-flight mark is cleared.
+    /// order and remember the group.  A grant that cannot be used (the row
+    /// lock failed, §4.5 objects to the join) goes back with its
+    /// registration, and the group keeps moving: leadership is handed over
+    /// (a row lock taken drains with the rollback's release), a follower's
+    /// in-flight mark is cleared.
     fn join_group(&self, txn: &mut Transaction, group: GroupHandle, role: HotRole) -> Result<()> {
         let (leads, record) = (role == HotRole::Leader, group.record());
-        // A leader's one real lock acquisition per group, then the
-        // prevention check.
+        // A leader's one real lock acquisition per group.
         let locked = match leads {
             true => lock_row(&self.locks, txn, record, None).map(|()| txn.record_lock(record)),
             false => Ok(()),
         };
-        if let Err(err) = locked.and_then(|()| self.check_hot_inversion(txn, &group)) {
+        let joined = |()| self.groups.check_join(txn.id, &group, groups_of(txn));
+        if let Err(err) = locked.and_then(joined) {
             self.groups.abandon_update(txn.id, &group);
             return Err(err);
         }
@@ -126,7 +72,7 @@ impl GroupLocking {
 }
 
 impl ConcurrencyControl for GroupLocking {
-    /// Algorithm 1, plus the §4.5 prevention check for non-hot rows.  A
+    /// Algorithm 1, after the §4.5 checks of a member of other hot rows.  A
     /// member's later write of its hot row takes the row's flight again.
     fn acquire_for_write(
         &self,
@@ -141,18 +87,14 @@ impl ConcurrencyControl for GroupLocking {
         if held(txn, table, record) {
             return Ok(());
         }
-        // Fail fast if a predecessor's rollback already doomed us on a hot
-        // row we updated: every statement from here on is wasted work, and
-        // the aborter's rollback (with granting paused on that row) cannot
-        // finish until we cascade.  Aborting at the next admission instead of
-        // at commit shortens the whole drain.
-        for prior in txn.hot_updates() {
-            if let Some(cause) = self.groups.doomed_cause(txn.id, group_of(prior)) {
-                return Err(Error::CascadingAbort { txn: txn.id, cause });
-            }
-        }
-        if !db.hotspots.is_hot(record) {
-            self.check_cold_wait(txn, record)?;
+        let cold = !db.hotspots.is_hot(record);
+        let holders = match cold && txn.has_hot_updates() {
+            true => self.locks.holders_of(record),
+            false => Vec::new(),
+        };
+        self.groups
+            .check_cold_wait(txn.id, groups_of(txn), &holders)?;
+        if cold {
             lock_row(&self.locks, txn, record, Some(&db.hotspots))?;
             if !db.hotspots.is_hot(record) {
                 txn.record_lock(record);
@@ -181,10 +123,7 @@ impl ConcurrencyControl for GroupLocking {
                 let waited = start.elapsed();
                 txn.add_blocked(waited);
                 txn.metrics().lock_wait_latency.record(waited);
-                match role? {
-                    WokenRole::Follower => HotRole::Follower,
-                    WokenRole::NewLeader => HotRole::Leader,
-                }
+                role?
             }
         };
         self.join_group(txn, group, role)
@@ -259,8 +198,11 @@ impl ConcurrencyControl for GroupLocking {
         for hot in txn.hot_updates() {
             let turn = self.groups.wait_rollback_turn(txn.id, group_of(hot));
             if turn.is_err() {
-                // Undoing out of turn beats wedging the row, but a
-                // successor that never cascaded must not go unreported.
+                // Undoing out of turn is safe: `begin_rollback` doomed every
+                // successor, a doomed member never commits, and the undo
+                // removes only our own versions, keeping the rest in order
+                // (`RecordVersions::rollback_writer`).  A successor that
+                // never cascaded still must not go unreported.
                 self.metrics.rollback_turn_timeouts.inc();
             }
         }

@@ -229,6 +229,28 @@ fn a_hot_select_for_update_without_an_update_passes_the_row_on_at_commit() {
     fixture.audit("every select committed, every writer got the row");
 }
 
+/// A rollback behind a successor that idles gives up its turn after four
+/// lock waits (80 ms here) and undoes out of turn: the successor was doomed,
+/// so it cascades at its commit and nobody sees the undone write.
+#[test]
+fn a_rollback_behind_an_idle_successor_undoes_out_of_turn() {
+    let config = fixture::config(Protocol::GroupLockingTxsql);
+    let fixture = setup(config.with_lock_wait_timeout(Duration::from_millis(20)), 1);
+    let db = &fixture.db;
+    db.hotspots().pin(fixture.record(0));
+    let (mut t1, mut t2) = (db.begin(), db.begin());
+    db.update_add(&mut t1, ACCOUNTS, 0, 1, 1).unwrap(); // leads
+    db.update_add(&mut t2, ACCOUNTS, 0, 1, 1).unwrap(); // follows, idles
+    db.rollback(t1, None);
+    assert_eq!(db.metrics().rollback_turn_timeouts.get(), 1);
+    let mut reader = db.begin();
+    let row = db.read(&mut reader, ACCOUNTS, 0).unwrap();
+    assert_eq!(row.get_int(1), Some(0));
+    db.commit(reader).unwrap();
+    assert!(db.commit(t2).unwrap_err().is_cascading());
+    fixture.audit("both rolled back, the leader's out of turn");
+}
+
 // ---------------------------------------------------------------------------
 // Hotspot correctness: concurrent increments must not lose updates
 // ---------------------------------------------------------------------------
@@ -236,11 +258,9 @@ fn a_hot_select_for_update_without_an_update_passes_the_row_on_at_commit() {
 /// How a concurrent-increment run arranges for the hotspot machinery to see
 /// the contended row.  On a single-core runner a microsecond transaction is
 /// essentially never preempted mid-critical-section, so *organic* waiters —
-/// and therefore organic promotion — need help to materialise under OS
-/// scheduling.  The organic interleavings themselves are covered by
-/// deterministic schedule exploration in `sim_schedule.rs`
-/// (`sim_organic_hotspot_promotion_loses_no_updates`); the explicit
-/// promote/pin variants here keep wall-clock OS-thread coverage.
+/// and therefore organic promotion — rarely materialise under OS
+/// scheduling; they are covered by deterministic schedule exploration in
+/// `sim_schedule.rs` (`sim_organic_hotspot_promotion_loses_no_updates`).
 #[derive(Clone, Copy, PartialEq)]
 enum HotSetup {
     /// No help: rely on scheduler preemption (fine for sum-conservation runs).
@@ -248,9 +268,6 @@ enum HotSetup {
     /// Promote the row before any traffic (deterministic hot-path coverage,
     /// and no transaction ever straddles the promotion boundary).
     PromoteFirst,
-    /// Hold the row's lock in a pinning transaction for the first ~50 ms so
-    /// workers pile up and the engine *detects* the hotspot itself.
-    PinRow,
 }
 
 /// `threads` clients, started together, each commit `per_thread` increments
@@ -267,25 +284,11 @@ fn run_concurrent_increments(
     if hot_setup == HotSetup::PromoteFirst {
         db.hotspots().promote(fixture.record(0));
     }
-    let pin = (hot_setup == HotSetup::PinRow).then(|| {
-        let mut txn = db.begin();
-        db.update_add(&mut txn, ACCOUNTS, 0, 1, 0).unwrap();
-        txn
-    });
-    thread::scope(|scope| {
-        scope.spawn(|| {
-            fixture.threads(threads, |fixture, worker| {
-                let (table, pk) = (ACCOUNTS, 1);
-                let program = TxnProgram::new(vec![add(0, 1), Operation::Read { table, pk }]);
-                let committed = fixture.run(worker, &vec![program; per_thread]);
-                assert_eq!(committed, per_thread as u64, "worker {worker} starved");
-            });
-        });
-        if let Some(txn) = pin {
-            // Give the workers time to queue behind the pinned row, then let go.
-            thread::sleep(Duration::from_millis(50));
-            db.commit(txn).unwrap();
-        }
+    fixture.threads(threads, |fixture, worker| {
+        let (table, pk) = (ACCOUNTS, 1);
+        let program = TxnProgram::new(vec![add(0, 1), Operation::Read { table, pk }]);
+        let committed = fixture.run(worker, &vec![program; per_thread]);
+        assert_eq!(committed, per_thread as u64, "worker {worker} starved");
     });
     fixture.audit(&format!("{:?}, {threads} x {per_thread}", db.protocol()));
     fixture
@@ -321,37 +324,25 @@ fn concurrent_hot_increments_are_not_lost() {
 #[test]
 fn cascading_rollback_follows_reverse_update_order() {
     let fixture = setup(hot_config(Protocol::GroupLockingTxsql), 4);
-    let db = Arc::new(fixture.db.clone());
+    let db = &fixture.db;
     db.hotspots().promote(fixture.record(0));
 
-    let mut t1 = db.begin();
-    let mut t3 = db.begin();
-    let mut t2 = db.begin();
+    let (mut t1, mut t3, mut t2) = (db.begin(), db.begin(), db.begin());
     db.update_add(&mut t1, ACCOUNTS, 0, 1, 1).unwrap(); // leader, val -> 1
     db.update_add(&mut t3, ACCOUNTS, 0, 1, 1).unwrap(); // follower, val -> 2
     db.update_add(&mut t2, ACCOUNTS, 0, 1, 1).unwrap(); // follower, val -> 3
-
-    // T1 rolls back (blocks until T2 and T3 have rolled back).
-    let db1 = Arc::clone(&db);
-    let rollback_t1 = thread::spawn(move || {
-        db1.rollback(
-            t1,
-            Some(&txsql_common::Error::ExplicitRollback {
-                txn: txsql_common::TxnId(0),
-            }),
-        );
+    thread::scope(|scope| {
+        // T1 rolls back (blocks until T2 and T3 have rolled back).
+        scope.spawn(|| db.rollback(t1, None));
+        // T3 commits next: doomed, cascades (blocks until T2 rolled back).
+        let commit_t3 = scope.spawn(|| db.commit(t3).unwrap_err());
+        thread::sleep(Duration::from_millis(50));
+        // T2 commits last: doomed, cascades at once (it is the newest entry).
+        let err2 = db.commit(t2).unwrap_err();
+        assert!(err2.is_cascading(), "T2 should cascade, got {err2:?}");
+        let err3 = commit_t3.join().unwrap();
+        assert!(err3.is_cascading(), "T3 should cascade, got {err3:?}");
     });
-    // T3 commits next: doomed, cascades (blocks until T2 rolled back).
-    let db3 = Arc::clone(&db);
-    let commit_t3 = thread::spawn(move || db3.commit(t3).unwrap_err());
-    thread::sleep(Duration::from_millis(50));
-    // T2 commits last: doomed, cascades immediately (it is the newest entry).
-    let err2 = db.commit(t2).unwrap_err();
-    assert!(err2.is_cascading(), "T2 should cascade, got {err2:?}");
-    let err3 = commit_t3.join().unwrap();
-    assert!(err3.is_cascading(), "T3 should cascade, got {err3:?}");
-    rollback_t1.join().unwrap();
-
     assert!(db.metrics().cascading_aborts.get() >= 2);
     fixture.audit("all three rolled back: the row is back at its original value");
 }
@@ -467,22 +458,8 @@ fn aria_aborts_one_of_two_conflicting_transactions_in_a_batch() {
 }
 
 // ---------------------------------------------------------------------------
-// Hotspot detection & demotion (§4.1)
+// Hotspot detection (§4.1)
 // ---------------------------------------------------------------------------
-
-#[test]
-fn hotspot_is_detected_then_demoted_when_idle() {
-    // Pin the row briefly so waiters pile up and the engine performs an
-    // *organic* promotion even on a single-core runner.
-    let config = hot_config(Protocol::GroupLockingTxsql);
-    let fixture = run_concurrent_increments(config, 8, 20, HotSetup::PinRow);
-    let (db, hot_record) = (&fixture.db, fixture.record(0));
-    assert!(db.hotspots().promotions() > 0, "hotspot was never promoted");
-    // With no load, the sweeper (or two manual sweeps) demotes the row.
-    db.hotspots().sweep(|_| false);
-    db.hotspots().sweep(|_| false);
-    assert!(!db.hotspots().is_hot(hot_record));
-}
 
 #[test]
 fn uniform_workload_triggers_no_hotspot_handling() {
@@ -905,18 +882,20 @@ fn read_only_transactions_leave_no_footprint() {
 /// its locks are `GroupLockTable`'s; 6 with a leader's quiesce), that update
 /// rolled back (8 of `GroupLockTable`'s: a lone member's `finish_rollback` is one state
 /// acquisition and one collection; 31 with 13 while lifting the pause was a
-/// second call), and the update again with a 100 µs sync (the commit
-/// pipeline's count of released members is one more state acquisition).
+/// second call), the update again with a 100 µs sync (the commit
+/// pipeline's count of released members is one more state acquisition), and
+/// FiT's shape (two cold updates after it, each after one §4.5 check).
 /// None is the redo log's: an append is a compare-and-swap (53 / 29 / 26
 /// while `Begin`, every update and the marker each took its tail mutex).
 /// ARCHITECTURE.md, "What a statement touches", has the break-down.
 #[cfg(debug_assertions)]
-const LOCK_BUDGET: [(&str, u64); 5] = [
+const LOCK_BUDGET: [(&str, u64); 6] = [
     ("10 reads", 23),
     ("4 cold updates", 47),
     ("1 hot update", 25),
     ("1 hot update, rolled back", 23),
     ("1 hot update, local_ssd", 26),
+    ("1 hot update, 2 cold updates", 47),
 ];
 
 #[cfg(debug_assertions)]
@@ -941,15 +920,14 @@ fn lock_acquisitions_per_transaction_stay_within_budget() {
         pk,
     };
     let add = |pk| add(pk, 1);
+    let rolled_back = TxnProgram::new(vec![add(0), Operation::ForcedRollback]);
     let runs = [
         (&memory, TxnProgram::new((1..=10).map(read).collect())),
         (&memory, TxnProgram::new((11..=14).map(add).collect())),
         (&memory, TxnProgram::new(vec![add(0)])),
-        (
-            &memory,
-            TxnProgram::new(vec![add(0), Operation::ForcedRollback]),
-        ),
+        (&memory, rolled_back),
         (&ssd, TxnProgram::new(vec![add(0)])),
+        (&memory, TxnProgram::new(vec![add(0), add(15), add(16)])),
     ];
     for ((fixture, program), (shape, budget)) in runs.iter().zip(LOCK_BUDGET) {
         let db = &fixture.db;

@@ -24,7 +24,12 @@
 //!   transition ends that update completes the hand-over under the guard it
 //!   already holds.  Waiting there put the follower's whole update inside
 //!   the leader's commit — one more cross-core hand-off per group, on a row
-//!   whose throughput is the count of those hand-offs.
+//!   whose throughput is the count of those hand-offs;
+//! * a member that would wait behind a peer on one of its dependency lists
+//!   aborts instead (**deadlock prevention**, §4.5):
+//!   [`GroupLockTable::check_cold_wait`] before it writes another row (a
+//!   doomed member cascades first) and [`GroupLockTable::check_join`] once
+//!   granted another hot row, each under the rows' own guards.
 //!
 //! The state machine below follows Algorithms 1–3 of the paper; the method
 //! names map to the pseudo-code lines noted in their doc comments.  Every
@@ -187,14 +192,15 @@ impl Default for GroupLockConfig {
     }
 }
 
-/// Role a parked transaction is woken with (the wake-up's payload).
+/// Role a transaction plays on a hot row — what a grant gives it, and the
+/// payload a parked one is woken with.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 #[repr(u32)]
-pub enum WokenRole {
-    /// Granted execution inside the current group (no locking).
-    Follower = 1,
-    /// Promoted to leader of a new group (must acquire the row lock).
-    NewLeader = 2,
+pub enum HotRole {
+    /// Group leader: acquires the real row lock for its group.
+    Leader = 1,
+    /// Follower: executes without locking inside a group.
+    Follower = 2,
 }
 
 /// A parked hotspot update waiting to be granted.
@@ -222,16 +228,16 @@ impl WaitSlot {
     }
 
     /// Role assigned by the waker, if any: the event's payload.
-    fn role(&self) -> Option<WokenRole> {
+    fn role(&self) -> Option<HotRole> {
         self.event().payload().map(|payload| match payload {
-            1 => WokenRole::Follower,
-            2 => WokenRole::NewLeader,
+            1 => HotRole::Leader,
+            2 => HotRole::Follower,
             other => unreachable!("wait slot woken with payload {other}"),
         })
     }
 
     /// Wakes the owner with its role.  Call after dropping the state guard.
-    fn grant(&self, role: WokenRole) {
+    fn grant(&self, role: HotRole) {
         self.event().set_with(role as u32);
     }
 }
@@ -255,7 +261,7 @@ pub enum HotExecution {
     /// Granted follower execution immediately (no other hotspot update was in
     /// flight): execute without locking.
     Follower,
-    /// Park on the slot; the waker assigns [`WokenRole`].
+    /// Park on the slot; the waker assigns [`HotRole`].
     Wait(Arc<WaitSlot>),
 }
 
@@ -459,7 +465,7 @@ impl GroupState {
     /// — or else the next follower is granted if allowed (Algorithm 1,
     /// lines 11–20).  The caller grants the returned slot its role after
     /// dropping the guard.
-    fn end_update(&mut self, txn: TxnId, batch_size: usize) -> Option<(Arc<WaitSlot>, WokenRole)> {
+    fn end_update(&mut self, txn: TxnId, batch_size: usize) -> Option<(Arc<WaitSlot>, HotRole)> {
         if self.executing != Some(txn) {
             // Nothing of `txn`'s in flight: a commit or rollback after its
             // last write ended its flight.
@@ -467,9 +473,7 @@ impl GroupState {
         }
         self.executing = None;
         if self.switching_new_leader {
-            return self
-                .step_down()
-                .map(|(_, slot)| (slot, WokenRole::NewLeader));
+            return self.step_down().map(|(_, slot)| (slot, HotRole::Leader));
         }
         let batch_full = batch_size > 0 && self.granted_in_group >= batch_size;
         if self.paused() || batch_full {
@@ -478,12 +482,12 @@ impl GroupState {
         let waiter = self.waiting_updates.pop_front()?;
         self.granted_in_group += 1;
         self.grant(waiter.txn);
-        Some((waiter.slot, WokenRole::Follower))
+        Some((waiter.slot, HotRole::Follower))
     }
 
     /// Promotes the next parked update to leader of a fresh group.  The
-    /// caller grants the returned slot [`WokenRole::NewLeader`] after
-    /// dropping the guard.
+    /// caller grants the returned slot [`HotRole::Leader`] after dropping
+    /// the guard.
     fn promote_next_leader(&mut self) -> Option<(TxnId, Arc<WaitSlot>)> {
         let waiter = self.waiting_updates.pop_front()?;
         self.lead(waiter.txn);
@@ -524,6 +528,16 @@ impl GroupHandle {
     /// The hot row this handle is for.
     pub fn record(&self) -> RecordId {
         self.record
+    }
+
+    /// §4.5's verdict on `txn`, which would wait behind `blocker` here.
+    fn prevents(&self, txn: TxnId, blocker: TxnId) -> Error {
+        let hot_record = self.record;
+        Error::HotspotDeadlockPrevented {
+            txn,
+            hot_record,
+            blocker,
+        }
     }
 }
 
@@ -744,7 +758,7 @@ impl GroupLockTable {
         txn: TxnId,
         row: impl HotRow<'a>,
         slot: &Arc<WaitSlot>,
-    ) -> Result<WokenRole> {
+    ) -> Result<HotRole> {
         let _ = slot.event().wait_handoff(self.config.hot_wait_timeout);
         // The role is the wake-up's payload; without one the wait timed out,
         // and leaving the queue tells us whether a grant raced the deadline.
@@ -757,7 +771,7 @@ impl GroupLockTable {
     /// Takes a transaction that gave up waiting out of the queue.  When it
     /// is not queued any more the grant (of the update in flight, maybe)
     /// raced the deadline, and it must proceed with the role returned.
-    fn cancel_wait(&self, txn: TxnId, handle: &GroupHandle) -> Option<WokenRole> {
+    fn cancel_wait(&self, txn: TxnId, handle: &GroupHandle) -> Option<HotRole> {
         self.with_state(handle, |state| {
             match state.waiting_updates.iter().position(|w| w.txn == txn) {
                 Some(pos) => {
@@ -766,8 +780,8 @@ impl GroupLockTable {
                 }
                 // The role reaches the slot only once the granter has dropped
                 // this guard, so read it off the state instead.
-                None if state.leader == Some(txn) => Some(WokenRole::NewLeader),
-                None => Some(WokenRole::Follower),
+                None if state.leader == Some(txn) => Some(HotRole::Leader),
+                None => Some(HotRole::Follower),
             }
         })
     }
@@ -798,7 +812,6 @@ impl GroupLockTable {
     /// flight or the newest.
     pub fn rewrite<'a>(&self, txn: TxnId, row: impl HotRow<'a>) -> Result<()> {
         let handle = row.handle_in(self);
-        let hot_record = handle.record;
         self.with_state(&handle, |state| {
             if let Some(&cause) = state.doomed.get(&txn) {
                 return Err(Error::CascadingAbort { txn, cause });
@@ -809,12 +822,7 @@ impl GroupLockTable {
                 state.executing = Some(txn);
                 return Ok(());
             }
-            let blocker = state.executing.or(newest).unwrap_or(txn);
-            Err(Error::HotspotDeadlockPrevented {
-                txn,
-                hot_record,
-                blocker,
-            })
+            Err(handle.prevents(txn, state.executing.or(newest).unwrap_or(txn)))
         })
     }
 
@@ -825,10 +833,22 @@ impl GroupLockTable {
     /// after every write, each in a flight its writer owns, whatever its
     /// role (`_is_leader`).  Wake-ups fire after the state guard is dropped.
     pub fn finish_update<'a>(&self, txn: TxnId, row: impl HotRow<'a>, _is_leader: bool) {
-        let (granted, woken) = self.with_state(&row.handle_in(self), |state| {
+        self.hand_on(row, |state| {
             debug_assert_eq!(state.executing, Some(txn), "{txn} has no grant");
-            let granted = state.end_update(txn, self.config.batch_size);
-            (granted, state.take_ready_waiters())
+            state.end_update(txn, self.config.batch_size)
+        });
+    }
+
+    /// Runs `transition` on the row's live state, then — after dropping the
+    /// guard — grants the parked update it granted, if any, its role and
+    /// wakes the turn waiters whose turn it made.
+    fn hand_on<'a>(
+        &self,
+        row: impl HotRow<'a>,
+        mut transition: impl FnMut(&mut GroupState) -> Option<(Arc<WaitSlot>, HotRole)>,
+    ) {
+        let (granted, woken) = self.with_state(&row.handle_in(self), |state| {
+            (transition(state), state.take_ready_waiters())
         });
         if let Some((slot, role)) = granted {
             slot.grant(role);
@@ -842,22 +862,17 @@ impl GroupLockTable {
     /// group keeps moving as after a [`GroupLockTable::leader_step_down`]
     /// (leader) or a [`GroupLockTable::finish_update`] (follower).
     pub fn abandon_update<'a>(&self, txn: TxnId, row: impl HotRow<'a>) {
-        let (granted, woken) = self.with_state(&row.handle_in(self), |state| {
+        self.hand_on(row, |state| {
             state.unregister(txn);
-            let granted = match state.leader == Some(txn) {
+            match state.leader == Some(txn) {
                 true => {
                     state.executing = None;
                     let promoted = state.step_down();
-                    promoted.map(|(_, slot)| (slot, WokenRole::NewLeader))
+                    promoted.map(|(_, slot)| (slot, HotRole::Leader))
                 }
                 false => state.end_update(txn, self.config.batch_size),
-            };
-            (granted, state.take_ready_waiters())
+            }
         });
-        if let Some((slot, role)) = granted {
-            slot.grant(role);
-        }
-        woken.fire();
     }
 
     // ------------------------------------------------------------------
@@ -890,7 +905,7 @@ impl GroupLockTable {
             (promoted, state.commit_turn(txn))
         });
         let promoted = promoted.map(|(new_leader, slot)| {
-            slot.grant(WokenRole::NewLeader);
+            slot.grant(HotRole::Leader);
             new_leader
         });
         HandOver { promoted, turn }
@@ -918,17 +933,16 @@ impl GroupLockTable {
     /// Waits — parked on the row's turn-waiter list, never polling — until
     /// `txn`'s `turn` has come.  Returns the transaction that doomed it
     /// meanwhile, if any, and how long it waited (zero, and no clock read,
-    /// when the turn had already come); `timeout` without the turn is a
-    /// lock-wait timeout.  A hand-off wait: whoever holds the turn up is
-    /// running now, and its transition (see the module docs) fires our
-    /// event.
+    /// when the turn had already come); four wait budgets without the turn
+    /// are a lock-wait timeout.  A hand-off wait: whoever holds the turn up
+    /// is running now, and its transition (module docs) fires our event.
     fn wait_turn(
         &self,
         handle: &GroupHandle,
         txn: TxnId,
         turn: Turn,
-        timeout: Duration,
     ) -> Result<(Option<TxnId>, Duration)> {
+        let timeout = self.config.hot_wait_timeout * 4;
         // Our event and when we started, once we had to wait.
         let mut waiting: Option<(Arc<OsEvent>, SimInstant)> = None;
         let verdict = loop {
@@ -980,8 +994,7 @@ impl GroupLockTable {
     /// [`GroupLockTable::finish_rollback`], or by the
     /// [`GroupLockTable::begin_rollback`] that dooms it.
     pub fn wait_commit_turn<'a>(&self, txn: TxnId, row: impl HotRow<'a>) -> Result<Duration> {
-        let budget = self.config.hot_wait_timeout * 4;
-        match self.wait_turn(&row.handle_in(self), txn, Turn::Commit, budget)? {
+        match self.wait_turn(&row.handle_in(self), txn, Turn::Commit)? {
             (Some(cause), _) => Err(Error::CascadingAbort { txn, cause }),
             (None, waited) => Ok(waited),
         }
@@ -996,15 +1009,10 @@ impl GroupLockTable {
     /// stays `leader` until the update in flight ends, so that no arrival
     /// leads beside that update.
     pub fn finish_commit<'a>(&self, txn: TxnId, row: impl HotRow<'a>) {
-        let (granted, woken) = self.with_state(&row.handle_in(self), |state| {
+        self.hand_on(row, |state| {
             state.unregister(txn);
-            let granted = state.end_update(txn, self.config.batch_size);
-            (granted, state.take_ready_waiters())
+            state.end_update(txn, self.config.batch_size)
         });
-        if let Some((slot, role)) = granted {
-            slot.grant(role);
-        }
-        woken.fire();
     }
 
     // ------------------------------------------------------------------
@@ -1012,10 +1020,10 @@ impl GroupLockTable {
     // ------------------------------------------------------------------
 
     /// Starts a rollback of `txn` (Algorithm 3, lines 2–5, plus the §4.4
-    /// rollback optimization): pauses granting, dooms every dependency-list
-    /// successor and returns them (they must cascade-abort first).
-    pub fn begin_rollback<'a>(&self, txn: TxnId, row: impl HotRow<'a>) -> Vec<TxnId> {
-        let (successors, woken) = self.with_state(&row.handle_in(self), |state| {
+    /// rollback optimization): pauses granting and dooms every
+    /// dependency-list successor (they must cascade-abort first).
+    pub fn begin_rollback<'a>(&self, txn: TxnId, row: impl HotRow<'a>) {
+        self.hand_on(row, |state| {
             if !state.rolling_back.contains(&txn) {
                 state.rolling_back.push(txn);
             }
@@ -1025,17 +1033,13 @@ impl GroupLockTable {
             // nobody inside the pause.
             let granted = state.end_update(txn, self.config.batch_size);
             debug_assert!(granted.is_none(), "granted inside the pause");
-            let successors: Vec<TxnId> = match state.dep_list.iter().position(|t| *t == txn) {
-                Some(pos) => state.dep_list[pos + 1..].to_vec(),
-                None => Vec::new(),
-            };
-            for succ in &successors {
-                state.doomed.entry(*succ).or_insert(txn);
+            if let Some(at) = state.dep_list.iter().position(|t| *t == txn) {
+                for succ in &state.dep_list[at + 1..] {
+                    state.doomed.entry(*succ).or_insert(txn);
+                }
             }
-            (successors, state.take_ready_waiters())
+            granted
         });
-        woken.fire();
-        successors
     }
 
     /// Blocks until `txn` is the newest entry of the dependency list and no
@@ -1044,9 +1048,8 @@ impl GroupLockTable {
     /// [`GroupLockTable::finish_commit`]), or by the end of the update in
     /// flight.
     pub fn wait_rollback_turn<'a>(&self, txn: TxnId, row: impl HotRow<'a>) -> Result<()> {
-        let budget = self.config.hot_wait_timeout * 4;
-        self.wait_turn(&row.handle_in(self), txn, Turn::Rollback, budget)
-            .map(|_| ())
+        self.wait_turn(&row.handle_in(self), txn, Turn::Rollback)
+            .map(drop)
     }
 
     /// The last step of a rollback, once storage has undone `txn`'s writes
@@ -1074,7 +1077,7 @@ impl GroupLockTable {
             (promoted, state.take_ready_waiters(), state.is_idle())
         });
         let promoted = promoted.map(|(new_leader, slot)| {
-            slot.grant(WokenRole::NewLeader);
+            slot.grant(HotRole::Leader);
             new_leader
         });
         woken.fire();
@@ -1085,29 +1088,68 @@ impl GroupLockTable {
     }
 
     // ------------------------------------------------------------------
-    // Introspection (deadlock prevention §4.5, sweeper, tests)
+    // Deadlock prevention (§4.5); introspection (sweeper, tests)
     // ------------------------------------------------------------------
 
-    /// True when both transactions have been granted uncommitted updates on
-    /// this hot row — the §4.5 deadlock-prevention predicate.
-    pub fn both_updated<'a>(&self, row: impl HotRow<'a>, a: TxnId, b: TxnId) -> bool {
-        self.with_state(&row.handle_in(self), |state| {
-            state.dep_list.contains(&a) && state.dep_list.contains(&b)
-        })
+    /// Before `txn`, a member of the hot `rows`, writes another row.  Doomed
+    /// on one of them, it fails fast: every statement from here on is wasted
+    /// work, and the aborter's rollback, with granting paused, waits for our
+    /// cascade.  Else it does not wait for a cold row held by a peer on one
+    /// of its lists (`holders`; a hot target passes none): that would very
+    /// likely deadlock, its commit depending on ours or ours on its.  Like
+    /// the paper's, the rule is non-directional: waiting even behind a
+    /// holder that commits first convoys the row's commit FIFO behind a
+    /// cold-lock timeout, which measures far worse than a quick retry.
+    pub fn check_cold_wait<'a>(
+        &self,
+        txn: TxnId,
+        rows: impl IntoIterator<Item = &'a GroupHandle>,
+        holders: &[TxnId],
+    ) -> Result<()> {
+        let mut prevented = Ok(());
+        for row in rows {
+            let peer = self.with_state(row, |state| match state.doomed.get(&txn) {
+                Some(&cause) => Err(Error::CascadingAbort { txn, cause }),
+                None => {
+                    let peer = |h: &&TxnId| **h != txn && state.dep_list.contains(h);
+                    Ok(holders.iter().find(peer))
+                }
+            })?;
+            if let (Ok(()), Some(&blocker)) = (&prevented, peer) {
+                prevented = Err(row.prevents(txn, blocker));
+            }
+        }
+        prevented
     }
 
-    /// Returns the transaction that doomed `txn` on this hot row, if any
-    /// (lets the write path cascade-abort at the next statement instead of
-    /// running to commit while the paused group waits on it).
-    pub fn doomed_cause<'a>(&self, txn: TxnId, row: impl HotRow<'a>) -> Option<TxnId> {
-        self.with_state(&row.handle_in(self), |state| {
-            state.doomed.get(&txn).copied()
-        })
-    }
-
-    /// Current dependency list (update order) of a hot row.
-    pub fn dep_list<'a>(&self, row: impl HotRow<'a>) -> Vec<TxnId> {
-        self.with_state(&row.handle_in(self), |state| state.dep_list.clone())
+    /// After `txn`, a member of the hot `rows`, was granted `group`: joining
+    /// behind a member ordered **after** it on one of them makes a
+    /// cross-record commit-order cycle, which the per-record FIFO commit
+    /// waits resolve only by timing out, wedging the row for seconds; an
+    /// abort (the caller gives the grant back) is one quick retry.  The
+    /// members behind `txn` are taken under each row's guard and tested
+    /// under `group`'s, never two at once: a join that races past it still
+    /// ends at the commit-turn deadline.
+    pub fn check_join<'a>(
+        &self,
+        txn: TxnId,
+        group: &GroupHandle,
+        rows: impl IntoIterator<Item = &'a GroupHandle>,
+    ) -> Result<()> {
+        let mut behind_us = Vec::new();
+        for row in rows {
+            self.with_state(row, |state| {
+                if let Some(at) = state.dep_list.iter().position(|t| *t == txn) {
+                    behind_us.extend_from_slice(&state.dep_list[at + 1..]);
+                }
+            });
+        }
+        let behind = |member: &&TxnId| behind_us.contains(member);
+        let blocker = match behind_us.is_empty() {
+            true => None,
+            false => self.with_state(group, |state| state.dep_list.iter().find(behind).copied()),
+        };
+        blocker.map_or(Ok(()), |blocker| Err(group.prevents(txn, blocker)))
     }
 
     /// Hot rows that still have group state — zero once every transaction
@@ -1147,14 +1189,14 @@ mod tests {
         let (leader, _) = g.begin_update(TxnId(1), HOT);
         let ((second, slot2), (_, slot3)) = (parked(&g, 2), parked(&g, 3));
         g.finish_update(TxnId(1), &leader, true);
-        assert_eq!(slot2.role(), Some(WokenRole::Follower));
+        assert_eq!(slot2.role(), Some(HotRole::Follower));
         g.finish_update(TxnId(2), &second, false);
         // Batch of 1 exhausted: T3 is not granted as a follower; it leads
         // the next group at the hand-over.
         assert_eq!(slot3.role(), None);
         let promoted = g.leader_step_down(TxnId(1), &leader).promoted;
         assert_eq!(promoted, Some(TxnId(3)));
-        assert_eq!(slot3.role(), Some(WokenRole::NewLeader));
+        assert_eq!(slot3.role(), Some(HotRole::Leader));
         assert_eq!(g.peek(HOT).dep_list, [1, 2, 3].map(TxnId));
     }
 
@@ -1175,7 +1217,7 @@ mod tests {
                 let order = g.register_update(txn, row);
                 assert!(order > last_order);
                 last_order = order;
-                assert_eq!(g.dep_list(row), [txn]);
+                assert_eq!(g.peek(row).dep_list, [txn]);
                 g.finish_update(txn, row, true);
             }
             let prepared = g.begin_leader_commit(txn, &rows);
@@ -1224,7 +1266,7 @@ mod tests {
         let row = g.peek(HOT);
         assert_eq!((row.leader, slot.role()), (Some(TxnId(1)), None));
         follower.update();
-        assert_eq!(slot.role(), Some(WokenRole::NewLeader));
+        assert_eq!(slot.role(), Some(HotRole::Leader));
         assert_eq!(g.peek(HOT).leader, Some(TxnId(3)));
         assert_eq!(g.peek(HOT).dep_list, [2, 3].map(TxnId));
     }
@@ -1243,7 +1285,7 @@ mod tests {
         assert!(!g.collect_if_idle(HOT));
         let peer = hot.arrive(TxnId(2)).unwrap();
         // The stale handle sees, and acts on, the peer's group.
-        assert_eq!(g.dep_list(stale), [TxnId(2)]);
+        assert_eq!(g.with_state(stale, |s| s.dep_list.clone()), [TxnId(2)]);
         let step_down = g.leader_step_down(TxnId(1), stale);
         let nothing_to_do = (None, CommitTurn::Ready);
         assert_eq!((step_down.promoted, step_down.turn), nothing_to_do);
@@ -1270,7 +1312,7 @@ mod tests {
             let role = g.wait_for_grant(TxnId(2), &handle, &slot);
             // Grant → `finish_update`: the order, then the one lock.
             let woken = parking_lot::thread_acquisitions();
-            assert_eq!(role, Ok(WokenRole::Follower));
+            assert_eq!(role, Ok(HotRole::Follower));
             g.take_hot_update_order();
             g.finish_update(TxnId(2), &handle, false);
             let in_grant = parking_lot::thread_acquisitions() - woken;
@@ -1341,7 +1383,8 @@ mod tests {
         // the turn (and wakes nobody), its cascade does.
         let g = group(&[2], None);
         follows(&g, 3);
-        assert_eq!(g.begin_rollback(TxnId(2), HOT), vec![TxnId(3)]);
+        g.begin_rollback(TxnId(2), HOT);
+        assert_eq!(g.peek(HOT).doomed, [(TxnId(3), TxnId(2))]);
         let (result, checks) = checks_after_parking(&g, turn, |g| {
             g.finish_update(TxnId(3), HOT, false);
             g.finish_rollback(TxnId(3), HOT);
@@ -1354,7 +1397,7 @@ mod tests {
         let commit = |g: &GroupLockTable| g.finish_commit(TxnId(3), HOT);
         for leave in [roll_back as fn(&GroupLockTable), commit] {
             let g = group(&[2, 3], None);
-            assert_eq!(g.begin_rollback(TxnId(2), HOT), vec![TxnId(3)]);
+            g.begin_rollback(TxnId(2), HOT);
             let (result, checks) = checks_after_parking(&g, turn, leave);
             assert_eq!((result, checks), (Ok(()), 1), "successor leaves");
         }
@@ -1379,34 +1422,50 @@ mod tests {
         assert_eq!((result, checks), (doomed, 1), "begin_rollback");
     }
 
-    /// A member's later write of its row runs in a flight it owns: its open
-    /// grant, or the row's taken again by the newest member while nothing
-    /// flies and the row has a leader.  Anything else is prevented.
+    /// The §4.5 checks: a wait for a cold row's holder and a join behind a
+    /// member ordered after us elsewhere are prevented only behind a peer on
+    /// a shared list (a member doomed on any row cascades first), and a
+    /// later write of the row runs in a flight its writer owns — its open
+    /// grant, or the row's retaken by the newest member of a led row.
     #[test]
-    fn a_rewrite_runs_in_its_own_flight_or_is_prevented() {
+    fn a_write_behind_a_peer_on_a_shared_list_is_prevented() {
         let (hot, members) = Hot::group(&[2], Some(2));
-        let (g, t1, t2) = (&hot.g, TxnId(1), TxnId(2));
-        let prevented = |txn, blocker| {
+        let (g, t1, t2, t3) = (&hot.g, TxnId(1), TxnId(2), TxnId(3));
+        let prevented = |txn, hot_record, blocker| {
             Err(Error::HotspotDeadlockPrevented {
                 txn,
-                hot_record: HOT,
+                hot_record,
                 blocker,
             })
         };
+        let (on_hot, row) = ([&members[0].handle], RecordId::new(2, 0, 0));
+        let holders = |list: &[TxnId]| g.check_cold_wait(t1, on_hot, list);
+        assert_eq!(holders(&[t3, t2]), prevented(t1, HOT, t2));
+        assert_eq!(holders(&[t1, t3]), Ok(()));
+        // On another row T2 leads and T1 follows, behind its own successor.
+        let (t2_on_row, _) = g.begin_update(t2, row);
+        g.finish_update(t2, &t2_on_row, true);
+        let (t1_on_row, _) = g.begin_update(t1, row);
+        assert_eq!(g.check_join(t1, &t1_on_row, on_hot), prevented(t1, row, t2));
+        assert_eq!(g.check_join(t2, &t2_on_row, [&members[1].handle]), Ok(()));
+        g.begin_rollback(t2, &t2_on_row);
+        let both = [&members[0].handle, &t1_on_row];
+        let cascade = Err(Error::CascadingAbort { txn: t1, cause: t2 });
+        assert_eq!(g.check_cold_wait(t1, both, &[t2]), cascade);
         // T2's grant is open: its write goes in it, T1's would go beside it.
         assert_eq!(
             (g.rewrite(t2, HOT), g.rewrite(t1, HOT)),
-            (Ok(()), prevented(t1, t2))
+            (Ok(()), prevented(t1, HOT, t2))
         );
         members[1].update();
         // Nothing in flight: T2 takes it again, T1 (T2 read its write) not.
         assert_eq!(
             (g.rewrite(t1, HOT), g.rewrite(t2, HOT)),
-            (prevented(t1, t2), Ok(()))
+            (prevented(t1, HOT, t2), Ok(()))
         );
         g.finish_update(t2, HOT, false);
         // Leaderless, an arrival would lead beside the flight.
         members[0].commit().unwrap();
-        assert_eq!(g.rewrite(t2, HOT), prevented(t2, t2));
+        assert_eq!(g.rewrite(t2, HOT), prevented(t2, HOT, t2));
     }
 }

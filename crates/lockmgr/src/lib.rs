@@ -132,32 +132,15 @@
 //! dropping it, and `OsEvent::set` debug-asserts the calling thread holds no
 //! lockmgr guard (the private `wake_check` module).
 //!
-//! ## Group locking: handles, and who appends to the dependency list
+//! ## Group locking
 //!
-//! A hot row's members execute serially without locking, so the row is
-//! bounded by its two serial sections — grant → `finish_update`, commit
-//! turn → `finish_commit` — and [`group_lock`] keeps each at one
-//! acquisition of the row's state mutex.  A transaction resolves the row's
-//! entry through the entry map **once**
-//! ([`group_lock::GroupLockTable::begin_update`]) and holds a
-//! [`group_lock::GroupHandle`] from then on, by which every later call
-//! names the row ([`group_lock::HotRow`]); such a call always lands on the
-//! row's live state, whatever entry collection did in between.  The
-//! dependency list is appended to by **whoever grants** — `begin_update`'s
-//! two immediate paths, `finish_update`'s follower grant, a promotion by
-//! `leader_step_down`, by the end of the update a step-down left pending or
-//! by the last `finish_rollback` — in the critical section that grant
-//! already holds, never by the grantee in one of its own; a grantee only
-//! draws its `hot_update_order`, lock-free.  A committing leader never
-//! waits for the follower in flight: its step-down leaves the hand-over to
-//! whichever transition ends that update.  An unused grant goes back with
-//! its registration (`abandon_update`).  A rollback is
-//! one transition per step (`begin_rollback`, `wait_rollback_turn`,
-//! `finish_rollback`), and granting is paused exactly while some member is
-//! between the first and the last; [`group_lock::GroupLockTable::peek`] is
-//! the one read-only view of a row.  The counts a group produces
-//! between a grant and the update it admits go to the transaction's
-//! `MetricsScratch`, like the lock tables' per-cycle counters.
+//! [`group_lock`]'s module doc is the one account of a hot row's group
+//! state: one handle per transaction and row, granting registers, every
+//! write in a flight its writer owns, fused commit and rollback transitions,
+//! and the §4.5 prevention rules, each evaluated under the row's state
+//! guard.  The counts a group produces between a grant and the update it
+//! admits go to the transaction's `MetricsScratch`, like the lock tables'
+//! per-cycle counters.
 //!
 //! Supporting modules: [`record_queue`] (the shared per-record queue core),
 //! [`event`] (the engine's one wait primitive: a state word that carries the

@@ -11,7 +11,7 @@ use std::time::Duration;
 use txsql_common::metrics::EngineMetrics;
 use txsql_common::{Error, RecordId, Result, TxnId};
 use txsql_lockmgr::group_lock::{
-    CommitTurn, GroupHandle, GroupLockConfig, GroupLockTable, HotExecution, RowView, WokenRole,
+    CommitTurn, GroupHandle, GroupLockConfig, GroupLockTable, HotExecution, HotRole, RowView,
 };
 use txsql_lockmgr::lock_table::{DeadlockPolicy, Layout, LockTableConfig, RecordLockTable};
 use txsql_sim::{ExploreSummary, RunReport};
@@ -130,7 +130,7 @@ impl Hot {
             HotExecution::Leader => true,
             HotExecution::Follower => false,
             HotExecution::Wait(slot) => {
-                self.g.wait_for_grant(txn, &handle, &slot)? == WokenRole::NewLeader
+                self.g.wait_for_grant(txn, &handle, &slot)? == HotRole::Leader
             }
         };
         let other = self.chain.lock().unwrap().in_flight.replace(txn);

@@ -6,6 +6,7 @@ use txsql_common::fxhash::FxHashSet;
 use txsql_common::metrics::{EngineMetrics, MetricsScratch};
 use txsql_common::{RecordId, Row, TableId, TxnId};
 use txsql_lockmgr::group_lock::GroupHandle;
+pub use txsql_lockmgr::group_lock::HotRole;
 use txsql_lockmgr::OsEvent;
 
 /// Lifecycle state of a transaction.
@@ -19,15 +20,6 @@ pub enum TxnState {
     Committed,
     /// Rolled back.
     Aborted,
-}
-
-/// Role a transaction plays on a particular hot row.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum HotRole {
-    /// Group leader: acquired the real row lock for its group.
-    Leader,
-    /// Follower: executed without locking inside a group.
-    Follower,
 }
 
 /// A transaction's membership of one hot row's group (group locking) or
