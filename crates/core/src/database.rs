@@ -396,7 +396,8 @@ impl Database {
     /// Snapshot read by primary key.  The read view is statement-scoped and
     /// built under the record's latch, which is what lets commit purge the
     /// chain (see `Storage::read_snapshot`); the writer of the version read
-    /// goes to the read set for the serializability checker.
+    /// goes to the read set when a history records it for the
+    /// serializability checker.
     pub fn read(&self, txn: &mut Transaction, table: TableId, pk: i64) -> Result<Row> {
         if !txn.is_active() {
             return Err(Error::TransactionClosed { txn: txn.id });
@@ -408,7 +409,9 @@ impl Database {
             .storage
             .read_snapshot(table, record, || self.inner.trx_sys.read_view(txn.id))?
             .ok_or(Error::UnknownRecord { record })?;
-        txn.record_read(table, record, writer);
+        if self.inner.history.is_some() {
+            txn.record_read(table, record, writer);
+        }
         Ok(row)
     }
 

@@ -67,7 +67,9 @@ impl Database {
         // uncommitted head for group followers / Bamboo — by design); record
         // that version's writer so the checker sees the true wr dependency.
         let (row, writer) = inner.storage.read_latest_with_writer(table, record)?;
-        txn.record_read(table, record, writer);
+        if inner.history.is_some() {
+            txn.record_read(table, record, writer);
+        }
         Ok(row)
     }
 

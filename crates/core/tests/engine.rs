@@ -843,6 +843,7 @@ fn read_only_transactions_leave_no_footprint() {
             .collect();
         assert!(readers.len() >= 21, "{protocol:?}: {}", readers.len());
         assert!(readers.iter().all(|(_, t)| t.trx_no == last_trx_no));
+        assert!(readers.iter().any(|(_, t)| !t.reads.is_empty()));
         assert_eq!(fixture.run(0, &[update(3)]), 1);
         assert_eq!(newest(history).1, last_trx_no + 1, "{protocol:?}");
 

@@ -96,15 +96,13 @@ impl Page {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use txsql_common::Row;
+    use txsql_common::{Row, TxnId};
 
     #[test]
     fn allocation_assigns_sequential_heap_numbers() {
         let page = Page::new(1, 0, 4);
         for expected in 0..4u16 {
-            let heap_no = page.allocate(RecordVersions::new_committed(Row::from_ints(&[
-                expected as i64
-            ])));
+            let heap_no = page.allocate(RecordVersions::default());
             assert_eq!(heap_no, Some(expected));
         }
         assert!(page.is_full());
@@ -115,14 +113,14 @@ mod tests {
     #[test]
     fn slots_are_individually_lockable() {
         let page = Page::new(1, 0, 2);
-        page.allocate(RecordVersions::new_committed(Row::from_ints(&[1, 10])));
-        page.allocate(RecordVersions::new_committed(Row::from_ints(&[2, 20])));
+        page.allocate(RecordVersions::default());
+        page.allocate(RecordVersions::new(Row::from_ints(&[2, 7]), TxnId(1), None));
         let s0 = page.slot(0).unwrap();
         let s1 = page.slot(1).unwrap();
         // Holding a write latch on slot 0 must not block reading slot 1.
         let _w = s0.write();
         let r = s1.read();
-        assert_eq!(r.latest().unwrap().row.get_int(1), Some(20));
+        assert_eq!(r.latest().unwrap().row.get_int(1), Some(7));
     }
 
     #[test]
@@ -141,8 +139,8 @@ mod tests {
     #[test]
     fn iter_visits_all_slots_in_order() {
         let page = Page::new(3, 7, 8);
-        for i in 0..5 {
-            page.allocate(RecordVersions::new_committed(Row::from_ints(&[i])));
+        for _ in 0..5 {
+            page.allocate(RecordVersions::default());
         }
         let heap_nos: Vec<_> = page.iter().map(|(h, _)| h).collect();
         assert_eq!(heap_nos, vec![0, 1, 2, 3, 4]);

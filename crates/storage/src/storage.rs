@@ -190,20 +190,6 @@ impl Storage {
             .ok_or(Error::UnknownRecord { record })
     }
 
-    /// Reads the newest version visible to `judge`.  A judge that is a
-    /// snapshot of the transaction system must not predate a purge of this
-    /// record: build it with [`Storage::read_snapshot`] instead.
-    pub fn read_visible<J: VisibilityJudge>(
-        &self,
-        table: TableId,
-        record: RecordId,
-        judge: &J,
-    ) -> Result<Option<Row>> {
-        let slot = self.table(table)?.slot(record)?;
-        let guard = slot.read();
-        Ok(guard.visible_row(judge))
-    }
-
     /// The MVCC read path: takes the record's latch, *then* builds the read
     /// view with `view`, and returns the newest version visible to it with
     /// its writer.  Purge runs under the same latch's write side, so the view
@@ -222,7 +208,8 @@ impl Storage {
 
     /// Reads the newest *committed* row image.
     pub fn read_committed(&self, table: TableId, record: RecordId) -> Result<Option<Row>> {
-        self.read_visible(table, record, &ReadCommitted)
+        let read = self.read_snapshot(table, record, || ReadCommitted)?;
+        Ok(read.map(|(row, _)| row))
     }
 
     /// Writer of the newest version of a record *if that version is still
@@ -230,11 +217,10 @@ impl Storage {
     pub fn latest_writer(&self, table: TableId, record: RecordId) -> Result<Option<TxnId>> {
         let slot = self.table(table)?.slot(record)?;
         let guard = slot.read();
-        Ok(if guard.has_uncommitted_head() {
-            guard.latest_writer()
-        } else {
-            None
-        })
+        Ok(guard
+            .latest()
+            .filter(|v| !v.is_committed())
+            .map(|v| v.writer))
     }
 
     // ---------------------------------------------------------------------
@@ -344,8 +330,7 @@ impl Storage {
             let columns = row.len();
             return Err(Error::RowTooLarge { columns });
         }
-        let record =
-            table.insert_versions(pk, RecordVersions::new_uncommitted(row.clone(), txn))?;
+        let record = table.insert_versions(pk, RecordVersions::new(row.clone(), txn, None))?;
         self.with_segment(txn, |segment| {
             segment.records.push(UndoRecord::Insert {
                 table: table_id,
@@ -491,9 +476,8 @@ impl Storage {
             let mut rows = Vec::new();
             for (_, record) in table.all_record_ids() {
                 if let Ok(slot) = table.slot(record) {
-                    if let Some(row) = slot.read().visible_row(&ReadCommitted) {
-                        rows.push(row);
-                    }
+                    let guard = slot.read();
+                    rows.extend(guard.visible(&ReadCommitted).map(|v| v.row.clone()));
                 }
             }
             tables.push((table.schema().clone(), rows));

@@ -26,7 +26,7 @@ use crate::schema::TableSchema;
 use crate::version::RecordVersions;
 use parking_lot::RwLock;
 use txsql_common::fxhash::FxHashMap;
-use txsql_common::{Error, PageNo, RecordId, Result, Row};
+use txsql_common::{Error, PageNo, RecordId, Result, Row, TxnId};
 
 /// A table: schema, heap pages and the primary-key index.
 #[derive(Debug)]
@@ -100,7 +100,7 @@ impl Table {
         let pk = row.primary_key().ok_or_else(|| Error::Internal {
             reason: "row has no primary key".into(),
         })?;
-        self.insert_versions(pk, RecordVersions::new_committed(row))
+        self.insert_versions(pk, RecordVersions::new(row, TxnId::INVALID, Some(0)))
     }
 
     /// Looks up the record id for a primary key.

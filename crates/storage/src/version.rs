@@ -5,11 +5,13 @@
 //! reconstruct through their read view, exactly like InnoDB's undo-based row
 //! versions.
 //!
-//! **Orientation is private.**  The chain is stored oldest-first so a write
-//! is a push at the back; callers see only "newest"
-//! ([`RecordVersions::latest`]), "newest visible"
-//! ([`RecordVersions::visible`]) and operations named after a writer, never
-//! an index.
+//! **Orientation is private.**  The newest version lives in the record's
+//! slot, so a read of the current row stops there; older ones sit
+//! oldest-first in a buffer that a write pushes onto and purge drains in
+//! place.  With a [`Row`] inline too, an update, its purge and a read's clone
+//! allocate nothing.  Callers see only "newest" ([`RecordVersions::latest`]),
+//! "newest visible" ([`RecordVersions::visible`]) and operations named after
+//! a writer, never an index.
 //!
 //! **Uncommitted-suffix invariant.**  Committed versions come first, in
 //! commit order; every uncommitted version is newer than every committed one.
@@ -89,54 +91,36 @@ impl VisibilityJudge for ReadCommitted {
 /// The full version chain of one heap record.
 #[derive(Debug, Clone, Default)]
 pub struct RecordVersions {
-    /// Versions, oldest first; the last one is the current row.
-    versions: Vec<Version>,
+    /// The newest version; `None` only in an empty chain (recovery's
+    /// placeholder, a rolled-back insert).
+    head: Option<Version>,
+    /// The versions beneath it, oldest first; purge keeps the buffer.
+    older: Vec<Version>,
 }
 
 impl RecordVersions {
-    /// Creates a chain with a single, already-committed base version (bulk
-    /// load path — the loader behaves like a transaction that committed with
-    /// `commit_no = 0`).
-    pub fn new_committed(row: Row) -> Self {
+    /// A chain of one version: a bulk load's, by `TxnId::INVALID` committed
+    /// as 0, or an insert's, uncommitted.
+    pub fn new(row: Row, writer: TxnId, commit_no: Option<u64>) -> Self {
+        let head = Some(Version {
+            row,
+            writer,
+            commit_no,
+        });
         Self {
-            versions: vec![Version {
-                row,
-                writer: TxnId::INVALID,
-                commit_no: Some(0),
-            }],
-        }
-    }
-
-    /// Creates a chain whose base version was written by `writer` and is not
-    /// yet committed (transactional insert path).
-    pub fn new_uncommitted(row: Row, writer: TxnId) -> Self {
-        Self {
-            versions: vec![Version {
-                row,
-                writer,
-                commit_no: None,
-            }],
+            head,
+            older: Vec::new(),
         }
     }
 
     /// The newest version (the one an updater operates on).
     pub fn latest(&self) -> Option<&Version> {
-        self.versions.last()
-    }
-
-    /// Writer of the newest version.
-    pub fn latest_writer(&self) -> Option<TxnId> {
-        self.latest().map(|v| v.writer)
-    }
-
-    /// True when the newest version is not yet committed.
-    pub fn has_uncommitted_head(&self) -> bool {
-        self.latest().is_some_and(|v| !v.is_committed())
+        self.head.as_ref()
     }
 
     /// Number of versions currently retained.
     pub fn version_count(&self) -> usize {
-        self.versions.len()
+        usize::from(self.head.is_some()) + self.older.len()
     }
 
     /// Pushes a new uncommitted version written by `writer`.
@@ -145,11 +129,12 @@ impl RecordVersions {
     /// only pushes onto committed heads because the row lock serialises
     /// writers across commit.
     pub fn push_uncommitted(&mut self, row: Row, writer: TxnId) {
-        self.versions.push(Version {
+        let version = Version {
             row,
             writer,
             commit_no: None,
-        });
+        };
+        self.older.extend(self.head.replace(version));
     }
 
     /// Marks every uncommitted version written by `writer` as committed with
@@ -157,7 +142,7 @@ impl RecordVersions {
     /// number of versions committed.
     pub fn commit_writer(&mut self, writer: TxnId, commit_no: u64) -> usize {
         let mut n = 0;
-        for v in self.versions.iter_mut().rev() {
+        for v in self.head.iter_mut().chain(self.older.iter_mut().rev()) {
             if v.is_committed() {
                 break;
             }
@@ -179,36 +164,37 @@ impl RecordVersions {
     /// versions above it belong to transactions that are themselves doomed to
     /// cascade, so the final state is still correct.
     pub fn rollback_writer(&mut self, writer: TxnId) -> usize {
-        let before = self.versions.len();
+        if self.head.as_ref().is_none_or(Version::is_committed) {
+            return 0;
+        }
+        let before = self.version_count();
         let suffix = self
-            .versions
+            .older
             .iter()
             .rposition(Version::is_committed)
             .map_or(0, |newest_committed| newest_committed + 1);
-        // Stable in-place compaction of the suffix.
+        // Stable in-place compaction of the suffix beneath the head.
         let mut keep = suffix;
-        for i in suffix..before {
-            if self.versions[i].writer != writer {
-                self.versions.swap(keep, i);
+        for i in suffix..self.older.len() {
+            if self.older[i].writer != writer {
+                self.older.swap(keep, i);
                 keep += 1;
             }
         }
-        self.versions.truncate(keep);
-        before - keep
+        self.older.truncate(keep);
+        if self.head.as_ref().is_some_and(|v| v.writer == writer) {
+            self.head = self.older.pop();
+        }
+        before - self.version_count()
     }
 
     /// Returns the newest version visible to `judge` (the MVCC read path), or
     /// `None` when nothing retained is visible.
     pub fn visible<J: VisibilityJudge + ?Sized>(&self, judge: &J) -> Option<&Version> {
-        self.versions
+        self.head
             .iter()
-            .rev()
+            .chain(self.older.iter().rev())
             .find(|v| judge.is_visible(v.writer, v.commit_no))
-    }
-
-    /// The row of [`RecordVersions::visible`], cloned.
-    pub fn visible_row<J: VisibilityJudge + ?Sized>(&self, judge: &J) -> Option<Row> {
-        self.visible(judge).map(|v| v.row.clone())
     }
 
     /// Drops every version older than the newest one committed at or below
@@ -217,23 +203,18 @@ impl RecordVersions {
     /// the floor and the uncommitted suffix always stay.  Returns the number
     /// of versions dropped.
     pub fn purge_to_floor(&mut self, floor: u64) -> usize {
-        // Commit numbers grow along the chain: unless the oldest version is
-        // below the floor, nothing is older than the one to keep.  This
-        // keeps a floor that never moves (a bare `Storage`) O(1) however
-        // long the chain.
-        let oldest_is_below = matches!(
-            self.versions.first(),
-            Some(Version { commit_no: Some(no), .. }) if *no < floor
-        );
-        if !oldest_is_below {
-            return 0;
+        // Commit numbers grow along the chain, so the scan stops at the first
+        // version committed above the floor: a floor that never moves (a
+        // bare `Storage`) costs O(1) however long the chain.
+        let mut keep_from = 0;
+        for (i, v) in self.older.iter().chain(&self.head).enumerate() {
+            match v.commit_no {
+                Some(no) if no > floor => break,
+                Some(_) => keep_from = i,
+                None => {}
+            }
         }
-        let keep_from = self
-            .versions
-            .iter()
-            .rposition(|v| v.commit_no.is_some_and(|no| no <= floor))
-            .unwrap_or(0);
-        self.versions.drain(..keep_from);
+        self.older.drain(..keep_from);
         keep_from
     }
 }
@@ -252,48 +233,36 @@ mod tests {
     }
 
     #[test]
-    fn committed_base_is_visible_to_read_committed() {
-        let chain = RecordVersions::new_committed(row(10));
-        assert_eq!(committed_value(&chain), Some(10));
-        assert!(!chain.has_uncommitted_head());
-    }
-
-    #[test]
-    fn uncommitted_head_hidden_from_read_committed() {
-        let mut chain = RecordVersions::new_committed(row(10));
+    fn a_version_is_visible_once_its_writer_commits_and_gone_once_it_rolls_back() {
+        let mut chain = RecordVersions::new(row(10), TxnId::INVALID, Some(0));
         chain.push_uncommitted(row(20), TxnId(5));
-        assert!(chain.has_uncommitted_head());
-        assert_eq!(chain.latest().unwrap().row.get_int(1), Some(20));
-        // Snapshot readers still see the committed value.
+        chain.push_uncommitted(row(30), TxnId(6));
+        assert_eq!(chain.latest().unwrap().row.get_int(1), Some(30));
+        // Snapshot readers still see the committed base.
         assert_eq!(committed_value(&chain), Some(10));
-    }
-
-    #[test]
-    fn commit_makes_version_visible() {
-        let mut chain = RecordVersions::new_committed(row(10));
-        chain.push_uncommitted(row(20), TxnId(5));
+        assert_eq!(chain.rollback_writer(TxnId(6)), 1);
+        assert_eq!(chain.rollback_writer(TxnId(9)), 0);
         assert_eq!(chain.commit_writer(TxnId(5), 7), 1);
         let visible = chain.visible(&ReadCommitted).unwrap();
-        assert_eq!(visible.row.get_int(1), Some(20));
-        assert_eq!(visible.writer, TxnId(5));
-    }
-
-    #[test]
-    fn rollback_removes_only_writers_versions() {
-        let mut chain = RecordVersions::new_committed(row(10));
-        chain.push_uncommitted(row(20), TxnId(5));
-        assert_eq!(chain.rollback_writer(TxnId(5)), 1);
-        assert_eq!(chain.latest().unwrap().row.get_int(1), Some(10));
-        assert_eq!(chain.version_count(), 1);
-        // Rolling back a writer with no versions is a no-op.
-        assert_eq!(chain.rollback_writer(TxnId(9)), 0);
+        assert_eq!(
+            (visible.row.get_int(1), visible.writer),
+            (Some(20), TxnId(5))
+        );
+        assert_eq!(chain.version_count(), 2);
+        // A transactional insert starts uncommitted; its rollback empties the chain.
+        let mut insert = RecordVersions::new(row(5), TxnId(9), None);
+        assert!(insert.visible(&ReadCommitted).is_none());
+        assert_eq!(
+            (insert.rollback_writer(TxnId(9)), insert.latest()),
+            (1, None)
+        );
     }
 
     #[test]
     fn group_locking_style_stacked_uncommitted_versions() {
         // T1, T3, T2 update the hot row in that order without committing
         // (the cascade example in §4.4 of the paper).
-        let mut chain = RecordVersions::new_committed(row(1));
+        let mut chain = RecordVersions::new(row(1), TxnId::INVALID, Some(0));
         chain.push_uncommitted(row(2), TxnId(1));
         chain.push_uncommitted(row(3), TxnId(3));
         chain.push_uncommitted(row(4), TxnId(2));
@@ -310,14 +279,14 @@ mod tests {
 
     #[test]
     fn bamboo_style_rollback_from_the_middle_of_the_suffix() {
-        let mut chain = RecordVersions::new_committed(row(1));
+        let mut chain = RecordVersions::new(row(1), TxnId::INVALID, Some(0));
         chain.push_uncommitted(row(2), TxnId(1));
         chain.push_uncommitted(row(3), TxnId(2));
         chain.push_uncommitted(row(4), TxnId(3));
         assert_eq!(chain.rollback_writer(TxnId(2)), 1);
-        assert_eq!(chain.latest_writer(), Some(TxnId(3)));
+        assert_eq!(chain.latest().unwrap().writer, TxnId(3));
         assert_eq!(chain.rollback_writer(TxnId(3)), 1);
-        assert_eq!(chain.latest_writer(), Some(TxnId(1)));
+        assert_eq!(chain.latest().unwrap().writer, TxnId(1));
         // A committed version of the same writer is history, not undo.
         chain.commit_writer(TxnId(1), 4);
         assert_eq!(chain.rollback_writer(TxnId(1)), 0);
@@ -326,7 +295,7 @@ mod tests {
 
     #[test]
     fn purge_keeps_newest_at_floor_and_everything_newer() {
-        let mut chain = RecordVersions::new_committed(row(1));
+        let mut chain = RecordVersions::new(row(1), TxnId::INVALID, Some(0));
         for i in 1..=5u64 {
             chain.push_uncommitted(row(10 + i as i64), TxnId(i));
             chain.commit_writer(TxnId(i), i);
@@ -343,14 +312,6 @@ mod tests {
         assert_eq!(chain.version_count(), 2);
         assert_eq!(chain.latest().unwrap().row.get_int(1), Some(99));
         assert_eq!(committed_value(&chain), Some(15));
-    }
-
-    #[test]
-    fn transactional_insert_starts_uncommitted() {
-        let chain = RecordVersions::new_uncommitted(row(5), TxnId(9));
-        assert!(chain.has_uncommitted_head());
-        assert!(chain.visible(&ReadCommitted).is_none());
-        assert_eq!(chain.latest_writer(), Some(TxnId(9)));
     }
 
     /// The chain as it was before orientation became private: newest first,
@@ -396,7 +357,7 @@ mod tests {
             }
         }
 
-        fn visible<J: VisibilityJudge>(&self, judge: &J) -> Option<&Version> {
+        fn visible<J: VisibilityJudge + ?Sized>(&self, judge: &J) -> Option<&Version> {
             self.versions
                 .iter()
                 .find(|v| judge.is_visible(v.writer, v.commit_no))
@@ -425,14 +386,25 @@ mod tests {
     fn chain_agrees_with_the_newest_first_model_on_random_scripts() {
         for seed in 1..=200u64 {
             let mut rng = XorShiftRng::new(seed);
-            let mut chain = RecordVersions::new_committed(row(0));
-            let mut model = NewestFirstModel::default();
-            model.versions.push(chain.latest().unwrap().clone());
             // Writers with uncommitted versions, bottom to top.  The suffix
             // invariant shapes the script: only the top writer updates
             // again, only the bottom one commits; any of them rolls back.
-            let mut dirty: Vec<TxnId> = Vec::new();
-            let mut committed: Vec<(TxnId, u64)> = Vec::new();
+            // Half the seeds start as recovery's placeholder or as an
+            // insert, so a rollback can leave the chain without a head.
+            let mut chain = match seed % 4 {
+                0 => RecordVersions::default(),
+                1 => RecordVersions::new(row(0), TxnId(1), None),
+                _ => RecordVersions::new(row(0), TxnId::INVALID, Some(0)),
+            };
+            let mut model = NewestFirstModel::default();
+            model.versions.extend(chain.latest().cloned());
+            let (mut dirty, mut committed) = (Vec::new(), Vec::new());
+            for v in &model.versions {
+                match v.commit_no {
+                    Some(no) => committed.push((v.writer, no)),
+                    None => dirty.push(v.writer),
+                }
+            }
             let (mut next_writer, mut next_commit_no, mut floor) = (1u64, 1u64, 0u64);
             for step in 0..400 {
                 match rng.next_bounded(10) {
@@ -474,14 +446,6 @@ mod tests {
                 }
                 assert_eq!(chain.version_count(), model.versions.len(), "seed {seed}");
                 assert_eq!(chain.latest(), model.versions.first(), "seed {seed}");
-                assert_eq!(
-                    chain.latest_writer(),
-                    model.versions.first().map(|v| v.writer)
-                );
-                assert_eq!(
-                    chain.has_uncommitted_head(),
-                    model.versions.first().is_some_and(|v| !v.is_committed())
-                );
                 // Judges a reader may hold: a horizon at or above the floor;
                 // an active list of dirty writers plus some that are stamped
                 // above the floor but have not left the active set yet.
@@ -492,11 +456,18 @@ mod tests {
                         active.0.push(*writer);
                     }
                 }
-                assert_eq!(chain.visible(&ReadCommitted), model.visible(&ReadCommitted));
-                assert_eq!(chain.visible(&horizon), model.visible(&horizon));
-                assert_eq!(chain.visible(&active), model.visible(&active));
-                assert!(chain.visible(&horizon).is_some(), "seed {seed} step {step}");
-                assert!(chain.visible(&active).is_some(), "seed {seed} step {step}");
+                // Purge kept a version for every judge that can see a commit.
+                for judge in [&ReadCommitted as &dyn VisibilityJudge, &horizon, &active] {
+                    assert_eq!(chain.visible(judge), model.visible(judge));
+                    let sees = committed
+                        .iter()
+                        .any(|(w, no)| judge.is_visible(*w, Some(*no)));
+                    assert_eq!(
+                        chain.visible(judge).is_some(),
+                        sees,
+                        "seed {seed} step {step}"
+                    );
+                }
             }
         }
     }

@@ -193,14 +193,13 @@ impl RedoRecord {
             ROLLBACK => RedoRecord::Rollback { txn },
             IMAGE => {
                 let shape = words.next()?;
-                let columns: Vec<i64> = words.by_ref().map(|word| word as i64).collect();
-                if columns.len() != shape as u32 as usize {
+                if words.len() != shape as u32 as usize {
                     return None;
                 }
                 RedoRecord::Image {
                     txn,
                     table: TableId((shape >> 32) as u32),
-                    row: columns.into(),
+                    row: words.by_ref().map(|word| word as i64).collect(),
                 }
             }
             _ => return None,
@@ -857,12 +856,18 @@ mod tests {
     #[test]
     fn unflushed_records_do_not_survive_a_crash() {
         let log = RedoLog::default();
-        log.append(upd(1, 0, 5));
+        // A 5-column image decodes from a row too wide to be held inline.
+        let wide = RedoRecord::Image {
+            txn: TxnId(1),
+            table: TableId(2),
+            row: Row::from_ints(&[1, -2, 3, i64::MIN, 5]),
+        };
+        log.append_pair(upd(1, 0, 5), wide.clone());
         let flushed_up_to = log.append(commit(1));
         log.flush_to(flushed_up_to).unwrap();
         log.append(upd(2, 0, 6)); // never flushed
-        assert_eq!(log.durable_records(), [upd(1, 0, 5), commit(1)]);
-        assert_eq!(log.len(), 3);
+        assert_eq!(log.durable_records(), [upd(1, 0, 5), wide, commit(1)]);
+        assert_eq!(log.len(), 4);
     }
 
     #[test]
@@ -898,7 +903,7 @@ mod tests {
         let word = rng.next_u64();
         let wide = if rng.next_bounded(8) == 0 { 10_000 } else { 0 };
         let columns = 0..(wide + rng.next_bounded(70)) * (kind / 3);
-        let row: Vec<i64> = columns.map(|_| rng.next_u64() as i64).collect();
+        let row: Row = columns.map(|_| rng.next_u64() as i64).collect();
         match kind {
             0 => RedoRecord::Rollback { txn },
             1 => RedoRecord::Commit { txn, trx_no: word },
@@ -906,7 +911,7 @@ mod tests {
             _ => RedoRecord::Image {
                 txn,
                 table: TableId(word as u32),
-                row: row.into(),
+                row,
             },
         }
     }
@@ -1059,7 +1064,7 @@ mod tests {
             let single = log.append(RedoRecord::Image {
                 txn: TxnId(who),
                 table: TableId(1),
-                row: row.into(),
+                row: Row::from_ints(&row),
             });
             lsns.extend([Lsn(pair.0 - 1), pair, single]);
         }

@@ -182,6 +182,8 @@ impl Transaction {
     }
 
     /// The read set in execution order: `(table, record, version writer)`.
+    /// The engine records it only while a history consumes it (the
+    /// serializability checker); otherwise it stays empty.
     pub fn read_set(&self) -> &[(TableId, RecordId, TxnId)] {
         &self.read_set
     }

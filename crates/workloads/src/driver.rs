@@ -12,9 +12,7 @@
 use crate::hotspots::HotspotsTrace;
 use crate::Workload;
 use crossbeam::channel::{bounded, Receiver, Sender};
-use parking_lot::Mutex;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::Arc;
 use std::time::{Duration, Instant};
 use txsql_common::metrics::{LatencyHistogram, MetricsSnapshot};
 use txsql_common::rng::XorShiftRng;
@@ -145,12 +143,12 @@ pub fn run_closed_loop(
     options: &ClosedLoopOptions,
 ) -> MetricsSnapshot {
     workload.setup(db);
-    let stop = Arc::new(AtomicBool::new(false));
+    let stop = AtomicBool::new(false);
 
     std::thread::scope(|scope| {
         for worker in 0..options.threads {
             let db = db.clone();
-            let stop = Arc::clone(&stop);
+            let stop = &stop;
             let seed = options.seed;
             let max_retries = options.max_retries;
             let workload_ref: &dyn Workload = workload;
@@ -165,7 +163,7 @@ pub fn run_closed_loop(
                         &db,
                         &program,
                         max_retries,
-                        &stop,
+                        stop,
                         retry_rng.next_u64(),
                     );
                 }
@@ -332,21 +330,17 @@ pub fn run_fixed_tps_report(
 ) -> FixedTpsReport {
     trace.setup(db);
     let (job_tx, job_rx): (Sender<DispatchedJob>, Receiver<DispatchedJob>) = bounded(65_536);
-    let stop = Arc::new(AtomicBool::new(false));
-    let committed = Arc::new(AtomicU64::new(0));
-    let failed = Arc::new(AtomicU64::new(0));
-    let second_latencies = Arc::new(Mutex::new(LatencyHistogram::new()));
-    let run_latencies = Arc::new(Mutex::new(LatencyHistogram::new()));
+    let stop = AtomicBool::new(false);
+    let (committed, failed) = (AtomicU64::new(0), AtomicU64::new(0));
+    // `record` takes `&self`: the workers share both histograms as they are.
+    let (second_latencies, run_latencies) = (LatencyHistogram::new(), LatencyHistogram::new());
 
     let samples = std::thread::scope(|scope| {
         for worker in 0..options.threads {
             let db = db.clone();
             let job_rx = job_rx.clone();
-            let stop = Arc::clone(&stop);
-            let committed = Arc::clone(&committed);
-            let failed = Arc::clone(&failed);
-            let second_latencies = Arc::clone(&second_latencies);
-            let run_latencies = Arc::clone(&run_latencies);
+            let (stop, committed, failed) = (&stop, &committed, &failed);
+            let (second_latencies, run_latencies) = (&second_latencies, &run_latencies);
             let retry_limit = options.retry_limit;
             let deadline = options.deadline;
             let seed = options.seed;
@@ -366,12 +360,12 @@ pub fn run_fixed_tps_report(
                         &db,
                         &program,
                         retry_limit,
-                        &stop,
+                        stop,
                         retry_rng.next_u64(),
                     );
                     let elapsed = job.issued_at.elapsed();
-                    second_latencies.lock().record(elapsed);
-                    run_latencies.lock().record(elapsed);
+                    second_latencies.record(elapsed);
+                    run_latencies.record(elapsed);
                     if matches!(outcome, Ok(true)) && elapsed <= deadline {
                         committed.fetch_add(1, Ordering::Relaxed);
                     } else {
@@ -389,7 +383,7 @@ pub fn run_fixed_tps_report(
             db.reset_metrics();
             committed.store(0, Ordering::Relaxed);
             failed.store(0, Ordering::Relaxed);
-            second_latencies.lock().reset();
+            second_latencies.reset();
             let second_start = Instant::now();
             // Dispatch the whole second's budget in small even slices.
             let slices = 20u64;
@@ -419,7 +413,7 @@ pub fn run_fixed_tps_report(
                 target_tps: target,
                 committed: committed.load(Ordering::Relaxed),
                 failed: failed.load(Ordering::Relaxed),
-                p95_latency_ms: second_latencies.lock().p95_millis(),
+                p95_latency_ms: second_latencies.p95_millis(),
                 utilization,
                 admission_shed,
                 admission_queued,
@@ -429,8 +423,10 @@ pub fn run_fixed_tps_report(
         stop.store(true, Ordering::Relaxed);
         samples
     });
-    let latencies = run_latencies.lock().clone();
-    FixedTpsReport { samples, latencies }
+    FixedTpsReport {
+        samples,
+        latencies: run_latencies,
+    }
 }
 
 #[cfg(test)]
