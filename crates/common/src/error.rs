@@ -118,6 +118,12 @@ pub enum Error {
         /// Why the engine degraded.
         reason: &'static str,
     },
+    /// The protocol in force does not offer the operation (a session write
+    /// under Aria); retrying does not help.
+    Unsupported {
+        /// The refused operation.
+        what: &'static str,
+    },
     /// A row with more columns than a frame of the redo log holds.
     RowTooLarge {
         /// The row's column count.
@@ -178,6 +184,7 @@ impl Error {
             Error::ShuttingDown => "shutting_down",
             Error::Crashed { .. } => "crash_injected",
             Error::ReadOnly { .. } => "read_only",
+            Error::Unsupported { .. } => "unsupported",
             Error::RowTooLarge { .. } => "row_too_large",
             Error::Internal { .. } => "internal",
         }
@@ -216,6 +223,7 @@ impl fmt::Display for Error {
             Error::ShuttingDown => write!(f, "engine is shutting down"),
             Error::Crashed { point } => write!(f, "injected crash fired at {point}"),
             Error::ReadOnly { reason } => write!(f, "engine is read-only: {reason}"),
+            Error::Unsupported { what } => write!(f, "not supported: {what}"),
             Error::RowTooLarge { columns } => write!(f, "a {columns}-column row fits no log frame"),
             Error::Internal { reason } => write!(f, "internal error: {reason}"),
         }

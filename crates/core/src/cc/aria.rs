@@ -16,10 +16,15 @@
 //! behaviour the paper reports ("maintained stable TPS as the number of
 //! threads increased") without reproducing Aria's intra-batch parallelism.
 //!
-//! Programs never touch the lock table.  The explicit session API still
-//! works under Aria and is plain 2PL on a lightweight table of its own.
+//! Each job is one engine transaction: phase 1 reads through
+//! `Database::read`, so the history records what it read and from whom, and
+//! phase 2 commits it or ends it through `Database::rollback`.  Aria runs
+//! programs only.  A batch writes without locks, so the session API keeps
+//! its reads and `acquire_for_write` refuses its `UPDATE` and `SELECT … FOR
+//! UPDATE` (an `INSERT` asks no protocol, and is not refused yet); the lock
+//! table the engine's release path asks for stays empty.
 
-use super::{ConcurrencyControl, LockTable, TwoPhase};
+use super::{ConcurrencyControl, LockTable};
 use crate::database::{Database, DbInner};
 use crate::program::{Operation, ProgramOutcome, TxnProgram};
 use crossbeam::channel::{Receiver, Sender};
@@ -29,9 +34,8 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 use txsql_common::fxhash::FxHashMap;
 use txsql_common::time::SimInstant;
-use txsql_common::{Error, RecordId, Result, Row, TableId, TxnId};
+use txsql_common::{Error, RecordId, Result, Row, TableId};
 use txsql_lockmgr::event::OsEvent;
-use txsql_lockmgr::lightweight::FlatLayout;
 use txsql_lockmgr::LightweightLockTable;
 use txsql_txn::Transaction;
 
@@ -51,8 +55,8 @@ struct AriaJob {
 /// — who joins a batch, who leads it, where the boundary falls — are explored
 /// deterministically under `txsql-sim` (`crates/core/tests/sim_aria.rs`).
 pub(super) struct Aria {
-    /// The explicit session API: plain 2PL, never used by a batch.
-    session: TwoPhase<FlatLayout>,
+    /// What `locks()` answers; nothing is ever locked in it.
+    locks: LightweightLockTable,
     batch_size: usize,
     batch_wait: Duration,
     jobs_tx: Sender<AriaJob>,
@@ -61,14 +65,18 @@ pub(super) struct Aria {
 }
 
 impl ConcurrencyControl for Aria {
+    /// Refuses a session write before it touches the row: a batch applies
+    /// its writes without locks, over whatever the row holds.
     fn acquire_for_write(
         &self,
-        db: &DbInner,
-        txn: &mut Transaction,
-        table: TableId,
-        record: RecordId,
+        _db: &DbInner,
+        _txn: &mut Transaction,
+        _table: TableId,
+        _record: RecordId,
     ) -> Result<()> {
-        self.session.acquire_for_write(db, txn, table, record)
+        Err(Error::Unsupported {
+            what: "a session write under Aria, which runs whole programs only",
+        })
     }
 
     /// Submits a program and blocks until its batch has been processed.
@@ -121,7 +129,7 @@ impl ConcurrencyControl for Aria {
     }
 
     fn locks(&self) -> &dyn LockTable {
-        self.session.locks()
+        &self.locks
     }
 }
 
@@ -129,7 +137,7 @@ impl Aria {
     pub(super) fn new(locks: LightweightLockTable, batch_size: usize) -> Self {
         let (jobs_tx, jobs_rx) = crossbeam::channel::unbounded();
         Self {
-            session: TwoPhase { locks },
+            locks,
             batch_size: batch_size.max(1),
             batch_wait: Duration::from_micros(200),
             jobs_tx,
@@ -139,22 +147,22 @@ impl Aria {
     }
 
     /// Executes one deterministic batch: snapshot execution, validation,
-    /// ordered apply.
+    /// ordered apply.  Each job is one engine transaction, from its first
+    /// read to its commit or rollback.
     fn run_batch(&self, db: &Database, jobs: Vec<AriaJob>) {
-        let inner = &db.inner;
         // Phase 1: execute against the committed snapshot, buffering writes.
         struct Executed {
+            txn: Transaction,
             reads: Vec<i64>,
             read_keys: Vec<(TableId, i64)>,
-            writes: Vec<(TableId, i64, Row)>,
+            writes: FxHashMap<(TableId, i64), Row>,
             forced_rollback: bool,
         }
-        let committed_row = |table: TableId, pk: i64| {
-            let record = db.record_id(table, pk).ok()?;
-            inner.storage.read_committed(table, record).ok().flatten()
-        };
         let mut executed: Vec<Executed> = Vec::with_capacity(jobs.len());
         for job in &jobs {
+            let mut txn = db.begin();
+            // The transaction's latency counts its wait for the batch.
+            txn.started_at = job.submitted;
             let mut reads = Vec::new();
             let mut read_keys = Vec::new();
             let mut writes: FxHashMap<(TableId, i64), Row> = FxHashMap::default();
@@ -163,10 +171,9 @@ impl Aria {
                 match op {
                     Operation::Read { table, pk } | Operation::SelectForUpdate { table, pk } => {
                         read_keys.push((*table, *pk));
-                        if let Some(row) = committed_row(*table, *pk) {
+                        if let Ok(row) = db.read(&mut txn, *table, *pk) {
                             reads.push(row.get_int(1).unwrap_or_default());
                         }
-                        inner.metrics.queries.inc();
                     }
                     Operation::UpdateAdd {
                         table,
@@ -174,34 +181,30 @@ impl Aria {
                         column,
                         delta,
                     } => {
-                        inner.metrics.queries.inc();
+                        // Read even a row this job already wrote: one query
+                        // per statement; the buffered row is the newer one.
                         let key = (*table, *pk);
-                        let pending = writes.get(&key).cloned();
-                        if let Some(mut row) = pending.or_else(|| committed_row(*table, *pk)) {
+                        let base = db.read(&mut txn, *table, *pk).ok();
+                        if let Some(mut row) = writes.get(&key).cloned().or(base) {
                             row.add_int(*column, *delta);
                             writes.insert(key, row);
                         }
                         read_keys.push(key);
                     }
                     Operation::Insert { table, pk, fill } => {
-                        inner.metrics.queries.inc();
-                        writes.insert((*table, *pk), inner.filled_row(*table, *pk, *fill));
+                        txn.metrics().queries.inc();
+                        writes.insert((*table, *pk), db.inner.filled_row(*table, *pk, *fill));
                     }
                     Operation::Work { micros } => {
-                        txsql_common::latency::simulate_delay(std::time::Duration::from_micros(
-                            *micros,
-                        ));
+                        txsql_common::latency::simulate_delay(Duration::from_micros(*micros));
                     }
                     Operation::ForcedRollback => {
                         forced_rollback = true;
                     }
                 }
             }
-            let writes: Vec<(TableId, i64, Row)> = writes
-                .into_iter()
-                .map(|((t, pk), row)| (t, pk, row))
-                .collect();
             executed.push(Executed {
+                txn,
                 reads,
                 read_keys,
                 writes,
@@ -209,93 +212,70 @@ impl Aria {
             });
         }
 
-        // Validation: write reservations go to the smallest batch index.
+        // Validation: write reservations go to the smallest batch index; a
+        // job aborts if a smaller index reserved a key it writes or reads.
         let mut reservations: FxHashMap<(TableId, i64), usize> = FxHashMap::default();
         for (idx, exec) in executed.iter().enumerate() {
-            if exec.forced_rollback {
-                continue;
+            if !exec.forced_rollback {
+                for key in exec.writes.keys() {
+                    reservations.entry(*key).or_insert(idx);
+                }
             }
-            for (table, pk, _) in &exec.writes {
-                reservations.entry((*table, *pk)).or_insert(idx);
-            }
-        }
-        let mut aborted = vec![false; executed.len()];
-        for (idx, exec) in executed.iter().enumerate() {
-            if exec.forced_rollback {
-                continue;
-            }
-            let waw = exec.writes.iter().any(|(t, pk, _)| {
-                reservations
-                    .get(&(*t, *pk))
-                    .is_some_and(|owner| *owner < idx)
-            });
-            let raw = exec.read_keys.iter().any(|(t, pk)| {
-                reservations
-                    .get(&(*t, *pk))
-                    .is_some_and(|owner| *owner < idx)
-            });
-            aborted[idx] = waw || raw;
         }
 
         // Phase 2: apply survivors in batch order.
-        for (idx, (job, exec)) in jobs.iter().zip(executed.iter()).enumerate() {
+        for (idx, (job, exec)) in jobs.iter().zip(executed).enumerate() {
+            let mut keys = exec.writes.keys().chain(&exec.read_keys);
+            let conflict = keys.any(|key| reservations.get(key).is_some_and(|owner| *owner < idx));
+            let reads = exec.reads;
             let outcome = if exec.forced_rollback {
-                inner.metrics.aborted.inc();
-                inner.metrics.abort_causes.record("explicit_rollback");
+                db.rollback(exec.txn, None);
                 Ok(ProgramOutcome {
-                    reads: exec.reads.clone(),
+                    reads,
                     committed: false,
                 })
-            } else if aborted[idx] {
-                let err = Error::AriaValidationFailed { txn: TxnId(0) };
-                inner.metrics.aborted.inc();
-                inner.metrics.abort_causes.record(err.label());
+            } else if conflict {
+                let err = Error::AriaValidationFailed { txn: exec.txn.id };
+                db.rollback(exec.txn, Some(&err));
                 Err(err)
             } else {
-                Self::apply_job(db, exec.reads.clone(), &exec.writes, job)
+                Self::apply_job(db, exec.txn, exec.writes).map(|()| ProgramOutcome {
+                    reads,
+                    committed: true,
+                })
             };
             *job.result.lock() = Some(outcome);
             job.done.set();
         }
     }
 
-    /// Applies a surviving job's buffered writes and commits them through
-    /// the engine's one commit path.
+    /// Applies a surviving job's buffered writes on its transaction and
+    /// commits it through the engine's one commit path.
     fn apply_job(
         db: &Database,
-        reads: Vec<i64>,
-        writes: &[(TableId, i64, Row)],
-        job: &AriaJob,
-    ) -> Result<ProgramOutcome> {
+        mut txn: Transaction,
+        writes: FxHashMap<(TableId, i64), Row>,
+    ) -> Result<()> {
         let storage = &db.inner.storage;
-        let mut txn = db.begin();
-        // The transaction's latency counts its wait for the batch.
-        txn.started_at = job.submitted;
-        if !writes.is_empty() {
+        for ((table, pk), row) in writes {
             db.begin_write(&mut txn);
-        }
-        for (table, pk, row) in writes {
-            let applied = match db.record_id(*table, *pk) {
+            let applied = match db.record_id(table, pk) {
                 Ok(record) => storage
-                    .apply_update(txn.id, *table, record, row.clone())
+                    .apply_update(txn.id, table, record, row.clone())
                     .map(|_| record),
                 Err(_) => storage
-                    .apply_insert(txn.id, *table, row.clone())
+                    .apply_insert(txn.id, table, row.clone())
                     .map(|(record, _)| record),
             };
             match applied {
-                Ok(record) => txn.record_write(*table, record),
+                Ok(record) => txn.record_write(table, record),
                 Err(err) => {
                     db.rollback(txn, Some(&err));
                     return Err(err);
                 }
             }
-            txn.record_change(*table, *pk, row.clone());
+            txn.record_change(table, pk, row);
         }
-        db.commit(txn)?;
-        Ok(ProgramOutcome {
-            reads,
-            committed: true,
-        })
+        db.commit(txn)
     }
 }

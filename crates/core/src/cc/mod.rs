@@ -30,7 +30,7 @@
 //! | `QueueLockingO2` | [`QueueLocking`] | lightweight table + per-hot-row ticket queues |
 //! | `GroupLockingTxsql` | [`GroupLocking`] | lightweight table + `GroupLockTable` (groups, dependency lists) |
 //! | `Bamboo` | [`Bamboo`] | lightweight table + the completion event of every active transaction |
-//! | `Aria` | [`Aria`] | the batch queue (and a lightweight table for the session API) |
+//! | `Aria` | [`Aria`] | the batch queue; programs only — a session update is refused, so its lightweight table stays empty |
 //!
 //! The lock table is a concrete type inside each impl, so the acquire path
 //! stays monomorphised; the seam costs one indirect call per hook.  The

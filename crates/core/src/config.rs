@@ -221,9 +221,9 @@ impl EngineConfig {
         self
     }
 
-    /// Sets the Aria batch size.
+    /// Sets the Aria batch size (the engine runs 0 as 1).
     pub fn with_aria_batch_size(mut self, batch: usize) -> Self {
-        self.aria_batch_size = batch.max(1);
+        self.aria_batch_size = batch;
         self
     }
 
@@ -280,7 +280,7 @@ mod tests {
             .with_group_commit(false)
             .with_hotspot_threshold(4)
             .with_lock_wait_timeout(Duration::from_millis(77))
-            .with_aria_batch_size(0)
+            .with_aria_batch_size(3)
             .with_history_recording(true)
             .with_fault_plan(FaultPlan::seeded(7));
         assert_eq!(cfg.group.batch_size, 64);
@@ -289,7 +289,7 @@ mod tests {
         assert_eq!(cfg.hotspot.promote_threshold, 4);
         assert_eq!(cfg.lock_wait_timeout, Duration::from_millis(77));
         assert_eq!(cfg.group.hot_wait_timeout, Duration::from_millis(77));
-        assert_eq!(cfg.aria_batch_size, 1);
+        assert_eq!(cfg.aria_batch_size, 3);
         assert!(cfg.record_history);
     }
 

@@ -20,8 +20,8 @@
 //!    comes after.
 //!
 //! Aria programs never come through here (whole-program batches, see
-//! `cc/aria.rs`); its session API does, as plain 2PL.  `cc/mod.rs` has the
-//! full hook table and which impl owns which state.
+//! `cc/aria.rs`), and Aria refuses a session update at step 1.  `cc/mod.rs`
+//! has the full hook table and which impl owns which state.
 
 use crate::database::Database;
 use txsql_common::{Error, Result, Row, TableId};

@@ -6,7 +6,7 @@ use std::sync::Arc;
 use std::thread;
 use std::time::Duration;
 use txsql_common::latency::LatencyModel;
-use txsql_common::TableId;
+use txsql_common::{Error, TableId};
 use txsql_core::{Database, EngineConfig, Operation, Protocol, TxnProgram};
 use txsql_storage::TableSchema;
 use txsql_workloads::fixture::{self, add, Fixture, ACCOUNTS};
@@ -436,7 +436,7 @@ fn bamboo_releases_each_record_lock_at_its_statement() {
 }
 
 #[test]
-fn aria_aborts_one_of_two_conflicting_transactions_in_a_batch() {
+fn aria_aborts_a_conflicting_batch_member_and_refuses_session_writes() {
     let config = fixture::config(Protocol::Aria).with_aria_batch_size(2);
     let fixture = setup(config, 2);
     let committed = std::sync::atomic::AtomicU64::new(0);
@@ -455,6 +455,26 @@ fn aria_aborts_one_of_two_conflicting_transactions_in_a_batch() {
     // (both commit); in both cases no update is lost.
     assert!(committed.into_inner() >= 1);
     fixture.audit("two writers of one row, batches of two");
+
+    // A batch writes without locks: a program would stack its version on a
+    // session's uncommitted one, which the session's rollback then cannot
+    // take off.  So the session's write is refused, and leaves nothing.
+    let (db, redo) = (&fixture.db, fixture.db.storage().redo());
+    let mut session = db.begin();
+    let mut logged = vec![redo.latest_lsn()];
+    let refused = db.update_add(&mut session, ACCOUNTS, 1, 1, 100);
+    logged.push(redo.latest_lsn());
+    assert_eq!(fixture.run(0, &[TxnProgram::new(vec![add(1, 5)])]), 1);
+    logged.push(redo.latest_lsn());
+    db.rollback(session, refused.as_ref().err());
+    logged.push(redo.latest_lsn());
+    assert_eq!(chain_len(db, 1), 2, "the session's version is stranded");
+    fixture.audit("a program beside a session's write");
+    assert_eq!(logged[0], logged[1], "the session's write was logged");
+    assert_eq!(logged[2], logged[3], "the session had something to undo");
+    let err = refused.unwrap_err();
+    assert!(matches!(err, Error::Unsupported { .. }), "{err:?}");
+    assert!(!err.is_retryable());
 }
 
 // ---------------------------------------------------------------------------
@@ -843,7 +863,10 @@ fn read_only_transactions_leave_no_footprint() {
             .collect();
         assert!(readers.len() >= 21, "{protocol:?}: {}", readers.len());
         assert!(readers.iter().all(|(_, t)| t.trx_no == last_trx_no));
-        assert!(readers.iter().any(|(_, t)| !t.reads.is_empty()));
+        assert!(
+            readers.iter().all(|(_, t)| !t.reads.is_empty()),
+            "{protocol:?}: a committed reader without its reads"
+        );
         assert_eq!(fixture.run(0, &[update(3)]), 1);
         assert_eq!(newest(history).1, last_trx_no + 1, "{protocol:?}");
 
