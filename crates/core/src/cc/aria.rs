@@ -270,6 +270,7 @@ impl Aria {
             match applied {
                 Ok(record) => txn.record_write(table, record),
                 Err(err) => {
+                    db.keep_stacked_write(&mut txn, table, pk);
                     db.rollback(txn, Some(&err));
                     return Err(err);
                 }

@@ -393,6 +393,19 @@ impl Database {
         }
     }
 
+    /// Called by a write statement whose storage write failed: a failure
+    /// after the version was stacked (the fault check behind the log append)
+    /// leaves it as the row's head, and rollback pops what the write set
+    /// names — so the row goes in the write set all the same.
+    pub(crate) fn keep_stacked_write(&self, txn: &mut Transaction, table: TableId, pk: i64) {
+        let Ok(record) = self.record_id(table, pk) else {
+            return;
+        };
+        if self.inner.storage.latest_writer(table, record) == Ok(Some(txn.id)) {
+            txn.record_write(table, record);
+        }
+    }
+
     /// Snapshot read by primary key.  The read view is statement-scoped and
     /// built under the record's latch, which is what lets commit purge the
     /// chain (see `Storage::read_snapshot`); the writer of the version read
@@ -532,7 +545,7 @@ impl Database {
         }
         let cc = &self.inner.cc;
         cc.before_undo(&mut txn);
-        let _ = self.inner.storage.rollback_writes(txn.id);
+        let _ = self.inner.storage.rollback_writes(txn.id, txn.write_set());
         cc.after_undo(&txn);
         cc.locks().release_all(&txn);
         cc.finished(&txn, false);

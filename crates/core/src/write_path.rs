@@ -2,8 +2,8 @@
 //!
 //! Every write is the same skeleton — begin the transaction in storage if
 //! this is its first write, admit, read the newest version and stack a new
-//! one on it (one `Storage::update_row`: one latch hold, one undo visit, one
-//! log reservation, for hot and cold rows alike) — with the protocol called
+//! one on it (one `Storage::update_row`: one latch hold and one log
+//! reservation, for hot and cold rows alike) — with the protocol called
 //! at two places (Alg. 1 of the paper):
 //!
 //! 1. `ConcurrencyControl::acquire_for_write` before the read: Alg. 1
@@ -86,7 +86,8 @@ impl Database {
         let (record, _) = self
             .inner
             .storage
-            .apply_insert(txn.id, table, row.clone())?;
+            .apply_insert(txn.id, table, row.clone())
+            .inspect_err(|_| self.keep_stacked_write(txn, table, pk))?;
         txn.record_write(table, record);
         txn.record_change(table, pk, row);
         Ok(())
@@ -128,7 +129,8 @@ impl Database {
         };
         inner
             .storage
-            .update_row(txn.id, table, record, hot_order, make)?;
+            .update_row(txn.id, table, record, hot_order, make)
+            .inspect_err(|_| self.keep_stacked_write(txn, table, pk))?;
         inner.cc.after_write(txn, record);
         txn.record_write(table, record);
         txn.record_change(table, pk, after.expect("update_row ran `make`"));

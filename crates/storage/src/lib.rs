@@ -13,8 +13,10 @@
 //!   their pages and slots — through append-only directories that readers
 //!   borrow from without locking ([`directory`]),
 //! * MVCC version chains so snapshot reads never block ([`version`]),
-//! * per-transaction undo segments whose *header* can carry either the commit
-//!   sequence number or the `hot_update_order` (paper §5.3) ([`undo`]),
+//! * an undo header that carries either the commit sequence number or the
+//!   `hot_update_order` (paper §5.3), logged in the redo log, and each
+//!   unfinished writer's first LSN, the checkpoint floor ([`undo`]) — the
+//!   version chain is the undo image and the write set the undo list,
 //! * a redo log / WAL of checksummed frames in fixed segments, appended to
 //!   without a lock, with an explicit durability horizon so crashes can be
 //!   simulated ([`wal`]),
@@ -45,6 +47,6 @@ pub use fault::{CrashPoint, FaultInjector, FaultPlan};
 pub use schema::TableSchema;
 pub use storage::Storage;
 pub use table::Table;
-pub use undo::{UndoHeader, UndoRecord, UndoSegment};
+pub use undo::UndoHeader;
 pub use version::{RecordVersions, Version, VisibilityJudge};
 pub use wal::{RedoLog, RedoRecord};

@@ -253,15 +253,7 @@ pub fn recover(
             let (table_id, pk, _) = row_image(&durable_redo[*seq]).expect("applied image");
             let table = storage.table(table_id)?;
             if let Ok(record) = table.lookup_pk(pk) {
-                let slot = table.slot(record)?;
-                let mut guard = slot.write();
-                guard.rollback_writer(txn);
-                // If the insert created the row and nothing remains, drop
-                // the index entry again.
-                if guard.version_count() == 0 {
-                    drop(guard);
-                    table.unindex_pk(pk);
-                }
+                table.rollback_writer(record, txn)?;
             }
         }
         rolled_back.push(txn);

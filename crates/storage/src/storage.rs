@@ -4,23 +4,23 @@
 //! transactional primitives the concurrency-control protocols in `txsql-core`
 //! are built from:
 //!
-//! * `begin_txn` — give a transaction its one storage entry (undo segment,
-//!   undo header, first LSN); called at the first write, so a transaction
+//! * `begin_txn` — give a transaction its one storage entry, a lower bound
+//!   of its first LSN; called ahead of the first write, so a transaction
 //!   that only reads leaves no trace here, and in the log a transaction
 //!   begins with its first frame;
-//! * `update_row` / `apply_insert` — write an uncommitted version, record
-//!   its undo entry and append physical redo: the row image, which names its
-//!   table and carries the row's integers, nothing else (`update_row` is the
-//!   whole read-modify-write under one latch hold; `apply_update` is the same
-//!   with the new image in hand);
-//! * `commit_writes` — stamp the versions with a commit sequence number,
-//!   purge what no read view can select any more, and append the commit
-//!   marker;
-//! * `rollback_writes` — pop the transaction's versions (the chain is the
-//!   undo image) and append the rollback marker;
-//! * `set_hot_update_order` — persist the hot-update order in the undo header
-//!   (and redo) so crash recovery can order hotspot rollbacks (§5.3); an
-//!   update of the hot row carries it instead (`update_row`);
+//! * `update_row` / `apply_insert` — write an uncommitted version and append
+//!   physical redo: the row image, which names its table and carries the
+//!   row's integers, nothing else (`update_row` is the whole
+//!   read-modify-write under one latch hold; `apply_update` is the same with
+//!   the new image in hand);
+//! * `commit_writes` — stamp the versions of the write set with a commit
+//!   sequence number, purge what no read view can select any more, and
+//!   append the commit marker;
+//! * `rollback_writes` — pop the versions of the same write set (the chain
+//!   is the undo image) and append the rollback marker;
+//! * `set_hot_update_order` — log the hot-update order in an undo header so
+//!   crash recovery can order hotspot rollbacks (§5.3); an update of the hot
+//!   row carries it instead (`update_row`);
 //! * `checkpoint` — capture the committed state, the starting point for the
 //!   failure-recovery experiment (§6.4.6).
 //!
@@ -28,24 +28,25 @@
 //!
 //! Tables are created and never dropped, so the catalog is an append-only
 //! [`Directory`] and [`Storage::table`] lends out `&Table` without a lock
-//! (likewise [`Table::slot`], see [`crate::table`]).  Per-transaction state
-//! lives in the sharded [`UndoLog`], which every primitive above takes at
-//! most once, on the transaction's own shard.  What every writer still
-//! shares is the redo log's tail word (one compare-and-swap per reservation,
-//! no lock) and the apply latch's read side.
+//! (likewise [`Table::slot`], see [`crate::table`]).  A transaction's one
+//! entry lives in the sharded `UndoLog`, which only `begin_txn` and the
+//! commit or rollback that ends the transaction take, on the transaction's
+//! own shard; a write statement takes the row's latch and nothing else.
+//! What every writer still shares is the redo log's tail word (one
+//! compare-and-swap per reservation, no lock) and the apply latch's read
+//! side.
 
 use crate::directory::Directory;
 use crate::fault::{CrashPoint, FaultInjector};
 use crate::schema::TableSchema;
 use crate::table::Table;
-use crate::undo::{UndoHeader, UndoLog, UndoRecord, UndoSegment};
+use crate::undo::{UndoHeader, UndoLog};
 use crate::version::{ReadCommitted, RecordVersions, VisibilityJudge};
 use crate::wal::{RedoLog, RedoRecord};
 use parking_lot::RwLock;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
-use txsql_common::fxhash::FxHashSet;
 use txsql_common::{Error, Lsn, RecordId, Result, Row, TableId, TxnId};
 
 /// A consistent image of the committed data, used as the recovery baseline.
@@ -63,8 +64,8 @@ pub struct Storage {
     /// The catalog, in creation order (a handful of tables: lookups scan).
     tables: Directory<Table>,
     redo: RedoLog,
-    /// One segment per unfinished *writing* transaction; the oldest
-    /// `first_lsn` in it is the floor checkpoint truncation must not cut past.
+    /// The first LSN of every unfinished *writing* transaction; the oldest is
+    /// the floor checkpoint truncation must not cut past.
     undo: UndoLog,
     faults: Arc<FaultInjector>,
     /// Serialises commit *application* against checkpoint *capture*:
@@ -99,7 +100,7 @@ impl Storage {
         Self {
             tables: Directory::default(),
             redo: RedoLog::with_faults(fsync_latency, Arc::clone(&faults)),
-            undo: UndoLog::new(),
+            undo: UndoLog::default(),
             faults,
             apply_latch: RwLock::new(()),
             purge_floor: Arc::default(),
@@ -157,11 +158,6 @@ impl Storage {
     /// The redo log.
     pub fn redo(&self) -> &RedoLog {
         &self.redo
-    }
-
-    /// The undo log.
-    pub fn undo(&self) -> &UndoLog {
-        &self.undo
     }
 
     // ---------------------------------------------------------------------
@@ -227,38 +223,30 @@ impl Storage {
     // Transactional primitives
     // ---------------------------------------------------------------------
 
-    /// Runs `f` on `txn`'s undo segment for a write that is about to be
-    /// logged.  A transaction's first frame begins it, so the first such
-    /// visit stamps the segment with the log's next LSN — a lower bound of
-    /// that frame's — under the shard lock and before the frame is reserved.
-    /// That keeps the checkpoint floor safe: a capture that read a log
-    /// position covering the frame scans the shard after the stamp and finds
-    /// it; a segment it finds unstamped belongs to a transaction whose every
-    /// frame lies above the position it read.
-    fn with_segment<R>(&self, txn: TxnId, f: impl FnOnce(&mut UndoSegment) -> R) -> R {
-        self.undo.with(txn, |segment| {
-            let next_lsn = || Lsn(self.redo.latest_lsn().0 + 1);
-            segment.first_lsn.get_or_insert_with(next_lsn);
-            f(segment)
-        })
-    }
-
-    /// Gives `txn` its undo segment, ahead of its first write (which would
-    /// otherwise create it inside the row's latch hold); the log hears of the
-    /// transaction with that write.  A transaction that never writes is
-    /// never begun.  Idempotent.
+    /// Enters `txn` in the undo log ahead of its first write, stamped with
+    /// the log's next LSN — a lower bound of its first frame's — under the
+    /// shard lock and before that frame is reserved.  That keeps the
+    /// checkpoint floor safe: a capture that read a log position covering
+    /// the frame scans the shard after the stamp and finds it; a transaction
+    /// begun after the scan has every frame above the position it read.  The
+    /// log hears of the transaction with its first write; a transaction that
+    /// never writes is never begun.  Every write primitive below expects its
+    /// transaction begun.  Idempotent.
     pub fn begin_txn(&self, txn: TxnId) {
-        self.undo.with(txn, |_| ());
+        self.undo.begin(txn, || Lsn(self.redo.latest_lsn().0 + 1));
     }
 
     /// The read-modify-write an update statement is: under **one** hold of
     /// the record's latch, `make` is shown the newest (possibly uncommitted)
     /// row image and returns the new one, which is stacked as `txn`'s
-    /// uncommitted version.  The undo entry — and, for the first write of a
-    /// hot row the transaction joined, its `hot_update_order` in the undo
-    /// header (§5.3) — is one visit to the transaction's segment; the
+    /// uncommitted version.  The first write of a hot row the transaction
+    /// joined carries its `hot_update_order` in an undo header (§5.3): the
     /// header and the update are one redo reservation, so they have
     /// consecutive LSNs.  Returns the redo LSN of the update.
+    ///
+    /// An error from the check after the append leaves the version stacked:
+    /// the caller puts the row in its write set all the same, which is what
+    /// rollback walks.
     pub fn update_row(
         &self,
         txn: TxnId,
@@ -278,15 +266,6 @@ impl Storage {
                 let columns = new_row.len();
                 return Err(Error::RowTooLarge { columns });
             }
-            self.with_segment(txn, |segment| {
-                segment.records.push(UndoRecord::Update {
-                    table: table_id,
-                    record,
-                });
-                if let Some(header) = header {
-                    segment.header = header;
-                }
-            });
             guard.push_uncommitted(new_row.clone(), txn);
             new_row
         };
@@ -319,7 +298,9 @@ impl Storage {
         self.update_row(txn, table_id, record, None, |_| new_row)
     }
 
-    /// Applies a transactional insert (uncommitted), recording undo and redo.
+    /// Applies a transactional insert (uncommitted) and logs its image.  Like
+    /// [`Storage::update_row`], an error from the check after the append
+    /// leaves the row inserted.
     pub fn apply_insert(&self, txn: TxnId, table_id: TableId, row: Row) -> Result<(RecordId, Lsn)> {
         self.redo.crash_point(CrashPoint::PreAppend)?;
         let table = self.table(table_id)?;
@@ -331,13 +312,6 @@ impl Storage {
             return Err(Error::RowTooLarge { columns });
         }
         let record = table.insert_versions(pk, RecordVersions::new(row.clone(), txn, None))?;
-        self.with_segment(txn, |segment| {
-            segment.records.push(UndoRecord::Insert {
-                table: table_id,
-                record,
-                pk,
-            })
-        });
         let lsn = self.redo.append(RedoRecord::Image {
             txn,
             table: table_id,
@@ -347,22 +321,19 @@ impl Storage {
         Ok((record, lsn))
     }
 
-    /// Persists the hot-update order of `txn` in its undo header (§5.3) on
-    /// its own — for a transaction that joined a hot row's group without
-    /// writing the row yet (`SELECT ... FOR UPDATE`); an update carries it
-    /// along ([`Storage::update_row`]).
+    /// Logs the hot-update order of `txn` in an undo header (§5.3) on its
+    /// own — for a transaction that joined a hot row's group without writing
+    /// the row yet (`SELECT ... FOR UPDATE`); an update carries it along
+    /// ([`Storage::update_row`]).
     pub fn set_hot_update_order(&self, txn: TxnId, order: u64) -> Lsn {
-        let header = UndoHeader::with_hot_update_order(order);
-        self.with_segment(txn, |segment| segment.header = header);
-        self.redo.append(RedoRecord::UndoHeader {
-            txn,
-            field: header.raw(),
-        })
+        let field = UndoHeader::with_hot_update_order(order).raw();
+        self.redo.append(RedoRecord::UndoHeader { txn, field })
     }
 
     /// Marks every version written by `txn` on the given records as committed
     /// with `trx_no`, purges each chain to the purge floor under the same
-    /// latch, stamps the undo header, and appends the commit marker.
+    /// latch, logs the undo header, ends the transaction's entry and appends
+    /// the commit marker.
     /// Returns the LSN of the commit marker (the LSN the commit pipeline must
     /// make durable).
     pub fn commit_writes(
@@ -382,8 +353,7 @@ impl Storage {
             guard.commit_writer(txn, trx_no);
             guard.purge_to_floor(floor);
         }
-        // The header now carries the trx_no (§5.3); the segment it belongs to
-        // ends here, so only the log sees it.
+        // The header now carries the trx_no (§5.3).
         let field = UndoHeader::with_trx_no(trx_no).raw();
         let lsn = self.redo.append_pair(
             RedoRecord::UndoHeader { txn, field },
@@ -397,33 +367,25 @@ impl Storage {
         Ok(lsn)
     }
 
-    /// Rolls back every change `txn` made, using its undo segment, and appends
-    /// the rollback marker.  Changes are undone in reverse execution order;
-    /// a record's versions are popped once however many undo entries name it.
+    /// Rolls back every change `txn` made to the records of its write set
+    /// (each named once, as [`Storage::commit_writes`] takes it), ends its
+    /// entry and appends the rollback marker.  Each record goes through
+    /// `Table::rollback_writer`, the step recovery's loser pass takes too.
     ///
     /// Deliberately *not* gated on crash points or read-only degradation:
     /// rollback must keep working after an fsync failure degraded the engine
     /// (it only pops in-memory versions), and after a crash it is a harmless
     /// no-op on the dead process image.
     ///
-    /// A transaction that changed nothing gets no marker: the returned LSN is
+    /// A transaction that changed nothing, or that a failed commit already
+    /// ended (its versions are stamped), gets no marker: the returned LSN is
     /// then the log's current end.
-    pub fn rollback_writes(&self, txn: TxnId) -> Result<Lsn> {
-        let segment = self.undo.take(txn).unwrap_or_default();
-        if segment.is_empty() {
+    pub fn rollback_writes(&self, txn: TxnId, writes: &[(TableId, RecordId)]) -> Result<Lsn> {
+        if self.undo.take(txn).is_none() || writes.is_empty() {
             return Ok(self.redo.latest_lsn());
         }
-        let mut popped: FxHashSet<RecordId> = FxHashSet::default();
-        for undo in segment.rollback_order() {
-            let table = self.table(undo.table())?;
-            let mut guard = table.slot(undo.record())?.write();
-            if popped.insert(undo.record()) {
-                guard.rollback_writer(txn);
-            }
-            if let UndoRecord::Insert { pk, .. } = undo {
-                drop(guard);
-                table.unindex_pk(*pk);
-            }
+        for (table_id, record) in writes {
+            self.table(*table_id)?.rollback_writer(*record, txn)?;
         }
         Ok(self.redo.append(RedoRecord::Rollback { txn }))
     }
@@ -544,8 +506,8 @@ mod tests {
         storage.redo().flush_to(lsn).unwrap();
         assert_eq!(committed(&storage, tid, rid), Some(101));
         assert_eq!(storage.latest_writer(tid, rid).unwrap(), None);
-        // Undo segment is gone after commit.
-        assert!(storage.undo().is_empty());
+        // Its storage entry is gone after commit.
+        assert_eq!(storage.active_txn_floor(), None);
     }
 
     #[test]
@@ -554,7 +516,7 @@ mod tests {
         let txn = TxnId(11);
         storage.begin_txn(txn);
         set(&storage, txn, tid, rid, 999);
-        storage.rollback_writes(txn).unwrap();
+        storage.rollback_writes(txn, &[(tid, rid)]).unwrap();
         assert_eq!(latest(&storage, tid, rid), Some(100));
         assert_eq!(committed(&storage, tid, rid), Some(100));
     }
@@ -568,7 +530,7 @@ mod tests {
             .apply_insert(txn, tid, Row::from_ints(&[2, 200]))
             .unwrap();
         assert_eq!(latest(&storage, tid, rid), Some(200));
-        storage.rollback_writes(txn).unwrap();
+        storage.rollback_writes(txn, &[(tid, rid)]).unwrap();
         assert!(storage.table(tid).unwrap().lookup_pk(2).is_err());
     }
 
@@ -594,21 +556,19 @@ mod tests {
             set(&storage, txn, tid, rid, v);
         }
         assert_eq!(latest(&storage, tid, rid), Some(103));
-        storage.rollback_writes(TxnId(3)).unwrap();
-        storage.rollback_writes(TxnId(2)).unwrap();
-        storage.rollback_writes(TxnId(1)).unwrap();
+        for t in [3, 2, 1] {
+            storage.rollback_writes(TxnId(t), &[(tid, rid)]).unwrap();
+        }
         assert_eq!(latest(&storage, tid, rid), Some(100));
     }
 
     #[test]
-    fn hot_update_order_persisted_in_undo_header_and_redo() {
+    fn hot_update_order_persisted_in_the_redo_undo_header() {
         let (storage, tid, rid) = setup();
         let txn = TxnId(21);
         storage.begin_txn(txn);
         set(&storage, txn, tid, rid, 150);
         storage.set_hot_update_order(txn, 17);
-        let segment = storage.undo().snapshot(txn).unwrap();
-        assert_eq!(segment.header.hot_update_order(), Some(17));
         storage.redo().flush_all().unwrap();
         let has_header_record = storage
             .redo()
@@ -619,7 +579,7 @@ mod tests {
     }
 
     #[test]
-    fn update_row_is_one_latch_hold_one_undo_visit_one_log_reservation() {
+    fn update_row_is_one_latch_hold_and_one_log_reservation() {
         let (storage, tid, rid) = setup();
         let txn = TxnId(22);
         storage.begin_txn(txn);
@@ -633,9 +593,6 @@ mod tests {
         let cold = storage.update_row(txn, tid, rid, None, add).unwrap();
         assert_eq!(cold, Lsn(hot.0 + 1));
         assert_eq!(latest(&storage, tid, rid), Some(110));
-        let segment = storage.undo().snapshot(txn).unwrap();
-        assert_eq!(segment.header.hot_update_order(), Some(17));
-        assert_eq!(segment.records.len(), 2);
         storage.redo().flush_all().unwrap();
         assert!(matches!(
             storage.redo().durable_records()[..],
@@ -647,11 +604,11 @@ mod tests {
         ));
         #[cfg(debug_assertions)]
         {
-            // Slot latch, undo shard — and nothing else: the log reservation
-            // takes no lock.
+            // The slot latch and nothing else: the log reservation takes no
+            // lock, and the transaction's storage entry is not visited.
             let before = parking_lot::thread_acquisitions();
             storage.update_row(txn, tid, rid, Some(18), add).unwrap();
-            assert_eq!(parking_lot::thread_acquisitions() - before, 2);
+            assert_eq!(parking_lot::thread_acquisitions() - before, 1);
         }
         // An unknown record leaves no trace.
         let missing = RecordId::new(rid.space_id, rid.page_no, rid.heap_no + 1);
@@ -663,12 +620,13 @@ mod tests {
         let (storage, tid, rid) = setup();
         let wide = |columns: usize| Row::from_ints(&vec![1; columns]);
         // The widest row fits a segment beside its hot-order header.
+        storage.begin_txn(TxnId(1));
         storage
             .update_row(TxnId(1), tid, rid, Some(1), |_| {
                 wide(RedoRecord::MAX_COLUMNS)
             })
             .unwrap();
-        storage.rollback_writes(TxnId(1)).unwrap();
+        storage.rollback_writes(TxnId(1), &[(tid, rid)]).unwrap();
         let newest = || storage.read_latest_with_writer(tid, rid);
         let before = (storage.redo().latest_lsn(), newest());
         for result in [
@@ -677,9 +635,9 @@ mod tests {
         ] {
             assert!(matches!(result, Err(Error::RowTooLarge { .. })));
         }
-        // No version, no undo entry, no frame: the statement never happened.
+        // No version, no frame: the statement never happened.
         assert_eq!((storage.redo().latest_lsn(), newest()), before);
-        assert!(storage.undo().is_empty() && storage.table(tid).unwrap().lookup_pk(1) == Ok(rid));
+        assert_eq!(storage.table(tid).unwrap().lookup_pk(1), Ok(rid));
         storage.redo().flush_all().unwrap();
         assert_eq!(storage.redo().durable_records().len(), 3);
     }
@@ -708,54 +666,37 @@ mod tests {
         assert_eq!(storage.active_txn_floor(), None);
         let a = TxnId(1);
         let b = TxnId(2);
-        // A transaction that has a segment but logged nothing sets no floor.
+        // A begun transaction holds the floor before its first frame, at the
+        // log's next LSN: a lower bound of that frame's.
         storage.begin_txn(a);
-        storage.begin_txn(b);
-        assert_eq!(storage.active_txn_floor(), None);
+        assert_eq!(storage.active_txn_floor(), Some(Lsn(1)));
         let first = set(&storage, a, tid, rid, 101);
+        storage.begin_txn(b);
+        storage.begin_txn(a);
         assert_eq!(storage.active_txn_floor(), Some(first));
-        storage.set_hot_update_order(b, 1);
+        let header = storage.set_hot_update_order(b, 1);
         storage.commit_writes(a, 1, &[(tid, rid)]).unwrap();
         // The floor advances to the younger transaction once `a` finishes.
-        assert_eq!(storage.active_txn_floor(), Some(Lsn(first.0 + 1)));
-        storage.rollback_writes(b).unwrap();
+        assert_eq!(storage.active_txn_floor(), Some(header));
+        storage.rollback_writes(b, &[]).unwrap();
         assert_eq!(storage.active_txn_floor(), None);
-    }
-
-    #[test]
-    fn hot_update_order_before_begin_opens_the_segment_once() {
-        let (storage, tid, rid) = setup();
-        let txn = TxnId(5);
-        // The header arrives first: the segment comes with it, and the
-        // header's frame is the transaction's first.
-        let first = storage.set_hot_update_order(txn, 3);
-        assert_eq!(storage.active_txn_floor(), Some(first));
-        // A later begin finds the segment: same first LSN.
-        storage.begin_txn(txn);
-        assert_eq!(storage.active_txn_floor(), Some(first));
-        let segment = storage.undo().snapshot(txn).unwrap();
-        assert_eq!(segment.header.hot_update_order(), Some(3));
-        set(&storage, txn, tid, rid, 7);
-        storage.commit_writes(txn, 1, &[(tid, rid)]).unwrap();
-        assert!(storage.undo().is_empty() && storage.active_txn_floor().is_none());
     }
 
     #[test]
     fn rollback_of_a_transaction_that_wrote_nothing_logs_nothing() {
         let (storage, _, _) = setup();
         // Never begun: no trace at all.
-        let end = storage.rollback_writes(TxnId(8)).unwrap();
+        let end = storage.rollback_writes(TxnId(8), &[]).unwrap();
         assert_eq!((end, storage.redo().len()), (Lsn(0), 0));
         // Begun (a locked read, say) but nothing changed: the log never
-        // hears of it, and its segment is gone.
+        // hears of it, and its entry is gone.
         storage.begin_txn(TxnId(9));
-        assert_eq!(storage.rollback_writes(TxnId(9)).unwrap(), Lsn(0));
-        assert!(storage.redo().is_empty());
-        assert!(storage.undo().is_empty() && storage.active_txn_floor().is_none());
+        assert_eq!(storage.rollback_writes(TxnId(9), &[]).unwrap(), Lsn(0));
+        assert!(storage.redo().is_empty() && storage.active_txn_floor().is_none());
     }
 
     #[test]
-    fn a_storm_of_transactions_leaves_the_undo_log_empty() {
+    fn a_storm_of_transactions_leaves_no_storage_entry() {
         const THREADS: u64 = 16;
         const PER_THREAD: u64 = 200;
         let storage = Storage::default();
@@ -774,16 +715,14 @@ mod tests {
                         // Ids interleave across workers, as `TrxSys` hands
                         // them out; each worker owns one row.
                         let txn = TxnId(1 + i * THREADS + worker);
-                        if i % 4 != 3 {
-                            storage.begin_txn(txn);
-                        }
+                        storage.begin_txn(txn);
                         if i % 4 == 0 {
                             storage.set_hot_update_order(txn, i);
                         }
                         let row = Row::from_ints(&[worker as i64, i as i64]);
                         storage.apply_update(txn, tid, record, row).unwrap();
                         if i % 3 == 0 {
-                            storage.rollback_writes(txn).unwrap();
+                            storage.rollback_writes(txn, &[(tid, record)]).unwrap();
                         } else {
                             storage.commit_writes(txn, txn.0, &[(tid, record)]).unwrap();
                         }
@@ -791,7 +730,6 @@ mod tests {
                 });
             }
         });
-        assert!(storage.undo().is_empty());
         assert_eq!(storage.active_txn_floor(), None);
         // Every frame of the storm decodes, in LSN order, and every
         // transaction ends in its one marker.

@@ -2,9 +2,9 @@
 //!
 //! The primary-key index maps `pk -> RecordId` so workloads can address rows
 //! the way SQL would (`WHERE id = ?`), while the engine internals — lock
-//! manager, hotspot hash, undo/redo — always speak `RecordId`, mirroring the
-//! paper's description of locating a record through its tablespace, page and
-//! heap position (§2.2).
+//! manager, hotspot hash, write sets, redo — always speak `RecordId`,
+//! mirroring the paper's description of locating a record through its
+//! tablespace, page and heap position (§2.2).
 //!
 //! # Append-only
 //!
@@ -115,10 +115,27 @@ impl Table {
             })
     }
 
-    /// Removes a primary key from the index (used when rolling back an
-    /// insert).  Returns true if the key was present.
-    pub fn unindex_pk(&self, pk: i64) -> bool {
+    /// Removes a primary key from the index.  Returns true if the key was
+    /// present.
+    fn unindex_pk(&self, pk: i64) -> bool {
         self.pk_index.write().remove(&pk).is_some()
+    }
+
+    /// Rolls back `writer` on one row: pops its uncommitted versions (the
+    /// chain is the undo image), and unindexes the row if that left it with
+    /// no version — `writer` inserted it and nobody stacked on the insert.
+    /// Live rollback and recovery's loser pass both undo a row through here.
+    pub(crate) fn rollback_writer(&self, record: RecordId, writer: TxnId) -> Result<()> {
+        let mut guard = self.slot(record)?.write();
+        let pk = guard.latest().and_then(|v| v.row.primary_key());
+        guard.rollback_writer(writer);
+        if guard.version_count() == 0 {
+            drop(guard);
+            if let Some(pk) = pk {
+                self.unindex_pk(pk);
+            }
+        }
+        Ok(())
     }
 
     /// Returns the record slot — the version chain behind its latch — for a

@@ -275,7 +275,8 @@ impl Fixture {
     ///   restart: it was durable), nothing rolled back or never attempted
     ///   shows, and no program shows in part;
     /// * **drained** — no lock registry entry, no protocol state (hot-row
-    ///   group, ticket queue, completion event), no admission waiter and no
+    ///   group, ticket queue, completion event), no storage entry (a writer's
+    ///   first LSN, the checkpoint floor), no admission waiter and no
     ///   admission queue still shedding is left behind.
     pub fn audit(&self, context: &str) {
         for db in self.crashed.iter().chain([&self.db]) {
@@ -291,6 +292,8 @@ impl Fixture {
             let admission = db.admission();
             assert_eq!(snapshot.lock_registry_entries, 0, "{context}: leaked locks");
             assert_eq!(db.protocol_entries(), 0, "{context}: leaked protocol state");
+            let floor = db.storage().active_txn_floor();
+            assert_eq!(floor, None, "{context}: leaked storage entry");
             assert_eq!(snapshot.admission_queue_depth, 0, "{context}: depth gauge");
             assert_eq!(admission.total_waiting(), 0, "{context}: parked waiters");
             assert_eq!(admission.degraded_queues(), 0, "{context}: degraded queue");
