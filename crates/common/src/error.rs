@@ -90,11 +90,6 @@ pub enum Error {
         /// The duplicate key.
         key: i64,
     },
-    /// The transaction was already finished (committed or rolled back).
-    TransactionClosed {
-        /// The finished transaction.
-        txn: TxnId,
-    },
     /// Admission control shed the transaction at the front door: the
     /// admission queue for a hot record it declared was at capacity (or in
     /// its post-shed hysteresis window), so the transaction was rejected
@@ -103,8 +98,6 @@ pub enum Error {
         /// The hot record whose admission queue rejected the transaction.
         record: RecordId,
     },
-    /// The engine is shutting down; new work is rejected.
-    ShuttingDown,
     /// An injected crash fired: the simulated process died at the named crash
     /// point.  Everything after this error is the crash image — the only
     /// legitimate continuation is recovery (`Database::restart_from_crash`).
@@ -179,9 +172,7 @@ impl Error {
             Error::UnknownRecord { .. } => "unknown_record",
             Error::KeyNotFound { .. } => "key_not_found",
             Error::DuplicateKey { .. } => "duplicate_key",
-            Error::TransactionClosed { .. } => "transaction_closed",
             Error::Overloaded { .. } => "overloaded",
-            Error::ShuttingDown => "shutting_down",
             Error::Crashed { .. } => "crash_injected",
             Error::ReadOnly { .. } => "read_only",
             Error::Unsupported { .. } => "unsupported",
@@ -216,11 +207,9 @@ impl fmt::Display for Error {
             Error::UnknownRecord { record } => write!(f, "unknown {record}"),
             Error::KeyNotFound { table, key } => write!(f, "key {key} not found in {table}"),
             Error::DuplicateKey { table, key } => write!(f, "duplicate key {key} in {table}"),
-            Error::TransactionClosed { txn } => write!(f, "{txn} is already finished"),
             Error::Overloaded { record } => {
                 write!(f, "shed by admission control: queue for hot {record} is full")
             }
-            Error::ShuttingDown => write!(f, "engine is shutting down"),
             Error::Crashed { point } => write!(f, "injected crash fired at {point}"),
             Error::ReadOnly { reason } => write!(f, "engine is read-only: {reason}"),
             Error::Unsupported { what } => write!(f, "not supported: {what}"),

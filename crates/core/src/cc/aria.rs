@@ -261,10 +261,10 @@ impl Aria {
             db.begin_write(&mut txn);
             let applied = match db.record_id(table, pk) {
                 Ok(record) => storage
-                    .apply_update(txn.id, table, record, row.clone())
+                    .apply_update(txn.id, table, record, row)
                     .map(|_| record),
                 Err(_) => storage
-                    .apply_insert(txn.id, table, row.clone())
+                    .apply_insert(txn.id, table, row)
                     .map(|(record, _)| record),
             };
             match applied {
@@ -275,7 +275,6 @@ impl Aria {
                     return Err(err);
                 }
             }
-            txn.record_change(table, pk, row);
         }
         db.commit(txn)
     }

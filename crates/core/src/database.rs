@@ -27,7 +27,7 @@ use txsql_storage::fault::{CrashPoint, FaultInjector};
 use txsql_storage::recovery::{self, RecoveryReport};
 use txsql_storage::storage::CheckpointImage;
 use txsql_storage::{Storage, TableSchema};
-use txsql_txn::{Transaction, TrxSys, TxnState};
+use txsql_txn::{ReadView, Transaction, TrxSys};
 
 pub(crate) struct DbInner {
     pub(crate) config: EngineConfig,
@@ -412,9 +412,6 @@ impl Database {
     /// goes to the read set when a history records it for the
     /// serializability checker.
     pub fn read(&self, txn: &mut Transaction, table: TableId, pk: i64) -> Result<Row> {
-        if !txn.is_active() {
-            return Err(Error::TransactionClosed { txn: txn.id });
-        }
         txn.metrics().queries.inc();
         let record = self.record_id(table, pk)?;
         let (row, writer) = self
@@ -435,10 +432,6 @@ impl Database {
     /// Commits a transaction.  On a cascading abort or commit-time conflict the
     /// transaction is rolled back internally and the error returned.
     pub fn commit(&self, mut txn: Transaction) -> Result<()> {
-        if !txn.is_active() {
-            return Err(Error::TransactionClosed { txn: txn.id });
-        }
-        txn.state = TxnState::Preparing;
         let cc = &self.inner.cc;
 
         if !txn.is_writer() {
@@ -485,14 +478,18 @@ impl Database {
         // Locks go *after* the commit record is ordered.
         cc.locks().release_all(&txn);
 
+        let has_hooks = self.inner.has_hooks.load(Ordering::Acquire);
+        let hooks = has_hooks.then(|| Arc::clone(&self.inner.hooks.read()));
         let binlog = BinlogTxn {
             txn: txn.id,
             trx_no,
-            changes: txn.take_changes(),
+            changes: if has_hooks {
+                self.committed_images(&txn, trx_no)
+            } else {
+                Vec::new()
+            },
             involves_hotspot: txn.has_hot_updates(),
         };
-        let has_hooks = self.inner.has_hooks.load(Ordering::Acquire);
-        let hooks = has_hooks.then(|| Arc::clone(&self.inner.hooks.read()));
         let pipeline_result = self.inner.pipeline.commit(
             self.inner.storage.redo(),
             commit_lsn,
@@ -510,7 +507,6 @@ impl Database {
             // horizon above still record a commit — but it never became
             // durable, so it must NOT be acknowledged to the client.  The
             // recovery oracle counts only `Ok` returns as acknowledged.
-            txn.state = TxnState::Committed;
             self.inner.metrics.abort_causes.record(err.label());
             return Err(err);
         }
@@ -523,7 +519,7 @@ impl Database {
     /// writer's `trx_no`, a reader's horizon) and the commit sample, which
     /// reaches the engine's counters with the rest of the transaction's
     /// metrics scratch when `txn` drops here.
-    fn acknowledge(&self, mut txn: Transaction, position: u64) {
+    fn acknowledge(&self, txn: Transaction, position: u64) {
         if let Some(history) = &self.inner.history {
             // The writer of each read version was captured at read time — no
             // commit-time re-read, which would mis-attribute reads to
@@ -532,17 +528,32 @@ impl Database {
             let writes = txn.write_set().iter().map(|(_, r)| *r).collect();
             history.record_commit(txn.id, position, reads, writes);
         }
-        txn.state = TxnState::Committed;
         txn.metrics()
             .on_commit(txn.started_at.elapsed(), txn.blocked_time());
+    }
+
+    /// The binlog's images of a commit: each row `txn` wrote, in write-set
+    /// order, as the commit left it.  A view at the commit's own `trx_no`
+    /// reads exactly that version: the purge floor stays below `trx_no` until
+    /// `TrxSys::finish`, and every version above it is uncommitted or carries
+    /// a larger `trx_no`.
+    fn committed_images(&self, txn: &Transaction, trx_no: u64) -> Vec<(TableId, i64, Row)> {
+        let storage = &self.inner.storage;
+        let view = || ReadView::CopyFree {
+            commit_horizon: trx_no,
+            owner: txn.id,
+        };
+        let image = |&(table, record): &(TableId, RecordId)| {
+            let read = storage.read_snapshot(table, record, view);
+            let (row, _) = read.ok().flatten().expect("purge keeps it until `finish`");
+            (table, row.primary_key().expect("column 0 is the key"), row)
+        };
+        txn.write_set().iter().map(image).collect()
     }
 
     /// Rolls back a transaction, recording `reason` (or an explicit rollback)
     /// as the abort cause.
     pub fn rollback(&self, mut txn: Transaction, reason: Option<&Error>) {
-        if txn.state == TxnState::Committed || txn.state == TxnState::Aborted {
-            return;
-        }
         let cc = &self.inner.cc;
         cc.before_undo(&mut txn);
         let _ = self.inner.storage.rollback_writes(txn.id, txn.write_set());
@@ -550,7 +561,6 @@ impl Database {
         cc.locks().release_all(&txn);
         cc.finished(&txn, false);
         self.inner.trx_sys.finish(txn.id, None);
-        txn.state = TxnState::Aborted;
         self.inner.metrics.aborted.inc();
         if let Some(reason) = reason {
             self.inner.metrics.abort_causes.record(reason.label());

@@ -22,7 +22,8 @@ pub struct BinlogTxn {
     pub txn: TxnId,
     /// Commit sequence number (`trx_no`); defines the replication apply order.
     pub trx_no: u64,
-    /// After-images: `(table, primary key, row)` in execution order.
+    /// `(table, primary key, row)`: one image per row the transaction wrote,
+    /// in write-set order, as its commit left it.
     pub changes: Vec<(TableId, i64, Row)>,
     /// True when the transaction updated a hotspot row; the replica replay
     /// optimization (§4.6.3) forces such transactions onto a single replay

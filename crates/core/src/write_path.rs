@@ -16,8 +16,7 @@
 //!    write of a hot row, a second one too, runs in one its writer owns) so
 //!    the next follower runs; Bamboo releases the row lock early.  Between
 //!    the two a hot row's whole group is waiting, so nothing else happens
-//!    there: the transaction's own bookkeeping (write set, binlog image)
-//!    comes after.
+//!    there: the transaction's own bookkeeping (its write set) comes after.
 //!
 //! Aria programs never come through here (whole-program batches, see
 //! `cc/aria.rs`), and Aria refuses a session update at step 1.  `cc/mod.rs`
@@ -50,9 +49,6 @@ impl Database {
     /// A later `UPDATE` of the same row by the same transaction skips the
     /// hotspot queueing step (§4.6.2).
     pub fn select_for_update(&self, txn: &mut Transaction, table: TableId, pk: i64) -> Result<Row> {
-        if !txn.is_active() {
-            return Err(Error::TransactionClosed { txn: txn.id });
-        }
         txn.metrics().queries.inc();
         let record = self.record_id(table, pk)?;
         self.begin_write(txn);
@@ -75,9 +71,6 @@ impl Database {
 
     /// Transactional insert.
     pub fn insert(&self, txn: &mut Transaction, table: TableId, row: Row) -> Result<()> {
-        if !txn.is_active() {
-            return Err(Error::TransactionClosed { txn: txn.id });
-        }
         txn.metrics().queries.inc();
         let pk = row.primary_key().ok_or_else(|| Error::Internal {
             reason: "insert without a primary key".into(),
@@ -86,10 +79,9 @@ impl Database {
         let (record, _) = self
             .inner
             .storage
-            .apply_insert(txn.id, table, row.clone())
+            .apply_insert(txn.id, table, row)
             .inspect_err(|_| self.keep_stacked_write(txn, table, pk))?;
         txn.record_write(table, record);
-        txn.record_change(table, pk, row);
         Ok(())
     }
 
@@ -106,9 +98,6 @@ impl Database {
         pk: i64,
         mutate: &mut dyn FnMut(&mut Row),
     ) -> Result<()> {
-        if !txn.is_active() {
-            return Err(Error::TransactionClosed { txn: txn.id });
-        }
         txn.metrics().queries.inc();
         let record = self.record_id(table, pk)?;
         self.begin_write(txn);
@@ -117,14 +106,11 @@ impl Database {
 
         // Read the newest version (for group followers / Bamboo this is the
         // predecessor's uncommitted value — exactly the point of the design),
-        // apply the mutation, and stack the new version.  One row image per
-        // keeper: the chain and the log inside, the binlog's here.
+        // apply the mutation, and stack the new version.
         let hot_order = txn.take_unlogged_order(record);
-        let mut after = None;
         let make = |head: &Row| {
             let mut row = head.clone();
             mutate(&mut row);
-            after = Some(row.clone());
             row
         };
         inner
@@ -133,7 +119,6 @@ impl Database {
             .inspect_err(|_| self.keep_stacked_write(txn, table, pk))?;
         inner.cc.after_write(txn, record);
         txn.record_write(table, record);
-        txn.record_change(table, pk, after.expect("update_row ran `make`"));
         Ok(())
     }
 }

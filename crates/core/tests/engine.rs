@@ -7,7 +7,8 @@ use std::thread;
 use std::time::Duration;
 use txsql_common::latency::LatencyModel;
 use txsql_common::{Error, Row, TableId};
-use txsql_core::{Database, EngineConfig, Operation, Protocol, TxnProgram};
+use txsql_core::hooks::CollectingHook;
+use txsql_core::{BinlogTxn, Database, EngineConfig, Operation, Protocol, TxnProgram};
 use txsql_storage::{CrashPoint, FaultPlan, TableSchema};
 use txsql_workloads::fixture::{self, add, Fixture, ACCOUNTS};
 
@@ -575,6 +576,35 @@ fn group_commit_uses_fewer_fsyncs_than_per_txn_commit() {
         fsync_grouped < fsync_single,
         "group commit should batch fsyncs: {fsync_grouped} vs {fsync_single}"
     );
+}
+
+/// A hook gets one image per row a transaction wrote, as its commit left it:
+/// a leader's image is not its follower's newer head, and a row written
+/// twice ships once.
+#[test]
+fn a_hook_ships_each_written_row_once_as_its_commit_left_it() {
+    let fixture = setup(hot_config(Protocol::GroupLockingTxsql), 2);
+    let db = &fixture.db;
+    db.hotspots().pin(fixture.record(0));
+    let hook = Arc::new(CollectingHook::new());
+    db.register_commit_hook(hook.clone());
+    let (mut leader, mut follower) = (db.begin(), db.begin());
+    db.update_add(&mut leader, ACCOUNTS, 0, 1, 1).unwrap();
+    db.update_add(&mut follower, ACCOUNTS, 0, 1, 10).unwrap(); // on the leader's head
+    db.commit(leader).unwrap();
+    db.commit(follower).unwrap();
+    let mut twice = db.begin();
+    db.update_add(&mut twice, ACCOUNTS, 1, 1, 5).unwrap();
+    db.update_add(&mut twice, ACCOUNTS, 1, 1, 7).unwrap();
+    db.commit(twice).unwrap();
+    let balances = |event: &BinlogTxn| -> Vec<(i64, Option<i64>)> {
+        let image = |(_, pk, row): &(TableId, i64, Row)| (*pk, row.get_int(1));
+        event.changes.iter().map(image).collect()
+    };
+    let shipped: Vec<_> = hook.events().iter().map(balances).collect();
+    assert_eq!(shipped, [[(0, Some(1))], [(0, Some(11))], [(1, Some(12))]]);
+    fixture.acked(&[(0, 11), (1, 12)]);
+    fixture.audit("a leader, its follower, and a row written twice");
 }
 
 // ---------------------------------------------------------------------------

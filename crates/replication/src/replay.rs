@@ -59,7 +59,8 @@ impl ReplayReport {
 }
 
 /// Per-row apply cost, so replay durations are measurable rather than pure
-/// memory writes (every row change pays this once).
+/// memory writes (every change pays this once; a change is a row its
+/// transaction wrote, however many statements wrote it).
 const APPLY_COST: Duration = Duration::from_micros(2);
 
 /// Replica-side per-row lock map: `(space_id, pk)` to its row mutex.

@@ -28,5 +28,5 @@ pub mod transaction;
 pub mod trx_sys;
 
 pub use readview::{ReadView, ReadViewMode};
-pub use transaction::{DirtyRead, HotRole, HotUpdate, Transaction, TxnState};
+pub use transaction::{DirtyRead, HotRole, HotUpdate, Transaction};
 pub use trx_sys::TrxSys;

@@ -4,23 +4,10 @@ use std::sync::Arc;
 use std::time::Instant;
 use txsql_common::fxhash::FxHashSet;
 use txsql_common::metrics::{EngineMetrics, MetricsScratch};
-use txsql_common::{RecordId, Row, TableId, TxnId};
+use txsql_common::{RecordId, TableId, TxnId};
 use txsql_lockmgr::group_lock::GroupHandle;
 pub use txsql_lockmgr::group_lock::HotRole;
 use txsql_lockmgr::OsEvent;
-
-/// Lifecycle state of a transaction.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum TxnState {
-    /// Executing statements.
-    Active,
-    /// In the 2PC prepare/commit pipeline.
-    Preparing,
-    /// Committed durably.
-    Committed,
-    /// Rolled back.
-    Aborted,
-}
 
 /// A transaction's membership of one hot row's group (group locking) or
 /// ticket queue (O2).
@@ -54,13 +41,13 @@ pub struct DirtyRead {
     pub completion: Arc<OsEvent>,
 }
 
-/// A transaction: owned by exactly one worker thread.
+/// A transaction: owned by exactly one worker thread.  `Database::commit`
+/// and `Database::rollback` consume it, so a handle its caller still holds
+/// is open.
 #[derive(Debug)]
 pub struct Transaction {
     /// Transaction id assigned at begin.
     pub id: TxnId,
-    /// Current lifecycle state.
-    pub state: TxnState,
     /// Wall-clock start, used for latency accounting.
     pub started_at: Instant,
     /// Rows written: `(table, record)` in execution order (duplicates kept out).
@@ -82,9 +69,6 @@ pub struct Transaction {
     /// Writers whose uncommitted versions this transaction read (Bamboo-style
     /// dirty reads), one entry per writer.
     dirty_reads_from: Vec<DirtyRead>,
-    /// After-images of every change, in execution order — the material the
-    /// binlog (replication) is built from at commit.
-    changes: Vec<(TableId, i64, Row)>,
     /// Cumulative time spent blocked on locks / queues / commit ordering.
     blocked: std::time::Duration,
     /// Set by the first write statement (see [`Transaction::become_writer`]).
@@ -97,13 +81,13 @@ pub struct Transaction {
 }
 
 impl Transaction {
-    /// Creates a new active transaction with a detached metrics scratch
+    /// Creates a new transaction with a detached metrics scratch
     /// (counts are kept but never flushed — tests and stand-alone use).
     pub fn new(id: TxnId) -> Self {
         Self::with_metrics(id, MetricsScratch::new())
     }
 
-    /// Creates a new active transaction attached to the engine's metrics:
+    /// Creates a new transaction attached to the engine's metrics:
     /// the scratch flushes there when the transaction finishes.
     pub fn attached_to(id: TxnId, engine_metrics: Arc<EngineMetrics>) -> Self {
         Self::with_metrics(id, MetricsScratch::attached(engine_metrics))
@@ -112,14 +96,12 @@ impl Transaction {
     fn with_metrics(id: TxnId, metrics: MetricsScratch) -> Self {
         Self {
             id,
-            state: TxnState::Active,
             started_at: Instant::now(),
             write_set: Vec::new(),
             read_set: Vec::new(),
             hot_updates: Vec::new(),
             locked_records: FxHashSet::default(),
             dirty_reads_from: Vec::new(),
-            changes: Vec::new(),
             blocked: std::time::Duration::ZERO,
             writer: false,
             metrics,
@@ -132,11 +114,6 @@ impl Transaction {
     #[inline]
     pub fn metrics(&self) -> &MetricsScratch {
         &self.metrics
-    }
-
-    /// True while the transaction can still execute statements.
-    pub fn is_active(&self) -> bool {
-        self.state == TxnState::Active
     }
 
     /// Marks the transaction a writer — one that has, or is about to have, a
@@ -266,11 +243,6 @@ impl Transaction {
         &self.dirty_reads_from
     }
 
-    /// Records an after-image for the binlog.
-    pub fn record_change(&mut self, table: TableId, pk: i64, after: Row) {
-        self.changes.push((table, pk, after));
-    }
-
     /// Accumulates time spent blocked (lock waits, hotspot queues, commit-turn
     /// waits) — the numerator of the blocked share in the CPU-utilisation
     /// proxy (Figure 6b).
@@ -281,16 +253,6 @@ impl Transaction {
     /// Total blocked time accumulated so far.
     pub fn blocked_time(&self) -> std::time::Duration {
         self.blocked
-    }
-
-    /// After-images accumulated so far, in execution order.
-    pub fn changes(&self) -> &[(TableId, i64, Row)] {
-        &self.changes
-    }
-
-    /// Moves the after-images out (commit hands them to the binlog).
-    pub fn take_changes(&mut self) -> Vec<(TableId, i64, Row)> {
-        std::mem::take(&mut self.changes)
     }
 }
 
@@ -359,13 +321,6 @@ mod tests {
         t.record_dirty_read_from(read(4));
         let writers: Vec<TxnId> = t.dirty_reads_from().iter().map(|r| r.writer).collect();
         assert_eq!(writers, [TxnId(4)]);
-    }
-
-    #[test]
-    fn state_starts_active() {
-        let t = Transaction::new(TxnId(5));
-        assert!(t.is_active());
-        assert_eq!(t.state, TxnState::Active);
     }
 
     #[test]
