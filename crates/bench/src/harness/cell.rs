@@ -156,9 +156,6 @@ impl CellSpec {
         if let Some(model) = &self.latency {
             let (fsync, rtt) = (model.fsync, model.network_round_trip());
             settings += &format!("/fsync={}us/rtt={}us", fsync.as_micros(), rtt.as_micros());
-            if !model.statement_overhead.is_zero() {
-                settings += &format!("/stmt={}us", model.statement_overhead.as_micros());
-            }
         }
         settings
     }

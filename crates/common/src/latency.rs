@@ -5,8 +5,9 @@
 //! holds its locks across the commit path: binlog flush, fsync, and for
 //! semi-synchronous replication a network round trip to the replicas.  We do
 //! not have the paper's SSDs or 1.033 ms datacentre network, so the commit
-//! pipeline consumes a configurable [`LatencyModel`] instead.  Setting all
-//! knobs to zero turns the engine into a pure in-memory system.
+//! pipeline consumes a configurable [`LatencyModel`] instead: a flush time
+//! and a network delay, both on the commit path.  Setting both to zero
+//! turns the engine into a pure in-memory system.
 
 use serde::{Deserialize, Serialize};
 use std::time::Duration;
@@ -19,9 +20,6 @@ pub struct LatencyModel {
     pub fsync: Duration,
     /// Simulated one-way network latency to a replica.
     pub network_one_way: Duration,
-    /// Extra CPU work per statement, used by workloads that model "think
-    /// time" inside a transaction (e.g. the long-transaction sweeps).
-    pub statement_overhead: Duration,
 }
 
 impl Default for LatencyModel {
@@ -36,7 +34,6 @@ impl LatencyModel {
         Self {
             fsync: Duration::ZERO,
             network_one_way: Duration::ZERO,
-            statement_overhead: Duration::ZERO,
         }
     }
 
@@ -46,7 +43,6 @@ impl LatencyModel {
         Self {
             fsync: Duration::from_micros(100),
             network_one_way: Duration::ZERO,
-            statement_overhead: Duration::ZERO,
         }
     }
 
@@ -56,7 +52,6 @@ impl LatencyModel {
         Self {
             fsync: Duration::from_micros(100),
             network_one_way: Duration::from_micros(1_033),
-            statement_overhead: Duration::ZERO,
         }
     }
 

@@ -1,5 +1,8 @@
-//! Engine configuration: protocol selection and every knob the evaluation
-//! sweeps.
+//! Engine configuration: protocol selection, every knob the evaluation
+//! sweeps, and the switches the tests and sim suites set (history
+//! recording, the sweeper, fault plans).  What follows from the protocol
+//! alone (its read-view mode, whether it detects hotspots) is a method of
+//! [`Protocol`], not a knob.
 
 use crate::admission::AdmissionConfig;
 use std::time::Duration;
@@ -70,6 +73,15 @@ impl Protocol {
     pub fn uses_hotspots(&self) -> bool {
         matches!(self, Protocol::QueueLockingO2 | Protocol::GroupLockingTxsql)
     }
+
+    /// The read-view implementation (§3.1.2): the MySQL baseline copies the
+    /// active transaction list, every other level is copy-free.
+    pub fn read_view_mode(&self) -> ReadViewMode {
+        match self {
+            Protocol::Mysql2pl => ReadViewMode::Copying,
+            _ => ReadViewMode::CopyFree,
+        }
+    }
 }
 
 /// One declarative knob override for an experiment-grid cell.
@@ -119,13 +131,12 @@ impl ConfigDelta {
 pub struct EngineConfig {
     /// Protocol to run.
     pub protocol: Protocol,
-    /// Read-view implementation (copying vs copy-free, §3.1.2).
-    pub read_view_mode: ReadViewMode,
     /// Simulated durability / replication latencies.
     pub latency: LatencyModel,
     /// Lock-wait timeout for the record-lock table.
     pub lock_wait_timeout: Duration,
-    /// Hotspot detection configuration (§4.1).
+    /// Hotspot detection configuration (§4.1), read by the protocols that
+    /// [`Protocol::uses_hotspots`] and by admission control.
     pub hotspot: HotspotConfig,
     /// Group-locking configuration: the follower batch size (§4.2) and the
     /// hot-row wait timeout.  (The §4.6.1 dynamic batch size is not a knob:
@@ -157,23 +168,14 @@ impl Default for EngineConfig {
 
 impl EngineConfig {
     /// A sensible configuration for the given protocol: the defaults the
-    /// paper's evaluation uses (batch size 10, hotspot threshold 32, copy-free
-    /// read views for O1+, copying views and lock_sys for the MySQL baseline).
+    /// paper's evaluation uses (batch size 10, hotspot threshold 32; the read
+    /// views follow from the protocol, see [`Protocol::read_view_mode`]).
     pub fn for_protocol(protocol: Protocol) -> Self {
-        let read_view_mode = match protocol {
-            Protocol::Mysql2pl => ReadViewMode::Copying,
-            _ => ReadViewMode::CopyFree,
-        };
         Self {
             protocol,
-            read_view_mode,
             latency: LatencyModel::in_memory(),
             lock_wait_timeout: Duration::from_millis(200),
-            hotspot: if protocol.uses_hotspots() {
-                HotspotConfig::default()
-            } else {
-                HotspotConfig::disabled()
-            },
+            hotspot: HotspotConfig::default(),
             group: GroupLockConfig::default(),
             group_commit: true,
             aria_batch_size: 64,
@@ -259,12 +261,12 @@ mod tests {
 
     #[test]
     fn protocol_defaults_match_the_paper() {
-        let mysql = EngineConfig::for_protocol(Protocol::Mysql2pl);
-        assert_eq!(mysql.read_view_mode, ReadViewMode::Copying);
-        assert!(!mysql.hotspot.enabled);
+        assert_eq!(Protocol::Mysql2pl.read_view_mode(), ReadViewMode::Copying);
+        assert_eq!(
+            Protocol::GroupLockingTxsql.read_view_mode(),
+            ReadViewMode::CopyFree
+        );
         let txsql = EngineConfig::for_protocol(Protocol::GroupLockingTxsql);
-        assert_eq!(txsql.read_view_mode, ReadViewMode::CopyFree);
-        assert!(txsql.hotspot.enabled);
         assert_eq!(txsql.group.batch_size, 10);
         assert_eq!(txsql.hotspot.promote_threshold, 32);
         assert!(

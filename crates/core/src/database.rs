@@ -112,7 +112,7 @@ impl Database {
         trx_seed: Option<(u64, u64)>,
     ) -> Self {
         let cc = cc::build(&config, &metrics);
-        let mut trx_sys = TrxSys::new(config.read_view_mode)
+        let mut trx_sys = TrxSys::new(config.protocol.read_view_mode())
             // Transaction teardown verifies the lock bookkeeping drained.
             .with_lock_registries(vec![Arc::clone(cc.locks().registry())])
             // Every transaction carries a Cell-based metrics scratch that

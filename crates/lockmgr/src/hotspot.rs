@@ -12,6 +12,10 @@
 //! transaction is about to wait.  A row is hot exactly when the map has an
 //! entry for it, the one record kept per row; a wait on a cold row below
 //! the threshold reads one shard and writes nothing.
+//!
+//! The registry has no off switch: only the protocols that detect hotspots
+//! report waits to it and run its sweeper, so under the others no row is
+//! hot unless a caller promotes or pins one.
 
 use parking_lot::RwLock;
 use std::collections::hash_map::Entry;
@@ -45,8 +49,6 @@ pub struct HotspotConfig {
     pub promote_threshold: usize,
     /// How often the background sweeper checks for cold rows.
     pub sweep_interval: Duration,
-    /// Master switch: when false, nothing is ever promoted (plain 2PL / O1).
-    pub enabled: bool,
 }
 
 impl Default for HotspotConfig {
@@ -54,20 +56,11 @@ impl Default for HotspotConfig {
         Self {
             promote_threshold: 32,
             sweep_interval: Duration::from_millis(50),
-            enabled: true,
         }
     }
 }
 
 impl HotspotConfig {
-    /// A configuration with hotspot handling disabled.
-    pub fn disabled() -> Self {
-        Self {
-            enabled: false,
-            ..Self::default()
-        }
-    }
-
     /// Overrides the promotion threshold.
     pub fn with_threshold(mut self, threshold: usize) -> Self {
         self.promote_threshold = threshold.max(1);
@@ -113,9 +106,6 @@ impl HotspotRegistry {
     /// Is this record currently a hotspot?
     #[inline]
     pub fn is_hot(&self, record: RecordId) -> bool {
-        if !self.config.enabled {
-            return false;
-        }
         let key = record.packed();
         self.shard(key).read().contains_key(&key)
     }
@@ -124,9 +114,6 @@ impl HotspotRegistry {
     /// `queue_len` other waiters.  Promotes the record when the threshold is
     /// crossed.  Returns true when the record is (now) hot.
     pub fn observe_wait(&self, record: RecordId, queue_len: usize) -> bool {
-        if !self.config.enabled {
-            return false;
-        }
         let key = record.packed();
         let promotes = queue_len >= self.config.promote_threshold;
         let shard = self.shard(key);
@@ -180,9 +167,6 @@ impl HotspotRegistry {
     /// transactions according to `has_waiters`; the rows that stay start
     /// the next window at zero waits.
     pub fn sweep<F: Fn(RecordId) -> bool>(&self, has_waiters: F) -> usize {
-        if !self.config.enabled {
-            return 0;
-        }
         let mut demoted = 0;
         for shard in self.rows.iter() {
             shard.write().retain(|key, row| {
@@ -225,15 +209,6 @@ mod tests {
         assert!(reg.is_hot(HOT));
         assert!(!reg.is_hot(COLD));
         assert_eq!(reg.promotions(), 1);
-    }
-
-    #[test]
-    fn disabled_registry_never_promotes() {
-        let reg = HotspotRegistry::new(HotspotConfig::disabled());
-        assert!(!reg.observe_wait(HOT, 1_000));
-        assert!(!reg.is_hot(HOT));
-        reg.promote(HOT); // manual promote still records, but is_hot honours the switch
-        assert!(!reg.is_hot(HOT));
     }
 
     #[test]

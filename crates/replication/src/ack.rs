@@ -1,5 +1,5 @@
-//! The semi-sync acknowledgement protocol: configuration, per-replica ack
-//! positions, and the semi-sync ↔ degraded state machine.
+//! The semi-sync acknowledgement protocol: per-replica ack positions and
+//! the semi-sync ↔ degraded state.
 //!
 //! Acknowledgements are *cumulative binlog positions*, not transaction ids:
 //! the primary retains every shipped [`txsql_core::BinlogTxn`] in an
@@ -10,50 +10,19 @@
 //! buffer) and make duplicate deliveries harmless — the properties the
 //! degrade → re-sync cycle needs to never lose or double-apply a batch.
 //!
-//! The state machine mirrors MySQL's `rpl_semi_sync` master plugin: a commit
-//! waits for [`SemiSyncConfig::ack_quorum`] replicas to ack its position
-//! within [`SemiSyncConfig::ack_timeout`]; a timeout **degrades** shipping to
-//! asynchronous (commits stop waiting — the primary survives a stalled
-//! follower tier at the cost of its durability guarantee, counted in
-//! `degraded_commits`), and once the quorum catches back up to within
-//! [`SemiSyncConfig::resync_lag`] of the binlog end the hook **re-syncs** and
-//! commits wait again.
+//! The state machine mirrors MySQL's `rpl_semi_sync` master plugin with
+//! `wait_for_slave_count = 1`: a commit waits for one replica to ack its
+//! position within the hook's ack timeout
+//! ([`crate::ReplicationHookBuilder::ack_timeout`]); a timeout **degrades**
+//! shipping to asynchronous (commits stop waiting — the primary survives a
+//! stalled follower tier at the cost of its durability guarantee, counted in
+//! `degraded_commits`), and once a replica has acknowledged the binlog end
+//! the hook **re-syncs** and commits wait again.
 
 use parking_lot::Mutex;
 use std::sync::Arc;
 use std::time::Duration;
 use txsql_core::OsEvent;
-
-/// Tunables of the semi-sync ack protocol (the `rpl_semi_sync_master_*`
-/// knobs of the modelled deployment).
-#[derive(Debug, Clone, Copy)]
-pub struct SemiSyncConfig {
-    /// How many replicas must ack a commit's binlog position before the
-    /// client is answered (MySQL's `..._wait_for_slave_count`).
-    pub ack_quorum: usize,
-    /// How long a commit waits for the quorum before the pipeline degrades
-    /// to asynchronous shipping (MySQL's `..._timeout`).
-    pub ack_timeout: Duration,
-    /// How close (in binlog entries) the quorum must be to the binlog end
-    /// for a degraded pipeline to re-enter semi-sync.
-    pub resync_lag: u64,
-    /// Bounded retries when a ship attempt fails transiently.
-    pub ship_retries: u32,
-    /// Backoff between ship retries.
-    pub retry_backoff: Duration,
-}
-
-impl Default for SemiSyncConfig {
-    fn default() -> Self {
-        Self {
-            ack_quorum: 1,
-            ack_timeout: Duration::from_millis(10),
-            resync_lag: 0,
-            ship_retries: 3,
-            retry_backoff: Duration::from_micros(50),
-        }
-    }
-}
 
 /// Whether commits currently wait for replica acks.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]

@@ -18,16 +18,18 @@
 //! re-sync; whoever needs the replicas to move runs one.
 //!
 //! * in **synchronous** (semi-sync) mode the committing batch ships, then
-//!   blocks until [`SemiSyncConfig::ack_quorum`] replicas acknowledge its
-//!   binlog position or [`SemiSyncConfig::ack_timeout`] expires — the
-//!   Figure 9 "synchronization mode" setting, which lengthens lock hold
-//!   times and is where group locking pays off the most.  The wait runs a
-//!   catch-up pass before each park (nothing else re-requests a dropped ack
-//!   or reaches a replica whose stall is over).  A timeout **degrades** the
+//!   blocks until one replica (`ACK_QUORUM`) acknowledges its binlog
+//!   position or the ack timeout ([`ReplicationHookBuilder::ack_timeout`])
+//!   expires — the Figure 9 "synchronization mode" setting, which lengthens
+//!   lock hold times and is where group locking pays off the most.  The
+//!   wait runs a catch-up pass before each park (nothing else re-requests a
+//!   dropped ack or reaches a replica whose stall is over).  A timeout **degrades** the
 //!   hook to asynchronous shipping (the commit still succeeds: a stalled
 //!   follower tier costs bounded latency, never a wedged primary); a
 //!   degraded commit runs one catch-up pass instead of waiting, and the hook
-//!   **re-syncs** in the pass that finds the quorum caught back up;
+//!   **re-syncs** in the pass that finds the quorum at the binlog end.  A
+//!   transient ship error is retried `SHIP_RETRIES` times, `RETRY_BACKOFF`
+//!   apart, before the commit degrades the same way;
 //! * in **asynchronous** mode the committing batch rings the applier's
 //!   doorbell and returns.  The applier — a background thread, or under the
 //!   deterministic simulator a sim thread a test schedules on
@@ -44,7 +46,7 @@
 //! crash points so the recovery oracle can kill the primary between redo
 //! flush and client acknowledgement.
 
-use crate::ack::{AckTracker, SemiSyncConfig, SyncState};
+use crate::ack::{AckTracker, SyncState};
 use crate::fault::{DeliveryFault, ReplFaultPlan, ReplFaults};
 use crate::replica::{DeliverOutcome, Replica};
 use crossbeam::channel::{Receiver, Sender};
@@ -76,6 +78,21 @@ pub enum ReplicationMode {
 /// its replica is stalled or down.
 const RETRANSMIT_INTERVAL: Duration = Duration::from_micros(200);
 
+/// How many replicas must ack a commit's binlog position before the client
+/// is answered (MySQL's `rpl_semi_sync_master_wait_for_slave_count`).
+const ACK_QUORUM: usize = 1;
+
+/// How long a commit waits for the quorum, unless the builder sets another
+/// [`ReplicationHookBuilder::ack_timeout`] (MySQL's `..._timeout`).
+const DEFAULT_ACK_TIMEOUT: Duration = Duration::from_millis(10);
+
+/// Retries of a ship attempt that fails transiently before the commit
+/// degrades instead of wedging.
+const SHIP_RETRIES: u32 = 3;
+
+/// Backoff between ship retries.
+const RETRY_BACKOFF: Duration = Duration::from_micros(50);
+
 /// Primary-side shipping state behind one mutex: the retained binlog buffer
 /// (the ack protocol's position space) and the semi-sync ↔ degraded state.
 struct ShipState {
@@ -87,7 +104,7 @@ struct ShipState {
 /// `wait_caught_up` callers) share.
 struct Shared {
     latency: LatencyModel,
-    config: SemiSyncConfig,
+    ack_timeout: Duration,
     replicas: Vec<Arc<Replica>>,
     tracker: AckTracker,
     faults: ReplFaults,
@@ -248,18 +265,17 @@ impl Shared {
         self.pump();
     }
 
-    /// Degraded → semi-sync: re-enter ack waiting once the quorum has caught
-    /// up to within `resync_lag` of the binlog end.
+    /// Degraded → semi-sync: re-enter ack waiting once the quorum has
+    /// acknowledged the binlog end.
     fn try_resync(&self) {
         let target = {
             let state = self.state.lock();
             if state.sync_state != SyncState::Degraded {
                 return;
             }
-            (state.binlog.len() as u64).saturating_sub(self.config.resync_lag)
+            state.binlog.len() as u64
         };
-        let quorum = self.config.ack_quorum.min(self.replicas.len());
-        if self.tracker.count_at_least(target) >= quorum {
+        if self.tracker.count_at_least(target) >= ACK_QUORUM.min(self.replicas.len()) {
             let mut state = self.state.lock();
             if state.sync_state == SyncState::Degraded {
                 state.sync_state = SyncState::SemiSync;
@@ -327,24 +343,23 @@ impl std::fmt::Debug for ReplicationHook {
 }
 
 /// Configures a [`ReplicationHook`] beyond the [`ReplicationHook::new`]
-/// defaults: ack protocol knobs, an injected replication fault plan, the
+/// defaults: the ack timeout, an injected replication fault plan, the
 /// primary's crash injector, and the metrics registry the counters land in.
 pub struct ReplicationHookBuilder {
     mode: ReplicationMode,
     latency: LatencyModel,
     n_replicas: usize,
-    config: SemiSyncConfig,
+    ack_timeout: Duration,
     faults: ReplFaultPlan,
     injector: Option<Arc<FaultInjector>>,
     metrics: Option<Arc<EngineMetrics>>,
 }
 
 impl ReplicationHookBuilder {
-    /// Overrides the semi-sync configuration (an ack quorum of 0 would wait
-    /// for nobody: it is raised to 1).
-    pub fn config(mut self, mut config: SemiSyncConfig) -> Self {
-        config.ack_quorum = config.ack_quorum.max(1);
-        self.config = config;
+    /// Sets how long a semi-sync commit waits for its ack before the hook
+    /// degrades to asynchronous shipping (10 ms by default).
+    pub fn ack_timeout(mut self, timeout: Duration) -> Self {
+        self.ack_timeout = timeout;
         self
     }
 
@@ -381,7 +396,7 @@ impl ReplicationHookBuilder {
             .collect();
         let shared = Arc::new(Shared {
             latency: self.latency,
-            config: self.config,
+            ack_timeout: self.ack_timeout,
             tracker: AckTracker::new(self.n_replicas),
             faults: ReplFaults::new(self.faults, self.n_replicas),
             metrics: self.metrics,
@@ -411,8 +426,8 @@ impl ReplicationHookBuilder {
 }
 
 impl ReplicationHook {
-    /// Creates a hook shipping to `n_replicas` replicas with default
-    /// semi-sync configuration and no injected faults.
+    /// Creates a hook shipping to `n_replicas` replicas with the default ack
+    /// timeout and no injected faults.
     pub fn new(mode: ReplicationMode, latency: LatencyModel, n_replicas: usize) -> Arc<Self> {
         Self::builder(mode, latency, n_replicas).build()
     }
@@ -427,7 +442,7 @@ impl ReplicationHook {
             mode,
             latency,
             n_replicas,
-            config: SemiSyncConfig::default(),
+            ack_timeout: DEFAULT_ACK_TIMEOUT,
             faults: ReplFaultPlan::none(),
             injector: None,
             metrics: None,
@@ -498,18 +513,18 @@ impl ReplicationHook {
         while !shared.faults.ship_attempt_ok() {
             retries += 1;
             shared.metric(|m| m.ship_retries.inc());
-            if retries > shared.config.ship_retries {
+            if retries > SHIP_RETRIES {
                 shared.degrade();
                 return Ok(());
             }
-            simulate_delay(shared.config.retry_backoff);
+            simulate_delay(RETRY_BACKOFF);
         }
 
         shared.deliver_range(range.start, batch);
         self.crash_point(CrashPoint::PostShipPreAck)?;
 
-        let quorum = shared.config.ack_quorum.min(shared.replicas.len());
-        if !shared.wait_acked(range.end, quorum, shared.config.ack_timeout) {
+        let quorum = ACK_QUORUM.min(shared.replicas.len());
+        if !shared.wait_acked(range.end, quorum, shared.ack_timeout) {
             // rpl_semi_sync-style timeout: degrade and let the commit
             // through unacked by the replicas.
             shared.degrade();
@@ -596,14 +611,6 @@ mod tests {
     use super::*;
     use txsql_common::{Row, TableId, TxnId};
 
-    /// The default semi-sync knobs with an ack timeout of `ms` milliseconds.
-    fn ack_timeout_ms(ms: u64) -> SemiSyncConfig {
-        SemiSyncConfig {
-            ack_timeout: Duration::from_millis(ms),
-            ..SemiSyncConfig::default()
-        }
-    }
-
     fn event(trx_no: u64, value: i64) -> BinlogTxn {
         BinlogTxn {
             txn: TxnId(trx_no),
@@ -655,11 +662,7 @@ mod tests {
         let hook =
             ReplicationHook::builder(ReplicationMode::Synchronous, LatencyModel::in_memory(), 1)
                 .faults(ReplFaultPlan::none().with_ack_drop(0, 1))
-                // (A quorum of 0 is raised to 1: the commit waits for the ack.)
-                .config(SemiSyncConfig {
-                    ack_quorum: 0,
-                    ..ack_timeout_ms(100)
-                })
+                .ack_timeout(Duration::from_millis(100))
                 .metrics(Arc::clone(&metrics))
                 .build();
         hook.on_commit_batch(&[event(1, 10)]).unwrap();
@@ -682,7 +685,7 @@ mod tests {
         let hook =
             ReplicationHook::builder(ReplicationMode::Synchronous, LatencyModel::in_memory(), 1)
                 .faults(ReplFaultPlan::none().with_stall(None, 1, Duration::from_millis(2)))
-                .config(ack_timeout_ms(200))
+                .ack_timeout(Duration::from_millis(200))
                 .metrics(Arc::clone(&metrics))
                 .build();
         hook.on_commit_batch(&[event(1, 10)]).unwrap();
@@ -699,7 +702,7 @@ mod tests {
         let hook =
             ReplicationHook::builder(ReplicationMode::Synchronous, LatencyModel::in_memory(), 1)
                 .faults(ReplFaultPlan::none().with_stall(None, 1, Duration::from_millis(10)))
-                .config(ack_timeout_ms(2))
+                .ack_timeout(Duration::from_millis(2))
                 .metrics(Arc::clone(&metrics))
                 .build();
 
@@ -737,7 +740,7 @@ mod tests {
         let hook =
             ReplicationHook::builder(ReplicationMode::Synchronous, LatencyModel::in_memory(), 1)
                 .faults(ReplFaultPlan::none().with_crash(0, 1, Some(Duration::from_millis(5))))
-                .config(ack_timeout_ms(2))
+                .ack_timeout(Duration::from_millis(2))
                 .metrics(Arc::clone(&metrics))
                 .build();
         hook.on_commit_batch(&[event(1, 10)]).unwrap();
@@ -771,17 +774,12 @@ mod tests {
         let hook =
             ReplicationHook::builder(ReplicationMode::Synchronous, LatencyModel::in_memory(), 1)
                 .faults(ReplFaultPlan::none().with_ship_errors(10))
-                .config(SemiSyncConfig {
-                    ship_retries: 2,
-                    retry_backoff: Duration::from_micros(5),
-                    ..SemiSyncConfig::default()
-                })
                 .metrics(Arc::clone(&metrics))
                 .build();
         hook.on_commit_batch(&[event(1, 10)]).unwrap();
         assert_eq!(metrics.semi_sync_timeouts.get(), 1, "degraded");
         assert_eq!(metrics.degraded_commits.get(), 1);
-        assert!(metrics.ship_retries.get() >= 2);
+        assert!(metrics.ship_retries.get() > u64::from(SHIP_RETRIES));
         // The degraded commit's catch-up pass reached the replica, and the
         // same pass re-synced.
         assert_eq!(hook.acked_pos(0), 1);
@@ -801,7 +799,7 @@ mod tests {
                         .with_stall(None, 1, Duration::from_millis(10))
                         .with_ack_drop(0, 2),
                 )
-                .config(ack_timeout_ms(2))
+                .ack_timeout(Duration::from_millis(2))
                 .build();
         hook.on_commit_batch(&[event(1, 10)]).unwrap();
         assert_eq!(hook.sync_state(), SyncState::Degraded);

@@ -12,13 +12,13 @@
 //!   and can be checked for consistency against the primary;
 //! * [`hook::ReplicationHook`] — a [`txsql_core::CommitHook`] that ships each
 //!   commit batch to the replicas either *semi-synchronously* (the commit
-//!   waits for a configurable ack quorum under an `rpl_semi_sync`-style
-//!   timeout, degrading to asynchronous shipping on timeout and re-syncing
-//!   once the replicas catch up) or *asynchronously* (a background applier
-//!   catches the replicas up on the retained binlog);
+//!   waits for one replica's ack under an `rpl_semi_sync`-style timeout,
+//!   degrading to asynchronous shipping on timeout and re-syncing once the
+//!   replicas catch up) or *asynchronously* (a background applier catches
+//!   the replicas up on the retained binlog);
 //! * [`mod@ack`] — the ack protocol: position-based cumulative
-//!   acknowledgements, the quorum tracker and the semi-sync ↔ degraded state
-//!   machine configuration;
+//!   acknowledgements, the quorum tracker and the semi-sync ↔ degraded
+//!   state;
 //! * [`mod@fault`] — seeded fault plans for the replication path (ack drop,
 //!   replica stall, replica crash/restart, transient ship errors), the
 //!   replication-side counterpart of [`txsql_storage::fault`];
@@ -35,7 +35,7 @@ pub mod hook;
 pub mod replay;
 pub mod replica;
 
-pub use ack::{AckTracker, SemiSyncConfig, SyncState};
+pub use ack::{AckTracker, SyncState};
 pub use fault::{ReplFaultPlan, ReplFaultPoint, ReplFaults};
 pub use hook::{ReplicationHook, ReplicationHookBuilder, ReplicationMode};
 pub use replay::{replay, ReplayMode, ReplayReport};

@@ -37,8 +37,7 @@ use txsql_common::latency::{simulate_delay, LatencyModel};
 use txsql_common::{Error, Result, Row, TxnId};
 use txsql_core::{BinlogTxn, CommitHook, Database, Protocol, TxnProgram};
 use txsql_replication::{
-    ReplFaultPlan, ReplFaultPoint, Replica, ReplicationHook, ReplicationMode, SemiSyncConfig,
-    SyncState,
+    ReplFaultPlan, ReplFaultPoint, Replica, ReplicationHook, ReplicationMode, SyncState,
 };
 use txsql_sim::{run_seed, RunReport};
 use txsql_storage::fault::{CrashPoint, FaultInjector, FaultPlan};
@@ -57,14 +56,9 @@ const PROTOCOLS: [Protocol; 3] = [
     Protocol::QueueLockingO2,
 ];
 
-/// Semi-sync knobs for exploration: a short ack timeout so injected stalls
-/// and crashes degrade the hook within the run.
-fn sim_semi_sync() -> SemiSyncConfig {
-    SemiSyncConfig {
-        ack_timeout: Duration::from_millis(2),
-        ..SemiSyncConfig::default()
-    }
-}
+/// The ack timeout for exploration: short, so injected stalls and crashes
+/// degrade the hook within the run.
+const SIM_ACK_TIMEOUT: Duration = Duration::from_millis(2);
 
 /// The value a replica holds for `pk` (0 when it never saw the row — bulk
 /// load is not replicated, so replicas start empty).
@@ -155,7 +149,7 @@ fn explore_seed(
 
     let metrics = db.metrics_handle();
     let hook = ReplicationHook::builder(ReplicationMode::Synchronous, latency, REPLICAS)
-        .config(sim_semi_sync())
+        .ack_timeout(SIM_ACK_TIMEOUT)
         .faults(repl_plan)
         .crash_injector(Arc::clone(db.faults()))
         .metrics(Arc::clone(&metrics))
@@ -524,7 +518,7 @@ fn crash_one_commit(plan: FaultPlan) -> (Fixture, Arc<ReplicationHook>) {
         LatencyModel::in_memory(),
         REPLICAS,
     )
-    .config(sim_semi_sync())
+    .ack_timeout(SIM_ACK_TIMEOUT)
     .crash_injector(Arc::clone(db.faults()))
     .metrics(db.metrics_handle())
     .build();

@@ -1,19 +1,22 @@
-//! The transaction system: id allocation, the active transaction list and
+//! The transaction system: id allocation, commit sequence numbers and
 //! read-view creation.
 //!
 //! `TrxSys` is the moral equivalent of InnoDB's `trx_sys`: it hands out
-//! transaction ids at `BEGIN`, commit sequence numbers (`trx_no`) at commit,
-//! and tracks which transactions are currently active.  Read views are
-//! created here in either the copying or copy-free mode (§3.1.2); the copying
-//! mode intentionally locks and copies the active list so that the overhead
-//! the paper describes is measurable.
+//! transaction ids at `BEGIN` and commit sequence numbers (`trx_no`) at
+//! commit.  Read views are created here in the mode the system was built
+//! with (§3.1.2).  A copy-free view is the commit horizon, one atomic load,
+//! so a copy-free system keeps no list of active transactions: `begin` is
+//! one `fetch_add`, and a transaction that finishes without a `trx_no` (a
+//! reader, a rollback) takes no lock.  Only a copying system keeps the
+//! classic active transaction list, and its views lock and copy it, so that
+//! the overhead the paper describes is measurable.
 //!
 //! It also publishes the **purge floor** storage truncates version chains to
 //! at commit: the highest `trx_no` such that every transaction given a
-//! `trx_no` at or below it has left the active set.  Whatever a chain keeps
-//! at or below the floor is then visible to every read view created from now
-//! on, in either mode — its writer is in no active list and at or below any
-//! horizon (see `txsql_storage::version`).
+//! `trx_no` at or below it has finished.  Whatever a chain keeps at or below
+//! the floor is then visible to every read view created from now on, in
+//! either mode — its writer is in no active list and at or below any horizon
+//! (see `txsql_storage::version`).
 
 use crate::readview::{ReadView, ReadViewMode};
 use crate::transaction::Transaction;
@@ -26,10 +29,12 @@ use txsql_common::metrics::EngineMetrics;
 use txsql_common::TxnId;
 use txsql_lockmgr::registry::TxnLockRegistry;
 
-/// What `begin`, `allocate_trx_no` and `finish` keep under one mutex.
+/// What `allocate_trx_no` and a writer's `finish` keep under one mutex (and,
+/// in a copying system only, `begin` and every `finish`).
 #[derive(Debug, Default)]
 struct Active {
-    /// The classic active transaction list (locked + copied by copying views).
+    /// The classic active transaction list, locked and copied by copying
+    /// views.  Empty in a copy-free system, which never reads it.
     ids: FxHashSet<TxnId>,
     /// One flag per `trx_no` above the purge floor, oldest first (entry `i`
     /// is `floor + 1 + i`): `true` once the transaction it was handed to has
@@ -46,8 +51,8 @@ pub struct TrxSys {
     max_committed_trx_no: AtomicU64,
     active: Mutex<Active>,
     /// See the module doc.  Written under `active`, after the finishing
-    /// transaction left `ids` and advanced the horizon; the `Release` store
-    /// pairs with storage's `Acquire` load.  The next `trx_no` to hand out is
+    /// transaction advanced the horizon; the `Release` store pairs with
+    /// storage's `Acquire` load.  The next `trx_no` to hand out is
     /// `floor + 1 + finished.len()`.
     purge_floor: Arc<AtomicU64>,
     read_view_mode: ReadViewMode,
@@ -61,7 +66,8 @@ pub struct TrxSys {
 }
 
 impl TrxSys {
-    /// Creates a transaction system using the given read-view mode.
+    /// Creates a transaction system using the given read-view mode; only a
+    /// `Copying` one keeps the active transaction list.
     pub fn new(read_view_mode: ReadViewMode) -> Self {
         Self {
             next_txn_id: AtomicU64::new(1),
@@ -101,17 +107,20 @@ impl TrxSys {
         self
     }
 
-    /// The configured read-view mode.
-    pub fn read_view_mode(&self) -> ReadViewMode {
-        self.read_view_mode
+    /// True when views copy the active transaction list, which is then kept.
+    fn copying(&self) -> bool {
+        self.read_view_mode == ReadViewMode::Copying
     }
 
-    /// Starts a transaction: allocates an id and registers it active.  The
-    /// transaction's metrics scratch is attached to the engine metrics when
-    /// configured ([`TrxSys::with_engine_metrics`]).
+    /// Starts a transaction: allocates an id and, in a copying system,
+    /// registers it active.  The transaction's metrics scratch is attached
+    /// to the engine metrics when configured
+    /// ([`TrxSys::with_engine_metrics`]).
     pub fn begin(&self) -> Transaction {
         let id = TxnId(self.next_txn_id.fetch_add(1, Ordering::Relaxed));
-        self.active.lock().ids.insert(id);
+        if self.copying() {
+            self.active.lock().ids.insert(id);
+        }
         match &self.engine_metrics {
             Some(metrics) => Transaction::attached_to(id, Arc::clone(metrics)),
             None => Transaction::new(id),
@@ -137,26 +146,30 @@ impl TrxSys {
 
     /// Marks a transaction finished.  For commits, pass the `trx_no` it
     /// committed with (this advances the copy-free visibility horizon — the
-    /// transaction's `del_ts` — and then the purge floor); for rollbacks pass
-    /// `None`.
+    /// transaction's `del_ts` — and then the purge floor); for rollbacks and
+    /// transactions that wrote nothing pass `None`, which in a copy-free
+    /// system takes no lock.
     pub fn finish(&self, txn: TxnId, committed_trx_no: Option<u64>) {
-        let mut active = self.active.lock();
-        active.ids.remove(&txn);
-        if let Some(no) = committed_trx_no {
-            self.max_committed_trx_no.fetch_max(no, Ordering::AcqRel);
-            let floor = self.purge_floor.load(Ordering::Relaxed);
-            let slot = no
-                .checked_sub(floor + 1)
-                .and_then(|i| usize::try_from(i).ok());
-            if let Some(done) = slot.and_then(|i| active.finished.get_mut(i)) {
-                *done = true;
+        if self.copying() || committed_trx_no.is_some() {
+            let mut active = self.active.lock();
+            if self.copying() {
+                active.ids.remove(&txn);
             }
-            let prefix = active.finished.iter().take_while(|done| **done).count();
-            active.finished.drain(..prefix);
-            self.purge_floor
-                .store(floor + prefix as u64, Ordering::Release);
+            if let Some(no) = committed_trx_no {
+                self.max_committed_trx_no.fetch_max(no, Ordering::AcqRel);
+                let floor = self.purge_floor.load(Ordering::Relaxed);
+                let slot = no
+                    .checked_sub(floor + 1)
+                    .and_then(|i| usize::try_from(i).ok());
+                if let Some(done) = slot.and_then(|i| active.finished.get_mut(i)) {
+                    *done = true;
+                }
+                let prefix = active.finished.iter().take_while(|done| **done).count();
+                active.finished.drain(..prefix);
+                self.purge_floor
+                    .store(floor + prefix as u64, Ordering::Release);
+            }
         }
-        drop(active);
         // A finished transaction must not keep registry entries alive:
         // release_all already drained them, so this is a debug-only check
         // (one lookup in the transaction's own shard).  Removing leftovers
@@ -173,11 +186,6 @@ impl TrxSys {
         }
     }
 
-    /// True when the transaction is still registered active.
-    pub fn is_active(&self, txn: TxnId) -> bool {
-        self.active.lock().ids.contains(&txn)
-    }
-
     /// Newest committed `trx_no` (the copy-free horizon).
     pub fn commit_horizon(&self) -> u64 {
         self.max_committed_trx_no.load(Ordering::Acquire)
@@ -189,9 +197,12 @@ impl TrxSys {
     }
 
     /// Creates a read view in an explicit mode (used by the ablation bench).
+    /// A `Copying` view needs a copying system: a copy-free one keeps no
+    /// active list to copy.
     pub fn read_view_in_mode(&self, owner: TxnId, mode: ReadViewMode) -> ReadView {
         match mode {
             ReadViewMode::Copying => {
+                debug_assert!(self.copying(), "a copy-free system keeps no active list");
                 // Lock and copy the active list — the cost §3.1.2 eliminates.
                 let active_ids = self.active.lock().ids.clone();
                 ReadView::Copying {
@@ -220,14 +231,11 @@ mod tests {
     use txsql_storage::VisibilityJudge;
 
     #[test]
-    fn begin_assigns_increasing_ids_and_tracks_active() {
+    fn begin_assigns_increasing_ids() {
         let sys = TrxSys::default();
         let a = sys.begin();
         let b = sys.begin();
         assert!(b.id > a.id);
-        assert!(sys.is_active(a.id) && sys.is_active(b.id));
-        sys.finish(a.id, None);
-        assert!(!sys.is_active(a.id) && sys.is_active(b.id));
     }
 
     #[test]
@@ -337,7 +345,7 @@ mod tests {
 
     #[test]
     fn both_modes_agree_on_visibility_of_settled_history() {
-        let sys = TrxSys::new(ReadViewMode::CopyFree);
+        let sys = TrxSys::new(ReadViewMode::Copying);
         let writer = sys.begin();
         let no = sys.allocate_trx_no();
         sys.finish(writer.id, Some(no));
