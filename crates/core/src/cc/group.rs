@@ -88,12 +88,12 @@ impl ConcurrencyControl for GroupLocking {
             return Ok(());
         }
         let cold = !db.hotspots.is_hot(record);
-        let holders = match cold && txn.has_hot_updates() {
-            true => self.locks.holders_of(record),
-            false => Vec::new(),
+        let holder = match cold && txn.has_hot_updates() {
+            true => self.locks.holder_of(record),
+            false => None,
         };
         self.groups
-            .check_cold_wait(txn.id, groups_of(txn), &holders)?;
+            .check_cold_wait(txn.id, groups_of(txn), holder.as_slice())?;
         if cold {
             lock_row(&self.locks, txn, record, Some(&db.hotspots))?;
             if !db.hotspots.is_hot(record) {

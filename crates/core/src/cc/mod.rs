@@ -58,7 +58,7 @@ use txsql_lockmgr::hotspot::HotspotRegistry;
 use txsql_lockmgr::lock_table::{Layout, RecordLockTable};
 use txsql_lockmgr::queue_lock::QueueLockTable;
 use txsql_lockmgr::registry::TxnLockRegistry;
-use txsql_lockmgr::{LightweightLockTable, LockMode, LockSys, LockTableConfig};
+use txsql_lockmgr::{LightweightLockTable, LockSys, LockTableConfig};
 use txsql_txn::Transaction;
 
 /// What a protocol does at each step of a transaction (call sites: above).
@@ -130,8 +130,8 @@ pub(crate) trait LockTable: Send + Sync {
     /// `snapshot_metrics` samples.
     fn registry(&self) -> &Arc<TxnLockRegistry>;
 
-    /// Transactions holding a record lock on `record`.
-    fn holders_of(&self, record: RecordId) -> Vec<TxnId>;
+    /// The transaction holding `record`'s lock, if any.
+    fn holder_of(&self, record: RecordId) -> Option<TxnId>;
 }
 
 impl<L: Layout> LockTable for RecordLockTable<L> {
@@ -143,8 +143,8 @@ impl<L: Layout> LockTable for RecordLockTable<L> {
         RecordLockTable::registry(self)
     }
 
-    fn holders_of(&self, record: RecordId) -> Vec<TxnId> {
-        RecordLockTable::holders_of(self, record)
+    fn holder_of(&self, record: RecordId) -> Option<TxnId> {
+        RecordLockTable::holder_of(self, record)
     }
 }
 
@@ -167,8 +167,7 @@ impl<L: Layout> ConcurrencyControl for TwoPhase<L> {
         if held(txn, table, record) {
             return Ok(());
         }
-        self.locks
-            .lock_table(txn.id, table, LockMode::IntentionExclusive)?;
+        self.locks.lock_table(txn.id, table);
         lock_to_commit(&self.locks, txn, record)
     }
 
@@ -237,8 +236,7 @@ fn lock_row<L: Layout>(
             hotspots.observe_wait(record, queue_len);
         }
     };
-    let result =
-        locks.lock_record_reporting(txn.id, record, LockMode::Exclusive, txn.metrics(), report);
+    let result = locks.lock_record_reporting(txn.id, record, txn.metrics(), report);
     txn.add_blocked(start.elapsed());
     result
 }

@@ -262,10 +262,10 @@ impl Database {
         self.inner.config.admission.backoff_policy()
     }
 
-    /// Transactions currently holding a record lock on `record`
+    /// The transaction currently holding `record`'s lock, if any
     /// (introspection for tests of early lock release).
-    pub fn lock_holders(&self, record: RecordId) -> Vec<TxnId> {
-        self.inner.cc.locks().holders_of(record)
+    pub fn lock_holder(&self, record: RecordId) -> Option<TxnId> {
+        self.inner.cc.locks().holder_of(record)
     }
 
     /// Entries the protocol's private tables still hold: hot-row groups, O2

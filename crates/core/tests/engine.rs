@@ -472,7 +472,7 @@ fn bamboo_releases_each_record_lock_at_its_statement() {
         db.update_add(&mut t1, ACCOUNTS, pk, 1, 10).unwrap();
         let record = fixture.record(pk);
         assert!(
-            db.lock_holders(record).is_empty(),
+            db.lock_holder(record).is_none(),
             "the update statement must release its own lock"
         );
     }

@@ -12,8 +12,8 @@
 //!    wait-for-graph deadlock detection run while holding the shard mutex.
 //!    This is the "MySQL" baseline whose collapse under hotspot load
 //!    motivates the paper (Figure 2a).  Within a page, requests live in
-//!    **per-`heap_no` record queues** (holders split from the waiter FIFO),
-//!    so conflict checks and grant scans are O(requests on that record)
+//!    **per-`heap_no` record queues** (the holder split from the waiter
+//!    FIFO), so acquisitions and grants are O(requests on that record)
 //!    rather than O(all requests on the page) — the page-level shard mutex
 //!    remains the faithful bottleneck, but nothing scans other records'
 //!    requests any more.
@@ -42,13 +42,15 @@
 //! are its two monomorphised instantiations.  A [`lock_table::Layout`]
 //! contributes only the shard hashing (page vs. record), the queue
 //! lookup/prune (`page → heap_no` two-level map vs. flat packed-record map),
-//! the table-level intention locks (baseline only) and its
-//! [`record_queue::QueuePolicy`]: upgrade fairness (the baseline's FIFO
-//! `S→X` rule vs. O1's holder-only check) and `locks_created` accounting
-//! (per acquisition vs. per conflict).  A grant, doom, wake or
-//! acquisition-order change lands once and both arms get it; the conformance
-//! and differential tests in [`lock_table`] and the sim suites hold the two
-//! layouts to the same behaviour.
+//! the table-level intention locks (baseline only) and its `locks_created`
+//! accounting ([`lock_table::Layout::COUNT_UNCONTENDED_GRANTS`]: per
+//! acquisition vs. per conflict), the one difference inside a record's
+//! queue.  Every record lock is exclusive ([`modes`]): a record has at most
+//! one holder and a FIFO of waiters, and a release hands it to the front
+//! waiter.  A grant, doom, wake or acquisition-order change lands once and
+//! both arms get it; the conformance and differential tests in
+//! [`lock_table`] and the sim suites hold the two layouts to the same
+//! behaviour.
 //!
 //! ## Decentralized bookkeeping
 //!
@@ -59,13 +61,12 @@
 //!
 //! * **Per-transaction lock lists are sharded by `TxnId`** in the
 //!   [`registry::TxnLockRegistry`]: acquisition appends `(txn, record)` to
-//!   the transaction's own cache-padded shard (an unsorted append log — the
-//!   page-major sort is deferred to release), and `release_all` takes the
-//!   whole entry out with one shard lock, sorting and deduplicating it once
-//!   — there is no global `txn_locks` map to serialize on.  The
-//!   registry also tracks which tables a transaction intention-locked, so
-//!   table-lock release visits only those shards instead of scanning every
-//!   table.  Registry size is observable via the
+//!   the transaction's own cache-padded shard (an unsorted append log, one
+//!   entry per lock or wait), and `release_all` takes the whole entry out
+//!   with one shard lock — there is no global `txn_locks` map to serialize
+//!   on.  The registry also tracks which tables a transaction
+//!   intention-locked, so table-lock release visits only those shards
+//!   instead of scanning every table.  Registry size is observable via the
 //!   `lock_registry_entries` gauge and `locks_released` counter in
 //!   `EngineMetrics`.
 //! * **Release is batched per shard**: `release_all` and the
@@ -105,11 +106,11 @@
 //! takes, and the one the contended optimizations must not tax — is kept
 //! allocation- and contention-minimal end to end:
 //!
-//! * **inline holders, lazy waiters**: a [`record_queue::RecordQueue`]
-//!   stores its single holder inline (no `Vec` until a second *shared*
-//!   holder appears) and has no waiter deque at all until the first conflict
-//!   boxes one into existence — an uncontended acquire/release cycle
-//!   performs **zero heap allocations** in either lock table;
+//! * **inline holder, lazy waiters**: a [`record_queue::RecordQueue`]
+//!   stores its one holder inline and has no waiter deque at all until the
+//!   first conflict boxes one into existence — an uncontended
+//!   acquire/release cycle performs **zero heap allocations** in either lock
+//!   table;
 //! * **per-transaction metrics scratch**: the per-cycle counters
 //!   (`locks_created`, `locks_released`, `release_shard_locks`, grant-scan
 //!   lengths) go to a `Cell`-based
@@ -120,10 +121,8 @@
 //!   `release_all_in`, `release_record_locks_in`) take the scratch, and the
 //!   names without `_in` count through one attached to the table's metrics;
 //! * **append-log registry inserts**: [`registry::TxnLockRegistry`] records
-//!   an acquisition with a plain `Vec::push`; the page-major sort the
-//!   grouped release paths rely on is deferred to `take_all_in` — paid once per
-//!   transaction at release, where batching already amortizes everything
-//!   else, instead of a sorted insert on every acquisition.
+//!   an acquisition with a plain `Vec::push`; the release paths group the
+//!   records by lock-table shard themselves, so nothing is kept sorted.
 //!
 //! The same pass made the **wake-outside-lock** rule uniform and checked:
 //! every path that wakes a waiter (grant scans, batched release, the group
@@ -146,11 +145,11 @@
 //! [`event`] (the engine's one wait primitive: a state word that carries the
 //! wake payload, a `set` that skips the condvar when nobody is parked, and
 //! hand-off waits that spin briefly before parking while I/O waits park at
-//! once — nothing in this crate polls), [`modes`]
-//! (lock modes and conflict matrix), [`deadlock`] (the sharded wait-for
-//! graph), [`registry`] (the per-transaction lock registry) and [`hotspot`]
-//! (hotspot detection and the `hot_row_hash` shared by queue and group
-//! locking: one sharded map holding one entry per hot row).
+//! once — nothing in this crate polls), [`modes`] (the one lock mode),
+//! [`deadlock`] (the sharded wait-for graph), [`registry`] (the
+//! per-transaction lock registry) and [`hotspot`] (hotspot detection and
+//! the `hot_row_hash` shared by queue and group locking: one sharded map
+//! holding one entry per hot row).
 //!
 //! ## Deterministic testing
 //!
@@ -204,7 +203,7 @@ pub use lock_sys::LockSys;
 pub use lock_table::{DeadlockPolicy, LockTableConfig, RecordLockTable};
 pub use modes::LockMode;
 pub use queue_lock::QueueLockTable;
-pub use record_queue::{QueuePolicy, RecordQueue};
+pub use record_queue::RecordQueue;
 pub use registry::{TxnLockRegistry, TxnLocks};
 
 /// The suites' shared drivers (`tests/support`), for the inline tests; it

@@ -10,9 +10,7 @@
 //! * holder information is just transaction ids — a lock object (the thing
 //!   that costs allocation and bookkeeping, counted in Figure 6d) is only
 //!   created, and counted, when a conflict forces a transaction to wait
-//!   (`count_uncontended_grants = false`);
-//! * an `S→X` upgrade proceeds whenever no *holder* conflicts
-//!   (`upgrade_respects_queue = false`);
+//!   (`COUNT_UNCONTENDED_GRANTS = false`);
 //! * entries are removed as soon as they become empty, so the table stays
 //!   proportional to the number of *contended* rows, not all touched rows.
 //!
@@ -20,7 +18,7 @@
 //! notes O1's p95 is slightly inflated by exactly this, Figure 6c).
 
 use crate::lock_table::{Layout, LockTableConfig, RecordLockTable};
-use crate::record_queue::{QueuePolicy, RecordQueue};
+use crate::record_queue::RecordQueue;
 use txsql_common::fxhash::FxHashMap;
 use txsql_common::RecordId;
 
@@ -36,10 +34,7 @@ pub type LightweightConfig = LockTableConfig;
 pub struct FlatLayout;
 
 impl Layout for FlatLayout {
-    const POLICY: QueuePolicy = QueuePolicy {
-        upgrade_respects_queue: false,
-        count_uncontended_grants: false,
-    };
+    const COUNT_UNCONTENDED_GRANTS: bool = false;
     /// Record-keyed, so this can be much larger than the page-sharded
     /// baseline.
     const SHARDS: usize = 1024;

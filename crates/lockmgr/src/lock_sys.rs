@@ -8,39 +8,36 @@
 //!   rows through one shard mutex (Figure 6c) — two hot rows on the same page
 //!   still contend;
 //! * every acquisition counts one created lock object, even without
-//!   contention (`count_uncontended_grants`, the Figure-6d accounting), and
-//!   an `S→X` upgrade may not jump earlier queued waiters
-//!   (`upgrade_respects_queue`, InnoDB's FIFO fairness).
+//!   contention (`COUNT_UNCONTENDED_GRANTS`, the Figure-6d accounting).
 //!
 //! Within a page, requests live in **per-`heap_no` record queues**, so
-//! conflict checks and grant scans are O(requests on that record) rather
-//! than O(all requests on the page): the page-level mutex remains the
-//! faithful bottleneck, but nothing scans other records' requests.  A page's
-//! emptied map is kept, so a page that is locked again reuses its allocation
-//! and the uncontended cycle allocates nothing in steady state; memory is
-//! bounded by the number of distinct pages that ever carried a lock (~100
-//! bytes each).
+//! acquisitions and grants are O(requests on that record) rather than O(all
+//! requests on the page): the page-level mutex remains the faithful
+//! bottleneck, but nothing scans other records' requests.  A page's emptied
+//! map is kept, so a page that is locked again reuses its allocation and the
+//! uncontended cycle allocates nothing in steady state; memory is bounded by
+//! the number of distinct pages that ever carried a lock (~100 bytes each).
 //!
-//! The layout also owns the table-level intention locks
-//! ([`RecordLockTable::lock_table`]), sharded by `TableId`; release-all visits only
+//! The layout also owns the table-level intention-exclusive locks
+//! ([`RecordLockTable::lock_table`]), sharded by `TableId`.  They never
+//! conflict, so a table's entry is just its holders; release-all visits only
 //! the tables the transaction actually locked (tracked by the registry).
 
 use crate::lock_table::{Layout, LockTableConfig, RecordLockTable};
-use crate::record_queue::{QueuePolicy, RecordQueue};
+use crate::record_queue::RecordQueue;
 use crate::wake_check::GuardScope;
-use crate::LockMode;
 use parking_lot::Mutex;
 use txsql_common::fxhash::{self, FxHashMap};
 use txsql_common::ids::{HeapNo, PageId};
 use txsql_common::pad::CachePadded;
-use txsql_common::{Error, RecordId, Result, TableId, TxnId};
+use txsql_common::{RecordId, TableId, TxnId};
 
-/// Number of table-lock shards.  Tables are few and intention modes almost
-/// never conflict; 16 shards removes the global choke point without bloating
-/// the structure.
+/// Number of table-lock shards.  Tables are few and their locks never
+/// conflict; 16 shards removes the global choke point without bloating the
+/// structure.
 const TABLE_SHARDS: usize = 16;
 
-type TableShard = FxHashMap<TableId, Vec<(TxnId, LockMode)>>;
+type TableShard = FxHashMap<TableId, Vec<TxnId>>;
 
 /// The page-sharded lock system.
 pub type LockSys = RecordLockTable<PageLayout>;
@@ -52,7 +49,7 @@ pub type LockSysConfig = LockTableConfig;
 /// page, plus the table-level locks.
 #[derive(Debug)]
 pub struct PageLayout {
-    /// Table-level locks (intention modes in practice), sharded by table.
+    /// Table-level intention-exclusive locks, sharded by table.
     table_shards: Box<[CachePadded<Mutex<TableShard>>]>,
 }
 
@@ -75,10 +72,7 @@ impl PageLayout {
 }
 
 impl Layout for PageLayout {
-    const POLICY: QueuePolicy = QueuePolicy {
-        upgrade_respects_queue: true,
-        count_uncontended_grants: true,
-    };
+    const COUNT_UNCONTENDED_GRANTS: bool = true;
     /// InnoDB uses a small fixed number of page-hash shards.
     const SHARDS: usize = 64;
     type Shard = FxHashMap<PageId, FxHashMap<HeapNo, RecordQueue>>;
@@ -121,7 +115,7 @@ impl Layout for PageLayout {
         for table in tables {
             let mut shard = self.table_shard_for(*table).lock();
             if let Some(holders) = shard.get_mut(table) {
-                holders.retain(|(t, _)| *t != txn);
+                holders.retain(|t| *t != txn);
                 if holders.is_empty() {
                     shard.remove(table);
                 }
@@ -129,24 +123,15 @@ impl Layout for PageLayout {
         }
     }
 
-    fn grant_table(&self, txn: TxnId, table: TableId, mode: LockMode) -> Result<bool> {
+    fn grant_table(&self, txn: TxnId, table: TableId) -> bool {
         let mut tables = self.table_shard_for(table).lock();
         let _scope = GuardScope::enter();
         let holders = tables.entry(table).or_default();
-        if holders
-            .iter()
-            .any(|(t, m)| *t != txn && !m.is_compatible_with(mode))
-        {
-            return Err(Error::LockWaitTimeout {
-                txn,
-                record: RecordId::new(table.0, u32::MAX, 0),
-            });
-        }
-        let newly = !holders.iter().any(|(t, m)| *t == txn && m.covers(mode));
+        let newly = !holders.contains(&txn);
         if newly {
-            holders.push((txn, mode));
+            holders.push(txn);
         }
-        Ok(newly)
+        newly
     }
 }
 
@@ -157,12 +142,12 @@ mod tests {
     use crate::test_support::{assert_locks_drained, lock_table};
 
     #[test]
-    fn table_intention_locks_are_compatible() {
+    fn table_locks_never_conflict() {
         let s = lock_table::<PageLayout>(DeadlockPolicy::TimeoutOnly, 200);
-        let (ix, is) = (LockMode::IntentionExclusive, LockMode::IntentionShared);
-        for (txn, mode) in [(1, ix), (2, ix), (3, is)] {
-            s.lock_table(TxnId(txn), TableId(1), mode).unwrap();
+        for txn in [1, 2, 2, 3] {
+            s.lock_table(TxnId(txn), TableId(1));
         }
+        assert_eq!(s.metrics.locks_created.get(), 3, "a re-lock is no new lock");
         for txn in 1..=3 {
             s.release_all(TxnId(txn));
         }

@@ -10,29 +10,28 @@
 //!
 //! * [`crate::lock_sys::PageLayout`] — the MySQL arm: shards hashed by
 //!   *page*, a `page → heap_no` two-level map per shard, `lock_table`
-//!   intention locks, FIFO upgrade fairness and one counted lock object per
-//!   acquisition;
+//!   intention locks and one counted lock object per acquisition;
 //! * [`crate::lightweight::FlatLayout`] — O1: one flat map per shard keyed by
-//!   packed record id over 16× more shards, upgrades that only look at
-//!   holders, and lock objects counted only for requests that wait.
+//!   packed record id over 16× more shards, and lock objects counted only
+//!   for requests that wait.
 //!
 //! The layouts are monomorphised in ([`crate::LockSys`] and
 //! [`crate::LightweightLockTable`] are aliases of the two instantiations), so
 //! the seam costs no dispatch on the hot path.
 //!
-//! Waiting requests park on a pooled [`OsEvent`] outside every shard mutex;
-//! the releasing transaction grants from the front of the record's FIFO
-//! whatever no longer conflicts and fires the events after dropping the
-//! guard.  Under [`DeadlockPolicy::Detect`] a wait-for-graph check runs
-//! before every wait and sacrifices the cycle member with the fewest
-//! registry-tracked locks (ties to the youngest); a victim other than the
-//! requester is woken through its graph-parked event and aborts out of its
-//! own wait.
+//! Every record lock is exclusive ([`crate::modes`]).  Waiting requests park
+//! on a pooled [`OsEvent`] outside every shard mutex; the releasing
+//! transaction hands the record to the front of its FIFO and fires the
+//! event after dropping the guard.  Under [`DeadlockPolicy::Detect`] a
+//! wait-for-graph check runs before every wait and sacrifices the cycle
+//! member with the fewest registry-tracked locks (ties to the youngest); a
+//! victim other than the requester is woken through its graph-parked event
+//! and aborts out of its own wait.
 
 use crate::deadlock::WaitForGraph;
 use crate::event::{OsEvent, WaitOutcome};
 use crate::modes::LockMode;
-use crate::record_queue::{deadlock_check_on_wait, AcquireOutcome, QueuePolicy, RecordQueue};
+use crate::record_queue::{deadlock_check_on_wait, AcquireOutcome, RecordQueue};
 use crate::registry::TxnLockRegistry;
 use crate::wake_check::GuardScope;
 use parking_lot::Mutex;
@@ -72,11 +71,14 @@ impl Default for LockTableConfig {
 }
 
 /// What distinguishes one lock-table arm of the Figure-6 ablation from the
-/// other: where a record's queue lives, how shards are hashed, and the two
-/// [`QueuePolicy`] choices.  Everything else is [`RecordLockTable`].
+/// other: where a record's queue lives, how shards are hashed, and the
+/// `locks_created` accounting.  Everything else is [`RecordLockTable`].
 pub trait Layout: Default + Send + Sync {
-    /// Upgrade fairness and `locks_created` accounting of this arm.
-    const POLICY: QueuePolicy;
+    /// Figure-6d accounting: when true, every uncontended grant counts one
+    /// created lock object (the baseline keeps a `lock_t` entry per
+    /// acquisition); otherwise only requests that wait create — and count —
+    /// one.  The one in-queue difference between the layouts.
+    const COUNT_UNCONTENDED_GRANTS: bool;
     /// Number of shard mutexes.
     const SHARDS: usize;
     /// One shard's queue map.
@@ -102,8 +104,8 @@ pub trait Layout: Default + Send + Sync {
 
     /// Grants `txn` a table-level lock, returning whether it is a new one
     /// for the caller to track.  Only the page layout has table locks.
-    fn grant_table(&self, _txn: TxnId, _table: TableId, _mode: LockMode) -> Result<bool> {
-        Ok(false)
+    fn grant_table(&self, _txn: TxnId, _table: TableId) -> bool {
+        false
     }
 
     /// Drops `txn`'s table-level locks at release-all.
@@ -113,11 +115,7 @@ pub trait Layout: Default + Send + Sync {
 /// What one wake-up of the wait loop decided under the shard guard.
 enum WaitPoll {
     Granted,
-    GaveUp {
-        doomed: bool,
-        woken: Vec<Arc<OsEvent>>,
-        still_holds: bool,
-    },
+    GaveUp { doomed: bool },
     KeepWaiting,
 }
 
@@ -165,17 +163,15 @@ impl<L: Layout> RecordLockTable<L> {
         self.config.deadlock_policy == DeadlockPolicy::Detect
     }
 
-    /// Acquires a table-level (intention) lock — the MySQL baseline's step
-    /// in front of every record lock, nothing under a layout without table
-    /// locks.  Intention modes never conflict in the paper's workloads; a
-    /// genuine conflict is reported as an immediate timeout rather than
-    /// blocking (full table locks are outside the evaluated scenarios).
-    pub fn lock_table(&self, txn: TxnId, table: TableId, mode: LockMode) -> Result<()> {
-        if self.layout.grant_table(txn, table, mode)? {
+    /// Acquires a table-level intention-exclusive lock — the MySQL
+    /// baseline's step in front of every record lock, nothing under a layout
+    /// without table locks.  Intention-exclusive locks never conflict with
+    /// one another, so this never waits.
+    pub fn lock_table(&self, txn: TxnId, table: TableId) {
+        if self.layout.grant_table(txn, table) {
             self.registry.remember_table(txn, table);
             self.metrics.locks_created.inc();
         }
-        Ok(())
     }
 
     /// A scratch that drains into the table's own metrics when it drops:
@@ -189,7 +185,8 @@ impl<L: Layout> RecordLockTable<L> {
         self.lock_record_in(txn, record, mode, &self.own_scratch())
     }
 
-    /// Acquires a record lock, blocking until granted, deadlock or timeout.
+    /// Acquires a record lock in `mode` — there is only
+    /// [`LockMode::Exclusive`] — blocking until granted, deadlock or timeout.
     /// `scratch` receives the per-cycle counters (`locks_created`, and a
     /// give-up's release counts) — the engine passes the transaction's, so
     /// the uncontended fast path performs no atomic RMW.
@@ -200,11 +197,12 @@ impl<L: Layout> RecordLockTable<L> {
         mode: LockMode,
         scratch: &MetricsScratch,
     ) -> Result<()> {
-        self.lock_record_reporting(txn, record, mode, scratch, |_| ())
+        let LockMode::Exclusive = mode;
+        self.lock_record_reporting(txn, record, scratch, |_| ())
     }
 
     /// [`Self::lock_record_in`] that tells `on_queue` the length of the queue
-    /// the request joins — the waiters ahead of it plus one for the holders,
+    /// the request joins — the waiters ahead of it plus one for the holder,
     /// the paper's hotspot-detection signal (§4.1) — when it has to wait,
     /// before it does.  The length is read in the lock attempt's own
     /// critical section: an uncontended acquisition pays nothing for it, and
@@ -213,11 +211,9 @@ impl<L: Layout> RecordLockTable<L> {
         &self,
         txn: TxnId,
         record: RecordId,
-        mode: LockMode,
         scratch: &MetricsScratch,
         on_queue: impl FnOnce(usize),
     ) -> Result<()> {
-        debug_assert!(mode.is_record_mode());
         let event;
         let queue_len;
         let mut doom_victim = None;
@@ -225,8 +221,8 @@ impl<L: Layout> RecordLockTable<L> {
             let mut shard = self.shards[self.shard_index(record)].lock();
             let _scope = GuardScope::enter();
             let queue = L::queue_or_insert(&mut shard, record);
-            match queue.try_acquire(txn, mode, L::POLICY, scratch) {
-                AcquireOutcome::AlreadyHeld | AcquireOutcome::Upgraded => return Ok(()),
+            match queue.try_acquire(txn, L::COUNT_UNCONTENDED_GRANTS, scratch) {
+                AcquireOutcome::AlreadyHeld => return Ok(()),
                 AcquireOutcome::Granted => {
                     // Uncontended grant: no OsEvent, no global bookkeeping —
                     // just the holder entry and the transaction's registry
@@ -236,8 +232,8 @@ impl<L: Layout> RecordLockTable<L> {
                     self.registry.remember_record(txn, record);
                     return Ok(());
                 }
-                AcquireOutcome::MustWait(blockers) => {
-                    queue_len = queue.waiter_count() + usize::from(queue.has_holders());
+                AcquireOutcome::MustWait => {
+                    queue_len = queue.waiter_count() + 1;
                     // A requester chosen as deadlock victim returns before
                     // any lock object or wait is recorded, so the Figure-6d
                     // counters stay truthful; a *remote* victim is doomed
@@ -249,10 +245,9 @@ impl<L: Layout> RecordLockTable<L> {
                             &self.registry,
                             &self.metrics,
                             txn,
-                            blockers,
                         )?;
                     }
-                    event = queue.enqueue_waiter(txn, mode, &self.metrics);
+                    event = queue.enqueue_waiter(txn, &self.metrics);
                 }
             }
         }
@@ -268,7 +263,7 @@ impl<L: Layout> RecordLockTable<L> {
                 self.graph.doom(victim);
             }
         }
-        self.wait_until_granted(txn, record, mode, event, scratch)
+        self.wait_until_granted(txn, record, event, scratch)
     }
 
     /// Locks `record`'s shard and runs `f` on its still-existing queue,
@@ -284,17 +279,15 @@ impl<L: Layout> RecordLockTable<L> {
     /// shard mutex (a hand-off wait — the holder releases before its flush),
     /// consume dooms delivered before the event was parked in
     /// the graph, re-check the grant under the shard guard on every wake-up,
-    /// and — on timeout or doom — remove the waiting request, re-run the
-    /// grant scan for waiters queued behind it, and clean up the registry
-    /// entry unless a granted holder entry (a timed-out *upgrade*'s original
-    /// lock) survives; the give-up's grant scan and registry release count
-    /// into the requester's `scratch`.  The deadline lives on [`SimInstant`],
-    /// so under deterministic simulation it fires on the virtual clock.
+    /// and — on timeout or doom — remove the waiting request (the holder
+    /// keeps the record, so nobody is woken) and forget the registry entry,
+    /// counting the release into the requester's `scratch`.  The deadline
+    /// lives on [`SimInstant`], so under deterministic simulation it fires on
+    /// the virtual clock.
     fn wait_until_granted(
         &self,
         txn: TxnId,
         record: RecordId,
-        mode: LockMode,
         event: Arc<OsEvent>,
         scratch: &MetricsScratch,
     ) -> Result<()> {
@@ -315,53 +308,30 @@ impl<L: Layout> RecordLockTable<L> {
             // give-up cleanup.  A pruned queue means our request is gone.
             let poll = self
                 .with_queue(record, |queue| {
-                    if queue.is_granted(txn, mode) {
+                    if queue.holder() == Some(txn) {
                         return WaitPoll::Granted;
                     }
                     let doomed = pre_doomed || (detect && graph.take_doomed(txn));
                     if !doomed && !timed_out {
                         return WaitPoll::KeepWaiting;
                     }
-                    // Give up: remove our waiting request, then re-run the
-                    // grant scan — a waiter queued behind us may be grantable
-                    // now that our conflicting request is gone.
-                    let mut woken = Vec::new();
+                    // Give up: another transaction holds the record, so
+                    // removing our waiting request wakes nobody.
                     queue.remove_waiter(txn);
-                    queue.grant_from_front(graph, scratch, &mut woken);
-                    WaitPoll::GaveUp {
-                        doomed,
-                        woken,
-                        // A timed-out *upgrade* still holds its original
-                        // granted lock — the registry entry must survive for
-                        // release-all.
-                        still_holds: queue.holds_any(txn),
-                    }
+                    WaitPoll::GaveUp { doomed }
                 })
                 .unwrap_or_else(|| {
                     let doomed = pre_doomed || (detect && graph.take_doomed(txn));
                     if doomed || timed_out {
-                        WaitPoll::GaveUp {
-                            doomed,
-                            woken: Vec::new(),
-                            still_holds: false,
-                        }
+                        WaitPoll::GaveUp { doomed }
                     } else {
                         WaitPoll::KeepWaiting
                     }
                 });
             let result = match poll {
                 WaitPoll::Granted => Ok(()),
-                WaitPoll::GaveUp {
-                    doomed,
-                    woken,
-                    still_holds,
-                } => {
-                    for woken_event in woken {
-                        woken_event.set();
-                    }
-                    if !still_holds {
-                        self.registry.forget_records_in(txn, &[record], scratch);
-                    }
+                WaitPoll::GaveUp { doomed } => {
+                    self.registry.forget_records_in(txn, &[record], scratch);
                     Err(if doomed {
                         Error::Deadlock { txn }
                     } else {
@@ -483,12 +453,10 @@ impl<L: Layout> RecordLockTable<L> {
         L::queue(&shard, record).map_or(0, RecordQueue::waiter_count)
     }
 
-    /// Transactions currently holding a granted lock on `record`.
-    pub fn holders_of(&self, record: RecordId) -> Vec<TxnId> {
+    /// The transaction holding `record`'s lock, if any.
+    pub fn holder_of(&self, record: RecordId) -> Option<TxnId> {
         let shard = self.shards[self.shard_index(record)].lock();
-        L::queue(&shard, record)
-            .map(RecordQueue::holder_ids)
-            .unwrap_or_default()
+        L::queue(&shard, record).and_then(RecordQueue::holder)
     }
 
     /// The wait-for graph (tests assert it drains).
@@ -511,7 +479,6 @@ mod tests {
 
     const R1: RecordId = RecordId::new(1, 0, 0);
     const R2: RecordId = RecordId::new(1, 0, 1);
-    const S: LockMode = LockMode::Shared;
     const X: LockMode = LockMode::Exclusive;
 
     type Table<L> = Arc<RecordLockTable<L>>;
@@ -522,11 +489,10 @@ mod tests {
         t: &Table<L>,
         txn: u64,
         record: RecordId,
-        mode: LockMode,
     ) -> JoinHandle<Result<()>> {
         let queued_before = t.wait_queue_len(record);
         let t2 = Arc::clone(t);
-        let handle = thread::spawn(move || t2.lock_record(TxnId(txn), record, mode));
+        let handle = thread::spawn(move || t2.lock_record(TxnId(txn), record, X));
         while !handle.is_finished() && t.wait_queue_len(record) == queued_before {
             thread::yield_now();
         }
@@ -534,41 +500,22 @@ mod tests {
     }
 
     fn exclusive_lock_is_granted_reentrant_and_released<L: Layout + 'static>() {
-        let t = table::<L>(DeadlockPolicy::Detect, 100);
+        let t = table::<L>(DeadlockPolicy::Detect, 30);
         t.lock_record(TxnId(1), R1, X).unwrap();
         t.lock_record(TxnId(1), R1, X).unwrap();
-        t.lock_record(TxnId(1), R1, S).unwrap();
-        assert_eq!(t.holders_of(R1), vec![TxnId(1)], "re-entry adds no holder");
-        assert_eq!(t.registry.record_count_of(TxnId(1)), 1);
+        assert_eq!(t.holder_of(R1), Some(TxnId(1)));
+        assert_eq!(
+            t.registry.record_count_of(TxnId(1)),
+            1,
+            "re-entry logs nothing"
+        );
+        // A waiter that times out leaves no bookkeeping behind.
+        let err = t.lock_record(TxnId(2), R1, X).unwrap_err();
+        assert!(matches!(err, Error::LockWaitTimeout { .. }));
+        assert_eq!(t.registry.record_count_of(TxnId(2)), 0);
         t.release_all(TxnId(1));
-        assert!(t.holders_of(R1).is_empty());
+        assert_eq!(t.holder_of(R1), None);
         assert_eq!(t.registry.record_count_of(TxnId(1)), 0);
-        assert_drained(&t);
-    }
-
-    fn shared_locks_coexist_but_block_exclusive<L: Layout + 'static>() {
-        let t = table::<L>(DeadlockPolicy::TimeoutOnly, 30);
-        t.lock_record(TxnId(1), R1, S).unwrap();
-        t.lock_record(TxnId(2), R1, S).unwrap();
-        assert_eq!(t.holders_of(R1).len(), 2);
-        let err = t.lock_record(TxnId(3), R1, X).unwrap_err();
-        assert!(matches!(err, Error::LockWaitTimeout { .. }));
-        // The timed-out waiter left no bookkeeping behind.
-        assert_eq!(t.registry.record_count_of(TxnId(3)), 0);
-        t.release_all(TxnId(1));
-        t.release_all(TxnId(2));
-        assert_drained(&t);
-    }
-
-    fn sole_holder_upgrades_in_place<L: Layout + 'static>() {
-        let t = table::<L>(DeadlockPolicy::TimeoutOnly, 30);
-        t.lock_record(TxnId(1), R1, S).unwrap();
-        t.lock_record(TxnId(1), R1, X).unwrap();
-        assert_eq!(t.holders_of(R1), vec![TxnId(1)]);
-        // The upgraded lock is exclusive: a reader must now block.
-        let err = t.lock_record(TxnId(2), R1, S).unwrap_err();
-        assert!(matches!(err, Error::LockWaitTimeout { .. }));
-        t.release_all(TxnId(1));
         assert_drained(&t);
     }
 
@@ -579,18 +526,18 @@ mod tests {
         for r in [R1, R2, other_page] {
             t.lock_record(TxnId(1), r, X).unwrap();
         }
-        let w = lock_async(&t, 2, other_page, X);
+        let w = lock_async(&t, 2, other_page);
         assert_eq!(t.wait_queue_len(other_page), 1);
         // One batched call releases R1 and the other page's record: the
         // waiter must be granted, R2 must stay held, registry must drop to 1.
         t.release_record_locks(TxnId(1), &[R1, other_page]);
         w.join().unwrap().unwrap();
-        assert_eq!(t.holders_of(other_page), vec![TxnId(2)]);
-        assert!(t.holders_of(R1).is_empty());
-        assert_eq!(t.holders_of(R2), vec![TxnId(1)]);
+        assert_eq!(t.holder_of(other_page), Some(TxnId(2)));
+        assert_eq!(t.holder_of(R1), None);
+        assert_eq!(t.holder_of(R2), Some(TxnId(1)));
         assert_eq!(t.registry.record_count_of(TxnId(1)), 1);
         t.release_record_locks(TxnId(1), &[R2]);
-        assert!(t.holders_of(R2).is_empty());
+        assert_eq!(t.holder_of(R2), None);
         t.release_all(TxnId(1));
         t.release_all(TxnId(2));
         assert_drained(&t);
@@ -601,7 +548,7 @@ mod tests {
         t.lock_record(TxnId(1), R1, X).unwrap();
         t.lock_record(TxnId(2), R2, X).unwrap();
         // T1 waits for R2 (held by T2).
-        let h = lock_async(&t, 1, R2, X);
+        let h = lock_async(&t, 1, R2);
         // T2 requesting R1 closes the cycle.  T2 is the victim: it holds 1
         // registry-tracked lock against T1's 2 (T1's wait on R2 is
         // registry-tracked too).
@@ -623,8 +570,8 @@ mod tests {
         t.lock_record(TxnId(2), RecordId::new(2, 0, 0), X).unwrap();
         t.lock_record(TxnId(2), RecordId::new(2, 0, 1), X).unwrap();
         t.lock_record(TxnId(1), R2, X).unwrap();
-        let victim = lock_async(&t, 1, R1, X);
-        let requester = lock_async(&t, 2, R2, X);
+        let victim = lock_async(&t, 1, R1);
+        let requester = lock_async(&t, 2, R2);
         let victim_err = victim.join().unwrap().unwrap_err();
         assert!(
             matches!(victim_err, Error::Deadlock { txn: TxnId(1) }),
@@ -641,7 +588,7 @@ mod tests {
         let t = table::<L>(DeadlockPolicy::TimeoutOnly, 40);
         t.lock_record(TxnId(1), R1, X).unwrap();
         t.lock_record(TxnId(2), R2, X).unwrap();
-        let h = lock_async(&t, 1, R2, X);
+        let h = lock_async(&t, 1, R2);
         let err = t.lock_record(TxnId(2), R1, X).unwrap_err();
         assert!(matches!(err, Error::LockWaitTimeout { .. }));
         // The other waiter also times out (nobody released).
@@ -649,29 +596,6 @@ mod tests {
             h.join().unwrap().unwrap_err(),
             Error::LockWaitTimeout { .. }
         ));
-    }
-
-    fn timed_out_upgrade_keeps_its_granted_lock<L: Layout + 'static>() {
-        let t = table::<L>(DeadlockPolicy::TimeoutOnly, 40);
-        t.lock_record(TxnId(1), R1, S).unwrap();
-        t.lock_record(TxnId(2), R1, S).unwrap();
-        // T1's upgrade to Exclusive blocks on T2's Shared and times out —
-        // but its granted Shared lock must survive, registry included.
-        let err = t.lock_record(TxnId(1), R1, X).unwrap_err();
-        assert!(matches!(err, Error::LockWaitTimeout { .. }));
-        assert_eq!(t.holders_of(R1).len(), 2, "both Shared holders must remain");
-        assert_eq!(
-            t.registry.record_count_of(TxnId(1)),
-            1,
-            "registry still tracks T1"
-        );
-        // Release-all must actually remove the surviving granted lock.
-        t.release_all(TxnId(1));
-        t.release_all(TxnId(2));
-        assert!(t.holders_of(R1).is_empty(), "no phantom holder may remain");
-        t.lock_record(TxnId(3), R1, X).unwrap();
-        t.release_all(TxnId(3));
-        assert_drained(&t);
     }
 
     macro_rules! conformance {
@@ -687,13 +611,10 @@ mod tests {
 
     conformance!(
         exclusive_lock_is_granted_reentrant_and_released,
-        shared_locks_coexist_but_block_exclusive,
-        sole_holder_upgrades_in_place,
         single_and_batched_release_keep_other_locks,
         deadlock_is_detected,
         heavier_requester_dooms_the_lighter_waiter,
         timeout_policy_never_reports_deadlock,
-        timed_out_upgrade_keeps_its_granted_lock,
     );
 
     /// A release takes its registry shard and its record's lock-table shard,
@@ -703,7 +624,7 @@ mod tests {
     fn a_release_takes_no_graph_shard_while_another_transaction_waits() {
         let t = table::<PageLayout>(DeadlockPolicy::Detect, 5_000);
         t.lock_record(TxnId(1), R1, X).unwrap();
-        let waiter = lock_async(&t, 2, R1, X);
+        let waiter = lock_async(&t, 2, R1);
         t.lock_record(TxnId(3), R2, X).unwrap();
         let before = parking_lot::thread_acquisitions();
         t.release_all(TxnId(3));
@@ -714,12 +635,12 @@ mod tests {
     }
 
     /// Runs a seeded lock/release script over six transaction slots and
-    /// three records (two sharing a page) and returns the grant log: holders
+    /// three records (two sharing a page) and returns the grant log: holder
     /// and queue length of the touched record after every step.  Grants
     /// happen under the releaser's shard guard, so the log does not depend on
-    /// when woken threads run.  Slots lock records in ascending order and
-    /// never upgrade, so the script cannot deadlock.
-    fn run_script<L: Layout + 'static>(seed: u64) -> (Vec<(Vec<TxnId>, usize)>, Table<L>) {
+    /// when woken threads run.  Slots lock records in ascending order, so the
+    /// script cannot deadlock.
+    fn run_script<L: Layout + 'static>(seed: u64) -> (Vec<(Option<TxnId>, usize)>, Table<L>) {
         const RECORDS: [RecordId; 3] = [R1, R2, RecordId::new(1, 9, 0)];
         struct Slot {
             txn: u64,
@@ -754,8 +675,7 @@ mod tests {
                 let pick = rng.next_range_inclusive(slot.next_record as u64, 2) as usize;
                 let record = RECORDS[pick];
                 slot.next_record = pick + 1;
-                let mode = if rng.next_bool(0.4) { S } else { X };
-                let handle = lock_async(&t, slot.txn, record, mode);
+                let handle = lock_async(&t, slot.txn, record);
                 if handle.is_finished() {
                     handle.join().unwrap().unwrap();
                 } else {
@@ -771,21 +691,21 @@ mod tests {
             };
             for slot in &mut slots {
                 if let Some((record, _)) = &slot.blocked {
-                    if t.holders_of(*record).contains(&TxnId(slot.txn)) {
+                    if t.holder_of(*record) == Some(TxnId(slot.txn)) {
                         let (_, handle) = slot.blocked.take().unwrap();
                         handle.join().unwrap().unwrap();
                     }
                 }
             }
             for record in touched {
-                log.push((t.holders_of(record), t.wait_queue_len(record)));
+                log.push((t.holder_of(record), t.wait_queue_len(record)));
             }
         }
         // Drain: release runnable slots until every blocked one was granted.
         while slots.iter().any(|s| s.blocked.is_some()) {
             for slot in &mut slots {
                 match slot.blocked.take() {
-                    Some((record, handle)) if !t.holders_of(record).contains(&TxnId(slot.txn)) => {
+                    Some((record, handle)) if t.holder_of(record) != Some(TxnId(slot.txn)) => {
                         slot.blocked = Some((record, handle));
                     }
                     Some((_, handle)) => handle.join().unwrap().unwrap(),
@@ -804,7 +724,7 @@ mod tests {
     }
 
     #[test]
-    fn layouts_agree_on_a_seeded_script_and_differ_only_in_queue_policy() {
+    fn layouts_agree_on_a_seeded_script_and_differ_only_in_accounting() {
         for seed in 1..=8 {
             let (page_log, page) = run_script::<PageLayout>(seed);
             let (flat_log, flat) = run_script::<FlatLayout>(seed);
@@ -812,43 +732,13 @@ mod tests {
             assert!(page_log.iter().any(|(_, queued)| *queued > 0));
             assert_drained(&page);
             assert_drained(&flat);
-            // QueuePolicy difference 1 (Figure 6d): the flat layout counts a
-            // lock object only per wait, the page layout also per fresh grant.
+            // The one difference (Figure 6d): the flat layout counts a lock
+            // object only per wait, the page layout also per fresh grant.
             let (pm, fm) = (&page.metrics, &flat.metrics);
             assert_eq!(pm.lock_waits.get(), fm.lock_waits.get());
             assert_eq!(fm.locks_created.get(), fm.lock_waits.get());
             assert!(pm.locks_created.get() > fm.locks_created.get());
             assert_eq!(pm.locks_released.get(), fm.locks_released.get());
         }
-
-        // QueuePolicy difference 2 (upgrade fairness): T1 holds S, T2's X is
-        // queued behind it, then T1 asks for X.  Returns whether T1's upgrade
-        // had to queue.
-        fn upgrade_queues_behind_a_waiter<L: Layout + 'static>() -> bool {
-            let t = table::<L>(DeadlockPolicy::TimeoutOnly, 100);
-            t.lock_record(TxnId(1), R1, S).unwrap();
-            let waiter = lock_async(&t, 2, R1, X);
-            let upgrade = lock_async(&t, 1, R1, X);
-            let queued = !upgrade.is_finished();
-            assert_eq!(t.wait_queue_len(R1), 1 + usize::from(queued));
-            if !queued {
-                assert_eq!(t.holders_of(R1), vec![TxnId(1)]);
-            }
-            // T1 rolls back: T2 gets the record, T1's abandoned wait ends.
-            t.release_all(TxnId(1));
-            waiter.join().unwrap().unwrap();
-            let _ = upgrade.join().unwrap();
-            t.release_all(TxnId(2));
-            assert_drained(&t);
-            queued
-        }
-        assert!(
-            !upgrade_queues_behind_a_waiter::<FlatLayout>(),
-            "O1 upgrades whenever no holder conflicts"
-        );
-        assert!(
-            upgrade_queues_behind_a_waiter::<PageLayout>(),
-            "the baseline's upgrade may not jump the queued waiter"
-        );
     }
 }

@@ -14,23 +14,16 @@
 //! are cache-padded so neighbouring shard mutexes do not false-share.
 //!
 //! Per-transaction records are an **append log**: [`TxnLockRegistry::remember_record`]
-//! is a plain `Vec::push` (with a cheap last-entry dedupe for the common
-//! re-lock-the-same-row case), so the acquire path pays no ordered insert and
-//! no binary search.  The page-major sort the release paths want is deferred
-//! to [`TxnLockRegistry::take_all_in`] — release is already batched, so sorting
-//! **once per transaction** at release amortizes what a sorted-insert scheme
-//! paid on every acquisition.  `take_all_in` removes the whole entry from the
-//! owning shard in one lock acquisition and sorts + dedupes it; the lock
-//! table then groups the records by its own shards and takes each shard
-//! mutex once, instead of re-locking a shard once per record.
-//! [`TxnLockRegistry::forget_records_in`] batches the early-release bookkeeping
-//! (Bamboo) the same way — one shard lock per batch, not one per row (the
-//! log is unsorted, so removal is a linear scan, bounded by the handful of
-//! locks a realistic transaction holds).  Rare duplicate log entries (a
-//! transaction that queued a lock *upgrade* on a record it already holds
-//! appends the record a second time) are collapsed by `take_all_in`'s dedupe;
-//! [`TxnLockRegistry::record_count_of`] may transiently count them, which
-//! only nudges the deadlock victim weight.
+//! is a plain `Vec::push`, so the acquire path pays no ordered insert and no
+//! binary search.  A record is logged once per lock or wait: a re-entrant
+//! request logs nothing, and a wait that gives up forgets its entry.
+//! [`TxnLockRegistry::take_all_in`] removes the whole entry from the owning
+//! shard in one lock acquisition; the lock table then groups the records by
+//! its own shards and takes each shard mutex once, instead of re-locking a
+//! shard once per record.  [`TxnLockRegistry::forget_records_in`] batches the
+//! early-release bookkeeping (Bamboo) the same way — one shard lock per
+//! batch, not one per row (the log is unsorted, so removal is a linear scan,
+//! bounded by the handful of locks a realistic transaction holds).
 //!
 //! The registry is layout-agnostic: the one lock-table driver feeds it (the
 //! wait loop forgets a timed-out waiter's record, `release_record_locks`
@@ -60,21 +53,18 @@ use txsql_common::{RecordId, TableId, TxnId};
 /// as returned by [`TxnLockRegistry::take_all_in`].
 #[derive(Debug, Default)]
 pub struct TxnLocks {
-    /// Records locked or waited on, deduplicated and sorted page-major
-    /// (`RecordId`'s ordering is `(space_id, page_no, heap_no)`).  The sort
-    /// happens once, in `take_all_in`; the live entry is an unsorted append log.
+    /// Records locked or waited on, each once, in no particular order.
     pub records: Vec<RecordId>,
     /// Tables with intention locks (tiny in practice, deduplicated).
     pub tables: Vec<TableId>,
 }
 
 /// Live per-transaction state inside a shard: the records are an **unsorted
-/// append log** — `remember_record` is a plain push (the acquire-path cost),
-/// and `take_all_in` pays the one sort + dedupe at release, where the batch
-/// APIs already amortize everything else.  Transactions hold few locks in
-/// the paper's workloads, so the occasional linear scan (`forget_records_in`)
-/// stays cheap.  (A transaction holding many thousands of locks would prefer
-/// a tiered structure; nothing in the evaluated workloads comes close.)
+/// append log** — `remember_record` is a plain push (the acquire-path cost).
+/// Transactions hold few locks in the paper's workloads, so the occasional
+/// linear scan (`forget_records_in`) stays cheap.  (A transaction holding
+/// many thousands of locks would prefer a tiered structure; nothing in the
+/// evaluated workloads comes close.)
 #[derive(Debug, Default)]
 struct TxnEntry {
     records: Vec<RecordId>,
@@ -120,20 +110,12 @@ impl TxnLockRegistry {
     }
 
     /// Records that `txn` holds (or waits on) `record`: one shard lock and
-    /// one `Vec::push`.  Immediately repeated records (re-locking the row
-    /// the statement just locked) are skipped via a last-entry check; other
-    /// duplicates are collapsed by `take_all_in`'s dedupe.  Returns true when
-    /// the record was appended.
-    pub fn remember_record(&self, txn: TxnId, record: RecordId) -> bool {
+    /// one `Vec::push`.  The lock table calls it once per lock or wait.
+    pub fn remember_record(&self, txn: TxnId, record: RecordId) {
         let mut shard = self.shard_for(txn).lock();
         let _scope = GuardScope::enter();
-        let records = &mut shard.txns.entry(txn).or_default().records;
-        if records.last() == Some(&record) {
-            return false;
-        }
-        records.push(record);
+        shard.txns.entry(txn).or_default().records.push(record);
         shard.live_records += 1;
-        true
     }
 
     /// Forgets a batch of records with one shard lock for the whole batch
@@ -150,24 +132,12 @@ impl TxnLockRegistry {
             let mut shard = self.shard_for(txn).lock();
             let _scope = GuardScope::enter();
             scratch.release_shard_locks.inc();
-            // Two tallies: `log_entries` (every log copy dropped — keeps the
-            // per-shard live_records balance, which counts pushes) and
-            // `released` (distinct records actually tracked — what the
-            // locks_released metric reports; a record a queued upgrade
-            // logged twice is still one lock).
-            let mut log_entries = 0usize;
             let mut released = 0usize;
             if let Some(entry) = shard.txns.get_mut(&txn) {
                 for record in records {
-                    // The log is unsorted (append-only), so removal is a
-                    // linear scan; retain() also drops any duplicate log
-                    // entries of the same record together, so a forgotten
-                    // record never leaves a stale entry behind.
-                    let before = entry.records.len();
-                    entry.records.retain(|r| r != record);
-                    let dropped = before - entry.records.len();
-                    log_entries += dropped;
-                    if dropped > 0 {
+                    // The log is unsorted, so removal is a linear scan.
+                    if let Some(at) = entry.records.iter().position(|r| r == record) {
+                        entry.records.swap_remove(at);
                         released += 1;
                     }
                 }
@@ -175,7 +145,7 @@ impl TxnLockRegistry {
                     shard.txns.remove(&txn);
                 }
             }
-            shard.live_records -= log_entries as u64;
+            shard.live_records -= released as u64;
             released
         };
         scratch.locks_released.add(released as u64);
@@ -192,9 +162,8 @@ impl TxnLockRegistry {
     }
 
     /// Removes and returns everything `txn` holds — one shard lock, no walk
-    /// of anyone else's state — with the records sorted page-major and
-    /// deduplicated, or `None` when the transaction holds nothing.  The
-    /// counts go to `scratch`.
+    /// of anyone else's state — or `None` when the transaction holds
+    /// nothing.  The counts go to `scratch`.
     pub fn take_all_in(&self, txn: TxnId, scratch: &MetricsScratch) -> Option<TxnLocks> {
         let taken = {
             let mut shard = self.shard_for(txn).lock();
@@ -206,11 +175,7 @@ impl TxnLockRegistry {
             }
             taken
         };
-        let mut entry = taken?;
-        // The one deferred sort: page-major order + dedupe, paid once per
-        // transaction instead of once per acquisition.
-        entry.records.sort_unstable();
-        entry.records.dedup();
+        let entry = taken?;
         scratch.locks_released.add(entry.records.len() as u64);
         Some(TxnLocks {
             records: entry.records,
@@ -218,9 +183,8 @@ impl TxnLockRegistry {
         })
     }
 
-    /// Number of log entries `txn` currently holds or waits on (may
-    /// transiently include a duplicate for a queued upgrade — see module
-    /// docs; used as the deadlock victim weight).
+    /// Number of records `txn` currently holds or waits on (the deadlock
+    /// victim weight).
     pub fn record_count_of(&self, txn: TxnId) -> usize {
         self.shard_for(txn)
             .lock()
@@ -265,31 +229,6 @@ mod tests {
     }
 
     #[test]
-    fn remember_skips_consecutive_duplicates() {
-        let reg = TxnLockRegistry::new(8);
-        assert!(reg.remember_record(TxnId(1), R1));
-        assert!(!reg.remember_record(TxnId(1), R1));
-        assert!(reg.remember_record(TxnId(1), R2));
-        assert_eq!(reg.record_count_of(TxnId(1)), 2);
-        assert_eq!(reg.total_entries(), 2);
-    }
-
-    #[test]
-    fn take_all_dedupes_interleaved_duplicates() {
-        let (reg, scratch) = (TxnLockRegistry::new(8), MetricsScratch::new());
-        // R1 appended twice with R2 in between (the queued-upgrade shape):
-        // the log keeps both, take_all collapses them.
-        assert!(reg.remember_record(TxnId(1), R1));
-        assert!(reg.remember_record(TxnId(1), R2));
-        assert!(reg.remember_record(TxnId(1), R1));
-        assert_eq!(reg.record_count_of(TxnId(1)), 3, "log keeps the duplicate");
-        let locks = reg.take_all_in(TxnId(1), &scratch).unwrap();
-        assert_eq!(locks.records, vec![R1, R2], "sorted and deduplicated");
-        assert!(reg.is_empty());
-        assert_eq!(reg.total_entries(), 0);
-    }
-
-    #[test]
     fn take_all_empties_the_transaction() {
         let (reg, scratch) = (TxnLockRegistry::new(8), MetricsScratch::new());
         reg.remember_record(TxnId(1), R1);
@@ -323,21 +262,6 @@ mod tests {
     }
 
     #[test]
-    fn take_all_sorts_records_page_major() {
-        let (reg, scratch) = (TxnLockRegistry::new(8), MetricsScratch::new());
-        // Insert interleaved across two pages; take_all must come back
-        // page-major regardless of insertion order (the deferred sort).
-        reg.remember_record(TxnId(1), RecordId::new(1, 8, 0));
-        for heap in 0..4u16 {
-            reg.remember_record(TxnId(1), RecordId::new(1, 7, heap));
-        }
-        let locks = reg.take_all_in(TxnId(1), &scratch).unwrap();
-        assert_eq!(locks.records.len(), 5);
-        assert!(locks.records[..4].iter().all(|r| r.page_no == 7));
-        assert_eq!(locks.records[4], RecordId::new(1, 8, 0));
-    }
-
-    #[test]
     fn forget_records_batch_takes_one_pass() {
         let (reg, metrics, scratch) = counted();
         reg.remember_record(TxnId(1), R1);
@@ -351,27 +275,6 @@ mod tests {
         scratch.flush();
         assert_eq!(metrics.locks_released.get(), 2);
         assert_eq!(metrics.release_shard_locks.get(), 1);
-    }
-
-    #[test]
-    fn forgetting_a_twice_logged_record_releases_it_once() {
-        // A queued upgrade logs its record a second time (non-consecutive,
-        // so the last-entry dedupe misses it).  Forgetting that record must
-        // drop BOTH log copies but count ONE released lock — and the
-        // per-shard live count must stay balanced so the gauge drains.
-        let (reg, metrics, scratch) = counted();
-        reg.remember_record(TxnId(1), R1);
-        reg.remember_record(TxnId(1), R2);
-        reg.remember_record(TxnId(1), R1);
-        assert_eq!(reg.total_entries(), 3);
-        let forgotten = reg.forget_records_in(TxnId(1), &[R1], &scratch);
-        assert_eq!(forgotten, 1, "one lock, not two");
-        assert_eq!(reg.total_entries(), 1, "both log copies must be gone");
-        reg.take_all_in(TxnId(1), &scratch);
-        assert_eq!(reg.total_entries(), 0);
-        scratch.flush();
-        assert_eq!(metrics.locks_released.get(), 2);
-        assert!(reg.is_empty());
     }
 
     #[test]

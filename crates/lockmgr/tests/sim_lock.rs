@@ -346,7 +346,7 @@ fn a_pending_hand_over_is_completed_by_whatever_ends_the_flight_under_exploratio
 }
 
 // ---------------------------------------------------------------------------
-// grant_waiters FIFO / compatibility invariants (both lock tables)
+// FIFO grant invariants (both lock tables)
 // ---------------------------------------------------------------------------
 
 /// The scenarios below run on a timeout-only table.  Under that policy a
@@ -358,29 +358,27 @@ fn timeout_only<L: Layout>() -> Arc<RecordLockTable<L>> {
     lock_table(DeadlockPolicy::TimeoutOnly, 200)
 }
 
-/// One staged waiter of a lock-table scenario.  It requests `record` in
-/// `mode` once every record of `queued` has that many waiters and the
-/// request of `behind` is registered, `delay_us` of virtual time later; then
-/// it is granted — an exclusive grantee sees itself as the only holder, so
-/// no grant was doubled — and releases, or, with `times_out`, gives up.  A
-/// wake-up that is lost surfaces as the wrong one of the two.
+/// One staged waiter of a lock-table scenario.  It requests `record` once
+/// every record of `queued` has that many waiters and the request of
+/// `behind` is registered, `delay_us` of virtual time later; then it is
+/// granted — the grantee sees itself as the holder, so no grant was doubled
+/// — and releases, or, with `times_out`, gives up.  A wake-up that is lost
+/// surfaces as the wrong one of the two.
 #[derive(Clone)]
 struct Waiter {
     txn: u64,
     record: RecordId,
-    mode: LockMode,
     queued: Vec<(RecordId, usize)>,
     behind: Option<u64>,
     delay_us: u64,
     times_out: bool,
 }
 
-/// An exclusive request that is granted, made once `queued` holds.
+/// A request that is granted, made once `queued` holds.
 fn waiter(txn: u64, record: RecordId, queued: &[(RecordId, usize)]) -> Waiter {
     Waiter {
         txn,
         record,
-        mode: LockMode::Exclusive,
         queued: queued.to_vec(),
         behind: None,
         delay_us: 0,
@@ -435,10 +433,9 @@ fn stage<L: Layout + 'static>(
                 });
                 simulate_delay(Duration::from_micros(waiter.delay_us));
                 let (txn, record) = (TxnId(waiter.txn), waiter.record);
-                match table.lock_record(txn, record, waiter.mode) {
+                match table.lock_record(txn, record, LockMode::Exclusive) {
                     Ok(()) if !waiter.times_out => {
-                        let alone = table.holders_of(record) == [txn];
-                        assert!(alone || waiter.mode == LockMode::Shared, "double grant");
+                        assert_eq!(table.holder_of(record), Some(txn), "double grant");
                         outcomes.lock().granted.push(waiter.txn);
                         table.release_all(txn);
                     }
@@ -479,30 +476,38 @@ fn fifo_grant_order<L: Layout + 'static>(seed: u64) -> RunReport {
     report
 }
 
-/// A Shared waiter queued behind an earlier conflicting Exclusive waiter does
-/// not jump the queue while the Exclusive wait is pending — but when that
-/// front waiter *times out* (nobody releases: only the virtual clock can end
-/// its wait), the timeout cleanup re-runs the grant scan and wakes the
-/// compatible waiter behind it.
-fn timeout_grants_compatible_waiter_behind<L: Layout + 'static>(seed: u64) -> RunReport {
+/// The front waiter *times out* while the holder keeps the row (only the
+/// virtual clock can end its wait): its cleanup wakes nobody, and the waiter
+/// queued 50 ms behind it — its deadline 50 ms later — stays queued, is not
+/// lost, and is granted at the holder's release.
+fn front_timeout_keeps_the_waiter_behind<L: Layout + 'static>(seed: u64) -> RunReport {
     let (table, holder) = (timeout_only::<L>(), TxnId(1));
-    table.lock_record(holder, HOT, LockMode::Shared).unwrap();
-    let mut exclusive = waiter(2, HOT, &[]);
-    exclusive.times_out = true;
-    // Strictly behind it, with a later deadline: the delay advances the clock
-    // after the Exclusive waiter captured its own.
-    let mut shared = waiter(3, HOT, &[(HOT, 1)]).late(Some(2), 1_000);
-    shared.mode = LockMode::Shared;
-    let (report, outcomes) = stage(seed, &table, &[holder], &[exclusive, shared], |_, _| ());
+    table.lock_record(holder, HOT, LockMode::Exclusive).unwrap();
+    let mut front = waiter(2, HOT, &[]);
+    front.times_out = true;
+    let behind = waiter(3, HOT, &[(HOT, 1)]).late(Some(2), 50_000);
+    let (report, outcomes) = stage(seed, &table, &[], &[front, behind], move |table, seen| {
+        yield_until(|| queued(table, &[(HOT, 2)]));
+        // Past the front deadline (200 ms), short of the one behind (250 ms).
+        simulate_delay(Duration::from_micros(160_000));
+        yield_until(|| seen.lock().timed_out == [2]);
+        assert_eq!(table.holder_of(HOT), Some(holder), "seed {seed}");
+        assert!(
+            queued(table, &[(HOT, 1)]),
+            "seed {seed}: the waiter behind left"
+        );
+        assert!(seen.lock().granted.is_empty(), "seed {seed}");
+        table.release_all(holder);
+    });
     assert_eq!((outcomes.timed_out, outcomes.granted), (vec![2], vec![3]));
     report
 }
 
-/// Two hot heap_nos on ONE page: FIFO and compatibility hold per record, and
-/// one record's timeout churn never wakes (or times out) the other record's
-/// waiters.  On the page-sharded `lock_sys` both records share a shard mutex,
-/// so this is exactly the per-record-queue guarantee; the record-keyed
-/// lightweight table gets it structurally.
+/// Two hot heap_nos on ONE page: FIFO holds per record, and one record's
+/// timeout churn never wakes (or times out) the other record's waiters.  On
+/// the page-sharded `lock_sys` both records share a shard mutex, so this is
+/// exactly the per-record-queue guarantee; the record-keyed lightweight
+/// table gets it structurally.
 ///
 /// Virtual-clock layout: A's waiter captures its 200 ms deadline first; B's
 /// two waiters push the clock forward (150 ms / 10 ms) before queueing, so
@@ -527,8 +532,8 @@ fn per_record_queues_are_independent<L: Layout + 'static>(seed: u64) -> RunRepor
         yield_until(|| queued(table, &[(A, 1), (B, 2)]));
         simulate_delay(Duration::from_micros(60_000));
         yield_until(|| seen.lock().timed_out == [3]);
-        // A's timeout cleanup ran its grant scan; B is untouched.
-        assert_eq!(table.holders_of(B), [holder_b], "seed {seed}");
+        // A's timeout cleanup left B untouched.
+        assert_eq!(table.holder_of(B), Some(holder_b), "seed {seed}");
         assert!(queued(table, &[(A, 0), (B, 2)]), "seed {seed}: B was woken");
         assert!(seen.lock().granted.is_empty(), "seed {seed}");
         table.release_all(holder_b);
@@ -574,8 +579,8 @@ macro_rules! under_exploration {
 under_exploration!(
     fifo_grant_order_under_exploration_lock_sys: fifo_grant_order::<PageLayout>,
     fifo_grant_order_under_exploration_lightweight: fifo_grant_order::<FlatLayout>,
-    timeout_wakes_compatible_waiter_lock_sys: timeout_grants_compatible_waiter_behind::<PageLayout>,
-    timeout_wakes_compatible_waiter_lightweight: timeout_grants_compatible_waiter_behind::<FlatLayout>,
+    front_timeout_keeps_the_waiter_behind_lock_sys: front_timeout_keeps_the_waiter_behind::<PageLayout>,
+    front_timeout_keeps_the_waiter_behind_lightweight: front_timeout_keeps_the_waiter_behind::<FlatLayout>,
     per_record_queue_independence_under_exploration_lock_sys: per_record_queues_are_independent::<PageLayout>,
     per_record_queue_independence_under_exploration_lightweight: per_record_queues_are_independent::<FlatLayout>,
     batched_release_wakes_each_waiter_exactly_once_lock_sys: batched_release_wakes_each_waiter_exactly_once::<PageLayout>,

@@ -90,12 +90,8 @@ fn stress<L: Layout + 'static>() -> Arc<EngineMetrics> {
                         .lock_record_in(txn, HOT, LockMode::Exclusive, &scratch)
                         .is_ok()
                     {
-                        let holders = table.holders_of(HOT);
-                        assert_eq!(
-                            holders,
-                            vec![txn],
-                            "exclusive grant must be the only holder"
-                        );
+                        let holder = table.holder_of(HOT);
+                        assert_eq!(holder, Some(txn), "a grant makes its requester the holder");
                         counter.fetch_add(1, Ordering::Relaxed);
                         grants.fetch_add(1, Ordering::Relaxed);
                     }
@@ -103,7 +99,7 @@ fn stress<L: Layout + 'static>() -> Arc<EngineMetrics> {
                     // release path (one shard-group drain + one registry
                     // batch), the hot one through release_all.
                     table.release_record_locks_in(txn, &[cold_a, cold_b], &scratch);
-                    assert!(table.holders_of(cold_a).is_empty());
+                    assert_eq!(table.holder_of(cold_a), None);
                     table.release_all_in(txn, &scratch);
                 }
             });
@@ -119,9 +115,10 @@ fn stress<L: Layout + 'static>() -> Arc<EngineMetrics> {
         grants.load(Ordering::Relaxed) > 0,
         "at least some hot acquisitions must succeed"
     );
-    assert!(
-        table.holders_of(HOT).is_empty(),
-        "hot record must end with no holders"
+    assert_eq!(
+        table.holder_of(HOT),
+        None,
+        "hot record must end with no holder"
     );
     assert_locks_drained(&table);
     // Grant scans must stay per-record: at most the hot record's one holder
@@ -177,7 +174,6 @@ fn deadlock_detection_survives_concurrent_churn() {
             });
         }
     });
-    assert!(table.holders_of(a).is_empty());
-    assert!(table.holders_of(b).is_empty());
+    assert_eq!((table.holder_of(a), table.holder_of(b)), (None, None));
     assert_locks_drained(&table);
 }
