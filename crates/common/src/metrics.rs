@@ -728,10 +728,6 @@ metrics_table! {
         /// batching: batching early releases to statement boundaries amortizes
         /// these, so takes-per-released-lock should drop as batch size grows.
         release_shard_locks: u64 = |m, _| m.release_shard_locks.get(),
-        /// Mean grant-scan length (requests examined per scan).
-        mean_grant_scan_len: f64 = |m, _| m.grant_scan_len.mean_micros(),
-        /// Longest grant scan observed (requests examined).
-        max_grant_scan_len: u64 = |m, _| m.grant_scan_len.max_micros(),
         /// Number of deadlock-detector runs.
         deadlock_checks: Counter,
         /// Number of transactions that entered a hotspot group (leader or follower).
@@ -836,12 +832,6 @@ metrics_table! {
         groups_formed: Counter,
         /// Transactions that entered a hotspot group (leader or follower).
         hotspot_group_entries: Counter,
-        /// Length of each grant scan (requests examined per scan), recorded via
-        /// `record_micros(len)` — the log2 buckets hold request counts here, not
-        /// times.  With per-record wait queues this must stay bounded by the
-        /// queue on *one* record; growth with page population indicates the
-        /// O(page) scan regression the queue layout exists to prevent.
-        grant_scan_len: LatencyHistogram,
         /// Time spent waiting for locks (the inner bar of Figure 6c); each
         /// observation a scratch drains is also one `lock_waits`.
         lock_wait_latency: LatencyHistogram => lock_waits,
@@ -1010,14 +1000,12 @@ mod tests {
         scratch.release_shard_locks.inc();
         scratch.groups_formed.inc();
         scratch.hotspot_group_entries.add(2);
-        scratch.grant_scan_len.record_micros(1);
-        scratch.grant_scan_len.record_micros(5);
         scratch.lock_wait_latency.record(Duration::from_micros(3));
         scratch.lock_wait_latency.record(Duration::from_micros(9));
         scratch.on_commit(Duration::from_micros(40), Duration::from_micros(10));
         // Nothing reaches the shared counters until the flush.
         assert_eq!((m.queries.get(), m.committed.get()), (0, 0));
-        assert_eq!((m.locks_created.get(), m.grant_scan_len.count()), (0, 0));
+        assert_eq!((m.locks_created.get(), m.lock_wait_latency.count()), (0, 0));
         assert_eq!((m.lock_waits.get(), m.groups_formed.get()), (0, 0));
         assert!(!scratch.is_empty());
         let drained = |m: &EngineMetrics| {
@@ -1027,10 +1015,8 @@ mod tests {
             assert_eq!(m.release_shard_locks.get(), 1);
             assert_eq!(m.groups_formed.get(), 1);
             assert_eq!(m.hotspot_group_entries.get(), 2);
-            assert_eq!(m.grant_scan_len.count(), 2);
-            assert_eq!(m.grant_scan_len.max_micros(), 5);
-            assert!((m.grant_scan_len.mean_micros() - 3.0).abs() < 1e-9);
             assert_eq!((m.lock_waits.get(), m.lock_wait_latency.count()), (2, 2));
+            assert_eq!(m.lock_wait_latency.max_micros(), 9);
             assert!((m.lock_wait_latency.mean_micros() - 6.0).abs() < 1e-9);
             assert_eq!((m.committed.get(), m.txn_latency.count()), (1, 1));
             assert_eq!(
@@ -1149,8 +1135,8 @@ mod tests {
             r#""p99_latency_ms":0.128,"p95_latency_ms":0.128,"mean_latency_ms":0.1,"#,
             r#""p95_lock_wait_ms":0.0,"mean_lock_wait_ms":0.0,"locks_created":0,"#,
             r#""locks_released":0,"lock_registry_entries":0,"locks_per_query":0.0,"#,
-            r#""lock_waits":0,"release_shard_locks":0,"mean_grant_scan_len":0.0,"#,
-            r#""max_grant_scan_len":0,"deadlock_checks":0,"hotspot_group_entries":0,"#,
+            r#""lock_waits":0,"release_shard_locks":0,"#,
+            r#""deadlock_checks":0,"hotspot_group_entries":0,"#,
             r#""groups_formed":0,"rollback_turn_timeouts":0,"#,
             r#""utilization":0.0,"commit_batches":0,"#,
             r#""commit_held_batches":0,"commit_hold_expired":0,"crash_injected":0,"#,

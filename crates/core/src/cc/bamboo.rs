@@ -7,7 +7,7 @@
 //! is refused before the read: every member of such a cycle would otherwise
 //! wait out its timeout and cascade the others.
 
-use super::{lock_to_commit, ConcurrencyControl, LockTable};
+use super::{lock_row, ConcurrencyControl, LockTable};
 use crate::database::DbInner;
 use parking_lot::Mutex;
 use std::sync::Arc;
@@ -49,10 +49,11 @@ impl ConcurrencyControl for Bamboo {
     }
 
     /// Locks the row — a second write of it too, since a writer may have
-    /// stacked on the first once its lock went back — then takes `txn`'s commit dependency on the writer of
-    /// the row's uncommitted head, if it has one — before the read, so that
-    /// should the head change in between, the writer depended on has
-    /// finished and its outcome decides ours.  A writer leaves `completions`
+    /// stacked on the first once its lock went back, and without noting the
+    /// lock as held, since `after_write` gives it back — then takes `txn`'s
+    /// commit dependency on the writer of the row's uncommitted head, if it
+    /// has one — before the read, so that should the head change in between,
+    /// the writer depended on has finished and its outcome decides ours.  A writer leaves `completions`
     /// only after its versions were stamped or undone, so one that is no
     /// longer there is no longer the head's uncommitted writer either: look
     /// again.
@@ -63,7 +64,7 @@ impl ConcurrencyControl for Bamboo {
         table: TableId,
         record: RecordId,
     ) -> Result<()> {
-        lock_to_commit(&self.locks, txn, record)?;
+        lock_row(&self.locks, txn, record, None)?;
         while let Some(writer) = db.storage.latest_writer(table, record)? {
             if writer == txn.id {
                 break;

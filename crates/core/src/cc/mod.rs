@@ -25,7 +25,7 @@
 //!
 //! | [`Protocol`] | impl | owns |
 //! |---|---|---|
-//! | `Mysql2pl` | [`TwoPhase`]`<PageLayout>` | the page-sharded `lock_sys` with its IX table locks |
+//! | `Mysql2pl` | [`TwoPhase`]`<PageLayout>` | the page-sharded `lock_sys`, a lock object per acquisition |
 //! | `LightweightO1` | [`TwoPhase`]`<FlatLayout>` | the record-keyed lightweight table |
 //! | `QueueLockingO2` | [`QueueLocking`] | lightweight table + per-hot-row ticket queues |
 //! | `GroupLockingTxsql` | [`GroupLocking`] | lightweight table + `GroupLockTable` (groups, dependency lists) |
@@ -122,7 +122,7 @@ pub(crate) trait ConcurrencyControl: Send + Sync {
 
 /// What the engine itself asks of a record-lock table, in either layout.
 pub(crate) trait LockTable: Send + Sync {
-    /// Drops every record and table lock `txn` still holds; the release-path
+    /// Drops every record lock `txn` still holds; the release-path
     /// counters go to the transaction's metrics scratch.
     fn release_all(&self, txn: &Transaction);
 
@@ -149,9 +149,8 @@ impl<L: Layout> LockTable for RecordLockTable<L> {
 }
 
 /// Plain strict 2PL over either layout of the record-lock table: the MySQL
-/// baseline (page-sharded `lock_sys`, IX table lock before each record lock)
-/// and O1 (the record-keyed lightweight table, §3.1, which has no table
-/// locks).  The lock table is the whole protocol.
+/// baseline (the page-sharded `lock_sys`) and O1 (the record-keyed
+/// lightweight table, §3.1).  The lock table is the whole protocol.
 struct TwoPhase<L: Layout> {
     locks: RecordLockTable<L>,
 }
@@ -167,7 +166,6 @@ impl<L: Layout> ConcurrencyControl for TwoPhase<L> {
         if held(txn, table, record) {
             return Ok(());
         }
-        self.locks.lock_table(txn.id, table);
         lock_to_commit(&self.locks, txn, record)
     }
 

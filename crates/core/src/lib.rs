@@ -6,8 +6,8 @@
 //!
 //! | [`Protocol`] | Paper name | Impl (`src/cc/`) | Summary |
 //! |---|---|---|---|
-//! | `Mysql2pl` | MySQL | `TwoPhase<PageLayout>` | page-sharded `lock_sys`, lock object per acquisition, wait-for-graph deadlock detection |
-//! | `LightweightO1` | O1 | `TwoPhase<FlatLayout>` | record-keyed `trx_lock_wait` map, lock objects only on conflict, copy-free read views |
+//! | `Mysql2pl` | MySQL | `TwoPhase<PageLayout>` | `lock_sys` sharded by page, lock object per acquisition, wait-for-graph deadlock detection |
+//! | `LightweightO1` | O1 | `TwoPhase<FlatLayout>` | `trx_lock_wait` map sharded by record, lock objects only on conflict, copy-free read views |
 //! | `QueueLockingO2` | O2 | `queue::QueueLocking` | O1 + FIFO ticket queues in front of detected hot rows, timeouts instead of detection |
 //! | `GroupLockingTxsql` | TXSQL | `group::GroupLocking` | O1 + group locking: leader/follower groups, dependency list, ordered commit/rollback, group commit |
 //! | `Bamboo` | Bamboo \[29\] | `bamboo::Bamboo` | early lock release with dirty-read commit dependencies and cascading aborts |

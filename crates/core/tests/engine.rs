@@ -487,6 +487,23 @@ fn bamboo_releases_each_record_lock_at_its_statement() {
 }
 
 #[test]
+fn a_transaction_holds_a_lock_exactly_when_the_lock_table_says_so() {
+    // Aria refuses session writes.  The others must agree with their table
+    // after a cold update: Bamboo gave its lock back, the rest keep theirs.
+    for protocol in Protocol::ALL.into_iter().filter(|p| *p != Protocol::Aria) {
+        let fixture = setup(fixture::config(protocol), 2);
+        let (db, record) = (&fixture.db, fixture.record(1));
+        let mut txn = db.begin();
+        db.update_add(&mut txn, ACCOUNTS, 1, 1, 5).unwrap();
+        let held = db.lock_holder(record) == Some(txn.id);
+        assert_eq!(txn.holds_lock(record), held, "{protocol:?}");
+        db.commit(txn).unwrap();
+        fixture.acked(&[(1, 5)]);
+        fixture.audit(&format!("{protocol:?}"));
+    }
+}
+
+#[test]
 fn aria_aborts_a_conflicting_batch_member_and_refuses_session_writes() {
     let config = fixture::config(Protocol::Aria).with_aria_batch_size(2);
     let fixture = setup(config, 2);

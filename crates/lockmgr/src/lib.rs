@@ -11,12 +11,10 @@
 //!    entry created for **every** acquisition, FIFO wait queues, and
 //!    wait-for-graph deadlock detection run while holding the shard mutex.
 //!    This is the "MySQL" baseline whose collapse under hotspot load
-//!    motivates the paper (Figure 2a).  Within a page, requests live in
-//!    **per-`heap_no` record queues** (the holder split from the waiter
-//!    FIFO), so acquisitions and grants are O(requests on that record)
-//!    rather than O(all requests on the page) — the page-level shard mutex
-//!    remains the faithful bottleneck, but nothing scans other records'
-//!    requests any more.
+//!    motivates the paper (Figure 2a).  Inside a shard, requests live in
+//!    **per-record queues** (the holder split from the waiter FIFO), so
+//!    acquisitions and grants are O(requests on that record) — the
+//!    page-level shard mutex remains the faithful bottleneck.
 //! 2. [`lightweight`] — the general lock optimization (§3.1.1, "O1"): a
 //!    record-keyed `trx_lock_wait` map with many more shards, which only
 //!    materialises lock objects when a conflict actually exists.
@@ -39,15 +37,14 @@
 //! release → grant → wake drivers therefore exist once, in
 //! [`lock_table::RecordLockTable`], over the per-record
 //! [`record_queue::RecordQueue`]; [`LockSys`] and [`LightweightLockTable`]
-//! are its two monomorphised instantiations.  A [`lock_table::Layout`]
-//! contributes only the shard hashing (page vs. record), the queue
-//! lookup/prune (`page → heap_no` two-level map vs. flat packed-record map),
-//! the table-level intention locks (baseline only) and its `locks_created`
-//! accounting ([`lock_table::Layout::COUNT_UNCONTENDED_GRANTS`]: per
-//! acquisition vs. per conflict), the one difference inside a record's
-//! queue.  Every record lock is exclusive ([`modes`]): a record has at most
-//! one holder and a FIFO of waiters, and a release hands it to the front
-//! waiter.  A grant, doom, wake or acquisition-order change lands once and
+//! are its two monomorphised instantiations.  Every shard holds one map
+//! from packed record id to queue; a [`lock_table::Layout`] contributes only
+//! the shard hashing (page vs. record), the shard count and its
+//! `locks_created` accounting
+//! ([`lock_table::Layout::COUNT_UNCONTENDED_GRANTS`]: per acquisition vs.
+//! per conflict), the one difference inside a record's queue.  Every record
+//! lock is exclusive ([`modes`]): a record has at most one holder and a FIFO
+//! of waiters, and a release hands it to the front waiter.  A grant, doom, wake or acquisition-order change lands once and
 //! both arms get it; the conformance and differential tests in
 //! [`lock_table`] and the sim suites hold the two layouts to the same
 //! behaviour.
@@ -64,11 +61,8 @@
 //!   the transaction's own cache-padded shard (an unsorted append log, one
 //!   entry per lock or wait), and `release_all` takes the whole entry out
 //!   with one shard lock — there is no global `txn_locks` map to serialize
-//!   on.  The registry also tracks which tables a transaction
-//!   intention-locked, so table-lock release visits only those shards
-//!   instead of scanning every table.  Registry size is observable via the
-//!   `lock_registry_entries` gauge and `locks_released` counter in
-//!   `EngineMetrics`.
+//!   on.  Registry size is observable via the `lock_registry_entries` gauge
+//!   and `locks_released` counter in `EngineMetrics`.
 //! * **Release is batched per shard**: `release_all` and the
 //!   `release_record_locks` batch API (Bamboo's early lock release, the
 //!   group leader's hot-row handover) group a transaction's records by
@@ -88,17 +82,12 @@
 //!   (ties to the youngest id); a remote victim is woken through the event
 //!   parked in its graph entry and aborts out of its own wait.
 //! * **Uncontended grants allocate nothing**: a request that does not wait
-//!   carries no `OsEvent` (waiters-only request objects in `lock_sys`'s
-//!   record queues, holder ids only in `lightweight`), and requests that
-//!   *do* wait draw their event from a thread-local free list
+//!   carries no `OsEvent` (a holder is a transaction id, and only waiters
+//!   carry request objects), and requests that *do* wait draw their event
+//!   from a thread-local free list
 //!   ([`event::OsEvent::acquire_pooled`] / [`event::OsEvent::recycle`]) —
 //!   an event is only pooled again once its `Arc` is unique, so a recycled
 //!   event can never receive a stale wake.
-//!
-//! Every grant scan records how many requests it examined in the
-//! `grant_scan_len` histogram; with per-record queues this stays bounded by
-//! one record's queue depth, so growth with page population is a layout
-//! regression (the stress tests assert flatness).
 //!
 //! ## The uncontended fast path
 //!
@@ -112,9 +101,8 @@
 //!   acquire/release cycle performs **zero heap allocations** in either lock
 //!   table;
 //! * **per-transaction metrics scratch**: the per-cycle counters
-//!   (`locks_created`, `locks_released`, `release_shard_locks`, grant-scan
-//!   lengths) go to a `Cell`-based
-//!   [`MetricsScratch`](txsql_common::metrics::MetricsScratch) — the
+//!   (`locks_created`, `locks_released`, `release_shard_locks`) go to a
+//!   `Cell`-based [`MetricsScratch`](txsql_common::metrics::MetricsScratch) — the
 //!   transaction's, flushed to `EngineMetrics` once when it drops, so abort
 //!   paths lose nothing — instead of hammering shared atomics 2+ times per
 //!   cycle; the lock tables' `*_in` entry points (`lock_record_in`,
@@ -204,7 +192,7 @@ pub use lock_table::{DeadlockPolicy, LockTableConfig, RecordLockTable};
 pub use modes::LockMode;
 pub use queue_lock::QueueLockTable;
 pub use record_queue::RecordQueue;
-pub use registry::{TxnLockRegistry, TxnLocks};
+pub use registry::TxnLockRegistry;
 
 /// The suites' shared drivers (`tests/support`), for the inline tests; it
 /// names this crate the way the integration suites do.

@@ -1,19 +1,19 @@
 //! The one record-lock table driver.
 //!
-//! The paper's O1 (§3.1.1) changes *how a record's lock queue is found and
-//! what a grant allocates*; it does not change what acquiring, waiting for or
+//! The paper's O1 (§3.1.1) changes *how a record's lock is found and what a
+//! grant allocates*; it does not change what acquiring, waiting for or
 //! releasing a record lock means.  [`RecordLockTable`] is therefore the only
 //! implementation of acquire → deadlock check → enqueue → wait and of
-//! release → grant → wake, on top of the per-record
-//! [`RecordQueue`] core.  It is parameterised by a
-//! [`Layout`] that owns exactly what the paper measures:
+//! release → grant → wake, on top of the per-record [`RecordQueue`] core.
+//! Every shard holds one map from packed record id to queue, whatever the
+//! layout.  The table is parameterised by a [`Layout`] that owns exactly
+//! what the paper measures:
 //!
 //! * [`crate::lock_sys::PageLayout`] — the MySQL arm: shards hashed by
-//!   *page*, a `page → heap_no` two-level map per shard, `lock_table`
-//!   intention locks and one counted lock object per acquisition;
-//! * [`crate::lightweight::FlatLayout`] — O1: one flat map per shard keyed by
-//!   packed record id over 16× more shards, and lock objects counted only
-//!   for requests that wait.
+//!   *page*, so all rows of a page share one shard mutex, and one counted
+//!   lock object per acquisition;
+//! * [`crate::lightweight::FlatLayout`] — O1: shards hashed by record over
+//!   16× more shards, and lock objects counted only for requests that wait.
 //!
 //! The layouts are monomorphised in ([`crate::LockSys`] and
 //! [`crate::LightweightLockTable`] are aliases of the two instantiations), so
@@ -35,13 +35,14 @@ use crate::record_queue::{deadlock_check_on_wait, AcquireOutcome, RecordQueue};
 use crate::registry::TxnLockRegistry;
 use crate::wake_check::GuardScope;
 use parking_lot::Mutex;
+use std::marker::PhantomData;
 use std::sync::Arc;
 use std::time::Duration;
-use txsql_common::fxhash;
+use txsql_common::fxhash::{self, FxHashMap};
 use txsql_common::metrics::{EngineMetrics, MetricsScratch};
 use txsql_common::pad::CachePadded;
 use txsql_common::time::SimInstant;
-use txsql_common::{Error, RecordId, Result, TableId, TxnId};
+use txsql_common::{Error, RecordId, Result, TxnId};
 
 /// How a lock table deals with deadlocks.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -71,9 +72,9 @@ impl Default for LockTableConfig {
 }
 
 /// What distinguishes one lock-table arm of the Figure-6 ablation from the
-/// other: where a record's queue lives, how shards are hashed, and the
-/// `locks_created` accounting.  Everything else is [`RecordLockTable`].
-pub trait Layout: Default + Send + Sync {
+/// other: how records are hashed onto shards, how many shards there are, and
+/// the `locks_created` accounting.  Everything else is [`RecordLockTable`].
+pub trait Layout: Send + Sync {
     /// Figure-6d accounting: when true, every uncontended grant counts one
     /// created lock object (the baseline keeps a `lock_t` entry per
     /// acquisition); otherwise only requests that wait create — and count —
@@ -81,35 +82,32 @@ pub trait Layout: Default + Send + Sync {
     const COUNT_UNCONTENDED_GRANTS: bool;
     /// Number of shard mutexes.
     const SHARDS: usize;
-    /// One shard's queue map.
-    type Shard: Default + Send + std::fmt::Debug;
 
     /// The value hashed to pick `record`'s shard.
     fn shard_key(record: RecordId) -> u64;
+}
 
-    /// `record`'s queue, created empty when absent (the acquire path).
-    fn queue_or_insert(shard: &mut Self::Shard, record: RecordId) -> &mut RecordQueue;
+/// One shard's queues, keyed by [`RecordId::packed`].  A queue is pruned as
+/// soon as it empties, so a shard holds only records that are locked or
+/// waited on.
+type Shard = FxHashMap<u64, RecordQueue>;
 
-    /// `record`'s queue if it exists (introspection).
-    fn queue(shard: &Self::Shard, record: RecordId) -> Option<&RecordQueue>;
-
-    /// Runs `f` on `record`'s queue if it still exists and prunes the queue
-    /// when `f` leaves it empty.  `None` means the queue was already pruned:
-    /// missing state is never resurrected by the release or wait paths.
-    fn visit_queue<R>(
-        shard: &mut Self::Shard,
-        record: RecordId,
-        f: impl FnOnce(&mut RecordQueue) -> R,
-    ) -> Option<R>;
-
-    /// Grants `txn` a table-level lock, returning whether it is a new one
-    /// for the caller to track.  Only the page layout has table locks.
-    fn grant_table(&self, _txn: TxnId, _table: TableId) -> bool {
-        false
+/// Runs `f` on `record`'s queue if it still exists and prunes the queue when
+/// `f` leaves it empty.  `None` means the queue was already pruned: missing
+/// state is never resurrected by the release or wait paths.
+#[inline]
+fn visit_queue<R>(
+    shard: &mut Shard,
+    record: RecordId,
+    f: impl FnOnce(&mut RecordQueue) -> R,
+) -> Option<R> {
+    let key = record.packed();
+    let queue = shard.get_mut(&key)?;
+    let result = f(queue);
+    if queue.is_empty() {
+        shard.remove(&key);
     }
-
-    /// Drops `txn`'s table-level locks at release-all.
-    fn release_tables(&self, _txn: TxnId, _tables: &[TableId]) {}
+    Some(result)
 }
 
 /// What one wake-up of the wait loop decided under the shard guard.
@@ -124,8 +122,8 @@ enum WaitPoll {
 #[derive(Debug)]
 pub struct RecordLockTable<L: Layout> {
     config: LockTableConfig,
-    pub(crate) layout: L,
-    shards: Box<[CachePadded<Mutex<L::Shard>>]>,
+    layout: PhantomData<L>,
+    shards: Box<[CachePadded<Mutex<Shard>>]>,
     graph: WaitForGraph,
     /// Sharded per-transaction bookkeeping — needed for release-all.
     pub(crate) registry: Arc<TxnLockRegistry>,
@@ -138,9 +136,9 @@ impl<L: Layout> RecordLockTable<L> {
         let registry = Arc::new(TxnLockRegistry::new((L::SHARDS / 4).max(64)));
         Self {
             config,
-            layout: L::default(),
+            layout: PhantomData,
             shards: (0..L::SHARDS)
-                .map(|_| CachePadded::new(Mutex::new(L::Shard::default())))
+                .map(|_| CachePadded::new(Mutex::new(Shard::default())))
                 .collect(),
             graph: WaitForGraph::new(),
             registry,
@@ -161,17 +159,6 @@ impl<L: Layout> RecordLockTable<L> {
     #[inline]
     fn detects(&self) -> bool {
         self.config.deadlock_policy == DeadlockPolicy::Detect
-    }
-
-    /// Acquires a table-level intention-exclusive lock — the MySQL
-    /// baseline's step in front of every record lock, nothing under a layout
-    /// without table locks.  Intention-exclusive locks never conflict with
-    /// one another, so this never waits.
-    pub fn lock_table(&self, txn: TxnId, table: TableId) {
-        if self.layout.grant_table(txn, table) {
-            self.registry.remember_table(txn, table);
-            self.metrics.locks_created.inc();
-        }
     }
 
     /// A scratch that drains into the table's own metrics when it drops:
@@ -220,7 +207,7 @@ impl<L: Layout> RecordLockTable<L> {
         {
             let mut shard = self.shards[self.shard_index(record)].lock();
             let _scope = GuardScope::enter();
-            let queue = L::queue_or_insert(&mut shard, record);
+            let queue = shard.entry(record.packed()).or_default();
             match queue.try_acquire(txn, L::COUNT_UNCONTENDED_GRANTS, scratch) {
                 AcquireOutcome::AlreadyHeld => return Ok(()),
                 AcquireOutcome::Granted => {
@@ -272,7 +259,7 @@ impl<L: Layout> RecordLockTable<L> {
     fn with_queue<R>(&self, record: RecordId, f: impl FnOnce(&mut RecordQueue) -> R) -> Option<R> {
         let mut shard = self.shards[self.shard_index(record)].lock();
         let _scope = GuardScope::enter();
-        L::visit_queue(&mut shard, record, f)
+        visit_queue(&mut shard, record, f)
     }
 
     /// The doom-aware wait loop a queued request parks in: wait outside the
@@ -362,8 +349,7 @@ impl<L: Layout> RecordLockTable<L> {
     /// release, the group leader's hot-row handover): each lock-table shard
     /// is taken once per batch, and the registry bookkeeping drains with one
     /// registry-shard lock for the whole batch.  Release-path counters
-    /// (`release_shard_locks`, `locks_released`, grant-scan lengths) go to
-    /// `scratch`.
+    /// (`release_shard_locks`, `locks_released`) go to `scratch`.
     pub fn release_record_locks_in(
         &self,
         txn: TxnId,
@@ -413,9 +399,9 @@ impl<L: Layout> RecordLockTable<L> {
             let _scope = GuardScope::enter();
             scratch.release_shard_locks.inc();
             for record in records {
-                L::visit_queue(&mut shard, record, |queue| {
+                visit_queue(&mut shard, record, |queue| {
                     queue.remove_requests_of(txn);
-                    queue.grant_from_front(&self.graph, scratch, &mut woken);
+                    queue.grant_from_front(&self.graph, &mut woken);
                     waited_on |= queue.waiter_count() > 0;
                 });
             }
@@ -437,9 +423,8 @@ impl<L: Layout> RecordLockTable<L> {
     /// touched, each taken once, and the graph only if a request still waits
     /// on one of its records.  Counters go to `scratch` (the transaction's).
     pub fn release_all_in(&self, txn: TxnId, scratch: &MetricsScratch) {
-        if let Some(locks) = self.registry.take_all_in(txn, scratch) {
-            let waited_on = self.drop_requests(txn, &locks.records, scratch);
-            self.layout.release_tables(txn, &locks.tables);
+        if let Some(records) = self.registry.take_all_in(txn, scratch) {
+            let waited_on = self.drop_requests(txn, &records, scratch);
             if waited_on && self.detects() {
                 self.graph.remove_txn(txn);
             }
@@ -449,14 +434,18 @@ impl<L: Layout> RecordLockTable<L> {
     /// Number of requests waiting on `record` — the paper's
     /// hotspot-detection signal (§4.1).
     pub fn wait_queue_len(&self, record: RecordId) -> usize {
-        let shard = self.shards[self.shard_index(record)].lock();
-        L::queue(&shard, record).map_or(0, RecordQueue::waiter_count)
+        self.queue(record, RecordQueue::waiter_count).unwrap_or(0)
     }
 
     /// The transaction holding `record`'s lock, if any.
     pub fn holder_of(&self, record: RecordId) -> Option<TxnId> {
+        self.queue(record, RecordQueue::holder).flatten()
+    }
+
+    /// Reads `record`'s queue, if it exists, under its shard guard.
+    fn queue<R>(&self, record: RecordId, f: impl FnOnce(&RecordQueue) -> R) -> Option<R> {
         let shard = self.shards[self.shard_index(record)].lock();
-        L::queue(&shard, record).and_then(RecordQueue::holder)
+        shard.get(&record.packed()).map(f)
     }
 
     /// The wait-for graph (tests assert it drains).
@@ -634,6 +623,19 @@ mod tests {
         waiter.join().unwrap().unwrap();
     }
 
+    /// The page arm's one structural difference (Figure 6c): every row of a
+    /// page hashes to the page's one shard mutex, where O1 spreads the rows.
+    #[test]
+    fn the_page_layout_puts_a_page_on_one_shard_and_the_flat_layout_spreads_it() {
+        let page = table::<PageLayout>(DeadlockPolicy::TimeoutOnly, 30);
+        let flat = table::<FlatLayout>(DeadlockPolicy::TimeoutOnly, 30);
+        let on_page = |heap| RecordId::new(1, 7, heap);
+        let page_shard = page.shard_index(on_page(0));
+        assert!((0..=u16::MAX).all(|heap| page.shard_index(on_page(heap)) == page_shard));
+        let flat_shard = flat.shard_index(on_page(0));
+        assert!((1..100).any(|heap| flat.shard_index(on_page(heap)) != flat_shard));
+    }
+
     /// Runs a seeded lock/release script over six transaction slots and
     /// three records (two sharing a page) and returns the grant log: holder
     /// and queue length of the touched record after every step.  Grants
@@ -649,7 +651,8 @@ mod tests {
         }
         let t = table::<L>(DeadlockPolicy::TimeoutOnly, 30_000);
         // Ballast: 100 granted requests on other records of R1's and R2's
-        // page, which no grant scan of the script may count.
+        // page, which share their shard in the page layout and must not
+        // change any grant of the script.
         const BALLAST: TxnId = TxnId(u64::MAX);
         for heap in 10..110 {
             t.lock_record(BALLAST, RecordId::new(1, 0, heap), X)
@@ -717,9 +720,6 @@ mod tests {
             t.release_all(TxnId(slot.txn));
         }
         t.release_all(BALLAST);
-        // A scan is one record's queue (six slots at most), not its page's.
-        let longest_scan = t.metrics.grant_scan_len.max_micros();
-        assert!(longest_scan <= 6, "a grant scan examined {longest_scan}");
         (log, t)
     }
 

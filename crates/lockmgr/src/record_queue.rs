@@ -4,11 +4,11 @@
 //! A [`RecordQueue`] owns the holder/waiter split, the from-front FIFO grant
 //! and timeout/cancel removal.  Every record lock is exclusive
 //! ([`crate::modes`]), so a record has at most one holder and a release
-//! hands it to the front waiter only.  The queue never knows how queues are
-//! keyed, sharded or pruned — that is the
-//! [`Layout`](crate::lock_table::Layout)'s business — nor how a request
-//! waits: the acquire, wait and release drivers live once, in
-//! [`RecordLockTable`](crate::lock_table::RecordLockTable).  The one
+//! hands it to the front waiter only.  The queue never knows how it is
+//! keyed, sharded or pruned, nor how a request waits: the shard maps and
+//! the acquire, wait and release drivers live once, in
+//! [`RecordLockTable`](crate::lock_table::RecordLockTable), whose
+//! [`Layout`](crate::lock_table::Layout) only picks the shard.  The one
 //! in-queue difference between the layouts is the `locks_created`
 //! accounting passed into [`RecordQueue::try_acquire`]
 //! ([`Layout::COUNT_UNCONTENDED_GRANTS`](crate::lock_table::Layout::COUNT_UNCONTENDED_GRANTS)).
@@ -25,11 +25,10 @@
 //!   `Option<Box<…>>` created by the first [`RecordQueue::enqueue_waiter`]),
 //!   which also keeps the queue struct small inside the tables' shard maps;
 //! * **hot counters go to the transaction's scratch** —
-//!   [`RecordQueue::try_acquire`] and [`RecordQueue::grant_from_front`] count
-//!   the per-cycle `locks_created` and grant-scan lengths into the caller's
-//!   `Cell`-based [`MetricsScratch`] instead of shared atomics; the slow
-//!   paths (waits, deadlock checks) still record into [`EngineMetrics`]
-//!   directly.
+//!   [`RecordQueue::try_acquire`] counts the per-cycle `locks_created` into
+//!   the caller's `Cell`-based [`MetricsScratch`] instead of a shared
+//!   atomic; the slow paths (waits, deadlock checks) still record into
+//!   [`EngineMetrics`] directly.
 
 use crate::deadlock::{select_victim, WaitForGraph};
 use crate::event::OsEvent;
@@ -176,18 +175,10 @@ impl RecordQueue {
         self.waiters.iter().flat_map(|w| w.iter()).map(|w| w.txn)
     }
 
-    /// Hands a free record to the front waiter.  Records the scan length
-    /// (requests on the record) in `scratch` and pushes the grantee's event
-    /// to fire once the caller has dropped the shard guard.
+    /// Hands a free record to the front waiter and pushes the grantee's
+    /// event to fire once the caller has dropped the shard guard.
     #[inline]
-    pub fn grant_from_front(
-        &mut self,
-        graph: &WaitForGraph,
-        scratch: &MetricsScratch,
-        woken: &mut Vec<Arc<OsEvent>>,
-    ) {
-        let examined = usize::from(self.holder.is_some()) + self.waiter_count();
-        scratch.grant_scan_len.record_micros(examined as u64);
+    pub fn grant_from_front(&mut self, graph: &WaitForGraph, woken: &mut Vec<Arc<OsEvent>>) {
         if self.holder.is_some() {
             return;
         }
@@ -259,16 +250,13 @@ mod tests {
     }
 
     #[test]
-    fn a_counted_grant_and_its_release_scan_land_in_the_scratch() {
+    fn a_counted_grant_lands_in_the_scratch() {
         let metrics = Arc::new(EngineMetrics::new());
         let scratch = MetricsScratch::attached(Arc::clone(&metrics));
         let mut q = RecordQueue::default();
         q.try_acquire(TxnId(1), true, &scratch);
-        q.remove_requests_of(TxnId(1));
-        q.grant_from_front(&WaitForGraph::new(), &scratch, &mut Vec::new());
         scratch.flush();
         assert_eq!(metrics.locks_created.get(), 1);
-        assert_eq!(metrics.grant_scan_len.count(), 1);
     }
 
     #[test]
@@ -281,7 +269,7 @@ mod tests {
         assert!(q.waiters.is_some());
         q.remove_requests_of(TxnId(1));
         let mut woken = Vec::new();
-        q.grant_from_front(&WaitForGraph::new(), &scratch, &mut woken);
+        q.grant_from_front(&WaitForGraph::new(), &mut woken);
         assert_eq!(woken.len(), 1);
         assert!(
             q.waiters.is_none(),
@@ -302,7 +290,7 @@ mod tests {
         assert_eq!((q.holder(), q.waiter_count()), (Some(TxnId(1)), 2));
         let mut woken = Vec::new();
         q.remove_requests_of(TxnId(1));
-        q.grant_from_front(&WaitForGraph::new(), &scratch, &mut woken);
+        q.grant_from_front(&WaitForGraph::new(), &mut woken);
         assert_eq!(woken.len(), 1);
         assert_eq!(q.holder(), Some(TxnId(3)));
         assert_eq!(q.waiter_count(), 1);

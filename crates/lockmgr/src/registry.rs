@@ -25,17 +25,14 @@
 //! batch, not one per row (the log is unsorted, so removal is a linear scan,
 //! bounded by the handful of locks a realistic transaction holds).
 //!
-//! The registry is layout-agnostic: the one lock-table driver feeds it (the
+//! The registry is layout-agnostic and holds records only — neither lock
+//! table takes table locks.  The one lock-table driver feeds it (the
 //! wait loop forgets a timed-out waiter's record, `release_record_locks`
 //! forgets a whole batch), each table owns its own instance, and only the
 //! shard counts differ.  Release-path shard acquisitions (here and in the
 //! lock tables) are counted in the releasing transaction's
 //! [`MetricsScratch`] and land in `EngineMetrics::release_shard_locks`, the
 //! denominator for the batching amortization the bench records.
-//!
-//! The registry also remembers which **tables** a transaction holds
-//! intention locks on, so table-lock release no longer scans every table's
-//! holder list.
 //!
 //! Live-entry counts are kept **per shard** (a plain integer guarded by the
 //! shard mutex — no shared atomic on the acquire path) and aggregated on
@@ -47,39 +44,17 @@ use parking_lot::Mutex;
 use txsql_common::fxhash::{self, FxHashMap};
 use txsql_common::metrics::MetricsScratch;
 use txsql_common::pad::CachePadded;
-use txsql_common::{RecordId, TableId, TxnId};
-
-/// Everything a transaction held (or waited on) through one lock table,
-/// as returned by [`TxnLockRegistry::take_all_in`].
-#[derive(Debug, Default)]
-pub struct TxnLocks {
-    /// Records locked or waited on, each once, in no particular order.
-    pub records: Vec<RecordId>,
-    /// Tables with intention locks (tiny in practice, deduplicated).
-    pub tables: Vec<TableId>,
-}
-
-/// Live per-transaction state inside a shard: the records are an **unsorted
-/// append log** — `remember_record` is a plain push (the acquire-path cost).
-/// Transactions hold few locks in the paper's workloads, so the occasional
-/// linear scan (`forget_records_in`) stays cheap.  (A transaction holding
-/// many thousands of locks would prefer a tiered structure; nothing in the
-/// evaluated workloads comes close.)
-#[derive(Debug, Default)]
-struct TxnEntry {
-    records: Vec<RecordId>,
-    tables: Vec<TableId>,
-}
-
-impl TxnEntry {
-    fn is_empty(&self) -> bool {
-        self.records.is_empty() && self.tables.is_empty()
-    }
-}
+use txsql_common::{RecordId, TxnId};
 
 #[derive(Debug, Default)]
 struct Shard {
-    txns: FxHashMap<TxnId, TxnEntry>,
+    /// Each live transaction's records, an **unsorted append log** —
+    /// `remember_record` is a plain push (the acquire-path cost).
+    /// Transactions hold few locks in the paper's workloads, so the
+    /// occasional linear scan (`forget_records_in`) stays cheap.  (A
+    /// transaction holding many thousands of locks would prefer a tiered
+    /// structure; nothing in the evaluated workloads comes close.)
+    txns: FxHashMap<TxnId, Vec<RecordId>>,
     /// Live `(txn, record)` log entries in this shard.  Guarded by the shard
     /// mutex, so counting costs nothing extra on the hot path and never
     /// bounces a shared cache line between shards.
@@ -114,7 +89,7 @@ impl TxnLockRegistry {
     pub fn remember_record(&self, txn: TxnId, record: RecordId) {
         let mut shard = self.shard_for(txn).lock();
         let _scope = GuardScope::enter();
-        shard.txns.entry(txn).or_default().records.push(record);
+        shard.txns.entry(txn).or_default().push(record);
         shard.live_records += 1;
     }
 
@@ -133,15 +108,15 @@ impl TxnLockRegistry {
             let _scope = GuardScope::enter();
             scratch.release_shard_locks.inc();
             let mut released = 0usize;
-            if let Some(entry) = shard.txns.get_mut(&txn) {
+            if let Some(held) = shard.txns.get_mut(&txn) {
                 for record in records {
                     // The log is unsorted, so removal is a linear scan.
-                    if let Some(at) = entry.records.iter().position(|r| r == record) {
-                        entry.records.swap_remove(at);
+                    if let Some(at) = held.iter().position(|r| r == record) {
+                        held.swap_remove(at);
                         released += 1;
                     }
                 }
-                if entry.is_empty() {
+                if held.is_empty() {
                     shard.txns.remove(&txn);
                 }
             }
@@ -152,35 +127,21 @@ impl TxnLockRegistry {
         released
     }
 
-    /// Records that `txn` holds an intention lock on `table`.
-    pub fn remember_table(&self, txn: TxnId, table: TableId) {
-        let mut shard = self.shard_for(txn).lock();
-        let tables = &mut shard.txns.entry(txn).or_default().tables;
-        if !tables.contains(&table) {
-            tables.push(table);
-        }
-    }
-
-    /// Removes and returns everything `txn` holds — one shard lock, no walk
-    /// of anyone else's state — or `None` when the transaction holds
-    /// nothing.  The counts go to `scratch`.
-    pub fn take_all_in(&self, txn: TxnId, scratch: &MetricsScratch) -> Option<TxnLocks> {
-        let taken = {
+    /// Removes and returns every record `txn` locked or waited on, each
+    /// once and in no particular order — one shard lock, no walk of anyone
+    /// else's state — or `None` when the transaction holds nothing.  The
+    /// counts go to `scratch`.
+    pub fn take_all_in(&self, txn: TxnId, scratch: &MetricsScratch) -> Option<Vec<RecordId>> {
+        let records = {
             let mut shard = self.shard_for(txn).lock();
             let _scope = GuardScope::enter();
             scratch.release_shard_locks.inc();
-            let taken = shard.txns.remove(&txn);
-            if let Some(entry) = &taken {
-                shard.live_records -= entry.records.len() as u64;
-            }
-            taken
+            let records = shard.txns.remove(&txn)?;
+            shard.live_records -= records.len() as u64;
+            records
         };
-        let entry = taken?;
-        scratch.locks_released.add(entry.records.len() as u64);
-        Some(TxnLocks {
-            records: entry.records,
-            tables: entry.tables,
-        })
+        scratch.locks_released.add(records.len() as u64);
+        Some(records)
     }
 
     /// Number of records `txn` currently holds or waits on (the deadlock
@@ -190,8 +151,7 @@ impl TxnLockRegistry {
             .lock()
             .txns
             .get(&txn)
-            .map(|e| e.records.len())
-            .unwrap_or(0)
+            .map_or(0, Vec::len)
     }
 
     /// Total live `(txn, record)` entries across all shards (O(shards) —
@@ -232,10 +192,7 @@ mod tests {
     fn take_all_empties_the_transaction() {
         let (reg, scratch) = (TxnLockRegistry::new(8), MetricsScratch::new());
         reg.remember_record(TxnId(1), R1);
-        reg.remember_table(TxnId(1), TableId(3));
-        let locks = reg.take_all_in(TxnId(1), &scratch).unwrap();
-        assert_eq!(locks.records, [R1]);
-        assert_eq!(locks.tables, vec![TableId(3)]);
+        assert_eq!(reg.take_all_in(TxnId(1), &scratch).unwrap(), [R1]);
         assert!(reg.take_all_in(TxnId(1), &scratch).is_none());
         assert!(reg.is_empty());
     }
@@ -278,18 +235,6 @@ mod tests {
     }
 
     #[test]
-    fn tables_deduplicate() {
-        let (reg, scratch) = (TxnLockRegistry::new(8), MetricsScratch::new());
-        reg.remember_table(TxnId(1), TableId(1));
-        reg.remember_table(TxnId(1), TableId(1));
-        reg.remember_table(TxnId(1), TableId(2));
-        assert_eq!(
-            reg.take_all_in(TxnId(1), &scratch).unwrap().tables,
-            vec![TableId(1), TableId(2)]
-        );
-    }
-
-    #[test]
     fn concurrent_transactions_do_not_interfere() {
         let reg = Arc::new(TxnLockRegistry::new(16));
         let handles: Vec<_> = (1..=8u64)
@@ -300,8 +245,8 @@ mod tests {
                         reg.remember_record(TxnId(t), RecordId::new(1, t as u32, heap));
                     }
                     assert_eq!(reg.record_count_of(TxnId(t)), 64);
-                    let locks = reg.take_all_in(TxnId(t), &MetricsScratch::new()).unwrap();
-                    assert_eq!(locks.records.len(), 64);
+                    let records = reg.take_all_in(TxnId(t), &MetricsScratch::new()).unwrap();
+                    assert_eq!(records.len(), 64);
                 })
             })
             .collect();
