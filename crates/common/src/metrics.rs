@@ -725,8 +725,8 @@ metrics_table! {
         /// Shard-mutex acquisitions on the lock **release** paths: one per page
         /// (or row-shard) group drained by the lock tables and one per registry
         /// batch (`forget_records_in` / `take_all_in`).  The denominator for release
-        /// batching: batching early releases to statement boundaries amortizes
-        /// these, so takes-per-released-lock should drop as batch size grows.
+        /// batching: a batch takes each shard once, so takes per released lock
+        /// fall as a transaction's locks share shards.
         release_shard_locks: u64 = |m, _| m.release_shard_locks.get(),
         /// Number of deadlock-detector runs.
         deadlock_checks: Counter,

@@ -31,32 +31,24 @@
 //! Consequence of per-shard locking: a DFS observes each out-edge set at a
 //! (possibly slightly different) instant rather than one global snapshot.
 //! Under concurrent edge churn it can therefore report a cycle whose edges
-//! never all existed at a single instant (a *spurious* deadlock: the victim
-//! aborts and retries — safe, just wasted work), and a cycle it misses is
-//! caught by the next waiter's check or by the lock-wait timeout.  Trading
-//! occasional spurious aborts under heavy churn for never freezing every
-//! waiter behind one detection mutex is the standard choice for sharded
-//! detectors; debuggers of abort-rate anomalies should keep the false-
-//! positive mode in mind.
+//! never all existed at a single instant (a *spurious* deadlock: the
+//! requester aborts and retries — safe, just wasted work), and two requests
+//! that close one cycle at the same instant can each miss the other's edges,
+//! leaving the cycle to the lock-wait timeout.  Trading occasional spurious
+//! aborts under heavy churn for never freezing every waiter behind one
+//! detection mutex is the standard choice for sharded detectors; debuggers
+//! of abort-rate anomalies should keep the false-positive mode in mind.
 //!
-//! ## Victim selection
+//! ## The victim is the requester
 //!
-//! [`WaitForGraph::find_cycle_from`] returns the full membership of the
-//! detected cycle so the caller can choose a victim ([`select_victim`]).
-//! Always aborting the requester wastes its work even when another cycle
-//! member has barely started, so the victim is the member with the fewest
-//! registry-tracked locks (Brook-2PL makes the same argument for
-//! contention-aware victim choice).  A victim other than the
-//! requester is necessarily *waiting* (every cycle member is), so each
-//! waiter parks its wake-up event in its graph entry
-//! ([`WaitForGraph::attach_waiter_event`]); [`WaitForGraph::doom`] marks the
-//! victim and fires that event, and the victim's wait loop observes the mark
-//! ([`WaitForGraph::take_doomed`]) and returns a deadlock error from its own
-//! `lock_record` call.
+//! The check runs when a wait begins, and only the request that found a
+//! cycle through itself dies ([`WaitForGraph::has_cycle_through`]).  Before
+//! that wait the graph had no cycle (but for one the race above let through,
+//! which the timeout ends), so every cycle the new edges close runs through
+//! the requester, and aborting it breaks them all (PostgreSQL's rule: the
+//! backend whose check finds the cycle aborts).
 
-use crate::event::OsEvent;
 use parking_lot::Mutex;
-use std::sync::Arc;
 use txsql_common::fxhash::{self, FxHashMap, FxHashSet};
 use txsql_common::pad::CachePadded;
 use txsql_common::TxnId;
@@ -66,34 +58,13 @@ use txsql_common::TxnId;
 /// contention).
 const SHARDS: usize = 64;
 
-/// Picks the deadlock victim among `cycle` members: the one holding the
-/// fewest registry-tracked locks (least work lost), as reported by
-/// `lock_count`.
-pub fn select_victim(cycle: &[TxnId], lock_count: impl Fn(TxnId) -> usize) -> TxnId {
-    cycle
-        .iter()
-        .copied()
-        // Ties go to the youngest transaction — the largest id, since ids
-        // are handed out monotonically at BEGIN.
-        .min_by_key(|t| (lock_count(*t), std::cmp::Reverse(t.0)))
-        .expect("cycle is never empty")
-}
-
-/// One waiter's graph state: its out-edges plus the machinery remote victim
-/// selection needs (the parked event to fire and the doomed mark).
-#[derive(Debug, Default)]
-struct WaiterEntry {
-    out: FxHashSet<TxnId>,
-    event: Option<Arc<OsEvent>>,
-    doomed: bool,
-}
-
-type Shard = FxHashMap<TxnId, WaiterEntry>;
+/// Waiter -> the transactions it waits for, for the waiters of one shard.
+type Shard = FxHashMap<TxnId, Vec<TxnId>>;
 
 /// A dynamic wait-for graph, sharded by waiter.
 #[derive(Debug)]
 pub struct WaitForGraph {
-    /// waiter -> set of transactions it waits for, sharded by waiter id.
+    /// waiter -> transactions it waits for, sharded by waiter id.
     shards: Box<[CachePadded<Mutex<Shard>>]>,
 }
 
@@ -120,76 +91,15 @@ impl WaitForGraph {
 
     /// Declares that `waiter` now waits for each transaction in `holders`.
     /// Existing edges from `waiter` are replaced (a transaction waits for at
-    /// most one lock at a time), touching only the waiter's own shard.  A
-    /// fresh wait starts with no parked event and no doomed mark.
+    /// most one lock at a time), touching only the waiter's own shard.
     pub fn set_waits_for(&self, waiter: TxnId, holders: impl IntoIterator<Item = TxnId>) {
-        let set: FxHashSet<TxnId> = holders.into_iter().filter(|h| *h != waiter).collect();
+        let out: Vec<TxnId> = holders.into_iter().filter(|h| *h != waiter).collect();
         let mut shard = self.shard_for(waiter).lock();
         let _scope = crate::wake_check::GuardScope::enter();
-        if set.is_empty() {
+        if out.is_empty() {
             shard.remove(&waiter);
         } else {
-            let entry = WaiterEntry {
-                out: set,
-                ..WaiterEntry::default()
-            };
-            shard.insert(waiter, entry);
-        }
-    }
-
-    /// Parks the waiter's wake-up event in its graph entry so a later
-    /// detection pass can [`WaitForGraph::doom`] it.  A no-op when the entry
-    /// is already gone (the wait was granted before the event was parked).
-    pub fn attach_waiter_event(&self, waiter: TxnId, event: Arc<OsEvent>) {
-        let mut shard = self.shard_for(waiter).lock();
-        let _scope = crate::wake_check::GuardScope::enter();
-        if let Some(entry) = shard.get_mut(&waiter) {
-            entry.event = Some(event);
-        }
-    }
-
-    /// Marks `victim` as the chosen deadlock victim and fires its parked
-    /// event so it re-checks its wait immediately.  Returns false when the
-    /// victim is no longer waiting (its entry is gone): the cycle evidence
-    /// was stale and the cycle is already broken, so callers may simply
-    /// ignore the return — the requester's own lock-wait timeout backstops
-    /// any cycle a racing edge change re-forms.
-    ///
-    /// Staleness in the other direction is also possible: if the victim's
-    /// blocking wait resolved *between* detection and this call and it
-    /// already started a new, cycle-free wait, the mark lands on that new
-    /// wait and aborts it — a spurious deadlock of the same (safe,
-    /// retried) kind the sharded DFS itself can report under edge churn;
-    /// see the module docs.  The window is a few instructions wide
-    /// (requester descheduled between dropping its page guard and dooming).
-    pub fn doom(&self, victim: TxnId) -> bool {
-        let event = {
-            let mut shard = self.shard_for(victim).lock();
-            let _scope = crate::wake_check::GuardScope::enter();
-            match shard.get_mut(&victim) {
-                Some(entry) => {
-                    entry.doomed = true;
-                    entry.event.clone()
-                }
-                None => return false,
-            }
-        };
-        // Fire outside the shard guard; a victim whose event is not parked
-        // yet still observes the mark before parking (`take_doomed`).
-        if let Some(event) = event {
-            event.set();
-        }
-        true
-    }
-
-    /// Consumes the doomed mark of `txn`, if set.  Called by the waiter on
-    /// every wake-up; a true return means some detection pass sacrificed it.
-    pub fn take_doomed(&self, txn: TxnId) -> bool {
-        let mut shard = self.shard_for(txn).lock();
-        let _scope = crate::wake_check::GuardScope::enter();
-        match shard.get_mut(&txn) {
-            Some(entry) => std::mem::take(&mut entry.doomed),
-            None => false,
+            shard.insert(waiter, out);
         }
     }
 
@@ -200,9 +110,9 @@ impl WaitForGraph {
         for shard in &self.shards {
             let mut guard = shard.lock();
             let _scope = crate::wake_check::GuardScope::enter();
-            guard.retain(|waiter, entry| {
-                entry.out.remove(&txn);
-                *waiter != txn && !entry.out.is_empty()
+            guard.retain(|waiter, out| {
+                out.retain(|t| *t != txn);
+                *waiter != txn && !out.is_empty()
             });
         }
     }
@@ -215,51 +125,31 @@ impl WaitForGraph {
         shard.remove(&txn);
     }
 
-    /// Snapshot of one waiter's out-edges (locks only that waiter's shard).
-    fn out_edges(&self, waiter: TxnId) -> Option<Vec<TxnId>> {
+    /// Pushes one waiter's out-edges onto `stack` (locks only that waiter's
+    /// shard).
+    fn push_out_edges(&self, waiter: TxnId, stack: &mut Vec<TxnId>) {
         let shard = self.shard_for(waiter).lock();
         let _scope = crate::wake_check::GuardScope::enter();
-        shard
-            .get(&waiter)
-            .map(|entry| entry.out.iter().copied().collect())
+        if let Some(out) = shard.get(&waiter) {
+            stack.extend_from_slice(out);
+        }
     }
 
-    /// Depth-first search: does a cycle pass through `start`?
-    ///
-    /// Returns the members of the detected cycle, `start` first, so the
-    /// caller can pick a victim with [`select_victim`].  Each node's edges
-    /// are read under that node's shard guard only.
-    pub fn find_cycle_from(&self, start: TxnId) -> Option<Vec<TxnId>> {
+    /// Depth-first search: does a cycle pass through `start`?  Each node's
+    /// edges are read under that node's shard guard only.
+    pub fn has_cycle_through(&self, start: TxnId) -> bool {
         let mut visited: FxHashSet<TxnId> = FxHashSet::default();
-        let mut pred: FxHashMap<TxnId, TxnId> = FxHashMap::default();
-        let mut stack: Vec<(TxnId, TxnId)> = self
-            .out_edges(start)
-            .unwrap_or_default()
-            .into_iter()
-            .map(|next| (next, start))
-            .collect();
-        while let Some((current, from)) = stack.pop() {
+        let mut stack = Vec::new();
+        self.push_out_edges(start, &mut stack);
+        while let Some(current) = stack.pop() {
             if current == start {
-                // Walk the predecessor chain back to `start` to materialise
-                // the cycle membership (`from` was visited before its edges
-                // were pushed, so its chain is complete).
-                let mut cycle = vec![start];
-                let mut node = from;
-                while node != start {
-                    cycle.push(node);
-                    node = pred[&node];
-                }
-                return Some(cycle);
+                return true;
             }
-            if !visited.insert(current) {
-                continue;
-            }
-            pred.insert(current, from);
-            if let Some(nexts) = self.out_edges(current) {
-                stack.extend(nexts.into_iter().map(|next| (next, current)));
+            if visited.insert(current) {
+                self.push_out_edges(current, &mut stack);
             }
         }
-        None
+        false
     }
 
     /// Number of transactions currently waiting.  An entry always has an
@@ -278,8 +168,8 @@ mod tests {
         let g = WaitForGraph::new();
         g.set_waits_for(TxnId(1), [TxnId(2)]);
         g.set_waits_for(TxnId(2), [TxnId(3)]);
-        assert_eq!(g.find_cycle_from(TxnId(1)), None);
-        assert_eq!(g.find_cycle_from(TxnId(2)), None);
+        assert!(!g.has_cycle_through(TxnId(1)));
+        assert!(!g.has_cycle_through(TxnId(2)));
         assert_eq!(g.waiting_count(), 2);
     }
 
@@ -293,9 +183,8 @@ mod tests {
             g.set_waits_for(TxnId(i), [TxnId(i + 1)]);
         }
         g.set_waits_for(TxnId(n), [TxnId(1)]);
-        let cycle = g.find_cycle_from(TxnId(n)).unwrap();
-        assert_eq!(cycle[0], TxnId(n));
-        assert_eq!(cycle.len(), n as usize, "the whole ring is reported");
+        assert!(g.has_cycle_through(TxnId(n)));
+        assert!(g.has_cycle_through(TxnId(1)), "every ring member is on it");
         assert_eq!(g.waiting_count(), n as usize);
         (1..=n).for_each(|i| g.clear_waits_of(TxnId(i)));
         assert_eq!(g.waiting_count(), 0);
@@ -307,10 +196,10 @@ mod tests {
         g.set_waits_for(TxnId(1), [TxnId(2)]);
         g.set_waits_for(TxnId(2), [TxnId(3)]);
         g.set_waits_for(TxnId(3), [TxnId(1)]);
-        assert!(g.find_cycle_from(TxnId(1)).is_some());
+        assert!(g.has_cycle_through(TxnId(1)));
         g.remove_txn(TxnId(2));
-        assert_eq!(g.find_cycle_from(TxnId(1)), None);
-        assert_eq!(g.find_cycle_from(TxnId(3)), None);
+        assert!(!g.has_cycle_through(TxnId(1)));
+        assert!(!g.has_cycle_through(TxnId(3)));
         assert_eq!(g.waiting_count(), 1, "T1 waited for T2 alone, T3 waits on");
     }
 
@@ -318,7 +207,7 @@ mod tests {
     fn self_edges_are_ignored() {
         let g = WaitForGraph::new();
         g.set_waits_for(TxnId(1), [TxnId(1)]);
-        assert_eq!(g.find_cycle_from(TxnId(1)), None);
+        assert!(!g.has_cycle_through(TxnId(1)));
         assert_eq!(g.waiting_count(), 0);
     }
 
@@ -328,11 +217,11 @@ mod tests {
         // T1 waits for T2 and T3; T2 has finished, so it has no entry.
         g.set_waits_for(TxnId(1), [TxnId(2), TxnId(3)]);
         g.set_waits_for(TxnId(3), [TxnId(1)]);
-        // The requester leads the cycle it closed.
-        assert_eq!(g.find_cycle_from(TxnId(3)), Some(vec![TxnId(3), TxnId(1)]));
-        assert!(!g.find_cycle_from(TxnId(1)).unwrap().contains(&TxnId(2)));
+        assert!(g.has_cycle_through(TxnId(3)));
+        assert!(g.has_cycle_through(TxnId(1)));
+        assert!(!g.has_cycle_through(TxnId(2)), "T2 finished");
         g.clear_waits_of(TxnId(1));
-        assert_eq!(g.find_cycle_from(TxnId(1)), None);
+        assert!(!g.has_cycle_through(TxnId(1)));
         // Txn 3 still waits for 1.
         assert_eq!(g.waiting_count(), 1);
     }
@@ -343,33 +232,6 @@ mod tests {
         g.set_waits_for(TxnId(1), [TxnId(2), TxnId(3)]);
         g.set_waits_for(TxnId(2), [TxnId(4)]);
         g.set_waits_for(TxnId(3), [TxnId(4)]);
-        assert_eq!(g.find_cycle_from(TxnId(1)), None);
-    }
-
-    #[test]
-    fn fewest_locks_victim_prefers_lightest_then_youngest() {
-        let cycle = [TxnId(5), TxnId(2), TxnId(9)];
-        // Distinct weights: TxnId(2) holds the fewest locks.
-        let victim = select_victim(&cycle, |t| t.0 as usize);
-        assert_eq!(victim, TxnId(2));
-        // All weights equal: the youngest (largest id) loses the tie.
-        let victim = select_victim(&cycle, |_| 3);
-        assert_eq!(victim, TxnId(9));
-    }
-
-    #[test]
-    fn doom_fires_parked_event_and_is_consumed_once() {
-        let g = WaitForGraph::new();
-        g.set_waits_for(TxnId(1), [TxnId(2)]);
-        let event = OsEvent::acquire_pooled();
-        g.attach_waiter_event(TxnId(1), Arc::clone(&event));
-        assert!(g.doom(TxnId(1)));
-        assert!(event.is_set(), "doom must fire the parked event");
-        assert!(g.take_doomed(TxnId(1)));
-        assert!(!g.take_doomed(TxnId(1)), "the mark is consumed on read");
-        // A transaction with no graph entry cannot be doomed.
-        assert!(!g.doom(TxnId(42)));
-        g.clear_waits_of(TxnId(1));
-        assert!(!g.take_doomed(TxnId(1)), "cleared entries drop the mark");
+        assert!(!g.has_cycle_through(TxnId(1)));
     }
 }

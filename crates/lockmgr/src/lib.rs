@@ -44,8 +44,9 @@
 //! ([`lock_table::Layout::COUNT_UNCONTENDED_GRANTS`]: per acquisition vs.
 //! per conflict), the one difference inside a record's queue.  Every record
 //! lock is exclusive ([`modes`]): a record has at most one holder and a FIFO
-//! of waiters, and a release hands it to the front waiter.  A grant, doom, wake or acquisition-order change lands once and
-//! both arms get it; the conformance and differential tests in
+//! of waiters, and a release hands it to the front waiter.  A grant,
+//! deadlock check, wake or acquisition-order change lands once and both arms
+//! get it; the conformance and differential tests in
 //! [`lock_table`] and the sim suites hold the two layouts to the same
 //! behaviour.
 //!
@@ -77,10 +78,9 @@
 //!   lives in a per-waiter-shard slot; `set_waits_for` / `clear_waits_of`
 //!   never contend across unrelated waiters, a release sweeps the graph only
 //!   when a record it released has waiters, and the cycle DFS takes
-//!   per-shard guards one node at a time.  Detection reports the full cycle
-//!   membership, and the member with the fewest registry-tracked locks dies
-//!   (ties to the youngest id); a remote victim is woken through the event
-//!   parked in its graph entry and aborts out of its own wait.
+//!   per-shard guards one node at a time.  The request whose wait closes a
+//!   cycle dies: the graph had no cycle before that wait, so every cycle it
+//!   closes runs through the requester.
 //! * **Uncontended grants allocate nothing**: a request that does not wait
 //!   carries no `OsEvent` (a holder is a transaction id, and only waiters
 //!   carry request objects), and requests that *do* wait draw their event

@@ -23,10 +23,9 @@
 //! on a pooled [`OsEvent`] outside every shard mutex; the releasing
 //! transaction hands the record to the front of its FIFO and fires the
 //! event after dropping the guard.  Under [`DeadlockPolicy::Detect`] a
-//! wait-for-graph check runs before every wait and sacrifices the cycle
-//! member with the fewest registry-tracked locks (ties to the youngest); a
-//! victim other than the requester is woken through its graph-parked event
-//! and aborts out of its own wait.
+//! wait-for-graph check runs before every wait, and a request whose wait
+//! would close a cycle fails with `Deadlock` before it queues; every other
+//! wait ends in a grant or the lock-wait timeout.
 
 use crate::deadlock::WaitForGraph;
 use crate::event::{OsEvent, WaitOutcome};
@@ -108,13 +107,6 @@ fn visit_queue<R>(
         shard.remove(&key);
     }
     Some(result)
-}
-
-/// What one wake-up of the wait loop decided under the shard guard.
-enum WaitPoll {
-    Granted,
-    GaveUp { doomed: bool },
-    KeepWaiting,
 }
 
 /// A sharded record-lock table: the shared acquire/wait/release driver over
@@ -203,7 +195,6 @@ impl<L: Layout> RecordLockTable<L> {
     ) -> Result<()> {
         let event;
         let queue_len;
-        let mut doom_victim = None;
         {
             let mut shard = self.shards[self.shard_index(record)].lock();
             let _scope = GuardScope::enter();
@@ -221,18 +212,11 @@ impl<L: Layout> RecordLockTable<L> {
                 }
                 AcquireOutcome::MustWait => {
                     queue_len = queue.waiter_count() + 1;
-                    // A requester chosen as deadlock victim returns before
-                    // any lock object or wait is recorded, so the Figure-6d
-                    // counters stay truthful; a *remote* victim is doomed
-                    // after the guard drops.
+                    // A requester that closes a cycle returns before any lock
+                    // object or wait is recorded, so the Figure-6d counters
+                    // stay truthful.
                     if self.detects() {
-                        doom_victim = deadlock_check_on_wait(
-                            queue,
-                            &self.graph,
-                            &self.registry,
-                            &self.metrics,
-                            txn,
-                        )?;
+                        deadlock_check_on_wait(queue, &self.graph, &self.metrics, txn)?;
                     }
                     event = queue.enqueue_waiter(txn, &self.metrics);
                 }
@@ -240,16 +224,6 @@ impl<L: Layout> RecordLockTable<L> {
         }
         on_queue(queue_len);
         self.registry.remember_record(txn, record);
-        if self.detects() {
-            // Park our event in the graph so a later detection pass can doom
-            // us, then doom the victim this pass chose (if it stopped
-            // waiting meanwhile the evidence was stale — our own timeout is
-            // the backstop).
-            self.graph.attach_waiter_event(txn, Arc::clone(&event));
-            if let Some(victim) = doom_victim {
-                self.graph.doom(victim);
-            }
-        }
         self.wait_until_granted(txn, record, event, scratch)
     }
 
@@ -262,15 +236,13 @@ impl<L: Layout> RecordLockTable<L> {
         visit_queue(&mut shard, record, f)
     }
 
-    /// The doom-aware wait loop a queued request parks in: wait outside the
-    /// shard mutex (a hand-off wait — the holder releases before its flush),
-    /// consume dooms delivered before the event was parked in
-    /// the graph, re-check the grant under the shard guard on every wake-up,
-    /// and — on timeout or doom — remove the waiting request (the holder
-    /// keeps the record, so nobody is woken) and forget the registry entry,
-    /// counting the release into the requester's `scratch`.  The deadline
-    /// lives on [`SimInstant`], so under deterministic simulation it fires on
-    /// the virtual clock.
+    /// The wait loop a queued request parks in: wait outside the shard mutex
+    /// (a hand-off wait — the holder releases before its flush), re-check the
+    /// grant under the shard guard on every wake-up, and — on timeout —
+    /// remove the waiting request (the holder keeps the record, so nobody is
+    /// woken) and forget the registry entry, counting the release into the
+    /// requester's `scratch`.  The deadline lives on [`SimInstant`], so under
+    /// deterministic simulation it fires on the virtual clock.
     fn wait_until_granted(
         &self,
         txn: TxnId,
@@ -278,62 +250,40 @@ impl<L: Layout> RecordLockTable<L> {
         event: Arc<OsEvent>,
         scratch: &MetricsScratch,
     ) -> Result<()> {
-        let (graph, metrics, detect) = (&self.graph, &*self.metrics, self.detects());
         let wait_start = SimInstant::now();
         let deadline = wait_start + self.config.lock_wait_timeout;
         loop {
-            // Consume a doom *before* parking: one delivered before our event
-            // was parked in the graph (or wiped by the reset below) must abort
-            // us now, not after the full timeout.
-            let pre_doomed = detect && graph.take_doomed(txn);
             let remaining = deadline.saturating_duration_since(SimInstant::now());
-            let timed_out = pre_doomed
-                || remaining.is_zero()
-                || event.wait_handoff(remaining) == WaitOutcome::TimedOut;
+            let timed_out =
+                remaining.is_zero() || event.wait_handoff(remaining) == WaitOutcome::TimedOut;
             let waited = wait_start.elapsed();
             // One shard acquisition serves both the grant check and the
             // give-up cleanup.  A pruned queue means our request is gone.
-            let poll = self
+            let granted = self
                 .with_queue(record, |queue| {
-                    if queue.holder() == Some(txn) {
-                        return WaitPoll::Granted;
+                    let granted = queue.holder() == Some(txn);
+                    if !granted && timed_out {
+                        // Give up: another transaction holds the record, so
+                        // removing our waiting request wakes nobody.
+                        queue.remove_waiter(txn);
                     }
-                    let doomed = pre_doomed || (detect && graph.take_doomed(txn));
-                    if !doomed && !timed_out {
-                        return WaitPoll::KeepWaiting;
-                    }
-                    // Give up: another transaction holds the record, so
-                    // removing our waiting request wakes nobody.
-                    queue.remove_waiter(txn);
-                    WaitPoll::GaveUp { doomed }
+                    granted
                 })
-                .unwrap_or_else(|| {
-                    let doomed = pre_doomed || (detect && graph.take_doomed(txn));
-                    if doomed || timed_out {
-                        WaitPoll::GaveUp { doomed }
-                    } else {
-                        WaitPoll::KeepWaiting
-                    }
-                });
-            let result = match poll {
-                WaitPoll::Granted => Ok(()),
-                WaitPoll::GaveUp { doomed } => {
-                    self.registry.forget_records_in(txn, &[record], scratch);
-                    Err(if doomed {
-                        Error::Deadlock { txn }
-                    } else {
-                        Error::LockWaitTimeout { txn, record }
-                    })
-                }
+                .unwrap_or(false);
+            if !granted && !timed_out {
                 // Spurious wake-up (event set but our grant was raced away):
                 // reset and wait again.
-                WaitPoll::KeepWaiting => {
-                    event.reset();
-                    continue;
-                }
+                event.reset();
+                continue;
+            }
+            let result = if granted {
+                Ok(())
+            } else {
+                self.registry.forget_records_in(txn, &[record], scratch);
+                Err(Error::LockWaitTimeout { txn, record })
             };
-            metrics.lock_wait_latency.record(waited);
-            graph.clear_waits_of(txn);
+            self.metrics.lock_wait_latency.record(waited);
+            self.graph.clear_waits_of(txn);
             OsEvent::recycle(event);
             return result;
         }
@@ -538,9 +488,7 @@ mod tests {
         t.lock_record(TxnId(2), R2, X).unwrap();
         // T1 waits for R2 (held by T2).
         let h = lock_async(&t, 1, R2);
-        // T2 requesting R1 closes the cycle.  T2 is the victim: it holds 1
-        // registry-tracked lock against T1's 2 (T1's wait on R2 is
-        // registry-tracked too).
+        // T2 requesting R1 closes the cycle, so T2 is the victim.
         let err = t.lock_record(TxnId(2), R1, X).unwrap_err();
         assert!(matches!(err, Error::Deadlock { txn: TxnId(2) }));
         // Let T1 proceed by releasing T2's locks (as its rollback would).
@@ -550,25 +498,31 @@ mod tests {
         assert_drained(&t);
     }
 
-    fn heavier_requester_dooms_the_lighter_waiter<L: Layout + 'static>() {
-        // T1 holds only R2 and waits for R1; T2 holds R1 plus two ballast
-        // locks.  When T2 closes the cycle T1 is lighter (2 entries vs 4)
-        // and must be doomed remotely while T2 keeps waiting.
+    fn the_request_that_closes_a_cycle_dies_and_the_waiters_ahead_keep_their_turn<
+        L: Layout + 'static,
+    >() {
+        // T1 holds R1 and T2 holds R2; T3 queues on R1, then T2 behind it,
+        // so T2 waits for T3 too.  T3 holds nothing: aborting it breaks no
+        // cycle.  T1's request for R2 closes the cycle, and T1 dies at once.
         let t = table::<L>(DeadlockPolicy::Detect, 5_000);
-        t.lock_record(TxnId(2), R1, X).unwrap();
-        t.lock_record(TxnId(2), RecordId::new(2, 0, 0), X).unwrap();
-        t.lock_record(TxnId(2), RecordId::new(2, 0, 1), X).unwrap();
-        t.lock_record(TxnId(1), R2, X).unwrap();
-        let victim = lock_async(&t, 1, R1);
-        let requester = lock_async(&t, 2, R2);
-        let victim_err = victim.join().unwrap().unwrap_err();
+        t.lock_record(TxnId(1), R1, X).unwrap();
+        t.lock_record(TxnId(2), R2, X).unwrap();
+        let third = lock_async(&t, 3, R1);
+        let second = lock_async(&t, 2, R1);
+        let asked = std::time::Instant::now();
+        let err = t.lock_record(TxnId(1), R2, X).unwrap_err();
         assert!(
-            matches!(victim_err, Error::Deadlock { txn: TxnId(1) }),
-            "doomed waiter must abort with a deadlock error, got {victim_err:?}"
+            matches!(err, Error::Deadlock { txn: TxnId(1) }),
+            "got {err:?}"
         );
-        // T1's rollback releases R2, unblocking the requester.
+        assert!(asked.elapsed() < Duration::from_secs(1), "not a timeout");
+        // T1's rollback releases R1, and its FIFO grants it in order.
         t.release_all(TxnId(1));
-        requester.join().unwrap().unwrap();
+        third.join().unwrap().unwrap();
+        assert_eq!(t.holder_of(R1), Some(TxnId(3)));
+        t.release_all(TxnId(3));
+        second.join().unwrap().unwrap();
+        assert_eq!(t.holder_of(R1), Some(TxnId(2)));
         t.release_all(TxnId(2));
         assert_drained(&t);
     }
@@ -602,7 +556,7 @@ mod tests {
         exclusive_lock_is_granted_reentrant_and_released,
         single_and_batched_release_keep_other_locks,
         deadlock_is_detected,
-        heavier_requester_dooms_the_lighter_waiter,
+        the_request_that_closes_a_cycle_dies_and_the_waiters_ahead_keep_their_turn,
         timeout_policy_never_reports_deadlock,
     );
 

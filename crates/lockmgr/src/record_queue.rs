@@ -2,7 +2,9 @@
 //! stores per record.
 //!
 //! A [`RecordQueue`] owns the holder/waiter split, the from-front FIFO grant
-//! and timeout/cancel removal.  Every record lock is exclusive
+//! and timeout/cancel removal; [`deadlock_check_on_wait`] reads the queue a
+//! request is about to join and fails that request when its wait would close
+//! a cycle.  Every record lock is exclusive
 //! ([`crate::modes`]), so a record has at most one holder and a release
 //! hands it to the front waiter only.  The queue never knows how it is
 //! keyed, sharded or pruned, nor how a request waits: the shard maps and
@@ -30,9 +32,8 @@
 //!   atomic; the slow paths (waits, deadlock checks) still record into
 //!   [`EngineMetrics`] directly.
 
-use crate::deadlock::{select_victim, WaitForGraph};
+use crate::deadlock::WaitForGraph;
 use crate::event::OsEvent;
-use crate::registry::TxnLockRegistry;
 use std::collections::VecDeque;
 use std::sync::Arc;
 use txsql_common::metrics::{EngineMetrics, MetricsScratch};
@@ -157,7 +158,7 @@ impl RecordQueue {
         self.remove_waiter(txn);
     }
 
-    /// Removes `txn`'s *waiting* entry only: the timeout/doom cleanup, which
+    /// Removes `txn`'s *waiting* entry only: the timeout cleanup, which
     /// wakes nobody, since the holder keeps the record.
     pub(crate) fn remove_waiter(&mut self, txn: TxnId) {
         if let Some(waiters) = &mut self.waiters {
@@ -198,31 +199,24 @@ impl RecordQueue {
 /// Runs wait-for-graph deadlock detection for a request that is about to
 /// queue behind `queue`'s holder and waiters (called under the shard guard,
 /// before the waiter is enqueued, so the Figure-6d counters stay truthful
-/// when the requester is chosen as victim and returns without ever creating
-/// a lock object).
+/// when the requester dies without ever creating a lock object).
 ///
-/// Returns `Err(Deadlock)` when the requester itself must die (its graph
-/// entry is already cleared), `Ok(Some(victim))` when a *remote* cycle member
-/// was chosen — the caller dooms it through the graph **after** dropping the
-/// shard guard — and `Ok(None)` when no cycle was found.
+/// Returns `Err(Deadlock)` when the request's edges close a cycle: the
+/// requester is the victim (see [`crate::deadlock`]) and its graph entry is
+/// already cleared.
 pub fn deadlock_check_on_wait(
     queue: &RecordQueue,
     graph: &WaitForGraph,
-    registry: &TxnLockRegistry,
     metrics: &EngineMetrics,
     txn: TxnId,
-) -> Result<Option<TxnId>> {
+) -> Result<()> {
     metrics.deadlock_checks.inc();
     graph.set_waits_for(txn, queue.holder.into_iter().chain(queue.waiter_ids()));
-    if let Some(cycle) = graph.find_cycle_from(txn) {
-        let victim = select_victim(&cycle, |t| registry.record_count_of(t));
-        if victim == txn {
-            graph.clear_waits_of(txn);
-            return Err(Error::Deadlock { txn });
-        }
-        return Ok(Some(victim));
+    if graph.has_cycle_through(txn) {
+        graph.clear_waits_of(txn);
+        return Err(Error::Deadlock { txn });
     }
-    Ok(None)
+    Ok(())
 }
 
 #[cfg(test)]

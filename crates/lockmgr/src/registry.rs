@@ -144,8 +144,8 @@ impl TxnLockRegistry {
         Some(records)
     }
 
-    /// Number of records `txn` currently holds or waits on (the deadlock
-    /// victim weight).
+    /// Number of records `txn` currently holds or waits on (zero once it
+    /// finished, as `TrxSys::finish` checks in debug builds).
     pub fn record_count_of(&self, txn: TxnId) -> usize {
         self.shard_for(txn)
             .lock()

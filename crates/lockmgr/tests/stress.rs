@@ -27,7 +27,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use support::{assert_locks_drained, lock_table, lock_table_on};
 use txsql_common::metrics::{EngineMetrics, MetricsScratch};
-use txsql_common::{RecordId, TxnId};
+use txsql_common::{Error, RecordId, TxnId};
 use txsql_lockmgr::lightweight::FlatLayout;
 use txsql_lockmgr::lock_sys::PageLayout;
 use txsql_lockmgr::lock_table::{DeadlockPolicy, Layout};
@@ -138,7 +138,8 @@ fn lightweight_hot_and_cold_stress() {
 fn deadlock_detection_survives_concurrent_churn() {
     // With detection enabled and short timeouts, cross-thread cycles on two
     // records must resolve as deadlock or timeout — never hang — and the
-    // graph must drain afterwards.
+    // graph must drain afterwards.  Only the request that closes a cycle
+    // dies, so a first request, made while holding nothing, never does.
     let table = lock_table::<FlatLayout>(DeadlockPolicy::Detect, 20);
     let a = RecordId::new(3, 0, 0);
     let b = RecordId::new(3, 0, 1);
@@ -153,8 +154,14 @@ fn deadlock_detection_survives_concurrent_churn() {
                     // Half the workers lock a->b, half b->a: real deadlock
                     // cycles form and must be broken.
                     let (first, second) = if worker % 2 == 0 { (a, b) } else { (b, a) };
-                    if table.lock_record(txn, first, LockMode::Exclusive).is_ok() {
-                        let _ = table.lock_record(txn, second, LockMode::Exclusive);
+                    match table.lock_record(txn, first, LockMode::Exclusive) {
+                        Ok(()) => {
+                            let _ = table.lock_record(txn, second, LockMode::Exclusive);
+                        }
+                        Err(err) => assert!(
+                            !matches!(err, Error::Deadlock { .. }),
+                            "{txn:?} died holding nothing"
+                        ),
                     }
                     table.release_all(txn);
                 }
