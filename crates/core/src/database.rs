@@ -295,8 +295,9 @@ impl Database {
     /// of the oldest transaction that was active when the image was started,
     /// so every record recovery could still need survives.  The image is
     /// published as the baseline *before* the log is truncated — a crash
-    /// between the two recovers from the new image plus an un-truncated
-    /// (merely redundant) log, which idempotent replay tolerates.
+    /// between the two recovers from the new image plus an un-truncated log
+    /// that overlaps it, and in-order replay of whole row images rewrites
+    /// the overlap to what the image already holds.
     pub fn checkpoint(&self) -> Result<CheckpointImage> {
         // Floor and image are captured in one apply-latch critical section:
         // a transaction the image does not (fully) reflect is either in the

@@ -292,10 +292,31 @@ fn checkpoint_with_inflight_txn_then_crash_recovers_image_plus_log() {
     recovered.audit("checkpoint with a transaction in flight");
 }
 
+/// A transaction that sets the hot row back to an earlier value (`+1, +1,
+/// -1`) recovers as its last write left it, under every protocol: its second
+/// image of the same row is a write of its own, not a record to skip.
+#[test]
+fn a_row_set_back_to_an_earlier_value_recovers_its_last_write() {
+    for protocol in PROTOCOLS {
+        let fixture = crash_fixture(protocol, FaultPlan::none(), LatencyModel::in_memory());
+        let db = &fixture.db;
+        db.checkpoint().unwrap();
+        let mut txn = db.begin();
+        for delta in [1, 1, -1] {
+            db.update_add(&mut txn, fixture::ACCOUNTS, HOT, 1, delta)
+                .unwrap();
+        }
+        db.commit(txn).unwrap();
+        fixture.acked(&[(HOT, 1)]);
+        db.storage().redo().flush_all().unwrap();
+        let (recovered, _) = fixture.restart();
+        recovered.audit(&format!("{protocol:?}: +1, +1, -1 on the hot row"));
+    }
+}
+
 /// A crash *between* flushing a checkpoint image and publishing it: the new
 /// image is discarded and recovery falls back to the previous baseline plus
-/// the (un-truncated, merely redundant) log — which idempotent replay
-/// tolerates.
+/// the un-truncated log, which replay redoes in order from that baseline.
 #[test]
 fn crash_during_checkpoint_falls_back_to_previous_baseline() {
     // Hit 1 is the baseline checkpoint below; hit 2 the crashing one.

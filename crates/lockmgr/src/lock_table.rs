@@ -240,9 +240,10 @@ impl<L: Layout> RecordLockTable<L> {
     /// (a hand-off wait — the holder releases before its flush), re-check the
     /// grant under the shard guard on every wake-up, and — on timeout —
     /// remove the waiting request (the holder keeps the record, so nobody is
-    /// woken) and forget the registry entry, counting the release into the
-    /// requester's `scratch`.  The deadline lives on [`SimInstant`], so under
-    /// deterministic simulation it fires on the virtual clock.
+    /// woken), forget the registry entry, counting the release into the
+    /// requester's `scratch`, and drop the requester's wait-for edges.  The
+    /// deadline lives on [`SimInstant`], so under deterministic simulation it
+    /// fires on the virtual clock.
     fn wait_until_granted(
         &self,
         txn: TxnId,
@@ -280,10 +281,14 @@ impl<L: Layout> RecordLockTable<L> {
                 Ok(())
             } else {
                 self.registry.forget_records_in(txn, &[record], scratch);
+                if self.detects() {
+                    // A granted waiter's edges went with its grant
+                    // (`grant_from_front`); one that gives up drops its own.
+                    self.graph.clear_waits_of(txn);
+                }
                 Err(Error::LockWaitTimeout { txn, record })
             };
             self.metrics.lock_wait_latency.record(waited);
-            self.graph.clear_waits_of(txn);
             OsEvent::recycle(event);
             return result;
         }

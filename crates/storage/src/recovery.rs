@@ -1,29 +1,30 @@
 //! Crash recovery.
 //!
 //! Recovery rebuilds the engine from a [`CheckpointImage`] plus the durable
-//! suffix of the redo log, then deals with in-flight transactions:
+//! suffix of the redo log, in one pass in log order that does what the
+//! engine did:
 //!
-//! 1. **Outcome resolution** — one scan of the suffix for `Commit` markers
-//!    (the first `trx_no` of a duplicated marker wins) and `UndoHeader`
-//!    records (which may carry a `hot_update_order`, §5.3).
-//! 2. **Replay** — every durable row image is re-applied in
-//!    log order as a version written by its original transaction.  A winner's
-//!    image is stamped with its `trx_no` as it is applied and the committed
-//!    image it supersedes is dropped, so a row's chain never grows past the
-//!    losers stacked on it and replay is linear in the log, however hot the
-//!    row.  Replay is *idempotent*: an image its transaction has already
-//!    applied to the same row is skipped instead of double-applied, so
-//!    replaying the same durable suffix twice — or a suffix that overlaps the
-//!    checkpoint — yields the same state.  The guard looks at the
-//!    transaction's own applied images, never at the row's chain.
-//!    The images of a transaction with a durable `Rollback` marker were all
-//!    undone before the marker was written: they are counted, not applied.
-//! 3. **Loser rollback** — transactions without a durable `Commit` marker
-//!    (rolled back before the crash, or still active) are rolled back *in
-//!    reverse hot-update order* (transactions without a hot order are rolled
-//!    back first), reproducing the paper's single-threaded sequential
-//!    rollback.  The rollback order is also reported so the failure-recovery
-//!    experiment can verify it.
+//! * a row image becomes the newest, uncommitted version of its row, written
+//!   by its transaction (the row is inserted if its primary key is absent: it
+//!   may have been created after the checkpoint);
+//! * a `Commit` marker stamps its transaction's rows with the marker's
+//!   `trx_no` and drops what that supersedes, so a row's chain never grows
+//!   past the transactions stacked on it and replay is linear in the log,
+//!   however hot the row;
+//! * a `Rollback` marker undoes its transaction's rows through
+//!   `Table::rollback_writer`, as the live rollback did before writing it;
+//! * an `UndoHeader` records the transaction's hot-update order (§5.3).
+//!
+//! Images are whole rows, so replaying a stretch of log the checkpoint
+//! already reflects rewrites the same values in the same order, and a
+//! recovery rerun over the same log yields the same state.
+//!
+//! After the pass, the transactions with no durable marker are rolled back
+//! *in reverse hot-update order* (transactions without a hot order first),
+//! reproducing the paper's single-threaded sequential rollback.  The report
+//! lists every transaction that did not commit in that order — those a
+//! `Rollback` marker already undid too — so the failure-recovery experiment
+//! can verify it.
 //!
 //! # Torn tails
 //!
@@ -38,9 +39,11 @@ use crate::storage::{CheckpointImage, Storage};
 use crate::undo::UndoHeader;
 use crate::version::RecordVersions;
 use crate::wal::{Frames, RedoRecord};
+use std::borrow::Borrow;
+use std::cmp::Reverse;
 use std::time::Duration;
-use txsql_common::fxhash::{FxHashMap, FxHashSet};
-use txsql_common::{Lsn, Result, Row, TableId, TxnId};
+use txsql_common::fxhash::FxHashMap;
+use txsql_common::{Lsn, RecordId, Result, TableId, TxnId};
 
 /// Everything recovery learned, separated from the recovered engine so it can
 /// be logged, asserted on by the recovery oracle, and used to reseed the
@@ -49,14 +52,12 @@ use txsql_common::{Lsn, Result, Row, TableId, TxnId};
 pub struct RecoveryReport {
     /// Transactions whose commit marker was durable (re-committed), sorted.
     pub committed: Vec<TxnId>,
-    /// In-flight transactions rolled back during recovery, in the order they
-    /// were rolled back (reverse hot-update order).
+    /// Transactions with a row image and no durable commit, in rollback
+    /// order (reverse hot-update order), including those a durable
+    /// `Rollback` marker undid.
     pub rolled_back: Vec<TxnId>,
-    /// Number of redo records replayed.
+    /// Number of row images replayed.
     pub replayed: usize,
-    /// Row images skipped because their transaction had already applied them
-    /// (idempotent replay of an overlapping or duplicated suffix).
-    pub duplicate_replays_skipped: usize,
     /// Hot-update orders recovered from persisted undo headers, in rollback
     /// order (descending).
     pub recovered_hot_orders: Vec<(TxnId, u64)>,
@@ -76,10 +77,8 @@ impl RecoveryReport {
             None => "clean tail".to_string(),
         };
         format!(
-            "recovery: replayed {} records ({} duplicates skipped), \
-             {} committed, {} rolled back ({} hot-ordered), {}",
+            "recovery: replayed {} records, {} committed, {} rolled back ({} hot-ordered), {}",
             self.replayed,
-            self.duplicate_replays_skipped,
             self.committed.len(),
             self.rolled_back.len(),
             self.recovered_hot_orders.len(),
@@ -99,65 +98,26 @@ pub struct RecoveryOutcome {
 
 #[derive(Default)]
 struct TxnRecoveryState {
-    committed_as: Option<u64>,
-    /// A durable `Rollback` marker: every change was undone before it was
-    /// written, so the images are counted but not applied.
+    /// A durable `Commit` marker was replayed.
+    committed: bool,
+    /// A durable `Rollback` marker was replayed: its rows are already undone.
     rolled_back: bool,
     header: UndoHeader,
-    /// Log positions of the row images replayed for this transaction, in log
-    /// order: what the duplicate guard compares against and what rollback
-    /// walks backwards.
-    applied: Vec<usize>,
+    /// The rows its images were replayed into, in log order.
+    writes: Vec<(TableId, RecordId)>,
     last_seq: usize,
 }
 
-/// The row image a redo record carries: table, primary key, row.  The image
-/// names no record: replay finds the row by its primary key, column 0.
-fn row_image(record: &RedoRecord) -> Option<(TableId, i64, &Row)> {
-    match record {
-        RedoRecord::Image { table, row, .. } => Some((*table, row.primary_key()?, row)),
-        _ => None,
-    }
-}
-
-/// Applies one row image as the newest version of its row, written by `txn`,
-/// inserting the row if its primary key does not exist yet (it may have been
-/// created after the checkpoint).  A winner's image (`commit_no` known) is
-/// stamped at once and everything it supersedes is dropped; a loser's stays
-/// uncommitted for the rollback pass.
-fn replay_row(
-    storage: &Storage,
-    txn: TxnId,
-    commit_no: Option<u64>,
-    (table_id, pk, row): (TableId, i64, &Row),
-) -> Result<()> {
-    let table = storage.table(table_id)?;
-    let record = match table.lookup_pk(pk) {
-        Ok(record) => record,
-        Err(_) => table.insert_versions(pk, RecordVersions::default())?,
-    };
-    let slot = table.slot(record)?;
-    let mut guard = slot.write();
-    guard.push_uncommitted(row.clone(), txn);
-    if let Some(commit_no) = commit_no {
-        guard.commit_writer(txn, commit_no);
-        guard.purge_to_floor(u64::MAX);
-    }
-    #[cfg(test)]
-    tests::PEAK_CHAIN.with(|peak| peak.set(peak.get().max(guard.version_count())));
-    Ok(())
-}
-
 /// Recovers a storage engine from `checkpoint` and the durable log as read
-/// back after a crash: `frames` is decoded once, in place, up to where it
-/// scan-stops (the two passes of [`recover`] index what it yielded).
+/// back after a crash: `frames` is decoded once, in place, as it is replayed,
+/// up to where it scan-stops.
 pub fn recover_frames(
     checkpoint: &CheckpointImage,
     mut frames: Frames<'_>,
     fsync_latency: Duration,
 ) -> Result<RecoveryOutcome> {
-    let records: Vec<RedoRecord> = frames.by_ref().map(|(_, record)| record).collect();
-    let mut outcome = recover(checkpoint, &records, fsync_latency)?;
+    let records = frames.by_ref().map(|(_, record)| record);
+    let mut outcome = replay(checkpoint, records, fsync_latency)?;
     outcome.report.torn_tail = frames.torn_tail();
     Ok(outcome)
 }
@@ -169,96 +129,97 @@ pub fn recover(
     durable_redo: &[RedoRecord],
     fsync_latency: Duration,
 ) -> Result<RecoveryOutcome> {
+    replay(checkpoint, durable_redo, fsync_latency)
+}
+
+/// The one pass over `records` in log order, then the rollback of the
+/// transactions it left without a durable marker.
+fn replay(
+    checkpoint: &CheckpointImage,
+    records: impl IntoIterator<Item = impl Borrow<RedoRecord>>,
+    fsync_latency: Duration,
+) -> Result<RecoveryOutcome> {
     let storage = Storage::from_checkpoint(checkpoint, fsync_latency)?;
     let mut states: FxHashMap<TxnId, TxnRecoveryState> = FxHashMap::default();
-
-    // Pass 1: resolve outcomes and collect per-transaction metadata.
-    let mut max_trx_no = 0u64;
-    for (seq, record) in durable_redo.iter().enumerate() {
-        let state = states.entry(record.txn()).or_default();
+    let (mut replayed, mut max_trx_no) = (0usize, 0u64);
+    for (seq, record) in records.into_iter().enumerate() {
+        let record = record.borrow();
+        let txn = record.txn();
+        let state = states.entry(txn).or_default();
         state.last_seq = seq;
         match record {
-            RedoRecord::UndoHeader { field, .. } => {
-                state.header = UndoHeader::from_raw(*field);
+            RedoRecord::Image {
+                table: table_id,
+                row,
+                ..
+            } => {
+                // The image names no record: its row is found by its primary
+                // key, column 0, and inserted if the key is absent (it may
+                // have been created after the checkpoint).
+                let Some(pk) = row.primary_key() else {
+                    continue;
+                };
+                let table = storage.table(*table_id)?;
+                let record = match table.lookup_pk(pk) {
+                    Ok(record) => record,
+                    Err(_) => table.insert_versions(pk, RecordVersions::default())?,
+                };
+                let mut guard = table.slot(record)?.write();
+                guard.push_uncommitted(row.clone(), txn);
+                #[cfg(test)]
+                tests::PEAK_CHAIN.with(|peak| peak.set(peak.get().max(guard.version_count())));
+                state.writes.push((*table_id, record));
+                replayed += 1;
             }
+            RedoRecord::UndoHeader { field, .. } => state.header = UndoHeader::from_raw(*field),
             RedoRecord::Commit { trx_no, .. } => {
-                // A duplicated suffix can carry the same Commit marker twice;
-                // the first trx_no wins (they are identical in practice).
-                let trx_no = *state.committed_as.get_or_insert(*trx_no);
-                max_trx_no = max_trx_no.max(trx_no);
+                state.committed = true;
+                max_trx_no = max_trx_no.max(*trx_no);
+                for (table_id, record) in state.writes.drain(..) {
+                    let mut guard = storage.table(table_id)?.slot(record)?.write();
+                    guard.commit_writer(txn, *trx_no);
+                    guard.purge_to_floor(u64::MAX);
+                }
             }
-            RedoRecord::Rollback { .. } => state.rolled_back = true,
-            _ => {}
+            RedoRecord::Rollback { .. } => {
+                state.rolled_back = true;
+                for (table_id, record) in state.writes.iter().rev() {
+                    storage.table(*table_id)?.rollback_writer(*record, txn)?;
+                }
+            }
         }
-    }
-
-    // Pass 2: replay row images in log order, winners stamped as applied.
-    let mut replayed = 0usize;
-    let mut duplicate_replays_skipped = 0usize;
-    for (seq, record) in durable_redo.iter().enumerate() {
-        let Some(image) = row_image(record) else {
-            continue;
-        };
-        let txn = record.txn();
-        let state = states.get_mut(&txn).expect("pass 1 saw every record");
-        let already_applied = state
-            .applied
-            .iter()
-            .any(|earlier| row_image(&durable_redo[*earlier]) == Some(image));
-        if already_applied {
-            duplicate_replays_skipped += 1;
-            continue;
-        }
-        if !state.rolled_back {
-            replay_row(&storage, txn, state.committed_as, image)?;
-        }
-        state.applied.push(seq);
-        replayed += 1;
     }
     let mut committed: Vec<TxnId> = states
         .iter()
-        .filter(|(_, s)| s.committed_as.is_some())
+        .filter(|(_, s)| s.committed)
         .map(|(txn, _)| *txn)
         .collect();
     committed.sort_unstable();
 
-    // Pass 3: roll back transactions that did not reach a durable commit —
-    // both those with a durable rollback marker and those still active.
-    // Order: transactions WITHOUT a recovered hot-update order first (they
-    // cannot have stacked uncommitted versions under a hotspot chain), then
-    // hotspot transactions in reverse hot-update order (§5.3).
-    let mut to_roll_back: Vec<(TxnId, Option<u64>, usize)> = states
+    // Roll back the transactions with no durable marker, and report them
+    // with those a rollback marker undid, in one order: transactions WITHOUT
+    // a recovered hot-update order first, newest first (they cannot have
+    // stacked uncommitted versions under a hotspot chain), then hotspot
+    // transactions in reverse hot-update order (§5.3).
+    let mut losers: Vec<_> = states
         .iter()
-        .filter(|(_, s)| s.committed_as.is_none() && !s.applied.is_empty())
-        .map(|(txn, s)| (*txn, s.header.hot_update_order(), s.last_seq))
+        .filter(|(_, s)| !s.committed && !s.writes.is_empty())
         .collect();
-    to_roll_back.sort_by(|a, b| match (a.1, b.1) {
-        (None, None) => b.2.cmp(&a.2),
-        (None, Some(_)) => std::cmp::Ordering::Less,
-        (Some(_), None) => std::cmp::Ordering::Greater,
-        (Some(x), Some(y)) => y.cmp(&x),
+    losers.sort_by_key(|(_, s)| {
+        let order = s.header.hot_update_order();
+        (order.is_some(), Reverse(order), Reverse(s.last_seq))
     });
-
-    let mut rolled_back = Vec::new();
+    let mut rolled_back = Vec::with_capacity(losers.len());
     let mut recovered_hot_orders = Vec::new();
-    let mut seen: FxHashSet<TxnId> = FxHashSet::default();
-    for (txn, hot_order, _) in to_roll_back {
-        if !seen.insert(txn) {
-            continue;
-        }
-        if let Some(order) = hot_order {
-            recovered_hot_orders.push((txn, order));
-        }
-        for seq in states[&txn].applied.iter().rev() {
-            let (table_id, pk, _) = row_image(&durable_redo[*seq]).expect("applied image");
-            let table = storage.table(table_id)?;
-            if let Ok(record) = table.lookup_pk(pk) {
-                table.rollback_writer(record, txn)?;
+    for (&txn, state) in losers {
+        if !state.rolled_back {
+            for (table_id, record) in state.writes.iter().rev() {
+                storage.table(*table_id)?.rollback_writer(*record, txn)?;
             }
         }
+        recovered_hot_orders.extend(state.header.hot_update_order().map(|order| (txn, order)));
         rolled_back.push(txn);
     }
-    recovered_hot_orders.sort_by_key(|(_, order)| std::cmp::Reverse(*order));
 
     let max_txn_id = states.keys().map(|t| t.0).max().unwrap_or(0);
     Ok(RecoveryOutcome {
@@ -267,7 +228,6 @@ pub fn recover(
             committed,
             rolled_back,
             replayed,
-            duplicate_replays_skipped,
             recovered_hot_orders,
             torn_tail: None,
             max_txn_id,
@@ -281,7 +241,7 @@ mod tests {
     use super::*;
     use crate::schema::TableSchema;
     use std::cell::Cell;
-    use txsql_common::{RecordId, TableId};
+    use txsql_common::Row;
 
     thread_local! {
         /// Longest chain `replay_row` left behind on this thread.
@@ -440,53 +400,29 @@ mod tests {
     }
 
     #[test]
-    fn replaying_the_same_suffix_twice_is_idempotent() {
-        // The same durable suffix concatenated with itself — e.g. an archiver
-        // handing recovery an overlapping log segment — must not double-apply
-        // versions or double-commit.
+    fn a_row_set_back_to_an_earlier_value_recovers_the_last_write() {
+        // One transaction writes the hot row 2 -> 3 -> 2 and commits: the
+        // repeated image is a write of its own, not a duplicate to skip.
         let (storage, tid, hot, _cold, checkpoint) = setup();
-        let committed = TxnId(1);
-        set_hot(&storage, committed, tid, hot, 7);
-        storage.commit_writes(committed, 1, &[(tid, hot)]).unwrap();
-        let in_flight = TxnId(2);
-        set_hot(&storage, in_flight, tid, hot, 9);
+        let txn = TxnId(1);
+        for value in [2, 3, 2] {
+            set_hot(&storage, txn, tid, hot, value);
+        }
+        storage.commit_writes(txn, 1, &[(tid, hot)]).unwrap();
         storage.redo().flush_all().unwrap();
 
-        let suffix = storage.redo().durable_records();
-        let mut doubled = suffix.clone();
-        doubled.extend(suffix.iter().cloned());
-
-        let once = recover(&checkpoint, &suffix, Duration::ZERO).unwrap();
-        let twice = recover(&checkpoint, &doubled, Duration::ZERO).unwrap();
-        assert_eq!(twice.report.replayed, once.report.replayed);
-        assert_eq!(twice.report.duplicate_replays_skipped, once.report.replayed);
-        assert_eq!(once.report.committed, twice.report.committed);
-        assert_eq!(once.report.rolled_back, twice.report.rolled_back);
-        for outcome in [&once, &twice] {
-            let t = outcome.storage.table(tid).unwrap();
-            let rid = t.lookup_pk(1).unwrap();
-            let slot = t.slot(rid).unwrap();
-            assert_eq!(
-                slot.read()
-                    .visible(&crate::version::ReadCommitted)
-                    .unwrap()
-                    .row
-                    .get_int(1),
-                Some(7)
-            );
-            // No stacked duplicates, and the winner's image superseded the
-            // checkpoint's: exactly one version remains.
-            assert_eq!(slot.read().version_count(), 1);
-        }
+        let outcome = recovered(&storage, &checkpoint);
+        assert_eq!(outcome.report.committed, vec![txn]);
+        assert_eq!(outcome.report.replayed, 3);
+        assert_eq!(value_of(&outcome, tid, 1), Some(2));
     }
 
     /// One hot row (pk 1) updated by 50 000 transactions in group-locking
     /// style — up to four stack their updates before the first of them
     /// commits, one group in a hundred ends with its newest updater rolling
-    /// back — then three in-flight hotspot updates, then the last 2 000
-    /// records once more (an overlapping archive segment).  Returns the log
-    /// and the transactions it rolled back before the crash.
-    fn hot_row_log(tid: TableId) -> (Vec<RedoRecord>, Vec<TxnId>) {
+    /// back — then three in-flight hotspot updates.  Returns the log, the
+    /// transactions it rolled back before the crash and its largest group.
+    fn hot_row_log(tid: TableId) -> (Vec<RedoRecord>, Vec<TxnId>, usize) {
         let mut rng = txsql_common::rng::XorShiftRng::new(18);
         let (mut log, mut rolled_back) = (Vec::new(), Vec::new());
         let update = |log: &mut Vec<RedoRecord>, txn: u64, value: i64, order: u64| {
@@ -502,9 +438,11 @@ mod tests {
             });
         };
         let (mut next_txn, mut trx_no, mut value, mut order) = (1u64, 0u64, 1i64, 0u64);
+        let mut largest_group = 0;
         while next_txn <= 50_000 {
             let group: Vec<u64> = (0..=rng.next_bounded(4)).map(|i| next_txn + i).collect();
             next_txn += group.len() as u64;
+            largest_group = largest_group.max(group.len());
             for txn in &group {
                 value += 1;
                 order += 1;
@@ -532,19 +470,18 @@ mod tests {
             order += 1;
             update(&mut log, next_txn + loser, value + 1 + loser as i64, order);
         }
-        let overlap = log[log.len() - 2_000..].to_vec();
-        log.extend(overlap);
-        (log, rolled_back)
+        (log, rolled_back, largest_group)
     }
 
     #[test]
-    fn hot_row_replay_is_linear_and_matches_the_two_pass_algorithm() {
+    fn hot_row_replay_is_linear_and_keeps_the_reported_outcome() {
         let (_storage, tid, _hot, _cold, checkpoint) = setup();
-        let (log, rolled_back_before_crash) = hot_row_log(tid);
+        let (log, rolled_back_before_crash, largest_group) = hot_row_log(tid);
         PEAK_CHAIN.with(|peak| peak.set(0));
         let outcome = recover(&checkpoint, &log, Duration::ZERO).unwrap();
-        // Every number below is what the parent's replay-all-then-resolve
-        // algorithm reports for this log (it needs 6 s for it, not 60 ms).
+        // Every number below is what replaying the whole log, then resolving
+        // outcomes reports for this log (that quadratic algorithm needs 6 s
+        // for it, not 60 ms).
         let report = &outcome.report;
         let losers = [TxnId(50_006), TxnId(50_005), TxnId(50_004)];
         let mut expected_rolled_back = losers.to_vec();
@@ -561,32 +498,15 @@ mod tests {
         assert_eq!(report.committed, expected_committed);
         assert_eq!(report.committed.len(), 49_794);
         assert_eq!(report.replayed, 50_006);
-        assert_eq!(report.duplicate_replays_skipped, 501);
         assert_eq!((report.max_txn_id, report.max_trx_no), (50_006, 49_794));
         let rid = outcome.storage.table(tid).unwrap().lookup_pk(1).unwrap();
         let row = outcome.storage.read_committed(tid, rid).unwrap().unwrap();
         assert_eq!(row.get_int(1), Some(49_795));
         let (latest, _) = outcome.storage.read_latest_with_writer(tid, rid).unwrap();
         assert_eq!(latest, row);
-        // The chain never held more than the committed image and the three
-        // in-flight updates stacked on it.
-        assert_eq!(PEAK_CHAIN.with(|peak| peak.get()), losers.len() + 1);
-    }
-
-    #[test]
-    fn duplicate_commit_marker_is_applied_once() {
-        let (storage, tid, hot, _cold, checkpoint) = setup();
-        let txn = TxnId(4);
-        set_hot(&storage, txn, tid, hot, 42);
-        storage.commit_writes(txn, 9, &[(tid, hot)]).unwrap();
-        storage.redo().flush_all().unwrap();
-        let mut suffix = storage.redo().durable_records();
-        suffix.push(RedoRecord::Commit { txn, trx_no: 9 });
-
-        let outcome = recover(&checkpoint, &suffix, Duration::ZERO).unwrap();
-        assert_eq!(outcome.report.committed, vec![txn]);
-        assert_eq!(outcome.report.max_trx_no, 9);
-        assert_eq!(value_of(&outcome, tid, 1), Some(42));
+        // The chain never held more than the committed image and the largest
+        // group's updates stacked on it, the bound the engine keeps.
+        assert_eq!(PEAK_CHAIN.with(|peak| peak.get()), largest_group + 1);
     }
 
     #[test]

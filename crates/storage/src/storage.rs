@@ -370,7 +370,7 @@ impl Storage {
     /// Rolls back every change `txn` made to the records of its write set
     /// (each named once, as [`Storage::commit_writes`] takes it), ends its
     /// entry and appends the rollback marker.  Each record goes through
-    /// `Table::rollback_writer`, the step recovery's loser pass takes too.
+    /// `Table::rollback_writer`, the step recovery's replay takes too.
     ///
     /// Deliberately *not* gated on crash points or read-only degradation:
     /// rollback must keep working after an fsync failure degraded the engine
@@ -418,8 +418,8 @@ impl Storage {
     ///   from the floor), so every transaction is either fully in the image
     ///   or not at all;
     /// * a transaction fully in the image has its records below the image
-    ///   LSN covered (truncating them is safe — replay of the suffix is
-    ///   idempotent for anything the image already reflects);
+    ///   LSN covered (truncating them is safe, and replaying those that
+    ///   survive rewrites, in log order, what the image already reflects);
     /// * a transaction not in the image is either still active — the floor
     ///   read *in the same critical section* protects its records from
     ///   truncation, so replay recovers it — or starts after the capture,

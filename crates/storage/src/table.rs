@@ -124,7 +124,7 @@ impl Table {
     /// Rolls back `writer` on one row: pops its uncommitted versions (the
     /// chain is the undo image), and unindexes the row if that left it with
     /// no version — `writer` inserted it and nobody stacked on the insert.
-    /// Live rollback and recovery's loser pass both undo a row through here.
+    /// Live rollback and recovery's replay both undo a row through here.
     pub(crate) fn rollback_writer(&self, record: RecordId, writer: TxnId) -> Result<()> {
         let mut guard = self.slot(record)?.write();
         let pk = guard.latest().and_then(|v| v.row.primary_key());
