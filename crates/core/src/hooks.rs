@@ -25,9 +25,8 @@ pub struct BinlogTxn {
     /// `(table, primary key, row)`: one image per row the transaction wrote,
     /// in write-set order, as its commit left it.
     pub changes: Vec<(TableId, i64, Row)>,
-    /// True when the transaction updated a hotspot row; the replica replay
-    /// optimization (§4.6.3) forces such transactions onto a single replay
-    /// thread.
+    /// True when the transaction updated a hotspot row.  Nothing in the
+    /// workspace acts on it; it stays because `benchmark/` builds this struct.
     pub involves_hotspot: bool,
 }
 

@@ -21,10 +21,7 @@
 //!   state;
 //! * [`mod@fault`] — seeded fault plans for the replication path (ack drop,
 //!   replica stall, replica crash/restart, transient ship errors), the
-//!   replication-side counterpart of [`txsql_storage::fault`];
-//! * [`mod@replay`] — offline binlog replay in single-threaded and parallel
-//!   modes, including the §4.6.3 restriction that hotspot transactions are
-//!   never replayed in parallel.
+//!   replication-side counterpart of [`txsql_storage::fault`].
 
 #![warn(missing_docs)]
 #![deny(unsafe_code)]
@@ -32,11 +29,9 @@
 pub mod ack;
 pub mod fault;
 pub mod hook;
-pub mod replay;
 pub mod replica;
 
 pub use ack::{AckTracker, SyncState};
 pub use fault::{ReplFaultPlan, ReplFaultPoint, ReplFaults};
 pub use hook::{ReplicationHook, ReplicationHookBuilder, ReplicationMode};
-pub use replay::{replay, ReplayMode, ReplayReport};
 pub use replica::{DeliverOutcome, Replica};

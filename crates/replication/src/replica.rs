@@ -50,8 +50,12 @@ pub struct Replica {
     name: String,
     /// Per-row newest applied commit number and row image.  Keeping the
     /// commit number makes application idempotent and order-tolerant: an
-    /// older event can never overwrite a newer row image, which is how the
-    /// parallel replay modes stay convergent.
+    /// older event can never overwrite a newer row image.  The hook's
+    /// deliveries need that, because binlog positions follow flush order,
+    /// not `trx_no` order: `Database::commit` releases a transaction's locks
+    /// after it takes its `trx_no` and before `CommitPipeline::commit` queues
+    /// its event, so the row's next writer can take a larger `trx_no` and
+    /// reach the binlog first.
     rows: Mutex<FxHashMap<(TableId, i64), (u64, Row)>>,
     applied_trx_no: Mutex<u64>,
     applied_txns: Mutex<u64>,
@@ -103,13 +107,6 @@ impl Replica {
         let mut applied = self.applied_trx_no.lock();
         *applied = (*applied).max(event.trx_no);
         *self.applied_txns.lock() += 1;
-    }
-
-    /// Applies a batch in order.
-    pub fn apply_batch(&self, batch: &[BinlogTxn]) {
-        for event in batch {
-            self.apply(event);
-        }
     }
 
     /// One position-addressed delivery from the primary: `events` are the
@@ -232,7 +229,9 @@ mod tests {
     #[test]
     fn apply_overwrites_rows_in_order() {
         let replica = Replica::new("r1");
-        replica.apply_batch(&[event(1, 5, 10), event(2, 5, 20), event(3, 6, 30)]);
+        for e in [event(1, 5, 10), event(2, 5, 20), event(3, 6, 30)] {
+            replica.apply(&e);
+        }
         assert_eq!(replica.row(TableId(1), 5).unwrap().get_int(1), Some(20));
         assert_eq!(replica.row(TableId(1), 6).unwrap().get_int(1), Some(30));
         assert_eq!(replica.applied_trx_no(), 3);
@@ -270,7 +269,9 @@ mod tests {
         let forward = Replica::new("forward");
         let backward = Replica::new("backward");
         let events = [event(1, 5, 10), event(2, 5, 20), event(3, 5, 30)];
-        forward.apply_batch(&events);
+        for e in &events {
+            forward.apply(e);
+        }
         for e in events.iter().rev() {
             backward.apply(e);
         }

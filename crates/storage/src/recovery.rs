@@ -103,7 +103,8 @@ struct TxnRecoveryState {
     /// A durable `Rollback` marker was replayed: its rows are already undone.
     rolled_back: bool,
     header: UndoHeader,
-    /// The rows its images were replayed into, in log order.
+    /// The rows its images were replayed into, each once, in the order of
+    /// their first image (the rule of `Transaction::record_write`).
     writes: Vec<(TableId, RecordId)>,
     last_seq: usize,
 }
@@ -168,7 +169,9 @@ fn replay(
                 guard.push_uncommitted(row.clone(), txn);
                 #[cfg(test)]
                 tests::PEAK_CHAIN.with(|peak| peak.set(peak.get().max(guard.version_count())));
-                state.writes.push((*table_id, record));
+                if !state.writes.contains(&(*table_id, record)) {
+                    state.writes.push((*table_id, record));
+                }
                 replayed += 1;
             }
             RedoRecord::UndoHeader { field, .. } => state.header = UndoHeader::from_raw(*field),

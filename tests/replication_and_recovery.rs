@@ -1,11 +1,11 @@
 //! Cross-crate integration tests: primary/replica consistency under
-//! contention, end-to-end crash recovery, and the replication replay modes —
-//! each on the shared fixture, ending in its audit.
+//! contention, end-to-end crash recovery, and a replica fed the captured
+//! binlog — each on the shared fixture, ending in its audit.
 
 use std::sync::Arc;
 use std::time::Duration;
 use txsql::prelude::*;
-use txsql::replication::{replay, ReplayMode};
+use txsql::replication::Replica;
 use txsql::workloads::fixture::{self, add, Fixture, ACCOUNTS};
 
 const HOT: i64 = 0;
@@ -82,7 +82,7 @@ fn crash_recovery_preserves_exactly_the_durable_commits() {
 }
 
 #[test]
-fn binlog_replay_modes_agree_on_final_state() {
+fn binlog_applied_in_trx_no_order_reproduces_the_hot_row() {
     let fixture = setup(Protocol::GroupLockingTxsql);
     // Capture the binlog through a collecting hook.
     let collector = Arc::new(txsql::core::hooks::CollectingHook::new());
@@ -90,18 +90,12 @@ fn binlog_replay_modes_agree_on_final_state() {
     contended_run(&fixture, 4, 15);
     fixture.audit("binlog source");
     let mut events = collector.events();
+    assert_eq!(events.len(), 60, "one binlog event per commit");
     events.sort_by_key(|e| e.trx_no);
 
-    let (single, _) = replay(&events, ReplayMode::SingleThreaded);
-    let (restricted, report) = replay(
-        &events,
-        ReplayMode::ParallelHotspotRestricted { workers: 4 },
-    );
-    assert_eq!(
-        single.row(ACCOUNTS, HOT).unwrap().get_int(1),
-        restricted.row(ACCOUNTS, HOT).unwrap().get_int(1),
-        "hotspot-restricted parallel replay must match single-threaded replay"
-    );
-    assert_eq!(single.row(ACCOUNTS, HOT).unwrap().get_int(1), Some(60));
-    assert!(report.transactions == events.len());
+    let replica = Replica::new("binlog-target");
+    for event in &events {
+        replica.apply(event);
+    }
+    assert_eq!(replica.row(ACCOUNTS, HOT).unwrap().get_int(1), Some(60));
 }
